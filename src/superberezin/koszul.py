@@ -20,6 +20,7 @@ give the homology dimensions with no approximation.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -93,19 +94,32 @@ class KoszulComplexSlice:
             out.append((Fraction(sign), (tuple(new_evens), new_odds)))
         return out
 
-    def differential_matrix(self, degree: int, parity: Parity):
-        """Matrix of d on the given (degree, parity) slice; rows are sources."""
-        source = self.basis(degree, parity)
+    def differential_matrix(self, degree: int,
+                            parity: Parity) -> list[dict[int, Fraction]]:
+        """Sparse matrix of d on the (degree, parity) slice.
+
+        One row per source monomial, as {target index: coefficient}; the
+        targets are `basis(degree + 2, parity.flip())`.
+        """
         target_index = {
             m: i for i, m in enumerate(self.basis(degree + 2, parity.flip()))
         }
         rows = []
-        for mono in source:
-            row = [Fraction(0)] * len(target_index)
+        for mono in self.basis(degree, parity):
+            row: dict[int, Fraction] = {}
             for coeff, image in self.apply_d(mono):
-                row[target_index[image]] += coeff
+                j = target_index[image]
+                row[j] = row.get(j, 0) + coeff
             rows.append(row)
         return rows
+
+    def d_rank(self, degree: int, parity: Parity) -> int:
+        """Rank of d leaving the (degree, parity) slice; 0 below degree 0."""
+        if degree < 0:
+            return 0
+        targets = self.basis(degree + 2, parity.flip())
+        return linalg.rank(self.differential_matrix(degree, parity),
+                           ncols=len(targets))
 
     def d_squared_vanishes(self, degree: int) -> bool:
         for mono in self._bases[degree]:
@@ -121,20 +135,21 @@ class KoszulComplexSlice:
         """dim ker - dim im at (degree, parity); needs degree ≤ cap - 2."""
         if degree + 2 > self.degree_cap:
             raise DimensionError("degree too close to the cap to compute homology")
-        dim = len(self.basis(degree, parity))
-        rank_out = linalg.rank(self.differential_matrix(degree, parity)) if dim else 0
-        rank_in = 0
-        if degree >= 2:
-            rank_in = linalg.rank(self.differential_matrix(degree - 2, parity.flip()))
-        return dim - rank_out - rank_in
+        return _homology(self, degree, parity, self.d_rank)
 
 
-def _homology_profile(p: int, q: int, cap: int) -> dict[tuple[int, int], int]:
-    cx = KoszulComplexSlice(p, q, cap)
+def _homology(cx: KoszulComplexSlice, degree: int, parity: Parity, d_rank) -> int:
+    return (len(cx.basis(degree, parity)) - d_rank(degree, parity)
+            - d_rank(degree - 2, parity.flip()))
+
+
+def _homology_profile(cx: KoszulComplexSlice, cap: int,
+                      d_rank) -> dict[tuple[int, int], int]:
+    """Nonzero homology dimensions of the complex truncated at `cap`."""
     profile = {}
     for k in range(cap - 1):
         for parity in Parity:
-            d = cx.homology_dimension(k, parity)
+            d = _homology(cx, k, parity, d_rank)
             if d:
                 profile[(k, parity.value)] = d
     return profile
@@ -143,16 +158,23 @@ def _homology_profile(p: int, q: int, cap: int) -> dict[tuple[int, int], int]:
 def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity]:
     """Total dimension and parity of the Berezinian line, computed homologically.
 
-    Runs the truncated computation at degree_cap and degree_cap + 1; any
-    disagreement on the shared range, or homology touching the top computed
-    degree, raises InconclusiveError rather than returning a wrong answer.
+    Runs the truncated computation at degree_cap and degree_cap + 1 on one
+    complex.  A (degree, parity) slice does not depend on the cap, so the
+    two runs share each slice's rank through a memo that lives for this
+    call only; they therefore agree on the shared range by construction,
+    and that comparison stays only as a consistency assertion.  The live
+    guards are the boundary check (homology touching the top computed
+    degree) and the parity check (homology in both parities): either
+    raises InconclusiveError rather than returning a wrong answer.
     """
     if p + q < 1:
         raise DimensionError("need p + q >= 1")
     if degree_cap < p + q + 2:
         raise DimensionError("degree cap must be at least p + q + 2")
-    first = _homology_profile(p, q, degree_cap)
-    second = _homology_profile(p, q, degree_cap + 1)
+    cx = KoszulComplexSlice(p, q, degree_cap + 1)
+    d_rank = functools.cache(cx.d_rank)
+    first = _homology_profile(cx, degree_cap, d_rank)
+    second = _homology_profile(cx, degree_cap + 1, d_rank)
     shared = {k: v for k, v in second.items() if k[0] <= degree_cap - 2}
     if first != shared:
         raise InconclusiveError(

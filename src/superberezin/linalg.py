@@ -1,7 +1,19 @@
-"""Exact linear algebra over Fraction matrices (lists of lists).
+"""Exact linear algebra over Fraction matrices.
 
-Everything here runs plain Gaussian elimination with exact rational
-pivots; no numerics, no tolerance knobs.
+`rank`, `nullspace`, `solve` and `inverse` share one sparse elimination
+core.  Each row is a ``{column: Fraction}`` dict holding only its
+nonzeros.  Columns are taken in increasing order; the pivot for a column
+is the row holding it with the fewest nonzeros (ties to the lower row
+index), and a column -> rows index means each step touches only the rows
+that hold the pivot column.  `rank` stops after this forward pass; the
+others back-reduce to the reduced row echelon form.  That form is unique,
+so the result does not depend on the pivot choice: `nullspace` returns
+the same basis, in the same order, as textbook Gauss–Jordan would.
+
+Matrices come in as dense lists of rows.  `rank` and `nullspace` also
+take sparse rows (mappings column -> value) together with ``ncols=``.
+`det` keeps its own dense loop; it only sees small body matrices.
+No numerics, no tolerance knobs.
 """
 
 from __future__ import annotations
@@ -11,6 +23,7 @@ from fractions import Fraction
 from .errors import DimensionError, NonInvertibleError
 
 Matrix = list[list[Fraction]]
+SparseRow = dict[int, Fraction]
 
 
 def _as_matrix(rows) -> Matrix:
@@ -20,56 +33,147 @@ def _as_matrix(rows) -> Matrix:
     return out
 
 
-def _row_echelon(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
+def _sparse_rows(rows, ncols: int | None) -> tuple[list[SparseRow], int]:
+    """Rows as fresh nonzero-only dicts, and the column count.
+
+    With ``ncols`` None the rows are dense sequences; otherwise each row
+    maps column indices in ``range(ncols)`` to values.
+    """
+    if ncols is None:
+        dense = _as_matrix(rows)
+        width = len(dense[0]) if dense else 0
+        return [{c: x for c, x in enumerate(row) if x} for row in dense], width
+    out = []
+    for row in rows:
+        entries = {}
+        for c, x in row.items():
+            if not 0 <= c < ncols:
+                raise DimensionError(f"column index {c} outside 0..{ncols - 1}")
+            value = Fraction(x)
+            if value:
+                entries[c] = value
+        out.append(entries)
+    return out, ncols
+
+
+def _subtract(row: SparseRow, factor: Fraction, pivot_row: SparseRow,
+              skip: int) -> list[tuple[int, bool]]:
+    """row -= factor * pivot_row outside column `skip`, in place.
+
+    Returns the columns whose presence in `row` changed, with True for an
+    entry that appeared and False for one that cancelled.
+    """
+    changed = []
+    for c, v in pivot_row.items():
+        if c == skip:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+        old = row.get(c)
+        if old is None:
+            row[c] = -factor * v
+            changed.append((c, True))
+            continue
+        new = old - factor * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+            changed.append((c, False))
+    return changed
+
+
+def _echelon(rows: list[SparseRow], ncols: int) -> list[tuple[int, SparseRow]]:
+    """Forward elimination, consuming `rows`.
+
+    Returns (pivot column, pivot row scaled to a leading 1) in increasing
+    column order.  Each pivot row is zero left of its pivot column.
+    """
+    active = {i: row for i, row in enumerate(rows) if row}
+    holders: dict[int, set[int]] = {}
+    for i, row in active.items():
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    pivots = []
+    for col in range(ncols):
+        if not active:
             break
-    return m, pivots
+        rows_here = holders.pop(col, None)
+        if not rows_here:
+            continue
+        p = min(rows_here, key=lambda i: (len(active[i]), i))
+        pivot_row = active.pop(p)
+        lead = pivot_row.pop(col)
+        for c in pivot_row:
+            holders[c].discard(p)
+        pivot_row = {c: v / lead for c, v in pivot_row.items()}
+        for i in rows_here:
+            if i == p:
+                continue
+            row = active[i]
+            factor = row.pop(col)
+            for c, appeared in _subtract(row, factor, pivot_row, col):
+                if appeared:
+                    holders.setdefault(c, set()).add(i)
+                else:
+                    holders[c].discard(i)
+            if not row:
+                del active[i]
+        pivot_row[col] = Fraction(1)
+        pivots.append((col, pivot_row))
+    return pivots
 
 
-def rank(rows) -> int:
-    _, pivots = _row_echelon(_as_matrix(rows))
-    return len(pivots)
+def _rref(rows: list[SparseRow], ncols: int) -> list[tuple[int, SparseRow]]:
+    """The reduced row echelon form: `_echelon`, then back-reduction so
+    every pivot column is zero outside its own pivot row."""
+    pivots = _echelon(rows, ncols)
+    # Back-reduction only ever subtracts a fully reduced later row, whose
+    # entries sit at its pivot and at non-pivot columns, so the rows that
+    # hold each pivot column can be listed once, up front.
+    holders: dict[int, list[int]] = {col: [] for col, _ in pivots}
+    for i, (col, row) in enumerate(pivots):
+        for c in row:
+            if c != col and c in holders:
+                holders[c].append(i)
+    for col, row in reversed(pivots):
+        for i in holders[col]:
+            target = pivots[i][1]
+            _subtract(target, target.pop(col), row, col)
+    return pivots
 
 
-def nullspace(rows) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    mat = _as_matrix(rows)
-    if not mat:
-        return []
-    cols = len(mat[0])
-    rref, pivots = _row_echelon(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
-    return basis
+def rank(rows, ncols: int | None = None) -> int:
+    """Rank of a dense matrix, or of sparse rows with ``ncols`` columns."""
+    return len(_echelon(*_sparse_rows(rows, ncols)))
+
+
+def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right kernel, one vector per free column.
+
+    The vector for free column f has a 1 at f, zero at the other free
+    columns, and minus the RREF's column f at the pivot columns; vectors
+    come in increasing order of f.  A dense ``[]`` has no columns.
+    """
+    sparse, width = _sparse_rows(rows, ncols)
+    pivots = _rref(sparse, width)
+    pivot_cols = {col for col, _ in pivots}
+    basis = {}
+    for fc in range(width):
+        if fc not in pivot_cols:
+            vec = [Fraction(0)] * width
+            vec[fc] = Fraction(1)
+            basis[fc] = vec
+    for col, row in pivots:
+        for c, v in row.items():
+            if c != col:
+                basis[c][col] = -v
+    return list(basis.values())
 
 
 def solve(rows, rhs) -> list[Fraction] | None:
-    """One solution of A x = b, or None if inconsistent."""
+    """One solution of A x = b, or None if inconsistent.
+
+    Free variables are set to zero.
+    """
     mat = _as_matrix(rows)
     b = [Fraction(x) for x in rhs]
     if len(mat) != len(b):
@@ -77,13 +181,13 @@ def solve(rows, rhs) -> list[Fraction] | None:
     if not mat:
         return []
     cols = len(mat[0])
-    aug = [row + [bv] for row, bv in zip(mat, b)]
-    rref, pivots = _row_echelon(aug)
-    if cols in pivots:
-        return None
+    sparse = [{c: v for c, v in enumerate(row + [bv]) if v}
+              for row, bv in zip(mat, b)]
     x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][cols]
+    for col, row in _rref(sparse, cols + 1):
+        if col == cols:
+            return None
+        x[col] = row.get(cols, Fraction(0))
     return x
 
 
@@ -115,9 +219,15 @@ def inverse(rows) -> Matrix:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise DimensionError("inverse requires a square matrix")
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    rref, pivots = _row_echelon(aug)
-    if pivots != list(range(n)):
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in mat]
+    for i, row in enumerate(sparse):
+        row[n + i] = Fraction(1)
+    pivots = _rref(sparse, 2 * n)
+    if [col for col, _ in pivots] != list(range(n)):
         raise NonInvertibleError("matrix is singular")
-    return [row[n:] for row in rref]
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, (_, row) in enumerate(pivots):
+        for c, v in row.items():
+            if c >= n:
+                out[i][c - n] = v
+    return out

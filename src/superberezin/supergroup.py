@@ -292,31 +292,17 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
             unknowns.append((odd_part, exps))
     unknowns.sort()
 
-    row_index: dict[tuple, int] = {}
-    columns = []
-    for odd_part, exps in unknowns:
+    # one sparse row per (odd index, exponent) coefficient of the residual
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for u, (odd_part, exps) in enumerate(unknowns):
         phi = SuperFunction(G.shape,
                             {odd_part: Polynomial(m, {exps: Scalar.one()})})
         residual = factor * pullback(trans, phi) - phi.embed(S, m, 0)
-        col = {}
         for idx, poly in residual.coeffs.items():
             for e2, coeff in poly.terms.items():
-                if coeff.is_zero():
-                    continue
-                key = (idx, e2)
-                r = row_index.setdefault(key, len(row_index))
-                col[r] = coeff.rational
-        columns.append(col)
-
-    matrix = [[Fraction(0)] * len(unknowns) for _ in range(len(row_index))]
-    for u, col in enumerate(columns):
-        for r, value in col.items():
-            matrix[r][u] = value
-    if matrix:
-        kernel = nullspace(matrix)
-    else:
-        kernel = [[Fraction(int(i == u)) for i in range(len(unknowns))]
-                  for u in range(len(unknowns))]
+                if not coeff.is_zero():
+                    rows.setdefault((idx, e2), {})[u] = coeff.rational
+    kernel = nullspace(list(rows.values()), ncols=len(unknowns))
     if not kernel:
         raise InconclusiveError(
             f"no {side}-invariant density within the polynomial ansatz "

@@ -78,7 +78,10 @@ def _int(token: _Token) -> int:
 def _fraction(token: _Token) -> Fraction:
     if not _RATIONAL.match(token.text):
         _fail(token, f"expected a rational number, got {token.text!r}")
-    return Fraction(token.text)
+    try:
+        return Fraction(token.text)
+    except ZeroDivisionError:
+        _fail(token, f"zero denominator in {token.text!r}")
 
 
 @dataclass
@@ -126,7 +129,7 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
                 if saw_coefficient:
                     _fail(tok, "two coefficients in one term")
                 saw_coefficient = True
-                coeff = coeff * Scalar(Fraction(tok.text))
+                coeff = coeff * Scalar(_fraction(tok))
                 continue
             m = _GAUSS.match(tok.text)
             if m:

@@ -59,6 +59,14 @@ def test_ber_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: line 2, column 5")
 
 
+def test_ber_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "div0.txt", "1 1 2\n1/0\n0\n0\n1\n")
+    assert cli.main(["ber", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 2, column 1")
+    assert "Traceback" not in err
+
+
 def test_ber_singular_matrix(tmp_path, capsys):
     path = write(tmp_path, "sing.txt", "1 1 0\n1\n0\n0\n0\n")
     assert cli.main(["ber", path]) == 1
@@ -99,6 +107,12 @@ def test_integrate_box_bad_bound(tmp_path, capsys):
     path = write(tmp_path, "f.txt", BOX_FUNCTION)
     assert cli.main(["integrate", path, "--backend", "box", "1/0", "1"]) == 2
     assert "rational" in capsys.readouterr().err
+
+
+def test_integrate_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "f.txt", "1 0 0\naxis 0 1\nx1 + 3/0 x1^2 : 1\n")
+    assert cli.main(["integrate", path, "--backend", "box", "0", "1"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 3, column 6")
 
 
 def test_integrate_unknown_backend(tmp_path, capsys):
@@ -201,8 +215,28 @@ def test_examples_run_needs_name(capsys):
 def test_verify_summary_line(capsys):
     assert cli.main(["verify", "berezinian-line", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "5/5 checks passed (seed 3)"
+    # berezinian-line takes no seed, so the summary must not name one
+    assert lines[-1] == "5/5 checks passed (unseeded)"
     assert all(line.startswith("PASS ") for line in lines[:-1])
+
+
+def test_verify_seeded_summary_names_the_seed(capsys):
+    assert cli.main(["verify", "support", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "checks passed (seed 3)")
+
+
+def test_verify_does_not_retry_on_type_error(monkeypatch):
+    calls = []
+
+    def broken(seed=0):
+        calls.append(seed)
+        raise TypeError("bug inside the suite")
+
+    monkeypatch.setitem(cli.SUITES, "broken", broken)
+    with pytest.raises(TypeError, match="bug inside the suite"):
+        cli.main(["verify", "broken", "--seed", "5"])
+    assert calls == [5]
 
 
 def test_verify_default_seed(capsys):

@@ -40,6 +40,15 @@ def test_homological_berezinian(p, q):
     assert parity == Parity(q % 2)
 
 
+@pytest.mark.parametrize("p,q,cap,expected", [
+    (3, 2, 7, (1, EVEN)),
+    (2, 3, 7, (1, ODD)),
+    (3, 3, 8, (1, ODD)),
+])
+def test_homological_berezinian_larger_rungs(p, q, cap, expected):
+    assert homological_berezinian(p, q, cap) == expected
+
+
 def test_homological_berezinian_concentration_degree():
     p, q = 1, 1
     cx = KoszulComplexSlice(p, q, p + q + 3)

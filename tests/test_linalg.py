@@ -5,7 +5,84 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from superberezin.linalg import det, inverse, nullspace, rank, solve
-from superberezin.errors import NonInvertibleError
+from superberezin.errors import DimensionError, NonInvertibleError
+
+
+# -- dense Gauss-Jordan reference -------------------------------------------
+#
+# The textbook dense elimination the sparse core replaced.  The reduced row
+# echelon form is unique, so the core must reproduce these answers exactly.
+
+
+def _dense_rref(mat):
+    """Reduced row echelon form and the list of pivot column indices."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def oracle_rank(mat):
+    return len(_dense_rref(mat)[1])
+
+
+def oracle_nullspace(mat):
+    if not mat:
+        return []
+    cols = len(mat[0])
+    rref, pivots = _dense_rref(mat)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def oracle_solve(mat, rhs):
+    if not mat:
+        return []
+    cols = len(mat[0])
+    rref, pivots = _dense_rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rref[r][cols]
+    return x
+
+
+def oracle_inverse(mat):
+    n = len(mat)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    rref, pivots = _dense_rref(aug)
+    if pivots != list(range(n)):
+        raise NonInvertibleError("matrix is singular")
+    return [row[n:] for row in rref]
+
+
+def _sparse(mat):
+    return [{c: x for c, x in enumerate(row) if x} for row in mat]
 
 
 def test_rank():
@@ -66,3 +143,83 @@ def test_nullspace_vectors_annihilate(m):
     for vec in nullspace(m):
         for row in m:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+# -- sparse core against the dense reference ----------------------------------
+
+entry = st.integers(min_value=-3, max_value=3).map(Fraction)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Wide, tall and square matrices (zero rows or columns included),
+    often with zero rows and with rows copied or combined from others."""
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = rows if square else draw(st.integers(min_value=0, max_value=6))
+    mat = [draw(st.lists(entry, min_size=cols, max_size=cols))
+           for _ in range(rows)]
+    for i in range(rows):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy", "combine"]))
+        if kind == "zero":
+            mat[i] = [Fraction(0)] * cols
+        elif kind == "copy" and i:
+            mat[i] = list(mat[draw(st.integers(0, i - 1))])
+        elif kind == "combine" and i >= 2:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(entry), draw(entry)
+            mat[i] = [s * x + t * y for x, y in zip(mat[a], mat[b])]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rank_and_nullspace_match_dense_oracle(m):
+    assert rank(m) == oracle_rank(m)
+    assert nullspace(m) == oracle_nullspace(m)
+    cols = len(m[0]) if m else 0
+    assert rank(_sparse(m), ncols=cols) == oracle_rank(m)
+    if m:
+        assert nullspace(_sparse(m), ncols=cols) == oracle_nullspace(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_dense_oracle(m, data):
+    rhs = data.draw(st.lists(entry, min_size=len(m), max_size=len(m)))
+    assert solve(m, rhs) == oracle_solve(m, rhs)
+    # a right-hand side in the column space always has a solution
+    cols = len(m[0]) if m else 0
+    x = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+    b = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in m]
+    assert solve(m, b) == oracle_solve(m, b) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(square=True))
+def test_inverse_matches_dense_oracle(m):
+    try:
+        expected = oracle_inverse(m)
+    except NonInvertibleError:
+        with pytest.raises(NonInvertibleError):
+            inverse(m)
+    else:
+        assert inverse(m) == expected
+
+
+def test_sparse_rows_with_ncols():
+    # no rows: every column is free
+    assert nullspace([], ncols=2) == [[1, 0], [0, 1]]
+    assert rank([], ncols=3) == 0
+    assert rank([{0: 1, 2: 0}, {}, {0: 2}], ncols=3) == 1
+    assert nullspace([{1: 1}], ncols=3) == [[1, 0, 0], [0, 0, 1]]
+    with pytest.raises(DimensionError):
+        rank([{3: 1}], ncols=3)
+    with pytest.raises(DimensionError):
+        nullspace([{-1: 1}], ncols=3)
+
+
+def test_ragged_dense_input_rejected():
+    with pytest.raises(DimensionError):
+        rank([[1, 2], [3]])
+    with pytest.raises(DimensionError):
+        nullspace([[1], [2, 3]])

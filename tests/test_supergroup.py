@@ -160,6 +160,12 @@ def test_translation_right_density_is_one():
     assert result.sections[0].density == SuperFunction.one(G.shape)
 
 
+def test_translation_33_left_density_at_degree_4():
+    # 280 unknowns; out of reach of dense elimination
+    result = solve_invariant_density(translation_group(3, 3), "left", 4)
+    assert (result.dimension, str(result.density)) == (1, "1")
+
+
 def test_axb_left_density_is_one():
     G = axb_group()
     result = solve_invariant_density(G, side="left")
