@@ -378,19 +378,26 @@ class FibreTerm:
     base_support: tuple[Interval, ...] | None = None
 
 
+def _check_fibre_term(base_function: SuperFunction,
+                      fibre_section: BerezinSection,
+                      base: SuperDomainShape, fibre: SuperDomainShape) -> None:
+    """Shape checks on one product term, shared by the fibre integrators."""
+    if base_function.shape != base:
+        raise DimensionError("base factor on the wrong shape")
+    if fibre_section.shape != fibre:
+        raise DimensionError("fibre factor on the wrong shape")
+    if fibre.aux:
+        raise StructureError("fibre shapes with aux parameters "
+                             "are not supported here")
+
+
 def fibre_integrate(terms: Sequence[tuple[SuperFunction, BerezinSection]],
                     base: SuperDomainShape, fibre: SuperDomainShape,
                     backend: IntegrationBackend) -> SuperFunction:
     """Integrate the fibre factor of each product term: sum of f_i * c_i."""
     total = SuperFunction.zero(base)
     for fn, sec in terms:
-        if fn.shape != base:
-            raise DimensionError("base factor on the wrong shape")
-        if sec.shape != fibre:
-            raise DimensionError("fibre factor on the wrong shape")
-        if fibre.aux:
-            raise StructureError("fibre shapes with aux parameters "
-                                 "are not supported here")
+        _check_fibre_term(fn, sec, base, fibre)
         total = total + fn * integrate(sec, backend)
     return total
 
@@ -409,6 +416,7 @@ def fibre_integrate_with_support(terms: Sequence[FibreTerm],
     total = SuperFunction.zero(base)
     support = set()
     for term in terms:
+        _check_fibre_term(term.base_function, term.fibre_section, base, fibre)
         value = integrate(term.fibre_section, backend)
         piece = term.base_function * value
         total = total + piece

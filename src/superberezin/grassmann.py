@@ -91,23 +91,25 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        if self.is_zero():
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        if not self.rational:
             return other
-        if other.is_zero():
+        if not other.rational:
             return self
         if self.gauss_exponent != other.gauss_exponent:
             raise ScalarExponentError(
                 f"cannot add s^{self.gauss_exponent} and s^{other.gauss_exponent} terms"
             )
-        return Scalar(self.rational + other.rational, self.gauss_exponent)
+        q = self.rational + other.rational
+        return _scalar(q, self.gauss_exponent if q else 0)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.rational, self.gauss_exponent)
+        return _scalar(-self.rational, self.gauss_exponent)
 
     def __sub__(self, other) -> "Scalar":
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -120,11 +122,12 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        return Scalar(self.rational * other.rational,
-                      self.gauss_exponent + other.gauss_exponent)
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        q = self.rational * other.rational
+        return _scalar(q, self.gauss_exponent + other.gauss_exponent if q else 0)
 
     __rmul__ = __mul__
 
@@ -172,6 +175,18 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.rational!r}, {self.gauss_exponent})"
+
+
+def _scalar(rational: Fraction, gauss_exponent: int) -> Scalar:
+    """Trusted constructor for the results of closed Scalar operations.
+
+    ``rational`` must already be a Fraction and a zero must carry exponent
+    0; the public constructor establishes both, this one assumes them.
+    """
+    out = object.__new__(Scalar)
+    object.__setattr__(out, "rational", rational)
+    object.__setattr__(out, "gauss_exponent", gauss_exponent)
+    return out
 
 
 def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
@@ -270,19 +285,19 @@ class GrassmannElement:
         return self.terms.get((), Scalar.zero())
 
     def soul(self) -> "GrassmannElement":
-        return GrassmannElement(
+        return _element(
             self.generator_count,
             {i: c for i, c in self.terms.items() if i},
         )
 
     def even_part(self) -> "GrassmannElement":
-        return GrassmannElement(
+        return _element(
             self.generator_count,
             {i: c for i, c in self.terms.items() if len(i) % 2 == 0},
         )
 
     def odd_part(self) -> "GrassmannElement":
-        return GrassmannElement(
+        return _element(
             self.generator_count,
             {i: c for i, c in self.terms.items() if len(i) % 2 == 1},
         )
@@ -313,17 +328,21 @@ class GrassmannElement:
         self._check_compatible(other)
         terms = dict(self.terms)
         for idx, coeff in other.terms.items():
-            acc = terms.get(idx, Scalar.zero()) + coeff
+            prev = terms.get(idx)
+            if prev is None:
+                terms[idx] = coeff
+                continue
+            acc = prev + coeff
             if acc.is_zero():
-                terms.pop(idx, None)
+                del terms[idx]
             else:
                 terms[idx] = acc
-        return GrassmannElement(self.generator_count, terms)
+        return _element(self.generator_count, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(
+        return _element(
             self.generator_count, {i: -c for i, c in self.terms.items()}
         )
 
@@ -354,12 +373,15 @@ class GrassmannElement:
                 if sign < 0:
                     coeff = -coeff
                 prev = acc.get(idx)
-                coeff = coeff if prev is None else prev + coeff
+                if prev is None:
+                    acc[idx] = coeff
+                    continue
+                coeff = prev + coeff
                 if coeff.is_zero():
-                    acc.pop(idx, None)
+                    del acc[idx]
                 else:
                     acc[idx] = coeff
-        return GrassmannElement(self.generator_count, acc)
+        return _element(self.generator_count, acc)
 
     def __rmul__(self, other) -> "GrassmannElement":
         # scalars are even and central, so this is safe
@@ -394,14 +416,6 @@ class GrassmannElement:
         if new_count < self.generator_count:
             raise DimensionError("cannot embed into a smaller algebra")
         return GrassmannElement(new_count, dict(self.terms))
-
-    def map_indices(self, mapping, new_count: int) -> "GrassmannElement":
-        """Relabel generators; mapping must be strictly increasing on each index tuple."""
-        terms = {}
-        for idx, coeff in self.terms.items():
-            new_idx = tuple(mapping[i] for i in idx)
-            terms[new_idx] = coeff
-        return GrassmannElement(new_count, terms)
 
     # -- comparison / printing ----------------------------------------
 
@@ -441,19 +455,14 @@ class GrassmannElement:
         return f"GrassmannElement({self.generator_count}, {self!s})"
 
 
-# Functional aliases matching the operation names used throughout the docs.
+def _element(generator_count: int, terms: dict) -> GrassmannElement:
+    """Trusted constructor for the results of closed operations.
 
-def g_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a * b
-
-
-def g_inv_even(a: GrassmannElement) -> GrassmannElement:
-    return a.inv_even()
-
-
-def g_body(a: GrassmannElement) -> Scalar:
-    return a.body()
-
-
-def g_soul(a: GrassmannElement) -> GrassmannElement:
-    return a.soul()
+    ``terms`` must map strictly increasing in-range index tuples to nonzero
+    Scalars and is kept, not copied; the public constructor checks all of
+    this, this one assumes it.
+    """
+    out = object.__new__(GrassmannElement)
+    object.__setattr__(out, "generator_count", generator_count)
+    object.__setattr__(out, "terms", terms)
+    return out

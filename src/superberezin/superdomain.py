@@ -640,22 +640,6 @@ class SuperFunction:
         return f"SuperFunction({self.shape}, {self!s})"
 
 
-def sf_mul(f: SuperFunction, g: SuperFunction) -> SuperFunction:
-    return f * g
-
-
-def sf_derive_even(f: SuperFunction, i: int) -> SuperFunction:
-    return f.derive_even(i)
-
-
-def sf_derive_odd(f: SuperFunction, j: int) -> SuperFunction:
-    return f.derive_odd(j)
-
-
-def sf_inv_even(f: SuperFunction) -> SuperFunction:
-    return f.inv_even()
-
-
 # -- morphisms --------------------------------------------------------------
 
 

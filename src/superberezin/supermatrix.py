@@ -6,60 +6,126 @@ throughout the package: ``__add__``, ``__sub__``, ``__neg__``, ``__mul__``,
 ``inv_even()``.  Both Grassmann elements and superfunctions qualify, so
 the same Berezinian code serves constant matrices and Jacobians.
 
-Determinants use Laplace expansion and inverses the adjugate formula;
-block sizes stay small here and this keeps everything division-free
-except for the single final ``inv_even``.
+Determinants, det(D)^-1 and the solve D Z = C share one forward
+elimination over the entries' ring.  A column's pivot is the first
+remaining entry that is nonzero, even and has an inverse; each row swap
+flips the sign.  det(D)^-1 is the signed product of the pivot inverses,
+back substitution gives Z, and the Schur complement A - B Z is a single
+matrix product.  A determinant needs no inverse of its last pivot.
+
+Over a local ring such as a Grassmann algebra, a column with no
+invertible entry means the determinant is not invertible.  Over
+superfunctions, whose invertible bodies are Laurent monomials, an
+invertible matrix can still have such a column: det [[x+2, x+1],
+[x+3, x+2]] = 1.  There the determinant expands the remaining block along
+that column by cofactors, with minors through the same elimination, and
+the solve falls back to Cramer's rule.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionError, NonInvertibleError, ParityError
-from .grassmann import EVEN, ODD, Parity
+from .grassmann import EVEN, Parity
 
 
-def _det(entries, one):
-    """Laplace-expansion determinant of a square matrix of even entries."""
+def _pivot(rows, k):
+    """First row at or below ``k`` whose column-``k`` entry is even and
+    invertible, with that entry's inverse; ``(None, None)`` if none is."""
+    for r in range(k, len(rows)):
+        entry = rows[r][k]
+        if entry.is_zero() or entry.parity() is not EVEN:
+            continue
+        try:
+            return r, entry.inv_even()
+        except NonInvertibleError:
+            continue
+    return None, None
+
+
+def _eliminate(rows, n, last=True):
+    """Forward elimination over the first ``n`` columns of ``rows``, in place.
+
+    Columns right of ``n`` take part in every row operation.  Returns the
+    sign of the row permutation and the inverses of the pivots found; fewer
+    than ``n`` inverses (``n - 1`` with ``last=False``, which leaves the
+    last column unpivoted) means that column ``len(inverses)`` has no
+    invertible entry.  Entries left of the diagonal are not cleared.
+    """
+    sign = 1
+    inverses = []
+    for k in range(n if last else n - 1):
+        r, inv = _pivot(rows, k)
+        if r is None:
+            break
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            if row[k].is_zero():
+                continue
+            factor = row[k] * inv
+            for j in range(k + 1, len(top)):
+                if not top[j].is_zero():
+                    row[j] = row[j] - factor * top[j]
+        inverses.append(inv)
+    return sign, inverses
+
+
+def _det(entries, zero, one):
+    """Determinant of a square matrix with even entries.
+
+    One column may be odd instead (Cramer's rule): it never supplies a
+    pivot, so it ends in the cofactor expansion or as the last entry.
+    """
     n = len(entries)
     if n == 0:
         return one
-    if n == 1:
-        return entries[0][0]
-    acc = None
-    for j in range(n):
-        top = entries[0][j]
-        if top.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
-        term = top * _det(minor, one)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        zero = entries[0][0] - entries[0][0]
-        return zero
-    return acc
+    rows = [list(row) for row in entries]
+    sign, inverses = _eliminate(rows, n, last=False)
+    k = len(inverses)
+    block = [row[k:] for row in rows[k:]]
+    if len(block) == 1:
+        acc = block[0][0]
+    else:
+        # stalled column: cofactor expansion along it
+        acc = zero
+        for i, row in enumerate(block):
+            if row[0].is_zero():
+                continue
+            minor = [r[1:] for r in block[:i] + block[i + 1:]]
+            term = row[0] * _det(minor, zero, one)
+            acc = acc - term if i % 2 else acc + term
+    for i in range(k):
+        acc = rows[i][i] * acc
+    return -acc if sign < 0 else acc
 
 
-def _matrix_inverse(entries, one):
-    """Adjugate inverse; entries must be even (hence central)."""
-    n = len(entries)
-    d = _det(entries, one)
+def _back_substitute(rows, inverses, q):
+    """Z with D Z = C, from the eliminated rows [U | C'] of [D | C]."""
+    Z = [None] * q
+    for k in reversed(range(q)):
+        row = rows[k]
+        acc = row[q:]
+        for j in range(k + 1, q):
+            if not row[j].is_zero():
+                acc = [a - row[j] * z for a, z in zip(acc, Z[j])]
+        Z[k] = [inverses[k] * a for a in acc]
+    return Z
+
+
+def _cramer(D, C, zero, one):
+    """Z with D Z = C and det(D)^-1, by Cramer's rule."""
+    q, p = len(D), len(C[0])
     try:
-        dinv = d.inv_even()
+        det_inv = _det(D, zero, one).inv_even()
     except NonInvertibleError:
-        raise NonInvertibleError("block determinant is not invertible")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[entries[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = _det(minor, one)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * dinv)
-        out.append(row)
-    return out
+        raise NonInvertibleError("odd-odd block is not invertible") from None
+    Z = [[_det([D[r][:k] + [C[r][j]] + D[r][k + 1:] for r in range(q)],
+               zero, one) * det_inv
+          for j in range(p)]
+         for k in range(q)]
+    return Z, det_inv
 
 
 class SuperMatrix:
@@ -185,31 +251,38 @@ class SuperMatrix:
         return acc
 
     def berezinian(self):
-        """Ber = det(A - B D^-1 C) * det(D)^-1 for an even supermatrix."""
+        """Ber = det(A - B Z) * det(D)^-1 with D Z = C, for an even supermatrix."""
         if self.parity is not EVEN:
             raise ParityError("Berezinian is defined for even supermatrices")
         p, q = self.p, self.q
-        one = self.one
+        zero, one = self.zero, self.one
         if q == 0:
-            return _det(self.block("A"), one)
-        D = self.block("D")
-        det_d = _det(D, one)
-        try:
-            det_d_inv = det_d.inv_even()
-        except NonInvertibleError:
-            raise NonInvertibleError("odd-odd block is not invertible")
+            return _det(self.block("A"), zero, one)
+        # [D | C]: eliminating D carries C along towards Z
+        rows = [list(row[p:]) + list(row[:p]) for row in self.entries[p:]]
+        sign, inverses = _eliminate(rows, q)
+        if len(inverses) == q:
+            det_d_inv = inverses[0]
+            for inv in inverses[1:]:
+                det_d_inv = det_d_inv * inv
+            if sign < 0:
+                det_d_inv = -det_d_inv
+            Z = _back_substitute(rows, inverses, q) if p else None
+        else:
+            Z, det_d_inv = _cramer(self.block("D"), self.block("C"), zero, one)
         if p == 0:
             return det_d_inv
-        A, B, C = self.block("A"), self.block("B"), self.block("C")
-        Dinv = _matrix_inverse(D, one)
-        schur = [
-            [
-                A[i][j] - _dot_triple(B[i], Dinv, [C[k][j] for k in range(q)], self.zero)
-                for j in range(p)
-            ]
-            for i in range(p)
-        ]
-        return _det(schur, one) * det_d_inv
+        schur = []
+        for i in range(p):
+            row = self.entries[i]
+            out = []
+            for j in range(p):
+                acc = zero
+                for k in range(q):
+                    acc = acc + row[p + k] * Z[k][j]
+                out.append(row[j] - acc)
+            schur.append(out)
+        return _det(schur, zero, one) * det_d_inv
 
     # -- comparison / printing ----------------------------------------
 
@@ -227,26 +300,12 @@ class SuperMatrix:
         return f"SuperMatrix(p={self.p}, q={self.q}, parity={self.parity})"
 
 
-def _dot_triple(row_b, dinv, col_c, zero):
-    """(B D^-1 C)[i][j] given row i of B and column j of C."""
-    q = len(col_c)
-    acc = zero
-    for k in range(q):
-        for l in range(q):
-            acc = acc + row_b[k] * dinv[k][l] * col_c[l]
-    return acc
-
-
 def berezinian(m: SuperMatrix):
     return m.berezinian()
 
 
 def supertrace(m: SuperMatrix):
     return m.supertrace()
-
-
-def sm_mul(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
-    return x * y
 
 
 # homological cross-checks live next door but belong to this module's API

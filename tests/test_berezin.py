@@ -15,6 +15,7 @@ from superberezin import (
     EVEN,
     ODD,
     BerezinSection,
+    DimensionError,
     DomainBoxError,
     FibreTerm,
     GrassmannElement,
@@ -436,6 +437,33 @@ def test_fibre_support_containment():
     declared = {live.base_support, dead.base_support}
     assert support <= declared
     assert support == {live.base_support}
+
+
+def _fibre_integrators():
+    def pairs(fn, sec, base, fibre):
+        return fibre_integrate([(fn, sec)], base, fibre, box_backend())
+
+    def with_support(fn, sec, base, fibre):
+        return fibre_integrate_with_support([FibreTerm(fn, sec)], base, fibre,
+                                            box_backend())
+    return [pairs, with_support]
+
+
+@pytest.mark.parametrize("run", _fibre_integrators(),
+                         ids=["fibre_integrate", "with_support"])
+def test_fibre_integrators_check_shapes(run):
+    base = SuperDomainShape(1, (Interval(0, 1),), 0)
+    fibre = SuperDomainShape(0, (), 1)
+    fn = SuperFunction.coordinate(base, 0)
+    sec = BerezinSection.make(fibre, SuperFunction.odd_gen(fibre, 0))
+    with pytest.raises(DimensionError, match="base factor"):
+        run(SuperFunction.one(fibre), sec, base, fibre)
+    with pytest.raises(DimensionError, match="fibre factor"):
+        run(fn, BerezinSection.make(base, fn), base, fibre)
+    aux_fibre = SuperDomainShape(0, (), 1, aux=1)
+    aux_sec = BerezinSection.make(aux_fibre, SuperFunction.one(aux_fibre))
+    with pytest.raises(StructureError, match="aux parameters"):
+        run(fn, aux_sec, base, aux_fibre)
 
 
 def test_fibrewise_shear_invariance():

@@ -200,6 +200,16 @@ def test_examples_report_line_format(capsys):
     assert first == "PASS axb-odd staged integral lhs=15/8 rhs=15/8"
 
 
+def test_examples_compare_with_frozen_answers(monkeypatch, capsys):
+    monkeypatch.setitem(cli.STAGING_SIGNS, "axb-odd", 1)
+    monkeypatch.setitem(cli.MODULAR_RATIOS, "axb-even-odd", "x1")
+    assert cli.main(["examples", "run", "fubini-ax+b"]) == 1
+    assert "FAIL axb-odd staging sign lhs=-1 rhs=1" in capsys.readouterr().out
+    assert cli.main(["examples", "run", "product-ax+b"]) == 1
+    assert "FAIL axb-even-odd modular ratio lhs=1 rhs=x1" in \
+        capsys.readouterr().out
+
+
 def test_examples_unknown_name(capsys):
     assert cli.main(["examples", "run", "nonsense"]) == 2
     assert "unknown example" in capsys.readouterr().err
@@ -273,7 +283,8 @@ def test_usage_errors_exit_two():
 
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "m.txt", DIAG_6_3)
-    proc = subprocess.run([sys.executable, "-m", "superberezin.cli",
-                           "ber", path], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == "2\n"
+    for module in ("superberezin.cli", "superberezin"):
+        proc = subprocess.run([sys.executable, "-m", module, "ber", path],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == "2\n"

@@ -204,3 +204,30 @@ def test_inv_even_multiplies_back(a):
     inv = a.inv_even()
     assert a * inv == GrassmannElement.one(N_GEN)
     assert inv * a == GrassmannElement.one(N_GEN)
+
+
+# Closed operations build their results through a trusted constructor that
+# skips validation; each result must equal what the validating one builds.
+
+scalars = st.builds(Scalar, st.integers(-3, 3).map(Fraction), st.integers(-1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars, scalars)
+def test_closed_scalar_operations_are_canonical(a, b):
+    results = [a * b, -a, a + (-a), a - a]
+    if a.gauss_exponent == b.gauss_exponent or a.is_zero() or b.is_zero():
+        results += [a + b, a - b]
+    for r in results:
+        assert type(r.rational) is Fraction
+        assert r.rational != 0 or r.gauss_exponent == 0
+        assert Scalar(r.rational, r.gauss_exponent) == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(), elements())
+def test_closed_operations_are_canonical(a, b):
+    for r in (a * b, a + b, a - b, -a, a.soul(), a.even_part(), a.odd_part()):
+        assert r == GrassmannElement(N_GEN, r.terms)
+        for coeff in r.terms.values():
+            assert type(coeff.rational) is Fraction and coeff.rational != 0

@@ -26,7 +26,7 @@ from superberezin.lie_super import (
     unimodularity_check,
     validate,
 )
-from superberezin.supermatrix import SuperMatrix, supertrace, sm_mul
+from superberezin.supermatrix import SuperMatrix, supertrace
 
 Z0 = GrassmannElement.zero(0)
 I0 = GrassmannElement.one(0)
@@ -42,8 +42,8 @@ def _unit(p_idx: int, q_idx: int, parity) -> SuperMatrix:
 def _graded_commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
     sign = -1 if (x.parity is ODD and y.parity is ODD) else 1
     if sign == 1:
-        return sm_mul(x, y) - sm_mul(y, x)
-    return sm_mul(x, y) + sm_mul(y, x)
+        return x * y - y * x
+    return x * y + y * x
 
 
 def test_gl11_constants_match_matrix_commutators():
@@ -132,7 +132,7 @@ def test_ad_is_a_representation():
         y = random_homogeneous_element(g, rng, par_y)
         lhs = ad(g, g.bracket(x, y))
         sign = -1 if (par_x is ODD and par_y is ODD) else 1
-        prod1, prod2 = sm_mul(ad(g, x), ad(g, y)), sm_mul(ad(g, y), ad(g, x))
+        prod1, prod2 = ad(g, x) * ad(g, y), ad(g, y) * ad(g, x)
         rhs = prod1 + (-prod2 if sign == 1 else prod2)
         assert lhs.entries == rhs.entries
 
@@ -196,7 +196,7 @@ def test_quotient_action_is_a_representation():
     # x = E11 (even), y = E12 (odd): [x,y] = E12 lies in h
     qx, qy = quotient_action(g, borel, 0), quotient_action(g, borel, 2)
     qxy = quotient_action(g, borel, g.bracket_basis(0, 2))
-    rhs = sm_mul(qx, qy) - sm_mul(qy, qx)
+    rhs = qx * qy - qy * qx
     assert qxy.entries == rhs.entries
 
 

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from superberezin.grassmann import EVEN, ODD, GrassmannElement
+from superberezin.superdomain import POSITIVE, SuperDomainShape, SuperFunction
 from superberezin.supermatrix import SuperMatrix, berezinian, supertrace
 from superberezin.suites import (
     random_even_supermatrix,
@@ -25,6 +28,114 @@ def g(terms):
 def sm(p, q, entries, parity=EVEN):
     wrapped = [[g(e) if isinstance(e, dict) else e for e in row] for row in entries]
     return SuperMatrix(p, q, wrapped, parity, zero=ZERO, one=ONE)
+
+
+# -- Laplace/adjugate reference ----------------------------------------------
+#
+# The cofactor formulas that elimination over the entries' ring replaced.
+# A Berezinian is an exact ring element with a canonical printed form, so
+# both must agree as values and as strings.
+
+
+def laplace_det(entries, one):
+    n = len(entries)
+    if n == 0:
+        return one
+    if n == 1:
+        return entries[0][0]
+    acc = entries[0][0] - entries[0][0]
+    for j in range(n):
+        top = entries[0][j]
+        if top.is_zero():
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
+        term = top * laplace_det(minor, one)
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+def adjugate_inverse(entries, one):
+    n = len(entries)
+    dinv = laplace_det(entries, one).inv_even()
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [[entries[r][c] for c in range(n) if c != i]
+                     for r in range(n) if r != j]
+            cof = laplace_det(minor, one)
+            row.append((-cof if (i + j) % 2 else cof) * dinv)
+        out.append(row)
+    return out
+
+
+def oracle_berezinian(m):
+    """det(A - B D^-1 C) * det(D)^-1 with D^-1 the adjugate over det(D)."""
+    p, q, one = m.p, m.q, m.one
+    A, B, C, D = (m.block(name) for name in "ABCD")
+    if q == 0:
+        return laplace_det(A, one)
+    det_d_inv = laplace_det(D, one).inv_even()
+    Dinv = adjugate_inverse(D, one)
+    schur = [[A[i][j] - sum((B[i][k] * Dinv[k][l] * C[l][j]
+                             for k in range(q) for l in range(q)), m.zero)
+              for j in range(p)] for i in range(p)]
+    return laplace_det(schur, one) * det_d_inv
+
+
+@st.composite
+def even_supermatrices(draw):
+    """Random invertible even (p|q) up to (4|4) over Lambda_4..Lambda_6,
+    rows permuted within each block so that pivots need row swaps, and
+    sometimes the product of two of them."""
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n = draw(st.integers(4, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    x = random_even_supermatrix(rng, p, q, n)
+    order = draw(st.permutations(range(p))) + draw(st.permutations(range(p, p + q)))
+    x = SuperMatrix(p, q, [x.entries[i] for i in order], zero=x.zero, one=x.one)
+    if draw(st.booleans()):
+        x = x * random_even_supermatrix(rng, p, q, n)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_supermatrices())
+def test_berezinian_matches_laplace_oracle(x):
+    got, want = x.berezinian(), oracle_berezinian(x)
+    assert got == want
+    assert str(got) == str(want)
+
+
+# det [[x+2, x+1], [x+3, x+2]] = 1, yet no entry is a Laurent monomial, so
+# no column of this block holds an invertible entry.
+STALL = SuperDomainShape(1, (POSITIVE,), 2)
+
+
+def _stalled_block():
+    x = SuperFunction.coordinate(STALL, 0)
+    return [[x + 2, x + 1], [x + 3, x + 2]]
+
+
+def _sf_matrix(p, q, entries):
+    return SuperMatrix(p, q, entries, zero=SuperFunction.zero(STALL),
+                       one=SuperFunction.one(STALL))
+
+
+@pytest.mark.parametrize("p, q", [(2, 0), (0, 2)])
+def test_berezinian_stalled_superfunction_block(p, q):
+    assert _sf_matrix(p, q, _stalled_block()).berezinian() == \
+        SuperFunction.one(STALL)
+
+
+def test_berezinian_stalled_odd_block_solves_by_cramer():
+    x = SuperFunction.coordinate(STALL, 0)
+    xi1, xi2 = SuperFunction.odd_gen(STALL, 0), SuperFunction.odd_gen(STALL, 1)
+    (d00, d01), (d10, d11) = _stalled_block()
+    m = _sf_matrix(1, 2, [[x, xi1, xi2], [xi1, d00, d01], [xi2, d10, d11]])
+    got = m.berezinian()
+    assert got == oracle_berezinian(m)
+    assert not got.soul().is_zero()
 
 
 def test_entry_parity_enforced():
@@ -65,7 +176,19 @@ def test_berezinian_pure_odd_block():
 
 def test_berezinian_requires_invertible_d():
     x = sm(1, 1, [[{(): 1}, {}], [{}, {(0, 1): 1}]])
-    with pytest.raises(NonInvertibleError):
+    with pytest.raises(NonInvertibleError, match="odd-odd block is not invertible"):
+        berezinian(x)
+
+
+@pytest.mark.parametrize("x", [
+    sm(0, 2, [[{(): 1}, {(): 2}], [{(): 2}, {(): 4, (0, 1): 1}]]),
+    _sf_matrix(0, 1, [[SuperFunction.coordinate(STALL, 0) + 1]]),
+    _sf_matrix(1, 1, [[SuperFunction.one(STALL), SuperFunction.odd_gen(STALL, 0)],
+                      [SuperFunction.odd_gen(STALL, 1),
+                       SuperFunction.coordinate(STALL, 0) + 1]]),
+], ids=["grassmann-pure-odd", "superfunction-pure-odd", "superfunction"])
+def test_berezinian_rejects_singular_d_on_every_path(x):
+    with pytest.raises(NonInvertibleError, match="odd-odd block is not invertible"):
         berezinian(x)
 
 
