@@ -125,12 +125,6 @@ def _cmd_unimodular(args) -> int:
 # ---------------------------------------------------------------------------
 # worked examples
 
-# Frozen answers, keyed by example name: the staging sign of each Fubini
-# example and the printed modular ratio of each product example.
-STAGING_SIGNS = {"axb-odd": -1, "heisenberg-centre": 1}
-MODULAR_RATIOS = {"axb-odd-even": "x1", "axb-even-odd": "1"}
-
-
 def _fubini_example_lines(example) -> list[CheckLine]:
     from .supergroup import fubini_check
     report = fubini_check(example.group, example.subgroup, example.chart,
@@ -138,7 +132,7 @@ def _fubini_example_lines(example) -> list[CheckLine]:
                           backend=example.backend,
                           fibre_backend=example.fibre_backend,
                           base_backend=example.base_backend)
-    want = STAGING_SIGNS[example.name]
+    want = example.staging_sign
     return [
         CheckLine(name=f"{example.name} staged integral",
                   passed=report.passed,
@@ -171,10 +165,10 @@ def _run_product_axb() -> list[CheckLine]:
         lines.append(CheckLine(name=f"{ex.name} staged integral",
                                passed=report.passed,
                                lhs=str(report.lhs), rhs=str(report.rhs)))
-        want = MODULAR_RATIOS[ex.name]
         lines.append(CheckLine(name=f"{ex.name} modular ratio",
-                               passed=(str(report.ratio) == want),
-                               lhs=str(report.ratio), rhs=want))
+                               passed=(report.ratio == ex.modular_ratio),
+                               lhs=str(report.ratio),
+                               rhs=str(ex.modular_ratio)))
     return lines
 
 

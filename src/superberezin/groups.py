@@ -27,6 +27,7 @@ from .berezin import (
     IntegrationBackend,
     box_backend,
 )
+from .grassmann import Scalar
 from .superdomain import (
     POSITIVE,
     REALLINE,
@@ -184,6 +185,7 @@ class FubiniExample:
     chart: QuotientChartData
     omega_group: BerezinSection
     test_function: SuperFunction
+    staging_sign: int  # frozen sign of the staged integral
     backend: IntegrationBackend
     fibre_backend: IntegrationBackend | None = None
     base_backend: IntegrationBackend | None = None
@@ -205,6 +207,7 @@ def line_fubini_example() -> FubiniExample:
         group=G, subgroup=spec, chart=chart,
         omega_group=BerezinSection.make(G.shape, 1),
         test_function=x * x * x * x + x * x * xi,
+        staging_sign=-1,
         backend=GAUSSIAN)
 
 
@@ -225,6 +228,7 @@ def heisenberg_fubini_example() -> FubiniExample:
         group=G, subgroup=spec, chart=chart,
         omega_group=BerezinSection.make(G.shape, 1),
         test_function=z * z + z * z * top,
+        staging_sign=1,
         backend=GAUSSIAN)
 
 
@@ -246,6 +250,7 @@ def axb_fubini_example() -> FubiniExample:
         group=G, subgroup=spec, chart=chart,
         omega_group=BerezinSection.make(G.shape, 1),
         test_function=a + a * b,
+        staging_sign=-1,
         backend=box,
         fibre_backend=box_backend(),
         base_backend=box)
@@ -269,6 +274,11 @@ class ProductExample:
     right: SubgroupSpec
     omega_group: BerezinSection
     test_function: SuperFunction
+    # frozen conjugation data: the modular ratio on the right factor, the
+    # chart's name for it, and the constant
+    modular_ratio: SuperFunction
+    ratio_label: str
+    modular_constant: Scalar
     backend: IntegrationBackend
     product_backend: IntegrationBackend | None = None
 
@@ -279,8 +289,12 @@ def axb_product_example(order: str = "odd-even") -> ProductExample:
     box = box_backend((Fraction(1, 2), Fraction(2)))
     if order == "odd-even":
         left, right = axb_odd_subgroup(), axb_even_subgroup()
+        ratio = _coord(right.subgroup.shape, 0)
+        label, constant = "a", Scalar(-1)
     elif order == "even-odd":
         left, right = axb_even_subgroup(), axb_odd_subgroup()
+        ratio = SuperFunction.one(right.subgroup.shape)
+        label, constant = "1", Scalar(1)
     else:
         raise ValueError("order must be 'odd-even' or 'even-odd'")
     return ProductExample(
@@ -290,6 +304,7 @@ def axb_product_example(order: str = "odd-even") -> ProductExample:
         group=G, left=left, right=right,
         omega_group=BerezinSection.make(G.shape, 1),
         test_function=a + a * b,
+        modular_ratio=ratio, ratio_label=label, modular_constant=constant,
         backend=box, product_backend=box)
 
 

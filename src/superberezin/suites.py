@@ -492,13 +492,8 @@ def product_formula_suite(seed: int = 0, cases_per_example: int = 5):
     """The product-of-subgroups change of variables in both factor orders,
     with the modular ratio checked against frozen conjugation data."""
     from .groups import product_builtins
-    from .superdomain import Polynomial as _P
     from .supergroup import product_formula_check
     rng = random.Random(seed)
-    expected = {
-        "axb-odd-even": ("a", Scalar(-1)),
-        "axb-even-odd": ("1", Scalar(1)),
-    }
     lines = []
     for ex in product_builtins():
         report = None
@@ -512,18 +507,14 @@ def product_formula_suite(seed: int = 0, cases_per_example: int = 5):
                 name=f"product {ex.name} case {k}",
                 passed=report.passed,
                 lhs=str(report.lhs), rhs=str(report.rhs)))
-        ratio_text, constant = expected[ex.name]
-        H = ex.right.subgroup.shape
-        want = SuperFunction.one(H) if ratio_text == "1" \
-            else SuperFunction.from_polynomial(H, _P.variable(H.m, 0))
         lines.append(CheckLine(
             name=f"product {ex.name} modular ratio",
-            passed=(report.ratio == want),
-            lhs=str(report.ratio), rhs=ratio_text))
+            passed=(report.ratio == ex.modular_ratio),
+            lhs=str(report.ratio), rhs=ex.ratio_label))
         lines.append(CheckLine(
             name=f"product {ex.name} constant",
-            passed=(report.constant == constant),
-            lhs=str(report.constant), rhs=str(constant)))
+            passed=(report.constant == ex.modular_constant),
+            lhs=str(report.constant), rhs=str(ex.modular_constant)))
     return lines
 
 

@@ -17,14 +17,23 @@ Over a local ring such as a Grassmann algebra, a column with no
 invertible entry means the determinant is not invertible.  Over
 superfunctions, whose invertible bodies are Laurent monomials, an
 invertible matrix can still have such a column: det [[x+2, x+1],
-[x+3, x+2]] = 1.  There the determinant expands the remaining block along
-that column by cofactors, with minors through the same elimination, and
-the solve falls back to Cramer's rule.
+[x+3, x+2]] = 1.  There the determinant expands along its first row by
+cofactors, with minors through the same elimination, and det(D)^-1 and
+B D^-1 C come from Cramer's rule.  Elimination also forms sums the
+entries never meet, such as s - 1 from entries 1 and s; where such a sum
+mixes powers of s (``ScalarExponentError``), the same cofactor and Cramer
+formulas take over, so the sums formed are those of the textbook formulas
+and a matrix they evaluate still gets its Berezinian.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionError, NonInvertibleError, ParityError
+from .errors import (
+    DimensionError,
+    NonInvertibleError,
+    ParityError,
+    ScalarExponentError,
+)
 from .grassmann import EVEN, Parity
 
 
@@ -73,32 +82,42 @@ def _eliminate(rows, n, last=True):
 
 
 def _det(entries, zero, one):
-    """Determinant of a square matrix with even entries.
+    """Determinant of a square matrix of even entries.
 
-    One column may be odd instead (Cramer's rule): it never supplies a
-    pivot, so it ends in the cofactor expansion or as the last entry.
+    Falls back to cofactor expansion when elimination finds a column with
+    no invertible entry, or when its sums mix powers of s that the entries
+    themselves never combine.
     """
     n = len(entries)
     if n == 0:
         return one
+    if n == 1:
+        return entries[0][0]
     rows = [list(row) for row in entries]
-    sign, inverses = _eliminate(rows, n, last=False)
-    k = len(inverses)
-    block = [row[k:] for row in rows[k:]]
-    if len(block) == 1:
-        acc = block[0][0]
-    else:
-        # stalled column: cofactor expansion along it
-        acc = zero
-        for i, row in enumerate(block):
-            if row[0].is_zero():
-                continue
-            minor = [r[1:] for r in block[:i] + block[i + 1:]]
-            term = row[0] * _det(minor, zero, one)
-            acc = acc - term if i % 2 else acc + term
-    for i in range(k):
-        acc = rows[i][i] * acc
-    return -acc if sign < 0 else acc
+    try:
+        sign, inverses = _eliminate(rows, n, last=False)
+        if len(inverses) == n - 1:
+            acc = rows[n - 1][n - 1]
+            for i in range(n - 1):
+                acc = rows[i][i] * acc
+            return -acc if sign < 0 else acc
+    except ScalarExponentError:
+        pass
+    return _expand(entries, zero, one)
+
+
+def _expand(entries, zero, one):
+    """Cofactor expansion along the first row, minors through ``_det``."""
+    acc = zero
+    for j, top in enumerate(entries[0]):
+        if top.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
+        term = top * _det(minor, zero, one)
+        if j % 2:
+            term = -term
+        acc = acc + term
+    return acc
 
 
 def _back_substitute(rows, inverses, q):
@@ -114,18 +133,72 @@ def _back_substitute(rows, inverses, q):
     return Z
 
 
-def _cramer(D, C, zero, one):
-    """Z with D Z = C and det(D)^-1, by Cramer's rule."""
-    q, p = len(D), len(C[0])
+def _eliminate_schur(entries, p, q, zero):
+    """det(D)^-1 and A - B Z by one elimination of [D | C], or
+    ``(None, None)`` if a column of D has no invertible entry."""
+    # [D | C]: eliminating D carries C along towards Z
+    rows = [list(row[p:]) + list(row[:p]) for row in entries[p:]]
+    sign, inverses = _eliminate(rows, q)
+    if len(inverses) < q:
+        return None, None
+    det_d_inv = inverses[0]
+    for inv in inverses[1:]:
+        det_d_inv = det_d_inv * inv
+    if sign < 0:
+        det_d_inv = -det_d_inv
+    if p == 0:
+        return det_d_inv, []
+    Z = _back_substitute(rows, inverses, q)
+    schur = []
+    for i in range(p):
+        row = entries[i]
+        out = []
+        for j in range(p):
+            acc = zero
+            for k in range(q):
+                acc = acc + row[p + k] * Z[k][j]
+            out.append(row[j] - acc)
+        schur.append(out)
+    return det_d_inv, schur
+
+
+def _cramer(A, B, C, D, zero, one):
+    """det(D)^-1 and A - B D^-1 C, with D^-1 by Cramer's rule.
+
+    Entry (k, l) of D^-1 is the (l, k) cofactor over det(D), every
+    determinant through ``_det``, and each Schur entry sums
+    B_ik (D^-1)_kl C_lj over k, then l, starting from zero: these are
+    the sums of the textbook formula, so entries whose powers of s admit
+    that formula admit this one.
+    """
+    q = len(D)
     try:
         det_inv = _det(D, zero, one).inv_even()
     except NonInvertibleError:
         raise NonInvertibleError("odd-odd block is not invertible") from None
-    Z = [[_det([D[r][:k] + [C[r][j]] + D[r][k + 1:] for r in range(q)],
-               zero, one) * det_inv
-          for j in range(p)]
-         for k in range(q)]
-    return Z, det_inv
+    if not A:
+        return det_inv, []
+    Dinv = []
+    for k in range(q):
+        out = []
+        for l in range(q):
+            minor = [row[:k] + row[k + 1:] for r, row in enumerate(D) if r != l]
+            cof = _det(minor, zero, one)
+            if (k + l) % 2:
+                cof = -cof
+            out.append(cof * det_inv)
+        Dinv.append(out)
+    schur = []
+    for i, row in enumerate(A):
+        out = []
+        for j, a in enumerate(row):
+            acc = zero
+            for k in range(q):
+                for l in range(q):
+                    acc = acc + B[i][k] * Dinv[k][l] * C[l][j]
+            out.append(a - acc)
+        schur.append(out)
+    return det_inv, schur
 
 
 class SuperMatrix:
@@ -258,30 +331,15 @@ class SuperMatrix:
         zero, one = self.zero, self.one
         if q == 0:
             return _det(self.block("A"), zero, one)
-        # [D | C]: eliminating D carries C along towards Z
-        rows = [list(row[p:]) + list(row[:p]) for row in self.entries[p:]]
-        sign, inverses = _eliminate(rows, q)
-        if len(inverses) == q:
-            det_d_inv = inverses[0]
-            for inv in inverses[1:]:
-                det_d_inv = det_d_inv * inv
-            if sign < 0:
-                det_d_inv = -det_d_inv
-            Z = _back_substitute(rows, inverses, q) if p else None
-        else:
-            Z, det_d_inv = _cramer(self.block("D"), self.block("C"), zero, one)
+        try:
+            det_d_inv, schur = _eliminate_schur(self.entries, p, q, zero)
+        except ScalarExponentError:
+            det_d_inv = None
+        if det_d_inv is None:
+            det_d_inv, schur = _cramer(*(self.block(name) for name in "ABCD"),
+                                       zero, one)
         if p == 0:
             return det_d_inv
-        schur = []
-        for i in range(p):
-            row = self.entries[i]
-            out = []
-            for j in range(p):
-                acc = zero
-                for k in range(q):
-                    acc = acc + row[p + k] * Z[k][j]
-                out.append(row[j] - acc)
-            schur.append(out)
         return _det(schur, zero, one) * det_d_inv
 
     # -- comparison / printing ----------------------------------------

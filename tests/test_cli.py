@@ -1,11 +1,12 @@
 """Command-line surface: frozen outputs, exit codes, round-trips."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from superberezin import cli
+from superberezin import cli, groups
 from superberezin.grassmann import Scalar
 from superberezin.textio import parse_grassmann, parse_scalar
 
@@ -45,6 +46,13 @@ def test_ber_output_round_trips(tmp_path, capsys):
     from superberezin.textio import parse_supermatrix
     expected = parse_supermatrix(text).berezinian()
     assert parse_grassmann(printed, 2) == expected
+
+
+def test_ber_entries_mixing_powers_of_s(tmp_path, capsys):
+    # elimination from the 1 at (0, 0) would form s - 1; the answer is -s
+    text = "3 0 0\n1\n1\n1\n1\ns\n0\n1\n0\n0\n"
+    assert cli.main(["ber", write(tmp_path, "m.txt", text)]) == 0
+    assert capsys.readouterr().out == "-s\n"
 
 
 def test_ber_missing_file(tmp_path, capsys):
@@ -201,8 +209,12 @@ def test_examples_report_line_format(capsys):
 
 
 def test_examples_compare_with_frozen_answers(monkeypatch, capsys):
-    monkeypatch.setitem(cli.STAGING_SIGNS, "axb-odd", 1)
-    monkeypatch.setitem(cli.MODULAR_RATIOS, "axb-even-odd", "x1")
+    fubini = groups.axb_fubini_example()
+    monkeypatch.setattr(groups, "axb_fubini_example",
+                        lambda: dataclasses.replace(fubini, staging_sign=1))
+    odd_even, even_odd = groups.product_builtins()
+    wrong = dataclasses.replace(even_odd, modular_ratio=odd_even.modular_ratio)
+    monkeypatch.setattr(groups, "product_builtins", lambda: (odd_even, wrong))
     assert cli.main(["examples", "run", "fubini-ax+b"]) == 1
     assert "FAIL axb-odd staging sign lhs=-1 rhs=1" in capsys.readouterr().out
     assert cli.main(["examples", "run", "product-ax+b"]) == 1

@@ -1,5 +1,6 @@
 """Supertrace and Berezinian checks over Grassmann coefficients."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from superberezin.grassmann import EVEN, ODD, GrassmannElement
+from superberezin.grassmann import EVEN, ODD, GrassmannElement, Scalar
 from superberezin.superdomain import POSITIVE, SuperDomainShape, SuperFunction
 from superberezin.supermatrix import SuperMatrix, berezinian, supertrace
 from superberezin.suites import (
     random_even_supermatrix,
     random_odd_supermatrix,
 )
-from superberezin.errors import NonInvertibleError, ParityError
+from superberezin.errors import (
+    NonInvertibleError,
+    ParityError,
+    ScalarExponentError,
+)
 
 N = 4
 ZERO = GrassmannElement.zero(N)
@@ -136,6 +141,81 @@ def test_berezinian_stalled_odd_block_solves_by_cramer():
     got = m.berezinian()
     assert got == oracle_berezinian(m)
     assert not got.soul().is_zero()
+
+
+# -- entries with mixed powers of s -----------------------------------------
+#
+# s^a + s^b with a != b has no Scalar, so a sum elimination forms but the
+# cofactor formulas do not (s - 1 from entries 1 and s) must not stop a
+# Berezinian those formulas evaluate.
+
+
+def _s(k, value=1):
+    return Scalar(value, k)
+
+
+def test_det_where_elimination_would_mix_powers_of_s():
+    # pivoting on the 1 at (0, 0) would form s - 1 at (1, 1)
+    rows = [[_s(0), _s(0), _s(0)], [_s(0), _s(1), 0], [_s(0), 0, 0]]
+    x = SuperMatrix(3, 0, [[GrassmannElement(0, {(): e} if e else {})
+                            for e in row] for row in rows],
+                    zero=GrassmannElement.zero(0), one=GrassmannElement.one(0))
+    got = x.berezinian()
+    assert got == laplace_det(x.block("A"), x.one) == GrassmannElement(0, {(): _s(1, -1)})
+    assert str(got) == "-s"
+
+
+def test_berezinian_where_the_odd_block_solve_would_mix_powers_of_s():
+    # carrying C along D's first pivot would form s xi1 - xi1
+    x = SuperMatrix(1, 2, [
+        [GrassmannElement(2, {(): 2}), GrassmannElement(2, {(1,): 1}),
+         GrassmannElement.zero(2)],
+        [GrassmannElement(2, {(0,): 1}), GrassmannElement.one(2),
+         GrassmannElement(2, {(): _s(1)})],
+        [GrassmannElement(2, {(0,): _s(1)}), GrassmannElement.one(2),
+         GrassmannElement.zero(2)],
+    ], zero=GrassmannElement.zero(2), one=GrassmannElement.one(2))
+    got = x.berezinian()
+    assert got == oracle_berezinian(x)
+    assert str(got) == "-2 s^-1 - xi1 xi2"
+
+
+def _mixed_entry(rng, n, odd):
+    terms = {}
+    for r in range(odd, n + 1, 2):
+        for idx in itertools.combinations(range(n), r):
+            if rng.random() < 0.5:
+                terms[idx] = Scalar(rng.choice([1, -1, 2, Fraction(1, 2)]),
+                                    rng.choice([0, 0, 1, 1, -1, 2]))
+    return GrassmannElement(n, terms)
+
+
+@st.composite
+def mixed_s_supermatrices(draw):
+    """Random even (p|q) up to (3|3) over Lambda_0..Lambda_2 whose entries
+    carry s^-1..s^2, invertible or not."""
+    p, q, n = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ent = [[_mixed_entry(rng, n, ((i >= p) + (j >= p)) % 2) for j in range(p + q)]
+           for i in range(p + q)]
+    return SuperMatrix(p, q, ent, zero=GrassmannElement.zero(n),
+                       one=GrassmannElement.one(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_s_supermatrices())
+def test_berezinian_evaluates_wherever_the_oracle_does(x):
+    try:
+        want = oracle_berezinian(x)
+    except ScalarExponentError:
+        return
+    except NonInvertibleError:
+        with pytest.raises(NonInvertibleError, match="odd-odd block is not invertible"):
+            x.berezinian()
+        return
+    got = x.berezinian()
+    assert got == want
+    assert str(got) == str(want)
 
 
 def test_entry_parity_enforced():
