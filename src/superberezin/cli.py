@@ -8,9 +8,9 @@ Subcommands::
     examples list | run NAME
     verify SUITE [--seed N]     (--seed is ignored by unseeded suites)
 
-Exit codes: 0 success / all checks passed, 1 mathematical failure,
-2 usage or parse error.  Check reports are one line per identity:
-``PASS|FAIL <name> lhs=<value> rhs=<value>``.
+Exit codes: 0 success / all checks passed, 1 mathematical failure or a
+result too large to print, 2 usage or parse error.  Check reports are one
+line per identity: ``PASS|FAIL <name> lhs=<value> rhs=<value>``.
 """
 
 from __future__ import annotations
@@ -68,10 +68,20 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _emit(value, prefix: str = "") -> bool:
+    """Print prefix + str(value); a value too long to print is an error."""
+    try:
+        text = prefix + str(value)
+    except ValueError as exc:  # past the interpreter's int-to-str limit
+        print(f"error: result too large to print ({exc})", file=sys.stderr)
+        return False
+    print(text)
+    return True
+
+
 def _cmd_ber(args) -> int:
     matrix = parse_supermatrix(_read(args.file))
-    print(matrix.berezinian())
-    return 0
+    return 0 if _emit(matrix.berezinian()) else 1
 
 
 def _parse_backend(spec: list[str]):
@@ -93,8 +103,7 @@ def _parse_backend(spec: list[str]):
 def _cmd_integrate(args) -> int:
     f = parse_superfunction(_read(args.file))
     backend = _parse_backend(args.backend)
-    print(integrate(BerezinSection.make(f.shape, f), backend))
-    return 0
+    return 0 if _emit(integrate(BerezinSection.make(f.shape, f), backend)) else 1
 
 
 def _cmd_unimodular(args) -> int:
@@ -115,9 +124,9 @@ def _cmd_unimodular(args) -> int:
     result = unimodularity_check(algebra, SubalgebraSpec(algebra, span))
     if result.verdict == "UNIMODULAR":
         print("UNIMODULAR")
-    else:
-        print(f"NOT_UNIMODULAR witness={result.witness_name} "
-              f"str={result.witness_supertrace}")
+    elif not _emit(result.witness_supertrace,
+                   f"NOT_UNIMODULAR witness={result.witness_name} str="):
+        return 1
     print(f"note: {result.note}")
     return 0
 

@@ -189,30 +189,36 @@ def _scalar(rational: Fraction, gauss_exponent: int) -> Scalar:
     return out
 
 
-def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two increasing index tuples; return (sign, merged) or None.
+def _mask(idx: tuple[int, ...]) -> int:
+    mask = 0
+    for i in idx:
+        mask |= 1 << i
+    return mask
 
-    The sign is that of sorting the concatenation a+b; a repeated index
-    annihilates the product.
+
+def _graded_products(a: dict, b: dict):
+    """Yield (index, negative, ca, cb) for the monomial pairs of a*b.
+
+    ``a`` and ``b`` map strictly increasing index tuples to coefficients.
+    For every pair xi^ia (coefficient ca) and xi^ib (cb) that shares no
+    generator, xi^ia xi^ib = (-1 if negative else 1) xi^index.  Each term's
+    generator mask is taken once per call, and a pair whose masks meet is
+    skipped before any merging; a pair's sign is the parity of the letters
+    of ia that each letter of ib moves past.
     """
-    out = []
-    i = j = 0
-    sign = 1
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] moves left past the len(a)-i remaining odd letters of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+    b_items = [(_mask(ib), ib, cb) for ib, cb in b.items()]
+    for ia, ca in a.items():
+        ma = _mask(ia)
+        for mb, ib, cb in b_items:
+            if ma & mb:
+                continue
+            if not (ia and ib):
+                yield ia or ib, False, ca, cb
+                continue
+            hops = 0
+            for i in ib:
+                hops += (ma >> i).bit_count()
+            yield tuple(sorted(ia + ib)), bool(hops & 1), ca, cb
 
 
 def _validate_index(idx: tuple[int, ...], count: int) -> tuple[int, ...]:
@@ -363,24 +369,19 @@ class GrassmannElement:
         other = self._coerce(other)
         self._check_compatible(other)
         acc: dict[tuple[int, ...], Scalar] = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                merged = _merge_indices(ia, ib)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                coeff = ca * cb
-                if sign < 0:
-                    coeff = -coeff
-                prev = acc.get(idx)
-                if prev is None:
-                    acc[idx] = coeff
-                    continue
-                coeff = prev + coeff
-                if coeff.is_zero():
-                    del acc[idx]
-                else:
-                    acc[idx] = coeff
+        for idx, negative, ca, cb in _graded_products(self.terms, other.terms):
+            q = ca.rational * cb.rational
+            coeff = _scalar(-q if negative else q,
+                            ca.gauss_exponent + cb.gauss_exponent)
+            prev = acc.get(idx)
+            if prev is None:
+                acc[idx] = coeff
+                continue
+            coeff = prev + coeff
+            if coeff.is_zero():
+                del acc[idx]
+            else:
+                acc[idx] = coeff
         return _element(self.generator_count, acc)
 
     def __rmul__(self, other) -> "GrassmannElement":

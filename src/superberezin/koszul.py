@@ -26,7 +26,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DimensionError, InconclusiveError
-from .grassmann import Parity, Scalar
+from .grassmann import Parity
 
 # A monomial is (even_exponents, odd_indices): a tuple of p+q nonnegative
 # integers and a strictly increasing tuple of odd-letter indices.
@@ -195,7 +195,7 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
     return total, reported
 
 
-# -- D(x) classes and the canonical pairing -------------------------------
+# -- D(x) classes ---------------------------------------------------------
 
 
 def expand_letter_product(combos, letter_count: int) -> dict[tuple[int, ...], Fraction]:
@@ -278,12 +278,3 @@ def dual_class_factor(p: int, q: int, T) -> Fraction:
     num = expand_letter_product(primed, n).get(top, Fraction(0))
     den = expand_letter_product(plain, n).get(top, Fraction(0))
     return num / den
-
-
-def canonical_pairing(w1, w2) -> Scalar:
-    """Pairing of Ber(V*) and Ber(V) coordinates in dual D(·)-bases.
-
-    Normalized by ⟨D(ξ_n,…,ξ_1), D(x_1,…,x_n)⟩ = 1 and extended bilinearly,
-    so coordinates simply multiply.
-    """
-    return Scalar.coerce(w1) * Scalar.coerce(w2)

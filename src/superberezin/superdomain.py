@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     ParityError,
 )
 from .grassmann import EVEN, ODD, Parity, Scalar
-from .grassmann import _merge_indices
+from .grassmann import _graded_products, _scalar
 from .supermatrix import SuperMatrix
 
 
@@ -220,17 +221,18 @@ class Polynomial:
             raise DimensionError("polynomials in different variable counts")
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Scalar.zero()) + coeff
+            prev = terms.get(exps)
+            acc = coeff if prev is None else prev + coeff
             if acc.is_zero():
-                terms.pop(exps, None)
+                del terms[exps]
             else:
                 terms[exps] = acc
-        return Polynomial(self.nvars, terms)
+        return _poly(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -247,15 +249,16 @@ class Polynomial:
         acc: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                coeff = c1 * c2
+                exps = tuple(map(add, e1, e2))
+                coeff = _scalar(c1.rational * c2.rational,
+                                c1.gauss_exponent + c2.gauss_exponent)
                 prev = acc.get(exps)
                 coeff = coeff if prev is None else prev + coeff
                 if coeff.is_zero():
-                    acc.pop(exps, None)
+                    del acc[exps]
                 else:
                     acc[exps] = coeff
-        return Polynomial(self.nvars, acc)
+        return _poly(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -282,7 +285,7 @@ class Polynomial:
             )
         (exps, coeff), = self.terms.items()
         inv_exps = tuple(-e for e in exps)
-        return Polynomial(self.nvars, {inv_exps: Scalar.one() / coeff})
+        return _poly(self.nvars, {inv_exps: Scalar.one() / coeff})
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
@@ -292,9 +295,9 @@ class Polynomial:
             e = exps[i]
             if e == 0:
                 continue
-            new = tuple(x - 1 if k == i else x for k, x in enumerate(exps))
-            terms[new] = coeff * Fraction(e)
-        return Polynomial(self.nvars, terms)
+            new = exps[:i] + (e - 1,) + exps[i + 1:]
+            terms[new] = coeff * e
+        return _poly(self.nvars, terms)
 
     def evaluate(self, point: Sequence[Fraction]) -> Scalar:
         if len(point) != self.nvars:
@@ -356,6 +359,19 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self!s})"
+
+
+def _poly(nvars: int, terms: dict) -> Polynomial:
+    """Trusted constructor for the results of closed Polynomial operations.
+
+    ``terms`` must map int tuples of length ``nvars`` to nonzero Scalars and
+    is kept, not copied; the public constructor checks all of this, this one
+    assumes it.
+    """
+    out = object.__new__(Polynomial)
+    object.__setattr__(out, "nvars", nvars)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 def binomial_coefficient(e: int, j: int) -> Fraction:
@@ -447,18 +463,15 @@ class SuperFunction:
         return self.coeffs.get((), Polynomial.zero(self.shape.m))
 
     def soul(self) -> "SuperFunction":
-        return SuperFunction(self.shape,
-                             {i: p for i, p in self.coeffs.items() if i})
+        return _sf(self.shape, {i: p for i, p in self.coeffs.items() if i})
 
     def even_part(self) -> "SuperFunction":
-        return SuperFunction(self.shape,
-                             {i: p for i, p in self.coeffs.items()
-                              if len(i) % 2 == 0})
+        return _sf(self.shape, {i: p for i, p in self.coeffs.items()
+                                if len(i) % 2 == 0})
 
     def odd_part(self) -> "SuperFunction":
-        return SuperFunction(self.shape,
-                             {i: p for i, p in self.coeffs.items()
-                              if len(i) % 2 == 1})
+        return _sf(self.shape, {i: p for i, p in self.coeffs.items()
+                                if len(i) % 2 == 1})
 
     def coefficient(self, odd_index: Iterable[int]) -> Polynomial:
         return self.coeffs.get(tuple(odd_index), Polynomial.zero(self.shape.m))
@@ -488,17 +501,18 @@ class SuperFunction:
         self._check_shape(other)
         coeffs = dict(self.coeffs)
         for idx, poly in other.coeffs.items():
-            acc = coeffs.get(idx, Polynomial.zero(self.shape.m)) + poly
+            prev = coeffs.get(idx)
+            acc = poly if prev is None else prev + poly
             if acc.is_zero():
-                coeffs.pop(idx, None)
+                del coeffs[idx]
             else:
                 coeffs[idx] = acc
-        return SuperFunction(self.shape, coeffs)
+        return _sf(self.shape, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SuperFunction":
-        return SuperFunction(self.shape, {i: -p for i, p in self.coeffs.items()})
+        return _sf(self.shape, {i: -p for i, p in self.coeffs.items()})
 
     def __sub__(self, other) -> "SuperFunction":
         return self + (-self._coerce(other))
@@ -510,22 +524,17 @@ class SuperFunction:
         other = self._coerce(other)
         self._check_shape(other)
         acc: dict[tuple[int, ...], Polynomial] = {}
-        for ia, pa in self.coeffs.items():
-            for ib, pb in other.coeffs.items():
-                merged = _merge_indices(ia, ib)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                poly = pa * pb
-                if sign < 0:
-                    poly = -poly
-                prev = acc.get(idx)
-                poly = poly if prev is None else prev + poly
-                if poly.is_zero():
-                    acc.pop(idx, None)
-                else:
-                    acc[idx] = poly
-        return SuperFunction(self.shape, acc)
+        for idx, negative, pa, pb in _graded_products(self.coeffs, other.coeffs):
+            poly = pa * pb
+            if negative:
+                poly = -poly
+            prev = acc.get(idx)
+            poly = poly if prev is None else prev + poly
+            if poly.is_zero():
+                del acc[idx]
+            else:
+                acc[idx] = poly
+        return _sf(self.shape, acc)
 
     def __rmul__(self, other) -> "SuperFunction":
         # even coefficients are central; odd SuperFunctions must use *
@@ -550,9 +559,12 @@ class SuperFunction:
     # -- derivatives ------------------------------------------------------
 
     def derive_even(self, i: int) -> "SuperFunction":
-        return SuperFunction(
-            self.shape, {idx: p.derive(i) for idx, p in self.coeffs.items()}
-        )
+        coeffs = {}
+        for idx, poly in self.coeffs.items():
+            d = poly.derive(i)
+            if d:
+                coeffs[idx] = d
+        return _sf(self.shape, coeffs)
 
     def derive_odd(self, j: int) -> "SuperFunction":
         """Left derivative: ∂_j(ξ_{a1}…ξ_{ak}) drops ξ_j with sign (-1)^{pos}."""
@@ -568,10 +580,10 @@ class SuperFunction:
             prev = coeffs.get(new_idx)
             signed = signed if prev is None else prev + signed
             if signed.is_zero():
-                coeffs.pop(new_idx, None)
+                del coeffs[new_idx]
             else:
                 coeffs[new_idx] = signed
-        return SuperFunction(self.shape, coeffs)
+        return _sf(self.shape, coeffs)
 
     # -- reshaping --------------------------------------------------------
 
@@ -638,6 +650,19 @@ class SuperFunction:
 
     def __repr__(self) -> str:
         return f"SuperFunction({self.shape}, {self!s})"
+
+
+def _sf(shape: SuperDomainShape, coeffs: dict) -> SuperFunction:
+    """Trusted constructor for the results of closed SuperFunction operations.
+
+    ``coeffs`` must map strictly increasing in-range odd index tuples to
+    nonzero Polynomials in ``shape.m`` variables and is kept, not copied;
+    the public constructor checks all of this, this one assumes it.
+    """
+    out = object.__new__(SuperFunction)
+    object.__setattr__(out, "shape", shape)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 # -- morphisms --------------------------------------------------------------
@@ -734,16 +759,54 @@ class SuperMorphism:
         return f"SuperMorphism({self.source} -> {self.target})"
 
 
+def _linear_combination(shape: SuperDomainShape, pairs) -> SuperFunction:
+    """Σ c·F over (Scalar c, SuperFunction F) pairs, summed term by term."""
+    acc: dict[tuple[int, ...], dict] = {}
+    for c, func in pairs:
+        for idx, poly in func.coeffs.items():
+            terms = acc.setdefault(idx, {})
+            for exps, coeff in poly.terms.items():
+                value = c * coeff
+                prev = terms.get(exps)
+                value = value if prev is None else prev + value
+                if value.is_zero():
+                    del terms[exps]
+                else:
+                    terms[exps] = value
+    return _sf(shape, {idx: _poly(shape.m, terms)
+                       for idx, terms in acc.items() if terms})
+
+
+def _s_weight(func: SuperFunction) -> int | None:
+    """The power of s on every coefficient of func (0 if zero), else None."""
+    found = {c.gauss_exponent
+             for poly in func.coeffs.values() for c in poly.terms.values()}
+    if len(found) > 1:
+        return None
+    return found.pop() if found else 0
+
+
 def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
     """Substitute phi's components into f, Taylor-expanding around bodies.
 
-    Even powers use the generalized binomial (B + N)^e = Σ_j C(e,j) B^{e-j} N^j,
-    which terminates because the soul N is nilpotent; negative e works when
-    the body is an invertible monomial.  This is an exact algebra morphism.
+    A positive power of an even component is a repeated product; a negative
+    one uses the generalized binomial (B + N)^e = Σ_j C(e,j) B^{e-j} N^j,
+    which terminates because the soul N is nilpotent and needs the body B
+    to be an invertible monomial.  This is an exact algebra morphism.
+
+    Each odd sector ρ_α is substituted by grouping: its terms are grouped by
+    the exponent of the first even variable and the rest is substituted
+    recursively, so the last variable gives a linear combination of cached
+    powers and each group costs one product.  When every component of phi
+    carries a single power of s, terms whose images carry different powers
+    of s are substituted apart and added last, so ScalarExponentError is
+    raised exactly when a coefficient of the result mixes powers of s.
     """
     if f.shape != phi.target:
         raise DimensionError("function does not live on the morphism target")
     src = phi.source
+    m = phi.target.m
+    one = SuperFunction.one(src)
     power_cache: dict[tuple[int, int], SuperFunction] = {}
 
     def even_power(k: int, e: int) -> SuperFunction:
@@ -751,10 +814,20 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
         if got is not None:
             return got
         comp = phi.even_components[k]
+        if e > 0:
+            # one product per power, from the largest cached lower one
+            low = e
+            while low > 1 and (k, low) not in power_cache:
+                low -= 1
+            acc = power_cache.get((k, low), comp)
+            for p in range(low + 1, e + 1):
+                acc = acc * comp
+                power_cache[(k, p)] = acc
+            return acc
         body = comp.body_polynomial()
         soul = comp.soul()
         acc = SuperFunction.zero(src)
-        soul_power = SuperFunction.one(src)
+        soul_power = one
         for j in range(src.total_odd + 1):
             c = binomial_coefficient(e, j)
             if c != 0:
@@ -776,19 +849,51 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
         # aux parameter: identified with the source's aux block
         return SuperFunction.odd_gen(src, src.n + (j - phi.target.n))
 
-    result = SuperFunction.zero(src)
+    def expand(terms: list, k: int) -> SuperFunction:
+        """Σ c·Π_{i≥k} φ_i^{e_i} over the (exponents e, c) in terms."""
+        if k >= m - 1:
+            return _linear_combination(src, [
+                (c, even_power(k, exps[k]) if m and exps[k] else one)
+                for exps, c in terms])
+        groups: dict[int, list] = {}
+        for term in terms:
+            groups.setdefault(term[0][k], []).append(term)
+        acc = None
+        for e, group in groups.items():
+            part = expand(group, k + 1)
+            if e:
+                part = even_power(k, e) * part
+            acc = part if acc is None else acc + part
+        return acc
+
+    even_w = [_s_weight(c) for c in phi.even_components]
+    odd_w = [_s_weight(c) for c in phi.odd_components] + [0] * phi.target.aux
+    graded = None not in even_w and None not in odd_w
+    # power of s on the image of a term -> sector -> (odd factor, terms)
+    classes: dict[int, dict] = {}
     for alpha, poly in f.coeffs.items():
-        odd_factor = SuperFunction.one(src)
+        odd_factor = one
         for j in alpha:
             odd_factor = odd_factor * odd_image(j)
         if odd_factor.is_zero():
             continue
-        for exps, coeff in poly.terms.items():
-            term = SuperFunction.constant(src, coeff)
-            for k, e in enumerate(exps):
-                if e:
-                    term = term * even_power(k, e)
-            result = result + term * odd_factor
+        base = sum(odd_w[j] for j in alpha) if graded else 0
+        for exps, c in poly.terms.items():
+            w = (base + c.gauss_exponent + sum(map(mul, exps, even_w))
+                 if graded else 0)
+            sector = classes.setdefault(w, {})
+            sector.setdefault(alpha, (odd_factor, []))[1].append((exps, c))
+    parts = []
+    for sectors in classes.values():
+        part = SuperFunction.zero(src)
+        for alpha, (odd_factor, terms) in sectors.items():
+            image = expand(terms, 0)
+            part = part + (image * odd_factor if alpha else image)
+        parts.append(part)
+    # every substitution is done before powers of s meet
+    result = SuperFunction.zero(src)
+    for part in parts:
+        result = result + part
     return result
 
 

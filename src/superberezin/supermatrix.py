@@ -367,4 +367,4 @@ def supertrace(m: SuperMatrix):
 
 
 # homological cross-checks live next door but belong to this module's API
-from .koszul import canonical_pairing, homological_berezinian  # noqa: E402,F401
+from .koszul import homological_berezinian  # noqa: E402,F401

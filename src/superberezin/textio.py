@@ -8,6 +8,12 @@ terms, a term is an optional rational coefficient followed by factors
 starts a comment anywhere.  Everything the package prints in these
 formats re-parses to an equal value.
 
+Exponents are bounded: in every term, the total exponent of each ``x<i>``
+and of ``s`` (summed over repeated factors) must satisfy
+|e| <= MAX_EXPONENT = 1000.  A larger one is a ParseError at its token, and
+so is a number with more digits than the interpreter converts
+(``sys.get_int_max_str_digits()``, 4300 by default).
+
 The concrete files:
 
 * supermatrix:        header ``p q N``, then (p+q)^2 element lines, row-major;
@@ -43,6 +49,8 @@ _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
 _EVEN_VAR = re.compile(r"x(\d+)(\^(-?\d+))?\Z")
 _ODD_VAR = re.compile(r"xi(\d+)\Z")
 _GAUSS = re.compile(r"s(\^(-?\d+))?\Z")
+
+MAX_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,33 @@ def _fraction(token: _Token) -> Fraction:
         return Fraction(token.text)
     except ZeroDivisionError:
         _fail(token, f"zero denominator in {token.text!r}")
+    except ValueError:  # more digits than the interpreter converts
+        _fail(token, "number too long")
+
+
+def _digits(token: _Token, text: str) -> int:
+    """A number written inside a factor token (index or exponent)."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        _fail(token, "number too long")
+
+
+def _index(token: _Token, text: str) -> int:
+    """The 0-based position of a 1-based variable or generator index."""
+    i = _digits(token, text) - 1
+    if i < 0:
+        _fail(token, "variable and generator indices start at 1")
+    return i
+
+
+def _exponent(token: _Token, total: int, text: str) -> int:
+    """total plus the exponent text, within the grammar's bound."""
+    total += _digits(token, text)
+    if abs(total) > MAX_EXPONENT:
+        _fail(token, f"exponent {total} exceeds the bound "
+                     f"|e| <= {MAX_EXPONENT}")
+    return total
 
 
 @dataclass
@@ -114,6 +149,7 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
     terms = []
     for sgn, group in zip(signs, groups):
         coeff = Scalar(sgn)
+        gauss = 0
         even: dict[int, int] = {}
         odd: list[int] = []
         saw_coefficient = False
@@ -133,23 +169,23 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
                 continue
             m = _GAUSS.match(tok.text)
             if m:
-                coeff = coeff * Scalar(1, int(m.group(2) or 1))
+                gauss = _exponent(tok, gauss, m.group(2) or "1")
                 continue
             m = _EVEN_VAR.match(tok.text)
             if m:
-                i = int(m.group(1)) - 1
-                even[i] = even.get(i, 0) + int(m.group(3) or 1)
+                i = _index(tok, m.group(1))
+                even[i] = _exponent(tok, even.get(i, 0), m.group(3) or "1")
                 continue
             m = _ODD_VAR.match(tok.text)
             if m:
-                j = int(m.group(1)) - 1
+                j = _index(tok, m.group(1))
                 if odd and j <= odd[-1]:
                     _fail(tok, "odd generators must be distinct and "
                                "listed in increasing order")
                 odd.append(j)
                 continue
             _fail(tok, f"unrecognised factor {tok.text!r}")
-        terms.append(_Term(coeff, even, tuple(odd)))
+        terms.append(_Term(coeff * Scalar(1, gauss), even, tuple(odd)))
     return terms
 
 

@@ -139,6 +139,48 @@ def test_integrate_box_outside_axis(tmp_path, capsys):
     assert cli.main(["integrate", path, "--backend", "box", "-1", "1"]) == 1
 
 
+def test_integrate_exponent_over_the_bound_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "f.txt", "1 0 0\naxis 1 2\n3 x1^20000 : 1\n")
+    assert cli.main(["integrate", path, "--backend", "box", "1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: line 3, column 3")
+    assert "exponent 20000 exceeds the bound |e| <= 1000" in captured.err
+    assert captured.out == ""
+
+
+def test_integrate_exponent_at_the_bound(tmp_path, capsys):
+    path = write(tmp_path, "f.txt", "1 0 0\naxis 0 1\nx1^1000 : 1\n")
+    assert cli.main(["integrate", path, "--backend", "box", "0", "1"]) == 0
+    assert capsys.readouterr().out == "1/1001\n"
+
+
+def test_integrate_result_too_large_to_print(tmp_path, capsys):
+    # (10^20)^1001 / 1001 has about 20000 digits
+    big = "1" + "0" * 20
+    path = write(tmp_path, "f.txt", f"1 0 0\naxis 0 {big}\nx1^1000 : 1\n")
+    assert cli.main(["integrate", path, "--backend", "box", "0", big]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: result too large to print")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_ber_number_too_long_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "1 1 0\n" + "9" * 5000 + "\n0\n0\n1\n")
+    assert cli.main(["ber", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "parse error: line 2, column 1: number too long")
+
+
+def test_ber_result_too_large_to_print(tmp_path, capsys):
+    big = "9" * 4000
+    path = write(tmp_path, "m.txt", f"2 0 0\n{big}\n0\n0\n{big}\n")
+    assert cli.main(["ber", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: result too large to print")
+    assert captured.out == ""
+
+
 # -- unimodular --------------------------------------------------------------
 
 

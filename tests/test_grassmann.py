@@ -24,6 +24,12 @@ from superberezin.errors import (
     ParityError,
     ScalarExponentError,
 )
+from superberezin.superdomain import (
+    REALLINE,
+    Polynomial,
+    SuperDomainShape,
+    SuperFunction,
+)
 
 
 def G(n, terms):
@@ -231,3 +237,69 @@ def test_closed_operations_are_canonical(a, b):
         assert r == GrassmannElement(N_GEN, r.terms)
         for coeff in r.terms.values():
             assert type(coeff.rational) is Fraction and coeff.rational != 0
+
+
+# The sparse product runs on generator bitmasks; the oracle below merges the
+# index tuples of every pair of monomials directly, as products were first
+# written.
+
+
+def _merge_indices(a, b):
+    """Merge two increasing index tuples; return (sign, merged) or None.
+
+    The sign is that of sorting the concatenation a+b; a repeated index
+    annihilates the product.
+    """
+    out = []
+    i = j = 0
+    sign = 1
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            return None
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            # b[j] moves left past the len(a)-i remaining odd letters of a
+            if (len(a) - i) % 2:
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return sign, tuple(out)
+
+
+def _merged_product(a_terms, b_terms, zero):
+    acc = {}
+    for ia, ca in a_terms.items():
+        for ib, cb in b_terms.items():
+            merged = _merge_indices(ia, ib)
+            if merged is not None:
+                sign, idx = merged
+                acc[idx] = acc.get(idx, zero) + Fraction(sign) * (ca * cb)
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(max_terms=12), elements(max_terms=12))
+def test_product_matches_index_merging(a, b):
+    expected = _merged_product(a.terms, b.terms, Scalar.zero())
+    assert a * b == GrassmannElement(N_GEN, expected)
+
+
+def superfunctions(max_terms=10):
+    from itertools import combinations
+    shape = SuperDomainShape(1, (REALLINE,), 2, aux=2)
+    indices = [c for size in range(5) for c in combinations(range(4), size)]
+    term = st.tuples(st.sampled_from(indices), st.integers(-1, 2),
+                     st.integers(-3, 3))
+    return st.lists(term, max_size=max_terms).map(lambda items: SuperFunction(
+        shape, [(idx, Polynomial(1, {(e,): c})) for idx, e, c in items]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(superfunctions(), superfunctions())
+def test_superfunction_product_matches_index_merging(f, g):
+    expected = _merged_product(f.coeffs, g.coeffs, Polynomial.zero(1))
+    assert f * g == SuperFunction(f.shape, expected)

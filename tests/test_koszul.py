@@ -1,14 +1,13 @@
-"""Homological Berezinian and canonical pairing checks."""
+"""Homological Berezinian and D(x)-class checks."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from superberezin.grassmann import EVEN, ODD, GrassmannElement, Parity, Scalar
+from superberezin.grassmann import EVEN, ODD, GrassmannElement, Parity
 from superberezin.koszul import (
     KoszulComplexSlice,
-    canonical_pairing,
     d_class_factor,
     dual_class_factor,
     expand_letter_product,
@@ -114,8 +113,3 @@ def test_pairing_invariance_under_basis_change():
             mu = dual_class_factor(p, q, T)
             assert lam * mu == 1
 
-
-def test_canonical_pairing_values():
-    assert canonical_pairing(1, 1) == Scalar(1)
-    assert canonical_pairing(2, 3) == Scalar(6)
-    assert canonical_pairing(Scalar(Fraction(1, 2)), Scalar(4, 1)) == Scalar(2, 1)

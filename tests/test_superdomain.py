@@ -2,14 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from superberezin.errors import (
     DimensionError,
     DomainBoxError,
     NonInvertibleError,
     ParityError,
+    ScalarExponentError,
 )
 from superberezin.grassmann import EVEN, ODD, Scalar
 from superberezin.superdomain import (
@@ -334,3 +338,297 @@ class TestBoxes:
         inv = SuperMorphism(shape, shape, [SuperFunction(
             shape, {(): Polynomial(1, {(-1,): 1})})], [])
         assert inv.check_body_box() is not None
+
+
+# -- pullback against the term-by-term oracle --------------------------------
+#
+# pullback substitutes by grouping terms on their even exponents; the oracle
+# below expands f one monomial at a time, as pullback was first written.
+
+
+def oracle_pullback(phi, f):
+    src = phi.source
+    power_cache = {}
+
+    def even_power(k, e):
+        got = power_cache.get((k, e))
+        if got is not None:
+            return got
+        comp = phi.even_components[k]
+        body = comp.body_polynomial()
+        soul = comp.soul()
+        acc = SuperFunction.zero(src)
+        soul_power = SuperFunction.one(src)
+        for j in range(src.total_odd + 1):
+            c = binomial_coefficient(e, j)
+            if c != 0:
+                if e - j >= 0:
+                    base = SuperFunction.from_polynomial(src, body ** (e - j))
+                else:
+                    base = SuperFunction.from_polynomial(
+                        src, body.monomial_inverse() ** (j - e))
+                acc = acc + Scalar(c) * (base * soul_power)
+            soul_power = soul_power * soul
+            if soul_power.is_zero():
+                break
+        power_cache[(k, e)] = acc
+        return acc
+
+    def odd_image(j):
+        if j < phi.target.n:
+            return phi.odd_components[j]
+        return SuperFunction.odd_gen(src, src.n + (j - phi.target.n))
+
+    result = SuperFunction.zero(src)
+    for alpha, poly in f.coeffs.items():
+        odd_factor = SuperFunction.one(src)
+        for j in alpha:
+            odd_factor = odd_factor * odd_image(j)
+        if odd_factor.is_zero():
+            continue
+        for exps, coeff in poly.terms.items():
+            term = SuperFunction.constant(src, coeff)
+            for k, e in enumerate(exps):
+                if e:
+                    term = term * even_power(k, e)
+            result = result + term * odd_factor
+    return result
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type of the package error it raises."""
+    try:
+        return fn(*args)
+    except (NonInvertibleError, ScalarExponentError) as exc:
+        return type(exc)
+
+
+def _assert_same_outcome(got, want):
+    assert got == want
+    if isinstance(want, SuperFunction):
+        assert str(got) == str(want)
+
+
+_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _polynomials(draw, m, laurent, power_of_s, max_terms=3, max_exp=2):
+    """Nonzero polynomial; negative exponents only on the `laurent` axes.
+
+    power_of_s(exps) gives the power of s carried by the term x^exps.
+    """
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = tuple(draw(st.integers(-max_exp if k in laurent else 0, max_exp))
+                     for k in range(m))
+        terms[exps] = Scalar(draw(_COEFFS), power_of_s(exps))
+    return Polynomial(m, terms)
+
+
+@st.composite
+def _morphisms(draw):
+    """(phi, weights) with every component carrying one power of s.
+
+    Shapes run over m, n in 0..2 with up to 2 aux parameters; POSITIVE axes
+    take Laurent exponents; bodies are monomials (invertible) or short
+    polynomials, with souls drawn from the even sectors.  weights[k] is the
+    power of s of the k-th component (evens, then odds).
+    """
+    m, n, aux = (draw(st.integers(0, 2)) for _ in range(3))
+    box = tuple(draw(st.sampled_from([POSITIVE, REALLINE, Interval(0, 1)]))
+                for _ in range(m))
+    shape = SuperDomainShape(m, box, n, aux)
+    laurent = {k for k, axis in enumerate(box) if axis is POSITIVE}
+    sectors = [c for size in range(n + aux + 1)
+               for c in combinations(range(n + aux), size)]
+    weights = [draw(st.integers(-1, 1)) for _ in range(m + n)]
+
+    def component(weight, parity):
+        def poly(max_terms):
+            return draw(_polynomials(m, laurent, lambda _: weight,
+                                     max_terms=max_terms, max_exp=1))
+        coeffs = {}
+        if parity == 0:
+            coeffs[()] = poly(draw(st.sampled_from([1, 1, 2])))
+        candidates = [c for c in sectors if c and len(c) % 2 == parity]
+        for _ in range(draw(st.integers(parity, 2)) if candidates else 0):
+            coeffs[draw(st.sampled_from(candidates))] = poly(1)
+        return SuperFunction(shape, coeffs)
+
+    evens = [component(weights[k], 0) for k in range(m)]
+    odds = [component(weights[m + j], 1) for j in range(n)]
+    return SuperMorphism(shape, shape, evens, odds), weights
+
+
+def _image_power_of_s(phi, weights, alpha, exps, power):
+    """Power of s on the image of s^power x^exps xi^alpha under phi."""
+    m, n = phi.target.m, phi.target.n
+    return (power + sum(e * w for e, w in zip(exps, weights[:m]))
+            + sum(weights[m + j] for j in alpha if j < n))
+
+
+@st.composite
+def _functions(draw, shape, power_of_term=None):
+    """Function on shape; power_of_term(alpha, exps) gives each term's power
+    of s, which is drawn from -1..1 when it is None."""
+    if power_of_term is None:
+        def power_of_term(alpha, exps):
+            return draw(st.integers(-1, 1))
+    laurent = {k for k, axis in enumerate(shape.box) if axis is POSITIVE}
+    sectors = [c for size in range(shape.total_odd + 1)
+               for c in combinations(range(shape.total_odd), size)]
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 4))):
+        alpha = draw(st.sampled_from(sectors))
+        coeffs[alpha] = draw(_polynomials(
+            shape.m, laurent, lambda exps: power_of_term(alpha, exps),
+            max_terms=4, max_exp=3))
+    return SuperFunction(shape, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pullback_matches_term_by_term_oracle(data):
+    # f is homogeneous for phi: every term's image carries the same power
+    # of s, so neither order of summation can mix powers of s
+    phi, weights = data.draw(_morphisms())
+    total = data.draw(st.integers(-1, 1))
+    f = data.draw(_functions(phi.target, lambda alpha, exps: total - (
+        _image_power_of_s(phi, weights, alpha, exps, 0))))
+    _assert_same_outcome(_outcome(pullback, phi, f),
+                         _outcome(oracle_pullback, phi, f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pullback_mixing_powers_of_s(data):
+    # f's terms carry arbitrary powers of s.  The pullback is the sum of
+    # the pullbacks of f's parts whose images carry one power of s each; it
+    # fails with ScalarExponentError exactly when that sum mixes powers at
+    # one coefficient, whatever order the oracle happens to add in.
+    phi, weights = data.draw(_morphisms())
+    f = data.draw(_functions(phi.target))
+    parts = {}
+    for alpha, poly in f.coeffs.items():
+        for exps, c in poly.terms.items():
+            w = _image_power_of_s(phi, weights, alpha, exps, c.gauss_exponent)
+            parts.setdefault(w, {}).setdefault(alpha, {})[exps] = c
+
+    def reference():
+        images = [oracle_pullback(phi, SuperFunction(phi.target, {
+            alpha: Polynomial(phi.target.m, terms)
+            for alpha, terms in part.items()})) for part in parts.values()]
+        total = SuperFunction.zero(phi.source)
+        for image in images:
+            total = total + image
+        return total
+
+    got = _outcome(pullback, phi, f)
+    _assert_same_outcome(got, _outcome(reference))
+    want = _outcome(oracle_pullback, phi, f)
+    if isinstance(want, SuperFunction) or want is NonInvertibleError:
+        _assert_same_outcome(got, want)
+
+
+def test_pullback_mixing_powers_where_the_oracle_order_fails():
+    # the images of s (x1^2 - 2 x1 + 1) and x2 meet at the constant term,
+    # where the s parts cancel: s - 2s + s + 1 = 1.  Adding term by term
+    # in f's order forms s + 1 first.
+    shape = SuperDomainShape(2, (REALLINE, REALLINE), 0)
+    x1 = SuperFunction.coordinate(shape, 0)
+    x2 = SuperFunction.coordinate(shape, 1)
+    phi = SuperMorphism(shape, shape, [x1 + 1, x2 + 1], [])
+    f = SuperFunction(shape, {(): Polynomial(2, {
+        (0, 1): 1, (2, 0): Scalar(1, 1), (1, 0): Scalar(-2, 1),
+        (0, 0): Scalar(1, 1)})})
+    with pytest.raises(ScalarExponentError):
+        oracle_pullback(phi, f)
+    assert pullback(phi, f) == SuperFunction(shape, {(): Polynomial(2, {
+        (0, 1): 1, (0, 0): 1, (2, 0): Scalar(1, 1)})})
+
+
+def test_pullback_raises_where_the_result_mixes_powers_of_s():
+    shape = SuperDomainShape(1, (REALLINE,), 0)
+    x = SuperFunction.coordinate(shape, 0)
+    phi = SuperMorphism(shape, shape, [x + 1], [])
+    f = SuperFunction(shape, {(): Polynomial(1, {(1,): Scalar(1, 1),
+                                                 (0,): 1})})
+    with pytest.raises(ScalarExponentError):
+        pullback(phi, f)
+    with pytest.raises(ScalarExponentError):
+        oracle_pullback(phi, f)
+
+
+# -- closed operations build canonical results --------------------------------
+#
+# Polynomial and SuperFunction build the results of closed operations through
+# trusted constructors; each result must equal what the validating public
+# constructor builds from its data, and store no zero.
+
+
+def _assert_canonical(value):
+    if isinstance(value, SuperFunction):
+        assert value == SuperFunction(value.shape, value.coeffs)
+        for idx, poly in value.coeffs.items():
+            assert type(idx) is tuple and list(idx) == sorted(set(idx))
+            assert poly.nvars == value.shape.m
+            _assert_canonical(poly)
+        return
+    assert value == Polynomial(value.nvars, value.terms)
+    assert value.terms, "zero polynomial stored"
+    for exps, coeff in value.terms.items():
+        assert type(exps) is tuple and len(exps) == value.nvars
+        assert all(type(e) is int for e in exps)
+        assert type(coeff.rational) is Fraction and coeff.rational != 0
+
+
+def _canonical_or_zero(value):
+    if isinstance(value, SuperFunction) or value:
+        _assert_canonical(value)
+    else:
+        assert value.terms == {}
+
+
+@st.composite
+def _laurent_functions(draw, shape):
+    sectors = [c for size in range(shape.total_odd + 1)
+               for c in combinations(range(shape.total_odd), size)]
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 5))):
+        alpha = draw(st.sampled_from(sectors))
+        coeffs[alpha] = draw(_polynomials(shape.m, set(range(shape.m)),
+                                          lambda _: 0, max_exp=2))
+    return SuperFunction(shape, coeffs)
+
+
+R22_AUX = SuperDomainShape(2, (POSITIVE, REALLINE), 2, aux=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laurent_functions(R22_AUX), _laurent_functions(R22_AUX))
+def test_closed_superfunction_operations_are_canonical(f, g):
+    results = [f + g, f - g, f * g, -f, f.soul(), f.even_part(),
+               f.odd_part(), f - f]
+    results += [f.derive_even(i) for i in range(2)]
+    results += [f.derive_odd(j) for j in range(3)]
+    for r in results:
+        _canonical_or_zero(r)
+    p, q = f.body_polynomial(), g.body_polynomial()
+    polys = [p + q, p - q, p * q, -p, p - p, p.derive(0), p.derive(1), p ** 2]
+    if p.is_monomial():
+        polys += [p.monomial_inverse(), p ** -2]
+    for r in polys:
+        _canonical_or_zero(r)
+    if p.is_monomial():
+        _canonical_or_zero(f.even_part().inv_even())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pullback_results_are_canonical(data):
+    phi, weights = data.draw(_morphisms())
+    f = data.draw(_functions(phi.target, lambda alpha, exps: 0))
+    got = _outcome(pullback, phi, f)
+    if isinstance(got, SuperFunction):
+        _canonical_or_zero(got)

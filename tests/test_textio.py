@@ -84,6 +84,35 @@ def test_dangling_sign_rejected():
         parse_grassmann("1 +", 1)
 
 
+def test_exponents_are_bounded_per_term():
+    assert parse_scalar("s^1000") == Scalar(1, 1000)
+    assert parse_scalar("s^-1000") == Scalar(1, -1000)
+    with pytest.raises(ParseError) as info:
+        parse_scalar("2 s^600 s^401")
+    assert (info.value.line, info.value.column) == (1, 9)
+    f = parse_superfunction("1 0 0\naxis R\nx1^600 x1^400 + x1^-1000 : 1\n")
+    assert f.coefficient(()).coefficient((1000,)) == Scalar(1)
+    with pytest.raises(ParseError) as info:
+        parse_superfunction("1 0 0\naxis R\nx1 + x1^-600 x1^-401 : 1\n")
+    assert (info.value.line, info.value.column) == (3, 14)
+
+
+def test_overlong_numbers_are_parse_errors():
+    digits = "7" * 5000
+    for text in (digits, f"x{digits}", f"xi{digits}", f"s^{digits}"):
+        with pytest.raises(ParseError) as info:
+            parse_grassmann(text, 1)
+        assert "number too long" in str(info.value)
+
+
+def test_indices_start_at_one():
+    for text in ("x0 : 1", "1 : xi0"):
+        with pytest.raises(ParseError) as info:
+            parse_superfunction(f"1 1 0\naxis R\n{text}\n")
+        assert "start at 1" in str(info.value)
+        assert info.value.line == 3
+
+
 def test_scalar_parsing():
     assert parse_scalar("3/4 s^2") == Scalar(Fraction(3, 4), 2)
     assert parse_scalar("-2") == Scalar(-2)
