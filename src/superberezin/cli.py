@@ -4,6 +4,7 @@ Subcommands::
 
     ber FILE                    Berezinian of the supermatrix in FILE
     integrate FILE --backend gaussian | box a1 b1 a2 b2 ...
+                                (box bounds are textio rationals: 2, -1/3)
     unimodular FILE --subalgebra i,j,k
     examples list | run NAME
     verify SUITE [--seed N]     (--seed is ignored by unseeded suites)
@@ -18,13 +19,14 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from fractions import Fraction
 
 from .berezin import GAUSSIAN, BerezinSection, box_backend, integrate
 from .errors import ParseError, SuperBerezinError
 from .lie_super import SubalgebraSpec, unimodularity_check, validate
 from .suites import SUITES, CheckLine
 from .textio import (
+    _fraction,
+    _Token,
     parse_structure_constants,
     parse_superfunction,
     parse_supermatrix,
@@ -92,10 +94,11 @@ def _parse_backend(spec: list[str]):
         if len(bounds) % 2:
             raise ParseError("box backend needs an even number of bounds",
                              1, 1)
-        try:
-            values = [Fraction(b) for b in bounds]
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("box bounds must be rational numbers", 1, 1)
+        # rationals of the text grammar; columns count along the spec words
+        values, column = [], len(spec[0]) + 2
+        for bound in bounds:
+            values.append(_fraction(_Token(bound, 1, column)))
+            column += len(bound) + 1
         return box_backend(*zip(values[::2], values[1::2]))
     raise ParseError(f"unknown backend {' '.join(spec)!r}", 1, 1)
 

@@ -221,6 +221,61 @@ def _graded_products(a: dict, b: dict):
             yield tuple(sorted(ia + ib)), bool(hops & 1), ca, cb
 
 
+def _add_terms(acc: dict, items) -> dict:
+    """Add the (key, value) pairs of ``items`` into the sparse sum ``acc``.
+
+    Pairs are added in order, a repeated key as ``acc[key] + value``, and a
+    key whose value is zero is dropped.  Values need ``+`` and ``is_zero``.
+    Returns ``acc``, which is updated in place.
+    """
+    for key, value in items:
+        prev = acc.get(key)
+        if prev is not None:
+            value = prev + value
+        if value.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = value
+    return acc
+
+
+def _inverse_series(one, factor, binv, steps: int):
+    """binv * (1 + factor + ... + factor^steps), stopping at a zero power.
+
+    With u = b + n even, b an invertible body and n a nilpotent soul,
+    factor = -b^-1 n and binv = b^-1 make this u^-1 once factor^(steps+1)
+    vanishes.
+    """
+    acc = power = one
+    for _ in range(steps):
+        power = power * factor
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc * binv
+
+
+def _signed_sum(pieces) -> str:
+    """Print (coefficient, monomial text) pairs as a signed sum, "0" if none.
+
+    A unit coefficient is left out before a monomial and a negative one
+    becomes the sign between terms.
+    """
+    parts = []
+    for coeff, mono in pieces:
+        body = str(coeff)
+        negative = body.startswith("-")
+        if negative:
+            body = body[1:]
+        if mono:
+            body = mono if body == "1" else f"{body} {mono}"
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
+
+
 def _validate_index(idx: tuple[int, ...], count: int) -> tuple[int, ...]:
     idx = tuple(idx)
     if any(not isinstance(i, int) for i in idx):
@@ -240,17 +295,10 @@ class GrassmannElement:
     def __init__(self, generator_count: int, terms: Mapping[tuple[int, ...], object] = ()):
         if generator_count < 0:
             raise DimensionError("generator count must be nonnegative")
-        normalized: dict[tuple[int, ...], Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for idx, coeff in items:
-            idx = _validate_index(tuple(idx), generator_count)
-            coeff = Scalar.coerce(coeff)
-            if idx in normalized:
-                coeff = normalized[idx] + coeff
-            if coeff.is_zero():
-                normalized.pop(idx, None)
-            else:
-                normalized[idx] = coeff
+        normalized = _add_terms({}, [
+            (_validate_index(tuple(idx), generator_count), Scalar.coerce(coeff))
+            for idx, coeff in items])
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "terms", normalized)
 
@@ -332,18 +380,8 @@ class GrassmannElement:
     def __add__(self, other) -> "GrassmannElement":
         other = self._coerce(other)
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            prev = terms.get(idx)
-            if prev is None:
-                terms[idx] = coeff
-                continue
-            acc = prev + coeff
-            if acc.is_zero():
-                del terms[idx]
-            else:
-                terms[idx] = acc
-        return _element(self.generator_count, terms)
+        return _element(self.generator_count,
+                        _add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -368,21 +406,11 @@ class GrassmannElement:
     def __mul__(self, other) -> "GrassmannElement":
         other = self._coerce(other)
         self._check_compatible(other)
-        acc: dict[tuple[int, ...], Scalar] = {}
-        for idx, negative, ca, cb in _graded_products(self.terms, other.terms):
-            q = ca.rational * cb.rational
-            coeff = _scalar(-q if negative else q,
-                            ca.gauss_exponent + cb.gauss_exponent)
-            prev = acc.get(idx)
-            if prev is None:
-                acc[idx] = coeff
-                continue
-            coeff = prev + coeff
-            if coeff.is_zero():
-                del acc[idx]
-            else:
-                acc[idx] = coeff
-        return _element(self.generator_count, acc)
+        return _element(self.generator_count, _add_terms({}, [
+            (idx, _scalar(-q if negative else q,
+                          ca.gauss_exponent + cb.gauss_exponent))
+            for idx, negative, ca, cb in _graded_products(self.terms, other.terms)
+            for q in (ca.rational * cb.rational,)]))
 
     def __rmul__(self, other) -> "GrassmannElement":
         # scalars are even and central, so this is safe
@@ -392,7 +420,8 @@ class GrassmannElement:
         """Inverse of an even element with invertible body.
 
         Uses body^-1 * sum_k (-body^-1 * soul)^k, which terminates because
-        the soul is nilpotent of order at most N+1.
+        every term of the even soul has degree >= 2, so soul^k = 0 for
+        k > N/2.
         """
         if self.odd_part():
             raise ParityError("inv_even requires an even element")
@@ -400,15 +429,9 @@ class GrassmannElement:
         if b.is_zero():
             raise NonInvertibleError("body is zero; element is not invertible")
         binv = Scalar.one() / b
-        factor = -(self.soul() * binv)
-        acc = GrassmannElement.one(self.generator_count)
-        power = GrassmannElement.one(self.generator_count)
-        for _ in range(self.generator_count):
-            power = power * factor
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * binv
+        return _inverse_series(GrassmannElement.one(self.generator_count),
+                               -(self.soul() * binv), binv,
+                               self.generator_count // 2)
 
     # -- reshaping ----------------------------------------------------
 
@@ -432,25 +455,9 @@ class GrassmannElement:
         return hash((self.generator_count, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx in sorted(self.terms, key=lambda i: (len(i), i)):
-            coeff = self.terms[idx]
-            mono = " ".join(f"xi{i + 1}" for i in idx)
-            body = str(coeff)
-            negative = body.startswith("-")
-            if negative:
-                body = body[1:]
-            if mono:
-                piece = mono if body == "1" else f"{body} {mono}"
-            else:
-                piece = body
-            if not parts:
-                parts.append(f"-{piece}" if negative else piece)
-            else:
-                parts.append(f"- {piece}" if negative else f"+ {piece}")
-        return " ".join(parts)
+        return _signed_sum([
+            (self.terms[idx], " ".join(f"xi{i + 1}" for i in idx))
+            for idx in sorted(self.terms, key=lambda i: (len(i), i))])
 
     def __repr__(self) -> str:
         return f"GrassmannElement({self.generator_count}, {self!s})"

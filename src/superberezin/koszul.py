@@ -21,12 +21,13 @@ give the homology dimensions with no approximation.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
 from .errors import DimensionError, InconclusiveError
-from .grassmann import Parity
+from .grassmann import GrassmannElement, Parity, _graded_products
 
 # A monomial is (even_exponents, odd_indices): a tuple of p+q nonnegative
 # integers and a strictly increasing tuple of odd-letter indices.
@@ -56,8 +57,9 @@ class KoszulComplexSlice:
         self.q = q
         self.degree_cap = degree_cap
         n = p + q
-        # pairs (odd letter, even letter) making up the canonical element
-        self._pairs = [(i, q + i) for i in range(p)] + [(p + j, j) for j in range(q)]
+        # the canonical element as {(odd letter,): its even partner letter}
+        self._canonical = ({(i,): q + i for i in range(p)}
+                           | {(p + j,): j for j in range(q)})
         self._bases: dict[int, list[Monomial]] = {}
         self._index: dict[int, dict[Monomial, int]] = {}
         for k in range(degree_cap + 1):
@@ -83,15 +85,12 @@ class KoszulComplexSlice:
         """Left multiplication by the canonical element, degree +2."""
         evens, odds = mono
         out = []
-        for odd_letter, even_letter in self._pairs:
-            if odd_letter in odds:
-                continue
-            hops = sum(1 for o in odds if o < odd_letter)
-            sign = -1 if hops % 2 else 1
+        for new_odds, negative, even_letter, _ in _graded_products(
+                self._canonical, {odds: None}):
             new_evens = list(evens)
             new_evens[even_letter] += 1
-            new_odds = tuple(sorted(odds + (odd_letter,)))
-            out.append((Fraction(sign), (tuple(new_evens), new_odds)))
+            out.append((Fraction(-1 if negative else 1),
+                        (tuple(new_evens), new_odds)))
         return out
 
     def differential_matrix(self, degree: int,
@@ -198,39 +197,23 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
 # -- D(x) classes ---------------------------------------------------------
 
 
-def expand_letter_product(combos, letter_count: int) -> dict[tuple[int, ...], Fraction]:
-    """Multiply out a product of linear combinations of anticommuting letters.
+def _top_coefficient(factors, n: int) -> Fraction:
+    """Coefficient of letters 1..n in the product of factors, left to right."""
+    product = math.prod(factors, start=GrassmannElement.one(n))
+    return product.coefficient(range(n)).rational
 
-    Each combo maps letter index -> Fraction.  Returns coefficients on
-    increasing index tuples.
-    """
-    acc: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    for combo in combos:
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for idx, coeff in acc.items():
-            for letter, weight in combo.items():
-                if letter < 0 or letter >= letter_count:
-                    raise DimensionError("letter index out of range")
-                if weight == 0 or letter in idx:
-                    continue
-                hops = sum(1 for o in idx if o > letter)
-                sign = -1 if hops % 2 else 1
-                new_idx = tuple(sorted(idx + (letter,)))
-                val = nxt.get(new_idx, Fraction(0)) + sign * coeff * weight
-                if val:
-                    nxt[new_idx] = val
-                else:
-                    nxt.pop(new_idx, None)
-        acc = nxt
-    return acc
+
+def _letters(n: int, weights: dict) -> GrassmannElement:
+    """The degree-1 element sum of weight * letter on n letters."""
+    return GrassmannElement(n, {(letter,): w for letter, w in weights.items()})
 
 
 def d_class_factor(p: int, q: int, T) -> Fraction:
     """Factor λ with D(x') = λ·D(x) for the basis change x'_j = Σ_i T_ij x_i.
 
     T is a numeric block-diagonal (p+q)-square matrix (even transformation
-    with constant entries).  The factor is read off by expanding the letter
-    product representing D(x') inside the homological model.
+    with constant entries).  The factor is read off as the top coefficient
+    of the letter product representing D(x') inside the homological model.
     """
     n = p + q
     A = [[Fraction(T[i][j]) for j in range(p)] for i in range(p)]
@@ -240,15 +223,12 @@ def d_class_factor(p: int, q: int, T) -> Fraction:
             if (i < p) != (j < p) and Fraction(T[i][j]) != 0:
                 raise DimensionError("numeric basis change must be block diagonal")
     Dinv = linalg.inverse(D) if q else []
-    combos = []
-    # even slots: Π(x'_j) = Σ_i A_ij·Πe_i, letters 0..p-1
-    for j in range(p):
-        combos.append({i: A[i][j] for i in range(p)})
+    # even slots: Π(x'_j) = Σ_i A_ij·Πe_i, letters 0..p-1;
     # odd slots: ξ'_{p+j} = Σ_k (D^-1)_jk·f*_k, letters p..p+q-1
-    for j in range(q):
-        combos.append({p + k: Dinv[j][k] for k in range(q)})
-    expansion = expand_letter_product(combos, n)
-    return expansion.get(tuple(range(n)), Fraction(0))
+    factors = [_letters(n, {i: A[i][j] for i in range(p)}) for j in range(p)]
+    factors += [_letters(n, {p + k: Dinv[j][k] for k in range(q)})
+                for j in range(q)]
+    return _top_coefficient(factors, n)
 
 
 def dual_class_factor(p: int, q: int, T) -> Fraction:
@@ -263,18 +243,12 @@ def dual_class_factor(p: int, q: int, T) -> Fraction:
     D = [[Fraction(T[p + i][p + j]) for j in range(q)] for i in range(q)]
     Ainv = linalg.inverse(A) if p else []
     primed = []
-    plain = []
-    for slot in range(n, 0, -1):
-        i = slot - 1
+    for i in reversed(range(n)):
         if i < p:
             # Π(ξ'_i) = Σ_k (A^-1)_ik·Πξ_k, letters 0..p-1
-            primed.append({k: Ainv[i][k] for k in range(p)})
-            plain.append({i: Fraction(1)})
+            primed.append(_letters(n, {k: Ainv[i][k] for k in range(p)}))
         else:
             # x'_i = Σ_k D_{k,i-p}·x_{p+k}, letters p..n-1
-            primed.append({p + k: D[k][i - p] for k in range(q)})
-            plain.append({i: Fraction(1)})
-    top = tuple(range(n))
-    num = expand_letter_product(primed, n).get(top, Fraction(0))
-    den = expand_letter_product(plain, n).get(top, Fraction(0))
-    return num / den
+            primed.append(_letters(n, {p + k: D[k][i - p] for k in range(q)}))
+    plain = [_letters(n, {i: 1}) for i in reversed(range(n))]
+    return _top_coefficient(primed, n) / _top_coefficient(plain, n)

@@ -26,7 +26,13 @@ from .errors import (
     ParityError,
 )
 from .grassmann import EVEN, ODD, Parity, Scalar
-from .grassmann import _graded_products, _scalar
+from .grassmann import (
+    _add_terms,
+    _graded_products,
+    _inverse_series,
+    _scalar,
+    _signed_sum,
+)
 from .supermatrix import SuperMatrix
 
 
@@ -162,19 +168,13 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping = ()):
-        normalized: dict[tuple[int, ...], Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
+        checked = []
+        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise DimensionError("exponent tuple has wrong length")
-            coeff = Scalar.coerce(coeff)
-            if exps in normalized:
-                coeff = normalized[exps] + coeff
-            if coeff.is_zero():
-                normalized.pop(exps, None)
-            else:
-                normalized[exps] = coeff
+            checked.append((exps, Scalar.coerce(coeff)))
+        normalized = _add_terms({}, checked)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", normalized)
 
@@ -219,15 +219,7 @@ class Polynomial:
         other = self._coerce(other)
         if self.nvars != other.nvars:
             raise DimensionError("polynomials in different variable counts")
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            prev = terms.get(exps)
-            acc = coeff if prev is None else prev + coeff
-            if acc.is_zero():
-                del terms[exps]
-            else:
-                terms[exps] = acc
-        return _poly(self.nvars, terms)
+        return _poly(self.nvars, _add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -246,19 +238,10 @@ class Polynomial:
         other = self._coerce(other)
         if self.nvars != other.nvars:
             raise DimensionError("polynomials in different variable counts")
-        acc: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(add, e1, e2))
-                coeff = _scalar(c1.rational * c2.rational,
-                                c1.gauss_exponent + c2.gauss_exponent)
-                prev = acc.get(exps)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff.is_zero():
-                    del acc[exps]
-                else:
-                    acc[exps] = coeff
-        return _poly(self.nvars, acc)
+        return _poly(self.nvars, _add_terms({}, [
+            (tuple(map(add, e1, e2)),
+             _scalar(c1.rational * c2.rational, c1.gauss_exponent + c2.gauss_exponent))
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()]))
 
     __rmul__ = __mul__
 
@@ -334,28 +317,10 @@ class Polynomial:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps]
-            mono = " ".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps) if e != 0
-            )
-            body = str(coeff)
-            negative = body.startswith("-")
-            if negative:
-                body = body[1:]
-            if mono:
-                piece = mono if body == "1" else f"{body} {mono}"
-            else:
-                piece = body
-            if not parts:
-                parts.append(f"-{piece}" if negative else piece)
-            else:
-                parts.append(f"- {piece}" if negative else f"+ {piece}")
-        return " ".join(parts)
+        return _signed_sum([
+            (self.terms[exps], " ".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                                        for i, e in enumerate(exps) if e != 0))
+            for exps in sorted(self.terms)])
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self!s})"
@@ -391,9 +356,8 @@ class SuperFunction:
     __slots__ = ("shape", "coeffs")
 
     def __init__(self, shape: SuperDomainShape, coeffs: Mapping = ()):
-        normalized: dict[tuple[int, ...], Polynomial] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for idx, poly in items:
+        checked = []
+        for idx, poly in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
             idx = tuple(idx)
             if any(j < 0 or j >= shape.total_odd for j in idx):
                 raise DimensionError(f"odd index out of range: {idx}")
@@ -403,12 +367,8 @@ class SuperFunction:
                 poly = Polynomial.constant(shape.m, poly)
             if poly.nvars != shape.m:
                 raise DimensionError("coefficient polynomial has wrong arity")
-            if idx in normalized:
-                poly = normalized[idx] + poly
-            if poly.is_zero():
-                normalized.pop(idx, None)
-            else:
-                normalized[idx] = poly
+            checked.append((idx, poly))
+        normalized = _add_terms({}, checked)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coeffs", normalized)
 
@@ -499,15 +459,7 @@ class SuperFunction:
     def __add__(self, other) -> "SuperFunction":
         other = self._coerce(other)
         self._check_shape(other)
-        coeffs = dict(self.coeffs)
-        for idx, poly in other.coeffs.items():
-            prev = coeffs.get(idx)
-            acc = poly if prev is None else prev + poly
-            if acc.is_zero():
-                del coeffs[idx]
-            else:
-                coeffs[idx] = acc
-        return _sf(self.shape, coeffs)
+        return _sf(self.shape, _add_terms(dict(self.coeffs), other.coeffs.items()))
 
     __radd__ = __add__
 
@@ -523,18 +475,9 @@ class SuperFunction:
     def __mul__(self, other) -> "SuperFunction":
         other = self._coerce(other)
         self._check_shape(other)
-        acc: dict[tuple[int, ...], Polynomial] = {}
-        for idx, negative, pa, pb in _graded_products(self.coeffs, other.coeffs):
-            poly = pa * pb
-            if negative:
-                poly = -poly
-            prev = acc.get(idx)
-            poly = poly if prev is None else prev + poly
-            if poly.is_zero():
-                del acc[idx]
-            else:
-                acc[idx] = poly
-        return _sf(self.shape, acc)
+        return _sf(self.shape, _add_terms({}, [
+            (idx, -(pa * pb) if negative else pa * pb)
+            for idx, negative, pa, pb in _graded_products(self.coeffs, other.coeffs)]))
 
     def __rmul__(self, other) -> "SuperFunction":
         # even coefficients are central; odd SuperFunctions must use *
@@ -546,15 +489,8 @@ class SuperFunction:
             raise ParityError("inv_even requires an even superfunction")
         body = self.body_polynomial()
         binv = SuperFunction.from_polynomial(self.shape, body.monomial_inverse())
-        factor = -(binv * self.soul())
-        acc = SuperFunction.one(self.shape)
-        power = SuperFunction.one(self.shape)
-        for _ in range(self.shape.total_odd // 2):
-            power = power * factor
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * binv
+        return _inverse_series(SuperFunction.one(self.shape), -(binv * self.soul()),
+                               binv, self.shape.total_odd // 2)
 
     # -- derivatives ------------------------------------------------------
 
@@ -570,19 +506,12 @@ class SuperFunction:
         """Left derivative: ∂_j(ξ_{a1}…ξ_{ak}) drops ξ_j with sign (-1)^{pos}."""
         if not 0 <= j < self.shape.total_odd:
             raise DimensionError("odd index out of range")
+        # distinct sectors holding xi_j stay distinct without it: no sums
         coeffs = {}
         for idx, poly in self.coeffs.items():
-            if j not in idx:
-                continue
-            pos = idx.index(j)
-            new_idx = idx[:pos] + idx[pos + 1:]
-            signed = -poly if pos % 2 else poly
-            prev = coeffs.get(new_idx)
-            signed = signed if prev is None else prev + signed
-            if signed.is_zero():
-                del coeffs[new_idx]
-            else:
-                coeffs[new_idx] = signed
+            if j in idx:
+                pos = idx.index(j)
+                coeffs[idx[:pos] + idx[pos + 1:]] = -poly if pos % 2 else poly
         return _sf(self.shape, coeffs)
 
     # -- reshaping --------------------------------------------------------
@@ -764,15 +693,8 @@ def _linear_combination(shape: SuperDomainShape, pairs) -> SuperFunction:
     acc: dict[tuple[int, ...], dict] = {}
     for c, func in pairs:
         for idx, poly in func.coeffs.items():
-            terms = acc.setdefault(idx, {})
-            for exps, coeff in poly.terms.items():
-                value = c * coeff
-                prev = terms.get(exps)
-                value = value if prev is None else prev + value
-                if value.is_zero():
-                    del terms[exps]
-                else:
-                    terms[exps] = value
+            _add_terms(acc.setdefault(idx, {}),
+                       [(exps, c * coeff) for exps, coeff in poly.terms.items()])
     return _sf(shape, {idx: _poly(shape.m, terms)
                        for idx, terms in acc.items() if terms})
 

@@ -364,7 +364,3 @@ def berezinian(m: SuperMatrix):
 
 def supertrace(m: SuperMatrix):
     return m.supertrace()
-
-
-# homological cross-checks live next door but belong to this module's API
-from .koszul import homological_berezinian  # noqa: E402,F401

@@ -89,7 +89,7 @@ def _fraction(token: _Token) -> Fraction:
     try:
         return Fraction(token.text)
     except ZeroDivisionError:
-        _fail(token, f"zero denominator in {token.text!r}")
+        _fail(token, f"zero denominator in rational {token.text!r}")
     except ValueError:  # more digits than the interpreter converts
         _fail(token, "number too long")
 
@@ -203,7 +203,7 @@ def parse_scalar(text: str, *, line: int = 1) -> Scalar:
 
 
 def _element_from_tokens(tokens: list[_Token], n: int) -> GrassmannElement:
-    total = GrassmannElement.zero(n)
+    terms = []
     for term in _parse_terms(tokens):
         if term.even:
             _fail(tokens[0], "even variables are not allowed in an "
@@ -212,8 +212,8 @@ def _element_from_tokens(tokens: list[_Token], n: int) -> GrassmannElement:
             if j >= n:
                 _fail(tokens[0], f"generator xi{j + 1} exceeds the "
                                  f"declared count {n}")
-        total = total + GrassmannElement(n, {term.odd: term.coefficient})
-    return total
+        terms.append((term.odd, term.coefficient))
+    return GrassmannElement(n, terms)
 
 
 def parse_grassmann(text: str, n: int) -> GrassmannElement:
@@ -224,7 +224,7 @@ def parse_grassmann(text: str, n: int) -> GrassmannElement:
 
 
 def _polynomial_from_tokens(tokens: list[_Token], m: int) -> Polynomial:
-    total = Polynomial.constant(m, 0)
+    terms = []
     for term in _parse_terms(tokens):
         if term.odd:
             _fail(tokens[0], "odd generators belong after the colon")
@@ -234,8 +234,8 @@ def _polynomial_from_tokens(tokens: list[_Token], m: int) -> Polynomial:
                 _fail(tokens[0], f"variable x{i + 1} exceeds the declared "
                                  f"count {m}")
             exps[i] = e
-        total = total + Polynomial(m, {tuple(exps): term.coefficient})
-    return total
+        terms.append((tuple(exps), term.coefficient))
+    return Polynomial(m, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def parse_superfunction(text: str) -> SuperFunction:
     axes = tuple(_parse_axis(tokens) for _, tokens in lines[1:1 + m])
     shape = SuperDomainShape(m, axes, n, aux=aux)
 
-    coeffs: dict[tuple[int, ...], Polynomial] = {}
+    sectors = []
     for _, tokens in lines[1 + m:]:
         split = [k for k, t in enumerate(tokens) if t.text == ":"]
         if len(split) != 1:
@@ -337,8 +337,8 @@ def parse_superfunction(text: str) -> SuperFunction:
                 if j >= n + aux:
                     _fail(right[0], f"generator xi{j + 1} exceeds the "
                                     f"declared count {n + aux}")
-        coeffs[idx] = coeffs.get(idx, Polynomial.constant(m, 0)) + poly
-    return SuperFunction(shape, coeffs)
+        sectors.append((idx, poly))
+    return SuperFunction(shape, sectors)
 
 
 def format_superfunction(f: SuperFunction) -> str:

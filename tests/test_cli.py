@@ -114,7 +114,28 @@ def test_integrate_box_odd_bound_count(tmp_path, capsys):
 def test_integrate_box_bad_bound(tmp_path, capsys):
     path = write(tmp_path, "f.txt", BOX_FUNCTION)
     assert cli.main(["integrate", path, "--backend", "box", "1/0", "1"]) == 2
-    assert "rational" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 1, column 5")
+    assert "rational" in err
+
+
+@pytest.mark.parametrize("bound", ["1e9", "0.5", "1e999999999", "+1"])
+def test_integrate_box_bounds_use_the_text_grammar(tmp_path, capsys, bound):
+    # bounds are read like 'axis lo hi' rationals: a decimal exponent is a
+    # parse error at the bound's column, never expanded
+    path = write(tmp_path, "f.txt", BOX_FUNCTION)
+    assert cli.main(["integrate", path, "--backend", "box", "0", bound]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 1, column 7: expected a rational number, "
+        f"got {bound!r}\n")
+
+
+def test_integrate_box_overlong_bound(tmp_path, capsys):
+    path = write(tmp_path, "f.txt", BOX_FUNCTION)
+    code = cli.main(["integrate", path, "--backend", "box", "0", "9" * 5000])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "parse error: line 1, column 7: number too long")
 
 
 def test_integrate_zero_denominator_is_a_parse_error(tmp_path, capsys):

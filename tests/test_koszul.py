@@ -5,16 +5,116 @@ from fractions import Fraction
 
 import pytest
 
+from superberezin import linalg
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Parity
 from superberezin.koszul import (
     KoszulComplexSlice,
     d_class_factor,
     dual_class_factor,
-    expand_letter_product,
     homological_berezinian,
 )
 from superberezin.supermatrix import SuperMatrix
 from superberezin.errors import DimensionError, InconclusiveError
+
+
+# Oracles for the shared monomial product: the Koszul differential by
+# counting hops, and letter products expanded one letter at a time.
+
+
+def reference_apply_d(cx, mono):
+    """Left multiplication by the canonical element, by counting hops."""
+    evens, odds = mono
+    pairs = ([(i, cx.q + i) for i in range(cx.p)]
+             + [(cx.p + j, j) for j in range(cx.q)])
+    out = []
+    for odd_letter, even_letter in pairs:
+        if odd_letter in odds:
+            continue
+        hops = sum(1 for o in odds if o < odd_letter)
+        sign = -1 if hops % 2 else 1
+        new_evens = list(evens)
+        new_evens[even_letter] += 1
+        new_odds = tuple(sorted(odds + (odd_letter,)))
+        out.append((Fraction(sign), (tuple(new_evens), new_odds)))
+    return out
+
+
+def expand_letter_product(combos, letter_count):
+    """Multiply out linear combinations {letter: weight} of odd letters."""
+    acc = {(): Fraction(1)}
+    for combo in combos:
+        nxt = {}
+        for idx, coeff in acc.items():
+            for letter, weight in combo.items():
+                assert 0 <= letter < letter_count
+                if weight == 0 or letter in idx:
+                    continue
+                hops = sum(1 for o in idx if o > letter)
+                sign = -1 if hops % 2 else 1
+                new_idx = tuple(sorted(idx + (letter,)))
+                val = nxt.get(new_idx, Fraction(0)) + sign * coeff * weight
+                if val:
+                    nxt[new_idx] = val
+                else:
+                    nxt.pop(new_idx, None)
+        acc = nxt
+    return acc
+
+
+def reference_d_class_factor(p, q, T):
+    n = p + q
+    A = [[Fraction(T[i][j]) for j in range(p)] for i in range(p)]
+    D = [[Fraction(T[p + i][p + j]) for j in range(q)] for i in range(q)]
+    Dinv = linalg.inverse(D) if q else []
+    combos = [{i: A[i][j] for i in range(p)} for j in range(p)]
+    combos += [{p + k: Dinv[j][k] for k in range(q)} for j in range(q)]
+    return expand_letter_product(combos, n).get(tuple(range(n)), Fraction(0))
+
+
+def reference_dual_class_factor(p, q, T):
+    n = p + q
+    A = [[Fraction(T[i][j]) for j in range(p)] for i in range(p)]
+    D = [[Fraction(T[p + i][p + j]) for j in range(q)] for i in range(q)]
+    Ainv = linalg.inverse(A) if p else []
+    primed, plain = [], []
+    for i in reversed(range(n)):
+        if i < p:
+            primed.append({k: Ainv[i][k] for k in range(p)})
+        else:
+            primed.append({p + k: D[k][i - p] for k in range(q)})
+        plain.append({i: Fraction(1)})
+    top = tuple(range(n))
+    num = expand_letter_product(primed, n).get(top, Fraction(0))
+    return num / expand_letter_product(plain, n)[top]
+
+
+ORACLE_SHAPES = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("p,q", ORACLE_SHAPES)
+def test_apply_d_matches_hop_count_oracle(p, q):
+    cap = p + q + 2
+    cx = KoszulComplexSlice(p, q, cap)
+    for degree in range(cap + 1):
+        for mono in cx.basis(degree):
+            assert cx.apply_d(mono) == reference_apply_d(cx, mono)
+
+
+@pytest.mark.parametrize("p,q", ORACLE_SHAPES)
+def test_differential_matrix_matches_hop_count_oracle(p, q):
+    cap = p + q + 2
+    cx = KoszulComplexSlice(p, q, cap)
+    for degree in range(cap - 1):
+        for parity in Parity:
+            target = {m: i for i, m in
+                      enumerate(cx.basis(degree + 2, parity.flip()))}
+            expected = []
+            for mono in cx.basis(degree, parity):
+                row = {}
+                for coeff, image in reference_apply_d(cx, mono):
+                    row[target[image]] = row.get(target[image], 0) + coeff
+                expected.append(row)
+            assert cx.differential_matrix(degree, parity) == expected
 
 
 def test_d_squared_zero():
@@ -64,9 +164,13 @@ def test_homological_berezinian_cap_too_small():
 
 
 def test_expand_letter_product_signs():
-    # (a + b)(a - b) = -2 ab for anticommuting letters
+    # (a + b)(a - b) = -2 ab for anticommuting letters, in the oracle and in
+    # the GrassmannElement product that replaced it
     combos = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
     assert expand_letter_product(combos, 2) == {(0, 1): Fraction(-2)}
+    a = GrassmannElement.generator(2, 0)
+    b = GrassmannElement.generator(2, 1)
+    assert (a + b) * (a - b) == GrassmannElement.monomial(2, (0, 1), -2)
 
 
 def _numeric_supermatrix(p, q, T):
@@ -86,7 +190,6 @@ def _random_block_diag(rng, p, q):
         for i in range(q):
             for j in range(q):
                 T[p + i][p + j] = Fraction(rng.randint(-3, 3))
-        from superberezin import linalg
         A = [row[:p] for row in T[:p]]
         D = [row[p:] for row in T[p:]]
         if (not p or linalg.det(A) != 0) and (not q or linalg.det(D) != 0):
@@ -113,3 +216,15 @@ def test_pairing_invariance_under_basis_change():
             mu = dual_class_factor(p, q, T)
             assert lam * mu == 1
 
+
+
+def test_class_factors_match_letter_expansion_oracle():
+    rng = random.Random(11)
+    for p, q in ORACLE_SHAPES:
+        for _ in range(6):
+            T = _random_block_diag(rng, p, q)
+            lam = d_class_factor(p, q, T)
+            mu = dual_class_factor(p, q, T)
+            assert type(lam) is Fraction and type(mu) is Fraction
+            assert lam == reference_d_class_factor(p, q, T)
+            assert mu == reference_dual_class_factor(p, q, T)

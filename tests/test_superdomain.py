@@ -624,6 +624,26 @@ def test_closed_superfunction_operations_are_canonical(f, g):
         _canonical_or_zero(f.even_part().inv_even())
 
 
+R13_AUX2 = SuperDomainShape(1, (POSITIVE,), 3, aux=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_superfunction_inv_even_multiplies_back(data):
+    # a monomial body is what makes an even superfunction invertible; with
+    # five odd generators the series reaches soul^2
+    w = data.draw(st.integers(-1, 1))
+    even_sectors = [c for size in (2, 4) for c in combinations(range(5), size)]
+    coeffs = {(): data.draw(_polynomials(1, {0}, lambda _: w, max_terms=1))}
+    for _ in range(data.draw(st.integers(0, 4))):
+        coeffs[data.draw(st.sampled_from(even_sectors))] = data.draw(
+            _polynomials(1, {0}, lambda _: w))
+    f = SuperFunction(R13_AUX2, coeffs)
+    inv = f.inv_even()
+    assert f * inv == SuperFunction.one(R13_AUX2)
+    assert inv * f == SuperFunction.one(R13_AUX2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_pullback_results_are_canonical(data):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superberezin.errors import ParseError
+from superberezin.errors import ParseError, ScalarExponentError
 from superberezin.grassmann import Scalar
 from superberezin.lie_super import gl11_algebra
 from superberezin.suites import random_grassmann, random_superfunction
@@ -111,6 +111,24 @@ def test_indices_start_at_one():
             parse_superfunction(f"1 1 0\naxis R\n{text}\n")
         assert "start at 1" in str(info.value)
         assert info.value.line == 3
+
+
+def test_repeated_terms_are_summed_and_cancelled():
+    assert parse_grassmann("xi1 + 2 - xi1 + 1/2 xi1 xi2 - 2", 2) == \
+        parse_grassmann("1/2 xi1 xi2", 2)
+    assert str(parse_grassmann("xi1 - xi1", 1)) == "0"
+    f = parse_superfunction("1 2 0\naxis R\n"
+                            "x1 + 3 - x1 : xi1\n"
+                            "2 x1^2 : 1\n"
+                            "-3 : xi1\n"
+                            "-2 x1^2 : 1\n"
+                            "x1 - x1 : xi1 xi2\n")
+    assert f.is_zero()
+    g = parse_superfunction("1 1 0\naxis R\nx1 : xi1\n2 x1 + 1 : xi1\n")
+    assert str(g.coefficient((0,))) == "1 + 3 x1"
+    # summing terms whose powers of s differ is still refused
+    with pytest.raises(ScalarExponentError):
+        parse_grassmann("xi1 + s xi1", 1)
 
 
 def test_scalar_parsing():
