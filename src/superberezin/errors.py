@@ -13,10 +13,6 @@ class ParityError(SuperBerezinError):
     """An element has the wrong parity for the slot it was placed in."""
 
 
-class ScalarExponentError(SuperBerezinError):
-    """Addition of scalars carrying different powers of sqrt(2*pi)."""
-
-
 class NonInvertibleError(SuperBerezinError):
     """Inversion of an element whose body is not a unit."""
 

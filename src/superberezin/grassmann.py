@@ -1,10 +1,12 @@
 """Exact supercommutative algebra on finitely many anticommuting generators.
 
-Scalars are rationals times an integer power of the formal symbol
-``s = sqrt(2*pi)``; keeping the power symbolic makes Gaussian-moment
-integration exact.  Algebra elements are finite sums of odd monomials
-``xi_{i1}...xi_{ik}`` with strictly increasing indices and Scalar
-coefficients.
+Exact values are Laurent polynomials in the formal symbol
+``s = sqrt(2*pi)`` with rational coefficients; keeping s symbolic makes
+Gaussian-moment integration exact, and since s is transcendental the
+model is faithful.  Algebra elements are finite sums of terms
+``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices: the power
+of s sits in the term key beside the odd monomial, so every coefficient
+is a plain rational.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import (
-    DimensionError,
-    NonInvertibleError,
-    ParityError,
-    ScalarExponentError,
-)
+from .errors import DimensionError, NonInvertibleError, ParityError
 
 
 class Parity(enum.Enum):
@@ -45,19 +42,21 @@ def koszul_sign(a: Parity, b: Parity) -> int:
 
 
 class Scalar:
-    """An exact value ``rational * s**gauss_exponent`` with s = sqrt(2*pi).
+    """An exact value in s = sqrt(2*pi): a Laurent polynomial in s over Q.
 
-    Zero normalises its exponent to 0 and is the additive identity for
-    every exponent.  Adding two nonzero scalars with different exponents
-    is an error, never a silent coercion.
+    ``terms`` maps each power of s to its nonzero Fraction coefficient, so
+    zero has no terms.  s is transcendental, so this models the values of
+    integrals over Gaussian axes faithfully: every sum is a value, and only
+    a single power of s times a nonzero rational is invertible.  Algebra
+    elements keep the power of s in their term keys; a Scalar is only what
+    integrals, evaluations, bodies and coefficients return.
     """
 
-    __slots__ = ("rational", "gauss_exponent")
+    __slots__ = ("terms",)
 
-    def __init__(self, rational, gauss_exponent: int = 0):
+    def __init__(self, rational=0, power: int = 0):
         q = Fraction(rational)
-        object.__setattr__(self, "rational", q)
-        object.__setattr__(self, "gauss_exponent", 0 if q == 0 else int(gauss_exponent))
+        object.__setattr__(self, "terms", {int(power): q} if q else {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -83,67 +82,67 @@ class Scalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.rational == 0
+        return not self.terms
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.terms)
+
+    @property
+    def rational(self) -> Fraction:
+        """The value as a rational; ValueError if it carries a power of s."""
+        if not self.terms:
+            return Fraction(0)
+        if len(self.terms) > 1 or 0 not in self.terms:
+            raise ValueError(f"{self} is not rational: it carries a power of s")
+        return self.terms[0]
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar(other)
-        if not self.rational:
-            return other
-        if not other.rational:
-            return self
-        if self.gauss_exponent != other.gauss_exponent:
-            raise ScalarExponentError(
-                f"cannot add s^{self.gauss_exponent} and s^{other.gauss_exponent} terms"
-            )
-        q = self.rational + other.rational
-        return _scalar(q, self.gauss_exponent if q else 0)
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        return _in_s(_add_terms(dict(self.terms),
+                                Scalar.coerce(other).terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _scalar(-self.rational, self.gauss_exponent)
+        return _in_s({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        return self + (-Scalar.coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        return Scalar.coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar(other)
-        q = self.rational * other.rational
-        return _scalar(q, self.gauss_exponent + other.gauss_exponent if q else 0)
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        return _in_s(_add_terms({}, [
+            (ka + kb, ca * cb) for ka, ca in self.terms.items()
+            for kb, cb in Scalar.coerce(other).terms.items()]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
+        """Division by c s^k; a sum of several powers of s has no inverse."""
         other = Scalar.coerce(other)
-        if other.is_zero():
+        if not other.terms:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(self.rational / other.rational,
-                      self.gauss_exponent - other.gauss_exponent)
+        if len(other.terms) > 1:
+            raise NonInvertibleError(
+                f"{other} mixes powers of s and has no inverse in Q[s, 1/s]")
+        (k, c), = other.terms.items()
+        return self * _in_s({-k: 1 / c})
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
             raise TypeError("Scalar powers must be integers")
-        if n < 0 and self.is_zero():
-            raise ZeroDivisionError("negative power of zero Scalar")
-        return Scalar(self.rational ** n, self.gauss_exponent * n)
+        base = self if n >= 0 else Scalar.one() / self
+        out = Scalar.one()
+        for _ in range(abs(n)):
+            out = out * base
+        return out
 
     # -- comparison ---------------------------------------------------
 
@@ -152,41 +151,34 @@ class Scalar:
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.rational == other.rational
-                and self.gauss_exponent == other.gauss_exponent)
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.rational, self.gauss_exponent))
+        return hash(frozenset(self.terms.items()))
 
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
-        if self.gauss_exponent == 0:
-            return str(self.rational)
-        if self.gauss_exponent == 1:
-            mark = "s"
-        else:
-            mark = f"s^{self.gauss_exponent}"
-        if self.rational == 1:
-            return mark
-        if self.rational == -1:
-            return f"-{mark}"
-        return f"{self.rational} {mark}"
+        """Highest power of s first: ``2 s - 1``."""
+        return _signed_sum([(self.terms[k], _monomial_text(k, ()))
+                            for k in sorted(self.terms, reverse=True)])
 
     def __repr__(self) -> str:
-        return f"Scalar({self.rational!r}, {self.gauss_exponent})"
+        return f"Scalar({self!s})"
 
 
-def _scalar(rational: Fraction, gauss_exponent: int) -> Scalar:
-    """Trusted constructor for the results of closed Scalar operations.
-
-    ``rational`` must already be a Fraction and a zero must carry exponent
-    0; the public constructor establishes both, this one assumes them.
-    """
+def _in_s(terms: dict) -> Scalar:
+    """The Scalar whose terms are ``terms``, which must map ints to nonzero
+    Fractions and is kept, not copied."""
     out = object.__new__(Scalar)
-    object.__setattr__(out, "rational", rational)
-    object.__setattr__(out, "gauss_exponent", gauss_exponent)
+    object.__setattr__(out, "terms", terms)
     return out
+
+
+def _monomial_text(power: int, factors) -> str:
+    """s^power (none for 0, ``s`` for 1), then the printed variable factors."""
+    mark = [] if power == 0 else ["s" if power == 1 else f"s^{power}"]
+    return " ".join(mark + list(factors))
 
 
 def _mask(idx: tuple[int, ...]) -> int:
@@ -196,46 +188,48 @@ def _mask(idx: tuple[int, ...]) -> int:
     return mask
 
 
-def _graded_products(a: dict, b: dict):
-    """Yield (index, negative, ca, cb) for the monomial pairs of a*b.
+def _masked(pairs) -> list:
+    """(generator mask, index, value) for (index tuple, value) pairs."""
+    return [(_mask(idx), idx, value) for idx, value in pairs]
 
-    ``a`` and ``b`` map strictly increasing index tuples to coefficients.
-    For every pair xi^ia (coefficient ca) and xi^ib (cb) that shares no
-    generator, xi^ia xi^ib = (-1 if negative else 1) xi^index.  Each term's
-    generator mask is taken once per call, and a pair whose masks meet is
-    skipped before any merging; a pair's sign is the parity of the letters
-    of ia that each letter of ib moves past.
+
+def _graded_products(a: list, b: list):
+    """Yield (index, negative, va, vb) for the monomial pairs of a*b.
+
+    ``a`` and ``b`` are ``_masked`` items of strictly increasing index
+    tuples.  For every pair xi^ia (value va) and xi^ib (vb) that shares no
+    generator, xi^ia xi^ib = (-1 if negative else 1) xi^index.  A pair whose
+    masks meet is skipped before any merging; a pair's sign is the parity
+    of the letters of ia that each letter of ib moves past.
     """
-    b_items = [(_mask(ib), ib, cb) for ib, cb in b.items()]
-    for ia, ca in a.items():
-        ma = _mask(ia)
-        for mb, ib, cb in b_items:
+    for ma, ia, va in a:
+        for mb, ib, vb in b:
             if ma & mb:
                 continue
             if not (ia and ib):
-                yield ia or ib, False, ca, cb
+                yield ia or ib, False, va, vb
                 continue
             hops = 0
             for i in ib:
                 hops += (ma >> i).bit_count()
-            yield tuple(sorted(ia + ib)), bool(hops & 1), ca, cb
+            yield tuple(sorted(ia + ib)), bool(hops & 1), va, vb
 
 
 def _add_terms(acc: dict, items) -> dict:
     """Add the (key, value) pairs of ``items`` into the sparse sum ``acc``.
 
     Pairs are added in order, a repeated key as ``acc[key] + value``, and a
-    key whose value is zero is dropped.  Values need ``+`` and ``is_zero``.
-    Returns ``acc``, which is updated in place.
+    key whose value is zero (false) is dropped.  Returns ``acc``, which is
+    updated in place.
     """
     for key, value in items:
         prev = acc.get(key)
         if prev is not None:
             value = prev + value
-        if value.is_zero():
-            acc.pop(key, None)
-        else:
+        if value:
             acc[key] = value
+        else:
+            acc.pop(key, None)
     return acc
 
 
@@ -276,6 +270,13 @@ def _signed_sum(pieces) -> str:
     return " ".join(parts) or "0"
 
 
+def _parity(indices) -> Parity | None:
+    """The parity all these odd monomials share; None if they mix or there
+    are none."""
+    parities = {len(idx) % 2 for idx in indices}
+    return Parity(parities.pop()) if len(parities) == 1 else None
+
+
 def _validate_index(idx: tuple[int, ...], count: int) -> tuple[int, ...]:
     idx = tuple(idx)
     if any(not isinstance(i, int) for i in idx):
@@ -288,17 +289,24 @@ def _validate_index(idx: tuple[int, ...], count: int) -> tuple[int, ...]:
 
 
 class GrassmannElement:
-    """Finite Scalar-linear combination of odd monomials over N generators."""
+    """Finite sum of terms c s^k xi^idx over N generators, c rational.
+
+    ``terms`` maps each key ``(idx, k)`` (a strictly increasing generator
+    tuple and a power of s) to its nonzero Fraction coefficient.  The
+    public constructor takes ``{idx: coefficient}`` with Scalar, int or
+    Fraction coefficients.
+    """
 
     __slots__ = ("generator_count", "terms")
 
     def __init__(self, generator_count: int, terms: Mapping[tuple[int, ...], object] = ()):
         if generator_count < 0:
             raise DimensionError("generator count must be nonnegative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        normalized = _add_terms({}, [
-            (_validate_index(tuple(idx), generator_count), Scalar.coerce(coeff))
-            for idx, coeff in items])
+        checked = []
+        for idx, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            idx = _validate_index(idx, generator_count)
+            checked.extend(((idx, k), c) for k, c in Scalar.coerce(coeff).terms.items())
+        normalized = _add_terms({}, checked)
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "terms", normalized)
 
@@ -313,19 +321,19 @@ class GrassmannElement:
 
     @staticmethod
     def one(generator_count: int) -> "GrassmannElement":
-        return GrassmannElement(generator_count, {(): Scalar.one()})
+        return GrassmannElement(generator_count, {(): 1})
 
     @staticmethod
     def scalar(generator_count: int, value) -> "GrassmannElement":
-        return GrassmannElement(generator_count, {(): Scalar.coerce(value)})
+        return GrassmannElement(generator_count, {(): value})
 
     @staticmethod
     def generator(generator_count: int, index: int) -> "GrassmannElement":
-        return GrassmannElement(generator_count, {(index,): Scalar.one()})
+        return GrassmannElement(generator_count, {(index,): 1})
 
     @staticmethod
     def monomial(generator_count: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
-        return GrassmannElement(generator_count, {tuple(indices): Scalar.coerce(coeff)})
+        return GrassmannElement(generator_count, {tuple(indices): coeff})
 
     # -- basic structure ----------------------------------------------
 
@@ -335,38 +343,30 @@ class GrassmannElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def _select(self, keep) -> "GrassmannElement":
+        return _element(self.generator_count,
+                        {key: c for key, c in self.terms.items() if keep(key[0])})
+
     def body(self) -> Scalar:
-        return self.terms.get((), Scalar.zero())
+        return self.coefficient(())
 
     def soul(self) -> "GrassmannElement":
-        return _element(
-            self.generator_count,
-            {i: c for i, c in self.terms.items() if i},
-        )
+        return self._select(bool)
 
     def even_part(self) -> "GrassmannElement":
-        return _element(
-            self.generator_count,
-            {i: c for i, c in self.terms.items() if len(i) % 2 == 0},
-        )
+        return self._select(lambda idx: len(idx) % 2 == 0)
 
     def odd_part(self) -> "GrassmannElement":
-        return _element(
-            self.generator_count,
-            {i: c for i, c in self.terms.items() if len(i) % 2 == 1},
-        )
+        return self._select(lambda idx: len(idx) % 2 == 1)
 
     def parity(self) -> Parity | None:
         """Parity if homogeneous; None for 0 or mixed elements."""
-        if not self.terms:
-            return None
-        parities = {len(i) % 2 for i in self.terms}
-        if len(parities) > 1:
-            return None
-        return Parity(parities.pop())
+        return _parity(idx for idx, _ in self.terms)
 
     def coefficient(self, indices: Iterable[int]) -> Scalar:
-        return self.terms.get(tuple(indices), Scalar.zero())
+        """The coefficient of xi^indices, a value in s."""
+        idx = tuple(indices)
+        return _in_s({k: c for (i, k), c in self.terms.items() if i == idx})
 
     # -- arithmetic ---------------------------------------------------
 
@@ -387,7 +387,7 @@ class GrassmannElement:
 
     def __neg__(self) -> "GrassmannElement":
         return _element(
-            self.generator_count, {i: -c for i, c in self.terms.items()}
+            self.generator_count, {key: -c for key, c in self.terms.items()}
         )
 
     def __sub__(self, other) -> "GrassmannElement":
@@ -403,21 +403,23 @@ class GrassmannElement:
             return GrassmannElement.scalar(self.generator_count, value)
         raise TypeError(f"cannot interpret {value!r} as a GrassmannElement")
 
+    def _masked_terms(self) -> list:
+        return _masked((idx, (k, c)) for (idx, k), c in self.terms.items())
+
     def __mul__(self, other) -> "GrassmannElement":
         other = self._coerce(other)
         self._check_compatible(other)
         return _element(self.generator_count, _add_terms({}, [
-            (idx, _scalar(-q if negative else q,
-                          ca.gauss_exponent + cb.gauss_exponent))
-            for idx, negative, ca, cb in _graded_products(self.terms, other.terms)
-            for q in (ca.rational * cb.rational,)]))
+            ((idx, ka + kb), -ca * cb if negative else ca * cb)
+            for idx, negative, (ka, ca), (kb, cb)
+            in _graded_products(self._masked_terms(), other._masked_terms())]))
 
     def __rmul__(self, other) -> "GrassmannElement":
         # scalars are even and central, so this is safe
         return self._coerce(other) * self
 
     def inv_even(self) -> "GrassmannElement":
-        """Inverse of an even element with invertible body.
+        """Inverse of an even element whose body is c s^k, c != 0.
 
         Uses body^-1 * sum_k (-body^-1 * soul)^k, which terminates because
         every term of the even soul has degree >= 2, so soul^k = 0 for
@@ -428,7 +430,7 @@ class GrassmannElement:
         b = self.body()
         if b.is_zero():
             raise NonInvertibleError("body is zero; element is not invertible")
-        binv = Scalar.one() / b
+        binv = self._coerce(Scalar.one() / b)
         return _inverse_series(GrassmannElement.one(self.generator_count),
                                -(self.soul() * binv), binv,
                                self.generator_count // 2)
@@ -439,7 +441,7 @@ class GrassmannElement:
         """View this element inside a larger algebra; indices unchanged."""
         if new_count < self.generator_count:
             raise DimensionError("cannot embed into a smaller algebra")
-        return GrassmannElement(new_count, dict(self.terms))
+        return _element(new_count, dict(self.terms))
 
     # -- comparison / printing ----------------------------------------
 
@@ -456,8 +458,8 @@ class GrassmannElement:
 
     def __str__(self) -> str:
         return _signed_sum([
-            (self.terms[idx], " ".join(f"xi{i + 1}" for i in idx))
-            for idx in sorted(self.terms, key=lambda i: (len(i), i))])
+            (self.terms[key], _monomial_text(key[1], (f"xi{i + 1}" for i in key[0])))
+            for key in sorted(self.terms, key=lambda t: (len(t[0]), t[0], -t[1]))])
 
     def __repr__(self) -> str:
         return f"GrassmannElement({self.generator_count}, {self!s})"
@@ -466,9 +468,9 @@ class GrassmannElement:
 def _element(generator_count: int, terms: dict) -> GrassmannElement:
     """Trusted constructor for the results of closed operations.
 
-    ``terms`` must map strictly increasing in-range index tuples to nonzero
-    Scalars and is kept, not copied; the public constructor checks all of
-    this, this one assumes it.
+    ``terms`` must map keys ``(idx, k)``, idx a strictly increasing in-range
+    index tuple and k an int, to nonzero Fractions and is kept, not copied;
+    the public constructor checks all of this, this one assumes it.
     """
     out = object.__new__(GrassmannElement)
     object.__setattr__(out, "generator_count", generator_count)

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DimensionError, InconclusiveError
-from .grassmann import GrassmannElement, Parity, _graded_products
+from .grassmann import GrassmannElement, Parity, _graded_products, _masked
 
 # A monomial is (even_exponents, odd_indices): a tuple of p+q nonnegative
 # integers and a strictly increasing tuple of odd-letter indices.
@@ -57,9 +57,9 @@ class KoszulComplexSlice:
         self.q = q
         self.degree_cap = degree_cap
         n = p + q
-        # the canonical element as {(odd letter,): its even partner letter}
-        self._canonical = ({(i,): q + i for i in range(p)}
-                           | {(p + j,): j for j in range(q)})
+        # the canonical element as masked (odd letter,) -> its even partner
+        self._canonical = _masked([((i,), q + i) for i in range(p)]
+                                  + [((p + j,), j) for j in range(q)])
         self._bases: dict[int, list[Monomial]] = {}
         self._index: dict[int, dict[Monomial, int]] = {}
         for k in range(degree_cap + 1):
@@ -86,7 +86,7 @@ class KoszulComplexSlice:
         evens, odds = mono
         out = []
         for new_odds, negative, even_letter, _ in _graded_products(
-                self._canonical, {odds: None}):
+                self._canonical, _masked([(odds, None)])):
             new_evens = list(evens)
             new_evens[even_letter] += 1
             out.append((Fraction(-1 if negative else 1),

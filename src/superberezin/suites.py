@@ -25,7 +25,7 @@ from .berezin import (
     product_section,
     pullback_section,
 )
-from .grassmann import EVEN, ODD, GrassmannElement, Parity, Scalar
+from .grassmann import EVEN, ODD, GrassmannElement, Parity
 from .supermatrix import SuperMatrix
 from .superdomain import (
     Interval,
@@ -254,7 +254,7 @@ def _gaussian_factor_density(rng: random.Random,
     """Random density whose top odd coefficient has a nonzero moment."""
     top = Polynomial(shape.m, {
         tuple(2 * rng.randint(0, 2) for _ in range(shape.m)):
-        Scalar(rng.randint(1, 3))})
+        rng.randint(1, 3)})
     density = SuperFunction(shape, {tuple(range(shape.n)): top})
     extra = random_superfunction(rng, shape, max_terms=3)
     return density + extra.soul() if shape.n else density

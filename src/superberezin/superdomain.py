@@ -3,8 +3,9 @@
 A superdomain here is a box in R^m together with n odd coordinates and
 optionally `aux` auxiliary odd constants (generalized-point parameters).
 Functions are finite sums Σ_α ξ^α f_α where the f_α are Laurent
-polynomials with Scalar coefficients — integer exponents may be negative,
-which is how the multiplicative-group densities like a^{-1} stay exact.
+polynomials with rational coefficients in the even coordinates and
+s = sqrt(2π) — integer exponents may be negative, which is how the
+multiplicative-group densities like a^{-1} stay exact.
 
 Odd generators are globally ordered: the n odd coordinates first, the aux
 parameters after.  Nothing ever permutes the aux block, so signs of
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,9 +30,13 @@ from .grassmann import EVEN, ODD, Parity, Scalar
 from .grassmann import (
     _add_terms,
     _graded_products,
+    _in_s,
     _inverse_series,
-    _scalar,
+    _masked,
+    _monomial_text,
+    _parity,
     _signed_sum,
+    _validate_index,
 )
 from .supermatrix import SuperMatrix
 
@@ -163,7 +168,13 @@ def shape_product(s1: SuperDomainShape, s2: SuperDomainShape) -> SuperDomainShap
 
 
 class Polynomial:
-    """Laurent polynomial in m even variables with Scalar coefficients."""
+    """Laurent polynomial in m even variables and s, rational coefficients.
+
+    ``terms`` maps each key ``(e_1, ..., e_m, k)``, the exponents of the
+    variables and then the power of s, to its nonzero Fraction coefficient.
+    The public constructor takes ``{(e_1, ..., e_m): coefficient}`` with
+    Scalar, int or Fraction coefficients.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -173,7 +184,8 @@ class Polynomial:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise DimensionError("exponent tuple has wrong length")
-            checked.append((exps, Scalar.coerce(coeff)))
+            checked.extend((exps + (k,), c)
+                           for k, c in Scalar.coerce(coeff).terms.items())
         normalized = _add_terms({}, checked)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", normalized)
@@ -187,7 +199,7 @@ class Polynomial:
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: Scalar.coerce(value)})
+        return Polynomial(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def one(nvars: int) -> "Polynomial":
@@ -198,7 +210,7 @@ class Polynomial:
         if not 0 <= i < nvars:
             raise DimensionError("variable index out of range")
         exps = tuple(power if k == i else 0 for k in range(nvars))
-        return Polynomial(nvars, {exps: Scalar.one()})
+        return Polynomial(nvars, {exps: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -239,8 +251,7 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise DimensionError("polynomials in different variable counts")
         return _poly(self.nvars, _add_terms({}, [
-            (tuple(map(add, e1, e2)),
-             _scalar(c1.rational * c2.rational, c1.gauss_exponent + c2.gauss_exponent))
+            (tuple(map(add, e1, e2)), c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()]))
 
     __rmul__ = __mul__
@@ -261,14 +272,13 @@ class Polynomial:
         return len(self.terms) == 1
 
     def monomial_inverse(self) -> "Polynomial":
-        """Inverse of c·x^e, the only invertible Laurent shapes."""
+        """Inverse of c·s^k·x^e, the only invertible Laurent shapes."""
         if len(self.terms) != 1:
             raise NonInvertibleError(
                 "only monomials are invertible in the Laurent polynomial ring"
             )
         (exps, coeff), = self.terms.items()
-        inv_exps = tuple(-e for e in exps)
-        return _poly(self.nvars, {inv_exps: Scalar.one() / coeff})
+        return _poly(self.nvars, {tuple(-e for e in exps): 1 / coeff})
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
@@ -283,23 +293,25 @@ class Polynomial:
         return _poly(self.nvars, terms)
 
     def evaluate(self, point: Sequence[Fraction]) -> Scalar:
+        """The value at a rational point, a value in s."""
         if len(point) != self.nvars:
             raise DimensionError("evaluation point has wrong length")
         point = [Fraction(x) for x in point]
-        acc = Scalar.zero()
+        pieces = []
         for exps, coeff in self.terms.items():
-            val = Fraction(1)
             for x, e in zip(point, exps):
                 if e == 0:
                     continue
                 if x == 0 and e < 0:
                     raise ZeroDivisionError("negative exponent at zero")
-                val *= x ** e
-            acc = acc + coeff * val
-        return acc
+                coeff *= x ** e
+            pieces.append((exps[-1], coeff))
+        return _in_s(_add_terms({}, pieces))
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(exps), Scalar.zero())
+        """The coefficient of x^exps, a value in s."""
+        exps = tuple(exps)
+        return _in_s({e[-1]: c for e, c in self.terms.items() if e[:-1] == exps})
 
     def min_exponents(self) -> tuple[int, ...]:
         if not self.terms:
@@ -318,9 +330,10 @@ class Polynomial:
 
     def __str__(self) -> str:
         return _signed_sum([
-            (self.terms[exps], " ".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                                        for i, e in enumerate(exps) if e != 0))
-            for exps in sorted(self.terms)])
+            (self.terms[exps], _monomial_text(exps[-1], (
+                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                for i, e in enumerate(exps[:-1]) if e != 0)))
+            for exps in sorted(self.terms, key=lambda e: (e[:-1], -e[-1]))])
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self!s})"
@@ -329,9 +342,9 @@ class Polynomial:
 def _poly(nvars: int, terms: dict) -> Polynomial:
     """Trusted constructor for the results of closed Polynomial operations.
 
-    ``terms`` must map int tuples of length ``nvars`` to nonzero Scalars and
-    is kept, not copied; the public constructor checks all of this, this one
-    assumes it.
+    ``terms`` must map int tuples of length ``nvars + 1`` (the power of s
+    last) to nonzero Fractions and is kept, not copied; the public
+    constructor checks all of this, this one assumes it.
     """
     out = object.__new__(Polynomial)
     object.__setattr__(out, "nvars", nvars)
@@ -358,11 +371,7 @@ class SuperFunction:
     def __init__(self, shape: SuperDomainShape, coeffs: Mapping = ()):
         checked = []
         for idx, poly in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
-            idx = tuple(idx)
-            if any(j < 0 or j >= shape.total_odd for j in idx):
-                raise DimensionError(f"odd index out of range: {idx}")
-            if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
-                raise ParityError(f"odd index not strictly increasing: {idx}")
+            idx = _validate_index(idx, shape.total_odd)
             if not isinstance(poly, Polynomial):
                 poly = Polynomial.constant(shape.m, poly)
             if poly.nvars != shape.m:
@@ -412,12 +421,7 @@ class SuperFunction:
         return bool(self.coeffs)
 
     def parity(self) -> Parity | None:
-        if not self.coeffs:
-            return None
-        parities = {len(i) % 2 for i in self.coeffs}
-        if len(parities) > 1:
-            return None
-        return Parity(parities.pop())
+        return _parity(self.coeffs)
 
     def body_polynomial(self) -> Polynomial:
         return self.coeffs.get((), Polynomial.zero(self.shape.m))
@@ -477,7 +481,8 @@ class SuperFunction:
         self._check_shape(other)
         return _sf(self.shape, _add_terms({}, [
             (idx, -(pa * pb) if negative else pa * pb)
-            for idx, negative, pa, pb in _graded_products(self.coeffs, other.coeffs)]))
+            for idx, negative, pa, pb in _graded_products(
+                _masked(self.coeffs.items()), _masked(other.coeffs.items()))]))
 
     def __rmul__(self, other) -> "SuperFunction":
         # even coefficients are central; odd SuperFunctions must use *
@@ -529,20 +534,18 @@ class SuperFunction:
             raise DimensionError("odd offset out of range")
         if self.shape.aux > shape.aux:
             raise DimensionError("target shape has too few aux parameters")
+        left = (0,) * even_offset
+        right = (0,) * (shape.m - even_offset - self.shape.m)
         coeffs = {}
         for idx, poly in self.coeffs.items():
             new_idx = tuple(
                 j + odd_offset if j < self.shape.n else shape.n + (j - self.shape.n)
                 for j in idx
             )
-            new_terms = {}
-            for exps, coeff in poly.terms.items():
-                new_exps = [0] * shape.m
-                for k, e in enumerate(exps):
-                    new_exps[even_offset + k] = e
-                new_terms[tuple(new_exps)] = coeff
-            coeffs[new_idx] = Polynomial(shape.m, new_terms)
-        return SuperFunction(shape, coeffs)
+            coeffs[new_idx] = _poly(shape.m, {
+                left + exps[:-1] + right + exps[-1:]: coeff
+                for exps, coeff in poly.terms.items()})
+        return _sf(shape, coeffs)
 
     # -- comparison / printing ---------------------------------------------
 
@@ -662,15 +665,27 @@ class SuperMorphism:
         return self.odd_components[k - self.target.m]
 
     def check_body_box(self, per_axis: int = 3) -> str | None:
-        """Sample the body map; return a caveat string or raise on escape."""
+        """Sample the body map; return a caveat string or raise on escape.
+
+        Any value lies on a whole-line axis.  On a bounded or half-line
+        axis a value carrying a power of s is not compared, and raises.
+        """
         for pt in box_samples(self.source.box, per_axis):
             for k, comp in enumerate(self.even_components):
                 try:
-                    val = comp.evaluate_body(pt).rational
+                    val = comp.evaluate_body(pt)
                 except ZeroDivisionError:
                     raise DomainBoxError(
                         f"body component {k} undefined at sample {pt}"
                     )
+                if self.target.box[k] is REALLINE:
+                    continue
+                try:
+                    val = val.rational
+                except ValueError:
+                    raise DomainBoxError(
+                        f"body component {k} is {val} at sample {pt}: a power "
+                        f"of s, not compared with target axis {k}") from None
                 if not self.target.box[k].contains(val):
                     raise DomainBoxError(
                         f"body image of sample {pt} escapes target axis {k}"
@@ -688,41 +703,30 @@ class SuperMorphism:
         return f"SuperMorphism({self.source} -> {self.target})"
 
 
-def _linear_combination(shape: SuperDomainShape, pairs) -> SuperFunction:
-    """Σ c·F over (Scalar c, SuperFunction F) pairs, summed term by term."""
+def _linear_combination(shape: SuperDomainShape, triples) -> SuperFunction:
+    """Σ c·s^k·F over (k, rational c, SuperFunction F), summed term by term."""
     acc: dict[tuple[int, ...], dict] = {}
-    for c, func in pairs:
+    for k, c, func in triples:
         for idx, poly in func.coeffs.items():
-            _add_terms(acc.setdefault(idx, {}),
-                       [(exps, c * coeff) for exps, coeff in poly.terms.items()])
+            _add_terms(acc.setdefault(idx, {}), [
+                (exps[:-1] + (exps[-1] + k,) if k else exps, c * coeff)
+                for exps, coeff in poly.terms.items()])
     return _sf(shape, {idx: _poly(shape.m, terms)
                        for idx, terms in acc.items() if terms})
-
-
-def _s_weight(func: SuperFunction) -> int | None:
-    """The power of s on every coefficient of func (0 if zero), else None."""
-    found = {c.gauss_exponent
-             for poly in func.coeffs.values() for c in poly.terms.values()}
-    if len(found) > 1:
-        return None
-    return found.pop() if found else 0
 
 
 def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
     """Substitute phi's components into f, Taylor-expanding around bodies.
 
-    A positive power of an even component is a repeated product; a negative
-    one uses the generalized binomial (B + N)^e = Σ_j C(e,j) B^{e-j} N^j,
-    which terminates because the soul N is nilpotent and needs the body B
-    to be an invertible monomial.  This is an exact algebra morphism.
+    A power of an even component is a repeated product of the component or,
+    for a negative exponent, of its inverse, which needs the body to be an
+    invertible monomial.  This is an exact algebra morphism.
 
     Each odd sector ρ_α is substituted by grouping: its terms are grouped by
     the exponent of the first even variable and the rest is substituted
     recursively, so the last variable gives a linear combination of cached
-    powers and each group costs one product.  When every component of phi
-    carries a single power of s, terms whose images carry different powers
-    of s are substituted apart and added last, so ScalarExponentError is
-    raised exactly when a coefficient of the result mixes powers of s.
+    powers and each group costs one product.  The power of s of a term is
+    a constant factor and passes through unchanged.
     """
     if f.shape != phi.target:
         raise DimensionError("function does not live on the morphism target")
@@ -732,37 +736,18 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
     power_cache: dict[tuple[int, int], SuperFunction] = {}
 
     def even_power(k: int, e: int) -> SuperFunction:
-        got = power_cache.get((k, e))
-        if got is not None:
-            return got
-        comp = phi.even_components[k]
-        if e > 0:
-            # one product per power, from the largest cached lower one
-            low = e
-            while low > 1 and (k, low) not in power_cache:
-                low -= 1
-            acc = power_cache.get((k, low), comp)
-            for p in range(low + 1, e + 1):
-                acc = acc * comp
-                power_cache[(k, p)] = acc
-            return acc
-        body = comp.body_polynomial()
-        soul = comp.soul()
-        acc = SuperFunction.zero(src)
-        soul_power = one
-        for j in range(src.total_odd + 1):
-            c = binomial_coefficient(e, j)
-            if c != 0:
-                if e - j >= 0:
-                    base = SuperFunction.from_polynomial(src, body ** (e - j))
-                else:
-                    base = SuperFunction.from_polynomial(
-                        src, body.monomial_inverse() ** (j - e))
-                acc = acc + Scalar(c) * (base * soul_power)
-            soul_power = soul_power * soul
-            if soul_power.is_zero():
-                break
-        power_cache[(k, e)] = acc
+        # one product per power, from the nearest cached power of that sign
+        step = 1 if e > 0 else -1
+        if (k, step) not in power_cache:
+            comp = phi.even_components[k]
+            power_cache[(k, step)] = comp if e > 0 else comp.inv_even()
+        low = e
+        while (k, low) not in power_cache:
+            low -= step
+        acc, base = power_cache[(k, low)], power_cache[(k, step)]
+        for p in range(low + step, e + step, step):
+            acc = acc * base
+            power_cache[(k, p)] = acc
         return acc
 
     def odd_image(j: int) -> SuperFunction:
@@ -772,10 +757,10 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
         return SuperFunction.odd_gen(src, src.n + (j - phi.target.n))
 
     def expand(terms: list, k: int) -> SuperFunction:
-        """Σ c·Π_{i≥k} φ_i^{e_i} over the (exponents e, c) in terms."""
+        """Σ c·s^t·Π_{i≥k} φ_i^{e_i} over the (key (e, t), c) in terms."""
         if k >= m - 1:
             return _linear_combination(src, [
-                (c, even_power(k, exps[k]) if m and exps[k] else one)
+                (exps[-1], c, even_power(k, exps[k]) if m and exps[k] else one)
                 for exps, c in terms])
         groups: dict[int, list] = {}
         for term in terms:
@@ -788,35 +773,16 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
             acc = part if acc is None else acc + part
         return acc
 
-    even_w = [_s_weight(c) for c in phi.even_components]
-    odd_w = [_s_weight(c) for c in phi.odd_components] + [0] * phi.target.aux
-    graded = None not in even_w and None not in odd_w
-    # power of s on the image of a term -> sector -> (odd factor, terms)
-    classes: dict[int, dict] = {}
+    parts = []
     for alpha, poly in f.coeffs.items():
         odd_factor = one
         for j in alpha:
             odd_factor = odd_factor * odd_image(j)
         if odd_factor.is_zero():
             continue
-        base = sum(odd_w[j] for j in alpha) if graded else 0
-        for exps, c in poly.terms.items():
-            w = (base + c.gauss_exponent + sum(map(mul, exps, even_w))
-                 if graded else 0)
-            sector = classes.setdefault(w, {})
-            sector.setdefault(alpha, (odd_factor, []))[1].append((exps, c))
-    parts = []
-    for sectors in classes.values():
-        part = SuperFunction.zero(src)
-        for alpha, (odd_factor, terms) in sectors.items():
-            image = expand(terms, 0)
-            part = part + (image * odd_factor if alpha else image)
-        parts.append(part)
-    # every substitution is done before powers of s meet
-    result = SuperFunction.zero(src)
-    for part in parts:
-        result = result + part
-    return result
+        image = expand(list(poly.terms.items()), 0)
+        parts.append(image * odd_factor if alpha else image)
+    return sum(parts, SuperFunction.zero(src))
 
 
 def compose(first: SuperMorphism, then: SuperMorphism) -> SuperMorphism:
@@ -919,24 +885,16 @@ def split_product_function(f: SuperFunction, left: SuperDomainShape,
         raise DimensionError("split requires aux-free factor shapes")
     if f.shape != shape_product(left, right):
         raise DimensionError("function does not live on the stated product")
+    # (left exponents, left odd index) -> right odd index -> right terms;
+    # the power of s stays with the right factor
     grouped: dict[tuple, dict] = {}
     for idx, poly in f.coeffs.items():
         left_odd = tuple(j for j in idx if j < left.n)
         right_odd = tuple(j - left.n for j in idx if j >= left.n)
         for exps, coeff in poly.terms.items():
-            left_exps = exps[:left.m]
-            right_exps = exps[left.m:]
-            key = (left_exps, left_odd)
-            bucket = grouped.setdefault(key, {})
-            sub = bucket.setdefault(right_odd, {})
-            sub[right_exps] = sub.get(right_exps, Scalar.zero()) + coeff
-    out = []
-    for (left_exps, left_odd), bucket in sorted(grouped.items()):
-        f_left = SuperFunction(left, {left_odd: Polynomial(left.m, {left_exps: Scalar.one()})})
-        f_right = SuperFunction(right, {
-            r_odd: Polynomial(right.m, terms) for r_odd, terms in bucket.items()
-        })
-        if f_right.is_zero():
-            continue
-        out.append((f_left, f_right))
-    return out
+            bucket = grouped.setdefault((exps[:left.m], left_odd), {})
+            bucket.setdefault(right_odd, {})[exps[left.m:]] = coeff
+    return [(SuperFunction(left, {left_odd: Polynomial(left.m, {left_exps: 1})}),
+             _sf(right, {r_odd: _poly(right.m, terms)
+                         for r_odd, terms in bucket.items()}))
+            for (left_exps, left_odd), bucket in sorted(grouped.items())]

@@ -295,13 +295,11 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
     # one sparse row per (odd index, exponent) coefficient of the residual
     rows: dict[tuple, dict[int, Fraction]] = {}
     for u, (odd_part, exps) in enumerate(unknowns):
-        phi = SuperFunction(G.shape,
-                            {odd_part: Polynomial(m, {exps: Scalar.one()})})
+        phi = SuperFunction(G.shape, {odd_part: Polynomial(m, {exps: 1})})
         residual = factor * pullback(trans, phi) - phi.embed(S, m, 0)
         for idx, poly in residual.coeffs.items():
             for e2, coeff in poly.terms.items():
-                if not coeff.is_zero():
-                    rows.setdefault((idx, e2), {})[u] = coeff.rational
+                rows.setdefault((idx, e2), {})[u] = coeff
     kernel = nullspace(list(rows.values()), ncols=len(unknowns))
     if not kernel:
         raise InconclusiveError(
@@ -316,7 +314,7 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
         for (odd_part, exps), c in zip(unknowns, vec):
             if not c:
                 continue
-            poly = Polynomial(m, {exps: Scalar(c / lead)})
+            poly = Polynomial(m, {exps: c / lead})
             coeffs[odd_part] = coeffs.get(odd_part, Polynomial.constant(m, 0)) \
                 + poly
         density = SuperFunction(G.shape, coeffs)
@@ -498,13 +496,14 @@ class ProductFormulaReport:
 
 
 def _constant_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
+    """c with f1 = c f2, read off at the first coefficient of f2 that is a
+    single power of s (an invertible value); None where there is none."""
     for idx, poly in f2.coeffs.items():
-        for exps, coeff in poly.terms.items():
-            if coeff.is_zero():
-                continue
-            other = f1.coefficient(idx).coefficient(exps)
-            c = other / coeff
-            return c if f1 == f2 * c else None
+        for exps in poly.terms:
+            coeff = poly.coefficient(exps[:-1])
+            if len(coeff.terms) == 1:
+                c = f1.coefficient(idx).coefficient(exps[:-1]) / coeff
+                return c if f1 == f2 * c else None
     return None
 
 

@@ -13,27 +13,19 @@ flips the sign.  det(D)^-1 is the signed product of the pivot inverses,
 back substitution gives Z, and the Schur complement A - B Z is a single
 matrix product.  A determinant needs no inverse of its last pivot.
 
-Over a local ring such as a Grassmann algebra, a column with no
-invertible entry means the determinant is not invertible.  Over
-superfunctions, whose invertible bodies are Laurent monomials, an
-invertible matrix can still have such a column: det [[x+2, x+1],
-[x+3, x+2]] = 1.  There the determinant expands along its first row by
-cofactors, with minors through the same elimination, and det(D)^-1 and
-B D^-1 C come from Cramer's rule.  Elimination also forms sums the
-entries never meet, such as s - 1 from entries 1 and s; where such a sum
-mixes powers of s (``ScalarExponentError``), the same cofactor and Cramer
-formulas take over, so the sums formed are those of the textbook formulas
-and a matrix they evaluate still gets its Berezinian.
+Over a Grassmann algebra with rational coefficients, a local ring, a
+column with no invertible entry means the determinant is not invertible.
+Where the invertible bodies are monomials, an invertible matrix can still
+have such a column: Laurent monomials in x over superfunctions give
+det [[x+2, x+1], [x+3, x+2]] = 1, and single powers of s = sqrt(2 pi)
+give det [[1+s, 1], [2+s, 1]] = -1.  There the determinant expands along
+its first row by cofactors, with minors through the same elimination, and
+det(D)^-1 and Z = D^-1 C come from Cramer's rule.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    DimensionError,
-    NonInvertibleError,
-    ParityError,
-    ScalarExponentError,
-)
+from .errors import DimensionError, NonInvertibleError, ParityError
 from .grassmann import EVEN, Parity
 
 
@@ -85,8 +77,7 @@ def _det(entries, zero, one):
     """Determinant of a square matrix of even entries.
 
     Falls back to cofactor expansion when elimination finds a column with
-    no invertible entry, or when its sums mix powers of s that the entries
-    themselves never combine.
+    no invertible entry.
     """
     n = len(entries)
     if n == 0:
@@ -94,16 +85,13 @@ def _det(entries, zero, one):
     if n == 1:
         return entries[0][0]
     rows = [list(row) for row in entries]
-    try:
-        sign, inverses = _eliminate(rows, n, last=False)
-        if len(inverses) == n - 1:
-            acc = rows[n - 1][n - 1]
-            for i in range(n - 1):
-                acc = rows[i][i] * acc
-            return -acc if sign < 0 else acc
-    except ScalarExponentError:
-        pass
-    return _expand(entries, zero, one)
+    sign, inverses = _eliminate(rows, n, last=False)
+    if len(inverses) < n - 1:
+        return _expand(entries, zero, one)
+    acc = rows[n - 1][n - 1]
+    for i in range(n - 1):
+        acc = rows[i][i] * acc
+    return -acc if sign < 0 else acc
 
 
 def _expand(entries, zero, one):
@@ -133,11 +121,12 @@ def _back_substitute(rows, inverses, q):
     return Z
 
 
-def _eliminate_schur(entries, p, q, zero):
-    """det(D)^-1 and A - B Z by one elimination of [D | C], or
+def _eliminate_solve(D, C):
+    """det(D)^-1 and Z with D Z = C by one elimination of [D | C], or
     ``(None, None)`` if a column of D has no invertible entry."""
+    q = len(D)
     # [D | C]: eliminating D carries C along towards Z
-    rows = [list(row[p:]) + list(row[:p]) for row in entries[p:]]
+    rows = [list(d) + list(c) for d, c in zip(D, C)]
     sign, inverses = _eliminate(rows, q)
     if len(inverses) < q:
         return None, None
@@ -146,59 +135,32 @@ def _eliminate_schur(entries, p, q, zero):
         det_d_inv = det_d_inv * inv
     if sign < 0:
         det_d_inv = -det_d_inv
-    if p == 0:
-        return det_d_inv, []
-    Z = _back_substitute(rows, inverses, q)
-    schur = []
-    for i in range(p):
-        row = entries[i]
-        out = []
-        for j in range(p):
-            acc = zero
-            for k in range(q):
-                acc = acc + row[p + k] * Z[k][j]
-            out.append(row[j] - acc)
-        schur.append(out)
-    return det_d_inv, schur
+    return det_d_inv, _back_substitute(rows, inverses, q)
 
 
-def _cramer(A, B, C, D, zero, one):
-    """det(D)^-1 and A - B D^-1 C, with D^-1 by Cramer's rule.
+def _cramer(D, C, zero, one):
+    """det(D)^-1 and Z = D^-1 C, with D^-1 by Cramer's rule.
 
     Entry (k, l) of D^-1 is the (l, k) cofactor over det(D), every
-    determinant through ``_det``, and each Schur entry sums
-    B_ik (D^-1)_kl C_lj over k, then l, starting from zero: these are
-    the sums of the textbook formula, so entries whose powers of s admit
-    that formula admit this one.
+    determinant through ``_det``.  Only det(D) needs an inverse, so this
+    serves a D whose columns stall in elimination.
     """
     q = len(D)
     try:
         det_inv = _det(D, zero, one).inv_even()
     except NonInvertibleError:
         raise NonInvertibleError("odd-odd block is not invertible") from None
-    if not A:
-        return det_inv, []
-    Dinv = []
+    Z = [[zero] * len(row) for row in C]
+    if not C or not C[0]:
+        return det_inv, Z  # no columns to solve for
     for k in range(q):
-        out = []
         for l in range(q):
             minor = [row[:k] + row[k + 1:] for r, row in enumerate(D) if r != l]
-            cof = _det(minor, zero, one)
+            cof = _det(minor, zero, one) * det_inv
             if (k + l) % 2:
                 cof = -cof
-            out.append(cof * det_inv)
-        Dinv.append(out)
-    schur = []
-    for i, row in enumerate(A):
-        out = []
-        for j, a in enumerate(row):
-            acc = zero
-            for k in range(q):
-                for l in range(q):
-                    acc = acc + B[i][k] * Dinv[k][l] * C[l][j]
-            out.append(a - acc)
-        schur.append(out)
-    return det_inv, schur
+            Z[k] = [z + cof * c for z, c in zip(Z[k], C[l])]
+    return det_inv, Z
 
 
 class SuperMatrix:
@@ -329,17 +291,23 @@ class SuperMatrix:
             raise ParityError("Berezinian is defined for even supermatrices")
         p, q = self.p, self.q
         zero, one = self.zero, self.one
+        A, B, C, D = (self.block(name) for name in "ABCD")
         if q == 0:
-            return _det(self.block("A"), zero, one)
-        try:
-            det_d_inv, schur = _eliminate_schur(self.entries, p, q, zero)
-        except ScalarExponentError:
-            det_d_inv = None
+            return _det(A, zero, one)
+        det_d_inv, Z = _eliminate_solve(D, C)
         if det_d_inv is None:
-            det_d_inv, schur = _cramer(*(self.block(name) for name in "ABCD"),
-                                       zero, one)
+            det_d_inv, Z = _cramer(D, C, zero, one)
         if p == 0:
             return det_d_inv
+        schur = []
+        for i in range(p):
+            out = []
+            for j in range(p):
+                acc = zero
+                for k in range(q):
+                    acc = acc + B[i][k] * Z[k][j]
+                out.append(A[i][j] - acc)
+            schur.append(out)
         return _det(schur, zero, one) * det_d_inv
 
     # -- comparison / printing ----------------------------------------

@@ -148,7 +148,7 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
 
     terms = []
     for sgn, group in zip(signs, groups):
-        coeff = Scalar(sgn)
+        coeff = Fraction(sgn)
         gauss = 0
         even: dict[int, int] = {}
         odd: list[int] = []
@@ -165,7 +165,7 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
                 if saw_coefficient:
                     _fail(tok, "two coefficients in one term")
                 saw_coefficient = True
-                coeff = coeff * Scalar(_fraction(tok))
+                coeff *= _fraction(tok)
                 continue
             m = _GAUSS.match(tok.text)
             if m:
@@ -185,7 +185,7 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
                 odd.append(j)
                 continue
             _fail(tok, f"unrecognised factor {tok.text!r}")
-        terms.append(_Term(coeff * Scalar(1, gauss), even, tuple(odd)))
+        terms.append(_Term(Scalar(coeff, gauss), even, tuple(odd)))
     return terms
 
 

@@ -55,6 +55,13 @@ def test_ber_entries_mixing_powers_of_s(tmp_path, capsys):
     assert capsys.readouterr().out == "-s\n"
 
 
+def test_ber_sums_mixing_powers_of_s(tmp_path, capsys):
+    # det = 2 s; eliminating from the -1 at (0, 0) forms 4 s^2 + 2 s
+    text = "3 0 0\n-1\n-1\n2 s\n2 s\n0\n2 s\ns^-1\ns^-1\n-1\n"
+    assert cli.main(["ber", write(tmp_path, "m.txt", text)]) == 0
+    assert capsys.readouterr().out == "2 s\n"
+
+
 def test_ber_missing_file(tmp_path, capsys):
     assert cli.main(["ber", str(tmp_path / "absent.txt")]) == 2
     assert "cannot read" in capsys.readouterr().err

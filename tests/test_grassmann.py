@@ -18,12 +18,7 @@ from superberezin.grassmann import (
     Scalar,
     koszul_sign,
 )
-from superberezin.errors import (
-    DimensionError,
-    NonInvertibleError,
-    ParityError,
-    ScalarExponentError,
-)
+from superberezin.errors import DimensionError, NonInvertibleError, ParityError
 from superberezin.superdomain import (
     REALLINE,
     Polynomial,
@@ -39,15 +34,34 @@ def G(n, terms):
 class TestScalar:
     def test_zero_normalizes_exponent(self):
         assert Scalar(0, 5) == Scalar(0)
-        assert Scalar(0, 5).gauss_exponent == 0
+        assert Scalar(0, 5).terms == {}
 
     def test_zero_adds_to_anything(self):
         assert Scalar(0) + Scalar(3, 2) == Scalar(3, 2)
         assert Scalar(3, 2) + Scalar(0) == Scalar(3, 2)
 
-    def test_mismatched_exponent_addition_raises(self):
-        with pytest.raises(ScalarExponentError):
-            Scalar(1, 1) + Scalar(1, 2)
+    def test_mismatched_exponent_addition_is_a_sum(self):
+        total = Scalar(1, 1) + Scalar(1, 2)
+        assert total.terms == {1: 1, 2: 1}
+        assert str(total) == "s^2 + s"
+        assert total - Scalar(1, 2) == Scalar(1, 1)
+        assert str(Scalar(2, 1) - 1) == "2 s - 1"
+
+    def test_only_a_single_power_of_s_is_invertible(self):
+        assert Scalar(1) / Scalar(Fraction(1, 2), -1) == Scalar(2, 1)
+        with pytest.raises(NonInvertibleError):
+            Scalar(1) / (Scalar(1, 1) + 1)
+        with pytest.raises(ZeroDivisionError):
+            Scalar(1) / Scalar(0)
+        with pytest.raises(NonInvertibleError):
+            GrassmannElement(2, {(): Scalar(1, 1) + 1, (0, 1): 1}).inv_even()
+
+    def test_rational_refuses_a_power_of_s(self):
+        assert Scalar(Fraction(3, 2)).rational == Fraction(3, 2)
+        assert Scalar(0, 4).rational == 0
+        for value in (Scalar(1, 1), Scalar(1, 1) + 1):
+            with pytest.raises(ValueError):
+                value.rational
 
     def test_mul_adds_exponents(self):
         assert Scalar(2, 1) * Scalar(3, 2) == Scalar(6, 3)
@@ -212,31 +226,69 @@ def test_inv_even_multiplies_back(a):
     assert inv * a == GrassmannElement.one(N_GEN)
 
 
+# Elements whose terms mix powers of s: every sum is a value, the ring laws
+# hold, and an even element is invertible exactly when its body is a single
+# power of s.
+
+def mixed_elements(max_terms=5, parity=None):
+    from itertools import combinations
+    indices = [c for size in range(N_GEN + 1)
+               for c in combinations(range(N_GEN), size)
+               if parity is None or size % 2 == parity.value]
+    coeffs = st.builds(Scalar, st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+                       st.integers(-2, 2))
+    return st.lists(st.tuples(st.sampled_from(indices), coeffs),
+                    max_size=max_terms).map(
+        lambda items: GrassmannElement(N_GEN, items))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_elements(), mixed_elements(), mixed_elements(),
+       mixed_elements(parity=EVEN))
+def test_ring_laws_mixing_powers_of_s(a, b, c, e):
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) - b == a
+    assert e * a == a * e
+    body = e.body()
+    if len(body.terms) == 1:
+        assert e * e.inv_even() == GrassmannElement.one(N_GEN)
+    else:
+        with pytest.raises(NonInvertibleError):
+            e.inv_even()
+
+
 # Closed operations build their results through a trusted constructor that
 # skips validation; each result must equal what the validating one builds.
 
-scalars = st.builds(Scalar, st.integers(-3, 3).map(Fraction), st.integers(-1, 1))
+scalars = st.lists(st.builds(Scalar, st.integers(-3, 3).map(Fraction),
+                             st.integers(-1, 1)), max_size=3).map(
+    lambda parts: sum(parts, Scalar.zero()))
+
+
+def _public_terms(element):
+    """The {index: Scalar} pairs of an element, as its public constructor
+    takes them."""
+    return [(idx, Scalar(c, k)) for (idx, k), c in element.terms.items()]
 
 
 @settings(max_examples=150, deadline=None)
 @given(scalars, scalars)
 def test_closed_scalar_operations_are_canonical(a, b):
-    results = [a * b, -a, a + (-a), a - a]
-    if a.gauss_exponent == b.gauss_exponent or a.is_zero() or b.is_zero():
-        results += [a + b, a - b]
-    for r in results:
-        assert type(r.rational) is Fraction
-        assert r.rational != 0 or r.gauss_exponent == 0
-        assert Scalar(r.rational, r.gauss_exponent) == r
+    for r in [a * b, -a, a + (-a), a - a, a + b, a - b]:
+        assert sum((Scalar(c, k) for k, c in r.terms.items()), Scalar(0)) == r
+        for k, c in r.terms.items():
+            assert type(k) is int and type(c) is Fraction and c != 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(elements(), elements())
 def test_closed_operations_are_canonical(a, b):
     for r in (a * b, a + b, a - b, -a, a.soul(), a.even_part(), a.odd_part()):
-        assert r == GrassmannElement(N_GEN, r.terms)
-        for coeff in r.terms.values():
-            assert type(coeff.rational) is Fraction and coeff.rational != 0
+        assert r == GrassmannElement(N_GEN, _public_terms(r))
+        for (idx, k), coeff in r.terms.items():
+            assert type(idx) is tuple and type(k) is int
+            assert type(coeff) is Fraction and coeff != 0
 
 
 # The sparse product runs on generator bitmasks; the oracle below merges the
@@ -272,8 +324,8 @@ def _merge_indices(a, b):
 
 def _merged_product(a_terms, b_terms, zero):
     acc = {}
-    for ia, ca in a_terms.items():
-        for ib, cb in b_terms.items():
+    for ia, ca in a_terms:
+        for ib, cb in b_terms:
             merged = _merge_indices(ia, ib)
             if merged is not None:
                 sign, idx = merged
@@ -284,7 +336,7 @@ def _merged_product(a_terms, b_terms, zero):
 @settings(max_examples=150, deadline=None)
 @given(elements(max_terms=12), elements(max_terms=12))
 def test_product_matches_index_merging(a, b):
-    expected = _merged_product(a.terms, b.terms, Scalar.zero())
+    expected = _merged_product(_public_terms(a), _public_terms(b), Scalar.zero())
     assert a * b == GrassmannElement(N_GEN, expected)
 
 
@@ -301,5 +353,6 @@ def superfunctions(max_terms=10):
 @settings(max_examples=150, deadline=None)
 @given(superfunctions(), superfunctions())
 def test_superfunction_product_matches_index_merging(f, g):
-    expected = _merged_product(f.coeffs, g.coeffs, Polynomial.zero(1))
+    expected = _merged_product(f.coeffs.items(), g.coeffs.items(),
+                               Polynomial.zero(1))
     assert f * g == SuperFunction(f.shape, expected)

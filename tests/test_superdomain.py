@@ -13,7 +13,6 @@ from superberezin.errors import (
     DomainBoxError,
     NonInvertibleError,
     ParityError,
-    ScalarExponentError,
 )
 from superberezin.grassmann import EVEN, ODD, Scalar
 from superberezin.superdomain import (
@@ -332,6 +331,18 @@ class TestBoxes:
         with pytest.raises(DomainBoxError):
             double.check_body_box()
 
+    def test_power_of_s_is_not_in_a_bounded_box(self):
+        # x -> s x on [0, 1]: s ~ 2.507 puts the image of 1 outside
+        shape = SuperDomainShape(1, (Interval(0, 1),), 0)
+        x = SuperFunction.coordinate(shape, 0)
+        stretch = SuperMorphism(shape, shape, [Scalar(1, 1) * x], [])
+        with pytest.raises(DomainBoxError, match="component 0"):
+            stretch.check_body_box()
+        line = SuperDomainShape(1, (REALLINE,), 0)
+        onto_line = SuperMorphism(shape, line, [
+            SuperFunction(shape, {(): Polynomial(1, {(1,): Scalar(1, 1)})})], [])
+        assert "sampled" in onto_line.check_body_box()
+
     def test_positive_axis(self):
         shape = SuperDomainShape(1, (POSITIVE,), 0)
         x = SuperFunction.coordinate(shape, 0)
@@ -387,8 +398,9 @@ def oracle_pullback(phi, f):
         if odd_factor.is_zero():
             continue
         for exps, coeff in poly.terms.items():
-            term = SuperFunction.constant(src, coeff)
-            for k, e in enumerate(exps):
+            # the key holds the even exponents, then the power of s
+            term = SuperFunction.constant(src, Scalar(coeff, exps[-1]))
+            for k, e in enumerate(exps[:-1]):
                 if e:
                     term = term * even_power(k, e)
             result = result + term * odd_factor
@@ -399,7 +411,7 @@ def _outcome(fn, *args):
     """The value of fn(*args), or the type of the package error it raises."""
     try:
         return fn(*args)
-    except (NonInvertibleError, ScalarExponentError) as exc:
+    except NonInvertibleError as exc:
         return type(exc)
 
 
@@ -427,8 +439,9 @@ def _polynomials(draw, m, laurent, power_of_s, max_terms=3, max_exp=2):
 
 
 @st.composite
-def _morphisms(draw):
-    """(phi, weights) with every component carrying one power of s.
+def _morphisms(draw, mixed=False):
+    """(phi, weights) with every component carrying one power of s, or with
+    each term carrying its own when mixed.
 
     Shapes run over m, n in 0..2 with up to 2 aux parameters; POSITIVE axes
     take Laurent exponents; bodies are monomials (invertible) or short
@@ -446,8 +459,10 @@ def _morphisms(draw):
 
     def component(weight, parity):
         def poly(max_terms):
-            return draw(_polynomials(m, laurent, lambda _: weight,
-                                     max_terms=max_terms, max_exp=1))
+            return draw(_polynomials(
+                m, laurent,
+                lambda _: draw(st.integers(-1, 1)) if mixed else weight,
+                max_terms=max_terms, max_exp=1))
         coeffs = {}
         if parity == 0:
             coeffs[()] = poly(draw(st.sampled_from([1, 1, 2])))
@@ -491,7 +506,7 @@ def _functions(draw, shape, power_of_term=None):
 @given(st.data())
 def test_pullback_matches_term_by_term_oracle(data):
     # f is homogeneous for phi: every term's image carries the same power
-    # of s, so neither order of summation can mix powers of s
+    # of s (test_pullback_mixing_powers_of_s draws the mixed cases)
     phi, weights = data.draw(_morphisms())
     total = data.draw(st.integers(-1, 1))
     f = data.draw(_functions(phi.target, lambda alpha, exps: total - (
@@ -503,38 +518,31 @@ def test_pullback_matches_term_by_term_oracle(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_pullback_mixing_powers_of_s(data):
-    # f's terms carry arbitrary powers of s.  The pullback is the sum of
-    # the pullbacks of f's parts whose images carry one power of s each; it
-    # fails with ScalarExponentError exactly when that sum mixes powers at
-    # one coefficient, whatever order the oracle happens to add in.
-    phi, weights = data.draw(_morphisms())
+    # the components and f's terms carry arbitrary powers of s.  The
+    # pullback equals the term-by-term oracle, and the sum of the pullbacks
+    # of f's parts of one power of s each.
+    phi, _ = data.draw(_morphisms(mixed=True))
     f = data.draw(_functions(phi.target))
     parts = {}
     for alpha, poly in f.coeffs.items():
         for exps, c in poly.terms.items():
-            w = _image_power_of_s(phi, weights, alpha, exps, c.gauss_exponent)
-            parts.setdefault(w, {}).setdefault(alpha, {})[exps] = c
+            parts.setdefault(exps[-1], {}).setdefault(alpha, {})[exps[:-1]] = \
+                Scalar(c, exps[-1])
 
-    def reference():
-        images = [oracle_pullback(phi, SuperFunction(phi.target, {
+    def by_parts():
+        return sum((pullback(phi, SuperFunction(phi.target, {
             alpha: Polynomial(phi.target.m, terms)
-            for alpha, terms in part.items()})) for part in parts.values()]
-        total = SuperFunction.zero(phi.source)
-        for image in images:
-            total = total + image
-        return total
+            for alpha, terms in part.items()})) for part in parts.values()),
+            SuperFunction.zero(phi.source))
 
     got = _outcome(pullback, phi, f)
-    _assert_same_outcome(got, _outcome(reference))
-    want = _outcome(oracle_pullback, phi, f)
-    if isinstance(want, SuperFunction) or want is NonInvertibleError:
-        _assert_same_outcome(got, want)
+    _assert_same_outcome(got, _outcome(oracle_pullback, phi, f))
+    _assert_same_outcome(got, _outcome(by_parts))
 
 
-def test_pullback_mixing_powers_where_the_oracle_order_fails():
+def test_pullback_mixing_powers_that_cancel():
     # the images of s (x1^2 - 2 x1 + 1) and x2 meet at the constant term,
-    # where the s parts cancel: s - 2s + s + 1 = 1.  Adding term by term
-    # in f's order forms s + 1 first.
+    # where the s parts cancel: s - 2s + s + 1 = 1
     shape = SuperDomainShape(2, (REALLINE, REALLINE), 0)
     x1 = SuperFunction.coordinate(shape, 0)
     x2 = SuperFunction.coordinate(shape, 1)
@@ -542,22 +550,22 @@ def test_pullback_mixing_powers_where_the_oracle_order_fails():
     f = SuperFunction(shape, {(): Polynomial(2, {
         (0, 1): 1, (2, 0): Scalar(1, 1), (1, 0): Scalar(-2, 1),
         (0, 0): Scalar(1, 1)})})
-    with pytest.raises(ScalarExponentError):
-        oracle_pullback(phi, f)
-    assert pullback(phi, f) == SuperFunction(shape, {(): Polynomial(2, {
+    want = SuperFunction(shape, {(): Polynomial(2, {
         (0, 1): 1, (0, 0): 1, (2, 0): Scalar(1, 1)})})
+    assert pullback(phi, f) == oracle_pullback(phi, f) == want
 
 
-def test_pullback_raises_where_the_result_mixes_powers_of_s():
+def test_pullback_where_the_result_mixes_powers_of_s():
     shape = SuperDomainShape(1, (REALLINE,), 0)
     x = SuperFunction.coordinate(shape, 0)
     phi = SuperMorphism(shape, shape, [x + 1], [])
     f = SuperFunction(shape, {(): Polynomial(1, {(1,): Scalar(1, 1),
                                                  (0,): 1})})
-    with pytest.raises(ScalarExponentError):
-        pullback(phi, f)
-    with pytest.raises(ScalarExponentError):
-        oracle_pullback(phi, f)
+    got = pullback(phi, f)
+    assert got == oracle_pullback(phi, f)
+    assert got == SuperFunction(shape, {(): Polynomial(1, {
+        (1,): Scalar(1, 1), (0,): Scalar(1, 1) + 1})})
+    assert str(got) == "s + 1 + s x1"
 
 
 # -- closed operations build canonical results --------------------------------
@@ -575,12 +583,14 @@ def _assert_canonical(value):
             assert poly.nvars == value.shape.m
             _assert_canonical(poly)
         return
-    assert value == Polynomial(value.nvars, value.terms)
+    # a key holds the even exponents, then the power of s
+    assert value == Polynomial(value.nvars, [
+        (exps[:-1], Scalar(coeff, exps[-1])) for exps, coeff in value.terms.items()])
     assert value.terms, "zero polynomial stored"
     for exps, coeff in value.terms.items():
-        assert type(exps) is tuple and len(exps) == value.nvars
+        assert type(exps) is tuple and len(exps) == value.nvars + 1
         assert all(type(e) is int for e in exps)
-        assert type(coeff.rational) is Fraction and coeff.rational != 0
+        assert type(coeff) is Fraction and coeff != 0
 
 
 def _canonical_or_zero(value):
@@ -598,7 +608,8 @@ def _laurent_functions(draw, shape):
     for _ in range(draw(st.integers(0, 5))):
         alpha = draw(st.sampled_from(sectors))
         coeffs[alpha] = draw(_polynomials(shape.m, set(range(shape.m)),
-                                          lambda _: 0, max_exp=2))
+                                          lambda _: draw(st.integers(-1, 1)),
+                                          max_exp=2))
     return SuperFunction(shape, coeffs)
 
 

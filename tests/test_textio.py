@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superberezin.errors import ParseError, ScalarExponentError
-from superberezin.grassmann import Scalar
+from superberezin.errors import ParseError
+from superberezin.grassmann import GrassmannElement, Scalar
 from superberezin.lie_super import gl11_algebra
 from superberezin.suites import random_grassmann, random_superfunction
 from superberezin.superdomain import (
     Interval,
     POSITIVE,
     REALLINE,
+    Polynomial,
     SuperDomainShape,
+    SuperFunction,
 )
 from superberezin.textio import (
     format_structure_constants,
@@ -126,9 +128,11 @@ def test_repeated_terms_are_summed_and_cancelled():
     assert f.is_zero()
     g = parse_superfunction("1 1 0\naxis R\nx1 : xi1\n2 x1 + 1 : xi1\n")
     assert str(g.coefficient((0,))) == "1 + 3 x1"
-    # summing terms whose powers of s differ is still refused
-    with pytest.raises(ScalarExponentError):
-        parse_grassmann("xi1 + s xi1", 1)
+    # terms whose powers of s differ are a sum, printed highest power first
+    mixed = parse_grassmann("xi1 + s xi1 - 1 + 2 s^-1", 1)
+    assert mixed == GrassmannElement(1, {(0,): Scalar(1, 1) + 1,
+                                         (): Scalar(2, -1) - 1})
+    assert str(mixed) == "-1 + 2 s^-1 + s xi1 + xi1"
 
 
 def test_scalar_parsing():
@@ -136,6 +140,8 @@ def test_scalar_parsing():
     assert parse_scalar("-2") == Scalar(-2)
     assert parse_scalar("s") == Scalar(1, 1)
     assert parse_scalar("0") == Scalar.zero()
+    assert parse_scalar("2 s - 1") == Scalar(2, 1) - 1
+    assert str(parse_scalar("-1 + s 2/3 + s^-2")) == "2/3 s - 1 + s^-2"
     with pytest.raises(ParseError):
         parse_scalar("2 x1")
 
@@ -214,6 +220,27 @@ def test_grassmann_round_trip(seed, n):
     rng = random.Random(seed)
     element = random_grassmann(rng, n, max_terms=4)
     assert parse_grassmann(str(element), n) == element
+
+
+_MIXED_COEFFS = st.lists(
+    st.builds(Scalar, st.sampled_from([1, -1, 2, Fraction(-3, 2)]),
+              st.integers(-2, 2)), min_size=1, max_size=3).map(
+    lambda parts: sum(parts, Scalar.zero()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MIXED_COEFFS, st.data())
+def test_values_mixing_powers_of_s_round_trip(value, data):
+    assert parse_scalar(str(value)) == value
+    n = data.draw(st.integers(0, 3))
+    element = GrassmannElement(n, data.draw(st.dictionaries(
+        st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s)))
+        if n else st.just(()), _MIXED_COEFFS, max_size=4)))
+    assert parse_grassmann(str(element), n) == element
+    shape = SuperDomainShape(1, (POSITIVE,), n)
+    f = SuperFunction(shape, {(): Polynomial(1, data.draw(st.dictionaries(
+        st.tuples(st.integers(-2, 2)), _MIXED_COEFFS, min_size=1, max_size=3)))})
+    assert parse_superfunction(format_superfunction(f)) == f
 
 
 @settings(max_examples=60, deadline=None)
