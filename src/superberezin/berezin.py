@@ -143,9 +143,7 @@ def _box_monomial(iv: Interval, e: int) -> Fraction:
         raise NonIntegrableError("exponent -1 has no rational antiderivative")
     if e < 0 and iv.lo <= 0 <= iv.hi:
         raise NonIntegrableError(f"pole at 0 inside the box {iv}")
-    hi = Fraction(iv.hi) ** (e + 1)
-    lo = Fraction(iv.lo) ** (e + 1)
-    return Fraction(hi - lo, e + 1)
+    return Fraction(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 1)
 
 
 GAUSSIAN = IntegrationBackend("gaussian_moments")

@@ -25,7 +25,9 @@ from .errors import ParseError, SuperBerezinError
 from .lie_super import SubalgebraSpec, unimodularity_check, validate
 from .suites import SUITES, CheckLine
 from .textio import (
+    _fail,
     _fraction,
+    _int,
     _Token,
     parse_structure_constants,
     parse_superfunction,
@@ -86,21 +88,29 @@ def _cmd_ber(args) -> int:
     return 0 if _emit(matrix.berezinian()) else 1
 
 
+def _tokens(words: list[str]) -> list[_Token]:
+    """The words of a command-line value as tokens on line 1, each at its
+    1-based column as if the words were joined by single separators."""
+    tokens, column = [], 1
+    for word in words:
+        tokens.append(_Token(word, 1, column))
+        column += len(word) + 1
+    return tokens
+
+
 def _parse_backend(spec: list[str]):
     if spec == ["gaussian"]:
         return GAUSSIAN
-    if spec and spec[0] == "box":
-        bounds = spec[1:]
-        if len(bounds) % 2:
-            raise ParseError("box backend needs an even number of bounds",
-                             1, 1)
-        # rationals of the text grammar; columns count along the spec words
-        values, column = [], len(spec[0]) + 2
-        for bound in bounds:
-            values.append(_fraction(_Token(bound, 1, column)))
-            column += len(bound) + 1
+    name, *rest = _tokens(spec)
+    if name.text == "box":
+        if len(rest) % 2:
+            _fail(rest[-1], "box backend needs an even number of bounds")
+        # rationals of the text grammar
+        values = [_fraction(bound) for bound in rest]
         return box_backend(*zip(values[::2], values[1::2]))
-    raise ParseError(f"unknown backend {' '.join(spec)!r}", 1, 1)
+    # after a known name, the first extra word is the offending one
+    _fail(rest[0] if name.text == "gaussian" else name,
+          f"unknown backend {' '.join(spec)!r}")
 
 
 def _cmd_integrate(args) -> int:
@@ -116,15 +126,15 @@ def _cmd_unimodular(args) -> int:
         for failure in report.failures:
             print(f"invalid structure constants: {failure}", file=sys.stderr)
         return 1
-    try:
-        span = frozenset(int(k) for k in args.subalgebra.split(",") if k)
-    except ValueError:
-        raise ParseError("subalgebra spec must be comma-separated integers",
-                         1, 1)
-    if any(k < 0 or k >= algebra.dim for k in span):
-        raise ParseError(
-            f"subalgebra indices must lie in 0..{algebra.dim - 1}", 1, 1)
-    result = unimodularity_check(algebra, SubalgebraSpec(algebra, span))
+    span = set()
+    for token in _tokens(args.subalgebra.split(",")):
+        if not token.text:
+            continue
+        k = _int(token)
+        if not 0 <= k < algebra.dim:
+            _fail(token, f"subalgebra indices must lie in 0..{algebra.dim - 1}")
+        span.add(k)
+    result = unimodularity_check(algebra, SubalgebraSpec(algebra, frozenset(span)))
     if result.verdict == "UNIMODULAR":
         print("UNIMODULAR")
     elif not _emit(result.witness_supertrace,

@@ -6,7 +6,10 @@ Gaussian-moment integration exact, and since s is transcendental the
 model is faithful.  Algebra elements are finite sums of terms
 ``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices: the power
 of s sits in the term key beside the odd monomial, so every coefficient
-is a plain rational.
+is a plain rational, stored as an ``int`` when integral and as a
+``Fraction`` only when its denominator exceeds 1.  Most coefficients of the
+paper's identities are integers, and an int product costs a small part of
+a Fraction product.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ def koszul_sign(a: Parity, b: Parity) -> int:
 class Scalar:
     """An exact value in s = sqrt(2*pi): a Laurent polynomial in s over Q.
 
-    ``terms`` maps each power of s to its nonzero Fraction coefficient, so
-    zero has no terms.  s is transcendental, so this models the values of
-    integrals over Gaussian axes faithfully: every sum is a value, and only
-    a single power of s times a nonzero rational is invertible.  Algebra
+    ``terms`` maps each power of s to its nonzero coefficient, an int when
+    integral and a Fraction otherwise, so zero has no terms.  s is
+    transcendental, so this models the values of integrals over Gaussian
+    axes faithfully: every sum is a value, and only a single power of s
+    times a nonzero rational is invertible.  Algebra
     elements keep the power of s in their term keys; a Scalar is only what
     integrals, evaluations, bodies and coefficients return.
     """
@@ -55,7 +59,7 @@ class Scalar:
     __slots__ = ("terms",)
 
     def __init__(self, rational=0, power: int = 0):
-        q = Fraction(rational)
+        q = _rational(rational)
         object.__setattr__(self, "terms", {int(power): q} if q else {})
 
     def __setattr__(self, name, value):
@@ -94,7 +98,7 @@ class Scalar:
             return Fraction(0)
         if len(self.terms) > 1 or 0 not in self.terms:
             raise ValueError(f"{self} is not rational: it carries a power of s")
-        return self.terms[0]
+        return Fraction(self.terms[0])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -133,7 +137,7 @@ class Scalar:
             raise NonInvertibleError(
                 f"{other} mixes powers of s and has no inverse in Q[s, 1/s]")
         (k, c), = other.terms.items()
-        return self * _in_s({-k: 1 / c})
+        return self * _in_s({-k: _quotient(1, c)})
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
@@ -167,9 +171,34 @@ class Scalar:
         return f"Scalar({self!s})"
 
 
+def _canonical(q):
+    """The stored form of a rational: its numerator when integral, else q.
+
+    The one normalisation of every coefficient: an int stays an int, and a
+    Fraction whose denominator is 1 becomes its int.
+    """
+    return q.numerator if q.denominator == 1 else q
+
+
+def _rational(value):
+    """An input coefficient in stored form; TypeError unless int or Fraction.
+
+    A float is refused: its binary value is not the rational it was
+    written as.
+    """
+    if isinstance(value, (int, Fraction)):
+        return _canonical(value)
+    raise TypeError(f"{value!r} is not an exact rational (int or Fraction)")
+
+
+def _quotient(a, b):
+    """a / b for rationals, in stored form; never a float."""
+    return _canonical(Fraction(a, b))
+
+
 def _in_s(terms: dict) -> Scalar:
     """The Scalar whose terms are ``terms``, which must map ints to nonzero
-    Fractions and is kept, not copied."""
+    coefficients in stored form and is kept, not copied."""
     out = object.__new__(Scalar)
     object.__setattr__(out, "terms", terms)
     return out
@@ -219,14 +248,17 @@ def _add_terms(acc: dict, items) -> dict:
     """Add the (key, value) pairs of ``items`` into the sparse sum ``acc``.
 
     Pairs are added in order, a repeated key as ``acc[key] + value``, and a
-    key whose value is zero (false) is dropped.  Returns ``acc``, which is
-    updated in place.
+    key whose value is zero (false) is dropped.  A Fraction is stored in
+    ``_canonical`` form; other values (ints, Polynomials) pass unchanged.
+    Returns ``acc``, which is updated in place.
     """
     for key, value in items:
         prev = acc.get(key)
         if prev is not None:
             value = prev + value
         if value:
+            if type(value) is Fraction:
+                value = _canonical(value)
             acc[key] = value
         else:
             acc.pop(key, None)
@@ -292,9 +324,9 @@ class GrassmannElement:
     """Finite sum of terms c s^k xi^idx over N generators, c rational.
 
     ``terms`` maps each key ``(idx, k)`` (a strictly increasing generator
-    tuple and a power of s) to its nonzero Fraction coefficient.  The
-    public constructor takes ``{idx: coefficient}`` with Scalar, int or
-    Fraction coefficients.
+    tuple and a power of s) to its nonzero coefficient: int when integral,
+    Fraction otherwise.  The public constructor takes ``{idx: coefficient}``
+    with Scalar, int or Fraction coefficients.
     """
 
     __slots__ = ("generator_count", "terms")
@@ -469,7 +501,8 @@ def _element(generator_count: int, terms: dict) -> GrassmannElement:
     """Trusted constructor for the results of closed operations.
 
     ``terms`` must map keys ``(idx, k)``, idx a strictly increasing in-range
-    index tuple and k an int, to nonzero Fractions and is kept, not copied;
+    index tuple and k an int, to nonzero coefficients, int when integral
+    and Fraction otherwise, and is kept, not copied;
     the public constructor checks all of this, this one assumes it.
     """
     out = object.__new__(GrassmannElement)

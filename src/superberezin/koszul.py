@@ -81,7 +81,7 @@ class KoszulComplexSlice:
     def parity_of(mono: Monomial) -> Parity:
         return Parity(len(mono[1]) % 2)
 
-    def apply_d(self, mono: Monomial) -> list[tuple[Fraction, Monomial]]:
+    def apply_d(self, mono: Monomial) -> list[tuple[int, Monomial]]:
         """Left multiplication by the canonical element, degree +2."""
         evens, odds = mono
         out = []
@@ -89,12 +89,11 @@ class KoszulComplexSlice:
                 self._canonical, _masked([(odds, None)])):
             new_evens = list(evens)
             new_evens[even_letter] += 1
-            out.append((Fraction(-1 if negative else 1),
-                        (tuple(new_evens), new_odds)))
+            out.append((-1 if negative else 1, (tuple(new_evens), new_odds)))
         return out
 
     def differential_matrix(self, degree: int,
-                            parity: Parity) -> list[dict[int, Fraction]]:
+                            parity: Parity) -> list[dict[int, int]]:
         """Sparse matrix of d on the (degree, parity) slice.
 
         One row per source monomial, as {target index: coefficient}; the
@@ -105,7 +104,7 @@ class KoszulComplexSlice:
         }
         rows = []
         for mono in self.basis(degree, parity):
-            row: dict[int, Fraction] = {}
+            row: dict[int, int] = {}
             for coeff, image in self.apply_d(mono):
                 j = target_index[image]
                 row[j] = row.get(j, 0) + coeff
@@ -122,10 +121,10 @@ class KoszulComplexSlice:
 
     def d_squared_vanishes(self, degree: int) -> bool:
         for mono in self._bases[degree]:
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, int] = {}
             for c1, m1 in self.apply_d(mono):
                 for c2, m2 in self.apply_d(m1):
-                    acc[m2] = acc.get(m2, Fraction(0)) + c1 * c2
+                    acc[m2] = acc.get(m2, 0) + c1 * c2
             if any(v != 0 for v in acc.values()):
                 return False
         return True
@@ -251,4 +250,4 @@ def dual_class_factor(p: int, q: int, T) -> Fraction:
             # x'_i = Σ_k D_{k,i-p}·x_{p+k}, letters p..n-1
             primed.append(_letters(n, {p + k: D[k][i - p] for k in range(q)}))
     plain = [_letters(n, {i: 1}) for i in reversed(range(n))]
-    return _top_coefficient(primed, n) / _top_coefficient(plain, n)
+    return Fraction(_top_coefficient(primed, n), _top_coefficient(plain, n))

@@ -1,7 +1,8 @@
 """Finite-dimensional Lie superalgebras over exact rationals.
 
 An algebra is a named graded basis plus structure constants; elements are
-coefficient vectors.  The basis must list even generators before odd ones
+coefficient vectors, each entry an int when integral and a Fraction
+otherwise.  The basis must list even generators before odd ones
 so that adjoint matrices fit the supermatrix block layout (entries live
 in the rank-zero Grassmann algebra, i.e. are plain rationals with a
 parity tag).
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionError, ParityError, StructureError
-from .grassmann import EVEN, ODD, GrassmannElement, Parity
+from .grassmann import EVEN, ODD, GrassmannElement, Parity, _canonical, _rational
 from .supermatrix import SuperMatrix, supertrace
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
     "validate",
 ]
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
 
 _Z0 = GrassmannElement.zero(0)
 _I0 = GrassmannElement.one(0)
@@ -51,7 +52,7 @@ CONNECTED_NOTE = "infinitesimal criterion - valid for connected groups"
 
 
 def _as_vector(value, dim: int) -> Vector:
-    vec = tuple(Fraction(c) for c in value)
+    vec = tuple(_rational(c) for c in value)
     if len(vec) != dim:
         raise DimensionError(f"expected a vector of length {dim}")
     return vec
@@ -112,10 +113,10 @@ class LieSuperAlgebra:
         return self.dim - self.even_count
 
     def zero_vector(self) -> Vector:
-        return (Fraction(0),) * self.dim
+        return (0,) * self.dim
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
+        return tuple(1 if k == i else 0 for k in range(self.dim))
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self.brackets.get((i, j), self.zero_vector())
@@ -123,7 +124,7 @@ class LieSuperAlgebra:
     def bracket(self, x, y) -> Vector:
         x = _as_vector(x, self.dim)
         y = _as_vector(y, self.dim)
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, a in enumerate(x):
             if not a:
                 continue
@@ -132,7 +133,7 @@ class LieSuperAlgebra:
                     continue
                 for k, c in enumerate(self.bracket_basis(i, j)):
                     out[k] += a * b * c
-        return tuple(out)
+        return tuple(_canonical(c) for c in out)
 
     def vector_parity(self, x) -> Parity | None:
         x = _as_vector(x, self.dim)
@@ -332,7 +333,7 @@ def change_basis(g: LieSuperAlgebra, matrix,
     and odd directions).
     """
     dim = g.dim
-    P = [[Fraction(e) for e in row] for row in matrix]
+    P = [[_rational(e) for e in row] for row in matrix]
     if len(P) != dim or any(len(row) != dim for row in P):
         raise DimensionError("basis-change matrix has the wrong size")
     for r in range(dim):
@@ -343,7 +344,7 @@ def change_basis(g: LieSuperAlgebra, matrix,
     constants = {}
     for a in range(dim):
         for b in range(dim):
-            image = [Fraction(0)] * dim
+            image = [0] * dim
             for r in range(dim):
                 if not P[r][a]:
                     continue
@@ -407,8 +408,8 @@ def random_homogeneous_element(g: LieSuperAlgebra, rng: random.Random,
     if not indices:
         raise StructureError(f"no generators of parity {parity}")
     while True:
-        vec = [Fraction(0)] * g.dim
+        vec = [0] * g.dim
         for i in indices:
-            vec[i] = Fraction(rng.randint(*coeff_range))
+            vec[i] = rng.randint(*coeff_range)
         if any(vec):
             return tuple(vec)

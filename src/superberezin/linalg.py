@@ -1,7 +1,11 @@
-"""Exact linear algebra over Fraction matrices.
+"""Exact linear algebra over rational matrices.
+
+Entries are stored as ints when integral and as Fractions otherwise, as
+everywhere in the package; inputs must be ints or Fractions (a float
+raises TypeError), and every result comes back in that form.
 
 `rank`, `nullspace`, `solve` and `inverse` share one sparse elimination
-core.  Each row is a ``{column: Fraction}`` dict holding only its
+core.  Each row is a ``{column: value}`` dict holding only its
 nonzeros.  Columns are taken in increasing order; the pivot for a column
 is the row holding it with the fewest nonzeros (ties to the lower row
 index), and a column -> rows index means each step touches only the rows
@@ -21,13 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionError, NonInvertibleError
+from .grassmann import _canonical, _quotient, _rational
 
-Matrix = list[list[Fraction]]
-SparseRow = dict[int, Fraction]
+Rational = int | Fraction  # int when integral, Fraction otherwise
+Matrix = list[list[Rational]]
+SparseRow = dict[int, Rational]
 
 
 def _as_matrix(rows) -> Matrix:
-    out = [[Fraction(x) for x in row] for row in rows]
+    out = [[_rational(x) for x in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionError("ragged matrix")
     return out
@@ -49,14 +55,21 @@ def _sparse_rows(rows, ncols: int | None) -> tuple[list[SparseRow], int]:
         for c, x in row.items():
             if not 0 <= c < ncols:
                 raise DimensionError(f"column index {c} outside 0..{ncols - 1}")
-            value = Fraction(x)
+            value = _rational(x)
             if value:
                 entries[c] = value
         out.append(entries)
     return out, ncols
 
 
-def _subtract(row: SparseRow, factor: Fraction, pivot_row: SparseRow,
+def _divided(row: SparseRow, lead: Rational) -> SparseRow:
+    """row / lead, entry by entry; a lead of 1 or -1 multiplies instead."""
+    if lead in (1, -1):
+        return {c: v * lead for c, v in row.items()}
+    return {c: _quotient(v, lead) for c, v in row.items()}
+
+
+def _subtract(row: SparseRow, factor: Rational, pivot_row: SparseRow,
               skip: int) -> list[tuple[int, bool]]:
     """row -= factor * pivot_row outside column `skip`, in place.
 
@@ -69,12 +82,12 @@ def _subtract(row: SparseRow, factor: Fraction, pivot_row: SparseRow,
             continue
         old = row.get(c)
         if old is None:
-            row[c] = -factor * v
+            row[c] = _canonical(-factor * v)
             changed.append((c, True))
             continue
         new = old - factor * v
         if new:
-            row[c] = new
+            row[c] = _canonical(new)
         else:
             del row[c]
             changed.append((c, False))
@@ -104,7 +117,7 @@ def _echelon(rows: list[SparseRow], ncols: int) -> list[tuple[int, SparseRow]]:
         lead = pivot_row.pop(col)
         for c in pivot_row:
             holders[c].discard(p)
-        pivot_row = {c: v / lead for c, v in pivot_row.items()}
+        pivot_row = _divided(pivot_row, lead)
         for i in rows_here:
             if i == p:
                 continue
@@ -117,7 +130,7 @@ def _echelon(rows: list[SparseRow], ncols: int) -> list[tuple[int, SparseRow]]:
                     holders[c].discard(i)
             if not row:
                 del active[i]
-        pivot_row[col] = Fraction(1)
+        pivot_row[col] = 1
         pivots.append((col, pivot_row))
     return pivots
 
@@ -146,7 +159,7 @@ def rank(rows, ncols: int | None = None) -> int:
     return len(_echelon(*_sparse_rows(rows, ncols)))
 
 
-def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
+def nullspace(rows, ncols: int | None = None) -> list[list[Rational]]:
     """Basis of the right kernel, one vector per free column.
 
     The vector for free column f has a 1 at f, zero at the other free
@@ -159,8 +172,8 @@ def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
     basis = {}
     for fc in range(width):
         if fc not in pivot_cols:
-            vec = [Fraction(0)] * width
-            vec[fc] = Fraction(1)
+            vec = [0] * width
+            vec[fc] = 1
             basis[fc] = vec
     for col, row in pivots:
         for c, v in row.items():
@@ -169,13 +182,13 @@ def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
     return list(basis.values())
 
 
-def solve(rows, rhs) -> list[Fraction] | None:
+def solve(rows, rhs) -> list[Rational] | None:
     """One solution of A x = b, or None if inconsistent.
 
     Free variables are set to zero.
     """
     mat = _as_matrix(rows)
-    b = [Fraction(x) for x in rhs]
+    b = [_rational(x) for x in rhs]
     if len(mat) != len(b):
         raise DimensionError("rhs length does not match row count")
     if not mat:
@@ -183,35 +196,34 @@ def solve(rows, rhs) -> list[Fraction] | None:
     cols = len(mat[0])
     sparse = [{c: v for c, v in enumerate(row + [bv]) if v}
               for row, bv in zip(mat, b)]
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for col, row in _rref(sparse, cols + 1):
         if col == cols:
             return None
-        x[col] = row.get(cols, Fraction(0))
+        x[col] = row.get(cols, 0)
     return x
 
 
-def det(rows) -> Fraction:
+def det(rows) -> Rational:
     mat = _as_matrix(rows)
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise DimensionError("determinant requires a square matrix")
     m = [row[:] for row in mat]
-    result = Fraction(1)
+    result = 1
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
             result = -result
         result *= m[c][c]
-        inv = 1 / m[c][c]
         for i in range(c + 1, n):
             if m[i][c] != 0:
-                factor = m[i][c] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return result
+                factor = _quotient(m[i][c], m[c][c])
+                m[i] = [_canonical(a - factor * b) for a, b in zip(m[i], m[c])]
+    return _canonical(result)
 
 
 def inverse(rows) -> Matrix:
@@ -221,11 +233,11 @@ def inverse(rows) -> Matrix:
         raise DimensionError("inverse requires a square matrix")
     sparse = [{c: x for c, x in enumerate(row) if x} for row in mat]
     for i, row in enumerate(sparse):
-        row[n + i] = Fraction(1)
+        row[n + i] = 1
     pivots = _rref(sparse, 2 * n)
     if [col for col, _ in pivots] != list(range(n)):
         raise NonInvertibleError("matrix is singular")
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i, (_, row) in enumerate(pivots):
         for c, v in row.items():
             if c >= n:

@@ -7,6 +7,7 @@ means the equality genuinely failed.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .berezin import (
     product_section,
     pullback_section,
 )
-from .grassmann import EVEN, ODD, GrassmannElement, Parity
+from .grassmann import EVEN, ODD, GrassmannElement, Parity, _element
 from .supermatrix import SuperMatrix
 from .superdomain import (
     Interval,
@@ -52,19 +53,24 @@ class CheckLine:
 # -- random element generation ------------------------------------------
 
 
+@functools.cache
+def _monomials(n: int, parity: Parity | None) -> tuple[tuple[int, ...], ...]:
+    """The index tuples on n generators of one parity (all for None), by
+    size and then lexicographically."""
+    return tuple(idx for size in range(n + 1)
+                 if parity is None or size % 2 == parity.value
+                 for idx in combinations(range(n), size))
+
+
 def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
                      max_terms: int = 3, body_range=(-3, 3),
                      ensure_body: bool = False) -> GrassmannElement:
     """Random element of the algebra on n generators, optionally homogeneous.
 
     With ensure_body the unit coefficient is forced nonzero (only sensible
-    for even elements).
+    for even elements).  Coefficients are integers.
     """
-    indices = []
-    for size in range(n + 1):
-        if parity is not None and size % 2 != parity.value:
-            continue
-        indices.extend(combinations(range(n), size))
+    indices = _monomials(n, parity)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         idx = rng.choice(indices)
@@ -72,7 +78,7 @@ def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
         terms[idx] = terms.get(idx, 0) + coeff
     if ensure_body and not terms.get(()):
         terms[()] = rng.choice([x for x in range(body_range[0], body_range[1] + 1) if x])
-    return GrassmannElement(n, {i: Fraction(c) for i, c in terms.items()})
+    return _element(n, {(idx, 0): c for idx, c in terms.items() if c})
 
 
 def _body_matrix(block) -> list[list[Fraction]]:
@@ -146,7 +152,7 @@ def random_polynomial(rng: random.Random, m: int, max_deg: int = 2,
         exps = tuple(rng.randint(0, max_deg) for _ in range(m))
         coeff = rng.randint(*coeff_range)
         terms[exps] = terms.get(exps, 0) + coeff
-    return Polynomial(m, {e: Fraction(c) for e, c in terms.items()})
+    return Polynomial(m, terms)
 
 
 def random_superfunction(rng: random.Random, shape: SuperDomainShape,
@@ -164,11 +170,11 @@ def random_superfunction(rng: random.Random, shape: SuperDomainShape,
 # -- suite: change of variables -------------------------------------------
 
 
-_AXIS_STARTS = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1))
-_AXIS_WIDTHS = (Fraction(1), Fraction(2), Fraction(1, 2))
-_BODY_SCALES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
-_BODY_SHIFTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
-_ODD_SCALES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+_AXIS_STARTS = (-2, -1, 0, 1)
+_AXIS_WIDTHS = (1, 2, Fraction(1, 2))
+_BODY_SCALES = (1, 2, Fraction(1, 2), 3)
+_BODY_SHIFTS = (0, 1, -1, Fraction(1, 2))
+_ODD_SCALES = (1, -1, 2, Fraction(1, 2))
 
 
 def _random_oriented_automorphism(rng: random.Random, m: int, n: int):
@@ -376,14 +382,14 @@ def _random_adapted_change(rng: random.Random, g, span: frozenset,
     """
     dim = g.dim
     for _ in range(max_tries):
-        P = [[Fraction(0)] * dim for _ in range(dim)]
+        P = [[0] * dim for _ in range(dim)]
         for c in range(dim):
             for r in range(dim):
                 if g.parities[r] is not g.parities[c]:
                     continue
                 if c in span and r not in span:
                     continue
-                P[r][c] = Fraction(rng.randint(-2, 2))
+                P[r][c] = rng.randint(-2, 2)
         if linalg.det([row[:] for row in P]) != 0:
             return P
     raise RuntimeError("failed to generate an adapted basis change")

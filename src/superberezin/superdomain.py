@@ -5,7 +5,8 @@ optionally `aux` auxiliary odd constants (generalized-point parameters).
 Functions are finite sums Σ_α ξ^α f_α where the f_α are Laurent
 polynomials with rational coefficients in the even coordinates and
 s = sqrt(2π) — integer exponents may be negative, which is how the
-multiplicative-group densities like a^{-1} stay exact.
+multiplicative-group densities like a^{-1} stay exact.  A coefficient is
+stored as an int when integral and as a Fraction otherwise.
 
 Odd generators are globally ordered: the n odd coordinates first, the aux
 parameters after.  Nothing ever permutes the aux block, so signs of
@@ -29,12 +30,15 @@ from .errors import (
 from .grassmann import EVEN, ODD, Parity, Scalar
 from .grassmann import (
     _add_terms,
+    _canonical,
     _graded_products,
     _in_s,
     _inverse_series,
     _masked,
     _monomial_text,
     _parity,
+    _quotient,
+    _rational,
     _signed_sum,
     _validate_index,
 )
@@ -50,8 +54,8 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", Fraction(_rational(self.lo)))
+        object.__setattr__(self, "hi", Fraction(_rational(self.hi)))
         if self.lo >= self.hi:
             raise DomainBoxError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -60,8 +64,8 @@ class Interval:
 
     def samples(self, per_axis: int = 3) -> list[Fraction]:
         if per_axis < 2:
-            return [(self.lo + self.hi) / 2]
-        step = (self.hi - self.lo) / (per_axis - 1)
+            return [Fraction(self.lo + self.hi, 2)]
+        step = Fraction(self.hi - self.lo, per_axis - 1)
         return [self.lo + step * k for k in range(per_axis)]
 
     def __str__(self) -> str:
@@ -171,7 +175,8 @@ class Polynomial:
     """Laurent polynomial in m even variables and s, rational coefficients.
 
     ``terms`` maps each key ``(e_1, ..., e_m, k)``, the exponents of the
-    variables and then the power of s, to its nonzero Fraction coefficient.
+    variables and then the power of s, to its nonzero coefficient: int
+    when integral, Fraction otherwise.
     The public constructor takes ``{(e_1, ..., e_m): coefficient}`` with
     Scalar, int or Fraction coefficients.
     """
@@ -278,7 +283,7 @@ class Polynomial:
                 "only monomials are invertible in the Laurent polynomial ring"
             )
         (exps, coeff), = self.terms.items()
-        return _poly(self.nvars, {tuple(-e for e in exps): 1 / coeff})
+        return _poly(self.nvars, {tuple(-e for e in exps): _quotient(1, coeff)})
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
@@ -289,14 +294,14 @@ class Polynomial:
             if e == 0:
                 continue
             new = exps[:i] + (e - 1,) + exps[i + 1:]
-            terms[new] = coeff * e
+            terms[new] = _canonical(coeff * e)
         return _poly(self.nvars, terms)
 
     def evaluate(self, point: Sequence[Fraction]) -> Scalar:
         """The value at a rational point, a value in s."""
         if len(point) != self.nvars:
             raise DimensionError("evaluation point has wrong length")
-        point = [Fraction(x) for x in point]
+        point = [_rational(x) for x in point]
         pieces = []
         for exps, coeff in self.terms.items():
             for x, e in zip(point, exps):
@@ -304,7 +309,7 @@ class Polynomial:
                     continue
                 if x == 0 and e < 0:
                     raise ZeroDivisionError("negative exponent at zero")
-                coeff *= x ** e
+                coeff *= x ** e if e > 0 else Fraction(1, x ** -e)
             pieces.append((exps[-1], coeff))
         return _in_s(_add_terms({}, pieces))
 
@@ -343,7 +348,8 @@ def _poly(nvars: int, terms: dict) -> Polynomial:
     """Trusted constructor for the results of closed Polynomial operations.
 
     ``terms`` must map int tuples of length ``nvars + 1`` (the power of s
-    last) to nonzero Fractions and is kept, not copied; the public
+    last) to nonzero coefficients, int when integral and Fraction
+    otherwise, and is kept, not copied; the public
     constructor checks all of this, this one assumes it.
     """
     out = object.__new__(Polynomial)
@@ -357,7 +363,7 @@ def binomial_coefficient(e: int, j: int) -> Fraction:
     num = Fraction(1)
     for t in range(j):
         num *= Fraction(e - t)
-    return num / math.factorial(j)
+    return Fraction(num, math.factorial(j))
 
 
 # -- superfunctions --------------------------------------------------------
@@ -652,9 +658,10 @@ class SuperMorphism:
         """Collapse onto a rational point with zero odd part."""
         if len(point) != target.m:
             raise DimensionError("point has wrong length")
-        if not box_contains(target.box, [Fraction(x) for x in point]):
+        point = [_rational(x) for x in point]
+        if not box_contains(target.box, point):
             raise DomainBoxError("point lies outside the target box")
-        evens = [SuperFunction.constant(source, Fraction(x)) for x in point]
+        evens = [SuperFunction.constant(source, x) for x in point]
         odds = [SuperFunction.zero(source) for _ in range(target.n)]
         return SuperMorphism(source, target, evens, odds)
 

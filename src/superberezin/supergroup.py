@@ -314,7 +314,7 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
         for (odd_part, exps), c in zip(unknowns, vec):
             if not c:
                 continue
-            poly = Polynomial(m, {exps: c / lead})
+            poly = Polynomial(m, {exps: Fraction(c, lead)})
             coeffs[odd_part] = coeffs.get(odd_part, Polynomial.constant(m, 0)) \
                 + poly
         density = SuperFunction(G.shape, coeffs)

@@ -113,9 +113,14 @@ def test_integrate_box_fractional_bounds(tmp_path, capsys):
 
 
 def test_integrate_box_odd_bound_count(tmp_path, capsys):
+    # columns count along the words after --backend: the unpaired last bound
     path = write(tmp_path, "f.txt", BOX_FUNCTION)
     assert cli.main(["integrate", path, "--backend", "box", "0"]) == 2
-    assert "even number of bounds" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "parse error: line 1, column 5: box backend needs an even number "
+        "of bounds\n")
+    assert cli.main(["integrate", path, "--backend", "box", "0", "1", "-2"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 1, column 9:")
 
 
 def test_integrate_box_bad_bound(tmp_path, capsys):
@@ -154,6 +159,16 @@ def test_integrate_zero_denominator_is_a_parse_error(tmp_path, capsys):
 def test_integrate_unknown_backend(tmp_path, capsys):
     path = write(tmp_path, "f.txt", BOX_FUNCTION)
     assert cli.main(["integrate", path, "--backend", "montecarlo"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 1, column 1: unknown backend 'montecarlo'\n")
+
+
+def test_integrate_extra_word_after_gaussian(tmp_path, capsys):
+    # the offending word is the one after the known name
+    path = write(tmp_path, "f.txt", BOX_FUNCTION)
+    assert cli.main(["integrate", path, "--backend", "gaussian", "box"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 1, column 10: unknown backend 'gaussian box'\n")
 
 
 def test_integrate_nonintegrable_exponent(tmp_path, capsys):
@@ -233,13 +248,22 @@ def test_unimodular_span_not_closed(tmp_path, capsys):
 
 
 def test_unimodular_bad_span_token(tmp_path, capsys):
+    # columns count along the --subalgebra value
     path = write(tmp_path, "g.txt", GL11_ALGEBRA)
     assert cli.main(["unimodular", path, "--subalgebra", "0,x"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 1, column 3: expected an integer, got 'x'\n")
+    assert cli.main(["unimodular", path, "--subalgebra", "1,3,1.5"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 1, column 5:")
 
 
 def test_unimodular_span_out_of_range(tmp_path, capsys):
     path = write(tmp_path, "g.txt", GL11_ALGEBRA)
     assert cli.main(["unimodular", path, "--subalgebra", "0,9"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 1, column 3: subalgebra indices must lie in 0..3\n")
+    assert cli.main(["unimodular", path, "--subalgebra", "1,,-1"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 1, column 4:")
 
 
 def test_unimodular_invalid_algebra(tmp_path, capsys):

@@ -63,6 +63,26 @@ class TestScalar:
             with pytest.raises(ValueError):
                 value.rational
 
+    def test_floats_are_refused(self):
+        # a float's binary value is not the rational it was written as
+        for build in (lambda: Scalar(0.1), lambda: Scalar(1) + 0.5,
+                      lambda: Scalar(1) * 0.5, lambda: Scalar(1) / 0.5,
+                      lambda: GrassmannElement(2, {(): 0.5}),
+                      lambda: GrassmannElement.one(2) * 0.5):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_integral_values_are_stored_as_ints(self):
+        for value, want in ((Scalar(Fraction(4, 2)), 2), (Scalar(True), 1),
+                            (Scalar(3) / Scalar(3), 1),
+                            (Scalar(Fraction(1, 2)) * 4, 2),
+                            (Scalar(Fraction(1, 2)) + Fraction(1, 2), 1)):
+            assert value.terms == {0: want}
+            assert type(value.terms[0]) is int
+        assert Scalar(1) / Scalar(2) == Scalar(Fraction(1, 2))
+        assert type((Scalar(1) / Scalar(2)).terms[0]) is Fraction
+        assert type(Scalar(2).rational) is Fraction
+
     def test_mul_adds_exponents(self):
         assert Scalar(2, 1) * Scalar(3, 2) == Scalar(6, 3)
 
@@ -169,6 +189,11 @@ class TestInverse:
 N_GEN = 4
 
 
+# ints and Fractions, integral ones included, as a caller may pass them
+rationals = st.one_of(st.integers(-5, 5),
+                      st.fractions(-5, 5, max_denominator=4))
+
+
 def elements(max_terms=4, parity=None):
     all_indices = []
     for size in range(N_GEN + 1):
@@ -176,8 +201,7 @@ def elements(max_terms=4, parity=None):
             continue
         from itertools import combinations
         all_indices.extend(combinations(range(N_GEN), size))
-    coeffs = st.integers(min_value=-5, max_value=5).map(Fraction)
-    pairs = st.tuples(st.sampled_from(all_indices), coeffs)
+    pairs = st.tuples(st.sampled_from(all_indices), rationals)
     return st.lists(pairs, max_size=max_terms).map(
         lambda items: GrassmannElement(N_GEN, items)
     )
@@ -261,9 +285,16 @@ def test_ring_laws_mixing_powers_of_s(a, b, c, e):
 # Closed operations build their results through a trusted constructor that
 # skips validation; each result must equal what the validating one builds.
 
-scalars = st.lists(st.builds(Scalar, st.integers(-3, 3).map(Fraction),
-                             st.integers(-1, 1)), max_size=3).map(
-    lambda parts: sum(parts, Scalar.zero()))
+scalars = st.lists(st.builds(Scalar, rationals, st.integers(-1, 1)),
+                   max_size=3).map(lambda parts: sum(parts, Scalar.zero()))
+
+
+def assert_stored(coeff):
+    """A stored coefficient is nonzero and in canonical form: an int, or a
+    Fraction whose denominator exceeds 1; never a float or a bool."""
+    assert type(coeff) is int or (type(coeff) is Fraction
+                                  and coeff.denominator > 1), repr(coeff)
+    assert coeff != 0
 
 
 def _public_terms(element):
@@ -275,20 +306,30 @@ def _public_terms(element):
 @settings(max_examples=150, deadline=None)
 @given(scalars, scalars)
 def test_closed_scalar_operations_are_canonical(a, b):
-    for r in [a * b, -a, a + (-a), a - a, a + b, a - b]:
+    results = [a * b, -a, a + (-a), a - a, a + b, a - b, a * a * a]
+    if len(b.terms) == 1:
+        results += [a / b, b ** -2]
+    for r in results:
         assert sum((Scalar(c, k) for k, c in r.terms.items()), Scalar(0)) == r
         for k, c in r.terms.items():
-            assert type(k) is int and type(c) is Fraction and c != 0
+            assert type(k) is int
+            assert_stored(c)
+    if list(a.terms) in ([], [0]):
+        assert type(a.rational) is Fraction
 
 
 @settings(max_examples=150, deadline=None)
 @given(elements(), elements())
 def test_closed_operations_are_canonical(a, b):
-    for r in (a * b, a + b, a - b, -a, a.soul(), a.even_part(), a.odd_part()):
+    results = [a * b, a + b, a - b, -a, a.soul(), a.even_part(), a.odd_part(),
+               a * a * b]
+    if a.body():
+        results.append(a.even_part().inv_even())
+    for r in results:
         assert r == GrassmannElement(N_GEN, _public_terms(r))
         for (idx, k), coeff in r.terms.items():
             assert type(idx) is tuple and type(k) is int
-            assert type(coeff) is Fraction and coeff != 0
+            assert_stored(coeff)
 
 
 # The sparse product runs on generator bitmasks; the oracle below merges the

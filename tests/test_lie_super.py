@@ -214,6 +214,26 @@ def test_change_basis_preserves_brackets():
         g2, SubalgebraSpec(g2, frozenset())).verdict == "UNIMODULAR"
 
 
+def test_vectors_are_stored_ints_where_integral():
+    g = gl11_algebra()
+    P = [[Fraction(1, 2), Fraction(1, 2), 0, 0],
+         [Fraction(1, 2), Fraction(-1, 2), 0, 0],
+         [0, 0, 2, 0],
+         [0, 0, 1, Fraction(1, 2)]]
+    g2 = change_basis(g, P)
+    vectors = list(g2.brackets.values()) + [g2.basis_vector(0), g2.zero_vector(),
+                                            g2.bracket((Fraction(2, 2), 0, 1, 0),
+                                                       (0, 0, 0, 2))]
+    for vec in vectors:
+        for c in vec:
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator > 1), repr(c)
+    with pytest.raises(TypeError):
+        g.bracket((0.5, 0, 0, 0), (0, 0, 1, 0))
+    with pytest.raises(TypeError):
+        change_basis(g, [[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
 def test_borel_verdict_invariant_under_adapted_changes():
     g = gl11_algebra()
     rng = random.Random(3)

@@ -147,7 +147,16 @@ def test_nullspace_vectors_annihilate(m):
 
 # -- sparse core against the dense reference ----------------------------------
 
-entry = st.integers(min_value=-3, max_value=3).map(Fraction)
+# ints and Fractions, integral ones included, as a caller may pass them
+entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+
+
+def assert_stored(values):
+    """Every value is an int or a Fraction whose denominator exceeds 1;
+    never a float, a bool or an integral Fraction."""
+    for v in values:
+        assert type(v) is int or (type(v) is Fraction
+                                  and v.denominator > 1), repr(v)
 
 
 @st.composite
@@ -176,6 +185,8 @@ def matrices(draw, square=False):
 def test_rank_and_nullspace_match_dense_oracle(m):
     assert rank(m) == oracle_rank(m)
     assert nullspace(m) == oracle_nullspace(m)
+    for vec in nullspace(m):
+        assert_stored(vec)
     cols = len(m[0]) if m else 0
     assert rank(_sparse(m), ncols=cols) == oracle_rank(m)
     if m:
@@ -187,6 +198,7 @@ def test_rank_and_nullspace_match_dense_oracle(m):
 def test_solve_matches_dense_oracle(m, data):
     rhs = data.draw(st.lists(entry, min_size=len(m), max_size=len(m)))
     assert solve(m, rhs) == oracle_solve(m, rhs)
+    assert_stored(solve(m, rhs) or [])
     # a right-hand side in the column space always has a solution
     cols = len(m[0]) if m else 0
     x = data.draw(st.lists(entry, min_size=cols, max_size=cols))
@@ -204,6 +216,9 @@ def test_inverse_matches_dense_oracle(m):
             inverse(m)
     else:
         assert inverse(m) == expected
+        for row in inverse(m):
+            assert_stored(row)
+    assert_stored([det(m)])
 
 
 def test_sparse_rows_with_ncols():
@@ -216,6 +231,23 @@ def test_sparse_rows_with_ncols():
         rank([{3: 1}], ncols=3)
     with pytest.raises(DimensionError):
         nullspace([{-1: 1}], ncols=3)
+
+
+def test_floats_are_refused():
+    # a float's binary value is not the rational it was written as
+    for call in (lambda: rank([[0.5, 1]]), lambda: det([[0.1]]),
+                 lambda: nullspace([{0: 0.5}], ncols=1),
+                 lambda: solve([[1]], [0.5]), lambda: inverse([[2.0]])):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_results_are_ints_where_integral():
+    assert_stored([det([[Fraction(1, 2), 1], [1, 4]]), det([[2, 1], [1, 1]])])
+    assert det([[Fraction(1, 2), 1], [1, 4]]) == 1
+    assert_stored(solve([[2, 0], [0, 4]], [6, 2]))
+    for row in inverse([[2, 0], [0, Fraction(1, 3)]]):
+        assert_stored(row)
 
 
 def test_ragged_dense_input_rejected():

@@ -331,6 +331,18 @@ class TestBoxes:
         with pytest.raises(DomainBoxError):
             double.check_body_box()
 
+    def test_floats_are_refused(self):
+        # a float's binary value is not the rational it was written as
+        shape = SuperDomainShape(1, (Interval(0, 1),), 0)
+        x = SuperFunction.coordinate(shape, 0)
+        for build in (lambda: Interval(0.1, 1), lambda: Interval(0, 0.5),
+                      lambda: x.evaluate_body((0.5,)),
+                      lambda: Polynomial(1, {(1,): 0.5}),
+                      lambda: SuperMorphism.constant_point(shape, shape, (0.5,))):
+            with pytest.raises(TypeError):
+                build()
+        assert Interval(Fraction(1, 2), 1).samples(2) == [Fraction(1, 2), 1]
+
     def test_power_of_s_is_not_in_a_bounded_box(self):
         # x -> s x on [0, 1]: s ~ 2.507 puts the image of 1 outside
         shape = SuperDomainShape(1, (Interval(0, 1),), 0)
@@ -575,7 +587,20 @@ def test_pullback_where_the_result_mixes_powers_of_s():
 # constructor builds from its data, and store no zero.
 
 
+def _assert_stored(coeff):
+    """A stored coefficient is nonzero and in canonical form: an int, or a
+    Fraction whose denominator exceeds 1; never a float or a bool."""
+    assert type(coeff) is int or (type(coeff) is Fraction
+                                  and coeff.denominator > 1), repr(coeff)
+    assert coeff != 0
+
+
 def _assert_canonical(value):
+    if isinstance(value, Scalar):
+        for k, coeff in value.terms.items():
+            assert type(k) is int
+            _assert_stored(coeff)
+        return
     if isinstance(value, SuperFunction):
         assert value == SuperFunction(value.shape, value.coeffs)
         for idx, poly in value.coeffs.items():
@@ -590,11 +615,11 @@ def _assert_canonical(value):
     for exps, coeff in value.terms.items():
         assert type(exps) is tuple and len(exps) == value.nvars + 1
         assert all(type(e) is int for e in exps)
-        assert type(coeff) is Fraction and coeff != 0
+        _assert_stored(coeff)
 
 
 def _canonical_or_zero(value):
-    if isinstance(value, SuperFunction) or value:
+    if isinstance(value, (Scalar, SuperFunction)) or value:
         _assert_canonical(value)
     else:
         assert value.terms == {}
@@ -633,6 +658,11 @@ def test_closed_superfunction_operations_are_canonical(f, g):
         _canonical_or_zero(r)
     if p.is_monomial():
         _canonical_or_zero(f.even_part().inv_even())
+    # both axes take Laurent exponents: sample off zero
+    for point in [(1, 1), (2, -1), (Fraction(1, 2), 3),
+                  (Fraction(-2, 3), Fraction(3, 2))]:
+        _canonical_or_zero(p.evaluate(point))
+        _canonical_or_zero(f.evaluate_body(point))
 
 
 R13_AUX2 = SuperDomainShape(1, (POSITIVE,), 3, aux=2)
