@@ -27,7 +27,8 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DimensionError, InconclusiveError
-from .grassmann import GrassmannElement, Parity, _graded_products, _masked
+from .grassmann import (GrassmannElement, Parity, _graded_products, _masked,
+                        _rational)
 
 # A monomial is (even_exponents, odd_indices): a tuple of p+q nonnegative
 # integers and a strictly increasing tuple of odd-letter indices.
@@ -215,11 +216,11 @@ def d_class_factor(p: int, q: int, T) -> Fraction:
     of the letter product representing D(x') inside the homological model.
     """
     n = p + q
-    A = [[Fraction(T[i][j]) for j in range(p)] for i in range(p)]
-    D = [[Fraction(T[p + i][p + j]) for j in range(q)] for i in range(q)]
+    A = [[_rational(T[i][j]) for j in range(p)] for i in range(p)]
+    D = [[_rational(T[p + i][p + j]) for j in range(q)] for i in range(q)]
     for i in range(n):
         for j in range(n):
-            if (i < p) != (j < p) and Fraction(T[i][j]) != 0:
+            if (i < p) != (j < p) and _rational(T[i][j]) != 0:
                 raise DimensionError("numeric basis change must be block diagonal")
     Dinv = linalg.inverse(D) if q else []
     # even slots: Π(x'_j) = Σ_i A_ij·Πe_i, letters 0..p-1;
@@ -238,8 +239,8 @@ def dual_class_factor(p: int, q: int, T) -> Fraction:
     the primed and unprimed products, so μ is their coefficient ratio.
     """
     n = p + q
-    A = [[Fraction(T[i][j]) for j in range(p)] for i in range(p)]
-    D = [[Fraction(T[p + i][p + j]) for j in range(q)] for i in range(q)]
+    A = [[_rational(T[i][j]) for j in range(p)] for i in range(p)]
+    D = [[_rational(T[p + i][p + j]) for j in range(q)] for i in range(q)]
     Ainv = linalg.inverse(A) if p else []
     primed = []
     for i in reversed(range(n)):

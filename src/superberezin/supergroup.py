@@ -43,7 +43,7 @@ from .errors import (
     NormalizationError,
     StructureError,
 )
-from .grassmann import EVEN, ODD, Scalar
+from .grassmann import EVEN, ODD, Scalar, _rational
 from .lie_super import LieSuperAlgebra, ValidationReport, validate
 from .linalg import nullspace
 from .superdomain import (
@@ -74,7 +74,7 @@ class SuperGroupChart:
 
     def __post_init__(self):
         object.__setattr__(self, "unit",
-                           tuple(Fraction(x) for x in self.unit))
+                           tuple(Fraction(_rational(x)) for x in self.unit))
         if len(self.unit) != self.shape.m:
             raise DimensionError("unit point has wrong length")
         if self.mul.source != shape_product(self.shape, self.shape) \

@@ -98,6 +98,8 @@ def test_apply_d_matches_hop_count_oracle(p, q):
     for degree in range(cap + 1):
         for mono in cx.basis(degree):
             assert cx.apply_d(mono) == reference_apply_d(cx, mono)
+            # the signs are plain ints, never Fractions
+            assert all(type(c) is int for c, _ in cx.apply_d(mono))
 
 
 @pytest.mark.parametrize("p,q", ORACLE_SHAPES)
@@ -194,6 +196,14 @@ def _random_block_diag(rng, p, q):
         D = [row[p:] for row in T[p:]]
         if (not p or linalg.det(A) != 0) and (not q or linalg.det(D) != 0):
             return T
+
+
+def test_class_factors_refuse_floats():
+    # a float's binary value is not the rational it was written as
+    for factor in (d_class_factor, dual_class_factor):
+        with pytest.raises(TypeError):
+            factor(1, 1, [[0.5, 0], [0, 1]])
+    assert d_class_factor(1, 1, [[Fraction(4, 2), 0], [0, 1]]) == 2
 
 
 def test_d_class_factor_is_berezinian():

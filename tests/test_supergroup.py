@@ -104,6 +104,14 @@ def test_broken_inverse_is_reported():
     assert any("inverse" in f for f in report.failures)
 
 
+def test_float_unit_is_refused():
+    # a float's binary value is not the rational it was written as
+    G = axb_group()
+    with pytest.raises(TypeError):
+        type(G)(name="bad", shape=G.shape, mul=G.mul, unit=(1.0, 0),
+                inv=G.inv)
+
+
 # ---------------------------------------------------------------------------
 # Lie algebra extraction
 
