@@ -1,9 +1,11 @@
 """Berezinian densities and exact Berezin--Lebesgue integration.
 
 A density is written D(x_1..x_m, xi_1..xi_n) * rho with the coefficient
-function on the right of the coordinate symbol.  Integration extracts the
-top odd coefficient of rho, applies the convention sign (-1)^{mn}, and
-hands the remaining even integrand to one of two exact backends:
+function on the right of the coordinate symbol.  The coordinates are the
+chart's own, in the order its shape fixes (evens, then odds), so a section
+names none of them.  Integration extracts the top odd coefficient of rho,
+applies the convention sign (-1)^{mn}, and hands the remaining even
+integrand to one of two exact backends:
 
 * ``gaussian_moments`` integrates against exp(-|x|^2/2) over all of R^m;
   results are rational multiples of s^m where s stands for sqrt(2 pi).
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionError,
@@ -54,7 +56,6 @@ __all__ = [
     "GAUSSIAN",
     "IntegrationBackend",
     "box_backend",
-    "default_basis_tag",
     "fibre_integrate",
     "fibre_integrate_section",
     "fibre_integrate_with_support",
@@ -161,53 +162,37 @@ def box_backend(*bounds) -> IntegrationBackend:
 # sections
 
 
-def default_basis_tag(shape: SuperDomainShape) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(shape.m)) + \
-        tuple(f"xi{j + 1}" for j in range(shape.n))
-
-
 @dataclass(frozen=True)
 class BerezinSection:
-    """A Berezinian density D(x,xi) * rho in a fixed coordinate basis."""
+    """A Berezinian density D(x, xi) * rho in the chart's own coordinates.
+
+    The coordinate order of the D-symbol is the shape's: evens, then odds.
+    """
 
     shape: SuperDomainShape
     density: SuperFunction
-    basis_tag: tuple[str, ...]
     caveats: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.density.shape != self.shape:
             raise DimensionError("density lives on the wrong shape")
-        if len(self.basis_tag) != self.shape.m + self.shape.n:
-            raise StructureError("basis tag must name every coordinate")
-        if len(set(self.basis_tag)) != len(self.basis_tag):
-            raise StructureError("coordinate names must be distinct")
 
     @classmethod
-    def make(cls, shape: SuperDomainShape, density,
-             basis_tag: Sequence[str] | None = None,
-             caveats: Iterable[str] = ()) -> "BerezinSection":
+    def make(cls, shape: SuperDomainShape, density) -> "BerezinSection":
         if not isinstance(density, SuperFunction):
             if isinstance(density, Polynomial):
                 density = SuperFunction.from_polynomial(shape, density)
             else:
                 density = SuperFunction.constant(shape, density)
-        tag = tuple(basis_tag) if basis_tag is not None else default_basis_tag(shape)
-        return cls(shape, density, tag, tuple(caveats))
-
-    @property
-    def even_names(self) -> tuple[str, ...]:
-        return self.basis_tag[:self.shape.m]
-
-    @property
-    def odd_names(self) -> tuple[str, ...]:
-        return self.basis_tag[self.shape.m:]
+        return cls(shape, density)
 
     def with_density(self, density: SuperFunction) -> "BerezinSection":
-        return BerezinSection(self.shape, density, self.basis_tag, self.caveats)
+        return BerezinSection(self.shape, density, self.caveats)
 
     def __str__(self) -> str:
-        return f"D({', '.join(self.basis_tag)}) * ({self.density})"
+        names = [f"x{i + 1}" for i in range(self.shape.m)] + \
+            [f"xi{j + 1}" for j in range(self.shape.n)]
+        return f"D({', '.join(names)}) * ({self.density})"
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +270,22 @@ def _sampled_orientation_check(phi: SuperMorphism, jac) -> str:
     return "orientation sampled on the source grid"
 
 
-def pullback_section(phi: SuperMorphism, omega: BerezinSection,
-                     basis_tag: Sequence[str] | None = None) -> BerezinSection:
+def pullback_section(phi: SuperMorphism,
+                     omega: BerezinSection) -> BerezinSection:
     """Transport a density to the source chart of an oriented isomorphism.
 
-    The new density is Ber(Jac phi) * phi^*(rho).  Whether phi really is an
-    oriented isomorphism is checked by sampling (body stays in the box,
-    body Jacobian positive); the caveats record this.
+    The new density is Ber(Jac phi) * phi^*(rho), written in the source
+    chart's coordinates.  Whether phi really is an oriented isomorphism is
+    checked by sampling (body stays in the box, body Jacobian positive,
+    odd block invertible); the caveats record this.
     """
     if phi.target != omega.shape:
         raise DimensionError("section does not live on the morphism target")
-    caveats = list(omega.caveats)
-    note = phi.check_body_box()
-    if note:
-        caveats.append(note)
+    box_note = phi.check_body_box()
     jac = jacobian(phi)
-    if phi.oriented:
-        caveats.append(_sampled_orientation_check(phi, jac))
-    else:
-        caveats.append("orientation check waived by the morphism")
-    ber = jac.berezinian()
-    density = ber * pullback(phi, omega.density)
-    tag = tuple(basis_tag) if basis_tag is not None \
-        else default_basis_tag(phi.source)
-    return BerezinSection(phi.source, density, tag, tuple(caveats))
+    caveats = omega.caveats + (box_note, _sampled_orientation_check(phi, jac))
+    density = jac.berezinian() * pullback(phi, omega.density)
+    return BerezinSection(phi.source, density, caveats)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +294,18 @@ def pullback_section(phi: SuperMorphism, omega: BerezinSection,
 
 def product_section(omega1: BerezinSection,
                     omega2: BerezinSection) -> BerezinSection:
-    """Tensor of densities in the product D-basis.
+    """Tensor of densities in the product D-basis D(x, y, xi, eta).
 
     Both the explicit (-1)^{np} basis sign and the Koszul signs from
     moving the first density across the second D-symbol are applied.
     """
     s1, s2 = omega1.shape, omega2.shape
-    if set(omega1.basis_tag) & set(omega2.basis_tag):
-        raise StructureError("coordinate name collision between factors")
     shape = shape_product(s1, s2)
-    tag = omega1.even_names + omega2.even_names + \
-        omega1.odd_names + omega2.odd_names
     r1 = omega1.density.embed(shape, 0, 0)
     r2 = omega2.density.embed(shape, s1.m, s1.n)
     signed = r1.even_part() - r1.odd_part() if s2.n % 2 else r1
     sign = -1 if (s1.n * s2.m) % 2 else 1
-    return BerezinSection(shape, sign * (signed * r2), tag,
+    return BerezinSection(shape, sign * (signed * r2),
                           omega1.caveats + omega2.caveats)
 
 
@@ -349,15 +322,13 @@ def split_section(omega: BerezinSection, base: SuperDomainShape,
     if omega.shape != shape_product(base, fibre):
         raise DimensionError("section does not live on the stated product")
     n, p, q = base.n, fibre.m, fibre.n
-    fibre_tag = omega.even_names[base.m:] + omega.odd_names[base.n:]
     base_sign = -1 if (n * p) % 2 else 1
     out = []
     for h, g in split_product_function(omega.density, base, fibre):
         sign = base_sign
         if q % 2 and h.parity() is ODD:
             sign = -sign
-        out.append((sign * h,
-                    BerezinSection(fibre, g, fibre_tag, omega.caveats)))
+        out.append((sign * h, BerezinSection(fibre, g, omega.caveats)))
     return out
 
 
@@ -423,5 +394,4 @@ def fibre_integrate_section(omega: BerezinSection, base: SuperDomainShape,
     """Fibre integration of a density on a trivial bundle, as a base density."""
     terms = split_section(omega, base, fibre)
     value = fibre_integrate(terms, base, fibre, backend)
-    base_tag = omega.even_names[:base.m] + omega.odd_names[:base.n]
-    return BerezinSection(base, value, base_tag, omega.caveats)
+    return BerezinSection(base, value, omega.caveats)

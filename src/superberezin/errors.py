@@ -22,7 +22,7 @@ class DomainBoxError(SuperBerezinError):
 
 
 class OrientationError(SuperBerezinError):
-    """A morphism declared oriented has a nonpositive body Jacobian sample."""
+    """A morphism's body Jacobian is not positive at a sample point."""
 
 
 class NonIntegrableError(SuperBerezinError):

@@ -31,7 +31,6 @@ from .grassmann import Scalar
 from .superdomain import (
     POSITIVE,
     REALLINE,
-    Polynomial,
     SuperDomainShape,
     SuperFunction,
     SuperMorphism,
@@ -45,27 +44,19 @@ from .supergroup import (
 )
 
 
-def _coord(shape, i, power=1):
-    return SuperFunction.from_polynomial(
-        shape, Polynomial.variable(shape.m, i, power))
-
-
-def _odd(shape, j):
-    return SuperFunction.odd_gen(shape, j)
-
-
 def translation_group(m: int, n: int,
                       name: str | None = None) -> SuperGroupChart:
     shape = SuperDomainShape(m, tuple(REALLINE for _ in range(m)), n)
     prod = shape_product(shape, shape)
-    mul = SuperMorphism(
-        prod, shape,
-        [_coord(prod, i) + _coord(prod, m + i) for i in range(m)],
-        [_odd(prod, j) + _odd(prod, n + j) for j in range(n)])
+    x = [SuperFunction.coordinate(prod, i) for i in range(2 * m)]
+    xi = [SuperFunction.odd_gen(prod, j) for j in range(2 * n)]
+    mul = SuperMorphism(prod, shape,
+                        [x[i] + x[m + i] for i in range(m)],
+                        [xi[j] + xi[n + j] for j in range(n)])
     inv = SuperMorphism(
         shape, shape,
-        [-_coord(shape, i) for i in range(m)],
-        [-_odd(shape, j) for j in range(n)])
+        [-SuperFunction.coordinate(shape, i) for i in range(m)],
+        [-SuperFunction.odd_gen(shape, j) for j in range(n)])
     return SuperGroupChart(name or f"translations of R^({m}|{n})",
                            shape, mul, (Fraction(0),) * m, inv)
 
@@ -73,13 +64,14 @@ def translation_group(m: int, n: int,
 def heisenberg_group() -> SuperGroupChart:
     shape = SuperDomainShape(1, (REALLINE,), 2)
     prod = shape_product(shape, shape)
-    z = _coord(prod, 0) + _coord(prod, 1) \
-        + _odd(prod, 0) * _odd(prod, 3) + _odd(prod, 1) * _odd(prod, 2)
-    mul = SuperMorphism(prod, shape, [z],
-                        [_odd(prod, 0) + _odd(prod, 2),
-                         _odd(prod, 1) + _odd(prod, 3)])
-    inv = SuperMorphism(shape, shape, [-_coord(shape, 0)],
-                        [-_odd(shape, 0), -_odd(shape, 1)])
+    # p marks the second factor's odd coordinates
+    z, z2 = (SuperFunction.coordinate(prod, i) for i in range(2))
+    t1, t2, t1p, t2p = (SuperFunction.odd_gen(prod, j) for j in range(4))
+    mul = SuperMorphism(prod, shape, [z + z2 + t1 * t2p + t2 * t1p],
+                        [t1 + t1p, t2 + t2p])
+    inv = SuperMorphism(shape, shape, [-SuperFunction.coordinate(shape, 0)],
+                        [-SuperFunction.odd_gen(shape, 0),
+                         -SuperFunction.odd_gen(shape, 1)])
     return SuperGroupChart("odd Heisenberg chart", shape, mul,
                            (Fraction(0),), inv)
 
@@ -87,20 +79,22 @@ def heisenberg_group() -> SuperGroupChart:
 def multiplicative_line(name: str = "scaling line") -> SuperGroupChart:
     shape = SuperDomainShape(1, (POSITIVE,), 0)
     prod = shape_product(shape, shape)
-    mul = SuperMorphism(prod, shape, [_coord(prod, 0) * _coord(prod, 1)], [])
-    inv = SuperMorphism(shape, shape, [_coord(shape, 0, -1)], [])
+    a, a2 = (SuperFunction.coordinate(prod, i) for i in range(2))
+    mul = SuperMorphism(prod, shape, [a * a2], [])
+    inv = SuperMorphism(shape, shape,
+                        [SuperFunction.coordinate(shape, 0, -1)], [])
     return SuperGroupChart(name, shape, mul, (Fraction(1),), inv)
 
 
 def axb_group() -> SuperGroupChart:
     shape = SuperDomainShape(1, (POSITIVE,), 1)
     prod = shape_product(shape, shape)
-    mul = SuperMorphism(
-        prod, shape,
-        [_coord(prod, 0) * _coord(prod, 1)],
-        [_odd(prod, 0) + _coord(prod, 0) * _odd(prod, 1)])
-    a_inv = _coord(shape, 0, -1)
-    inv = SuperMorphism(shape, shape, [a_inv], [-(a_inv * _odd(shape, 0))])
+    a, a2 = (SuperFunction.coordinate(prod, i) for i in range(2))
+    b, b2 = (SuperFunction.odd_gen(prod, j) for j in range(2))
+    mul = SuperMorphism(prod, shape, [a * a2], [b + a * b2])
+    a_inv = SuperFunction.coordinate(shape, 0, -1)
+    inv = SuperMorphism(shape, shape, [a_inv],
+                        [-(a_inv * SuperFunction.odd_gen(shape, 0))])
     return SuperGroupChart("scaling-shift chart", shape, mul,
                            (Fraction(1),), inv)
 
@@ -109,16 +103,16 @@ def gl11_group() -> SuperGroupChart:
     shape = SuperDomainShape(2, (POSITIVE, POSITIVE), 2)
     prod = shape_product(shape, shape)
     # block entries of [[a, beta], [gamma, d]]; primes are the second factor
-    a, d, a2, d2 = (_coord(prod, i) for i in range(4))
-    beta, gamma, beta2, gamma2 = (_odd(prod, j) for j in range(4))
+    a, d, a2, d2 = (SuperFunction.coordinate(prod, i) for i in range(4))
+    beta, gamma, beta2, gamma2 = (SuperFunction.odd_gen(prod, j)
+                                  for j in range(4))
     mul = SuperMorphism(
         prod, shape,
         [a * a2 + beta * gamma2, d * d2 + gamma * beta2],
         [a * beta2 + beta * d2, gamma * a2 + d * gamma2])
-    sa, sd = _coord(shape, 0), _coord(shape, 1)
-    sbeta, sgamma = _odd(shape, 0), _odd(shape, 1)
-    ia = _coord(shape, 0, -1)
-    id_ = _coord(shape, 1, -1)
+    sbeta, sgamma = (SuperFunction.odd_gen(shape, j) for j in range(2))
+    ia = SuperFunction.coordinate(shape, 0, -1)
+    id_ = SuperFunction.coordinate(shape, 1, -1)
     soul = sbeta * sgamma
     inv = SuperMorphism(
         shape, shape,
@@ -135,10 +129,11 @@ def gl11_group() -> SuperGroupChart:
 def axb_even_subgroup() -> SubgroupSpec:
     G = axb_group()
     H = multiplicative_line()
-    emb = SuperMorphism(H.shape, G.shape, [_coord(H.shape, 0)],
+    emb = SuperMorphism(H.shape, G.shape,
+                        [SuperFunction.coordinate(H.shape, 0)],
                         [SuperFunction.zero(H.shape)])
-    haar = BerezinSection.make(H.shape, _coord(H.shape, 0, -1),
-                               basis_tag=("a",))
+    haar = BerezinSection.make(H.shape,
+                               SuperFunction.coordinate(H.shape, 0, -1))
     return SubgroupSpec(G, H, emb, haar, name="scaling subgroup")
 
 
@@ -147,18 +142,19 @@ def axb_odd_subgroup() -> SubgroupSpec:
     H = translation_group(0, 1, name="odd shifts")
     emb = SuperMorphism(H.shape, G.shape,
                         [SuperFunction.constant(H.shape, Fraction(1))],
-                        [_odd(H.shape, 0)])
-    haar = BerezinSection.make(H.shape, 1, basis_tag=("t",))
+                        [SuperFunction.odd_gen(H.shape, 0)])
+    haar = BerezinSection.make(H.shape, 1)
     return SubgroupSpec(G, H, emb, haar, name="odd shift subgroup")
 
 
 def heisenberg_center() -> SubgroupSpec:
     G = heisenberg_group()
     H = translation_group(1, 0, name="centre line")
-    emb = SuperMorphism(H.shape, G.shape, [_coord(H.shape, 0)],
+    emb = SuperMorphism(H.shape, G.shape,
+                        [SuperFunction.coordinate(H.shape, 0)],
                         [SuperFunction.zero(H.shape),
                          SuperFunction.zero(H.shape)])
-    haar = BerezinSection.make(H.shape, 1, basis_tag=("z",))
+    haar = BerezinSection.make(H.shape, 1)
     return SubgroupSpec(G, H, emb, haar, name="centre")
 
 
@@ -167,8 +163,8 @@ def line_odd_subgroup() -> SubgroupSpec:
     H = translation_group(0, 1, name="odd shifts")
     emb = SuperMorphism(H.shape, G.shape,
                         [SuperFunction.constant(H.shape, Fraction(0))],
-                        [_odd(H.shape, 0)])
-    haar = BerezinSection.make(H.shape, 1, basis_tag=("t",))
+                        [SuperFunction.odd_gen(H.shape, 0)])
+    haar = BerezinSection.make(H.shape, 1)
     return SubgroupSpec(G, H, emb, haar, name="odd shift subgroup")
 
 
@@ -195,12 +191,12 @@ def line_fubini_example() -> FubiniExample:
     spec = line_odd_subgroup()
     G = spec.parent
     base = SuperDomainShape(1, (REALLINE,), 0)
-    section = SuperMorphism(base, G.shape, [_coord(base, 0)],
+    section = SuperMorphism(base, G.shape, [SuperFunction.coordinate(base, 0)],
                             [SuperFunction.zero(base)])
-    chart = QuotientChartData(
-        section, BerezinSection.make(base, 1, basis_tag=("u",)),
-        name="even line")
-    x, xi = _coord(G.shape, 0), _odd(G.shape, 0)
+    chart = QuotientChartData(section, BerezinSection.make(base, 1),
+                              name="even line")
+    x = SuperFunction.coordinate(G.shape, 0)
+    xi = SuperFunction.odd_gen(G.shape, 0)
     return FubiniExample(
         name="line-odd",
         description="translations of R^(1|1) over the odd shift subgroup",
@@ -216,12 +212,12 @@ def heisenberg_fubini_example() -> FubiniExample:
     G = spec.parent
     base = SuperDomainShape(0, (), 2)
     section = SuperMorphism(base, G.shape, [SuperFunction.zero(base)],
-                            [_odd(base, 0), _odd(base, 1)])
-    chart = QuotientChartData(
-        section, BerezinSection.make(base, 1, basis_tag=("s1", "s2")),
-        name="odd plane")
-    z = _coord(G.shape, 0)
-    top = _odd(G.shape, 0) * _odd(G.shape, 1)
+                            [SuperFunction.odd_gen(base, 0),
+                             SuperFunction.odd_gen(base, 1)])
+    chart = QuotientChartData(section, BerezinSection.make(base, 1),
+                              name="odd plane")
+    z = SuperFunction.coordinate(G.shape, 0)
+    top = SuperFunction.odd_gen(G.shape, 0) * SuperFunction.odd_gen(G.shape, 1)
     return FubiniExample(
         name="heisenberg-centre",
         description="odd Heisenberg chart over its centre",
@@ -236,13 +232,14 @@ def axb_fubini_example() -> FubiniExample:
     spec = axb_odd_subgroup()
     G = spec.parent
     base = SuperDomainShape(1, (POSITIVE,), 0)
-    section = SuperMorphism(base, G.shape, [_coord(base, 0)],
+    section = SuperMorphism(base, G.shape, [SuperFunction.coordinate(base, 0)],
                             [SuperFunction.zero(base)])
     chart = QuotientChartData(
         section,
-        BerezinSection.make(base, _coord(base, 0, -1), basis_tag=("u",)),
+        BerezinSection.make(base, SuperFunction.coordinate(base, 0, -1)),
         name="scaling base")
-    a, b = _coord(G.shape, 0), _odd(G.shape, 0)
+    a = SuperFunction.coordinate(G.shape, 0)
+    b = SuperFunction.odd_gen(G.shape, 0)
     box = box_backend((Fraction(1, 2), Fraction(2)))
     return FubiniExample(
         name="axb-odd",
@@ -285,11 +282,12 @@ class ProductExample:
 
 def axb_product_example(order: str = "odd-even") -> ProductExample:
     G = axb_group()
-    a, b = _coord(G.shape, 0), _odd(G.shape, 0)
+    a = SuperFunction.coordinate(G.shape, 0)
+    b = SuperFunction.odd_gen(G.shape, 0)
     box = box_backend((Fraction(1, 2), Fraction(2)))
     if order == "odd-even":
         left, right = axb_odd_subgroup(), axb_even_subgroup()
-        ratio = _coord(right.subgroup.shape, 0)
+        ratio = SuperFunction.coordinate(right.subgroup.shape, 0)
         label, constant = "a", Scalar(-1)
     elif order == "even-odd":
         left, right = axb_even_subgroup(), axb_odd_subgroup()

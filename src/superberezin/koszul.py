@@ -62,7 +62,6 @@ class KoszulComplexSlice:
         self._canonical = _masked([((i,), q + i) for i in range(p)]
                                   + [((p + j,), j) for j in range(q)])
         self._bases: dict[int, list[Monomial]] = {}
-        self._index: dict[int, dict[Monomial, int]] = {}
         for k in range(degree_cap + 1):
             basis = []
             for size in range(min(n, k) + 1):
@@ -70,17 +69,12 @@ class KoszulComplexSlice:
                     for evens in _compositions(k - size, n):
                         basis.append((evens, odds))
             self._bases[k] = basis
-            self._index[k] = {m: i for i, m in enumerate(basis)}
 
     def basis(self, degree: int, parity: Parity | None = None) -> list[Monomial]:
         monos = self._bases[degree]
         if parity is None:
             return list(monos)
         return [m for m in monos if len(m[1]) % 2 == parity.value]
-
-    @staticmethod
-    def parity_of(mono: Monomial) -> Parity:
-        return Parity(len(mono[1]) % 2)
 
     def apply_d(self, mono: Monomial) -> list[tuple[int, Monomial]]:
         """Left multiplication by the canonical element, degree +2."""
@@ -142,29 +136,15 @@ def _homology(cx: KoszulComplexSlice, degree: int, parity: Parity, d_rank) -> in
             - d_rank(degree - 2, parity.flip()))
 
 
-def _homology_profile(cx: KoszulComplexSlice, cap: int,
-                      d_rank) -> dict[tuple[int, int], int]:
-    """Nonzero homology dimensions of the complex truncated at `cap`."""
-    profile = {}
-    for k in range(cap - 1):
-        for parity in Parity:
-            d = _homology(cx, k, parity, d_rank)
-            if d:
-                profile[(k, parity.value)] = d
-    return profile
-
-
 def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity]:
     """Total dimension and parity of the Berezinian line, computed homologically.
 
-    Runs the truncated computation at degree_cap and degree_cap + 1 on one
-    complex.  A (degree, parity) slice does not depend on the cap, so the
-    two runs share each slice's rank through a memo that lives for this
-    call only; they therefore agree on the shared range by construction,
-    and that comparison stays only as a consistency assertion.  The live
-    guards are the boundary check (homology touching the top computed
-    degree) and the parity check (homology in both parities): either
-    raises InconclusiveError rather than returning a wrong answer.
+    The homology is computed in every degree up to degree_cap - 1, on a
+    complex truncated at degree_cap + 1; each slice's rank is computed
+    once, through a memo that lives for this call only.  Two guards raise
+    InconclusiveError rather than return a wrong answer: the boundary
+    check (homology touching degree_cap - 1, the top computed degree) and
+    the parity check (homology in both parities).
     """
     if p + q < 1:
         raise DimensionError("need p + q >= 1")
@@ -172,21 +152,20 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
         raise DimensionError("degree cap must be at least p + q + 2")
     cx = KoszulComplexSlice(p, q, degree_cap + 1)
     d_rank = functools.cache(cx.d_rank)
-    first = _homology_profile(cx, degree_cap, d_rank)
-    second = _homology_profile(cx, degree_cap + 1, d_rank)
-    shared = {k: v for k, v in second.items() if k[0] <= degree_cap - 2}
-    if first != shared:
-        raise InconclusiveError(
-            f"homology profile unstable between caps {degree_cap} and {degree_cap + 1}"
-        )
-    if any(k[0] >= degree_cap - 1 for k in second):
+    profile = {}
+    for k in range(degree_cap):
+        for parity in Parity:
+            d = _homology(cx, k, parity, d_rank)
+            if d:
+                profile[(k, parity.value)] = d
+    if any(k[0] >= degree_cap - 1 for k in profile):
         raise InconclusiveError(
             "nonzero homology at the truncation boundary; increase degree_cap"
         )
-    total = sum(second.values())
+    total = sum(profile.values())
     if total == 0:
         raise InconclusiveError("no homology found below the truncation degree")
-    parities = {k[1] for k in second}
+    parities = {k[1] for k in profile}
     if len(parities) > 1:
         raise InconclusiveError("homology spread over both parities")
     # remove the Π^p parity shift of the homological model

@@ -325,11 +325,10 @@ def unimodularity_check(g: LieSuperAlgebra,
 # basis changes
 
 
-def change_basis(g: LieSuperAlgebra, matrix,
-                 names: Sequence[str] | None = None) -> LieSuperAlgebra:
+def change_basis(g: LieSuperAlgebra, matrix) -> LieSuperAlgebra:
     """Rewrite the algebra in the basis f_c = sum_r matrix[r][c] e_r.
 
-    The matrix must be invertible and parity-preserving (no mixing of even
+    The new generators are named f1, f2, ...  The matrix must be invertible and parity-preserving (no mixing of even
     and odd directions).
     """
     dim = g.dim
@@ -353,11 +352,10 @@ def change_basis(g: LieSuperAlgebra, matrix,
                         continue
                     for k, c in enumerate(g.bracket_basis(r, s)):
                         image[k] += P[r][a] * P[s][b] * c
+            nonzero = [(k, c) for k, c in enumerate(image) if c]
             constants[(a, b)] = tuple(
-                sum(P_inv[t][k] * image[k] for k in range(dim))
-                for t in range(dim))
-    if names is None:
-        names = tuple(f"f{i + 1}" for i in range(dim))
+                sum(P_inv[t][k] * c for k, c in nonzero) for t in range(dim))
+    names = tuple(f"f{i + 1}" for i in range(dim))
     return LieSuperAlgebra(names, g.parities, constants)
 
 

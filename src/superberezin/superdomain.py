@@ -62,11 +62,8 @@ class Interval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def samples(self, per_axis: int = 3) -> list[Fraction]:
-        if per_axis < 2:
-            return [Fraction(self.lo + self.hi, 2)]
-        step = Fraction(self.hi - self.lo, per_axis - 1)
-        return [self.lo + step * k for k in range(per_axis)]
+    def samples(self) -> list[Fraction]:
+        return [self.lo, (self.lo + self.hi) / 2, self.hi]
 
     def __str__(self) -> str:
         return f"{self.lo}:{self.hi}"
@@ -76,8 +73,8 @@ class _WholeLine:
     def contains(self, x: Fraction) -> bool:
         return True
 
-    def samples(self, per_axis: int = 3) -> list[Fraction]:
-        return [Fraction(-1), Fraction(0), Fraction(1)][:max(per_axis, 1)]
+    def samples(self) -> list[Fraction]:
+        return [Fraction(-1), Fraction(0), Fraction(1)]
 
     def __repr__(self) -> str:
         return "REALLINE"
@@ -92,8 +89,8 @@ class _PositiveHalfLine:
     def contains(self, x: Fraction) -> bool:
         return x > 0
 
-    def samples(self, per_axis: int = 3) -> list[Fraction]:
-        return [Fraction(1, 2), Fraction(1), Fraction(2)][:max(per_axis, 1)]
+    def samples(self) -> list[Fraction]:
+        return [Fraction(1, 2), Fraction(1), Fraction(2)]
 
     def __repr__(self) -> str:
         return "POSITIVE"
@@ -109,14 +106,11 @@ Axis = object  # Interval | REALLINE | POSITIVE
 Box = tuple
 
 
-def box_samples(box: Sequence[Axis], per_axis: int = 3) -> list[tuple[Fraction, ...]]:
-    """Small sample grid of rational points, corners included for intervals."""
-    if not box:
-        return [()]
-    grids = [axis.samples(per_axis) for axis in box]
+def box_samples(box: Sequence[Axis]) -> list[tuple[Fraction, ...]]:
+    """Grid of 3 rational points per axis, corners included for intervals."""
     points = [()]
-    for grid in grids:
-        points = [pt + (x,) for pt in points for x in grid]
+    for axis in box:
+        points = [pt + (x,) for pt in points for x in axis.samples()]
     return points
 
 
@@ -148,9 +142,6 @@ class SuperDomainShape:
     @property
     def total_odd(self) -> int:
         return self.n + self.aux
-
-    def with_aux(self, aux: int) -> "SuperDomainShape":
-        return SuperDomainShape(self.m, self.box, self.n, aux)
 
     def __str__(self) -> str:
         base = f"({self.m}|{self.n})"
@@ -317,11 +308,6 @@ class Polynomial:
         """The coefficient of x^exps, a value in s."""
         exps = tuple(exps)
         return _in_s({e[-1]: c for e, c in self.terms.items() if e[:-1] == exps})
-
-    def min_exponents(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Scalar)):
@@ -615,12 +601,11 @@ class SuperMorphism:
     target.aux ≤ source.aux); they are never substituted.
     """
 
-    __slots__ = ("source", "target", "even_components", "odd_components", "oriented")
+    __slots__ = ("source", "target", "even_components", "odd_components")
 
     def __init__(self, source: SuperDomainShape, target: SuperDomainShape,
                  even_components: Sequence[SuperFunction],
-                 odd_components: Sequence[SuperFunction],
-                 oriented: bool = True):
+                 odd_components: Sequence[SuperFunction]):
         even_components = tuple(even_components)
         odd_components = tuple(odd_components)
         if len(even_components) != target.m or len(odd_components) != target.n:
@@ -641,7 +626,6 @@ class SuperMorphism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "even_components", even_components)
         object.__setattr__(self, "odd_components", odd_components)
-        object.__setattr__(self, "oriented", bool(oriented))
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperMorphism is immutable")
@@ -671,13 +655,13 @@ class SuperMorphism:
             return self.even_components[k]
         return self.odd_components[k - self.target.m]
 
-    def check_body_box(self, per_axis: int = 3) -> str | None:
+    def check_body_box(self) -> str:
         """Sample the body map; return a caveat string or raise on escape.
 
         Any value lies on a whole-line axis.  On a bounded or half-line
         axis a value carrying a power of s is not compared, and raises.
         """
-        for pt in box_samples(self.source.box, per_axis):
+        for pt in box_samples(self.source.box):
             for k, comp in enumerate(self.even_components):
                 try:
                     val = comp.evaluate_body(pt)
@@ -697,7 +681,7 @@ class SuperMorphism:
                     raise DomainBoxError(
                         f"body image of sample {pt} escapes target axis {k}"
                     )
-        return f"box containment sampled on a {per_axis}-per-axis grid"
+        return "box containment sampled on a 3-per-axis grid"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperMorphism):
@@ -798,8 +782,7 @@ def compose(first: SuperMorphism, then: SuperMorphism) -> SuperMorphism:
         raise DimensionError("middle shapes do not match")
     evens = [pullback(first, c) for c in then.even_components]
     odds = [pullback(first, c) for c in then.odd_components]
-    return SuperMorphism(first.source, then.target, evens, odds,
-                         oriented=first.oriented and then.oriented)
+    return SuperMorphism(first.source, then.target, evens, odds)
 
 
 def pair(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
@@ -810,9 +793,7 @@ def pair(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
     return SuperMorphism(
         phi.source, target,
         list(phi.even_components) + list(psi.even_components),
-        list(phi.odd_components) + list(psi.odd_components),
-        oriented=phi.oriented and psi.oriented,
-    )
+        list(phi.odd_components) + list(psi.odd_components))
 
 
 def projection(s1: SuperDomainShape, s2: SuperDomainShape, factor: int) -> SuperMorphism:
@@ -837,8 +818,7 @@ def morphism_product(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
     evens += [c.embed(src, phi.source.m, phi.source.n) for c in psi.even_components]
     odds = [c.embed(src, 0, 0) for c in phi.odd_components]
     odds += [c.embed(src, phi.source.m, phi.source.n) for c in psi.odd_components]
-    return SuperMorphism(src, tgt, evens, odds,
-                         oriented=phi.oriented and psi.oriented)
+    return SuperMorphism(src, tgt, evens, odds)
 
 
 def jacobian(phi: SuperMorphism) -> SuperMatrix:

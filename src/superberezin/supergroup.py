@@ -83,11 +83,8 @@ class SuperGroupChart:
         if self.inv.source != self.shape or self.inv.target != self.shape:
             raise DimensionError("inversion has the wrong shape")
 
-    def unit_morphism(self,
-                      source: SuperDomainShape | None = None) -> SuperMorphism:
-        return SuperMorphism.constant_point(
-            source if source is not None else self.shape,
-            self.shape, self.unit)
+    def unit_morphism(self) -> SuperMorphism:
+        return SuperMorphism.constant_point(self.shape, self.shape, self.unit)
 
 
 def validate_group(G: SuperGroupChart) -> ValidationReport:

@@ -189,10 +189,10 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
     return terms
 
 
-def parse_scalar(text: str, *, line: int = 1) -> Scalar:
+def parse_scalar(text: str) -> Scalar:
     tokens = [t for _, toks in _content_lines(text) for t in toks]
     if not tokens:
-        raise ParseError("empty scalar", line, 1)
+        raise ParseError("empty scalar", 1, 1)
     total = Scalar.zero()
     for term in _parse_terms(tokens):
         if term.even or term.odd:

@@ -255,12 +255,10 @@ def _factor_sections():
     b = SuperDomainShape(0, (), 1)
     f = SuperDomainShape(0, (), 1)
     w1 = BerezinSection.make(
-        b, SuperFunction(b, {(): Polynomial.one(0), (0,): Polynomial.constant(0, 2)}),
-        basis_tag=("xi",))
+        b, SuperFunction(b, {(): Polynomial.one(0), (0,): Polynomial.constant(0, 2)}))
     w2 = BerezinSection.make(
         f, SuperFunction(f, {(): Polynomial.constant(0, 3),
-                             (0,): Polynomial.constant(0, 5)}),
-        basis_tag=("eta",))
+                             (0,): Polynomial.constant(0, 5)}))
     return b, f, w1, w2
 
 
@@ -273,7 +271,7 @@ def test_product_section_odd_odd_signs():
         {(): Polynomial.constant(0, 3), (1,): Polynomial.constant(0, 5),
          (0,): Polynomial.constant(0, -6), (0, 1): Polynomial.constant(0, -10)})
     assert prod.density == expected
-    assert prod.basis_tag == ("xi", "eta")
+    assert str(prod).startswith("D(xi1, xi2) * (")
     # (*): integral = (-1)^{(m+n) q} * product of factor integrals
     assert integrate(prod, box_backend()) == Scalar(-10)
     assert integrate(w1, box_backend()) * integrate(w2, box_backend()) == Scalar(10)
@@ -283,11 +281,10 @@ def test_product_section_plain_when_no_sign():
     # n = 0 and q = 0: densities multiply with no sign
     b = SuperDomainShape(1, (Interval(0, 1),), 0)
     f = SuperDomainShape(0, (), 1)
-    w1 = BerezinSection.make(b, SuperFunction.coordinate(b, 0), basis_tag=("t",))
+    w1 = BerezinSection.make(b, SuperFunction.coordinate(b, 0))
     w2 = BerezinSection.make(
         f, SuperFunction(f, {(): Polynomial.constant(0, 3),
-                             (0,): Polynomial.constant(0, 5)}),
-        basis_tag=("eta",))
+                             (0,): Polynomial.constant(0, 5)}))
     prod = product_section(w1, w2)
     x = SuperFunction.coordinate(prod.shape, 0)
     eta = SuperFunction.odd_gen(prod.shape, 0)
@@ -296,11 +293,26 @@ def test_product_section_plain_when_no_sign():
     assert integrate(prod, box_backend()) == Scalar(Fraction(-5, 2))
 
 
-def test_product_section_name_collision():
-    b, f, w1, _ = _factor_sections()
-    clash = BerezinSection.make(f, SuperFunction.one(f), basis_tag=("xi",))
-    with pytest.raises(StructureError):
-        product_section(w1, clash)
+def test_product_section_of_default_sections():
+    # R^(1|1) x R^(0|1), both in their own coordinates: the product names
+    # its coordinates from its shape, and the (*) sign holds
+    b = SuperDomainShape(1, (Interval(0, 1),), 1)
+    f = SuperDomainShape(0, (), 1)
+    x = SuperFunction.coordinate(b, 0)
+    w1 = BerezinSection.make(b, x + 2 * x * SuperFunction.odd_gen(b, 0))
+    w2 = BerezinSection.make(f, 3 + 5 * SuperFunction.odd_gen(f, 0))
+    prod = product_section(w1, w2)
+    X = SuperFunction.coordinate(prod.shape, 0)
+    xi1 = SuperFunction.odd_gen(prod.shape, 0)
+    xi2 = SuperFunction.odd_gen(prod.shape, 1)
+    # q = 1 flips the odd part of the first density; n p = 0 adds no sign
+    assert prod.density == (X - 2 * X * xi1) * (3 + 5 * xi2)
+    assert str(prod) == ("D(x1, xi1, xi2) * "
+                         "(3 x1 + -6 x1 xi1 + 5 x1 xi2 + -10 x1 xi1 xi2)")
+    lhs = integrate(prod, box_backend())
+    rhs = integrate(w1, box_backend()) * integrate(w2, box_backend())
+    # (*): (-1)^{(m+n) q} = +1
+    assert lhs == rhs == Scalar(-5)
 
 
 def test_gaussian_product_star_sign_sample():
@@ -308,11 +320,9 @@ def test_gaussian_product_star_sign_sample():
     b = gauss_shape(1, 1)
     f = gauss_shape(0, 1)
     w1 = BerezinSection.make(
-        b, SuperFunction(b, {(0,): Polynomial.variable(1, 0, 2)}),
-        basis_tag=("x", "xi"))
+        b, SuperFunction(b, {(0,): Polynomial.variable(1, 0, 2)}))
     w2 = BerezinSection.make(
-        f, SuperFunction(f, {(0,): Polynomial.constant(0, 7)}),
-        basis_tag=("eta",))
+        f, SuperFunction(f, {(0,): Polynomial.constant(0, 7)}))
     prod = product_section(w1, w2)
     lhs = integrate(prod, GAUSSIAN)
     rhs = integrate(w1, GAUSSIAN) * integrate(w2, GAUSSIAN)
@@ -410,8 +420,7 @@ def test_section_level_module_rule():
     xi = SuperFunction.odd_gen(total, 0)
     eta = SuperFunction.odd_gen(total, 1)
     rho = x * y + xi * eta + y * y * xi + x * eta + 1
-    omega = BerezinSection.make(total, rho,
-                                basis_tag=("x", "y", "xi", "eta"))
+    omega = BerezinSection.make(total, rho)
     h = SuperFunction.coordinate(base, 0) + SuperFunction.odd_gen(base, 0)
     h_up = h.embed(total, 0, 0)
     lhs = fibre_integrate_section(function_times_section(h_up, omega),

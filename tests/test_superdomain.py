@@ -315,7 +315,7 @@ class TestProductsAndSplits:
 
 class TestBoxes:
     def test_box_samples_interval(self):
-        pts = box_samples((Interval(0, 1),), 3)
+        pts = box_samples((Interval(0, 1),))
         assert pts == [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),)]
 
     def test_containment_check_passes(self):
@@ -341,7 +341,8 @@ class TestBoxes:
                       lambda: SuperMorphism.constant_point(shape, shape, (0.5,))):
             with pytest.raises(TypeError):
                 build()
-        assert Interval(Fraction(1, 2), 1).samples(2) == [Fraction(1, 2), 1]
+        assert Interval(Fraction(1, 2), 1).samples() == [
+            Fraction(1, 2), Fraction(3, 4), 1]
 
     def test_power_of_s_is_not_in_a_bounded_box(self):
         # x -> s x on [0, 1]: s ~ 2.507 puts the image of 1 outside

@@ -341,8 +341,7 @@ def test_axb_fubini_frozen_values():
 def test_fubini_normalization_mismatch_raises():
     ex = axb_fubini_example()
     wrong = ex.chart.replace_base_density(
-        BerezinSection.make(ex.chart.section.source, 1,
-                            basis_tag=ex.chart.base_density.basis_tag))
+        BerezinSection.make(ex.chart.section.source, 1))
     with pytest.raises(NormalizationError) as info:
         fubini_check(ex.group, ex.subgroup, wrong, ex.test_function,
                      ex.omega_group, backend=ex.backend,

@@ -144,6 +144,8 @@ def test_scalar_parsing():
     assert str(parse_scalar("-1 + s 2/3 + s^-2")) == "2/3 s - 1 + s^-2"
     with pytest.raises(ParseError):
         parse_scalar("2 x1")
+    with pytest.raises(ParseError, match="line 1, column 1: empty scalar"):
+        parse_scalar("")
 
 
 def test_superfunction_frozen_example():
