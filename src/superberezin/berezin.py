@@ -34,7 +34,7 @@ from .errors import (
     OrientationError,
     StructureError,
 )
-from .grassmann import ODD, GrassmannElement, Scalar
+from .grassmann import ODD, Scalar
 from .linalg import det as rational_det
 from .superdomain import (
     Axis,
@@ -52,13 +52,11 @@ from .superdomain import (
 
 __all__ = [
     "BerezinSection",
-    "FibreTerm",
     "GAUSSIAN",
     "IntegrationBackend",
     "box_backend",
     "fibre_integrate",
     "fibre_integrate_section",
-    "fibre_integrate_with_support",
     "function_times_section",
     "integrate",
     "product_section",
@@ -199,26 +197,15 @@ class BerezinSection:
 # integration
 
 
-def integrate(omega: BerezinSection, backend: IntegrationBackend):
-    """Total integral; a Scalar, or a Grassmann element in aux parameters.
-
-    The top odd coefficient g of the density (in the coordinate odd
-    generators) is integrated over the even axes, with the convention
-    sign (-1)^{mn}.  Auxiliary odd parameters ride along untouched.
-    """
+def integrate(omega: BerezinSection, backend: IntegrationBackend) -> Scalar:
+    """Total integral: the top odd coefficient g of the density integrated
+    over the even axes, with the convention sign (-1)^{mn}."""
     shape = omega.shape
-    m, n, aux = shape.m, shape.n, shape.aux
-    sign = -1 if (m * n) % 2 else 1
-    full = tuple(range(n))
-    pieces: dict[tuple[int, ...], Scalar] = {}
-    for idx, poly in omega.density.coeffs.items():
-        # the sectors that hold every coordinate generator differ in aux
-        if tuple(j for j in idx if j < n) == full:
-            pieces[tuple(j - n for j in idx if j >= n)] = \
-                sign * backend.integrate_polynomial(poly, shape.box)
-    if aux == 0:
-        return pieces.get((), Scalar.zero())
-    return GrassmannElement(aux, pieces)
+    top = omega.density.coeffs.get(tuple(range(shape.n)))
+    if top is None:
+        return Scalar.zero()
+    sign = -1 if (shape.m * shape.n) % 2 else 1
+    return sign * backend.integrate_polynomial(top, shape.box)
 
 
 def function_times_section(f, omega: BerezinSection) -> BerezinSection:
@@ -332,60 +319,18 @@ def split_section(omega: BerezinSection, base: SuperDomainShape,
     return out
 
 
-@dataclass(frozen=True)
-class FibreTerm:
-    """One product term of a fibre density, with a declared base support."""
-
-    base_function: SuperFunction
-    fibre_section: BerezinSection
-    base_support: tuple[Interval, ...] | None = None
-
-
-def _check_fibre_term(base_function: SuperFunction,
-                      fibre_section: BerezinSection,
-                      base: SuperDomainShape, fibre: SuperDomainShape) -> None:
-    """Shape checks on one product term, shared by the fibre integrators."""
-    if base_function.shape != base:
-        raise DimensionError("base factor on the wrong shape")
-    if fibre_section.shape != fibre:
-        raise DimensionError("fibre factor on the wrong shape")
-    if fibre.aux:
-        raise StructureError("fibre shapes with aux parameters "
-                             "are not supported here")
-
-
 def fibre_integrate(terms: Sequence[tuple[SuperFunction, BerezinSection]],
                     base: SuperDomainShape, fibre: SuperDomainShape,
                     backend: IntegrationBackend) -> SuperFunction:
     """Integrate the fibre factor of each product term: sum of f_i * c_i."""
     total = SuperFunction.zero(base)
     for fn, sec in terms:
-        _check_fibre_term(fn, sec, base, fibre)
+        if fn.shape != base:
+            raise DimensionError("base factor on the wrong shape")
+        if sec.shape != fibre:
+            raise DimensionError("fibre factor on the wrong shape")
         total = total + fn * integrate(sec, backend)
     return total
-
-
-def fibre_integrate_with_support(terms: Sequence[FibreTerm],
-                                 base: SuperDomainShape,
-                                 fibre: SuperDomainShape,
-                                 backend: IntegrationBackend):
-    """Like fibre_integrate, also reporting which declared supports survive.
-
-    The returned set collects the base_support boxes of the terms whose
-    fibre integral is nonzero; it is contained in the set of all declared
-    supports, which is the structural form of supp p_!(omega) lying over
-    the base projection of supp omega.
-    """
-    total = SuperFunction.zero(base)
-    support = set()
-    for term in terms:
-        _check_fibre_term(term.base_function, term.fibre_section, base, fibre)
-        value = integrate(term.fibre_section, backend)
-        piece = term.base_function * value
-        total = total + piece
-        if not piece.is_zero() and term.base_support is not None:
-            support.add(term.base_support)
-    return total, frozenset(support)
 
 
 def fibre_integrate_section(omega: BerezinSection, base: SuperDomainShape,

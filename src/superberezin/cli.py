@@ -182,8 +182,7 @@ def _run_product_axb() -> list[CheckLine]:
     for ex in product_builtins():
         report = product_formula_check(ex.group, ex.left, ex.right,
                                        ex.test_function, ex.omega_group,
-                                       backend=ex.backend,
-                                       product_backend=ex.product_backend)
+                                       backend=ex.backend)
         lines.append(CheckLine(name=f"{ex.name} staged integral",
                                passed=report.passed,
                                lhs=str(report.lhs), rhs=str(report.rhs)))

@@ -277,7 +277,6 @@ class ProductExample:
     ratio_label: str
     modular_constant: Scalar
     backend: IntegrationBackend
-    product_backend: IntegrationBackend | None = None
 
 
 def axb_product_example(order: str = "odd-even") -> ProductExample:
@@ -303,7 +302,7 @@ def axb_product_example(order: str = "odd-even") -> ProductExample:
         omega_group=BerezinSection.make(G.shape, 1),
         test_function=a + a * b,
         modular_ratio=ratio, ratio_label=label, modular_constant=constant,
-        backend=box, product_backend=box)
+        backend=box)
 
 
 def product_builtins() -> tuple[ProductExample, ...]:

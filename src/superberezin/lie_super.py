@@ -399,15 +399,15 @@ def adapt_basis(g: LieSuperAlgebra, vectors: Sequence[Sequence]
 
 
 def random_homogeneous_element(g: LieSuperAlgebra, rng: random.Random,
-                               parity: Parity,
-                               coeff_range=(-3, 3)) -> Vector:
-    """Random nonzero homogeneous coefficient vector, for property tests."""
+                               parity: Parity) -> Vector:
+    """Random nonzero homogeneous coefficient vector, entries in [-3, 3],
+    for property tests."""
     indices = [i for i in range(g.dim) if g.parities[i] is parity]
     if not indices:
         raise StructureError(f"no generators of parity {parity}")
     while True:
         vec = [0] * g.dim
         for i in indices:
-            vec[i] = rng.randint(*coeff_range)
+            vec[i] = rng.randint(-3, 3)
         if any(vec):
             return tuple(vec)

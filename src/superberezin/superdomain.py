@@ -1,16 +1,11 @@
 """Superfunctions on coordinate superdomains, morphisms, and Jacobians.
 
-A superdomain here is a box in R^m together with n odd coordinates and
-optionally `aux` auxiliary odd constants (generalized-point parameters).
+A superdomain here is a box in R^m together with n odd coordinates.
 Functions are finite sums Σ_α ξ^α f_α where the f_α are Laurent
 polynomials with rational coefficients in the even coordinates and
 s = sqrt(2π) — integer exponents may be negative, which is how the
 multiplicative-group densities like a^{-1} stay exact.  A coefficient is
 stored as an int when integral and as a Fraction otherwise.
-
-Odd generators are globally ordered: the n odd coordinates first, the aux
-parameters after.  Nothing ever permutes the aux block, so signs of
-generalized-point computations are stable.
 """
 
 from __future__ import annotations
@@ -126,10 +121,9 @@ class SuperDomainShape:
     m: int
     box: Box
     n: int
-    aux: int = 0
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.aux < 0:
+        if self.m < 0 or self.n < 0:
             raise DimensionError("dimensions must be nonnegative")
         box = tuple(self.box)
         if len(box) != self.m:
@@ -139,24 +133,13 @@ class SuperDomainShape:
                 raise DomainBoxError(f"bad axis {axis!r}")
         object.__setattr__(self, "box", box)
 
-    @property
-    def total_odd(self) -> int:
-        return self.n + self.aux
-
     def __str__(self) -> str:
-        base = f"({self.m}|{self.n})"
-        return base if not self.aux else f"{base}+{self.aux}aux"
+        return f"({self.m}|{self.n})"
 
 
 def shape_product(s1: SuperDomainShape, s2: SuperDomainShape) -> SuperDomainShape:
-    """Product superdomain: evens of s1 then s2, odd coords of s1 then s2.
-
-    A shared auxiliary block sits after all coordinates; the factors' aux
-    parameters are identified index-by-index, hence the max.
-    """
-    return SuperDomainShape(
-        s1.m + s2.m, s1.box + s2.box, s1.n + s2.n, max(s1.aux, s2.aux)
-    )
+    """Product superdomain: evens of s1 then s2, odd coords of s1 then s2."""
+    return SuperDomainShape(s1.m + s2.m, s1.box + s2.box, s1.n + s2.n)
 
 
 # -- Laurent polynomials ---------------------------------------------------
@@ -363,7 +346,7 @@ class SuperFunction:
     def __init__(self, shape: SuperDomainShape, coeffs: Mapping = ()):
         checked = []
         for idx, poly in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
-            idx = _validate_index(idx, shape.total_odd)
+            idx = _validate_index(idx, shape.n)
             if not isinstance(poly, Polynomial):
                 poly = Polynomial.constant(shape.m, poly)
             if poly.nvars != shape.m:
@@ -396,7 +379,7 @@ class SuperFunction:
 
     @staticmethod
     def odd_gen(shape: SuperDomainShape, j: int) -> "SuperFunction":
-        if not 0 <= j < shape.total_odd:
+        if not 0 <= j < shape.n:
             raise DimensionError("odd generator index out of range")
         return SuperFunction(shape, {(j,): Polynomial.one(shape.m)})
 
@@ -487,7 +470,7 @@ class SuperFunction:
         body = self.body_polynomial()
         binv = SuperFunction.from_polynomial(self.shape, body.monomial_inverse())
         return _inverse_series(SuperFunction.one(self.shape), -(binv * self.soul()),
-                               binv, self.shape.total_odd // 2)
+                               binv, self.shape.n // 2)
 
     # -- derivatives ------------------------------------------------------
 
@@ -501,7 +484,7 @@ class SuperFunction:
 
     def derive_odd(self, j: int) -> "SuperFunction":
         """Left derivative: ∂_j(ξ_{a1}…ξ_{ak}) drops ξ_j with sign (-1)^{pos}."""
-        if not 0 <= j < self.shape.total_odd:
+        if not 0 <= j < self.shape.n:
             raise DimensionError("odd index out of range")
         # distinct sectors holding xi_j stay distinct without it: no sums
         coeffs = {}
@@ -516,25 +499,17 @@ class SuperFunction:
     def embed(self, shape: SuperDomainShape, even_offset: int, odd_offset: int) -> "SuperFunction":
         """View on a larger shape, own coordinates starting at the offsets.
 
-        Odd coordinates land at odd_offset, aux parameters stay identified
-        with the target's aux block.  Both blocks keep their internal order
-        and coords stay below aux, so no signs appear.
+        The odd coordinates keep their order, so no signs appear.
         """
         if even_offset + self.shape.m > shape.m:
             raise DimensionError("even offset out of range")
         if odd_offset + self.shape.n > shape.n:
             raise DimensionError("odd offset out of range")
-        if self.shape.aux > shape.aux:
-            raise DimensionError("target shape has too few aux parameters")
         left = (0,) * even_offset
         right = (0,) * (shape.m - even_offset - self.shape.m)
         coeffs = {}
         for idx, poly in self.coeffs.items():
-            new_idx = tuple(
-                j + odd_offset if j < self.shape.n else shape.n + (j - self.shape.n)
-                for j in idx
-            )
-            coeffs[new_idx] = _poly(shape.m, {
+            coeffs[tuple(j + odd_offset for j in idx)] = _poly(shape.m, {
                 left + exps[:-1] + right + exps[-1:]: coeff
                 for exps, coeff in poly.terms.items()})
         return _sf(shape, coeffs)
@@ -596,9 +571,7 @@ class SuperMorphism:
     """Map between superdomains, given by its coordinate pullbacks.
 
     even_components[k] is the superfunction on the source that the k-th
-    even target coordinate pulls back to, and likewise for odd ones.  The
-    target's aux parameters are identified with the source's (so
-    target.aux ≤ source.aux); they are never substituted.
+    even target coordinate pulls back to, and likewise for odd ones.
     """
 
     __slots__ = ("source", "target", "even_components", "odd_components")
@@ -610,8 +583,6 @@ class SuperMorphism:
         odd_components = tuple(odd_components)
         if len(even_components) != target.m or len(odd_components) != target.n:
             raise DimensionError("component count must match target dimensions")
-        if target.aux > source.aux:
-            raise DimensionError("target aux parameters exceed the source's")
         for comp in even_components:
             if comp.shape != source:
                 raise DimensionError("even component on wrong shape")
@@ -741,12 +712,6 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
             power_cache[(k, p)] = acc
         return acc
 
-    def odd_image(j: int) -> SuperFunction:
-        if j < phi.target.n:
-            return phi.odd_components[j]
-        # aux parameter: identified with the source's aux block
-        return SuperFunction.odd_gen(src, src.n + (j - phi.target.n))
-
     def expand(terms: list, k: int) -> SuperFunction:
         """Σ c·s^t·Π_{i≥k} φ_i^{e_i} over the (key (e, t), c) in terms."""
         if k >= m - 1:
@@ -768,7 +733,7 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
     for alpha, poly in f.coeffs.items():
         odd_factor = one
         for j in alpha:
-            odd_factor = odd_factor * odd_image(j)
+            odd_factor = odd_factor * phi.odd_components[j]
         if odd_factor.is_zero():
             continue
         image = expand(list(poly.terms.items()), 0)
@@ -824,7 +789,7 @@ def morphism_product(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
 def jacobian(phi: SuperMorphism) -> SuperMatrix:
     """Block matrix J_{ik} = ∂_i(component k), sources in rows.
 
-    Rows run over the source's even then odd coordinates (aux excluded),
+    Rows run over the source's even then odd coordinates,
     columns over the target components; with left odd derivatives this is
     the matrix whose Berezinian is the change-of-variables factor, and it
     composes as J^{ψ∘φ} = J^φ · φ*(J^ψ).
@@ -866,10 +831,8 @@ def split_product_function(f: SuperFunction, left: SuperDomainShape,
     """Write f on left×right as Σ f_left·f_right, left factors leftmost.
 
     With the global ordering (left coords before right coords, both even
-    and odd) the split introduces no signs.  Requires aux-free factors.
+    and odd) the split introduces no signs.
     """
-    if left.aux or right.aux:
-        raise DimensionError("split requires aux-free factor shapes")
     if f.shape != shape_product(left, right):
         raise DimensionError("function does not live on the stated product")
     # (left exponents, left odd index) -> right odd index -> right terms;

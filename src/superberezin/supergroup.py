@@ -507,8 +507,7 @@ def _constant_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
 def product_formula_check(G: SuperGroupChart, M: SubgroupSpec,
                           H: SubgroupSpec, f: SuperFunction,
                           omega_G: BerezinSection, *,
-                          backend: IntegrationBackend,
-                          product_backend: IntegrationBackend | None = None
+                          backend: IntegrationBackend
                           ) -> ProductFormulaReport:
     """Check integral over G of f against the integral over M x H of the
     pulled-back integrand weighted by Ber(Ad_h on h)/Ber(Ad_h on g) and the
@@ -532,7 +531,6 @@ def product_formula_check(G: SuperGroupChart, M: SubgroupSpec,
 
     lhs = integrate(function_times_section(f, omega_G), backend)
     staged = integrate(
-        function_times_section(pullback(mul_map, f), weighted),
-        product_backend or backend)
+        function_times_section(pullback(mul_map, f), weighted), backend)
     return ProductFormulaReport(constant, ratio, lhs, constant * staged,
                                 pulled.caveats)

@@ -17,8 +17,9 @@ so is a number with more digits than the interpreter converts
 The concrete files:
 
 * supermatrix:        header ``p q N``, then (p+q)^2 element lines, row-major;
-* superfunction:      header ``m n aux``, then m axis lines (``axis R``,
-                      ``axis R+`` or ``axis <lo> <hi>``), then term lines
+* superfunction:      header ``m n 0`` (the third field is reserved), then
+                      m axis lines (``axis R``, ``axis R+`` or
+                      ``axis <lo> <hi>``), then term lines
                       ``<polynomial> : <xi-monomial>`` (``1`` for the even
                       sector);
 * structure constants: ``generators <name>:<parity> ...``, then bracket
@@ -306,14 +307,16 @@ def parse_superfunction(text: str) -> SuperFunction:
         raise ParseError("empty superfunction file", 1, 1)
     _, header = lines[0]
     if len(header) != 3:
-        _fail(header[0], "header must be 'm n aux'")
-    m, n, aux = (_int(t) for t in header)
-    if m < 0 or n < 0 or aux < 0:
+        _fail(header[0], "header must be 'm n 0'")
+    m, n, reserved = (_int(t) for t in header)
+    if m < 0 or n < 0:
         _fail(header[0], "header entries must be nonnegative")
+    if reserved != 0:
+        _fail(header[2], "the aux field is reserved and must be 0")
     if len(lines) - 1 < m:
         _fail(header[0], f"expected {m} axis lines")
     axes = tuple(_parse_axis(tokens) for _, tokens in lines[1:1 + m])
-    shape = SuperDomainShape(m, axes, n, aux=aux)
+    shape = SuperDomainShape(m, axes, n)
 
     sectors = []
     for _, tokens in lines[1 + m:]:
@@ -334,16 +337,16 @@ def parse_superfunction(text: str) -> SuperFunction:
                 _fail(right[0], "the sector must be a plain xi-monomial")
             idx = sector[0].odd
             for j in idx:
-                if j >= n + aux:
+                if j >= n:
                     _fail(right[0], f"generator xi{j + 1} exceeds the "
-                                    f"declared count {n + aux}")
+                                    f"declared count {n}")
         sectors.append((idx, poly))
     return SuperFunction(shape, sectors)
 
 
 def format_superfunction(f: SuperFunction) -> str:
     shape = f.shape
-    out = [f"{shape.m} {shape.n} {shape.aux}"]
+    out = [f"{shape.m} {shape.n} 0"]
     out.extend(_axis_text(axis) for axis in shape.box)
     for idx in sorted(f.coeffs, key=lambda t: (len(t), t)):
         poly = f.coeffs[idx]

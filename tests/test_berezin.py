@@ -17,8 +17,6 @@ from superberezin import (
     BerezinSection,
     DimensionError,
     DomainBoxError,
-    FibreTerm,
-    GrassmannElement,
     Interval,
     NonInvertibleError,
     NonIntegrableError,
@@ -27,14 +25,12 @@ from superberezin import (
     POSITIVE,
     REALLINE,
     Scalar,
-    StructureError,
     SuperDomainShape,
     SuperFunction,
     SuperMorphism,
     box_backend,
     fibre_integrate,
     fibre_integrate_section,
-    fibre_integrate_with_support,
     function_times_section,
     integrate,
     product_section,
@@ -102,15 +98,6 @@ def test_zero_top_coefficient_vanishes():
     shape = gauss_shape(1, 1)
     omega = BerezinSection.make(shape, SuperFunction.coordinate(shape, 0))
     assert integrate(omega, GAUSSIAN) == Scalar(0)
-
-
-def test_aux_parameters_are_spectators():
-    # D(xi)(xi + 2 xi theta) -> 1 + 2 theta as a Grassmann element
-    shape = SuperDomainShape(0, (), 1, aux=1)
-    rho = SuperFunction(shape, {(0,): Polynomial.one(0),
-                                (0, 1): Polynomial.constant(0, 2)})
-    value = integrate(BerezinSection.make(shape, rho), box_backend())
-    assert value == GrassmannElement(1, {(): Scalar(1), (0,): Scalar(2)})
 
 
 def test_laurent_box_integral():
@@ -434,45 +421,25 @@ def test_fibre_support_containment():
     base = SuperDomainShape(1, (Interval(0, 1),), 0)
     fibre = SuperDomainShape(0, (), 1)
     eta = SuperFunction.odd_gen(fibre, 0)
-    live = FibreTerm(SuperFunction.coordinate(base, 0),
-                     BerezinSection.make(fibre, eta),
-                     base_support=(Interval(0, Fraction(1, 2)),))
-    dead = FibreTerm(SuperFunction.coordinate(base, 0, 2),
-                     BerezinSection.make(fibre, SuperFunction.one(fibre)),
-                     base_support=(Interval(Fraction(1, 2), 1),))
-    value, support = fibre_integrate_with_support([live, dead], base, fibre,
-                                                  box_backend())
+    # only the term whose fibre density has a top odd coefficient survives
+    live = (SuperFunction.coordinate(base, 0), BerezinSection.make(fibre, eta))
+    dead = (SuperFunction.coordinate(base, 0, 2),
+            BerezinSection.make(fibre, SuperFunction.one(fibre)))
+    value = fibre_integrate([live, dead], base, fibre, box_backend())
     assert value == SuperFunction.coordinate(base, 0)
-    declared = {live.base_support, dead.base_support}
-    assert support <= declared
-    assert support == {live.base_support}
 
 
-def _fibre_integrators():
-    def pairs(fn, sec, base, fibre):
-        return fibre_integrate([(fn, sec)], base, fibre, box_backend())
-
-    def with_support(fn, sec, base, fibre):
-        return fibre_integrate_with_support([FibreTerm(fn, sec)], base, fibre,
-                                            box_backend())
-    return [pairs, with_support]
-
-
-@pytest.mark.parametrize("run", _fibre_integrators(),
-                         ids=["fibre_integrate", "with_support"])
-def test_fibre_integrators_check_shapes(run):
+def test_fibre_integrate_checks_shapes():
     base = SuperDomainShape(1, (Interval(0, 1),), 0)
     fibre = SuperDomainShape(0, (), 1)
     fn = SuperFunction.coordinate(base, 0)
     sec = BerezinSection.make(fibre, SuperFunction.odd_gen(fibre, 0))
     with pytest.raises(DimensionError, match="base factor"):
-        run(SuperFunction.one(fibre), sec, base, fibre)
+        fibre_integrate([(SuperFunction.one(fibre), sec)], base, fibre,
+                        box_backend())
     with pytest.raises(DimensionError, match="fibre factor"):
-        run(fn, BerezinSection.make(base, fn), base, fibre)
-    aux_fibre = SuperDomainShape(0, (), 1, aux=1)
-    aux_sec = BerezinSection.make(aux_fibre, SuperFunction.one(aux_fibre))
-    with pytest.raises(StructureError, match="aux parameters"):
-        run(fn, aux_sec, base, aux_fibre)
+        fibre_integrate([(fn, BerezinSection.make(base, fn))], base, fibre,
+                        box_backend())
 
 
 def test_fibrewise_shear_invariance():

@@ -8,7 +8,12 @@ import pytest
 
 from superberezin import cli, groups
 from superberezin.grassmann import Scalar
-from superberezin.textio import parse_grassmann, parse_scalar
+from superberezin.errors import ParseError
+from superberezin.textio import (
+    parse_grassmann,
+    parse_scalar,
+    parse_superfunction,
+)
 
 DIAG_6_3 = "1 1 0\n6\n0\n0\n3\n"
 
@@ -188,6 +193,17 @@ def test_integrate_exponent_over_the_bound_is_a_parse_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("parse error: line 3, column 3")
     assert "exponent 20000 exceeds the bound |e| <= 1000" in captured.err
+    assert captured.out == ""
+
+
+def test_integrate_reserved_header_field_is_a_parse_error(tmp_path, capsys):
+    text = "0 1 1\n1 : xi1\n"
+    with pytest.raises(ParseError) as info:
+        parse_superfunction(text)
+    assert (info.value.line, info.value.column) == (1, 5)
+    assert cli.main(["integrate", write(tmp_path, "f.txt", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: line 1, column 5")
     assert captured.out == ""
 
 

@@ -383,7 +383,7 @@ def test_product_matches_index_merging(a, b):
 
 def superfunctions(max_terms=10):
     from itertools import combinations
-    shape = SuperDomainShape(1, (REALLINE,), 2, aux=2)
+    shape = SuperDomainShape(1, (REALLINE,), 4)
     indices = [c for size in range(5) for c in combinations(range(4), size)]
     term = st.tuples(st.sampled_from(indices), st.integers(-1, 2),
                      st.integers(-3, 3))

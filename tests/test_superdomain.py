@@ -144,8 +144,8 @@ class TestDerivatives:
 def _random_function(rng, shape, homogeneous=False, max_terms=4):
     from itertools import combinations
     indices = []
-    for size in range(shape.total_odd + 1):
-        indices.extend(combinations(range(shape.total_odd), size))
+    for size in range(shape.n + 1):
+        indices.extend(combinations(range(shape.n), size))
     if homogeneous:
         par = rng.choice([0, 1])
         indices = [i for i in indices if len(i) % 2 == par]
@@ -220,18 +220,6 @@ class TestPullback:
             f = _random_function(rng, R12)
             assert (pullback(compose(phi, psi), f)
                     == pullback(phi, pullback(psi, f)))
-
-    def test_aux_parameters_pass_through(self):
-        src = SuperDomainShape(1, (REALLINE,), 1, aux=2)
-        tgt = SuperDomainShape(1, (REALLINE,), 1, aux=2)
-        x = SuperFunction.coordinate(src, 0)
-        xi = SuperFunction.odd_gen(src, 0)
-        theta1 = SuperFunction.odd_gen(src, 1)  # first aux gen
-        phi = SuperMorphism(src, tgt, [x], [xi + theta1])
-        f = SuperFunction(tgt, {(0, 1): Polynomial.one(1)})  # xi*theta1 on target
-        got = pullback(phi, f)
-        # (xi + theta1)·theta1 = xi·theta1
-        assert got == SuperFunction(src, {(0, 1): Polynomial.one(1)})
 
 
 class TestCompose:
@@ -383,7 +371,7 @@ def oracle_pullback(phi, f):
         soul = comp.soul()
         acc = SuperFunction.zero(src)
         soul_power = SuperFunction.one(src)
-        for j in range(src.total_odd + 1):
+        for j in range(src.n + 1):
             c = binomial_coefficient(e, j)
             if c != 0:
                 if e - j >= 0:
@@ -456,18 +444,18 @@ def _morphisms(draw, mixed=False):
     """(phi, weights) with every component carrying one power of s, or with
     each term carrying its own when mixed.
 
-    Shapes run over m, n in 0..2 with up to 2 aux parameters; POSITIVE axes
+    Shapes run over m in 0..2 and n in 0..3; POSITIVE axes
     take Laurent exponents; bodies are monomials (invertible) or short
     polynomials, with souls drawn from the even sectors.  weights[k] is the
     power of s of the k-th component (evens, then odds).
     """
-    m, n, aux = (draw(st.integers(0, 2)) for _ in range(3))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 3))
     box = tuple(draw(st.sampled_from([POSITIVE, REALLINE, Interval(0, 1)]))
                 for _ in range(m))
-    shape = SuperDomainShape(m, box, n, aux)
+    shape = SuperDomainShape(m, box, n)
     laurent = {k for k, axis in enumerate(box) if axis is POSITIVE}
-    sectors = [c for size in range(n + aux + 1)
-               for c in combinations(range(n + aux), size)]
+    sectors = [c for size in range(n + 1)
+               for c in combinations(range(n), size)]
     weights = [draw(st.integers(-1, 1)) for _ in range(m + n)]
 
     def component(weight, parity):
@@ -491,9 +479,9 @@ def _morphisms(draw, mixed=False):
 
 def _image_power_of_s(phi, weights, alpha, exps, power):
     """Power of s on the image of s^power x^exps xi^alpha under phi."""
-    m, n = phi.target.m, phi.target.n
+    m = phi.target.m
     return (power + sum(e * w for e, w in zip(exps, weights[:m]))
-            + sum(weights[m + j] for j in alpha if j < n))
+            + sum(weights[m + j] for j in alpha))
 
 
 @st.composite
@@ -504,8 +492,8 @@ def _functions(draw, shape, power_of_term=None):
         def power_of_term(alpha, exps):
             return draw(st.integers(-1, 1))
     laurent = {k for k, axis in enumerate(shape.box) if axis is POSITIVE}
-    sectors = [c for size in range(shape.total_odd + 1)
-               for c in combinations(range(shape.total_odd), size)]
+    sectors = [c for size in range(shape.n + 1)
+               for c in combinations(range(shape.n), size)]
     coeffs = {}
     for _ in range(draw(st.integers(1, 4))):
         alpha = draw(st.sampled_from(sectors))
@@ -628,8 +616,8 @@ def _canonical_or_zero(value):
 
 @st.composite
 def _laurent_functions(draw, shape):
-    sectors = [c for size in range(shape.total_odd + 1)
-               for c in combinations(range(shape.total_odd), size)]
+    sectors = [c for size in range(shape.n + 1)
+               for c in combinations(range(shape.n), size)]
     coeffs = {}
     for _ in range(draw(st.integers(0, 5))):
         alpha = draw(st.sampled_from(sectors))
@@ -639,11 +627,11 @@ def _laurent_functions(draw, shape):
     return SuperFunction(shape, coeffs)
 
 
-R22_AUX = SuperDomainShape(2, (POSITIVE, REALLINE), 2, aux=1)
+R23 = SuperDomainShape(2, (POSITIVE, REALLINE), 3)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_laurent_functions(R22_AUX), _laurent_functions(R22_AUX))
+@given(_laurent_functions(R23), _laurent_functions(R23))
 def test_closed_superfunction_operations_are_canonical(f, g):
     results = [f + g, f - g, f * g, -f, f.soul(), f.even_part(),
                f.odd_part(), f - f]
@@ -666,7 +654,7 @@ def test_closed_superfunction_operations_are_canonical(f, g):
         _canonical_or_zero(f.evaluate_body(point))
 
 
-R13_AUX2 = SuperDomainShape(1, (POSITIVE,), 3, aux=2)
+R15 = SuperDomainShape(1, (POSITIVE,), 5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -680,10 +668,10 @@ def test_superfunction_inv_even_multiplies_back(data):
     for _ in range(data.draw(st.integers(0, 4))):
         coeffs[data.draw(st.sampled_from(even_sectors))] = data.draw(
             _polynomials(1, {0}, lambda _: w))
-    f = SuperFunction(R13_AUX2, coeffs)
+    f = SuperFunction(R15, coeffs)
     inv = f.inv_even()
-    assert f * inv == SuperFunction.one(R13_AUX2)
-    assert inv * f == SuperFunction.one(R13_AUX2)
+    assert f * inv == SuperFunction.one(R15)
+    assert inv * f == SuperFunction.one(R15)
 
 
 @settings(max_examples=100, deadline=None)

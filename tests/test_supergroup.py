@@ -377,8 +377,7 @@ def test_product_formula_odd_even_frozen():
     ex = axb_product_example("odd-even")
     report = product_formula_check(ex.group, ex.left, ex.right,
                                    ex.test_function, ex.omega_group,
-                                   backend=ex.backend,
-                                   product_backend=ex.product_backend)
+                                   backend=ex.backend)
     H = ex.right.subgroup.shape
     assert report.constant == Scalar(-1)
     assert report.ratio == _coord(H, 0)
@@ -391,8 +390,7 @@ def test_product_formula_even_odd_frozen():
     ex = axb_product_example("even-odd")
     report = product_formula_check(ex.group, ex.left, ex.right,
                                    ex.test_function, ex.omega_group,
-                                   backend=ex.backend,
-                                   product_backend=ex.product_backend)
+                                   backend=ex.backend)
     H = ex.right.subgroup.shape
     assert report.constant == Scalar(1)
     assert report.ratio == SuperFunction.one(H)
@@ -406,8 +404,7 @@ def test_product_ratio_matches_modular_oracle():
         ex = axb_product_example(order)
         report = product_formula_check(ex.group, ex.left, ex.right,
                                        ex.test_function, ex.omega_group,
-                                       backend=ex.backend,
-                                       product_backend=ex.product_backend)
+                                       backend=ex.backend)
         ber_h, ber_u = modular_berezinian(ex.group, ex.right)
         assert report.ratio == ber_h * ber_u.inv_even()
 

@@ -149,7 +149,7 @@ def test_scalar_parsing():
 
 
 def test_superfunction_frozen_example():
-    text = """2 2 1
+    text = """2 3 0
 axis 0 1
 axis R
 3 x1^2 - 1/2 x2 : 1
@@ -158,9 +158,19 @@ x1 : xi1 xi2
 """
     f = parse_superfunction(text)
     assert f.shape == SuperDomainShape(
-        2, (Interval(Fraction(0), Fraction(1)), REALLINE), 2, aux=1)
+        2, (Interval(Fraction(0), Fraction(1)), REALLINE), 3)
     assert f.coefficient((0, 1)).coefficient((1, 0)) == Scalar(1)
     assert f.coefficient((2,)).coefficient((0, 0)) == Scalar(2)
+
+
+def test_superfunction_header_reserved_field():
+    # the third header field is reserved: written as 0, refused otherwise
+    shape = SuperDomainShape(1, (REALLINE,), 2)
+    text = format_superfunction(SuperFunction.odd_gen(shape, 1))
+    assert text == "1 2 0\naxis R\n1 : xi2\n"
+    with pytest.raises(ParseError) as info:
+        parse_superfunction(text.replace("1 2 0", "1 2 -1"))
+    assert (info.value.line, info.value.column) == (1, 5)
 
 
 def test_superfunction_axis_forms():
