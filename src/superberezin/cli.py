@@ -23,7 +23,7 @@ import sys
 from .berezin import GAUSSIAN, BerezinSection, box_backend, integrate
 from .errors import ParseError, SuperBerezinError
 from .lie_super import SubalgebraSpec, unimodularity_check, validate
-from .suites import SUITES, CheckLine
+from .suites import EXAMPLES, SUITES
 from .textio import (
     _fail,
     _fraction,
@@ -144,100 +144,11 @@ def _cmd_unimodular(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# worked examples
-
-def _fubini_example_lines(example) -> list[CheckLine]:
-    from .supergroup import fubini_check
-    report = fubini_check(example.group, example.subgroup, example.chart,
-                          example.test_function, example.omega_group,
-                          backend=example.backend,
-                          fibre_backend=example.fibre_backend,
-                          base_backend=example.base_backend)
-    want = example.staging_sign
-    return [
-        CheckLine(name=f"{example.name} staged integral",
-                  passed=report.passed,
-                  lhs=str(report.lhs), rhs=str(report.rhs)),
-        CheckLine(name=f"{example.name} staging sign",
-                  passed=(report.sign == want),
-                  lhs=str(report.sign), rhs=str(want)),
-    ]
-
-
-def _run_fubini_axb() -> list[CheckLine]:
-    from .groups import axb_fubini_example
-    return _fubini_example_lines(axb_fubini_example())
-
-
-def _run_fubini_heisenberg() -> list[CheckLine]:
-    from .groups import heisenberg_fubini_example
-    return _fubini_example_lines(heisenberg_fubini_example())
-
-
-def _run_product_axb() -> list[CheckLine]:
-    from .groups import product_builtins
-    from .supergroup import product_formula_check
-    lines = []
-    for ex in product_builtins():
-        report = product_formula_check(ex.group, ex.left, ex.right,
-                                       ex.test_function, ex.omega_group,
-                                       backend=ex.backend)
-        lines.append(CheckLine(name=f"{ex.name} staged integral",
-                               passed=report.passed,
-                               lhs=str(report.lhs), rhs=str(report.rhs)))
-        lines.append(CheckLine(name=f"{ex.name} modular ratio",
-                               passed=(report.ratio == ex.modular_ratio),
-                               lhs=str(report.ratio),
-                               rhs=str(ex.modular_ratio)))
-    return lines
-
-
-def _run_unimod_gl11() -> list[CheckLine]:
-    from .groups import gl11_group
-    from .supergroup import group_lie_algebra
-    g = group_lie_algebra(gl11_group(),
-                          names=("E11", "E22", "E12", "E21"))
-    lines = []
-    for label, span in [("h=0", frozenset()),
-                        ("h=span(E11)", frozenset({0})),
-                        ("h=span(E11,E22)", frozenset({0, 1})),
-                        ("h=all", frozenset(range(4)))]:
-        result = unimodularity_check(g, SubalgebraSpec(g, span))
-        lines.append(CheckLine(name=f"gl11 {label}",
-                               passed=(result.verdict == "UNIMODULAR"),
-                               lhs=result.verdict, rhs="UNIMODULAR"))
-    return lines
-
-
-def _run_unimod_borel() -> list[CheckLine]:
-    from .lie_super import gl11_algebra
-    g = gl11_algebra()
-    result = unimodularity_check(g, SubalgebraSpec(g, frozenset({0, 1, 2})))
-    return [
-        CheckLine(name="gl11 borel verdict",
-                  passed=(result.verdict == "NOT_UNIMODULAR"),
-                  lhs=result.verdict, rhs="NOT_UNIMODULAR"),
-        CheckLine(name="gl11 borel witness",
-                  passed=(result.witness_name == "E11"
-                          and result.witness_supertrace == 1),
-                  lhs=f"{result.witness_name}: {result.witness_supertrace}",
-                  rhs="E11: 1"),
-    ]
-
-
-EXAMPLES = {
-    "fubini-ax+b": ("staged integration over the scaling-shift chart "
-                    "modulo its odd subgroup", _run_fubini_axb),
-    "heisenberg-fubini": ("staged integration over the odd Heisenberg "
-                          "chart modulo its centre", _run_fubini_heisenberg),
-    "product-ax+b": ("the scaling-shift chart as a product of its two "
-                     "subgroups, both orders", _run_product_axb),
-    "unimod-gl11": ("unimodularity of GL(1|1) quotients",
-                    _run_unimod_gl11),
-    "unimod-borel": ("the Borel subalgebra of gl(1|1) is not unimodular",
-                     _run_unimod_borel),
-}
+def _print_checks(lines) -> int:
+    """Print one line per check; exit code 0 when all passed, else 1."""
+    for line in lines:
+        print(line.render())
+    return 0 if all(line.passed for line in lines) else 1
 
 
 def _cmd_examples(args) -> int:
@@ -253,10 +164,7 @@ def _cmd_examples(args) -> int:
         print(f"unknown example {args.name!r}; try 'examples list'",
               file=sys.stderr)
         return 2
-    lines = EXAMPLES[args.name][1]()
-    for line in lines:
-        print(line.render())
-    return 0 if all(line.passed for line in lines) else 1
+    return _print_checks(EXAMPLES[args.name][1]())
 
 
 def _cmd_verify(args) -> int:
@@ -267,12 +175,11 @@ def _cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     seeded = "seed" in inspect.signature(fn).parameters
     lines = fn(seed=args.seed) if seeded else fn()
-    for line in lines:
-        print(line.render())
-    passed = sum(1 for line in lines if line.passed)
+    code = _print_checks(lines)
     used = f"seed {args.seed}" if seeded else "unseeded"
-    print(f"{passed}/{len(lines)} checks passed ({used})")
-    return 0 if passed == len(lines) else 1
+    print(f"{sum(line.passed for line in lines)}/{len(lines)} checks passed "
+          f"({used})")
+    return code
 
 
 _DISPATCH = {

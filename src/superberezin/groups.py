@@ -184,7 +184,6 @@ class FubiniExample:
     staging_sign: int  # frozen sign of the staged integral
     backend: IntegrationBackend
     fibre_backend: IntegrationBackend | None = None
-    base_backend: IntegrationBackend | None = None
 
 
 def line_fubini_example() -> FubiniExample:
@@ -249,8 +248,7 @@ def axb_fubini_example() -> FubiniExample:
         test_function=a + a * b,
         staging_sign=-1,
         backend=box,
-        fibre_backend=box_backend(),
-        base_backend=box)
+        fibre_backend=box_backend())
 
 
 def fubini_builtins() -> tuple[FubiniExample, ...]:

@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionError, ParityError, StructureError
-from .grassmann import EVEN, ODD, GrassmannElement, Parity, _canonical, _rational
+from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _canonical,
+                        _rational, koszul_sign)
 from .supermatrix import SuperMatrix, supertrace
 
 __all__ = [
@@ -92,7 +93,7 @@ class LieSuperAlgebra:
             brackets[(i, j)] = _as_vector(vec, dim)
         for (i, j), vec in list(brackets.items()):
             if (j, i) not in brackets:
-                sign = -1 if (parities[i] is ODD and parities[j] is ODD) else 1
+                sign = koszul_sign(parities[i], parities[j])
                 # [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j]
                 brackets[(j, i)] = tuple(-sign * c for c in vec)
         object.__setattr__(self, "names", names)
@@ -200,7 +201,7 @@ def validate(g: LieSuperAlgebra) -> ValidationReport:
                     break
     for i in range(dim):
         for j in range(i, dim):
-            sign = -1 if (g.parities[i] is ODD and g.parities[j] is ODD) else 1
+            sign = koszul_sign(g.parities[i], g.parities[j])
             lhs = g.bracket_basis(i, j)
             rhs = tuple(-sign * c for c in g.bracket_basis(j, i))
             if lhs != rhs:
@@ -215,8 +216,7 @@ def validate(g: LieSuperAlgebra) -> ValidationReport:
             for k in range(dim):
                 # graded Leibniz: [ei,[ej,ek]] = [[ei,ej],ek]
                 #                  + (-1)^{|i||j|} [ej,[ei,ek]]
-                sign = -1 if (g.parities[i] is ODD and g.parities[j] is ODD) \
-                    else 1
+                sign = koszul_sign(g.parities[i], g.parities[j])
                 lhs = g.bracket(g.basis_vector(i), g.bracket_basis(j, k))
                 term1 = g.bracket(g.bracket_basis(i, j), g.basis_vector(k))
                 term2 = g.bracket(g.basis_vector(j), g.bracket_basis(i, k))

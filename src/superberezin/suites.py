@@ -1,6 +1,7 @@
-"""Seeded verification suites behind the ``verify`` CLI subcommand.
+"""Seeded verification suites and worked examples behind the ``verify``
+and ``examples run`` CLI subcommands.
 
-Each suite runs a batch of exact identity checks and returns one
+Each suite or example runs a batch of exact identity checks and returns one
 CheckLine per identity instance; nothing here is approximate, a FAIL
 means the equality genuinely failed.
 """
@@ -11,9 +12,9 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as grid
 
-from . import linalg
+from . import groups, linalg
 from .berezin import (
     BerezinSection,
     GAUSSIAN,
@@ -25,6 +26,11 @@ from .berezin import (
     pullback_section,
 )
 from .grassmann import EVEN, ODD, GrassmannElement, Parity, _element
+from .koszul import homological_berezinian
+from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
+                        gl11_algebra, unimodularity_check)
+from .supergroup import (fubini_check, group_lie_algebra,
+                         product_formula_check, solve_invariant_density)
 from .supermatrix import SuperMatrix
 from .superdomain import (
     Interval,
@@ -42,6 +48,11 @@ class CheckLine:
     passed: bool
     lhs: str
     rhs: str
+
+    @classmethod
+    def equal(cls, name: str, lhs, rhs) -> CheckLine:
+        """The line comparing two values, each side printed as it is."""
+        return cls(name, lhs == rhs, str(lhs), str(rhs))
 
     def render(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -132,12 +143,7 @@ def berezinian_multiplicativity_suite(seed: int = 0):
             y = random_even_supermatrix(rng, p, q, 4)
             lhs = (x * y).berezinian()
             rhs = x.berezinian() * y.berezinian()
-            lines.append(CheckLine(
-                name=f"ber-mult ({p}|{q}) #{k}",
-                passed=(lhs == rhs),
-                lhs=str(lhs),
-                rhs=str(rhs),
-            ))
+            lines.append(CheckLine.equal(f"ber-mult ({p}|{q}) #{k}", lhs, rhs))
     return lines
 
 
@@ -229,21 +235,21 @@ def _boundary_bump(shape: SuperDomainShape) -> SuperFunction:
     return bump
 
 
-def change_of_variables_suite(seed: int = 0, cases: int = 60):
-    """integrate(pullback_section(phi, omega)) == integrate(omega), exact."""
+def change_of_variables_suite(seed: int = 0):
+    """integrate(pullback_section(phi, omega)) == integrate(omega), exact,
+    on 60 random oriented automorphisms."""
     rng = random.Random(seed)
     shapes = ((1, 1), (2, 1), (1, 2), (2, 2))
     lines = []
-    for k in range(cases):
+    for k in range(60):
         m, n = shapes[k % len(shapes)]
         phi, target = _random_oriented_automorphism(rng, m, n)
         density = _boundary_bump(target) * random_superfunction(rng, target)
         omega = BerezinSection.make(target, density)
         lhs = integrate(pullback_section(phi, omega), box_backend())
         rhs = integrate(omega, box_backend())
-        lines.append(CheckLine(
-            name=f"change-of-variables ({m}|{n}) #{k}",
-            passed=(lhs == rhs), lhs=str(lhs), rhs=str(rhs)))
+        lines.append(CheckLine.equal(f"change-of-variables ({m}|{n}) #{k}",
+                                     lhs, rhs))
     return lines
 
 
@@ -265,51 +271,40 @@ def _gaussian_factor_density(rng: random.Random,
     return density + extra.soul() if shape.n else density
 
 
-def fubini_sign_grid_suite(seed: int = 0, dims=(0, 1, 2)):
+def fubini_sign_grid_suite(seed: int = 0):
     """The (*) product sign and the fibre-integration identity, all dims.
 
-    For every (m,n,p,q) over the given range, with Gaussian-class
+    For every (m,n,p,q) in {0, 1, 2}^4, with Gaussian-class
     densities:  int(omega1 x omega2) = (-1)^{(m+n)q} int(omega1) int(omega2),
     and the same sign relates the total integral to the integral of the
     fibrewise one.
     """
     rng = random.Random(seed)
     lines = []
-    for m in dims:
-        for n in dims:
-            for p in dims:
-                for q in dims:
-                    base = _gauss_shape(m, n)
-                    fibre = _gauss_shape(p, q)
-                    w1 = BerezinSection.make(
-                        base, _gaussian_factor_density(rng, base))
-                    w2 = BerezinSection.make(
-                        fibre, _gaussian_factor_density(rng, fibre))
-                    sign = -1 if ((m + n) * q) % 2 else 1
-                    prod = product_section(w1, w2)
-                    total = integrate(prod, GAUSSIAN)
-                    split_rhs = sign * integrate(
-                        fibre_integrate_section(prod, base, fibre, GAUSSIAN),
-                        GAUSSIAN)
-                    star_rhs = sign * (integrate(w1, GAUSSIAN)
-                                       * integrate(w2, GAUSSIAN))
-                    label = f"({m}|{n})x({p}|{q})"
-                    lines.append(CheckLine(
-                        name=f"star-sign {label}",
-                        passed=(total == star_rhs),
-                        lhs=str(total), rhs=str(star_rhs)))
-                    lines.append(CheckLine(
-                        name=f"fibre-identity {label}",
-                        passed=(total == split_rhs),
-                        lhs=str(total), rhs=str(split_rhs)))
+    for m, n, p, q in grid(range(3), repeat=4):
+        base = _gauss_shape(m, n)
+        fibre = _gauss_shape(p, q)
+        w1 = BerezinSection.make(base, _gaussian_factor_density(rng, base))
+        w2 = BerezinSection.make(fibre, _gaussian_factor_density(rng, fibre))
+        sign = -1 if ((m + n) * q) % 2 else 1
+        prod = product_section(w1, w2)
+        total = integrate(prod, GAUSSIAN)
+        split_rhs = sign * integrate(
+            fibre_integrate_section(prod, base, fibre, GAUSSIAN), GAUSSIAN)
+        star_rhs = sign * (integrate(w1, GAUSSIAN) * integrate(w2, GAUSSIAN))
+        label = f"({m}|{n})x({p}|{q})"
+        lines.append(CheckLine.equal(f"star-sign {label}", total, star_rhs))
+        lines.append(CheckLine.equal(f"fibre-identity {label}",
+                                     total, split_rhs))
     return lines
 
 
 # -- suite: module rule and support ---------------------------------------
 
 
-def module_rule_suite(seed: int = 0, cases: int = 50):
-    """p_!(p^* h . omega) == h . p_!(omega) on random product terms."""
+def module_rule_suite(seed: int = 0):
+    """p_!(p^* h . omega) == h . p_!(omega) on 50 random sums of product
+    terms."""
     rng = random.Random(seed)
     bases = (SuperDomainShape(1, (Interval(0, 1),), 1),
              SuperDomainShape(0, (), 2),
@@ -318,7 +313,7 @@ def module_rule_suite(seed: int = 0, cases: int = 50):
               SuperDomainShape(1, (Interval(0, 1),), 0),
               SuperDomainShape(1, (Interval(-1, 2),), 1))
     lines = []
-    for k in range(cases):
+    for k in range(50):
         base = bases[k % len(bases)]
         fibre = fibres[(k // len(bases)) % len(fibres)]
         terms = []
@@ -330,40 +325,45 @@ def module_rule_suite(seed: int = 0, cases: int = 50):
         lhs = fibre_integrate([(h * fn, sec) for fn, sec in terms],
                               base, fibre, box_backend())
         rhs = h * fibre_integrate(terms, base, fibre, box_backend())
-        lines.append(CheckLine(
-            name=f"module-rule #{k}", passed=(lhs == rhs),
-            lhs=str(lhs), rhs=str(rhs)))
+        lines.append(CheckLine.equal(f"module-rule #{k}", lhs, rhs))
     return lines
 
 
-def support_containment_suite(seed: int = 0, cases: int = 12):
-    """Declared support boxes of surviving terms stay inside the input's.
+def support_containment_suite(seed: int = 0):
+    """Declared support boxes of surviving terms stay inside the input's,
+    on 12 random sums of terms.
 
     A term f * (section) survives when f times the fibre integral of its
-    section is nonzero; its declared base box then counts as live.
+    section is nonzero; its declared base box then counts as live.  The
+    live boxes must be exactly those Berezin's rule on R^(0|1) predicts:
+    the section's density is xi1 and f is nonzero.
     """
     rng = random.Random(seed)
     base = SuperDomainShape(1, (Interval(0, 1),), 0)
     fibre = SuperDomainShape(0, (), 1)
     lines = []
-    for k in range(cases):
+    for k in range(12):
         declared = set()
         support = set()
+        expected = set()
         for _ in range(rng.randint(2, 4)):
             lo = Fraction(rng.randint(0, 2), 4)
             box = (Interval(lo, lo + Fraction(rng.randint(1, 2), 4)),)
             # half the terms integrate to zero over the fibre
-            density = (SuperFunction.odd_gen(fibre, 0) if rng.random() < 0.5
+            odd = rng.random() < 0.5
+            density = (SuperFunction.odd_gen(fibre, 0) if odd
                        else SuperFunction.one(fibre))
             fn = random_superfunction(rng, base)
             value = integrate(BerezinSection.make(fibre, density),
                               box_backend())
             if not (fn * value).is_zero():
                 support.add(box)
+            if odd and not fn.is_zero():
+                expected.add(box)
             declared.add(box)
         lines.append(CheckLine(
             name=f"support-containment #{k}",
-            passed=support <= declared,
+            passed=support == expected and support <= declared,
             lhs=f"{len(support)} live box(es)",
             rhs=f"subset of {len(declared)} declared"))
     return lines
@@ -393,10 +393,17 @@ def _random_adapted_change(rng: random.Random, g, span: frozenset):
     raise RuntimeError("failed to generate an adapted basis change")
 
 
-def unimodularity_suite(seed: int = 0, changes: int = 10):
-    """Unimodularity verdicts, stable under adapted changes of basis."""
-    from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
-                            gl11_algebra, unimodularity_check)
+def _borel_witness(name: str, result) -> CheckLine:
+    """The Borel quotient of gl(1|1) fails unimodularity at E11, whose
+    supertrace is 1."""
+    return CheckLine(
+        name, result.witness_name == "E11" and result.witness_supertrace == 1,
+        f"{result.witness_name}: {result.witness_supertrace}", "E11: 1")
+
+
+def unimodularity_suite(seed: int = 0):
+    """Unimodularity verdicts, stable under 10 adapted changes of basis
+    each."""
     rng = random.Random(seed)
     abelian = abelian_algebra(("a", "b", "xi", "eta"), (EVEN, EVEN, ODD, ODD))
     cases = [
@@ -409,25 +416,18 @@ def unimodularity_suite(seed: int = 0, changes: int = 10):
     lines = []
     for label, g, span, expected in cases:
         result = unimodularity_check(g, SubalgebraSpec(g, span))
-        lines.append(CheckLine(
-            name=f"unimodularity {label}",
-            passed=(result.verdict == expected),
-            lhs=result.verdict, rhs=expected))
+        lines.append(CheckLine.equal(f"unimodularity {label}",
+                                     result.verdict, expected))
         if label == "gl11 borel":
-            lines.append(CheckLine(
-                name="unimodularity borel witness",
-                passed=(result.witness_name == "E11"
-                        and result.witness_supertrace == 1),
-                lhs=f"{result.witness_name}: {result.witness_supertrace}",
-                rhs="E11: 1"))
-        for t in range(changes):
+            lines.append(_borel_witness("unimodularity borel witness",
+                                        result))
+        for t in range(10):
             P = _random_adapted_change(rng, g, span)
             g2 = change_basis(g, P)
             redo = unimodularity_check(g2, SubalgebraSpec(g2, span))
-            lines.append(CheckLine(
-                name=f"unimodularity {label} basis-change #{t}",
-                passed=(redo.verdict == expected),
-                lhs=redo.verdict, rhs=expected))
+            lines.append(CheckLine.equal(
+                f"unimodularity {label} basis-change #{t}",
+                redo.verdict, expected))
     return lines
 
 
@@ -438,7 +438,6 @@ def homological_rank_suite():
     """The Berezinian line has rank one and parity n mod 2, recomputed
     from the homology of the Koszul-type complex rather than from the
     dual-determinant model."""
-    from .koszul import homological_berezinian
     lines = []
     for p, q in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]:
         total, parity = homological_berezinian(p, q, p + q + 2)
@@ -462,33 +461,35 @@ def _random_group_function(rng: random.Random,
     return f + SuperFunction(shape, {top: poly})
 
 
+def _fubini(ex: groups.FubiniExample, f: SuperFunction):
+    """The staged integration of f over the example's quotient."""
+    return fubini_check(ex.group, ex.subgroup, ex.chart, f, ex.omega_group,
+                        backend=ex.backend, fibre_backend=ex.fibre_backend)
+
+
+def _product(ex: groups.ProductExample, f: SuperFunction):
+    """The product-of-subgroups check of f over the example's factors."""
+    return product_formula_check(ex.group, ex.left, ex.right, f,
+                                 ex.omega_group, backend=ex.backend)
+
+
 def fubini_quotient_suite(seed: int = 0):
     """Staged integration over the built-in quotient pairs (four random
     integrands each), plus agreement of the staging sign with the
     tensor-factorization rule computed from independently extracted Lie
     algebra dimensions."""
-    from .groups import fubini_builtins
-    from .supergroup import fubini_check, group_lie_algebra
     rng = random.Random(seed)
     lines = []
-    for ex in fubini_builtins():
+    for ex in groups.fubini_builtins():
         for k in range(4):
-            f = _random_group_function(rng, ex.group.shape)
-            report = fubini_check(ex.group, ex.subgroup, ex.chart, f,
-                                  ex.omega_group, backend=ex.backend,
-                                  fibre_backend=ex.fibre_backend,
-                                  base_backend=ex.base_backend)
-            lines.append(CheckLine(
-                name=f"fubini {ex.name} case {k}",
-                passed=report.passed,
-                lhs=str(report.lhs), rhs=str(report.rhs)))
+            report = _fubini(ex, _random_group_function(rng, ex.group.shape))
+            lines.append(CheckLine.equal(f"fubini {ex.name} case {k}",
+                                         report.lhs, report.rhs))
         g = group_lie_algebra(ex.group)
         h = group_lie_algebra(ex.subgroup.subgroup)
         alg_sign = -1 if (h.odd_count * (g.dim - h.dim)) % 2 else 1
-        lines.append(CheckLine(
-            name=f"fubini {ex.name} sign consistency",
-            passed=(report.sign == alg_sign),
-            lhs=str(report.sign), rhs=str(alg_sign)))
+        lines.append(CheckLine.equal(f"fubini {ex.name} sign consistency",
+                                     report.sign, alg_sign))
     return lines
 
 
@@ -496,44 +497,31 @@ def product_formula_suite(seed: int = 0):
     """The product-of-subgroups change of variables in both factor orders
     (five random integrands each), with the modular ratio checked against
     frozen conjugation data."""
-    from .groups import product_builtins
-    from .supergroup import product_formula_check
     rng = random.Random(seed)
     lines = []
-    for ex in product_builtins():
+    for ex in groups.product_builtins():
         for k in range(5):
-            f = _random_group_function(rng, ex.group.shape)
-            report = product_formula_check(ex.group, ex.left, ex.right, f,
-                                           ex.omega_group,
-                                           backend=ex.backend)
-            lines.append(CheckLine(
-                name=f"product {ex.name} case {k}",
-                passed=report.passed,
-                lhs=str(report.lhs), rhs=str(report.rhs)))
-        lines.append(CheckLine(
-            name=f"product {ex.name} modular ratio",
-            passed=(report.ratio == ex.modular_ratio),
-            lhs=str(report.ratio), rhs=ex.ratio_label))
-        lines.append(CheckLine(
-            name=f"product {ex.name} constant",
-            passed=(report.constant == ex.modular_constant),
-            lhs=str(report.constant), rhs=str(ex.modular_constant)))
+            report = _product(ex, _random_group_function(rng, ex.group.shape))
+            lines.append(CheckLine.equal(f"product {ex.name} case {k}",
+                                         report.lhs, report.rhs))
+        # the right side prints the chart's name for the ratio
+        lines.append(CheckLine(f"product {ex.name} modular ratio",
+                               report.ratio == ex.modular_ratio,
+                               str(report.ratio), ex.ratio_label))
+        lines.append(CheckLine.equal(f"product {ex.name} constant",
+                                     report.constant, ex.modular_constant))
     return lines
 
 
-def invariant_density_suite(max_degree: int = 4):
+def invariant_density_suite():
     """The left-invariant density of every built-in chart is unique up to
     scale within the default ansatz."""
-    from .groups import builtin_groups
-    from .supergroup import solve_invariant_density
     lines = []
-    for G in builtin_groups():
-        result = solve_invariant_density(G, side="left",
-                                         max_degree=max_degree)
-        lines.append(CheckLine(
-            name=f"left density of {G.name}: solution dimension",
-            passed=(result.dimension == 1),
-            lhs=str(result.dimension), rhs="1"))
+    for G in groups.builtin_groups():
+        result = solve_invariant_density(G, side="left")
+        lines.append(CheckLine.equal(
+            f"left density of {G.name}: solution dimension",
+            result.dimension, 1))
     return lines
 
 
@@ -548,4 +536,66 @@ SUITES = {
     "fubini-quotients": fubini_quotient_suite,
     "product-formula": product_formula_suite,
     "invariant-density": invariant_density_suite,
+}
+
+
+# -- worked examples behind ``examples run`` ---------------------------------
+# Each runner looks its factory up in ``groups`` when it runs, so the
+# example checked is the one ``groups`` holds at that moment.
+
+
+def _fubini_example(ex: groups.FubiniExample) -> list[CheckLine]:
+    report = _fubini(ex, ex.test_function)
+    return [CheckLine.equal(f"{ex.name} staged integral",
+                            report.lhs, report.rhs),
+            CheckLine.equal(f"{ex.name} staging sign",
+                            report.sign, ex.staging_sign)]
+
+
+def _product_examples() -> list[CheckLine]:
+    lines = []
+    for ex in groups.product_builtins():
+        report = _product(ex, ex.test_function)
+        lines.append(CheckLine.equal(f"{ex.name} staged integral",
+                                     report.lhs, report.rhs))
+        lines.append(CheckLine.equal(f"{ex.name} modular ratio",
+                                     report.ratio, ex.modular_ratio))
+    return lines
+
+
+def _gl11_quotients() -> list[CheckLine]:
+    g = group_lie_algebra(groups.gl11_group(),
+                          names=("E11", "E22", "E12", "E21"))
+    lines = []
+    for label, span in [("h=0", frozenset()),
+                        ("h=span(E11)", frozenset({0})),
+                        ("h=span(E11,E22)", frozenset({0, 1})),
+                        ("h=all", frozenset(range(4)))]:
+        result = unimodularity_check(g, SubalgebraSpec(g, span))
+        lines.append(CheckLine.equal(f"gl11 {label}", result.verdict,
+                                     "UNIMODULAR"))
+    return lines
+
+
+def _borel_quotient() -> list[CheckLine]:
+    g = gl11_algebra()
+    result = unimodularity_check(g, SubalgebraSpec(g, frozenset({0, 1, 2})))
+    return [CheckLine.equal("gl11 borel verdict",
+                            result.verdict, "NOT_UNIMODULAR"),
+            _borel_witness("gl11 borel witness", result)]
+
+
+EXAMPLES = {
+    "fubini-ax+b": ("staged integration over the scaling-shift chart "
+                    "modulo its odd subgroup",
+                    lambda: _fubini_example(groups.axb_fubini_example())),
+    "heisenberg-fubini": ("staged integration over the odd Heisenberg "
+                          "chart modulo its centre",
+                          lambda: _fubini_example(
+                              groups.heisenberg_fubini_example())),
+    "product-ax+b": ("the scaling-shift chart as a product of its two "
+                     "subgroups, both orders", _product_examples),
+    "unimod-gl11": ("unimodularity of GL(1|1) quotients", _gl11_quotients),
+    "unimod-borel": ("the Borel subalgebra of gl(1|1) is not unimodular",
+                     _borel_quotient),
 }

@@ -797,13 +797,9 @@ def jacobian(phi: SuperMorphism) -> SuperMatrix:
     if (phi.source.m, phi.source.n) != (phi.target.m, phi.target.n):
         raise DimensionError("jacobian needs equal graded dimensions")
     src = phi.source
-    m, n = src.m, src.n
-    rows = []
-    for i in range(m):
-        rows.append([phi.component(k).derive_even(i) for k in range(m + n)])
-    for j in range(n):
-        rows.append([phi.component(k).derive_odd(j) for k in range(m + n)])
-    return SuperMatrix(m, n, rows,
+    rows = jacobian_rows(phi, [("even", i) for i in range(src.m)]
+                         + [("odd", j) for j in range(src.n)])
+    return SuperMatrix(src.m, src.n, rows,
                        zero=SuperFunction.zero(src), one=SuperFunction.one(src))
 
 

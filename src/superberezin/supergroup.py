@@ -43,7 +43,7 @@ from .errors import (
     NormalizationError,
     StructureError,
 )
-from .grassmann import EVEN, ODD, Scalar, _rational
+from .grassmann import EVEN, ODD, Scalar, _rational, koszul_sign
 from .lie_super import LieSuperAlgebra, ValidationReport, validate
 from .linalg import nullspace
 from .superdomain import (
@@ -207,7 +207,7 @@ def group_lie_algebra(G: SuperGroupChart,
     brackets = {}
     for a in range(m + n):
         for b in range(a, m + n):
-            koszul = -1 if (parities[a] is ODD and parities[b] is ODD) else 1
+            koszul = koszul_sign(parities[a], parities[b])
             vec = tuple(
                 _cross_coefficient(c, dirs[a], dirs[b], m, n, unit2)
                 - koszul * _cross_coefficient(c, dirs[b], dirs[a], m, n, unit2)
@@ -443,12 +443,14 @@ def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
                  chart: QuotientChartData, f: SuperFunction,
                  omega_G: BerezinSection, *,
                  backend: IntegrationBackend,
-                 fibre_backend: IntegrationBackend | None = None,
-                 base_backend: IntegrationBackend | None = None
+                 fibre_backend: IntegrationBackend | None = None
                  ) -> FubiniReport:
     """Integrate f over the chart directly and in stages through the
     quotient; the two must agree exactly, with the stage order contributing
-    (-1)^(dim h_1 * dim of the base)."""
+    (-1)^(dim h_1 * dim of the base).
+
+    ``backend`` integrates over G and over the base; ``fibre_backend``, when
+    given, integrates over the subgroup fibre in its place."""
     base = chart.section.source
     Hsh = H.subgroup.shape
     tau = trivialization(G, H, chart)
@@ -470,7 +472,7 @@ def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
 
     sign = -1 if (Hsh.n * (base.m + base.n)) % 2 else 1
     staged = integrate(function_times_section(f_H, chart.base_density),
-                       base_backend or backend)
+                       backend)
     rhs = staged if sign == 1 else -staged
     return FubiniReport(sign, lhs, rhs, f_H, pulled.caveats)
 

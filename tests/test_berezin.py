@@ -465,24 +465,26 @@ def test_fibrewise_shear_invariance():
 # seeded verification suites
 
 
-def test_change_of_variables_suite_all_pass():
-    from superberezin.suites import change_of_variables_suite
-    lines = change_of_variables_suite(seed=7, cases=16)
-    bad = [line.render() for line in lines if not line.passed]
-    assert not bad, bad
-
-
 def test_fubini_sign_grid_small():
     from superberezin.suites import fubini_sign_grid_suite
-    lines = fubini_sign_grid_suite(seed=3, dims=(0, 1))
+    lines = fubini_sign_grid_suite(seed=3)
     bad = [line.render() for line in lines if not line.passed]
     assert not bad, bad
 
 
 def test_module_rule_suite_sample():
     from superberezin.suites import module_rule_suite, support_containment_suite
-    bad = [line.render() for line in module_rule_suite(seed=5, cases=12)
+    bad = [line.render() for line in module_rule_suite(seed=5)
            if not line.passed]
-    bad += [line.render() for line in support_containment_suite(seed=5, cases=6)
+    bad += [line.render() for line in support_containment_suite(seed=5)
             if not line.passed]
     assert not bad, bad
+
+
+def test_support_suite_fails_when_every_fibre_integral_is_one(monkeypatch):
+    # forcing the integral of 1 over R^(0|1) to 1 makes terms live that
+    # Berezin's rule kills, so the suite must report them
+    from superberezin import suites
+    monkeypatch.setattr(suites, "integrate", lambda section, backend: Scalar(1))
+    lines = suites.support_containment_suite()
+    assert sum(not line.passed for line in lines) >= 6

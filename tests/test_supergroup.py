@@ -295,8 +295,7 @@ def test_line_fubini_frozen_values():
     ex = line_fubini_example()
     report = fubini_check(ex.group, ex.subgroup, ex.chart, ex.test_function,
                           ex.omega_group, backend=ex.backend,
-                          fibre_backend=ex.fibre_backend,
-                          base_backend=ex.base_backend)
+                          fibre_backend=ex.fibre_backend)
     base = ex.chart.section.source
     assert report.sign == -1
     assert report.fibre_function == -_coord(base, 0, 2)
@@ -309,8 +308,7 @@ def test_heisenberg_fubini_frozen_values():
     ex = heisenberg_fubini_example()
     report = fubini_check(ex.group, ex.subgroup, ex.chart, ex.test_function,
                           ex.omega_group, backend=ex.backend,
-                          fibre_backend=ex.fibre_backend,
-                          base_backend=ex.base_backend)
+                          fibre_backend=ex.fibre_backend)
     base = ex.chart.section.source
     s = Scalar(1, 1)
     expected = (SuperFunction.constant(base, s)
@@ -328,8 +326,7 @@ def test_axb_fubini_frozen_values():
     ex = axb_fubini_example()
     report = fubini_check(ex.group, ex.subgroup, ex.chart, ex.test_function,
                           ex.omega_group, backend=ex.backend,
-                          fibre_backend=ex.fibre_backend,
-                          base_backend=ex.base_backend)
+                          fibre_backend=ex.fibre_backend)
     base = ex.chart.section.source
     assert report.sign == -1
     assert report.fibre_function == -_coord(base, 0, 2)
@@ -345,8 +342,7 @@ def test_fubini_normalization_mismatch_raises():
     with pytest.raises(NormalizationError) as info:
         fubini_check(ex.group, ex.subgroup, wrong, ex.test_function,
                      ex.omega_group, backend=ex.backend,
-                     fibre_backend=ex.fibre_backend,
-                     base_backend=ex.base_backend)
+                     fibre_backend=ex.fibre_backend)
     assert info.value.discrepancy is not None
 
 
@@ -357,8 +353,7 @@ def test_fubini_sign_matches_tensor_factorization_rule():
         report = fubini_check(ex.group, ex.subgroup, ex.chart,
                               ex.test_function, ex.omega_group,
                               backend=ex.backend,
-                              fibre_backend=ex.fibre_backend,
-                              base_backend=ex.base_backend)
+                              fibre_backend=ex.fibre_backend)
         g = group_lie_algebra(ex.group)
         h = group_lie_algebra(ex.subgroup.subgroup)
         sign = -1 if (h.odd_count * (g.dim - h.dim)) % 2 else 1
