@@ -4,12 +4,16 @@ Exact values are Laurent polynomials in the formal symbol
 ``s = sqrt(2*pi)`` with rational coefficients; keeping s symbolic makes
 Gaussian-moment integration exact, and since s is transcendental the
 model is faithful.  Algebra elements are finite sums of terms
-``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices: the power
-of s sits in the term key beside the odd monomial, so every coefficient
+``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices.  Each term is
+stored under the key ``(mask, k)``: ``mask`` is the int whose bit i is set
+when xi_{i+1} is a factor, and k is the power of s, so every coefficient
 is a plain rational, stored as an ``int`` when integral and as a
 ``Fraction`` only when its denominator exceeds 1.  Most coefficients of the
 paper's identities are integers, and an int product costs a small part of
-a Fraction product.
+a Fraction product.  A product of two terms is then a test, an or and a
+popcount on their masks (``_odd_swaps``); index tuples appear only where an
+element is built from ``{idx: coefficient}``, asked for a coefficient or
+printed.
 """
 
 from __future__ import annotations
@@ -217,6 +221,33 @@ def _mask(idx: tuple[int, ...]) -> int:
     return mask
 
 
+def _indices(mask: int) -> tuple[int, ...]:
+    """The strictly increasing generator indices of a mask."""
+    idx = []
+    while mask:
+        low = mask & -mask
+        idx.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(idx)
+
+
+def _odd_swaps(ma: int) -> int:
+    """The generators that pass an odd number of the letters of xi^ma.
+
+    Bit i is set when an odd number of the generators in ``ma`` lie above
+    i.  This is the one sign rule of every anticommuting product: for masks
+    ma and mb that share no generator, xi^ma xi^mb is xi^(ma | mb) times
+    (-1)^popcount(_odd_swaps(ma) & mb), since each letter of xi^mb moves
+    left past the letters of xi^ma above it.
+    """
+    swaps = 0
+    while ma:
+        low = ma & -ma
+        swaps ^= low - 1
+        ma ^= low
+    return swaps
+
+
 def _masked(pairs) -> list:
     """(generator mask, index, value) for (index tuple, value) pairs."""
     return [(_mask(idx), idx, value) for idx, value in pairs]
@@ -228,20 +259,19 @@ def _graded_products(a: list, b: list):
     ``a`` and ``b`` are ``_masked`` items of strictly increasing index
     tuples.  For every pair xi^ia (value va) and xi^ib (vb) that shares no
     generator, xi^ia xi^ib = (-1 if negative else 1) xi^index.  A pair whose
-    masks meet is skipped before any merging; a pair's sign is the parity
-    of the letters of ia that each letter of ib moves past.
+    masks meet is skipped before any merging; a pair's sign is that of
+    ``_odd_swaps``.
     """
     for ma, ia, va in a:
+        swaps = _odd_swaps(ma)
         for mb, ib, vb in b:
             if ma & mb:
                 continue
             if not (ia and ib):
                 yield ia or ib, False, va, vb
                 continue
-            hops = 0
-            for i in ib:
-                hops += (ma >> i).bit_count()
-            yield tuple(sorted(ia + ib)), bool(hops & 1), va, vb
+            yield (tuple(sorted(ia + ib)), bool((swaps & mb).bit_count() & 1),
+                   va, vb)
 
 
 def _add_terms(acc: dict, items) -> dict:
@@ -302,10 +332,10 @@ def _signed_sum(pieces) -> str:
     return " ".join(parts) or "0"
 
 
-def _parity(indices) -> Parity | None:
-    """The parity all these odd monomials share; None if they mix or there
-    are none."""
-    parities = {len(idx) % 2 for idx in indices}
+def _parity(degrees) -> Parity | None:
+    """The parity all odd monomials of these degrees share; None if they mix
+    or there are none."""
+    parities = {d % 2 for d in degrees}
     return Parity(parities.pop()) if len(parities) == 1 else None
 
 
@@ -323,10 +353,12 @@ def _validate_index(idx: tuple[int, ...], count: int) -> tuple[int, ...]:
 class GrassmannElement:
     """Finite sum of terms c s^k xi^idx over N generators, c rational.
 
-    ``terms`` maps each key ``(idx, k)`` (a strictly increasing generator
-    tuple and a power of s) to its nonzero coefficient: int when integral,
-    Fraction otherwise.  The public constructor takes ``{idx: coefficient}``
-    with Scalar, int or Fraction coefficients.
+    ``terms`` maps each key ``(mask, k)`` to its nonzero coefficient: int
+    when integral, Fraction otherwise.  ``mask`` is the int whose bit i is
+    set when xi_{i+1} is a factor of the odd monomial, and k is the power of
+    s.  The public constructor still takes ``{idx: coefficient}``, idx a
+    strictly increasing generator tuple, with Scalar, int or Fraction
+    coefficients; ``coefficient`` and ``str`` speak in index tuples too.
     """
 
     __slots__ = ("generator_count", "terms")
@@ -336,8 +368,8 @@ class GrassmannElement:
             raise DimensionError("generator count must be nonnegative")
         checked = []
         for idx, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            idx = _validate_index(idx, generator_count)
-            checked.extend(((idx, k), c) for k, c in Scalar.coerce(coeff).terms.items())
+            mask = _mask(_validate_index(idx, generator_count))
+            checked.extend(((mask, k), c) for k, c in Scalar.coerce(coeff).terms.items())
         normalized = _add_terms({}, checked)
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "terms", normalized)
@@ -380,25 +412,33 @@ class GrassmannElement:
                         {key: c for key, c in self.terms.items() if keep(key[0])})
 
     def body(self) -> Scalar:
-        return self.coefficient(())
+        return _in_s({k: c for (mask, k), c in self.terms.items() if not mask})
 
     def soul(self) -> "GrassmannElement":
         return self._select(bool)
 
     def even_part(self) -> "GrassmannElement":
-        return self._select(lambda idx: len(idx) % 2 == 0)
+        return self._select(lambda mask: not mask.bit_count() & 1)
 
     def odd_part(self) -> "GrassmannElement":
-        return self._select(lambda idx: len(idx) % 2 == 1)
+        return self._select(lambda mask: mask.bit_count() & 1)
 
     def parity(self) -> Parity | None:
         """Parity if homogeneous; None for 0 or mixed elements."""
-        return _parity(idx for idx, _ in self.terms)
+        return _parity(mask.bit_count() for mask, _ in self.terms)
 
     def coefficient(self, indices: Iterable[int]) -> Scalar:
-        """The coefficient of xi^indices, a value in s."""
+        """The coefficient of xi^indices, a value in s.
+
+        Zero unless ``indices`` is a strictly increasing tuple of this
+        algebra's generators: a mask forgets order and repetition.
+        """
         idx = tuple(indices)
-        return _in_s({k: c for (i, k), c in self.terms.items() if i == idx})
+        try:
+            mask = _mask(_validate_index(idx, self.generator_count))
+        except (TypeError, DimensionError, ParityError):
+            return Scalar.zero()
+        return _in_s({k: c for (m, k), c in self.terms.items() if m == mask})
 
     # -- arithmetic ---------------------------------------------------
 
@@ -435,16 +475,15 @@ class GrassmannElement:
             return GrassmannElement.scalar(self.generator_count, value)
         raise TypeError(f"cannot interpret {value!r} as a GrassmannElement")
 
-    def _masked_terms(self) -> list:
-        return _masked((idx, (k, c)) for (idx, k), c in self.terms.items())
-
     def __mul__(self, other) -> "GrassmannElement":
         other = self._coerce(other)
         self._check_compatible(other)
+        left = [(ma, ka, ca, _odd_swaps(ma)) for (ma, ka), ca in self.terms.items()]
         return _element(self.generator_count, _add_terms({}, [
-            ((idx, ka + kb), -ca * cb if negative else ca * cb)
-            for idx, negative, (ka, ca), (kb, cb)
-            in _graded_products(self._masked_terms(), other._masked_terms())]))
+            ((ma | mb, ka + kb),
+             -ca * cb if (swaps & mb).bit_count() & 1 else ca * cb)
+            for ma, ka, ca, swaps in left
+            for (mb, kb), cb in other.terms.items() if not ma & mb]))
 
     def __rmul__(self, other) -> "GrassmannElement":
         # scalars are even and central, so this is safe
@@ -489,9 +528,11 @@ class GrassmannElement:
         return hash((self.generator_count, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        return _signed_sum([
-            (self.terms[key], _monomial_text(key[1], (f"xi{i + 1}" for i in key[0])))
-            for key in sorted(self.terms, key=lambda t: (len(t[0]), t[0], -t[1]))])
+        printed = sorted(((_indices(mask), k, c)
+                          for (mask, k), c in self.terms.items()),
+                         key=lambda t: (len(t[0]), t[0], -t[1]))
+        return _signed_sum([(c, _monomial_text(k, (f"xi{i + 1}" for i in idx)))
+                            for idx, k, c in printed])
 
     def __repr__(self) -> str:
         return f"GrassmannElement({self.generator_count}, {self!s})"
@@ -500,10 +541,11 @@ class GrassmannElement:
 def _element(generator_count: int, terms: dict) -> GrassmannElement:
     """Trusted constructor for the results of closed operations.
 
-    ``terms`` must map keys ``(idx, k)``, idx a strictly increasing in-range
-    index tuple and k an int, to nonzero coefficients, int when integral
-    and Fraction otherwise, and is kept, not copied;
-    the public constructor checks all of this, this one assumes it.
+    ``terms`` must map keys ``(mask, k)``, mask the int bitmask of in-range
+    generators (bit i for xi_{i+1}) and k an int, to nonzero coefficients,
+    int when integral and Fraction otherwise, and is kept, not copied;
+    the public constructor, which takes ``{idx: coefficient}``, checks all
+    of this, this one assumes it.
     """
     out = object.__new__(GrassmannElement)
     object.__setattr__(out, "generator_count", generator_count)

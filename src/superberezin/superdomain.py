@@ -396,7 +396,7 @@ class SuperFunction:
         return bool(self.coeffs)
 
     def parity(self) -> Parity | None:
-        return _parity(self.coeffs)
+        return _parity(len(idx) for idx in self.coeffs)
 
     def body_polynomial(self) -> Polynomial:
         return self.coeffs.get((), Polynomial.zero(self.shape.m))

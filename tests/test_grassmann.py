@@ -147,6 +147,15 @@ class TestGrassmannBasics:
         assert b.generator_count == 4
         assert b.coefficient((0, 1)) == Scalar(5)
 
+    def test_coefficient_of_a_non_canonical_index_is_zero(self):
+        # terms are stored by generator mask, which forgets order and
+        # repetition: (1, 0) has the mask of (0, 1), (1, 1) that of (1,)
+        a = G(4, {(0, 1): 2, (1,): 3})
+        assert a.coefficient((0, 1)) == Scalar(2)
+        assert a.coefficient((1,)) == Scalar(3)
+        for idx in [(1, 0), (1, 1), (9,), (-1,)]:
+            assert a.coefficient(idx) == Scalar(0)
+
     def test_parity(self):
         assert G(2, {(0,): 1}).parity() is ODD
         assert G(2, {(): 1, (0, 1): 1}).parity() is EVEN
@@ -297,10 +306,16 @@ def assert_stored(coeff):
     assert coeff != 0
 
 
+def _indices_of(mask):
+    """The increasing generator indices whose bits are set in a term mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _public_terms(element):
     """The {index: Scalar} pairs of an element, as its public constructor
     takes them."""
-    return [(idx, Scalar(c, k)) for (idx, k), c in element.terms.items()]
+    return [(_indices_of(mask), Scalar(c, k))
+            for (mask, k), c in element.terms.items()]
 
 
 @settings(max_examples=150, deadline=None)
@@ -327,8 +342,9 @@ def test_closed_operations_are_canonical(a, b):
         results.append(a.even_part().inv_even())
     for r in results:
         assert r == GrassmannElement(N_GEN, _public_terms(r))
-        for (idx, k), coeff in r.terms.items():
-            assert type(idx) is tuple and type(k) is int
+        for (mask, k), coeff in r.terms.items():
+            assert type(mask) is int and type(k) is int
+            assert 0 <= mask < 2 ** N_GEN
             assert_stored(coeff)
 
 
@@ -379,6 +395,32 @@ def _merged_product(a_terms, b_terms, zero):
 def test_product_matches_index_merging(a, b):
     expected = _merged_product(_public_terms(a), _public_terms(b), Scalar.zero())
     assert a * b == GrassmannElement(N_GEN, expected)
+
+
+# The Berezinian benchmark runs over Lambda_6 and Lambda_8, where a sign can
+# depend on letters more than four places apart; every element below is
+# drawn with a nonzero term on the top generator xi8.
+
+N_BIG = 8
+
+
+def big_elements(max_terms=8):
+    def term(indices, coeffs):
+        return st.tuples(indices.map(lambda ids: tuple(sorted(ids))),
+                         st.builds(Scalar, coeffs, st.integers(-1, 1)))
+    top = term(st.sets(st.integers(0, N_BIG - 2)).map(lambda ids: ids | {N_BIG - 1}),
+               rationals.filter(bool))
+    rest = st.lists(term(st.sets(st.integers(0, N_BIG - 1)), rationals),
+                    max_size=max_terms)
+    return st.tuples(top, rest).map(
+        lambda parts: GrassmannElement(N_BIG, [parts[0]] + parts[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_elements(), big_elements())
+def test_product_matches_index_merging_on_eight_generators(a, b):
+    expected = _merged_product(_public_terms(a), _public_terms(b), Scalar.zero())
+    assert a * b == GrassmannElement(N_BIG, expected)
 
 
 def superfunctions(max_terms=10):
