@@ -19,8 +19,8 @@ printed.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import DimensionError, NonInvertibleError, ParityError
 
@@ -295,11 +295,11 @@ def _add_terms(acc: dict, items) -> dict:
     return acc
 
 
-def _inverse_series(one, factor, binv, steps: int):
-    """binv * (1 + factor + ... + factor^steps), stopping at a zero power.
+def _inverse_series(one, factor, steps: int):
+    """1 + factor + ... + factor^steps, stopping at a zero power.
 
     With u = b + n even, b an invertible body and n a nilpotent soul,
-    factor = -b^-1 n and binv = b^-1 make this u^-1 once factor^(steps+1)
+    factor = -b^-1 n makes b^-1 times this u^-1 once factor^(steps+1)
     vanishes.
     """
     acc = power = one
@@ -308,7 +308,7 @@ def _inverse_series(one, factor, binv, steps: int):
         if power.is_zero():
             break
         acc = acc + power
-    return acc * binv
+    return acc
 
 
 def _signed_sum(pieces) -> str:
@@ -501,10 +501,17 @@ class GrassmannElement:
         b = self.body()
         if b.is_zero():
             raise NonInvertibleError("body is zero; element is not invertible")
-        binv = self._coerce(Scalar.one() / b)
+        binv = Scalar.one() / b
         return _inverse_series(GrassmannElement.one(self.generator_count),
-                               -(self.soul() * binv), binv,
-                               self.generator_count // 2)
+                               self.soul()._scaled(-binv),
+                               self.generator_count // 2)._scaled(binv)
+
+    def _scaled(self, unit: Scalar) -> "GrassmannElement":
+        """This element times the one-term Scalar c s^k, term by term."""
+        (k, c), = unit.terms.items()
+        return _element(self.generator_count, {
+            (mask, j + k): _canonical(cj * c)
+            for (mask, j), cj in self.terms.items()})
 
     # -- reshaping ----------------------------------------------------
 

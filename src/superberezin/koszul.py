@@ -16,12 +16,37 @@ reported parity is q mod 2.
 
 Everything is finite in each fixed degree, so ranks over exact rationals
 give the homology dimensions with no approximation.
+
+Weight blocks.  Each odd letter i is paired with one even letter, its
+partner in Π.  The weight w_i = (exponent of the partner of i) − [i present]
+is at least −1, and d keeps every w_i fixed, since a term of Π adds letter
+i and one factor of its partner together.  The complex is therefore the
+direct sum of its weight blocks (Manin, *Gauge Field Theory and Complex
+Geometry*, ch. 3).  In the block of w the forced letters F = {i : w_i = −1}
+are present in every monomial, and the other monomials are indexed by the
+subsets S of the free letters (w_i ≥ 0): letter i of S is present with
+partner exponent w_i + 1, a free letter outside S is absent with partner
+exponent w_i.  With t the sum of the free weights, the monomial of S has
+degree t + |F| + 2|S| and parity |F| + |S|.
+
+The sign of d on a monomial is the hop count of the added odd letter past
+the odd letters present, so it never reads an even exponent.  Subtracting
+the free weights from the partner exponents is therefore a bijection from
+the block of w onto the block of F with every free weight 0 that commutes
+with d, term by term and sign by sign: the two blocks have the same layer
+matrices.  `homological_berezinian` builds that representative block once
+for each F, ranks its layers from `apply_d` as for any slice, and counts
+each layer once for every weight vector with forced set F and free total t
+that puts it below the cap: C(t + free − 1, free − 1) of them, the
+compositions of t into `free` parts.  The ranks stay computed, so a wrong
+sign in `apply_d` still changes the answer; the whole slice
+`KoszulComplexSlice(p, q, cap)` builds the same sums without blocks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,10 +71,44 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-class KoszulComplexSlice:
-    """S(ΠV ⊕ V*) truncated at a top polynomial degree, with d = Π·(-)."""
+def _partners(p: int, q: int) -> list[int]:
+    """The even partner of each odd letter in the canonical element."""
+    return [q + i for i in range(p)] + list(range(q))
 
-    def __init__(self, p: int, q: int, degree_cap: int):
+
+def _weight_block(p: int, q: int, weights) -> list[Monomial]:
+    """The monomials of the weight block of `weights`, one per subset S of
+    the free letters, by size of S and then lexicographically."""
+    n = p + q
+    if (len(weights) != n
+            or any(type(w) is not int or w < -1 for w in weights)):
+        raise DimensionError(
+            "a weight vector has p + q integer entries, each at least -1")
+    partner = _partners(p, q)
+    forced = [i for i in range(n) if weights[i] == -1]
+    free = [i for i in range(n) if weights[i] != -1]
+    base = [0] * n
+    for i in free:
+        base[partner[i]] = weights[i]
+    block = []
+    for size in range(len(free) + 1):
+        for chosen in combinations(free, size):
+            evens = list(base)
+            for i in chosen:
+                evens[partner[i]] += 1
+            block.append((tuple(evens), tuple(sorted(forced + list(chosen)))))
+    return block
+
+
+class KoszulComplexSlice:
+    """S(ΠV ⊕ V*) truncated at a top polynomial degree, with d = Π·(-).
+
+    With `weights`, a vector of p + q integers each at least -1, the basis
+    is only the weight block of that vector (module docstring), truncated
+    at the same cap; d maps the block into itself.
+    """
+
+    def __init__(self, p: int, q: int, degree_cap: int, weights=None):
         if p < 0 or q < 0:
             raise DimensionError("need nonnegative dimensions")
         if degree_cap < 0:
@@ -59,16 +118,22 @@ class KoszulComplexSlice:
         self.degree_cap = degree_cap
         n = p + q
         # the canonical element as masked (odd letter,) -> its even partner
-        self._canonical = _masked([((i,), q + i) for i in range(p)]
-                                  + [((p + j,), j) for j in range(q)])
-        self._bases: dict[int, list[Monomial]] = {}
+        self._canonical = _masked([((i,), e)
+                                   for i, e in enumerate(_partners(p, q))])
+        self._bases: dict[int, list[Monomial]] = {
+            k: [] for k in range(degree_cap + 1)}
+        if weights is not None:
+            for evens, odds in _weight_block(p, q, weights):
+                k = sum(evens) + len(odds)
+                if k <= degree_cap:
+                    self._bases[k].append((evens, odds))
+            return
         for k in range(degree_cap + 1):
-            basis = []
+            basis = self._bases[k]
             for size in range(min(n, k) + 1):
                 for odds in combinations(range(n), size):
                     for evens in _compositions(k - size, n):
                         basis.append((evens, odds))
-            self._bases[k] = basis
 
     def basis(self, degree: int, parity: Parity | None = None) -> list[Monomial]:
         monos = self._bases[degree]
@@ -128,20 +193,51 @@ class KoszulComplexSlice:
         """dim ker - dim im at (degree, parity); needs degree ≤ cap - 2."""
         if degree + 2 > self.degree_cap:
             raise DimensionError("degree too close to the cap to compute homology")
-        return _homology(self, degree, parity, self.d_rank)
+        return (len(self.basis(degree, parity)) - self.d_rank(degree, parity)
+                - self.d_rank(degree - 2, parity.flip()))
 
 
-def _homology(cx: KoszulComplexSlice, degree: int, parity: Parity, d_rank) -> int:
-    return (len(cx.basis(degree, parity)) - d_rank(degree, parity)
-            - d_rank(degree - 2, parity.flip()))
+def block_layer_sums(p: int, q: int, degree_cap: int) -> tuple[Counter, Counter]:
+    """Basis sizes and ranks of d at every (degree, parity) below degree_cap.
+
+    Summed over the weight blocks (module docstring): one representative
+    block per forced set F, built and ranked once, its layer of |S| = s
+    counted at degree t + |F| + 2s for every free total t, as many times
+    as there are weight vectors with forced set F and that total.  Both
+    Counters are keyed by (degree, parity) and equal, key by key,
+    `len(basis(...))` and `d_rank(...)` of `KoszulComplexSlice(p, q, cap)`
+    for any cap above degree_cap.
+    """
+    n = p + q
+    sizes: Counter = Counter()
+    ranks: Counter = Counter()
+    for forced_count in range(n + 1):
+        free = n - forced_count
+        for forced in combinations(range(n), forced_count):
+            block = KoszulComplexSlice(
+                p, q, degree_cap + 1,
+                weights=[-1 if i in forced else 0 for i in range(n)])
+            for s in range(free + 1):
+                lowest = forced_count + 2 * s
+                if lowest >= degree_cap:
+                    break
+                parity = Parity((forced_count + s) % 2)
+                size = len(block.basis(lowest, parity))
+                rank = block.d_rank(lowest, parity)
+                for t in range(degree_cap - lowest):
+                    copies = (math.comb(t + free - 1, free - 1) if free
+                              else int(t == 0))
+                    sizes[(lowest + t, parity)] += copies * size
+                    ranks[(lowest + t, parity)] += copies * rank
+    return sizes, ranks
 
 
 def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity]:
     """Total dimension and parity of the Berezinian line, computed homologically.
 
-    The homology is computed in every degree up to degree_cap - 1, on a
-    complex truncated at degree_cap + 1; each slice's rank is computed
-    once, through a memo that lives for this call only.  Two guards raise
+    The homology is computed in every degree up to degree_cap - 1 from the
+    layer sums of the weight blocks (`block_layer_sums`), the same numbers
+    a complex truncated at degree_cap + 1 gives.  Two guards raise
     InconclusiveError rather than return a wrong answer: the boundary
     check (homology touching degree_cap - 1, the top computed degree) and
     the parity check (homology in both parities).
@@ -150,12 +246,12 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
         raise DimensionError("need p + q >= 1")
     if degree_cap < p + q + 2:
         raise DimensionError("degree cap must be at least p + q + 2")
-    cx = KoszulComplexSlice(p, q, degree_cap + 1)
-    d_rank = functools.cache(cx.d_rank)
+    sizes, ranks = block_layer_sums(p, q, degree_cap)
     profile = {}
     for k in range(degree_cap):
         for parity in Parity:
-            d = _homology(cx, k, parity, d_rank)
+            d = (sizes[(k, parity)] - ranks[(k, parity)]
+                 - ranks[(k - 2, parity.flip())])
             if d:
                 profile[(k, parity.value)] = d
     if any(k[0] >= degree_cap - 1 for k in profile):

@@ -11,10 +11,10 @@ stored as an int when integral and as a Fraction otherwise.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionError,
@@ -467,10 +467,18 @@ class SuperFunction:
         """Inverse of an even superfunction with invertible (monomial) body."""
         if any(len(i) % 2 for i in self.coeffs):
             raise ParityError("inv_even requires an even superfunction")
-        body = self.body_polynomial()
-        binv = SuperFunction.from_polynomial(self.shape, body.monomial_inverse())
-        return _inverse_series(SuperFunction.one(self.shape), -(binv * self.soul()),
-                               binv, self.shape.n // 2)
+        binv = self.body_polynomial().monomial_inverse()
+        return _inverse_series(SuperFunction.one(self.shape),
+                               self.soul()._scaled(-binv),
+                               self.shape.n // 2)._scaled(binv)
+
+    def _scaled(self, unit: Polynomial) -> "SuperFunction":
+        """This superfunction times the one-term polynomial unit, term by term."""
+        (shift, c), = unit.terms.items()
+        return _sf(self.shape, {
+            idx: _poly(poly.nvars, {tuple(map(add, exps, shift)): _canonical(cc * c)
+                                    for exps, cc in poly.terms.items()})
+            for idx, poly in self.coeffs.items()})
 
     # -- derivatives ------------------------------------------------------
 

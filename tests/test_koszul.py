@@ -1,5 +1,6 @@
 """Homological Berezinian and D(x)-class checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from superberezin import linalg
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Parity
 from superberezin.koszul import (
     KoszulComplexSlice,
+    block_layer_sums,
     d_class_factor,
     dual_class_factor,
     homological_berezinian,
@@ -145,6 +147,8 @@ def test_homological_berezinian(p, q):
     (3, 2, 7, (1, EVEN)),
     (2, 3, 7, (1, ODD)),
     (3, 3, 8, (1, ODD)),
+    (4, 3, 9, (1, ODD)),
+    (4, 4, 10, (1, EVEN)),
 ])
 def test_homological_berezinian_larger_rungs(p, q, cap, expected):
     assert homological_berezinian(p, q, cap) == expected
@@ -163,6 +167,86 @@ def test_homological_berezinian_concentration_degree():
 def test_homological_berezinian_cap_too_small():
     with pytest.raises(DimensionError):
         homological_berezinian(1, 1, 3)
+
+
+@pytest.mark.parametrize("p,q", [(-1, 3), (3, -1)])
+def test_homological_berezinian_refuses_negative_dimensions(p, q):
+    with pytest.raises(DimensionError):
+        homological_berezinian(p, q, 5)
+
+
+_APPLY_D = KoszulComplexSlice.apply_d
+
+
+def _zero_d(cx, mono):
+    return []
+
+
+def _unsigned_d(cx, mono):
+    return [(1, image) for _, image in _APPLY_D(cx, mono)]
+
+
+@pytest.mark.parametrize("broken", [_zero_d, _unsigned_d])
+@pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (2, 2)])
+def test_homological_berezinian_refuses_a_broken_differential(
+        monkeypatch, broken, p, q):
+    monkeypatch.setattr(KoszulComplexSlice, "apply_d", broken)
+    with pytest.raises(InconclusiveError):
+        homological_berezinian(p, q, p + q + 2)
+
+
+def _weight(cx, mono):
+    """The weight vector of a monomial: partner exponent minus presence."""
+    evens, odds = mono
+    partner = [cx.q + i for i in range(cx.p)] + list(range(cx.q))
+    return [evens[partner[i]] - (i in odds) for i in range(cx.p + cx.q)]
+
+
+@pytest.mark.parametrize("p,q", ORACLE_SHAPES)
+def test_block_layer_sums_match_the_whole_slice(p, q):
+    cap = p + q + 2
+    whole = KoszulComplexSlice(p, q, cap + 1)
+    sizes, ranks = block_layer_sums(p, q, cap)
+    for degree in range(cap):
+        for parity in Parity:
+            assert sizes[(degree, parity)] == len(whole.basis(degree, parity))
+            assert ranks[(degree, parity)] == whole.d_rank(degree, parity)
+    assert all(degree < cap for degree, _ in sizes)
+
+
+@pytest.mark.parametrize("p,q,weights", [
+    (1, 1, [2, -1]),
+    (2, 1, [-1, 1, 3]),
+    (1, 2, [0, 2, -1]),
+    (2, 2, [-1, 2, 1, -1]),
+    (3, 2, [1, -1, 0, 2, -1]),
+])
+def test_weight_block_has_the_matrices_of_its_representative(p, q, weights):
+    n = p + q
+    forced = sum(w == -1 for w in weights)
+    free = n - forced
+    shift = sum(w for w in weights if w != -1)
+    top = shift + forced + 2 * free
+    block = KoszulComplexSlice(p, q, top + 2, weights=weights)
+    rep = KoszulComplexSlice(
+        p, q, forced + 2 * free + 2, weights=[min(w, 0) for w in weights])
+    # the block is exactly the monomials of that weight vector
+    whole = KoszulComplexSlice(p, q, top)
+    assert ([m for k in range(top + 1) for m in whole.basis(k)
+             if _weight(whole, m) == weights]
+            == [m for k in range(top + 1) for m in block.basis(k)])
+    for s in range(free + 1):
+        parity = Parity((forced + s) % 2)
+        low = forced + 2 * s
+        assert len(block.basis(shift + low, parity)) == math.comb(free, s)
+        assert (block.differential_matrix(shift + low, parity)
+                == rep.differential_matrix(low, parity))
+
+
+def test_weight_vector_is_checked():
+    for weights in ([0, 0], [0, -2, 0], [0, 0.5, 0]):
+        with pytest.raises(DimensionError):
+            KoszulComplexSlice(2, 1, 4, weights=weights)
 
 
 def test_expand_letter_product_signs():
