@@ -17,6 +17,7 @@ line per identity: ``PASS|FAIL <name> lhs=<value> rhs=<value>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 
@@ -35,7 +36,10 @@ from .textio import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls:
+    parsing leaves it unchanged, and no command mutates its defaults."""
     parser = argparse.ArgumentParser(
         prog="superberezin",
         description="exact Berezin integration and supergroup checks")

@@ -267,36 +267,15 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
     rho = prefactor * (polynomial of even degree <= max_degree, any odd
     monomials).  Empty solution space raises InconclusiveError: the true
     density may simply lie outside the ansatz.
+
+    Each unknown's image costs one product, not a pullback: T_g^* is an
+    algebra morphism, so the image of a monomial is the image of a smaller
+    one times a single component of T_g (see ``_ansatz_rows``).  The
+    unknowns are walked in sorted order, in which every such smaller
+    monomial comes first.
     """
-    m, n = G.shape.m, G.shape.n
-    S = shape_product(G.shape, G.shape)
-    trans = _translation_by_generalized_point(G, side)
-    live_rows = [("even", m + i) for i in range(m)] \
-        + [("odd", j) for j in range(n)]
-    rows = jacobian_rows(trans, live_rows)
-    jac = SuperMatrix(m, n, rows, zero=SuperFunction.zero(S),
-                      one=SuperFunction.one(S))
-    factor = jac.berezinian()
-    if prefactor is not None:
-        if prefactor.shape != G.shape:
-            raise DimensionError("prefactor on the wrong shape")
-        lifted = prefactor.embed(S, m, 0)
-        factor = factor * pullback(trans, prefactor) * lifted.inv_even()
-
-    unknowns = []
-    for odd_part in _odd_subsets(n):
-        for exps in _bounded_exponents(m, max_degree):
-            unknowns.append((odd_part, exps))
-    unknowns.sort()
-
-    # one sparse row per (odd index, exponent) coefficient of the residual
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for u, (odd_part, exps) in enumerate(unknowns):
-        phi = SuperFunction(G.shape, {odd_part: Polynomial(m, {exps: 1})})
-        residual = factor * pullback(trans, phi) - phi.embed(S, m, 0)
-        for idx, poly in residual.coeffs.items():
-            for e2, coeff in poly.terms.items():
-                rows.setdefault((idx, e2), {})[u] = coeff
+    m = G.shape.m
+    unknowns, rows = _ansatz_rows(G, side, max_degree, prefactor)
     kernel = nullspace(list(rows.values()), ncols=len(unknowns))
     if not kernel:
         raise InconclusiveError(
@@ -320,6 +299,60 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
         sections.append(BerezinSection.make(G.shape, density))
     return InvariantDensityResult(side, len(sections), tuple(sections),
                                   max_degree)
+
+
+def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
+                 prefactor: SuperFunction | None
+                 ) -> tuple[list[tuple], dict[tuple, dict[int, Fraction]]]:
+    """The ansatz monomials (odd index, exponents), sorted, and one sparse
+    row {unknown: coefficient} per (odd index, exponent) coefficient of the
+    residual F * T_g^*(phi) - phi, where F is the Berezinian factor with
+    the prefactor's correction included."""
+    m, n = G.shape.m, G.shape.n
+    S = shape_product(G.shape, G.shape)
+    trans = _translation_by_generalized_point(G, side)
+    live_rows = [("even", m + i) for i in range(m)] \
+        + [("odd", j) for j in range(n)]
+    jac = SuperMatrix(m, n, jacobian_rows(trans, live_rows),
+                      zero=SuperFunction.zero(S), one=SuperFunction.one(S))
+    factor = jac.berezinian()
+    if prefactor is not None:
+        if prefactor.shape != G.shape:
+            raise DimensionError("prefactor on the wrong shape")
+        lifted = prefactor.embed(S, m, 0)
+        factor = factor * pullback(trans, prefactor) * lifted.inv_even()
+
+    unknowns = sorted((odd_part, exps) for odd_part in _odd_subsets(n)
+                      for exps in _bounded_exponents(m, max_degree))
+
+    # F * T_g^*(xi^I x^e) from a smaller monomial's image and one component
+    # of T_g: lower the last nonzero exponent by one, or, when e = 0, drop
+    # the last odd letter, which multiplies back on the right in xi order
+    # (no sign).  Both predecessors sort before (I, e), so the sorted walk
+    # always finds them built.
+    zero = (0,) * m
+    images: dict[tuple, SuperFunction] = {}
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for u, (odd_part, exps) in enumerate(unknowns):
+        if any(exps):
+            k = max(i for i, e in enumerate(exps) if e)
+            lower = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
+            image = images[(odd_part, lower)] * trans.even_components[k]
+        elif odd_part:
+            image = images[(odd_part[:-1], zero)] \
+                * trans.odd_components[odd_part[-1]]
+        else:
+            image = factor
+        images[(odd_part, exps)] = image
+        # minus phi itself, whose key on the doubled shape is (I, 0, e, s^0)
+        residual = {(idx, e2): c for idx, poly in image.coeffs.items()
+                    for e2, c in poly.terms.items()}
+        own = (odd_part, zero + exps + (0,))
+        residual[own] = residual.get(own, 0) - 1
+        for key, c in residual.items():
+            if c:
+                rows.setdefault(key, {})[u] = c
+    return unknowns, rows
 
 
 def _odd_subsets(n: int):

@@ -410,3 +410,21 @@ def test_console_entry_point(tmp_path):
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "2\n"
+
+
+def test_one_process_runs_match_separate_runs(tmp_path, capsys):
+    # the parser is built once and shared: a usage error must not leave
+    # state behind for the commands parsed after it
+    path = write(tmp_path, "m.txt", DIAG_6_3)
+    runs = [["ber"], ["ber", path], ["verify", "support"]]
+    in_process = []
+    for argv in runs:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    for argv, result in zip(runs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "superberezin", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == result

@@ -13,6 +13,7 @@ The frozen values below were derived by hand before the implementation:
   fixes every sign frozen in the Fubini checks.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from superberezin.groups import (
     axb_group,
     axb_odd_subgroup,
     axb_product_example,
+    builtin_groups,
     fubini_builtins,
     full_subgroup,
     gl11_group,
@@ -54,15 +56,20 @@ from superberezin.lie_super import (
     gl11_algebra,
     unimodularity_check,
 )
-from superberezin.supermatrix import supertrace
+from superberezin import supergroup
+from superberezin.supermatrix import SuperMatrix, supertrace
 from superberezin.superdomain import (
     Polynomial,
     SuperFunction,
     SuperMorphism,
+    jacobian_rows,
     pullback,
+    shape_product,
 )
 from superberezin.supergroup import (
     SubgroupSpec,
+    _ansatz_rows,
+    _translation_by_generalized_point,
     check_subgroup,
     fubini_check,
     group_lie_algebra,
@@ -214,6 +221,76 @@ def test_gl11_left_density_is_one():
     result = solve_invariant_density(G, side="left", max_degree=2)
     assert result.dimension == 1
     assert result.sections[0].density == SuperFunction.one(G.shape)
+
+
+def _rows_by_pullback(G, side, prefactor, unknowns):
+    """The ansatz rows with one full pullback per unknown:
+    F * T_g^*(phi) - phi, read coefficient by coefficient."""
+    m, n = G.shape.m, G.shape.n
+    S = shape_product(G.shape, G.shape)
+    trans = _translation_by_generalized_point(G, side)
+    live = [("even", m + i) for i in range(m)] + [("odd", j) for j in range(n)]
+    factor = SuperMatrix(m, n, jacobian_rows(trans, live),
+                         zero=SuperFunction.zero(S),
+                         one=SuperFunction.one(S)).berezinian()
+    if prefactor is not None:
+        factor = factor * pullback(trans, prefactor) \
+            * prefactor.embed(S, m, 0).inv_even()
+    rows = {}
+    for u, (odd_part, exps) in enumerate(unknowns):
+        phi = SuperFunction(G.shape, {odd_part: Polynomial(m, {exps: 1})})
+        residual = factor * pullback(trans, phi) - phi.embed(S, m, 0)
+        for idx, poly in residual.coeffs.items():
+            for e2, coeff in poly.terms.items():
+                rows.setdefault((idx, e2), {})[u] = coeff
+    return rows
+
+
+_ROW_CASES = [
+    (G, side, degree, _coord(G.shape, 0, -1)
+     if (G.name, side) == (axb_group().name, "right") else None)
+    for G in builtin_groups()
+    for side in ("left", "right")
+    for degree in (2, 4)
+] + [(translation_group(3, 3), side, 2, None) for side in ("left", "right")]
+
+
+def _case_id(value):
+    if isinstance(value, SuperFunction):
+        return str(value)
+    return getattr(value, "name", None)
+
+
+@pytest.mark.parametrize("G, side, degree, prefactor", _ROW_CASES,
+                         ids=_case_id)
+def test_ansatz_rows_match_one_pullback_per_unknown(G, side, degree,
+                                                    prefactor):
+    m, n = G.shape.m, G.shape.n
+    odd_parts = [idx for k in range(n + 1)
+                 for idx in itertools.combinations(range(n), k)]
+    exponents = [e for e in itertools.product(range(degree + 1), repeat=m)
+                 if sum(e) <= degree]
+    unknowns, rows = _ansatz_rows(G, side, degree, prefactor)
+    assert unknowns == sorted(itertools.product(odd_parts, exponents))
+    assert rows == _rows_by_pullback(G, side, prefactor, unknowns)
+
+
+@pytest.mark.parametrize("G", [translation_group(2, 2), gl11_group()],
+                         ids=lambda G: G.name)
+def test_ansatz_pullbacks_do_not_grow_with_the_degree(G, monkeypatch):
+    calls = []
+
+    def counted(phi, f):
+        calls.append(f)
+        return pullback(phi, f)
+
+    monkeypatch.setattr(supergroup, "pullback", counted)
+    counts = []
+    for degree in (2, 4):
+        calls.clear()
+        assert solve_invariant_density(G, "left", degree).dimension == 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
