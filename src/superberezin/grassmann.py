@@ -295,20 +295,32 @@ def _add_terms(acc: dict, items) -> dict:
     return acc
 
 
-def _inverse_series(one, factor, steps: int):
-    """1 + factor + ... + factor^steps, stopping at a zero power.
+def _accumulate(acc: dict, a: dict, b: dict, negative: bool) -> dict:
+    """Add a*b, negated if ``negative``, into ``acc`` and return it.
 
-    With u = b + n even, b an invertible body and n a nilpotent soul,
-    factor = -b^-1 n makes b^-1 times this u^-1 once factor^(steps+1)
-    vanishes.
+    ``a`` and ``b`` are term dicts keyed ``(mask, k)`` as in
+    ``GrassmannElement``.  Sums are left as they fall: a key may end on a
+    zero or on a Fraction whose denominator is 1 until ``_settled``.
     """
-    acc = power = one
-    for _ in range(steps):
-        power = power * factor
-        if power.is_zero():
-            break
-        acc = acc + power
+    get = acc.get
+    right = b.items()
+    for (ma, ka), ca in a.items():
+        swaps = _odd_swaps(ma)
+        for (mb, kb), cb in right:
+            if ma & mb:
+                continue
+            key = (ma | mb, ka + kb)
+            if negative is not bool((swaps & mb).bit_count() & 1):
+                acc[key] = get(key, 0) - ca * cb
+            else:
+                acc[key] = get(key, 0) + ca * cb
     return acc
+
+
+def _settled(acc: dict) -> dict:
+    """The canonical terms of a sum: zeros dropped, integral values ints."""
+    return {key: c.numerator if type(c) is Fraction and c.denominator == 1
+            else c for key, c in acc.items() if c}
 
 
 def _signed_sum(pieces) -> str:
@@ -359,6 +371,8 @@ class GrassmannElement:
     s.  The public constructor still takes ``{idx: coefficient}``, idx a
     strictly increasing generator tuple, with Scalar, int or Fraction
     coefficients; ``coefficient`` and ``str`` speak in index tuples too.
+    Besides the operators, ``_add_products`` gives supermatrix code the
+    fused base +/- sum a*b, and ``inv_even`` sums its series on term dicts.
     """
 
     __slots__ = ("generator_count", "terms")
@@ -489,29 +503,58 @@ class GrassmannElement:
         # scalars are even and central, so this is safe
         return self._coerce(other) * self
 
+    def _add_products(self, pairs, subtract: bool = False) -> "GrassmannElement":
+        """self + sum a*b over the (a, b) of ``pairs``; minus with ``subtract``.
+
+        The fused operation of the supermatrix ring protocol: every product
+        is summed straight into one copy of this element's terms, and the
+        sum is canonicalised once at the end.
+        """
+        acc = dict(self.terms)
+        for a, b in pairs:
+            if not isinstance(a, GrassmannElement):
+                a = self._coerce(a)
+            if not isinstance(b, GrassmannElement):
+                b = self._coerce(b)
+            self._check_compatible(a)
+            self._check_compatible(b)
+            _accumulate(acc, a.terms, b.terms, subtract)
+        return _element(self.generator_count, _settled(acc))
+
     def inv_even(self) -> "GrassmannElement":
         """Inverse of an even element whose body is c s^k, c != 0.
 
-        Uses body^-1 * sum_k (-body^-1 * soul)^k, which terminates because
-        every term of the even soul has degree >= 2, so soul^k = 0 for
-        k > N/2.
+        Uses sum_j b^-1 (-b^-1 * soul)^j with b the body, which terminates
+        because every term of the even soul has degree >= 2, so soul^j = 0
+        for j > N/2.
         """
-        if self.odd_part():
-            raise ParityError("inv_even requires an even element")
-        b = self.body()
-        if b.is_zero():
+        body, soul = {}, {}
+        for key, c in self.terms.items():
+            mask = key[0]
+            if not mask:
+                body[key[1]] = c
+            elif mask.bit_count() & 1:
+                raise ParityError("inv_even requires an even element")
+            else:
+                soul[key] = c
+        if not body:
             raise NonInvertibleError("body is zero; element is not invertible")
-        binv = Scalar.one() / b
-        return _inverse_series(GrassmannElement.one(self.generator_count),
-                               self.soul()._scaled(-binv),
-                               self.generator_count // 2)._scaled(binv)
-
-    def _scaled(self, unit: Scalar) -> "GrassmannElement":
-        """This element times the one-term Scalar c s^k, term by term."""
-        (k, c), = unit.terms.items()
-        return _element(self.generator_count, {
-            (mask, j + k): _canonical(cj * c)
-            for (mask, j), cj in self.terms.items()})
+        if len(body) > 1:
+            raise NonInvertibleError(
+                f"{_in_s(body)} mixes powers of s and has no inverse in Q[s, 1/s]")
+        (k, c), = body.items()
+        cinv = _quotient(1, c)
+        factor = {(mask, j - k): _canonical(-cj * cinv)
+                  for (mask, j), cj in soul.items()}
+        power = {(0, -k): cinv}
+        acc = dict(power)
+        for _ in range(self.generator_count // 2):
+            power = _settled(_accumulate({}, power, factor, False))
+            if not power:
+                break
+            for key, c in power.items():
+                acc[key] = acc.get(key, 0) + c
+        return _element(self.generator_count, _settled(acc))
 
     # -- reshaping ----------------------------------------------------
 

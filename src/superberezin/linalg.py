@@ -55,7 +55,9 @@ def _sparse_rows(rows, ncols: int | None) -> tuple[list[SparseRow], int]:
         for c, x in row.items():
             if not 0 <= c < ncols:
                 raise DimensionError(f"column index {c} outside 0..{ncols - 1}")
-            value = _rational(x)
+            # an exact int is already canonical; the rest (Fraction, bool,
+            # int subclasses, refused floats) goes through the one check
+            value = x if type(x) is int else _rational(x)
             if value:
                 entries[c] = value
         out.append(entries)

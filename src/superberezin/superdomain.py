@@ -28,12 +28,12 @@ from .grassmann import (
     _canonical,
     _graded_products,
     _in_s,
-    _inverse_series,
     _masked,
     _monomial_text,
     _parity,
     _quotient,
     _rational,
+    _settled,
     _signed_sum,
     _validate_index,
 )
@@ -339,7 +339,12 @@ def binomial_coefficient(e: int, j: int) -> Fraction:
 
 
 class SuperFunction:
-    """Finite sum Σ_α ξ^α f_α(x) over a fixed superdomain shape."""
+    """Finite sum Σ_α ξ^α f_α(x) over a fixed superdomain shape.
+
+    Besides the operators, ``_add_products`` gives supermatrix code the
+    fused base +/- sum a*b, so a Jacobian's Berezinian builds each entry
+    as one sum of coefficient-polynomial products.
+    """
 
     __slots__ = ("shape", "coeffs")
 
@@ -463,14 +468,52 @@ class SuperFunction:
         # even coefficients are central; odd SuperFunctions must use *
         return self._coerce(other) * self
 
+    def _add_products(self, pairs, subtract: bool = False) -> "SuperFunction":
+        """self + sum a*b over the (a, b) of ``pairs``; minus with ``subtract``.
+
+        The fused operation of the supermatrix ring protocol: every product
+        of coefficient polynomials is summed straight into one copy of this
+        function's terms, and each sector is canonicalised once at the end.
+        """
+        acc = {idx: dict(poly.terms) for idx, poly in self.coeffs.items()}
+        for a, b in pairs:
+            a, b = self._coerce(a), self._coerce(b)
+            self._check_shape(a)
+            self._check_shape(b)
+            for idx, negative, pa, pb in _graded_products(
+                    _masked(a.coeffs.items()), _masked(b.coeffs.items())):
+                sector = acc.setdefault(idx, {})
+                get = sector.get
+                right = pb.terms.items()
+                for e1, c1 in pa.terms.items():
+                    for e2, c2 in right:
+                        key = tuple(map(add, e1, e2))
+                        if negative is not subtract:
+                            sector[key] = get(key, 0) - c1 * c2
+                        else:
+                            sector[key] = get(key, 0) + c1 * c2
+        coeffs = {}
+        for idx, terms in acc.items():
+            terms = _settled(terms)
+            if terms:
+                coeffs[idx] = _poly(self.shape.m, terms)
+        return _sf(self.shape, coeffs)
+
     def inv_even(self) -> "SuperFunction":
         """Inverse of an even superfunction with invertible (monomial) body."""
         if any(len(i) % 2 for i in self.coeffs):
             raise ParityError("inv_even requires an even superfunction")
         binv = self.body_polynomial().monomial_inverse()
-        return _inverse_series(SuperFunction.one(self.shape),
-                               self.soul()._scaled(-binv),
-                               self.shape.n // 2)._scaled(binv)
+        # binv (1 + f + f^2 + ...) with f = -binv soul, nilpotent since every
+        # soul term has degree >= 2
+        factor = self.soul()._scaled(-binv)
+        acc = power = SuperFunction.one(self.shape)
+        for _ in range(self.shape.n // 2):
+            power = power * factor
+            if power.is_zero():
+                break
+            acc = acc + power
+        return acc._scaled(binv)
 
     def _scaled(self, unit: Polynomial) -> "SuperFunction":
         """This superfunction times the one-term polynomial unit, term by term."""

@@ -2,9 +2,15 @@
 
 Entries may be any objects implementing the small ring protocol used
 throughout the package: ``__add__``, ``__sub__``, ``__neg__``, ``__mul__``,
-``is_zero()``, ``parity()`` and — for invertible even elements —
-``inv_even()``.  Both Grassmann elements and superfunctions qualify, so
-the same Berezinian code serves constant matrices and Jacobians.
+``is_zero()``, ``parity()``, ``inv_even()`` for invertible even elements,
+and the fused ``_add_products(pairs, subtract)``, which returns
+base +/- sum a*b over the (a, b) of ``pairs`` as one sum: every product
+goes straight into one copy of the base's terms, canonicalised once.  Both
+Grassmann elements and superfunctions qualify, so the same Berezinian code
+serves constant matrices and Jacobians.  Every entry of an elimination
+step, of Z, of the Schur complement and of a matrix product is one fused
+call; a product's cost is per call more than per term, so this saves the
+temporaries of a product, a negation and a sum.
 
 Determinants, det(D)^-1 and the solve D Z = C share one forward
 elimination over the entries' ring.  A column's pivot is the first
@@ -68,7 +74,7 @@ def _eliminate(rows, n, last=True):
             factor = row[k] * inv
             for j in range(k + 1, len(top)):
                 if not top[j].is_zero():
-                    row[j] = row[j] - factor * top[j]
+                    row[j] = row[j]._add_products(((factor, top[j]),), True)
         inverses.append(inv)
     return sign, inverses
 
@@ -113,11 +119,10 @@ def _back_substitute(rows, inverses, q):
     Z = [None] * q
     for k in reversed(range(q)):
         row = rows[k]
-        acc = row[q:]
-        for j in range(k + 1, q):
-            if not row[j].is_zero():
-                acc = [a - row[j] * z for a, z in zip(acc, Z[j])]
-        Z[k] = [inverses[k] * a for a in acc]
+        used = [j for j in range(k + 1, q) if not row[j].is_zero()]
+        Z[k] = [inverses[k] * c._add_products(
+                    [(row[j], Z[j][col]) for j in used], True)
+                for col, c in enumerate(row[q:])]
     return Z
 
 
@@ -258,15 +263,11 @@ class SuperMatrix:
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_shape(other)
         n = self.p + self.q
-        ent = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.zero
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            ent.append(row)
+        columns = list(zip(*other.entries))
+        ent = [[self.zero._add_products([
+                    (a, b) for a, b in zip(row, col)
+                    if not (a.is_zero() or b.is_zero())])
+                for col in columns] for row in self.entries]
         return SuperMatrix(self.p, self.q, ent, self.parity + other.parity,
                            zero=self.zero, one=self.one)
 
@@ -299,15 +300,10 @@ class SuperMatrix:
             det_d_inv, Z = _cramer(D, C, zero, one)
         if p == 0:
             return det_d_inv
-        schur = []
-        for i in range(p):
-            out = []
-            for j in range(p):
-                acc = zero
-                for k in range(q):
-                    acc = acc + B[i][k] * Z[k][j]
-                out.append(A[i][j] - acc)
-            schur.append(out)
+        columns = list(zip(*Z))
+        schur = [[a._add_products([(b, z) for b, z in zip(B[i], col)
+                                   if not (b.is_zero() or z.is_zero())], True)
+                  for a, col in zip(A[i], columns)] for i in range(p)]
         return _det(schur, zero, one) * det_d_inv
 
     # -- comparison / printing ----------------------------------------

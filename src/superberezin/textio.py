@@ -47,18 +47,24 @@ from .superdomain import (
 from .supermatrix import SuperMatrix
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
-_EVEN_VAR = re.compile(r"x(\d+)(\^(-?\d+))?\Z")
-_ODD_VAR = re.compile(r"xi(\d+)\Z")
-_GAUSS = re.compile(r"s(\^(-?\d+))?\Z")
+# one factor of a term, its kinds tried in one match: xi<j>, a rational,
+# s or s^k, x<i> or x<i>^e; groups (j, rational, s, k, i, e)
+_FACTOR = re.compile(
+    r"(?:xi(\d+)|(-?\d+(?:/\d+)?)|(s)(?:\^(-?\d+))?|x(\d+)(?:\^(-?\d+))?)\Z")
+_WORD = re.compile(r"\S+")
 
 MAX_EXPONENT = 1000
 
 
-@dataclass(frozen=True)
 class _Token:
-    text: str
-    line: int
-    column: int
+    """A word of the input and its 1-based line and column."""
+
+    __slots__ = ("text", "line", "column")
+
+    def __init__(self, text: str, line: int, column: int):
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def _content_lines(text: str):
@@ -67,7 +73,7 @@ def _content_lines(text: str):
     for no, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
         tokens = [_Token(m.group(), no, m.start() + 1)
-                  for m in re.finditer(r"\S+", body)]
+                  for m in _WORD.finditer(body)]
         if tokens:
             out.append((no, tokens))
     return out
@@ -149,7 +155,7 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
 
     terms = []
     for sgn, group in zip(signs, groups):
-        coeff = Fraction(sgn)
+        coeff = sgn
         gauss = 0
         even: dict[int, int] = {}
         odd: list[int] = []
@@ -162,30 +168,27 @@ def _parse_terms(tokens: list[_Token]) -> list[_Term]:
             group = [_Token(lead.text[1:], lead.line, lead.column + 1),
                      *group[1:]]
         for tok in group:
-            if _RATIONAL.match(tok.text):
-                if saw_coefficient:
-                    _fail(tok, "two coefficients in one term")
-                saw_coefficient = True
-                coeff *= _fraction(tok)
-                continue
-            m = _GAUSS.match(tok.text)
-            if m:
-                gauss = _exponent(tok, gauss, m.group(2) or "1")
-                continue
-            m = _EVEN_VAR.match(tok.text)
-            if m:
-                i = _index(tok, m.group(1))
-                even[i] = _exponent(tok, even.get(i, 0), m.group(3) or "1")
-                continue
-            m = _ODD_VAR.match(tok.text)
-            if m:
-                j = _index(tok, m.group(1))
+            m = _FACTOR.match(tok.text)
+            if m is None:
+                _fail(tok, f"unrecognised factor {tok.text!r}")
+            j, number, gauss_mark, k, i, e = m.groups()
+            if j is not None:
+                j = _index(tok, j)
                 if odd and j <= odd[-1]:
                     _fail(tok, "odd generators must be distinct and "
                                "listed in increasing order")
                 odd.append(j)
-                continue
-            _fail(tok, f"unrecognised factor {tok.text!r}")
+            elif number is not None:
+                if saw_coefficient:
+                    _fail(tok, "two coefficients in one term")
+                saw_coefficient = True
+                # an integral coefficient stays an int
+                coeff *= _fraction(tok) if "/" in number else _digits(tok, number)
+            elif gauss_mark:
+                gauss = _exponent(tok, gauss, k or "1")
+            else:
+                i = _index(tok, i)
+                even[i] = _exponent(tok, even.get(i, 0), e or "1")
         terms.append(_Term(Scalar(coeff, gauss), even, tuple(odd)))
     return terms
 

@@ -192,6 +192,21 @@ class TestInverse:
         with pytest.raises(NonInvertibleError):
             G(2, {(0, 1): 1}).inv_even()
 
+    def test_inverse_errors_and_their_messages(self):
+        # supermatrix._pivot skips an entry on NonInvertibleError, so a body
+        # that mixes powers of s must refuse with it, not with another error
+        for odd in (G(2, {(): 1, (0,): 1}), G(2, {(0,): 1}),
+                    G(2, {(): Scalar(1, 1) + 1, (1,): 1})):
+            with pytest.raises(ParityError,
+                               match="^inv_even requires an even element$"):
+                odd.inv_even()
+        with pytest.raises(NonInvertibleError,
+                           match="^body is zero; element is not invertible$"):
+            G(2, {(0, 1): 1}).inv_even()
+        with pytest.raises(NonInvertibleError, match=(
+                r"^2 s - 1 mixes powers of s and has no inverse in Q\[s, 1/s\]$")):
+            G(2, {(): Scalar(2, 1) - 1, (0, 1): 1}).inv_even()
+
 
 # -- property tests -----------------------------------------------------
 
@@ -439,3 +454,76 @@ def test_superfunction_product_matches_index_merging(f, g):
     expected = _merged_product(f.coeffs.items(), g.coeffs.items(),
                                Polynomial.zero(1))
     assert f * g == SuperFunction(f.shape, expected)
+
+
+# The supermatrix code builds each entry with one fused call,
+# base +/- sum a*b; the oracle below writes the same sum with __mul__ and
+# __add__/__sub__, one operation at a time.
+
+
+def _fused_oracle(base, pairs, subtract):
+    acc = base
+    for a, b in pairs:
+        acc = acc - a * b if subtract else acc + a * b
+    return acc
+
+
+@st.composite
+def fused_operands(draw, elements):
+    """(base, pairs) whose sums often cancel: a pair (a, -b) undoes a pair
+    (a, b), and a base equal to the sum of the products cancels it all."""
+    pairs = draw(st.lists(st.tuples(elements, elements), max_size=4))
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        pairs.append((a, -b))
+    base = draw(elements)
+    if draw(st.booleans()):
+        base = _fused_oracle(base - base, pairs, False)
+    return base, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(fused_operands(big_elements(4)), st.booleans())
+def test_fused_products_match_mul_and_add(operands, subtract):
+    base, pairs = operands
+    got = base._add_products(pairs, subtract)
+    assert got == _fused_oracle(base, pairs, subtract)
+    for (mask, k), coeff in got.terms.items():
+        assert type(mask) is int and type(k) is int
+        assert_stored(coeff)
+
+
+def test_fused_products_cancel_to_canonical_terms():
+    half = Scalar(Fraction(1, 2))
+    x = G(N_BIG, {(0,): half, (0, 7): Scalar(Fraction(1, 2), 1)})
+    one = GrassmannElement.one(N_BIG)
+    doubled = x._add_products([(one, x)])
+    assert doubled.terms == {(0b1, 0): 1, (0b10000001, 1): 1}
+    assert all(type(c) is int for c in doubled.terms.values())
+    assert x._add_products([(x, one)], True).terms == {}
+    assert x._add_products([(x, one), (one, -x)]) == x
+    assert x._add_products([]) == x
+    with pytest.raises(DimensionError):
+        x._add_products([(GrassmannElement.one(2), x)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_elements())
+def test_inv_even_matches_the_series_written_with_mul(a):
+    # b^-1 sum_j (-b^-1 soul)^j, every step through the public operations
+    a = a.even_part()
+    body = a.body()
+    if len(body.terms) != 1:
+        a = a - GrassmannElement(N_BIG, {(): body}) + GrassmannElement.one(N_BIG)
+        body = a.body()
+    binv = GrassmannElement(N_BIG, {(): Scalar(1) / body})
+    factor = -(binv * a.soul())
+    acc = power = GrassmannElement.one(N_BIG)
+    for _ in range(N_BIG // 2):
+        power = power * factor
+        acc = acc + power
+    got = a.inv_even()
+    assert got == binv * acc
+    assert a * got == GrassmannElement.one(N_BIG)
+    for coeff in got.terms.values():
+        assert_stored(coeff)

@@ -242,6 +242,24 @@ def test_floats_are_refused():
             call()
 
 
+def test_sparse_entries_other_than_exact_ints_are_checked():
+    # exact ints pass as they are; a float is still refused, and bools,
+    # int subclasses and integral Fractions are read as the ints they equal
+    class Count(int):
+        pass
+
+    with pytest.raises(TypeError):
+        nullspace([{0: 1, 1: 0.5}], ncols=2)
+    with pytest.raises(TypeError):
+        rank([{0: 2.0}], ncols=1)
+    for one in (True, Count(1), Fraction(2, 2)):
+        kernel = nullspace([{0: one, 1: -1}], ncols=2)
+        assert kernel == [[1, 1]]
+        assert_stored(kernel[0])
+    assert nullspace([{0: True, 1: 2}, {1: False}], ncols=2) == [[-2, 1]]
+    assert type(nullspace([{0: Count(2), 1: 1}], ncols=2)[0][0]) is Fraction
+
+
 def test_results_are_ints_where_integral():
     assert_stored([det([[Fraction(1, 2), 1], [1, 4]]), det([[2, 1], [1, 1]])])
     assert det([[Fraction(1, 2), 1], [1, 4]]) == 1

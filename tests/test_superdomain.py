@@ -682,3 +682,43 @@ def test_pullback_results_are_canonical(data):
     got = _outcome(pullback, phi, f)
     if isinstance(got, SuperFunction):
         _canonical_or_zero(got)
+
+
+# The supermatrix code builds each entry of a Jacobian's Berezinian with one
+# fused call, base +/- sum a*b; the oracle writes the same sum with __mul__
+# and __add__/__sub__, one operation at a time.
+
+
+def _fused_oracle(base, pairs, subtract):
+    acc = base
+    for a, b in pairs:
+        acc = acc - a * b if subtract else acc + a * b
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_fused_products_match_mul_and_add(data, subtract):
+    functions = _laurent_functions(R23)
+    pairs = data.draw(st.lists(st.tuples(functions, functions), max_size=4))
+    if pairs and data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(pairs))
+        pairs.append((a, -b))  # undoes the product of (a, b)
+    base = data.draw(functions)
+    if data.draw(st.booleans()):
+        base = _fused_oracle(base - base, pairs, False)  # cancels every product
+    got = base._add_products(pairs, subtract)
+    assert got == _fused_oracle(base, pairs, subtract)
+    _canonical_or_zero(got)
+
+
+def test_fused_products_cancel_to_canonical_terms():
+    half = sf(R12, {(0,): {(1,): Scalar(Fraction(1, 2), 1)}})
+    one = SuperFunction.one(R12)
+    doubled = half._add_products([(one, half)])
+    assert doubled.coeffs[(0,)].terms == {(1, 1): 1}
+    assert type(doubled.coeffs[(0,)].terms[(1, 1)]) is int
+    assert half._add_products([(half, one)], True).coeffs == {}
+    assert (X * XI1)._add_products([(XI1, X)], True).coeffs == {}
+    with pytest.raises(DimensionError):
+        half._add_products([(SuperFunction.one(R23), half)])

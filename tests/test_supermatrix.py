@@ -115,6 +115,31 @@ def test_berezinian_matches_laplace_oracle(x):
     assert str(got) == str(want)
 
 
+# Every entry of an elimination, a back substitution, a Schur complement
+# and a matrix product is built by one fused call (base +/- sum a*b); the
+# Laplace/adjugate oracle and the written-out product below use only
+# __mul__ and __add__/__sub__.  Lambda_8 is the benchmark's largest algebra.
+
+
+def _written_out_product(x, y):
+    n = x.p + x.q
+    return [[sum((x.entries[i][k] * y.entries[k][j] for k in range(n)), x.zero)
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("d, seed", [(3, 0), (3, 1), (4, 0), (4, 1)])
+def test_berezinian_over_lambda8_matches_laplace_oracle(d, seed):
+    rng = random.Random(f"lambda8/{d}/{seed}")
+    x = random_even_supermatrix(rng, d, d, 8)
+    y = random_even_supermatrix(rng, d, d, 8)
+    xy = x * y
+    assert [list(row) for row in xy.entries] == _written_out_product(x, y)
+    for m in (x, xy):
+        got, want = m.berezinian(), oracle_berezinian(m)
+        assert got == want
+        assert str(got) == str(want)
+
+
 # det [[x+2, x+1], [x+3, x+2]] = 1, yet no entry is a Laurent monomial, so
 # no column of this block holds an invertible entry.
 STALL = SuperDomainShape(1, (POSITIVE,), 2)
