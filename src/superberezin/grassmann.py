@@ -295,8 +295,8 @@ def _add_terms(acc: dict, items) -> dict:
     return acc
 
 
-def _accumulate(acc: dict, a: dict, b: dict, negative: bool) -> dict:
-    """Add a*b, negated if ``negative``, into ``acc`` and return it.
+def _accumulate(acc: dict, a: dict, b: dict) -> dict:
+    """Add a*b into ``acc`` and return it.
 
     ``a`` and ``b`` are term dicts keyed ``(mask, k)`` as in
     ``GrassmannElement``.  Sums are left as they fall: a key may end on a
@@ -310,10 +310,11 @@ def _accumulate(acc: dict, a: dict, b: dict, negative: bool) -> dict:
             if ma & mb:
                 continue
             key = (ma | mb, ka + kb)
-            if negative is not bool((swaps & mb).bit_count() & 1):
-                acc[key] = get(key, 0) - ca * cb
+            prev = get(key)
+            if (swaps & mb).bit_count() & 1:
+                acc[key] = -ca * cb if prev is None else prev - ca * cb
             else:
-                acc[key] = get(key, 0) + ca * cb
+                acc[key] = ca * cb if prev is None else prev + ca * cb
     return acc
 
 
@@ -321,6 +322,37 @@ def _settled(acc: dict) -> dict:
     """The canonical terms of a sum: zeros dropped, integral values ints."""
     return {key: c.numerator if type(c) is Fraction and c.denominator == 1
             else c for key, c in acc.items() if c}
+
+
+class _Products(tuple):
+    """The pairs (a, b) of a sum of products sum a*b, as an addend.
+
+    The fused operation of the supermatrix ring protocol is
+    ``base + _Products(pairs)``, the pairs holding elements of the base's
+    own ring: ``GrassmannElement.__add__`` and ``SuperFunction.__add__``
+    sum every product straight into one copy of the base's terms and
+    canonicalise once, so no product or partial sum is built as an
+    element.  A difference base - sum a*b is written with the factors a
+    negated.
+    """
+
+    __slots__ = ()
+
+
+def _inverse_series(start, factor, steps: int):
+    """start (1 + factor + ... + factor^steps), stopping at a zero power.
+
+    With u = b + n even, b an invertible body and n a nilpotent soul,
+    start = b^-1 and factor = -b^-1 n give u^-1 once factor^(steps+1)
+    vanishes.
+    """
+    acc = power = start
+    for _ in range(steps):
+        power = power * factor
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
 
 
 def _signed_sum(pieces) -> str:
@@ -371,8 +403,9 @@ class GrassmannElement:
     s.  The public constructor still takes ``{idx: coefficient}``, idx a
     strictly increasing generator tuple, with Scalar, int or Fraction
     coefficients; ``coefficient`` and ``str`` speak in index tuples too.
-    Besides the operators, ``_add_products`` gives supermatrix code the
-    fused base +/- sum a*b, and ``inv_even`` sums its series on term dicts.
+    ``self + _Products(pairs)`` is the fused base + sum a*b of the
+    supermatrix ring protocol; it and ``*`` share one product loop,
+    ``_accumulate``.
     """
 
     __slots__ = ("generator_count", "terms")
@@ -464,10 +497,16 @@ class GrassmannElement:
             )
 
     def __add__(self, other) -> "GrassmannElement":
+        acc = dict(self.terms)
+        if type(other) is _Products:
+            for a, b in other:
+                self._check_compatible(a)
+                self._check_compatible(b)
+                _accumulate(acc, a.terms, b.terms)
+            return _element(self.generator_count, _settled(acc))
         other = self._coerce(other)
         self._check_compatible(other)
-        return _element(self.generator_count,
-                        _add_terms(dict(self.terms), other.terms.items()))
+        return _element(self.generator_count, _add_terms(acc, other.terms.items()))
 
     __radd__ = __add__
 
@@ -492,34 +531,12 @@ class GrassmannElement:
     def __mul__(self, other) -> "GrassmannElement":
         other = self._coerce(other)
         self._check_compatible(other)
-        left = [(ma, ka, ca, _odd_swaps(ma)) for (ma, ka), ca in self.terms.items()]
-        return _element(self.generator_count, _add_terms({}, [
-            ((ma | mb, ka + kb),
-             -ca * cb if (swaps & mb).bit_count() & 1 else ca * cb)
-            for ma, ka, ca, swaps in left
-            for (mb, kb), cb in other.terms.items() if not ma & mb]))
+        return _element(self.generator_count,
+                        _settled(_accumulate({}, self.terms, other.terms)))
 
     def __rmul__(self, other) -> "GrassmannElement":
         # scalars are even and central, so this is safe
         return self._coerce(other) * self
-
-    def _add_products(self, pairs, subtract: bool = False) -> "GrassmannElement":
-        """self + sum a*b over the (a, b) of ``pairs``; minus with ``subtract``.
-
-        The fused operation of the supermatrix ring protocol: every product
-        is summed straight into one copy of this element's terms, and the
-        sum is canonicalised once at the end.
-        """
-        acc = dict(self.terms)
-        for a, b in pairs:
-            if not isinstance(a, GrassmannElement):
-                a = self._coerce(a)
-            if not isinstance(b, GrassmannElement):
-                b = self._coerce(b)
-            self._check_compatible(a)
-            self._check_compatible(b)
-            _accumulate(acc, a.terms, b.terms, subtract)
-        return _element(self.generator_count, _settled(acc))
 
     def inv_even(self) -> "GrassmannElement":
         """Inverse of an even element whose body is c s^k, c != 0.
@@ -544,17 +561,12 @@ class GrassmannElement:
                 f"{_in_s(body)} mixes powers of s and has no inverse in Q[s, 1/s]")
         (k, c), = body.items()
         cinv = _quotient(1, c)
-        factor = {(mask, j - k): _canonical(-cj * cinv)
-                  for (mask, j), cj in soul.items()}
-        power = {(0, -k): cinv}
-        acc = dict(power)
-        for _ in range(self.generator_count // 2):
-            power = _settled(_accumulate({}, power, factor, False))
-            if not power:
-                break
-            for key, c in power.items():
-                acc[key] = acc.get(key, 0) + c
-        return _element(self.generator_count, _settled(acc))
+        n = self.generator_count
+        return _inverse_series(
+            _element(n, {(0, -k): cinv}),
+            _element(n, {(mask, j - k): _canonical(-cj * cinv)
+                         for (mask, j), cj in soul.items()}),
+            n // 2)
 
     # -- reshaping ----------------------------------------------------
 

@@ -24,10 +24,12 @@ from .errors import (
 )
 from .grassmann import EVEN, ODD, Parity, Scalar
 from .grassmann import (
+    _Products,
     _add_terms,
     _canonical,
     _graded_products,
     _in_s,
+    _inverse_series,
     _masked,
     _monomial_text,
     _parity,
@@ -229,9 +231,8 @@ class Polynomial:
         other = self._coerce(other)
         if self.nvars != other.nvars:
             raise DimensionError("polynomials in different variable counts")
-        return _poly(self.nvars, _add_terms({}, [
-            (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()]))
+        return _poly(self.nvars,
+                     _settled(_poly_accumulate({}, self.terms, other.terms, False)))
 
     __rmul__ = __mul__
 
@@ -313,6 +314,25 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self!s})"
 
 
+def _poly_accumulate(acc: dict, a: dict, b: dict, negative: bool) -> dict:
+    """Add a*b, negated if ``negative``, into ``acc`` and return it.
+
+    ``a`` and ``b`` are Polynomial term dicts.  As in
+    ``grassmann._accumulate``, sums are left as they fall until
+    ``_settled``.
+    """
+    get = acc.get
+    right = b.items()
+    for e1, c1 in a.items():
+        if negative:
+            c1 = -c1
+        for e2, c2 in right:
+            key = tuple(map(add, e1, e2))
+            prev = get(key)
+            acc[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return acc
+
+
 def _poly(nvars: int, terms: dict) -> Polynomial:
     """Trusted constructor for the results of closed Polynomial operations.
 
@@ -341,9 +361,10 @@ def binomial_coefficient(e: int, j: int) -> Fraction:
 class SuperFunction:
     """Finite sum Σ_α ξ^α f_α(x) over a fixed superdomain shape.
 
-    Besides the operators, ``_add_products`` gives supermatrix code the
-    fused base +/- sum a*b, so a Jacobian's Berezinian builds each entry
-    as one sum of coefficient-polynomial products.
+    ``self + _Products(pairs)`` is the fused base + sum a*b of the
+    supermatrix ring protocol, so a Jacobian's Berezinian builds each
+    entry as one sum of coefficient-polynomial products; it and ``*``
+    share one product loop, ``_graded_accumulate``.
     """
 
     __slots__ = ("shape", "coeffs")
@@ -441,6 +462,13 @@ class SuperFunction:
             )
 
     def __add__(self, other) -> "SuperFunction":
+        if type(other) is _Products:
+            acc = {idx: dict(poly.terms) for idx, poly in self.coeffs.items()}
+            for a, b in other:
+                self._check_shape(a)
+                self._check_shape(b)
+                _graded_accumulate(acc, a.coeffs, b.coeffs)
+            return _settled_sf(self.shape, acc)
         other = self._coerce(other)
         self._check_shape(other)
         return _sf(self.shape, _add_terms(dict(self.coeffs), other.coeffs.items()))
@@ -459,61 +487,20 @@ class SuperFunction:
     def __mul__(self, other) -> "SuperFunction":
         other = self._coerce(other)
         self._check_shape(other)
-        return _sf(self.shape, _add_terms({}, [
-            (idx, -(pa * pb) if negative else pa * pb)
-            for idx, negative, pa, pb in _graded_products(
-                _masked(self.coeffs.items()), _masked(other.coeffs.items()))]))
+        return _settled_sf(self.shape,
+                           _graded_accumulate({}, self.coeffs, other.coeffs))
 
     def __rmul__(self, other) -> "SuperFunction":
         # even coefficients are central; odd SuperFunctions must use *
         return self._coerce(other) * self
-
-    def _add_products(self, pairs, subtract: bool = False) -> "SuperFunction":
-        """self + sum a*b over the (a, b) of ``pairs``; minus with ``subtract``.
-
-        The fused operation of the supermatrix ring protocol: every product
-        of coefficient polynomials is summed straight into one copy of this
-        function's terms, and each sector is canonicalised once at the end.
-        """
-        acc = {idx: dict(poly.terms) for idx, poly in self.coeffs.items()}
-        for a, b in pairs:
-            a, b = self._coerce(a), self._coerce(b)
-            self._check_shape(a)
-            self._check_shape(b)
-            for idx, negative, pa, pb in _graded_products(
-                    _masked(a.coeffs.items()), _masked(b.coeffs.items())):
-                sector = acc.setdefault(idx, {})
-                get = sector.get
-                right = pb.terms.items()
-                for e1, c1 in pa.terms.items():
-                    for e2, c2 in right:
-                        key = tuple(map(add, e1, e2))
-                        if negative is not subtract:
-                            sector[key] = get(key, 0) - c1 * c2
-                        else:
-                            sector[key] = get(key, 0) + c1 * c2
-        coeffs = {}
-        for idx, terms in acc.items():
-            terms = _settled(terms)
-            if terms:
-                coeffs[idx] = _poly(self.shape.m, terms)
-        return _sf(self.shape, coeffs)
 
     def inv_even(self) -> "SuperFunction":
         """Inverse of an even superfunction with invertible (monomial) body."""
         if any(len(i) % 2 for i in self.coeffs):
             raise ParityError("inv_even requires an even superfunction")
         binv = self.body_polynomial().monomial_inverse()
-        # binv (1 + f + f^2 + ...) with f = -binv soul, nilpotent since every
-        # soul term has degree >= 2
-        factor = self.soul()._scaled(-binv)
-        acc = power = SuperFunction.one(self.shape)
-        for _ in range(self.shape.n // 2):
-            power = power * factor
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc._scaled(binv)
+        return _inverse_series(_sf(self.shape, {(): binv}),
+                               self.soul()._scaled(-binv), self.shape.n // 2)
 
     def _scaled(self, unit: Polynomial) -> "SuperFunction":
         """This superfunction times the one-term polynomial unit, term by term."""
@@ -613,6 +600,32 @@ def _sf(shape: SuperDomainShape, coeffs: dict) -> SuperFunction:
     object.__setattr__(out, "shape", shape)
     object.__setattr__(out, "coeffs", coeffs)
     return out
+
+
+def _graded_accumulate(acc: dict, a: dict, b: dict) -> dict:
+    """Add a*b into ``acc`` and return it.
+
+    ``a`` and ``b`` are SuperFunction coefficient dicts; ``acc`` maps index
+    tuples to Polynomial term dicts, whose sums stay unsettled until
+    ``_settled_sf``.
+    """
+    for idx, odd, pa, pb in _graded_products(_masked(a.items()),
+                                             _masked(b.items())):
+        sector = acc.get(idx)
+        if sector is None:
+            sector = acc[idx] = {}
+        _poly_accumulate(sector, pa.terms, pb.terms, odd)
+    return acc
+
+
+def _settled_sf(shape: SuperDomainShape, acc: dict) -> SuperFunction:
+    """The superfunction of an accumulated sum, each sector ``_settled``."""
+    coeffs = {}
+    for idx, terms in acc.items():
+        terms = _settled(terms)
+        if terms:
+            coeffs[idx] = _poly(shape.m, terms)
+    return _sf(shape, coeffs)
 
 
 # -- morphisms --------------------------------------------------------------

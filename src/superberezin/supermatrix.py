@@ -3,14 +3,15 @@
 Entries may be any objects implementing the small ring protocol used
 throughout the package: ``__add__``, ``__sub__``, ``__neg__``, ``__mul__``,
 ``is_zero()``, ``parity()``, ``inv_even()`` for invertible even elements,
-and the fused ``_add_products(pairs, subtract)``, which returns
-base +/- sum a*b over the (a, b) of ``pairs`` as one sum: every product
-goes straight into one copy of the base's terms, canonicalised once.  Both
-Grassmann elements and superfunctions qualify, so the same Berezinian code
-serves constant matrices and Jacobians.  Every entry of an elimination
-step, of Z, of the Schur complement and of a matrix product is one fused
-call; a product's cost is per call more than per term, so this saves the
-temporaries of a product, a negation and a sum.
+and the fused ``base + _Products(pairs)``, which returns base + sum a*b
+over the (a, b) of ``pairs`` as one sum: every product goes straight into
+one copy of the base's terms, canonicalised once.  Both Grassmann
+elements and superfunctions qualify, so the same Berezinian code serves
+constant matrices and Jacobians.  Every entry of an elimination step, of
+Z, of the Schur complement and of a matrix product is one fused sum, a
+difference taking its left factors negated; a product's cost is per call
+more than per term, so this saves the temporaries of a product, a
+negation and a sum.
 
 Determinants, det(D)^-1 and the solve D Z = C share one forward
 elimination over the entries' ring.  A column's pivot is the first
@@ -32,7 +33,7 @@ det(D)^-1 and Z = D^-1 C come from Cramer's rule.
 from __future__ import annotations
 
 from .errors import DimensionError, NonInvertibleError, ParityError
-from .grassmann import EVEN, Parity
+from .grassmann import EVEN, Parity, _Products
 
 
 def _pivot(rows, k):
@@ -68,13 +69,14 @@ def _eliminate(rows, n, last=True):
             rows[k], rows[r] = rows[r], rows[k]
             sign = -sign
         top = rows[k]
+        minus_inv = -inv
         for row in rows[k + 1:]:
             if row[k].is_zero():
                 continue
-            factor = row[k] * inv
+            factor = row[k] * minus_inv
             for j in range(k + 1, len(top)):
                 if not top[j].is_zero():
-                    row[j] = row[j]._add_products(((factor, top[j]),), True)
+                    row[j] = row[j] + _Products(((factor, top[j]),))
         inverses.append(inv)
     return sign, inverses
 
@@ -119,9 +121,8 @@ def _back_substitute(rows, inverses, q):
     Z = [None] * q
     for k in reversed(range(q)):
         row = rows[k]
-        used = [j for j in range(k + 1, q) if not row[j].is_zero()]
-        Z[k] = [inverses[k] * c._add_products(
-                    [(row[j], Z[j][col]) for j in used], True)
+        minus = [(-row[j], Z[j]) for j in range(k + 1, q) if not row[j].is_zero()]
+        Z[k] = [inverses[k] * (c + _Products([(a, z[col]) for a, z in minus]))
                 for col, c in enumerate(row[q:])]
     return Z
 
@@ -262,9 +263,8 @@ class SuperMatrix:
 
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_shape(other)
-        n = self.p + self.q
         columns = list(zip(*other.entries))
-        ent = [[self.zero._add_products([
+        ent = [[self.zero + _Products([
                     (a, b) for a, b in zip(row, col)
                     if not (a.is_zero() or b.is_zero())])
                 for col in columns] for row in self.entries]
@@ -301,8 +301,9 @@ class SuperMatrix:
         if p == 0:
             return det_d_inv
         columns = list(zip(*Z))
-        schur = [[a._add_products([(b, z) for b, z in zip(B[i], col)
-                                   if not (b.is_zero() or z.is_zero())], True)
+        minus_B = [[-b for b in row] for row in B]
+        schur = [[a + _Products([(b, z) for b, z in zip(minus_B[i], col)
+                                 if not (b.is_zero() or z.is_zero())])
                   for a, col in zip(A[i], columns)] for i in range(p)]
         return _det(schur, zero, one) * det_d_inv
 

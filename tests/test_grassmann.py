@@ -16,6 +16,7 @@ from superberezin.grassmann import (
     GrassmannElement,
     Parity,
     Scalar,
+    _Products,
     koszul_sign,
 )
 from superberezin.errors import DimensionError, NonInvertibleError, ParityError
@@ -456,15 +457,18 @@ def test_superfunction_product_matches_index_merging(f, g):
     assert f * g == SuperFunction(f.shape, expected)
 
 
-# The supermatrix code builds each entry with one fused call,
-# base +/- sum a*b; the oracle below writes the same sum with __mul__ and
-# __add__/__sub__, one operation at a time.
+# The supermatrix code builds each entry with one fused sum, base + sum a*b,
+# a difference taking its left factors negated.  The oracle below sums the
+# same products by index merging, independently of the product loop that
+# the fused sum shares with __mul__, and adds or subtracts them one at a time.
 
 
 def _fused_oracle(base, pairs, subtract):
     acc = base
     for a, b in pairs:
-        acc = acc - a * b if subtract else acc + a * b
+        product = GrassmannElement(base.generator_count, _merged_product(
+            _public_terms(a), _public_terms(b), Scalar.zero()))
+        acc = acc - product if subtract else acc + product
     return acc
 
 
@@ -484,9 +488,9 @@ def fused_operands(draw, elements):
 
 @settings(max_examples=150, deadline=None)
 @given(fused_operands(big_elements(4)), st.booleans())
-def test_fused_products_match_mul_and_add(operands, subtract):
+def test_fused_products_match_merged_products(operands, subtract):
     base, pairs = operands
-    got = base._add_products(pairs, subtract)
+    got = base + _Products([(-a, b) for a, b in pairs] if subtract else pairs)
     assert got == _fused_oracle(base, pairs, subtract)
     for (mask, k), coeff in got.terms.items():
         assert type(mask) is int and type(k) is int
@@ -497,14 +501,14 @@ def test_fused_products_cancel_to_canonical_terms():
     half = Scalar(Fraction(1, 2))
     x = G(N_BIG, {(0,): half, (0, 7): Scalar(Fraction(1, 2), 1)})
     one = GrassmannElement.one(N_BIG)
-    doubled = x._add_products([(one, x)])
+    doubled = x + _Products([(one, x)])
     assert doubled.terms == {(0b1, 0): 1, (0b10000001, 1): 1}
     assert all(type(c) is int for c in doubled.terms.values())
-    assert x._add_products([(x, one)], True).terms == {}
-    assert x._add_products([(x, one), (one, -x)]) == x
-    assert x._add_products([]) == x
+    assert (x + _Products([(-x, one)])).terms == {}
+    assert x + _Products([(x, one), (one, -x)]) == x
+    assert x + _Products([]) == x
     with pytest.raises(DimensionError):
-        x._add_products([(GrassmannElement.one(2), x)])
+        x + _Products([(GrassmannElement.one(2), x)])
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,7 +14,7 @@ from superberezin.errors import (
     NonInvertibleError,
     ParityError,
 )
-from superberezin.grassmann import EVEN, ODD, Scalar
+from superberezin.grassmann import EVEN, ODD, Scalar, _Products
 from superberezin.superdomain import (
     Interval,
     POSITIVE,
@@ -685,8 +685,9 @@ def test_pullback_results_are_canonical(data):
 
 
 # The supermatrix code builds each entry of a Jacobian's Berezinian with one
-# fused call, base +/- sum a*b; the oracle writes the same sum with __mul__
-# and __add__/__sub__, one operation at a time.
+# fused sum, base + sum a*b, a difference taking its left factors negated;
+# the oracle writes the same sum with __mul__ and __add__/__sub__, one
+# operation at a time.
 
 
 def _fused_oracle(base, pairs, subtract):
@@ -707,7 +708,7 @@ def test_fused_products_match_mul_and_add(data, subtract):
     base = data.draw(functions)
     if data.draw(st.booleans()):
         base = _fused_oracle(base - base, pairs, False)  # cancels every product
-    got = base._add_products(pairs, subtract)
+    got = base + _Products([(-a, b) for a, b in pairs] if subtract else pairs)
     assert got == _fused_oracle(base, pairs, subtract)
     _canonical_or_zero(got)
 
@@ -715,10 +716,10 @@ def test_fused_products_match_mul_and_add(data, subtract):
 def test_fused_products_cancel_to_canonical_terms():
     half = sf(R12, {(0,): {(1,): Scalar(Fraction(1, 2), 1)}})
     one = SuperFunction.one(R12)
-    doubled = half._add_products([(one, half)])
+    doubled = half + _Products([(one, half)])
     assert doubled.coeffs[(0,)].terms == {(1, 1): 1}
     assert type(doubled.coeffs[(0,)].terms[(1, 1)]) is int
-    assert half._add_products([(half, one)], True).coeffs == {}
-    assert (X * XI1)._add_products([(XI1, X)], True).coeffs == {}
+    assert (half + _Products([(-half, one)])).coeffs == {}
+    assert (X * XI1 + _Products([(-XI1, X)])).coeffs == {}
     with pytest.raises(DimensionError):
-        half._add_products([(SuperFunction.one(R23), half)])
+        half + _Products([(SuperFunction.one(R23), half)])
