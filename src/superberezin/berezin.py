@@ -201,7 +201,7 @@ def integrate(omega: BerezinSection, backend: IntegrationBackend) -> Scalar:
     """Total integral: the top odd coefficient g of the density integrated
     over the even axes, with the convention sign (-1)^{mn}."""
     shape = omega.shape
-    top = omega.density.coeffs.get(tuple(range(shape.n)))
+    top = omega.density.coeffs.get((1 << shape.n) - 1)
     if top is None:
         return Scalar.zero()
     sign = -1 if (shape.m * shape.n) % 2 else 1

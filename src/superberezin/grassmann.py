@@ -10,10 +10,11 @@ when xi_{i+1} is a factor, and k is the power of s, so every coefficient
 is a plain rational, stored as an ``int`` when integral and as a
 ``Fraction`` only when its denominator exceeds 1.  Most coefficients of the
 paper's identities are integers, and an int product costs a small part of
-a Fraction product.  A product of two terms is then a test, an or and a
-popcount on their masks (``_odd_swaps``); index tuples appear only where an
-element is built from ``{idx: coefficient}``, asked for a coefficient or
-printed.
+a Fraction product.  The mask is the package's one odd-monomial key, also
+of ``SuperFunction`` sectors and Koszul monomials, and ``_odd_swaps`` its
+one sign rule: a product of two monomials is a test, an or and a popcount
+on their masks.  Index tuples appear only where a value is built from
+``{idx: coefficient}``, asked for a coefficient or printed.
 """
 
 from __future__ import annotations
@@ -248,32 +249,6 @@ def _odd_swaps(ma: int) -> int:
     return swaps
 
 
-def _masked(pairs) -> list:
-    """(generator mask, index, value) for (index tuple, value) pairs."""
-    return [(_mask(idx), idx, value) for idx, value in pairs]
-
-
-def _graded_products(a: list, b: list):
-    """Yield (index, negative, va, vb) for the monomial pairs of a*b.
-
-    ``a`` and ``b`` are ``_masked`` items of strictly increasing index
-    tuples.  For every pair xi^ia (value va) and xi^ib (vb) that shares no
-    generator, xi^ia xi^ib = (-1 if negative else 1) xi^index.  A pair whose
-    masks meet is skipped before any merging; a pair's sign is that of
-    ``_odd_swaps``.
-    """
-    for ma, ia, va in a:
-        swaps = _odd_swaps(ma)
-        for mb, ib, vb in b:
-            if ma & mb:
-                continue
-            if not (ia and ib):
-                yield ia or ib, False, va, vb
-                continue
-            yield (tuple(sorted(ia + ib)), bool((swaps & mb).bit_count() & 1),
-                   va, vb)
-
-
 def _add_terms(acc: dict, items) -> dict:
     """Add the (key, value) pairs of ``items`` into the sparse sum ``acc``.
 
@@ -383,7 +358,8 @@ def _parity(degrees) -> Parity | None:
     return Parity(parities.pop()) if len(parities) == 1 else None
 
 
-def _validate_index(idx: tuple[int, ...], count: int) -> tuple[int, ...]:
+def _checked_mask(idx: tuple[int, ...], count: int) -> int:
+    """The mask of a strictly increasing tuple of generators below count."""
     idx = tuple(idx)
     if any(not isinstance(i, int) for i in idx):
         raise TypeError("generator indices must be integers")
@@ -391,7 +367,17 @@ def _validate_index(idx: tuple[int, ...], count: int) -> tuple[int, ...]:
         raise DimensionError(f"generator index out of range for count {count}: {idx}")
     if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
         raise ParityError(f"index tuple not strictly increasing: {idx}")
-    return idx
+    return _mask(idx)
+
+
+def _lookup_mask(indices: Iterable[int], count: int) -> int | None:
+    """``_checked_mask``, or None where it raises: a mask forgets order and
+    repetition, so (2, 0) and (0, 0, 2) name no monomial."""
+    indices = tuple(indices)
+    try:
+        return _checked_mask(indices, count)
+    except (TypeError, DimensionError, ParityError):
+        return None
 
 
 class GrassmannElement:
@@ -415,7 +401,7 @@ class GrassmannElement:
             raise DimensionError("generator count must be nonnegative")
         checked = []
         for idx, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            mask = _mask(_validate_index(idx, generator_count))
+            mask = _checked_mask(idx, generator_count)
             checked.extend(((mask, k), c) for k, c in Scalar.coerce(coeff).terms.items())
         normalized = _add_terms({}, checked)
         object.__setattr__(self, "generator_count", generator_count)
@@ -480,11 +466,7 @@ class GrassmannElement:
         Zero unless ``indices`` is a strictly increasing tuple of this
         algebra's generators: a mask forgets order and repetition.
         """
-        idx = tuple(indices)
-        try:
-            mask = _mask(_validate_index(idx, self.generator_count))
-        except (TypeError, DimensionError, ParityError):
-            return Scalar.zero()
+        mask = _lookup_mask(indices, self.generator_count)
         return _in_s({k: c for (m, k), c in self.terms.items() if m == mask})
 
     # -- arithmetic ---------------------------------------------------

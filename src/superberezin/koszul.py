@@ -30,7 +30,9 @@ exponent w_i.  With t the sum of the free weights, the monomial of S has
 degree t + |F| + 2|S| and parity |F| + |S|.
 
 The sign of d on a monomial is the hop count of the added odd letter past
-the odd letters present, so it never reads an even exponent.  Subtracting
+the odd letters present, read from their generator masks by
+``grassmann._odd_swaps``, the package's one sign rule, so it never reads an
+even exponent.  Subtracting
 the free weights from the partner exponents is therefore a bijection from
 the block of w onto the block of F with every free weight 0 that commutes
 with d, term by term and sign by sign: the two blocks have the same layer
@@ -52,7 +54,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DimensionError, InconclusiveError
-from .grassmann import (GrassmannElement, Parity, _graded_products, _masked,
+from .grassmann import (GrassmannElement, Parity, _indices, _mask, _odd_swaps,
                         _rational)
 
 # A monomial is (even_exponents, odd_indices): a tuple of p+q nonnegative
@@ -117,9 +119,7 @@ class KoszulComplexSlice:
         self.q = q
         self.degree_cap = degree_cap
         n = p + q
-        # the canonical element as masked (odd letter,) -> its even partner
-        self._canonical = _masked([((i,), e)
-                                   for i, e in enumerate(_partners(p, q))])
+        self._partners = _partners(p, q)
         self._bases: dict[int, list[Monomial]] = {
             k: [] for k in range(degree_cap + 1)}
         if weights is not None:
@@ -144,12 +144,16 @@ class KoszulComplexSlice:
     def apply_d(self, mono: Monomial) -> list[tuple[int, Monomial]]:
         """Left multiplication by the canonical element, degree +2."""
         evens, odds = mono
+        present = _mask(odds)
         out = []
-        for new_odds, negative, even_letter, _ in _graded_products(
-                self._canonical, _masked([(odds, None)])):
+        for i, partner in enumerate(self._partners):
+            letter = 1 << i
+            if present & letter:
+                continue
             new_evens = list(evens)
-            new_evens[even_letter] += 1
-            out.append((-1 if negative else 1, (tuple(new_evens), new_odds)))
+            new_evens[partner] += 1
+            sign = -1 if (_odd_swaps(letter) & present).bit_count() & 1 else 1
+            out.append((sign, (tuple(new_evens), _indices(present | letter))))
         return out
 
     def differential_matrix(self, degree: int,

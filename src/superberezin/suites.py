@@ -25,7 +25,7 @@ from .berezin import (
     product_section,
     pullback_section,
 )
-from .grassmann import EVEN, ODD, GrassmannElement, Parity, _element, _mask
+from .grassmann import EVEN, ODD, GrassmannElement, Parity
 from .koszul import homological_berezinian
 from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
                         gl11_algebra, unimodularity_check)
@@ -87,7 +87,7 @@ def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
         terms[idx] = terms.get(idx, 0) + coeff
     if ensure_body and not terms.get(()):
         terms[()] = rng.choice((-3, -2, -1, 1, 2, 3))
-    return _element(n, {(_mask(idx), 0): c for idx, c in terms.items() if c})
+    return GrassmannElement(n, terms)
 
 
 def _body_matrix(block) -> list[list[Fraction]]:

@@ -5,7 +5,8 @@ Functions are finite sums Σ_α ξ^α f_α where the f_α are Laurent
 polynomials with rational coefficients in the even coordinates and
 s = sqrt(2π) — integer exponents may be negative, which is how the
 multiplicative-group densities like a^{-1} stay exact.  A coefficient is
-stored as an int when integral and as a Fraction otherwise.
+stored as an int when integral and as a Fraction otherwise.  Each sector
+ξ^α is keyed by its generator mask, as in ``grassmann``.
 """
 
 from __future__ import annotations
@@ -27,17 +28,18 @@ from .grassmann import (
     _Products,
     _add_terms,
     _canonical,
-    _graded_products,
+    _checked_mask,
     _in_s,
+    _indices,
     _inverse_series,
-    _masked,
+    _lookup_mask,
     _monomial_text,
+    _odd_swaps,
     _parity,
     _quotient,
     _rational,
     _settled,
     _signed_sum,
-    _validate_index,
 )
 from .supermatrix import SuperMatrix
 
@@ -361,10 +363,11 @@ def binomial_coefficient(e: int, j: int) -> Fraction:
 class SuperFunction:
     """Finite sum Σ_α ξ^α f_α(x) over a fixed superdomain shape.
 
-    ``self + _Products(pairs)`` is the fused base + sum a*b of the
-    supermatrix ring protocol, so a Jacobian's Berezinian builds each
-    entry as one sum of coefficient-polynomial products; it and ``*``
-    share one product loop, ``_graded_accumulate``.
+    ``coeffs`` maps the generator mask of each α (bit j for ξ_{j+1}) to
+    the nonzero Polynomial f_α; the constructor, ``coefficient`` and
+    ``str`` speak in index tuples.  ``self + _Products(pairs)``, the fused
+    base + sum a*b of the supermatrix ring protocol, and ``*`` share one
+    product loop, ``_graded_accumulate``.
     """
 
     __slots__ = ("shape", "coeffs")
@@ -372,12 +375,12 @@ class SuperFunction:
     def __init__(self, shape: SuperDomainShape, coeffs: Mapping = ()):
         checked = []
         for idx, poly in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
-            idx = _validate_index(idx, shape.n)
+            mask = _checked_mask(idx, shape.n)
             if not isinstance(poly, Polynomial):
                 poly = Polynomial.constant(shape.m, poly)
             if poly.nvars != shape.m:
                 raise DimensionError("coefficient polynomial has wrong arity")
-            checked.append((idx, poly))
+            checked.append((mask, poly))
         normalized = _add_terms({}, checked)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coeffs", normalized)
@@ -422,24 +425,27 @@ class SuperFunction:
         return bool(self.coeffs)
 
     def parity(self) -> Parity | None:
-        return _parity(len(idx) for idx in self.coeffs)
+        return _parity(mask.bit_count() for mask in self.coeffs)
 
     def body_polynomial(self) -> Polynomial:
-        return self.coeffs.get((), Polynomial.zero(self.shape.m))
+        return self.coeffs.get(0, Polynomial.zero(self.shape.m))
+
+    def _select(self, keep) -> "SuperFunction":
+        return _sf(self.shape, {mask: p for mask, p in self.coeffs.items()
+                                if keep(mask)})
 
     def soul(self) -> "SuperFunction":
-        return _sf(self.shape, {i: p for i, p in self.coeffs.items() if i})
+        return self._select(bool)
 
     def even_part(self) -> "SuperFunction":
-        return _sf(self.shape, {i: p for i, p in self.coeffs.items()
-                                if len(i) % 2 == 0})
+        return self._select(lambda mask: not mask.bit_count() & 1)
 
     def odd_part(self) -> "SuperFunction":
-        return _sf(self.shape, {i: p for i, p in self.coeffs.items()
-                                if len(i) % 2 == 1})
+        return self._select(lambda mask: mask.bit_count() & 1)
 
     def coefficient(self, odd_index: Iterable[int]) -> Polynomial:
-        return self.coeffs.get(tuple(odd_index), Polynomial.zero(self.shape.m))
+        return self.coeffs.get(_lookup_mask(odd_index, self.shape.n),
+                               Polynomial.zero(self.shape.m))
 
     def evaluate_body(self, point: Sequence[Fraction]) -> Scalar:
         return self.body_polynomial().evaluate(point)
@@ -463,7 +469,7 @@ class SuperFunction:
 
     def __add__(self, other) -> "SuperFunction":
         if type(other) is _Products:
-            acc = {idx: dict(poly.terms) for idx, poly in self.coeffs.items()}
+            acc = {mask: dict(poly.terms) for mask, poly in self.coeffs.items()}
             for a, b in other:
                 self._check_shape(a)
                 self._check_shape(b)
@@ -476,7 +482,7 @@ class SuperFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "SuperFunction":
-        return _sf(self.shape, {i: -p for i, p in self.coeffs.items()})
+        return _sf(self.shape, {mask: -p for mask, p in self.coeffs.items()})
 
     def __sub__(self, other) -> "SuperFunction":
         return self + (-self._coerce(other))
@@ -496,28 +502,28 @@ class SuperFunction:
 
     def inv_even(self) -> "SuperFunction":
         """Inverse of an even superfunction with invertible (monomial) body."""
-        if any(len(i) % 2 for i in self.coeffs):
+        if any(mask.bit_count() & 1 for mask in self.coeffs):
             raise ParityError("inv_even requires an even superfunction")
         binv = self.body_polynomial().monomial_inverse()
-        return _inverse_series(_sf(self.shape, {(): binv}),
+        return _inverse_series(_sf(self.shape, {0: binv}),
                                self.soul()._scaled(-binv), self.shape.n // 2)
 
     def _scaled(self, unit: Polynomial) -> "SuperFunction":
         """This superfunction times the one-term polynomial unit, term by term."""
         (shift, c), = unit.terms.items()
         return _sf(self.shape, {
-            idx: _poly(poly.nvars, {tuple(map(add, exps, shift)): _canonical(cc * c)
-                                    for exps, cc in poly.terms.items()})
-            for idx, poly in self.coeffs.items()})
+            mask: _poly(poly.nvars, {tuple(map(add, exps, shift)): _canonical(cc * c)
+                                     for exps, cc in poly.terms.items()})
+            for mask, poly in self.coeffs.items()})
 
     # -- derivatives ------------------------------------------------------
 
     def derive_even(self, i: int) -> "SuperFunction":
         coeffs = {}
-        for idx, poly in self.coeffs.items():
+        for mask, poly in self.coeffs.items():
             d = poly.derive(i)
             if d:
-                coeffs[idx] = d
+                coeffs[mask] = d
         return _sf(self.shape, coeffs)
 
     def derive_odd(self, j: int) -> "SuperFunction":
@@ -525,11 +531,12 @@ class SuperFunction:
         if not 0 <= j < self.shape.n:
             raise DimensionError("odd index out of range")
         # distinct sectors holding xi_j stay distinct without it: no sums
+        bit = 1 << j
         coeffs = {}
-        for idx, poly in self.coeffs.items():
-            if j in idx:
-                pos = idx.index(j)
-                coeffs[idx[:pos] + idx[pos + 1:]] = -poly if pos % 2 else poly
+        for mask, poly in self.coeffs.items():
+            if mask & bit:
+                pos = (mask & (bit - 1)).bit_count()
+                coeffs[mask ^ bit] = -poly if pos & 1 else poly
         return _sf(self.shape, coeffs)
 
     # -- reshaping --------------------------------------------------------
@@ -546,8 +553,8 @@ class SuperFunction:
         left = (0,) * even_offset
         right = (0,) * (shape.m - even_offset - self.shape.m)
         coeffs = {}
-        for idx, poly in self.coeffs.items():
-            coeffs[tuple(j + odd_offset for j in idx)] = _poly(shape.m, {
+        for mask, poly in self.coeffs.items():
+            coeffs[mask << odd_offset] = _poly(shape.m, {
                 left + exps[:-1] + right + exps[-1:]: coeff
                 for exps, coeff in poly.terms.items()})
         return _sf(shape, coeffs)
@@ -563,15 +570,12 @@ class SuperFunction:
 
     def __hash__(self):
         return hash((self.shape, frozenset(
-            (i, frozenset(p.terms.items())) for i, p in self.coeffs.items()
+            (mask, frozenset(p.terms.items())) for mask, p in self.coeffs.items()
         )))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
-        for idx in sorted(self.coeffs, key=lambda i: (len(i), i)):
-            poly = self.coeffs[idx]
+        for idx, poly in _sectors(self):
             mono = " ".join(f"xi{j + 1}" for j in idx)
             p = str(poly)
             if mono:
@@ -583,7 +587,7 @@ class SuperFunction:
                     parts.append(f"{p} {mono}")
             else:
                 parts.append(p)
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"SuperFunction({self.shape}, {self!s})"
@@ -592,9 +596,9 @@ class SuperFunction:
 def _sf(shape: SuperDomainShape, coeffs: dict) -> SuperFunction:
     """Trusted constructor for the results of closed SuperFunction operations.
 
-    ``coeffs`` must map strictly increasing in-range odd index tuples to
-    nonzero Polynomials in ``shape.m`` variables and is kept, not copied;
-    the public constructor checks all of this, this one assumes it.
+    ``coeffs`` must map masks of in-range odd generators to nonzero
+    Polynomials in ``shape.m`` variables and is kept, not copied; the
+    public constructor checks all of this, this one assumes it.
     """
     out = object.__new__(SuperFunction)
     object.__setattr__(out, "shape", shape)
@@ -602,29 +606,41 @@ def _sf(shape: SuperDomainShape, coeffs: dict) -> SuperFunction:
     return out
 
 
+def _sectors(f: SuperFunction) -> list[tuple[tuple[int, ...], Polynomial]]:
+    """f's (index tuple, coefficient) sectors in print order."""
+    return sorted(((_indices(mask), poly) for mask, poly in f.coeffs.items()),
+                  key=lambda sector: (len(sector[0]), sector[0]))
+
+
 def _graded_accumulate(acc: dict, a: dict, b: dict) -> dict:
     """Add a*b into ``acc`` and return it.
 
-    ``a`` and ``b`` are SuperFunction coefficient dicts; ``acc`` maps index
-    tuples to Polynomial term dicts, whose sums stay unsettled until
-    ``_settled_sf``.
+    ``a`` and ``b`` are SuperFunction coefficient dicts; ``acc`` maps masks
+    to Polynomial term dicts, unsettled until ``_settled_sf``.  The loop is
+    ``grassmann._accumulate``'s, with one ``_poly_accumulate`` per pair.
     """
-    for idx, odd, pa, pb in _graded_products(_masked(a.items()),
-                                             _masked(b.items())):
-        sector = acc.get(idx)
-        if sector is None:
-            sector = acc[idx] = {}
-        _poly_accumulate(sector, pa.terms, pb.terms, odd)
+    right = b.items()
+    for ma, pa in a.items():
+        swaps = _odd_swaps(ma)
+        for mb, pb in right:
+            if ma & mb:
+                continue
+            key = ma | mb
+            sector = acc.get(key)
+            if sector is None:
+                sector = acc[key] = {}
+            _poly_accumulate(sector, pa.terms, pb.terms,
+                             (swaps & mb).bit_count() & 1)
     return acc
 
 
 def _settled_sf(shape: SuperDomainShape, acc: dict) -> SuperFunction:
     """The superfunction of an accumulated sum, each sector ``_settled``."""
     coeffs = {}
-    for idx, terms in acc.items():
+    for mask, terms in acc.items():
         terms = _settled(terms)
         if terms:
-            coeffs[idx] = _poly(shape.m, terms)
+            coeffs[mask] = _poly(shape.m, terms)
     return _sf(shape, coeffs)
 
 
@@ -731,14 +747,14 @@ class SuperMorphism:
 
 def _linear_combination(shape: SuperDomainShape, triples) -> SuperFunction:
     """Σ c·s^k·F over (k, rational c, SuperFunction F), summed term by term."""
-    acc: dict[tuple[int, ...], dict] = {}
+    acc: dict[int, dict] = {}
     for k, c, func in triples:
-        for idx, poly in func.coeffs.items():
-            _add_terms(acc.setdefault(idx, {}), [
+        for mask, poly in func.coeffs.items():
+            _add_terms(acc.setdefault(mask, {}), [
                 (exps[:-1] + (exps[-1] + k,) if k else exps, c * coeff)
                 for exps, coeff in poly.terms.items()])
-    return _sf(shape, {idx: _poly(shape.m, terms)
-                       for idx, terms in acc.items() if terms})
+    return _sf(shape, {mask: _poly(shape.m, terms)
+                       for mask, terms in acc.items() if terms})
 
 
 def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
@@ -796,7 +812,7 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
     parts = []
     for alpha, poly in f.coeffs.items():
         odd_factor = one
-        for j in alpha:
+        for j in _indices(alpha):
             odd_factor = odd_factor * phi.odd_components[j]
         if odd_factor.is_zero():
             continue
@@ -895,16 +911,16 @@ def split_product_function(f: SuperFunction, left: SuperDomainShape,
     """
     if f.shape != shape_product(left, right):
         raise DimensionError("function does not live on the stated product")
-    # (left exponents, left odd index) -> right odd index -> right terms;
+    # (left exponents, left odd mask) -> right odd mask -> right terms;
     # the power of s stays with the right factor
+    low = (1 << left.n) - 1
     grouped: dict[tuple, dict] = {}
-    for idx, poly in f.coeffs.items():
-        left_odd = tuple(j for j in idx if j < left.n)
-        right_odd = tuple(j - left.n for j in idx if j >= left.n)
+    for mask, poly in f.coeffs.items():
         for exps, coeff in poly.terms.items():
-            bucket = grouped.setdefault((exps[:left.m], left_odd), {})
-            bucket.setdefault(right_odd, {})[exps[left.m:]] = coeff
-    return [(SuperFunction(left, {left_odd: Polynomial(left.m, {left_exps: 1})}),
+            bucket = grouped.setdefault((exps[:left.m], mask & low), {})
+            bucket.setdefault(mask >> left.n, {})[exps[left.m:]] = coeff
+    return [(_sf(left, {left_odd: _poly(left.m, {left_exps + (0,): 1})}),
              _sf(right, {r_odd: _poly(right.m, terms)
                          for r_odd, terms in bucket.items()}))
-            for (left_exps, left_odd), bucket in sorted(grouped.items())]
+            for (left_exps, left_odd), bucket in sorted(
+                grouped.items(), key=lambda item: (item[0][0], _indices(item[0][1])))]

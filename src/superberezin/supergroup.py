@@ -43,7 +43,7 @@ from .errors import (
     NormalizationError,
     StructureError,
 )
-from .grassmann import EVEN, ODD, Scalar, _rational, koszul_sign
+from .grassmann import EVEN, ODD, Scalar, _mask, _rational, koszul_sign
 from .lie_super import LieSuperAlgebra, ValidationReport, validate
 from .linalg import nullspace
 from .superdomain import (
@@ -286,14 +286,9 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
     sections = []
     for vec in kernel:
         lead = next(c for c in vec if c)
-        coeffs: dict[tuple, Polynomial] = {}
-        for (odd_part, exps), c in zip(unknowns, vec):
-            if not c:
-                continue
-            poly = Polynomial(m, {exps: Fraction(c, lead)})
-            coeffs[odd_part] = coeffs.get(odd_part, Polynomial.constant(m, 0)) \
-                + poly
-        density = SuperFunction(G.shape, coeffs)
+        density = SuperFunction(G.shape, [
+            (odd_part, Polynomial(m, {exps: Fraction(c, lead)}))
+            for (odd_part, exps), c in zip(unknowns, vec) if c])
         if prefactor is not None:
             density = prefactor * density
         sections.append(BerezinSection.make(G.shape, density))
@@ -345,9 +340,9 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
             image = factor
         images[(odd_part, exps)] = image
         # minus phi itself, whose key on the doubled shape is (I, 0, e, s^0)
-        residual = {(idx, e2): c for idx, poly in image.coeffs.items()
+        residual = {(mask, e2): c for mask, poly in image.coeffs.items()
                     for e2, c in poly.terms.items()}
-        own = (odd_part, zero + exps + (0,))
+        own = (_mask(odd_part), zero + exps + (0,))
         residual[own] = residual.get(own, 0) - 1
         for key, c in residual.items():
             if c:
@@ -530,11 +525,12 @@ class ProductFormulaReport:
 def _constant_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
     """c with f1 = c f2, read off at the first coefficient of f2 that is a
     single power of s (an invertible value); None where there is none."""
-    for idx, poly in f2.coeffs.items():
+    for mask, poly in f2.coeffs.items():
         for exps in poly.terms:
             coeff = poly.coefficient(exps[:-1])
             if len(coeff.terms) == 1:
-                c = f1.coefficient(idx).coefficient(exps[:-1]) / coeff
+                sector = f1.coeffs.get(mask, Polynomial.zero(poly.nvars))
+                c = sector.coefficient(exps[:-1]) / coeff
                 return c if f1 == f2 * c else None
     return None
 

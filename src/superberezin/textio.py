@@ -43,6 +43,7 @@ from .superdomain import (
     Polynomial,
     SuperDomainShape,
     SuperFunction,
+    _sectors,
 )
 from .supermatrix import SuperMatrix
 
@@ -351,10 +352,7 @@ def format_superfunction(f: SuperFunction) -> str:
     shape = f.shape
     out = [f"{shape.m} {shape.n} 0"]
     out.extend(_axis_text(axis) for axis in shape.box)
-    for idx in sorted(f.coeffs, key=lambda t: (len(t), t)):
-        poly = f.coeffs[idx]
-        if poly.is_zero():
-            continue
+    for idx, poly in _sectors(f):
         sector = " ".join(f"xi{j + 1}" for j in idx) if idx else "1"
         out.append(f"{poly} : {sector}")
     return "\n".join(out) + "\n"

@@ -358,7 +358,8 @@ def test_split_section_signs():
     # base monomials 1 and xi; the odd one carries (-1)^{np + q} = -1
     as_dict = {}
     for fn, sec in pairs:
-        key = max(fn.coeffs)  # the single monomial index of the base factor
+        # the single monomial index of the base factor
+        key, = [idx for idx in [(), (0,)] if fn.coefficient(idx)]
         as_dict[key] = (fn, sec.density)
     one_fn, one_density = as_dict[()]
     xi_fn, xi_density = as_dict[(0,)]

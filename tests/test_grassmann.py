@@ -5,6 +5,7 @@ by hand and multiplying back; the tests keep those coefficients literal.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -439,22 +440,52 @@ def test_product_matches_index_merging_on_eight_generators(a, b):
     assert a * b == GrassmannElement(N_BIG, expected)
 
 
-def superfunctions(max_terms=10):
-    from itertools import combinations
-    shape = SuperDomainShape(1, (REALLINE,), 4)
-    indices = [c for size in range(5) for c in combinations(range(4), size)]
+def _sectors_of(f):
+    """The nonzero (index tuple, Polynomial) sectors of a superfunction,
+    read through its public ``coefficient``."""
+    n = f.shape.n
+    return [(idx, f.coefficient(idx)) for size in range(n + 1)
+            for idx in combinations(range(n), size) if f.coefficient(idx)]
+
+
+def superfunctions(n=4, max_terms=10):
+    """Superfunctions on (1|n); on eight generators each has a term on the
+    top generator xi8, as ``big_elements`` do."""
+    shape = SuperDomainShape(1, (REALLINE,), n)
+    indices = [c for size in range(n + 1) for c in combinations(range(n), size)]
     term = st.tuples(st.sampled_from(indices), st.integers(-1, 2),
                      st.integers(-3, 3))
-    return st.lists(term, max_size=max_terms).map(lambda items: SuperFunction(
+    terms = st.lists(term, max_size=max_terms)
+    if n == N_BIG:
+        top = st.tuples(st.sampled_from([c for c in indices if N_BIG - 1 in c]),
+                        st.integers(-1, 2), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        terms = st.tuples(top, terms).map(lambda parts: [parts[0]] + parts[1])
+    return terms.map(lambda items: SuperFunction(
         shape, [(idx, Polynomial(1, {(e,): c})) for idx, e, c in items]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(superfunctions(), superfunctions())
-def test_superfunction_product_matches_index_merging(f, g):
-    expected = _merged_product(f.coeffs.items(), g.coeffs.items(),
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([4, N_BIG]).flatmap(
+    lambda n: st.tuples(superfunctions(n), superfunctions(n))))
+def test_superfunction_product_matches_index_merging(operands):
+    f, g = operands
+    expected = _merged_product(_sectors_of(f), _sectors_of(g),
                                Polynomial.zero(1))
     assert f * g == SuperFunction(f.shape, expected)
+
+
+def test_coefficient_of_an_unsorted_or_repeated_index_is_zero():
+    # x1 xi1 xi3: a bare mask lookup would read (2, 0) and (0, 0, 2) as
+    # xi1 xi3, and (0, 7) names a generator the shape does not have
+    shape = SuperDomainShape(1, (REALLINE,), 3)
+    x1 = Polynomial.variable(1, 0)
+    f = SuperFunction(shape, {(0, 2): x1})
+    a = G(3, {(0, 2): Scalar(1, 1)})
+    assert f.coefficient((0, 2)) == x1
+    assert a.coefficient((0, 2)) == Scalar(1, 1)
+    for idx in [(2, 0), (0, 0, 2), (0, 7)]:
+        assert f.coefficient(idx) == Polynomial.zero(1)
+        assert a.coefficient(idx) == Scalar(0)
 
 
 # The supermatrix code builds each entry with one fused sum, base + sum a*b,
@@ -531,3 +562,40 @@ def test_inv_even_matches_the_series_written_with_mul(a):
     assert a * got == GrassmannElement.one(N_BIG)
     for coeff in got.terms.values():
         assert_stored(coeff)
+
+
+# On a shape with no even coordinates a superfunction is an element of the
+# Grassmann algebra whose coefficients are values in s: built from the same
+# terms, SuperFunction and GrassmannElement must agree on every operation.
+
+R08 = SuperDomainShape(0, (), N_BIG)
+
+
+def _as_superfunction(a):
+    return SuperFunction(R08, [(idx, Polynomial(0, {(): c}))
+                               for idx, c in _public_terms(a)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_elements(), big_elements(), fused_operands(big_elements(4)))
+def test_superfunctions_on_odd_coordinates_match_grassmann_elements(
+        a, b, operands):
+    f, g = _as_superfunction(a), _as_superfunction(b)
+    product = f * g
+    assert product == _as_superfunction(a * b)
+    assert all(type(key) is int for key in product.coeffs)
+    base, pairs = operands
+    assert (_as_superfunction(base)
+            + _Products([(_as_superfunction(x), _as_superfunction(y))
+                         for x, y in pairs])
+            == _as_superfunction(base + _Products(pairs)))
+    assert f.soul() == _as_superfunction(a.soul())
+    assert f.even_part() == _as_superfunction(a.even_part())
+    assert f.odd_part() == _as_superfunction(a.odd_part())
+    assert f.parity() is a.parity()
+    even = a.even_part()
+    body = even.body()
+    if len(body.terms) != 1:
+        even = even - G(N_BIG, {(): body}) + GrassmannElement.one(N_BIG)
+    assert _as_superfunction(even).inv_even() == _as_superfunction(
+        even.inv_even())
