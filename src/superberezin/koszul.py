@@ -32,16 +32,18 @@ degree t + |F| + 2|S| and parity |F| + |S|.
 The sign of d on a monomial is the hop count of the added odd letter past
 the odd letters present, read from their generator masks by
 ``grassmann._odd_swaps``, the package's one sign rule, so it never reads an
-even exponent.  Subtracting
-the free weights from the partner exponents is therefore a bijection from
-the block of w onto the block of F with every free weight 0 that commutes
-with d, term by term and sign by sign: the two blocks have the same layer
-matrices.  `homological_berezinian` builds that representative block once
-for each F, ranks its layers from `apply_d` as for any slice, and counts
-each layer once for every weight vector with forced set F and free total t
-that puts it below the cap: C(t + free − 1, free − 1) of them, the
-compositions of t into `free` parts.  The ranks stay computed, so a wrong
-sign in `apply_d` still changes the answer; the whole slice
+even exponent: on a block, d sends the present mask F | S to the masks
+F | S | 1 << i, i a free letter outside S.  Subtracting the free weights
+is therefore a bijection from the block of w onto the block of F at free
+weights 0 that commutes with d.  So is the map onto the block of
+F' = {0, .., |F| − 1} that relabels the free letters in order, the
+monomial of S taking the sign (−1)^(forced letters below i in F and below
+the image of i in F'), multiplied over i in S.  `block_layer_sums` thus
+builds one block per forced-set size k on masks, counted C(n, k) times,
+and ranks its layers from d; a layer of a block sits at every free total
+t that keeps it below the cap, C(t + free − 1, free − 1) times, the
+compositions of t into `free` parts.  A wrong sign in `_d_terms` or
+``_odd_swaps`` still changes the answer; the whole slice
 `KoszulComplexSlice(p, q, cap)` builds the same sums without blocks.
 """
 
@@ -73,44 +75,23 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _partners(p: int, q: int) -> list[int]:
-    """The even partner of each odd letter in the canonical element."""
-    return [q + i for i in range(p)] + list(range(q))
-
-
-def _weight_block(p: int, q: int, weights) -> list[Monomial]:
-    """The monomials of the weight block of `weights`, one per subset S of
-    the free letters, by size of S and then lexicographically."""
-    n = p + q
-    if (len(weights) != n
-            or any(type(w) is not int or w < -1 for w in weights)):
-        raise DimensionError(
-            "a weight vector has p + q integer entries, each at least -1")
-    partner = _partners(p, q)
-    forced = [i for i in range(n) if weights[i] == -1]
-    free = [i for i in range(n) if weights[i] != -1]
-    base = [0] * n
-    for i in free:
-        base[partner[i]] = weights[i]
-    block = []
-    for size in range(len(free) + 1):
-        for chosen in combinations(free, size):
-            evens = list(base)
-            for i in chosen:
-                evens[partner[i]] += 1
-            block.append((tuple(evens), tuple(sorted(forced + list(chosen)))))
-    return block
+def _d_terms(present: int, n: int) -> list[tuple[int, int]]:
+    """d on the odd letters of a monomial whose present letters are the mask
+    `present`: (sign, i) for each of the n letters i absent from it, with
+    sign -1 when letter i hops past an odd number of present letters."""
+    out = []
+    for i in range(n):
+        letter = 1 << i
+        if not present & letter:
+            hops = (_odd_swaps(letter) & present).bit_count()
+            out.append((-1 if hops & 1 else 1, i))
+    return out
 
 
 class KoszulComplexSlice:
-    """S(ΠV ⊕ V*) truncated at a top polynomial degree, with d = Π·(-).
+    """S(ΠV ⊕ V*) truncated at a top polynomial degree, with d = Π·(-)."""
 
-    With `weights`, a vector of p + q integers each at least -1, the basis
-    is only the weight block of that vector (module docstring), truncated
-    at the same cap; d maps the block into itself.
-    """
-
-    def __init__(self, p: int, q: int, degree_cap: int, weights=None):
+    def __init__(self, p: int, q: int, degree_cap: int):
         if p < 0 or q < 0:
             raise DimensionError("need nonnegative dimensions")
         if degree_cap < 0:
@@ -119,15 +100,10 @@ class KoszulComplexSlice:
         self.q = q
         self.degree_cap = degree_cap
         n = p + q
-        self._partners = _partners(p, q)
+        # the even partner of each odd letter in the canonical element
+        self._partners = [q + i for i in range(p)] + list(range(q))
         self._bases: dict[int, list[Monomial]] = {
             k: [] for k in range(degree_cap + 1)}
-        if weights is not None:
-            for evens, odds in _weight_block(p, q, weights):
-                k = sum(evens) + len(odds)
-                if k <= degree_cap:
-                    self._bases[k].append((evens, odds))
-            return
         for k in range(degree_cap + 1):
             basis = self._bases[k]
             for size in range(min(n, k) + 1):
@@ -146,14 +122,10 @@ class KoszulComplexSlice:
         evens, odds = mono
         present = _mask(odds)
         out = []
-        for i, partner in enumerate(self._partners):
-            letter = 1 << i
-            if present & letter:
-                continue
+        for sign, i in _d_terms(present, len(self._partners)):
             new_evens = list(evens)
-            new_evens[partner] += 1
-            sign = -1 if (_odd_swaps(letter) & present).bit_count() & 1 else 1
-            out.append((sign, (tuple(new_evens), _indices(present | letter))))
+            new_evens[self._partners[i]] += 1
+            out.append((sign, (tuple(new_evens), _indices(present | 1 << i))))
         return out
 
     def differential_matrix(self, degree: int,
@@ -201,38 +173,57 @@ class KoszulComplexSlice:
                 - self.d_rank(degree - 2, parity.flip()))
 
 
+def _layer_matrix(n: int, forced: int,
+                  s: int) -> tuple[list[dict[int, int]], int]:
+    """Sparse matrix of d on the layer |S| = s of the representative block
+    whose forced letters are the `forced` lowest of n, and its column count.
+
+    One row per present mask F | S, S of size s in lexicographic order, as
+    {column: sign}; the columns are the masks F | S' with |S'| = s + 1.
+    """
+    fixed = (1 << forced) - 1
+    free = range(forced, n)
+    column = {fixed | _mask(chosen): j
+              for j, chosen in enumerate(combinations(free, s + 1))}
+    rows = []
+    for chosen in combinations(free, s):
+        present = fixed | _mask(chosen)
+        rows.append({column[present | 1 << i]: sign
+                     for sign, i in _d_terms(present, n)})
+    return rows, len(column)
+
+
 def block_layer_sums(p: int, q: int, degree_cap: int) -> tuple[Counter, Counter]:
     """Basis sizes and ranks of d at every (degree, parity) below degree_cap.
 
     Summed over the weight blocks (module docstring): one representative
-    block per forced set F, built and ranked once, its layer of |S| = s
-    counted at degree t + |F| + 2s for every free total t, as many times
-    as there are weight vectors with forced set F and that total.  Both
-    Counters are keyed by (degree, parity) and equal, key by key,
-    `len(basis(...))` and `d_rank(...)` of `KoszulComplexSlice(p, q, cap)`
-    for any cap above degree_cap.
+    block per forced-set size k, its layer of |S| = s built on masks and
+    ranked once, then counted at degree t + k + 2s for every free total t,
+    as many times as there are weight vectors with k forced letters and
+    that total.  Both Counters are keyed by (degree, parity) and equal,
+    key by key, `len(basis(...))` and `d_rank(...)` of
+    `KoszulComplexSlice(p, q, cap)` for any cap above degree_cap.
     """
+    if p < 0 or q < 0:
+        raise DimensionError("need nonnegative dimensions")
     n = p + q
     sizes: Counter = Counter()
     ranks: Counter = Counter()
-    for forced_count in range(n + 1):
-        free = n - forced_count
-        for forced in combinations(range(n), forced_count):
-            block = KoszulComplexSlice(
-                p, q, degree_cap + 1,
-                weights=[-1 if i in forced else 0 for i in range(n)])
-            for s in range(free + 1):
-                lowest = forced_count + 2 * s
-                if lowest >= degree_cap:
-                    break
-                parity = Parity((forced_count + s) % 2)
-                size = len(block.basis(lowest, parity))
-                rank = block.d_rank(lowest, parity)
-                for t in range(degree_cap - lowest):
-                    copies = (math.comb(t + free - 1, free - 1) if free
-                              else int(t == 0))
-                    sizes[(lowest + t, parity)] += copies * size
-                    ranks[(lowest + t, parity)] += copies * rank
+    for forced in range(n + 1):
+        free = n - forced
+        blocks = math.comb(n, forced)
+        for s in range(free + 1):
+            lowest = forced + 2 * s
+            if lowest >= degree_cap:
+                break
+            parity = Parity((forced + s) % 2)
+            rows, ncols = _layer_matrix(n, forced, s)
+            rank = linalg.rank(rows, ncols=ncols)
+            for t in range(degree_cap - lowest):
+                copies = blocks * (math.comb(t + free - 1, free - 1) if free
+                                   else int(t == 0))
+                sizes[(lowest + t, parity)] += copies * len(rows)
+                ranks[(lowest + t, parity)] += copies * rank
     return sizes, ranks
 
 
@@ -246,6 +237,8 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
     check (homology touching degree_cap - 1, the top computed degree) and
     the parity check (homology in both parities).
     """
+    if p < 0 or q < 0:
+        raise DimensionError("need nonnegative dimensions")
     if p + q < 1:
         raise DimensionError("need p + q >= 1")
     if degree_cap < p + q + 2:

@@ -1,15 +1,16 @@
 """Homological Berezinian and D(x)-class checks."""
 
-import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from superberezin import linalg
+from superberezin import koszul, linalg
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Parity
 from superberezin.koszul import (
     KoszulComplexSlice,
+    _layer_matrix,
     block_layer_sums,
     d_class_factor,
     dual_class_factor,
@@ -149,6 +150,8 @@ def test_homological_berezinian(p, q):
     (3, 3, 8, (1, ODD)),
     (4, 3, 9, (1, ODD)),
     (4, 4, 10, (1, EVEN)),
+    (5, 5, 12, (1, ODD)),
+    (6, 5, 13, (1, ODD)),
 ])
 def test_homological_berezinian_larger_rungs(p, q, cap, expected):
     assert homological_berezinian(p, q, cap) == expected
@@ -175,22 +178,23 @@ def test_homological_berezinian_refuses_negative_dimensions(p, q):
         homological_berezinian(p, q, 5)
 
 
-_APPLY_D = KoszulComplexSlice.apply_d
+_D_TERMS = koszul._d_terms
 
 
-def _zero_d(cx, mono):
+def _zero_d(present, n):
     return []
 
 
-def _unsigned_d(cx, mono):
-    return [(1, image) for _, image in _APPLY_D(cx, mono)]
+def _unsigned_d(present, n):
+    return [(1, i) for _, i in _D_TERMS(present, n)]
 
 
 @pytest.mark.parametrize("broken", [_zero_d, _unsigned_d])
 @pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (2, 2)])
 def test_homological_berezinian_refuses_a_broken_differential(
         monkeypatch, broken, p, q):
-    monkeypatch.setattr(KoszulComplexSlice, "apply_d", broken)
+    # the mask-built d that both the blocks and KoszulComplexSlice use
+    monkeypatch.setattr(koszul, "_d_terms", broken)
     with pytest.raises(InconclusiveError):
         homological_berezinian(p, q, p + q + 2)
 
@@ -214,6 +218,59 @@ def test_block_layer_sums_match_the_whole_slice(p, q):
     assert all(degree < cap for degree, _ in sizes)
 
 
+def _block_layers(whole, block, forced_count):
+    """{|S|: (size, rank of d)} of a weight block cut out of the whole
+    slice, with d from the hop-count oracle."""
+    layers = {}
+    for mono in block:
+        layers.setdefault(len(mono[1]) - forced_count, []).append(mono)
+    out = {}
+    for s, monos in layers.items():
+        target = {m: j for j, m in enumerate(layers.get(s + 1, []))}
+        rows = []
+        for mono in monos:
+            row = {}
+            for coeff, image in reference_apply_d(whole, mono):
+                row[target[image]] = row.get(target[image], 0) + coeff
+            rows.append(row)
+        out[s] = (len(rows), linalg.rank(rows, ncols=len(target)))
+    return out
+
+
+def _representative_layers(n, forced_count):
+    """{|S|: (size, rank of d)} of the mask-built representative block."""
+    out = {}
+    for s in range(n - forced_count + 1):
+        rows, ncols = _layer_matrix(n, forced_count, s)
+        out[s] = (len(rows), linalg.rank(rows, ncols=ncols))
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 3)])
+def test_every_forced_set_has_the_layer_ranks_of_its_representative(p, q):
+    # For each of the 2^n forced sets F, the weight block cut out of the
+    # whole slice at free weights 0, and with one unit on the highest free
+    # letter, has the layers of the representative with the |F| lowest
+    # letters forced: the isomorphism that counts it C(n, |F|) times.
+    n = p + q
+    whole = KoszulComplexSlice(p, q, 2 * n + 1)
+    blocks = {}
+    for degree in range(whole.degree_cap + 1):
+        for mono in whole.basis(degree):
+            blocks.setdefault(tuple(_weight(whole, mono)), []).append(mono)
+    for forced_count in range(n + 1):
+        expected = _representative_layers(n, forced_count)
+        for forced in combinations(range(n), forced_count):
+            free = [i for i in range(n) if i not in forced]
+            zero = tuple(-1 if i in forced else 0 for i in range(n))
+            shifted = list(zero)
+            if free:
+                shifted[free[-1]] = 1
+            for weights in {zero, tuple(shifted)}:
+                assert (_block_layers(whole, blocks[weights], forced_count)
+                        == expected)
+
+
 @pytest.mark.parametrize("p,q,weights", [
     (1, 1, [2, -1]),
     (2, 1, [-1, 1, 3]),
@@ -222,31 +279,18 @@ def test_block_layer_sums_match_the_whole_slice(p, q):
     (3, 2, [1, -1, 0, 2, -1]),
 ])
 def test_weight_block_has_the_matrices_of_its_representative(p, q, weights):
+    # free weights above 0 and forced letters anywhere: the block cut out
+    # of the whole slice still has the layer sizes and ranks of d of the
+    # representative with the same number of forced letters
     n = p + q
-    forced = sum(w == -1 for w in weights)
-    free = n - forced
-    shift = sum(w for w in weights if w != -1)
-    top = shift + forced + 2 * free
-    block = KoszulComplexSlice(p, q, top + 2, weights=weights)
-    rep = KoszulComplexSlice(
-        p, q, forced + 2 * free + 2, weights=[min(w, 0) for w in weights])
-    # the block is exactly the monomials of that weight vector
+    forced_count = weights.count(-1)
+    top = (sum(w for w in weights if w != -1) + forced_count
+           + 2 * (n - forced_count))
     whole = KoszulComplexSlice(p, q, top)
-    assert ([m for k in range(top + 1) for m in whole.basis(k)
+    block = [m for k in range(top + 1) for m in whole.basis(k)
              if _weight(whole, m) == weights]
-            == [m for k in range(top + 1) for m in block.basis(k)])
-    for s in range(free + 1):
-        parity = Parity((forced + s) % 2)
-        low = forced + 2 * s
-        assert len(block.basis(shift + low, parity)) == math.comb(free, s)
-        assert (block.differential_matrix(shift + low, parity)
-                == rep.differential_matrix(low, parity))
-
-
-def test_weight_vector_is_checked():
-    for weights in ([0, 0], [0, -2, 0], [0, 0.5, 0]):
-        with pytest.raises(DimensionError):
-            KoszulComplexSlice(2, 1, 4, weights=weights)
+    assert (_block_layers(whole, block, forced_count)
+            == _representative_layers(n, forced_count))
 
 
 def test_expand_letter_product_signs():
