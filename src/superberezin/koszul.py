@@ -40,9 +40,10 @@ F' = {0, .., |F| − 1} that relabels the free letters in order, the
 monomial of S taking the sign (−1)^(forced letters below i in F and below
 the image of i in F'), multiplied over i in S.  `block_layer_sums` thus
 builds one block per forced-set size k on masks, counted C(n, k) times,
-and ranks its layers from d; a layer of a block sits at every free total
-t that keeps it below the cap, C(t + free − 1, free − 1) times, the
-compositions of t into `free` parts.  A wrong sign in `_d_terms` or
+a `KoszulComplexSlice` whose layers the slice's own `d_rank` ranks from
+d; a layer of a block sits at every free total t that keeps it below the
+cap, C(t + free − 1, free − 1) times, the compositions of t into `free`
+parts.  A wrong sign in `_d_terms` or
 ``_odd_swaps`` still changes the answer; the whole slice
 `KoszulComplexSlice(p, q, cap)` builds the same sums without blocks.
 """
@@ -156,7 +157,7 @@ class KoszulComplexSlice:
                            ncols=len(targets))
 
     def d_squared_vanishes(self, degree: int) -> bool:
-        for mono in self._bases[degree]:
+        for mono in self.basis(degree):
             acc: dict[Monomial, int] = {}
             for c1, m1 in self.apply_d(mono):
                 for c2, m2 in self.apply_d(m1):
@@ -173,34 +174,39 @@ class KoszulComplexSlice:
                 - self.d_rank(degree - 2, parity.flip()))
 
 
-def _layer_matrix(n: int, forced: int,
-                  s: int) -> tuple[list[dict[int, int]], int]:
-    """Sparse matrix of d on the layer |S| = s of the representative block
-    whose forced letters are the `forced` lowest of n, and its column count.
-
-    One row per present mask F | S, S of size s in lexicographic order, as
-    {column: sign}; the columns are the masks F | S' with |S'| = s + 1.
+class _RepresentativeBlock(KoszulComplexSlice):
+    """The weight block with the `forced` lowest letters forced and every
+    free weight 0, a finite direct summand of the complex: the masks F | S,
+    S a set of free letters, in degree forced + 2|S|, d by `_d_terms`.
+    `differential_matrix`, `d_rank` and the homology are the slice's own.
     """
-    fixed = (1 << forced) - 1
-    free = range(forced, n)
-    column = {fixed | _mask(chosen): j
-              for j, chosen in enumerate(combinations(free, s + 1))}
-    rows = []
-    for chosen in combinations(free, s):
-        present = fixed | _mask(chosen)
-        rows.append({column[present | 1 << i]: sign
-                     for sign, i in _d_terms(present, n)})
-    return rows, len(column)
+
+    def __init__(self, p: int, q: int, forced: int):
+        self.p, self.q, self.forced = p, q, forced
+        self.degree_cap = 2 * (p + q) - forced + 2
+
+    def basis(self, degree: int, parity: Parity | None = None) -> list[int]:
+        s, odd = divmod(degree - self.forced, 2)
+        if odd or s < 0 or (parity is not None
+                            and parity.value != (self.forced + s) % 2):
+            return []
+        fixed = (1 << self.forced) - 1
+        return [fixed | _mask(chosen) for chosen
+                in combinations(range(self.forced, self.p + self.q), s)]
+
+    def apply_d(self, present: int) -> list[tuple[int, int]]:
+        return [(sign, present | 1 << i)
+                for sign, i in _d_terms(present, self.p + self.q)]
 
 
 def block_layer_sums(p: int, q: int, degree_cap: int) -> tuple[Counter, Counter]:
     """Basis sizes and ranks of d at every (degree, parity) below degree_cap.
 
     Summed over the weight blocks (module docstring): one representative
-    block per forced-set size k, its layer of |S| = s built on masks and
-    ranked once, then counted at degree t + k + 2s for every free total t,
-    as many times as there are weight vectors with k forced letters and
-    that total.  Both Counters are keyed by (degree, parity) and equal,
+    block per forced-set size k, its layer of |S| = s ranked once by the
+    block's `d_rank`, then counted at degree t + k + 2s for every free
+    total t, as many times as there are weight vectors with k forced
+    letters and that total.  Both Counters are keyed by (degree, parity) and equal,
     key by key, `len(basis(...))` and `d_rank(...)` of
     `KoszulComplexSlice(p, q, cap)` for any cap above degree_cap.
     """
@@ -212,17 +218,18 @@ def block_layer_sums(p: int, q: int, degree_cap: int) -> tuple[Counter, Counter]
     for forced in range(n + 1):
         free = n - forced
         blocks = math.comb(n, forced)
+        block = _RepresentativeBlock(p, q, forced)
         for s in range(free + 1):
             lowest = forced + 2 * s
             if lowest >= degree_cap:
                 break
             parity = Parity((forced + s) % 2)
-            rows, ncols = _layer_matrix(n, forced, s)
-            rank = linalg.rank(rows, ncols=ncols)
+            size = math.comb(free, s)
+            rank = block.d_rank(lowest, parity)
             for t in range(degree_cap - lowest):
                 copies = blocks * (math.comb(t + free - 1, free - 1) if free
                                    else int(t == 0))
-                sizes[(lowest + t, parity)] += copies * len(rows)
+                sizes[(lowest + t, parity)] += copies * size
                 ranks[(lowest + t, parity)] += copies * rank
     return sizes, ranks
 
@@ -237,8 +244,6 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
     check (homology touching degree_cap - 1, the top computed degree) and
     the parity check (homology in both parities).
     """
-    if p < 0 or q < 0:
-        raise DimensionError("need nonnegative dimensions")
     if p + q < 1:
         raise DimensionError("need p + q >= 1")
     if degree_cap < p + q + 2:

@@ -10,7 +10,7 @@ from superberezin import koszul, linalg
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Parity
 from superberezin.koszul import (
     KoszulComplexSlice,
-    _layer_matrix,
+    _RepresentativeBlock,
     block_layer_sums,
     d_class_factor,
     dual_class_factor,
@@ -237,60 +237,80 @@ def _block_layers(whole, block, forced_count):
     return out
 
 
-def _representative_layers(n, forced_count):
+def _representative_layers(p, q, forced_count):
     """{|S|: (size, rank of d)} of the mask-built representative block."""
+    block = _RepresentativeBlock(p, q, forced_count)
     out = {}
-    for s in range(n - forced_count + 1):
-        rows, ncols = _layer_matrix(n, forced_count, s)
-        out[s] = (len(rows), linalg.rank(rows, ncols=ncols))
+    for s in range(p + q - forced_count + 1):
+        degree = forced_count + 2 * s
+        parity = Parity((forced_count + s) % 2)
+        out[s] = (len(block.basis(degree, parity)),
+                  block.d_rank(degree, parity))
     return out
 
 
-@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 3)])
-def test_every_forced_set_has_the_layer_ranks_of_its_representative(p, q):
-    # For each of the 2^n forced sets F, the weight block cut out of the
-    # whole slice at free weights 0, and with one unit on the highest free
-    # letter, has the layers of the representative with the |F| lowest
-    # letters forced: the isomorphism that counts it C(n, |F|) times.
+def _top_degree(weights):
+    """The highest degree of a monomial in the weight block of `weights`."""
+    forced_count = weights.count(-1)
+    return (sum(w for w in weights if w != -1) + forced_count
+            + 2 * (len(weights) - forced_count))
+
+
+@pytest.mark.parametrize("p,q,weights", [
+    (1, 1, (2, -1)),
+    (2, 1, (-1, 1, 3)),
+    (1, 2, (0, 2, -1)),
+    (2, 2, (-1, 2, 1, -1)),
+    (3, 2, (1, -1, 0, 2, -1)),
+    (2, 3, (-1, 0, 3, -1, 1)),
+])
+def test_weight_block_has_the_matrices_of_its_representative(p, q, weights):
+    # Every weight block cut out of the whole slice has, layer by layer,
+    # the matrices of d of the representative with the same number of
+    # forced letters, up to invertible row and column operations: the same
+    # sizes and ranks.  That is the isomorphism that counts a block
+    # C(n, |F|) times.  Checked for every one of the 2^n forced sets F at
+    # free weights 0 and with one unit on the highest free letter, and at
+    # the larger free weights of `weights`.
     n = p + q
-    whole = KoszulComplexSlice(p, q, 2 * n + 1)
+    vectors = {weights}
+    for forced_count in range(n + 1):
+        for forced in combinations(range(n), forced_count):
+            zero = [-1 if i in forced else 0 for i in range(n)]
+            vectors.add(tuple(zero))
+            if forced_count < n:
+                zero[max(set(range(n)) - set(forced))] = 1
+                vectors.add(tuple(zero))
+    whole = KoszulComplexSlice(p, q, max(map(_top_degree, vectors)))
     blocks = {}
     for degree in range(whole.degree_cap + 1):
         for mono in whole.basis(degree):
             blocks.setdefault(tuple(_weight(whole, mono)), []).append(mono)
-    for forced_count in range(n + 1):
-        expected = _representative_layers(n, forced_count)
-        for forced in combinations(range(n), forced_count):
-            free = [i for i in range(n) if i not in forced]
-            zero = tuple(-1 if i in forced else 0 for i in range(n))
-            shifted = list(zero)
-            if free:
-                shifted[free[-1]] = 1
-            for weights in {zero, tuple(shifted)}:
-                assert (_block_layers(whole, blocks[weights], forced_count)
-                        == expected)
+    representatives = {k: _representative_layers(p, q, k)
+                       for k in range(n + 1)}
+    for vector in vectors:
+        forced_count = vector.count(-1)
+        assert (_block_layers(whole, blocks[vector], forced_count)
+                == representatives[forced_count])
 
 
-@pytest.mark.parametrize("p,q,weights", [
-    (1, 1, [2, -1]),
-    (2, 1, [-1, 1, 3]),
-    (1, 2, [0, 2, -1]),
-    (2, 2, [-1, 2, 1, -1]),
-    (3, 2, [1, -1, 0, 2, -1]),
-])
-def test_weight_block_has_the_matrices_of_its_representative(p, q, weights):
-    # free weights above 0 and forced letters anywhere: the block cut out
-    # of the whole slice still has the layer sizes and ranks of d of the
-    # representative with the same number of forced letters
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_only_the_fully_forced_block_has_homology(p, q):
+    # Each representative block is a complex (d^2 = 0) of its own; with a
+    # free letter it is exact, and the block with every letter forced is
+    # the line of the class Πe_1⋯Πe_p·f*_1⋯f*_q in degree n.
     n = p + q
-    forced_count = weights.count(-1)
-    top = (sum(w for w in weights if w != -1) + forced_count
-           + 2 * (n - forced_count))
-    whole = KoszulComplexSlice(p, q, top)
-    block = [m for k in range(top + 1) for m in whole.basis(k)
-             if _weight(whole, m) == weights]
-    assert (_block_layers(whole, block, forced_count)
-            == _representative_layers(n, forced_count))
+    for forced_count in range(n + 1):
+        block = _RepresentativeBlock(p, q, forced_count)
+        homology = {}
+        for degree in range(block.degree_cap - 1):
+            assert block.d_squared_vanishes(degree)
+            for parity in Parity:
+                dim = block.homology_dimension(degree, parity)
+                if dim:
+                    homology[(degree, parity)] = dim
+        assert homology == ({(n, Parity(n % 2)): 1} if forced_count == n
+                            else {})
 
 
 def test_expand_letter_product_signs():
