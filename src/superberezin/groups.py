@@ -7,13 +7,14 @@ The small zoo used throughout the test suite and the command line:
   z'' = z + z' + t1 t2' + t2 t1', so [Q1, Q2] = 2Z;
 * the scaling-shift chart on (0, oo) x R^{0|1} with
   (a, b)(a', b') = (aa', b + ab'), the standard non-unimodular example:
-  left density 1, right density a^-1;
+  ``haar_density`` computes its left density 1 and right density a^-1;
 * a GL(1|1) chart with coordinates (a, d | beta, gamma), the entries of
   [[a, beta], [gamma, d]] multiplied as supermatrices.
 
-Each example bundle freezes a quotient section, compatible densities, a
-test integrand and backends, so checks can be re-run verbatim from the
-command line.
+Each example bundle freezes a quotient section, a test integrand and
+backends, so checks can be re-run verbatim from the command line.  It
+fixes no density: every Haar, subgroup and quotient density is derived
+from the charts by the checks themselves.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .berezin import (
-    GAUSSIAN,
-    BerezinSection,
-    IntegrationBackend,
-    box_backend,
-)
+from .berezin import GAUSSIAN, IntegrationBackend, box_backend
 from .grassmann import Scalar
 from .superdomain import (
     POSITIVE,
@@ -36,12 +32,7 @@ from .superdomain import (
     SuperMorphism,
     shape_product,
 )
-from .supergroup import (
-    QuotientChartData,
-    SubgroupSpec,
-    SuperGroupChart,
-    full_subgroup,
-)
+from .supergroup import SubgroupSpec, SuperGroupChart, full_subgroup
 
 
 def translation_group(m: int, n: int,
@@ -132,9 +123,7 @@ def axb_even_subgroup() -> SubgroupSpec:
     emb = SuperMorphism(H.shape, G.shape,
                         [SuperFunction.coordinate(H.shape, 0)],
                         [SuperFunction.zero(H.shape)])
-    haar = BerezinSection.make(H.shape,
-                               SuperFunction.coordinate(H.shape, 0, -1))
-    return SubgroupSpec(G, H, emb, haar, name="scaling subgroup")
+    return SubgroupSpec(G, H, emb, name="scaling subgroup")
 
 
 def axb_odd_subgroup() -> SubgroupSpec:
@@ -143,8 +132,7 @@ def axb_odd_subgroup() -> SubgroupSpec:
     emb = SuperMorphism(H.shape, G.shape,
                         [SuperFunction.constant(H.shape, Fraction(1))],
                         [SuperFunction.odd_gen(H.shape, 0)])
-    haar = BerezinSection.make(H.shape, 1)
-    return SubgroupSpec(G, H, emb, haar, name="odd shift subgroup")
+    return SubgroupSpec(G, H, emb, name="odd shift subgroup")
 
 
 def heisenberg_center() -> SubgroupSpec:
@@ -154,8 +142,7 @@ def heisenberg_center() -> SubgroupSpec:
                         [SuperFunction.coordinate(H.shape, 0)],
                         [SuperFunction.zero(H.shape),
                          SuperFunction.zero(H.shape)])
-    haar = BerezinSection.make(H.shape, 1)
-    return SubgroupSpec(G, H, emb, haar, name="centre")
+    return SubgroupSpec(G, H, emb, name="centre")
 
 
 def line_odd_subgroup() -> SubgroupSpec:
@@ -164,8 +151,7 @@ def line_odd_subgroup() -> SubgroupSpec:
     emb = SuperMorphism(H.shape, G.shape,
                         [SuperFunction.constant(H.shape, Fraction(0))],
                         [SuperFunction.odd_gen(H.shape, 0)])
-    haar = BerezinSection.make(H.shape, 1)
-    return SubgroupSpec(G, H, emb, haar, name="odd shift subgroup")
+    return SubgroupSpec(G, H, emb, name="odd shift subgroup")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +164,7 @@ class FubiniExample:
     description: str
     group: SuperGroupChart
     subgroup: SubgroupSpec
-    chart: QuotientChartData
-    omega_group: BerezinSection
+    section: SuperMorphism  # base -> group, a section of G -> G/H
     test_function: SuperFunction
     staging_sign: int  # frozen sign of the staged integral
     backend: IntegrationBackend
@@ -192,15 +177,12 @@ def line_fubini_example() -> FubiniExample:
     base = SuperDomainShape(1, (REALLINE,), 0)
     section = SuperMorphism(base, G.shape, [SuperFunction.coordinate(base, 0)],
                             [SuperFunction.zero(base)])
-    chart = QuotientChartData(section, BerezinSection.make(base, 1),
-                              name="even line")
     x = SuperFunction.coordinate(G.shape, 0)
     xi = SuperFunction.odd_gen(G.shape, 0)
     return FubiniExample(
         name="line-odd",
         description="translations of R^(1|1) over the odd shift subgroup",
-        group=G, subgroup=spec, chart=chart,
-        omega_group=BerezinSection.make(G.shape, 1),
+        group=G, subgroup=spec, section=section,
         test_function=x * x * x * x + x * x * xi,
         staging_sign=-1,
         backend=GAUSSIAN)
@@ -213,15 +195,12 @@ def heisenberg_fubini_example() -> FubiniExample:
     section = SuperMorphism(base, G.shape, [SuperFunction.zero(base)],
                             [SuperFunction.odd_gen(base, 0),
                              SuperFunction.odd_gen(base, 1)])
-    chart = QuotientChartData(section, BerezinSection.make(base, 1),
-                              name="odd plane")
     z = SuperFunction.coordinate(G.shape, 0)
     top = SuperFunction.odd_gen(G.shape, 0) * SuperFunction.odd_gen(G.shape, 1)
     return FubiniExample(
         name="heisenberg-centre",
         description="odd Heisenberg chart over its centre",
-        group=G, subgroup=spec, chart=chart,
-        omega_group=BerezinSection.make(G.shape, 1),
+        group=G, subgroup=spec, section=section,
         test_function=z * z + z * z * top,
         staging_sign=1,
         backend=GAUSSIAN)
@@ -233,18 +212,13 @@ def axb_fubini_example() -> FubiniExample:
     base = SuperDomainShape(1, (POSITIVE,), 0)
     section = SuperMorphism(base, G.shape, [SuperFunction.coordinate(base, 0)],
                             [SuperFunction.zero(base)])
-    chart = QuotientChartData(
-        section,
-        BerezinSection.make(base, SuperFunction.coordinate(base, 0, -1)),
-        name="scaling base")
     a = SuperFunction.coordinate(G.shape, 0)
     b = SuperFunction.odd_gen(G.shape, 0)
     box = box_backend((Fraction(1, 2), Fraction(2)))
     return FubiniExample(
         name="axb-odd",
         description="scaling-shift chart over its odd shift subgroup",
-        group=G, subgroup=spec, chart=chart,
-        omega_group=BerezinSection.make(G.shape, 1),
+        group=G, subgroup=spec, section=section,
         test_function=a + a * b,
         staging_sign=-1,
         backend=box,
@@ -267,7 +241,6 @@ class ProductExample:
     group: SuperGroupChart
     left: SubgroupSpec
     right: SubgroupSpec
-    omega_group: BerezinSection
     test_function: SuperFunction
     # frozen conjugation data: the modular ratio on the right factor, the
     # chart's name for it, and the constant
@@ -297,7 +270,6 @@ def axb_product_example(order: str = "odd-even") -> ProductExample:
         description=f"scaling-shift chart as the product {order} "
                     "of its two subgroups",
         group=G, left=left, right=right,
-        omega_group=BerezinSection.make(G.shape, 1),
         test_function=a + a * b,
         modular_ratio=ratio, ratio_label=label, modular_constant=constant,
         backend=box)

@@ -463,14 +463,14 @@ def _random_group_function(rng: random.Random,
 
 def _fubini(ex: groups.FubiniExample, f: SuperFunction):
     """The staged integration of f over the example's quotient."""
-    return fubini_check(ex.group, ex.subgroup, ex.chart, f, ex.omega_group,
+    return fubini_check(ex.group, ex.subgroup, ex.section, f,
                         backend=ex.backend, fibre_backend=ex.fibre_backend)
 
 
 def _product(ex: groups.ProductExample, f: SuperFunction):
     """The product-of-subgroups check of f over the example's factors."""
     return product_formula_check(ex.group, ex.left, ex.right, f,
-                                 ex.omega_group, backend=ex.backend)
+                                 backend=ex.backend)
 
 
 def fubini_quotient_suite(seed: int = 0):

@@ -11,11 +11,15 @@ Three derived computations drive everything else.
   multiplication at the unit: writing mul in unit-centred first-order
   form mul(s, t) = s + t + B(s, t) + ..., the bracket of coordinate
   directions is [e_i, e_j] = B(e_i, e_j) - (-1)^{|i||j|} B(e_j, e_i).
-* Invariant densities are found by solving Ber(J_g) T_g^* rho = rho
-  exactly, where g is a generalized group element whose even coordinates
-  are fresh polynomial variables and whose odd coordinates are fresh odd
-  generators.  An optional declared prefactor widens the ansatz beyond
-  polynomials (the right density of the scaling-shift chart needs a^-1).
+* Invariant densities have a closed form: the density that is 1 at the
+  unit is rho_L(g) = Ber(d(g.x)/dx at x = e)^-1, and rho_R likewise from
+  x.g (``haar_density``).  Every Haar, subgroup and quotient density the
+  Fubini and product checks use is derived from it, never declared.  The
+  ansatz solver of Ber(J_g) T_g^* rho = rho, with g a generalized group
+  element (fresh polynomial variables and fresh odd generators), is kept
+  as the uniqueness cross-check; an optional prefactor widens its ansatz
+  beyond polynomials (the right density of the scaling-shift chart is
+  a^-1).
 * Modular data: Ad_h is the Jacobian of conjugation by a generalized
   subgroup element, taken at the unit, and its Berezinian restricted to
   the subgroup directions versus the full chart gives the density ratio
@@ -31,7 +35,7 @@ from typing import Sequence
 from .berezin import (
     BerezinSection,
     IntegrationBackend,
-    fibre_integrate,
+    fibre_integrate_section,
     function_times_section,
     integrate,
     product_section,
@@ -57,7 +61,6 @@ from .superdomain import (
     pair,
     pullback,
     shape_product,
-    split_product_function,
 )
 from .supermatrix import SuperMatrix
 
@@ -112,24 +115,17 @@ def validate_group(G: SuperGroupChart) -> ValidationReport:
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A subgroup presented by its own chart plus an embedding morphism.
-
-    haar is the subgroup's chosen invariant density on its own chart; it
-    enters the quotient and product checks.
-    """
+    """A subgroup presented by its own chart plus an embedding morphism."""
 
     parent: SuperGroupChart
     subgroup: SuperGroupChart
     embedding: SuperMorphism   # subgroup.shape -> parent.shape
-    haar: BerezinSection
     name: str = ""
 
     def __post_init__(self):
         if self.embedding.source != self.subgroup.shape \
                 or self.embedding.target != self.parent.shape:
             raise DimensionError("embedding has the wrong shape")
-        if self.haar.shape != self.subgroup.shape:
-            raise DimensionError("subgroup density on the wrong shape")
 
 
 def check_subgroup(spec: SubgroupSpec) -> ValidationReport:
@@ -148,31 +144,14 @@ def full_subgroup(G: SuperGroupChart) -> SubgroupSpec:
     """G seen as a subgroup of itself — used for conjugation data."""
     return SubgroupSpec(parent=G, subgroup=G,
                         embedding=SuperMorphism.identity(G.shape),
-                        haar=BerezinSection.make(G.shape, 1),
                         name=f"{G.name} (full)")
 
 
-@dataclass(frozen=True)
-class QuotientChartData:
-    """A chart on a quotient: a section of the projection plus the chosen
-    density on the base.  The induced trivialization is mul(section, emb)."""
-
-    section: SuperMorphism          # base -> parent chart
-    base_density: BerezinSection    # on section.source
-    name: str = ""
-
-    def __post_init__(self):
-        if self.base_density.shape != self.section.source:
-            raise DimensionError("base density on the wrong shape")
-
-    def replace_base_density(self, density: BerezinSection) -> "QuotientChartData":
-        return QuotientChartData(self.section, density, self.name)
-
-
 def trivialization(G: SuperGroupChart, H: SubgroupSpec,
-                   chart: QuotientChartData) -> SuperMorphism:
-    """base x H -> G, (u, h) |-> section(u) * emb(h)."""
-    return compose(morphism_product(chart.section, H.embedding), G.mul)
+                   section: SuperMorphism) -> SuperMorphism:
+    """base x H -> G, (u, h) |-> section(u) * emb(h), for a section
+    base -> G of the projection onto G/H."""
+    return compose(morphism_product(section, H.embedding), G.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +204,24 @@ def group_lie_algebra(G: SuperGroupChart,
 
 # ---------------------------------------------------------------------------
 # invariant densities
+
+
+def haar_density(G: SuperGroupChart, side: str = "left") -> BerezinSection:
+    """The left- (or right-) invariant density that is 1 at the unit:
+    rho(g) = Ber(d(g.x)/dx at x = e)^-1, with x.g for the right side."""
+    if side not in ("left", "right"):
+        raise StructureError("side must be 'left' or 'right'")
+    m, n = G.shape.m, G.shape.n
+    g, e = SuperMorphism.identity(G.shape), G.unit_morphism()
+    # the x factor is the second copy of the chart for g.x, the first for x.g
+    dm, dn, at = (m, n, pair(g, e)) if side == "left" else (0, 0, pair(e, g))
+    dirs = [("even", dm + i) for i in range(m)] \
+        + [("odd", dn + j) for j in range(n)]
+    rows = [[pullback(at, entry) for entry in row]
+            for row in jacobian_rows(G.mul, dirs)]
+    jac = SuperMatrix(m, n, rows, zero=SuperFunction.zero(G.shape),
+                      one=SuperFunction.one(G.shape))
+    return BerezinSection(G.shape, jac.berezinian().inv_even())
 
 
 @dataclass(frozen=True)
@@ -468,8 +465,7 @@ class FubiniReport:
 
 
 def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
-                 chart: QuotientChartData, f: SuperFunction,
-                 omega_G: BerezinSection, *,
+                 section: SuperMorphism, f: SuperFunction, *,
                  backend: IntegrationBackend,
                  fibre_backend: IntegrationBackend | None = None
                  ) -> FubiniReport:
@@ -477,14 +473,25 @@ def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
     quotient; the two must agree exactly, with the stage order contributing
     (-1)^(dim h_1 * dim of the base).
 
+    No density is declared: omega_G and rho_H are the left Haar densities
+    of the two charts, and the base density b is read off tau^*omega_G at
+    h = e, where rho_H is 1.  NormalizationError means that tau^*omega_G
+    is not b x rho_H, so the quotient chart carries no such density.
+
     ``backend`` integrates over G and over the base; ``fibre_backend``, when
     given, integrates over the subgroup fibre in its place."""
-    base = chart.section.source
-    Hsh = H.subgroup.shape
-    tau = trivialization(G, H, chart)
-
+    base, Hsh = section.source, H.subgroup.shape
+    omega_G, rho_H = haar_density(G), haar_density(H.subgroup)
+    tau = trivialization(G, H, section)
     pulled = pullback_section(tau, omega_G)
-    factored = product_section(chart.base_density, H.haar)
+
+    # b is even, as every density of an even morphism is, so of what
+    # product_section does to it only the basis sign needs undoing
+    at_unit = pair(SuperMorphism.identity(base),
+                   SuperMorphism.constant_point(base, Hsh, H.subgroup.unit))
+    b = pullback(at_unit, pulled.density)
+    b = -b if (base.n * Hsh.m) % 2 else b
+    factored = product_section(BerezinSection(base, b), rho_H)
     if pulled.density != factored.density:
         raise NormalizationError(
             "the total density does not factor as base x subgroup density "
@@ -492,17 +499,14 @@ def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
             discrepancy=pulled.density - factored.density)
 
     lhs = integrate(function_times_section(f, omega_G), backend)
-
-    pieces = split_product_function(pullback(tau, f), base, Hsh)
-    terms = [(base_part, function_times_section(fibre_part, H.haar))
-             for base_part, fibre_part in pieces]
-    f_H = fibre_integrate(terms, base, Hsh, fibre_backend or backend)
-
+    fibre_density = product_section(BerezinSection.make(base, 1), rho_H)
+    f_H = fibre_integrate_section(
+        function_times_section(pullback(tau, f), fibre_density), base, Hsh,
+        fibre_backend or backend)
     sign = -1 if (Hsh.n * (base.m + base.n)) % 2 else 1
-    staged = integrate(function_times_section(f_H, chart.base_density),
-                       backend)
-    rhs = staged if sign == 1 else -staged
-    return FubiniReport(sign, lhs, rhs, f_H, pulled.caveats)
+    staged = integrate(function_times_section(b, f_H), backend)
+    return FubiniReport(sign, lhs, sign * staged, f_H.density,
+                        pulled.caveats)
 
 
 # ---------------------------------------------------------------------------
@@ -536,22 +540,24 @@ def _constant_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
 
 
 def product_formula_check(G: SuperGroupChart, M: SubgroupSpec,
-                          H: SubgroupSpec, f: SuperFunction,
-                          omega_G: BerezinSection, *,
+                          H: SubgroupSpec, f: SuperFunction, *,
                           backend: IntegrationBackend
                           ) -> ProductFormulaReport:
     """Check integral over G of f against the integral over M x H of the
     pulled-back integrand weighted by Ber(Ad_h on h)/Ber(Ad_h on g) and the
-    product of the subgroup densities."""
+    product of the subgroup densities, all three densities the charts'
+    left Haar densities."""
     mul_map = compose(morphism_product(M.embedding, H.embedding), G.mul)
     prod_shape = mul_map.source
 
     ber_h, ber_u = modular_berezinian(G, H)
     ratio = ber_h * ber_u.inv_even()
     ratio_up = ratio.embed(prod_shape, M.subgroup.shape.m, M.subgroup.shape.n)
-    weighted = function_times_section(ratio_up,
-                                      product_section(M.haar, H.haar))
+    weighted = function_times_section(
+        ratio_up, product_section(haar_density(M.subgroup),
+                                  haar_density(H.subgroup)))
 
+    omega_G = haar_density(G)
     pulled = pullback_section(mul_map, omega_G)
     constant = _constant_multiple(pulled.density, weighted.density)
     if constant is None:

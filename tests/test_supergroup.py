@@ -14,6 +14,7 @@ The frozen values below were derived by hand before the implementation:
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,7 @@ from superberezin.groups import (
     heisenberg_fubini_example,
     heisenberg_group,
     line_fubini_example,
+    line_odd_subgroup,
     product_builtins,
     translation_group,
 )
@@ -56,10 +58,12 @@ from superberezin.lie_super import (
     gl11_algebra,
     unimodularity_check,
 )
-from superberezin import supergroup
+from superberezin import suites, supergroup
 from superberezin.supermatrix import SuperMatrix, supertrace
 from superberezin.superdomain import (
+    REALLINE,
     Polynomial,
+    SuperDomainShape,
     SuperFunction,
     SuperMorphism,
     jacobian_rows,
@@ -73,9 +77,11 @@ from superberezin.supergroup import (
     check_subgroup,
     fubini_check,
     group_lie_algebra,
+    haar_density,
     modular_berezinian,
     product_formula_check,
     solve_invariant_density,
+    trivialization,
     validate_group,
 )
 
@@ -161,24 +167,35 @@ def test_translation_algebra_is_abelian():
 # invariant densities
 
 
-def test_translation_left_density_is_one():
-    G = translation_group(1, 1)
-    result = solve_invariant_density(G, side="left", max_degree=2)
+def _assert_closed_form(G, side, result):
+    # the ansatz is the oracle: a one-dimensional kernel, normalized to
+    # its leading coefficient, equal to the closed form (1 at the unit)
     assert result.dimension == 1
-    assert result.sections[0].density == SuperFunction.one(G.shape)
+    assert haar_density(G, side).density == result.density
+
+
+def test_translation_left_density_is_one():
+    for G in (translation_group(1, 1), translation_group(2, 2),
+              translation_group(3, 3)):
+        result = solve_invariant_density(G, side="left", max_degree=2)
+        assert result.sections[0].density == SuperFunction.one(G.shape)
+        _assert_closed_form(G, "left", result)
 
 
 def test_translation_right_density_is_one():
-    G = translation_group(1, 1)
-    result = solve_invariant_density(G, side="right", max_degree=2)
-    assert result.dimension == 1
-    assert result.sections[0].density == SuperFunction.one(G.shape)
+    for G in (translation_group(1, 1), translation_group(2, 2),
+              translation_group(3, 3)):
+        result = solve_invariant_density(G, side="right", max_degree=2)
+        assert result.sections[0].density == SuperFunction.one(G.shape)
+        _assert_closed_form(G, "right", result)
 
 
 def test_translation_33_left_density_at_degree_4():
     # 280 unknowns; out of reach of dense elimination
-    result = solve_invariant_density(translation_group(3, 3), "left", 4)
+    G = translation_group(3, 3)
+    result = solve_invariant_density(G, "left", 4)
     assert (result.dimension, str(result.density)) == (1, "1")
+    _assert_closed_form(G, "left", result)
 
 
 def test_axb_left_density_is_one():
@@ -186,6 +203,7 @@ def test_axb_left_density_is_one():
     result = solve_invariant_density(G, side="left")
     assert result.dimension == 1
     assert result.sections[0].density == SuperFunction.one(G.shape)
+    _assert_closed_form(G, "left", result)
 
 
 def test_axb_right_density_needs_laurent_prefactor():
@@ -200,6 +218,14 @@ def test_axb_right_density_with_prefactor():
                                      prefactor=_coord(G.shape, 0, -1))
     assert result.dimension == 1
     assert result.sections[0].density == _coord(G.shape, 0, -1)
+    _assert_closed_form(G, "right", result)
+    # the scaling line is abelian: both sides are x1^-1
+    line = axb_even_subgroup().subgroup
+    for side in ("left", "right"):
+        result = solve_invariant_density(line, side=side,
+                                         prefactor=_coord(line.shape, 0, -1))
+        assert str(result.density) == "x1^-1"
+        _assert_closed_form(line, side, result)
 
 
 def test_heisenberg_left_density_is_one():
@@ -207,6 +233,7 @@ def test_heisenberg_left_density_is_one():
     result = solve_invariant_density(G, side="left", max_degree=2)
     assert result.dimension == 1
     assert result.sections[0].density == SuperFunction.one(G.shape)
+    _assert_closed_form(G, "left", result)
 
 
 def test_heisenberg_right_density_is_one():
@@ -214,6 +241,7 @@ def test_heisenberg_right_density_is_one():
     result = solve_invariant_density(G, side="right", max_degree=2)
     assert result.dimension == 1
     assert result.sections[0].density == SuperFunction.one(G.shape)
+    _assert_closed_form(G, "right", result)
 
 
 def test_gl11_left_density_is_one():
@@ -221,6 +249,40 @@ def test_gl11_left_density_is_one():
     result = solve_invariant_density(G, side="left", max_degree=2)
     assert result.dimension == 1
     assert result.sections[0].density == SuperFunction.one(G.shape)
+    _assert_closed_form(G, "left", result)
+
+
+def test_gl11_right_density_is_one():
+    G = gl11_group()
+    result = solve_invariant_density(G, side="right", max_degree=2)
+    assert result.sections[0].density == SuperFunction.one(G.shape)
+    _assert_closed_form(G, "right", result)
+
+
+def test_haar_density_side_is_checked():
+    with pytest.raises(StructureError):
+        haar_density(axb_group(), side="up")
+
+
+def test_derived_densities_match_the_declared_values():
+    # the densities the charts and examples once declared by hand
+    assert str(haar_density(axb_even_subgroup().subgroup).density) == "x1^-1"
+    for spec in (axb_odd_subgroup(), heisenberg_center(),
+                 line_odd_subgroup()):
+        assert haar_density(spec.subgroup).density == SuperFunction.one(
+            spec.subgroup.shape)
+    for ex in fubini_builtins() + product_builtins():
+        assert haar_density(ex.group).density == SuperFunction.one(
+            ex.group.shape)
+    # the base density is unique once it factors tau^*omega_G
+    for ex, declared in zip(fubini_builtins(), ("1", "1", "x1^-1")):
+        base, H = ex.section.source, ex.subgroup.subgroup
+        b = BerezinSection.make(
+            base, 1 if declared == "1" else _coord(base, 0, -1))
+        pulled = pullback_section(
+            trivialization(ex.group, ex.subgroup, ex.section),
+            haar_density(ex.group))
+        assert pulled.density == product_section(b, haar_density(H)).density
 
 
 def _rows_by_pullback(G, side, prefactor, unknowns):
@@ -311,8 +373,7 @@ def test_broken_embedding_is_reported():
         H.shape, G.shape,
         [SuperFunction.constant(H.shape, Fraction(2))],
         [SuperFunction.odd_gen(H.shape, 0)])
-    spec = SubgroupSpec(parent=G, subgroup=H, embedding=shifted,
-                        haar=BerezinSection.make(H.shape, 1), name="bad")
+    spec = SubgroupSpec(parent=G, subgroup=H, embedding=shifted, name="bad")
     report = check_subgroup(spec)
     assert not report.ok
     assert any("unit" in f for f in report.failures)
@@ -364,16 +425,27 @@ def test_gl11_conjugation_berezinian_is_trivial():
     assert ber_u == SuperFunction.one(G.shape)
 
 
+def test_haar_ratio_is_the_conjugation_berezinian():
+    # rho_R / rho_L = Ber(Ad_g) on every chart; the swapped ratio differs
+    # on the non-unimodular one, so the identity can fail
+    for G in builtin_groups():
+        left, right = haar_density(G).density, haar_density(G, "right").density
+        _, ber_u = modular_berezinian(G, full_subgroup(G))
+        assert right * left.inv_even() == ber_u
+        if G.name == axb_group().name:
+            swapped = left * right.inv_even()
+            assert (str(swapped), str(ber_u)) == ("x1", "x1^-1")
+
+
 # ---------------------------------------------------------------------------
 # Fubini over built-in quotients
 
 
 def test_line_fubini_frozen_values():
     ex = line_fubini_example()
-    report = fubini_check(ex.group, ex.subgroup, ex.chart, ex.test_function,
-                          ex.omega_group, backend=ex.backend,
-                          fibre_backend=ex.fibre_backend)
-    base = ex.chart.section.source
+    report = fubini_check(ex.group, ex.subgroup, ex.section, ex.test_function,
+                          backend=ex.backend, fibre_backend=ex.fibre_backend)
+    base = ex.section.source
     assert report.sign == -1
     assert report.fibre_function == -_coord(base, 0, 2)
     assert report.lhs == Scalar(1, 1)
@@ -383,10 +455,9 @@ def test_line_fubini_frozen_values():
 
 def test_heisenberg_fubini_frozen_values():
     ex = heisenberg_fubini_example()
-    report = fubini_check(ex.group, ex.subgroup, ex.chart, ex.test_function,
-                          ex.omega_group, backend=ex.backend,
-                          fibre_backend=ex.fibre_backend)
-    base = ex.chart.section.source
+    report = fubini_check(ex.group, ex.subgroup, ex.section, ex.test_function,
+                          backend=ex.backend, fibre_backend=ex.fibre_backend)
+    base = ex.section.source
     s = Scalar(1, 1)
     expected = (SuperFunction.constant(base, s)
                 + SuperFunction.constant(base, s)
@@ -401,10 +472,9 @@ def test_heisenberg_fubini_frozen_values():
 
 def test_axb_fubini_frozen_values():
     ex = axb_fubini_example()
-    report = fubini_check(ex.group, ex.subgroup, ex.chart, ex.test_function,
-                          ex.omega_group, backend=ex.backend,
-                          fibre_backend=ex.fibre_backend)
-    base = ex.chart.section.source
+    report = fubini_check(ex.group, ex.subgroup, ex.section, ex.test_function,
+                          backend=ex.backend, fibre_backend=ex.fibre_backend)
+    base = ex.section.source
     assert report.sign == -1
     assert report.fibre_function == -_coord(base, 0, 2)
     assert report.lhs == Scalar(Fraction(15, 8))
@@ -413,32 +483,78 @@ def test_axb_fubini_frozen_values():
 
 
 def test_fubini_normalization_mismatch_raises():
+    # axb over its scaling subgroup: tau^*omega_G = 1 is not b x x1^-1
+    # for any base density b, so the quotient has no invariant density
     ex = axb_fubini_example()
-    wrong = ex.chart.replace_base_density(
-        BerezinSection.make(ex.chart.section.source, 1))
+    spec = axb_even_subgroup()
+    base = SuperDomainShape(0, (), 1)
+    section = SuperMorphism(base, ex.group.shape,
+                            [SuperFunction.constant(base, Fraction(1))],
+                            [SuperFunction.odd_gen(base, 0)])
     with pytest.raises(NormalizationError) as info:
-        fubini_check(ex.group, ex.subgroup, wrong, ex.test_function,
-                     ex.omega_group, backend=ex.backend,
-                     fibre_backend=ex.fibre_backend)
-    assert info.value.discrepancy is not None
+        fubini_check(ex.group, spec, section, ex.test_function,
+                     backend=ex.backend, fibre_backend=ex.fibre_backend)
+    assert str(info.value.discrepancy) == "-x1^-1 + 1"
 
 
 def test_fubini_sign_matches_tensor_factorization_rule():
     # The quotient sign must coincide with the tensor-product sign
     # (-1)^((m+n)q) computed from independently extracted algebra data.
     for ex in fubini_builtins():
-        report = fubini_check(ex.group, ex.subgroup, ex.chart,
-                              ex.test_function, ex.omega_group,
-                              backend=ex.backend,
+        report = fubini_check(ex.group, ex.subgroup, ex.section,
+                              ex.test_function, backend=ex.backend,
                               fibre_backend=ex.fibre_backend)
         g = group_lie_algebra(ex.group)
         h = group_lie_algebra(ex.subgroup.subgroup)
         sign = -1 if (h.odd_count * (g.dim - h.dim)) % 2 else 1
         assert report.sign == sign
-        base = ex.chart.section.source
+        base = ex.section.source
         assert g.dim - h.dim == base.m + base.n
         assert h.odd_count == ex.subgroup.subgroup.shape.n
         assert report.passed
+
+
+def _coordinate_quotients():
+    """Every proper nonzero coordinate subgroup of R^(m|n), 1 <= m <= 2,
+    1 <= n <= 3: the last k even letters and a set of odd letters, with
+    the complementary letters as a REALLINE base (fibre evens last, so
+    the trivialization keeps its orientation)."""
+    for m, n in itertools.product((1, 2), (1, 2, 3)):
+        for k in range(m + 1):
+            for odd in itertools.chain.from_iterable(
+                    itertools.combinations(range(n), r)
+                    for r in range(n + 1)):
+                if (k, len(odd)) not in ((0, 0), (m, n)):
+                    yield m, n, k, odd
+
+
+@pytest.mark.parametrize("m, n, k, odd", list(_coordinate_quotients()),
+                         ids=lambda v: str(v))
+def test_fubini_holds_on_every_coordinate_quotient(m, n, k, odd):
+    # 10 of these 58 (an odd base letter with an odd fibre dimension,
+    # such as R^(1|2) over R^(1|1)) once gave lhs = -rhs
+    G, H = translation_group(m, n), translation_group(k, len(odd))
+    rest = [j for j in range(n) if j not in odd]
+    base = SuperDomainShape(m - k, (REALLINE,) * (m - k), len(rest))
+    zero_h, zero_b = SuperFunction.zero(H.shape), SuperFunction.zero(base)
+    emb = SuperMorphism(
+        H.shape, G.shape,
+        [zero_h] * (m - k)
+        + [SuperFunction.coordinate(H.shape, i) for i in range(k)],
+        [SuperFunction.odd_gen(H.shape, odd.index(j)) if j in odd
+         else zero_h for j in range(n)])
+    section = SuperMorphism(
+        base, G.shape,
+        [SuperFunction.coordinate(base, i) for i in range(m - k)]
+        + [zero_b] * k,
+        [SuperFunction.odd_gen(base, rest.index(j)) if j in rest
+         else zero_b for j in range(n)])
+    f = suites._random_group_function(random.Random(0), G.shape)
+    report = fubini_check(G, SubgroupSpec(G, H, emb), section, f,
+                          backend=GAUSSIAN)
+    assert report.sign == (-1) ** (len(odd) * (m - k + len(rest)))
+    assert report.lhs != 0
+    assert report.lhs == report.rhs
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +564,7 @@ def test_fubini_sign_matches_tensor_factorization_rule():
 def test_product_formula_odd_even_frozen():
     ex = axb_product_example("odd-even")
     report = product_formula_check(ex.group, ex.left, ex.right,
-                                   ex.test_function, ex.omega_group,
-                                   backend=ex.backend)
+                                   ex.test_function, backend=ex.backend)
     H = ex.right.subgroup.shape
     assert report.constant == Scalar(-1)
     assert report.ratio == _coord(H, 0)
@@ -461,8 +576,7 @@ def test_product_formula_odd_even_frozen():
 def test_product_formula_even_odd_frozen():
     ex = axb_product_example("even-odd")
     report = product_formula_check(ex.group, ex.left, ex.right,
-                                   ex.test_function, ex.omega_group,
-                                   backend=ex.backend)
+                                   ex.test_function, backend=ex.backend)
     H = ex.right.subgroup.shape
     assert report.constant == Scalar(1)
     assert report.ratio == SuperFunction.one(H)
@@ -471,11 +585,23 @@ def test_product_formula_even_odd_frozen():
     assert report.passed
 
 
+@pytest.mark.parametrize("order", ["odd-even", "even-odd"])
+def test_product_formula_refuses_wrong_haar_densities(order, monkeypatch):
+    # with every density 1, the scaling subgroup's x1^-1 is missing and
+    # the pullback of omega_G is no constant multiple of the product
+    monkeypatch.setattr(supergroup, "haar_density",
+                        lambda G, side="left": BerezinSection.make(G.shape, 1))
+    ex = axb_product_example(order)
+    with pytest.raises(NormalizationError):
+        product_formula_check(ex.group, ex.left, ex.right, ex.test_function,
+                              backend=ex.backend)
+
+
 def test_product_ratio_matches_modular_oracle():
     for order in ("odd-even", "even-odd"):
         ex = axb_product_example(order)
         report = product_formula_check(ex.group, ex.left, ex.right,
-                                       ex.test_function, ex.omega_group,
+                                       ex.test_function,
                                        backend=ex.backend)
         ber_h, ber_u = modular_berezinian(ex.group, ex.right)
         assert report.ratio == ber_h * ber_u.inv_even()
