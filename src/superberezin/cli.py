@@ -26,10 +26,9 @@ from .errors import ParseError, SuperBerezinError
 from .lie_super import SubalgebraSpec, unimodularity_check, validate
 from .suites import EXAMPLES, SUITES
 from .textio import (
-    _fail,
+    _Bad,
     _fraction,
     _int,
-    _Token,
     parse_structure_constants,
     parse_superfunction,
     parse_supermatrix,
@@ -92,29 +91,30 @@ def _cmd_ber(args) -> int:
     return 0 if _emit(matrix.berezinian()) else 1
 
 
-def _tokens(words: list[str]) -> list[_Token]:
-    """The words of a command-line value as tokens on line 1, each at its
-    1-based column as if the words were joined by single separators."""
-    tokens, column = [], 1
-    for word in words:
-        tokens.append(_Token(word, 1, column))
-        column += len(word) + 1
-    return tokens
+def _word_error(words: list[str], bad: _Bad) -> ParseError:
+    """The ParseError of ``bad`` in a command-line value, on line 1 at the
+    word's column as if the words were joined by single separators."""
+    column = sum(len(word) + 1 for word in words[:bad.k]) + 1
+    return ParseError(bad.message, 1, column + bad.shift)
 
 
 def _parse_backend(spec: list[str]):
     if spec == ["gaussian"]:
         return GAUSSIAN
-    name, *rest = _tokens(spec)
-    if name.text == "box":
-        if len(rest) % 2:
-            _fail(rest[-1], "box backend needs an even number of bounds")
-        # rationals of the text grammar
-        values = [_fraction(bound) for bound in rest]
-        return box_backend(*zip(values[::2], values[1::2]))
-    # after a known name, the first extra word is the offending one
-    _fail(rest[0] if name.text == "gaussian" else name,
-          f"unknown backend {' '.join(spec)!r}")
+    name = spec[0]
+    try:
+        if name == "box":
+            if len(spec) % 2 == 0:
+                raise _Bad("box backend needs an even number of bounds",
+                           len(spec) - 1)
+            # rationals of the text grammar
+            values = [_fraction(bound, k) for k, bound in enumerate(spec[1:], 1)]
+            return box_backend(*zip(values[::2], values[1::2]))
+        # after a known name, the first extra word is the offending one
+        raise _Bad(f"unknown backend {' '.join(spec)!r}",
+                   1 if name == "gaussian" else 0)
+    except _Bad as bad:
+        raise _word_error(spec, bad) from None
 
 
 def _cmd_integrate(args) -> int:
@@ -131,13 +131,17 @@ def _cmd_unimodular(args) -> int:
             print(f"invalid structure constants: {failure}", file=sys.stderr)
         return 1
     span = set()
-    for token in _tokens(args.subalgebra.split(",")):
-        if not token.text:
-            continue
-        k = _int(token)
-        if not 0 <= k < algebra.dim:
-            _fail(token, f"subalgebra indices must lie in 0..{algebra.dim - 1}")
-        span.add(k)
+    words = args.subalgebra.split(",")
+    try:
+        for k, word in enumerate(words):
+            if not word:
+                continue
+            i = _int(word, k)
+            if not 0 <= i < algebra.dim:
+                raise _Bad(f"subalgebra indices must lie in 0..{algebra.dim - 1}", k)
+            span.add(i)
+    except _Bad as bad:
+        raise _word_error(words, bad) from None
     result = unimodularity_check(algebra, SubalgebraSpec(algebra, frozenset(span)))
     if result.verdict == "UNIMODULAR":
         print("UNIMODULAR")

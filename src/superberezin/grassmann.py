@@ -361,13 +361,18 @@ def _parity(degrees) -> Parity | None:
 def _checked_mask(idx: tuple[int, ...], count: int) -> int:
     """The mask of a strictly increasing tuple of generators below count."""
     idx = tuple(idx)
-    if any(not isinstance(i, int) for i in idx):
-        raise TypeError("generator indices must be integers")
-    if any(i < 0 or i >= count for i in idx):
+    for i in idx:
+        if not isinstance(i, int):
+            raise TypeError("generator indices must be integers")
+    if idx and (min(idx) < 0 or max(idx) >= count):
         raise DimensionError(f"generator index out of range for count {count}: {idx}")
-    if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
-        raise ParityError(f"index tuple not strictly increasing: {idx}")
-    return _mask(idx)
+    mask = 0
+    for i in idx:
+        bit = 1 << i
+        if bit <= mask:  # not above every generator so far
+            raise ParityError(f"index tuple not strictly increasing: {idx}")
+        mask |= bit
+    return mask
 
 
 def _lookup_mask(indices: Iterable[int], count: int) -> int | None:
@@ -402,7 +407,11 @@ class GrassmannElement:
         checked = []
         for idx, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             mask = _checked_mask(idx, generator_count)
-            checked.extend(((mask, k), c) for k, c in Scalar.coerce(coeff).terms.items())
+            if isinstance(coeff, (int, Fraction)):
+                checked.append(((mask, 0), _canonical(coeff)))
+            else:
+                checked.extend(((mask, k), c)
+                               for k, c in Scalar.coerce(coeff).terms.items())
         normalized = _add_terms({}, checked)
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "terms", normalized)

@@ -167,8 +167,11 @@ class Polynomial:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise DimensionError("exponent tuple has wrong length")
-            checked.extend((exps + (k,), c)
-                           for k, c in Scalar.coerce(coeff).terms.items())
+            if isinstance(coeff, (int, Fraction)):
+                checked.append((exps + (0,), _canonical(coeff)))
+            else:
+                checked.extend((exps + (k,), c)
+                               for k, c in Scalar.coerce(coeff).terms.items())
         normalized = _add_terms({}, checked)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", normalized)

@@ -526,16 +526,16 @@ class ProductFormulaReport:
         return self.lhs == self.rhs
 
 
-def _constant_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
-    """c with f1 = c f2, read off at the first coefficient of f2 that is a
-    single power of s (an invertible value); None where there is none."""
+def _candidate_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
+    """The only c that can give f1 = c f2, read off at the first coefficient
+    of f2 that is a single power of s (an invertible value); None where
+    there is none."""
     for mask, poly in f2.coeffs.items():
         for exps in poly.terms:
             coeff = poly.coefficient(exps[:-1])
             if len(coeff.terms) == 1:
                 sector = f1.coeffs.get(mask, Polynomial.zero(poly.nvars))
-                c = sector.coefficient(exps[:-1]) / coeff
-                return c if f1 == f2 * c else None
+                return sector.coefficient(exps[:-1]) / coeff
     return None
 
 
@@ -559,12 +559,14 @@ def product_formula_check(G: SuperGroupChart, M: SubgroupSpec,
 
     omega_G = haar_density(G)
     pulled = pullback_section(mul_map, omega_G)
-    constant = _constant_multiple(pulled.density, weighted.density)
-    if constant is None:
+    constant = _candidate_multiple(pulled.density, weighted.density)
+    discrepancy = pulled.density if constant is None \
+        else pulled.density - weighted.density * constant
+    if constant is None or discrepancy:
         raise NormalizationError(
             "pullback of the total density is not a constant multiple of "
             "ratio * (product of subgroup densities)",
-            discrepancy=pulled.density)
+            discrepancy=discrepancy)
 
     lhs = integrate(function_times_section(f, omega_G), backend)
     staged = integrate(

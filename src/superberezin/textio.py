@@ -1,6 +1,6 @@
 """Line-oriented text formats for exact values.
 
-One token grammar is shared by every format: an expression is a sum of
+One term grammar is shared by every format: an expression is a sum of
 terms, a term is an optional rational coefficient followed by factors
 ``s``/``s^k`` (the Gaussian normalisation unit), ``x<i>``/``x<i>^<e>``
 (even variables, 1-based, integer exponents of either sign) and
@@ -10,7 +10,7 @@ formats re-parses to an equal value.
 
 Exponents are bounded: in every term, the total exponent of each ``x<i>``
 and of ``s`` (summed over repeated factors) must satisfy
-|e| <= MAX_EXPONENT = 1000.  A larger one is a ParseError at its token, and
+|e| <= MAX_EXPONENT = 1000.  A larger one is a ParseError at its word, and
 so is a number with more digits than the interpreter converts
 (``sys.get_int_max_str_digits()``, 4300 by default).
 
@@ -25,24 +25,41 @@ The concrete files:
 * structure constants: ``generators <name>:<parity> ...``, then bracket
                       lines ``i j -> c1 ... cn``; omitted pairs are zero
                       and graded antisymmetry fills missing mirrors.
+
+Reading is one pass over the ``str.split()`` words of each content line.
+``_terms`` reads an expression's words into term tuples, classifying each
+distinct word of a file once, and the callers add the terms straight into
+the key dict of ``GrassmannElement`` or ``Polynomial`` (``_add_terms``)
+and build the value with the trusted constructor.  No position is kept on
+the way: a misread word raises ``_Bad`` with its index among the words of
+its line, and only then does ``_error`` re-scan that one line for the
+word's column (one more for a minus fused onto a factor) to raise the
+``ParseError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
-from .grassmann import GrassmannElement, Scalar
+from .errors import DimensionError, ParseError
+from .grassmann import (
+    GrassmannElement,
+    Scalar,
+    _add_terms,
+    _element,
+    _in_s,
+    _indices,
+)
 from .lie_super import EVEN, ODD, LieSuperAlgebra
 from .superdomain import (
     Interval,
     POSITIVE,
     REALLINE,
-    Polynomial,
     SuperDomainShape,
     SuperFunction,
+    _poly,
     _sectors,
 )
 from .supermatrix import SuperMatrix
@@ -52,195 +69,254 @@ _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
 # s or s^k, x<i> or x<i>^e; groups (j, rational, s, k, i, e)
 _FACTOR = re.compile(
     r"(?:xi(\d+)|(-?\d+(?:/\d+)?)|(s)(?:\^(-?\d+))?|x(\d+)(?:\^(-?\d+))?)\Z")
+# the words of a line, as str.split() finds them; used to find a column
 _WORD = re.compile(r"\S+")
+_SIGNS = frozenset(("+", "-"))
 
 MAX_EXPONENT = 1000
 
-
-class _Token:
-    """A word of the input and its 1-based line and column."""
-
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text: str, line: int, column: int):
-        self.text = text
-        self.line = line
-        self.column = column
+# factor kinds, as _factor classifies a word: (kind, value)
+_ODD, _NUMBER, _EVEN, _GAUSS, _BAD_NUMBER = range(5)
 
 
-def _content_lines(text: str):
-    """(line_number, tokens) for every line with content; comments stripped."""
+class _Bad(Exception):
+    """A misread word: the message, the word's index among the words of its
+    line, and ``shift`` 1 where a fused minus was read off the word."""
+
+    def __init__(self, message: str, k: int, shift: int = 0):
+        super().__init__(message)
+        self.message = message
+        self.k = k
+        self.shift = shift
+
+
+def _error(text: str, no: int, bad: _Bad) -> ParseError:
+    """The ParseError of ``bad`` on line ``no`` of ``text``."""
+    body = text.splitlines()[no - 1].split("#", 1)[0]
+    word = next(itertools.islice(_WORD.finditer(body), bad.k, None))
+    return ParseError(bad.message, no, word.start() + 1 + bad.shift)
+
+
+def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+    """(line_number, words) for every line with content; comments stripped."""
     out = []
     for no, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0]
-        tokens = [_Token(m.group(), no, m.start() + 1)
-                  for m in _WORD.finditer(body)]
-        if tokens:
-            out.append((no, tokens))
+        words = raw.split("#", 1)[0].split()
+        if words:
+            out.append((no, words))
     return out
 
 
-def _fail(token: _Token, message: str):
-    raise ParseError(message, token.line, token.column)
-
-
-def _int(token: _Token) -> int:
+def _int(word: str, k: int) -> int:
     try:
-        return int(token.text)
+        return int(word)
     except ValueError:
-        _fail(token, f"expected an integer, got {token.text!r}")
+        raise _Bad(f"expected an integer, got {word!r}", k) from None
 
 
-def _fraction(token: _Token) -> Fraction:
-    if not _RATIONAL.match(token.text):
-        _fail(token, f"expected a rational number, got {token.text!r}")
+def _fraction(word: str, k: int, shift: int = 0) -> Fraction:
+    if not _RATIONAL.match(word):
+        raise _Bad(f"expected a rational number, got {word!r}", k, shift)
     try:
-        return Fraction(token.text)
+        return Fraction(word)
     except ZeroDivisionError:
-        _fail(token, f"zero denominator in rational {token.text!r}")
+        raise _Bad(f"zero denominator in rational {word!r}", k, shift) from None
     except ValueError:  # more digits than the interpreter converts
-        _fail(token, "number too long")
+        raise _Bad("number too long", k, shift) from None
 
 
-def _digits(token: _Token, text: str) -> int:
-    """A number written inside a factor token (index or exponent)."""
+def _digits(text: str, k: int, shift: int) -> int:
+    """A number written inside a factor word (index or exponent)."""
     try:
         return int(text)
     except ValueError:  # more digits than the interpreter converts
-        _fail(token, "number too long")
+        raise _Bad("number too long", k, shift) from None
 
 
-def _index(token: _Token, text: str) -> int:
+def _index(text: str, k: int, shift: int) -> int:
     """The 0-based position of a 1-based variable or generator index."""
-    i = _digits(token, text) - 1
+    i = _digits(text, k, shift) - 1
     if i < 0:
-        _fail(token, "variable and generator indices start at 1")
+        raise _Bad("variable and generator indices start at 1", k, shift)
     return i
 
 
-def _exponent(token: _Token, total: int, text: str) -> int:
-    """total plus the exponent text, within the grammar's bound."""
-    total += _digits(token, text)
+def _factor(word: str, k: int, shift: int):
+    """(kind, value) of one factor word, which does not depend on where it
+    stands.  A coefficient that cannot be read is (_BAD_NUMBER, its _Bad),
+    raised only after the term is known to have no coefficient yet."""
+    m = _FACTOR.match(word)
+    if m is None:
+        raise _Bad(f"unrecognised factor {word!r}", k, shift)
+    j, number, gauss_mark, e_s, i, e = m.groups()
+    if j is not None:
+        return _ODD, _index(j, k, shift)
+    if number is not None:
+        try:
+            # an integral coefficient stays an int
+            return _NUMBER, (_fraction(number, k, shift) if "/" in number
+                             else _digits(number, k, shift))
+        except _Bad as bad:
+            return _BAD_NUMBER, bad
+    if gauss_mark:
+        return _GAUSS, _digits(e_s or "1", k, shift)
+    return _EVEN, (_index(i, k, shift), _digits(e or "1", k, shift))
+
+
+def _exponent(total: int, k: int, shift: int) -> int:
     if abs(total) > MAX_EXPONENT:
-        _fail(token, f"exponent {total} exceeds the bound "
-                     f"|e| <= {MAX_EXPONENT}")
+        raise _Bad(f"exponent {total} exceeds the bound "
+                   f"|e| <= {MAX_EXPONENT}", k, shift)
     return total
 
 
-@dataclass
-class _Term:
-    coefficient: Scalar
-    even: dict[int, int]       # 0-based variable -> exponent
-    odd: tuple[int, ...]       # 0-based generators, strictly increasing
-
-
-def _parse_terms(tokens: list[_Token]) -> list[_Term]:
-    """Split a token run at '+'/'-' separators and read each term."""
-    groups: list[list[_Token]] = []
-    signs: list[int] = []
-    current: list[_Token] = []
-    sign = 1
-    for tok in tokens:
-        if tok.text in ("+", "-"):
-            if not current:
-                _fail(tok, "dangling sign")
-            groups.append(current)
-            signs.append(sign)
-            current, sign = [], (1 if tok.text == "+" else -1)
+def _sign_error(words: list[str], at: int) -> _Bad | None:
+    """The first misplaced '+'/'-' of an expression, or None.  A misplaced
+    sign is reported before any factor error of the same expression."""
+    after_sign = True
+    for k, word in enumerate(words):
+        if word in _SIGNS:
+            if after_sign:
+                return _Bad("dangling sign", at + k)
+            after_sign = True
         else:
-            current.append(tok)
-    if not current:
-        _fail(tokens[-1], "expression ends with a sign")
-    groups.append(current)
-    signs.append(sign)
+            after_sign = False
+    if after_sign:
+        return _Bad("expression ends with a sign", at + len(words) - 1)
+    return None
 
+
+def _terms(words: list[str], at: int, count: int, memo: dict) -> list:
+    """The terms of an expression: (coefficient, power of s, mask, out,
+    even) for each, in order.
+
+    ``mask`` holds the generators below ``count``, ``out`` is the first one
+    at or above it (None if there is none), and ``even`` maps each 0-based
+    variable to its exponent in the order they first appear (None if the
+    term has none).  ``words`` are the expression's words, the first at
+    index ``at`` of its line; ``memo`` keeps each factor word's
+    classification for the rest of the file.
+    """
     terms = []
-    for sgn, group in zip(signs, groups):
-        coeff = sgn
-        gauss = 0
-        even: dict[int, int] = {}
-        odd: list[int] = []
-        saw_coefficient = False
-        lead = group[0]
-        if (lead.text.startswith("-") and len(lead.text) > 1
-                and not _RATIONAL.match(lead.text)):
-            # a suppressed unit coefficient fuses its minus onto the factor
-            coeff = -coeff
-            group = [_Token(lead.text[1:], lead.line, lead.column + 1),
-                     *group[1:]]
-        for tok in group:
-            m = _FACTOR.match(tok.text)
-            if m is None:
-                _fail(tok, f"unrecognised factor {tok.text!r}")
-            j, number, gauss_mark, k, i, e = m.groups()
-            if j is not None:
-                j = _index(tok, j)
-                if odd and j <= odd[-1]:
-                    _fail(tok, "odd generators must be distinct and "
-                               "listed in increasing order")
-                odd.append(j)
-            elif number is not None:
-                if saw_coefficient:
-                    _fail(tok, "two coefficients in one term")
-                saw_coefficient = True
-                # an integral coefficient stays an int
-                coeff *= _fraction(tok) if "/" in number else _digits(tok, number)
-            elif gauss_mark:
-                gauss = _exponent(tok, gauss, k or "1")
+    sign, opened = 1, False
+    try:
+        for k, word in enumerate(words, at):
+            shift = 0
+            if word in _SIGNS:
+                if not opened:
+                    raise _Bad("dangling sign", k)
+                terms.append((coeff, gauss, mask, out, even))
+                sign, opened = (1 if word == "+" else -1), False
+                continue
+            if not opened:
+                opened, saw = True, False
+                coeff, gauss, mask, top, out, even = sign, 0, 0, -1, None, None
+                if word[0] == "-" and len(word) > 1 \
+                        and not _RATIONAL.match(word):
+                    # a suppressed unit coefficient fuses its minus onto
+                    # the factor
+                    coeff, word, shift = -sign, word[1:], 1
+            f = memo.get(word)
+            if f is None:
+                f = memo[word] = _factor(word, k, shift)
+            kind, value = f
+            if kind == _ODD:
+                if value <= top:
+                    raise _Bad("odd generators must be distinct and listed "
+                               "in increasing order", k, shift)
+                top = value
+                if value < count:
+                    mask |= 1 << value
+                elif out is None:
+                    out = value
+            elif kind == _NUMBER:
+                if saw:
+                    raise _Bad("two coefficients in one term", k, shift)
+                saw = True
+                coeff *= value
+            elif kind == _EVEN:
+                i, e = value
+                if even is None:
+                    even = {}
+                even[i] = _exponent(even.get(i, 0) + e, k, shift)
+            elif kind == _GAUSS:
+                gauss = _exponent(gauss + value, k, shift)
             else:
-                i = _index(tok, i)
-                even[i] = _exponent(tok, even.get(i, 0), e or "1")
-        terms.append(_Term(Scalar(coeff, gauss), even, tuple(odd)))
+                if saw:
+                    raise _Bad("two coefficients in one term", k, shift)
+                raise value
+    except _Bad as bad:
+        raise _sign_error(words, at) or bad
+    if not opened:
+        raise _Bad("expression ends with a sign", at + len(words) - 1)
+    terms.append((coeff, gauss, mask, out, even))
     return terms
 
 
+def _grassmann(words: list[str], n: int, memo: dict) -> GrassmannElement:
+    """The GrassmannElement over n generators written by ``words``."""
+    terms = _terms(words, 0, n, memo)
+    for _, _, _, out, even in terms:
+        if even is not None:
+            raise _Bad("even variables are not allowed in an algebra "
+                       "element", 0)
+        if out is not None:
+            raise _Bad(f"generator xi{out + 1} exceeds the declared "
+                       f"count {n}", 0)
+    if n < 0:
+        raise DimensionError("generator count must be nonnegative")
+    return _element(n, _add_terms(
+        {}, [((mask, gauss), c) for c, gauss, mask, _, _ in terms]))
+
+
+def _polynomial(words: list[str], m: int, memo: dict):
+    """The Polynomial in m variables written by ``words``."""
+    terms = _terms(words, 0, 0, memo)
+    for _, _, _, out, even in terms:
+        if out is not None:
+            raise _Bad("odd generators belong after the colon", 0)
+        for i in even or ():
+            if i >= m:
+                raise _Bad(f"variable x{i + 1} exceeds the declared "
+                           f"count {m}", 0)
+    zeros = (0,) * m
+    return _poly(m, _add_terms({}, [
+        ((tuple([even.get(i, 0) for i in range(m)]) if even else zeros)
+         + (gauss,), c) for c, gauss, _, _, even in terms]))
+
+
+def _expression(text: str, empty: str, read):
+    """``read`` applied to all words of a one-expression text, which may
+    span several lines."""
+    lines = _content_lines(text)
+    words = [word for _, line in lines for word in line]
+    if not words:
+        raise ParseError(empty, 1, 1)
+    try:
+        return read(words)
+    except _Bad as bad:
+        for no, line in lines:  # the line of the bad word
+            if bad.k < len(line):
+                raise _error(text, no, bad) from None
+            bad.k -= len(line)
+        raise
+
+
+def _scalar(words: list[str]) -> Scalar:
+    terms = _terms(words, 0, 0, {})
+    if any(even is not None or out is not None
+           for _, _, _, out, even in terms):
+        raise _Bad("scalar may not contain variables", 0)
+    return _in_s(_add_terms({}, [(gauss, c) for c, gauss, _, _, _ in terms]))
+
+
 def parse_scalar(text: str) -> Scalar:
-    tokens = [t for _, toks in _content_lines(text) for t in toks]
-    if not tokens:
-        raise ParseError("empty scalar", 1, 1)
-    total = Scalar.zero()
-    for term in _parse_terms(tokens):
-        if term.even or term.odd:
-            raise ParseError("scalar may not contain variables",
-                             tokens[0].line, tokens[0].column)
-        total = total + term.coefficient
-    return total
-
-
-def _element_from_tokens(tokens: list[_Token], n: int) -> GrassmannElement:
-    terms = []
-    for term in _parse_terms(tokens):
-        if term.even:
-            _fail(tokens[0], "even variables are not allowed in an "
-                             "algebra element")
-        for j in term.odd:
-            if j >= n:
-                _fail(tokens[0], f"generator xi{j + 1} exceeds the "
-                                 f"declared count {n}")
-        terms.append((term.odd, term.coefficient))
-    return GrassmannElement(n, terms)
+    return _expression(text, "empty scalar", _scalar)
 
 
 def parse_grassmann(text: str, n: int) -> GrassmannElement:
-    tokens = [t for _, toks in _content_lines(text) for t in toks]
-    if not tokens:
-        raise ParseError("empty element", 1, 1)
-    return _element_from_tokens(tokens, n)
-
-
-def _polynomial_from_tokens(tokens: list[_Token], m: int) -> Polynomial:
-    terms = []
-    for term in _parse_terms(tokens):
-        if term.odd:
-            _fail(tokens[0], "odd generators belong after the colon")
-        exps = [0] * m
-        for i, e in term.even.items():
-            if i >= m:
-                _fail(tokens[0], f"variable x{i + 1} exceeds the declared "
-                                 f"count {m}")
-            exps[i] = e
-        terms.append((tuple(exps), term.coefficient))
-    return Polynomial(m, terms)
+    return _expression(text, "empty element",
+                       lambda words: _grassmann(words, n, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +327,24 @@ def parse_supermatrix(text: str) -> SuperMatrix:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty supermatrix file", 1, 1)
-    _, header = lines[0]
-    if len(header) != 3:
-        _fail(header[0], "header must be 'p q N'")
-    p, q, n = (_int(t) for t in header)
-    if p < 0 or q < 0 or n < 0:
-        _fail(header[0], "header entries must be nonnegative")
-    size = p + q
-    if len(lines) - 1 != size * size:
-        _fail(header[0],
-              f"expected {size * size} element lines, found {len(lines) - 1}")
-    entries = []
-    flat = [_element_from_tokens(tokens, n) for _, tokens in lines[1:]]
-    for r in range(size):
-        entries.append(flat[r * size:(r + 1) * size])
+    no, header = lines[0]
+    try:
+        if len(header) != 3:
+            raise _Bad("header must be 'p q N'", 0)
+        p, q, n = (_int(word, k) for k, word in enumerate(header))
+        if p < 0 or q < 0 or n < 0:
+            raise _Bad("header entries must be nonnegative", 0)
+        size = p + q
+        if len(lines) - 1 != size * size:
+            raise _Bad(f"expected {size * size} element lines, "
+                       f"found {len(lines) - 1}", 0)
+        memo: dict = {}
+        flat = []
+        for no, words in lines[1:]:
+            flat.append(_grassmann(words, n, memo))
+    except _Bad as bad:
+        raise _error(text, no, bad) from None
+    entries = [flat[r * size:(r + 1) * size] for r in range(size)]
     return SuperMatrix(p, q, entries, zero=GrassmannElement.zero(n),
                        one=GrassmannElement.scalar(n, 1))
 
@@ -281,20 +361,20 @@ def format_supermatrix(matrix: SuperMatrix) -> str:
 # superfunction files
 
 
-def _parse_axis(tokens: list[_Token]):
-    if tokens[0].text != "axis":
-        _fail(tokens[0], "expected an 'axis' line")
-    rest = tokens[1:]
-    if len(rest) == 1 and rest[0].text == "R":
+def _axis(words: list[str]):
+    if words[0] != "axis":
+        raise _Bad("expected an 'axis' line", 0)
+    rest = words[1:]
+    if rest == ["R"]:
         return REALLINE
-    if len(rest) == 1 and rest[0].text == "R+":
+    if rest == ["R+"]:
         return POSITIVE
     if len(rest) == 2:
-        lo, hi = _fraction(rest[0]), _fraction(rest[1])
+        lo, hi = _fraction(rest[0], 1), _fraction(rest[1], 2)
         if lo >= hi:
-            _fail(rest[0], "interval bounds must be increasing")
+            raise _Bad("interval bounds must be increasing", 1)
         return Interval(lo, hi)
-    _fail(tokens[0], "axis must be 'R', 'R+' or two rational bounds")
+    raise _Bad("axis must be 'R', 'R+' or two rational bounds", 0)
 
 
 def _axis_text(axis) -> str:
@@ -305,46 +385,53 @@ def _axis_text(axis) -> str:
     return f"axis {axis.lo} {axis.hi}"
 
 
+def _sector(words: list[str], m: int, n: int, memo: dict):
+    """(idx, polynomial) of a term line ``<polynomial> : <xi-monomial>``."""
+    colons = [k for k, word in enumerate(words) if word == ":"]
+    if len(colons) != 1:
+        raise _Bad("term line must be '<polynomial> : <xi-monomial>'", 0)
+    k = colons[0]
+    left, right = words[:k], words[k + 1:]
+    if not left or not right:
+        raise _Bad("missing polynomial or xi-monomial", k)
+    poly = _polynomial(left, m, memo)
+    if right == ["1"]:
+        return (), poly
+    terms = _terms(right, k + 1, n, memo)
+    coeff, gauss, mask, out, even = terms[0]
+    if len(terms) != 1 or even is not None or coeff != 1 or gauss:
+        raise _Bad("the sector must be a plain xi-monomial", k + 1)
+    if out is not None:
+        raise _Bad(f"generator xi{out + 1} exceeds the declared count {n}",
+                   k + 1)
+    return _indices(mask), poly
+
+
 def parse_superfunction(text: str) -> SuperFunction:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty superfunction file", 1, 1)
-    _, header = lines[0]
-    if len(header) != 3:
-        _fail(header[0], "header must be 'm n 0'")
-    m, n, reserved = (_int(t) for t in header)
-    if m < 0 or n < 0:
-        _fail(header[0], "header entries must be nonnegative")
-    if reserved != 0:
-        _fail(header[2], "the aux field is reserved and must be 0")
-    if len(lines) - 1 < m:
-        _fail(header[0], f"expected {m} axis lines")
-    axes = tuple(_parse_axis(tokens) for _, tokens in lines[1:1 + m])
-    shape = SuperDomainShape(m, axes, n)
-
-    sectors = []
-    for _, tokens in lines[1 + m:]:
-        split = [k for k, t in enumerate(tokens) if t.text == ":"]
-        if len(split) != 1:
-            _fail(tokens[0], "term line must be '<polynomial> : <xi-monomial>'")
-        k = split[0]
-        left, right = tokens[:k], tokens[k + 1:]
-        if not left or not right:
-            _fail(tokens[k], "missing polynomial or xi-monomial")
-        poly = _polynomial_from_tokens(left, m)
-        if len(right) == 1 and right[0].text == "1":
-            idx: tuple[int, ...] = ()
-        else:
-            sector = _parse_terms(right)
-            if len(sector) != 1 or sector[0].even \
-                    or sector[0].coefficient != Scalar(1):
-                _fail(right[0], "the sector must be a plain xi-monomial")
-            idx = sector[0].odd
-            for j in idx:
-                if j >= n:
-                    _fail(right[0], f"generator xi{j + 1} exceeds the "
-                                    f"declared count {n}")
-        sectors.append((idx, poly))
+    no, header = lines[0]
+    try:
+        if len(header) != 3:
+            raise _Bad("header must be 'm n 0'", 0)
+        m, n, reserved = (_int(word, k) for k, word in enumerate(header))
+        if m < 0 or n < 0:
+            raise _Bad("header entries must be nonnegative", 0)
+        if reserved != 0:
+            raise _Bad("the aux field is reserved and must be 0", 2)
+        if len(lines) - 1 < m:
+            raise _Bad(f"expected {m} axis lines", 0)
+        axes = []
+        for no, words in lines[1:1 + m]:
+            axes.append(_axis(words))
+        shape = SuperDomainShape(m, tuple(axes), n)
+        memo: dict = {}
+        sectors = []
+        for no, words in lines[1 + m:]:
+            sectors.append(_sector(words, m, n, memo))
+    except _Bad as bad:
+        raise _error(text, no, bad) from None
     return SuperFunction(shape, sectors)
 
 
@@ -366,30 +453,33 @@ def parse_structure_constants(text: str) -> LieSuperAlgebra:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty structure-constant file", 1, 1)
-    _, header = lines[0]
-    if header[0].text != "generators" or len(header) < 2:
-        _fail(header[0], "header must be 'generators name:parity ...'")
+    no, header = lines[0]
     names, parities = [], []
-    for tok in header[1:]:
-        if ":" not in tok.text:
-            _fail(tok, "generator must be written name:parity")
-        name, _, parity = tok.text.partition(":")
-        if parity not in ("even", "odd") or not name:
-            _fail(tok, "parity must be 'even' or 'odd'")
-        names.append(name)
-        parities.append(EVEN if parity == "even" else ODD)
-    dim = len(names)
-
     brackets: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for _, tokens in lines[1:]:
-        if len(tokens) != 3 + dim or tokens[2].text != "->":
-            _fail(tokens[0], f"bracket line must be 'i j -> {dim} rationals'")
-        i, j = _int(tokens[0]), _int(tokens[1])
-        if not (0 <= i < dim and 0 <= j < dim):
-            _fail(tokens[0], "generator index out of range")
-        if (i, j) in brackets:
-            _fail(tokens[0], f"duplicate bracket line for pair ({i}, {j})")
-        brackets[(i, j)] = tuple(_fraction(t) for t in tokens[3:])
+    try:
+        if header[0] != "generators" or len(header) < 2:
+            raise _Bad("header must be 'generators name:parity ...'", 0)
+        for k, word in enumerate(header[1:], 1):
+            if ":" not in word:
+                raise _Bad("generator must be written name:parity", k)
+            name, _, parity = word.partition(":")
+            if parity not in ("even", "odd") or not name:
+                raise _Bad("parity must be 'even' or 'odd'", k)
+            names.append(name)
+            parities.append(EVEN if parity == "even" else ODD)
+        dim = len(names)
+        for no, words in lines[1:]:
+            if len(words) != 3 + dim or words[2] != "->":
+                raise _Bad(f"bracket line must be 'i j -> {dim} rationals'", 0)
+            i, j = _int(words[0], 0), _int(words[1], 1)
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise _Bad("generator index out of range", 0)
+            if (i, j) in brackets:
+                raise _Bad(f"duplicate bracket line for pair ({i}, {j})", 0)
+            brackets[(i, j)] = tuple(_fraction(word, k)
+                                     for k, word in enumerate(words[3:], 3))
+    except _Bad as bad:
+        raise _error(text, no, bad) from None
     return LieSuperAlgebra(names, parities, brackets)
 
 

@@ -66,7 +66,9 @@ from superberezin.superdomain import (
     SuperDomainShape,
     SuperFunction,
     SuperMorphism,
+    compose,
     jacobian_rows,
+    morphism_product,
     pullback,
     shape_product,
 )
@@ -595,6 +597,33 @@ def test_product_formula_refuses_wrong_haar_densities(order, monkeypatch):
     with pytest.raises(NormalizationError):
         product_formula_check(ex.group, ex.left, ex.right, ex.test_function,
                               backend=ex.backend)
+
+
+@pytest.mark.parametrize("order, discrepancy", [("odd-even", "-x1"),
+                                                ("even-odd", "-1")])
+def test_product_formula_reports_the_difference_at_the_candidate(
+        order, discrepancy, monkeypatch):
+    # each subgroup density off by 1: the pullback of omega_G and the
+    # weighted product share the monomial the constant c is read off, so
+    # the discrepancy pulled - c * weighted is neither 0 nor the pullback
+    def off_by_one(G, side="left"):
+        density = haar_density(G, side).density
+        if G.shape != ex.group.shape:
+            density = density + SuperFunction.one(G.shape)
+        return BerezinSection(G.shape, density)
+
+    ex = axb_product_example(order)
+    monkeypatch.setattr(supergroup, "haar_density", off_by_one)
+    with pytest.raises(NormalizationError) as info:
+        product_formula_check(ex.group, ex.left, ex.right, ex.test_function,
+                              backend=ex.backend)
+    G = ex.group
+    mul_map = compose(morphism_product(ex.left.embedding, ex.right.embedding),
+                      G.mul)
+    pulled = pullback_section(mul_map, haar_density(G)).density
+    assert info.value.discrepancy
+    assert info.value.discrepancy != pulled
+    assert str(info.value.discrepancy) == discrepancy
 
 
 def test_product_ratio_matches_modular_oracle():

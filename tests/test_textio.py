@@ -1,6 +1,9 @@
-"""Text formats: frozen examples, error locations, round-trip properties."""
+"""Text formats: frozen examples, error locations, round-trip properties,
+and the reader against the token-based reader it replaced."""
 
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,12 @@ from hypothesis import strategies as st
 
 from superberezin.errors import ParseError
 from superberezin.grassmann import GrassmannElement, Scalar
-from superberezin.lie_super import gl11_algebra
-from superberezin.suites import random_grassmann, random_superfunction
+from superberezin.lie_super import EVEN, ODD, LieSuperAlgebra, gl11_algebra
+from superberezin.suites import (
+    random_even_supermatrix,
+    random_grassmann,
+    random_superfunction,
+)
 from superberezin.superdomain import (
     Interval,
     POSITIVE,
@@ -19,7 +26,9 @@ from superberezin.superdomain import (
     SuperDomainShape,
     SuperFunction,
 )
+from superberezin.supermatrix import SuperMatrix
 from superberezin.textio import (
+    MAX_EXPONENT,
     format_structure_constants,
     format_superfunction,
     format_supermatrix,
@@ -265,3 +274,463 @@ def test_superfunction_round_trip(seed, m, n):
     shape = SuperDomainShape(m, axes, n)
     f = random_superfunction(rng, shape, max_terms=5, max_deg=3)
     assert parse_superfunction(format_superfunction(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# the token-based reader, kept as the oracle of the one-pass reader: every
+# word becomes a _Token with its line and column, every term a _Term, and
+# values are built through the public constructors
+
+_RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
+_FACTOR = re.compile(
+    r"(?:xi(\d+)|(-?\d+(?:/\d+)?)|(s)(?:\^(-?\d+))?|x(\d+)(?:\^(-?\d+))?)\Z")
+_WORD = re.compile(r"\S+")
+
+
+class _Token:
+    """A word of the input and its 1-based line and column."""
+
+    __slots__ = ("text", "line", "column")
+
+    def __init__(self, text: str, line: int, column: int):
+        self.text = text
+        self.line = line
+        self.column = column
+
+
+def _content_lines(text: str):
+    """(line_number, tokens) for every line with content; comments stripped."""
+    out = []
+    for no, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0]
+        tokens = [_Token(m.group(), no, m.start() + 1)
+                  for m in _WORD.finditer(body)]
+        if tokens:
+            out.append((no, tokens))
+    return out
+
+
+def _fail(token: _Token, message: str):
+    raise ParseError(message, token.line, token.column)
+
+
+def _int(token: _Token) -> int:
+    try:
+        return int(token.text)
+    except ValueError:
+        _fail(token, f"expected an integer, got {token.text!r}")
+
+
+def _fraction(token: _Token) -> Fraction:
+    if not _RATIONAL.match(token.text):
+        _fail(token, f"expected a rational number, got {token.text!r}")
+    try:
+        return Fraction(token.text)
+    except ZeroDivisionError:
+        _fail(token, f"zero denominator in rational {token.text!r}")
+    except ValueError:  # more digits than the interpreter converts
+        _fail(token, "number too long")
+
+
+def _digits(token: _Token, text: str) -> int:
+    """A number written inside a factor token (index or exponent)."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        _fail(token, "number too long")
+
+
+def _index(token: _Token, text: str) -> int:
+    """The 0-based position of a 1-based variable or generator index."""
+    i = _digits(token, text) - 1
+    if i < 0:
+        _fail(token, "variable and generator indices start at 1")
+    return i
+
+
+def _exponent(token: _Token, total: int, text: str) -> int:
+    """total plus the exponent text, within the grammar's bound."""
+    total += _digits(token, text)
+    if abs(total) > MAX_EXPONENT:
+        _fail(token, f"exponent {total} exceeds the bound "
+                     f"|e| <= {MAX_EXPONENT}")
+    return total
+
+
+@dataclass
+class _Term:
+    coefficient: Scalar
+    even: dict[int, int]       # 0-based variable -> exponent
+    odd: tuple[int, ...]       # 0-based generators, strictly increasing
+
+
+def _parse_terms(tokens: list[_Token]) -> list[_Term]:
+    """Split a token run at '+'/'-' separators and read each term."""
+    groups: list[list[_Token]] = []
+    signs: list[int] = []
+    current: list[_Token] = []
+    sign = 1
+    for tok in tokens:
+        if tok.text in ("+", "-"):
+            if not current:
+                _fail(tok, "dangling sign")
+            groups.append(current)
+            signs.append(sign)
+            current, sign = [], (1 if tok.text == "+" else -1)
+        else:
+            current.append(tok)
+    if not current:
+        _fail(tokens[-1], "expression ends with a sign")
+    groups.append(current)
+    signs.append(sign)
+
+    terms = []
+    for sgn, group in zip(signs, groups):
+        coeff = sgn
+        gauss = 0
+        even: dict[int, int] = {}
+        odd: list[int] = []
+        saw_coefficient = False
+        lead = group[0]
+        if (lead.text.startswith("-") and len(lead.text) > 1
+                and not _RATIONAL.match(lead.text)):
+            # a suppressed unit coefficient fuses its minus onto the factor
+            coeff = -coeff
+            group = [_Token(lead.text[1:], lead.line, lead.column + 1),
+                     *group[1:]]
+        for tok in group:
+            m = _FACTOR.match(tok.text)
+            if m is None:
+                _fail(tok, f"unrecognised factor {tok.text!r}")
+            j, number, gauss_mark, k, i, e = m.groups()
+            if j is not None:
+                j = _index(tok, j)
+                if odd and j <= odd[-1]:
+                    _fail(tok, "odd generators must be distinct and "
+                               "listed in increasing order")
+                odd.append(j)
+            elif number is not None:
+                if saw_coefficient:
+                    _fail(tok, "two coefficients in one term")
+                saw_coefficient = True
+                # an integral coefficient stays an int
+                coeff *= _fraction(tok) if "/" in number else _digits(tok, number)
+            elif gauss_mark:
+                gauss = _exponent(tok, gauss, k or "1")
+            else:
+                i = _index(tok, i)
+                even[i] = _exponent(tok, even.get(i, 0), e or "1")
+        terms.append(_Term(Scalar(coeff, gauss), even, tuple(odd)))
+    return terms
+
+
+def old_parse_scalar(text: str) -> Scalar:
+    tokens = [t for _, toks in _content_lines(text) for t in toks]
+    if not tokens:
+        raise ParseError("empty scalar", 1, 1)
+    total = Scalar.zero()
+    for term in _parse_terms(tokens):
+        if term.even or term.odd:
+            raise ParseError("scalar may not contain variables",
+                             tokens[0].line, tokens[0].column)
+        total = total + term.coefficient
+    return total
+
+
+def _element_from_tokens(tokens: list[_Token], n: int) -> GrassmannElement:
+    terms = []
+    for term in _parse_terms(tokens):
+        if term.even:
+            _fail(tokens[0], "even variables are not allowed in an "
+                             "algebra element")
+        for j in term.odd:
+            if j >= n:
+                _fail(tokens[0], f"generator xi{j + 1} exceeds the "
+                                 f"declared count {n}")
+        terms.append((term.odd, term.coefficient))
+    return GrassmannElement(n, terms)
+
+
+def old_parse_grassmann(text: str, n: int) -> GrassmannElement:
+    tokens = [t for _, toks in _content_lines(text) for t in toks]
+    if not tokens:
+        raise ParseError("empty element", 1, 1)
+    return _element_from_tokens(tokens, n)
+
+
+def _polynomial_from_tokens(tokens: list[_Token], m: int) -> Polynomial:
+    terms = []
+    for term in _parse_terms(tokens):
+        if term.odd:
+            _fail(tokens[0], "odd generators belong after the colon")
+        exps = [0] * m
+        for i, e in term.even.items():
+            if i >= m:
+                _fail(tokens[0], f"variable x{i + 1} exceeds the declared "
+                                 f"count {m}")
+            exps[i] = e
+        terms.append((tuple(exps), term.coefficient))
+    return Polynomial(m, terms)
+
+
+def old_parse_supermatrix(text: str) -> SuperMatrix:
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("empty supermatrix file", 1, 1)
+    _, header = lines[0]
+    if len(header) != 3:
+        _fail(header[0], "header must be 'p q N'")
+    p, q, n = (_int(t) for t in header)
+    if p < 0 or q < 0 or n < 0:
+        _fail(header[0], "header entries must be nonnegative")
+    size = p + q
+    if len(lines) - 1 != size * size:
+        _fail(header[0],
+              f"expected {size * size} element lines, found {len(lines) - 1}")
+    entries = []
+    flat = [_element_from_tokens(tokens, n) for _, tokens in lines[1:]]
+    for r in range(size):
+        entries.append(flat[r * size:(r + 1) * size])
+    return SuperMatrix(p, q, entries, zero=GrassmannElement.zero(n),
+                       one=GrassmannElement.scalar(n, 1))
+
+
+def _parse_axis(tokens: list[_Token]):
+    if tokens[0].text != "axis":
+        _fail(tokens[0], "expected an 'axis' line")
+    rest = tokens[1:]
+    if len(rest) == 1 and rest[0].text == "R":
+        return REALLINE
+    if len(rest) == 1 and rest[0].text == "R+":
+        return POSITIVE
+    if len(rest) == 2:
+        lo, hi = _fraction(rest[0]), _fraction(rest[1])
+        if lo >= hi:
+            _fail(rest[0], "interval bounds must be increasing")
+        return Interval(lo, hi)
+    _fail(tokens[0], "axis must be 'R', 'R+' or two rational bounds")
+
+
+def old_parse_superfunction(text: str) -> SuperFunction:
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("empty superfunction file", 1, 1)
+    _, header = lines[0]
+    if len(header) != 3:
+        _fail(header[0], "header must be 'm n 0'")
+    m, n, reserved = (_int(t) for t in header)
+    if m < 0 or n < 0:
+        _fail(header[0], "header entries must be nonnegative")
+    if reserved != 0:
+        _fail(header[2], "the aux field is reserved and must be 0")
+    if len(lines) - 1 < m:
+        _fail(header[0], f"expected {m} axis lines")
+    axes = tuple(_parse_axis(tokens) for _, tokens in lines[1:1 + m])
+    shape = SuperDomainShape(m, axes, n)
+
+    sectors = []
+    for _, tokens in lines[1 + m:]:
+        split = [k for k, t in enumerate(tokens) if t.text == ":"]
+        if len(split) != 1:
+            _fail(tokens[0], "term line must be '<polynomial> : <xi-monomial>'")
+        k = split[0]
+        left, right = tokens[:k], tokens[k + 1:]
+        if not left or not right:
+            _fail(tokens[k], "missing polynomial or xi-monomial")
+        poly = _polynomial_from_tokens(left, m)
+        if len(right) == 1 and right[0].text == "1":
+            idx: tuple[int, ...] = ()
+        else:
+            sector = _parse_terms(right)
+            if len(sector) != 1 or sector[0].even \
+                    or sector[0].coefficient != Scalar(1):
+                _fail(right[0], "the sector must be a plain xi-monomial")
+            idx = sector[0].odd
+            for j in idx:
+                if j >= n:
+                    _fail(right[0], f"generator xi{j + 1} exceeds the "
+                                    f"declared count {n}")
+        sectors.append((idx, poly))
+    return SuperFunction(shape, sectors)
+
+
+def old_parse_structure_constants(text: str) -> LieSuperAlgebra:
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("empty structure-constant file", 1, 1)
+    _, header = lines[0]
+    if header[0].text != "generators" or len(header) < 2:
+        _fail(header[0], "header must be 'generators name:parity ...'")
+    names, parities = [], []
+    for tok in header[1:]:
+        if ":" not in tok.text:
+            _fail(tok, "generator must be written name:parity")
+        name, _, parity = tok.text.partition(":")
+        if parity not in ("even", "odd") or not name:
+            _fail(tok, "parity must be 'even' or 'odd'")
+        names.append(name)
+        parities.append(EVEN if parity == "even" else ODD)
+    dim = len(names)
+
+    brackets: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    for _, tokens in lines[1:]:
+        if len(tokens) != 3 + dim or tokens[2].text != "->":
+            _fail(tokens[0], f"bracket line must be 'i j -> {dim} rationals'")
+        i, j = _int(tokens[0]), _int(tokens[1])
+        if not (0 <= i < dim and 0 <= j < dim):
+            _fail(tokens[0], "generator index out of range")
+        if (i, j) in brackets:
+            _fail(tokens[0], f"duplicate bracket line for pair ({i}, {j})")
+        brackets[(i, j)] = tuple(_fraction(t) for t in tokens[3:])
+    return LieSuperAlgebra(names, parities, brackets)
+
+
+
+
+# ---------------------------------------------------------------------------
+# the reader against the oracle
+
+
+def _exact(value):
+    """A value with the type of every stored coefficient, so that an int
+    and an equal Fraction, or a non-canonical term, tell the readers apart."""
+    if isinstance(value, SuperMatrix):
+        return (value.p, value.q, value.parity,
+                tuple(_exact(e) for row in value.entries for e in row))
+    if isinstance(value, LieSuperAlgebra):
+        return (tuple(value.names), tuple(value.parities),
+                tuple(value.bracket_basis(i, j) for i in range(value.dim)
+                      for j in range(value.dim)))
+    if isinstance(value, SuperFunction):
+        return (value.shape, {mask: _exact(poly)
+                              for mask, poly in value.coeffs.items()})
+    size = getattr(value, "generator_count", getattr(value, "nvars", None))
+    return (type(value), size,
+            {key: (type(c), c) for key, c in value.terms.items()})
+
+
+def _outcome(parse, text):
+    try:
+        return "value", _exact(parse(text))
+    except ParseError as exc:
+        return "parse error", str(exc), exc.line, exc.column
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return "raised", type(exc)
+
+
+_MIXED_ELEMENT_COEFFS = st.lists(
+    st.builds(Scalar, st.sampled_from([1, -1, 2, 3, Fraction(-3, 2),
+                                       Fraction(5, 7)]),
+              st.integers(-2, 2)), min_size=1, max_size=3).map(
+    lambda parts: sum(parts, Scalar.zero()))
+
+_AXES = [REALLINE, POSITIVE, Interval(Fraction(-1), Fraction(2)),
+         Interval(Fraction(1, 3), Fraction(5, 2))]
+
+
+@st.composite
+def _printed(draw):
+    """(new reader, oracle, text) for a printed random value of a format."""
+    kind = draw(st.sampled_from(["supermatrix", "grassmann", "scalar",
+                                 "superfunction", "structure"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "supermatrix":
+        n = draw(st.integers(0, 8))
+        p = draw(st.integers(0, 2))
+        # over Lambda_0 there are no odd entries for the off-diagonal blocks
+        q = draw(st.integers(0, 2 if n or not p else 0))
+        return (parse_supermatrix, old_parse_supermatrix,
+                format_supermatrix(random_even_supermatrix(rng, p, q, n)))
+    if kind == "scalar":
+        return (parse_scalar, old_parse_scalar,
+                str(draw(_MIXED_ELEMENT_COEFFS)))
+    if kind == "grassmann":
+        n = draw(st.integers(0, 4))
+        monomials = st.sets(st.integers(0, n - 1)).map(
+            lambda s: tuple(sorted(s))) if n else st.just(())
+        element = GrassmannElement(n, draw(st.dictionaries(
+            monomials, _MIXED_ELEMENT_COEFFS, max_size=4)))
+        return (lambda t: parse_grassmann(t, n),
+                lambda t: old_parse_grassmann(t, n), str(element))
+    if kind == "superfunction":
+        m, n = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        shape = SuperDomainShape(
+            m, tuple(draw(st.sampled_from(_AXES)) for _ in range(m)), n)
+        f = random_superfunction(rng, shape, max_terms=4, max_deg=3) \
+            * draw(_MIXED_ELEMENT_COEFFS)
+        return (parse_superfunction, old_parse_superfunction,
+                format_superfunction(f))
+    evens = draw(st.integers(0, 3))
+    parities = [EVEN] * evens + [ODD] * draw(st.integers(int(not evens), 3))
+    dim = len(parities)
+    lines = ["generators " + " ".join(
+        f"g{k}:{parity}" for k, parity in enumerate(parities))]
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() < 0.5:
+                continue
+            odd = (parities[i] is ODD) != (parities[j] is ODD)
+            lines.append(f"{i} {j} -> " + " ".join(
+                str(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                if (parities[k] is ODD) == odd else "0" for k in range(dim)))
+    return (parse_structure_constants, old_parse_structure_constants,
+            "\n".join(lines) + "\n")
+
+
+# the edits: grammar marks, digits, blanks, a line separator that is also
+# a blank to str.split (\x1c), a non-ASCII blank, a non-ASCII line break
+_EDIT_PIECES = ["+", "-", "/", "^", "#", "xi", "x", "s", "0", "9", " ", "\t",
+                "\x1c", "\xa0", "\u2028", "\r\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printed())
+def test_reader_matches_token_oracle_on_printed_values(case):
+    parse, oracle, text = case
+    outcome = _outcome(parse, text)
+    assert outcome[0] == "value"
+    assert outcome == _outcome(oracle, text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_printed(), st.data())
+def test_reader_matches_token_oracle_on_edited_texts(case, data):
+    parse, oracle, text = case
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        piece = data.draw(st.sampled_from(_EDIT_PIECES))
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            text = text[:at] + piece + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + piece + text[at + 1:]
+    assert _outcome(parse, text) == _outcome(oracle, text)
+
+
+_LONG = "7" * 5000
+_EDGE_TEXTS = [
+    "2 s^600 s^401", "x1^-600 x1^-401", f"x{_LONG}", f"xi{_LONG}",
+    f"s^{_LONG}", _LONG, f"1/{_LONG}", "-xi0", "--1/0", "-1/0", "1/0 1/0",
+    "2 1/0", "xi1 + zeta +", "zeta + + 1", "- xi1", "xi1 -", "-", "+ -",
+    "xi2 xi1 + zeta", "xi5 + zeta", "xi5 + x1", "x1 x1^-1", "0 x1",
+    "-x1 xi2", "xi1\nxi2 -\n# note\n xi1 xi2 zeta", "1 -\n\n+ 2",
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_TEXTS, ids=range(len(_EDGE_TEXTS)))
+def test_reader_matches_token_oracle_on_edge_cases(text):
+    # bounds, overlong numbers, fused minus signs, error precedence within
+    # an expression, and positions in an expression over several lines
+    for n in (0, 2, -1):
+        assert _outcome(lambda t: parse_grassmann(t, n), text) == \
+            _outcome(lambda t: old_parse_grassmann(t, n), text)
+    assert _outcome(parse_scalar, text) == _outcome(old_parse_scalar, text)
+    line = text.replace("\n", " ")
+    for term_line in (line, f"{line} : xi1", f"1 : {line}"):
+        sf = f"1 2 0\naxis R\n{term_line}\n"
+        assert _outcome(parse_superfunction, sf) == \
+            _outcome(old_parse_superfunction, sf)
+    sm = f"1 0 2\n{line}\n"
+    assert _outcome(parse_supermatrix, sm) == _outcome(old_parse_supermatrix, sm)
