@@ -618,12 +618,6 @@ def _outcome(parse, text):
         return "raised", type(exc)
 
 
-_MIXED_ELEMENT_COEFFS = st.lists(
-    st.builds(Scalar, st.sampled_from([1, -1, 2, 3, Fraction(-3, 2),
-                                       Fraction(5, 7)]),
-              st.integers(-2, 2)), min_size=1, max_size=3).map(
-    lambda parts: sum(parts, Scalar.zero()))
-
 _AXES = [REALLINE, POSITIVE, Interval(Fraction(-1), Fraction(2)),
          Interval(Fraction(1, 3), Fraction(5, 2))]
 
@@ -643,13 +637,13 @@ def _printed(draw):
                 format_supermatrix(random_even_supermatrix(rng, p, q, n)))
     if kind == "scalar":
         return (parse_scalar, old_parse_scalar,
-                str(draw(_MIXED_ELEMENT_COEFFS)))
+                str(draw(_MIXED_COEFFS)))
     if kind == "grassmann":
         n = draw(st.integers(0, 4))
         monomials = st.sets(st.integers(0, n - 1)).map(
             lambda s: tuple(sorted(s))) if n else st.just(())
         element = GrassmannElement(n, draw(st.dictionaries(
-            monomials, _MIXED_ELEMENT_COEFFS, max_size=4)))
+            monomials, _MIXED_COEFFS, max_size=4)))
         return (lambda t: parse_grassmann(t, n),
                 lambda t: old_parse_grassmann(t, n), str(element))
     if kind == "superfunction":
@@ -657,7 +651,7 @@ def _printed(draw):
         shape = SuperDomainShape(
             m, tuple(draw(st.sampled_from(_AXES)) for _ in range(m)), n)
         f = random_superfunction(rng, shape, max_terms=4, max_deg=3) \
-            * draw(_MIXED_ELEMENT_COEFFS)
+            * draw(_MIXED_COEFFS)
         return (parse_superfunction, old_parse_superfunction,
                 format_superfunction(f))
     evens = draw(st.integers(0, 3))
