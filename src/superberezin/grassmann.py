@@ -7,14 +7,20 @@ model is faithful.  Algebra elements are finite sums of terms
 ``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices.  Each term is
 stored under the key ``(mask, k)``: ``mask`` is the int whose bit i is set
 when xi_{i+1} is a factor, and k is the power of s, so every coefficient
-is a plain rational, stored as an ``int`` when integral and as a
-``Fraction`` only when its denominator exceeds 1.  Most coefficients of the
-paper's identities are integers, and an int product costs a small part of
-a Fraction product.  The mask is the package's one odd-monomial key, also
-of ``SuperFunction`` sectors and Koszul monomials, and ``_odd_swaps`` its
-one sign rule: a product of two monomials is a test, an or and a popcount
-on their masks.  Index tuples appear only where a value is built from
-``{idx: coefficient}``, asked for a coefficient or printed.
+is a plain rational.  An element stores its coefficients as int
+numerators over one shared denominator in lowest terms, as FLINT's
+``fmpq_poly`` does: the pivot inverses 1/c of a Berezinian would spread
+Fractions through every later product, and over one denominator the
+product loop multiplies and adds only ints, with one gcd per result.  A
+coefficient becomes an ``int`` or ``Fraction`` only where it is read
+(``terms``, ``coefficient``, ``body``, printing); ``Scalar`` and the
+superfunction layer keep such coefficients throughout, an ``int`` when
+integral and a ``Fraction`` only when its denominator exceeds 1.  The
+mask is the package's one odd-monomial key, also of ``SuperFunction``
+sectors and Koszul monomials, and ``_odd_swaps`` its one sign rule: a
+product of two monomials is a test, an or and a popcount on their masks.
+Index tuples appear only where a value is built from ``{idx: coefficient}``,
+asked for a coefficient or printed.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import DimensionError, NonInvertibleError, ParityError
 
@@ -270,16 +278,17 @@ def _add_terms(acc: dict, items) -> dict:
     return acc
 
 
-def _accumulate(acc: dict, a: dict, b: dict) -> dict:
-    """Add a*b into ``acc`` and return it.
+def _accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
+    """Add scale*a*b into ``acc`` and return it.
 
-    ``a`` and ``b`` are term dicts keyed ``(mask, k)`` as in
-    ``GrassmannElement``.  Sums are left as they fall: a key may end on a
-    zero or on a Fraction whose denominator is 1 until ``_settled``.
+    ``a`` and ``b`` are numerator dicts keyed ``(mask, k)`` as
+    ``GrassmannElement.nums``, so every product and sum is of ints.  Sums
+    are left as they fall: a key may end on zero until ``_reduced``.
     """
     get = acc.get
     right = b.items()
     for (ma, ka), ca in a.items():
+        ca *= scale
         swaps = _odd_swaps(ma)
         for (mb, kb), cb in right:
             if ma & mb:
@@ -291,12 +300,6 @@ def _accumulate(acc: dict, a: dict, b: dict) -> dict:
             else:
                 acc[key] = ca * cb if prev is None else prev + ca * cb
     return acc
-
-
-def _settled(acc: dict) -> dict:
-    """The canonical terms of a sum: zeros dropped, integral values ints."""
-    return {key: c.numerator if type(c) is Fraction and c.denominator == 1
-            else c for key, c in acc.items() if c}
 
 
 class _Products(tuple):
@@ -351,11 +354,18 @@ def _signed_sum(pieces) -> str:
     return " ".join(parts) or "0"
 
 
-def _parity(degrees) -> Parity | None:
-    """The parity all odd monomials of these degrees share; None if they mix
+def _parity(masks) -> Parity | None:
+    """The parity all odd monomials of these masks share; None if they mix
     or there are none."""
-    parities = {d % 2 for d in degrees}
-    return Parity(parities.pop()) if len(parities) == 1 else None
+    masks = iter(masks)
+    first = next(masks, None)
+    if first is None:
+        return None
+    odd = first.bit_count() & 1
+    for mask in masks:
+        if mask.bit_count() & 1 != odd:
+            return None
+    return ODD if odd else EVEN
 
 
 def _checked_mask(idx: tuple[int, ...], count: int) -> int:
@@ -388,18 +398,24 @@ def _lookup_mask(indices: Iterable[int], count: int) -> int | None:
 class GrassmannElement:
     """Finite sum of terms c s^k xi^idx over N generators, c rational.
 
-    ``terms`` maps each key ``(mask, k)`` to its nonzero coefficient: int
-    when integral, Fraction otherwise.  ``mask`` is the int whose bit i is
-    set when xi_{i+1} is a factor of the odd monomial, and k is the power of
-    s.  The public constructor still takes ``{idx: coefficient}``, idx a
+    A value is stored as integer numerators over one shared denominator:
+    ``nums`` maps each key ``(mask, k)`` to a nonzero int and ``den`` is an
+    int >= 1, the coefficient of the term being ``nums[key] / den``.
+    ``mask`` is the int whose bit i is set when xi_{i+1} is a factor of the
+    odd monomial, and k is the power of s.  The form is canonical:
+    ``gcd(den, *nums.values()) == 1`` and zero has ``den == 1``, so equal
+    values are stored alike.  ``terms`` is the read-only canonical view
+    ``{(mask, k): coefficient}``, the coefficient an int when integral and
+    a Fraction otherwise, built from them when read (its Fractions once).
+    The public constructor still takes ``{idx: coefficient}``, idx a
     strictly increasing generator tuple, with Scalar, int or Fraction
     coefficients; ``coefficient`` and ``str`` speak in index tuples too.
     ``self + _Products(pairs)`` is the fused base + sum a*b of the
-    supermatrix ring protocol; it and ``*`` share one product loop,
-    ``_accumulate``.
+    supermatrix ring protocol; it and ``*`` are one operation, ``_fused``,
+    around one int product loop, ``_accumulate``.
     """
 
-    __slots__ = ("generator_count", "terms")
+    __slots__ = ("generator_count", "den", "nums", "_terms")
 
     def __init__(self, generator_count: int, terms: Mapping[tuple[int, ...], object] = ()):
         if generator_count < 0:
@@ -412,12 +428,28 @@ class GrassmannElement:
             else:
                 checked.extend(((mask, k), c)
                                for k, c in Scalar.coerce(coeff).terms.items())
-        normalized = _add_terms({}, checked)
-        object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "terms", normalized)
+        den, nums = _over_one_denominator(_add_terms({}, checked))
+        _set_count(self, generator_count)
+        _set_den(self, den)
+        _set_nums(self, nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], object]:
+        """The canonical view ``{(mask, k): coefficient}`` of ``nums/den``;
+        its Fractions are built once, on first read."""
+        if self.den == 1:
+            return MappingProxyType(self.nums)
+        try:
+            return self._terms
+        except AttributeError:
+            den = self.den
+            view = MappingProxyType({key: _quotient(c, den)
+                                     for key, c in self.nums.items()})
+            object.__setattr__(self, "_terms", view)
+            return view
 
     # -- constructors -------------------------------------------------
 
@@ -444,17 +476,23 @@ class GrassmannElement:
     # -- basic structure ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def _select(self, keep) -> "GrassmannElement":
-        return _element(self.generator_count,
-                        {key: c for key, c in self.terms.items() if keep(key[0])})
+        return _reduced(self.generator_count, self.den,
+                        {key: c for key, c in self.nums.items() if keep(key[0])})
+
+    def _values(self, keep) -> Scalar:
+        """The Scalar sum of c s^k over the terms whose mask ``keep`` takes."""
+        den = self.den
+        return _in_s({k: c if den == 1 else _quotient(c, den)
+                      for (mask, k), c in self.nums.items() if keep(mask)})
 
     def body(self) -> Scalar:
-        return _in_s({k: c for (mask, k), c in self.terms.items() if not mask})
+        return self._values(lambda mask: not mask)
 
     def soul(self) -> "GrassmannElement":
         return self._select(bool)
@@ -467,7 +505,7 @@ class GrassmannElement:
 
     def parity(self) -> Parity | None:
         """Parity if homogeneous; None for 0 or mixed elements."""
-        return _parity(mask.bit_count() for mask, _ in self.terms)
+        return _parity(mask for mask, _ in self.nums)
 
     def coefficient(self, indices: Iterable[int]) -> Scalar:
         """The coefficient of xi^indices, a value in s.
@@ -476,35 +514,27 @@ class GrassmannElement:
         algebra's generators: a mask forgets order and repetition.
         """
         mask = _lookup_mask(indices, self.generator_count)
-        return _in_s({k: c for (m, k), c in self.terms.items() if m == mask})
+        return self._values(lambda m: m == mask)
 
     # -- arithmetic ---------------------------------------------------
 
     def _check_compatible(self, other: "GrassmannElement"):
         if self.generator_count != other.generator_count:
-            raise DimensionError(
-                "elements live over different generator counts "
-                f"({self.generator_count} vs {other.generator_count}); embed first"
-            )
+            raise _mismatch(self.generator_count, other)
 
     def __add__(self, other) -> "GrassmannElement":
-        acc = dict(self.terms)
         if type(other) is _Products:
-            for a, b in other:
-                self._check_compatible(a)
-                self._check_compatible(b)
-                _accumulate(acc, a.terms, b.terms)
-            return _element(self.generator_count, _settled(acc))
+            return _fused(self.generator_count, self.den, self.nums, other)
         other = self._coerce(other)
         self._check_compatible(other)
-        return _element(self.generator_count, _add_terms(acc, other.terms.items()))
+        return _reduced(self.generator_count,
+                        *_add_into(dict(self.nums), self.den, other.nums, other.den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "GrassmannElement":
-        return _element(
-            self.generator_count, {key: -c for key, c in self.terms.items()}
-        )
+        return _element(self.generator_count, self.den,
+                        {key: -c for key, c in self.nums.items()})
 
     def __sub__(self, other) -> "GrassmannElement":
         return self + (-self._coerce(other))
@@ -520,10 +550,7 @@ class GrassmannElement:
         raise TypeError(f"cannot interpret {value!r} as a GrassmannElement")
 
     def __mul__(self, other) -> "GrassmannElement":
-        other = self._coerce(other)
-        self._check_compatible(other)
-        return _element(self.generator_count,
-                        _settled(_accumulate({}, self.terms, other.terms)))
+        return _fused(self.generator_count, 1, {}, ((self, self._coerce(other)),))
 
     def __rmul__(self, other) -> "GrassmannElement":
         # scalars are even and central, so this is safe
@@ -534,10 +561,11 @@ class GrassmannElement:
 
         Uses sum_j b^-1 (-b^-1 * soul)^j with b the body, which terminates
         because every term of the even soul has degree >= 2, so soul^j = 0
-        for j > N/2.
+        for j > N/2.  With the body's numerator c over den, b^-1 is den / c
+        and -b^-1 * soul the soul's numerators over -c.
         """
         body, soul = {}, {}
-        for key, c in self.terms.items():
+        for key, c in self.nums.items():
             mask = key[0]
             if not mask:
                 body[key[1]] = c
@@ -549,14 +577,14 @@ class GrassmannElement:
             raise NonInvertibleError("body is zero; element is not invertible")
         if len(body) > 1:
             raise NonInvertibleError(
-                f"{_in_s(body)} mixes powers of s and has no inverse in Q[s, 1/s]")
+                f"{self.body()} mixes powers of s and has no inverse in Q[s, 1/s]")
         (k, c), = body.items()
-        cinv = _quotient(1, c)
+        sign = -1 if c < 0 else 1
         n = self.generator_count
         return _inverse_series(
-            _element(n, {(0, -k): cinv}),
-            _element(n, {(mask, j - k): _canonical(-cj * cinv)
-                         for (mask, j), cj in soul.items()}),
+            _reduced(n, sign * c, {(0, -k): sign * self.den}),
+            _reduced(n, sign * c, {(mask, j - k): -sign * cj
+                                   for (mask, j), cj in soul.items()}),
             n // 2)
 
     # -- reshaping ----------------------------------------------------
@@ -565,7 +593,7 @@ class GrassmannElement:
         """View this element inside a larger algebra; indices unchanged."""
         if new_count < self.generator_count:
             raise DimensionError("cannot embed into a smaller algebra")
-        return _element(new_count, dict(self.terms))
+        return _element(new_count, self.den, dict(self.nums))
 
     # -- comparison / printing ----------------------------------------
 
@@ -575,14 +603,15 @@ class GrassmannElement:
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         return (self.generator_count == other.generator_count
-                and self.terms == other.terms)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.generator_count, frozenset(self.terms.items())))
+        return hash((self.generator_count, self.den, frozenset(self.nums.items())))
 
     def __str__(self) -> str:
-        printed = sorted(((_indices(mask), k, c)
-                          for (mask, k), c in self.terms.items()),
+        den = self.den
+        printed = sorted(((_indices(mask), k, c if den == 1 else _quotient(c, den))
+                          for (mask, k), c in self.nums.items()),
                          key=lambda t: (len(t[0]), t[0], -t[1]))
         return _signed_sum([(c, _monomial_text(k, (f"xi{i + 1}" for i in idx)))
                             for idx, k, c in printed])
@@ -591,16 +620,107 @@ class GrassmannElement:
         return f"GrassmannElement({self.generator_count}, {self!s})"
 
 
-def _element(generator_count: int, terms: dict) -> GrassmannElement:
+def _element(generator_count: int, den: int, nums: dict) -> GrassmannElement:
     """Trusted constructor for the results of closed operations.
 
-    ``terms`` must map keys ``(mask, k)``, mask the int bitmask of in-range
-    generators (bit i for xi_{i+1}) and k an int, to nonzero coefficients,
-    int when integral and Fraction otherwise, and is kept, not copied;
-    the public constructor, which takes ``{idx: coefficient}``, checks all
-    of this, this one assumes it.
+    ``nums`` must map keys ``(mask, k)``, mask the int bitmask of in-range
+    generators (bit i for xi_{i+1}) and k an int, to nonzero ints, with
+    ``den`` >= 1 and ``gcd(den, *nums.values()) == 1`` (``den`` 1 when
+    ``nums`` is empty), and is kept, not copied; the public constructor,
+    which takes ``{idx: coefficient}``, checks all of this, this one
+    assumes it.  The ``terms`` view is left unset until first read.
     """
-    out = object.__new__(GrassmannElement)
-    object.__setattr__(out, "generator_count", generator_count)
-    object.__setattr__(out, "terms", terms)
+    out = _new(GrassmannElement)
+    _set_count(out, generator_count)
+    _set_den(out, den)
+    _set_nums(out, nums)
     return out
+
+
+# The slot setters themselves: every product and fused sum builds an
+# element, thousands per Berezinian, and these skip the attribute lookup
+# of object.__setattr__.
+_new = object.__new__
+_set_count = GrassmannElement.generator_count.__set__
+_set_den = GrassmannElement.den.__set__
+_set_nums = GrassmannElement.nums.__set__
+
+
+def _reduced(generator_count: int, den: int, acc: dict) -> GrassmannElement:
+    """The element ``acc / den`` in canonical form, for any den >= 1 and
+    int values: zeros dropped, numerators and den over their gcd.  ``acc``
+    may be kept, so it must be the caller's own new dict."""
+    if 0 in acc.values():  # rare: a cancellation; a scan beats a copy
+        acc = {key: c for key, c in acc.items() if c}
+    if den != 1:
+        g = gcd(den, *acc.values())
+        if g != 1:
+            return _element(generator_count, den // g,
+                            {key: c // g for key, c in acc.items()})
+    return _element(generator_count, den, acc)
+
+
+def _over_one_denominator(terms: dict) -> tuple[int, dict]:
+    """(den, nums) of canonical terms (nonzero int or Fraction values, as
+    ``_add_terms`` leaves them), ``terms`` itself when all are ints: den
+    is the lcm of their reduced denominators, so no prime divides den and
+    every numerator."""
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return 1, terms
+    return den, {key: c.numerator * (den // c.denominator)
+                 for key, c in terms.items()}
+
+
+def _fused(generator_count: int, den: int, nums: dict, pairs) -> GrassmannElement:
+    """nums/den + sum a*b over the (a, b) of ``pairs``, canonical.
+
+    The products are summed first, over L = lcm(a.den b.den, ...), each
+    pair's left factor times L // (a.den b.den), so the one product loop
+    sums ints.  Where no product term arises (every two monomials share a
+    generator, as between sparse entries over many generators), the base
+    is the sum unchanged; otherwise it joins the products over
+    lcm(den, L) and the sum is reduced once.  Raises DimensionError unless
+    every factor has ``generator_count`` generators.
+    """
+    common = 1
+    for a, b in pairs:
+        if a.generator_count != generator_count or b.generator_count != generator_count:
+            raise _mismatch(generator_count,
+                            b if a.generator_count == generator_count else a)
+        d = a.den * b.den
+        if common % d:
+            common = lcm(common, d)
+    acc = {}
+    for a, b in pairs:
+        _accumulate(acc, a.nums, b.nums,
+                    1 if common == 1 else common // (a.den * b.den))
+    if not acc:
+        return _element(generator_count, den, nums)
+    if nums:
+        common, acc = _add_into(acc, common, nums, den)
+    return _reduced(generator_count, common, acc)
+
+
+def _add_into(acc: dict, den: int, nums: dict, nums_den: int) -> tuple[int, dict]:
+    """(denominator, numerators) of acc/den + nums/nums_den over the lcm of
+    the two denominators; ``acc`` is the caller's own dict, changed in
+    place unless it must be scaled."""
+    common = lcm(den, nums_den)
+    if common != den:
+        scale = common // den
+        acc = {key: c * scale for key, c in acc.items()}
+    scale = common // nums_den
+    get = acc.get
+    for key, c in nums.items():
+        acc[key] = get(key, 0) + c * scale
+    return common, acc
+
+
+def _mismatch(generator_count: int, other: GrassmannElement) -> DimensionError:
+    return DimensionError(
+        "elements live over different generator counts "
+        f"({generator_count} vs {other.generator_count}); embed first")

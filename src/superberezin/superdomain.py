@@ -38,7 +38,6 @@ from .grassmann import (
     _parity,
     _quotient,
     _rational,
-    _settled,
     _signed_sum,
 )
 from .supermatrix import SuperMatrix
@@ -322,9 +321,9 @@ class Polynomial:
 def _poly_accumulate(acc: dict, a: dict, b: dict, negative: bool) -> dict:
     """Add a*b, negated if ``negative``, into ``acc`` and return it.
 
-    ``a`` and ``b`` are Polynomial term dicts.  As in
-    ``grassmann._accumulate``, sums are left as they fall until
-    ``_settled``.
+    ``a`` and ``b`` are Polynomial term dicts.  Sums are left as they
+    fall: a key may end on a zero or on a Fraction whose denominator is 1
+    until ``_settled``.
     """
     get = acc.get
     right = b.items()
@@ -336,6 +335,12 @@ def _poly_accumulate(acc: dict, a: dict, b: dict, negative: bool) -> dict:
             prev = get(key)
             acc[key] = c1 * c2 if prev is None else prev + c1 * c2
     return acc
+
+
+def _settled(acc: dict) -> dict:
+    """The canonical terms of a sum: zeros dropped, integral values ints."""
+    return {key: c.numerator if type(c) is Fraction and c.denominator == 1
+            else c for key, c in acc.items() if c}
 
 
 def _poly(nvars: int, terms: dict) -> Polynomial:
@@ -428,7 +433,7 @@ class SuperFunction:
         return bool(self.coeffs)
 
     def parity(self) -> Parity | None:
-        return _parity(mask.bit_count() for mask in self.coeffs)
+        return _parity(self.coeffs)
 
     def body_polynomial(self) -> Polynomial:
         return self.coeffs.get(0, Polynomial.zero(self.shape.m))

@@ -30,11 +30,12 @@ Reading is one pass over the ``str.split()`` words of each content line.
 ``_terms`` reads an expression's words into term tuples, classifying each
 distinct word of a file once, and the callers add the terms straight into
 the key dict of ``GrassmannElement`` or ``Polynomial`` (``_add_terms``)
-and build the value with the trusted constructor.  No position is kept on
-the way: a misread word raises ``_Bad`` with its index among the words of
-its line, and only then does ``_error`` re-scan that one line for the
-word's column (one more for a minus fused onto a factor) to raise the
-``ParseError``.
+and build the value with the trusted constructor (for an element, after
+``_over_one_denominator`` puts the terms over one denominator).  No position
+is kept on the way: a misread word raises ``_Bad`` with its index among
+the words of its line, and only then does ``_error`` re-scan that one line
+for the word's column (one more for a minus fused onto a factor) to raise
+the ``ParseError``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .grassmann import (
     _element,
     _in_s,
     _indices,
+    _over_one_denominator,
 )
 from .lie_super import EVEN, ODD, LieSuperAlgebra
 from .superdomain import (
@@ -265,8 +267,8 @@ def _grassmann(words: list[str], n: int, memo: dict) -> GrassmannElement:
                        f"count {n}", 0)
     if n < 0:
         raise DimensionError("generator count must be nonnegative")
-    return _element(n, _add_terms(
-        {}, [((mask, gauss), c) for c, gauss, mask, _, _ in terms]))
+    return _element(n, *_over_one_denominator(_add_terms(
+        {}, [((mask, gauss), c) for c, gauss, mask, _, _ in terms])))
 
 
 def _polynomial(words: list[str], m: int, memo: dict):

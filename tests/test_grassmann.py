@@ -6,6 +6,7 @@ by hand and multiplying back; the tests keep those coefficients literal.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from superberezin.grassmann import (
     Parity,
     Scalar,
     _Products,
+    _canonical,
     koszul_sign,
 )
 from superberezin.errors import DimensionError, NonInvertibleError, ParityError
@@ -27,6 +29,7 @@ from superberezin.superdomain import (
     SuperDomainShape,
     SuperFunction,
 )
+from superberezin.textio import parse_grassmann
 
 
 def G(n, terms):
@@ -599,3 +602,74 @@ def test_superfunctions_on_odd_coordinates_match_grassmann_elements(
         even = even - G(N_BIG, {(): body}) + GrassmannElement.one(N_BIG)
     assert _as_superfunction(even).inv_even() == _as_superfunction(
         even.inv_even())
+
+
+# An element stores int numerators over one denominator in lowest terms,
+# and ``terms`` is the int/Fraction view of them; equal values must be
+# stored alike, whichever route built them.
+
+
+def assert_canonical(r):
+    assert type(r.den) is int and r.den >= 1
+    assert all(type(c) is int and c != 0 for c in r.nums.values())
+    assert gcd(r.den, *r.nums.values()) == 1  # so zero has den 1
+    assert r.terms == {key: _canonical(Fraction(c, r.den))
+                       for key, c in r.nums.items()}
+    for coeff in r.terms.values():
+        assert_stored(coeff)
+
+
+def assert_stored_alike(x, y):
+    assert (x.generator_count, x.den, x.nums) == (y.generator_count, y.den, y.nums)
+    assert hash(x) == hash(y)
+
+
+def _invertible_even(a):
+    """a's even part with its body replaced by 2/3 s when it is not a
+    single power of s."""
+    even = a.even_part()
+    body = even.body()
+    if len(body.terms) != 1:
+        even = (even - GrassmannElement(N_BIG, {(): body})
+                + GrassmannElement(N_BIG, {(): Scalar(Fraction(2, 3), 1)}))
+    return even
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_elements(), big_elements(), big_elements(),
+       fused_operands(big_elements(4)))
+def test_stored_form_is_canonical(a, b, c, operands):
+    base, pairs = operands
+    unit = _invertible_even(a)
+    inverse = unit.inv_even()
+    results = [a + b, a - b, a - a, a * b, -a, a * 3, Fraction(1, 6) - a,
+               base + _Products(pairs),
+               base + _Products([(-x, y) for x, y in pairs]),
+               inverse, a.soul(), a.even_part(), a.odd_part(),
+               a.embed(N_BIG + 2), GrassmannElement(N_BIG, _public_terms(a))]
+    for r in results:
+        assert_canonical(r)
+        read = parse_grassmann(str(r), r.generator_count)
+        assert_canonical(read)
+        assert_stored_alike(read, r)
+    assert_stored_alike((a * b) * c, a * (b * c))
+    assert_stored_alike(unit * inverse, GrassmannElement.one(N_BIG))
+    assert_stored_alike((a + b) - b, a)
+    assert_stored_alike(a - a, GrassmannElement.zero(N_BIG))
+
+
+def test_dropping_terms_can_shrink_the_denominator():
+    x = G(2, {(): 1, (0,): Fraction(1, 2)})
+    assert (x.den, x.nums) == (2, {(0, 0): 2, (0b1, 0): 1})
+    assert x.terms == {(0, 0): 1, (0b1, 0): Fraction(1, 2)}
+    assert x.body() == Scalar(1)
+    assert (x.even_part().den, x.even_part().nums) == (1, {(0, 0): 1})
+    assert ((x + x).den, (x + x).nums) == (1, {(0, 0): 2, (0b1, 0): 1})
+    assert ((x - x).den, (x - x).nums) == (1, {})
+    y = G(2, {(): 1, (0, 1): Fraction(1, 2)}).inv_even()
+    assert (y.den, y.nums) == (2, {(0, 0): 2, (0b11, 0): -1})
+    assert (y.soul().den, y.soul().nums) == (2, {(0b11, 0): -1})
+    z = G(2, {(): Fraction(2, 3), (0, 1): 2}).inv_even()  # 3/2 - 9/2 xi1 xi2
+    assert (z.den, z.nums) == (2, {(0, 0): 3, (0b11, 0): -9})
+    with pytest.raises(TypeError):
+        x.terms[(0, 0)] = 5

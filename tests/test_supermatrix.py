@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from superberezin import linalg
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Scalar
-from superberezin.superdomain import POSITIVE, SuperDomainShape, SuperFunction
+from superberezin.superdomain import (
+    POSITIVE,
+    Polynomial,
+    SuperDomainShape,
+    SuperFunction,
+)
 from superberezin.supermatrix import (
     SuperMatrix,
     _cramer,
@@ -138,6 +144,81 @@ def test_berezinian_over_lambda8_matches_laplace_oracle(d, seed):
         got, want = m.berezinian(), oracle_berezinian(m)
         assert got == want
         assert str(got) == str(want)
+
+
+# The Fraction route.  On a shape with no even coordinates a superfunction is
+# a Grassmann element whose coefficients stay ints or Fractions through
+# superdomain's own product loop, so the Berezinian of the same matrix with
+# (0|N) superfunction entries is an oracle independent of the integer
+# kernel of GrassmannElement.  The draws below put Fractions into the pivot
+# inverses: diagonal bodies from {+-2, +-3}, coefficients 1/2 and 2/3.
+
+FRACTION_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
+
+
+def _fraction_entry(rng, n, odd, body):
+    """A random (n-generator) entry of the given parity and body."""
+    masks = [m for m in range(1, 2 ** n) if m.bit_count() % 2 == odd]
+    terms = {} if odd or not body else {(): body}
+    for mask in rng.sample(masks, rng.randint(0, 3)):
+        idx = tuple(i for i in range(n) if mask >> i & 1)
+        terms[idx] = rng.choice(FRACTION_COEFFS)
+    return GrassmannElement(n, terms)
+
+
+def _fraction_supermatrix(seed):
+    """A seeded invertible even (p|q) <= (4|4) over Lambda_4..Lambda_8."""
+    rng = random.Random(f"fraction-route/{seed}")
+    p, q, n = rng.randint(0, 4), rng.randint(0, 4), rng.randint(4, 8)
+    size = p + q
+    while True:
+        bodies = [[rng.choice((2, -2, 3, -3)) if i == j else
+                   rng.choice((0, 0, 1, -1, Fraction(1, 2), Fraction(2, 3)))
+                   for j in range(size)] for i in range(size)]
+        blocks = ([row[:p] for row in bodies[:p]], [row[p:] for row in bodies[p:]])
+        if all(not block or linalg.det(block) for block in blocks):
+            break
+    entries = [[_fraction_entry(rng, n, (i >= p) != (j >= p), bodies[i][j])
+                for j in range(size)] for i in range(size)]
+    return SuperMatrix(p, q, entries, zero=GrassmannElement.zero(n),
+                       one=GrassmannElement.one(n))
+
+
+def _terms_by_index(a):
+    """a's {index tuple: Scalar} terms, as both public constructors take them."""
+    out = {}
+    for (mask, k), c in a.terms.items():
+        idx = tuple(i for i in range(a.generator_count) if mask >> i & 1)
+        out[idx] = out.get(idx, Scalar(0)) + Scalar(c, k)
+    return out
+
+
+def _on_odd_coordinates(x):
+    shape = SuperDomainShape(0, (), x.zero.generator_count)
+    entries = [[SuperFunction(shape, {idx: Polynomial(0, {(): c})
+                                      for idx, c in _terms_by_index(e).items()})
+                for e in row] for row in x.entries]
+    return SuperMatrix(x.p, x.q, entries, zero=SuperFunction.zero(shape),
+                       one=SuperFunction.one(shape))
+
+
+def _sectors(f):
+    return [(idx, f.coefficient(idx)) for size in range(f.shape.n + 1)
+            for idx in itertools.combinations(range(f.shape.n), size)
+            if f.coefficient(idx)]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_berezinian_matches_the_fraction_route(seed):
+    x = _fraction_supermatrix(seed)
+    got = x.berezinian()
+    want = _on_odd_coordinates(x).berezinian()
+    n = got.generator_count
+    assert got == GrassmannElement(n, {idx: poly.coefficient(())
+                                       for idx, poly in _sectors(want)})
+    for size in range(n + 1):
+        for idx in itertools.combinations(range(n), size):
+            assert got.coefficient(idx) == want.coefficient(idx).coefficient(())
 
 
 # det [[x+2, x+1], [x+3, x+2]] = 1, yet no entry is a Laurent monomial, so
