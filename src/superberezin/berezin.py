@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     OrientationError,
     StructureError,
 )
-from .grassmann import ODD, Scalar
+from .grassmann import ODD, Scalar, _in_s, _quotient
 from .linalg import det as rational_det
 from .superdomain import (
     Axis,
@@ -104,7 +105,15 @@ class IntegrationBackend:
     def integrate_polynomial(self, poly: Polynomial,
                              axes: Sequence[Axis]) -> Scalar:
         """Each term c s^k x^e integrates axis by axis; a Gaussian axis
-        contributes one factor s = sqrt(2 pi)."""
+        contributes one factor s = sqrt(2 pi).
+
+        Each axis's moments are computed once per exponent and put over one
+        denominator, so a term's value is an int numerator over the
+        product of those denominators and the poly's own: the sum is taken
+        by power of s in ints and divided once.  As term by term, a moment
+        that cannot be taken raises only when a term with a nonzero value
+        so far reaches it.
+        """
         if self.kind == "gaussian_moments":
             for k, axis in enumerate(axes):
                 if isinstance(axis, Interval) or not axis.contains(Fraction(-1)):
@@ -114,14 +123,47 @@ class IntegrationBackend:
         else:
             moments = [partial(_box_monomial, iv) for iv in self.resolve_box(axes)]
             shift = 0
-        total = Scalar.zero()
-        for exps, coeff in poly.terms.items():
-            for moment, e in zip(moments, exps):
-                coeff *= moment(e)
-                if not coeff:
+        den = poly.den
+        tables = []
+        for i, moment in enumerate(moments):
+            axis_den, table = _moment_table(moment, {exps[i] for exps in poly.nums})
+            den *= axis_den
+            tables.append(table)
+        sums = {}
+        for exps, c in poly.nums.items():
+            for table, e in zip(tables, exps):
+                v = table[e]
+                if type(v) is not int:
+                    raise v
+                c *= v
+                if not c:
                     break
-            total = total + Scalar(coeff, exps[-1] + shift)
-        return total
+            else:
+                k = exps[-1] + shift
+                sums[k] = sums.get(k, 0) + c
+        return _in_s({k: c if den == 1 else _quotient(c, den)
+                      for k, c in sums.items() if c})
+
+
+def _moment_table(moment, exponents) -> tuple[int, dict]:
+    """(d, {e: the int numerator of moment(e) over d}) for these exponents,
+    d the lcm of the moments' denominators; an exponent whose moment
+    raised NonIntegrableError maps to that error instead."""
+    table, den = {}, 1
+    for e in exponents:
+        try:
+            v = moment(e)
+        except NonIntegrableError as exc:
+            v = exc
+        else:
+            if type(v) is not int and den % v.denominator:
+                den = lcm(den, v.denominator)
+        table[e] = v
+    if den == 1:
+        return 1, table
+    return den, {e: v if type(v) is NonIntegrableError
+                 else v.numerator * (den // v.denominator)
+                 for e, v in table.items()}
 
 
 def _gaussian_moment(e: int) -> int:
@@ -137,12 +179,13 @@ def _gaussian_moment(e: int) -> int:
     return value
 
 
-def _box_monomial(iv: Interval, e: int) -> Fraction:
+def _box_monomial(iv: Interval, e: int):
+    """The integral of x^e over the interval, in stored form."""
     if e == -1:
         raise NonIntegrableError("exponent -1 has no rational antiderivative")
     if e < 0 and iv.lo <= 0 <= iv.hi:
         raise NonIntegrableError(f"pole at 0 inside the box {iv}")
-    return Fraction(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 1)
+    return _quotient(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 1)
 
 
 GAUSSIAN = IntegrationBackend("gaussian_moments")

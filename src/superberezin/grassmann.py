@@ -646,18 +646,20 @@ _set_den = GrassmannElement.den.__set__
 _set_nums = GrassmannElement.nums.__set__
 
 
-def _reduced(generator_count: int, den: int, acc: dict) -> GrassmannElement:
-    """The element ``acc / den`` in canonical form, for any den >= 1 and
-    int values: zeros dropped, numerators and den over their gcd.  ``acc``
-    may be kept, so it must be the caller's own new dict."""
+def _reduced(count: int, den: int, acc: dict, build=_element):
+    """``build(count, den, nums)`` of ``acc / den`` in canonical form, for
+    any den >= 1 and int values: zeros dropped, numerators and den over
+    their gcd, so an empty sum has den 1.  ``acc`` may be kept, so it must
+    be the caller's own new dict.  The one reduction of both
+    representations: ``build`` is ``_element`` (count the generator count)
+    or ``superdomain._poly`` (count the variable count)."""
     if 0 in acc.values():  # rare: a cancellation; a scan beats a copy
         acc = {key: c for key, c in acc.items() if c}
     if den != 1:
         g = gcd(den, *acc.values())
         if g != 1:
-            return _element(generator_count, den // g,
-                            {key: c // g for key, c in acc.items()})
-    return _element(generator_count, den, acc)
+            return build(count, den // g, {key: c // g for key, c in acc.items()})
+    return build(count, den, acc)
 
 
 def _over_one_denominator(terms: dict) -> tuple[int, dict]:

@@ -25,7 +25,7 @@ from .berezin import (
     product_section,
     pullback_section,
 )
-from .grassmann import EVEN, ODD, GrassmannElement, Parity
+from .grassmann import EVEN, ODD, GrassmannElement, Parity, _element, _mask
 from .koszul import homological_berezinian
 from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
                         gl11_algebra, unimodularity_check)
@@ -63,10 +63,11 @@ class CheckLine:
 
 
 @functools.cache
-def _monomials(n: int, parity: Parity | None) -> tuple[tuple[int, ...], ...]:
-    """The index tuples on n generators of one parity (all for None), by
-    size and then lexicographically."""
-    return tuple(idx for size in range(n + 1)
+def _monomial_keys(n: int, parity: Parity | None) -> tuple[tuple[int, int], ...]:
+    """The term keys (mask, 0) of the odd monomials on n generators of one
+    parity (all for None), by size and then lexicographically by index
+    tuple."""
+    return tuple((_mask(idx), 0) for size in range(n + 1)
                  if parity is None or size % 2 == parity.value
                  for idx in combinations(range(n), size))
 
@@ -77,17 +78,19 @@ def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
     """Random element of the algebra on n generators, optionally homogeneous.
 
     With ensure_body the unit coefficient is forced nonzero (only sensible
-    for even elements).  Coefficients are integers in [-3, 3].
+    for even elements).  Coefficients are integers in [-3, 3].  The terms
+    are drawn straight as keys of the element's integer form and built
+    with the trusted constructor.
     """
-    indices = _monomials(n, parity)
-    terms = {}
+    keys = _monomial_keys(n, parity)
+    nums = {}
     for _ in range(rng.randint(1, max_terms)):
-        idx = rng.choice(indices)
+        key = rng.choice(keys)
         coeff = rng.randint(-3, 3)
-        terms[idx] = terms.get(idx, 0) + coeff
-    if ensure_body and not terms.get(()):
-        terms[()] = rng.choice((-3, -2, -1, 1, 2, 3))
-    return GrassmannElement(n, terms)
+        nums[key] = nums.get(key, 0) + coeff
+    if ensure_body and not nums.get((0, 0)):
+        nums[(0, 0)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return _element(n, 1, {key: c for key, c in nums.items() if c})
 
 
 def _body_matrix(block) -> list[list[Fraction]]:

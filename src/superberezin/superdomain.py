@@ -4,18 +4,23 @@ A superdomain here is a box in R^m together with n odd coordinates.
 Functions are finite sums Σ_α ξ^α f_α where the f_α are Laurent
 polynomials with rational coefficients in the even coordinates and
 s = sqrt(2π) — integer exponents may be negative, which is how the
-multiplicative-group densities like a^{-1} stay exact.  A coefficient is
-stored as an int when integral and as a Fraction otherwise.  Each sector
-ξ^α is keyed by its generator mask, as in ``grassmann``.
+multiplicative-group densities like a^{-1} stay exact.  A polynomial
+stores its coefficients as int numerators over one shared denominator in
+lowest terms, as a ``GrassmannElement`` does, so products, the pullback's
+linear combinations and box integrals run on ints; a coefficient becomes
+an int or Fraction only where it is read (``terms``, ``coefficient``,
+printing).  Each sector ξ^α is keyed by its generator mask, as in
+``grassmann``.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 from operator import add
+from types import MappingProxyType
 
 from .errors import (
     DimensionError,
@@ -26,6 +31,7 @@ from .errors import (
 from .grassmann import EVEN, ODD, Parity, Scalar
 from .grassmann import (
     _Products,
+    _add_into,
     _add_terms,
     _canonical,
     _checked_mask,
@@ -35,9 +41,11 @@ from .grassmann import (
     _lookup_mask,
     _monomial_text,
     _odd_swaps,
+    _over_one_denominator,
     _parity,
     _quotient,
     _rational,
+    _reduced,
     _signed_sum,
 )
 from .supermatrix import SuperMatrix
@@ -151,19 +159,29 @@ def shape_product(s1: SuperDomainShape, s2: SuperDomainShape) -> SuperDomainShap
 class Polynomial:
     """Laurent polynomial in m even variables and s, rational coefficients.
 
-    ``terms`` maps each key ``(e_1, ..., e_m, k)``, the exponents of the
-    variables and then the power of s, to its nonzero coefficient: int
-    when integral, Fraction otherwise.
-    The public constructor takes ``{(e_1, ..., e_m): coefficient}`` with
-    Scalar, int or Fraction coefficients.
+    A value is stored as ``GrassmannElement`` stores its own: ``nums`` maps
+    each key ``(e_1, ..., e_m, k)``, the exponents of the variables and
+    then the power of s, to a nonzero int, and ``den`` is an int >= 1, the
+    coefficient of the term being ``nums[key] / den``.  The form is
+    canonical: ``gcd(den, *nums.values()) == 1`` and zero has ``den == 1``,
+    so equal values are stored alike and the product loop, the pullback's
+    linear combinations and the box integrals multiply and add only ints.
+    ``terms`` is the read-only canonical view ``{key: coefficient}``, the
+    coefficient an int when integral and a Fraction otherwise, built when
+    read (its Fractions once).  The public constructor takes
+    ``{(e_1, ..., e_m): coefficient}`` with int exponents and Scalar, int
+    or Fraction coefficients.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "nums", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping = ()):
         checked = []
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            for e in exps:
+                if not isinstance(e, int):
+                    raise TypeError("exponents must be integers")
             if len(exps) != nvars:
                 raise DimensionError("exponent tuple has wrong length")
             if isinstance(coeff, (int, Fraction)):
@@ -171,16 +189,32 @@ class Polynomial:
             else:
                 checked.extend((exps + (k,), c)
                                for k, c in Scalar.coerce(coeff).terms.items())
-        normalized = _add_terms({}, checked)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", normalized)
+        den, nums = _over_one_denominator(_add_terms({}, checked))
+        _set_nvars(self, nvars)
+        _set_den(self, den)
+        _set_nums(self, nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], object]:
+        """The canonical view ``{key: coefficient}`` of ``nums/den``; its
+        Fractions are built once, on first read."""
+        if self.den == 1:
+            return MappingProxyType(self.nums)
+        try:
+            return self._terms
+        except AttributeError:
+            den = self.den
+            view = MappingProxyType({key: _quotient(c, den)
+                                     for key, c in self.nums.items()})
+            object.__setattr__(self, "_terms", view)
+            return view
+
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars)
+        return _poly(nvars, 1, {})
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
@@ -198,10 +232,10 @@ class Polynomial:
         return Polynomial(nvars, {exps: 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def _coerce(self, value) -> "Polynomial":
         if isinstance(value, Polynomial):
@@ -216,12 +250,13 @@ class Polynomial:
         other = self._coerce(other)
         if self.nvars != other.nvars:
             raise DimensionError("polynomials in different variable counts")
-        return _poly(self.nvars, _add_terms(dict(self.terms), other.terms.items()))
+        den, nums = _add_into(dict(self.nums), self.den, other.nums, other.den)
+        return _reduced(self.nvars, den, nums, _poly)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, self.den, {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -235,8 +270,8 @@ class Polynomial:
         other = self._coerce(other)
         if self.nvars != other.nvars:
             raise DimensionError("polynomials in different variable counts")
-        return _poly(self.nvars,
-                     _settled(_poly_accumulate({}, self.terms, other.terms, False)))
+        return _reduced(self.nvars, self.den * other.den,
+                        _poly_accumulate({}, self.nums, other.nums, 1), _poly)
 
     __rmul__ = __mul__
 
@@ -253,44 +288,60 @@ class Polynomial:
         return out
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.nums) == 1
 
     def monomial_inverse(self) -> "Polynomial":
-        """Inverse of c·s^k·x^e, the only invertible Laurent shapes."""
-        if len(self.terms) != 1:
+        """Inverse of c·s^k·x^e, the only invertible Laurent shapes.
+
+        The one term is c/den in lowest terms, so its inverse den/c is too.
+        """
+        if len(self.nums) != 1:
             raise NonInvertibleError(
                 "only monomials are invertible in the Laurent polynomial ring"
             )
-        (exps, coeff), = self.terms.items()
-        return _poly(self.nvars, {tuple(-e for e in exps): _quotient(1, coeff)})
+        (exps, c), = self.nums.items()
+        sign = -1 if c < 0 else 1
+        return _poly(self.nvars, sign * c, {tuple(-e for e in exps): sign * self.den})
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
             raise DimensionError("variable index out of range")
-        terms = {}
-        for exps, coeff in self.terms.items():
+        nums = {}
+        for exps, c in self.nums.items():
             e = exps[i]
-            if e == 0:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1:]
-            terms[new] = _canonical(coeff * e)
-        return _poly(self.nvars, terms)
+            if e:
+                nums[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+        return _reduced(self.nvars, self.den, nums, _poly)
 
     def evaluate(self, point: Sequence[Fraction]) -> Scalar:
-        """The value at a rational point, a value in s."""
+        """The value at a rational point, a value in s.
+
+        Each term's value is an int numerator over an int denominator, the
+        terms of one power of s are summed as such, and each sum is divided
+        by the denominators once.
+        """
         if len(point) != self.nvars:
             raise DimensionError("evaluation point has wrong length")
         point = [_rational(x) for x in point]
-        pieces = []
-        for exps, coeff in self.terms.items():
+        sums = {}
+        for exps, c in self.nums.items():
+            d = 1
             for x, e in zip(point, exps):
-                if e == 0:
-                    continue
-                if x == 0 and e < 0:
-                    raise ZeroDivisionError("negative exponent at zero")
-                coeff *= x ** e if e > 0 else Fraction(1, x ** -e)
-            pieces.append((exps[-1], coeff))
-        return _in_s(_add_terms({}, pieces))
+                if e > 0:
+                    c *= x.numerator ** e
+                    d *= x.denominator ** e
+                elif e:
+                    if x == 0:
+                        raise ZeroDivisionError("negative exponent at zero")
+                    c *= x.denominator ** -e
+                    d *= x.numerator ** -e
+            k = exps[-1]
+            prev = sums.get(k)
+            sums[k] = (c, d) if prev is None else (prev[0] * d + c * prev[1],
+                                                   prev[1] * d)
+        den = self.den
+        return _in_s({k: c if d == den == 1 else _quotient(c, d * den)
+                      for k, (c, d) in sums.items() if c})
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
         """The coefficient of x^exps, a value in s."""
@@ -302,34 +353,35 @@ class Polynomial:
             other = self._coerce(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def __str__(self) -> str:
+        terms = self.terms
         return _signed_sum([
-            (self.terms[exps], _monomial_text(exps[-1], (
+            (terms[exps], _monomial_text(exps[-1], (
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                 for i, e in enumerate(exps[:-1]) if e != 0)))
-            for exps in sorted(self.terms, key=lambda e: (e[:-1], -e[-1]))])
+            for exps in sorted(terms, key=lambda e: (e[:-1], -e[-1]))])
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self!s})"
 
 
-def _poly_accumulate(acc: dict, a: dict, b: dict, negative: bool) -> dict:
-    """Add a*b, negated if ``negative``, into ``acc`` and return it.
+def _poly_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
+    """Add scale*a*b into ``acc`` and return it.
 
-    ``a`` and ``b`` are Polynomial term dicts.  Sums are left as they
-    fall: a key may end on a zero or on a Fraction whose denominator is 1
-    until ``_settled``.
+    ``a`` and ``b`` are numerator dicts as ``Polynomial.nums``, so every
+    product and sum is of ints.  Sums are left as they fall: a key may end
+    on zero until ``_reduced``.
     """
     get = acc.get
     right = b.items()
     for e1, c1 in a.items():
-        if negative:
-            c1 = -c1
+        c1 *= scale
         for e2, c2 in right:
             key = tuple(map(add, e1, e2))
             prev = get(key)
@@ -337,24 +389,28 @@ def _poly_accumulate(acc: dict, a: dict, b: dict, negative: bool) -> dict:
     return acc
 
 
-def _settled(acc: dict) -> dict:
-    """The canonical terms of a sum: zeros dropped, integral values ints."""
-    return {key: c.numerator if type(c) is Fraction and c.denominator == 1
-            else c for key, c in acc.items() if c}
-
-
-def _poly(nvars: int, terms: dict) -> Polynomial:
+def _poly(nvars: int, den: int, nums: dict) -> Polynomial:
     """Trusted constructor for the results of closed Polynomial operations.
 
-    ``terms`` must map int tuples of length ``nvars + 1`` (the power of s
-    last) to nonzero coefficients, int when integral and Fraction
-    otherwise, and is kept, not copied; the public
-    constructor checks all of this, this one assumes it.
+    ``nums`` must map int tuples of length ``nvars + 1`` (the power of s
+    last) to nonzero ints, with ``den`` >= 1 and
+    ``gcd(den, *nums.values()) == 1`` (``den`` 1 when ``nums`` is empty),
+    and is kept, not copied; the public constructor checks all of this,
+    this one assumes it.  The ``terms`` view is left unset until first read.
     """
-    out = object.__new__(Polynomial)
-    object.__setattr__(out, "nvars", nvars)
-    object.__setattr__(out, "terms", terms)
+    out = _new(Polynomial)
+    _set_nvars(out, nvars)
+    _set_den(out, den)
+    _set_nums(out, nums)
     return out
+
+
+# The slot setters themselves, as in ``grassmann``: every product builds a
+# Polynomial, and these skip the attribute lookup of object.__setattr__.
+_new = object.__new__
+_set_nvars = Polynomial.nvars.__set__
+_set_den = Polynomial.den.__set__
+_set_nums = Polynomial.nums.__set__
 
 
 def binomial_coefficient(e: int, j: int) -> Fraction:
@@ -362,7 +418,7 @@ def binomial_coefficient(e: int, j: int) -> Fraction:
     num = Fraction(1)
     for t in range(j):
         num *= Fraction(e - t)
-    return Fraction(num, math.factorial(j))
+    return Fraction(num, factorial(j))
 
 
 # -- superfunctions --------------------------------------------------------
@@ -374,8 +430,8 @@ class SuperFunction:
     ``coeffs`` maps the generator mask of each α (bit j for ξ_{j+1}) to
     the nonzero Polynomial f_α; the constructor, ``coefficient`` and
     ``str`` speak in index tuples.  ``self + _Products(pairs)``, the fused
-    base + sum a*b of the supermatrix ring protocol, and ``*`` share one
-    product loop, ``_graded_accumulate``.
+    base + sum a*b of the supermatrix ring protocol, and ``*`` are one
+    operation, ``_fused``, around one product loop, ``_graded_accumulate``.
     """
 
     __slots__ = ("shape", "coeffs")
@@ -436,7 +492,8 @@ class SuperFunction:
         return _parity(self.coeffs)
 
     def body_polynomial(self) -> Polynomial:
-        return self.coeffs.get(0, Polynomial.zero(self.shape.m))
+        body = self.coeffs.get(0)
+        return Polynomial.zero(self.shape.m) if body is None else body
 
     def _select(self, keep) -> "SuperFunction":
         return _sf(self.shape, {mask: p for mask, p in self.coeffs.items()
@@ -452,8 +509,8 @@ class SuperFunction:
         return self._select(lambda mask: mask.bit_count() & 1)
 
     def coefficient(self, odd_index: Iterable[int]) -> Polynomial:
-        return self.coeffs.get(_lookup_mask(odd_index, self.shape.n),
-                               Polynomial.zero(self.shape.m))
+        coeff = self.coeffs.get(_lookup_mask(odd_index, self.shape.n))
+        return Polynomial.zero(self.shape.m) if coeff is None else coeff
 
     def evaluate_body(self, point: Sequence[Fraction]) -> Scalar:
         return self.body_polynomial().evaluate(point)
@@ -477,12 +534,10 @@ class SuperFunction:
 
     def __add__(self, other) -> "SuperFunction":
         if type(other) is _Products:
-            acc = {mask: dict(poly.terms) for mask, poly in self.coeffs.items()}
             for a, b in other:
                 self._check_shape(a)
                 self._check_shape(b)
-                _graded_accumulate(acc, a.coeffs, b.coeffs)
-            return _settled_sf(self.shape, acc)
+            return _fused(self.shape, self.coeffs, other)
         other = self._coerce(other)
         self._check_shape(other)
         return _sf(self.shape, _add_terms(dict(self.coeffs), other.coeffs.items()))
@@ -501,8 +556,7 @@ class SuperFunction:
     def __mul__(self, other) -> "SuperFunction":
         other = self._coerce(other)
         self._check_shape(other)
-        return _settled_sf(self.shape,
-                           _graded_accumulate({}, self.coeffs, other.coeffs))
+        return _fused(self.shape, {}, ((self, other),))
 
     def __rmul__(self, other) -> "SuperFunction":
         # even coefficients are central; odd SuperFunctions must use *
@@ -518,10 +572,11 @@ class SuperFunction:
 
     def _scaled(self, unit: Polynomial) -> "SuperFunction":
         """This superfunction times the one-term polynomial unit, term by term."""
-        (shift, c), = unit.terms.items()
+        (shift, c), = unit.nums.items()
         return _sf(self.shape, {
-            mask: _poly(poly.nvars, {tuple(map(add, exps, shift)): _canonical(cc * c)
-                                     for exps, cc in poly.terms.items()})
+            mask: _reduced(poly.nvars, poly.den * unit.den, {
+                tuple(map(add, exps, shift)): cc * c
+                for exps, cc in poly.nums.items()}, _poly)
             for mask, poly in self.coeffs.items()})
 
     # -- derivatives ------------------------------------------------------
@@ -562,9 +617,9 @@ class SuperFunction:
         right = (0,) * (shape.m - even_offset - self.shape.m)
         coeffs = {}
         for mask, poly in self.coeffs.items():
-            coeffs[mask << odd_offset] = _poly(shape.m, {
-                left + exps[:-1] + right + exps[-1:]: coeff
-                for exps, coeff in poly.terms.items()})
+            coeffs[mask << odd_offset] = _poly(shape.m, poly.den, {
+                left + exps[:-1] + right + exps[-1:]: c
+                for exps, c in poly.nums.items()})
         return _sf(shape, coeffs)
 
     # -- comparison / printing ---------------------------------------------
@@ -577,9 +632,7 @@ class SuperFunction:
         return self.shape == other.shape and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.shape, frozenset(
-            (mask, frozenset(p.terms.items())) for mask, p in self.coeffs.items()
-        )))
+        return hash((self.shape, frozenset(self.coeffs.items())))
 
     def __str__(self) -> str:
         parts = []
@@ -587,7 +640,7 @@ class SuperFunction:
             mono = " ".join(f"xi{j + 1}" for j in idx)
             p = str(poly)
             if mono:
-                if len(poly.terms) > 1:
+                if len(poly.nums) > 1:
                     parts.append(f"({p}) {mono}")
                 elif p == "1":
                     parts.append(mono)
@@ -620,12 +673,16 @@ def _sectors(f: SuperFunction) -> list[tuple[tuple[int, ...], Polynomial]]:
                   key=lambda sector: (len(sector[0]), sector[0]))
 
 
-def _graded_accumulate(acc: dict, a: dict, b: dict) -> dict:
+def _graded_accumulate(acc: dict, dens: dict, a: dict, b: dict) -> dict:
     """Add a*b into ``acc`` and return it.
 
     ``a`` and ``b`` are SuperFunction coefficient dicts; ``acc`` maps masks
-    to Polynomial term dicts, unsettled until ``_settled_sf``.  The loop is
-    ``grassmann._accumulate``'s, with one ``_poly_accumulate`` per pair.
+    to numerator dicts, unreduced until ``_reduced``, each over its
+    denominator in ``dens`` (``_sector_over``), a pair of sectors
+    contributing over the product of their denominators.  The loop is
+    ``grassmann._accumulate``'s, with one ``_poly_accumulate`` per pair of
+    sectors, scaled by its sign and by the sector's denominator over the
+    pair's.
     """
     right = b.items()
     for ma, pa in a.items():
@@ -633,22 +690,60 @@ def _graded_accumulate(acc: dict, a: dict, b: dict) -> dict:
         for mb, pb in right:
             if ma & mb:
                 continue
-            key = ma | mb
-            sector = acc.get(key)
-            if sector is None:
-                sector = acc[key] = {}
-            _poly_accumulate(sector, pa.terms, pb.terms,
-                             (swaps & mb).bit_count() & 1)
+            sector, scale = _sector_over(acc, dens, ma | mb, pa.den * pb.den)
+            _poly_accumulate(sector, pa.nums, pb.nums,
+                             -scale if (swaps & mb).bit_count() & 1 else scale)
     return acc
 
 
-def _settled_sf(shape: SuperDomainShape, acc: dict) -> SuperFunction:
-    """The superfunction of an accumulated sum, each sector ``_settled``."""
+def _fused(shape: SuperDomainShape, base: dict, pairs) -> SuperFunction:
+    """base + sum a*b over the (a, b) of ``pairs``, canonical.
+
+    ``base`` is a SuperFunction coefficient dict.  Each sector sums its
+    base numerators and its products over one denominator
+    (``_graded_accumulate``), so the one product loop sums ints, and is
+    then reduced once.
+    """
+    acc, dens = {}, {}
+    for mask, poly in base.items():
+        acc[mask] = dict(poly.nums)
+        dens[mask] = poly.den
+    for a, b in pairs:
+        _graded_accumulate(acc, dens, a.coeffs, b.coeffs)
+    return _reduced_sf(shape, dens, acc)
+
+
+def _sector_over(acc: dict, dens: dict, key, d: int) -> tuple[dict, int]:
+    """(acc[key], dens[key] // d), the sector's numerator dict put over a
+    denominator that d divides, for terms over d to be summed into.
+
+    A new sector starts over d; an existing one whose denominator d does
+    not divide is first scaled up to the lcm of the two, so each sector
+    ends over the lcm of the denominators summed into it.
+    """
+    sector = acc.get(key)
+    if sector is None:
+        acc[key] = sector = {}
+        dens[key] = d
+        return sector, 1
+    den = dens[key]
+    if den % d:
+        common = lcm(den, d)
+        up = common // den
+        for e in sector:
+            sector[e] *= up
+        dens[key] = den = common
+    return sector, den // d
+
+
+def _reduced_sf(shape: SuperDomainShape, dens, acc: dict) -> SuperFunction:
+    """The superfunction whose sector at each mask of ``acc`` is its
+    numerator dict over ``dens[mask]``, reduced by ``_reduced``."""
     coeffs = {}
-    for mask, terms in acc.items():
-        terms = _settled(terms)
-        if terms:
-            coeffs[mask] = _poly(shape.m, terms)
+    for mask, nums in acc.items():
+        poly = _reduced(shape.m, dens[mask], nums, _poly)
+        if poly.nums:
+            coeffs[mask] = poly
     return _sf(shape, coeffs)
 
 
@@ -753,16 +848,23 @@ class SuperMorphism:
         return f"SuperMorphism({self.source} -> {self.target})"
 
 
-def _linear_combination(shape: SuperDomainShape, triples) -> SuperFunction:
-    """Σ c·s^k·F over (k, rational c, SuperFunction F), summed term by term."""
-    acc: dict[int, dict] = {}
+def _linear_combination(shape: SuperDomainShape, den: int, triples) -> SuperFunction:
+    """Σ c·s^k·F / den over (k, int c, SuperFunction F), summed term by term,
+    each sector over den times the lcm of the denominators summed into it
+    (``_sector_over``)."""
+    acc, dens = {}, {}
     for k, c, func in triples:
         for mask, poly in func.coeffs.items():
-            _add_terms(acc.setdefault(mask, {}), [
-                (exps[:-1] + (exps[-1] + k,) if k else exps, c * coeff)
-                for exps, coeff in poly.terms.items()])
-    return _sf(shape, {mask: _poly(shape.m, terms)
-                       for mask, terms in acc.items() if terms})
+            sector, scale = _sector_over(acc, dens, mask, poly.den)
+            get = sector.get
+            scale *= c
+            for exps, num in poly.nums.items():
+                if k:
+                    exps = exps[:-1] + (exps[-1] + k,)
+                sector[exps] = get(exps, 0) + scale * num
+    if den != 1:
+        dens = {mask: d * den for mask, d in dens.items()}
+    return _reduced_sf(shape, dens, acc)
 
 
 def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
@@ -800,10 +902,11 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
             power_cache[(k, p)] = acc
         return acc
 
-    def expand(terms: list, k: int) -> SuperFunction:
-        """Σ c·s^t·Π_{i≥k} φ_i^{e_i} over the (key (e, t), c) in terms."""
+    def expand(terms: list, k: int, den: int) -> SuperFunction:
+        """Σ c·s^t·Π_{i≥k} φ_i^{e_i} / den over the (key (e, t), int c) in
+        terms."""
         if k >= m - 1:
-            return _linear_combination(src, [
+            return _linear_combination(src, den, [
                 (exps[-1], c, even_power(k, exps[k]) if m and exps[k] else one)
                 for exps, c in terms])
         groups: dict[int, list] = {}
@@ -811,7 +914,7 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
             groups.setdefault(term[0][k], []).append(term)
         acc = None
         for e, group in groups.items():
-            part = expand(group, k + 1)
+            part = expand(group, k + 1, den)
             if e:
                 part = even_power(k, e) * part
             acc = part if acc is None else acc + part
@@ -824,7 +927,7 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
             odd_factor = odd_factor * phi.odd_components[j]
         if odd_factor.is_zero():
             continue
-        image = expand(list(poly.terms.items()), 0)
+        image = expand(list(poly.nums.items()), 0, poly.den)
         parts.append(image * odd_factor if alpha else image)
     return sum(parts, SuperFunction.zero(src))
 
@@ -919,16 +1022,17 @@ def split_product_function(f: SuperFunction, left: SuperDomainShape,
     """
     if f.shape != shape_product(left, right):
         raise DimensionError("function does not live on the stated product")
-    # (left exponents, left odd mask) -> right odd mask -> right terms;
-    # the power of s stays with the right factor
+    # (left exponents, left odd mask) -> right odd mask -> (den, right
+    # numerators): the terms of one sector of f, over its den; the power of
+    # s stays with the right factor
     low = (1 << left.n) - 1
     grouped: dict[tuple, dict] = {}
     for mask, poly in f.coeffs.items():
-        for exps, coeff in poly.terms.items():
+        for exps, c in poly.nums.items():
             bucket = grouped.setdefault((exps[:left.m], mask & low), {})
-            bucket.setdefault(mask >> left.n, {})[exps[left.m:]] = coeff
-    return [(_sf(left, {left_odd: _poly(left.m, {left_exps + (0,): 1})}),
-             _sf(right, {r_odd: _poly(right.m, terms)
-                         for r_odd, terms in bucket.items()}))
+            bucket.setdefault(mask >> left.n, (poly.den, {}))[1][exps[left.m:]] = c
+    return [(_sf(left, {left_odd: _poly(left.m, 1, {left_exps + (0,): 1})}),
+             _sf(right, {r_odd: _reduced(right.m, den, nums, _poly)
+                         for r_odd, (den, nums) in bucket.items()}))
             for (left_exps, left_odd), bucket in sorted(
                 grouped.items(), key=lambda item: (item[0][0], _indices(item[0][1])))]

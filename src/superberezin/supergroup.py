@@ -336,9 +336,11 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
         else:
             image = factor
         images[(odd_part, exps)] = image
-        # minus phi itself, whose key on the doubled shape is (I, 0, e, s^0)
+        # minus phi itself, whose key on the doubled shape is (I, 0, e, s^0);
+        # over den 1 the numerators are the coefficients, with no view built
         residual = {(mask, e2): c for mask, poly in image.coeffs.items()
-                    for e2, c in poly.terms.items()}
+                    for e2, c in (poly.nums if poly.den == 1
+                                  else poly.terms).items()}
         own = (_mask(odd_part), zero + exps + (0,))
         residual[own] = residual.get(own, 0) - 1
         for key, c in residual.items():

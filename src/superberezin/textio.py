@@ -30,8 +30,8 @@ Reading is one pass over the ``str.split()`` words of each content line.
 ``_terms`` reads an expression's words into term tuples, classifying each
 distinct word of a file once, and the callers add the terms straight into
 the key dict of ``GrassmannElement`` or ``Polynomial`` (``_add_terms``)
-and build the value with the trusted constructor (for an element, after
-``_over_one_denominator`` puts the terms over one denominator).  No position
+and build the value with the trusted constructor, after
+``_over_one_denominator`` puts the terms over one denominator.  No position
 is kept on the way: a misread word raises ``_Bad`` with its index among
 the words of its line, and only then does ``_error`` re-scan that one line
 for the word's column (one more for a minus fused onto a factor) to raise
@@ -282,9 +282,9 @@ def _polynomial(words: list[str], m: int, memo: dict):
                 raise _Bad(f"variable x{i + 1} exceeds the declared "
                            f"count {m}", 0)
     zeros = (0,) * m
-    return _poly(m, _add_terms({}, [
+    return _poly(m, *_over_one_denominator(_add_terms({}, [
         ((tuple([even.get(i, 0) for i in range(m)]) if even else zeros)
-         + (gauss,), c) for c, gauss, _, _, even in terms]))
+         + (gauss,), c) for c, gauss, _, _, even in terms])))
 
 
 def _expression(text: str, empty: str, read):

@@ -9,6 +9,8 @@ s = sqrt(2 pi)) or from rational antiderivatives on boxes.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from superberezin import (
     GAUSSIAN,
@@ -123,6 +125,55 @@ def test_non_integrable_cases():
     with pytest.raises(NonIntegrableError):
         integrate(BerezinSection.make(LINE, SuperFunction.coordinate(LINE, 0, -2)),
                   GAUSSIAN)
+
+
+def test_a_zero_moment_ends_a_term_before_a_moment_that_cannot_be_taken():
+    # the axes are integrated in order: x1 has a zero moment, so x2^-1 is
+    # never reached; x1^2 x2^-1 reaches it and raises
+    box = SuperDomainShape(2, (Interval(-1, 1), Interval(1, 2)), 0)
+    odd_times_log = Polynomial(2, {(1, -1): 1, (0, 0): Fraction(1, 2)})
+    assert integrate(BerezinSection.make(box, odd_times_log),
+                     box_backend()) == Scalar(1)
+    line = gauss_shape(2, 0)
+    odd_times_pole = Polynomial(2, {(1, -2): 1, (2, 0): 3})
+    assert integrate(BerezinSection.make(line, odd_times_pole),
+                     GAUSSIAN) == Scalar(3, 2)
+    with pytest.raises(NonIntegrableError, match="exponent -1"):
+        integrate(BerezinSection.make(box, Polynomial(2, {(2, -1): 1})),
+                  box_backend())
+    with pytest.raises(NonIntegrableError, match="negative exponent -2"):
+        integrate(BerezinSection.make(line, Polynomial(2, {(2, -2): 1})),
+                  GAUSSIAN)
+
+
+def _term_by_term_integral(poly, box):
+    """The box integral as the backend once took it: each term's Fraction
+    value from the moments of its own exponents, one Scalar per term."""
+    total = Scalar.zero()
+    for exps, coeff in poly.terms.items():
+        for iv, e in zip(box, exps):
+            coeff *= Fraction(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 1)
+        total = total + Scalar(coeff, exps[-1])
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          st.sampled_from([1, -2, Fraction(1, 2),
+                                           Fraction(-2, 3), Fraction(3, 4)]),
+                          st.integers(-1, 1)), max_size=6),
+       st.sampled_from([(Fraction(1, 2), 2), (1, Fraction(7, 3))]),
+       st.sampled_from([(-3, Fraction(-1, 3)), (Fraction(2, 5), 1)]))
+def test_box_integral_matches_the_term_by_term_integral(terms, first, second):
+    # exponents avoid -1 and the axes avoid 0, so every moment exists
+    poly = Polynomial(2, [(exps, Scalar(c, k)) for exps, c, k in terms
+                          if -1 not in exps])
+    box = (Interval(*first), Interval(*second))
+    shape = SuperDomainShape(2, box, 0)
+    got = integrate(BerezinSection.make(shape, poly), box_backend())
+    assert got == _term_by_term_integral(poly, box)
+    for coeff in got.terms.values():
+        assert type(coeff) is int or coeff.denominator > 1
 
 
 def test_backend_axis_mismatches():

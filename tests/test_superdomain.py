@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from superberezin.errors import (
     NonInvertibleError,
     ParityError,
 )
-from superberezin.grassmann import EVEN, ODD, Scalar, _Products
+from superberezin.grassmann import EVEN, ODD, Scalar, _Products, _canonical
 from superberezin.superdomain import (
     Interval,
     POSITIVE,
@@ -34,6 +36,7 @@ from superberezin.superdomain import (
     shape_product,
     split_product_function,
 )
+from superberezin.textio import format_superfunction, parse_superfunction
 
 R12 = SuperDomainShape(1, (REALLINE,), 2)
 
@@ -733,3 +736,175 @@ def test_fused_products_cancel_to_canonical_terms():
     assert (X * XI1 + _Products([(-XI1, X)])).is_zero()
     with pytest.raises(DimensionError):
         half + _Products([(SuperFunction.one(R23), half)])
+
+
+# -- stored form: int numerators over one denominator ------------------------
+#
+# A Polynomial stores int numerators over one denominator in lowest terms,
+# and ``terms`` is the int/Fraction view of them; equal values must be
+# stored alike, whichever route built them.
+
+
+def assert_stored_form(p):
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c != 0 for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1  # so zero has den 1
+    assert p.terms == {key: _canonical(Fraction(c, p.den))
+                       for key, c in p.nums.items()}
+    for coeff in p.terms.values():
+        _assert_stored(coeff)
+
+
+def assert_sectors_stored(f):
+    for poly in f.coeffs.values():
+        assert poly, "zero sector stored"
+        assert_stored_form(poly)
+
+
+def assert_stored_alike(p, q):
+    assert (p.nvars, p.den, p.nums) == (q.nvars, q.den, q.nums)
+    assert hash(p) == hash(q)
+
+
+def _public_terms(p):
+    return [(exps[:-1], Scalar(c, exps[-1])) for exps, c in p.terms.items()]
+
+
+def _round_trip(f):
+    """f read back from its superfunction file."""
+    return parse_superfunction(format_superfunction(f))
+
+
+R23_WIDE = SuperDomainShape(3, (REALLINE, POSITIVE, REALLINE), 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laurent_functions(R23), _laurent_functions(R23),
+       st.lists(st.tuples(_laurent_functions(R23), _laurent_functions(R23)),
+                max_size=3))
+def test_stored_form_is_canonical(f, g, pairs):
+    p, q = f.body_polynomial(), g.body_polynomial()
+    polys = [p + q, p - q, p - p, p * q, -p, p * 3, Fraction(1, 6) - p,
+             p.derive(0), p.derive(1), Polynomial(2, _public_terms(p))]
+    functions = [f + g, f - g, f - f, f * g, -f,
+                 f + _Products(pairs), f + _Products([(-a, b) for a, b in pairs]),
+                 f.embed(R23_WIDE, 1, 2)]
+    if p.is_monomial():
+        polys += [p.monomial_inverse(), p ** -2]
+        functions += [g._scaled(p), g._scaled(-p.monomial_inverse())]
+    for r in polys:
+        assert_stored_form(r)
+        read = _round_trip(SuperFunction.from_polynomial(R23, r))
+        assert_stored_alike(read.body_polynomial(), r)
+    for r in functions:
+        assert_sectors_stored(r)
+        read = _round_trip(r)
+        assert read.coeffs.keys() == r.coeffs.keys()
+        for mask, poly in r.coeffs.items():
+            assert_stored_alike(read.coeffs[mask], poly)
+    assert_stored_alike((p * q) * p, p * (q * p))
+    assert_stored_alike((p + q) - q, p)
+    assert_stored_alike(p - p, Polynomial.zero(2))
+    if p.is_monomial():
+        assert_stored_alike(p * p.monomial_inverse(), Polynomial.one(2))
+
+
+def test_dropping_terms_can_shrink_the_polynomial_denominator():
+    p = Polynomial(1, {(0,): 1, (1,): Fraction(1, 2)})
+    assert (p.den, p.nums) == (2, {(0, 0): 2, (1, 0): 1})
+    assert p.terms == {(0, 0): 1, (1, 0): Fraction(1, 2)}
+    assert ((p + p).den, (p + p).nums) == (1, {(0, 0): 2, (1, 0): 1})
+    assert ((p - p).den, (p - p).nums) == (1, {})
+    d = Polynomial(1, {(2,): Fraction(3, 2), (0,): Fraction(1, 3)}).derive(0)
+    assert (d.den, d.nums) == (1, {(1, 0): 3})  # 3/2 * 2 = 3
+    inv = Polynomial(1, {(2,): Scalar(Fraction(-2, 3), 1)}).monomial_inverse()
+    assert (inv.den, inv.nums) == (2, {(-2, -1): -3})
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = 5
+
+
+# The product loop from before Polynomials stored int numerators: it
+# multiplies and sums the int/Fraction ``terms`` one pair at a time and
+# settles the sums at the end.  It is kept here as the oracle of the
+# int product loop, on its own and inside superfunction products and
+# fused sums; the graded oracle takes each pair's sign from its index
+# tuples.
+
+
+def _fraction_product(a, b, acc=None, sign=1):
+    acc = {} if acc is None else acc
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            acc[key] = acc.get(key, 0) + sign * c1 * c2
+    return acc
+
+
+def _settled(acc):
+    return {key: _canonical(Fraction(c)) for key, c in acc.items() if c}
+
+
+def _crossings(alpha, beta):
+    return sum(1 for i in alpha for j in beta if i > j)
+
+
+def _graded_fraction_sum(base, pairs):
+    """base + sum a*b as {index tuple: settled terms}."""
+    acc = {idx: dict(poly.terms) for idx, poly in _sectors_of(base)}
+    for a, b in pairs:
+        for alpha, pa in _sectors_of(a):
+            for beta, pb in _sectors_of(b):
+                if set(alpha) & set(beta):
+                    continue
+                _fraction_product(pa.terms, pb.terms,
+                                  acc.setdefault(tuple(sorted(alpha + beta)), {}),
+                                  -1 if _crossings(alpha, beta) % 2 else 1)
+    out = {idx: _settled(terms) for idx, terms in acc.items()}
+    return {idx: terms for idx, terms in out.items() if terms}
+
+
+_HALVES_AND_THIRDS = st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                      Fraction(-1, 2), Fraction(-2, 3), 1, -3])
+
+
+@st.composite
+def _mixed_polynomials(draw, m=2):
+    """Laurent polynomials whose terms carry 1/2 and 2/3 and powers of s
+    from -1 to 1."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = tuple(draw(st.integers(-2, 2)) for _ in range(m))
+        terms[exps] = Scalar(draw(_HALVES_AND_THIRDS), draw(st.integers(-1, 1)))
+    return Polynomial(m, terms)
+
+
+@st.composite
+def _mixed_functions(draw, shape=R23):
+    sectors = [c for size in range(shape.n + 1)
+               for c in combinations(range(shape.n), size)]
+    return SuperFunction(shape, {
+        draw(st.sampled_from(sectors)): draw(_mixed_polynomials(shape.m))
+        for _ in range(draw(st.integers(0, 4)))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_polynomials(), _mixed_polynomials(), _mixed_functions(),
+       st.lists(st.tuples(_mixed_functions(), _mixed_functions()), max_size=3))
+def test_products_match_the_fraction_product_loop(p, q, base, pairs):
+    assert (p * q).terms == _settled(_fraction_product(p.terms, q.terms))
+    for a, b in pairs:
+        got = a * b
+        assert {idx: dict(poly.terms) for idx, poly in _sectors_of(got)} \
+            == _graded_fraction_sum(SuperFunction.zero(R23), [(a, b)])
+    got = base + _Products(pairs)
+    assert {idx: dict(poly.terms) for idx, poly in _sectors_of(got)} \
+        == _graded_fraction_sum(base, pairs)
+
+
+def test_exponents_must_be_integers():
+    for bad in (1.5, Fraction(3, 2), Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            Polynomial(1, {(bad,): 1})
+        with pytest.raises(TypeError):
+            Polynomial(2, {(0, bad): 1})
+    assert str(Polynomial(1, {(2,): 1})) == "x1^2"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from superberezin import linalg
+from superberezin import linalg, suites
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Scalar
 from superberezin.superdomain import (
     POSITIVE,
@@ -26,6 +26,7 @@ from superberezin.supermatrix import (
 from superberezin.textio import format_supermatrix, parse_supermatrix
 from superberezin.suites import (
     random_even_supermatrix,
+    random_grassmann,
     random_odd_supermatrix,
 )
 from superberezin.errors import NonInvertibleError, ParityError
@@ -480,3 +481,52 @@ def test_supertrace_vanishes_on_graded_commutator():
         xe = random_even_supermatrix(rng, 2, 1, N)
         ye = random_even_supermatrix(rng, 2, 1, N)
         assert supertrace(xe * ye - ye * xe).is_zero()
+
+
+# The suite generators draw each term straight as a key of an element's
+# integer form and build it with the trusted constructor.  Given the index
+# tuples of the same draws, the public constructor must build the same
+# elements, stored alike, and leave the generator in the same state.
+
+
+def _public_random_grassmann(rng, n, parity=None, max_terms=3,
+                             ensure_body=False):
+    indices = [idx for size in range(n + 1)
+               if parity is None or size % 2 == parity.value
+               for idx in itertools.combinations(range(n), size)]
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        idx = rng.choice(indices)
+        coeff = rng.randint(-3, 3)
+        terms[idx] = terms.get(idx, 0) + coeff
+    if ensure_body and not terms.get(()):
+        terms[()] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return GrassmannElement(n, terms)
+
+
+def _stored(x):
+    return x.generator_count, x.den, list(x.nums.items())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_elements_match_the_public_constructor(seed):
+    for n, parity, max_terms, ensure_body in itertools.product(
+            (1, 4, 6), (None, EVEN, ODD), (1, 3, 6), (False, True)):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            got = random_grassmann(rng, n, parity, max_terms, ensure_body)
+            want = _public_random_grassmann(twin, n, parity, max_terms,
+                                            ensure_body)
+            assert _stored(got) == _stored(want)
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_supermatrices_match_the_public_constructor(seed, monkeypatch):
+    shapes = [(1, 1, 4), (2, 1, 4), (3, 3, 6)]
+    got = [random_even_supermatrix(random.Random(seed), *s) for s in shapes]
+    monkeypatch.setattr(suites, "random_grassmann", _public_random_grassmann)
+    want = [random_even_supermatrix(random.Random(seed), *s) for s in shapes]
+    for x, y in zip(got, want):
+        assert [[_stored(e) for e in row] for row in x.entries] == \
+            [[_stored(e) for e in row] for row in y.entries]
