@@ -35,7 +35,7 @@ from .errors import (
     OrientationError,
     StructureError,
 )
-from .grassmann import ODD, Scalar, _in_s, _quotient
+from .grassmann import ODD, Scalar, _quotient, _reduced
 from .linalg import det as rational_det
 from .superdomain import (
     Axis,
@@ -141,8 +141,7 @@ class IntegrationBackend:
             else:
                 k = exps[-1] + shift
                 sums[k] = sums.get(k, 0) + c
-        return _in_s({k: c if den == 1 else _quotient(c, den)
-                      for k, c in sums.items() if c})
+        return _reduced(Scalar, 0, den, sums)
 
 
 def _moment_table(moment, exponents) -> tuple[int, dict]:

@@ -7,16 +7,15 @@ model is faithful.  Algebra elements are finite sums of terms
 ``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices.  Each term is
 stored under the key ``(mask, k)``: ``mask`` is the int whose bit i is set
 when xi_{i+1} is a factor, and k is the power of s, so every coefficient
-is a plain rational.  An element stores its coefficients as int
-numerators over one shared denominator in lowest terms, as FLINT's
-``fmpq_poly`` does: the pivot inverses 1/c of a Berezinian would spread
-Fractions through every later product, and over one denominator the
-product loop multiplies and adds only ints, with one gcd per result.  A
-coefficient becomes an ``int`` or ``Fraction`` only where it is read
-(``terms``, ``coefficient``, ``body``, printing); ``Scalar`` and the
-superfunction layer keep such coefficients throughout, an ``int`` when
-integral and a ``Fraction`` only when its denominator exceeds 1.  The
-mask is the package's one odd-monomial key, also of ``SuperFunction``
+is a plain rational.  Every exact value, a ``Scalar``, an element or a
+``superdomain.Polynomial``, stores its coefficients as int numerators
+over one shared denominator in lowest terms, in the one form of
+``_Exact``, as FLINT's ``fmpq_poly`` does: the pivot inverses 1/c of a
+Berezinian would spread Fractions through every later product, and over
+one denominator the product loop multiplies and adds only ints, with one
+gcd per result.  A coefficient becomes an ``int`` (when integral) or a
+``Fraction`` only where it is read (``terms``, ``rational``, printing).
+The mask is the package's one odd-monomial key, also of ``SuperFunction``
 sectors and Koszul monomials, and ``_odd_swaps`` its one sign rule: a
 product of two monomials is a test, an or and a popcount on their masks.
 Index tuples appear only where a value is built from ``{idx: coefficient}``,
@@ -57,26 +56,149 @@ def koszul_sign(a: Parity, b: Parity) -> int:
     return -1 if (a is ODD and b is ODD) else 1
 
 
-class Scalar:
+class _Exact:
+    """An exact value stored as int numerators over one denominator.
+
+    ``nums`` maps each key to a nonzero int and ``den`` is an int >= 1, the
+    coefficient under a key being ``nums[key] / den``, as FLINT's
+    ``fmpq_poly`` stores a polynomial.  The form is canonical:
+    ``gcd(den, *nums.values()) == 1`` and zero has ``den == 1``, so equal
+    values are stored alike, and ``==`` and ``hash`` read the stored form.
+    ``terms`` is the read-only canonical view ``{key: coefficient}``, the
+    coefficient an int when integral and a Fraction otherwise, built when
+    read (its Fractions once).  A key is the power of s for a ``Scalar``,
+    ``(mask, k)`` for a ``GrassmannElement`` and ``(e_1, ..., e_m, k)`` for
+    a ``superdomain.Polynomial``, k the power of s; ``_count`` is the
+    element's generator count or the polynomial's variable count, 0 for a
+    Scalar.  Values are immutable: closed operations build their results
+    with the trusted constructor ``_stored`` or the one reduction
+    ``_reduced``, and the public constructor takes ``{head: coefficient}``
+    pairs, each head checked by the subclass's ``_head`` and each
+    coefficient a Scalar, int or Fraction.
+    """
+
+    __slots__ = ("_count", "den", "nums", "_terms")
+
+    def __new__(cls, count: int, terms: Mapping = ()):
+        if count < 0:
+            raise DimensionError("generator count must be nonnegative")
+        checked = []
+        for head, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            head = cls._head(head, count)
+            if isinstance(coeff, (int, Fraction)):
+                checked.append((head + (0,), _canonical(coeff)))
+            else:
+                checked.extend((head + (k,), c)
+                               for k, c in Scalar.coerce(coeff).terms.items())
+        return _stored(cls, count, *_over_one_denominator(_add_terms({}, checked)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def terms(self) -> Mapping:
+        """The canonical view ``{key: coefficient}`` of ``nums/den``; its
+        Fractions are built once, on first read."""
+        if self.den == 1:
+            return MappingProxyType(self.nums)
+        try:
+            return self._terms
+        except AttributeError:
+            den = self.den
+            view = MappingProxyType({key: _quotient(c, den)
+                                     for key, c in self.nums.items()})
+            object.__setattr__(self, "_terms", view)
+            return view
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __neg__(self):
+        return _stored(type(self), self._count, self.den,
+                       {key: -c for key, c in self.nums.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return -self + self._coerce(other)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction, Scalar)):
+            other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self._count == other._count and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self._count, self.den, frozenset(self.nums.items())))
+
+
+def _stored(cls, count: int, den: int, nums: dict):
+    """The ``cls`` value ``nums / den`` over ``count`` generators or
+    variables: the trusted constructor for the results of closed
+    operations.
+
+    ``nums`` must map keys of ``cls`` to nonzero ints, with ``den`` >= 1
+    and ``gcd(den, *nums.values()) == 1`` (``den`` 1 when ``nums`` is
+    empty), and is kept, not copied; the public constructor checks all of
+    this, this one assumes it.  The ``terms`` view is left unset until
+    first read.  A module function rather than a classmethod: every
+    product builds a value, and a classmethod binds a new method object
+    on each call.
+    """
+    out = _new(cls)
+    _set_count(out, count)
+    _set_den(out, den)
+    _set_nums(out, nums)
+    return out
+
+
+def _reduced(cls, count: int, den: int, acc: dict):
+    """``_stored`` of ``acc / den`` in canonical form, for any den >= 1
+    and int values: zeros dropped, numerators and den over their gcd, so
+    an empty sum has den 1.  ``acc`` may be kept, so it must be the
+    caller's own new dict.  The one reduction of every exact value."""
+    if 0 in acc.values():  # rare: a cancellation; a scan beats a copy
+        acc = {key: c for key, c in acc.items() if c}
+    if den != 1:
+        g = gcd(den, *acc.values())
+        if g != 1:
+            return _stored(cls, count, den // g,
+                           {key: c // g for key, c in acc.items()})
+    return _stored(cls, count, den, acc)
+
+
+# The slot setters themselves: every product and fused sum builds a value,
+# thousands per Berezinian, and these skip the attribute lookup of
+# object.__setattr__.
+_new = object.__new__
+_set_count = _Exact._count.__set__
+_set_den = _Exact.den.__set__
+_set_nums = _Exact.nums.__set__
+
+
+class Scalar(_Exact):
     """An exact value in s = sqrt(2*pi): a Laurent polynomial in s over Q.
 
-    ``terms`` maps each power of s to its nonzero coefficient, an int when
-    integral and a Fraction otherwise, so zero has no terms.  s is
-    transcendental, so this models the values of integrals over Gaussian
-    axes faithfully: every sum is a value, and only a single power of s
-    times a nonzero rational is invertible.  Algebra
-    elements keep the power of s in their term keys; a Scalar is only what
+    Stored as ``_Exact`` describes, keyed by the power of s, so ``terms``
+    maps each power of s to its nonzero coefficient and zero has no terms.
+    s is transcendental, so this models the values of integrals over
+    Gaussian axes faithfully: every sum is a value, and only a single
+    power of s times a nonzero rational is invertible.  Algebra elements
+    keep the power of s in their term keys; a Scalar is only what
     integrals, evaluations, bodies and coefficients return.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, rational=0, power: int = 0):
+    def __new__(cls, rational=0, power: int = 0):
         q = _rational(rational)
-        object.__setattr__(self, "terms", {int(power): q} if q else {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+        return _stored(cls, 0, q.denominator, {int(power): q.numerator} if q else {})
 
     # -- constructors -------------------------------------------------
 
@@ -96,61 +218,57 @@ class Scalar:
             return Scalar(value)
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
-    # -- predicates ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _coerce(self, value):
+        # any other value passes unchanged, so that ``+`` hands it on to
+        # its own reflected method: Scalar - GrassmannElement is an element
+        return Scalar(value) if isinstance(value, (int, Fraction)) else value
 
     @property
     def rational(self) -> Fraction:
         """The value as a rational; ValueError if it carries a power of s."""
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        if len(self.terms) > 1 or 0 not in self.terms:
+        if len(self.nums) > 1 or 0 not in self.nums:
             raise ValueError(f"{self} is not rational: it carries a power of s")
-        return Fraction(self.terms[0])
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        return _in_s(_add_terms(dict(self.terms),
-                                Scalar.coerce(other).terms.items()))
+        other = self._coerce(other)
+        return _reduced(Scalar, 0, *_add_into(dict(self.nums), self.den,
+                                              other.nums, other.den))
 
     __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return _in_s({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Scalar":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Scalar":
-        return -self + other
 
     def __mul__(self, other) -> "Scalar":
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        return _in_s(_add_terms({}, [
-            (ka + kb, ca * cb) for ka, ca in self.terms.items()
-            for kb, cb in Scalar.coerce(other).terms.items()]))
+        other = self._coerce(other)
+        acc = {}
+        for ka, ca in self.nums.items():
+            for kb, cb in other.nums.items():
+                acc[ka + kb] = acc.get(ka + kb, 0) + ca * cb
+        return _reduced(Scalar, 0, self.den * other.den, acc)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        """Division by c s^k; a sum of several powers of s has no inverse."""
+        """Division by c s^k; a sum of several powers of s has no inverse.
+
+        With c = n / den in lowest terms, 1/c = den / n is too.
+        """
         other = Scalar.coerce(other)
-        if not other.terms:
+        if not other.nums:
             raise ZeroDivisionError("division by zero Scalar")
-        if len(other.terms) > 1:
+        if len(other.nums) > 1:
             raise NonInvertibleError(
                 f"{other} mixes powers of s and has no inverse in Q[s, 1/s]")
-        (k, c), = other.terms.items()
-        return self * _in_s({-k: _quotient(1, c)})
+        (k, c), = other.nums.items()
+        sign = -1 if c < 0 else 1
+        return self * _stored(Scalar, 0, sign * c, {-k: sign * other.den})
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
@@ -161,24 +279,13 @@ class Scalar:
             out = out * base
         return out
 
-    # -- comparison ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
         """Highest power of s first: ``2 s - 1``."""
-        return _signed_sum([(self.terms[k], _monomial_text(k, ()))
-                            for k in sorted(self.terms, reverse=True)])
+        terms = self.terms
+        return _signed_sum([(terms[k], _monomial_text(k, ()))
+                            for k in sorted(terms, reverse=True)])
 
     def __repr__(self) -> str:
         return f"Scalar({self!s})"
@@ -207,14 +314,6 @@ def _rational(value):
 def _quotient(a, b):
     """a / b for rationals, in stored form; never a float."""
     return _canonical(Fraction(a, b))
-
-
-def _in_s(terms: dict) -> Scalar:
-    """The Scalar whose terms are ``terms``, which must map ints to nonzero
-    coefficients in stored form and is kept, not copied."""
-    out = object.__new__(Scalar)
-    object.__setattr__(out, "terms", terms)
-    return out
 
 
 def _monomial_text(power: int, factors) -> str:
@@ -395,61 +494,25 @@ def _lookup_mask(indices: Iterable[int], count: int) -> int | None:
         return None
 
 
-class GrassmannElement:
+class GrassmannElement(_Exact):
     """Finite sum of terms c s^k xi^idx over N generators, c rational.
 
-    A value is stored as integer numerators over one shared denominator:
-    ``nums`` maps each key ``(mask, k)`` to a nonzero int and ``den`` is an
-    int >= 1, the coefficient of the term being ``nums[key] / den``.
-    ``mask`` is the int whose bit i is set when xi_{i+1} is a factor of the
-    odd monomial, and k is the power of s.  The form is canonical:
-    ``gcd(den, *nums.values()) == 1`` and zero has ``den == 1``, so equal
-    values are stored alike.  ``terms`` is the read-only canonical view
-    ``{(mask, k): coefficient}``, the coefficient an int when integral and
-    a Fraction otherwise, built from them when read (its Fractions once).
-    The public constructor still takes ``{idx: coefficient}``, idx a
-    strictly increasing generator tuple, with Scalar, int or Fraction
-    coefficients; ``coefficient`` and ``str`` speak in index tuples too.
-    ``self + _Products(pairs)`` is the fused base + sum a*b of the
-    supermatrix ring protocol; it and ``*`` are one operation, ``_fused``,
-    around one int product loop, ``_accumulate``.
+    Stored as ``_Exact`` describes, keyed ``(mask, k)``: ``mask`` is the
+    int whose bit i is set when xi_{i+1} is a factor of the odd monomial,
+    and k is the power of s.  The public constructor still takes
+    ``{idx: coefficient}``, idx a strictly increasing generator tuple, with
+    Scalar, int or Fraction coefficients; ``coefficient`` and ``str`` speak
+    in index tuples too.  ``self + _Products(pairs)`` is the fused base +
+    sum a*b of the supermatrix ring protocol; it and ``*`` are one
+    operation, ``_fused``, around one int product loop, ``_accumulate``.
     """
 
-    __slots__ = ("generator_count", "den", "nums", "_terms")
+    __slots__ = ()
+    generator_count = _Exact._count
 
-    def __init__(self, generator_count: int, terms: Mapping[tuple[int, ...], object] = ()):
-        if generator_count < 0:
-            raise DimensionError("generator count must be nonnegative")
-        checked = []
-        for idx, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            mask = _checked_mask(idx, generator_count)
-            if isinstance(coeff, (int, Fraction)):
-                checked.append(((mask, 0), _canonical(coeff)))
-            else:
-                checked.extend(((mask, k), c)
-                               for k, c in Scalar.coerce(coeff).terms.items())
-        den, nums = _over_one_denominator(_add_terms({}, checked))
-        _set_count(self, generator_count)
-        _set_den(self, den)
-        _set_nums(self, nums)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannElement is immutable")
-
-    @property
-    def terms(self) -> Mapping[tuple[int, int], object]:
-        """The canonical view ``{(mask, k): coefficient}`` of ``nums/den``;
-        its Fractions are built once, on first read."""
-        if self.den == 1:
-            return MappingProxyType(self.nums)
-        try:
-            return self._terms
-        except AttributeError:
-            den = self.den
-            view = MappingProxyType({key: _quotient(c, den)
-                                     for key, c in self.nums.items()})
-            object.__setattr__(self, "_terms", view)
-            return view
+    @staticmethod
+    def _head(idx: tuple[int, ...], generator_count: int) -> tuple[int]:
+        return (_checked_mask(idx, generator_count),)
 
     # -- constructors -------------------------------------------------
 
@@ -475,21 +538,14 @@ class GrassmannElement:
 
     # -- basic structure ----------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
     def _select(self, keep) -> "GrassmannElement":
-        return _reduced(self.generator_count, self.den,
-                        {key: c for key, c in self.nums.items() if keep(key[0])})
+        return _reduced(GrassmannElement, self.generator_count, self.den, {
+            key: c for key, c in self.nums.items() if keep(key[0])})
 
     def _values(self, keep) -> Scalar:
         """The Scalar sum of c s^k over the terms whose mask ``keep`` takes."""
-        den = self.den
-        return _in_s({k: c if den == 1 else _quotient(c, den)
-                      for (mask, k), c in self.nums.items() if keep(mask)})
+        return _reduced(Scalar, 0, self.den, {
+            k: c for (mask, k), c in self.nums.items() if keep(mask)})
 
     def body(self) -> Scalar:
         return self._values(lambda mask: not mask)
@@ -527,20 +583,10 @@ class GrassmannElement:
             return _fused(self.generator_count, self.den, self.nums, other)
         other = self._coerce(other)
         self._check_compatible(other)
-        return _reduced(self.generator_count,
+        return _reduced(GrassmannElement, self.generator_count,
                         *_add_into(dict(self.nums), self.den, other.nums, other.den))
 
     __radd__ = __add__
-
-    def __neg__(self) -> "GrassmannElement":
-        return _element(self.generator_count, self.den,
-                        {key: -c for key, c in self.nums.items()})
-
-    def __sub__(self, other) -> "GrassmannElement":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "GrassmannElement":
-        return self._coerce(other) + (-self)
 
     def _coerce(self, value) -> "GrassmannElement":
         if isinstance(value, GrassmannElement):
@@ -582,9 +628,9 @@ class GrassmannElement:
         sign = -1 if c < 0 else 1
         n = self.generator_count
         return _inverse_series(
-            _reduced(n, sign * c, {(0, -k): sign * self.den}),
-            _reduced(n, sign * c, {(mask, j - k): -sign * cj
-                                   for (mask, j), cj in soul.items()}),
+            _reduced(GrassmannElement, n, sign * c, {(0, -k): sign * self.den}),
+            _reduced(GrassmannElement, n, sign * c, {
+                (mask, j - k): -sign * cj for (mask, j), cj in soul.items()}),
             n // 2)
 
     # -- reshaping ----------------------------------------------------
@@ -593,20 +639,9 @@ class GrassmannElement:
         """View this element inside a larger algebra; indices unchanged."""
         if new_count < self.generator_count:
             raise DimensionError("cannot embed into a smaller algebra")
-        return _element(new_count, self.den, dict(self.nums))
+        return _stored(GrassmannElement, new_count, self.den, dict(self.nums))
 
-    # -- comparison / printing ----------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self._coerce(other)
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return (self.generator_count == other.generator_count
-                and self.den == other.den and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.generator_count, self.den, frozenset(self.nums.items())))
+    # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
         den = self.den
@@ -618,48 +653,6 @@ class GrassmannElement:
 
     def __repr__(self) -> str:
         return f"GrassmannElement({self.generator_count}, {self!s})"
-
-
-def _element(generator_count: int, den: int, nums: dict) -> GrassmannElement:
-    """Trusted constructor for the results of closed operations.
-
-    ``nums`` must map keys ``(mask, k)``, mask the int bitmask of in-range
-    generators (bit i for xi_{i+1}) and k an int, to nonzero ints, with
-    ``den`` >= 1 and ``gcd(den, *nums.values()) == 1`` (``den`` 1 when
-    ``nums`` is empty), and is kept, not copied; the public constructor,
-    which takes ``{idx: coefficient}``, checks all of this, this one
-    assumes it.  The ``terms`` view is left unset until first read.
-    """
-    out = _new(GrassmannElement)
-    _set_count(out, generator_count)
-    _set_den(out, den)
-    _set_nums(out, nums)
-    return out
-
-
-# The slot setters themselves: every product and fused sum builds an
-# element, thousands per Berezinian, and these skip the attribute lookup
-# of object.__setattr__.
-_new = object.__new__
-_set_count = GrassmannElement.generator_count.__set__
-_set_den = GrassmannElement.den.__set__
-_set_nums = GrassmannElement.nums.__set__
-
-
-def _reduced(count: int, den: int, acc: dict, build=_element):
-    """``build(count, den, nums)`` of ``acc / den`` in canonical form, for
-    any den >= 1 and int values: zeros dropped, numerators and den over
-    their gcd, so an empty sum has den 1.  ``acc`` may be kept, so it must
-    be the caller's own new dict.  The one reduction of both
-    representations: ``build`` is ``_element`` (count the generator count)
-    or ``superdomain._poly`` (count the variable count)."""
-    if 0 in acc.values():  # rare: a cancellation; a scan beats a copy
-        acc = {key: c for key, c in acc.items() if c}
-    if den != 1:
-        g = gcd(den, *acc.values())
-        if g != 1:
-            return build(count, den // g, {key: c // g for key, c in acc.items()})
-    return build(count, den, acc)
 
 
 def _over_one_denominator(terms: dict) -> tuple[int, dict]:
@@ -701,10 +694,10 @@ def _fused(generator_count: int, den: int, nums: dict, pairs) -> GrassmannElemen
         _accumulate(acc, a.nums, b.nums,
                     1 if common == 1 else common // (a.den * b.den))
     if not acc:
-        return _element(generator_count, den, nums)
+        return _stored(GrassmannElement, generator_count, den, nums)
     if nums:
         common, acc = _add_into(acc, common, nums, den)
-    return _reduced(generator_count, common, acc)
+    return _reduced(GrassmannElement, generator_count, common, acc)
 
 
 def _add_into(acc: dict, den: int, nums: dict, nums_den: int) -> tuple[int, dict]:

@@ -25,7 +25,7 @@ from .berezin import (
     product_section,
     pullback_section,
 )
-from .grassmann import EVEN, ODD, GrassmannElement, Parity, _element, _mask
+from .grassmann import EVEN, ODD, GrassmannElement, Parity, _mask, _stored
 from .koszul import homological_berezinian
 from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
                         gl11_algebra, unimodularity_check)
@@ -90,7 +90,7 @@ def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
         nums[key] = nums.get(key, 0) + coeff
     if ensure_body and not nums.get((0, 0)):
         nums[(0, 0)] = rng.choice((-3, -2, -1, 1, 2, 3))
-    return _element(n, 1, {key: c for key, c in nums.items() if c})
+    return _stored(GrassmannElement, n, 1, {key: c for key, c in nums.items() if c})
 
 
 def _body_matrix(block) -> list[list[Fraction]]:

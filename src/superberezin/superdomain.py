@@ -5,10 +5,10 @@ Functions are finite sums Σ_α ξ^α f_α where the f_α are Laurent
 polynomials with rational coefficients in the even coordinates and
 s = sqrt(2π) — integer exponents may be negative, which is how the
 multiplicative-group densities like a^{-1} stay exact.  A polynomial
-stores its coefficients as int numerators over one shared denominator in
-lowest terms, as a ``GrassmannElement`` does, so products, the pullback's
-linear combinations and box integrals run on ints; a coefficient becomes
-an int or Fraction only where it is read (``terms``, ``coefficient``,
+stores its coefficients in the one form of ``grassmann._Exact``, int
+numerators over one shared denominator in lowest terms, so products, the
+pullback's linear combinations and box integrals run on ints; a
+coefficient becomes an int or Fraction only where it is read (``terms``,
 printing).  Each sector ξ^α is keyed by its generator mask, as in
 ``grassmann``.
 """
@@ -19,8 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add
-from types import MappingProxyType
+from operator import add, itemgetter
 
 from .errors import (
     DimensionError,
@@ -30,23 +29,21 @@ from .errors import (
 )
 from .grassmann import EVEN, ODD, Parity, Scalar
 from .grassmann import (
+    _Exact,
     _Products,
     _add_into,
     _add_terms,
-    _canonical,
     _checked_mask,
-    _in_s,
     _indices,
     _inverse_series,
     _lookup_mask,
     _monomial_text,
     _odd_swaps,
-    _over_one_denominator,
     _parity,
-    _quotient,
     _rational,
     _reduced,
     _signed_sum,
+    _stored,
 )
 from .supermatrix import SuperMatrix
 
@@ -156,65 +153,33 @@ def shape_product(s1: SuperDomainShape, s2: SuperDomainShape) -> SuperDomainShap
 # -- Laurent polynomials ---------------------------------------------------
 
 
-class Polynomial:
+class Polynomial(_Exact):
     """Laurent polynomial in m even variables and s, rational coefficients.
 
-    A value is stored as ``GrassmannElement`` stores its own: ``nums`` maps
-    each key ``(e_1, ..., e_m, k)``, the exponents of the variables and
-    then the power of s, to a nonzero int, and ``den`` is an int >= 1, the
-    coefficient of the term being ``nums[key] / den``.  The form is
-    canonical: ``gcd(den, *nums.values()) == 1`` and zero has ``den == 1``,
-    so equal values are stored alike and the product loop, the pullback's
-    linear combinations and the box integrals multiply and add only ints.
-    ``terms`` is the read-only canonical view ``{key: coefficient}``, the
-    coefficient an int when integral and a Fraction otherwise, built when
-    read (its Fractions once).  The public constructor takes
+    Stored as ``grassmann._Exact`` describes, keyed ``(e_1, ..., e_m, k)``:
+    the exponents of the variables and then the power of s, so the product
+    loop, the pullback's linear combinations and the box integrals multiply
+    and add only ints.  The public constructor takes
     ``{(e_1, ..., e_m): coefficient}`` with int exponents and Scalar, int
     or Fraction coefficients.
     """
 
-    __slots__ = ("nvars", "den", "nums", "_terms")
+    __slots__ = ()
+    nvars = _Exact._count
 
-    def __init__(self, nvars: int, terms: Mapping = ()):
-        checked = []
-        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            exps = tuple(exps)
-            for e in exps:
-                if not isinstance(e, int):
-                    raise TypeError("exponents must be integers")
-            if len(exps) != nvars:
-                raise DimensionError("exponent tuple has wrong length")
-            if isinstance(coeff, (int, Fraction)):
-                checked.append((exps + (0,), _canonical(coeff)))
-            else:
-                checked.extend((exps + (k,), c)
-                               for k, c in Scalar.coerce(coeff).terms.items())
-        den, nums = _over_one_denominator(_add_terms({}, checked))
-        _set_nvars(self, nvars)
-        _set_den(self, den)
-        _set_nums(self, nums)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @property
-    def terms(self) -> Mapping[tuple[int, ...], object]:
-        """The canonical view ``{key: coefficient}`` of ``nums/den``; its
-        Fractions are built once, on first read."""
-        if self.den == 1:
-            return MappingProxyType(self.nums)
-        try:
-            return self._terms
-        except AttributeError:
-            den = self.den
-            view = MappingProxyType({key: _quotient(c, den)
-                                     for key, c in self.nums.items()})
-            object.__setattr__(self, "_terms", view)
-            return view
+    @staticmethod
+    def _head(exps, nvars: int) -> tuple[int, ...]:
+        exps = tuple(exps)
+        for e in exps:
+            if not isinstance(e, int):
+                raise TypeError("exponents must be integers")
+        if len(exps) != nvars:
+            raise DimensionError("exponent tuple has wrong length")
+        return exps
 
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
-        return _poly(nvars, 1, {})
+        return _stored(Polynomial, nvars, 1, {})
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
@@ -231,12 +196,6 @@ class Polynomial:
         exps = tuple(power if k == i else 0 for k in range(nvars))
         return Polynomial(nvars, {exps: 1})
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
     def _coerce(self, value) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
@@ -251,18 +210,9 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise DimensionError("polynomials in different variable counts")
         den, nums = _add_into(dict(self.nums), self.den, other.nums, other.den)
-        return _reduced(self.nvars, den, nums, _poly)
+        return _reduced(Polynomial, self.nvars, den, nums)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return _poly(self.nvars, self.den, {e: -c for e, c in self.nums.items()})
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, (Polynomial, int, Fraction, Scalar)):
@@ -270,8 +220,8 @@ class Polynomial:
         other = self._coerce(other)
         if self.nvars != other.nvars:
             raise DimensionError("polynomials in different variable counts")
-        return _reduced(self.nvars, self.den * other.den,
-                        _poly_accumulate({}, self.nums, other.nums, 1), _poly)
+        return _reduced(Polynomial, self.nvars, self.den * other.den,
+                        _poly_accumulate({}, self.nums, other.nums, 1))
 
     __rmul__ = __mul__
 
@@ -301,7 +251,8 @@ class Polynomial:
             )
         (exps, c), = self.nums.items()
         sign = -1 if c < 0 else 1
-        return _poly(self.nvars, sign * c, {tuple(-e for e in exps): sign * self.den})
+        return _stored(Polynomial, self.nvars, sign * c,
+                       {tuple(-e for e in exps): sign * self.den})
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
@@ -311,14 +262,14 @@ class Polynomial:
             e = exps[i]
             if e:
                 nums[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
-        return _reduced(self.nvars, self.den, nums, _poly)
+        return _reduced(Polynomial, self.nvars, self.den, nums)
 
     def evaluate(self, point: Sequence[Fraction]) -> Scalar:
         """The value at a rational point, a value in s.
 
         Each term's value is an int numerator over an int denominator, the
-        terms of one power of s are summed as such, and each sum is divided
-        by the denominators once.
+        terms of one power of s are summed as such, and the sums are put
+        over one denominator and reduced once.
         """
         if len(point) != self.nvars:
             raise DimensionError("evaluation point has wrong length")
@@ -339,25 +290,15 @@ class Polynomial:
             prev = sums.get(k)
             sums[k] = (c, d) if prev is None else (prev[0] * d + c * prev[1],
                                                    prev[1] * d)
-        den = self.den
-        return _in_s({k: c if d == den == 1 else _quotient(c, d * den)
-                      for k, (c, d) in sums.items() if c})
+        common = lcm(*map(itemgetter(1), sums.values()))
+        return _reduced(Scalar, 0, common * self.den, {
+            k: c * (common // d) for k, (c, d) in sums.items()})
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
         """The coefficient of x^exps, a value in s."""
         exps = tuple(exps)
-        return _in_s({e[-1]: c for e, c in self.terms.items() if e[:-1] == exps})
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self._coerce(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.nvars, self.den, frozenset(self.nums.items())))
+        return _reduced(Scalar, 0, self.den, {
+            e[-1]: c for e, c in self.nums.items() if e[:-1] == exps})
 
     def __str__(self) -> str:
         terms = self.terms
@@ -387,30 +328,6 @@ def _poly_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
             prev = get(key)
             acc[key] = c1 * c2 if prev is None else prev + c1 * c2
     return acc
-
-
-def _poly(nvars: int, den: int, nums: dict) -> Polynomial:
-    """Trusted constructor for the results of closed Polynomial operations.
-
-    ``nums`` must map int tuples of length ``nvars + 1`` (the power of s
-    last) to nonzero ints, with ``den`` >= 1 and
-    ``gcd(den, *nums.values()) == 1`` (``den`` 1 when ``nums`` is empty),
-    and is kept, not copied; the public constructor checks all of this,
-    this one assumes it.  The ``terms`` view is left unset until first read.
-    """
-    out = _new(Polynomial)
-    _set_nvars(out, nvars)
-    _set_den(out, den)
-    _set_nums(out, nums)
-    return out
-
-
-# The slot setters themselves, as in ``grassmann``: every product builds a
-# Polynomial, and these skip the attribute lookup of object.__setattr__.
-_new = object.__new__
-_set_nvars = Polynomial.nvars.__set__
-_set_den = Polynomial.den.__set__
-_set_nums = Polynomial.nums.__set__
 
 
 def binomial_coefficient(e: int, j: int) -> Fraction:
@@ -574,9 +491,9 @@ class SuperFunction:
         """This superfunction times the one-term polynomial unit, term by term."""
         (shift, c), = unit.nums.items()
         return _sf(self.shape, {
-            mask: _reduced(poly.nvars, poly.den * unit.den, {
+            mask: _reduced(Polynomial, poly.nvars, poly.den * unit.den, {
                 tuple(map(add, exps, shift)): cc * c
-                for exps, cc in poly.nums.items()}, _poly)
+                for exps, cc in poly.nums.items()})
             for mask, poly in self.coeffs.items()})
 
     # -- derivatives ------------------------------------------------------
@@ -617,7 +534,7 @@ class SuperFunction:
         right = (0,) * (shape.m - even_offset - self.shape.m)
         coeffs = {}
         for mask, poly in self.coeffs.items():
-            coeffs[mask << odd_offset] = _poly(shape.m, poly.den, {
+            coeffs[mask << odd_offset] = _stored(Polynomial, shape.m, poly.den, {
                 left + exps[:-1] + right + exps[-1:]: c
                 for exps, c in poly.nums.items()})
         return _sf(shape, coeffs)
@@ -741,7 +658,7 @@ def _reduced_sf(shape: SuperDomainShape, dens, acc: dict) -> SuperFunction:
     numerator dict over ``dens[mask]``, reduced by ``_reduced``."""
     coeffs = {}
     for mask, nums in acc.items():
-        poly = _reduced(shape.m, dens[mask], nums, _poly)
+        poly = _reduced(Polynomial, shape.m, dens[mask], nums)
         if poly.nums:
             coeffs[mask] = poly
     return _sf(shape, coeffs)
@@ -1031,8 +948,9 @@ def split_product_function(f: SuperFunction, left: SuperDomainShape,
         for exps, c in poly.nums.items():
             bucket = grouped.setdefault((exps[:left.m], mask & low), {})
             bucket.setdefault(mask >> left.n, (poly.den, {}))[1][exps[left.m:]] = c
-    return [(_sf(left, {left_odd: _poly(left.m, 1, {left_exps + (0,): 1})}),
-             _sf(right, {r_odd: _reduced(right.m, den, nums, _poly)
+    return [(_sf(left, {left_odd: _stored(Polynomial, left.m, 1,
+                                          {left_exps + (0,): 1})}),
+             _sf(right, {r_odd: _reduced(Polynomial, right.m, den, nums)
                          for r_odd, (den, nums) in bucket.items()}))
             for (left_exps, left_odd), bucket in sorted(
                 grouped.items(), key=lambda item: (item[0][0], _indices(item[0][1])))]

@@ -29,8 +29,8 @@ The concrete files:
 Reading is one pass over the ``str.split()`` words of each content line.
 ``_terms`` reads an expression's words into term tuples, classifying each
 distinct word of a file once, and the callers add the terms straight into
-the key dict of ``GrassmannElement`` or ``Polynomial`` (``_add_terms``)
-and build the value with the trusted constructor, after
+the key dict of a ``Scalar``, ``GrassmannElement`` or ``Polynomial``
+(``_add_terms``) and build the value with the trusted ``_stored``, after
 ``_over_one_denominator`` puts the terms over one denominator.  No position
 is kept on the way: a misread word raises ``_Bad`` with its index among
 the words of its line, and only then does ``_error`` re-scan that one line
@@ -49,19 +49,18 @@ from .grassmann import (
     GrassmannElement,
     Scalar,
     _add_terms,
-    _element,
-    _in_s,
     _indices,
     _over_one_denominator,
+    _stored,
 )
 from .lie_super import EVEN, ODD, LieSuperAlgebra
 from .superdomain import (
     Interval,
     POSITIVE,
     REALLINE,
+    Polynomial,
     SuperDomainShape,
     SuperFunction,
-    _poly,
     _sectors,
 )
 from .supermatrix import SuperMatrix
@@ -267,7 +266,7 @@ def _grassmann(words: list[str], n: int, memo: dict) -> GrassmannElement:
                        f"count {n}", 0)
     if n < 0:
         raise DimensionError("generator count must be nonnegative")
-    return _element(n, *_over_one_denominator(_add_terms(
+    return _stored(GrassmannElement, n, *_over_one_denominator(_add_terms(
         {}, [((mask, gauss), c) for c, gauss, mask, _, _ in terms])))
 
 
@@ -282,7 +281,7 @@ def _polynomial(words: list[str], m: int, memo: dict):
                 raise _Bad(f"variable x{i + 1} exceeds the declared "
                            f"count {m}", 0)
     zeros = (0,) * m
-    return _poly(m, *_over_one_denominator(_add_terms({}, [
+    return _stored(Polynomial, m, *_over_one_denominator(_add_terms({}, [
         ((tuple([even.get(i, 0) for i in range(m)]) if even else zeros)
          + (gauss,), c) for c, gauss, _, _, even in terms])))
 
@@ -309,7 +308,8 @@ def _scalar(words: list[str]) -> Scalar:
     if any(even is not None or out is not None
            for _, _, _, out, even in terms):
         raise _Bad("scalar may not contain variables", 0)
-    return _in_s(_add_terms({}, [(gauss, c) for c, gauss, _, _, _ in terms]))
+    return _stored(Scalar, 0, *_over_one_denominator(
+        _add_terms({}, [(gauss, c) for c, gauss, _, _, _ in terms])))
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -22,14 +22,16 @@ from superberezin.grassmann import (
     _canonical,
     koszul_sign,
 )
+from superberezin.berezin import GAUSSIAN, BerezinSection, box_backend, integrate
 from superberezin.errors import DimensionError, NonInvertibleError, ParityError
 from superberezin.superdomain import (
     REALLINE,
+    Interval,
     Polynomial,
     SuperDomainShape,
     SuperFunction,
 )
-from superberezin.textio import parse_grassmann
+from superberezin.textio import parse_grassmann, parse_scalar
 
 
 def G(n, terms):
@@ -673,3 +675,164 @@ def test_dropping_terms_can_shrink_the_denominator():
     assert (z.den, z.nums) == (2, {(0, 0): 3, (0b11, 0): -9})
     with pytest.raises(TypeError):
         x.terms[(0, 0)] = 5
+
+
+# A Scalar is stored as elements and polynomials are: int numerators keyed
+# by the power of s over one denominator in lowest terms, whichever
+# operation built it.
+
+def assert_scalar_stored_alike(x, y):
+    assert type(x) is type(y) is Scalar
+    assert (x.den, x.nums) == (y.den, y.nums)
+    assert hash(x) == hash(y)
+
+
+LINE1 = SuperDomainShape(1, (REALLINE,), 0)
+
+# box exponents avoid -1, whose antiderivative is not rational
+box_terms = st.lists(st.tuples(st.sampled_from([-2, 0, 1, 2, 3]),
+                               rationals, st.integers(-1, 1)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars, scalars, scalars, rationals, st.integers(-2, 2), box_terms,
+       big_elements())
+def test_scalar_stored_form_is_canonical(a, b, c, q, k, terms, g):
+    unit = b if len(b.terms) == 1 else Scalar(Fraction(2, 3), 1)
+    poly = Polynomial(1, [((e,), Scalar(coeff, j)) for e, coeff, j in terms])
+    line = Polynomial(1, [((abs(e),), Scalar(coeff, j)) for e, coeff, j in terms])
+    box = SuperDomainShape(1, (Interval(Fraction(1, 2), 2),), 0)
+    results = [a + b, a - b, a - a, a * b, -a, a * 3, Fraction(1, 6) - a,
+               a / unit, unit ** -2, a ** 3, Scalar(q, k), g.body(),
+               g.coefficient((0, 7)), poly.evaluate((Fraction(2, 3),)),
+               poly.coefficient((2,)),
+               integrate(BerezinSection.make(box, poly), box_backend()),
+               integrate(BerezinSection.make(LINE1, line), GAUSSIAN)]
+    for r in results:
+        assert type(r) is Scalar
+        assert_canonical(r)
+        read = parse_scalar(str(r))
+        assert_canonical(read)
+        assert_scalar_stored_alike(read, r)
+    assert_scalar_stored_alike((a * b) * c, a * (b * c))
+    assert_scalar_stored_alike(unit / unit, Scalar.one())
+    assert_scalar_stored_alike((a + b) - b, a)
+    assert_scalar_stored_alike(a - a, Scalar.zero())
+
+
+# Scalar arithmetic and printing as they were first written, on a dict from
+# each power of s to its nonzero int or Fraction coefficient: the oracle of
+# the stored form.
+
+def _dict_sum(pairs):
+    acc = {}
+    for k, coeff in pairs:
+        acc[k] = acc.get(k, 0) + coeff
+    return _DictScalar({k: _canonical(coeff) for k, coeff in acc.items() if coeff})
+
+
+class _DictScalar:
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __add__(self, other):
+        return _dict_sum([*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self):
+        return _DictScalar({k: -coeff for k, coeff in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return _dict_sum([(ka + kb, ca * cb) for ka, ca in self.terms.items()
+                          for kb, cb in other.terms.items()])
+
+    def inverse(self):
+        (k, coeff), = self.terms.items()
+        return _DictScalar({-k: _canonical(Fraction(1, coeff))})
+
+    def __str__(self):
+        parts = []
+        for k in sorted(self.terms, reverse=True):
+            coeff = self.terms[k]
+            body = str(abs(coeff))
+            mono = "" if k == 0 else "s" if k == 1 else f"s^{k}"
+            if mono:
+                body = mono if body == "1" else f"{body} {mono}"
+            if parts:
+                parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+            else:
+                parts.append(f"-{body}" if coeff < 0 else body)
+        return " ".join(parts) or "0"
+
+
+scalar_pairs = st.lists(st.tuples(rationals, st.integers(-2, 2)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_pairs, scalar_pairs)
+def test_scalar_arithmetic_matches_the_dict_oracle(p, q):
+    a, b = (sum((Scalar(coeff, k) for coeff, k in pairs), Scalar.zero())
+            for pairs in (p, q))
+    da, db = (_dict_sum([(k, coeff) for coeff, k in pairs]) for pairs in (p, q))
+    cases = [(a, da), (a + b, da + db), (a - b, da - db), (a * b, da * db),
+             (-a, -da), (a * a * b, da * da * db),
+             (a * 3, da * _DictScalar({0: 3})), (1 - a, _DictScalar({0: 1}) - da)]
+    if len(b.terms) == 1:
+        inverse = db.inverse()
+        cases += [(a / b, da * inverse), (b ** -2, inverse * inverse)]
+    for got, want in cases:
+        assert dict(got.terms) == want.terms
+        assert ({k: type(coeff) for k, coeff in got.terms.items()}
+                == {k: type(coeff) for k, coeff in want.terms.items()})
+        assert str(got) == str(want)
+
+
+# Every exact value is immutable, its ``terms`` view is read-only, and equal
+# values compare and hash alike whichever route built them.
+
+def _scalar_routes(q):
+    return [Scalar(q), Scalar(2 * q) / 2, Scalar(q, 1) * Scalar(1, -1),
+            Scalar(q + 1) - 1, parse_scalar(str(Scalar(q)))]
+
+
+def _element_routes(q):
+    top = G(2, {(0, 1): 1})
+    return [GrassmannElement.scalar(2, q), G(2, {(): 2 * q}) * Fraction(1, 2),
+            G(2, {(): q, (0, 1): 1}) - top, G(2, {(): Scalar(q, 1)}) * G(2, {(): Scalar(1, -1)}),
+            parse_grassmann(str(GrassmannElement.scalar(2, q)), 2)]
+
+
+def _polynomial_routes(q):
+    x = Polynomial.variable(1, 0)
+    return [Polynomial.constant(1, q), Polynomial.constant(1, 2 * q) * Fraction(1, 2),
+            Polynomial(1, {(0,): q, (1,): 1}) - x, x * Polynomial(1, {(-1,): q})]
+
+
+@pytest.mark.parametrize("routes", [_scalar_routes, _element_routes, _polynomial_routes],
+                         ids=["Scalar", "GrassmannElement", "Polynomial"])
+def test_exact_values_are_immutable_and_compare_by_value(routes):
+    value = routes(Fraction(3, 2))[0] + routes(Fraction(1, 2))[0] * Scalar(1, 1)
+    printed, hashed = str(value), hash(value)
+    name = type(value).__name__
+    for attr in ("den", "nums", "terms", "generator_count", "nvars"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, attr, 5)
+    with pytest.raises(TypeError):
+        value.terms[next(iter(value.terms))] = 5
+    assert str(value) == printed and hash(value) == hashed
+    for q in (Fraction(3, 2), 2, 0):
+        built = routes(q)
+        assert all(x == q and q == x for x in built)
+        assert all(x == built[0] and hash(x) == hash(built[0]) for x in built)
+        assert all(x != q + 1 for x in built)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GrassmannElement(-1), lambda: GrassmannElement(-1, {(0,): 1}),
+    lambda: Polynomial(-1), lambda: Polynomial(-1, {(): 1})],
+    ids=["element", "element-term", "polynomial", "polynomial-term"])
+def test_a_negative_count_is_refused(build):
+    with pytest.raises(DimensionError, match="^generator count must be nonnegative$"):
+        build()
