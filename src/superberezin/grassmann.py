@@ -16,8 +16,10 @@ one denominator the product loop multiplies and adds only ints, with one
 gcd per result.  A coefficient becomes an ``int`` (when integral) or a
 ``Fraction`` only where it is read (``terms``, ``rational``, printing).
 The mask is the package's one odd-monomial key, also of ``SuperFunction``
-sectors and Koszul monomials, and ``_odd_swaps`` its one sign rule: a
-product of two monomials is a test, an or and a popcount on their masks.
+sectors and Koszul monomials, and ``_odd_swaps`` its one sign rule, read
+from the 256-entry table ``_BYTE_SWAPS`` one byte of the mask at a time: a
+product of two monomials is a test, an or, a lookup and a popcount on
+their masks.
 Index tuples appear only where a value is built from ``{idx: coefficient}``,
 asked for a coefficient or printed.
 """
@@ -63,7 +65,8 @@ class _Exact:
     coefficient under a key being ``nums[key] / den``, as FLINT's
     ``fmpq_poly`` stores a polynomial.  The form is canonical:
     ``gcd(den, *nums.values()) == 1`` and zero has ``den == 1``, so equal
-    values are stored alike, and ``==`` and ``hash`` read the stored form.
+    values are stored alike, and ``==`` and ``hash`` read the stored form;
+    a constant hashes as the int, Fraction or Scalar it equals.
     ``terms`` is the read-only canonical view ``{key: coefficient}``, the
     coefficient an int when integral and a Fraction otherwise, built when
     read (its Fractions once).  A key is the power of s for a ``Scalar``,
@@ -135,7 +138,23 @@ class _Exact:
                 and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self._count, self.den, frozenset(self.nums.items())))
+        # a constant equals the int, Fraction or Scalar it holds, so it
+        # hashes as that value does
+        powers = self._powers()
+        if powers is None:
+            return hash((self._count, self.den, frozenset(self.nums.items())))
+        if powers.keys() - {0}:
+            return hash((0, self.den, frozenset(powers.items())))
+        n = powers.get(0, 0)
+        return hash(n if self.den == 1 else Fraction(n, self.den))
+
+    def _powers(self) -> dict | None:
+        """``{k: numerator}`` by power of s of a constant (every generator
+        or variable exponent zero, the key's last entry k); None otherwise."""
+        nums = self.nums
+        if any(any(key[:-1]) for key in nums):
+            return None
+        return {key[-1]: c for key, c in nums.items()}
 
 
 def _stored(cls, count: int, den: int, nums: dict):
@@ -222,6 +241,9 @@ class Scalar(_Exact):
         # any other value passes unchanged, so that ``+`` hands it on to
         # its own reflected method: Scalar - GrassmannElement is an element
         return Scalar(value) if isinstance(value, (int, Fraction)) else value
+
+    def _powers(self) -> dict:
+        return self.nums
 
     @property
     def rational(self) -> Fraction:
@@ -347,13 +369,38 @@ def _odd_swaps(ma: int) -> int:
     ma and mb that share no generator, xi^ma xi^mb is xi^(ma | mb) times
     (-1)^popcount(_odd_swaps(ma) & mb), since each letter of xi^mb moves
     left past the letters of xi^ma above it.
+
+    Read from ``_BYTE_SWAPS`` one byte at a time, low byte first (the
+    table method for prefix parity, Warren, *Hacker's Delight*, 2nd ed.,
+    5-2): a byte's entry is the rule within that byte, complemented when
+    the bytes above it hold an odd number of generators.
     """
-    swaps = 0
+    if ma < 256:
+        return _BYTE_SWAPS[ma]
+    swaps = shift = 0
     while ma:
-        low = ma & -ma
-        swaps ^= low - 1
-        ma ^= low
+        rest = ma >> 8
+        byte = _BYTE_SWAPS[ma & 0xFF]
+        if rest.bit_count() & 1:
+            byte ^= 0xFF
+        swaps |= byte << shift
+        ma = rest
+        shift += 8
     return swaps
+
+
+def _byte_table() -> tuple[int, ...]:
+    """``_odd_swaps`` of every mask below 256, the bit loop run once: the
+    entry of m is that of m without its lowest generator, XORed with the
+    bits below that generator, which it passes."""
+    table = [0]
+    for m in range(1, 256):
+        low = m & -m
+        table.append(table[m ^ low] ^ (low - 1))
+    return tuple(table)
+
+
+_BYTE_SWAPS = _byte_table()
 
 
 def _add_terms(acc: dict, items) -> dict:
@@ -382,13 +429,15 @@ def _accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
 
     ``a`` and ``b`` are numerator dicts keyed ``(mask, k)`` as
     ``GrassmannElement.nums``, so every product and sum is of ints.  Sums
-    are left as they fall: a key may end on zero until ``_reduced``.
+    are left as they fall: a key may end on zero until ``_reduced``.  A
+    left mask below 256 reads its ``_odd_swaps`` straight from the table.
     """
     get = acc.get
     right = b.items()
+    table = _BYTE_SWAPS
     for (ma, ka), ca in a.items():
         ca *= scale
-        swaps = _odd_swaps(ma)
+        swaps = table[ma] if ma < 256 else _odd_swaps(ma)
         for (mb, kb), cb in right:
             if ma & mb:
                 continue

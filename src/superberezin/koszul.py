@@ -31,12 +31,13 @@ degree t + |F| + 2|S| and parity |F| + |S|.
 
 The sign of d on a monomial is the hop count of the added odd letter past
 the odd letters present, read from their generator masks by
-``grassmann._odd_swaps``, the package's one sign rule, so it never reads an
-even exponent: on a block, d sends the present mask F | S to the masks
-F | S | 1 << i, i a free letter outside S.  Subtracting the free weights
-is therefore a bijection from the block of w onto the block of F at free
-weights 0 that commutes with d.  So is the map onto the block of
-F' = {0, .., |F| − 1} that relabels the free letters in order, the
+``grassmann._odd_swaps``, the package's one sign rule (a lookup in its
+byte table), so it never reads an even exponent: on a block, d sends the
+present mask F | S to the masks F | S | 1 << i, i a free letter outside
+S.  Subtracting the free weights is therefore a bijection from the block
+of w onto the block of F at free weights 0 that commutes with d.  So is
+the map onto the block of F' = {0, .., |F| − 1} that relabels the free
+letters in order, the
 monomial of S taking the sign (−1)^(forced letters below i in F and below
 the image of i in F'), multiplied over i in S.  `block_layer_sums` thus
 builds one block per forced-set size k on masks, counted C(n, k) times,

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .grassmann import EVEN, ODD, Parity, Scalar
 from .grassmann import (
+    _BYTE_SWAPS,
     _Exact,
     _Products,
     _add_into,
@@ -179,6 +180,8 @@ class Polynomial(_Exact):
 
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
+        if nvars < 0:
+            raise DimensionError("generator count must be nonnegative")
         return _stored(Polynomial, nvars, 1, {})
 
     @staticmethod
@@ -200,7 +203,7 @@ class Polynomial(_Exact):
         if isinstance(value, Polynomial):
             return value
         if isinstance(value, (int, Fraction, Scalar)):
-            return Polynomial.constant(self.nvars, value)
+            return _constant(self.nvars, value)
         raise TypeError(f"cannot interpret {value!r} as a Polynomial")
 
     def __add__(self, other) -> "Polynomial":
@@ -310,6 +313,17 @@ class Polynomial(_Exact):
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self!s})"
+
+
+def _constant(nvars: int, value) -> Polynomial:
+    """The constant polynomial of an int, Fraction or Scalar, built in
+    stored form: what ``Polynomial.constant`` gives, without its checks."""
+    zeros = (0,) * nvars
+    if isinstance(value, Scalar):
+        return _stored(Polynomial, nvars, value.den,
+                       {zeros + (k,): c for k, c in value.nums.items()})
+    nums = {zeros + (0,): value.numerator} if value else {}
+    return _stored(Polynomial, nvars, value.denominator, nums)
 
 
 def _poly_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
@@ -440,7 +454,8 @@ class SuperFunction:
         if isinstance(value, Polynomial):
             return SuperFunction.from_polynomial(self.shape, value)
         if isinstance(value, (int, Fraction, Scalar)):
-            return SuperFunction.constant(self.shape, value)
+            constant = _constant(self.shape.m, value)
+            return _sf(self.shape, {0: constant} if constant.nums else {})
         raise TypeError(f"cannot interpret {value!r} as a SuperFunction")
 
     def _check_shape(self, other: "SuperFunction"):
@@ -549,6 +564,8 @@ class SuperFunction:
         return self.shape == other.shape and self.coeffs == other.coeffs
 
     def __hash__(self):
+        if not self.coeffs.keys() - {0}:  # equal to its body polynomial
+            return hash(self.body_polynomial())
         return hash((self.shape, frozenset(self.coeffs.items())))
 
     def __str__(self) -> str:
@@ -597,13 +614,15 @@ def _graded_accumulate(acc: dict, dens: dict, a: dict, b: dict) -> dict:
     to numerator dicts, unreduced until ``_reduced``, each over its
     denominator in ``dens`` (``_sector_over``), a pair of sectors
     contributing over the product of their denominators.  The loop is
-    ``grassmann._accumulate``'s, with one ``_poly_accumulate`` per pair of
-    sectors, scaled by its sign and by the sector's denominator over the
-    pair's.
+    ``grassmann._accumulate``'s, its sign rule ``_odd_swaps`` read straight
+    from the table ``_BYTE_SWAPS`` for a left mask below 256, with one
+    ``_poly_accumulate`` per pair of sectors, scaled by its sign and by the
+    sector's denominator over the pair's.
     """
     right = b.items()
+    table = _BYTE_SWAPS
     for ma, pa in a.items():
-        swaps = _odd_swaps(ma)
+        swaps = table[ma] if ma < 256 else _odd_swaps(ma)
         for mb, pb in right:
             if ma & mb:
                 continue

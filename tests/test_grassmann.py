@@ -18,8 +18,10 @@ from superberezin.grassmann import (
     GrassmannElement,
     Parity,
     Scalar,
+    _BYTE_SWAPS,
     _Products,
     _canonical,
+    _odd_swaps,
     koszul_sign,
 )
 from superberezin.berezin import GAUSSIAN, BerezinSection, box_backend, integrate
@@ -829,10 +831,141 @@ def test_exact_values_are_immutable_and_compare_by_value(routes):
         assert all(x != q + 1 for x in built)
 
 
+# A constant element, polynomial or superfunction equals the Scalar it
+# holds, and a Scalar without powers of s equals its int or Fraction, so
+# each must hash alike: sets and dict keys treat them as one value.
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, st.integers(-2, 2), st.integers(0, 4), st.integers(0, 3))
+def test_constants_hash_as_the_value_they_hold(q, k, n, m):
+    value = Scalar(q, k)
+    shape = SuperDomainShape(m, (REALLINE,) * m, n)
+    constants = [value, GrassmannElement.scalar(n, value),
+                 Polynomial.constant(m, value), SuperFunction.constant(shape, value),
+                 GrassmannElement(n, {(): q, (0,): 1}) - G(n, {(0,): 1}) if n and not k
+                 else GrassmannElement.scalar(n, Scalar(2 * q, k)) * Fraction(1, 2)]
+    plain = [q, _canonical(q)] if k == 0 or q == 0 else []
+    for ref in [value] + plain:
+        for c in constants:
+            assert c == ref and ref == c and hash(c) == hash(ref)
+            assert len({ref, c}) == 1 and c in {ref} and ref in {c}
+            assert {ref: "ref"}.get(c) == "ref" and {c: "c"}.get(ref) == "c"
+    # a function with an odd sector, or a variable, is no constant
+    x = Polynomial.variable(m + 1, 0)
+    assert {x + q: 1}.get(q) is None and {q: 1}.get(x + q) is None
+    if n:
+        xi = GrassmannElement.generator(n, 0)
+        assert {xi + value: 1}.get(value) is None
+
+
 @pytest.mark.parametrize("build", [
     lambda: GrassmannElement(-1), lambda: GrassmannElement(-1, {(0,): 1}),
-    lambda: Polynomial(-1), lambda: Polynomial(-1, {(): 1})],
-    ids=["element", "element-term", "polynomial", "polynomial-term"])
+    lambda: Polynomial(-1), lambda: Polynomial(-1, {(): 1}),
+    lambda: GrassmannElement.zero(-1), lambda: Polynomial.zero(-1)],
+    ids=["element", "element-term", "polynomial", "polynomial-term",
+         "element-zero", "polynomial-zero"])
 def test_a_negative_count_is_refused(build):
     with pytest.raises(DimensionError, match="^generator count must be nonnegative$"):
         build()
+
+
+# ``_odd_swaps`` reads its 256-entry table one byte at a time.  The bit loop
+# it was written as before is kept here as its oracle, and products over
+# Lambda_9 to Lambda_16 whose masks straddle bit 8 are checked against the
+# index-merging oracle above.
+
+
+def _bit_loop_swaps(ma):
+    swaps = 0
+    while ma:
+        low = ma & -ma
+        swaps ^= low - 1
+        ma ^= low
+    return swaps
+
+
+def test_odd_swaps_matches_the_bit_loop_on_every_mask_below_4096():
+    assert len(_BYTE_SWAPS) == 256
+    for ma in range(1 << 12):
+        assert _odd_swaps(ma) == _bit_loop_swaps(ma), bin(ma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 64) - 1))
+def test_odd_swaps_matches_the_bit_loop_on_wide_masks(ma):
+    assert _odd_swaps(ma) == _bit_loop_swaps(ma)
+
+
+def _straddling(n):
+    """Index sets holding generators on both sides of bit 8 over Lambda_n."""
+    return st.tuples(st.sets(st.integers(0, 7), min_size=1, max_size=3),
+                     st.sets(st.integers(8, n - 1), min_size=1, max_size=3)).map(
+        lambda sides: sides[0] | sides[1])
+
+
+def wide_elements(n, max_terms=5):
+    """Elements over Lambda_n, 9 <= n <= 16, whose first term straddles bit
+    8, so its mask is read from two bytes of the table; the other terms are
+    monomials of at most four generators, so that many pairs are disjoint."""
+    def term(indices):
+        return st.tuples(indices.map(lambda ids: tuple(sorted(ids))),
+                         st.builds(Scalar, rationals.filter(bool), st.integers(-1, 1)))
+    rest = st.lists(term(st.sets(st.integers(0, n - 1), max_size=4)),
+                    max_size=max_terms)
+    return st.tuples(term(_straddling(n)), rest).map(
+        lambda parts: GrassmannElement(n, [parts[0]] + parts[1]))
+
+
+WIDE = st.integers(9, 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WIDE.flatmap(lambda n: st.tuples(wide_elements(n), wide_elements(n))))
+def test_products_straddling_bit_8_match_index_merging(operands):
+    a, b = operands
+    for x, y in ((a, b), (b, a)):
+        expected = _merged_product(_public_terms(x), _public_terms(y), Scalar.zero())
+        assert x * y == GrassmannElement(x.generator_count, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(WIDE.flatmap(lambda n: fused_operands(wide_elements(n, 3))), st.booleans())
+def test_fused_products_straddling_bit_8_match_merged_products(operands, subtract):
+    base, pairs = operands
+    got = base + _Products([(-a, b) for a, b in pairs] if subtract else pairs)
+    assert got == _fused_oracle(base, pairs, subtract)
+
+
+def wide_superfunctions(n, max_terms=5):
+    """Superfunctions on (1|n), 9 <= n <= 16, whose first sector straddles
+    bit 8, as ``wide_elements`` do."""
+    shape = SuperDomainShape(1, (REALLINE,), n)
+    def term(indices):
+        return st.tuples(indices.map(lambda ids: tuple(sorted(ids))),
+                         st.integers(-1, 2), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    rest = st.lists(term(st.sets(st.integers(0, n - 1), max_size=4)),
+                    max_size=max_terms)
+    return st.tuples(term(_straddling(n)), rest).map(lambda parts: SuperFunction(
+        shape, [(idx, Polynomial(1, {(e,): c})) for idx, e, c in [parts[0]] + parts[1]]))
+
+
+def _stored_sectors(f):
+    """f's (index tuple, Polynomial) sectors, read from its masks: reading
+    all 2^n through ``coefficient`` is slow over sixteen generators."""
+    return [(_indices_of(mask), poly) for mask, poly in f.coeffs.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(WIDE.flatmap(lambda n: st.tuples(*[wide_superfunctions(n)] * 4)))
+def test_superfunction_products_straddling_bit_8_match_index_merging(operands):
+    f, g, base, h = operands
+    for x, y in ((f, g), (g, f)):
+        expected = _merged_product(_stored_sectors(x), _stored_sectors(y),
+                                   Polynomial.zero(1))
+        assert x * y == SuperFunction(x.shape, expected)
+    expected = dict(_stored_sectors(base))
+    for x, y in ((f, g), (h, f)):
+        for idx, poly in _merged_product(_stored_sectors(x), _stored_sectors(y),
+                                         Polynomial.zero(1)).items():
+            expected[idx] = expected.get(idx, Polynomial.zero(1)) + poly
+    assert base + _Products([(f, g), (h, f)]) == SuperFunction(base.shape, expected)

@@ -908,3 +908,27 @@ def test_exponents_must_be_integers():
         with pytest.raises(TypeError):
             Polynomial(2, {(0, bad): 1})
     assert str(Polynomial(1, {(2,): 1})) == "x1^2"
+
+
+# Arithmetic with an int, Fraction or Scalar operand builds the constant in
+# stored form directly; it must be the constant the public constructors
+# build.
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(-5, 5, max_denominator=6), st.integers(-2, 2), st.integers(0, 3))
+def test_scalar_operands_coerce_to_the_public_constant(q, k, m):
+    shape = SuperDomainShape(m, (REALLINE,) * m, 2)
+    f = SuperFunction.odd_gen(shape, 1) + Fraction(2, 3)
+    p = Polynomial(m, {(1,) * m: Fraction(1, 2)})
+    for value in (q, _canonical(q), Scalar(q, k)):
+        want = SuperFunction.constant(shape, value)
+        got = f._coerce(value)
+        assert got.coeffs.keys() == want.coeffs.keys()
+        for mask, poly in got.coeffs.items():
+            assert_stored_form(poly)
+            assert_stored_alike(poly, want.coeffs[mask])
+        assert_stored_alike(p._coerce(value), Polynomial.constant(m, value))
+        assert f * value == f * want and value * f == want * f
+        assert f + value == f + want and value - f == want - f
+        assert p * value == p * want.body_polynomial()
+        assert p + value == p + want.body_polynomial()
