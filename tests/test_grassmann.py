@@ -869,10 +869,10 @@ def test_a_negative_count_is_refused(build):
         build()
 
 
-# ``_odd_swaps`` reads its 256-entry table one byte at a time.  The bit loop
-# it was written as before is kept here as its oracle, and products over
-# Lambda_9 to Lambda_16 whose masks straddle bit 8 are checked against the
-# index-merging oracle above.
+# ``_odd_swaps`` reads its 256-entry table one byte at a time.  The plain
+# bit loop below is its oracle, and products over Lambda_9 to Lambda_16
+# whose masks straddle bit 8 are checked against the index-merging oracle
+# above.
 
 
 def _bit_loop_swaps(ma):
