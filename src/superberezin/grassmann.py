@@ -66,7 +66,7 @@ class _Exact:
     ``fmpq_poly`` stores a polynomial.  The form is canonical:
     ``gcd(den, *nums.values()) == 1`` and zero has ``den == 1``, so equal
     values are stored alike, and ``==`` and ``hash`` read the stored form;
-    a constant hashes as the int, Fraction or Scalar it equals.
+    a constant, of any type and count, compares and hashes by its value.
     ``terms`` is the read-only canonical view ``{key: coefficient}``, the
     coefficient an int when integral and a Fraction otherwise, built when
     read (its Fractions once).  A key is the power of s for a ``Scalar``,
@@ -130,12 +130,17 @@ class _Exact:
         return -self + self._coerce(other)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self._coerce(other)
-        if not isinstance(other, type(self)):
+        if isinstance(other, (int, Fraction)):
+            other = Scalar(other)
+        elif not isinstance(other, _Exact):
             return NotImplemented
-        return (self._count == other._count and self.den == other.den
-                and self.nums == other.nums)
+        if self.den != other.den:
+            return False
+        if type(other) is type(self) and self._count == other._count:
+            return self.nums == other.nums
+        # constants of any type and count compare by value, as they hash
+        powers = self._powers()
+        return powers is not None and powers == other._powers()
 
     def __hash__(self):
         # a constant equals the int, Fraction or Scalar it holds, so it

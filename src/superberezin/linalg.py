@@ -4,19 +4,19 @@ Entries are stored as ints when integral and as Fractions otherwise, as
 everywhere in the package; inputs must be ints or Fractions (a float
 raises TypeError), and every result comes back in that form.
 
-`rank`, `nullspace`, `solve` and `inverse` share one sparse elimination
-core.  Each row is a ``{column: value}`` dict holding only its
+`rank`, `det`, `nullspace`, `solve` and `inverse` share one sparse
+elimination core.  Each row is a ``{column: value}`` dict holding only its
 nonzeros.  Columns are taken in increasing order; the pivot for a column
 is the row holding it with the fewest nonzeros (ties to the lower row
 index), and a column -> rows index means each step touches only the rows
-that hold the pivot column.  `rank` stops after this forward pass; the
-others back-reduce to the reduced row echelon form.  That form is unique,
-so the result does not depend on the pivot choice: `nullspace` returns
-the same basis, in the same order, as textbook Gauss–Jordan would.
+that hold the pivot column.  `rank` and `det` stop after this forward
+pass; the others back-reduce to the reduced row echelon form.  That form
+is unique, so the result does not depend on the pivot choice:
+`nullspace` returns the same basis, in the same order, as textbook
+Gauss–Jordan would.
 
 Matrices come in as dense lists of rows.  `rank` and `nullspace` also
 take sparse rows (mappings column -> value) together with ``ncols=``.
-`det` keeps its own dense loop; it only sees small body matrices.
 No numerics, no tolerance knobs.
 """
 
@@ -96,25 +96,30 @@ def _subtract(row: SparseRow, factor: Rational, pivot_row: SparseRow,
     return changed
 
 
-def _echelon(rows: list[SparseRow], ncols: int) -> list[tuple[int, SparseRow]]:
+def _echelon(rows: list[SparseRow], ncols: int
+             ) -> tuple[list[tuple[int, SparseRow]], list[tuple[Rational, int]]]:
     """Forward elimination, consuming `rows`.
 
     Returns (pivot column, pivot row scaled to a leading 1) in increasing
-    column order.  Each pivot row is zero left of its pivot column.
+    column order, each pivot row zero left of its pivot column, and beside
+    them each pivot's (lead before scaling, index of its source row).
     """
     active = {i: row for i, row in enumerate(rows) if row}
     holders: dict[int, set[int]] = {}
     for i, row in active.items():
         for c in row:
             holders.setdefault(c, set()).add(i)
-    pivots = []
+    pivots, leads = [], []
     for col in range(ncols):
         if not active:
             break
         rows_here = holders.pop(col, None)
         if not rows_here:
             continue
-        p = min(rows_here, key=lambda i: (len(active[i]), i))
+        if len(rows_here) == 1:
+            p, = rows_here
+        else:
+            p = min(rows_here, key=lambda i: (len(active[i]), i))
         pivot_row = active.pop(p)
         lead = pivot_row.pop(col)
         for c in pivot_row:
@@ -134,13 +139,14 @@ def _echelon(rows: list[SparseRow], ncols: int) -> list[tuple[int, SparseRow]]:
                 del active[i]
         pivot_row[col] = 1
         pivots.append((col, pivot_row))
-    return pivots
+        leads.append((lead, p))
+    return pivots, leads
 
 
 def _rref(rows: list[SparseRow], ncols: int) -> list[tuple[int, SparseRow]]:
     """The reduced row echelon form: `_echelon`, then back-reduction so
     every pivot column is zero outside its own pivot row."""
-    pivots = _echelon(rows, ncols)
+    pivots, _ = _echelon(rows, ncols)
     # Back-reduction only ever subtracts a fully reduced later row, whose
     # entries sit at its pivot and at non-pivot columns, so the rows that
     # hold each pivot column can be listed once, up front.
@@ -158,7 +164,7 @@ def _rref(rows: list[SparseRow], ncols: int) -> list[tuple[int, SparseRow]]:
 
 def rank(rows, ncols: int | None = None) -> int:
     """Rank of a dense matrix, or of sparse rows with ``ncols`` columns."""
-    return len(_echelon(*_sparse_rows(rows, ncols)))
+    return len(_echelon(*_sparse_rows(rows, ncols))[0])
 
 
 def nullspace(rows, ncols: int | None = None) -> list[list[Rational]]:
@@ -207,24 +213,23 @@ def solve(rows, rhs) -> list[Rational] | None:
 
 
 def det(rows) -> Rational:
-    mat = _as_matrix(rows)
-    n = len(mat)
-    if any(len(r) != n for r in mat):
+    """The product of the pivot leads of `_echelon`, signed by the order in
+    which it took the source rows: every other step adds a multiple of
+    one row to another."""
+    sparse, n = _sparse_rows(rows, None)
+    if len(sparse) != n:
         raise DimensionError("determinant requires a square matrix")
-    m = [row[:] for row in mat]
-    result = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                factor = _quotient(m[i][c], m[c][c])
-                m[i] = [_canonical(a - factor * b) for a, b in zip(m[i], m[c])]
+    pivots, leads = _echelon(sparse, n)
+    if len(pivots) < n:
+        return 0
+    result, taken = 1, []
+    for lead, p in leads:
+        # one sign flip for each row taken earlier from further down
+        for q in taken:
+            if q > p:
+                result = -result
+        taken.append(p)
+        result *= lead
     return _canonical(result)
 
 

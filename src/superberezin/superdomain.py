@@ -557,11 +557,17 @@ class SuperFunction:
     # -- comparison / printing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar, Polynomial)):
-            other = self._coerce(other)
-        if not isinstance(other, SuperFunction):
+        if isinstance(other, SuperFunction):
+            if self.shape == other.shape:
+                return self.coeffs == other.coeffs
+            if other.coeffs.keys() - {0}:
+                return False
+            other = other.body_polynomial()
+        elif not isinstance(other, (int, Fraction, _Exact)):
             return NotImplemented
-        return self.shape == other.shape and self.coeffs == other.coeffs
+        # with no odd sector a function compares as its body polynomial,
+        # as it hashes, on any shape
+        return not self.coeffs.keys() - {0} and self.body_polynomial() == other
 
     def __hash__(self):
         if not self.coeffs.keys() - {0}:  # equal to its body polynomial

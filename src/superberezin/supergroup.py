@@ -24,6 +24,10 @@ Three derived computations drive everything else.
   subgroup element, taken at the unit, and its Berezinian restricted to
   the subgroup directions versus the full chart gives the density ratio
   appearing in the product-of-subgroups formula.
+
+Every generalized point g (or h) is the first factor of the doubled
+chart ``shape_product`` and the live copy x the second, each read off by
+``projection``: the left translation x |-> g.x is ``mul`` itself.
 """
 
 from __future__ import annotations
@@ -59,12 +63,20 @@ from .superdomain import (
     jacobian_rows,
     morphism_product,
     pair,
+    projection,
     pullback,
     shape_product,
 )
 from .supermatrix import SuperMatrix
 
 _EMPTY = SuperDomainShape(0, (), 0)
+
+
+def _factor_directions(first: SuperDomainShape, second: SuperDomainShape):
+    """The coordinate directions of the second factor of the doubled chart
+    ``shape_product(first, second)``, evens then odds."""
+    return [("even", first.m + i) for i in range(second.m)] \
+        + [("odd", first.n + j) for j in range(second.n)]
 
 
 @dataclass(frozen=True)
@@ -159,17 +171,15 @@ def trivialization(G: SuperGroupChart, H: SubgroupSpec,
 
 
 def _cross_coefficient(comp: SuperFunction, first: tuple[str, int],
-                       second: tuple[str, int], m: int, n: int,
+                       second: tuple[str, int],
                        unit2: Sequence[Fraction]) -> Fraction:
     # coefficient of (first-factor direction)*(second-factor direction) in
     # one component of mul, evaluated at the doubled unit.  Left odd
     # derivatives are applied outermost-first, so the stored coefficient
     # of xi_i eta_j (always in canonical order) is recovered unsigned.
-    g = comp.derive_even(first[1]) if first[0] == "even" \
-        else comp.derive_odd(first[1])
-    g = g.derive_even(m + second[1]) if second[0] == "even" \
-        else g.derive_odd(n + second[1])
-    return g.coefficient(()).evaluate(list(unit2)).rational
+    for kind, k in (first, second):
+        comp = comp.derive_even(k) if kind == "even" else comp.derive_odd(k)
+    return comp.coefficient(()).evaluate(list(unit2)).rational
 
 
 def group_lie_algebra(G: SuperGroupChart,
@@ -179,7 +189,8 @@ def group_lie_algebra(G: SuperGroupChart,
     if names is None:
         names = tuple(f"x{i + 1}" for i in range(m)) \
             + tuple(f"xi{j + 1}" for j in range(n))
-    dirs = [("even", i) for i in range(m)] + [("odd", j) for j in range(n)]
+    first = _factor_directions(_EMPTY, G.shape)
+    second = _factor_directions(G.shape, G.shape)
     parities = [EVEN] * m + [ODD] * n
     unit2 = tuple(G.unit) + tuple(G.unit)
     comps = [G.mul.component(k) for k in range(m + n)]
@@ -188,8 +199,8 @@ def group_lie_algebra(G: SuperGroupChart,
         for b in range(a, m + n):
             koszul = koszul_sign(parities[a], parities[b])
             vec = tuple(
-                _cross_coefficient(c, dirs[a], dirs[b], m, n, unit2)
-                - koszul * _cross_coefficient(c, dirs[b], dirs[a], m, n, unit2)
+                _cross_coefficient(c, first[a], second[b], unit2)
+                - koszul * _cross_coefficient(c, first[b], second[a], unit2)
                 for c in comps)
             if any(vec):
                 brackets[(a, b)] = vec
@@ -206,22 +217,30 @@ def group_lie_algebra(G: SuperGroupChart,
 # invariant densities
 
 
+def _translation_by_generalized_point(G: SuperGroupChart,
+                                      side: str) -> SuperMorphism:
+    """T_g on the doubled chart, g the first factor and the live copy x
+    the second: g.x is mul itself, x.g is mul after the factor swap."""
+    if side == "left":
+        return G.mul
+    if side == "right":
+        s = G.shape
+        return compose(pair(projection(s, s, 2), projection(s, s, 1)), G.mul)
+    raise StructureError("side must be 'left' or 'right'")
+
+
 def haar_density(G: SuperGroupChart, side: str = "left") -> BerezinSection:
     """The left- (or right-) invariant density that is 1 at the unit:
-    rho(g) = Ber(d(g.x)/dx at x = e)^-1, with x.g for the right side."""
-    if side not in ("left", "right"):
-        raise StructureError("side must be 'left' or 'right'")
-    m, n = G.shape.m, G.shape.n
-    g, e = SuperMorphism.identity(G.shape), G.unit_morphism()
-    # the x factor is the second copy of the chart for g.x, the first for x.g
-    dm, dn, at = (m, n, pair(g, e)) if side == "left" else (0, 0, pair(e, g))
-    dirs = [("even", dm + i) for i in range(m)] \
-        + [("odd", dn + j) for j in range(n)]
+    rho(g) = Ber(d(g.x)/dx at x = e)^-1, with x.g for the right side,
+    from the translation the ansatz cross-check uses."""
+    s = G.shape
+    trans = _translation_by_generalized_point(G, side)
+    at = pair(SuperMorphism.identity(s), G.unit_morphism())
     rows = [[pullback(at, entry) for entry in row]
-            for row in jacobian_rows(G.mul, dirs)]
-    jac = SuperMatrix(m, n, rows, zero=SuperFunction.zero(G.shape),
-                      one=SuperFunction.one(G.shape))
-    return BerezinSection(G.shape, jac.berezinian().inv_even())
+            for row in jacobian_rows(trans, _factor_directions(s, s))]
+    jac = SuperMatrix(s.m, s.n, rows, zero=SuperFunction.zero(s),
+                      one=SuperFunction.one(s))
+    return BerezinSection(s, jac.berezinian().inv_even())
 
 
 @dataclass(frozen=True)
@@ -234,26 +253,6 @@ class InvariantDensityResult:
     @property
     def density(self) -> SuperFunction:
         return self.sections[0].density
-
-
-def _translation_by_generalized_point(G: SuperGroupChart,
-                                      side: str) -> SuperMorphism:
-    """T_g on the doubled shape: params in the first m evens / last n odds,
-    the live copy of the chart in the remaining slots."""
-    m, n = G.shape.m, G.shape.n
-    S = shape_product(G.shape, G.shape)
-    param_evens = [SuperFunction.coordinate(S, i) for i in range(m)]
-    param_odds = [SuperFunction.odd_gen(S, n + j) for j in range(n)]
-    live_evens = [SuperFunction.coordinate(S, m + i) for i in range(m)]
-    live_odds = [SuperFunction.odd_gen(S, j) for j in range(n)]
-    if side == "left":
-        evens, odds = param_evens + live_evens, param_odds + live_odds
-    elif side == "right":
-        evens, odds = live_evens + param_evens, live_odds + param_odds
-    else:
-        raise StructureError("side must be 'left' or 'right'")
-    juggle = SuperMorphism(S, G.mul.source, evens, odds)
-    return compose(juggle, G.mul)
 
 
 def solve_invariant_density(G: SuperGroupChart, side: str = "left",
@@ -303,15 +302,14 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
     m, n = G.shape.m, G.shape.n
     S = shape_product(G.shape, G.shape)
     trans = _translation_by_generalized_point(G, side)
-    live_rows = [("even", m + i) for i in range(m)] \
-        + [("odd", j) for j in range(n)]
-    jac = SuperMatrix(m, n, jacobian_rows(trans, live_rows),
+    live = _factor_directions(G.shape, G.shape)
+    jac = SuperMatrix(m, n, jacobian_rows(trans, live),
                       zero=SuperFunction.zero(S), one=SuperFunction.one(S))
     factor = jac.berezinian()
     if prefactor is not None:
         if prefactor.shape != G.shape:
             raise DimensionError("prefactor on the wrong shape")
-        lifted = prefactor.embed(S, m, 0)
+        lifted = prefactor.embed(S, m, n)
         factor = factor * pullback(trans, prefactor) * lifted.inv_even()
 
     unknowns = sorted((odd_part, exps) for odd_part in _odd_subsets(n)
@@ -336,12 +334,13 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
         else:
             image = factor
         images[(odd_part, exps)] = image
-        # minus phi itself, whose key on the doubled shape is (I, 0, e, s^0);
-        # over den 1 the numerators are the coefficients, with no view built
+        # minus phi itself, a function of the live copy: its key on the
+        # doubled chart is (I after g's n odd generators, 0, e, s^0); over
+        # den 1 the numerators are the coefficients, with no view built
         residual = {(mask, e2): c for mask, poly in image.coeffs.items()
                     for e2, c in (poly.nums if poly.den == 1
                                   else poly.terms).items()}
-        own = (_mask(odd_part), zero + exps + (0,))
+        own = (_mask(odd_part) << n, zero + exps + (0,))
         residual[own] = residual.get(own, 0) - 1
         for key, c in residual.items():
             if c:
@@ -374,10 +373,7 @@ def _embedding_directions(H: SubgroupSpec) -> list[int]:
     """Indices of parent directions hit by the embedding differential at the
     unit; requires the embedding to be coordinate-aligned there."""
     emb = H.embedding
-    Hsh, Gsh = emb.source, emb.target
-    all_dirs = [("even", i) for i in range(Hsh.m)] \
-        + [("odd", j) for j in range(Hsh.n)]
-    rows = jacobian_rows(emb, all_dirs)
+    rows = jacobian_rows(emb, _factor_directions(_EMPTY, emb.source))
     point = list(H.subgroup.unit)
     dirs = []
     for row in rows:
@@ -402,32 +398,18 @@ def modular_berezinian(G: SuperGroupChart, H: SubgroupSpec
     if H.parent is not G and H.parent.shape != G.shape:
         raise DimensionError("subgroup of a different chart")
     Hsh, Gsh = H.subgroup.shape, G.shape
-    mH, nH, mG, nG = Hsh.m, Hsh.n, Gsh.m, Gsh.n
-    S = SuperDomainShape(mH + mG, Hsh.box + Gsh.box, nG + nH)
+    mG, nG = Gsh.m, Gsh.n
 
-    h_point = SuperMorphism(
-        S, Hsh,
-        [SuperFunction.coordinate(S, i) for i in range(mH)],
-        [SuperFunction.odd_gen(S, nG + j) for j in range(nH)])
-    live = SuperMorphism(
-        S, Gsh,
-        [SuperFunction.coordinate(S, mH + i) for i in range(mG)],
-        [SuperFunction.odd_gen(S, j) for j in range(nG)])
-    emb_h = compose(h_point, H.embedding)
+    # h is the first factor of the doubled chart, the live copy x the second
+    emb_h = compose(projection(Hsh, Gsh, 1), H.embedding)
     inv_h = compose(emb_h, G.inv)
-    conj = compose(pair(compose(pair(emb_h, live), G.mul), inv_h), G.mul)
-
-    live_dirs = [("even", mH + i) for i in range(mG)] \
-        + [("odd", j) for j in range(nG)]
-    rows = jacobian_rows(conj, live_dirs)
+    conj = compose(pair(compose(pair(emb_h, projection(Hsh, Gsh, 2)), G.mul),
+                        inv_h), G.mul)
+    rows = jacobian_rows(conj, _factor_directions(Hsh, Gsh))
 
     # evaluate at the unit of the live copy; subgroup coordinates survive
-    at_unit = SuperMorphism(
-        Hsh, S,
-        [SuperFunction.coordinate(Hsh, i) for i in range(mH)]
-        + [SuperFunction.constant(Hsh, x) for x in G.unit],
-        [SuperFunction.zero(Hsh) for _ in range(nG)]
-        + [SuperFunction.odd_gen(Hsh, j) for j in range(nH)])
+    at_unit = pair(SuperMorphism.identity(Hsh),
+                   SuperMorphism.constant_point(Hsh, Gsh, G.unit))
     entries = [[pullback(at_unit, entry) for entry in row] for row in rows]
 
     ad = SuperMatrix(mG, nG, entries, zero=SuperFunction.zero(Hsh),

@@ -5,7 +5,7 @@ by hand and multiplying back; the tests keep those coefficients literal.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -843,13 +843,25 @@ def test_constants_hash_as_the_value_they_hold(q, k, n, m):
     constants = [value, GrassmannElement.scalar(n, value),
                  Polynomial.constant(m, value), SuperFunction.constant(shape, value),
                  GrassmannElement(n, {(): q, (0,): 1}) - G(n, {(0,): 1}) if n and not k
-                 else GrassmannElement.scalar(n, Scalar(2 * q, k)) * Fraction(1, 2)]
+                 else GrassmannElement.scalar(n, Scalar(2 * q, k)) * Fraction(1, 2),
+                 # the same value over other counts and another shape
+                 GrassmannElement.scalar(n + 3, value),
+                 Polynomial.constant(m + 1, value),
+                 SuperFunction.constant(SuperDomainShape(m + 1, (REALLINE,) * (m + 1), n + 1),
+                                        value)]
     plain = [q, _canonical(q)] if k == 0 or q == 0 else []
     for ref in [value] + plain:
         for c in constants:
             assert c == ref and ref == c and hash(c) == hash(ref)
             assert len({ref, c}) == 1 and c in {ref} and ref in {c}
             assert {ref: "ref"}.get(c) == "ref" and {c: "c"}.get(ref) == "c"
+    # equality is an equivalence on them: every pair, both ways, and a set
+    # of them has one element whatever the insertion order
+    for a, b in permutations(constants + plain, 2):
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    for ordered in (constants + plain, (constants + plain)[::-1]):
+        assert len(set(ordered)) == 1
     # a function with an odd sector, or a variable, is no constant
     x = Polynomial.variable(m + 1, 0)
     assert {x + q: 1}.get(q) is None and {q: 1}.get(x + q) is None

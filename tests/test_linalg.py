@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,34 @@ def test_inverse_matches_dense_oracle(m):
         for row in inverse(m):
             assert_stored(row)
     assert_stored([det(m)])
+
+
+def _leibniz_det(m):
+    """The sum over permutations of signed entry products: no elimination."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_the_leibniz_formula(m):
+    # pivot rows are taken out of order whenever a sparser row holds the
+    # column, so the sign of that order is checked here too
+    d = det(m)
+    assert d == _leibniz_det(m)
+    assert_stored([d])
+
+
+def test_det_refuses_a_non_square_matrix():
+    for m in ([[1, 2]], [[1], [2]], [[]]):
+        with pytest.raises(DimensionError):
+            det(m)
 
 
 def test_sparse_rows_with_ncols():

@@ -120,6 +120,15 @@ class TestSuperFunctionAlgebra:
         with pytest.raises(ParityError):
             (SuperFunction.one(R12) + XI1).inv_even()
 
+    def test_a_body_compares_as_its_polynomial_on_any_shape(self):
+        # x on (1|2) over R, x on (1|0) over R+ and the polynomial x are
+        # one value, as they hash; an odd sector or another arity is not
+        x = Polynomial.variable(1, 0)
+        x_pos = SuperFunction.coordinate(SuperDomainShape(1, (POSITIVE,), 0), 0)
+        assert X == x and X == x_pos and x_pos == X and len({X, x, x_pos}) == 1
+        assert X + XI1 * XI2 != x_pos and x_pos != X + XI1 * XI2
+        assert X != Polynomial.variable(2, 0) and Polynomial.variable(2, 0) != X
+
 
 class TestDerivatives:
     def test_even_derivative(self):

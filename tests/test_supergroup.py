@@ -287,23 +287,39 @@ def test_derived_densities_match_the_declared_values():
         assert pulled.density == product_section(b, haar_density(H)).density
 
 
+def test_generalized_point_is_the_first_factor():
+    # on the doubled scaling-shift chart, g = (a_g | b_g) first and the
+    # live copy x = (a_x | b_x) second: b(g.x) = b_g + a_g b_x and
+    # b(x.g) = b_x + a_x b_g
+    G = axb_group()
+    S = shape_product(G.shape, G.shape)
+    a_g, a_x = _coord(S, 0), _coord(S, 1)
+    b_g, b_x = SuperFunction.odd_gen(S, 0), SuperFunction.odd_gen(S, 1)
+    b = SuperFunction.odd_gen(G.shape, 0)
+    left = _translation_by_generalized_point(G, "left")
+    right = _translation_by_generalized_point(G, "right")
+    assert pullback(left, b) == b_g + a_g * b_x
+    assert pullback(right, b) == b_x + a_x * b_g
+
+
 def _rows_by_pullback(G, side, prefactor, unknowns):
     """The ansatz rows with one full pullback per unknown:
     F * T_g^*(phi) - phi, read coefficient by coefficient."""
     m, n = G.shape.m, G.shape.n
     S = shape_product(G.shape, G.shape)
     trans = _translation_by_generalized_point(G, side)
-    live = [("even", m + i) for i in range(m)] + [("odd", j) for j in range(n)]
+    live = [("even", m + i) for i in range(m)] \
+        + [("odd", n + j) for j in range(n)]
     factor = SuperMatrix(m, n, jacobian_rows(trans, live),
                          zero=SuperFunction.zero(S),
                          one=SuperFunction.one(S)).berezinian()
     if prefactor is not None:
         factor = factor * pullback(trans, prefactor) \
-            * prefactor.embed(S, m, 0).inv_even()
+            * prefactor.embed(S, m, n).inv_even()
     rows = {}
     for u, (odd_part, exps) in enumerate(unknowns):
         phi = SuperFunction(G.shape, {odd_part: Polynomial(m, {exps: 1})})
-        residual = factor * pullback(trans, phi) - phi.embed(S, m, 0)
+        residual = factor * pullback(trans, phi) - phi.embed(S, m, n)
         for idx, poly in residual.coeffs.items():
             for e2, coeff in poly.terms.items():
                 rows.setdefault((idx, e2), {})[u] = coeff
