@@ -134,13 +134,12 @@ class _Exact:
             other = Scalar(other)
         elif not isinstance(other, _Exact):
             return NotImplemented
-        if self.den != other.den:
-            return False
         if type(other) is type(self) and self._count == other._count:
-            return self.nums == other.nums
+            return self.den == other.den and self.nums == other.nums
         # constants of any type and count compare by value, as they hash
         powers = self._powers()
-        return powers is not None and powers == other._powers()
+        return (self.den == other.den and powers is not None
+                and powers == other._powers())
 
     def __hash__(self):
         # a constant equals the int, Fraction or Scalar it holds, so it

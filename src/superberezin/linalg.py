@@ -116,10 +116,7 @@ def _echelon(rows: list[SparseRow], ncols: int
         rows_here = holders.pop(col, None)
         if not rows_here:
             continue
-        if len(rows_here) == 1:
-            p, = rows_here
-        else:
-            p = min(rows_here, key=lambda i: (len(active[i]), i))
+        p = min(rows_here, key=lambda i: (len(active[i]), i))
         pivot_row = active.pop(p)
         lead = pivot_row.pop(col)
         for c in pivot_row:
@@ -222,14 +219,11 @@ def det(rows) -> Rational:
     pivots, leads = _echelon(sparse, n)
     if len(pivots) < n:
         return 0
-    result, taken = 1, []
-    for lead, p in leads:
+    result = 1
+    for k, (lead, p) in enumerate(leads):
         # one sign flip for each row taken earlier from further down
-        for q in taken:
-            if q > p:
-                result = -result
-        taken.append(p)
-        result *= lead
+        flips = sum(q > p for _, q in leads[:k])
+        result *= -lead if flips % 2 else lead
     return _canonical(result)
 
 

@@ -557,20 +557,25 @@ class SuperFunction:
     # -- comparison / printing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction, Scalar)):
+            other = self._coerce(other)
         if isinstance(other, SuperFunction):
             if self.shape == other.shape:
                 return self.coeffs == other.coeffs
             if other.coeffs.keys() - {0}:
                 return False
             other = other.body_polynomial()
-        elif not isinstance(other, (int, Fraction, _Exact)):
+        elif not isinstance(other, _Exact):
             return NotImplemented
-        # with no odd sector a function compares as its body polynomial,
-        # as it hashes, on any shape
-        return not self.coeffs.keys() - {0} and self.body_polynomial() == other
+        # across shapes and types only a constant compares, by value, as it
+        # hashes; a non-constant keeps its shape and type
+        if self.coeffs.keys() - {0}:
+            return False
+        body = self.body_polynomial()
+        return body == other and body._powers() is not None
 
     def __hash__(self):
-        if not self.coeffs.keys() - {0}:  # equal to its body polynomial
+        if not self.coeffs.keys() - {0}:  # a constant hashes as its value
             return hash(self.body_polynomial())
         return hash((self.shape, frozenset(self.coeffs.items())))
 
@@ -930,10 +935,17 @@ def jacobian(phi: SuperMorphism) -> SuperMatrix:
     if (phi.source.m, phi.source.n) != (phi.target.m, phi.target.n):
         raise DimensionError("jacobian needs equal graded dimensions")
     src = phi.source
-    rows = jacobian_rows(phi, [("even", i) for i in range(src.m)]
-                         + [("odd", j) for j in range(src.n)])
+    rows = jacobian_rows(phi, directions(src))
     return SuperMatrix(src.m, src.n, rows,
                        zero=SuperFunction.zero(src), one=SuperFunction.one(src))
+
+
+def directions(shape: SuperDomainShape, even_offset: int = 0,
+               odd_offset: int = 0) -> list[tuple[str, int]]:
+    """`shape`'s directions for `jacobian_rows`, evens then odds; for it as
+    the second factor of ``shape_product(f, shape)``, offset by f.m, f.n."""
+    return [("even", even_offset + i) for i in range(shape.m)] \
+        + [("odd", odd_offset + j) for j in range(shape.n)]
 
 
 def jacobian_rows(phi: SuperMorphism, row_vars: Sequence[tuple[str, int]]) -> list[list[SuperFunction]]:

@@ -60,6 +60,7 @@ from .superdomain import (
     SuperFunction,
     SuperMorphism,
     compose,
+    directions,
     jacobian_rows,
     morphism_product,
     pair,
@@ -70,13 +71,6 @@ from .superdomain import (
 from .supermatrix import SuperMatrix
 
 _EMPTY = SuperDomainShape(0, (), 0)
-
-
-def _factor_directions(first: SuperDomainShape, second: SuperDomainShape):
-    """The coordinate directions of the second factor of the doubled chart
-    ``shape_product(first, second)``, evens then odds."""
-    return [("even", first.m + i) for i in range(second.m)] \
-        + [("odd", first.n + j) for j in range(second.n)]
 
 
 @dataclass(frozen=True)
@@ -189,8 +183,8 @@ def group_lie_algebra(G: SuperGroupChart,
     if names is None:
         names = tuple(f"x{i + 1}" for i in range(m)) \
             + tuple(f"xi{j + 1}" for j in range(n))
-    first = _factor_directions(_EMPTY, G.shape)
-    second = _factor_directions(G.shape, G.shape)
+    first = directions(G.shape)
+    second = directions(G.shape, m, n)
     parities = [EVEN] * m + [ODD] * n
     unit2 = tuple(G.unit) + tuple(G.unit)
     comps = [G.mul.component(k) for k in range(m + n)]
@@ -231,13 +225,16 @@ def _translation_by_generalized_point(G: SuperGroupChart,
 
 def haar_density(G: SuperGroupChart, side: str = "left") -> BerezinSection:
     """The left- (or right-) invariant density that is 1 at the unit:
-    rho(g) = Ber(d(g.x)/dx at x = e)^-1, with x.g for the right side,
-    from the translation the ansatz cross-check uses."""
+    rho(g) = Ber(d(g.x)/dx at x = e)^-1, with x.g for the right side; x is
+    mul's second factor in g.x and its first in x.g."""
+    if side not in ("left", "right"):
+        raise StructureError("side must be 'left' or 'right'")
     s = G.shape
-    trans = _translation_by_generalized_point(G, side)
-    at = pair(SuperMorphism.identity(s), G.unit_morphism())
+    g, e = SuperMorphism.identity(s), G.unit_morphism()
+    dirs, at = ((directions(s, s.m, s.n), pair(g, e)) if side == "left"
+                else (directions(s), pair(e, g)))
     rows = [[pullback(at, entry) for entry in row]
-            for row in jacobian_rows(trans, _factor_directions(s, s))]
+            for row in jacobian_rows(G.mul, dirs)]
     jac = SuperMatrix(s.m, s.n, rows, zero=SuperFunction.zero(s),
                       one=SuperFunction.one(s))
     return BerezinSection(s, jac.berezinian().inv_even())
@@ -302,8 +299,7 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
     m, n = G.shape.m, G.shape.n
     S = shape_product(G.shape, G.shape)
     trans = _translation_by_generalized_point(G, side)
-    live = _factor_directions(G.shape, G.shape)
-    jac = SuperMatrix(m, n, jacobian_rows(trans, live),
+    jac = SuperMatrix(m, n, jacobian_rows(trans, directions(G.shape, m, n)),
                       zero=SuperFunction.zero(S), one=SuperFunction.one(S))
     factor = jac.berezinian()
     if prefactor is not None:
@@ -373,7 +369,7 @@ def _embedding_directions(H: SubgroupSpec) -> list[int]:
     """Indices of parent directions hit by the embedding differential at the
     unit; requires the embedding to be coordinate-aligned there."""
     emb = H.embedding
-    rows = jacobian_rows(emb, _factor_directions(_EMPTY, emb.source))
+    rows = jacobian_rows(emb, directions(emb.source))
     point = list(H.subgroup.unit)
     dirs = []
     for row in rows:
@@ -405,7 +401,7 @@ def modular_berezinian(G: SuperGroupChart, H: SubgroupSpec
     inv_h = compose(emb_h, G.inv)
     conj = compose(pair(compose(pair(emb_h, projection(Hsh, Gsh, 2)), G.mul),
                         inv_h), G.mul)
-    rows = jacobian_rows(conj, _factor_directions(Hsh, Gsh))
+    rows = jacobian_rows(conj, directions(Gsh, Hsh.m, Hsh.n))
 
     # evaluate at the unit of the live copy; subgroup coordinates survive
     at_unit = pair(SuperMorphism.identity(Hsh),

@@ -120,14 +120,23 @@ class TestSuperFunctionAlgebra:
         with pytest.raises(ParityError):
             (SuperFunction.one(R12) + XI1).inv_even()
 
-    def test_a_body_compares_as_its_polynomial_on_any_shape(self):
-        # x on (1|2) over R, x on (1|0) over R+ and the polynomial x are
-        # one value, as they hash; an odd sector or another arity is not
+    def test_only_a_constant_compares_across_shapes(self):
+        # a constant is its value on every shape and as a polynomial; x on
+        # (1|2) over R, x on (1|0) over R+ and the polynomial x are three
+        # values, so == on functions still tells their shapes apart
         x = Polynomial.variable(1, 0)
-        x_pos = SuperFunction.coordinate(SuperDomainShape(1, (POSITIVE,), 0), 0)
-        assert X == x and X == x_pos and x_pos == X and len({X, x, x_pos}) == 1
-        assert X + XI1 * XI2 != x_pos and x_pos != X + XI1 * XI2
-        assert X != Polynomial.variable(2, 0) and Polynomial.variable(2, 0) != X
+        pos = SuperDomainShape(1, (POSITIVE,), 0)
+        x_pos = SuperFunction.coordinate(pos, 0)
+        three = [SuperFunction.constant(R12, 3), SuperFunction.constant(pos, 3),
+                 Polynomial.constant(1, 3), 3]
+        for a in three:
+            assert all(a == b and b == a for b in three)
+        assert len(set(three)) == len(set(three[::-1])) == 1
+        for a, b in [(X, x), (X, x_pos), (x_pos, x), (X + XI1 * XI2, x_pos),
+                     (X, Polynomial.variable(2, 0))]:
+            assert a != b and b != a and not a == b
+        assert len({X, x, x_pos}) == len({x_pos, x, X}) == 3
+        assert X == SuperFunction.coordinate(R12, 0)
 
 
 class TestDerivatives:
