@@ -243,8 +243,8 @@ def integrate(omega: BerezinSection, backend: IntegrationBackend) -> Scalar:
     """Total integral: the top odd coefficient g of the density integrated
     over the even axes, with the convention sign (-1)^{mn}."""
     shape = omega.shape
-    top = omega.density.coeffs.get((1 << shape.n) - 1)
-    if top is None:
+    top = omega.density._sector((1 << shape.n) - 1)
+    if not top:
         return Scalar.zero()
     sign = -1 if (shape.m * shape.n) % 2 else 1
     return sign * backend.integrate_polynomial(top, shape.box)

@@ -7,19 +7,20 @@ model is faithful.  Algebra elements are finite sums of terms
 ``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices.  Each term is
 stored under the key ``(mask, k)``: ``mask`` is the int whose bit i is set
 when xi_{i+1} is a factor, and k is the power of s, so every coefficient
-is a plain rational.  Every exact value, a ``Scalar``, an element or a
-``superdomain.Polynomial``, stores its coefficients as int numerators
-over one shared denominator in lowest terms, in the one form of
-``_Exact``, as FLINT's ``fmpq_poly`` does: the pivot inverses 1/c of a
-Berezinian would spread Fractions through every later product, and over
-one denominator the product loop multiplies and adds only ints, with one
-gcd per result.  A coefficient becomes an ``int`` (when integral) or a
-``Fraction`` only where it is read (``terms``, ``rational``, printing).
-The mask is the package's one odd-monomial key, also of ``SuperFunction``
-sectors and Koszul monomials, and ``_odd_swaps`` its one sign rule, read
-from the 256-entry table ``_BYTE_SWAPS`` one byte of the mask at a time: a
-product of two monomials is a test, an or, a lookup and a popcount on
-their masks.
+is a plain rational.  Every exact value, a ``Scalar``, an element, a
+``superdomain.Polynomial`` or a ``superdomain.SuperFunction`` (keyed
+``(mask, e_1, ..., e_m, k)``: the odd generator mask, the even exponents,
+the power of s), stores its coefficients as int numerators over one
+shared denominator in lowest terms, in the one form of ``_Exact``, as
+FLINT's ``fmpq_poly`` does: the pivot inverses 1/c of a Berezinian would
+spread Fractions through every later product, and over one denominator
+the product loop multiplies and adds only ints, with one gcd per result.
+A coefficient becomes an ``int`` (when integral) or a ``Fraction`` only
+where it is read (``terms``, ``rational``, printing).
+The mask is the package's one odd-monomial key, also of superfunctions
+and Koszul monomials, and ``_odd_swaps`` its one sign rule, read from the
+256-entry table ``_BYTE_SWAPS`` one byte of the mask at a time: a product
+of two monomials is a test, an or, a lookup and a popcount on their masks.
 Index tuples appear only where a value is built from ``{idx: coefficient}``,
 asked for a coefficient or printed.
 """
@@ -70,14 +71,16 @@ class _Exact:
     ``terms`` is the read-only canonical view ``{key: coefficient}``, the
     coefficient an int when integral and a Fraction otherwise, built when
     read (its Fractions once).  A key is the power of s for a ``Scalar``,
-    ``(mask, k)`` for a ``GrassmannElement`` and ``(e_1, ..., e_m, k)`` for
-    a ``superdomain.Polynomial``, k the power of s; ``_count`` is the
-    element's generator count or the polynomial's variable count, 0 for a
-    Scalar.  Values are immutable: closed operations build their results
-    with the trusted constructor ``_stored`` or the one reduction
-    ``_reduced``, and the public constructor takes ``{head: coefficient}``
-    pairs, each head checked by the subclass's ``_head`` and each
-    coefficient a Scalar, int or Fraction.
+    ``(mask, k)`` for a ``GrassmannElement``, ``(e_1, ..., e_m, k)`` for
+    a ``superdomain.Polynomial`` and ``(mask, e_1, ..., e_m, k)`` for a
+    ``superdomain.SuperFunction``, k the power of s; ``_count`` is the
+    element's generator count, the polynomial's variable count or the
+    superfunction's shape, 0 for a Scalar.  Values are immutable: closed
+    operations build their results with the trusted constructor
+    ``_stored`` or the one reduction ``_reduced``, and the public
+    constructor takes ``{head: coefficient}`` pairs, each head checked by
+    the subclass's ``_head`` and each coefficient a Scalar, int or
+    Fraction (``SuperFunction`` has its own, taking Polynomials).
     """
 
     __slots__ = ("_count", "den", "nums", "_terms")
@@ -128,6 +131,10 @@ class _Exact:
 
     def __rsub__(self, other):
         return -self + self._coerce(other)
+
+    def _check_compatible(self, other):
+        if self._count != other._count:
+            raise _mismatch(self._count, other)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -506,20 +513,6 @@ def _signed_sum(pieces) -> str:
     return " ".join(parts) or "0"
 
 
-def _parity(masks) -> Parity | None:
-    """The parity all odd monomials of these masks share; None if they mix
-    or there are none."""
-    masks = iter(masks)
-    first = next(masks, None)
-    if first is None:
-        return None
-    odd = first.bit_count() & 1
-    for mask in masks:
-        if mask.bit_count() & 1 != odd:
-            return None
-    return ODD if odd else EVEN
-
-
 def _checked_mask(idx: tuple[int, ...], count: int) -> int:
     """The mask of a strictly increasing tuple of generators below count."""
     idx = tuple(idx)
@@ -547,7 +540,39 @@ def _lookup_mask(indices: Iterable[int], count: int) -> int | None:
         return None
 
 
-class GrassmannElement(_Exact):
+class _Graded(_Exact):
+    """An exact value whose keys start with an odd generator mask: a
+    ``GrassmannElement`` or a ``superdomain.SuperFunction``."""
+
+    __slots__ = ()
+
+    def _select(self, keep):
+        return _reduced(type(self), self._count, self.den, {
+            key: c for key, c in self.nums.items() if keep(key[0])})
+
+    def soul(self):
+        return self._select(bool)
+
+    def even_part(self):
+        return self._select(lambda mask: not mask.bit_count() & 1)
+
+    def odd_part(self):
+        return self._select(lambda mask: mask.bit_count() & 1)
+
+    def parity(self) -> Parity | None:
+        """Parity if homogeneous; None for 0 or mixed values."""
+        keys = iter(self.nums)
+        first = next(keys, None)
+        if first is None:
+            return None
+        odd = first[0].bit_count() & 1
+        for key in keys:
+            if key[0].bit_count() & 1 != odd:
+                return None
+        return ODD if odd else EVEN
+
+
+class GrassmannElement(_Graded):
     """Finite sum of terms c s^k xi^idx over N generators, c rational.
 
     Stored as ``_Exact`` describes, keyed ``(mask, k)``: ``mask`` is the
@@ -591,10 +616,6 @@ class GrassmannElement(_Exact):
 
     # -- basic structure ----------------------------------------------
 
-    def _select(self, keep) -> "GrassmannElement":
-        return _reduced(GrassmannElement, self.generator_count, self.den, {
-            key: c for key, c in self.nums.items() if keep(key[0])})
-
     def _values(self, keep) -> Scalar:
         """The Scalar sum of c s^k over the terms whose mask ``keep`` takes."""
         return _reduced(Scalar, 0, self.den, {
@@ -602,19 +623,6 @@ class GrassmannElement(_Exact):
 
     def body(self) -> Scalar:
         return self._values(lambda mask: not mask)
-
-    def soul(self) -> "GrassmannElement":
-        return self._select(bool)
-
-    def even_part(self) -> "GrassmannElement":
-        return self._select(lambda mask: not mask.bit_count() & 1)
-
-    def odd_part(self) -> "GrassmannElement":
-        return self._select(lambda mask: mask.bit_count() & 1)
-
-    def parity(self) -> Parity | None:
-        """Parity if homogeneous; None for 0 or mixed elements."""
-        return _parity(mask for mask, _ in self.nums)
 
     def coefficient(self, indices: Iterable[int]) -> Scalar:
         """The coefficient of xi^indices, a value in s.
@@ -627,13 +635,10 @@ class GrassmannElement(_Exact):
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check_compatible(self, other: "GrassmannElement"):
-        if self.generator_count != other.generator_count:
-            raise _mismatch(self.generator_count, other)
-
     def __add__(self, other) -> "GrassmannElement":
         if type(other) is _Products:
-            return _fused(self.generator_count, self.den, self.nums, other)
+            return _fused(GrassmannElement, self.generator_count, self.den,
+                          self.nums, other)
         other = self._coerce(other)
         self._check_compatible(other)
         return _reduced(GrassmannElement, self.generator_count,
@@ -649,7 +654,8 @@ class GrassmannElement(_Exact):
         raise TypeError(f"cannot interpret {value!r} as a GrassmannElement")
 
     def __mul__(self, other) -> "GrassmannElement":
-        return _fused(self.generator_count, 1, {}, ((self, self._coerce(other)),))
+        return _fused(GrassmannElement, self.generator_count, 1, {},
+                      ((self, self._coerce(other)),))
 
     def __rmul__(self, other) -> "GrassmannElement":
         # scalars are even and central, so this is safe
@@ -723,34 +729,35 @@ def _over_one_denominator(terms: dict) -> tuple[int, dict]:
                  for key, c in terms.items()}
 
 
-def _fused(generator_count: int, den: int, nums: dict, pairs) -> GrassmannElement:
-    """nums/den + sum a*b over the (a, b) of ``pairs``, canonical.
+def _fused(cls, count, den: int, nums: dict, pairs, accumulate=_accumulate):
+    """The ``cls`` value nums/den + sum a*b over the (a, b) of ``pairs``,
+    canonical.
 
     The products are summed first, over L = lcm(a.den b.den, ...), each
-    pair's left factor times L // (a.den b.den), so the one product loop
-    sums ints.  Where no product term arises (every two monomials share a
-    generator, as between sparse entries over many generators), the base
-    is the sum unchanged; otherwise it joins the products over
-    lcm(den, L) and the sum is reduced once.  Raises DimensionError unless
-    every factor has ``generator_count`` generators.
+    pair's left factor times L // (a.den b.den), so the one product loop,
+    ``accumulate`` (``_accumulate`` for keys ``(mask, k)``), sums ints.
+    Where no product term arises (every two monomials share a generator,
+    as between sparse entries over many generators), the base is the sum
+    unchanged; otherwise it joins the products over lcm(den, L) and the
+    sum is reduced once.  Raises DimensionError unless every factor is
+    over ``count``, a generator count or a shape.
     """
     common = 1
     for a, b in pairs:
-        if a.generator_count != generator_count or b.generator_count != generator_count:
-            raise _mismatch(generator_count,
-                            b if a.generator_count == generator_count else a)
+        if (a._count, b._count) != (count, count):  # an identity test first
+            raise _mismatch(count, b if a._count == count else a)
         d = a.den * b.den
         if common % d:
             common = lcm(common, d)
     acc = {}
     for a, b in pairs:
-        _accumulate(acc, a.nums, b.nums,
-                    1 if common == 1 else common // (a.den * b.den))
+        accumulate(acc, a.nums, b.nums,
+                   1 if common == 1 else common // (a.den * b.den))
     if not acc:
-        return _stored(GrassmannElement, generator_count, den, nums)
+        return _stored(cls, count, den, nums)
     if nums:
         common, acc = _add_into(acc, common, nums, den)
-    return _reduced(GrassmannElement, generator_count, common, acc)
+    return _reduced(cls, count, common, acc)
 
 
 def _add_into(acc: dict, den: int, nums: dict, nums_den: int) -> tuple[int, dict]:
@@ -768,7 +775,7 @@ def _add_into(acc: dict, den: int, nums: dict, nums_den: int) -> tuple[int, dict
     return common, acc
 
 
-def _mismatch(generator_count: int, other: GrassmannElement) -> DimensionError:
+def _mismatch(count, other: _Exact) -> DimensionError:
     return DimensionError(
-        "elements live over different generator counts "
-        f"({generator_count} vs {other.generator_count}); embed first")
+        "values live over different generator counts or shapes "
+        f"({count} vs {other._count}); embed first")

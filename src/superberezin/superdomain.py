@@ -4,13 +4,16 @@ A superdomain here is a box in R^m together with n odd coordinates.
 Functions are finite sums Σ_α ξ^α f_α where the f_α are Laurent
 polynomials with rational coefficients in the even coordinates and
 s = sqrt(2π) — integer exponents may be negative, which is how the
-multiplicative-group densities like a^{-1} stay exact.  A polynomial
-stores its coefficients in the one form of ``grassmann._Exact``, int
-numerators over one shared denominator in lowest terms, so products, the
-pullback's linear combinations and box integrals run on ints; a
-coefficient becomes an int or Fraction only where it is read (``terms``,
-printing).  Each sector ξ^α is keyed by its generator mask, as in
-``grassmann``.
+multiplicative-group densities like a^{-1} stay exact.  A polynomial and
+a superfunction store their coefficients in the one form of
+``grassmann._Exact``, int numerators over one shared denominator in
+lowest terms, so products, the pullback's linear combinations and box
+integrals run on ints; a coefficient becomes an int or Fraction only
+where it is read (``terms``, printing).  A polynomial's key is
+``(e_1, ..., e_m, k)``, the exponents of the even coordinates and the
+power of s; a superfunction's is ``(mask, e_1, ..., e_m, k)``, the
+generator mask of ξ^α first, as in ``grassmann``, over one denominator
+for the whole function.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import add, itemgetter
+from types import MappingProxyType
 
 from .errors import (
     DimensionError,
@@ -31,16 +35,16 @@ from .grassmann import EVEN, ODD, Parity, Scalar
 from .grassmann import (
     _BYTE_SWAPS,
     _Exact,
+    _Graded,
     _Products,
     _add_into,
-    _add_terms,
     _checked_mask,
+    _fused,
     _indices,
     _inverse_series,
     _lookup_mask,
     _monomial_text,
     _odd_swaps,
-    _parity,
     _rational,
     _reduced,
     _signed_sum,
@@ -203,7 +207,7 @@ class Polynomial(_Exact):
         if isinstance(value, Polynomial):
             return value
         if isinstance(value, (int, Fraction, Scalar)):
-            return _constant(self.nvars, value)
+            return _constant(Polynomial, self.nvars, self.nvars, value)
         raise TypeError(f"cannot interpret {value!r} as a Polynomial")
 
     def __add__(self, other) -> "Polynomial":
@@ -268,34 +272,8 @@ class Polynomial(_Exact):
         return _reduced(Polynomial, self.nvars, self.den, nums)
 
     def evaluate(self, point: Sequence[Fraction]) -> Scalar:
-        """The value at a rational point, a value in s.
-
-        Each term's value is an int numerator over an int denominator, the
-        terms of one power of s are summed as such, and the sums are put
-        over one denominator and reduced once.
-        """
-        if len(point) != self.nvars:
-            raise DimensionError("evaluation point has wrong length")
-        point = [_rational(x) for x in point]
-        sums = {}
-        for exps, c in self.nums.items():
-            d = 1
-            for x, e in zip(point, exps):
-                if e > 0:
-                    c *= x.numerator ** e
-                    d *= x.denominator ** e
-                elif e:
-                    if x == 0:
-                        raise ZeroDivisionError("negative exponent at zero")
-                    c *= x.denominator ** -e
-                    d *= x.numerator ** -e
-            k = exps[-1]
-            prev = sums.get(k)
-            sums[k] = (c, d) if prev is None else (prev[0] * d + c * prev[1],
-                                                   prev[1] * d)
-        common = lcm(*map(itemgetter(1), sums.values()))
-        return _reduced(Scalar, 0, common * self.den, {
-            k: c * (common // d) for k, (c, d) in sums.items()})
+        """The value at a rational point, a value in s."""
+        return _evaluate(self.nvars, self.den, self.nums.items(), point)
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
         """The coefficient of x^exps, a value in s."""
@@ -315,15 +293,50 @@ class Polynomial(_Exact):
         return f"Polynomial({self.nvars}, {self!s})"
 
 
-def _constant(nvars: int, value) -> Polynomial:
-    """The constant polynomial of an int, Fraction or Scalar, built in
-    stored form: what ``Polynomial.constant`` gives, without its checks."""
-    zeros = (0,) * nvars
+def _constant(cls, count, width: int, value):
+    """The constant ``cls`` value over ``count`` of an int, Fraction or
+    Scalar, keyed ``width`` zeros and then the power of s, built in stored
+    form: what the public constant constructors give, without their
+    checks."""
+    zeros = (0,) * width
     if isinstance(value, Scalar):
-        return _stored(Polynomial, nvars, value.den,
+        return _stored(cls, count, value.den,
                        {zeros + (k,): c for k, c in value.nums.items()})
     nums = {zeros + (0,): value.numerator} if value else {}
-    return _stored(Polynomial, nvars, value.denominator, nums)
+    return _stored(cls, count, value.denominator, nums)
+
+
+def _evaluate(nvars: int, den: int, terms, point: Sequence[Fraction]) -> Scalar:
+    """The value at a rational point of the (exps, int numerator) ``terms``
+    over ``den``, exps the exponents of ``nvars`` variables and then the
+    power of s.
+
+    Each term's value is an int numerator over an int denominator, the
+    terms of one power of s are summed as such, and the sums are put over
+    one denominator and reduced once.
+    """
+    if len(point) != nvars:
+        raise DimensionError("evaluation point has wrong length")
+    point = [_rational(x) for x in point]
+    sums = {}
+    for exps, c in terms:
+        d = 1
+        for x, e in zip(point, exps):
+            if e > 0:
+                c *= x.numerator ** e
+                d *= x.denominator ** e
+            elif e:
+                if x == 0:
+                    raise ZeroDivisionError("negative exponent at zero")
+                c *= x.denominator ** -e
+                d *= x.numerator ** -e
+        k = exps[-1]
+        prev = sums.get(k)
+        sums[k] = (c, d) if prev is None else (prev[0] * d + c * prev[1],
+                                               prev[1] * d)
+    common = lcm(*map(itemgetter(1), sums.values()))
+    return _reduced(Scalar, 0, common * den, {
+        k: c * (common // d) for k, (c, d) in sums.items()})
 
 
 def _poly_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
@@ -355,33 +368,42 @@ def binomial_coefficient(e: int, j: int) -> Fraction:
 # -- superfunctions --------------------------------------------------------
 
 
-class SuperFunction:
+class SuperFunction(_Graded):
     """Finite sum Σ_α ξ^α f_α(x) over a fixed superdomain shape.
 
-    ``coeffs`` maps the generator mask of each α (bit j for ξ_{j+1}) to
-    the nonzero Polynomial f_α; the constructor, ``coefficient`` and
-    ``str`` speak in index tuples.  ``self + _Products(pairs)``, the fused
-    base + sum a*b of the supermatrix ring protocol, and ``*`` are one
-    operation, ``_fused``, around one product loop, ``_graded_accumulate``.
+    Stored as ``grassmann._Exact`` describes, over one denominator for the
+    whole function, keyed ``(mask, e_1, ..., e_m, k)``: the generator mask
+    of α (bit j for ξ_{j+1}), the exponents of the even coordinates and the
+    power of s; ``shape`` is the base's count slot.  On a (0|N) shape this
+    is a ``GrassmannElement``'s form.  The constructor takes
+    ``{α: f_α}`` with α an index tuple and f_α a Polynomial or a constant,
+    and ``coefficient`` and ``str`` speak in index tuples too; ``coeffs`` is
+    the read-only view ``{mask: f_α}``, each sector reduced on its own,
+    built on first read.  ``self + _Products(pairs)``, the fused base +
+    sum a*b of the supermatrix ring protocol, and ``*`` are one operation,
+    ``grassmann._fused``, around the product loop ``_super_accumulate``.
     """
 
-    __slots__ = ("shape", "coeffs")
+    __slots__ = ("_coeffs",)
+    shape = _Exact._count
 
-    def __init__(self, shape: SuperDomainShape, coeffs: Mapping = ()):
-        checked = []
+    def __new__(cls, shape: SuperDomainShape, coeffs: Mapping = ()):
+        sectors = []
         for idx, poly in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
             mask = _checked_mask(idx, shape.n)
             if not isinstance(poly, Polynomial):
                 poly = Polynomial.constant(shape.m, poly)
             if poly.nvars != shape.m:
                 raise DimensionError("coefficient polynomial has wrong arity")
-            checked.append((mask, poly))
-        normalized = _add_terms({}, checked)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "coeffs", normalized)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperFunction is immutable")
+            sectors.append(((mask,), poly))
+        den = lcm(*(poly.den for _, poly in sectors))
+        acc = {}
+        for head, poly in sectors:
+            scale = den // poly.den
+            for key, c in poly.nums.items():
+                key = head + key
+                acc[key] = acc.get(key, 0) + c * scale
+        return _reduced(cls, shape, den, acc)
 
     # -- constructors ---------------------------------------------------
 
@@ -413,38 +435,36 @@ class SuperFunction:
 
     # -- structure ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def coeffs(self) -> Mapping:
+        """The read-only view ``{mask: f_α}`` of the nonzero sectors, each
+        Polynomial reduced on its own; built once, on first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            sectors = {}
+            for key, c in self.nums.items():
+                sectors.setdefault(key[0], {})[key[1:]] = c
+            m, den = self.shape.m, self.den
+            view = MappingProxyType({mask: _reduced(Polynomial, m, den, nums)
+                                     for mask, nums in sectors.items()})
+            object.__setattr__(self, "_coeffs", view)
+            return view
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def parity(self) -> Parity | None:
-        return _parity(self.coeffs)
+    def _sector(self, mask: int | None) -> Polynomial:
+        """f_α for the generator mask of α, reduced on its own."""
+        return _reduced(Polynomial, self.shape.m, self.den, {
+            key[1:]: c for key, c in self.nums.items() if key[0] == mask})
 
     def body_polynomial(self) -> Polynomial:
-        body = self.coeffs.get(0)
-        return Polynomial.zero(self.shape.m) if body is None else body
-
-    def _select(self, keep) -> "SuperFunction":
-        return _sf(self.shape, {mask: p for mask, p in self.coeffs.items()
-                                if keep(mask)})
-
-    def soul(self) -> "SuperFunction":
-        return self._select(bool)
-
-    def even_part(self) -> "SuperFunction":
-        return self._select(lambda mask: not mask.bit_count() & 1)
-
-    def odd_part(self) -> "SuperFunction":
-        return self._select(lambda mask: mask.bit_count() & 1)
+        return self._sector(0)
 
     def coefficient(self, odd_index: Iterable[int]) -> Polynomial:
-        coeff = self.coeffs.get(_lookup_mask(odd_index, self.shape.n))
-        return Polynomial.zero(self.shape.m) if coeff is None else coeff
+        return self._sector(_lookup_mask(odd_index, self.shape.n))
 
     def evaluate_body(self, point: Sequence[Fraction]) -> Scalar:
-        return self.body_polynomial().evaluate(point)
+        return _evaluate(self.shape.m, self.den, [
+            (key[1:], c) for key, c in self.nums.items() if not key[0]], point)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -454,41 +474,23 @@ class SuperFunction:
         if isinstance(value, Polynomial):
             return SuperFunction.from_polynomial(self.shape, value)
         if isinstance(value, (int, Fraction, Scalar)):
-            constant = _constant(self.shape.m, value)
-            return _sf(self.shape, {0: constant} if constant.nums else {})
+            return _constant(SuperFunction, self.shape, self.shape.m + 1, value)
         raise TypeError(f"cannot interpret {value!r} as a SuperFunction")
-
-    def _check_shape(self, other: "SuperFunction"):
-        if self.shape != other.shape:
-            raise DimensionError(
-                f"superfunctions on different shapes: {self.shape} vs {other.shape}"
-            )
 
     def __add__(self, other) -> "SuperFunction":
         if type(other) is _Products:
-            for a, b in other:
-                self._check_shape(a)
-                self._check_shape(b)
-            return _fused(self.shape, self.coeffs, other)
+            return _fused(SuperFunction, self.shape, self.den, self.nums, other,
+                          _super_accumulate)
         other = self._coerce(other)
-        self._check_shape(other)
-        return _sf(self.shape, _add_terms(dict(self.coeffs), other.coeffs.items()))
+        self._check_compatible(other)
+        return _reduced(SuperFunction, self.shape,
+                        *_add_into(dict(self.nums), self.den, other.nums, other.den))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "SuperFunction":
-        return _sf(self.shape, {mask: -p for mask, p in self.coeffs.items()})
-
-    def __sub__(self, other) -> "SuperFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "SuperFunction":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "SuperFunction":
-        other = self._coerce(other)
-        self._check_shape(other)
-        return _fused(self.shape, {}, ((self, other),))
+        return _fused(SuperFunction, self.shape, 1, {},
+                      ((self, self._coerce(other)),), _super_accumulate)
 
     def __rmul__(self, other) -> "SuperFunction":
         # even coefficients are central; odd SuperFunctions must use *
@@ -496,43 +498,45 @@ class SuperFunction:
 
     def inv_even(self) -> "SuperFunction":
         """Inverse of an even superfunction with invertible (monomial) body."""
-        if any(mask.bit_count() & 1 for mask in self.coeffs):
+        if any(key[0].bit_count() & 1 for key in self.nums):
             raise ParityError("inv_even requires an even superfunction")
         binv = self.body_polynomial().monomial_inverse()
-        return _inverse_series(_sf(self.shape, {0: binv}),
-                               self.soul()._scaled(-binv), self.shape.n // 2)
+        start = _stored(SuperFunction, self.shape, binv.den,
+                        {(0,) + key: c for key, c in binv.nums.items()})
+        return _inverse_series(start, self.soul()._scaled(-binv), self.shape.n // 2)
 
     def _scaled(self, unit: Polynomial) -> "SuperFunction":
         """This superfunction times the one-term polynomial unit, term by term."""
         (shift, c), = unit.nums.items()
-        return _sf(self.shape, {
-            mask: _reduced(Polynomial, poly.nvars, poly.den * unit.den, {
-                tuple(map(add, exps, shift)): cc * c
-                for exps, cc in poly.nums.items()})
-            for mask, poly in self.coeffs.items()})
+        shift = (0,) + shift
+        return _reduced(SuperFunction, self.shape, self.den * unit.den, {
+            tuple(map(add, key, shift)): cc * c for key, cc in self.nums.items()})
 
     # -- derivatives ------------------------------------------------------
 
     def derive_even(self, i: int) -> "SuperFunction":
-        coeffs = {}
-        for mask, poly in self.coeffs.items():
-            d = poly.derive(i)
-            if d:
-                coeffs[mask] = d
-        return _sf(self.shape, coeffs)
+        if not 0 <= i < self.shape.m:
+            raise DimensionError("variable index out of range")
+        nums = {}
+        for key, c in self.nums.items():
+            e = key[i + 1]
+            if e:
+                nums[key[:i + 1] + (e - 1,) + key[i + 2:]] = c * e
+        return _reduced(SuperFunction, self.shape, self.den, nums)
 
     def derive_odd(self, j: int) -> "SuperFunction":
         """Left derivative: ∂_j(ξ_{a1}…ξ_{ak}) drops ξ_j with sign (-1)^{pos}."""
         if not 0 <= j < self.shape.n:
             raise DimensionError("odd index out of range")
-        # distinct sectors holding xi_j stay distinct without it: no sums
+        # distinct terms holding xi_j stay distinct without it: no sums
         bit = 1 << j
-        coeffs = {}
-        for mask, poly in self.coeffs.items():
+        nums = {}
+        for key, c in self.nums.items():
+            mask = key[0]
             if mask & bit:
                 pos = (mask & (bit - 1)).bit_count()
-                coeffs[mask ^ bit] = -poly if pos & 1 else poly
-        return _sf(self.shape, coeffs)
+                nums[(mask ^ bit,) + key[1:]] = -c if pos & 1 else c
+        return _reduced(SuperFunction, self.shape, self.den, nums)
 
     # -- reshaping --------------------------------------------------------
 
@@ -541,43 +545,17 @@ class SuperFunction:
 
         The odd coordinates keep their order, so no signs appear.
         """
-        if even_offset + self.shape.m > shape.m:
+        if not 0 <= even_offset <= shape.m - self.shape.m:
             raise DimensionError("even offset out of range")
-        if odd_offset + self.shape.n > shape.n:
+        if not 0 <= odd_offset <= shape.n - self.shape.n:
             raise DimensionError("odd offset out of range")
         left = (0,) * even_offset
         right = (0,) * (shape.m - even_offset - self.shape.m)
-        coeffs = {}
-        for mask, poly in self.coeffs.items():
-            coeffs[mask << odd_offset] = _stored(Polynomial, shape.m, poly.den, {
-                left + exps[:-1] + right + exps[-1:]: c
-                for exps, c in poly.nums.items()})
-        return _sf(shape, coeffs)
+        return _stored(SuperFunction, shape, self.den, {
+            (key[0] << odd_offset,) + left + key[1:-1] + right + key[-1:]: c
+            for key, c in self.nums.items()})
 
-    # -- comparison / printing ---------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self._coerce(other)
-        if isinstance(other, SuperFunction):
-            if self.shape == other.shape:
-                return self.coeffs == other.coeffs
-            if other.coeffs.keys() - {0}:
-                return False
-            other = other.body_polynomial()
-        elif not isinstance(other, _Exact):
-            return NotImplemented
-        # across shapes and types only a constant compares, by value, as it
-        # hashes; a non-constant keeps its shape and type
-        if self.coeffs.keys() - {0}:
-            return False
-        body = self.body_polynomial()
-        return body == other and body._powers() is not None
-
-    def __hash__(self):
-        if not self.coeffs.keys() - {0}:  # a constant hashes as its value
-            return hash(self.body_polynomial())
-        return hash((self.shape, frozenset(self.coeffs.items())))
+    # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
         parts = []
@@ -599,99 +577,41 @@ class SuperFunction:
         return f"SuperFunction({self.shape}, {self!s})"
 
 
-def _sf(shape: SuperDomainShape, coeffs: dict) -> SuperFunction:
-    """Trusted constructor for the results of closed SuperFunction operations.
-
-    ``coeffs`` must map masks of in-range odd generators to nonzero
-    Polynomials in ``shape.m`` variables and is kept, not copied; the
-    public constructor checks all of this, this one assumes it.
-    """
-    out = object.__new__(SuperFunction)
-    object.__setattr__(out, "shape", shape)
-    object.__setattr__(out, "coeffs", coeffs)
-    return out
-
-
 def _sectors(f: SuperFunction) -> list[tuple[tuple[int, ...], Polynomial]]:
     """f's (index tuple, coefficient) sectors in print order."""
     return sorted(((_indices(mask), poly) for mask, poly in f.coeffs.items()),
                   key=lambda sector: (len(sector[0]), sector[0]))
 
 
-def _graded_accumulate(acc: dict, dens: dict, a: dict, b: dict) -> dict:
-    """Add a*b into ``acc`` and return it.
+def _super_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
+    """Add scale*a*b into ``acc`` and return it.
 
-    ``a`` and ``b`` are SuperFunction coefficient dicts; ``acc`` maps masks
-    to numerator dicts, unreduced until ``_reduced``, each over its
-    denominator in ``dens`` (``_sector_over``), a pair of sectors
-    contributing over the product of their denominators.  The loop is
+    ``a`` and ``b`` are numerator dicts keyed as ``SuperFunction.nums``, so
+    every product and sum is of ints.  The loop is
     ``grassmann._accumulate``'s, its sign rule ``_odd_swaps`` read straight
-    from the table ``_BYTE_SWAPS`` for a left mask below 256, with one
-    ``_poly_accumulate`` per pair of sectors, scaled by its sign and by the
-    sector's denominator over the pair's.
+    from the table ``_BYTE_SWAPS`` for a left mask below 256; a product's
+    key is the entrywise sum of its factors' keys, the masks included,
+    since for disjoint masks ma + mb = ma | mb.  Sums are left as they
+    fall: a key may end on zero until ``_reduced``.
     """
+    get = acc.get
     right = b.items()
     table = _BYTE_SWAPS
-    for ma, pa in a.items():
+    for ka, ca in a.items():
+        ma = ka[0]
+        ca *= scale
         swaps = table[ma] if ma < 256 else _odd_swaps(ma)
-        for mb, pb in right:
+        for kb, cb in right:
+            mb = kb[0]
             if ma & mb:
                 continue
-            sector, scale = _sector_over(acc, dens, ma | mb, pa.den * pb.den)
-            _poly_accumulate(sector, pa.nums, pb.nums,
-                             -scale if (swaps & mb).bit_count() & 1 else scale)
+            key = tuple(map(add, ka, kb))
+            prev = get(key)
+            if (swaps & mb).bit_count() & 1:
+                acc[key] = -ca * cb if prev is None else prev - ca * cb
+            else:
+                acc[key] = ca * cb if prev is None else prev + ca * cb
     return acc
-
-
-def _fused(shape: SuperDomainShape, base: dict, pairs) -> SuperFunction:
-    """base + sum a*b over the (a, b) of ``pairs``, canonical.
-
-    ``base`` is a SuperFunction coefficient dict.  Each sector sums its
-    base numerators and its products over one denominator
-    (``_graded_accumulate``), so the one product loop sums ints, and is
-    then reduced once.
-    """
-    acc, dens = {}, {}
-    for mask, poly in base.items():
-        acc[mask] = dict(poly.nums)
-        dens[mask] = poly.den
-    for a, b in pairs:
-        _graded_accumulate(acc, dens, a.coeffs, b.coeffs)
-    return _reduced_sf(shape, dens, acc)
-
-
-def _sector_over(acc: dict, dens: dict, key, d: int) -> tuple[dict, int]:
-    """(acc[key], dens[key] // d), the sector's numerator dict put over a
-    denominator that d divides, for terms over d to be summed into.
-
-    A new sector starts over d; an existing one whose denominator d does
-    not divide is first scaled up to the lcm of the two, so each sector
-    ends over the lcm of the denominators summed into it.
-    """
-    sector = acc.get(key)
-    if sector is None:
-        acc[key] = sector = {}
-        dens[key] = d
-        return sector, 1
-    den = dens[key]
-    if den % d:
-        common = lcm(den, d)
-        up = common // den
-        for e in sector:
-            sector[e] *= up
-        dens[key] = den = common
-    return sector, den // d
-
-
-def _reduced_sf(shape: SuperDomainShape, dens, acc: dict) -> SuperFunction:
-    """The superfunction whose sector at each mask of ``acc`` is its
-    numerator dict over ``dens[mask]``, reduced by ``_reduced``."""
-    coeffs = {}
-    for mask, nums in acc.items():
-        poly = _reduced(Polynomial, shape.m, dens[mask], nums)
-        if poly.nums:
-            coeffs[mask] = poly
-    return _sf(shape, coeffs)
 
 
 # -- morphisms --------------------------------------------------------------
@@ -796,22 +716,18 @@ class SuperMorphism:
 
 
 def _linear_combination(shape: SuperDomainShape, den: int, triples) -> SuperFunction:
-    """Σ c·s^k·F / den over (k, int c, SuperFunction F), summed term by term,
-    each sector over den times the lcm of the denominators summed into it
-    (``_sector_over``)."""
-    acc, dens = {}, {}
+    """Σ c·s^k·F / den over (k, int c, SuperFunction F), summed term by term
+    over den times the lcm of the F's denominators."""
+    common = lcm(*(func.den for _, _, func in triples))
+    acc = {}
+    get = acc.get
     for k, c, func in triples:
-        for mask, poly in func.coeffs.items():
-            sector, scale = _sector_over(acc, dens, mask, poly.den)
-            get = sector.get
-            scale *= c
-            for exps, num in poly.nums.items():
-                if k:
-                    exps = exps[:-1] + (exps[-1] + k,)
-                sector[exps] = get(exps, 0) + scale * num
-    if den != 1:
-        dens = {mask: d * den for mask, d in dens.items()}
-    return _reduced_sf(shape, dens, acc)
+        scale = c * (common // func.den)
+        for key, num in func.nums.items():
+            if k:
+                key = key[:-1] + (key[-1] + k,)
+            acc[key] = get(key, 0) + scale * num
+    return _reduced(SuperFunction, shape, den * common, acc)
 
 
 def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
@@ -867,14 +783,17 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
             acc = part if acc is None else acc + part
         return acc
 
+    sectors: dict[int, list] = {}
+    for key, c in f.nums.items():
+        sectors.setdefault(key[0], []).append((key[1:], c))
     parts = []
-    for alpha, poly in f.coeffs.items():
+    for alpha, terms in sectors.items():
         odd_factor = one
         for j in _indices(alpha):
             odd_factor = odd_factor * phi.odd_components[j]
         if odd_factor.is_zero():
             continue
-        image = expand(list(poly.nums.items()), 0, poly.den)
+        image = expand(terms, 0, f.den)
         parts.append(image * odd_factor if alpha else image)
     return sum(parts, SuperFunction.zero(src))
 
@@ -976,18 +895,16 @@ def split_product_function(f: SuperFunction, left: SuperDomainShape,
     """
     if f.shape != shape_product(left, right):
         raise DimensionError("function does not live on the stated product")
-    # (left exponents, left odd mask) -> right odd mask -> (den, right
-    # numerators): the terms of one sector of f, over its den; the power of
-    # s stays with the right factor
+    # (left exponents, left odd mask) -> the right factor's numerators over
+    # f.den, keyed (right odd mask, right exponents, k): the power of s
+    # stays with the right factor
     low = (1 << left.n) - 1
     grouped: dict[tuple, dict] = {}
-    for mask, poly in f.coeffs.items():
-        for exps, c in poly.nums.items():
-            bucket = grouped.setdefault((exps[:left.m], mask & low), {})
-            bucket.setdefault(mask >> left.n, (poly.den, {}))[1][exps[left.m:]] = c
-    return [(_sf(left, {left_odd: _stored(Polynomial, left.m, 1,
-                                          {left_exps + (0,): 1})}),
-             _sf(right, {r_odd: _reduced(Polynomial, right.m, den, nums)
-                         for r_odd, (den, nums) in bucket.items()}))
-            for (left_exps, left_odd), bucket in sorted(
+    for key, c in f.nums.items():
+        mask, exps = key[0], key[1:]
+        grouped.setdefault((exps[:left.m], mask & low), {})[
+            (mask >> left.n,) + exps[left.m:]] = c
+    return [(_stored(SuperFunction, left, 1, {(left_odd,) + left_exps + (0,): 1}),
+             _reduced(SuperFunction, right, f.den, nums))
+            for (left_exps, left_odd), nums in sorted(
                 grouped.items(), key=lambda item: (item[0][0], _indices(item[0][1])))]

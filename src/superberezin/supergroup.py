@@ -330,12 +330,12 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
         else:
             image = factor
         images[(odd_part, exps)] = image
-        # minus phi itself, a function of the live copy: its key on the
-        # doubled chart is (I after g's n odd generators, 0, e, s^0); over
-        # den 1 the numerators are the coefficients, with no view built
-        residual = {(mask, e2): c for mask, poly in image.coeffs.items()
-                    for e2, c in (poly.nums if poly.den == 1
-                                  else poly.terms).items()}
+        # a row is keyed (odd mask, exponents and power of s); minus phi
+        # itself, a function of the live copy, sits at (I after g's n odd
+        # generators, (0, e, s^0)); over den 1 the numerators are the
+        # coefficients, with no view built
+        residual = {(key[0], key[1:]): c for key, c in (
+            image.nums if image.den == 1 else image.terms).items()}
         own = (_mask(odd_part) << n, zero + exps + (0,))
         residual[own] = residual.get(own, 0) - 1
         for key, c in residual.items():
@@ -510,12 +510,11 @@ def _candidate_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
     """The only c that can give f1 = c f2, read off at the first coefficient
     of f2 that is a single power of s (an invertible value); None where
     there is none."""
-    for mask, poly in f2.coeffs.items():
-        for exps in poly.terms:
-            coeff = poly.coefficient(exps[:-1])
-            if len(coeff.terms) == 1:
-                sector = f1.coeffs.get(mask, Polynomial.zero(poly.nvars))
-                return sector.coefficient(exps[:-1]) / coeff
+    for key in f2.nums:
+        mask, exps = key[0], key[1:-1]
+        coeff = f2._sector(mask).coefficient(exps)
+        if len(coeff.nums) == 1:
+            return f1._sector(mask).coefficient(exps) / coeff
     return None
 
 

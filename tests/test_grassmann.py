@@ -33,7 +33,12 @@ from superberezin.superdomain import (
     SuperDomainShape,
     SuperFunction,
 )
-from superberezin.textio import parse_grassmann, parse_scalar
+from superberezin.textio import (
+    format_superfunction,
+    parse_grassmann,
+    parse_scalar,
+    parse_superfunction,
+)
 
 
 def G(n, terms):
@@ -812,17 +817,31 @@ def _polynomial_routes(q):
             Polynomial(1, {(0,): q, (1,): 1}) - x, x * Polynomial(1, {(-1,): q})]
 
 
-@pytest.mark.parametrize("routes", [_scalar_routes, _element_routes, _polynomial_routes],
-                         ids=["Scalar", "GrassmannElement", "Polynomial"])
+def _superfunction_routes(q):
+    shape = SuperDomainShape(1, (REALLINE,), 2)
+    xi = SuperFunction.odd_gen(shape, 0)
+    x = SuperFunction.coordinate(shape, 0)
+    return [SuperFunction.constant(shape, q),
+            SuperFunction.constant(shape, 2 * q) * Fraction(1, 2),
+            SuperFunction(shape, {(): q, (0,): 1}) - xi,
+            x * SuperFunction(shape, {(): Polynomial(1, {(-1,): q})}),
+            parse_superfunction(format_superfunction(SuperFunction.constant(shape, q)))]
+
+
+@pytest.mark.parametrize("routes", [_scalar_routes, _element_routes, _polynomial_routes,
+                                    _superfunction_routes],
+                         ids=["Scalar", "GrassmannElement", "Polynomial", "SuperFunction"])
 def test_exact_values_are_immutable_and_compare_by_value(routes):
     value = routes(Fraction(3, 2))[0] + routes(Fraction(1, 2))[0] * Scalar(1, 1)
     printed, hashed = str(value), hash(value)
     name = type(value).__name__
-    for attr in ("den", "nums", "terms", "generator_count", "nvars"):
+    for attr in ("den", "nums", "terms", "generator_count", "nvars", "shape", "coeffs"):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(value, attr, 5)
-    with pytest.raises(TypeError):
-        value.terms[next(iter(value.terms))] = 5
+    # a SuperFunction's coeffs is a read-only view as well
+    for view in (value.terms, getattr(value, "coeffs", value.terms)):
+        with pytest.raises(TypeError):
+            view[next(iter(view))] = 5
     assert str(value) == printed and hash(value) == hashed
     for q in (Fraction(3, 2), 2, 0):
         built = routes(q)

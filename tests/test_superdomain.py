@@ -158,6 +158,15 @@ class TestDerivatives:
                 assert (f.derive_odd(i).derive_odd(j)
                         == -(f.derive_odd(j).derive_odd(i)))
 
+    def test_even_derivative_checks_its_index_on_any_function(self):
+        # the range is checked up front, not by the first sector's
+        # polynomial: the zero function refuses a bad index too
+        for f in (SuperFunction.zero(R12), X * XI1):
+            for i in (5, 1, -1):
+                with pytest.raises(DimensionError):
+                    f.derive_even(i)
+        assert SuperFunction.zero(R12).derive_even(0).is_zero()
+
     def test_graded_leibniz(self):
         rng = random.Random(4)
         for _ in range(12):
@@ -314,6 +323,19 @@ class TestProductsAndSplits:
         for fl, fr in split_product_function(f, left, right):
             total = total + fl.embed(prod, 0, 0) * fr.embed(prod, left.m, left.n)
         assert total == f
+
+    def test_embed_refuses_a_negative_even_offset(self):
+        # x1 at even offset -1 would store a key one exponent too long
+        R22 = SuperDomainShape(2, (REALLINE, REALLINE), 2)
+        with pytest.raises(DimensionError):
+            X.embed(R22, -1, 0)
+        assert X.embed(R22, 1, 0) == SuperFunction.coordinate(R22, 1)
+
+    def test_embed_refuses_a_negative_odd_offset(self):
+        R22 = SuperDomainShape(2, (REALLINE, REALLINE), 2)
+        with pytest.raises(DimensionError):
+            XI1.embed(R22, 0, -1)
+        assert XI2.embed(R22, 0, 0) == SuperFunction.odd_gen(R22, 1)
 
     def test_projection_and_pair(self):
         s = SuperDomainShape(1, (REALLINE,), 1)
@@ -950,3 +972,234 @@ def test_scalar_operands_coerce_to_the_public_constant(q, k, m):
         assert f + value == f + want and value - f == want - f
         assert p * value == p * want.body_polynomial()
         assert p + value == p + want.body_polynomial()
+
+
+# -- the flat stored form against the sector oracle ---------------------------
+#
+# A SuperFunction stores one numerator dict over one denominator, keyed
+# (mask, e_1, ..., e_m, k).  Before that it kept a dict of Polynomial
+# sectors, each over its own denominator; ``_SectorSF`` keeps that sector
+# arithmetic, written with public Polynomial operations, as the reference of
+# the flat form, as ``_DictScalar`` is for ``Scalar``.  Its signs come from
+# index tuples (``_crossings``), not from ``_odd_swaps``.
+
+
+def _bits(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class _SectorSF:
+    def __init__(self, shape, sectors):
+        self.shape = shape
+        self.sectors = {mask: p for mask, p in sectors.items() if p}
+
+    @staticmethod
+    def of(shape, data):
+        """The oracle of ``SuperFunction(shape, data)``, data {idx: Polynomial}."""
+        return _SectorSF(shape, {sum(1 << i for i in idx): p for idx, p in data.items()})
+
+    def __add__(self, other):
+        out = dict(self.sectors)
+        for mask, p in other.sectors.items():
+            out[mask] = out[mask] + p if mask in out else p
+        return _SectorSF(self.shape, out)
+
+    def __neg__(self):
+        return _SectorSF(self.shape, {mask: -p for mask, p in self.sectors.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for ma, pa in self.sectors.items():
+            for mb, pb in other.sectors.items():
+                if ma & mb:
+                    continue
+                term = pa * pb
+                if _crossings(_bits(ma), _bits(mb)) % 2:
+                    term = -term
+                out[ma | mb] = out[ma | mb] + term if ma | mb in out else term
+        return _SectorSF(self.shape, out)
+
+    def derive_even(self, i):
+        return _SectorSF(self.shape, {mask: p.derive(i) for mask, p in self.sectors.items()})
+
+    def derive_odd(self, j):
+        bit = 1 << j
+        return _SectorSF(self.shape, {
+            mask ^ bit: -p if len(_bits(mask & (bit - 1))) % 2 else p
+            for mask, p in self.sectors.items() if mask & bit})
+
+    def embed(self, shape, even_offset, odd_offset):
+        left = (0,) * even_offset
+        right = (0,) * (shape.m - even_offset - self.shape.m)
+        return _SectorSF(shape, {
+            mask << odd_offset: Polynomial(shape.m, [
+                (left + exps[:-1] + right, Scalar(c, exps[-1]))
+                for exps, c in p.terms.items()])
+            for mask, p in self.sectors.items()})
+
+    def inv_even(self):
+        m = self.shape.m
+        binv = self.sectors.get(0, Polynomial.zero(m)).monomial_inverse()
+        acc = power = _SectorSF(self.shape, {0: binv})
+        factor = _SectorSF(self.shape, {mask: p * -binv
+                                        for mask, p in self.sectors.items() if mask})
+        for _ in range(self.shape.n // 2):
+            power = power * factor
+            if not power.sectors:
+                break
+            acc = acc + power
+        return acc
+
+    def __str__(self):
+        parts = []
+        for mask in sorted(self.sectors, key=lambda mask: (len(_bits(mask)), _bits(mask))):
+            poly = self.sectors[mask]
+            mono = " ".join(f"xi{j + 1}" for j in _bits(mask))
+            p = str(poly)
+            if not mono:
+                parts.append(p)
+            elif len(poly.nums) > 1:
+                parts.append(f"({p}) {mono}")
+            else:
+                parts.append(mono if p == "1" else f"{p} {mono}")
+        return " + ".join(parts) or "0"
+
+
+def _sector_pullback(evens, odds, src, f):
+    """phi^*(f) for phi given by oracle components, one term of f at a time;
+    a negative power takes the component's ``inv_even``."""
+    one = _SectorSF(src, {0: Polynomial.one(src.m)})
+    total = _SectorSF(src, {})
+    for mask, poly in f.sectors.items():
+        odd_factor = one
+        for j in _bits(mask):
+            odd_factor = odd_factor * odds[j]
+        for exps, c in poly.terms.items():
+            term = _SectorSF(src, {0: Polynomial.constant(src.m, Scalar(c, exps[-1]))})
+            for i, e in enumerate(exps[:-1]):
+                base = evens[i] if e > 0 else evens[i].inv_even()
+                for _ in range(abs(e)):
+                    term = term * base
+            total = total + term * odd_factor
+    return total
+
+
+def assert_flat_stored(f):
+    """f's one numerator dict over one denominator is canonical, keyed
+    (mask, e_1, ..., e_m, k) with ints."""
+    assert type(f.den) is int and f.den >= 1
+    assert gcd(f.den, *f.nums.values()) == 1  # so zero has den 1
+    for key, c in f.nums.items():
+        assert type(c) is int and c != 0
+        assert type(key) is tuple and len(key) == f.shape.m + 2
+        assert all(type(e) is int for e in key)
+        assert 0 <= key[0] < 1 << f.shape.n
+
+
+def assert_matches_sectors(got, want):
+    """The flat value equals the oracle's: same shape, each ``coeffs``
+    sector stored as the oracle's Polynomial sector, same print."""
+    assert got.shape == want.shape
+    assert_flat_stored(got)
+    assert got.coeffs.keys() == want.sectors.keys()
+    for mask, poly in want.sectors.items():
+        assert_stored_alike(got.coeffs[mask], poly)
+    assert str(got) == str(want)
+
+
+_ORACLE_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                                  Fraction(3, 4), Fraction(5, 6)])
+
+
+@st.composite
+def _small_shapes(draw):
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    return SuperDomainShape(m, (REALLINE,) * m, n)
+
+
+@st.composite
+def _sector_data(draw, shape, sizes=None, max_sectors=3, max_terms=2, lowest=-1):
+    """{idx: Polynomial} over ``shape``: Laurent exponents from ``lowest`` to
+    2, Fraction coefficients and powers of s from -1 to 1; ``sizes`` limits
+    the odd degrees."""
+    indices = [c for size in range(shape.n + 1) if sizes is None or size in sizes
+               for c in combinations(range(shape.n), size)]
+    data = {}
+    if not indices:
+        return data
+    for _ in range(draw(st.integers(0, max_sectors))):
+        terms = {}
+        for _ in range(draw(st.integers(1, max_terms))):
+            exps = tuple(draw(st.integers(lowest, 2)) for _ in range(shape.m))
+            terms[exps] = Scalar(draw(_ORACLE_COEFFS), draw(st.integers(-1, 1)))
+        data[draw(st.sampled_from(indices))] = Polynomial(shape.m, terms)
+    return data
+
+
+def _unit_body(draw, shape):
+    """A one-term body c s^k x^e with e 0 or one variable to the power +-1:
+    an invertible value."""
+    exps = [0] * shape.m
+    if shape.m and draw(st.booleans()):
+        exps[draw(st.integers(0, shape.m - 1))] = draw(st.sampled_from([-1, 1]))
+    return Polynomial(shape.m, {tuple(exps): Scalar(draw(_ORACLE_COEFFS),
+                                                    draw(st.integers(-1, 1)))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_flat_arithmetic_matches_the_sector_oracle(data):
+    shape = data.draw(_small_shapes())
+    m, n = shape.m, shape.n
+    fd, gd, bd = (data.draw(_sector_data(shape)) for _ in range(3))
+    pair_data = data.draw(st.lists(st.tuples(_sector_data(shape), _sector_data(shape)),
+                                   max_size=3))
+    f, g, base = (SuperFunction(shape, d) for d in (fd, gd, bd))
+    F, G, B = (_SectorSF.of(shape, d) for d in (fd, gd, bd))
+    pairs = [(SuperFunction(shape, a), SuperFunction(shape, b)) for a, b in pair_data]
+    oracle_sum = B
+    for a, b in pair_data:
+        oracle_sum = oracle_sum + _SectorSF.of(shape, a) * _SectorSF.of(shape, b)
+    cases = [(f, F), (f * g, F * G), (g * f, G * F), (f + g, F + G), (f - g, F - G),
+             (-f, -F), (f - f, F - F), (f * g * f, F * G * F),
+             (base + _Products(pairs), oracle_sum),
+             (base - base + _Products([(-a, b) for a, b in pairs]), B - oracle_sum)]
+    cases += [(f.derive_even(i), F.derive_even(i)) for i in range(m)]
+    cases += [(f.derive_odd(j), F.derive_odd(j)) for j in range(n)]
+    wider = SuperDomainShape(m + 1, (REALLINE,) * (m + 1), n + 2)
+    even_offset, odd_offset = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+    cases.append((f.embed(wider, even_offset, odd_offset),
+                  F.embed(wider, even_offset, odd_offset)))
+    # an even function with an invertible body, Laurent and with powers of s
+    hd = data.draw(_sector_data(shape, sizes={2, 4}))
+    hd[()] = _unit_body(data.draw, shape)
+    h = SuperFunction(shape, hd)
+    cases.append((h.inv_even(), _SectorSF.of(shape, hd).inv_even()))
+    for got, want in cases:
+        assert_matches_sectors(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_flat_pullback_matches_the_sector_oracle(data):
+    target, src = data.draw(_small_shapes()), data.draw(_small_shapes())
+    # even components: an invertible body and an even nilpotent soul; odd
+    # components: odd sectors of degree 1 and 3
+    even_data = []
+    for _ in range(target.m):
+        d = data.draw(_sector_data(src, sizes={2, 4}, max_sectors=2, lowest=0))
+        d[()] = _unit_body(data.draw, src)
+        even_data.append(d)
+    odd_data = [data.draw(_sector_data(src, sizes={1, 3}, max_sectors=2, lowest=0))
+                for _ in range(target.n)]
+    phi = SuperMorphism(src, target, [SuperFunction(src, d) for d in even_data],
+                        [SuperFunction(src, d) for d in odd_data])
+    fd = data.draw(_sector_data(target))
+    want = _sector_pullback([_SectorSF.of(src, d) for d in even_data],
+                            [_SectorSF.of(src, d) for d in odd_data], src,
+                            _SectorSF.of(target, fd))
+    assert_matches_sectors(pullback(phi, SuperFunction(target, fd)), want)
+
