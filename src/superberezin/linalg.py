@@ -5,15 +5,15 @@ everywhere in the package; inputs must be ints or Fractions (a float
 raises TypeError), and every result comes back in that form.
 
 `rank`, `det`, `nullspace`, `solve` and `inverse` share one sparse
-elimination core.  Each row is a ``{column: value}`` dict holding only its
-nonzeros.  Columns are taken in increasing order; the pivot for a column
-is the row holding it with the fewest nonzeros (ties to the lower row
-index), and a column -> rows index means each step touches only the rows
-that hold the pivot column.  `rank` and `det` stop after this forward
-pass; the others back-reduce to the reduced row echelon form.  That form
-is unique, so the result does not depend on the pivot choice:
-`nullspace` returns the same basis, in the same order, as textbook
-Gauss–Jordan would.
+elimination core (`det` from 3x3 on; below that, its closed form).  Each
+row is a ``{column: value}`` dict holding only its nonzeros.  Columns
+are taken in increasing order; the pivot for a column is the row holding
+it with the fewest nonzeros (ties to the lower row index), and a column
+-> rows index means each step touches only the rows that hold the pivot
+column.  `rank` and `det` stop after this forward pass; the others
+back-reduce to the reduced row echelon form.  That form is unique, so
+the result does not depend on the pivot choice: `nullspace` returns the
+same basis, in the same order, as textbook Gauss–Jordan would.
 
 Matrices come in as dense lists of rows.  `rank` and `nullspace` also
 take sparse rows (mappings column -> value) together with ``ncols=``.
@@ -210,13 +210,22 @@ def solve(rows, rhs) -> list[Rational] | None:
 
 
 def det(rows) -> Rational:
-    """The product of the pivot leads of `_echelon`, signed by the order in
-    which it took the source rows: every other step adds a multiple of
-    one row to another."""
-    sparse, n = _sparse_rows(rows, None)
-    if len(sparse) != n:
+    """Up to 2x2 the closed form (1, the entry, ad - bc); from 3x3 on the
+    product of the pivot leads of `_echelon`, signed by the order in which
+    it took the source rows: every other step adds a multiple of one row
+    to another.  Most calls are 1x1 and 2x2 bodies, where the core's
+    set-up would cost more than the arithmetic."""
+    mat = _as_matrix(rows)
+    n = len(mat)
+    if mat and len(mat[0]) != n:
         raise DimensionError("determinant requires a square matrix")
-    pivots, leads = _echelon(sparse, n)
+    if n < 3:
+        if n == 2:
+            (a, b), (c, d) = mat
+            return _canonical(a * d - b * c)
+        return mat[0][0] if n else 1
+    pivots, leads = _echelon([{c: x for c, x in enumerate(row) if x}
+                              for row in mat], n)
     if len(pivots) < n:
         return 0
     result = 1

@@ -28,13 +28,22 @@ Three derived computations drive everything else.
 Every generalized point g (or h) is the first factor of the doubled
 chart ``shape_product`` and the live copy x the second, each read off by
 ``projection``: the left translation x |-> g.x is ``mul`` itself.
+
+The Fubini and product checks come in two steps.  Their densities
+depend on the charts only, never on the integrand, so a private stage
+(``_fubini_stage``, ``_product_stage``) computes them, with the
+normalization test, once per quotient or pair of subgroups and returns
+the step that integrates one f.  ``fubini_check`` and
+``product_formula_check`` are a stage and one step; the ``verify``
+suites stage each example once and run every integrand through it.
+Nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .berezin import (
     BerezinSection,
@@ -459,7 +468,22 @@ def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
     is not b x rho_H, so the quotient chart carries no such density.
 
     ``backend`` integrates over G and over the base; ``fibre_backend``, when
-    given, integrates over the subgroup fibre in its place."""
+    given, integrates over the subgroup fibre in its place.
+
+    The densities depend on (G, H, section) only, never on f: this is
+    ``_fubini_stage`` followed by its per-integrand step on f, and a caller
+    with many integrands over one quotient stages it once."""
+    return _fubini_stage(G, H, section, backend, fibre_backend)(f)
+
+
+def _fubini_stage(G: SuperGroupChart, H: SubgroupSpec,
+                  section: SuperMorphism, backend: IntegrationBackend,
+                  fibre_backend: IntegrationBackend | None
+                  ) -> Callable[[SuperFunction], FubiniReport]:
+    """Everything of ``fubini_check`` but its two integrals of f: the Haar
+    densities, tau and tau^*omega_G, the base density and its
+    factorization test (NormalizationError here), the fibre density and
+    the sign.  Returns the step f -> FubiniReport."""
     base, Hsh = section.source, H.subgroup.shape
     omega_G, rho_H = haar_density(G), haar_density(H.subgroup)
     tau = trivialization(G, H, section)
@@ -478,15 +502,19 @@ def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
             "through the trivialization",
             discrepancy=pulled.density - factored.density)
 
-    lhs = integrate(function_times_section(f, omega_G), backend)
     fibre_density = product_section(BerezinSection.make(base, 1), rho_H)
-    f_H = fibre_integrate_section(
-        function_times_section(pullback(tau, f), fibre_density), base, Hsh,
-        fibre_backend or backend)
+    fibre_backend = fibre_backend or backend
     sign = -1 if (Hsh.n * (base.m + base.n)) % 2 else 1
-    staged = integrate(function_times_section(b, f_H), backend)
-    return FubiniReport(sign, lhs, sign * staged, f_H.density,
-                        pulled.caveats)
+
+    def check(f: SuperFunction) -> FubiniReport:
+        lhs = integrate(function_times_section(f, omega_G), backend)
+        f_H = fibre_integrate_section(
+            function_times_section(pullback(tau, f), fibre_density), base,
+            Hsh, fibre_backend)
+        staged = integrate(function_times_section(b, f_H), backend)
+        return FubiniReport(sign, lhs, sign * staged, f_H.density,
+                            pulled.caveats)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +553,20 @@ def product_formula_check(G: SuperGroupChart, M: SubgroupSpec,
     """Check integral over G of f against the integral over M x H of the
     pulled-back integrand weighted by Ber(Ad_h on h)/Ber(Ad_h on g) and the
     product of the subgroup densities, all three densities the charts'
-    left Haar densities."""
+    left Haar densities.
+
+    The densities, the ratio and the constant depend on (G, M, H) only:
+    this is ``_product_stage`` followed by its per-integrand step on f."""
+    return _product_stage(G, M, H, backend)(f)
+
+
+def _product_stage(G: SuperGroupChart, M: SubgroupSpec, H: SubgroupSpec,
+                   backend: IntegrationBackend
+                   ) -> Callable[[SuperFunction], ProductFormulaReport]:
+    """Everything of ``product_formula_check`` but its two integrals of f:
+    the modular ratio, the weighted product density, omega_G and its
+    pullback, and the constant c with its test (NormalizationError here).
+    Returns the step f -> ProductFormulaReport."""
     mul_map = compose(morphism_product(M.embedding, H.embedding), G.mul)
     prod_shape = mul_map.source
 
@@ -547,8 +588,10 @@ def product_formula_check(G: SuperGroupChart, M: SubgroupSpec,
             "ratio * (product of subgroup densities)",
             discrepancy=discrepancy)
 
-    lhs = integrate(function_times_section(f, omega_G), backend)
-    staged = integrate(
-        function_times_section(pullback(mul_map, f), weighted), backend)
-    return ProductFormulaReport(constant, ratio, lhs, constant * staged,
-                                pulled.caveats)
+    def check(f: SuperFunction) -> ProductFormulaReport:
+        lhs = integrate(function_times_section(f, omega_G), backend)
+        staged = integrate(
+            function_times_section(pullback(mul_map, f), weighted), backend)
+        return ProductFormulaReport(constant, ratio, lhs, constant * staged,
+                                    pulled.caveats)
+    return check

@@ -3,12 +3,23 @@
 import dataclasses
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from superberezin import cli, groups
-from superberezin.grassmann import Scalar
+from superberezin import cli, groups, supergroup
+from superberezin.grassmann import GrassmannElement, Scalar
 from superberezin.errors import ParseError
+from superberezin.superdomain import (
+    REALLINE,
+    Polynomial,
+    SuperDomainShape,
+    SuperFunction,
+    SuperMorphism,
+)
+from superberezin.suites import CheckLine
 from superberezin.textio import (
     parse_grassmann,
     parse_scalar,
@@ -382,8 +393,6 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    from superberezin.suites import CheckLine
-
     def rigged(seed=0):
         return [CheckLine(name="rigged", passed=False, lhs="0", rhs="1")]
 
@@ -392,6 +401,119 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL rigged lhs=0 rhs=1" in out
     assert "0/1 checks passed" in out
+
+
+def test_verify_other_side_haar_densities_fail_as_before(monkeypatch, capsys):
+    # right densities where left ones belong: the staged suites must stop
+    # where the per-integrand checks stopped, with the same message
+    haar = supergroup.haar_density
+
+    def other_side(G, side="left"):
+        return haar(G, "right" if side == "left" else "left")
+
+    monkeypatch.setattr(supergroup, "haar_density", other_side)
+    assert cli.main(["verify", "fubini-quotients"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: exponent -1 has no rational antiderivative\n")
+    assert cli.main(["verify", "product-formula"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: pullback of the total density is not a constant "
+        "multiple of ratio * (product of subgroup densities)\n")
+
+
+def test_verify_quotient_without_invariant_density_fails(monkeypatch,
+                                                         capsys):
+    # axb over its scaling subgroup: tau^*omega_G does not factor, which
+    # the suite reports once, from staging, before any integrand
+    ex = groups.axb_fubini_example()
+    base = SuperDomainShape(0, (), 1)
+    section = SuperMorphism(base, ex.group.shape,
+                            [SuperFunction.constant(base, 1)],
+                            [SuperFunction.odd_gen(base, 0)])
+    scaling = dataclasses.replace(ex, subgroup=groups.axb_even_subgroup(),
+                                  section=section)
+    monkeypatch.setattr(groups, "fubini_builtins", lambda: (scaling,))
+    assert cli.main(["verify", "fubini-quotients"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the total density does not factor as base x subgroup "
+        "density through the trivialization\n")
+
+
+# -- check lines -------------------------------------------------------------
+
+
+_scalars = st.builds(
+    lambda parts: sum((Scalar(q, k) for q, k in parts), Scalar(0)),
+    st.lists(st.tuples(st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=6),
+                       st.integers(-2, 2)), max_size=3))
+
+
+def _shape(m, n):
+    return SuperDomainShape(m, (REALLINE,) * m, n)
+
+
+@st.composite
+def _equal_pairs(draw):
+    """Two values that compare equal, built by different routes, and
+    sometimes a third that does not."""
+    c = draw(_scalars)
+    k = draw(st.integers(-2, 2))
+    counts = st.integers(0, 3)
+    route = draw(st.sampled_from(("scalar", "grassmann", "polynomial",
+                                  "superfunction", "monomial", "mixed")))
+    if route == "scalar":
+        # a power of s moved out of the value and back in
+        pair = (c, c * Scalar(1, -k) * Scalar(1, k))
+    elif route == "grassmann":
+        pair = (GrassmannElement.scalar(draw(counts), c),
+                GrassmannElement.scalar(draw(counts), c))
+    elif route == "polynomial":
+        pair = (Polynomial.constant(draw(counts), c),
+                Polynomial.constant(draw(counts), c))
+    elif route == "superfunction":
+        pair = (SuperFunction.constant(_shape(draw(counts), draw(counts)), c),
+                SuperFunction.constant(_shape(draw(counts), draw(counts)), c))
+    elif route == "monomial":
+        n = draw(st.integers(2, 4))
+        gens = [GrassmannElement.generator(n, j) for j in range(n)]
+        pair = (GrassmannElement.monomial(n, (0, 1), c) + gens[n - 1],
+                gens[n - 1] + c * gens[0] * gens[1])
+    else:
+        pair = (GrassmannElement.scalar(draw(counts), c),
+                Polynomial.constant(draw(counts), c))
+    if draw(st.booleans()):
+        pair = (pair[0], pair[1] + Scalar(Fraction(1, 7), k))
+    return pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(_equal_pairs())
+def test_check_line_prints_what_each_side_prints(pair):
+    lhs, rhs = pair
+    line = CheckLine.equal("pair", lhs, rhs)
+    assert line.passed == (lhs == rhs)
+    assert line.lhs == str(lhs)
+    assert line.rhs == str(rhs)
+
+
+def test_check_line_prints_a_passing_value_once(monkeypatch):
+    printed = []
+    for cls in (Scalar, GrassmannElement, Polynomial):
+        def counted(self, _str=cls.__str__):
+            printed.append(self)
+            return _str(self)
+        monkeypatch.setattr(cls, "__str__", counted)
+    cases = [((Scalar(2, 1), Scalar(2, 1)), 1),
+             ((GrassmannElement.scalar(1, 3), GrassmannElement.scalar(3, 3)),
+              1),
+             ((Scalar(2), Scalar(3)), 2),
+             ((GrassmannElement.scalar(2, 3), Polynomial.constant(1, 3)), 2)]
+    for (lhs, rhs), calls in cases:
+        printed.clear()
+        line = CheckLine.equal("pair", lhs, rhs)
+        assert len(printed) == calls, (lhs, rhs)
+        assert (line.lhs, line.rhs) == (str(lhs), str(rhs))
 
 
 # -- top level ---------------------------------------------------------------

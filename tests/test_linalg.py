@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from superberezin.linalg import det, inverse, nullspace, rank, solve
+from superberezin.grassmann import _canonical
+from superberezin.linalg import (_echelon, _sparse_rows, det, inverse,
+                                 nullspace, rank, solve)
 from superberezin.errors import DimensionError, NonInvertibleError
 
 
@@ -242,6 +244,51 @@ def test_det_matches_the_leibniz_formula(m):
     d = det(m)
     assert d == _leibniz_det(m)
     assert_stored([d])
+
+
+def _echelon_det(m):
+    """The signed product of `_echelon`'s pivot leads, the path every
+    size took before the closed forms for 0x0 to 2x2."""
+    sparse, n = _sparse_rows(m, None)
+    pivots, leads = _echelon(sparse, n)
+    if len(pivots) < n:
+        return 0
+    result = 1
+    for k, (lead, p) in enumerate(leads):
+        flips = sum(q > p for _, q in leads[:k])
+        result *= -lead if flips % 2 else lead
+    return _canonical(result)
+
+
+_small_entries = st.one_of(
+    st.just(0), st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _small_square(draw):
+    n = draw(st.integers(0, 3))
+    return [draw(st.lists(_small_entries, min_size=n, max_size=n))
+            for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_square())
+def test_small_det_closed_forms_match_leibniz_and_the_core(m):
+    # 0x0 to 2x2 take the closed forms, 3x3 the elimination core: each
+    # must give the value of both oracles, in the same stored type
+    d = det(m)
+    for oracle in (_canonical(_leibniz_det(m)), _echelon_det(m)):
+        assert d == oracle
+        assert type(d) is type(oracle)
+    assert_stored([d])
+
+
+def test_small_det_input_checks():
+    with pytest.raises(TypeError):
+        det([[1.5]])
+    with pytest.raises(DimensionError):
+        det([[1, 2]])
 
 
 def test_det_refuses_a_non_square_matrix():

@@ -18,6 +18,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from superberezin.berezin import (
     GAUSSIAN,
@@ -75,6 +77,8 @@ from superberezin.superdomain import (
 from superberezin.supergroup import (
     SubgroupSpec,
     _ansatz_rows,
+    _fubini_stage,
+    _product_stage,
     _translation_by_generalized_point,
     check_subgroup,
     fubini_check,
@@ -650,6 +654,67 @@ def test_product_ratio_matches_modular_oracle():
                                        backend=ex.backend)
         ber_h, ber_u = modular_berezinian(ex.group, ex.right)
         assert report.ratio == ber_h * ber_u.inv_even()
+
+
+# ---------------------------------------------------------------------------
+# staging: the f-independent densities once, then one step per integrand
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_staged_reports_match_the_public_checks(seed):
+    # one stage serves three integrands in turn; each report must be the
+    # one a fresh public call gives for that integrand alone
+    rng = random.Random(seed)
+    for ex in fubini_builtins():
+        check = _fubini_stage(ex.group, ex.subgroup, ex.section, ex.backend,
+                              ex.fibre_backend)
+        for f in [suites._random_group_function(rng, ex.group.shape)
+                  for _ in range(3)]:
+            staged = check(f)
+            public = fubini_check(ex.group, ex.subgroup, ex.section, f,
+                                  backend=ex.backend,
+                                  fibre_backend=ex.fibre_backend)
+            assert (staged.sign, staged.lhs, staged.rhs,
+                    staged.fibre_function, staged.caveats) == (
+                public.sign, public.lhs, public.rhs,
+                public.fibre_function, public.caveats)
+    for ex in product_builtins():
+        check = _product_stage(ex.group, ex.left, ex.right, ex.backend)
+        for f in [suites._random_group_function(rng, ex.group.shape)
+                  for _ in range(3)]:
+            staged = check(f)
+            public = product_formula_check(ex.group, ex.left, ex.right, f,
+                                           backend=ex.backend)
+            assert (staged.constant, staged.ratio, staged.lhs, staged.rhs,
+                    staged.caveats) == (
+                public.constant, public.ratio, public.lhs, public.rhs,
+                public.caveats)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    inner = getattr(supergroup, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(supergroup, name, wrapper)
+    return calls
+
+
+def test_suites_stage_each_example_once(monkeypatch):
+    # two Haar densities per Fubini example and three per product order,
+    # one modular Berezinian per order: not once per integrand
+    haar = _counted(monkeypatch, "haar_density")
+    modular = _counted(monkeypatch, "modular_berezinian")
+    suites.fubini_quotient_suite(0)
+    assert len(haar) == 2 * len(fubini_builtins())
+    haar.clear()
+    suites.product_formula_suite(0)
+    assert len(haar) == 3 * len(product_builtins()) == 6
+    assert len(modular) == len(product_builtins()) == 2
 
 
 # ---------------------------------------------------------------------------
