@@ -203,6 +203,19 @@ def _reduced(cls, count: int, den: int, acc: dict):
     return _stored(cls, count, den, acc)
 
 
+def _constant(cls, count, width: int, value):
+    """The constant ``cls`` value over ``count`` of an int, Fraction or
+    Scalar, keyed ``width`` zeros and then the power of s, built in stored
+    form: what the public constant constructors give, without their
+    checks."""
+    zeros = (0,) * width
+    if isinstance(value, Scalar):
+        return _stored(cls, count, value.den,
+                       {zeros + (k,): c for k, c in value.nums.items()})
+    nums = {zeros + (0,): value.numerator} if value else {}
+    return _stored(cls, count, value.denominator, nums)
+
+
 # The slot setters themselves: every product and fused sum builds a value,
 # thousands per Berezinian, and these skip the attribute lookup of
 # object.__setattr__.
@@ -650,7 +663,7 @@ class GrassmannElement(_Graded):
         if isinstance(value, GrassmannElement):
             return value
         if isinstance(value, (int, Fraction, Scalar)):
-            return GrassmannElement.scalar(self.generator_count, value)
+            return _constant(GrassmannElement, self.generator_count, 1, value)
         raise TypeError(f"cannot interpret {value!r} as a GrassmannElement")
 
     def __mul__(self, other) -> "GrassmannElement":

@@ -161,7 +161,6 @@ def line_odd_subgroup() -> SubgroupSpec:
 @dataclass(frozen=True)
 class FubiniExample:
     name: str
-    description: str
     group: SuperGroupChart
     subgroup: SubgroupSpec
     section: SuperMorphism  # base -> group, a section of G -> G/H
@@ -181,7 +180,6 @@ def line_fubini_example() -> FubiniExample:
     xi = SuperFunction.odd_gen(G.shape, 0)
     return FubiniExample(
         name="line-odd",
-        description="translations of R^(1|1) over the odd shift subgroup",
         group=G, subgroup=spec, section=section,
         test_function=x * x * x * x + x * x * xi,
         staging_sign=-1,
@@ -199,7 +197,6 @@ def heisenberg_fubini_example() -> FubiniExample:
     top = SuperFunction.odd_gen(G.shape, 0) * SuperFunction.odd_gen(G.shape, 1)
     return FubiniExample(
         name="heisenberg-centre",
-        description="odd Heisenberg chart over its centre",
         group=G, subgroup=spec, section=section,
         test_function=z * z + z * z * top,
         staging_sign=1,
@@ -217,7 +214,6 @@ def axb_fubini_example() -> FubiniExample:
     box = box_backend((Fraction(1, 2), Fraction(2)))
     return FubiniExample(
         name="axb-odd",
-        description="scaling-shift chart over its odd shift subgroup",
         group=G, subgroup=spec, section=section,
         test_function=a + a * b,
         staging_sign=-1,
@@ -237,7 +233,6 @@ def fubini_builtins() -> tuple[FubiniExample, ...]:
 @dataclass(frozen=True)
 class ProductExample:
     name: str
-    description: str
     group: SuperGroupChart
     left: SubgroupSpec
     right: SubgroupSpec
@@ -267,8 +262,6 @@ def axb_product_example(order: str = "odd-even") -> ProductExample:
         raise ValueError("order must be 'odd-even' or 'even-odd'")
     return ProductExample(
         name=f"axb-{order}",
-        description=f"scaling-shift chart as the product {order} "
-                    "of its two subgroups",
         group=G, left=left, right=right,
         test_function=a + a * b,
         modular_ratio=ratio, ratio_label=label, modular_constant=constant,

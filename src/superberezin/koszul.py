@@ -53,13 +53,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
 from .errors import DimensionError, InconclusiveError
-from .grassmann import (GrassmannElement, Parity, _indices, _mask, _odd_swaps,
-                        _rational)
+from .grassmann import Parity, _indices, _mask, _odd_swaps
 
 # A monomial is (even_exponents, odd_indices): a tuple of p+q nonnegative
 # integers and a strictly increasing tuple of odd-letter indices.
@@ -270,63 +268,3 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
     # remove the Π^p parity shift of the homological model
     reported = Parity((parities.pop() + p) % 2)
     return total, reported
-
-
-# -- D(x) classes ---------------------------------------------------------
-
-
-def _top_coefficient(factors, n: int) -> Fraction:
-    """Coefficient of letters 1..n in the product of factors, left to right."""
-    product = math.prod(factors, start=GrassmannElement.one(n))
-    return product.coefficient(range(n)).rational
-
-
-def _letters(n: int, weights: dict) -> GrassmannElement:
-    """The degree-1 element sum of weight * letter on n letters."""
-    return GrassmannElement(n, {(letter,): w for letter, w in weights.items()})
-
-
-def d_class_factor(p: int, q: int, T) -> Fraction:
-    """Factor λ with D(x') = λ·D(x) for the basis change x'_j = Σ_i T_ij x_i.
-
-    T is a numeric block-diagonal (p+q)-square matrix (even transformation
-    with constant entries).  The factor is read off as the top coefficient
-    of the letter product representing D(x') inside the homological model.
-    """
-    n = p + q
-    A = [[_rational(T[i][j]) for j in range(p)] for i in range(p)]
-    D = [[_rational(T[p + i][p + j]) for j in range(q)] for i in range(q)]
-    for i in range(n):
-        for j in range(n):
-            if (i < p) != (j < p) and _rational(T[i][j]) != 0:
-                raise DimensionError("numeric basis change must be block diagonal")
-    Dinv = linalg.inverse(D) if q else []
-    # even slots: Π(x'_j) = Σ_i A_ij·Πe_i, letters 0..p-1;
-    # odd slots: ξ'_{p+j} = Σ_k (D^-1)_jk·f*_k, letters p..p+q-1
-    factors = [_letters(n, {i: A[i][j] for i in range(p)}) for j in range(p)]
-    factors += [_letters(n, {p + k: Dinv[j][k] for k in range(q)})
-                for j in range(q)]
-    return _top_coefficient(factors, n)
-
-
-def dual_class_factor(p: int, q: int, T) -> Fraction:
-    """Factor μ with D(ξ'_n,…,ξ'_1) = μ·D(ξ_n,…,ξ_1) for the same basis change.
-
-    Works in the model of Ber(V*): odd letters there are Πξ_1..Πξ_p followed
-    by the double duals x_{p+1}..x_n.  The reversed slot order is shared by
-    the primed and unprimed products, so μ is their coefficient ratio.
-    """
-    n = p + q
-    A = [[_rational(T[i][j]) for j in range(p)] for i in range(p)]
-    D = [[_rational(T[p + i][p + j]) for j in range(q)] for i in range(q)]
-    Ainv = linalg.inverse(A) if p else []
-    primed = []
-    for i in reversed(range(n)):
-        if i < p:
-            # Π(ξ'_i) = Σ_k (A^-1)_ik·Πξ_k, letters 0..p-1
-            primed.append(_letters(n, {k: Ainv[i][k] for k in range(p)}))
-        else:
-            # x'_i = Σ_k D_{k,i-p}·x_{p+k}, letters p..n-1
-            primed.append(_letters(n, {p + k: D[k][i - p] for k in range(q)}))
-    plain = [_letters(n, {i: 1}) for i in reversed(range(n))]
-    return Fraction(_top_coefficient(primed, n), _top_coefficient(plain, n))

@@ -17,7 +17,6 @@ this connectedness proviso.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -26,7 +25,7 @@ from . import linalg
 from .errors import DimensionError, ParityError, StructureError
 from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _canonical,
                         _rational, koszul_sign)
-from .supermatrix import SuperMatrix, supertrace
+from .supermatrix import SuperMatrix
 
 __all__ = [
     "LieSuperAlgebra",
@@ -35,11 +34,9 @@ __all__ = [
     "ValidationReport",
     "abelian_algebra",
     "ad",
-    "adapt_basis",
     "change_basis",
     "gl11_algebra",
     "quotient_action",
-    "random_homogeneous_element",
     "unimodularity_check",
     "validate",
 ]
@@ -315,7 +312,7 @@ def unimodularity_check(g: LieSuperAlgebra,
                         h: SubalgebraSpec) -> UnimodularityResult:
     """Vanishing of str on the quotient action of every h-basis element."""
     for idx in sorted(h.span):
-        trace = supertrace(quotient_action(g, h, idx)).body().rational
+        trace = quotient_action(g, h, idx).supertrace().body().rational
         if trace:
             return UnimodularityResult("NOT_UNIMODULAR", g.names[idx], trace)
     return UnimodularityResult("UNIMODULAR", None, None)
@@ -357,57 +354,3 @@ def change_basis(g: LieSuperAlgebra, matrix) -> LieSuperAlgebra:
                 sum(P_inv[t][k] * c for k, c in nonzero) for t in range(dim))
     names = tuple(f"f{i + 1}" for i in range(dim))
     return LieSuperAlgebra(names, g.parities, constants)
-
-
-def adapt_basis(g: LieSuperAlgebra, vectors: Sequence[Sequence]
-                ) -> tuple[LieSuperAlgebra, SubalgebraSpec]:
-    """Rewrite g so the span of the given homogeneous vectors is adapted.
-
-    Returns the algebra in the new basis together with the subalgebra
-    spec; the new basis keeps evens first, with the subalgebra vectors
-    leading each parity block.
-    """
-    given = [_as_vector(v, g.dim) for v in vectors]
-    by_parity: dict[Parity, list[Vector]] = {EVEN: [], ODD: []}
-    for v in given:
-        parity = g.vector_parity(v)
-        if parity is None:
-            raise StructureError("adapt_basis needs homogeneous vectors")
-        by_parity[parity].append(v)
-    columns: list[Vector] = []
-    span: set[int] = set()
-    for parity in (EVEN, ODD):
-        block = [i for i in range(g.dim) if g.parities[i] is parity]
-        chosen: list[Vector] = []
-        for v in by_parity[parity]:
-            if linalg.rank([list(w) for w in chosen + [v]]) != len(chosen) + 1:
-                raise StructureError("subalgebra vectors are dependent")
-            chosen.append(v)
-        for i in block:
-            candidate = g.basis_vector(i)
-            trial = chosen + [candidate]
-            if linalg.rank([list(w) for w in trial]) == len(trial):
-                chosen.append(candidate)
-        if len(chosen) != len(block):
-            raise StructureError("could not complete the basis")
-        start = len(columns)
-        span.update(range(start, start + len(by_parity[parity])))
-        columns.extend(chosen)
-    P = [[columns[c][r] for c in range(g.dim)] for r in range(g.dim)]
-    new_g = change_basis(g, P)
-    return new_g, SubalgebraSpec(new_g, frozenset(span))
-
-
-def random_homogeneous_element(g: LieSuperAlgebra, rng: random.Random,
-                               parity: Parity) -> Vector:
-    """Random nonzero homogeneous coefficient vector, entries in [-3, 3],
-    for property tests."""
-    indices = [i for i in range(g.dim) if g.parities[i] is parity]
-    if not indices:
-        raise StructureError(f"no generators of parity {parity}")
-    while True:
-        vec = [0] * g.dim
-        for i in indices:
-            vec[i] = rng.randint(-3, 3)
-        if any(vec):
-            return tuple(vec)

@@ -4,7 +4,7 @@ Entries are stored as ints when integral and as Fractions otherwise, as
 everywhere in the package; inputs must be ints or Fractions (a float
 raises TypeError), and every result comes back in that form.
 
-`rank`, `det`, `nullspace`, `solve` and `inverse` share one sparse
+`rank`, `det`, `nullspace` and `inverse` share one sparse
 elimination core (`det` from 3x3 on; below that, its closed form).  Each
 row is a ``{column: value}`` dict holding only its nonzeros.  Columns
 are taken in increasing order; the pivot for a column is the row holding
@@ -185,28 +185,6 @@ def nullspace(rows, ncols: int | None = None) -> list[list[Rational]]:
             if c != col:
                 basis[c][col] = -v
     return list(basis.values())
-
-
-def solve(rows, rhs) -> list[Rational] | None:
-    """One solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    mat = _as_matrix(rows)
-    b = [_rational(x) for x in rhs]
-    if len(mat) != len(b):
-        raise DimensionError("rhs length does not match row count")
-    if not mat:
-        return []
-    cols = len(mat[0])
-    sparse = [{c: v for c, v in enumerate(row + [bv]) if v}
-              for row, bv in zip(mat, b)]
-    x = [0] * cols
-    for col, row in _rref(sparse, cols + 1):
-        if col == cols:
-            return None
-        x[col] = row.get(cols, 0)
-    return x
 
 
 def det(rows) -> Rational:

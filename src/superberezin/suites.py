@@ -132,16 +132,6 @@ def random_even_supermatrix(rng: random.Random, p: int, q: int,
     raise RuntimeError("failed to generate an invertible supermatrix")
 
 
-def random_odd_supermatrix(rng: random.Random, p: int, q: int, n: int) -> SuperMatrix:
-    zero = GrassmannElement.zero(n)
-    one = GrassmannElement.one(n)
-    A = [[random_grassmann(rng, n, ODD) for _ in range(p)] for _ in range(p)]
-    D = [[random_grassmann(rng, n, ODD) for _ in range(q)] for _ in range(q)]
-    B = [[random_grassmann(rng, n, EVEN) for _ in range(q)] for _ in range(p)]
-    C = [[random_grassmann(rng, n, EVEN) for _ in range(p)] for _ in range(q)]
-    return SuperMatrix.from_blocks(A, B, C, D, ODD, zero=zero, one=one)
-
-
 # -- suite: Berezinian multiplicativity ----------------------------------
 
 
@@ -474,18 +464,6 @@ def _random_group_function(rng: random.Random,
     return f + SuperFunction(shape, {top: poly})
 
 
-def _fubini(ex: groups.FubiniExample, f: SuperFunction):
-    """The staged integration of f over the example's quotient."""
-    return fubini_check(ex.group, ex.subgroup, ex.section, f,
-                        backend=ex.backend, fibre_backend=ex.fibre_backend)
-
-
-def _product(ex: groups.ProductExample, f: SuperFunction):
-    """The product-of-subgroups check of f over the example's factors."""
-    return product_formula_check(ex.group, ex.left, ex.right, f,
-                                 backend=ex.backend)
-
-
 def fubini_quotient_suite(seed: int = 0):
     """Staged integration over the built-in quotient pairs (four random
     integrands each, the quotient's densities computed once), plus
@@ -562,7 +540,8 @@ SUITES = {
 
 
 def _fubini_example(ex: groups.FubiniExample) -> list[CheckLine]:
-    report = _fubini(ex, ex.test_function)
+    report = fubini_check(ex.group, ex.subgroup, ex.section, ex.test_function,
+                          backend=ex.backend, fibre_backend=ex.fibre_backend)
     return [CheckLine.equal(f"{ex.name} staged integral",
                             report.lhs, report.rhs),
             CheckLine.equal(f"{ex.name} staging sign",
@@ -572,7 +551,8 @@ def _fubini_example(ex: groups.FubiniExample) -> list[CheckLine]:
 def _product_examples() -> list[CheckLine]:
     lines = []
     for ex in groups.product_builtins():
-        report = _product(ex, ex.test_function)
+        report = product_formula_check(ex.group, ex.left, ex.right,
+                                       ex.test_function, backend=ex.backend)
         lines.append(CheckLine.equal(f"{ex.name} staged integral",
                                      report.lhs, report.rhs))
         lines.append(CheckLine.equal(f"{ex.name} modular ratio",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import add, itemgetter
 from types import MappingProxyType
 
@@ -39,6 +39,7 @@ from .grassmann import (
     _Products,
     _add_into,
     _checked_mask,
+    _constant,
     _fused,
     _indices,
     _inverse_series,
@@ -293,19 +294,6 @@ class Polynomial(_Exact):
         return f"Polynomial({self.nvars}, {self!s})"
 
 
-def _constant(cls, count, width: int, value):
-    """The constant ``cls`` value over ``count`` of an int, Fraction or
-    Scalar, keyed ``width`` zeros and then the power of s, built in stored
-    form: what the public constant constructors give, without their
-    checks."""
-    zeros = (0,) * width
-    if isinstance(value, Scalar):
-        return _stored(cls, count, value.den,
-                       {zeros + (k,): c for k, c in value.nums.items()})
-    nums = {zeros + (0,): value.numerator} if value else {}
-    return _stored(cls, count, value.denominator, nums)
-
-
 def _evaluate(nvars: int, den: int, terms, point: Sequence[Fraction]) -> Scalar:
     """The value at a rational point of the (exps, int numerator) ``terms``
     over ``den``, exps the exponents of ``nvars`` variables and then the
@@ -355,14 +343,6 @@ def _poly_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
             prev = get(key)
             acc[key] = c1 * c2 if prev is None else prev + c1 * c2
     return acc
-
-
-def binomial_coefficient(e: int, j: int) -> Fraction:
-    """Generalized C(e, j) = e(e-1)...(e-j+1)/j!; exact for negative e too."""
-    num = Fraction(1)
-    for t in range(j):
-        num *= Fraction(e - t)
-    return Fraction(num, factorial(j))
 
 
 # -- superfunctions --------------------------------------------------------

@@ -271,11 +271,6 @@ class SuperMatrix:
         return SuperMatrix(self.p, self.q, ent, self.parity + other.parity,
                            zero=self.zero, one=self.one)
 
-    def map_entries(self, fn) -> "SuperMatrix":
-        ent = [[fn(e) for e in row] for row in self.entries]
-        return SuperMatrix(self.p, self.q, ent, self.parity,
-                           zero=self.zero, one=self.one)
-
     # -- invariants ---------------------------------------------------
 
     def supertrace(self):
@@ -321,11 +316,3 @@ class SuperMatrix:
 
     def __repr__(self) -> str:
         return f"SuperMatrix(p={self.p}, q={self.q}, parity={self.parity})"
-
-
-def berezinian(m: SuperMatrix):
-    return m.berezinian()
-
-
-def supertrace(m: SuperMatrix):
-    return m.supertrace()

@@ -352,7 +352,8 @@ def parse_supermatrix(text: str) -> SuperMatrix:
 
 
 def format_supermatrix(matrix: SuperMatrix) -> str:
-    n = matrix.entries[0][0].generator_count if matrix.p + matrix.q else 0
+    # the header's N is the algebra's, which a (0|0) matrix has no entry for
+    n = matrix.one.generator_count
     out = [f"{matrix.p} {matrix.q} {n}"]
     for row in matrix.entries:
         out.extend(str(entry) for entry in row)

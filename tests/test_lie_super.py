@@ -18,18 +18,27 @@ from superberezin.lie_super import (
     SubalgebraSpec,
     abelian_algebra,
     ad,
-    adapt_basis,
     change_basis,
     gl11_algebra,
     quotient_action,
-    random_homogeneous_element,
     unimodularity_check,
     validate,
 )
-from superberezin.supermatrix import SuperMatrix, supertrace
+from superberezin.supermatrix import SuperMatrix
 
 Z0 = GrassmannElement.zero(0)
 I0 = GrassmannElement.one(0)
+
+
+def random_homogeneous_element(g, rng, parity):
+    """Random nonzero homogeneous coefficient vector, entries in [-3, 3]."""
+    indices = [i for i in range(g.dim) if g.parities[i] is parity]
+    while True:
+        vec = [0] * g.dim
+        for i in indices:
+            vec[i] = rng.randint(-3, 3)
+        if any(vec):
+            return tuple(vec)
 
 
 def _unit(p_idx: int, q_idx: int, parity) -> SuperMatrix:
@@ -118,7 +127,7 @@ def test_ad_gl11_frozen_values():
     d = m.block("D")
     assert d[0][0] == I0 and d[1][1] == -I0
     assert all(e.is_zero() for row in m.block("A") for e in row)
-    assert supertrace(m).is_zero()
+    assert m.supertrace().is_zero()
     # an odd element gives an odd matrix
     assert ad(g, 2).parity is ODD
 
@@ -141,7 +150,7 @@ def test_supertrace_of_bracket_vanishes():
     g = gl11_algebra()
     for i, j in product(range(4), repeat=2):
         x = ad(g, g.bracket_basis(i, j))
-        assert supertrace(x).is_zero(), (i, j)
+        assert x.supertrace().is_zero(), (i, j)
 
 
 def test_mixed_parity_ad_rejected():
@@ -165,7 +174,7 @@ def test_borel_quotient_action_frozen():
     m = quotient_action(g, borel, 0)  # action of E11 on span{E21}
     assert (m.p, m.q) == (0, 1)
     assert m.entries[0][0] == -I0
-    assert supertrace(m).body().rational == 1
+    assert m.supertrace().body().rational == 1
 
 
 def test_subalgebra_closure_enforced():
@@ -248,13 +257,3 @@ def test_borel_verdict_invariant_under_adapted_changes():
         g2 = change_basis(g, P)
         verdict = unimodularity_check(g2, SubalgebraSpec(g2, frozenset({0, 1, 2})))
         assert verdict.verdict == "NOT_UNIMODULAR"
-
-
-def test_adapt_basis_from_spanning_vectors():
-    g = gl11_algebra()
-    vectors = [(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 3, 0)]  # the Borel again
-    g2, sub = adapt_basis(g, vectors)
-    assert validate(g2).ok
-    assert len(sub.span) == 3
-    result = unimodularity_check(g2, sub)
-    assert result.verdict == "NOT_UNIMODULAR"

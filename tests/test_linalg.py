@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from superberezin.grassmann import _canonical
 from superberezin.linalg import (_echelon, _sparse_rows, det, inverse,
-                                 nullspace, rank, solve)
+                                 nullspace, rank)
 from superberezin.errors import DimensionError, NonInvertibleError
 
 
@@ -61,19 +61,6 @@ def oracle_nullspace(mat):
     return basis
 
 
-def oracle_solve(mat, rhs):
-    if not mat:
-        return []
-    cols = len(mat[0])
-    rref, pivots = _dense_rref([list(row) + [b] for row, b in zip(mat, rhs)])
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][cols]
-    return x
-
-
 def oracle_inverse(mat):
     n = len(mat)
     aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
@@ -98,11 +85,6 @@ def test_nullspace():
     ns = nullspace([[1, 2]])
     assert ns == [[Fraction(-2), Fraction(1)]]
     assert nullspace([[1, 0], [0, 1]]) == []
-
-
-def test_solve():
-    assert solve([[2, 0], [0, 4]], [6, 8]) == [Fraction(3), Fraction(2)]
-    assert solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_det():
@@ -194,19 +176,6 @@ def test_rank_and_nullspace_match_dense_oracle(m):
     assert rank(_sparse(m), ncols=cols) == oracle_rank(m)
     if m:
         assert nullspace(_sparse(m), ncols=cols) == oracle_nullspace(m)
-
-
-@settings(max_examples=300, deadline=None)
-@given(matrices(), st.data())
-def test_solve_matches_dense_oracle(m, data):
-    rhs = data.draw(st.lists(entry, min_size=len(m), max_size=len(m)))
-    assert solve(m, rhs) == oracle_solve(m, rhs)
-    assert_stored(solve(m, rhs) or [])
-    # a right-hand side in the column space always has a solution
-    cols = len(m[0]) if m else 0
-    x = data.draw(st.lists(entry, min_size=cols, max_size=cols))
-    b = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in m]
-    assert solve(m, b) == oracle_solve(m, b) is not None
 
 
 @settings(max_examples=300, deadline=None)
@@ -306,7 +275,7 @@ def test_floats_are_refused():
     # a float's binary value is not the rational it was written as
     for call in (lambda: rank([[0.5, 1]]), lambda: det([[0.1]]),
                  lambda: nullspace([{0: 0.5}], ncols=1),
-                 lambda: solve([[1]], [0.5]), lambda: inverse([[2.0]])):
+                 lambda: inverse([[2.0]])):
         with pytest.raises(TypeError):
             call()
 
@@ -332,7 +301,6 @@ def test_sparse_entries_other_than_exact_ints_are_checked():
 def test_results_are_ints_where_integral():
     assert_stored([det([[Fraction(1, 2), 1], [1, 4]]), det([[2, 1], [1, 1]])])
     assert det([[Fraction(1, 2), 1], [1, 4]]) == 1
-    assert_stored(solve([[2, 0], [0, 4]], [6, 2]))
     for row in inverse([[2, 0], [0, Fraction(1, 3)]]):
         assert_stored(row)
 

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 from operator import add
 
 import pytest
@@ -16,7 +16,8 @@ from superberezin.errors import (
     NonInvertibleError,
     ParityError,
 )
-from superberezin.grassmann import EVEN, ODD, Scalar, _Products, _canonical
+from superberezin.grassmann import (EVEN, ODD, GrassmannElement, Scalar,
+                                    _Products, _canonical)
 from superberezin.superdomain import (
     Interval,
     POSITIVE,
@@ -25,7 +26,6 @@ from superberezin.superdomain import (
     SuperDomainShape,
     SuperFunction,
     SuperMorphism,
-    binomial_coefficient,
     box_samples,
     compose,
     jacobian,
@@ -36,6 +36,7 @@ from superberezin.superdomain import (
     shape_product,
     split_product_function,
 )
+from superberezin.supermatrix import SuperMatrix
 from superberezin.textio import format_superfunction, parse_superfunction
 
 R12 = SuperDomainShape(1, (REALLINE,), 2)
@@ -299,7 +300,12 @@ class TestJacobian:
             phi = _random_automorphism(rng)
             psi = _random_automorphism(rng)
             lhs = jacobian(compose(phi, psi))
-            rhs = jacobian(phi) * jacobian(psi).map_entries(lambda f: pullback(phi, f))
+            inner = jacobian(psi)
+            pulled = SuperMatrix(inner.p, inner.q,
+                                 [[pullback(phi, f) for f in row]
+                                  for row in inner.entries],
+                                 zero=inner.zero, one=inner.one)
+            rhs = jacobian(phi) * pulled
             assert lhs == rhs
 
     def test_berezinian_chain_rule(self):
@@ -407,6 +413,14 @@ class TestBoxes:
 #
 # pullback substitutes by grouping terms on their even exponents; the oracle
 # below expands f one monomial at a time, as pullback was first written.
+
+
+def binomial_coefficient(e, j):
+    """Generalized C(e, j) = e(e-1)...(e-j+1)/j!; exact for negative e too."""
+    num = Fraction(1)
+    for t in range(j):
+        num *= Fraction(e - t)
+    return Fraction(num, factorial(j))
 
 
 def oracle_pullback(phi, f):
@@ -960,7 +974,16 @@ def test_scalar_operands_coerce_to_the_public_constant(q, k, m):
     shape = SuperDomainShape(m, (REALLINE,) * m, 2)
     f = SuperFunction.odd_gen(shape, 1) + Fraction(2, 3)
     p = Polynomial(m, {(1,) * m: Fraction(1, 2)})
+    e = GrassmannElement.generator(2, 1) + Fraction(2, 3)
     for value in (q, _canonical(q), Scalar(q, k)):
+        want_e = GrassmannElement.scalar(2, value)
+        got_e = e._coerce(value)
+        assert_stored_form(got_e)
+        assert (got_e.generator_count, got_e.den, got_e.nums) \
+            == (2, want_e.den, want_e.nums)
+        assert hash(got_e) == hash(want_e)
+        assert e * value == e * want_e and value * e == want_e * e
+        assert e + value == e + want_e and value - e == want_e - e
         want = SuperFunction.constant(shape, value)
         got = f._coerce(value)
         assert got.coeffs.keys() == want.coeffs.keys()

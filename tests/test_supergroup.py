@@ -61,7 +61,7 @@ from superberezin.lie_super import (
     unimodularity_check,
 )
 from superberezin import suites, supergroup
-from superberezin.supermatrix import SuperMatrix, supertrace
+from superberezin.supermatrix import SuperMatrix
 from superberezin.superdomain import (
     REALLINE,
     Polynomial,
@@ -736,8 +736,8 @@ def test_axb_modular_character_is_nontrivial():
     # str(ad X) = -1, so the chart cannot carry a bi-invariant density;
     # the solver confirms: left density 1, right density a^-1.
     g = group_lie_algebra(axb_group(), names=("X", "Q"))
-    assert supertrace(ad(g, 0)).body() == Fraction(-1)
-    assert supertrace(ad(g, 1)).body() == Fraction(0)
+    assert ad(g, 0).supertrace().body() == Fraction(-1)
+    assert ad(g, 1).supertrace().body() == Fraction(0)
     left = solve_invariant_density(axb_group(), side="left")
     right = solve_invariant_density(
         axb_group(), side="right",
@@ -747,7 +747,7 @@ def test_axb_modular_character_is_nontrivial():
 
 def test_heisenberg_modular_character_is_trivial():
     g = group_lie_algebra(heisenberg_group())
-    assert all(supertrace(ad(g, i)).body() == Fraction(0) for i in range(3))
+    assert all(ad(g, i).supertrace().body() == Fraction(0) for i in range(3))
 
 
 def test_product_examples_cover_both_orders():

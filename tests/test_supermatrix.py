@@ -20,14 +20,11 @@ from superberezin.supermatrix import (
     SuperMatrix,
     _cramer,
     _expand,
-    berezinian,
-    supertrace,
 )
 from superberezin.textio import format_supermatrix, parse_supermatrix
 from superberezin.suites import (
     random_even_supermatrix,
     random_grassmann,
-    random_odd_supermatrix,
 )
 from superberezin.errors import NonInvertibleError, ParityError
 
@@ -38,6 +35,16 @@ ONE = GrassmannElement.one(N)
 
 def g(terms):
     return GrassmannElement(N, terms)
+
+
+def random_odd_supermatrix(rng, p, q, n):
+    """An odd (p|q) supermatrix of random entries over n generators."""
+    A = [[random_grassmann(rng, n, ODD) for _ in range(p)] for _ in range(p)]
+    D = [[random_grassmann(rng, n, ODD) for _ in range(q)] for _ in range(q)]
+    B = [[random_grassmann(rng, n, EVEN) for _ in range(q)] for _ in range(p)]
+    C = [[random_grassmann(rng, n, EVEN) for _ in range(p)] for _ in range(q)]
+    return SuperMatrix.from_blocks(A, B, C, D, ODD, zero=GrassmannElement.zero(n),
+                                   one=GrassmannElement.one(n))
 
 
 def sm(p, q, entries, parity=EVEN):
@@ -403,7 +410,7 @@ def test_identity_and_product():
 
 def test_supertrace_frozen():
     x = sm(1, 1, [[{(): 2, (0, 1): 1}, {(0,): 1}], [{(1,): 1}, {(): 1, (0, 1): 2}]])
-    assert supertrace(x) == g({(): 1, (0, 1): -1})
+    assert x.supertrace() == g({(): 1, (0, 1): -1})
 
 
 def test_berezinian_frozen():
@@ -411,23 +418,23 @@ def test_berezinian_frozen():
     # D^-1 = 1 - 2 xi1 xi2, B D^-1 C = xi1 xi2,
     # Ber = (2 + xi1 xi2 - xi1 xi2) (1 - 2 xi1 xi2) = 2 - 4 xi1 xi2
     x = sm(1, 1, [[{(): 2, (0, 1): 1}, {(0,): 1}], [{(1,): 1}, {(): 1, (0, 1): 2}]])
-    assert berezinian(x) == g({(): 2, (0, 1): -4})
+    assert x.berezinian() == g({(): 2, (0, 1): -4})
 
 
 def test_berezinian_pure_even_block():
     x = sm(2, 0, [[{(): 1}, {(): 2}], [{(): 3}, {(): 4}]])
-    assert berezinian(x) == g({(): -2})
+    assert x.berezinian() == g({(): -2})
 
 
 def test_berezinian_pure_odd_block():
     x = sm(0, 2, [[{(): 1}, {(): 2}], [{(): 0}, {(): 2}]])
-    assert berezinian(x) == g({(): Fraction(1, 2)})
+    assert x.berezinian() == g({(): Fraction(1, 2)})
 
 
 def test_berezinian_requires_invertible_d():
     x = sm(1, 1, [[{(): 1}, {}], [{}, {(0, 1): 1}]])
     with pytest.raises(NonInvertibleError, match="odd-odd block is not invertible"):
-        berezinian(x)
+        x.berezinian()
 
 
 @pytest.mark.parametrize("x", [
@@ -439,7 +446,7 @@ def test_berezinian_requires_invertible_d():
 ], ids=["grassmann-pure-odd", "superfunction-pure-odd", "superfunction"])
 def test_berezinian_rejects_singular_d_on_every_path(x):
     with pytest.raises(NonInvertibleError, match="odd-odd block is not invertible"):
-        berezinian(x)
+        x.berezinian()
 
 
 def test_berezinian_multiplicative_sample():
@@ -465,10 +472,10 @@ def test_supertrace_twisted_cyclicity():
     for _ in range(10):
         x = random_even_supermatrix(rng, 1, 1, N)
         y = random_even_supermatrix(rng, 1, 1, N)
-        assert supertrace(x * y) == supertrace(y * x)
+        assert (x * y).supertrace() == (y * x).supertrace()
         xo = random_odd_supermatrix(rng, 1, 1, N)
         yo = random_odd_supermatrix(rng, 1, 1, N)
-        assert supertrace(xo * yo) == -supertrace(yo * xo)
+        assert (xo * yo).supertrace() == -(yo * xo).supertrace()
 
 
 def test_supertrace_vanishes_on_graded_commutator():
@@ -477,10 +484,10 @@ def test_supertrace_vanishes_on_graded_commutator():
     for _ in range(10):
         xo = random_odd_supermatrix(rng, 2, 1, N)
         yo = random_odd_supermatrix(rng, 2, 1, N)
-        assert supertrace(xo * yo + yo * xo).is_zero()
+        assert (xo * yo + yo * xo).supertrace().is_zero()
         xe = random_even_supermatrix(rng, 2, 1, N)
         ye = random_even_supermatrix(rng, 2, 1, N)
-        assert supertrace(xe * ye - ye * xe).is_zero()
+        assert (xe * ye - ye * xe).supertrace().is_zero()
 
 
 # The suite generators draw each term straight as a key of an element's

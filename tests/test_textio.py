@@ -65,6 +65,11 @@ xi2
     assert str(matrix.block("B")[0][0]) == "xi1"
     again = parse_supermatrix(format_supermatrix(matrix))
     assert again.entries == matrix.entries
+    # a (0|0) matrix has no entry to read N from: the header keeps it, and
+    # its Berezinian is the empty product
+    empty = parse_supermatrix("0 0 5\n")
+    assert format_supermatrix(empty) == "0 0 5\n"
+    assert str(empty.berezinian()) == "1"
 
 
 def test_supermatrix_wrong_count_reports_header_line():
