@@ -109,6 +109,10 @@ def _parse_backend(spec: list[str]):
                            len(spec) - 1)
             # rationals of the text grammar
             values = [_fraction(bound, k) for k, bound in enumerate(spec[1:], 1)]
+            for k in range(1, len(values), 2):
+                if values[k - 1] >= values[k]:
+                    # the message of 'axis lo hi' in a file, at hi
+                    raise _Bad("interval bounds must be increasing", k + 1)
             return box_backend(*zip(values[::2], values[1::2]))
         # after a known name, the first extra word is the offending one
         raise _Bad(f"unknown backend {' '.join(spec)!r}",

@@ -32,7 +32,7 @@ from .superdomain import (
     SuperMorphism,
     shape_product,
 )
-from .supergroup import SubgroupSpec, SuperGroupChart, full_subgroup
+from .supergroup import SubgroupSpec, SuperGroupChart
 
 
 def translation_group(m: int, n: int,

@@ -37,16 +37,14 @@ present mask F | S to the masks F | S | 1 << i, i a free letter outside
 S.  Subtracting the free weights is therefore a bijection from the block
 of w onto the block of F at free weights 0 that commutes with d.  So is
 the map onto the block of F' = {0, .., |F| − 1} that relabels the free
-letters in order, the
-monomial of S taking the sign (−1)^(forced letters below i in F and below
-the image of i in F'), multiplied over i in S.  `block_layer_sums` thus
-builds one block per forced-set size k on masks, counted C(n, k) times,
-a `KoszulComplexSlice` whose layers the slice's own `d_rank` ranks from
-d; a layer of a block sits at every free total t that keeps it below the
-cap, C(t + free − 1, free − 1) times, the compositions of t into `free`
-parts.  A wrong sign in `_d_terms` or
-``_odd_swaps`` still changes the answer; the whole slice
-`KoszulComplexSlice(p, q, cap)` builds the same sums without blocks.
+letters in order, the monomial of S taking the sign (−1)^(forced letters
+below i in F and below the image of i in F'), multiplied over i in S.
+`block_layer_sums` thus builds one block per forced-set size k on masks,
+counted C(n, k) times: `KoszulComplexSlice(p, q, k)`, the module's one
+complex, whose `d_rank` ranks each layer from d.  A layer of a block sits
+at every free total t that keeps it below the cap, C(t + free − 1,
+free − 1) times, the compositions of t into `free` parts.  A wrong sign
+in `_d_terms` or ``_odd_swaps`` still changes the answer.
 """
 
 from __future__ import annotations
@@ -57,22 +55,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DimensionError, InconclusiveError
-from .grassmann import Parity, _indices, _mask, _odd_swaps
-
-# A monomial is (even_exponents, odd_indices): a tuple of p+q nonnegative
-# integers and a strictly increasing tuple of odd-letter indices.
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+from .grassmann import Parity, _mask, _odd_swaps
 
 
 def _d_terms(present: int, n: int) -> list[tuple[int, int]]:
@@ -89,50 +72,36 @@ def _d_terms(present: int, n: int) -> list[tuple[int, int]]:
 
 
 class KoszulComplexSlice:
-    """S(ΠV ⊕ V*) truncated at a top polynomial degree, with d = Π·(-)."""
+    """The weight block of S(ΠV ⊕ V*) with the `forced` lowest letters
+    forced and every free weight 0, with d = Π·(-): a finite direct summand
+    of the complex.  Its basis is the masks F | S, S a set of free letters,
+    in degree forced + 2|S|; d adds a free letter by `_d_terms`.
+    """
 
-    def __init__(self, p: int, q: int, degree_cap: int):
-        if p < 0 or q < 0:
-            raise DimensionError("need nonnegative dimensions")
-        if degree_cap < 0:
-            raise DimensionError("degree cap must be nonnegative")
-        self.p = p
-        self.q = q
-        self.degree_cap = degree_cap
-        n = p + q
-        # the even partner of each odd letter in the canonical element
-        self._partners = [q + i for i in range(p)] + list(range(q))
-        self._bases: dict[int, list[Monomial]] = {
-            k: [] for k in range(degree_cap + 1)}
-        for k in range(degree_cap + 1):
-            basis = self._bases[k]
-            for size in range(min(n, k) + 1):
-                for odds in combinations(range(n), size):
-                    for evens in _compositions(k - size, n):
-                        basis.append((evens, odds))
+    def __init__(self, p: int, q: int, forced: int):
+        if min(p, q, forced, p + q - forced) < 0:
+            raise DimensionError("need p, q >= 0 and 0 <= forced <= p + q")
+        self.p, self.q, self.forced = p, q, forced
 
-    def basis(self, degree: int, parity: Parity | None = None) -> list[Monomial]:
-        monos = self._bases[degree]
-        if parity is None:
-            return list(monos)
-        return [m for m in monos if len(m[1]) % 2 == parity.value]
+    def basis(self, degree: int, parity: Parity | None = None) -> list[int]:
+        s, odd = divmod(degree - self.forced, 2)
+        if odd or s < 0 or (parity is not None
+                            and parity.value != (self.forced + s) % 2):
+            return []
+        fixed = (1 << self.forced) - 1
+        return [fixed | _mask(chosen) for chosen
+                in combinations(range(self.forced, self.p + self.q), s)]
 
-    def apply_d(self, mono: Monomial) -> list[tuple[int, Monomial]]:
+    def apply_d(self, present: int) -> list[tuple[int, int]]:
         """Left multiplication by the canonical element, degree +2."""
-        evens, odds = mono
-        present = _mask(odds)
-        out = []
-        for sign, i in _d_terms(present, len(self._partners)):
-            new_evens = list(evens)
-            new_evens[self._partners[i]] += 1
-            out.append((sign, (tuple(new_evens), _indices(present | 1 << i))))
-        return out
+        return [(sign, present | 1 << i)
+                for sign, i in _d_terms(present, self.p + self.q)]
 
     def differential_matrix(self, degree: int,
                             parity: Parity) -> list[dict[int, int]]:
-        """Sparse matrix of d on the (degree, parity) slice.
+        """Sparse matrix of d on the (degree, parity) layer.
 
-        One row per source monomial, as {target index: coefficient}; the
+        One row per source mask, as {target index: coefficient}; the
         targets are `basis(degree + 2, parity.flip())`.
         """
         target_index = {
@@ -148,54 +117,12 @@ class KoszulComplexSlice:
         return rows
 
     def d_rank(self, degree: int, parity: Parity) -> int:
-        """Rank of d leaving the (degree, parity) slice; 0 below degree 0."""
+        """Rank of d leaving the (degree, parity) layer; 0 below degree 0."""
         if degree < 0:
             return 0
         targets = self.basis(degree + 2, parity.flip())
         return linalg.rank(self.differential_matrix(degree, parity),
                            ncols=len(targets))
-
-    def d_squared_vanishes(self, degree: int) -> bool:
-        for mono in self.basis(degree):
-            acc: dict[Monomial, int] = {}
-            for c1, m1 in self.apply_d(mono):
-                for c2, m2 in self.apply_d(m1):
-                    acc[m2] = acc.get(m2, 0) + c1 * c2
-            if any(v != 0 for v in acc.values()):
-                return False
-        return True
-
-    def homology_dimension(self, degree: int, parity: Parity) -> int:
-        """dim ker - dim im at (degree, parity); needs degree ≤ cap - 2."""
-        if degree + 2 > self.degree_cap:
-            raise DimensionError("degree too close to the cap to compute homology")
-        return (len(self.basis(degree, parity)) - self.d_rank(degree, parity)
-                - self.d_rank(degree - 2, parity.flip()))
-
-
-class _RepresentativeBlock(KoszulComplexSlice):
-    """The weight block with the `forced` lowest letters forced and every
-    free weight 0, a finite direct summand of the complex: the masks F | S,
-    S a set of free letters, in degree forced + 2|S|, d by `_d_terms`.
-    `differential_matrix`, `d_rank` and the homology are the slice's own.
-    """
-
-    def __init__(self, p: int, q: int, forced: int):
-        self.p, self.q, self.forced = p, q, forced
-        self.degree_cap = 2 * (p + q) - forced + 2
-
-    def basis(self, degree: int, parity: Parity | None = None) -> list[int]:
-        s, odd = divmod(degree - self.forced, 2)
-        if odd or s < 0 or (parity is not None
-                            and parity.value != (self.forced + s) % 2):
-            return []
-        fixed = (1 << self.forced) - 1
-        return [fixed | _mask(chosen) for chosen
-                in combinations(range(self.forced, self.p + self.q), s)]
-
-    def apply_d(self, present: int) -> list[tuple[int, int]]:
-        return [(sign, present | 1 << i)
-                for sign, i in _d_terms(present, self.p + self.q)]
 
 
 def block_layer_sums(p: int, q: int, degree_cap: int) -> tuple[Counter, Counter]:
@@ -205,9 +132,9 @@ def block_layer_sums(p: int, q: int, degree_cap: int) -> tuple[Counter, Counter]
     block per forced-set size k, its layer of |S| = s ranked once by the
     block's `d_rank`, then counted at degree t + k + 2s for every free
     total t, as many times as there are weight vectors with k forced
-    letters and that total.  Both Counters are keyed by (degree, parity) and equal,
-    key by key, `len(basis(...))` and `d_rank(...)` of
-    `KoszulComplexSlice(p, q, cap)` for any cap above degree_cap.
+    letters and that total.  Both Counters are keyed by (degree, parity);
+    `tests/test_koszul.py` checks them against the sizes and ranks of the
+    whole truncated slice, built there on exponent-vector monomials.
     """
     if p < 0 or q < 0:
         raise DimensionError("need nonnegative dimensions")
@@ -217,7 +144,7 @@ def block_layer_sums(p: int, q: int, degree_cap: int) -> tuple[Counter, Counter]
     for forced in range(n + 1):
         free = n - forced
         blocks = math.comb(n, forced)
-        block = _RepresentativeBlock(p, q, forced)
+        block = KoszulComplexSlice(p, q, forced)
         for s in range(free + 1):
             lowest = forced + 2 * s
             if lowest >= degree_cap:

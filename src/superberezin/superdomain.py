@@ -31,7 +31,7 @@ from .errors import (
     NonInvertibleError,
     ParityError,
 )
-from .grassmann import EVEN, ODD, Parity, Scalar
+from .grassmann import EVEN, ODD, Scalar
 from .grassmann import (
     _BYTE_SWAPS,
     _Exact,

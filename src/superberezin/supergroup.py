@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .berezin import (
@@ -317,8 +318,11 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
         lifted = prefactor.embed(S, m, n)
         factor = factor * pullback(trans, prefactor) * lifted.inv_even()
 
-    unknowns = sorted((odd_part, exps) for odd_part in _odd_subsets(n)
-                      for exps in _bounded_exponents(m, max_degree))
+    unknowns = sorted(
+        (odd_part, exps)
+        for size in range(n + 1) for odd_part in combinations(range(n), size)
+        for exps in product(range(max_degree + 1), repeat=m)
+        if sum(exps) <= max_degree)
 
     # F * T_g^*(xi^I x^e) from a smaller monomial's image and one component
     # of T_g: lower the last nonzero exponent by one, or, when e = 0, drop
@@ -351,23 +355,6 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
             if c:
                 rows.setdefault(key, {})[u] = c
     return unknowns, rows
-
-
-def _odd_subsets(n: int):
-    out = [()]
-    for j in range(n):
-        out = out + [idx + (j,) for idx in out]
-    return sorted(out)
-
-
-def _bounded_exponents(m: int, max_degree: int):
-    if m == 0:
-        return [()]
-    out = []
-    for head in range(max_degree + 1):
-        for tail in _bounded_exponents(m - 1, max_degree - head):
-            out.append((head,) + tail)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every public name in the package has a caller in the program.
+"""Every public name in the package has a caller in the program, and
+every imported name is read.
 
 The check reads ``src/superberezin/*.py`` and ``bench/*.py`` with ``ast``.
 A public top-level function or class (no leading underscore) counts as
@@ -37,10 +38,6 @@ ALLOWED = {
     "grassmann.GrassmannElement.monomial",
     "superdomain.Polynomial.derive",
     "superdomain.Polynomial.is_monomial",
-    # the slice stays in the package while the benchmark tracer wraps
-    # KoszulComplexSlice.differential_matrix; these complete it
-    "koszul.KoszulComplexSlice.d_squared_vanishes",
-    "koszul.KoszulComplexSlice.homology_dimension",
 }
 
 
@@ -124,3 +121,39 @@ def test_every_public_name_has_a_caller_in_the_program():
 def test_every_allowed_name_is_still_defined_and_uncalled():
     # an allowed name that gained a caller, or left, comes off the list
     assert ALLOWED <= uncalled_public_names()
+
+
+# the files whose imports must all be read; a package __init__ imports to
+# re-export
+IMPORTERS = ([path for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"]
+             + sorted((ROOT / "tests").glob("*.py")))
+
+
+def _unused_imports(tree):
+    """Names an import binds that the file never reads, except __future__
+    imports and the names listed in __all__."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {element.value for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in node.targets)
+                for element in getattr(node.value, "elts", ())
+                if isinstance(element, ast.Constant)}
+    return sorted(bound - read - exported)
+
+
+def test_every_imported_name_is_read():
+    unused = {}
+    for path in IMPORTERS:
+        names = _unused_imports(ast.parse(path.read_text(), str(path)))
+        if names:
+            unused[path.relative_to(ROOT).as_posix()] = names
+    assert unused == {}

@@ -14,8 +14,6 @@ import hypothesis.strategies as st
 
 from superberezin import (
     GAUSSIAN,
-    EVEN,
-    ODD,
     BerezinSection,
     DimensionError,
     DomainBoxError,

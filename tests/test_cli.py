@@ -166,6 +166,19 @@ def test_integrate_box_overlong_bound(tmp_path, capsys):
         "parse error: line 1, column 7: number too long")
 
 
+@pytest.mark.parametrize("bounds,column", [
+    (["1", "0"], 7), (["1/2", "1/2"], 9), (["0", "1", "2", "-1"], 11)])
+def test_integrate_box_reversed_bounds_are_a_usage_error(
+        tmp_path, capsys, bounds, column):
+    # the message and exit code of 'axis lo hi' with lo >= hi in a file,
+    # at the upper bound's word of the offending pair
+    path = write(tmp_path, "f.txt", BOX_FUNCTION)
+    assert cli.main(["integrate", path, "--backend", "box", *bounds]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: line 1, column {column}: "
+        "interval bounds must be increasing\n")
+
+
 def test_integrate_zero_denominator_is_a_parse_error(tmp_path, capsys):
     path = write(tmp_path, "f.txt", "1 0 0\naxis 0 1\nx1 + 3/0 x1^2 : 1\n")
     assert cli.main(["integrate", path, "--backend", "box", "0", "1"]) == 2

@@ -16,7 +16,6 @@ from superberezin.grassmann import (
     EVEN,
     ODD,
     GrassmannElement,
-    Parity,
     Scalar,
     _BYTE_SWAPS,
     _Products,

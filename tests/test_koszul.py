@@ -7,15 +7,79 @@ from itertools import combinations
 import pytest
 
 from superberezin import koszul, linalg
-from superberezin.grassmann import EVEN, ODD, GrassmannElement, Parity
+from superberezin.grassmann import EVEN, ODD, GrassmannElement, Parity, _mask
 from superberezin.koszul import (
     KoszulComplexSlice,
-    _RepresentativeBlock,
     block_layer_sums,
     homological_berezinian,
 )
 from superberezin.supermatrix import SuperMatrix
 from superberezin.errors import DimensionError, InconclusiveError
+
+
+# The whole truncated slice, the oracle of the weight blocks: every
+# monomial of S(ΠV ⊕ V*) up to a top degree, as (even_exponents,
+# odd_indices), a tuple of p+q nonnegative integers and a strictly
+# increasing tuple of odd-letter indices.  The block class's
+# differential_matrix and d_rank work on it unchanged.
+
+
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+class WholeSlice(KoszulComplexSlice):
+    """S(ΠV ⊕ V*) truncated at a top polynomial degree, with d = Π·(-)."""
+
+    def __init__(self, p, q, degree_cap):
+        self.p, self.q, self.degree_cap = p, q, degree_cap
+        n = p + q
+        # the even partner of each odd letter in the canonical element
+        self._partners = [q + i for i in range(p)] + list(range(q))
+        self._bases = {
+            k: [(evens, odds) for size in range(min(n, k) + 1)
+                for odds in combinations(range(n), size)
+                for evens in _compositions(k - size, n)]
+            for k in range(degree_cap + 1)}
+
+    def basis(self, degree, parity=None):
+        return [m for m in self._bases[degree]
+                if parity is None or len(m[1]) % 2 == parity.value]
+
+    def apply_d(self, mono):
+        evens, odds = mono
+        out = []
+        for sign, i in koszul._d_terms(_mask(odds), self.p + self.q):
+            new_evens = list(evens)
+            new_evens[self._partners[i]] += 1
+            out.append((sign, (tuple(new_evens), tuple(sorted(odds + (i,))))))
+        return out
+
+
+def d_squared_vanishes(cx, degree):
+    """d(d(m)) = 0 for every basis element m of the given degree."""
+    for mono in cx.basis(degree):
+        acc = {}
+        for c1, m1 in cx.apply_d(mono):
+            for c2, m2 in cx.apply_d(m1):
+                acc[m2] = acc.get(m2, 0) + c1 * c2
+        if any(v != 0 for v in acc.values()):
+            return False
+    return True
+
+
+def homology_dimension(cx, degree, parity):
+    """dim ker - dim im of d at (degree, parity); a whole slice needs
+    degree ≤ cap - 2."""
+    return (len(cx.basis(degree, parity)) - cx.d_rank(degree, parity)
+            - cx.d_rank(degree - 2, parity.flip()))
 
 
 # Oracles for the shared monomial product: the Koszul differential by
@@ -100,7 +164,7 @@ ORACLE_SHAPES = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]
 @pytest.mark.parametrize("p,q", ORACLE_SHAPES)
 def test_apply_d_matches_hop_count_oracle(p, q):
     cap = p + q + 2
-    cx = KoszulComplexSlice(p, q, cap)
+    cx = WholeSlice(p, q, cap)
     for degree in range(cap + 1):
         for mono in cx.basis(degree):
             assert cx.apply_d(mono) == reference_apply_d(cx, mono)
@@ -111,7 +175,7 @@ def test_apply_d_matches_hop_count_oracle(p, q):
 @pytest.mark.parametrize("p,q", ORACLE_SHAPES)
 def test_differential_matrix_matches_hop_count_oracle(p, q):
     cap = p + q + 2
-    cx = KoszulComplexSlice(p, q, cap)
+    cx = WholeSlice(p, q, cap)
     for degree in range(cap - 1):
         for parity in Parity:
             target = {m: i for i, m in
@@ -127,14 +191,14 @@ def test_differential_matrix_matches_hop_count_oracle(p, q):
 
 def test_d_squared_zero():
     for p, q in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-        cx = KoszulComplexSlice(p, q, p + q + 3)
+        cx = WholeSlice(p, q, p + q + 3)
         for k in range(p + q + 2):
-            assert cx.d_squared_vanishes(k)
+            assert d_squared_vanishes(cx, k)
 
 
 def test_class_representative_is_a_cycle():
     p, q = 2, 1
-    cx = KoszulComplexSlice(p, q, p + q + 2)
+    cx = WholeSlice(p, q, p + q + 2)
     zero_exps = tuple([0] * (p + q))
     rep = (zero_exps, tuple(range(p + q)))
     assert cx.apply_d(rep) == []
@@ -162,9 +226,9 @@ def test_homological_berezinian_larger_rungs(p, q, cap, expected):
 
 def test_homological_berezinian_concentration_degree():
     p, q = 1, 1
-    cx = KoszulComplexSlice(p, q, p + q + 3)
+    cx = WholeSlice(p, q, p + q + 3)
     dims = {
-        k: sum(cx.homology_dimension(k, par) for par in Parity)
+        k: sum(homology_dimension(cx, k, par) for par in Parity)
         for k in range(p + q + 2)
     }
     assert dims == {0: 0, 1: 0, 2: 1, 3: 0}
@@ -179,6 +243,13 @@ def test_homological_berezinian_cap_too_small():
 def test_homological_berezinian_refuses_negative_dimensions(p, q):
     with pytest.raises(DimensionError):
         homological_berezinian(p, q, 5)
+
+
+@pytest.mark.parametrize("p,q,forced", [(-1, 2, 0), (2, -1, 0), (1, 1, -1),
+                                         (2, 1, 4)])
+def test_block_refuses_a_shape_or_forced_count_out_of_range(p, q, forced):
+    with pytest.raises(DimensionError):
+        KoszulComplexSlice(p, q, forced)
 
 
 _D_TERMS = koszul._d_terms
@@ -196,7 +267,7 @@ def _unsigned_d(present, n):
 @pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (2, 2)])
 def test_homological_berezinian_refuses_a_broken_differential(
         monkeypatch, broken, p, q):
-    # the mask-built d that both the blocks and KoszulComplexSlice use
+    # the mask-built d of the blocks
     monkeypatch.setattr(koszul, "_d_terms", broken)
     with pytest.raises(InconclusiveError):
         homological_berezinian(p, q, p + q + 2)
@@ -212,13 +283,51 @@ def _weight(cx, mono):
 @pytest.mark.parametrize("p,q", ORACLE_SHAPES)
 def test_block_layer_sums_match_the_whole_slice(p, q):
     cap = p + q + 2
-    whole = KoszulComplexSlice(p, q, cap + 1)
+    whole = WholeSlice(p, q, cap + 1)
     sizes, ranks = block_layer_sums(p, q, cap)
     for degree in range(cap):
         for parity in Parity:
             assert sizes[(degree, parity)] == len(whole.basis(degree, parity))
             assert ranks[(degree, parity)] == whole.d_rank(degree, parity)
     assert all(degree < cap for degree, _ in sizes)
+
+
+def _monomial(block, mask):
+    """The monomial of the whole slice that the mask F | S of a block
+    stands for: odds F ∪ S, partner exponent 1 on each letter of S."""
+    n = block.p + block.q
+    partner = [block.q + i for i in range(block.p)] + list(range(block.q))
+    odds = tuple(i for i in range(n) if mask >> i & 1)
+    evens = [0] * n
+    for i in odds[block.forced:]:
+        evens[partner[i]] = 1
+    return tuple(evens), odds
+
+
+@pytest.mark.parametrize("p,q", ORACLE_SHAPES)
+def test_block_differential_matches_the_hop_count_oracle_entry_by_entry(p, q):
+    # the layer sums compare sizes and ranks only, which a sign error that
+    # keeps every rank would pass; here every entry of d on every block is
+    # the hop-count oracle's coefficient between the monomials it stands for
+    n = p + q
+    whole = WholeSlice(p, q, 2 * n)
+    layers = {(degree, parity): set(whole.basis(degree, parity))
+              for degree in range(2 * n + 1) for parity in Parity}
+    for forced in range(n + 1):
+        block = KoszulComplexSlice(p, q, forced)
+        for degree in range(2 * n - forced + 1):
+            for parity in Parity:
+                sources = [_monomial(block, m)
+                           for m in block.basis(degree, parity)]
+                targets = [_monomial(block, m)
+                           for m in block.basis(degree + 2, parity.flip())]
+                assert set(sources) <= layers[(degree, parity)]
+                entries = {
+                    (sources[r], targets[j]): c for r, row in
+                    enumerate(block.differential_matrix(degree, parity))
+                    for j, c in row.items()}
+                assert entries == {(mono, image): c for mono in sources
+                                   for c, image in reference_apply_d(whole, mono)}
 
 
 def _block_layers(whole, block, forced_count):
@@ -242,7 +351,7 @@ def _block_layers(whole, block, forced_count):
 
 def _representative_layers(p, q, forced_count):
     """{|S|: (size, rank of d)} of the mask-built representative block."""
-    block = _RepresentativeBlock(p, q, forced_count)
+    block = KoszulComplexSlice(p, q, forced_count)
     out = {}
     for s in range(p + q - forced_count + 1):
         degree = forced_count + 2 * s
@@ -284,7 +393,7 @@ def test_weight_block_has_the_matrices_of_its_representative(p, q, weights):
             if forced_count < n:
                 zero[max(set(range(n)) - set(forced))] = 1
                 vectors.add(tuple(zero))
-    whole = KoszulComplexSlice(p, q, max(map(_top_degree, vectors)))
+    whole = WholeSlice(p, q, max(map(_top_degree, vectors)))
     blocks = {}
     for degree in range(whole.degree_cap + 1):
         for mono in whole.basis(degree):
@@ -304,12 +413,13 @@ def test_only_the_fully_forced_block_has_homology(p, q):
     # the line of the class Πe_1⋯Πe_p·f*_1⋯f*_q in degree n.
     n = p + q
     for forced_count in range(n + 1):
-        block = _RepresentativeBlock(p, q, forced_count)
+        block = KoszulComplexSlice(p, q, forced_count)
         homology = {}
-        for degree in range(block.degree_cap - 1):
-            assert block.d_squared_vanishes(degree)
+        # every degree of the block, up to its top mask of degree 2n - k
+        for degree in range(2 * n - forced_count + 1):
+            assert d_squared_vanishes(block, degree)
             for parity in Parity:
-                dim = block.homology_dimension(degree, parity)
+                dim = homology_dimension(block, degree, parity)
                 if dim:
                     homology[(degree, parity)] = dim
         assert homology == ({(n, Parity(n % 2)): 1} if forced_count == n

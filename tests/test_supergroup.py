@@ -24,9 +24,6 @@ import hypothesis.strategies as st
 from superberezin.berezin import (
     GAUSSIAN,
     BerezinSection,
-    box_backend,
-    function_times_section,
-    integrate,
     product_section,
     pullback_section,
 )
@@ -44,7 +41,6 @@ from superberezin.groups import (
     axb_product_example,
     builtin_groups,
     fubini_builtins,
-    full_subgroup,
     gl11_group,
     heisenberg_center,
     heisenberg_fubini_example,
@@ -82,6 +78,7 @@ from superberezin.supergroup import (
     _translation_by_generalized_point,
     check_subgroup,
     fubini_check,
+    full_subgroup,
     group_lie_algebra,
     haar_density,
     modular_berezinian,
