@@ -111,8 +111,8 @@ def _parse_backend(spec: list[str]):
             values = [_fraction(bound, k) for k, bound in enumerate(spec[1:], 1)]
             for k in range(1, len(values), 2):
                 if values[k - 1] >= values[k]:
-                    # the message of 'axis lo hi' in a file, at hi
-                    raise _Bad("interval bounds must be increasing", k + 1)
+                    # the message of 'axis lo hi' in a file, at lo
+                    raise _Bad("interval bounds must be increasing", k)
             return box_backend(*zip(values[::2], values[1::2]))
         # after a known name, the first extra word is the offending one
         raise _Bad(f"unknown backend {' '.join(spec)!r}",
@@ -176,7 +176,12 @@ def _cmd_examples(args) -> int:
         print(f"unknown example {args.name!r}; try 'examples list'",
               file=sys.stderr)
         return 2
-    return _print_checks(EXAMPLES[args.name][1]())
+    try:
+        lines = EXAMPLES[args.name][1]()
+    except SuperBerezinError as exc:
+        print(f"error: examples run {args.name}: {exc}", file=sys.stderr)
+        return 1
+    return _print_checks(lines)
 
 
 def _cmd_verify(args) -> int:
@@ -186,7 +191,11 @@ def _cmd_verify(args) -> int:
         return 2
     fn = SUITES[args.suite]
     seeded = "seed" in inspect.signature(fn).parameters
-    lines = fn(seed=args.seed) if seeded else fn()
+    try:
+        lines = fn(seed=args.seed) if seeded else fn()
+    except SuperBerezinError as exc:
+        print(f"error: verify {args.suite}: {exc}", file=sys.stderr)
+        return 1
     code = _print_checks(lines)
     used = f"seed {args.seed}" if seeded else "unseeded"
     print(f"{sum(line.passed for line in lines)}/{len(lines)} checks passed "

@@ -82,6 +82,13 @@ def _monomial_keys(n: int, parity: Parity | None) -> tuple[tuple[int, int], ...]
                  for idx in combinations(range(n), size))
 
 
+@functools.cache
+def _units(n: int) -> tuple[GrassmannElement, GrassmannElement]:
+    """Zero and one of the algebra on n generators, shared by every
+    supermatrix drawn over it."""
+    return GrassmannElement.zero(n), GrassmannElement.one(n)
+
+
 def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
                      max_terms: int = 3,
                      ensure_body: bool = False) -> GrassmannElement:
@@ -104,7 +111,8 @@ def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
 
 
 def _body_matrix(block) -> list[list[Fraction]]:
-    return [[e.body().rational for e in row] for row in block]
+    """The bodies of drawn entries, whose terms carry no power of s."""
+    return [[Fraction(e.nums.get((0, 0), 0), e.den) for e in row] for row in block]
 
 
 def random_even_supermatrix(rng: random.Random, p: int, q: int,
@@ -115,8 +123,7 @@ def random_even_supermatrix(rng: random.Random, p: int, q: int,
     integer matrices; rejection (at most 60 draws) keeps the generator
     simple.
     """
-    zero = GrassmannElement.zero(n)
-    one = GrassmannElement.one(n)
+    zero, one = _units(n)
     for _ in range(60):
         A = [[random_grassmann(rng, n, EVEN, ensure_body=(i == j))
               for j in range(p)] for i in range(p)]

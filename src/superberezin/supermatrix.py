@@ -17,16 +17,21 @@ Determinants, det(D)^-1 and the solve D Z = C share one forward
 elimination over the entries' ring.  A column's pivot is the first
 remaining entry that is nonzero, even and has an inverse; each row swap
 flips the sign.  det(D)^-1 is the signed product of the pivot inverses,
-back substitution gives Z, and the Schur complement A - B Z is a single
-matrix product.  A determinant needs no inverse of its last pivot.
+back substitution gives W = -Z from the negated inverses that elimination
+forms anyway, and the Schur complement A - B Z = A + B W is a single
+matrix product.  A determinant eliminates all but its last two columns
+and ends in the 2 x 2 block [[a, b], [c, d]] left there, as ad - bc in
+one fused sum: an n x n determinant inverts n - 2 pivots, a 2 x 2 none.
 
 Over a Grassmann algebra with rational coefficients, a local ring, a
 column with no invertible entry means the determinant is not invertible.
 Where the invertible bodies are monomials, an invertible matrix can still
 have such a column: Laurent monomials in x over superfunctions give
 det [[x+2, x+1], [x+3, x+2]] = 1, and single powers of s = sqrt(2 pi)
-give det [[1+s, 1], [2+s, 1]] = -1.  There the determinant expands along
-its first row by cofactors, with minors through the same elimination, and
+give det [[1+s, 1], [2+s, 1]] = -1.  Such a 2 x 2 block takes ad - bc
+and needs no pivot.  Where a column left of a determinant's last two
+stalls, the determinant expands along its first row by cofactors, with
+minors through the same elimination; where a column of D stalls,
 det(D)^-1 and Z = D^-1 C come from Cramer's rule.
 """
 
@@ -50,18 +55,17 @@ def _pivot(rows, k):
     return None, None
 
 
-def _eliminate(rows, n, last=True):
+def _eliminate(rows, n):
     """Forward elimination over the first ``n`` columns of ``rows``, in place.
 
     Columns right of ``n`` take part in every row operation.  Returns the
-    sign of the row permutation and the inverses of the pivots found; fewer
-    than ``n`` inverses (``n - 1`` with ``last=False``, which leaves the
-    last column unpivoted) means that column ``len(inverses)`` has no
-    invertible entry.  Entries left of the diagonal are not cleared.
+    sign of the row permutation and the negated inverses of the pivots
+    found; fewer than ``n`` of them means that column ``len(minus_inverses)``
+    has no invertible entry.  Entries left of the diagonal are not cleared.
     """
     sign = 1
-    inverses = []
-    for k in range(n if last else n - 1):
+    minus_inverses = []
+    for k in range(n):
         r, inv = _pivot(rows, k)
         if r is None:
             break
@@ -77,15 +81,16 @@ def _eliminate(rows, n, last=True):
             for j in range(k + 1, len(top)):
                 if not top[j].is_zero():
                     row[j] = row[j] + _Products(((factor, top[j]),))
-        inverses.append(inv)
-    return sign, inverses
+        minus_inverses.append(minus_inv)
+    return sign, minus_inverses
 
 
 def _det(entries, zero, one):
     """Determinant of a square matrix of even entries.
 
-    Falls back to cofactor expansion when elimination finds a column with
-    no invertible entry.
+    Eliminates all but the last two columns, whose block [[a, b], [c, d]]
+    gives ad - bc.  Falls back to cofactor expansion when elimination
+    finds a column with no invertible entry.
     """
     n = len(entries)
     if n == 0:
@@ -93,11 +98,12 @@ def _det(entries, zero, one):
     if n == 1:
         return entries[0][0]
     rows = [list(row) for row in entries]
-    sign, inverses = _eliminate(rows, n, last=False)
-    if len(inverses) < n - 1:
+    sign, minus_inverses = _eliminate(rows, n - 2)
+    if len(minus_inverses) < n - 2:
         return _expand(entries, zero, one)
-    acc = rows[n - 1][n - 1]
-    for i in range(n - 1):
+    (a, b), (c, d) = rows[n - 2][n - 2:], rows[n - 1][n - 2:]
+    acc = zero + _Products(((a, d), (-b, c)))
+    for i in range(n - 2):
         acc = rows[i][i] * acc
     return -acc if sign < 0 else acc
 
@@ -116,32 +122,39 @@ def _expand(entries, zero, one):
     return acc
 
 
-def _back_substitute(rows, inverses, q):
-    """Z with D Z = C, from the eliminated rows [U | C'] of [D | C]."""
-    Z = [None] * q
+def _back_substitute(rows, minus_inverses, q):
+    """W = -Z with D Z = C, from the eliminated rows [U | C'] of [D | C].
+
+    Row k of U W = -C' gives W_k = -u_kk^-1 (C'_k + sum_j u_kj W_j), the
+    sum over j > k with u_kj nonzero, so no entry of U is negated.
+    """
+    W = [None] * q
     for k in reversed(range(q)):
-        row = rows[k]
-        minus = [(-row[j], Z[j]) for j in range(k + 1, q) if not row[j].is_zero()]
-        Z[k] = [inverses[k] * (c + _Products([(a, z[col]) for a, z in minus]))
-                for col, c in enumerate(row[q:])]
-    return Z
+        row, minus_inv = rows[k], minus_inverses[k]
+        pairs = [(row[j], W[j]) for j in range(k + 1, q) if not row[j].is_zero()]
+        if pairs:
+            W[k] = [minus_inv * (c + _Products([(a, w[col]) for a, w in pairs]))
+                    for col, c in enumerate(row[q:])]
+        else:
+            W[k] = [minus_inv * c for c in row[q:]]
+    return W
 
 
 def _eliminate_solve(D, C):
-    """det(D)^-1 and Z with D Z = C by one elimination of [D | C], or
+    """det(D)^-1 and W = -Z with D Z = C by one elimination of [D | C], or
     ``(None, None)`` if a column of D has no invertible entry."""
     q = len(D)
-    # [D | C]: eliminating D carries C along towards Z
+    # [D | C]: eliminating D carries C along towards W
     rows = [list(d) + list(c) for d, c in zip(D, C)]
-    sign, inverses = _eliminate(rows, q)
-    if len(inverses) < q:
+    sign, minus_inverses = _eliminate(rows, q)
+    if len(minus_inverses) < q:
         return None, None
-    det_d_inv = inverses[0]
-    for inv in inverses[1:]:
-        det_d_inv = det_d_inv * inv
-    if sign < 0:
+    det_d_inv = minus_inverses[0]
+    for minus_inv in minus_inverses[1:]:
+        det_d_inv = det_d_inv * minus_inv
+    if sign * (-1) ** q < 0:  # q negated inverses in the product
         det_d_inv = -det_d_inv
-    return det_d_inv, _back_substitute(rows, inverses, q)
+    return det_d_inv, _back_substitute(rows, minus_inverses, q)
 
 
 def _cramer(D, C, zero, one):
@@ -186,17 +199,13 @@ class SuperMatrix:
         rows = [list(row) for row in entries]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DimensionError(f"expected a {n} x {n} entry grid")
-        for i in range(n):
-            for j in range(n):
-                e = rows[i][j]
-                if e.is_zero():
-                    continue
-                want = ((i >= p) + (j >= p) + parity.value) % 2
-                got = e.parity()
-                if got is None or got.value != want:
-                    raise ParityError(
-                        f"entry ({i}, {j}) must be {Parity(want)}, got {e!s}"
-                    )
+        # the parity each column wants in the A | B rows and in the C | D rows
+        other = parity.flip()
+        top, bottom = [parity] * p + [other] * q, [other] * p + [parity] * q
+        for i, row in enumerate(rows):
+            for j, (e, want) in enumerate(zip(row, top if i < p else bottom)):
+                if not e.is_zero() and e.parity() is not want:
+                    raise ParityError(f"entry ({i}, {j}) must be {want}, got {e!s}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "parity", parity)
@@ -290,15 +299,16 @@ class SuperMatrix:
         A, B, C, D = (self.block(name) for name in "ABCD")
         if q == 0:
             return _det(A, zero, one)
-        det_d_inv, Z = _eliminate_solve(D, C)
+        det_d_inv, W = _eliminate_solve(D, C)
         if det_d_inv is None:
             det_d_inv, Z = _cramer(D, C, zero, one)
+            W = [[-z for z in row] for row in Z]
         if p == 0:
             return det_d_inv
-        columns = list(zip(*Z))
-        minus_B = [[-b for b in row] for row in B]
-        schur = [[a + _Products([(b, z) for b, z in zip(minus_B[i], col)
-                                 if not (b.is_zero() or z.is_zero())])
+        # A - B Z = A + B W
+        columns = list(zip(*W))
+        schur = [[a + _Products([(b, w) for b, w in zip(B[i], col)
+                                 if not (b.is_zero() or w.is_zero())])
                   for a, col in zip(A[i], columns)] for i in range(p)]
         return _det(schur, zero, one) * det_d_inv
 

@@ -167,11 +167,11 @@ def test_integrate_box_overlong_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bounds,column", [
-    (["1", "0"], 7), (["1/2", "1/2"], 9), (["0", "1", "2", "-1"], 11)])
+    (["1", "0"], 5), (["1/2", "1/2"], 5), (["0", "1", "2", "-1"], 9)])
 def test_integrate_box_reversed_bounds_are_a_usage_error(
         tmp_path, capsys, bounds, column):
-    # the message and exit code of 'axis lo hi' with lo >= hi in a file,
-    # at the upper bound's word of the offending pair
+    # the message, exit code and word of 'axis lo hi' with lo >= hi in a
+    # file: the lower bound of the offending pair
     path = write(tmp_path, "f.txt", BOX_FUNCTION)
     assert cli.main(["integrate", path, "--backend", "box", *bounds]) == 2
     assert capsys.readouterr().err == (
@@ -418,7 +418,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def test_verify_other_side_haar_densities_fail_as_before(monkeypatch, capsys):
     # right densities where left ones belong: the staged suites must stop
-    # where the per-integrand checks stopped, with the same message
+    # where the per-integrand checks stopped, with the same message after
+    # the suite's name
     haar = supergroup.haar_density
 
     def other_side(G, side="left"):
@@ -427,10 +428,18 @@ def test_verify_other_side_haar_densities_fail_as_before(monkeypatch, capsys):
     monkeypatch.setattr(supergroup, "haar_density", other_side)
     assert cli.main(["verify", "fubini-quotients"]) == 1
     assert capsys.readouterr() == (
-        "", "error: exponent -1 has no rational antiderivative\n")
+        "", "error: verify fubini-quotients: exponent -1 has no rational "
+        "antiderivative\n")
     assert cli.main(["verify", "product-formula"]) == 1
     assert capsys.readouterr() == (
-        "", "error: pullback of the total density is not a constant "
+        "", "error: verify product-formula: pullback of the total density "
+        "is not a constant "
+        "multiple of ratio * (product of subgroup densities)\n")
+    # an example stops the same way, naming itself
+    assert cli.main(["examples", "run", "product-ax+b"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: examples run product-ax+b: pullback of the total density "
+        "is not a constant "
         "multiple of ratio * (product of subgroup densities)\n")
 
 
@@ -448,8 +457,8 @@ def test_verify_quotient_without_invariant_density_fails(monkeypatch,
     monkeypatch.setattr(groups, "fubini_builtins", lambda: (scaling,))
     assert cli.main(["verify", "fubini-quotients"]) == 1
     assert capsys.readouterr() == (
-        "", "error: the total density does not factor as base x subgroup "
-        "density through the trivialization\n")
+        "", "error: verify fubini-quotients: the total density does not "
+        "factor as base x subgroup density through the trivialization\n")
 
 
 # -- check lines -------------------------------------------------------------

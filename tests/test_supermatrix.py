@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from superberezin import linalg, suites
+from superberezin import linalg, suites, supermatrix
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Scalar
 from superberezin.superdomain import (
     POSITIVE,
@@ -26,7 +27,7 @@ from superberezin.suites import (
     random_even_supermatrix,
     random_grassmann,
 )
-from superberezin.errors import NonInvertibleError, ParityError
+from superberezin.errors import DimensionError, NonInvertibleError, ParityError
 
 N = 4
 ZERO = GrassmannElement.zero(N)
@@ -244,6 +245,36 @@ def _sf_matrix(p, q, entries):
                        one=SuperFunction.one(STALL))
 
 
+def _stalls_after_the_first_pivot():
+    # the first pivot leaves xi1 xi2 and xi3 xi4 in column 1
+    return sm(3, 0, [[{(): 1}, {(): 1}, {}],
+                     [{(): 1}, {(): 1, (0, 1): 1}, {(): 1}],
+                     [{}, {(2, 3): 1}, {(): 1}]])
+
+
+@pytest.mark.parametrize("x, want", [
+    (sm(2, 0, [[{(0, 1): 1}, {(): 1}], [{(2, 3): 1}, {(): 1}]]),
+     "xi1 xi2 - xi3 xi4"),
+    (_stalls_after_the_first_pivot(), "xi1 xi2 - xi3 xi4"),
+    (_sf_matrix(2, 0, _stalled_block()), "1"),
+], ids=["2x2", "3x3-stalls-after-a-pivot", "laurent-2x2"])
+def test_a_column_stalling_in_the_last_two_needs_no_expansion(
+        x, want, monkeypatch):
+    # the last 2 x 2 block is ad - bc, so no pivot is sought there
+    calls = []
+    expand = supermatrix._expand
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(supermatrix, "_expand", counted)
+    got = x.berezinian()
+    assert str(got) == want
+    assert got == laplace_det(x.block("A"), x.one)
+    assert calls == []
+
+
 @pytest.mark.parametrize("p, q", [(2, 0), (0, 2)])
 def test_berezinian_stalled_superfunction_block(p, q):
     assert _sf_matrix(p, q, _stalled_block()).berezinian() == \
@@ -395,10 +426,25 @@ def test_berezinian_mixing_powers_of_s_matches_the_cofactor_oracles(x):
     assert str(got) == str(oracle_berezinian(x))
 
 
-def test_entry_parity_enforced():
-    with pytest.raises(ParityError):
-        # odd slot holding an even element
-        sm(1, 1, [[{(): 1}, {(): 1}], [{(0,): 1}, {(): 1}]])
+@pytest.mark.parametrize("wrong", ["other", "mixed"])
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+@pytest.mark.parametrize("block, i, j", [
+    ("A", 1, 0), ("B", 0, 2), ("C", 2, 1), ("D", 2, 2)])
+def test_entry_parity_enforced(block, i, j, parity, wrong):
+    # a (2|1) grid of homogeneous entries, 2 where even and xi1 where odd,
+    # but for entry (i, j) of the named block
+    even, odd, mixed = {(): 2}, {(0,): 1}, {(): 1, (0,): 1}
+
+    def wants_even(r, c):
+        return ((r < 2) == (c < 2)) == (parity is EVEN)
+
+    entries = [[even if wants_even(r, c) else odd for c in range(3)]
+               for r in range(3)]
+    want = "even" if wants_even(i, j) else "odd"
+    entries[i][j] = mixed if wrong == "mixed" else odd if want == "even" else even
+    with pytest.raises(ParityError, match=re.escape(
+            f"entry ({i}, {j}) must be {want}, got {g(entries[i][j])}")):
+        sm(2, 1, entries, parity)
 
 
 def test_identity_and_product():
@@ -537,3 +583,11 @@ def test_random_supermatrices_match_the_public_constructor(seed, monkeypatch):
     for x, y in zip(got, want):
         assert [[_stored(e) for e in row] for row in x.entries] == \
             [[_stored(e) for e in row] for row in y.entries]
+
+
+def test_random_supermatrix_units_come_from_the_public_constructors():
+    x = random_even_supermatrix(random.Random(0), 1, 1, N)
+    assert (x.zero, x.one) == (ZERO, ONE)
+    for _ in range(2):  # the shared units must not skip the count's check
+        with pytest.raises(DimensionError, match="nonnegative"):
+            random_even_supermatrix(random.Random(0), 1, 1, -1)
