@@ -12,6 +12,10 @@ integrand to one of two exact backends:
 * ``box_polynomial`` evaluates rational antiderivatives over a box.  Any
   Laurent exponent except -1 is fine as long as the box avoids 0.
 
+Pulling a density back along phi gives Ber(Jac phi) * phi^*(rho), the
+change of variables of an oriented isomorphism; one walk over the source's
+3-per-axis grid samples that phi is one, and the section keeps caveats.
+
 The D-symbol of a product domain relates to the factor symbols by
 D(x,y,xi,eta) = (-1)^{np} D(x,xi) ox D(y,eta) with n the odd dimension of
 the first factor and p the even dimension of the second; that sign, and
@@ -41,6 +45,7 @@ from .superdomain import (
     Axis,
     Interval,
     Polynomial,
+    REALLINE,
     SuperDomainShape,
     SuperFunction,
     SuperMorphism,
@@ -265,56 +270,64 @@ def function_times_section(f, omega: BerezinSection) -> BerezinSection:
 # pullback
 
 
-def _sampled_orientation_check(phi: SuperMorphism, jac) -> str:
-    """Positivity of the even body Jacobian, invertibility of the odd block.
-
-    A body entry that carries a power of s is not compared, and raises.
-    """
-    m, n = phi.target.m, phi.target.n
-    a_block = jac.block("A") if m else []
-    d_block = jac.block("D") if n else []
-    for pt in box_samples(phi.source.box):
+def _oriented_jacobian(phi: SuperMorphism):
+    """Jac(phi) and the caveats of one sampled walk: each even body on its
+    target axis first, then a positive body Jacobian and an invertible odd
+    block.  Powers of s raise, except in a body on a whole-line axis."""
+    samples = box_samples(phi.source.box)
+    bodies = [comp.body_polynomial() for comp in phi.even_components]
+    for pt in samples:
+        for k, (body, axis) in enumerate(zip(bodies, phi.target.box)):
+            try:
+                val = body.evaluate(pt)
+                if axis is REALLINE or axis.contains(val.rational):
+                    continue
+            except ZeroDivisionError:
+                raise DomainBoxError(
+                    f"body component {k} undefined at sample {pt}")
+            except ValueError:
+                raise DomainBoxError(
+                    f"body component {k} is {val} at sample {pt}: a power "
+                    f"of s, not compared with target axis {k}") from None
+            raise DomainBoxError(
+                f"body image of sample {pt} escapes target axis {k}")
+    jac = jacobian(phi)
+    a_body, d_body = ([[entry.body_polynomial() for entry in row]
+                       for row in jac.block(name)] for name in "AD")
+    for pt in samples:
         try:
-            if m:
-                body = [[entry.evaluate_body(pt).rational for entry in row]
-                        for row in a_block]
-                value = rational_det(body)
+            if a_body:
+                value = rational_det([[p.evaluate(pt).rational for p in row]
+                                      for row in a_body])
                 if value == 0:
                     raise NonInvertibleError(
                         f"body Jacobian singular at sample {pt}")
                 if value < 0:
                     raise OrientationError(
                         f"body Jacobian not positive at sample {pt}")
-            if n:
-                body = [[entry.evaluate_body(pt).rational for entry in row]
-                        for row in d_block]
-                if rational_det(body) == 0:
-                    raise NonInvertibleError(
-                        f"odd Jacobian block degenerate at sample {pt}")
+            if d_body and rational_det([[p.evaluate(pt).rational for p in row]
+                                        for row in d_body]) == 0:
+                raise NonInvertibleError(
+                    f"odd Jacobian block degenerate at sample {pt}")
         except ZeroDivisionError:
             raise OrientationError(f"Jacobian body undefined at sample {pt}")
         except ValueError as exc:
             raise OrientationError(
                 f"Jacobian body at sample {pt} not compared: {exc}") from None
-    return "orientation sampled on the source grid"
+    return jac, ("box containment sampled on a 3-per-axis grid",
+                 "orientation sampled on the source grid")
 
 
 def pullback_section(phi: SuperMorphism,
                      omega: BerezinSection) -> BerezinSection:
-    """Transport a density to the source chart of an oriented isomorphism.
-
-    The new density is Ber(Jac phi) * phi^*(rho), written in the source
-    chart's coordinates.  Whether phi really is an oriented isomorphism is
-    checked by sampling (body stays in the box, body Jacobian positive,
-    odd block invertible); the caveats record this.
-    """
+    """Transport a density to the source chart of an oriented isomorphism:
+    Ber(Jac phi) * phi^*(rho) in the source chart's coordinates, with the
+    caveats of the sampled check in ``_oriented_jacobian``."""
     if phi.target != omega.shape:
         raise DimensionError("section does not live on the morphism target")
-    box_note = phi.check_body_box()
-    jac = jacobian(phi)
-    caveats = omega.caveats + (box_note, _sampled_orientation_check(phi, jac))
+    jac, notes = _oriented_jacobian(phi)
     density = jac.berezinian() * pullback(phi, omega.density)
-    return BerezinSection(phi.source, density, caveats)
+    return BerezinSection(phi.source, density, omega.caveats + notes)
 
 
 # ---------------------------------------------------------------------------

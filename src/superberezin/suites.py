@@ -25,6 +25,7 @@ from .berezin import (
     product_section,
     pullback_section,
 )
+from .errors import SuperBerezinError
 from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _Exact, _mask,
                         _stored)
 from .koszul import homological_berezinian
@@ -475,21 +476,28 @@ def fubini_quotient_suite(seed: int = 0):
     """Staged integration over the built-in quotient pairs (four random
     integrands each, the quotient's densities computed once), plus
     agreement of the staging sign with the tensor-factorization rule
-    computed from independently extracted Lie algebra dimensions."""
+    computed from independently extracted Lie algebra dimensions.  An
+    example that raises ends in one FAIL line, lhs the error's class, rhs
+    its message; its integrands are drawn first, as if it had passed."""
     rng = random.Random(seed)
     lines = []
     for ex in groups.fubini_builtins():
-        check = _fubini_stage(ex.group, ex.subgroup, ex.section, ex.backend,
-                              ex.fibre_backend)
-        for k in range(4):
-            report = check(_random_group_function(rng, ex.group.shape))
-            lines.append(CheckLine.equal(f"fubini {ex.name} case {k}",
-                                         report.lhs, report.rhs))
-        g = group_lie_algebra(ex.group)
-        h = group_lie_algebra(ex.subgroup.subgroup)
-        alg_sign = -1 if (h.odd_count * (g.dim - h.dim)) % 2 else 1
-        lines.append(CheckLine.equal(f"fubini {ex.name} sign consistency",
-                                     report.sign, alg_sign))
+        drawn = [_random_group_function(rng, ex.group.shape) for _ in range(4)]
+        try:
+            check = _fubini_stage(ex.group, ex.subgroup, ex.section,
+                                  ex.backend, ex.fibre_backend)
+            for k, f in enumerate(drawn):
+                report = check(f)
+                lines.append(CheckLine.equal(f"fubini {ex.name} case {k}",
+                                             report.lhs, report.rhs))
+            g = group_lie_algebra(ex.group)
+            h = group_lie_algebra(ex.subgroup.subgroup)
+            alg_sign = -1 if (h.odd_count * (g.dim - h.dim)) % 2 else 1
+            lines.append(CheckLine.equal(f"fubini {ex.name} sign consistency",
+                                         report.sign, alg_sign))
+        except SuperBerezinError as exc:
+            lines.append(CheckLine(f"fubini {ex.name} error", False,
+                                   type(exc).__name__, str(exc)))
     return lines
 
 
@@ -497,21 +505,26 @@ def product_formula_suite(seed: int = 0):
     """The product-of-subgroups change of variables in both factor orders
     (five random integrands each, the densities and the modular ratio
     computed once per order), with the modular ratio checked against
-    frozen conjugation data."""
+    frozen conjugation data.  An example that raises ends as above."""
     rng = random.Random(seed)
     lines = []
     for ex in groups.product_builtins():
-        check = _product_stage(ex.group, ex.left, ex.right, ex.backend)
-        for k in range(5):
-            report = check(_random_group_function(rng, ex.group.shape))
-            lines.append(CheckLine.equal(f"product {ex.name} case {k}",
-                                         report.lhs, report.rhs))
-        # the right side prints the chart's name for the ratio
-        lines.append(CheckLine(f"product {ex.name} modular ratio",
-                               report.ratio == ex.modular_ratio,
-                               str(report.ratio), ex.ratio_label))
-        lines.append(CheckLine.equal(f"product {ex.name} constant",
-                                     report.constant, ex.modular_constant))
+        drawn = [_random_group_function(rng, ex.group.shape) for _ in range(5)]
+        try:
+            check = _product_stage(ex.group, ex.left, ex.right, ex.backend)
+            for k, f in enumerate(drawn):
+                report = check(f)
+                lines.append(CheckLine.equal(f"product {ex.name} case {k}",
+                                             report.lhs, report.rhs))
+            # the right side prints the chart's name for the ratio
+            lines.append(CheckLine(f"product {ex.name} modular ratio",
+                                   report.ratio == ex.modular_ratio,
+                                   str(report.ratio), ex.ratio_label))
+            lines.append(CheckLine.equal(f"product {ex.name} constant",
+                                         report.constant, ex.modular_constant))
+        except SuperBerezinError as exc:
+            lines.append(CheckLine(f"product {ex.name} error", False,
+                                   type(exc).__name__, str(exc)))
     return lines
 
 

@@ -656,34 +656,6 @@ class SuperMorphism:
             return self.even_components[k]
         return self.odd_components[k - self.target.m]
 
-    def check_body_box(self) -> str:
-        """Sample the body map; return a caveat string or raise on escape.
-
-        Any value lies on a whole-line axis.  On a bounded or half-line
-        axis a value carrying a power of s is not compared, and raises.
-        """
-        for pt in box_samples(self.source.box):
-            for k, comp in enumerate(self.even_components):
-                try:
-                    val = comp.evaluate_body(pt)
-                except ZeroDivisionError:
-                    raise DomainBoxError(
-                        f"body component {k} undefined at sample {pt}"
-                    )
-                if self.target.box[k] is REALLINE:
-                    continue
-                try:
-                    val = val.rational
-                except ValueError:
-                    raise DomainBoxError(
-                        f"body component {k} is {val} at sample {pt}: a power "
-                        f"of s, not compared with target axis {k}") from None
-                if not self.target.box[k].contains(val):
-                    raise DomainBoxError(
-                        f"body image of sample {pt} escapes target axis {k}"
-                    )
-        return "box containment sampled on a 3-per-axis grid"
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperMorphism):
             return NotImplemented

@@ -183,7 +183,7 @@ def _cross_coefficient(comp: SuperFunction, first: tuple[str, int],
     # of xi_i eta_j (always in canonical order) is recovered unsigned.
     for kind, k in (first, second):
         comp = comp.derive_even(k) if kind == "even" else comp.derive_odd(k)
-    return comp.coefficient(()).evaluate(list(unit2)).rational
+    return comp.evaluate_body(unit2).rational
 
 
 def group_lie_algebra(G: SuperGroupChart,
@@ -371,7 +371,7 @@ def _embedding_directions(H: SubgroupSpec) -> list[int]:
     for row in rows:
         hits = []
         for c, entry in enumerate(row):
-            value = entry.coefficient(()).evaluate(point).rational
+            value = entry.evaluate_body(point).rational
             if value:
                 hits.append((c, value))
         if len(hits) != 1 or hits[0][1] != 1:

@@ -38,6 +38,9 @@ from superberezin import (
     shape_product,
     split_section,
 )
+from superberezin.errors import SuperBerezinError
+from superberezin.linalg import det as rational_det
+from superberezin.superdomain import box_samples, jacobian, pullback
 
 BOX01 = SuperDomainShape(1, (Interval(0, 1),), 0)
 LINE = SuperDomainShape(1, (REALLINE,), 0)
@@ -281,6 +284,152 @@ def test_pullback_odd_reflection_is_exact():
     assert back.density == SuperFunction(
         shape, {(): Polynomial.constant(0, -3), (0,): Polynomial.constant(0, 5)})
     assert integrate(back, box_backend()) == integrate(omega, box_backend())
+
+
+# -- pullback_section against the two walks it replaced ----------------------
+#
+# Before one sampled walk guarded every change of variables, pullback_section
+# ran SuperMorphism.check_body_box, then jacobian, then a separate
+# orientation walk.  Both are copied here as they were, in that order, as the
+# reference: every draw must raise the same class with the same message, or
+# give the same density and caveats.
+
+
+def _reference_check_body_box(self) -> str:
+    for pt in box_samples(self.source.box):
+        for k, comp in enumerate(self.even_components):
+            try:
+                val = comp.evaluate_body(pt)
+            except ZeroDivisionError:
+                raise DomainBoxError(
+                    f"body component {k} undefined at sample {pt}"
+                )
+            if self.target.box[k] is REALLINE:
+                continue
+            try:
+                val = val.rational
+            except ValueError:
+                raise DomainBoxError(
+                    f"body component {k} is {val} at sample {pt}: a power "
+                    f"of s, not compared with target axis {k}") from None
+            if not self.target.box[k].contains(val):
+                raise DomainBoxError(
+                    f"body image of sample {pt} escapes target axis {k}"
+                )
+    return "box containment sampled on a 3-per-axis grid"
+
+
+def _reference_orientation_check(phi, jac) -> str:
+    m, n = phi.target.m, phi.target.n
+    a_block = jac.block("A") if m else []
+    d_block = jac.block("D") if n else []
+    for pt in box_samples(phi.source.box):
+        try:
+            if m:
+                body = [[entry.evaluate_body(pt).rational for entry in row]
+                        for row in a_block]
+                value = rational_det(body)
+                if value == 0:
+                    raise NonInvertibleError(
+                        f"body Jacobian singular at sample {pt}")
+                if value < 0:
+                    raise OrientationError(
+                        f"body Jacobian not positive at sample {pt}")
+            if n:
+                body = [[entry.evaluate_body(pt).rational for entry in row]
+                        for row in d_block]
+                if rational_det(body) == 0:
+                    raise NonInvertibleError(
+                        f"odd Jacobian block degenerate at sample {pt}")
+        except ZeroDivisionError:
+            raise OrientationError(f"Jacobian body undefined at sample {pt}")
+        except ValueError as exc:
+            raise OrientationError(
+                f"Jacobian body at sample {pt} not compared: {exc}") from None
+    return "orientation sampled on the source grid"
+
+
+def _reference_pullback_section(phi, omega):
+    if phi.target != omega.shape:
+        raise DimensionError("section does not live on the morphism target")
+    box_note = _reference_check_body_box(phi)
+    jac = jacobian(phi)
+    caveats = omega.caveats + (box_note, _reference_orientation_check(phi, jac))
+    density = jac.berezinian() * pullback(phi, omega.density)
+    return BerezinSection(phi.source, density, caveats)
+
+
+def _outcome(run, phi, omega):
+    try:
+        back = run(phi, omega)
+    except SuperBerezinError as exc:
+        return type(exc), str(exc)
+    return back.density, back.caveats, str(back)
+
+
+_small = st.sampled_from([-2, -1, 0, 1, 2, 3])
+# intervals with 0 inside, at an end and outside, so that a pole of a
+# Laurent body lands on a sample or misses the grid
+_axes = st.one_of(
+    st.just(REALLINE), st.just(POSITIVE),
+    st.sampled_from([(0, 1), (-1, 1), (-1, 0), (1, 2), (Fraction(1, 2), 3),
+                     (-3, -1)]).map(lambda ends: Interval(*ends)))
+
+
+@st.composite
+def _oriented_candidates(draw):
+    """A morphism of (m|n) charts with per-axis affine or Laurent bodies
+    (sign flips, s-scaled components, poles on the grid, nilpotent parts)
+    and odd components whose odd block may be singular, zero or undefined
+    on the grid, with a polynomial density on the target."""
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    source = SuperDomainShape(m, tuple(draw(_axes) for _ in range(m)), n)
+    target = SuperDomainShape(m, tuple(draw(_axes) for _ in range(m)), n)
+    xs = [SuperFunction.coordinate(source, i) for i in range(m)]
+    xis = [SuperFunction.odd_gen(source, j) for j in range(n)]
+    evens = []
+    for i in range(m):
+        if draw(st.booleans()):
+            comp = draw(_small) * xs[i] + draw(_small)
+        else:
+            comp = SuperFunction.coordinate(source, i, draw(st.integers(-2, 2)))
+            comp = draw(st.sampled_from([-1, 1, 2, Fraction(1, 2)])) * comp
+        if m == 2 and draw(st.booleans()):
+            comp = comp + draw(_small) * xs[1 - i]
+        if draw(st.booleans()):
+            comp = Scalar(1, draw(st.sampled_from([-1, 1]))) * comp
+        if n == 2 and draw(st.booleans()):
+            comp = comp + draw(_small) * xis[0] * xis[1]
+        evens.append(comp)
+    odds = []
+    for _ in range(n):
+        comp = SuperFunction.zero(source)
+        for xi in xis:
+            coeff = draw(_small)
+            if m and draw(st.booleans()):
+                # x or 1/x: an odd block can have a pole where no body has
+                coeff = coeff * SuperFunction.coordinate(
+                    source, 0, draw(st.sampled_from([-1, 1])))
+            comp = comp + coeff * xi
+        odds.append(comp)
+    density = SuperFunction.constant(target, draw(_small))
+    for i in range(m):
+        density = density + draw(_small) * SuperFunction.coordinate(target, i)
+    if n:
+        top = SuperFunction.one(target)
+        for j in range(n):
+            top = top * SuperFunction.odd_gen(target, j)
+        density = density + draw(_small) * top
+    phi = SuperMorphism(source, target, evens, odds)
+    return phi, BerezinSection.make(target, density)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oriented_candidates())
+def test_pullback_section_matches_the_two_walks(case):
+    phi, omega = case
+    assert _outcome(pullback_section, phi, omega) == \
+        _outcome(_reference_pullback_section, phi, omega)
 
 
 # ---------------------------------------------------------------------------

@@ -417,9 +417,9 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_verify_other_side_haar_densities_fail_as_before(monkeypatch, capsys):
-    # right densities where left ones belong: the staged suites must stop
-    # where the per-integrand checks stopped, with the same message after
-    # the suite's name
+    # right densities where left ones belong: an example of the staged
+    # suites stops where its per-integrand checks stopped, as one FAIL line
+    # naming the error; the examples before it keep their lines
     haar = supergroup.haar_density
 
     def other_side(G, side="left"):
@@ -428,13 +428,28 @@ def test_verify_other_side_haar_densities_fail_as_before(monkeypatch, capsys):
     monkeypatch.setattr(supergroup, "haar_density", other_side)
     assert cli.main(["verify", "fubini-quotients"]) == 1
     assert capsys.readouterr() == (
-        "", "error: verify fubini-quotients: exponent -1 has no rational "
-        "antiderivative\n")
+        "PASS fubini line-odd case 0 lhs=s rhs=s\n"
+        "PASS fubini line-odd case 1 lhs=4 s rhs=4 s\n"
+        "PASS fubini line-odd case 2 lhs=4 s rhs=4 s\n"
+        "PASS fubini line-odd case 3 lhs=4 s rhs=4 s\n"
+        "PASS fubini line-odd sign consistency lhs=-1 rhs=-1\n"
+        "PASS fubini heisenberg-centre case 0 lhs=7 s rhs=7 s\n"
+        "PASS fubini heisenberg-centre case 1 lhs=5 s rhs=5 s\n"
+        "PASS fubini heisenberg-centre case 2 lhs=s rhs=s\n"
+        "PASS fubini heisenberg-centre case 3 lhs=s rhs=s\n"
+        "PASS fubini heisenberg-centre sign consistency lhs=1 rhs=1\n"
+        "FAIL fubini axb-odd error lhs=NonIntegrableError "
+        "rhs=exponent -1 has no rational antiderivative\n"
+        "10/11 checks passed (seed 0)\n", "")
     assert cli.main(["verify", "product-formula"]) == 1
+    ratio_text = ("rhs=pullback of the total density is not a constant "
+                  "multiple of ratio * (product of subgroup densities)\n")
     assert capsys.readouterr() == (
-        "", "error: verify product-formula: pullback of the total density "
-        "is not a constant "
-        "multiple of ratio * (product of subgroup densities)\n")
+        "FAIL product axb-odd-even error lhs=NormalizationError "
+        + ratio_text
+        + "FAIL product axb-even-odd error lhs=NormalizationError "
+        + ratio_text
+        + "0/2 checks passed (seed 0)\n", "")
     # an example stops the same way, naming itself
     assert cli.main(["examples", "run", "product-ax+b"]) == 1
     assert capsys.readouterr() == (
@@ -457,8 +472,10 @@ def test_verify_quotient_without_invariant_density_fails(monkeypatch,
     monkeypatch.setattr(groups, "fubini_builtins", lambda: (scaling,))
     assert cli.main(["verify", "fubini-quotients"]) == 1
     assert capsys.readouterr() == (
-        "", "error: verify fubini-quotients: the total density does not "
-        "factor as base x subgroup density through the trivialization\n")
+        "FAIL fubini axb-odd error lhs=NormalizationError rhs=the total "
+        "density does not factor as base x subgroup density through the "
+        "trivialization\n"
+        "0/1 checks passed (seed 0)\n", "")
 
 
 # -- check lines -------------------------------------------------------------

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from superberezin.berezin import BerezinSection, pullback_section
 from superberezin.errors import (
     DimensionError,
     DomainBoxError,
     NonInvertibleError,
+    OrientationError,
     ParityError,
 )
 from superberezin.grassmann import (EVEN, ODD, GrassmannElement, Scalar,
@@ -363,18 +365,23 @@ class TestBoxes:
         pts = box_samples((Interval(0, 1),))
         assert pts == [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),)]
 
+    # box containment is the first phase of pullback_section's sampled
+    # check; a morphism that passes it may still stop in the orientation
+    # phase, which names the Jacobian rather than a component
+
     def test_containment_check_passes(self):
         shape = SuperDomainShape(1, (Interval(0, 1),), 0)
         x = SuperFunction.coordinate(shape, 0)
         half = SuperMorphism(shape, shape, [Fraction(1, 2) * x], [])
-        assert "sampled" in half.check_body_box()
+        assert "box containment sampled on a 3-per-axis grid" in \
+            _pulled_back(half).caveats
 
     def test_containment_check_fails(self):
         shape = SuperDomainShape(1, (Interval(0, 1),), 0)
         x = SuperFunction.coordinate(shape, 0)
         double = SuperMorphism(shape, shape, [Fraction(2) * x], [])
         with pytest.raises(DomainBoxError):
-            double.check_body_box()
+            _pulled_back(double)
 
     def test_floats_are_refused(self):
         # a float's binary value is not the rational it was written as
@@ -395,18 +402,34 @@ class TestBoxes:
         x = SuperFunction.coordinate(shape, 0)
         stretch = SuperMorphism(shape, shape, [Scalar(1, 1) * x], [])
         with pytest.raises(DomainBoxError, match="component 0"):
-            stretch.check_body_box()
+            _pulled_back(stretch)
+        # on a whole-line axis the box phase takes the value; the Jacobian
+        # body s is then not compared
         line = SuperDomainShape(1, (REALLINE,), 0)
         onto_line = SuperMorphism(shape, line, [
             SuperFunction(shape, {(): Polynomial(1, {(1,): Scalar(1, 1)})})], [])
-        assert "sampled" in onto_line.check_body_box()
+        with pytest.raises(OrientationError) as err:
+            _pulled_back(onto_line)
+        assert str(err.value) == (
+            "Jacobian body at sample (Fraction(0, 1),) not compared: "
+            "s is not rational: it carries a power of s")
 
     def test_positive_axis(self):
+        # x -> 1/x stays on R+, so the box phase passes; it reverses the
+        # orientation
         shape = SuperDomainShape(1, (POSITIVE,), 0)
         x = SuperFunction.coordinate(shape, 0)
         inv = SuperMorphism(shape, shape, [SuperFunction(
             shape, {(): Polynomial(1, {(-1,): 1})})], [])
-        assert inv.check_body_box() is not None
+        with pytest.raises(OrientationError) as err:
+            _pulled_back(inv)
+        assert str(err.value) == (
+            "body Jacobian not positive at sample (Fraction(1, 2),)")
+
+
+def _pulled_back(phi):
+    """pullback_section of the unit density on phi's target."""
+    return pullback_section(phi, BerezinSection.make(phi.target, 1))
 
 
 # -- pullback against the term-by-term oracle --------------------------------
