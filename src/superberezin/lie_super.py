@@ -2,17 +2,18 @@
 
 An algebra is a named graded basis plus structure constants; elements are
 coefficient vectors, each entry an int when integral and a Fraction
-otherwise.  The basis must list even generators before odd ones
-so that adjoint matrices fit the supermatrix block layout (entries live
-in the rank-zero Grassmann algebra, i.e. are plain rationals with a
-parity tag).
+otherwise.  The basis must list even generators before odd ones.  Every
+loop reads only the nonzero structure constants: the graded Jacobi
+identity is checked on the triples where some inner bracket is nonzero,
+and a basis change expands only the nonzero constants.
 
 The unimodularity test implemented here is the infinitesimal one:
-vanishing of str(ad x) on the quotient module g/h for every x in h.  For
-a connected group this is equivalent to triviality of the Berezinian
-line of the quotient as an H-module, since the Berezinian of a group
-element near the identity is 1 + str + higher order; the verdict records
-this connectedness proviso.
+vanishing of str(ad x) on the quotient module g/h for every x in h, read
+straight off the constants as the sum over k outside h of
+(-1)^{|k|} c_{x,k}^k.  For a connected group this is equivalent to
+triviality of the Berezinian line of the quotient as an H-module, since
+the Berezinian of a group element near the identity is 1 + str + higher
+order; the verdict records this connectedness proviso.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionError, ParityError, StructureError
-from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _canonical,
-                        _rational, koszul_sign)
-from .supermatrix import SuperMatrix
+from .grassmann import EVEN, ODD, Parity, _rational, koszul_sign
 
 __all__ = [
     "LieSuperAlgebra",
@@ -33,18 +32,13 @@ __all__ = [
     "UnimodularityResult",
     "ValidationReport",
     "abelian_algebra",
-    "ad",
     "change_basis",
     "gl11_algebra",
-    "quotient_action",
     "unimodularity_check",
     "validate",
 ]
 
 Vector = tuple[int | Fraction, ...]
-
-_Z0 = GrassmannElement.zero(0)
-_I0 = GrassmannElement.one(0)
 
 CONNECTED_NOTE = "infinitesimal criterion - valid for connected groups"
 
@@ -63,10 +57,13 @@ class LieSuperAlgebra:
     [e_i, e_j].  Missing pairs are completed by graded antisymmetry when
     the mirror pair is present, and default to zero otherwise; explicitly
     given pairs are never rewritten, so planted inconsistencies survive
-    for validate() to find.
+    for validate() to find.  ``brackets`` holds every given and completed
+    pair as a dense vector.  ``_nonzero`` holds, for each pair whose
+    bracket is nonzero, its (k, c) with c nonzero; every loop of this
+    module reads that.
     """
 
-    __slots__ = ("names", "parities", "brackets", "even_count")
+    __slots__ = ("names", "parities", "brackets", "even_count", "_nonzero")
 
     def __init__(self, names: Sequence[str], parities: Sequence[Parity],
                  structure_constants: Mapping[tuple[int, int], Sequence]):
@@ -93,11 +90,17 @@ class LieSuperAlgebra:
                 sign = koszul_sign(parities[i], parities[j])
                 # [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j]
                 brackets[(j, i)] = tuple(-sign * c for c in vec)
+        nonzero = {}
+        for pair, vec in brackets.items():
+            terms = tuple((k, c) for k, c in enumerate(vec) if c)
+            if terms:
+                nonzero[pair] = terms
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "parities", parities)
         object.__setattr__(self, "brackets", brackets)
         object.__setattr__(self, "even_count",
                            sum(1 for par in parities if par is EVEN))
+        object.__setattr__(self, "_nonzero", nonzero)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieSuperAlgebra is immutable")
@@ -113,32 +116,8 @@ class LieSuperAlgebra:
     def zero_vector(self) -> Vector:
         return (0,) * self.dim
 
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(1 if k == i else 0 for k in range(self.dim))
-
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self.brackets.get((i, j), self.zero_vector())
-
-    def bracket(self, x, y) -> Vector:
-        x = _as_vector(x, self.dim)
-        y = _as_vector(y, self.dim)
-        out = [0] * self.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for k, c in enumerate(self.bracket_basis(i, j)):
-                    out[k] += a * b * c
-        return tuple(_canonical(c) for c in out)
-
-    def vector_parity(self, x) -> Parity | None:
-        x = _as_vector(x, self.dim)
-        parities = {self.parities[i] for i, c in enumerate(x) if c}
-        if len(parities) != 1:
-            return None
-        return parities.pop()
 
     def __repr__(self) -> str:
         sig = ", ".join(f"{n}:{p}" for n, p in zip(self.names, self.parities))
@@ -182,78 +161,59 @@ class ValidationReport:
         return "invalid: " + "; ".join(self.failures)
 
 
-def validate(g: LieSuperAlgebra) -> ValidationReport:
-    """Check parity-additivity, graded antisymmetry and graded Jacobi."""
-    failures = []
-    dim = g.dim
-    for i in range(dim):
-        for j in range(dim):
-            vec = g.bracket_basis(i, j)
-            want = (g.parities[i].value + g.parities[j].value) % 2
-            for k, c in enumerate(vec):
-                if c and g.parities[k].value != want:
-                    failures.append(
-                        f"parity: [{g.names[i]}, {g.names[j]}] has a "
-                        f"component on {g.names[k]}")
-                    break
-    for i in range(dim):
-        for j in range(i, dim):
-            sign = koszul_sign(g.parities[i], g.parities[j])
-            lhs = g.bracket_basis(i, j)
-            rhs = tuple(-sign * c for c in g.bracket_basis(j, i))
-            if lhs != rhs:
-                failures.append(
-                    f"antisymmetry: [{g.names[i]}, {g.names[j]}] vs "
-                    f"[{g.names[j]}, {g.names[i]}]")
-    def sub(u: Vector, v: Vector) -> Vector:
-        return tuple(a - b for a, b in zip(u, v))
+def _jacobi_holds(g: LieSuperAlgebra, i: int, j: int, k: int) -> bool:
+    """Graded Leibniz on basis elements, over the nonzero constants:
+    [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + (-1)^{|i||j|} [e_j, [e_i, e_k]].
+    Each component m of an inner bracket brings in the constants of the
+    outer pair (i, m), (m, k) or (j, m)."""
+    nonzero = g._nonzero
+    sign = koszul_sign(g.parities[i], g.parities[j])
+    outer = [((i, m), a) for m, a in nonzero.get((j, k), ())]
+    outer += [((m, k), -a) for m, a in nonzero.get((i, j), ())]
+    outer += [((j, m), -sign * a) for m, a in nonzero.get((i, k), ())]
+    defect = {}
+    for pair, a in outer:
+        for t, c in nonzero.get(pair, ()):
+            defect[t] = defect.get(t, 0) + a * c
+    return not any(defect.values())
 
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                # graded Leibniz: [ei,[ej,ek]] = [[ei,ej],ek]
-                #                  + (-1)^{|i||j|} [ej,[ei,ek]]
-                sign = koszul_sign(g.parities[i], g.parities[j])
-                lhs = g.bracket(g.basis_vector(i), g.bracket_basis(j, k))
-                term1 = g.bracket(g.bracket_basis(i, j), g.basis_vector(k))
-                term2 = g.bracket(g.basis_vector(j), g.bracket_basis(i, k))
-                rhs = tuple(a + sign * b for a, b in zip(term1, term2))
-                if sub(lhs, rhs) != g.zero_vector():
-                    failures.append(
-                        f"jacobi: triple ({g.names[i]}, {g.names[j]}, "
-                        f"{g.names[k]})")
+
+def validate(g: LieSuperAlgebra) -> ValidationReport:
+    """Check parity-additivity, graded antisymmetry and graded Jacobi.
+
+    Only pairs with a nonzero bracket (or mirror) are read, and Jacobi
+    only on the triples (i, j, k) where [e_j, e_k], [e_i, e_j] or
+    [e_i, e_k] is nonzero: on any other triple every term vanishes.  The
+    failures come in the order of a sweep over all pairs and triples.
+    """
+    failures = []
+    names, parities = g.names, g.parities
+    for i, j in sorted(g._nonzero):
+        want = (parities[i].value + parities[j].value) % 2
+        for k, _ in g._nonzero[(i, j)]:
+            if parities[k].value != want:
+                failures.append(f"parity: [{names[i]}, {names[j]}] has a "
+                                f"component on {names[k]}")
+                break
+    for i, j in sorted({(min(pair), max(pair)) for pair in g._nonzero}):
+        sign = koszul_sign(parities[i], parities[j])
+        if g.bracket_basis(i, j) != tuple(-sign * c
+                                          for c in g.bracket_basis(j, i)):
+            failures.append(f"antisymmetry: [{names[i]}, {names[j]}] vs "
+                            f"[{names[j]}, {names[i]}]")
+    triples = set()
+    for a, b in g._nonzero:
+        for m in range(g.dim):
+            triples.update(((m, a, b), (a, b, m), (a, m, b)))
+    for i, j, k in sorted(triples):
+        if not _jacobi_holds(g, i, j, k):
+            failures.append(f"jacobi: triple ({names[i]}, {names[j]}, "
+                            f"{names[k]})")
     return ValidationReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
-# adjoint and quotient matrices
-
-
-def _matrix_on_span(g: LieSuperAlgebra, x: Vector,
-                    span: Sequence[int]) -> SuperMatrix:
-    """Matrix of y -> [x, y] compressed to the given basis indices."""
-    parity = g.vector_parity(x)
-    if parity is None:
-        if any(x):
-            raise ParityError("ad needs a homogeneous element")
-        parity = EVEN  # the zero element acts by the zero (even) matrix
-    positions = {idx: r for r, idx in enumerate(span)}
-    size = len(span)
-    entries = [[_Z0] * size for _ in range(size)]
-    for c, idx in enumerate(span):
-        image = g.bracket(x, g.basis_vector(idx))
-        for k, coeff in enumerate(image):
-            if coeff and k in positions:
-                entries[positions[k]][c] = GrassmannElement.scalar(0, coeff)
-    p = sum(1 for idx in span if g.parities[idx] is EVEN)
-    return SuperMatrix(p, size - p, entries, parity, zero=_Z0, one=_I0)
-
-
-def ad(g: LieSuperAlgebra, x) -> SuperMatrix:
-    """Adjoint matrix of a homogeneous element (index or vector)."""
-    if isinstance(x, int):
-        x = g.basis_vector(x)
-    return _matrix_on_span(g, _as_vector(x, g.dim), range(g.dim))
+# subalgebras and unimodularity
 
 
 @dataclass(frozen=True)
@@ -267,11 +227,11 @@ class SubalgebraSpec:
         for idx in self.span:
             if not 0 <= idx < self.parent.dim:
                 raise DimensionError(f"span index {idx} out of range")
+        nonzero = self.parent._nonzero
         for i in self.span:
             for j in self.span:
-                vec = self.parent.bracket_basis(i, j)
-                for k, c in enumerate(vec):
-                    if c and k not in self.span:
+                for k, _ in nonzero.get((i, j), ()):
+                    if k not in self.span:
                         raise StructureError(
                             f"[{self.parent.names[i]}, {self.parent.names[j]}]"
                             f" leaves the span at {self.parent.names[k]}")
@@ -279,19 +239,6 @@ class SubalgebraSpec:
     @property
     def complement(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.parent.dim) if k not in self.span)
-
-
-def quotient_action(g: LieSuperAlgebra, h: SubalgebraSpec, x) -> SuperMatrix:
-    """Matrix of ad(x) on g/h in the adapted complement basis."""
-    if h.parent is not g:
-        raise StructureError("subalgebra belongs to a different algebra")
-    if isinstance(x, int):
-        x = g.basis_vector(x)
-    return _matrix_on_span(g, _as_vector(x, g.dim), h.complement)
-
-
-# ---------------------------------------------------------------------------
-# unimodularity
 
 
 @dataclass(frozen=True)
@@ -308,11 +255,24 @@ class UnimodularityResult:
                 f"{self.witness_supertrace} ({self.note})")
 
 
+def _quotient_supertrace(g: LieSuperAlgebra, h: SubalgebraSpec,
+                         x: int) -> Fraction:
+    """str(ad_{g/h} e_x) = sum over k outside h of (-1)^{|k|} c_{x,k}^k,
+    the diagonal of ad e_x in the complement basis."""
+    trace = Fraction(0)
+    for k in h.complement:
+        c = g.bracket_basis(x, k)[k]
+        trace += -c if g.parities[k] is ODD else c
+    return trace
+
+
 def unimodularity_check(g: LieSuperAlgebra,
                         h: SubalgebraSpec) -> UnimodularityResult:
     """Vanishing of str on the quotient action of every h-basis element."""
+    if h.parent is not g:
+        raise StructureError("subalgebra belongs to a different algebra")
     for idx in sorted(h.span):
-        trace = quotient_action(g, h, idx).supertrace().body().rational
+        trace = _quotient_supertrace(g, h, idx)
         if trace:
             return UnimodularityResult("NOT_UNIMODULAR", g.names[idx], trace)
     return UnimodularityResult("UNIMODULAR", None, None)
@@ -325,8 +285,11 @@ def unimodularity_check(g: LieSuperAlgebra,
 def change_basis(g: LieSuperAlgebra, matrix) -> LieSuperAlgebra:
     """Rewrite the algebra in the basis f_c = sum_r matrix[r][c] e_r.
 
-    The new generators are named f1, f2, ...  The matrix must be invertible and parity-preserving (no mixing of even
-    and odd directions).
+    The new generators are named f1, f2, ...  The matrix must be
+    invertible and parity-preserving (no mixing of even and odd
+    directions).  [f_a, f_b] sums matrix[r][a] matrix[s][b] c_rs over the
+    nonzero constants and the nonzero matrix entries, and is written back
+    in the f basis through the inverse matrix.
     """
     dim = g.dim
     P = [[_rational(e) for e in row] for row in matrix]
@@ -337,20 +300,21 @@ def change_basis(g: LieSuperAlgebra, matrix) -> LieSuperAlgebra:
             if P[r][c] and g.parities[r] is not g.parities[c]:
                 raise ParityError("basis change must preserve parity")
     P_inv = linalg.inverse(P)
+    # the f_a that draw on e_r, with their weights
+    weights = [[(a, w) for a, w in enumerate(row) if w] for row in P]
+    images = {}
+    for (r, s), terms in g._nonzero.items():
+        for a, wa in weights[r]:
+            for b, wb in weights[s]:
+                image = images.setdefault((a, b), {})
+                for k, c in terms:
+                    image[k] = image.get(k, 0) + wa * wb * c
     constants = {}
     for a in range(dim):
         for b in range(dim):
-            image = [0] * dim
-            for r in range(dim):
-                if not P[r][a]:
-                    continue
-                for s in range(dim):
-                    if not P[s][b]:
-                        continue
-                    for k, c in enumerate(g.bracket_basis(r, s)):
-                        image[k] += P[r][a] * P[s][b] * c
-            nonzero = [(k, c) for k, c in enumerate(image) if c]
+            image = images.get((a, b), {})
             constants[(a, b)] = tuple(
-                sum(P_inv[t][k] * c for k, c in nonzero) for t in range(dim))
+                sum(P_inv[t][k] * c for k, c in image.items())
+                for t in range(dim))
     names = tuple(f"f{i + 1}" for i in range(dim))
     return LieSuperAlgebra(names, g.parities, constants)

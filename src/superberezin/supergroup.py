@@ -188,7 +188,14 @@ def _cross_coefficient(comp: SuperFunction, first: tuple[str, int],
 
 def group_lie_algebra(G: SuperGroupChart,
                       names: Sequence[str] | None = None) -> LieSuperAlgebra:
-    """Structure constants from the second-order jet of mul at the unit."""
+    """Structure constants from the second-order jet of mul at the unit.
+
+    The bracket is read in the plain-entries convention
+    [X, Y]_k = sum over a, b of x_a y_b c_ab^k, with no Koszul sign
+    between the entries of X and Y.  On the GL(1|1) matrix chart this
+    gives back gl11_algebra() exactly, odd-odd entries included, as
+    test_gl11_chart_matches_matrix_unit_constants in the tests pins.
+    """
     m, n = G.shape.m, G.shape.n
     if names is None:
         names = tuple(f"x{i + 1}" for i in range(m)) \

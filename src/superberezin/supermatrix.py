@@ -1,4 +1,4 @@
-"""Block matrices over a supercommutative ring: supertrace and Berezinian.
+"""Block matrices over a supercommutative ring and their Berezinian.
 
 Entries may be any objects implementing the small ring protocol used
 throughout the package: ``__add__``, ``__sub__``, ``__neg__``, ``__mul__``,
@@ -281,14 +281,6 @@ class SuperMatrix:
                            zero=self.zero, one=self.one)
 
     # -- invariants ---------------------------------------------------
-
-    def supertrace(self):
-        acc = self.zero
-        for i in range(self.p):
-            acc = acc + self.entries[i][i]
-        for j in range(self.q):
-            acc = acc - self.entries[self.p + j][self.p + j]
-        return acc
 
     def berezinian(self):
         """Ber = det(A - B Z) * det(D)^-1 with D Z = C, for an even supermatrix."""

@@ -28,9 +28,6 @@ ALLOWED = {
     "textio.parse_scalar",
     "textio.format_superfunction",
     "textio.format_structure_constants",
-    # str(ad X) is the modular character of the planned "by character"
-    # unimodularity route
-    "lie_super.ad",
     # planned as a check line in the G/H and random-group suites
     "supergroup.check_subgroup",
     # the ring API of the public value types

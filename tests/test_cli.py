@@ -314,6 +314,27 @@ def test_unimodular_invalid_algebra(tmp_path, capsys):
     assert "invalid structure constants" in capsys.readouterr().err
 
 
+# sl(2)-like constants with [e, f] corrupted to h + e
+SL2_BAD_JACOBI = """generators h:even e:even f:even
+0 1 -> 0 2 0
+0 2 -> 0 0 -2
+1 2 -> 1 1 0
+"""
+
+
+def test_unimodular_jacobi_violation(tmp_path, capsys):
+    # every triple of distinct generators fails, in the order of a sweep
+    # over all triples
+    path = write(tmp_path, "g.txt", SL2_BAD_JACOBI)
+    assert cli.main(["unimodular", path, "--subalgebra", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(
+        f"invalid structure constants: jacobi: triple ({a}, {b}, {c})\n"
+        for a, b, c in [("h", "e", "f"), ("h", "f", "e"), ("e", "h", "f"),
+                        ("e", "f", "h"), ("f", "h", "e"), ("f", "e", "h")])
+
+
 # -- examples ----------------------------------------------------------------
 
 

@@ -3,6 +3,11 @@
 The gl(1|1) structure constants used throughout are checked here against
 an independent oracle: graded commutators of the 2x2 matrix units acting
 on a (1|1)-dimensional space, computed with the supermatrix product.
+
+The dense code that ``lie_super`` replaced lives on below as its oracle:
+the bracket over every pair of basis indices, ``validate`` over all dim^3
+triples, the dense basis change, and the quotient supertrace read off a
+supermatrix over the rank-zero Grassmann algebra Lambda_0.
 """
 
 import random
@@ -10,17 +15,22 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from superberezin import linalg
 from superberezin.errors import ParityError, StructureError
-from superberezin.grassmann import EVEN, ODD, GrassmannElement
+from superberezin.grassmann import (EVEN, ODD, GrassmannElement, _canonical,
+                                    _rational, koszul_sign)
 from superberezin.lie_super import (
     LieSuperAlgebra,
     SubalgebraSpec,
+    ValidationReport,
+    _as_vector,
+    _quotient_supertrace,
     abelian_algebra,
-    ad,
     change_basis,
     gl11_algebra,
-    quotient_action,
     unimodularity_check,
     validate,
 )
@@ -28,6 +38,160 @@ from superberezin.supermatrix import SuperMatrix
 
 Z0 = GrassmannElement.zero(0)
 I0 = GrassmannElement.one(0)
+
+
+# -- dense oracles ----------------------------------------------------------
+
+
+def basis_vector(g, i):
+    return tuple(1 if k == i else 0 for k in range(g.dim))
+
+
+def bracket(g, x, y):
+    """[x, y] summed over every pair of basis indices."""
+    x = _as_vector(x, g.dim)
+    y = _as_vector(y, g.dim)
+    out = [0] * g.dim
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if not b:
+                continue
+            for k, c in enumerate(g.bracket_basis(i, j)):
+                out[k] += a * b * c
+    return tuple(_canonical(c) for c in out)
+
+
+def vector_parity(g, x):
+    x = _as_vector(x, g.dim)
+    parities = {g.parities[i] for i, c in enumerate(x) if c}
+    if len(parities) != 1:
+        return None
+    return parities.pop()
+
+
+def oracle_validate(g):
+    """Parity-additivity, graded antisymmetry and graded Jacobi, each over
+    every pair or triple of basis indices."""
+    failures = []
+    dim = g.dim
+    for i in range(dim):
+        for j in range(dim):
+            vec = g.bracket_basis(i, j)
+            want = (g.parities[i].value + g.parities[j].value) % 2
+            for k, c in enumerate(vec):
+                if c and g.parities[k].value != want:
+                    failures.append(
+                        f"parity: [{g.names[i]}, {g.names[j]}] has a "
+                        f"component on {g.names[k]}")
+                    break
+    for i in range(dim):
+        for j in range(i, dim):
+            sign = koszul_sign(g.parities[i], g.parities[j])
+            lhs = g.bracket_basis(i, j)
+            rhs = tuple(-sign * c for c in g.bracket_basis(j, i))
+            if lhs != rhs:
+                failures.append(
+                    f"antisymmetry: [{g.names[i]}, {g.names[j]}] vs "
+                    f"[{g.names[j]}, {g.names[i]}]")
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                # graded Leibniz: [ei,[ej,ek]] = [[ei,ej],ek]
+                #                  + (-1)^{|i||j|} [ej,[ei,ek]]
+                sign = koszul_sign(g.parities[i], g.parities[j])
+                lhs = bracket(g, basis_vector(g, i), g.bracket_basis(j, k))
+                term1 = bracket(g, g.bracket_basis(i, j), basis_vector(g, k))
+                term2 = bracket(g, basis_vector(g, j), g.bracket_basis(i, k))
+                rhs = tuple(a + sign * b for a, b in zip(term1, term2))
+                if any(a - b for a, b in zip(lhs, rhs)):
+                    failures.append(
+                        f"jacobi: triple ({g.names[i]}, {g.names[j]}, "
+                        f"{g.names[k]})")
+    return ValidationReport(not failures, tuple(failures))
+
+
+def oracle_change_basis(g, matrix):
+    """The basis change f_c = sum_r matrix[r][c] e_r over every index."""
+    dim = g.dim
+    P = [[_rational(e) for e in row] for row in matrix]
+    P_inv = linalg.inverse(P)
+    constants = {}
+    for a in range(dim):
+        for b in range(dim):
+            image = [0] * dim
+            for r in range(dim):
+                if not P[r][a]:
+                    continue
+                for s in range(dim):
+                    if not P[s][b]:
+                        continue
+                    for k, c in enumerate(g.bracket_basis(r, s)):
+                        image[k] += P[r][a] * P[s][b] * c
+            nonzero = [(k, c) for k, c in enumerate(image) if c]
+            constants[(a, b)] = tuple(
+                sum(P_inv[t][k] * c for k, c in nonzero) for t in range(dim))
+    names = tuple(f"f{i + 1}" for i in range(dim))
+    return LieSuperAlgebra(names, g.parities, constants)
+
+
+def supertrace(m):
+    acc = m.zero
+    for i in range(m.p):
+        acc = acc + m.entries[i][i]
+    for j in range(m.q):
+        acc = acc - m.entries[m.p + j][m.p + j]
+    return acc
+
+
+def _matrix_on_span(g, x, span):
+    """Matrix of y -> [x, y] compressed to the given basis indices, its
+    entries in Lambda_0."""
+    parity = vector_parity(g, x)
+    if parity is None:
+        if any(x):
+            raise ParityError("ad needs a homogeneous element")
+        parity = EVEN  # the zero element acts by the zero (even) matrix
+    positions = {idx: r for r, idx in enumerate(span)}
+    size = len(span)
+    entries = [[Z0] * size for _ in range(size)]
+    for c, idx in enumerate(span):
+        image = bracket(g, x, basis_vector(g, idx))
+        for k, coeff in enumerate(image):
+            if coeff and k in positions:
+                entries[positions[k]][c] = GrassmannElement.scalar(0, coeff)
+    p = sum(1 for idx in span if g.parities[idx] is EVEN)
+    return SuperMatrix(p, size - p, entries, parity, zero=Z0, one=I0)
+
+
+def ad(g, x):
+    """Adjoint matrix of a homogeneous element (index or vector)."""
+    if isinstance(x, int):
+        x = basis_vector(g, x)
+    return _matrix_on_span(g, _as_vector(x, g.dim), range(g.dim))
+
+
+def quotient_action(g, h, x):
+    """Matrix of ad(x) on g/h in the adapted complement basis."""
+    if h.parent is not g:
+        raise StructureError("subalgebra belongs to a different algebra")
+    if isinstance(x, int):
+        x = basis_vector(g, x)
+    return _matrix_on_span(g, _as_vector(x, g.dim), h.complement)
+
+
+def oracle_unimodularity(g, h):
+    """(verdict, witness name, witness supertrace) from the Lambda_0
+    quotient matrices."""
+    for idx in sorted(h.span):
+        trace = supertrace(quotient_action(g, h, idx)).body().rational
+        if trace:
+            return "NOT_UNIMODULAR", g.names[idx], trace
+    return "UNIMODULAR", None, None
+
+
+# -- the tests --------------------------------------------------------------
 
 
 def random_homogeneous_element(g, rng, parity):
@@ -127,7 +291,7 @@ def test_ad_gl11_frozen_values():
     d = m.block("D")
     assert d[0][0] == I0 and d[1][1] == -I0
     assert all(e.is_zero() for row in m.block("A") for e in row)
-    assert m.supertrace().is_zero()
+    assert supertrace(m).is_zero()
     # an odd element gives an odd matrix
     assert ad(g, 2).parity is ODD
 
@@ -139,7 +303,7 @@ def test_ad_is_a_representation():
         par_x, par_y = rng.choice([EVEN, ODD]), rng.choice([EVEN, ODD])
         x = random_homogeneous_element(g, rng, par_x)
         y = random_homogeneous_element(g, rng, par_y)
-        lhs = ad(g, g.bracket(x, y))
+        lhs = ad(g, bracket(g, x, y))
         sign = -1 if (par_x is ODD and par_y is ODD) else 1
         prod1, prod2 = ad(g, x) * ad(g, y), ad(g, y) * ad(g, x)
         rhs = prod1 + (-prod2 if sign == 1 else prod2)
@@ -150,7 +314,7 @@ def test_supertrace_of_bracket_vanishes():
     g = gl11_algebra()
     for i, j in product(range(4), repeat=2):
         x = ad(g, g.bracket_basis(i, j))
-        assert x.supertrace().is_zero(), (i, j)
+        assert supertrace(x).is_zero(), (i, j)
 
 
 def test_mixed_parity_ad_rejected():
@@ -174,7 +338,7 @@ def test_borel_quotient_action_frozen():
     m = quotient_action(g, borel, 0)  # action of E11 on span{E21}
     assert (m.p, m.q) == (0, 1)
     assert m.entries[0][0] == -I0
-    assert m.supertrace().body().rational == 1
+    assert supertrace(m).body().rational == 1
 
 
 def test_subalgebra_closure_enforced():
@@ -230,15 +394,16 @@ def test_vectors_are_stored_ints_where_integral():
          [0, 0, 2, 0],
          [0, 0, 1, Fraction(1, 2)]]
     g2 = change_basis(g, P)
-    vectors = list(g2.brackets.values()) + [g2.basis_vector(0), g2.zero_vector(),
-                                            g2.bracket((Fraction(2, 2), 0, 1, 0),
-                                                       (0, 0, 0, 2))]
+    mirrored = LieSuperAlgebra(("a", "xi"), (EVEN, ODD),
+                               {(0, 1): (0, Fraction(4, 2))})
+    vectors = (list(g2.brackets.values()) + list(mirrored.brackets.values())
+               + [g2.zero_vector()])
     for vec in vectors:
         for c in vec:
             assert type(c) is int or (type(c) is Fraction
                                       and c.denominator > 1), repr(c)
     with pytest.raises(TypeError):
-        g.bracket((0.5, 0, 0, 0), (0, 0, 1, 0))
+        LieSuperAlgebra(("a", "xi"), (EVEN, ODD), {(0, 1): (0, 0.5)})
     with pytest.raises(TypeError):
         change_basis(g, [[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
@@ -257,3 +422,110 @@ def test_borel_verdict_invariant_under_adapted_changes():
         g2 = change_basis(g, P)
         verdict = unimodularity_check(g2, SubalgebraSpec(g2, frozenset({0, 1, 2})))
         assert verdict.verdict == "NOT_UNIMODULAR"
+
+
+def test_unimodularity_check_refuses_a_foreign_subalgebra():
+    g, other = gl11_algebra(), gl11_algebra()
+    for span in (frozenset(), frozenset({0, 1, 2})):
+        with pytest.raises(StructureError,
+                           match="subalgebra belongs to a different algebra"):
+            unimodularity_check(g, SubalgebraSpec(other, span))
+
+
+# -- the sparse code against the dense oracles -----------------------------
+
+
+def heisenberg_algebra():
+    """The odd Heisenberg algebra of the Heisenberg chart:
+    [xi1, xi2] = 2 x1."""
+    return LieSuperAlgebra(("x1", "xi1", "xi2"), (EVEN, ODD, ODD),
+                           {(1, 2): (2, 0, 0)})
+
+
+COEFFICIENTS = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2),
+                                Fraction(-2, 3)])
+
+
+@st.composite
+def graded_algebras(draw):
+    """(algebra, span, basis change, fault): gl(1|1), the odd Heisenberg
+    algebra or an abelian algebra; a random closed span; a random
+    parity-preserving basis change that keeps the span closed; and, or
+    None, one planted fault (kind, i, j, k, value) that adds value e_k to
+    [e_i, e_j], with e_k of the wrong parity for a parity fault, its
+    mirror left as it was for an antisymmetry fault and rewritten to match
+    for a Jacobi fault."""
+    # gl(1|1) has the spans with a nonzero quotient supertrace
+    kind = draw(st.sampled_from(["gl11", "gl11", "heisenberg", "abelian"]))
+    if kind == "gl11":
+        g = gl11_algebra()
+    elif kind == "heisenberg":
+        g = heisenberg_algebra()
+    else:
+        p = draw(st.integers(0, 3))
+        q = draw(st.integers(0 if p else 1, 3))
+        g = abelian_algebra([f"e{i}" for i in range(p + q)],
+                            [EVEN] * p + [ODD] * q)
+    dim = g.dim
+    span = frozenset(draw(st.lists(st.integers(0, dim - 1), max_size=dim)))
+    try:
+        SubalgebraSpec(g, span)
+    except StructureError:
+        span = frozenset()
+    # span columns draw only on span rows, so the new span is closed too
+    P = [[draw(st.integers(-2, 2))
+          if g.parities[r] is g.parities[c] and (c not in span or r in span)
+          else 0 for c in range(dim)] for r in range(dim)]
+    if linalg.det([row[:] for row in P]) == 0:
+        P = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    fault = draw(st.sampled_from([None, "parity", "antisymmetry", "jacobi"]))
+    if fault:
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        want = (g.parities[i].value + g.parities[j].value) % 2
+        targets = [k for k in range(dim)
+                   if (g.parities[k].value == want) != (fault == "parity")]
+        if not targets:
+            return g, span, P, None
+        fault = (fault, i, j, draw(st.sampled_from(targets)),
+                 draw(COEFFICIENTS))
+    return g, span, P, fault
+
+
+def plant(g, kind, i, j, k, value):
+    constants = dict(g.brackets)
+    vec = list(g.bracket_basis(i, j))
+    vec[k] += value
+    constants[(i, j)] = tuple(vec)
+    if kind == "jacobi" and i != j:
+        sign = koszul_sign(g.parities[i], g.parities[j])
+        constants[(j, i)] = tuple(-sign * c for c in vec)
+    return LieSuperAlgebra(g.names, g.parities, constants)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_algebras())
+def test_sparse_code_matches_the_dense_oracles(case):
+    base, span, P, fault = case
+    g = change_basis(base, P)
+    assert repr(g.brackets) == repr(oracle_change_basis(base, P).brackets)
+    if fault:
+        g = plant(g, *fault)
+        assert repr(change_basis(g, P).brackets) \
+            == repr(oracle_change_basis(g, P).brackets)
+    report = validate(g)
+    assert report == oracle_validate(g)
+    if any(failure.startswith("parity") for failure in report.failures):
+        return  # the Lambda_0 matrices refuse entries of the wrong parity
+    try:
+        h = SubalgebraSpec(g, span)
+    except StructureError:  # the fault broke the closure
+        h = SubalgebraSpec(g, frozenset())
+    result = unimodularity_check(g, h)
+    verdict, name, trace = oracle_unimodularity(g, h)
+    assert (result.verdict, result.witness_name) == (verdict, name)
+    assert result.witness_supertrace == trace
+    if trace is not None:
+        assert type(result.witness_supertrace) is Fraction
+    for idx in sorted(h.span):
+        assert _quotient_supertrace(g, h, idx) \
+            == supertrace(quotient_action(g, h, idx)).body().rational

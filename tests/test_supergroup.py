@@ -52,7 +52,7 @@ from superberezin.groups import (
 )
 from superberezin.lie_super import (
     SubalgebraSpec,
-    ad,
+    _quotient_supertrace,
     gl11_algebra,
     unimodularity_check,
 )
@@ -733,8 +733,10 @@ def test_axb_modular_character_is_nontrivial():
     # str(ad X) = -1, so the chart cannot carry a bi-invariant density;
     # the solver confirms: left density 1, right density a^-1.
     g = group_lie_algebra(axb_group(), names=("X", "Q"))
-    assert ad(g, 0).supertrace().body() == Fraction(-1)
-    assert ad(g, 1).supertrace().body() == Fraction(0)
+    # str(ad x) is the quotient supertrace over h = 0
+    whole = SubalgebraSpec(g, frozenset())
+    assert _quotient_supertrace(g, whole, 0) == Fraction(-1)
+    assert _quotient_supertrace(g, whole, 1) == Fraction(0)
     left = solve_invariant_density(axb_group(), side="left")
     right = solve_invariant_density(
         axb_group(), side="right",
@@ -744,7 +746,8 @@ def test_axb_modular_character_is_nontrivial():
 
 def test_heisenberg_modular_character_is_trivial():
     g = group_lie_algebra(heisenberg_group())
-    assert all(ad(g, i).supertrace().body() == Fraction(0) for i in range(3))
+    whole = SubalgebraSpec(g, frozenset())
+    assert all(_quotient_supertrace(g, whole, i) == 0 for i in range(3))
 
 
 def test_product_examples_cover_both_orders():
