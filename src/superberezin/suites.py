@@ -25,12 +25,12 @@ from .berezin import (
     product_section,
     pullback_section,
 )
-from .errors import SuperBerezinError
+from .errors import StructureError, SuperBerezinError
 from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _Exact, _mask,
                         _stored)
 from .koszul import homological_berezinian
 from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
-                        gl11_algebra, unimodularity_check)
+                        gl11_algebra, unimodularity_check, validate)
 from .supergroup import (_fubini_stage, _product_stage, fubini_check,
                          group_lie_algebra, product_formula_check,
                          solve_invariant_density)
@@ -426,6 +426,10 @@ def unimodularity_suite(seed: int = 0):
     ]
     lines = []
     for label, g, span, expected in cases:
+        report = validate(g)
+        if not report.ok:
+            raise StructureError(f"case algebra {label} is invalid: "
+                                 + "; ".join(report.failures))
         result = unimodularity_check(g, SubalgebraSpec(g, span))
         lines.append(CheckLine.equal(f"unimodularity {label}",
                                      result.verdict, expected))

@@ -836,27 +836,3 @@ def jacobian_rows(phi: SuperMorphism, row_vars: Sequence[tuple[str, int]]) -> li
         else:
             raise ValueError("row kind must be 'even' or 'odd'")
     return out
-
-
-def split_product_function(f: SuperFunction, left: SuperDomainShape,
-                           right: SuperDomainShape) -> list[tuple[SuperFunction, SuperFunction]]:
-    """Write f on left×right as Σ f_left·f_right, left factors leftmost.
-
-    With the global ordering (left coords before right coords, both even
-    and odd) the split introduces no signs.
-    """
-    if f.shape != shape_product(left, right):
-        raise DimensionError("function does not live on the stated product")
-    # (left exponents, left odd mask) -> the right factor's numerators over
-    # f.den, keyed (right odd mask, right exponents, k): the power of s
-    # stays with the right factor
-    low = (1 << left.n) - 1
-    grouped: dict[tuple, dict] = {}
-    for key, c in f.nums.items():
-        mask, exps = key[0], key[1:]
-        grouped.setdefault((exps[:left.m], mask & low), {})[
-            (mask >> left.n,) + exps[left.m:]] = c
-    return [(_stored(SuperFunction, left, 1, {(left_odd,) + left_exps + (0,): 1}),
-             _reduced(SuperFunction, right, f.den, nums))
-            for (left_exps, left_odd), nums in sorted(
-                grouped.items(), key=lambda item: (item[0][0], _indices(item[0][1])))]

@@ -9,7 +9,7 @@ s = sqrt(2 pi)) or from rational antiderivatives on boxes.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from superberezin import (
@@ -36,9 +36,9 @@ from superberezin import (
     product_section,
     pullback_section,
     shape_product,
-    split_section,
 )
 from superberezin.errors import SuperBerezinError
+from superberezin.grassmann import ODD, _indices, _reduced, _stored
 from superberezin.linalg import det as rational_det
 from superberezin.superdomain import box_samples, jacobian, pullback
 
@@ -370,10 +370,10 @@ def _outcome(run, phi, omega):
 _small = st.sampled_from([-2, -1, 0, 1, 2, 3])
 # intervals with 0 inside, at an end and outside, so that a pole of a
 # Laurent body lands on a sample or misses the grid
-_axes = st.one_of(
-    st.just(REALLINE), st.just(POSITIVE),
-    st.sampled_from([(0, 1), (-1, 1), (-1, 0), (1, 2), (Fraction(1, 2), 3),
-                     (-3, -1)]).map(lambda ends: Interval(*ends)))
+_intervals = st.sampled_from([(0, 1), (-1, 1), (-1, 0), (1, 2),
+                              (Fraction(1, 2), 3), (-3, -1)]).map(
+    lambda ends: Interval(*ends))
+_axes = st.one_of(st.just(REALLINE), st.just(POSITIVE), _intervals)
 
 
 @st.composite
@@ -547,6 +547,121 @@ def test_function_times_section_is_associative_with_product():
 
 # ---------------------------------------------------------------------------
 # splitting and fibre integration
+#
+# fibre_integrate_section is one pass over the stored keys.  Its oracle is
+# the product-term route it replaced: split the density into (base monomial,
+# fibre section) pairs with the basis and Koszul signs on the base factors,
+# integrate each fibre section and sum.
+
+
+def split_product_function(f, left, right):
+    """Write f on left x right as sum f_left * f_right, left factors
+    leftmost: with the global ordering (left coords before right coords,
+    both even and odd) the split introduces no signs."""
+    if f.shape != shape_product(left, right):
+        raise DimensionError("function does not live on the stated product")
+    # (left exponents, left odd mask) -> the right factor's numerators over
+    # f.den, keyed (right odd mask, right exponents, k): the power of s
+    # stays with the right factor
+    low = (1 << left.n) - 1
+    grouped = {}
+    for key, c in f.nums.items():
+        mask, exps = key[0], key[1:]
+        grouped.setdefault((exps[:left.m], mask & low), {})[
+            (mask >> left.n,) + exps[left.m:]] = c
+    return [(_stored(SuperFunction, left, 1, {(left_odd,) + left_exps + (0,): 1}),
+             _reduced(SuperFunction, right, f.den, nums))
+            for (left_exps, left_odd), nums in sorted(
+                grouped.items(), key=lambda item: (item[0][0], _indices(item[0][1])))]
+
+
+def split_section(omega, base, fibre):
+    """Inverse of product_section: (base function, fibre section) pairs
+    with the basis sign (-1)^{np} and the Koszul sign of an odd base
+    monomial across an odd fibre D-symbol folded into the base functions."""
+    if omega.shape != shape_product(base, fibre):
+        raise DimensionError("section does not live on the stated product")
+    n, p, q = base.n, fibre.m, fibre.n
+    base_sign = -1 if (n * p) % 2 else 1
+    out = []
+    for h, g in split_product_function(omega.density, base, fibre):
+        sign = base_sign
+        if q % 2 and h.parity() is ODD:
+            sign = -sign
+        out.append((sign * h, BerezinSection(fibre, g, omega.caveats)))
+    return out
+
+
+def _split_fibre_integrate_section(omega, base, fibre, backend):
+    value = fibre_integrate(split_section(omega, base, fibre), base, fibre,
+                            backend)
+    return BerezinSection(base, value, omega.caveats)
+
+
+_exponents = st.sampled_from([0, 1, 2, 3, 0, 1, -1, -2])
+
+
+@st.composite
+def _fibre_cases(draw):
+    """(omega, base, fibre, backend): a density on (m|n) x (p|q), each
+    dimension in 0..2, over a Gaussian fibre or a box fibre, whose keys
+    sit in the top fibre sector about half the time, with negative
+    exponents and powers of s.  About one backend in four is the other
+    kind's, and one stated base in eight is not the density's."""
+    m, n, p, q = (draw(st.integers(0, 2)) for _ in range(4))
+    base = SuperDomainShape(m, tuple(draw(_axes) for _ in range(m)), n)
+    gaussian = draw(st.booleans())
+    fibre = SuperDomainShape(
+        p, tuple(REALLINE if gaussian else draw(_intervals)
+              for _ in range(p)), q)
+    total = shape_product(base, fibre)
+    full = (1 << q) - 1
+    sectors = {}
+    for _ in range(draw(st.integers(0, 6))):
+        mask = draw(st.integers(0, (1 << n) - 1)) \
+            | draw(st.sampled_from([full, full, 0, full >> 1])) << n
+        exps = tuple(draw(_exponents) for _ in range(m + p))
+        sectors.setdefault(_indices(mask), {})[exps] = Scalar(
+            draw(st.fractions(-3, 3, max_denominator=4)),
+            draw(st.integers(-1, 1)))
+    density = SuperFunction(total, {idx: Polynomial(m + p, terms)
+                                    for idx, terms in sectors.items()})
+    omega = BerezinSection(total, density, draw(st.sampled_from(
+        [(), ("orientation sampled on the source grid",)])))
+    if draw(st.sampled_from([True] * 3 + [False])) != gaussian:
+        backend = box_backend()
+    else:
+        backend = GAUSSIAN
+    if draw(st.integers(0, 7)) == 0:
+        base = SuperDomainShape(m, base.box, n + 1)
+    return omega, base, fibre, backend
+
+
+def _fibre_outcome(run, omega, base, fibre, backend):
+    try:
+        pushed = run(omega, base, fibre, backend)
+    except SuperBerezinError as exc:
+        return type(exc), str(exc)
+    return pushed.shape, pushed.density.den, pushed.density.nums, pushed.caveats
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fibre_cases())
+def test_fibre_integrate_section_matches_the_split_oracle(case):
+    assert _fibre_outcome(fibre_integrate_section, *case) == \
+        _fibre_outcome(_split_fibre_integrate_section, *case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_fibre_cases())
+def test_split_reassembles(case):
+    omega, base, fibre, _ = case
+    assume(omega.shape == shape_product(base, fibre))
+    total = SuperFunction.zero(omega.shape)
+    for fl, fr in split_product_function(omega.density, base, fibre):
+        total = total + fl.embed(omega.shape, 0, 0) \
+            * fr.embed(omega.shape, base.m, base.n)
+    assert total == omega.density
 
 
 def test_split_section_signs():

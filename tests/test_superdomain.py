@@ -36,7 +36,6 @@ from superberezin.superdomain import (
     projection,
     pullback,
     shape_product,
-    split_product_function,
 )
 from superberezin.supermatrix import SuperMatrix
 from superberezin.textio import format_superfunction, parse_superfunction
@@ -321,17 +320,6 @@ class TestJacobian:
 
 
 class TestProductsAndSplits:
-    def test_split_reassembles(self):
-        left = SuperDomainShape(1, (REALLINE,), 1)
-        right = SuperDomainShape(1, (REALLINE,), 1)
-        prod = shape_product(left, right)
-        rng = random.Random(23)
-        f = _random_function(rng, prod)
-        total = SuperFunction.zero(prod)
-        for fl, fr in split_product_function(f, left, right):
-            total = total + fl.embed(prod, 0, 0) * fr.embed(prod, left.m, left.n)
-        assert total == f
-
     def test_embed_refuses_a_negative_even_offset(self):
         # x1 at even offset -1 would store a key one exponent too long
         R22 = SuperDomainShape(2, (REALLINE, REALLINE), 2)
