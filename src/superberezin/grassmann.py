@@ -23,6 +23,18 @@ and Koszul monomials, and ``_odd_swaps`` its one sign rule, read from the
 of two monomials is a test, an or, a lookup and a popcount on their masks.
 Index tuples appear only where a value is built from ``{idx: coefficient}``,
 asked for a coefficient or printed.
+
+One rule says which values are checked.  Input from outside the program
+goes through a public constructor, ``Scalar(...)``, ``GrassmannElement``,
+``superdomain.Polynomial``/``SuperFunction`` or
+``supermatrix.SuperMatrix(...)``, which checks every index, exponent,
+coefficient type and parity.  A value the program builds itself is built
+in stored form with ``_stored``/``_reduced`` (``_constant`` for
+constants): the results of closed operations, the named constructors
+(``Polynomial.constant``, ``SuperFunction.coordinate``, ...) once their
+arguments pass the public checks, and the random draws of ``suites``;
+supermatrix products, sums, negations and drawn test matrices likewise
+skip the per-entry parity check.
 """
 
 from __future__ import annotations
@@ -170,8 +182,10 @@ class _Exact:
 
 def _stored(cls, count: int, den: int, nums: dict):
     """The ``cls`` value ``nums / den`` over ``count`` generators or
-    variables: the trusted constructor for the results of closed
-    operations.
+    variables: the trusted constructor for every value the program builds
+    itself, the results of closed operations, the named constructors after
+    their argument checks and the suites' random draws (the rule of the
+    module docstring); input from outside goes through the public one.
 
     ``nums`` must map keys of ``cls`` to nonzero ints, with ``den`` >= 1
     and ``gcd(den, *nums.values()) == 1`` (``den`` 1 when ``nums`` is
@@ -206,12 +220,14 @@ def _reduced(cls, count: int, den: int, acc: dict):
 def _constant(cls, count, width: int, value):
     """The constant ``cls`` value over ``count`` of an int, Fraction or
     Scalar, keyed ``width`` zeros and then the power of s, built in stored
-    form: what the public constant constructors give, without their
-    checks."""
+    form: what the public constructors give for ``{zeros: value}``, with
+    their TypeError for any other value (a float included)."""
     zeros = (0,) * width
     if isinstance(value, Scalar):
         return _stored(cls, count, value.den,
                        {zeros + (k,): c for k, c in value.nums.items()})
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot interpret {value!r} as a Scalar")
     nums = {zeros + (0,): value.numerator} if value else {}
     return _stored(cls, count, value.denominator, nums)
 

@@ -27,14 +27,14 @@ from .berezin import (
 )
 from .errors import StructureError, SuperBerezinError
 from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _Exact, _mask,
-                        _stored)
+                        _reduced, _stored)
 from .koszul import homological_berezinian
 from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
                         gl11_algebra, unimodularity_check, validate)
 from .supergroup import (_fubini_stage, _product_stage, fubini_check,
                          group_lie_algebra, product_formula_check,
                          solve_invariant_density)
-from .supermatrix import SuperMatrix
+from .supermatrix import SuperMatrix, _trusted
 from .superdomain import (
     Interval,
     Polynomial,
@@ -136,7 +136,9 @@ def random_even_supermatrix(rng: random.Random, p: int, q: int,
             continue
         B = [[random_grassmann(rng, n, ODD) for _ in range(q)] for _ in range(p)]
         C = [[random_grassmann(rng, n, ODD) for _ in range(p)] for _ in range(q)]
-        return SuperMatrix.from_blocks(A, B, C, D, zero=zero, one=one)
+        # even A and D, odd B and C: the parities the public check asks for
+        rows = [a + b for a, b in zip(A, B)] + [c + d for c, d in zip(C, D)]
+        return _trusted(p, q, rows, EVEN, zero, one)
     raise RuntimeError("failed to generate an invertible supermatrix")
 
 
@@ -161,26 +163,36 @@ def berezinian_multiplicativity_suite(seed: int = 0):
 # -- random superfunctions ------------------------------------------------
 
 
+def _draw_terms(rng: random.Random, nums: dict, head: tuple, m: int,
+                max_deg: int, max_terms: int) -> dict:
+    """Add 1 to ``max_terms`` drawn terms c x^e, c an int in [-3, 3] and
+    each e_i in [0, max_deg], into ``nums`` under the keys head + e + (0,)
+    (s^0); returns ``nums``, whose sums may end on zero."""
+    for _ in range(rng.randint(1, max_terms)):
+        key = head + tuple(rng.randint(0, max_deg) for _ in range(m)) + (0,)
+        nums[key] = nums.get(key, 0) + rng.randint(-3, 3)
+    return nums
+
+
 def random_polynomial(rng: random.Random, m: int, max_deg: int = 2,
                       max_terms: int = 2) -> Polynomial:
-    terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(rng.randint(0, max_deg) for _ in range(m))
-        coeff = rng.randint(-3, 3)
-        terms[exps] = terms.get(exps, 0) + coeff
-    return Polynomial(m, terms)
+    """Random Laurent polynomial in m variables with int coefficients,
+    drawn straight into stored form."""
+    return _reduced(Polynomial, m, 1, _draw_terms(rng, {}, (), m, max_deg, max_terms))
 
 
 def random_superfunction(rng: random.Random, shape: SuperDomainShape,
                          max_terms: int = 4, max_deg: int = 2) -> SuperFunction:
+    """Random superfunction: up to ``max_terms`` odd sectors, each drawn as
+    ``random_polynomial(rng, shape.m, max_deg)`` draws, straight into stored
+    form; a repeated sector sums."""
     n = shape.n
-    coeffs: dict = {}
+    nums: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         size = rng.randint(0, n)
-        idx = tuple(sorted(rng.sample(range(n), size)))
-        poly = random_polynomial(rng, shape.m, max_deg)
-        coeffs[idx] = coeffs[idx] + poly if idx in coeffs else poly
-    return SuperFunction(shape, coeffs)
+        head = (_mask(rng.sample(range(n), size)),)
+        _draw_terms(rng, nums, head, shape.m, max_deg, 2)
+    return _reduced(SuperFunction, shape, 1, nums)
 
 
 # -- suite: change of variables -------------------------------------------
@@ -274,10 +286,10 @@ def _gauss_shape(m: int, n: int) -> SuperDomainShape:
 def _gaussian_factor_density(rng: random.Random,
                              shape: SuperDomainShape) -> SuperFunction:
     """Random density whose top odd coefficient has a nonzero moment."""
-    top = Polynomial(shape.m, {
-        tuple(2 * rng.randint(0, 2) for _ in range(shape.m)):
-        rng.randint(1, 3)})
-    density = SuperFunction(shape, {tuple(range(shape.n)): top})
+    exps = tuple(2 * rng.randint(0, 2) for _ in range(shape.m))
+    top = (1 << shape.n) - 1
+    density = _stored(SuperFunction, shape, 1,
+                      {(top,) + exps + (0,): rng.randint(1, 3)})
     extra = random_superfunction(rng, shape, max_terms=3)
     return density + extra.soul() if shape.n else density
 
@@ -470,10 +482,11 @@ def _random_group_function(rng: random.Random,
     f = random_superfunction(rng, shape, max_terms=5, max_deg=3)
     # keep a guaranteed contribution in the top odd sector so the checks
     # are not trivially 0 == 0
-    top = tuple(range(shape.n))
-    poly = random_polynomial(rng, shape.m, max_deg=3, max_terms=2) \
-        + Polynomial.constant(shape.m, rng.randint(1, 3))
-    return f + SuperFunction(shape, {top: poly})
+    top = (1 << shape.n) - 1
+    nums = _draw_terms(rng, {}, (top,), shape.m, 3, 2)
+    key = (top,) + (0,) * (shape.m + 1)
+    nums[key] = nums.get(key, 0) + rng.randint(1, 3)
+    return f + _reduced(SuperFunction, shape, 1, nums)
 
 
 def fubini_quotient_suite(seed: int = 0):

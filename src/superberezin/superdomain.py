@@ -183,6 +183,9 @@ class Polynomial(_Exact):
             raise DimensionError("exponent tuple has wrong length")
         return exps
 
+    # The named constructors make the public constructor's checks on their
+    # arguments, with its errors, and then build the value in stored form.
+
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
         if nvars < 0:
@@ -191,7 +194,10 @@ class Polynomial(_Exact):
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: value})
+        width = len((0,) * nvars)  # a non-int count raises as in Polynomial()
+        if nvars < 0:
+            raise DimensionError("generator count must be nonnegative")
+        return _constant(Polynomial, nvars, width, value)
 
     @staticmethod
     def one(nvars: int) -> "Polynomial":
@@ -199,10 +205,7 @@ class Polynomial(_Exact):
 
     @staticmethod
     def variable(nvars: int, i: int, power: int = 1) -> "Polynomial":
-        if not 0 <= i < nvars:
-            raise DimensionError("variable index out of range")
-        exps = tuple(power if k == i else 0 for k in range(nvars))
-        return Polynomial(nvars, {exps: 1})
+        return _stored(Polynomial, nvars, 1, {_variable_key(nvars, i, power): 1})
 
     def _coerce(self, value) -> "Polynomial":
         if isinstance(value, Polynomial):
@@ -274,7 +277,8 @@ class Polynomial(_Exact):
 
     def evaluate(self, point: Sequence[Fraction]) -> Scalar:
         """The value at a rational point, a value in s."""
-        return _evaluate(self.nvars, self.den, self.nums.items(), point)
+        return _evaluate(self.den, self.nums.items(),
+                         _exact_point(self.nvars, point))
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
         """The coefficient of x^exps, a value in s."""
@@ -294,18 +298,34 @@ class Polynomial(_Exact):
         return f"Polynomial({self.nvars}, {self!s})"
 
 
-def _evaluate(nvars: int, den: int, terms, point: Sequence[Fraction]) -> Scalar:
-    """The value at a rational point of the (exps, int numerator) ``terms``
-    over ``den``, exps the exponents of ``nvars`` variables and then the
-    power of s.
+def _variable_key(nvars: int, i: int, power) -> tuple[int, ...]:
+    """The key of x_i^power among nvars variables, s^0, with the public
+    constructor's errors for ``Polynomial(nvars, {exps: 1})``: the index
+    range first, then the exponent's type."""
+    if not 0 <= i < nvars:
+        raise DimensionError("variable index out of range")
+    exps = Polynomial._head((power if k == i else 0 for k in range(nvars)), nvars)
+    return exps + (0,)
+
+
+def _exact_point(nvars: int, point: Sequence[Fraction]) -> list:
+    """A point from outside in stored form: its length checked and each
+    coordinate an int or Fraction (``_rational``)."""
+    if len(point) != nvars:
+        raise DimensionError("evaluation point has wrong length")
+    return [_rational(x) for x in point]
+
+
+def _evaluate(den: int, terms, point: Sequence) -> Scalar:
+    """The value at ``point`` of the (exps, int numerator) ``terms`` over
+    ``den``, exps the exponents of the variables and then the power of s;
+    ``point`` is in stored form, as ``_exact_point`` gives it, so a caller
+    that evaluates many values at one point converts it once.
 
     Each term's value is an int numerator over an int denominator, the
     terms of one power of s are summed as such, and the sums are put over
     one denominator and reduced once.
     """
-    if len(point) != nvars:
-        raise DimensionError("evaluation point has wrong length")
-    point = [_rational(x) for x in point]
     sums = {}
     for exps, c in terms:
         d = 1
@@ -387,31 +407,38 @@ class SuperFunction(_Graded):
 
     # -- constructors ---------------------------------------------------
 
+    # As Polynomial's: the public constructor's argument checks, then the
+    # value in stored form.
+
     @staticmethod
     def zero(shape: SuperDomainShape) -> "SuperFunction":
-        return SuperFunction(shape)
+        return _stored(SuperFunction, shape, 1, {})
 
     @staticmethod
     def one(shape: SuperDomainShape) -> "SuperFunction":
-        return SuperFunction(shape, {(): Polynomial.one(shape.m)})
+        return _constant(SuperFunction, shape, shape.m + 1, 1)
 
     @staticmethod
     def constant(shape: SuperDomainShape, value) -> "SuperFunction":
-        return SuperFunction(shape, {(): Polynomial.constant(shape.m, value)})
+        return _constant(SuperFunction, shape, shape.m + 1, value)
 
     @staticmethod
     def coordinate(shape: SuperDomainShape, i: int, power: int = 1) -> "SuperFunction":
-        return SuperFunction(shape, {(): Polynomial.variable(shape.m, i, power)})
+        return _stored(SuperFunction, shape, 1,
+                       {(0,) + _variable_key(shape.m, i, power): 1})
 
     @staticmethod
     def odd_gen(shape: SuperDomainShape, j: int) -> "SuperFunction":
         if not 0 <= j < shape.n:
             raise DimensionError("odd generator index out of range")
-        return SuperFunction(shape, {(j,): Polynomial.one(shape.m)})
+        mask = _checked_mask((j,), shape.n)
+        return _stored(SuperFunction, shape, 1, {(mask,) + (0,) * (shape.m + 1): 1})
 
     @staticmethod
     def from_polynomial(shape: SuperDomainShape, poly: Polynomial) -> "SuperFunction":
-        return SuperFunction(shape, {(): poly})
+        if not isinstance(poly, Polynomial):
+            return SuperFunction.constant(shape, poly)
+        return _lifted(shape, poly)
 
     # -- structure ------------------------------------------------------
 
@@ -443,8 +470,7 @@ class SuperFunction(_Graded):
         return self._sector(_lookup_mask(odd_index, self.shape.n))
 
     def evaluate_body(self, point: Sequence[Fraction]) -> Scalar:
-        return _evaluate(self.shape.m, self.den, [
-            (key[1:], c) for key, c in self.nums.items() if not key[0]], point)
+        return _evaluate_body(self, _exact_point(self.shape.m, point))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -481,9 +507,8 @@ class SuperFunction(_Graded):
         if any(key[0].bit_count() & 1 for key in self.nums):
             raise ParityError("inv_even requires an even superfunction")
         binv = self.body_polynomial().monomial_inverse()
-        start = _stored(SuperFunction, self.shape, binv.den,
-                        {(0,) + key: c for key, c in binv.nums.items()})
-        return _inverse_series(start, self.soul()._scaled(-binv), self.shape.n // 2)
+        return _inverse_series(_lifted(self.shape, binv),
+                               self.soul()._scaled(-binv), self.shape.n // 2)
 
     def _scaled(self, unit: Polynomial) -> "SuperFunction":
         """This superfunction times the one-term polynomial unit, term by term."""
@@ -555,6 +580,22 @@ class SuperFunction(_Graded):
 
     def __repr__(self) -> str:
         return f"SuperFunction({self.shape}, {self!s})"
+
+
+def _lifted(shape: SuperDomainShape, poly: Polynomial) -> SuperFunction:
+    """poly as a superfunction on ``shape`` with no odd part, in stored
+    form; DimensionError if poly's arity is not shape.m, as the public
+    constructor says."""
+    if poly.nvars != shape.m:
+        raise DimensionError("coefficient polynomial has wrong arity")
+    return _stored(SuperFunction, shape, poly.den,
+                   {(0,) + key: c for key, c in poly.nums.items()})
+
+
+def _evaluate_body(f: SuperFunction, point: Sequence) -> Scalar:
+    """f's body at a point in stored form (``_exact_point``)."""
+    return _evaluate(f.den, [(key[1:], c) for key, c in f.nums.items()
+                             if not key[0]], point)
 
 
 def _sectors(f: SuperFunction) -> list[tuple[tuple[int, ...], Polynomial]]:

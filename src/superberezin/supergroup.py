@@ -78,6 +78,7 @@ from .superdomain import (
     pullback,
     shape_product,
 )
+from .superdomain import _evaluate_body, _exact_point
 from .supermatrix import SuperMatrix
 
 _EMPTY = SuperDomainShape(0, (), 0)
@@ -175,15 +176,15 @@ def trivialization(G: SuperGroupChart, H: SubgroupSpec,
 
 
 def _cross_coefficient(comp: SuperFunction, first: tuple[str, int],
-                       second: tuple[str, int],
-                       unit2: Sequence[Fraction]) -> Fraction:
+                       second: tuple[str, int], unit2: list) -> Fraction:
     # coefficient of (first-factor direction)*(second-factor direction) in
-    # one component of mul, evaluated at the doubled unit.  Left odd
-    # derivatives are applied outermost-first, so the stored coefficient
-    # of xi_i eta_j (always in canonical order) is recovered unsigned.
+    # one component of mul, evaluated at the doubled unit, which the caller
+    # puts in stored form once.  Left odd derivatives are applied
+    # outermost-first, so the stored coefficient of xi_i eta_j (always in
+    # canonical order) is recovered unsigned.
     for kind, k in (first, second):
         comp = comp.derive_even(k) if kind == "even" else comp.derive_odd(k)
-    return comp.evaluate_body(unit2).rational
+    return _evaluate_body(comp, unit2).rational
 
 
 def group_lie_algebra(G: SuperGroupChart,
@@ -203,7 +204,7 @@ def group_lie_algebra(G: SuperGroupChart,
     first = directions(G.shape)
     second = directions(G.shape, m, n)
     parities = [EVEN] * m + [ODD] * n
-    unit2 = tuple(G.unit) + tuple(G.unit)
+    unit2 = _exact_point(2 * m, tuple(G.unit) + tuple(G.unit))
     comps = [G.mul.component(k) for k in range(m + n)]
     brackets = {}
     for a in range(m + n):

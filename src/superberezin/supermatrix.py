@@ -33,6 +33,14 @@ and needs no pivot.  Where a column left of a determinant's last two
 stalls, the determinant expands along its first row by cofactors, with
 minors through the same elimination; where a column of D stalls,
 det(D)^-1 and Z = D^-1 C come from Cramer's rule.
+
+The public constructors, ``SuperMatrix(...)`` and ``from_blocks``, check
+the parity of every nonzero entry.  The results of closed operations
+(``+``, ``-``, ``*``, ``identity``) and the drawn test matrices of
+``suites.random_even_supermatrix`` are built by the trusted ``_trusted``
+instead: the entries of a sum, negation or product of homogeneous
+supermatrices have the parities the public check asks for by
+construction, and the drawn entries by how they are drawn.
 """
 
 from __future__ import annotations
@@ -206,12 +214,7 @@ class SuperMatrix:
             for j, (e, want) in enumerate(zip(row, top if i < p else bottom)):
                 if not e.is_zero() and e.parity() is not want:
                     raise ParityError(f"entry ({i}, {j}) must be {want}, got {e!s}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
+        _fill(self, p, q, rows, parity, zero, one)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperMatrix is immutable")
@@ -222,6 +225,10 @@ class SuperMatrix:
     def identity(p: int, q: int, *, zero, one) -> "SuperMatrix":
         n = p + q
         ent = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        if p >= 0 and q >= 0 and zero.is_zero() \
+                and (one.is_zero() or one.parity() is EVEN):
+            return _trusted(p, q, ent, EVEN, zero, one)
+        # the public check raises, or passes a grid that lacks zero or one
         return SuperMatrix(p, q, ent, EVEN, zero=zero, one=one)
 
     @staticmethod
@@ -256,16 +263,13 @@ class SuperMatrix:
         self._check_shape(other)
         if self.parity is not other.parity:
             raise ParityError("cannot add supermatrices of different parity")
-        n = self.p + self.q
-        ent = [[self.entries[i][j] + other.entries[i][j] for j in range(n)]
-               for i in range(n)]
-        return SuperMatrix(self.p, self.q, ent, self.parity,
-                           zero=self.zero, one=self.one)
+        ent = [[a + b for a, b in zip(row, other_row)]
+               for row, other_row in zip(self.entries, other.entries)]
+        return _trusted(self.p, self.q, ent, self.parity, self.zero, self.one)
 
     def __neg__(self) -> "SuperMatrix":
         ent = [[-e for e in row] for row in self.entries]
-        return SuperMatrix(self.p, self.q, ent, self.parity,
-                           zero=self.zero, one=self.one)
+        return _trusted(self.p, self.q, ent, self.parity, self.zero, self.one)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
         return self + (-other)
@@ -277,8 +281,8 @@ class SuperMatrix:
                     (a, b) for a, b in zip(row, col)
                     if not (a.is_zero() or b.is_zero())])
                 for col in columns] for row in self.entries]
-        return SuperMatrix(self.p, self.q, ent, self.parity + other.parity,
-                           zero=self.zero, one=self.one)
+        return _trusted(self.p, self.q, ent, self.parity + other.parity,
+                        self.zero, self.one)
 
     # -- invariants ---------------------------------------------------
 
@@ -318,3 +322,26 @@ class SuperMatrix:
 
     def __repr__(self) -> str:
         return f"SuperMatrix(p={self.p}, q={self.q}, parity={self.parity})"
+
+
+def _fill(out: SuperMatrix, p: int, q: int, rows, parity: Parity, zero, one):
+    """Set the slots of ``out``, the entry grid ``rows`` as a tuple of row
+    tuples."""
+    setattr_ = object.__setattr__
+    setattr_(out, "p", p)
+    setattr_(out, "q", q)
+    setattr_(out, "parity", parity)
+    setattr_(out, "entries", tuple(map(tuple, rows)))
+    setattr_(out, "zero", zero)
+    setattr_(out, "one", one)
+
+
+def _trusted(p: int, q: int, rows, parity: Parity, zero, one) -> SuperMatrix:
+    """The (p|q) supermatrix of ``parity`` with the entry grid ``rows``,
+    built without the public constructor's shape and parity checks: the
+    trusted constructor for the results of closed operations and for
+    drawn matrices, whose entries have the wanted parities by
+    construction."""
+    out = object.__new__(SuperMatrix)
+    _fill(out, p, q, rows, parity, zero, one)
+    return out

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from superberezin import suites
 from superberezin.berezin import BerezinSection, pullback_section
 from superberezin.errors import (
     DimensionError,
@@ -1237,3 +1238,200 @@ def test_flat_pullback_matches_the_sector_oracle(data):
                             _SectorSF.of(target, fd))
     assert_matches_sectors(pullback(phi, SuperFunction(target, fd)), want)
 
+
+
+# -- named constructors and suite draws against the public constructor ----
+#
+# The named constructors check their arguments and build the value in
+# stored form.  Here they are written as the public constructor calls they
+# replace; both must give the same stored form, or the same error class
+# and message.
+
+
+def _public_constant(nvars, value):
+    return Polynomial(nvars, {(0,) * nvars: value})
+
+
+def _public_variable(nvars, i, power=1):
+    if not 0 <= i < nvars:
+        raise DimensionError("variable index out of range")
+    exps = tuple(power if k == i else 0 for k in range(nvars))
+    return Polynomial(nvars, {exps: 1})
+
+
+def _public_odd_gen(shape, j):
+    if not 0 <= j < shape.n:
+        raise DimensionError("odd generator index out of range")
+    return SuperFunction(shape, {(j,): _public_constant(shape.m, 1)})
+
+
+PUBLIC_NAMED = {
+    (Polynomial, "zero"): lambda nvars: Polynomial(nvars),
+    (Polynomial, "one"): lambda nvars: _public_constant(nvars, 1),
+    (Polynomial, "constant"): _public_constant,
+    (Polynomial, "variable"): _public_variable,
+    (SuperFunction, "zero"): lambda shape: SuperFunction(shape),
+    (SuperFunction, "one"):
+        lambda shape: SuperFunction(shape, {(): _public_constant(shape.m, 1)}),
+    (SuperFunction, "constant"): lambda shape, value: SuperFunction(
+        shape, {(): _public_constant(shape.m, value)}),
+    (SuperFunction, "coordinate"): lambda shape, i, power=1: SuperFunction(
+        shape, {(): _public_variable(shape.m, i, power)}),
+    (SuperFunction, "odd_gen"): _public_odd_gen,
+    (SuperFunction, "from_polynomial"):
+        lambda shape, poly: SuperFunction(shape, {(): poly}),
+}
+
+
+def _built(fn, *args):
+    """The stored form of fn(*args) with its order, or the error it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return type(exc), str(exc)
+    return type(value), value._count, value.den, list(value.nums.items())
+
+
+_odd_values = st.sampled_from([0.5, 1.0, -2.0, "1", None, 1j, Polynomial.one(1)])
+_exact_values = st.one_of(
+    st.integers(-4, 4), st.booleans(), st.fractions(-3, 3, max_denominator=5),
+    st.builds(Scalar, st.fractions(-3, 3, max_denominator=5), st.integers(-2, 2)),
+    st.builds(lambda a, b: Scalar(a, 1) + Scalar(b, -1),
+              st.fractions(-3, 3, max_denominator=5), st.integers(-3, 3)))
+_values = st.one_of(_exact_values, _odd_values)
+_counts = st.one_of(st.integers(-2, 3), st.sampled_from([1.5, -1.5, "2", None, True]))
+_indices = st.one_of(st.integers(-2, 4), st.sampled_from([0.5, 1.0, "0", True]))
+_powers = st.one_of(st.integers(-3, 3),
+                    st.sampled_from([0.5, 2.0, Fraction(1, 2), Fraction(2), "1", True]))
+_shapes = st.builds(lambda m, n: SuperDomainShape(m, (REALLINE,) * m, n),
+                    st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_named_constructors_match_the_public_constructor(data):
+    shape = data.draw(_shapes)
+    nvars = data.draw(_counts)
+    poly = data.draw(st.one_of(
+        st.builds(lambda m, c: Polynomial(m, {(1,) * m: c}),
+                  st.integers(0, 3), st.fractions(-3, 3, max_denominator=5)),
+        _values))
+    cases = [
+        (Polynomial, "zero", (nvars,)),
+        (Polynomial, "one", (nvars,)),
+        (Polynomial, "constant", (nvars, data.draw(_values))),
+        (Polynomial, "variable", (nvars, data.draw(_indices), data.draw(_powers))),
+        (Polynomial, "variable", (data.draw(_counts), data.draw(_indices))),
+        (SuperFunction, "zero", (shape,)),
+        (SuperFunction, "one", (shape,)),
+        (SuperFunction, "constant", (shape, data.draw(_values))),
+        (SuperFunction, "coordinate",
+         (shape, data.draw(_indices), data.draw(_powers))),
+        (SuperFunction, "coordinate", (shape, data.draw(_indices))),
+        (SuperFunction, "odd_gen", (shape, data.draw(_indices))),
+        (SuperFunction, "from_polynomial", (shape, poly)),
+    ]
+    for cls, name, args in cases:
+        got = _built(getattr(cls, name), *args)
+        want = _built(PUBLIC_NAMED[(cls, name)], *args)
+        assert got == want, (cls.__name__, name, args)
+
+
+def test_named_constructors_keep_their_argument_checks():
+    shape = SuperDomainShape(1, (REALLINE,), 1)
+    bad = [
+        (lambda: SuperFunction.coordinate(shape, 1), DimensionError,
+         "variable index out of range"),
+        (lambda: Polynomial.variable(2, 0, 0.5), TypeError,
+         "exponents must be integers"),
+        (lambda: Polynomial.constant(-1, 1), DimensionError,
+         "generator count must be nonnegative"),
+        (lambda: Polynomial.constant(1, 0.5), TypeError,
+         "cannot interpret 0.5 as a Scalar"),
+        (lambda: SuperFunction.constant(shape, 0.5), TypeError,
+         "cannot interpret 0.5 as a Scalar"),
+        (lambda: SuperFunction.odd_gen(shape, 1), DimensionError,
+         "odd generator index out of range"),
+        (lambda: SuperFunction.from_polynomial(shape, Polynomial.one(2)),
+         DimensionError, "coefficient polynomial has wrong arity"),
+    ]
+    for build, error, message in bad:
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+
+# The suite draws build their values straight in stored form.  These are
+# the draws written with the public constructors, as the reference: the
+# same generator state must give the same stored form and leave the
+# generator in the same state.
+
+
+def _public_random_polynomial(rng, m, max_deg=2, max_terms=2):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(m))
+        coeff = rng.randint(-3, 3)
+        terms[exps] = terms.get(exps, 0) + coeff
+    return Polynomial(m, terms)
+
+
+def _public_random_superfunction(rng, shape, max_terms=4, max_deg=2):
+    n = shape.n
+    coeffs = {}
+    for _ in range(rng.randint(1, max_terms)):
+        size = rng.randint(0, n)
+        idx = tuple(sorted(rng.sample(range(n), size)))
+        poly = _public_random_polynomial(rng, shape.m, max_deg)
+        coeffs[idx] = coeffs[idx] + poly if idx in coeffs else poly
+    return SuperFunction(shape, coeffs)
+
+
+def _public_gaussian_factor_density(rng, shape):
+    top = Polynomial(shape.m, {
+        tuple(2 * rng.randint(0, 2) for _ in range(shape.m)):
+        rng.randint(1, 3)})
+    density = SuperFunction(shape, {tuple(range(shape.n)): top})
+    extra = _public_random_superfunction(rng, shape, max_terms=3)
+    return density + extra.soul() if shape.n else density
+
+
+def _public_random_group_function(rng, shape):
+    f = _public_random_superfunction(rng, shape, max_terms=5, max_deg=3)
+    top = tuple(range(shape.n))
+    poly = _public_random_polynomial(rng, shape.m, max_deg=3, max_terms=2) \
+        + Polynomial.constant(shape.m, rng.randint(1, 3))
+    return f + SuperFunction(shape, {top: poly})
+
+
+_DRAW_SHAPES = [SuperDomainShape(m, (REALLINE,) * m, n)
+                for m in range(4) for n in range(4)]
+
+_DRAWS = {
+    "random_polynomial": (
+        lambda rng, k: suites.random_polynomial(rng, k % 4, k % 3 + 1, k % 5 + 1),
+        lambda rng, k: _public_random_polynomial(rng, k % 4, k % 3 + 1, k % 5 + 1)),
+    "random_superfunction": (
+        lambda rng, k: suites.random_superfunction(
+            rng, _DRAW_SHAPES[k % 16], k % 6 + 1, k % 3 + 1),
+        lambda rng, k: _public_random_superfunction(
+            rng, _DRAW_SHAPES[k % 16], k % 6 + 1, k % 3 + 1)),
+    "_gaussian_factor_density": (
+        lambda rng, k: suites._gaussian_factor_density(rng, _DRAW_SHAPES[k % 16]),
+        lambda rng, k: _public_gaussian_factor_density(rng, _DRAW_SHAPES[k % 16])),
+    "_random_group_function": (
+        lambda rng, k: suites._random_group_function(rng, _DRAW_SHAPES[k % 16]),
+        lambda rng, k: _public_random_group_function(rng, _DRAW_SHAPES[k % 16])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAWS))
+def test_suite_draws_match_the_public_constructors(name):
+    draw, public = _DRAWS[name]
+    for seed in range(200):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for k in range(seed % 3 + 1):
+            got, want = draw(rng, seed + k), public(twin, seed + k)
+            assert (type(got), got._count, got.den, got.nums) \
+                == (type(want), want._count, want.den, want.nums), (seed, k)
+        assert rng.getstate() == twin.getstate(), seed
