@@ -57,7 +57,6 @@ from .superdomain import (
     pullback,
     shape_product,
 )
-from .superdomain import _evaluate, _exact_point
 
 __all__ = [
     "BerezinSection",
@@ -277,13 +276,11 @@ def _oriented_jacobian(phi: SuperMorphism):
     target axis first, then a positive body Jacobian and an invertible odd
     block.  Powers of s raise, except in a body on a whole-line axis."""
     samples = box_samples(phi.source.box)
-    # each sample in stored form once, for every body evaluated there
-    points = [_exact_point(phi.source.m, pt) for pt in samples]
     bodies = [comp.body_polynomial() for comp in phi.even_components]
-    for pt, point in zip(samples, points):
+    for pt in samples:
         for k, (body, axis) in enumerate(zip(bodies, phi.target.box)):
             try:
-                val = _evaluate(body.den, body.nums.items(), point)
+                val = body.evaluate(pt)
                 if axis is REALLINE or axis.contains(val.rational):
                     continue
             except ZeroDivisionError:
@@ -298,22 +295,19 @@ def _oriented_jacobian(phi: SuperMorphism):
     jac = jacobian(phi)
     a_body, d_body = ([[entry.body_polynomial() for entry in row]
                        for row in jac.block(name)] for name in "AD")
-
-    def body_det(block, point):
-        return rational_det([[_evaluate(p.den, p.nums.items(), point).rational
-                              for p in row] for row in block])
-
-    for pt, point in zip(samples, points):
+    for pt in samples:
         try:
             if a_body:
-                value = body_det(a_body, point)
+                value = rational_det([[p.evaluate(pt).rational for p in row]
+                                      for row in a_body])
                 if value == 0:
                     raise NonInvertibleError(
                         f"body Jacobian singular at sample {pt}")
                 if value < 0:
                     raise OrientationError(
                         f"body Jacobian not positive at sample {pt}")
-            if d_body and body_det(d_body, point) == 0:
+            if d_body and rational_det([[p.evaluate(pt).rational for p in row]
+                                        for row in d_body]) == 0:
                 raise NonInvertibleError(
                     f"odd Jacobian block degenerate at sample {pt}")
         except ZeroDivisionError:

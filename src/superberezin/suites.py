@@ -26,8 +26,8 @@ from .berezin import (
     pullback_section,
 )
 from .errors import StructureError, SuperBerezinError
-from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _Exact, _mask,
-                        _reduced, _stored)
+from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _add_terms,
+                        _Exact, _mask, _stored)
 from .koszul import homological_berezinian
 from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
                         gl11_algebra, unimodularity_check, validate)
@@ -163,36 +163,49 @@ def berezinian_multiplicativity_suite(seed: int = 0):
 # -- random superfunctions ------------------------------------------------
 
 
-def _draw_terms(rng: random.Random, nums: dict, head: tuple, m: int,
-                max_deg: int, max_terms: int) -> dict:
-    """Add 1 to ``max_terms`` drawn terms c x^e, c an int in [-3, 3] and
-    each e_i in [0, max_deg], into ``nums`` under the keys head + e + (0,)
-    (s^0); returns ``nums``, whose sums may end on zero."""
+def _drawn_terms(rng: random.Random, m: int, max_deg: int,
+                 max_terms: int) -> dict:
+    """The stored terms of a drawn polynomial: 1 to ``max_terms`` terms
+    c x^e, c an int in [-3, 3] and each e_i in [0, max_deg], summed under
+    the keys e + (0,) (s^0) in first-drawn order, the zero sums dropped
+    last."""
+    nums: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        key = head + tuple(rng.randint(0, max_deg) for _ in range(m)) + (0,)
+        key = tuple(rng.randint(0, max_deg) for _ in range(m)) + (0,)
         nums[key] = nums.get(key, 0) + rng.randint(-3, 3)
-    return nums
+    return {key: c for key, c in nums.items() if c}
+
+
+def _in_sectors(shape: SuperDomainShape, sectors: dict) -> SuperFunction:
+    """The superfunction of the {mask: polynomial terms} ``sectors``, its
+    keys grouped by sector in the order of ``sectors``, as the public
+    constructor orders them."""
+    return _stored(SuperFunction, shape, 1, {
+        (mask,) + key: c for mask, nums in sectors.items()
+        for key, c in nums.items()})
 
 
 def random_polynomial(rng: random.Random, m: int, max_deg: int = 2,
                       max_terms: int = 2) -> Polynomial:
     """Random Laurent polynomial in m variables with int coefficients,
     drawn straight into stored form."""
-    return _reduced(Polynomial, m, 1, _draw_terms(rng, {}, (), m, max_deg, max_terms))
+    return _stored(Polynomial, m, 1, _drawn_terms(rng, m, max_deg, max_terms))
 
 
 def random_superfunction(rng: random.Random, shape: SuperDomainShape,
                          max_terms: int = 4, max_deg: int = 2) -> SuperFunction:
     """Random superfunction: up to ``max_terms`` odd sectors, each drawn as
     ``random_polynomial(rng, shape.m, max_deg)`` draws, straight into stored
-    form; a repeated sector sums."""
+    form.  A repeated sector adds its draw as a polynomial sum does: a new
+    or revived key goes last in its sector."""
     n = shape.n
-    nums: dict = {}
+    sectors: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         size = rng.randint(0, n)
-        head = (_mask(rng.sample(range(n), size)),)
-        _draw_terms(rng, nums, head, shape.m, max_deg, 2)
-    return _reduced(SuperFunction, shape, 1, nums)
+        mask = _mask(rng.sample(range(n), size))
+        _add_terms(sectors.setdefault(mask, {}),
+                   _drawn_terms(rng, shape.m, max_deg, 2).items())
+    return _in_sectors(shape, sectors)
 
 
 # -- suite: change of variables -------------------------------------------
@@ -482,11 +495,9 @@ def _random_group_function(rng: random.Random,
     f = random_superfunction(rng, shape, max_terms=5, max_deg=3)
     # keep a guaranteed contribution in the top odd sector so the checks
     # are not trivially 0 == 0
-    top = (1 << shape.n) - 1
-    nums = _draw_terms(rng, {}, (top,), shape.m, 3, 2)
-    key = (top,) + (0,) * (shape.m + 1)
-    nums[key] = nums.get(key, 0) + rng.randint(1, 3)
-    return f + _reduced(SuperFunction, shape, 1, nums)
+    nums = _add_terms(_drawn_terms(rng, shape.m, 3, 2),
+                      [((0,) * (shape.m + 1), rng.randint(1, 3))])
+    return f + _in_sectors(shape, {(1 << shape.n) - 1: nums})
 
 
 def fubini_quotient_suite(seed: int = 0):

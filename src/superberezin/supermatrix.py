@@ -36,7 +36,7 @@ det(D)^-1 and Z = D^-1 C come from Cramer's rule.
 
 The public constructors, ``SuperMatrix(...)`` and ``from_blocks``, check
 the parity of every nonzero entry.  The results of closed operations
-(``+``, ``-``, ``*``, ``identity``) and the drawn test matrices of
+(``+``, ``-``, ``*``) and the drawn test matrices of
 ``suites.random_even_supermatrix`` are built by the trusted ``_trusted``
 instead: the entries of a sum, negation or product of homogeneous
 supermatrices have the parities the public check asks for by
@@ -225,10 +225,6 @@ class SuperMatrix:
     def identity(p: int, q: int, *, zero, one) -> "SuperMatrix":
         n = p + q
         ent = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        if p >= 0 and q >= 0 and zero.is_zero() \
-                and (one.is_zero() or one.parity() is EVEN):
-            return _trusted(p, q, ent, EVEN, zero, one)
-        # the public check raises, or passes a grid that lacks zero or one
         return SuperMatrix(p, q, ent, EVEN, zero=zero, one=one)
 
     @staticmethod

@@ -35,10 +35,6 @@ ALLOWED = {
     "grassmann.GrassmannElement.monomial",
     "superdomain.Polynomial.derive",
     "superdomain.Polynomial.is_monomial",
-    # evaluation at a point from outside, checked and converted on each
-    # call; the program converts its own points once and evaluates with
-    # superdomain._evaluate
-    "superdomain.Polynomial.evaluate",
     # the public block constructor, with the per-entry parity check; the
     # program's drawn matrices are built by supermatrix._trusted
     "supermatrix.SuperMatrix.from_blocks",

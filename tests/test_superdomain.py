@@ -1432,6 +1432,9 @@ def test_suite_draws_match_the_public_constructors(name):
         rng, twin = random.Random(seed), random.Random(seed)
         for k in range(seed % 3 + 1):
             got, want = draw(rng, seed + k), public(twin, seed + k)
-            assert (type(got), got._count, got.den, got.nums) \
-                == (type(want), want._count, want.den, want.nums), (seed, k)
+            # the key order too: integration raises on the first failing
+            # term, and products and pullbacks carry the order through
+            assert (type(got), got._count, got.den, list(got.nums.items())) \
+                == (type(want), want._count, want.den,
+                    list(want.nums.items())), (seed, k)
         assert rng.getstate() == twin.getstate(), seed
