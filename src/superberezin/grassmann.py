@@ -26,15 +26,16 @@ asked for a coefficient or printed.
 
 One rule says which values are checked.  Input from outside the program
 goes through a public constructor, ``Scalar(...)``, ``GrassmannElement``,
-``superdomain.Polynomial``/``SuperFunction`` or
-``supermatrix.SuperMatrix(...)``, which checks every index, exponent,
-coefficient type and parity.  A value the program builds itself is built
-in stored form with ``_stored``/``_reduced`` (``_constant`` for
-constants): the results of closed operations, the named constructors
-(``Polynomial.constant``, ``SuperFunction.coordinate``, ...) once their
-arguments pass the public checks, and the random draws of ``suites``;
-supermatrix products, sums, negations and drawn test matrices likewise
-skip the per-entry parity check.
+``superdomain.Polynomial``/``SuperFunction``/``SuperMorphism`` (whose
+components must each have one parity) or ``supermatrix.SuperMatrix(...)``,
+which checks every index, exponent, coefficient type and parity.  A value
+the program builds itself is built in stored form with
+``_stored``/``_reduced`` (``_constant`` for constants): the results of
+closed operations, the named constructors (``Polynomial.constant``,
+``SuperFunction.coordinate``, ...) once their arguments pass the public
+checks, and the random draws of ``suites``; supermatrix products, sums,
+negations, drawn test matrices and the differentials of morphisms
+(``superdomain._differential``) likewise skip the per-entry parity check.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .errors import (
     NonInvertibleError,
     ParityError,
 )
-from .grassmann import EVEN, ODD, Scalar
+from .grassmann import EVEN, Scalar
 from .grassmann import (
     _BYTE_SWAPS,
     _Exact,
@@ -51,7 +51,7 @@ from .grassmann import (
     _signed_sum,
     _stored,
 )
-from .supermatrix import SuperMatrix
+from .supermatrix import SuperMatrix, _trusted
 
 
 # -- boxes ----------------------------------------------------------------
@@ -642,7 +642,8 @@ class SuperMorphism:
     """Map between superdomains, given by its coordinate pullbacks.
 
     even_components[k] is the superfunction on the source that the k-th
-    even target coordinate pulls back to, and likewise for odd ones.
+    even target coordinate pulls back to, and likewise for odd ones.  Every
+    key of a component must have the component's parity (zero has none).
     """
 
     __slots__ = ("source", "target", "even_components", "odd_components")
@@ -654,16 +655,13 @@ class SuperMorphism:
         odd_components = tuple(odd_components)
         if len(even_components) != target.m or len(odd_components) != target.n:
             raise DimensionError("component count must match target dimensions")
-        for comp in even_components:
-            if comp.shape != source:
-                raise DimensionError("even component on wrong shape")
-            if comp.parity() not in (None, EVEN):
-                raise ParityError("even component must be even")
-        for comp in odd_components:
-            if comp.shape != source:
-                raise DimensionError("odd component on wrong shape")
-            if comp.parity() not in (None, ODD):
-                raise ParityError("odd component must be odd")
+        for comps, odd, kind in ((even_components, 0, "even"),
+                                 (odd_components, 1, "odd")):
+            for comp in comps:
+                if comp.shape != source:
+                    raise DimensionError(f"{kind} component on wrong shape")
+                if any(key[0].bit_count() & 1 != odd for key in comp.nums):
+                    raise ParityError(f"{kind} component must be {kind}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "even_components", even_components)
@@ -846,10 +844,24 @@ def jacobian(phi: SuperMorphism) -> SuperMatrix:
     """
     if (phi.source.m, phi.source.n) != (phi.target.m, phi.target.n):
         raise DimensionError("jacobian needs equal graded dimensions")
-    src = phi.source
-    rows = jacobian_rows(phi, directions(src))
-    return SuperMatrix(src.m, src.n, rows,
-                       zero=SuperFunction.zero(src), one=SuperFunction.one(src))
+    return _differential(phi, directions(phi.source))
+
+
+def _differential(phi: SuperMorphism, dirs: Sequence[tuple[str, int]],
+                  at: SuperMorphism | None = None) -> SuperMatrix:
+    """The even (target.m | target.n) supermatrix ``jacobian_rows(phi,
+    dirs)``, target.m even directions then target.n odd ones, its entries
+    pulled back along ``at`` when given, over the ring of ``at`` or else
+    ``phi``'s source: the differential of every chart Berezinian.  Built
+    by ``supermatrix._trusted``, as a morphism's components are homogeneous
+    and derivatives and pullbacks keep the parities the check asks for.
+    """
+    rows = jacobian_rows(phi, dirs)
+    if at is not None:
+        rows = [[pullback(at, entry) for entry in row] for row in rows]
+    shape = (at or phi).source
+    return _trusted(phi.target.m, phi.target.n, rows, EVEN,
+                    SuperFunction.zero(shape), SuperFunction.one(shape))
 
 
 def directions(shape: SuperDomainShape, even_offset: int = 0,

@@ -78,8 +78,8 @@ from .superdomain import (
     pullback,
     shape_product,
 )
-from .superdomain import _evaluate_body, _exact_point
-from .supermatrix import SuperMatrix
+from .superdomain import _differential, _evaluate_body, _exact_point
+from .supermatrix import _trusted
 
 _EMPTY = SuperDomainShape(0, (), 0)
 
@@ -243,18 +243,12 @@ def _translation_by_generalized_point(G: SuperGroupChart,
 
 def haar_density(G: SuperGroupChart, side: str = "left") -> BerezinSection:
     """The left- (or right-) invariant density that is 1 at the unit:
-    rho(g) = Ber(d(g.x)/dx at x = e)^-1, with x.g for the right side; x is
-    mul's second factor in g.x and its first in x.g."""
-    if side not in ("left", "right"):
-        raise StructureError("side must be 'left' or 'right'")
+    rho(g) = Ber(d(g.x)/dx at x = e)^-1, with x.g for the right side: the
+    differential of ``_translation_by_generalized_point`` in x at x = e."""
     s = G.shape
-    g, e = SuperMorphism.identity(s), G.unit_morphism()
-    dirs, at = ((directions(s, s.m, s.n), pair(g, e)) if side == "left"
-                else (directions(s), pair(e, g)))
-    rows = [[pullback(at, entry) for entry in row]
-            for row in jacobian_rows(G.mul, dirs)]
-    jac = SuperMatrix(s.m, s.n, rows, zero=SuperFunction.zero(s),
-                      one=SuperFunction.one(s))
+    trans = _translation_by_generalized_point(G, side)
+    jac = _differential(trans, directions(s, s.m, s.n),
+                        pair(SuperMorphism.identity(s), G.unit_morphism()))
     return BerezinSection(s, jac.berezinian().inv_even())
 
 
@@ -315,15 +309,12 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
     residual F * T_g^*(phi) - phi, where F is the Berezinian factor with
     the prefactor's correction included."""
     m, n = G.shape.m, G.shape.n
-    S = shape_product(G.shape, G.shape)
     trans = _translation_by_generalized_point(G, side)
-    jac = SuperMatrix(m, n, jacobian_rows(trans, directions(G.shape, m, n)),
-                      zero=SuperFunction.zero(S), one=SuperFunction.one(S))
-    factor = jac.berezinian()
+    factor = _differential(trans, directions(G.shape, m, n)).berezinian()
     if prefactor is not None:
         if prefactor.shape != G.shape:
             raise DimensionError("prefactor on the wrong shape")
-        lifted = prefactor.embed(S, m, n)
+        lifted = prefactor.embed(trans.source, m, n)
         factor = factor * pullback(trans, prefactor) * lifted.inv_even()
 
     unknowns = sorted(
@@ -405,29 +396,23 @@ def modular_berezinian(G: SuperGroupChart, H: SubgroupSpec
     inv_h = compose(emb_h, G.inv)
     conj = compose(pair(compose(pair(emb_h, projection(Hsh, Gsh, 2)), G.mul),
                         inv_h), G.mul)
-    rows = jacobian_rows(conj, directions(Gsh, Hsh.m, Hsh.n))
-
-    # evaluate at the unit of the live copy; subgroup coordinates survive
-    at_unit = pair(SuperMorphism.identity(Hsh),
-                   SuperMorphism.constant_point(Hsh, Gsh, G.unit))
-    entries = [[pullback(at_unit, entry) for entry in row] for row in rows]
-
-    ad = SuperMatrix(mG, nG, entries, zero=SuperFunction.zero(Hsh),
-                     one=SuperFunction.one(Hsh))
+    # at the unit of the live copy; subgroup coordinates survive
+    ad = _differential(conj, directions(Gsh, Hsh.m, Hsh.n),
+                       pair(SuperMorphism.identity(Hsh),
+                            SuperMorphism.constant_point(Hsh, Gsh, G.unit)))
     ber_u = ad.berezinian()
 
     dirs = _embedding_directions(H)
     outside = [k for k in range(mG + nG) if k not in dirs]
     for r in dirs:
         for c in outside:
-            if not entries[r][c].is_zero():
+            if not ad.entries[r][c].is_zero():
                 raise StructureError(
                     "conjugation does not preserve the subgroup directions")
-    sub = [[entries[r][c] for c in dirs] for r in dirs]
-    ad_h = SuperMatrix(sum(1 for k in dirs if k < mG),
-                       sum(1 for k in dirs if k >= mG),
-                       sub, zero=SuperFunction.zero(Hsh),
-                       one=SuperFunction.one(Hsh))
+    # the even directions of H hit even ones of G, so dirs lists evens first
+    sub = [[ad.entries[r][c] for c in dirs] for r in dirs]
+    ad_h = _trusted(sum(1 for k in dirs if k < mG),
+                    sum(1 for k in dirs if k >= mG), sub, EVEN, ad.zero, ad.one)
     return ad_h.berezinian(), ber_u
 
 

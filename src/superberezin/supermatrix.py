@@ -35,12 +35,13 @@ minors through the same elimination; where a column of D stalls,
 det(D)^-1 and Z = D^-1 C come from Cramer's rule.
 
 The public constructors, ``SuperMatrix(...)`` and ``from_blocks``, check
-the parity of every nonzero entry.  The results of closed operations
-(``+``, ``-``, ``*``) and the drawn test matrices of
-``suites.random_even_supermatrix`` are built by the trusted ``_trusted``
-instead: the entries of a sum, negation or product of homogeneous
-supermatrices have the parities the public check asks for by
-construction, and the drawn entries by how they are drawn.
+the parity of every nonzero entry.  What the program makes is built by
+the trusted ``_trusted`` instead, its entries having the wanted parities
+by construction: the results of ``+``, ``-`` and ``*`` on homogeneous
+supermatrices, the drawn test matrices of
+``suites.random_even_supermatrix``, and every Jacobian, Haar density and
+Ad from ``superdomain._differential``, a morphism's components being
+homogeneous.
 """
 
 from __future__ import annotations
@@ -335,9 +336,9 @@ def _fill(out: SuperMatrix, p: int, q: int, rows, parity: Parity, zero, one):
 def _trusted(p: int, q: int, rows, parity: Parity, zero, one) -> SuperMatrix:
     """The (p|q) supermatrix of ``parity`` with the entry grid ``rows``,
     built without the public constructor's shape and parity checks: the
-    trusted constructor for the results of closed operations and for
-    drawn matrices, whose entries have the wanted parities by
-    construction."""
+    trusted constructor for the results of closed operations, for drawn
+    matrices and for differentials, whose entries have the wanted
+    parities by construction."""
     out = object.__new__(SuperMatrix)
     _fill(out, p, q, rows, parity, zero, one)
     return out

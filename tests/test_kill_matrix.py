@@ -8,7 +8,7 @@ ends in an ``error:`` line instead (a library error ends the whole suite)
 is pinned as ``"error"``.  The pinned sets may only grow: a fault that
 stops failing a line is a check that lost its teeth.
 
-So far the matrix holds two columns.  The Lie superalgebra column: the
+So far the matrix holds three columns.  The Lie superalgebra column: the
 odd sign of the quotient supertrace, the Koszul sign of the mirror fill of
 structure constants, and one term of the graded Jacobi identity.  The
 fibre-integration column: each of the three signs of
@@ -16,7 +16,10 @@ fibre-integration column: each of the three signs of
 from a copy of it.  Only ``verify fubini-signs`` catches these: every
 built-in quotient of ``fubini-quotients`` and of the two Fubini examples
 has n*p, p*q and q*n even, so the column there waits on a quotient with an
-odd base and an odd fibre (ROADMAP items 16 and 17).
+odd base and an odd fibre (ROADMAP items 16 and 17).  The Berezinian
+column: the Haar density of the other side, the Haar density not
+inverted, the modular ratio Ber(Ad on h) / Ber(Ad on g) inverted, and
+det(D) where the Berezinian takes det(D)^-1.
 """
 
 import io
@@ -25,7 +28,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import lcm
 
-from superberezin import berezin, cli, lie_super
+from superberezin import berezin, cli, lie_super, supergroup, supermatrix
 from superberezin.berezin import BerezinSection
 from superberezin.errors import DimensionError
 from superberezin.grassmann import _indices, _reduced, koszul_sign
@@ -35,8 +38,14 @@ RUNS = {
     "verify unimodularity": ["verify", "unimodularity", "--seed", "0"],
     "verify fubini-quotients": ["verify", "fubini-quotients", "--seed", "0"],
     "verify fubini-signs": ["verify", "fubini-signs", "--seed", "0"],
+    "verify product-formula": ["verify", "product-formula", "--seed", "0"],
+    "verify berezinian": ["verify", "berezinian", "--seed", "0"],
+    "verify change-of-variables": ["verify", "change-of-variables",
+                                   "--seed", "0"],
     "examples run unimod-gl11": ["examples", "run", "unimod-gl11"],
     "examples run unimod-borel": ["examples", "run", "unimod-borel"],
+    "examples run fubini-ax+b": ["examples", "run", "fubini-ax+b"],
+    "examples run product-ax+b": ["examples", "run", "product-ax+b"],
 }
 
 
@@ -131,6 +140,36 @@ def _fibre_integrate_dropping(dropped):
     return fibre_integrate_section
 
 
+_haar_density = supergroup.haar_density
+_modular_berezinian = supergroup.modular_berezinian
+
+
+def _haar_density_of_the_other_side(G, side="left"):
+    # the fault: rho_R where rho_L belongs, and the other way round
+    return _haar_density(G, "right" if side == "left" else "left")
+
+
+def _haar_density_not_inverted(G, side="left"):
+    # the fault: Ber(d(g.x)/dx at x = e) itself, not its inverse
+    density = _haar_density(G, side)
+    return BerezinSection(density.shape, density.density.inv_even())
+
+
+def _modular_ratio_inverted(G, H):
+    # the fault: Ber(Ad on g) / Ber(Ad on h) where the ratio is the inverse
+    ber_h, ber_u = _modular_berezinian(G, H)
+    return ber_u, ber_h
+
+
+def _det_d_not_inverted(solve):
+    """A det(D)^-1 solver of the Berezinian giving det(D) instead."""
+    def solve_with_det_d(*args):
+        det_d_inv, Z = solve(*args)
+        # the fault: det(D) where det(D)^-1 belongs
+        return (det_d_inv if det_d_inv is None else det_d_inv.inv_even()), Z
+    return solve_with_det_d
+
+
 def odd_sign_dropped(monkeypatch):
     patch_everywhere(monkeypatch, lie_super._quotient_supertrace,
                      _trace_without_odd_sign)
@@ -154,6 +193,23 @@ def fibre_sign_dropped(dropped):
     return apply
 
 
+def haar_side_swapped(monkeypatch):
+    patch_everywhere(monkeypatch, _haar_density, _haar_density_of_the_other_side)
+
+
+def haar_not_inverted(monkeypatch):
+    patch_everywhere(monkeypatch, _haar_density, _haar_density_not_inverted)
+
+
+def modular_ratio_inverted(monkeypatch):
+    patch_everywhere(monkeypatch, _modular_berezinian, _modular_ratio_inverted)
+
+
+def det_d_for_its_inverse(monkeypatch):
+    for solve in (supermatrix._eliminate_solve, supermatrix._cramer):
+        patch_everywhere(monkeypatch, solve, _det_d_not_inverted(solve))
+
+
 FAULTS = {
     "lie_super odd sign of the quotient supertrace": odd_sign_dropped,
     "lie_super mirror fill Koszul sign": mirror_sign_flipped,
@@ -161,7 +217,16 @@ FAULTS = {
     "berezin p_! Koszul sign": fibre_sign_dropped("koszul"),
     "berezin p_! basis sign": fibre_sign_dropped("basis"),
     "berezin p_! convention sign": fibre_sign_dropped("convention"),
+    "supergroup Haar density of the other side": haar_side_swapped,
+    "supergroup Haar density not inverted": haar_not_inverted,
+    "supergroup modular ratio inverted": modular_ratio_inverted,
+    "supermatrix det(D) for det(D)^-1": det_d_for_its_inverse,
 }
+
+
+def _numbered(check, cases):
+    """The check lines "<check> <shape> #<k>" for each shape's numbers k."""
+    return {f"{check} {shape} #{k}" for shape, ks in cases.items() for k in ks}
 
 
 # what each fault FAILs, per run; a run left out catches nothing
@@ -195,6 +260,45 @@ PINNED = {
     "berezin p_! convention sign": {
         "verify fubini-signs": {f"fibre-identity ({m}|{n})x(1|1)"
                                 for m in range(3) for n in range(3)},
+    },
+    # only the non-unimodular axb tells the sides apart
+    "supergroup Haar density of the other side": {
+        "verify fubini-quotients": {"fubini axb-odd error"},
+        "verify product-formula": {"product axb-even-odd error",
+                                   "product axb-odd-even error"},
+        "examples run product-ax+b": {"error"},
+    },
+    "supergroup Haar density not inverted": {
+        "verify product-formula": {"product axb-even-odd error",
+                                   "product axb-odd-even error"},
+        "examples run product-ax+b": {"error"},
+    },
+    "supergroup modular ratio inverted": {
+        "verify product-formula": {"product axb-odd-even error"},
+        "examples run product-ax+b": {"error"},
+    },
+    "supermatrix det(D) for det(D)^-1": {
+        "verify fubini-quotients": {"fubini axb-odd error"},
+        "verify product-formula": {"product axb-even-odd error",
+                                   "product axb-odd-even error"},
+        "verify berezinian": _numbered("ber-mult", {
+            "(1|1)": (0, 4, 7, 10, 15, 16, 17, 18, 20, 22, 26, 27, 35, 40,
+                      42, 44, 46, 47, 48, 50, 52, 56, 57, 58, 60, 61, 62,
+                      63, 64, 65, 66, 68, 69, 73, 75, 77, 79, 80, 81, 84,
+                      86, 87, 88, 89, 91, 94, 95),
+            "(2|1)": (1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 18, 19,
+                      20, 21, 22, 23, 25, 26, 27, 28, 30, 31, 32, 33, 34,
+                      35, 36, 37, 38, 39, 42, 44, 45, 47, 48, 49, 50, 51,
+                      52, 54, 55, 56, 57, 60, 62, 63, 64, 65, 66, 67, 68,
+                      69, 70, 71, 73, 74, 76, 77, 78, 79, 80, 83, 84, 85,
+                      86, 87, 88, 89, 90, 91, 92, 93, 94, 98, 99)}),
+        "verify change-of-variables": _numbered("change-of-variables", {
+            "(1|1)": (0, 8, 28, 32, 36, 52, 56),
+            "(1|2)": (2, 6, 18, 26, 46, 50),
+            "(2|1)": (29, 33, 53),
+            "(2|2)": (3, 11, 15)}),
+        "examples run fubini-ax+b": {"error"},
+        "examples run product-ax+b": {"error"},
     },
 }
 

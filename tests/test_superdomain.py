@@ -31,13 +31,16 @@ from superberezin.superdomain import (
     SuperMorphism,
     box_samples,
     compose,
+    directions,
     jacobian,
+    jacobian_rows,
     morphism_product,
     pair,
     projection,
     pullback,
     shape_product,
 )
+from superberezin.superdomain import _differential
 from superberezin.supermatrix import SuperMatrix
 from superberezin.textio import format_superfunction, parse_superfunction
 
@@ -318,6 +321,27 @@ class TestJacobian:
             lhs = jacobian(compose(phi, psi)).berezinian()
             rhs = pullback(phi, jacobian(psi).berezinian()) * jacobian(phi).berezinian()
             assert lhs == rhs
+
+
+class TestMorphismParity:
+    # on R^(1|1), x the even coordinate and xi the odd one
+    S = SuperDomainShape(1, (REALLINE,), 1)
+    x, xi = SuperFunction.coordinate(S, 0), SuperFunction.odd_gen(S, 0)
+
+    def test_a_mixed_even_component_is_refused(self):
+        # once accepted: x^2 then pulled back to the mixed x1^2 + 2 x1 xi1
+        with pytest.raises(ParityError, match="^even component must be even$"):
+            SuperMorphism(self.S, self.S, [self.x + self.xi], [self.xi])
+
+    def test_a_mixed_odd_component_is_refused(self):
+        with pytest.raises(ParityError, match="^odd component must be odd$"):
+            SuperMorphism(self.S, self.S, [self.x], [self.xi + self.x])
+
+    def test_a_component_of_the_other_parity_is_refused(self):
+        with pytest.raises(ParityError, match="^even component must be even$"):
+            SuperMorphism(self.S, self.S, [self.xi], [self.xi])
+        with pytest.raises(ParityError, match="^odd component must be odd$"):
+            SuperMorphism(self.S, self.S, [self.x], [self.x])
 
 
 class TestProductsAndSplits:
@@ -760,6 +784,83 @@ def test_pullback_results_are_canonical(data):
     got = _outcome(pullback, phi, f)
     if isinstance(got, SuperFunction):
         _canonical_or_zero(got)
+
+
+@st.composite
+def _homogeneous(draw, shape, parity):
+    """Zero, or a function on shape with terms only in sectors of parity."""
+    sectors = [c for size in range(parity, shape.n + 1, 2)
+               for c in combinations(range(shape.n), size)]
+    if not sectors or draw(st.booleans()):
+        return SuperFunction.zero(shape)
+    return SuperFunction(shape, {
+        draw(st.sampled_from(sectors)): draw(_polynomials(
+            shape.m, (), lambda _: draw(st.integers(-1, 1))))
+        for _ in range(draw(st.integers(1, 3)))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_morphism_parity_is_checked_exactly(data):
+    # homogeneous or zero components are accepted as given; one term of the
+    # other parity added to any component is refused
+    source = data.draw(_shapes)
+    target = data.draw(_shapes)
+    evens = [data.draw(_homogeneous(source, 0)) for _ in range(target.m)]
+    odds = [data.draw(_homogeneous(source, 1)) for _ in range(target.n)]
+    phi = SuperMorphism(source, target, evens, odds)
+    assert (phi.even_components, phi.odd_components) == (tuple(evens), tuple(odds))
+    if not target.m + target.n:
+        return
+    k = data.draw(st.integers(0, target.m + target.n - 1))
+    kind, other = ("even", 1) if k < target.m else ("odd", 0)
+    stray = data.draw(_homogeneous(source, other))
+    if stray:
+        comps = evens + odds
+        comps[k] = comps[k] + stray
+        with pytest.raises(ParityError, match=f"^{kind} component must be {kind}$"):
+            SuperMorphism(source, target, comps[:target.m], comps[target.m:])
+
+
+def _public_differential(phi, dirs, at=None):
+    """_differential through the checked public constructor."""
+    rows = jacobian_rows(phi, dirs)
+    if at is not None:
+        rows = [[pullback(at, entry) for entry in row] for row in rows]
+    shape = (at or phi).source
+    return SuperMatrix(phi.target.m, phi.target.n, rows,
+                       zero=SuperFunction.zero(shape), one=SuperFunction.one(shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_differentials_pass_the_public_check(data):
+    # every trusted differential is what SuperMatrix(...) accepts and builds:
+    # the Jacobian, at a point, along the morphism itself, and in the second
+    # factor of a doubled chart, as the ansatz takes it, and there at that
+    # factor's point, over the first factor's ring, as the Haar density does
+    phi, _ = data.draw(_morphisms())
+    S = phi.source
+    point = SuperMorphism.constant_point(
+        S, S, [axis.samples()[1] for axis in S.box])
+    doubled = compose(projection(S, S, 2), phi)
+    cases = [(phi, directions(S), None),
+             (phi, directions(S), point),
+             (phi, directions(S), phi),
+             (doubled, directions(S, S.m, S.n), None),
+             (doubled, directions(S, S.m, S.n),
+              pair(SuperMorphism.identity(S), point))]
+    for psi, dirs, at in cases:
+        try:
+            want = _public_differential(psi, dirs, at)
+        except NonInvertibleError:
+            continue  # a Laurent entry pulled back along a non-monomial body
+        got = _differential(psi, dirs, at)
+        assert (got.p, got.q, got.parity) == (S.m, S.n, EVEN)
+        assert got == want
+        assert (got.zero.shape, got.one.shape) == (want.zero.shape, want.one.shape)
+        assert (got.zero, got.one) == (want.zero, want.one)
+    assert jacobian(phi) == _differential(phi, directions(S))
 
 
 # The supermatrix code builds each entry of a Jacobian's Berezinian with one

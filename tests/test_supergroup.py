@@ -47,6 +47,7 @@ from superberezin.groups import (
     heisenberg_group,
     line_fubini_example,
     line_odd_subgroup,
+    multiplicative_line,
     product_builtins,
     translation_group,
 )
@@ -65,14 +66,18 @@ from superberezin.superdomain import (
     SuperFunction,
     SuperMorphism,
     compose,
+    directions,
     jacobian_rows,
     morphism_product,
+    pair,
+    projection,
     pullback,
     shape_product,
 )
 from superberezin.supergroup import (
     SubgroupSpec,
     _ansatz_rows,
+    _embedding_directions,
     _fubini_stage,
     _product_stage,
     _translation_by_generalized_point,
@@ -753,3 +758,82 @@ def test_heisenberg_modular_character_is_trivial():
 def test_product_examples_cover_both_orders():
     names = {ex.name for ex in product_builtins()}
     assert len(names) == 2
+
+
+# ---------------------------------------------------------------------------
+# the one differential against hand-built supermatrices
+
+
+def _reference_haar_density(G, side="left"):
+    """The reference Haar density: mul differentiated in x, its second
+    factor for g.x and its first for x.g, through the checked
+    SuperMatrix(...)."""
+    if side not in ("left", "right"):
+        raise StructureError("side must be 'left' or 'right'")
+    s = G.shape
+    g, e = SuperMorphism.identity(s), G.unit_morphism()
+    dirs, at = ((directions(s, s.m, s.n), pair(g, e)) if side == "left"
+                else (directions(s), pair(e, g)))
+    rows = [[pullback(at, entry) for entry in row]
+            for row in jacobian_rows(G.mul, dirs)]
+    jac = SuperMatrix(s.m, s.n, rows, zero=SuperFunction.zero(s),
+                      one=SuperFunction.one(s))
+    return BerezinSection(s, jac.berezinian().inv_even())
+
+
+def _reference_modular_berezinian(G, H):
+    """The reference (Ber of Ad on h, Ber of Ad), both supermatrices
+    through the checked SuperMatrix(...)."""
+    Hsh, Gsh = H.subgroup.shape, G.shape
+    mG, nG = Gsh.m, Gsh.n
+    emb_h = compose(projection(Hsh, Gsh, 1), H.embedding)
+    inv_h = compose(emb_h, G.inv)
+    conj = compose(pair(compose(pair(emb_h, projection(Hsh, Gsh, 2)), G.mul),
+                        inv_h), G.mul)
+    rows = jacobian_rows(conj, directions(Gsh, Hsh.m, Hsh.n))
+    at_unit = pair(SuperMorphism.identity(Hsh),
+                   SuperMorphism.constant_point(Hsh, Gsh, G.unit))
+    entries = [[pullback(at_unit, entry) for entry in row] for row in rows]
+    ad = SuperMatrix(mG, nG, entries, zero=SuperFunction.zero(Hsh),
+                     one=SuperFunction.one(Hsh))
+    ber_u = ad.berezinian()
+    dirs = _embedding_directions(H)
+    outside = [k for k in range(mG + nG) if k not in dirs]
+    for r in dirs:
+        for c in outside:
+            if not entries[r][c].is_zero():
+                raise StructureError(
+                    "conjugation does not preserve the subgroup directions")
+    sub = [[entries[r][c] for c in dirs] for r in dirs]
+    ad_h = SuperMatrix(sum(1 for k in dirs if k < mG),
+                       sum(1 for k in dirs if k >= mG),
+                       sub, zero=SuperFunction.zero(Hsh),
+                       one=SuperFunction.one(Hsh))
+    return ad_h.berezinian(), ber_u
+
+
+def _stored(f):
+    return f.shape, f.den, list(f.nums.items())
+
+
+_SUBGROUPS = [axb_even_subgroup(), axb_odd_subgroup(), heisenberg_center(),
+              line_odd_subgroup()]
+_CHARTS = (list(builtin_groups()) + [spec.subgroup for spec in _SUBGROUPS]
+           + [multiplicative_line()]
+           + [translation_group(k, k) for k in range(4)])
+
+
+@pytest.mark.parametrize("G", _CHARTS, ids=lambda G: G.name)
+def test_haar_density_matches_the_hand_built_jacobian(G):
+    for side in ("left", "right"):
+        got, want = haar_density(G, side), _reference_haar_density(G, side)
+        assert _stored(got.density) == _stored(want.density), side
+
+
+@pytest.mark.parametrize("G, H", [(spec.parent, spec) for spec in _SUBGROUPS]
+                         + [(G, full_subgroup(G)) for G in _CHARTS],
+                         ids=lambda x: getattr(x, "name", None))
+def test_modular_berezinian_matches_the_hand_built_ad(G, H):
+    got = modular_berezinian(G, H)
+    want = _reference_modular_berezinian(G, H)
+    assert [_stored(f) for f in got] == [_stored(f) for f in want]
