@@ -15,6 +15,7 @@ integrand to one of two exact backends:
 Pulling a density back along phi gives Ber(Jac phi) * phi^*(rho), the
 change of variables of an oriented isomorphism; one walk over the source's
 3-per-axis grid samples that phi is one, and the section keeps caveats.
+The walk evaluates each body once over the whole grid, in ints.
 
 The D-symbol of a product domain relates to the factor symbols by
 D(x,y,xi,eta) = (-1)^{np} D(x,xi) ox D(y,eta) with n the odd dimension of
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import lcm
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -47,6 +49,7 @@ from .linalg import det as rational_det
 from .superdomain import (
     Axis,
     Interval,
+    POSITIVE,
     Polynomial,
     REALLINE,
     SuperDomainShape,
@@ -274,49 +277,145 @@ def function_times_section(f, omega: BerezinSection) -> BerezinSection:
 def _oriented_jacobian(phi: SuperMorphism):
     """Jac(phi) and the caveats of one sampled walk: each even body on its
     target axis first, then a positive body Jacobian and an invertible odd
-    block.  Powers of s raise, except in a body on a whole-line axis."""
-    samples = box_samples(phi.source.box)
-    bodies = [comp.body_polynomial() for comp in phi.even_components]
-    for pt in samples:
+    block.  Powers of s raise, except in a body on a whole-line axis.
+
+    The grid is evaluated once per body (``_grid_body``), in ints; a
+    Scalar value and the ``box_samples`` point are built only for an
+    error's message."""
+    grid = [_axis_grid(axis) for axis in phi.source.box]
+    points = range(3 ** len(grid))
+
+    def sample(p):
+        return box_samples(phi.source.box)[p]
+
+    bodies = [_grid_body(comp, grid) for comp in phi.even_components]
+    for p in points:
         for k, (body, axis) in enumerate(zip(bodies, phi.target.box)):
-            try:
-                val = body.evaluate(pt)
-                if axis is REALLINE or axis.contains(val.rational):
-                    continue
-            except ZeroDivisionError:
+            dens, rat, powers = body
+            d = dens[p]
+            if not d:
                 raise DomainBoxError(
-                    f"body component {k} undefined at sample {pt}")
-            except ValueError:
+                    f"body component {k} undefined at sample {sample(p)}")
+            if axis is REALLINE:
+                continue
+            if powers and any(vals[p] for vals in powers.values()):
                 raise DomainBoxError(
-                    f"body component {k} is {val} at sample {pt}: a power "
-                    f"of s, not compared with target axis {k}") from None
-            raise DomainBoxError(
-                f"body image of sample {pt} escapes target axis {k}")
+                    f"body component {k} is {_grid_value(body, p)} at sample "
+                    f"{sample(p)}: a power of s, not compared with target "
+                    f"axis {k}")
+            n = rat[p]
+            if axis is POSITIVE:
+                inside = n > 0
+            else:
+                lo, hi = axis.lo, axis.hi
+                inside = (lo.numerator * d <= n * lo.denominator
+                          and n * hi.denominator <= hi.numerator * d)
+            if not inside:
+                raise DomainBoxError(
+                    f"body image of sample {sample(p)} escapes target axis {k}")
     jac = jacobian(phi)
-    a_body, d_body = ([[entry.body_polynomial() for entry in row]
+    a_body, d_body = ([[_grid_body(entry, grid) for entry in row]
                        for row in jac.block(name)] for name in "AD")
-    for pt in samples:
-        try:
-            if a_body:
-                value = rational_det([[p.evaluate(pt).rational for p in row]
-                                      for row in a_body])
-                if value == 0:
-                    raise NonInvertibleError(
-                        f"body Jacobian singular at sample {pt}")
-                if value < 0:
-                    raise OrientationError(
-                        f"body Jacobian not positive at sample {pt}")
-            if d_body and rational_det([[p.evaluate(pt).rational for p in row]
-                                        for row in d_body]) == 0:
+    for p in points:
+        if a_body:
+            value = _det_at(a_body, p, sample)
+            if value == 0:
                 raise NonInvertibleError(
-                    f"odd Jacobian block degenerate at sample {pt}")
-        except ZeroDivisionError:
-            raise OrientationError(f"Jacobian body undefined at sample {pt}")
-        except ValueError as exc:
-            raise OrientationError(
-                f"Jacobian body at sample {pt} not compared: {exc}") from None
+                    f"body Jacobian singular at sample {sample(p)}")
+            if value < 0:
+                raise OrientationError(
+                    f"body Jacobian not positive at sample {sample(p)}")
+        if d_body and _det_at(d_body, p, sample) == 0:
+            raise NonInvertibleError(
+                f"odd Jacobian block degenerate at sample {sample(p)}")
     return jac, ("box containment sampled on a 3-per-axis grid",
                  "orientation sampled on the source grid")
+
+
+def _axis_grid(axis) -> tuple[int, list[int]]:
+    """(L, [a_0, a_1, a_2]): the axis's three samples as a_t / L, L > 0."""
+    xs = axis.samples()
+    scale = lcm(*(x.denominator for x in xs))
+    return scale, [x.numerator * (scale // x.denominator) for x in xs]
+
+
+def _grid_body(f: SuperFunction, grid):
+    """The body of f at each point of the grid, in ``box_samples`` order,
+    as (dens, rat, powers): at point p the value
+    (rat[p] + sum_k powers[k][p] s^k) / dens[p] in ints, dens[p] > 0, or
+    dens[p] == 0 where a term has a negative exponent at a zero
+    coordinate (the body is undefined there).
+
+    On an axis with samples a_t / L where the body's exponents lie in
+    [lo, hi] (lo <= 0 <= hi), x^e is a_t^(e - lo) L^(hi - e) over
+    L^hi a_t^-lo, powers of ints only; a term's values over the grid are
+    the outer product of its per-axis factors, the first axis outermost.
+    """
+    terms = [(key[1:], c) for key, c in f.nums.items() if not key[0]]
+    dens, powers, bounds = [f.den], {}, []
+    for i, (scale, nums) in enumerate(grid):
+        es = [exps[i] for exps, _ in terms] + [0]
+        lo, hi = min(es), max(es)
+        bounds.append((lo, hi))
+        factors = [scale ** hi * a ** -lo for a in nums]
+        dens = [d * g for d in dens for g in factors]
+    for exps, c in terms:
+        vals = [c]
+        for (scale, nums), (lo, hi), e in zip(grid, bounds, exps):
+            factors = [scale ** (hi - e) * a ** (e - lo) for a in nums]
+            vals = [v * g for v in vals for g in factors]
+        prev = powers.get(exps[-1])
+        powers[exps[-1]] = vals if prev is None else list(map(add, prev, vals))
+    if min(dens) < 0:  # an odd power of a negative sample
+        for p, d in enumerate(dens):
+            if d < 0:
+                dens[p] = -d
+                for vals in powers.values():
+                    vals[p] = -vals[p]
+    return dens, powers.pop(0, None) or [0] * len(dens), powers
+
+
+def _grid_value(body, p: int) -> Scalar:
+    """The ``_grid_body`` value at point p as a Scalar, for a message."""
+    dens, rat, powers = body
+    nums = {k: vals[p] for k, vals in powers.items()}
+    nums[0] = rat[p]
+    return _reduced(Scalar, 0, dens[p], nums)
+
+
+def _det_at(block, p: int, sample):
+    """An int with the sign of the determinant of the ``_grid_body``
+    block at point p, 0 when it is singular: the determinant with each row
+    times the product of its (positive) denominators, in closed form up to
+    2 x 2 and by ``linalg.det`` from 3 x 3 on.  OrientationError at the
+    first entry, row by row, that is undefined there or carries a power of
+    s, with the message of ``Scalar.rational``."""
+    for row in block:
+        for body in row:
+            dens, rat, powers = body
+            if not dens[p]:
+                raise OrientationError(
+                    f"Jacobian body undefined at sample {sample(p)}")
+            if powers and any(vals[p] for vals in powers.values()):
+                try:
+                    _grid_value(body, p).rational  # raises: it carries s
+                except ValueError as exc:
+                    raise OrientationError(
+                        f"Jacobian body at sample {sample(p)} not compared: "
+                        f"{exc}") from None
+    if len(block) == 1:
+        return block[0][0][1][p]
+    if len(block) == 2:
+        (a, b), (c, d) = block
+        return (a[1][p] * d[1][p] * b[0][p] * c[0][p]
+                - b[1][p] * c[1][p] * a[0][p] * d[0][p])
+    rows = []
+    for row in block:
+        prod = 1
+        for dens, _, _ in row:
+            prod *= dens[p]
+        rows.append([rat[p] * (prod // dens[p]) for dens, rat, _ in row])
+    return rational_det(rows)
 
 
 def pullback_section(phi: SuperMorphism,

@@ -44,6 +44,7 @@ import enum
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 from types import MappingProxyType
 
 from .errors import DimensionError, NonInvertibleError, ParityError
@@ -506,20 +507,44 @@ class _Products(tuple):
     __slots__ = ()
 
 
-def _inverse_series(start, factor, steps: int):
-    """start (1 + factor + ... + factor^steps), stopping at a zero power.
+def _series_inverse(cls, count, den: int, head: tuple, c: int, soul,
+                    steps: int, accumulate=_accumulate):
+    """The inverse of the even ``cls`` value u = (c X + soul) / den over
+    ``count``, X the monomial keyed ``head`` and ``soul`` the (key, int
+    numerator) pairs of its nilpotent part, in stored order.
 
-    With u = b + n even, b an invertible body and n a nilpotent soul,
-    start = b^-1 and factor = -b^-1 n give u^-1 once factor^(steps+1)
-    vanishes.
+    With b = c X / den and n = soul / den, u^-1 = b^-1 sum_j (-b^-1 n)^j
+    for j up to ``steps``, stopping at a zero power.  Over |c|, b^-1 is
+    the numerator dict {-head: ±den} and -b^-1 n is {key - head: ∓n}, so
+    the j-th term is an int dict over |c|^(j+1), one ``accumulate`` from
+    the last.  The terms are summed over |c|^(J+1), J the last nonzero
+    one, straight into one dict and reduced once.  A key keeps its place
+    of first appearance and leaves the sum where the sum so far cancels,
+    so the keys come in the order of adding the terms one at a time.
     """
-    acc = power = start
+    sign = -1 if c < 0 else 1
+    power = {tuple(-e for e in head): sign * den}
+    factor = {tuple(map(sub, key, head)): -sign * n for key, n in soul}
+    powers = [power]
     for _ in range(steps):
-        power = power * factor
-        if power.is_zero():
+        power = accumulate({}, power, factor, 1)
+        if 0 in power.values():
+            power = {key: n for key, n in power.items() if n}
+        if not power:
             break
-        acc = acc + power
-    return acc
+        powers.append(power)
+    c *= sign
+    acc = {}
+    get = acc.get
+    last = len(powers) - 1
+    for j, power in enumerate(powers):
+        scale = c ** (last - j)
+        for key, n in power.items():
+            acc[key] = get(key, 0) + n * scale
+        if 0 in acc.values():
+            acc = {key: n for key, n in acc.items() if n}
+            get = acc.get
+    return _reduced(cls, count, c ** len(powers), acc)
 
 
 def _signed_sum(pieces) -> str:
@@ -694,33 +719,28 @@ class GrassmannElement(_Graded):
     def inv_even(self) -> "GrassmannElement":
         """Inverse of an even element whose body is c s^k, c != 0.
 
-        Uses sum_j b^-1 (-b^-1 * soul)^j with b the body, which terminates
-        because every term of the even soul has degree >= 2, so soul^j = 0
-        for j > N/2.  With the body's numerator c over den, b^-1 is den / c
-        and -b^-1 * soul the soul's numerators over -c.
+        Uses sum_j b^-1 (-b^-1 * soul)^j with b the body
+        (``_series_inverse``), which terminates because every term of the
+        even soul has degree >= 2, so soul^j = 0 for j > N/2.
         """
-        body, soul = {}, {}
+        body, soul = [], []
         for key, c in self.nums.items():
             mask = key[0]
             if not mask:
-                body[key[1]] = c
+                body.append((key, c))
             elif mask.bit_count() & 1:
                 raise ParityError("inv_even requires an even element")
             else:
-                soul[key] = c
+                soul.append((key, c))
         if not body:
             raise NonInvertibleError("body is zero; element is not invertible")
         if len(body) > 1:
             raise NonInvertibleError(
                 f"{self.body()} mixes powers of s and has no inverse in Q[s, 1/s]")
-        (k, c), = body.items()
-        sign = -1 if c < 0 else 1
+        (head, c), = body
         n = self.generator_count
-        return _inverse_series(
-            _reduced(GrassmannElement, n, sign * c, {(0, -k): sign * self.den}),
-            _reduced(GrassmannElement, n, sign * c, {
-                (mask, j - k): -sign * cj for (mask, j), cj in soul.items()}),
-            n // 2)
+        return _series_inverse(GrassmannElement, n, self.den, head, c, soul,
+                               n // 2)
 
     # -- reshaping ----------------------------------------------------
 

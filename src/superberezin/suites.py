@@ -73,6 +73,26 @@ class CheckLine:
 # -- random element generation ------------------------------------------
 
 
+def _randint(bits, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` for ``bits = rng.getrandbits`` of a
+    ``random.Random``, read from the same stream: CPython 3.10 to 3.12 draw
+    k = n.bit_length() bits for the n = b - a + 1 choices and redraw while
+    the draw is n or more (``_randbelow_with_getrandbits``), and so does
+    this, in one frame instead of three.  ``randrange(n)`` is
+    ``_randint(bits, 0, n - 1)``."""
+    n = b - a + 1
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return a + r
+
+
+def _choice(bits, seq):
+    """``rng.choice(seq)`` for ``bits = rng.getrandbits``, as ``_randint``."""
+    return seq[_randint(bits, 0, len(seq) - 1)]
+
+
 @functools.cache
 def _monomial_keys(n: int, parity: Parity | None) -> tuple[tuple[int, int], ...]:
     """The term keys (mask, 0) of the odd monomials on n generators of one
@@ -101,19 +121,21 @@ def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
     with the trusted constructor.
     """
     keys = _monomial_keys(n, parity)
+    bits = rng.getrandbits
     nums = {}
-    for _ in range(rng.randint(1, max_terms)):
-        key = rng.choice(keys)
-        coeff = rng.randint(-3, 3)
+    for _ in range(_randint(bits, 1, max_terms)):
+        key = _choice(bits, keys)
+        coeff = _randint(bits, -3, 3)
         nums[key] = nums.get(key, 0) + coeff
     if ensure_body and not nums.get((0, 0)):
-        nums[(0, 0)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        nums[(0, 0)] = _choice(bits, (-3, -2, -1, 1, 2, 3))
     return _stored(GrassmannElement, n, 1, {key: c for key, c in nums.items() if c})
 
 
-def _body_matrix(block) -> list[list[Fraction]]:
-    """The bodies of drawn entries, whose terms carry no power of s."""
-    return [[Fraction(e.nums.get((0, 0), 0), e.den) for e in row] for row in block]
+def _body_matrix(block) -> list[list[int]]:
+    """The bodies of drawn entries, ints: their terms carry no power of s
+    and have denominator 1."""
+    return [[e.nums.get((0, 0), 0) for e in row] for row in block]
 
 
 def random_even_supermatrix(rng: random.Random, p: int, q: int,
@@ -169,10 +191,11 @@ def _drawn_terms(rng: random.Random, m: int, max_deg: int,
     c x^e, c an int in [-3, 3] and each e_i in [0, max_deg], summed under
     the keys e + (0,) (s^0) in first-drawn order, the zero sums dropped
     last."""
+    bits = rng.getrandbits
     nums: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        key = tuple(rng.randint(0, max_deg) for _ in range(m)) + (0,)
-        nums[key] = nums.get(key, 0) + rng.randint(-3, 3)
+    for _ in range(_randint(bits, 1, max_terms)):
+        key = tuple(_randint(bits, 0, max_deg) for _ in range(m)) + (0,)
+        nums[key] = nums.get(key, 0) + _randint(bits, -3, 3)
     return {key: c for key, c in nums.items() if c}
 
 
@@ -199,9 +222,10 @@ def random_superfunction(rng: random.Random, shape: SuperDomainShape,
     form.  A repeated sector adds its draw as a polynomial sum does: a new
     or revived key goes last in its sector."""
     n = shape.n
+    bits = rng.getrandbits
     sectors: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        size = rng.randint(0, n)
+    for _ in range(_randint(bits, 1, max_terms)):
+        size = _randint(bits, 0, n)
         mask = _mask(rng.sample(range(n), size))
         _add_terms(sectors.setdefault(mask, {}),
                    _drawn_terms(rng, shape.m, max_deg, 2).items())
@@ -228,11 +252,12 @@ def _random_oriented_automorphism(rng: random.Random, m: int, n: int):
     tgt_axes = []
     scales = []
     shifts = []
+    bits = rng.getrandbits
     for _ in range(m):
-        lo = rng.choice(_AXIS_STARTS)
-        hi = lo + rng.choice(_AXIS_WIDTHS)
-        a = rng.choice(_BODY_SCALES)
-        b = rng.choice(_BODY_SHIFTS)
+        lo = _choice(bits, _AXIS_STARTS)
+        hi = lo + _choice(bits, _AXIS_WIDTHS)
+        a = _choice(bits, _BODY_SCALES)
+        b = _choice(bits, _BODY_SHIFTS)
         src_axes.append(Interval(lo, hi))
         tgt_axes.append(Interval(a * lo + b, a * hi + b))
         scales.append(a)
@@ -244,15 +269,16 @@ def _random_oriented_automorphism(rng: random.Random, m: int, n: int):
         comp = scales[i] * SuperFunction.coordinate(source, i) + shifts[i]
         if n >= 2 and rng.random() < 0.7:
             j, k = sorted(rng.sample(range(n), 2))
-            soul = (rng.choice((1, -1, 2))
-                    * SuperFunction.coordinate(source, rng.randrange(m), rng.randint(0, 2))
+            soul = (_choice(bits, (1, -1, 2))
+                    * SuperFunction.coordinate(source, _randint(bits, 0, m - 1),
+                                               _randint(bits, 0, 2))
                     * SuperFunction.odd_gen(source, j)
                     * SuperFunction.odd_gen(source, k))
             comp = comp + soul
         evens.append(comp)
     odds = []
     for j in range(n):
-        comp = rng.choice(_ODD_SCALES) * SuperFunction.odd_gen(source, j)
+        comp = _choice(bits, _ODD_SCALES) * SuperFunction.odd_gen(source, j)
         for k in range(j):
             if rng.random() < 0.5:
                 comp = comp + (random_polynomial(rng, m, max_deg=1)
@@ -299,10 +325,11 @@ def _gauss_shape(m: int, n: int) -> SuperDomainShape:
 def _gaussian_factor_density(rng: random.Random,
                              shape: SuperDomainShape) -> SuperFunction:
     """Random density whose top odd coefficient has a nonzero moment."""
-    exps = tuple(2 * rng.randint(0, 2) for _ in range(shape.m))
+    bits = rng.getrandbits
+    exps = tuple(2 * _randint(bits, 0, 2) for _ in range(shape.m))
     top = (1 << shape.n) - 1
     density = _stored(SuperFunction, shape, 1,
-                      {(top,) + exps + (0,): rng.randint(1, 3)})
+                      {(top,) + exps + (0,): _randint(bits, 1, 3)})
     extra = random_superfunction(rng, shape, max_terms=3)
     return density + extra.soul() if shape.n else density
 
@@ -353,7 +380,7 @@ def module_rule_suite(seed: int = 0):
         base = bases[k % len(bases)]
         fibre = fibres[(k // len(bases)) % len(fibres)]
         terms = []
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(_randint(rng.getrandbits, 1, 3)):
             fn = random_superfunction(rng, base)
             sec = BerezinSection.make(fibre, random_superfunction(rng, fibre))
             terms.append((fn, sec))
@@ -382,9 +409,9 @@ def support_containment_suite(seed: int = 0):
         declared = set()
         support = set()
         expected = set()
-        for _ in range(rng.randint(2, 4)):
-            lo = Fraction(rng.randint(0, 2), 4)
-            box = (Interval(lo, lo + Fraction(rng.randint(1, 2), 4)),)
+        for _ in range(_randint(rng.getrandbits, 2, 4)):
+            lo = Fraction(_randint(rng.getrandbits, 0, 2), 4)
+            box = (Interval(lo, lo + Fraction(_randint(rng.getrandbits, 1, 2), 4)),)
             # half the terms integrate to zero over the fibre
             odd = rng.random() < 0.5
             density = (SuperFunction.odd_gen(fibre, 0) if odd
@@ -423,7 +450,7 @@ def _random_adapted_change(rng: random.Random, g, span: frozenset):
                     continue
                 if c in span and r not in span:
                     continue
-                P[r][c] = rng.randint(-2, 2)
+                P[r][c] = _randint(rng.getrandbits, -2, 2)
         if linalg.det([row[:] for row in P]) != 0:
             return P
     raise RuntimeError("failed to generate an adapted basis change")
@@ -496,7 +523,7 @@ def _random_group_function(rng: random.Random,
     # keep a guaranteed contribution in the top odd sector so the checks
     # are not trivially 0 == 0
     nums = _add_terms(_drawn_terms(rng, shape.m, 3, 2),
-                      [((0,) * (shape.m + 1), rng.randint(1, 3))])
+                      [((0,) * (shape.m + 1), _randint(rng.getrandbits, 1, 3))])
     return f + _in_sectors(shape, {(1 << shape.n) - 1: nums})
 
 

@@ -42,12 +42,12 @@ from .grassmann import (
     _constant,
     _fused,
     _indices,
-    _inverse_series,
     _lookup_mask,
     _monomial_text,
     _odd_swaps,
     _rational,
     _reduced,
+    _series_inverse,
     _signed_sum,
     _stored,
 )
@@ -506,16 +506,15 @@ class SuperFunction(_Graded):
         """Inverse of an even superfunction with invertible (monomial) body."""
         if any(key[0].bit_count() & 1 for key in self.nums):
             raise ParityError("inv_even requires an even superfunction")
-        binv = self.body_polynomial().monomial_inverse()
-        return _inverse_series(_lifted(self.shape, binv),
-                               self.soul()._scaled(-binv), self.shape.n // 2)
-
-    def _scaled(self, unit: Polynomial) -> "SuperFunction":
-        """This superfunction times the one-term polynomial unit, term by term."""
-        (shift, c), = unit.nums.items()
-        shift = (0,) + shift
-        return _reduced(SuperFunction, self.shape, self.den * unit.den, {
-            tuple(map(add, key, shift)): cc * c for key, cc in self.nums.items()})
+        body = [(key, c) for key, c in self.nums.items() if not key[0]]
+        if len(body) != 1:
+            raise NonInvertibleError(
+                "only monomials are invertible in the Laurent polynomial ring")
+        (head, c), = body
+        return _series_inverse(
+            SuperFunction, self.shape, self.den, head, c,
+            [(key, n) for key, n in self.nums.items() if key[0]],
+            self.shape.n // 2, _super_accumulate)
 
     # -- derivatives ------------------------------------------------------
 

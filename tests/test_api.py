@@ -34,7 +34,9 @@ ALLOWED = {
     "grassmann.GrassmannElement.generator",
     "grassmann.GrassmannElement.monomial",
     "superdomain.Polynomial.derive",
+    "superdomain.Polynomial.evaluate",
     "superdomain.Polynomial.is_monomial",
+    "superdomain.SuperFunction.body_polynomial",
     # the public block constructor, with the per-entry parity check; the
     # program's drawn matrices are built by supermatrix._trusted
     "supermatrix.SuperMatrix.from_blocks",

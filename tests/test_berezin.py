@@ -381,10 +381,15 @@ def _oriented_candidates(draw):
     """A morphism of (m|n) charts with per-axis affine or Laurent bodies
     (sign flips, s-scaled components, poles on the grid, nilpotent parts)
     and odd components whose odd block may be singular, zero or undefined
-    on the grid, with a polynomial density on the target."""
-    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    on the grid, with a polynomial density on the target.  With m = 3 the
+    grid has 27 points and the body Jacobian is 3 x 3."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 2))
     source = SuperDomainShape(m, tuple(draw(_axes) for _ in range(m)), n)
-    target = SuperDomainShape(m, tuple(draw(_axes) for _ in range(m)), n)
+    # on whole-line targets every defined body lands, so the Jacobian phase
+    # decides even with three axes
+    whole = draw(st.booleans())
+    target = SuperDomainShape(
+        m, tuple(REALLINE if whole else draw(_axes) for _ in range(m)), n)
     xs = [SuperFunction.coordinate(source, i) for i in range(m)]
     xis = [SuperFunction.odd_gen(source, j) for j in range(n)]
     evens = []
@@ -394,8 +399,8 @@ def _oriented_candidates(draw):
         else:
             comp = SuperFunction.coordinate(source, i, draw(st.integers(-2, 2)))
             comp = draw(st.sampled_from([-1, 1, 2, Fraction(1, 2)])) * comp
-        if m == 2 and draw(st.booleans()):
-            comp = comp + draw(_small) * xs[1 - i]
+        if m >= 2 and draw(st.booleans()):
+            comp = comp + draw(_small) * xs[(i + 1) % m]
         if draw(st.booleans()):
             comp = Scalar(1, draw(st.sampled_from([-1, 1]))) * comp
         if n == 2 and draw(st.booleans()):

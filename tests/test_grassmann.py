@@ -7,6 +7,7 @@ by hand and multiplying back; the tests keep those coefficients literal.
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from superberezin.grassmann import (
     _Products,
     _canonical,
     _odd_swaps,
+    _reduced,
     koszul_sign,
 )
 from superberezin.berezin import GAUSSIAN, BerezinSection, box_backend, integrate
@@ -31,6 +33,7 @@ from superberezin.superdomain import (
     Polynomial,
     SuperDomainShape,
     SuperFunction,
+    _lifted,
 )
 from superberezin.textio import (
     format_superfunction,
@@ -610,6 +613,92 @@ def test_superfunctions_on_odd_coordinates_match_grassmann_elements(
         even = even - G(N_BIG, {(): body}) + GrassmannElement.one(N_BIG)
     assert _as_superfunction(even).inv_even() == _as_superfunction(
         even.inv_even())
+
+
+# The inverse series as it was written before one pass replaced it: every
+# power and every partial sum a value of its own, reduced on its own.  The
+# one-pass sum must store the same value alike, keys in the same order.
+
+
+def _inverse_series(start, factor, steps: int):
+    """start (1 + factor + ... + factor^steps), stopping at a zero power."""
+    acc = power = start
+    for _ in range(steps):
+        power = power * factor
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
+
+
+def _reference_element_inverse(a):
+    """b^-1 sum_j (-b^-1 soul)^j for a GrassmannElement with body c s^k."""
+    (k, c), = ((key[1], c) for key, c in a.nums.items() if not key[0])
+    sign = -1 if c < 0 else 1
+    n = a.generator_count
+    return _inverse_series(
+        _reduced(GrassmannElement, n, sign * c, {(0, -k): sign * a.den}),
+        _reduced(GrassmannElement, n, sign * c, {
+            (mask, j - k): -sign * cj for (mask, j), cj in a.nums.items() if mask}),
+        n // 2)
+
+
+def _reference_superfunction_inverse(f):
+    """The same series for a SuperFunction with a one-term body."""
+    binv = f.body_polynomial().monomial_inverse()
+    (shift, c), = binv.nums.items()
+    soul = f.soul()
+    factor = _reduced(SuperFunction, f.shape, soul.den * binv.den, {
+        tuple(map(add, key, (0,) + shift)): -cc * c
+        for key, cc in soul.nums.items()})
+    return _inverse_series(_lifted(f.shape, binv), factor, f.shape.n // 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_elements())
+def test_inv_even_stores_what_the_series_stores(a):
+    a = _invertible_even(a)
+    got, want = a.inv_even(), _reference_element_inverse(a)
+    assert got.den == want.den
+    assert list(got.nums.items()) == list(want.nums.items())
+
+
+def test_inv_even_keeps_the_key_order_where_a_partial_sum_cancels():
+    # soul = xi12 + xi34 + xi56 + xi1234 + 2 xi123456: the first two terms
+    # of the series cancel on xi123456 and the third brings it back, last
+    a = G(6, {(): 1, (0, 1): 1, (2, 3): 1, (4, 5): 1, (0, 1, 2, 3): 1,
+              (0, 1, 2, 3, 4, 5): 2})
+    got, want = a.inv_even(), _reference_element_inverse(a)
+    assert list(got.nums.items()) == list(want.nums.items())
+    assert list(got.nums)[-1] == (0b111111, 0)
+
+
+@st.composite
+def _even_units(draw):
+    """An even superfunction on (m|n), m in 1..2 and n in 2..6, with body
+    c s^k x^e (e of either sign) and soul sectors whose coefficients are
+    Laurent polynomials in x."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(2, 6))
+    shape = SuperDomainShape(m, (REALLINE,) * m, n)
+    exps = st.tuples(*[st.integers(-2, 2)] * m)
+    values = st.builds(Scalar, rationals, st.integers(-1, 1))
+    body = Scalar(draw(rationals.filter(bool)), draw(st.integers(-1, 1)))
+    coeffs = {(): Polynomial(m, {draw(exps): body})}
+    sectors = [idx for size in range(2, n + 1, 2)
+               for idx in combinations(range(n), size)]
+    for idx in draw(st.lists(st.sampled_from(sectors), max_size=6, unique=True)):
+        coeffs[idx] = Polynomial(m, draw(st.dictionaries(exps, values,
+                                                         min_size=1, max_size=3)))
+    return SuperFunction(shape, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_even_units())
+def test_superfunction_inv_even_stores_what_the_series_stores(f):
+    got, want = f.inv_even(), _reference_superfunction_inverse(f)
+    assert got.den == want.den
+    assert list(got.nums.items()) == list(want.nums.items())
+    assert f * got == SuperFunction.one(f.shape)
 
 
 # An element stores int numerators over one denominator in lowest terms,
