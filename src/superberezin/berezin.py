@@ -385,11 +385,11 @@ def _grid_value(body, p: int) -> Scalar:
 
 def _det_at(block, p: int, sample):
     """An int with the sign of the determinant of the ``_grid_body``
-    block at point p, 0 when it is singular: the determinant with each row
-    times the product of its (positive) denominators, in closed form up to
-    2 x 2 and by ``linalg.det`` from 3 x 3 on.  OrientationError at the
-    first entry, row by row, that is undefined there or carries a power of
-    s, with the message of ``Scalar.rational``."""
+    block at point p, 0 when it is singular: ``linalg.det`` of the block
+    with each row times the product of its (positive) denominators.
+    OrientationError at the first entry, row by row, that is undefined
+    there or carries a power of s, with the message of
+    ``Scalar.rational``."""
     for row in block:
         for body in row:
             dens, rat, powers = body
@@ -403,12 +403,6 @@ def _det_at(block, p: int, sample):
                     raise OrientationError(
                         f"Jacobian body at sample {sample(p)} not compared: "
                         f"{exc}") from None
-    if len(block) == 1:
-        return block[0][0][1][p]
-    if len(block) == 2:
-        (a, b), (c, d) = block
-        return (a[1][p] * d[1][p] * b[0][p] * c[0][p]
-                - b[1][p] * c[1][p] * a[0][p] * d[0][p])
     rows = []
     for row in block:
         prod = 1

@@ -79,8 +79,11 @@ def _randint(bits, a: int, b: int) -> int:
     k = n.bit_length() bits for the n = b - a + 1 choices and redraw while
     the draw is n or more (``_randbelow_with_getrandbits``), and so does
     this, in one frame instead of three.  ``randrange(n)`` is
-    ``_randint(bits, 0, n - 1)``."""
+    ``_randint(bits, 0, n - 1)``.  An empty range (b < a) raises
+    ValueError before any draw, as ``randint`` does."""
     n = b - a + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({a}, {b})")
     k = n.bit_length()
     r = bits(k)
     while r >= n:
@@ -89,7 +92,10 @@ def _randint(bits, a: int, b: int) -> int:
 
 
 def _choice(bits, seq):
-    """``rng.choice(seq)`` for ``bits = rng.getrandbits``, as ``_randint``."""
+    """``rng.choice(seq)`` for ``bits = rng.getrandbits``, as ``_randint``;
+    IndexError on an empty sequence, as ``choice``."""
+    if not seq:
+        raise IndexError("Cannot choose from an empty sequence")
     return seq[_randint(bits, 0, len(seq) - 1)]
 
 
@@ -252,12 +258,11 @@ def _random_oriented_automorphism(rng: random.Random, m: int, n: int):
     tgt_axes = []
     scales = []
     shifts = []
-    bits = rng.getrandbits
     for _ in range(m):
-        lo = _choice(bits, _AXIS_STARTS)
-        hi = lo + _choice(bits, _AXIS_WIDTHS)
-        a = _choice(bits, _BODY_SCALES)
-        b = _choice(bits, _BODY_SHIFTS)
+        lo = rng.choice(_AXIS_STARTS)
+        hi = lo + rng.choice(_AXIS_WIDTHS)
+        a = rng.choice(_BODY_SCALES)
+        b = rng.choice(_BODY_SHIFTS)
         src_axes.append(Interval(lo, hi))
         tgt_axes.append(Interval(a * lo + b, a * hi + b))
         scales.append(a)
@@ -269,16 +274,15 @@ def _random_oriented_automorphism(rng: random.Random, m: int, n: int):
         comp = scales[i] * SuperFunction.coordinate(source, i) + shifts[i]
         if n >= 2 and rng.random() < 0.7:
             j, k = sorted(rng.sample(range(n), 2))
-            soul = (_choice(bits, (1, -1, 2))
-                    * SuperFunction.coordinate(source, _randint(bits, 0, m - 1),
-                                               _randint(bits, 0, 2))
+            soul = (rng.choice((1, -1, 2))
+                    * SuperFunction.coordinate(source, rng.randrange(m), rng.randint(0, 2))
                     * SuperFunction.odd_gen(source, j)
                     * SuperFunction.odd_gen(source, k))
             comp = comp + soul
         evens.append(comp)
     odds = []
     for j in range(n):
-        comp = _choice(bits, _ODD_SCALES) * SuperFunction.odd_gen(source, j)
+        comp = rng.choice(_ODD_SCALES) * SuperFunction.odd_gen(source, j)
         for k in range(j):
             if rng.random() < 0.5:
                 comp = comp + (random_polynomial(rng, m, max_deg=1)
@@ -325,11 +329,10 @@ def _gauss_shape(m: int, n: int) -> SuperDomainShape:
 def _gaussian_factor_density(rng: random.Random,
                              shape: SuperDomainShape) -> SuperFunction:
     """Random density whose top odd coefficient has a nonzero moment."""
-    bits = rng.getrandbits
-    exps = tuple(2 * _randint(bits, 0, 2) for _ in range(shape.m))
+    exps = tuple(2 * rng.randint(0, 2) for _ in range(shape.m))
     top = (1 << shape.n) - 1
     density = _stored(SuperFunction, shape, 1,
-                      {(top,) + exps + (0,): _randint(bits, 1, 3)})
+                      {(top,) + exps + (0,): rng.randint(1, 3)})
     extra = random_superfunction(rng, shape, max_terms=3)
     return density + extra.soul() if shape.n else density
 
@@ -380,7 +383,7 @@ def module_rule_suite(seed: int = 0):
         base = bases[k % len(bases)]
         fibre = fibres[(k // len(bases)) % len(fibres)]
         terms = []
-        for _ in range(_randint(rng.getrandbits, 1, 3)):
+        for _ in range(rng.randint(1, 3)):
             fn = random_superfunction(rng, base)
             sec = BerezinSection.make(fibre, random_superfunction(rng, fibre))
             terms.append((fn, sec))
@@ -409,9 +412,9 @@ def support_containment_suite(seed: int = 0):
         declared = set()
         support = set()
         expected = set()
-        for _ in range(_randint(rng.getrandbits, 2, 4)):
-            lo = Fraction(_randint(rng.getrandbits, 0, 2), 4)
-            box = (Interval(lo, lo + Fraction(_randint(rng.getrandbits, 1, 2), 4)),)
+        for _ in range(rng.randint(2, 4)):
+            lo = Fraction(rng.randint(0, 2), 4)
+            box = (Interval(lo, lo + Fraction(rng.randint(1, 2), 4)),)
             # half the terms integrate to zero over the fibre
             odd = rng.random() < 0.5
             density = (SuperFunction.odd_gen(fibre, 0) if odd
@@ -450,7 +453,7 @@ def _random_adapted_change(rng: random.Random, g, span: frozenset):
                     continue
                 if c in span and r not in span:
                     continue
-                P[r][c] = _randint(rng.getrandbits, -2, 2)
+                P[r][c] = rng.randint(-2, 2)
         if linalg.det([row[:] for row in P]) != 0:
             return P
     raise RuntimeError("failed to generate an adapted basis change")
@@ -523,7 +526,7 @@ def _random_group_function(rng: random.Random,
     # keep a guaranteed contribution in the top odd sector so the checks
     # are not trivially 0 == 0
     nums = _add_terms(_drawn_terms(rng, shape.m, 3, 2),
-                      [((0,) * (shape.m + 1), _randint(rng.getrandbits, 1, 3))])
+                      [((0,) * (shape.m + 1), rng.randint(1, 3))])
     return f + _in_sectors(shape, {(1 << shape.n) - 1: nums})
 
 

@@ -385,9 +385,10 @@ def _oriented_candidates(draw):
     grid has 27 points and the body Jacobian is 3 x 3."""
     m, n = draw(st.integers(0, 3)), draw(st.integers(0, 2))
     source = SuperDomainShape(m, tuple(draw(_axes) for _ in range(m)), n)
-    # on whole-line targets every defined body lands, so the Jacobian phase
-    # decides even with three axes
-    whole = draw(st.booleans())
+    # with three axes, drawn target axes rarely hold all 27 samples: half
+    # the draws take whole-line targets, on which every defined body lands,
+    # so that the Jacobian phase decides; m <= 2 always draws its targets
+    whole = m == 3 and draw(st.booleans())
     target = SuperDomainShape(
         m, tuple(REALLINE if whole else draw(_axes) for _ in range(m)), n)
     xs = [SuperFunction.coordinate(source, i) for i in range(m)]
@@ -429,7 +430,8 @@ def _oriented_candidates(draw):
     return phi, BerezinSection.make(target, density)
 
 
-@settings(max_examples=300, deadline=None)
+# 500 examples: about 300 with m <= 2, as many as before m = 3 was drawn
+@settings(max_examples=500, deadline=None)
 @given(_oriented_candidates())
 def test_pullback_section_matches_the_two_walks(case):
     phi, omega = case
@@ -650,7 +652,7 @@ def _fibre_outcome(run, omega, base, fibre, backend):
     return pushed.shape, pushed.density.den, pushed.density.nums, pushed.caveats
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_fibre_cases())
 def test_fibre_integrate_section_matches_the_split_oracle(case):
     assert _fibre_outcome(fibre_integrate_section, *case) == \

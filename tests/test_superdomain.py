@@ -1542,10 +1542,13 @@ def test_suite_draws_match_the_public_constructors(name):
         assert rng.getstate() == twin.getstate(), seed
 
 
-# The suites draw through suites._randint and suites._choice, which read
-# getrandbits as CPython 3.10 to 3.12's randint, choice and randrange do.
-# Every call shape the suites use, against random.Random itself: a CPython
-# that draws otherwise fails here by name, before a seeded suite changes.
+# The element draws (random_grassmann, random_polynomial,
+# random_superfunction) go through suites._randint and suites._choice, which
+# read getrandbits as CPython 3.10 to 3.12's randint, choice and randrange
+# do; the rest of a suite calls the same random.Random's own methods, so
+# both must read one stream.  Every call shape the suites use, against
+# random.Random itself: a CPython that draws otherwise fails here by name,
+# before a seeded suite changes.
 
 _TUPLES = [tuple(range(10 * size, 11 * size)) for size in range(2, 17)]
 
@@ -1572,3 +1575,35 @@ def test_suite_draws_read_the_stream_of_random_random(shape):
         assert [public(rng, i) for i in range(10_000)] == \
             [drawn(bits, i) for i in range(10_000)], seed
         assert rng.getstate() == twin.getstate(), seed
+
+
+# An empty range raises as random.Random does, before any draw, and the
+# public draws that reach one (no odd monomial of the asked parity, or no
+# term allowed) raise instead of redrawing for ever.
+
+@pytest.mark.parametrize("public, drawn", [
+    (lambda rng: rng.randint(1, 0), lambda bits: suites._randint(bits, 1, 0)),
+    (lambda rng: rng.randint(3, -3), lambda bits: suites._randint(bits, 3, -3)),
+    (lambda rng: rng.choice(()), lambda bits: suites._choice(bits, ())),
+], ids=["randint(1, 0)", "randint(3, -3)", "choice(())"])
+def test_suite_draws_refuse_an_empty_range_as_random_random(public, drawn):
+    rng, twin = random.Random(0), random.Random(0)
+    with pytest.raises((ValueError, IndexError)) as want:
+        public(rng)
+    with pytest.raises(want.type):
+        drawn(twin.getrandbits)
+    assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("draw, error", [
+    (lambda rng: suites.random_even_supermatrix(rng, 1, 1, 0), IndexError),
+    (lambda rng: suites.random_grassmann(rng, 0, ODD), IndexError),
+    (lambda rng: suites.random_grassmann(rng, 2, max_terms=0), ValueError),
+    (lambda rng: suites.random_polynomial(rng, 1, max_terms=0), ValueError),
+    (lambda rng: suites.random_superfunction(rng, R12, max_terms=0),
+     ValueError),
+], ids=["supermatrix-n0", "grassmann-odd-n0", "grassmann-no-terms",
+        "polynomial-no-terms", "superfunction-no-terms"])
+def test_public_draws_raise_on_an_empty_range(draw, error):
+    with pytest.raises(error):
+        draw(random.Random(0))
