@@ -21,11 +21,12 @@ The D-symbol of a product domain relates to the factor symbols by
 D(x,y,xi,eta) = (-1)^{np} D(x,xi) ox D(y,eta) with n the odd dimension of
 the first factor and p the even dimension of the second; that sign, and
 the Koszul signs from moving coefficient functions across the odd symbol
-D(y,eta), are what this module keeps track of.  Fibre integration p_! over
-a (p|q) fibre reads the stored keys once: only keys whose fibre odd mask is
-full contribute, and those with base exponents a and base odd mask L give
-(-1)^{np + pq + q|L|} xi^L x^a times their fibre integral, the basis sign,
-the fibre's convention sign and the Koszul sign of xi^L across D(y,eta).
+D(y,eta), are what this module keeps track of.  Fibre integration p_!, the
+program's one fibre integral, reads the stored keys once: only keys whose
+fibre odd mask is full contribute, and those with base exponents a and
+base odd mask L give (-1)^{np + pq + q|L|} xi^L x^a times their fibre
+integral, the basis sign, the fibre's convention sign and the Koszul sign
+of xi^L across D(y,eta).
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "GAUSSIAN",
     "IntegrationBackend",
     "box_backend",
-    "fibre_integrate",
     "fibre_integrate_section",
     "function_times_section",
     "integrate",
@@ -103,26 +103,30 @@ class IntegrationBackend:
             raise DomainBoxError(
                 f"box has {len(self.box)} axes, domain has {len(axes)}")
         for k, (iv, axis) in enumerate(zip(self.box, axes)):
-            if isinstance(axis, Interval):
-                inside = axis.lo <= iv.lo and iv.hi <= axis.hi
-            else:
-                inside = axis.contains(iv.lo) and axis.contains(iv.hi)
-            if not inside:
+            if not (axis.contains(iv.lo) and axis.contains(iv.hi)):
                 raise DomainBoxError(f"box axis {k} {iv} escapes the domain")
         return self.box
 
     def integrate_polynomial(self, poly: Polynomial,
                              axes: Sequence[Axis]) -> Scalar:
-        """Each term c s^k x^e integrates axis by axis; a Gaussian axis
-        contributes one factor s = sqrt(2 pi).
+        """Each term c s^k x^e integrates axis by axis, a Gaussian axis
+        giving a factor s = sqrt(2 pi); the sum is taken by power of s in
+        ints over the tables' and the poly's denominators, divided once."""
+        den, tables, shift = self._moment_tables(axes, poly.nums)
+        sums = {}
+        for exps, c in poly.nums.items():
+            c = _times_moments(c, exps, tables)
+            if c:
+                k = exps[-1] + shift
+                sums[k] = sums.get(k, 0) + c
+        return _reduced(Scalar, 0, den * poly.den, sums)
 
-        Each axis's moments are computed once per exponent and put over one
-        denominator, so a term's value is an int numerator over the
-        product of those denominators and the poly's own: the sum is taken
-        by power of s in ints and divided once.  As term by term, a moment
-        that cannot be taken raises only when a term with a nonzero value
-        so far reaches it.
-        """
+    def _moment_tables(self, axes: Sequence[Axis],
+                       keys) -> tuple[int, list[dict], int]:
+        """(d, tables, shift): ``tables[i]`` maps each exponent at place i
+        of ``keys`` to the int numerator over d of its moment on axis i, or
+        to the NonIntegrableError it raised, and each term gains s^shift;
+        the backend's axis checks raise first."""
         if self.kind == "gaussian_moments":
             for k, axis in enumerate(axes):
                 if axis is not REALLINE:
@@ -132,46 +136,39 @@ class IntegrationBackend:
         else:
             moments = [partial(_box_monomial, iv) for iv in self.resolve_box(axes)]
             shift = 0
-        den = poly.den
-        tables = []
+        den, tables = 1, []
         for i, moment in enumerate(moments):
-            axis_den, table = _moment_table(moment, {exps[i] for exps in poly.nums})
+            table, axis_den = {}, 1
+            for e in {exps[i] for exps in keys}:
+                try:
+                    v = moment(e)
+                except NonIntegrableError as exc:
+                    v = exc
+                else:
+                    if type(v) is not int and axis_den % v.denominator:
+                        axis_den = lcm(axis_den, v.denominator)
+                table[e] = v
+            if axis_den != 1:
+                table = {e: v if type(v) is NonIntegrableError
+                         else v.numerator * (axis_den // v.denominator)
+                         for e, v in table.items()}
             den *= axis_den
             tables.append(table)
-        sums = {}
-        for exps, c in poly.nums.items():
-            for table, e in zip(tables, exps):
-                v = table[e]
-                if type(v) is not int:
-                    raise v
-                c *= v
-                if not c:
-                    break
-            else:
-                k = exps[-1] + shift
-                sums[k] = sums.get(k, 0) + c
-        return _reduced(Scalar, 0, den, sums)
+        return den, tables, shift
 
 
-def _moment_table(moment, exponents) -> tuple[int, dict]:
-    """(d, {e: the int numerator of moment(e) over d}) for these exponents,
-    d the lcm of the moments' denominators; an exponent whose moment
-    raised NonIntegrableError maps to that error instead."""
-    table, den = {}, 1
-    for e in exponents:
-        try:
-            v = moment(e)
-        except NonIntegrableError as exc:
-            v = exc
-        else:
-            if type(v) is not int and den % v.denominator:
-                den = lcm(den, v.denominator)
-        table[e] = v
-    if den == 1:
-        return 1, table
-    return den, {e: v if type(v) is NonIntegrableError
-                 else v.numerator * (den // v.denominator)
-                 for e, v in table.items()}
+def _times_moments(c: int, exps, tables) -> int:
+    """c times the moments of the leading exponents of ``exps``, or 0 once
+    the product is: a moment's error raises only when a nonzero value
+    reaches it, as term by term."""
+    for table, e in zip(tables, exps):
+        v = table[e]
+        if type(v) is not int:
+            raise v
+        c *= v
+        if not c:
+            return 0
+    return c
 
 
 def _gaussian_moment(e: int) -> int:
@@ -266,7 +263,7 @@ def function_times_section(f, omega: BerezinSection) -> BerezinSection:
     if f.shape != omega.shape:
         raise DimensionError("function lives on the wrong shape")
     if omega.shape.n % 2:
-        f = f.even_part() - f.odd_part()
+        f = f._twisted()
     return omega.with_density(f * omega.density)
 
 
@@ -438,53 +435,44 @@ def product_section(omega1: BerezinSection,
     s1, s2 = omega1.shape, omega2.shape
     shape = shape_product(s1, s2)
     r1 = omega1.density.embed(shape, 0, 0)
-    r2 = omega2.density.embed(shape, s1.m, s1.n)
-    signed = r1.even_part() - r1.odd_part() if s2.n % 2 else r1
-    sign = -1 if (s1.n * s2.m) % 2 else 1
-    return BerezinSection(shape, sign * (signed * r2),
+    if s2.n % 2:
+        r1 = r1._twisted()
+    if (s1.n * s2.m) % 2:
+        r1 = -r1
+    return BerezinSection(shape, r1 * omega2.density.embed(shape, s1.m, s1.n),
                           omega1.caveats + omega2.caveats)
-
-
-def fibre_integrate(terms: Sequence[tuple[SuperFunction, BerezinSection]],
-                    base: SuperDomainShape, fibre: SuperDomainShape,
-                    backend: IntegrationBackend) -> SuperFunction:
-    """Integrate the fibre factor of each product term: sum of f_i * c_i."""
-    total = SuperFunction.zero(base)
-    for fn, sec in terms:
-        if fn.shape != base:
-            raise DimensionError("base factor on the wrong shape")
-        if sec.shape != fibre:
-            raise DimensionError("fibre factor on the wrong shape")
-        total = total + fn * integrate(sec, backend)
-    return total
 
 
 def fibre_integrate_section(omega: BerezinSection, base: SuperDomainShape,
                             fibre: SuperDomainShape,
                             backend: IntegrationBackend) -> BerezinSection:
     """Fibre integration p_! of a density on a trivial bundle, as a base
-    density, in one pass over the stored keys as the module docstring
-    says.  The fibre polynomials of the groups (a, L) are integrated in
-    the order of a, then of L's index tuple, so errors come in that order.
-    """
+    density: one pass over the stored keys as the module docstring says,
+    into one numerator dict over one set of moment tables.  Groups (a, L)
+    go in the order of a, then of L's index tuple, so errors come in that
+    order; with no key in the top fibre sector no backend error is raised."""
     if omega.shape != shape_product(base, fibre):
         raise DimensionError("section does not live on the stated product")
     m, n, p, q = base.m, base.n, fibre.m, fibre.n
     full, low = (1 << q) - 1, (1 << n) - 1
-    groups: dict[tuple, dict] = {}
+    groups: dict[tuple, list] = {}
     for key, c in omega.density.nums.items():
         if key[0] >> n == full:
-            groups.setdefault((key[1:m + 1], key[0] & low), {})[key[m + 1:]] = c
-    sign = -1 if (n * p + p * q) % 2 else 1
-    terms = []  # (base key head, sign, fibre integral)
-    for (exps, mask), nums in sorted(
-            groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
-        value = backend.integrate_polynomial(
-            _reduced(Polynomial, p, omega.density.den, nums), fibre.box)
-        terms.append(((mask,) + exps,
-                      -sign if q * mask.bit_count() % 2 else sign, value))
-    den = lcm(*(value.den for _, _, value in terms))
-    nums = {head + (k,): t * c * (den // value.den)
-            for head, t, value in terms for k, c in value.nums.items()}
+            groups.setdefault((key[1:m + 1], key[0] & low), []).append(
+                (key[m + 1:], c))
+    den, nums = omega.density.den, {}
+    if groups:
+        tables_den, tables, shift = backend._moment_tables(
+            fibre.box, [exps for terms in groups.values() for exps, _ in terms])
+        den *= tables_den
+        for (exps, mask), terms in sorted(
+                groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
+            head = (mask,) + exps
+            t = -1 if (n * p + p * q + q * mask.bit_count()) % 2 else 1
+            for fibre_key, c in terms:
+                c = _times_moments(t * c, fibre_key, tables)
+                if c:
+                    key = head + (fibre_key[-1] + shift,)
+                    nums[key] = nums.get(key, 0) + c
     return BerezinSection(base, _reduced(SuperFunction, base, den, nums),
                           omega.caveats)

@@ -450,7 +450,7 @@ def _add_terms(acc: dict, items) -> dict:
 
     Pairs are added in order, a repeated key as ``acc[key] + value``, and a
     key whose value is zero (false) is dropped.  A Fraction is stored in
-    ``_canonical`` form; other values (ints, Polynomials) pass unchanged.
+    ``_canonical`` form; an int passes unchanged.
     Returns ``acc``, which is updated in place.
     """
     for key, value in items:
@@ -613,6 +613,11 @@ class _Graded(_Exact):
 
     def odd_part(self):
         return self._select(lambda mask: mask.bit_count() & 1)
+
+    def _twisted(self):
+        """``even_part() - odd_part()`` in one pass, already in stored form."""
+        return _stored(type(self), self._count, self.den, {
+            key: -c if key[0].bit_count() & 1 else c for key, c in self.nums.items()})
 
     def parity(self) -> Parity | None:
         """Parity if homogeneous; None for 0 or mixed values."""

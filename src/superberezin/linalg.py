@@ -33,7 +33,9 @@ SparseRow = dict[int, Rational]
 
 
 def _as_matrix(rows) -> Matrix:
-    out = [[_rational(x) for x in row] for row in rows]
+    # an exact int is already canonical; the rest (Fraction, bool, int
+    # subclasses, refused floats) goes through the one check
+    out = [[x if type(x) is int else _rational(x) for x in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionError("ragged matrix")
     return out
@@ -55,8 +57,6 @@ def _sparse_rows(rows, ncols: int | None) -> tuple[list[SparseRow], int]:
         for c, x in row.items():
             if not 0 <= c < ncols:
                 raise DimensionError(f"column index {c} outside 0..{ncols - 1}")
-            # an exact int is already canonical; the rest (Fraction, bool,
-            # int subclasses, refused floats) goes through the one check
             value = x if type(x) is int else _rational(x)
             if value:
                 entries[c] = value
@@ -215,11 +215,9 @@ def det(rows) -> Rational:
 
 
 def inverse(rows) -> Matrix:
-    mat = _as_matrix(rows)
-    n = len(mat)
-    if any(len(r) != n for r in mat):
+    sparse, n = _sparse_rows(rows, None)
+    if len(sparse) != n:
         raise DimensionError("inverse requires a square matrix")
-    sparse = [{c: x for c, x in enumerate(row) if x} for row in mat]
     for i, row in enumerate(sparse):
         row[n + i] = 1
     pivots = _rref(sparse, 2 * n)

@@ -29,7 +29,6 @@ from superberezin import (
     SuperFunction,
     SuperMorphism,
     box_backend,
-    fibre_integrate,
     fibre_integrate_section,
     function_times_section,
     integrate,
@@ -40,6 +39,7 @@ from superberezin import (
 from superberezin.errors import SuperBerezinError
 from superberezin.grassmann import ODD, _indices, _reduced, _stored
 from superberezin.linalg import det as rational_det
+from superberezin.suites import _pushed_forward
 from superberezin.superdomain import box_samples, jacobian, pullback
 
 BOX01 = SuperDomainShape(1, (Interval(0, 1),), 0)
@@ -558,7 +558,7 @@ def test_function_times_section_is_associative_with_product():
 # fibre_integrate_section is one pass over the stored keys.  Its oracle is
 # the product-term route it replaced: split the density into (base monomial,
 # fibre section) pairs with the basis and Koszul signs on the base factors,
-# integrate each fibre section and sum.
+# integrate each fibre section and sum (the term-list p_!, fibre_integrate).
 
 
 def split_product_function(f, left, right):
@@ -597,6 +597,15 @@ def split_section(omega, base, fibre):
             sign = -sign
         out.append((sign * h, BerezinSection(fibre, g, omega.caveats)))
     return out
+
+
+def fibre_integrate(terms, base, fibre, backend):
+    """The term-list p_!: the sum of f_i times the integral of omega_i over
+    the fibre, for (f_i, omega_i) pairs as ``split_section`` gives."""
+    total = SuperFunction.zero(base)
+    for fn, sec in terms:
+        total = total + fn * integrate(sec, backend)
+    return total
 
 
 def _split_fibre_integrate_section(omega, base, fibre, backend):
@@ -693,9 +702,9 @@ def test_split_section_signs():
 
 def test_fibre_integrate_frozen():
     b, f, w1, w2 = _factor_sections()
-    prod = product_section(w1, w2)
-    result = fibre_integrate(split_section(prod, b, f), b, f, box_backend())
-    assert result == SuperFunction(
+    result = fibre_integrate_section(product_section(w1, w2), b, f,
+                                     box_backend())
+    assert result.density == SuperFunction(
         b, {(): Polynomial.constant(0, 5), (0,): Polynomial.constant(0, 10)})
 
 
@@ -710,11 +719,12 @@ def test_fibre_integration_identity():
 
 
 def test_fibre_integrate_module_rule_frozen():
+    # p_!((h f) ox omega) = h p_!(f ox omega), h on the right of D(xi)
     b, f, w1, w2 = _factor_sections()
     terms = split_section(product_section(w1, w2), b, f)
     h = SuperFunction.odd_gen(b, 0)
-    lhs = fibre_integrate([(h * fn, sec) for fn, sec in terms], b, f, box_backend())
-    rhs = h * fibre_integrate(terms, b, f, box_backend())
+    lhs = _pushed_forward([(h * fn, sec) for fn, sec in terms], b, f)
+    rhs = h * _pushed_forward(terms, b, f)
     assert lhs == rhs == SuperFunction(b, {(0,): Polynomial.constant(0, 5)})
 
 
@@ -746,21 +756,8 @@ def test_fibre_support_containment():
     live = (SuperFunction.coordinate(base, 0), BerezinSection.make(fibre, eta))
     dead = (SuperFunction.coordinate(base, 0, 2),
             BerezinSection.make(fibre, SuperFunction.one(fibre)))
-    value = fibre_integrate([live, dead], base, fibre, box_backend())
-    assert value == SuperFunction.coordinate(base, 0)
-
-
-def test_fibre_integrate_checks_shapes():
-    base = SuperDomainShape(1, (Interval(0, 1),), 0)
-    fibre = SuperDomainShape(0, (), 1)
-    fn = SuperFunction.coordinate(base, 0)
-    sec = BerezinSection.make(fibre, SuperFunction.odd_gen(fibre, 0))
-    with pytest.raises(DimensionError, match="base factor"):
-        fibre_integrate([(SuperFunction.one(fibre), sec)], base, fibre,
-                        box_backend())
-    with pytest.raises(DimensionError, match="fibre factor"):
-        fibre_integrate([(fn, BerezinSection.make(base, fn))], base, fibre,
-                        box_backend())
+    assert _pushed_forward([live, dead], base, fibre) == \
+        SuperFunction.coordinate(base, 0)
 
 
 def test_fibrewise_shear_invariance():

@@ -755,6 +755,20 @@ def test_stored_form_is_canonical(a, b, c, operands):
     assert_stored_alike(a - a, GrassmannElement.zero(N_BIG))
 
 
+@settings(max_examples=150, deadline=None)
+@given(big_elements(), st.sampled_from([4, N_BIG]).flatmap(superfunctions),
+       rationals)
+def test_twisted_is_even_part_minus_odd_part(a, f, c):
+    # the grading automorphism in one pass, on elements and on
+    # superfunctions over a denominator
+    for x in (a, f * c):
+        twisted = x._twisted()
+        assert_canonical(twisted)
+        assert type(twisted) is type(x)
+        assert twisted == x.even_part() - x.odd_part()
+        assert twisted._twisted() == x
+
+
 def test_dropping_terms_can_shrink_the_denominator():
     x = G(2, {(): 1, (0,): Fraction(1, 2)})
     assert (x.den, x.nums) == (2, {(0, 0): 2, (0b1, 0): 1})

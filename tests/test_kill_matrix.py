@@ -13,10 +13,13 @@ odd sign of the quotient supertrace, the Koszul sign of the mirror fill of
 structure constants, and one term of the graded Jacobi identity.  The
 fibre-integration column: each of the three signs of
 ``berezin.fibre_integrate_section``, (-1)^{np + pq + q|L|}, dropped in turn
-from a copy of it.  Only ``verify fubini-signs`` catches these: every
-built-in quotient of ``fubini-quotients`` and of the two Fubini examples
-has n*p, p*q and q*n even, so the column there waits on a quotient with an
-odd base and an odd fibre (ROADMAP items 16 and 17).  The Berezinian
+from a copy of it.  ``verify fubini-signs`` catches all three, and
+``verify module-rule`` the Koszul sign (-1)^{q|L|}: its two sides push
+forward (h f) ox omega and f ox omega, so the basis and convention signs,
+which do not depend on L, cancel between them.  Every built-in quotient
+of ``fubini-quotients`` and of the two Fubini examples has n*p, p*q and
+q*n even, so the column there waits on a quotient with an odd base and an
+odd fibre (ROADMAP items 16 and 17).  The Berezinian
 column: the Haar density of the other side, the Haar density not
 inverted, the modular ratio Ber(Ad on h) / Ber(Ad on g) inverted, and
 det(D) where the Berezinian takes det(D)^-1.
@@ -26,18 +29,18 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import lcm
 
 from superberezin import berezin, cli, lie_super, supergroup, supermatrix
-from superberezin.berezin import BerezinSection
+from superberezin.berezin import BerezinSection, _times_moments
 from superberezin.errors import DimensionError
 from superberezin.grassmann import _indices, _reduced, koszul_sign
-from superberezin.superdomain import Polynomial, SuperFunction, shape_product
+from superberezin.superdomain import SuperFunction, shape_product
 
 RUNS = {
     "verify unimodularity": ["verify", "unimodularity", "--seed", "0"],
     "verify fubini-quotients": ["verify", "fubini-quotients", "--seed", "0"],
     "verify fubini-signs": ["verify", "fubini-signs", "--seed", "0"],
+    "verify module-rule": ["verify", "module-rule", "--seed", "0"],
     "verify product-formula": ["verify", "product-formula", "--seed", "0"],
     "verify berezinian": ["verify", "berezinian", "--seed", "0"],
     "verify change-of-variables": ["verify", "change-of-variables",
@@ -119,22 +122,27 @@ def _fibre_integrate_dropping(dropped):
         groups = {}
         for key, c in omega.density.nums.items():
             if key[0] >> n == full:
-                groups.setdefault((key[1:m + 1], key[0] & low), {})[
-                    key[m + 1:]] = c
-        # the fault: one of the three exponents left out
-        exponent = {"koszul": n * p + p * q, "basis": p * q,
-                    "convention": n * p}[dropped]
-        sign = -1 if exponent % 2 else 1
-        terms = []
-        for (exps, mask), nums in sorted(
-                groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
-            value = backend.integrate_polynomial(
-                _reduced(Polynomial, p, omega.density.den, nums), fibre.box)
-            odd = dropped != "koszul" and q * mask.bit_count() % 2
-            terms.append(((mask,) + exps, -sign if odd else sign, value))
-        den = lcm(*(value.den for _, _, value in terms))
-        nums = {head + (k,): t * c * (den // value.den)
-                for head, t, value in terms for k, c in value.nums.items()}
+                groups.setdefault((key[1:m + 1], key[0] & low), []).append(
+                    (key[m + 1:], c))
+        den, nums = omega.density.den, {}
+        if groups:
+            tables_den, tables, shift = backend._moment_tables(
+                fibre.box, [exps for terms in groups.values() for exps, _ in terms])
+            den *= tables_den
+            # the fault: one of the three exponents left out
+            exponent = {"koszul": n * p + p * q, "basis": p * q,
+                        "convention": n * p}[dropped]
+            sign = -1 if exponent % 2 else 1
+            for (exps, mask), terms in sorted(
+                    groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
+                head = (mask,) + exps
+                odd = dropped != "koszul" and q * mask.bit_count() % 2
+                t = -sign if odd else sign
+                for fibre_key, c in terms:
+                    c = _times_moments(t * c, fibre_key, tables)
+                    if c:
+                        key = head + (fibre_key[-1] + shift,)
+                        nums[key] = nums.get(key, 0) + c
         return BerezinSection(base, _reduced(SuperFunction, base, den, nums),
                               omega.caveats)
     return fibre_integrate_section
@@ -252,6 +260,8 @@ PINNED = {
         "verify fubini-signs": {f"fibre-identity {label}" for label in (
             "(0|1)x(0|1)", "(0|1)x(1|1)", "(0|1)x(2|1)", "(1|1)x(1|1)",
             "(1|1)x(2|1)", "(2|1)x(0|1)", "(2|1)x(1|1)")},
+        "verify module-rule": {f"module-rule #{k}" for k in (
+            0, 6, 15, 18, 24, 27, 33, 37, 42, 43, 46)},
     },
     "berezin p_! basis sign": {
         "verify fubini-signs": {f"fibre-identity ({m}|1)x(1|{q})"

@@ -298,6 +298,24 @@ def test_sparse_entries_other_than_exact_ints_are_checked():
     assert type(nullspace([{0: Count(2), 1: 1}], ncols=2)[0][0]) is Fraction
 
 
+def test_dense_int_rows_give_int_results_and_a_float_is_refused():
+    # dense rows read their entries as sparse ones do: an exact int as it
+    # is, a bool as the int it equals, a float refused
+    rows = [[2, 1, 0], [1, 1, 0], [0, 3, 1]]
+    assert det(rows) == 1 and type(det(rows)) is int
+    assert all(type(x) is int for row in inverse(rows) for x in row)
+    kernel = nullspace([[1, -2, 0], [0, 0, 1]])
+    assert kernel == [[2, 1, 0]]
+    assert all(type(x) is int for x in kernel[0])
+    for value, as_int in ((True, 1), (False, 0)):
+        got = det([[value]])
+        assert got == as_int and type(got) is int
+    assert [type(x) for x in nullspace([[True, -2]])[0]] == [int, int]
+    for call in (det, inverse, rank, nullspace):
+        with pytest.raises(TypeError):
+            call([[1, 0], [0, 1.0]])
+
+
 def test_results_are_ints_where_integral():
     assert_stored([det([[Fraction(1, 2), 1], [1, 4]]), det([[2, 1], [1, 1]])])
     assert det([[Fraction(1, 2), 1], [1, 4]]) == 1
