@@ -21,12 +21,14 @@ The D-symbol of a product domain relates to the factor symbols by
 D(x,y,xi,eta) = (-1)^{np} D(x,xi) ox D(y,eta) with n the odd dimension of
 the first factor and p the even dimension of the second; that sign, and
 the Koszul signs from moving coefficient functions across the odd symbol
-D(y,eta), are what this module keeps track of.  Fibre integration p_!, the
-program's one fibre integral, reads the stored keys once: only keys whose
-fibre odd mask is full contribute, and those with base exponents a and
-base odd mask L give (-1)^{np + pq + q|L|} xi^L x^a times their fibre
-integral, the basis sign, the fibre's convention sign and the Koszul sign
-of xi^L across D(y,eta).
+D(y,eta), are what this module keeps track of.  Fibre integration p_!
+reads the stored keys once: only keys whose fibre odd mask is full
+contribute, and those with base exponents a and base odd mask L give
+(-1)^{np + pq + q|L|} xi^L x^a times their fibre integral, the basis sign,
+the fibre's convention sign and the Koszul sign of xi^L across D(y,eta).
+One pushforward serves both integrals: ``fibre_integrate_section`` is p_!
+onto a base, and the total integral ``integrate`` is p_! onto the point
+(0|0), where only the convention sign (-1)^{pq} is left.
 """
 
 from __future__ import annotations
@@ -106,20 +108,6 @@ class IntegrationBackend:
             if not (axis.contains(iv.lo) and axis.contains(iv.hi)):
                 raise DomainBoxError(f"box axis {k} {iv} escapes the domain")
         return self.box
-
-    def integrate_polynomial(self, poly: Polynomial,
-                             axes: Sequence[Axis]) -> Scalar:
-        """Each term c s^k x^e integrates axis by axis, a Gaussian axis
-        giving a factor s = sqrt(2 pi); the sum is taken by power of s in
-        ints over the tables' and the poly's denominators, divided once."""
-        den, tables, shift = self._moment_tables(axes, poly.nums)
-        sums = {}
-        for exps, c in poly.nums.items():
-            c = _times_moments(c, exps, tables)
-            if c:
-                k = exps[-1] + shift
-                sums[k] = sums.get(k, 0) + c
-        return _reduced(Scalar, 0, den * poly.den, sums)
 
     def _moment_tables(self, axes: Sequence[Axis],
                        keys) -> tuple[int, list[dict], int]:
@@ -245,15 +233,45 @@ class BerezinSection:
 # integration
 
 
+def _pushforward(density: SuperFunction, m: int, n: int,
+                 fibre: SuperDomainShape,
+                 backend: IntegrationBackend) -> tuple[int, dict]:
+    """p_! of a density on (m|n) x fibre as the unreduced (den, nums) of a
+    function on the base: one pass over the stored keys as the module
+    docstring says, into one numerator dict over one set of moment tables.
+    Groups (a, L) go in the order of a, then of L's index tuple, so errors
+    come in that order; with no key in the top fibre sector no table is
+    built and no backend error is raised."""
+    p, q = fibre.m, fibre.n
+    full, low = (1 << q) - 1, (1 << n) - 1
+    groups: dict[tuple, list] = {}
+    for key, c in density.nums.items():
+        if key[0] >> n == full:
+            groups.setdefault((key[1:m + 1], key[0] & low), []).append(
+                (key[m + 1:], c))
+    den, nums = density.den, {}
+    if groups:
+        tables_den, tables, shift = backend._moment_tables(
+            fibre.box, [exps for terms in groups.values() for exps, _ in terms])
+        den *= tables_den
+        for (exps, mask), terms in sorted(
+                groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
+            head = (mask,) + exps
+            t = -1 if (n * p + p * q + q * mask.bit_count()) % 2 else 1
+            for fibre_key, c in terms:
+                c = _times_moments(t * c, fibre_key, tables)
+                if c:
+                    key = head + (fibre_key[-1] + shift,)
+                    nums[key] = nums.get(key, 0) + c
+    return den, nums
+
+
 def integrate(omega: BerezinSection, backend: IntegrationBackend) -> Scalar:
-    """Total integral: the top odd coefficient g of the density integrated
-    over the even axes, with the convention sign (-1)^{mn}."""
-    shape = omega.shape
-    top = omega.density._sector((1 << shape.n) - 1)
-    if not top:
-        return Scalar.zero()
-    sign = -1 if (shape.m * shape.n) % 2 else 1
-    return sign * backend.integrate_polynomial(top, shape.box)
+    """Total integral: p_! onto the point (0|0).  Only the top odd sector
+    counts, integrated over the even axes with the convention sign
+    (-1)^{mn}, the pq term of p_!'s sign; each key left holds a power of s."""
+    den, nums = _pushforward(omega.density, 0, 0, omega.shape, backend)
+    return _reduced(Scalar, 0, den, {key[-1]: c for key, c in nums.items()})
 
 
 def function_times_section(f, omega: BerezinSection) -> BerezinSection:
@@ -447,32 +465,9 @@ def fibre_integrate_section(omega: BerezinSection, base: SuperDomainShape,
                             fibre: SuperDomainShape,
                             backend: IntegrationBackend) -> BerezinSection:
     """Fibre integration p_! of a density on a trivial bundle, as a base
-    density: one pass over the stored keys as the module docstring says,
-    into one numerator dict over one set of moment tables.  Groups (a, L)
-    go in the order of a, then of L's index tuple, so errors come in that
-    order; with no key in the top fibre sector no backend error is raised."""
+    density (``_pushforward``)."""
     if omega.shape != shape_product(base, fibre):
         raise DimensionError("section does not live on the stated product")
-    m, n, p, q = base.m, base.n, fibre.m, fibre.n
-    full, low = (1 << q) - 1, (1 << n) - 1
-    groups: dict[tuple, list] = {}
-    for key, c in omega.density.nums.items():
-        if key[0] >> n == full:
-            groups.setdefault((key[1:m + 1], key[0] & low), []).append(
-                (key[m + 1:], c))
-    den, nums = omega.density.den, {}
-    if groups:
-        tables_den, tables, shift = backend._moment_tables(
-            fibre.box, [exps for terms in groups.values() for exps, _ in terms])
-        den *= tables_den
-        for (exps, mask), terms in sorted(
-                groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
-            head = (mask,) + exps
-            t = -1 if (n * p + p * q + q * mask.bit_count()) % 2 else 1
-            for fibre_key, c in terms:
-                c = _times_moments(t * c, fibre_key, tables)
-                if c:
-                    key = head + (fibre_key[-1] + shift,)
-                    nums[key] = nums.get(key, 0) + c
+    den, nums = _pushforward(omega.density, base.m, base.n, fibre, backend)
     return BerezinSection(base, _reduced(SuperFunction, base, den, nums),
                           omega.caveats)

@@ -36,6 +36,7 @@ from superberezin import (
     pullback_section,
     shape_product,
 )
+from superberezin.berezin import _times_moments
 from superberezin.errors import SuperBerezinError
 from superberezin.grassmann import ODD, _indices, _reduced, _stored
 from superberezin.linalg import det as rational_det
@@ -555,10 +556,13 @@ def test_function_times_section_is_associative_with_product():
 # ---------------------------------------------------------------------------
 # splitting and fibre integration
 #
-# fibre_integrate_section is one pass over the stored keys.  Its oracle is
-# the product-term route it replaced: split the density into (base monomial,
-# fibre section) pairs with the basis and Koszul signs on the base factors,
-# integrate each fibre section and sum (the term-list p_!, fibre_integrate).
+# fibre_integrate_section is one pass over the stored keys, and integrate
+# is the same pass onto the point.  The oracle of p_! is the product-term
+# route it replaced: split the density into (base monomial, fibre section)
+# pairs with the basis and Koszul signs on the base factors, integrate each
+# fibre section and sum (the term-list p_!, fibre_integrate).  The fibre
+# sections are integrated by integrate_oracle, the total integral written
+# out on its own, so neither side shares a loop with p_!.
 
 
 def split_product_function(f, left, right):
@@ -599,12 +603,31 @@ def split_section(omega, base, fibre):
     return out
 
 
+def integrate_oracle(omega, backend):
+    """The total integral with its own walk: the top sector by ``_sector``,
+    each term times its moments, summed by power of s, then the convention
+    sign (-1)^{mn}."""
+    shape = omega.shape
+    top = omega.density._sector((1 << shape.n) - 1)
+    if not top:
+        return Scalar.zero()
+    den, tables, shift = backend._moment_tables(shape.box, top.nums)
+    sums = {}
+    for exps, c in top.nums.items():
+        c = _times_moments(c, exps, tables)
+        if c:
+            k = exps[-1] + shift
+            sums[k] = sums.get(k, 0) + c
+    value = _reduced(Scalar, 0, den * top.den, sums)
+    return -value if (shape.m * shape.n) % 2 else value
+
+
 def fibre_integrate(terms, base, fibre, backend):
     """The term-list p_!: the sum of f_i times the integral of omega_i over
     the fibre, for (f_i, omega_i) pairs as ``split_section`` gives."""
     total = SuperFunction.zero(base)
     for fn, sec in terms:
-        total = total + fn * integrate(sec, backend)
+        total = total + fn * integrate_oracle(sec, backend)
     return total
 
 
@@ -666,6 +689,23 @@ def _fibre_outcome(run, omega, base, fibre, backend):
 def test_fibre_integrate_section_matches_the_split_oracle(case):
     assert _fibre_outcome(fibre_integrate_section, *case) == \
         _fibre_outcome(_split_fibre_integrate_section, *case)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fibre_cases())
+def test_integrate_matches_its_oracle(case):
+    # integrate is p_! onto the point: the same value in the same stored
+    # form as the total integral's own walk, or the same first error
+    omega, _, _, backend = case
+    outcomes = []
+    for run in (integrate, integrate_oracle):
+        try:
+            value = run(omega, backend)
+        except SuperBerezinError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((value.den, value.nums))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=50, deadline=None)

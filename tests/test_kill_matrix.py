@@ -8,7 +8,7 @@ ends in an ``error:`` line instead (a library error ends the whole suite)
 is pinned as ``"error"``.  The pinned sets may only grow: a fault that
 stops failing a line is a check that lost its teeth.
 
-So far the matrix holds three columns.  The Lie superalgebra column: the
+So far the matrix holds four columns.  The Lie superalgebra column: the
 odd sign of the quotient supertrace, the Koszul sign of the mirror fill of
 structure constants, and one term of the graded Jacobi identity.  The
 fibre-integration column: each of the three signs of
@@ -19,10 +19,16 @@ forward (h f) ox omega and f ox omega, so the basis and convention signs,
 which do not depend on L, cancel between them.  Every built-in quotient
 of ``fubini-quotients`` and of the two Fubini examples has n*p, p*q and
 q*n even, so the column there waits on a quotient with an odd base and an
-odd fibre (ROADMAP items 16 and 17).  The Berezinian
-column: the Haar density of the other side, the Haar density not
-inverted, the modular ratio Ber(Ad on h) / Ber(Ad on g) inverted, and
-det(D) where the Berezinian takes det(D)^-1.
+odd fibre (ROADMAP items 16 and 17).  The moment column: the box moment
+of x^e divided by e + 2 instead of e + 1, its -1 and pole errors kept.
+Only ``verify change-of-variables`` catches it, since only the true
+integral is invariant under a change of variables.  ``fubini-quotients``,
+``product-formula`` and the two ax+b examples integrate both sides of
+each identity over the same box axes, so the wrong moments enter both
+sides alike and cancel.  The Berezinian column: the Haar density of the
+other side, the Haar density not inverted, the modular ratio
+Ber(Ad on h) / Ber(Ad on g) inverted, and det(D) where the Berezinian
+takes det(D)^-1.
 """
 
 import io
@@ -32,8 +38,8 @@ from fractions import Fraction
 
 from superberezin import berezin, cli, lie_super, supergroup, supermatrix
 from superberezin.berezin import BerezinSection, _times_moments
-from superberezin.errors import DimensionError
-from superberezin.grassmann import _indices, _reduced, koszul_sign
+from superberezin.errors import DimensionError, NonIntegrableError
+from superberezin.grassmann import _indices, _quotient, _reduced, koszul_sign
 from superberezin.superdomain import SuperFunction, shape_product
 
 RUNS = {
@@ -148,6 +154,15 @@ def _fibre_integrate_dropping(dropped):
     return fibre_integrate_section
 
 
+def _box_monomial_over_e_plus_2(iv, e):
+    if e == -1:
+        raise NonIntegrableError("exponent -1 has no rational antiderivative")
+    if e < 0 and iv.lo <= 0 <= iv.hi:
+        raise NonIntegrableError(f"pole at 0 inside the box {iv}")
+    # the fault: divided by e + 2 where the antiderivative divides by e + 1
+    return _quotient(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 2)
+
+
 _haar_density = supergroup.haar_density
 _modular_berezinian = supergroup.modular_berezinian
 
@@ -201,6 +216,11 @@ def fibre_sign_dropped(dropped):
     return apply
 
 
+def box_moment_off_by_one(monkeypatch):
+    patch_everywhere(monkeypatch, berezin._box_monomial,
+                     _box_monomial_over_e_plus_2)
+
+
 def haar_side_swapped(monkeypatch):
     patch_everywhere(monkeypatch, _haar_density, _haar_density_of_the_other_side)
 
@@ -225,6 +245,7 @@ FAULTS = {
     "berezin p_! Koszul sign": fibre_sign_dropped("koszul"),
     "berezin p_! basis sign": fibre_sign_dropped("basis"),
     "berezin p_! convention sign": fibre_sign_dropped("convention"),
+    "berezin box moment over e + 2": box_moment_off_by_one,
     "supergroup Haar density of the other side": haar_side_swapped,
     "supergroup Haar density not inverted": haar_not_inverted,
     "supergroup modular ratio inverted": modular_ratio_inverted,
@@ -270,6 +291,14 @@ PINNED = {
     "berezin p_! convention sign": {
         "verify fubini-signs": {f"fibre-identity ({m}|{n})x(1|1)"
                                 for m in range(3) for n in range(3)},
+    },
+    # 36 of 60; every other run integrates both sides over the same axes
+    "berezin box moment over e + 2": {
+        "verify change-of-variables": _numbered("change-of-variables", {
+            "(1|1)": (0, 4, 8, 12, 28, 32, 36, 40, 56),
+            "(1|2)": (2, 6, 22, 26, 30, 34, 38, 42, 46, 50, 58),
+            "(2|1)": (1, 17, 29, 33, 45, 53),
+            "(2|2)": (3, 11, 15, 19, 23, 27, 35, 39, 51, 59)}),
     },
     # only the non-unimodular axb tells the sides apart
     "supergroup Haar density of the other side": {

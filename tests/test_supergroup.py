@@ -837,3 +837,18 @@ def test_modular_berezinian_matches_the_hand_built_ad(G, H):
     got = modular_berezinian(G, H)
     want = _reference_modular_berezinian(G, H)
     assert [_stored(f) for f in got] == [_stored(f) for f in want]
+
+
+def test_modular_berezinian_keeps_the_orientation_of_ad_on_h(monkeypatch):
+    # Ad with xi1 at (0, 2) and xi2 at (2, 0) has Ber 1 - xi1 xi2 and its
+    # transpose 1 + xi1 xi2; a full subgroup's Ad on h is all of Ad, so a
+    # sub-block taken transposed would give ber_h != ber_u
+    G = gl11_group()
+    xi1, xi2 = (SuperFunction.odd_gen(G.shape, j) for j in range(2))
+    zero, one = SuperFunction.zero(G.shape), SuperFunction.one(G.shape)
+    ad = SuperMatrix(2, 2, [[one, zero, xi1, zero], [zero, one, zero, zero],
+                            [xi2, zero, one, zero], [zero, zero, zero, one]],
+                     zero=zero, one=one)
+    monkeypatch.setattr(supergroup, "_differential", lambda *args: ad)
+    ber_h, ber_u = modular_berezinian(G, full_subgroup(G))
+    assert ber_h == ber_u == one - xi1 * xi2
