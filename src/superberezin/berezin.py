@@ -277,7 +277,7 @@ def integrate(omega: BerezinSection, backend: IntegrationBackend) -> Scalar:
 def function_times_section(f, omega: BerezinSection) -> BerezinSection:
     """f * (D * rho) = D * (signed f) * rho, the sign from |f part| * n."""
     if not isinstance(f, SuperFunction):
-        f = omega.density._coerce(f)
+        f = SuperFunction.from_polynomial(omega.shape, f)
     if f.shape != omega.shape:
         raise DimensionError("function lives on the wrong shape")
     if omega.shape.n % 2:

@@ -16,7 +16,11 @@ FLINT's ``fmpq_poly`` does: the pivot inverses 1/c of a Berezinian would
 spread Fractions through every later product, and over one denominator
 the product loop multiplies and adds only ints, with one gcd per result.
 A coefficient becomes an ``int`` (when integral) or a ``Fraction`` only
-where it is read (``terms``, ``rational``, printing).
+where it is read (``terms``, ``rational``, printing).  Their arithmetic
+is written once, on ``_Exact``: ``+``, ``-``, ``*`` and the coercion of
+constants, each class giving only its product loop, and an operand a
+class cannot take is handed to the other operand's reflected method, as
+``fractions.Fraction`` does.
 The mask is the package's one odd-monomial key, also of superfunctions
 and Koszul monomials, and ``_odd_swaps`` its one sign rule, read from the
 256-entry table ``_BYTE_SWAPS`` one byte of the mask at a time: a product
@@ -95,6 +99,13 @@ class _Exact:
     constructor takes ``{head: coefficient}`` pairs, each head checked by
     the subclass's ``_head`` and each coefficient a Scalar, int or
     Fraction (``SuperFunction`` has its own, taking Polynomials).
+
+    The base owns the arithmetic: ``+``, ``-``, ``*``, their reflected
+    forms, the fused ``base + _Products(pairs)`` and the coercion of
+    operands, ``_coerce``.  A subclass gives its product loop
+    ``_accumulate(acc, a, b, scale)`` and the key head of a constant
+    ``_zeros(count)``; ``Scalar``, keyed by bare powers of s, builds its
+    own constants, and ``SuperFunction`` also lifts a Polynomial.
     """
 
     __slots__ = ("_count", "den", "nums", "_terms")
@@ -140,15 +151,52 @@ class _Exact:
         return _stored(type(self), self._count, self.den,
                        {key: -c for key, c in self.nums.items()})
 
+    # -- arithmetic, written once (see the class docstring) --------------
+
+    def _coerce(self, value):
+        """``value`` as an operand over this type and count: a value of
+        this type as it is (DimensionError over another count), a constant
+        (int, Fraction or Scalar) built in stored form, anything else
+        NotImplemented, so that Python asks the other operand's reflected
+        method, as for ``fractions.Fraction`` (PEP 3141)."""
+        if isinstance(value, type(self)):
+            if value._count != self._count:
+                raise _mismatch(self._count, value)
+            return value
+        if isinstance(value, (int, Fraction, Scalar)):
+            return _constant(type(self), self._count, value)
+        return NotImplemented
+
+    def __add__(self, other):
+        if type(other) is _Products:
+            return _fused(type(self), self._count, self.den, self.nums, other,
+                          self._accumulate)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return _reduced(type(self), self._count, *_add_into(
+            dict(self.nums), self.den, other.nums, other.den))
+
+    __radd__ = __add__
+
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + -other
 
     def __rsub__(self, other):
-        return -self + self._coerce(other)
+        other = self._coerce(other)
+        return other if other is NotImplemented else -self + other
 
-    def _check_compatible(self, other):
-        if self._count != other._count:
-            raise _mismatch(self._count, other)
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return _reduced(type(self), self._count, self.den * other.den,
+                        self._accumulate({}, self.nums, other.nums, 1))
+
+    def __rmul__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other * self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -219,12 +267,12 @@ def _reduced(cls, count: int, den: int, acc: dict):
     return _stored(cls, count, den, acc)
 
 
-def _constant(cls, count, width: int, value):
+def _constant(cls, count, value):
     """The constant ``cls`` value over ``count`` of an int, Fraction or
-    Scalar, keyed ``width`` zeros and then the power of s, built in stored
-    form: what the public constructors give for ``{zeros: value}``, with
-    their TypeError for any other value (a float included)."""
-    zeros = (0,) * width
+    Scalar, keyed ``cls._zeros(count)`` and then the power of s, built in
+    stored form: what the public constructors give for ``{zeros: value}``,
+    with their TypeError for any other value (a float included)."""
+    zeros = cls._zeros(count)
     if isinstance(value, Scalar):
         return _stored(cls, count, value.den,
                        {zeros + (k,): c for k, c in value.nums.items()})
@@ -243,6 +291,18 @@ _set_den = _Exact.den.__set__
 _set_nums = _Exact.nums.__set__
 
 
+def _scalar_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
+    """Add scale*a*b into ``acc`` and return it: ``Scalar``'s product loop,
+    ``a`` and ``b`` numerator dicts keyed by the power of s as
+    ``Scalar.nums``.  Sums are left as they fall, zeros included."""
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= scale
+        for kb, cb in b.items():
+            acc[ka + kb] = get(ka + kb, 0) + ca * cb
+    return acc
+
+
 class Scalar(_Exact):
     """An exact value in s = sqrt(2*pi): a Laurent polynomial in s over Q.
 
@@ -256,6 +316,7 @@ class Scalar(_Exact):
     """
 
     __slots__ = ()
+    _accumulate = staticmethod(_scalar_accumulate)
 
     def __new__(cls, rational=0, power: int = 0):
         q = _rational(rational)
@@ -280,9 +341,12 @@ class Scalar(_Exact):
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
     def _coerce(self, value):
-        # any other value passes unchanged, so that ``+`` hands it on to
-        # its own reflected method: Scalar - GrassmannElement is an element
-        return Scalar(value) if isinstance(value, (int, Fraction)) else value
+        # its own, since a Scalar's key is the bare power of s
+        if isinstance(value, Scalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Scalar(value)
+        return NotImplemented
 
     def _powers(self) -> dict:
         return self.nums
@@ -298,26 +362,11 @@ class Scalar(_Exact):
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
-        return _reduced(Scalar, 0, *_add_into(dict(self.nums), self.den,
-                                              other.nums, other.den))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
-        acc = {}
-        for ka, ca in self.nums.items():
-            for kb, cb in other.nums.items():
-                acc[ka + kb] = acc.get(ka + kb, 0) + ca * cb
-        return _reduced(Scalar, 0, self.den * other.den, acc)
-
-    __rmul__ = __mul__
+    # ``_Exact``'s, bound again in this class's own dict: the outside
+    # tracer (bench/tracer.py) wraps ``cls.__dict__[name]``, so it times
+    # this class's sums and products apart from the other classes'
+    __add__ = __radd__ = _Exact.__add__
+    __mul__ = _Exact.__mul__
 
     def __truediv__(self, other) -> "Scalar":
         """Division by c s^k; a sum of several powers of s has no inverse.
@@ -497,11 +546,10 @@ class _Products(tuple):
 
     The fused operation of the supermatrix ring protocol is
     ``base + _Products(pairs)``, the pairs holding elements of the base's
-    own ring: ``GrassmannElement.__add__`` and ``SuperFunction.__add__``
-    sum every product straight into one copy of the base's terms and
-    canonicalise once, so no product or partial sum is built as an
-    element.  A difference base - sum a*b is written with the factors a
-    negated.
+    own ring: ``_Exact.__add__`` sums every product straight into one copy
+    of the base's terms and canonicalises once, so no product or partial
+    sum is built as an element.  A difference base - sum a*b is written
+    with the factors a negated.
     """
 
     __slots__ = ()
@@ -641,16 +689,21 @@ class GrassmannElement(_Graded):
     ``{idx: coefficient}``, idx a strictly increasing generator tuple, with
     Scalar, int or Fraction coefficients; ``coefficient`` and ``str`` speak
     in index tuples too.  ``self + _Products(pairs)`` is the fused base +
-    sum a*b of the supermatrix ring protocol; it and ``*`` are one
-    operation, ``_fused``, around one int product loop, ``_accumulate``.
+    sum a*b of the supermatrix ring protocol, ``_fused``; it and ``*`` run
+    one int product loop, ``_accumulate``.
     """
 
     __slots__ = ()
     generator_count = _Exact._count
+    _accumulate = staticmethod(_accumulate)
 
     @staticmethod
     def _head(idx: tuple[int, ...], generator_count: int) -> tuple[int]:
         return (_checked_mask(idx, generator_count),)
+
+    @staticmethod
+    def _zeros(generator_count: int) -> tuple[int]:
+        return (0,)
 
     # -- constructors -------------------------------------------------
 
@@ -695,31 +748,9 @@ class GrassmannElement(_Graded):
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other) -> "GrassmannElement":
-        if type(other) is _Products:
-            return _fused(GrassmannElement, self.generator_count, self.den,
-                          self.nums, other)
-        other = self._coerce(other)
-        self._check_compatible(other)
-        return _reduced(GrassmannElement, self.generator_count,
-                        *_add_into(dict(self.nums), self.den, other.nums, other.den))
-
-    __radd__ = __add__
-
-    def _coerce(self, value) -> "GrassmannElement":
-        if isinstance(value, GrassmannElement):
-            return value
-        if isinstance(value, (int, Fraction, Scalar)):
-            return _constant(GrassmannElement, self.generator_count, 1, value)
-        raise TypeError(f"cannot interpret {value!r} as a GrassmannElement")
-
-    def __mul__(self, other) -> "GrassmannElement":
-        return _fused(GrassmannElement, self.generator_count, 1, {},
-                      ((self, self._coerce(other)),))
-
-    def __rmul__(self, other) -> "GrassmannElement":
-        # scalars are even and central, so this is safe
-        return self._coerce(other) * self
+    # ``_Exact``'s, bound here for the tracer, as in ``Scalar``
+    __add__ = __radd__ = _Exact.__add__
+    __mul__ = _Exact.__mul__
 
     def inv_even(self) -> "GrassmannElement":
         """Inverse of an even element whose body is c s^k, c != 0.
@@ -784,7 +815,7 @@ def _over_one_denominator(terms: dict) -> tuple[int, dict]:
                  for key, c in terms.items()}
 
 
-def _fused(cls, count, den: int, nums: dict, pairs, accumulate=_accumulate):
+def _fused(cls, count, den: int, nums: dict, pairs, accumulate):
     """The ``cls`` value nums/den + sum a*b over the (a, b) of ``pairs``,
     canonical.
 

@@ -36,11 +36,8 @@ from .grassmann import (
     _BYTE_SWAPS,
     _Exact,
     _Graded,
-    _Products,
-    _add_into,
     _checked_mask,
     _constant,
-    _fused,
     _indices,
     _lookup_mask,
     _monomial_text,
@@ -159,6 +156,24 @@ def shape_product(s1: SuperDomainShape, s2: SuperDomainShape) -> SuperDomainShap
 # -- Laurent polynomials ---------------------------------------------------
 
 
+def _poly_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
+    """Add scale*a*b into ``acc`` and return it.
+
+    ``a`` and ``b`` are numerator dicts as ``Polynomial.nums``, so every
+    product and sum is of ints.  Sums are left as they fall: a key may end
+    on zero until ``_reduced``.
+    """
+    get = acc.get
+    right = b.items()
+    for e1, c1 in a.items():
+        c1 *= scale
+        for e2, c2 in right:
+            key = tuple(map(add, e1, e2))
+            prev = get(key)
+            acc[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return acc
+
+
 class Polynomial(_Exact):
     """Laurent polynomial in m even variables and s, rational coefficients.
 
@@ -172,6 +187,7 @@ class Polynomial(_Exact):
 
     __slots__ = ()
     nvars = _Exact._count
+    _accumulate = staticmethod(_poly_accumulate)
 
     @staticmethod
     def _head(exps, nvars: int) -> tuple[int, ...]:
@@ -182,6 +198,10 @@ class Polynomial(_Exact):
         if len(exps) != nvars:
             raise DimensionError("exponent tuple has wrong length")
         return exps
+
+    @staticmethod
+    def _zeros(nvars: int) -> tuple[int, ...]:
+        return (0,) * nvars
 
     # The named constructors make the public constructor's checks on their
     # arguments, with its errors, and then build the value in stored form.
@@ -194,10 +214,10 @@ class Polynomial(_Exact):
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        width = len((0,) * nvars)  # a non-int count raises as in Polynomial()
+        Polynomial._zeros(nvars)  # a non-int count raises as in Polynomial()
         if nvars < 0:
             raise DimensionError("generator count must be nonnegative")
-        return _constant(Polynomial, nvars, width, value)
+        return _constant(Polynomial, nvars, value)
 
     @staticmethod
     def one(nvars: int) -> "Polynomial":
@@ -207,34 +227,9 @@ class Polynomial(_Exact):
     def variable(nvars: int, i: int, power: int = 1) -> "Polynomial":
         return _stored(Polynomial, nvars, 1, {_variable_key(nvars, i, power): 1})
 
-    def _coerce(self, value) -> "Polynomial":
-        if isinstance(value, Polynomial):
-            return value
-        if isinstance(value, (int, Fraction, Scalar)):
-            return _constant(Polynomial, self.nvars, self.nvars, value)
-        raise TypeError(f"cannot interpret {value!r} as a Polynomial")
-
-    def __add__(self, other) -> "Polynomial":
-        if not isinstance(other, (Polynomial, int, Fraction, Scalar)):
-            return NotImplemented
-        other = self._coerce(other)
-        if self.nvars != other.nvars:
-            raise DimensionError("polynomials in different variable counts")
-        den, nums = _add_into(dict(self.nums), self.den, other.nums, other.den)
-        return _reduced(Polynomial, self.nvars, den, nums)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, (Polynomial, int, Fraction, Scalar)):
-            return NotImplemented
-        other = self._coerce(other)
-        if self.nvars != other.nvars:
-            raise DimensionError("polynomials in different variable counts")
-        return _reduced(Polynomial, self.nvars, self.den * other.den,
-                        _poly_accumulate({}, self.nums, other.nums, 1))
-
-    __rmul__ = __mul__
+    # ``_Exact``'s, bound here for the tracer, as in ``grassmann.Scalar``
+    __add__ = __radd__ = _Exact.__add__
+    __mul__ = _Exact.__mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -252,18 +247,14 @@ class Polynomial(_Exact):
         return len(self.nums) == 1
 
     def monomial_inverse(self) -> "Polynomial":
-        """Inverse of c·s^k·x^e, the only invertible Laurent shapes.
-
-        The one term is c/den in lowest terms, so its inverse den/c is too.
-        """
+        """Inverse of c·s^k·x^e, the only invertible Laurent shapes: the
+        series inverse of both ``inv_even``s with no soul, den/c."""
         if len(self.nums) != 1:
             raise NonInvertibleError(
                 "only monomials are invertible in the Laurent polynomial ring"
             )
         (exps, c), = self.nums.items()
-        sign = -1 if c < 0 else 1
-        return _stored(Polynomial, self.nvars, sign * c,
-                       {tuple(-e for e in exps): sign * self.den})
+        return _series_inverse(Polynomial, self.nvars, self.den, exps, c, (), 0)
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
@@ -347,25 +338,38 @@ def _evaluate(den: int, terms, point: Sequence) -> Scalar:
         k: c * (common // d) for k, (c, d) in sums.items()})
 
 
-def _poly_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
+# -- superfunctions --------------------------------------------------------
+
+
+def _super_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
     """Add scale*a*b into ``acc`` and return it.
 
-    ``a`` and ``b`` are numerator dicts as ``Polynomial.nums``, so every
-    product and sum is of ints.  Sums are left as they fall: a key may end
-    on zero until ``_reduced``.
+    ``a`` and ``b`` are numerator dicts keyed as ``SuperFunction.nums``, so
+    every product and sum is of ints.  The loop is
+    ``grassmann._accumulate``'s, its sign rule ``_odd_swaps`` read straight
+    from the table ``_BYTE_SWAPS`` for a left mask below 256; a product's
+    key is the entrywise sum of its factors' keys, the masks included,
+    since for disjoint masks ma + mb = ma | mb.  Sums are left as they
+    fall: a key may end on zero until ``_reduced``.
     """
     get = acc.get
     right = b.items()
-    for e1, c1 in a.items():
-        c1 *= scale
-        for e2, c2 in right:
-            key = tuple(map(add, e1, e2))
+    table = _BYTE_SWAPS
+    for ka, ca in a.items():
+        ma = ka[0]
+        ca *= scale
+        swaps = table[ma] if ma < 256 else _odd_swaps(ma)
+        for kb, cb in right:
+            mb = kb[0]
+            if ma & mb:
+                continue
+            key = tuple(map(add, ka, kb))
             prev = get(key)
-            acc[key] = c1 * c2 if prev is None else prev + c1 * c2
+            if (swaps & mb).bit_count() & 1:
+                acc[key] = -ca * cb if prev is None else prev - ca * cb
+            else:
+                acc[key] = ca * cb if prev is None else prev + ca * cb
     return acc
-
-
-# -- superfunctions --------------------------------------------------------
 
 
 class SuperFunction(_Graded):
@@ -380,12 +384,17 @@ class SuperFunction(_Graded):
     and ``coefficient`` and ``str`` speak in index tuples too; ``coeffs`` is
     the read-only view ``{mask: f_α}``, each sector reduced on its own,
     built on first read.  ``self + _Products(pairs)``, the fused base +
-    sum a*b of the supermatrix ring protocol, and ``*`` are one operation,
-    ``grassmann._fused``, around the product loop ``_super_accumulate``.
+    sum a*b of the supermatrix ring protocol (``grassmann._fused``), and
+    ``*`` run one product loop, ``_super_accumulate``.
     """
 
     __slots__ = ("_coeffs",)
     shape = _Exact._count
+    _accumulate = staticmethod(_super_accumulate)
+
+    @staticmethod
+    def _zeros(shape: SuperDomainShape) -> tuple[int, ...]:
+        return (0,) * (shape.m + 1)
 
     def __new__(cls, shape: SuperDomainShape, coeffs: Mapping = ()):
         sectors = []
@@ -416,11 +425,11 @@ class SuperFunction(_Graded):
 
     @staticmethod
     def one(shape: SuperDomainShape) -> "SuperFunction":
-        return _constant(SuperFunction, shape, shape.m + 1, 1)
+        return _constant(SuperFunction, shape, 1)
 
     @staticmethod
     def constant(shape: SuperDomainShape, value) -> "SuperFunction":
-        return _constant(SuperFunction, shape, shape.m + 1, value)
+        return _constant(SuperFunction, shape, value)
 
     @staticmethod
     def coordinate(shape: SuperDomainShape, i: int, power: int = 1) -> "SuperFunction":
@@ -474,33 +483,15 @@ class SuperFunction(_Graded):
 
     # -- arithmetic -----------------------------------------------------
 
-    def _coerce(self, value) -> "SuperFunction":
-        if isinstance(value, SuperFunction):
-            return value
+    # ``_Exact``'s, bound here for the tracer, as in ``grassmann.Scalar``
+    __add__ = __radd__ = _Exact.__add__
+    __mul__ = _Exact.__mul__
+
+    def _coerce(self, value):
+        # a Polynomial is lifted, as ``from_polynomial`` does
         if isinstance(value, Polynomial):
-            return SuperFunction.from_polynomial(self.shape, value)
-        if isinstance(value, (int, Fraction, Scalar)):
-            return _constant(SuperFunction, self.shape, self.shape.m + 1, value)
-        raise TypeError(f"cannot interpret {value!r} as a SuperFunction")
-
-    def __add__(self, other) -> "SuperFunction":
-        if type(other) is _Products:
-            return _fused(SuperFunction, self.shape, self.den, self.nums, other,
-                          _super_accumulate)
-        other = self._coerce(other)
-        self._check_compatible(other)
-        return _reduced(SuperFunction, self.shape,
-                        *_add_into(dict(self.nums), self.den, other.nums, other.den))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "SuperFunction":
-        return _fused(SuperFunction, self.shape, 1, {},
-                      ((self, self._coerce(other)),), _super_accumulate)
-
-    def __rmul__(self, other) -> "SuperFunction":
-        # even coefficients are central; odd SuperFunctions must use *
-        return self._coerce(other) * self
+            return _lifted(self.shape, value)
+        return _Exact._coerce(self, value)
 
     def inv_even(self) -> "SuperFunction":
         """Inverse of an even superfunction with invertible (monomial) body."""
@@ -601,37 +592,6 @@ def _sectors(f: SuperFunction) -> list[tuple[tuple[int, ...], Polynomial]]:
     """f's (index tuple, coefficient) sectors in print order."""
     return sorted(((_indices(mask), poly) for mask, poly in f.coeffs.items()),
                   key=lambda sector: (len(sector[0]), sector[0]))
-
-
-def _super_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
-    """Add scale*a*b into ``acc`` and return it.
-
-    ``a`` and ``b`` are numerator dicts keyed as ``SuperFunction.nums``, so
-    every product and sum is of ints.  The loop is
-    ``grassmann._accumulate``'s, its sign rule ``_odd_swaps`` read straight
-    from the table ``_BYTE_SWAPS`` for a left mask below 256; a product's
-    key is the entrywise sum of its factors' keys, the masks included,
-    since for disjoint masks ma + mb = ma | mb.  Sums are left as they
-    fall: a key may end on zero until ``_reduced``.
-    """
-    get = acc.get
-    right = b.items()
-    table = _BYTE_SWAPS
-    for ka, ca in a.items():
-        ma = ka[0]
-        ca *= scale
-        swaps = table[ma] if ma < 256 else _odd_swaps(ma)
-        for kb, cb in right:
-            mb = kb[0]
-            if ma & mb:
-                continue
-            key = tuple(map(add, ka, kb))
-            prev = get(key)
-            if (swaps & mb).bit_count() & 1:
-                acc[key] = -ca * cb if prev is None else prev - ca * cb
-            else:
-                acc[key] = ca * cb if prev is None else prev + ca * cb
-    return acc
 
 
 # -- morphisms --------------------------------------------------------------

@@ -15,6 +15,7 @@ goes on ``ALLOWED`` with the reason it stays.
 
 import ast
 import functools
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,3 +160,26 @@ def test_every_imported_name_is_read():
         if names:
             unused[path.relative_to(ROOT).as_posix()] = names
     assert unused == {}
+
+
+def _tracer_class_methods():
+    """``CLASS_METHODS`` of ``bench/tracer.py``, read with ``ast``: the
+    (layer, class, method, hot) rows whose class-dict binding it wraps."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "CLASS_METHODS"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no CLASS_METHODS")
+
+
+def test_every_traced_method_is_bound_in_its_own_class():
+    # the tracer wraps cls.__dict__[method], so an inherited method, such
+    # as _Exact's arithmetic without its alias in the subclass, is lost
+    missing = []
+    for layer, cls_name, method, _ in _tracer_class_methods():
+        cls = getattr(importlib.import_module(f"superberezin.{layer}"), cls_name)
+        if method not in vars(cls):
+            missing.append(f"{layer}.{cls_name}.{method}")
+    assert missing == []

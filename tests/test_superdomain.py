@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd
-from operator import add
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -1109,6 +1109,106 @@ def test_scalar_operands_coerce_to_the_public_constant(q, k, m):
         assert f + value == f + want and value - f == want - f
         assert p * value == p * want.body_polynomial()
         assert p + value == p + want.body_polynomial()
+
+
+# -- mixed operands ---------------------------------------------------------
+#
+# ``+``, ``-`` and ``*`` are written once on ``grassmann._Exact``; an
+# operand a class cannot take is NotImplemented there, and Python's
+# reflected-operator rule decides the pair.  The grid pins, for every
+# ordered pair of the operands below, the type of ``a op b`` (the same for
+# all three operators) or the error it raises; the value must be what the
+# operation gives on both operands lifted to that type by the public
+# constructors.
+
+_R = SuperDomainShape
+_P1 = Polynomial(1, {(1,): 2, (-1,): Scalar(Fraction(1, 2), -1)})
+_P2 = Polynomial(2, {(1, 2): Fraction(1, 3), (0, 0): 1})
+_MIXED = {
+    "int": 3,
+    "Fraction": Fraction(-2, 3),
+    "float": 0.5,
+    "Scalar": Scalar(Fraction(3, 2), 1),
+    "P1": _P1,
+    "P2": _P2,
+    "G2": GrassmannElement(2, {(0,): 1, (0, 1): Fraction(1, 2), (): 2}),
+    "G3": GrassmannElement(3, {(1,): 1, (0, 2): Scalar(1, 1)}),
+    "F11": SuperFunction(_R(1, (REALLINE,), 1),
+                         {(): _P1, (0,): Polynomial(1, {(2,): -1})}),
+    "F02": SuperFunction(_R(0, (), 2), {(0,): 1, (0, 1): Fraction(1, 2)}),
+    "F21": SuperFunction(_R(2, (REALLINE, REALLINE), 1),
+                         {(0,): _P2, (): Polynomial(2, {(1, 0): 1})}),
+}
+# rows are the left operand, columns the right one, in _MIXED's order; a
+# cell names the operand whose type and count the result has, or the error
+_MIXED_GRID = """
+int      int      Fraction float Scalar P1   P2   G2   G3   F11  F02  F21
+Fraction Fraction Fraction float Scalar P1   P2   G2   G3   F11  F02  F21
+float    float    float    float Type   Type Type Type Type Type Type Type
+Scalar   Scalar   Scalar   Type  Scalar P1   P2   G2   G3   F11  F02  F21
+P1       P1       P1       Type  P1     P1   Dim  Type Type F11  Dim  Dim
+P2       P2       P2       Type  P2     Dim  P2   Type Type Dim  Dim  F21
+G2       G2       G2       Type  G2     Type Type G2   Dim  Type Type Type
+G3       G3       G3       Type  G3     Type Type Dim  G3   Type Type Type
+F11      F11      F11      Type  F11    F11  Dim  Type Type F11  Dim  Dim
+F02      F02      F02      Type  F02    Dim  Dim  Type Type Dim  F02  Dim
+F21      F21      F21      Type  F21    Dim  F21  Type Type Dim  Dim  F21
+"""
+_ERRORS = {"Type": TypeError, "Dim": DimensionError}
+
+
+def _lift(value, like):
+    """value as an operand of the type and count of ``like``, built by the
+    public constructors (a plain number by its type)."""
+    if type(value) is type(like):
+        return value
+    if isinstance(like, (int, Fraction, float, Scalar)):
+        return type(like)(value)
+    if isinstance(like, Polynomial):
+        return Polynomial(like.nvars, {(0,) * like.nvars: value})
+    if isinstance(like, GrassmannElement):
+        return GrassmannElement(like.generator_count, {(): value})
+    shape = like.shape
+    if not isinstance(value, Polynomial):
+        value = Polynomial(shape.m, {(0,) * shape.m: value})
+    return SuperFunction(shape, {(): value})
+
+
+def _stored_or_value(x):
+    return (x._count, x.den, x.nums) if hasattr(x, "nums") else x
+
+
+def _mixed_cases():
+    names = list(_MIXED)
+    for row in _MIXED_GRID.strip().splitlines():
+        left, *cells = row.split()
+        assert len(cells) == len(names)
+        for right, cell in zip(names, cells):
+            for op in "+-*":
+                yield left, op, right, cell
+
+
+@pytest.mark.parametrize("left, op, right, cell", list(_mixed_cases()))
+def test_mixed_operands_follow_the_reflected_operator_rule(left, op, right, cell):
+    apply = {"+": add, "-": sub, "*": mul}[op]
+    a, b = _MIXED[left], _MIXED[right]
+    if cell in _ERRORS:
+        with pytest.raises(_ERRORS[cell]):
+            apply(a, b)
+        return
+    got, like = apply(a, b), _MIXED[cell]
+    assert type(got) is type(like)
+    want = apply(_lift(a, like), _lift(b, like))
+    assert _stored_or_value(got) == _stored_or_value(want)
+
+
+def test_a_difference_is_the_sum_with_the_negation():
+    # Polynomial - SuperFunction included: it goes to SuperFunction.__rsub__
+    for p, f in (("P1", "F11"), ("P2", "F21")):
+        p, f = _MIXED[p], _MIXED[f]
+        for diff, total in ((p - f, p + (-f)), (f - p, f + (-p))):
+            assert type(diff) is type(total) is SuperFunction
+            assert _stored_or_value(diff) == _stored_or_value(total)
 
 
 # -- the flat stored form against the sector oracle ---------------------------
