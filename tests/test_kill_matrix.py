@@ -8,7 +8,7 @@ ends in an ``error:`` line instead (a library error ends the whole suite)
 is pinned as ``"error"``.  The pinned sets may only grow: a fault that
 stops failing a line is a check that lost its teeth.
 
-So far the matrix holds five columns.  The Lie superalgebra column: the
+So far the matrix holds six columns.  The Lie superalgebra column: the
 odd sign of the quotient supertrace, the Koszul sign of the mirror fill of
 structure constants, and one term of the graded Jacobi identity.  The
 fibre-integration column: each of the three signs of
@@ -37,6 +37,15 @@ gcd (127 and 31 lines).  A fault in the sign rule above bit 8 (a high
 byte not complemented) is caught by no run: no suite has more than 8 odd
 generators.  The seeded (16|16) pair over Lambda_16 catches it (Ber(XY)
 != Ber X Ber Y), so the Lambda_16 Berezinian rung of ROADMAP item 15 will.
+The arithmetic column also stops ``_series_inverse`` one step short, which
+only ``verify berezinian`` catches (68 of its 200 lines).  The
+structure-constant column: the Koszul sign of the swapped jet in
+``group_lie_algebra`` set to 1, in ``supergroup`` alone, which only
+``examples run unimod-gl11`` catches, as its extraction's validation
+raises; and the jet terms with an odd letter in each factor skipped, which
+no run catches.  It waits in ``WAITING`` on the quotient-unimodularity and
+super-divergence suites (ROADMAP items 2 and 26); until then the tier-1
+tests named there fail under it.
 """
 
 import io
@@ -44,11 +53,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
+
 from superberezin import berezin, cli, lie_super, supergroup, supermatrix
 from superberezin.berezin import BerezinSection, _times_moments
 from superberezin.errors import DimensionError, NonIntegrableError
 from superberezin.grassmann import (_BYTE_SWAPS, _indices, _quotient, _reduced,
-                                    _stored, koszul_sign)
+                                    _series_inverse, _stored, koszul_sign)
 from superberezin.superdomain import SuperFunction, shape_product
 
 RUNS = {
@@ -188,6 +199,23 @@ def _reduced_without_gcd(cls, count, den, acc):
     return _stored(cls, count, den if acc else 1, acc)
 
 
+def _series_inverse_one_step_short(cls, count, den, head, c, soul, steps,
+                                   *accumulate):
+    # the fault: the series b^-1 sum_j (-b^-1 n)^j stops at j = steps - 1
+    return _series_inverse(cls, count, den, head, c, soul, max(steps - 1, 0),
+                           *accumulate)
+
+
+_jet_terms = supergroup._jet_terms
+
+
+def _jet_terms_without_odd_pairs(comps, m, n):
+    # the fault: a term with an odd letter in each factor is skipped; only
+    # such a term reaches an (odd, odd) pair of directions
+    return {(a, b): terms for (a, b), terms in _jet_terms(comps, m, n).items()
+            if a < m or b < m}
+
+
 _haar_density = supergroup.haar_density
 _modular_berezinian = supergroup.modular_berezinian
 
@@ -254,6 +282,20 @@ def reduced_without_gcd(monkeypatch):
     patch_everywhere(monkeypatch, _reduced, _reduced_without_gcd)
 
 
+def series_inverse_step_dropped(monkeypatch):
+    patch_everywhere(monkeypatch, _series_inverse,
+                     _series_inverse_one_step_short)
+
+
+def swapped_jet_koszul_sign_dropped(monkeypatch):
+    # supergroup's binding only: lie_super's Koszul signs stay
+    monkeypatch.setattr(supergroup, "koszul_sign", lambda a, b: 1)
+
+
+def odd_pair_jet_terms_skipped(monkeypatch):
+    monkeypatch.setattr(supergroup, "_jet_terms", _jet_terms_without_odd_pairs)
+
+
 def haar_side_swapped(monkeypatch):
     patch_everywhere(monkeypatch, _haar_density, _haar_density_of_the_other_side)
 
@@ -281,10 +323,27 @@ FAULTS = {
     "berezin box moment over e + 2": box_moment_off_by_one,
     "grassmann byte table bit flipped": byte_table_bit_flipped,
     "grassmann _reduced without its gcd": reduced_without_gcd,
+    "grassmann one step of _series_inverse dropped":
+        series_inverse_step_dropped,
+    "supergroup Koszul sign of the swapped jet dropped":
+        swapped_jet_koszul_sign_dropped,
+    "supergroup jet terms with an odd letter in each factor skipped":
+        odd_pair_jet_terms_skipped,
     "supergroup Haar density of the other side": haar_side_swapped,
     "supergroup Haar density not inverted": haar_not_inverted,
     "supergroup modular ratio inverted": modular_ratio_inverted,
     "supermatrix det(D) for det(D)^-1": det_d_for_its_inverse,
+}
+
+
+# faults no run catches yet: the open ROADMAP items whose runs will, and
+# the tier-1 tests of tests/test_supergroup.py that fail under them
+WAITING = {
+    # Heisenberg's [Q1, Q2] = 2Z becomes 0, and the Fubini sign line reads
+    # only the dimensions of g and h
+    "supergroup jet terms with an odd letter in each factor skipped": (
+        "items 2 and 26", ("test_heisenberg_algebra_relations",
+                           "test_gl11_chart_matches_matrix_unit_constants")),
 }
 
 
@@ -362,6 +421,21 @@ PINNED = {
             "(2|1)": (1, 17, 29, 33, 37, 45, 53, 57),
             "(2|2)": (3, 11, 15, 27, 35, 39)}),
     },
+    # 68 of 200: over Lambda_4 the dropped step is soul^2 / body^3
+    "grassmann one step of _series_inverse dropped": {
+        "verify berezinian": _numbered("ber-mult", {
+            "(1|1)": (2, 5, 15, 17, 18, 23, 30, 31, 36, 40, 41, 44, 47, 57,
+                      59, 65, 66, 68, 71, 73, 74, 77, 83, 86, 87, 88),
+            "(2|1)": (2, 7, 8, 10, 13, 15, 16, 18, 20, 23, 24, 27, 28, 30,
+                      32, 35, 38, 40, 41, 49, 57, 59, 60, 61, 64, 66, 71,
+                      74, 76, 77, 78, 79, 80, 81, 85, 87, 88, 89, 92, 96,
+                      98, 99)}),
+    },
+    # odd-odd constants become jet(a, b) - jet(b, a): GL(1|1)'s fail the
+    # Jacobi identity and the extraction raises, Heisenberg's become 0
+    "supergroup Koszul sign of the swapped jet dropped": {
+        "examples run unimod-gl11": {"error"},
+    },
     # only the non-unimodular axb tells the sides apart
     "supergroup Haar density of the other side": {
         "verify fubini-quotients": {"fubini axb-odd error"},
@@ -434,7 +508,19 @@ def test_every_fault_fails_its_pinned_checks(monkeypatch):
     for fault, row in PINNED.items():
         for run, pinned in row.items():
             assert pinned <= matrix[fault][run], shown
-    # every fault is caught somewhere, and every run catches some fault
-    assert all(any(row.values()) for row in matrix.values()), shown
+    # every fault is caught somewhere, or waits on an open item, and every
+    # run catches some fault
+    assert all(any(row.values()) for fault, row in matrix.items()
+               if fault not in WAITING), shown
     assert all(any(matrix[fault][run] for fault in FAULTS)
                for run in RUNS), shown
+
+
+def test_waiting_faults_fail_their_tier1_tests(monkeypatch):
+    import test_supergroup
+    for fault, (_, tests) in WAITING.items():
+        with monkeypatch.context() as patch:
+            FAULTS[fault](patch)
+            for name in tests:
+                with pytest.raises(AssertionError):
+                    getattr(test_supergroup, name)()

@@ -32,7 +32,7 @@ from superberezin.errors import (
     NormalizationError,
     StructureError,
 )
-from superberezin.grassmann import EVEN, ODD, Scalar
+from superberezin.grassmann import EVEN, ODD, Scalar, koszul_sign
 from superberezin.groups import (
     axb_even_subgroup,
     axb_fubini_example,
@@ -52,14 +52,17 @@ from superberezin.groups import (
     translation_group,
 )
 from superberezin.lie_super import (
+    LieSuperAlgebra,
     SubalgebraSpec,
     _quotient_supertrace,
     gl11_algebra,
     unimodularity_check,
+    validate,
 )
 from superberezin import suites, supergroup
 from superberezin.supermatrix import SuperMatrix
 from superberezin.superdomain import (
+    POSITIVE,
     REALLINE,
     Polynomial,
     SuperDomainShape,
@@ -74,11 +77,14 @@ from superberezin.superdomain import (
     pullback,
     shape_product,
 )
+from superberezin.superdomain import _evaluate, _evaluate_body, _exact_point
 from superberezin.supergroup import (
     SubgroupSpec,
+    SuperGroupChart,
     _ansatz_rows,
     _embedding_directions,
     _fubini_stage,
+    _jet_terms,
     _product_stage,
     _translation_by_generalized_point,
     check_subgroup,
@@ -169,6 +175,150 @@ def test_translation_algebra_is_abelian():
     for i in range(4):
         for j in range(4):
             assert g.bracket_basis(i, j) == zero
+
+
+def _cross_coefficient(comp, first, second, unit2):
+    """The oracle of one jet: d_second d_first comp, left derivatives
+    applied outermost-first, then its body at the doubled unit in stored
+    form."""
+    for kind, k in (first, second):
+        comp = comp.derive_even(k) if kind == "even" else comp.derive_odd(k)
+    return _evaluate_body(comp, unit2).rational
+
+
+def _oracle_lie_algebra(G):
+    """group_lie_algebra by two derivatives and an evaluation per jet,
+    the jets taken in the same order and validated the same way."""
+    m, n = G.shape.m, G.shape.n
+    first, second = directions(G.shape), directions(G.shape, m, n)
+    parities = [EVEN] * m + [ODD] * n
+    unit2 = _exact_point(2 * m, tuple(G.unit) + tuple(G.unit))
+    comps = [G.mul.component(k) for k in range(m + n)]
+    brackets = {}
+    for a in range(m + n):
+        for b in range(a, m + n):
+            koszul = koszul_sign(parities[a], parities[b])
+            vec = tuple(
+                _cross_coefficient(c, first[a], second[b], unit2)
+                - koszul * _cross_coefficient(c, first[b], second[a], unit2)
+                for c in comps)
+            if any(vec):
+                brackets[(a, b)] = vec
+    names = tuple(f"x{i + 1}" for i in range(m)) \
+        + tuple(f"xi{j + 1}" for j in range(n))
+    algebra = LieSuperAlgebra(names, parities, brackets)
+    report = validate(algebra)
+    if not report.ok:
+        raise StructureError(
+            "extracted structure constants are inconsistent: "
+            + "; ".join(report.failures))
+    return algebra
+
+
+def _outcome(compute, *args):
+    """What compute(*args) gives: ("value", v), or the class and message
+    of what it raises."""
+    try:
+        return "value", compute(*args)
+    except (ArithmeticError, ValueError, StructureError) as err:
+        return type(err), str(err)
+
+
+def _algebra_key(g):
+    # names, parities and brackets as bench/workloads.lie_digest reads them
+    return (g.names, tuple(map(str, g.parities)),
+            sorted((k, tuple(map(str, v))) for k, v in g.brackets.items()))
+
+
+@st.composite
+def _doubled_charts(draw):
+    """A chart on (m|n), m, n <= 2, whose mul has random homogeneous
+    components on the doubled shape: exponents -2..3, zero to four odd
+    letters over both factors, some terms carrying a power of s, and a
+    unit 0 on R axes and 1, 1/2 or 3 on R+ axes."""
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    box = tuple(draw(st.sampled_from([REALLINE, POSITIVE])) for _ in range(m))
+    unit = tuple(draw(st.sampled_from([1, Fraction(1, 2), 3]))
+                 if axis is POSITIVE else 0 for axis in box)
+    shape = SuperDomainShape(m, box, n)
+    doubled = shape_product(shape, shape)
+    letters = [c for size in range(min(4, 2 * n) + 1)
+               for c in itertools.combinations(range(2 * n), size)]
+
+    def component(parity):
+        sectors = [c for c in letters if len(c) % 2 == parity]
+        coeffs = {}
+        for _ in range(draw(st.integers(0, 4))):
+            alpha = draw(st.sampled_from(sectors))
+            exps = tuple(draw(st.integers(-2, 3)) for _ in range(2 * m))
+            power = draw(st.sampled_from([0, 0, 0, 1, -1]))
+            coeffs[alpha] = coeffs.get(alpha, 0) + Polynomial(
+                2 * m, {exps: Scalar(draw(st.integers(-3, 3)), power)})
+        return SuperFunction(doubled, coeffs)
+
+    mul = SuperMorphism(doubled, shape, [component(0) for _ in range(m)],
+                        [component(1) for _ in range(n)])
+    return SuperGroupChart("drawn", shape, mul, unit,
+                           SuperMorphism.identity(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_doubled_charts())
+def test_jet_terms_match_two_derivatives_per_jet(G):
+    m, n = G.shape.m, G.shape.n
+    first, second = directions(G.shape), directions(G.shape, m, n)
+    unit2 = _exact_point(2 * m, tuple(G.unit) + tuple(G.unit))
+    comps = [G.mul.component(k) for k in range(m + n)]
+    buckets = _jet_terms(comps, m, n)
+
+    def jet(a, b, k):
+        terms = buckets.get((a, b), {}).get(k)
+        return _evaluate(comps[k].den, terms, unit2).rational if terms else 0
+
+    for a, b, k in itertools.product(range(m + n), repeat=3):
+        assert _outcome(jet, a, b, k) == _outcome(
+            _cross_coefficient, comps[k], first[a], second[b], unit2), \
+            (a, b, k)
+    # the first error of the whole extraction, or its algebra
+    got = _outcome(group_lie_algebra, G)
+    want = _outcome(_oracle_lie_algebra, G)
+    if got[0] == want[0] == "value":
+        got, want = _algebra_key(got[1]), _algebra_key(want[1])
+    assert got == want
+
+
+@pytest.mark.parametrize("terms", [
+    # (a, b) = (x1, x2), component 0 before component 1: jet(x2, x1) of
+    # mul_1 carries s, and jet(x1, x2) of mul_2 has a pole at the unit
+    ({(0, 1, 1, 0): Scalar(1, 1)}, {(1, 0, 0, -1): 1}),
+    # jet(x1, x2) before jet(x2, x1) of one component
+    ({(1, 0, 0, 1): Scalar(1, 1), (0, 1, 1, -1): 1}, {}),
+], ids=["component-order", "pair-order"])
+def test_first_jet_error_is_the_oracles(terms):
+    shape = SuperDomainShape(2, (REALLINE, REALLINE), 0)
+    doubled = shape_product(shape, shape)
+    mul = SuperMorphism(doubled, shape, [
+        SuperFunction(doubled, {(): Polynomial(4, t)}) for t in terms], [])
+    G = SuperGroupChart("poles", shape, mul, (0, 0),
+                        SuperMorphism.identity(shape))
+    assert _outcome(group_lie_algebra, G) == _outcome(_oracle_lie_algebra, G) \
+        == (ValueError, "s is not rational: it carries a power of s")
+
+
+def _lie_charts():
+    charts = [translation_group(m, n) for m in range(4) for n in range(4)]
+    charts += [heisenberg_group(), axb_group(), gl11_group(),
+               multiplicative_line()]
+    charts += [ex.subgroup.subgroup for ex in fubini_builtins()]
+    charts += [spec.subgroup for ex in product_builtins()
+               for spec in (ex.left, ex.right)]
+    return charts
+
+
+@pytest.mark.parametrize("G", _lie_charts(), ids=lambda G: G.name)
+def test_group_lie_algebra_matches_the_oracle(G):
+    assert _algebra_key(group_lie_algebra(G)) \
+        == _algebra_key(_oracle_lie_algebra(G))
 
 
 # ---------------------------------------------------------------------------
