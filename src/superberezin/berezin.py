@@ -5,12 +5,13 @@ function on the right of the coordinate symbol.  The coordinates are the
 chart's own, in the order its shape fixes (evens, then odds), so a section
 names none of them.  Integration extracts the top odd coefficient of rho,
 applies the convention sign (-1)^{mn}, and hands the remaining even
-integrand to one of two exact backends:
+integrand to an exact backend, a rule of one moment per even axis:
 
-* ``gaussian_moments`` integrates against exp(-|x|^2/2) over all of R^m;
-  results are rational multiples of s^m where s stands for sqrt(2 pi).
-* ``box_polynomial`` evaluates rational antiderivatives over a box.  Any
-  Laurent exponent except -1 is fine as long as the box avoids 0.
+* ``GAUSSIAN`` integrates against exp(-x^2/2) over whole-line axes, one
+  factor s = sqrt(2 pi) per axis.
+* ``box_backend`` takes rational antiderivatives over each axis's own
+  interval or the one an explicit box puts there, sliced to a run of axes
+  such as a fibre's; any exponent but -1 while the interval avoids 0.
 
 Pulling a density back along phi gives Ber(Jac phi) * phi^*(rho), the
 change of variables of an oriented isomorphism; one walk over the source's
@@ -45,7 +46,6 @@ from .errors import (
     NonIntegrableError,
     NonInvertibleError,
     OrientationError,
-    StructureError,
 )
 from .grassmann import Scalar, _indices, _quotient, _reduced
 from .linalg import det as rational_det
@@ -83,31 +83,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegrationBackend:
-    """Exact recipe for the even part of a Berezin--Lebesgue integral."""
+    """One moment per even axis: Lebesgue measure on each axis's own
+    interval, or on the interval the explicit ``box`` puts there."""
 
-    kind: str  # "gaussian_moments" | "box_polynomial"
     box: tuple[Interval, ...] | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("gaussian_moments", "box_polynomial"):
-            raise StructureError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "gaussian_moments" and self.box is not None:
-            raise StructureError("the gaussian backend takes no box")
-
-    def resolve_box(self, axes: Sequence[Axis]) -> tuple[Interval, ...]:
+    def _moment(self, k: int, axis: Axis):
+        """(moment, power of s) on axis k, or its DomainBoxError."""
         if self.box is None:
-            for k, axis in enumerate(axes):
-                if not isinstance(axis, Interval):
-                    raise DomainBoxError(
-                        f"axis {k} is unbounded; pass an explicit box")
-            return tuple(axes)
-        if len(self.box) != len(axes):
-            raise DomainBoxError(
-                f"box has {len(self.box)} axes, domain has {len(axes)}")
-        for k, (iv, axis) in enumerate(zip(self.box, axes)):
-            if not (axis.contains(iv.lo) and axis.contains(iv.hi)):
-                raise DomainBoxError(f"box axis {k} {iv} escapes the domain")
-        return self.box
+            if not isinstance(axis, Interval):
+                raise DomainBoxError(
+                    f"axis {k} is unbounded; pass an explicit box")
+            return partial(_box_monomial, axis), 0
+        iv = self.box[k]
+        if not (axis.contains(iv.lo) and axis.contains(iv.hi)):
+            raise DomainBoxError(f"box axis {k} {iv} escapes the domain")
+        return partial(_box_monomial, iv), 0
+
+    def _on(self, run: slice) -> "IntegrationBackend":
+        """The rule on a run of the axes: an explicit box is sliced."""
+        return self if self.box is None else IntegrationBackend(self.box[run])
 
     def _moment_tables(self, axes: Sequence[Axis],
                        keys) -> tuple[int, list[dict], int]:
@@ -115,17 +110,13 @@ class IntegrationBackend:
         of ``keys`` to the int numerator over d of its moment on axis i, or
         to the NonIntegrableError it raised, and each term gains s^shift;
         the backend's axis checks raise first."""
-        if self.kind == "gaussian_moments":
-            for k, axis in enumerate(axes):
-                if axis is not REALLINE:
-                    raise DomainBoxError(
-                        f"gaussian backend needs whole-line axes, axis {k} is {axis}")
-            moments, shift = [_gaussian_moment] * len(axes), len(axes)
-        else:
-            moments = [partial(_box_monomial, iv) for iv in self.resolve_box(axes)]
-            shift = 0
-        den, tables = 1, []
-        for i, moment in enumerate(moments):
+        if self.box is not None and len(self.box) != len(axes):
+            raise DomainBoxError(
+                f"box has {len(self.box)} axes, domain has {len(axes)}")
+        den, tables, shift = 1, [], 0
+        for i, axis in enumerate(axes):
+            moment, power = self._moment(i, axis)
+            shift += power
             table, axis_den = {}, 1
             for e in {exps[i] for exps in keys}:
                 try:
@@ -143,6 +134,16 @@ class IntegrationBackend:
             den *= axis_den
             tables.append(table)
         return den, tables, shift
+
+
+class _Gaussian(IntegrationBackend):
+    """exp(-x^2/2) on every axis, each a whole line."""
+
+    def _moment(self, k: int, axis: Axis):
+        if axis is not REALLINE:
+            raise DomainBoxError(
+                f"gaussian backend needs whole-line axes, axis {k} is {axis}")
+        return _gaussian_moment, 1
 
 
 def _times_moments(c: int, exps, tables) -> int:
@@ -181,15 +182,13 @@ def _box_monomial(iv: Interval, e: int):
     return _quotient(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 1)
 
 
-GAUSSIAN = IntegrationBackend("gaussian_moments")
+GAUSSIAN = _Gaussian()
 
 
 def box_backend(*bounds) -> IntegrationBackend:
     """Box backend; with no arguments the domain's own axes are used."""
-    if not bounds:
-        return IntegrationBackend("box_polynomial")
     box = tuple(b if isinstance(b, Interval) else Interval(*b) for b in bounds)
-    return IntegrationBackend("box_polynomial", box)
+    return IntegrationBackend(box or None)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,6 @@ class FubiniExample:
     test_function: SuperFunction
     staging_sign: int  # frozen sign of the staged integral
     backend: IntegrationBackend
-    fibre_backend: IntegrationBackend | None = None
 
 
 def line_fubini_example() -> FubiniExample:
@@ -211,14 +210,12 @@ def axb_fubini_example() -> FubiniExample:
                             [SuperFunction.zero(base)])
     a = SuperFunction.coordinate(G.shape, 0)
     b = SuperFunction.odd_gen(G.shape, 0)
-    box = box_backend((Fraction(1, 2), Fraction(2)))
     return FubiniExample(
         name="axb-odd",
         group=G, subgroup=spec, section=section,
         test_function=a + a * b,
         staging_sign=-1,
-        backend=box,
-        fibre_backend=box_backend())
+        backend=box_backend((Fraction(1, 2), Fraction(2))))
 
 
 def fubini_builtins() -> tuple[FubiniExample, ...]:

@@ -551,8 +551,7 @@ def fubini_quotient_suite(seed: int = 0):
     for ex in groups.fubini_builtins():
         drawn = [_random_group_function(rng, ex.group.shape) for _ in range(4)]
         try:
-            check = _fubini_stage(ex.group, ex.subgroup, ex.section,
-                                  ex.backend, ex.fibre_backend)
+            check = _fubini_stage(ex.group, ex.subgroup, ex.section, ex.backend)
             for k, f in enumerate(drawn):
                 report = check(f)
                 lines.append(CheckLine.equal(f"fubini {ex.name} case {k}",
@@ -628,7 +627,7 @@ SUITES = {
 
 def _fubini_example(ex: groups.FubiniExample) -> list[CheckLine]:
     report = fubini_check(ex.group, ex.subgroup, ex.section, ex.test_function,
-                          backend=ex.backend, fibre_backend=ex.fibre_backend)
+                          backend=ex.backend)
     return [CheckLine.equal(f"{ex.name} staged integral",
                             report.lhs, report.rhs),
             CheckLine.equal(f"{ex.name} staging sign",

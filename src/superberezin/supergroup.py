@@ -460,9 +460,7 @@ class FubiniReport:
 
 def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
                  section: SuperMorphism, f: SuperFunction, *,
-                 backend: IntegrationBackend,
-                 fibre_backend: IntegrationBackend | None = None
-                 ) -> FubiniReport:
+                 backend: IntegrationBackend) -> FubiniReport:
     """Integrate f over the chart directly and in stages through the
     quotient; the two must agree exactly, with the stage order contributing
     (-1)^(dim h_1 * dim of the base).
@@ -472,18 +470,19 @@ def fubini_check(G: SuperGroupChart, H: SubgroupSpec,
     h = e, where rho_H is 1.  NormalizationError means that tau^*omega_G
     is not b x rho_H, so the quotient chart carries no such density.
 
-    ``backend`` integrates over G and over the base; ``fibre_backend``, when
-    given, integrates over the subgroup fibre in its place.
+    ``backend`` integrates over G, the base and the fibre H.  An explicit
+    box is in base x H order, tau's source: the base takes its leading
+    base.m intervals, H its trailing H.m, and tau must carry each even
+    axis of base x H to G's axis at the same place.
 
     The densities depend on (G, H, section) only, never on f: this is
     ``_fubini_stage`` followed by its per-integrand step on f, and a caller
     with many integrands over one quotient stages it once."""
-    return _fubini_stage(G, H, section, backend, fibre_backend)(f)
+    return _fubini_stage(G, H, section, backend)(f)
 
 
 def _fubini_stage(G: SuperGroupChart, H: SubgroupSpec,
-                  section: SuperMorphism, backend: IntegrationBackend,
-                  fibre_backend: IntegrationBackend | None
+                  section: SuperMorphism, backend: IntegrationBackend
                   ) -> Callable[[SuperFunction], FubiniReport]:
     """Everything of ``fubini_check`` but its two integrals of f: the Haar
     densities, tau and tau^*omega_G, the base density and its
@@ -508,15 +507,16 @@ def _fubini_stage(G: SuperGroupChart, H: SubgroupSpec,
             discrepancy=pulled.density - factored.density)
 
     fibre_density = product_section(BerezinSection.make(base, 1), rho_H)
-    fibre_backend = fibre_backend or backend
+    on_base = backend._on(slice(base.m))
+    on_fibre = backend._on(slice(base.m, None))
     sign = -1 if (Hsh.n * (base.m + base.n)) % 2 else 1
 
     def check(f: SuperFunction) -> FubiniReport:
         lhs = integrate(function_times_section(f, omega_G), backend)
         f_H = fibre_integrate_section(
             function_times_section(pullback(tau, f), fibre_density), base,
-            Hsh, fibre_backend)
-        staged = integrate(function_times_section(b, f_H), backend)
+            Hsh, on_fibre)
+        staged = integrate(function_times_section(b, f_H), on_base)
         return FubiniReport(sign, lhs, sign * staged, f_H.density,
                             pulled.caveats)
     return check

@@ -17,6 +17,7 @@ from superberezin import (
     BerezinSection,
     DimensionError,
     DomainBoxError,
+    IntegrationBackend,
     Interval,
     NonInvertibleError,
     NonIntegrableError,
@@ -174,6 +175,10 @@ def test_box_integral_matches_the_term_by_term_integral(terms, first, second):
     shape = SuperDomainShape(2, box, 0)
     got = integrate(BerezinSection.make(shape, poly), box_backend())
     assert got == _term_by_term_integral(poly, box)
+    # the same box given explicitly over whole lines, place by place
+    lines = SuperDomainShape(2, (REALLINE, REALLINE), 0)
+    assert integrate(BerezinSection.make(lines, poly),
+                     box_backend(*box)) == got
     for coeff in got.terms.values():
         assert type(coeff) is int or coeff.denominator > 1
 
@@ -181,18 +186,47 @@ def test_box_integral_matches_the_term_by_term_integral(terms, first, second):
 def test_backend_axis_mismatches():
     # gaussian needs whole-line axes; the box backend needs bounded ones
     boxed = BerezinSection.make(BOX01, SuperFunction.one(BOX01))
-    with pytest.raises(DomainBoxError):
+    with pytest.raises(DomainBoxError,
+                       match="^gaussian backend needs whole-line axes, "
+                       "axis 0 is 0:1$"):
         integrate(boxed, GAUSSIAN)
     unbounded = BerezinSection.make(LINE, SuperFunction.one(LINE))
-    with pytest.raises(DomainBoxError):
+    with pytest.raises(DomainBoxError,
+                       match="^axis 0 is unbounded; pass an explicit box$"):
         integrate(unbounded, box_backend())
-    # explicit box must sit inside the axes
-    with pytest.raises(DomainBoxError):
+    # explicit box must have the domain's length and sit inside the axes
+    with pytest.raises(DomainBoxError, match="^box has 2 axes, domain has 1$"):
+        integrate(boxed, box_backend((0, 1), (0, 1)))
+    with pytest.raises(DomainBoxError,
+                       match="^box axis 0 0:2 escapes the domain$"):
         integrate(boxed, box_backend((0, 2)))
     half = SuperDomainShape(1, (POSITIVE,), 0)
-    with pytest.raises(DomainBoxError):
+    with pytest.raises(DomainBoxError,
+                       match="^box axis 0 -1:1 escapes the domain$"):
         integrate(BerezinSection.make(half, SuperFunction.one(half)),
                   box_backend((-1, 1)))
+    # the length is checked before any axis, the axes in order
+    two = SuperDomainShape(2, (Interval(0, 1), REALLINE), 0)
+    with pytest.raises(DomainBoxError, match="^box has 1 axes, domain has 2$"):
+        integrate(BerezinSection.make(two, 1), box_backend((0, 2)))
+    with pytest.raises(DomainBoxError,
+                       match="^box axis 0 0:2 escapes the domain$"):
+        integrate(BerezinSection.make(two, 1), box_backend((0, 2), (5, 6)))
+    with pytest.raises(DomainBoxError,
+                       match="^gaussian backend needs whole-line axes, "
+                       "axis 0 is 0:1$"):
+        integrate(BerezinSection.make(two, 1), GAUSSIAN)
+
+
+def test_integration_backend_called_directly_is_a_box_rule():
+    # the constructor builds Lebesgue rules only: no box is the domain's
+    # own axes, a box is the explicit one; the Gaussian rule is GAUSSIAN
+    boxed = BerezinSection.make(BOX01, SuperFunction.coordinate(BOX01, 0))
+    assert IntegrationBackend() == box_backend() != GAUSSIAN
+    assert IntegrationBackend((Interval(0, 1),)) == box_backend((0, 1))
+    assert integrate(boxed, IntegrationBackend()) == Scalar(Fraction(1, 2))
+    assert integrate(boxed, IntegrationBackend((Interval(0, Fraction(1, 2)),))
+                     ) == Scalar(Fraction(1, 8))
 
 
 def test_integrate_is_linear():
@@ -640,13 +674,30 @@ def _split_fibre_integrate_section(omega, base, fibre, backend):
 _exponents = st.sampled_from([0, 1, 2, 3, 0, 1, -1, -2])
 
 
+def _explicit_box(draw, axes):
+    """A box backend with an explicit box for ``axes``: inside them, with
+    one bounded axis widened past its end (inside when none is bounded),
+    or with one interval too many."""
+    box = [Interval(a.lo, (a.lo + a.hi) / 2) if isinstance(a, Interval)
+           else draw(_intervals) for a in axes]
+    how = draw(st.sampled_from(["inside", "escape", "length"]))
+    bounded = [k for k, a in enumerate(axes) if isinstance(a, Interval)]
+    if how == "escape" and bounded:
+        k = draw(st.sampled_from(bounded))
+        box[k] = Interval(axes[k].lo, axes[k].hi + 1)
+    elif how == "length":
+        box.append(draw(_intervals))
+    return box_backend(*box)
+
+
 @st.composite
 def _fibre_cases(draw):
     """(omega, base, fibre, backend): a density on (m|n) x (p|q), each
     dimension in 0..2, over a Gaussian fibre or a box fibre, whose keys
     sit in the top fibre sector about half the time, with negative
-    exponents and powers of s.  About one backend in four is the other
-    kind's, and one stated base in eight is not the density's."""
+    exponents and powers of s.  About one backend in six is the other
+    kind's, one in three an explicit box (``_explicit_box``), and one
+    stated base in eight is not the density's."""
     m, n, p, q = (draw(st.integers(0, 2)) for _ in range(4))
     base = SuperDomainShape(m, tuple(draw(_axes) for _ in range(m)), n)
     gaussian = draw(st.booleans())
@@ -667,7 +718,10 @@ def _fibre_cases(draw):
                                     for idx, terms in sectors.items()})
     omega = BerezinSection(total, density, draw(st.sampled_from(
         [(), ("orientation sampled on the source grid",)])))
-    if draw(st.sampled_from([True] * 3 + [False])) != gaussian:
+    rule = draw(st.sampled_from(["own"] * 3 + ["other"] + ["explicit"] * 2))
+    if rule == "explicit":
+        backend = _explicit_box(draw, fibre.box)
+    elif (rule == "own") != gaussian:
         backend = box_backend()
     else:
         backend = GAUSSIAN

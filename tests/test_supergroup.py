@@ -24,6 +24,7 @@ import hypothesis.strategies as st
 from superberezin.berezin import (
     GAUSSIAN,
     BerezinSection,
+    box_backend,
     product_section,
     pullback_section,
 )
@@ -618,7 +619,7 @@ def test_haar_ratio_is_the_conjugation_berezinian():
 def test_line_fubini_frozen_values():
     ex = line_fubini_example()
     report = fubini_check(ex.group, ex.subgroup, ex.section, ex.test_function,
-                          backend=ex.backend, fibre_backend=ex.fibre_backend)
+                          backend=ex.backend)
     base = ex.section.source
     assert report.sign == -1
     assert report.fibre_function == -_coord(base, 0, 2)
@@ -630,7 +631,7 @@ def test_line_fubini_frozen_values():
 def test_heisenberg_fubini_frozen_values():
     ex = heisenberg_fubini_example()
     report = fubini_check(ex.group, ex.subgroup, ex.section, ex.test_function,
-                          backend=ex.backend, fibre_backend=ex.fibre_backend)
+                          backend=ex.backend)
     base = ex.section.source
     s = Scalar(1, 1)
     expected = (SuperFunction.constant(base, s)
@@ -647,13 +648,50 @@ def test_heisenberg_fubini_frozen_values():
 def test_axb_fubini_frozen_values():
     ex = axb_fubini_example()
     report = fubini_check(ex.group, ex.subgroup, ex.section, ex.test_function,
-                          backend=ex.backend, fibre_backend=ex.fibre_backend)
+                          backend=ex.backend)
     base = ex.section.source
     assert report.sign == -1
     assert report.fibre_function == -_coord(base, 0, 2)
     assert report.lhs == Scalar(Fraction(15, 8))
     assert report.rhs == Scalar(Fraction(15, 8))
     assert report.passed
+
+
+def test_heisenberg_fubini_over_an_explicit_box():
+    # one box backend stages the centre quotient: the (0|2) base takes the
+    # box's leading 0 intervals, the centre line its trailing one
+    ex = heisenberg_fubini_example()
+    z = _coord(ex.group.shape, 0)
+    bump = (1 - z) * (1 - z) * (1 - z) * (1 - z)
+    for f, value in ((ex.test_function, Fraction(1, 3)),
+                     (ex.test_function * bump, Fraction(1, 105))):
+        report = fubini_check(ex.group, ex.subgroup, ex.section, f,
+                              backend=box_backend((0, 1)))
+        assert (report.lhs, report.rhs) == (Scalar(value), Scalar(value))
+
+
+@pytest.mark.parametrize("box, value", [
+    (((0, 1), (1, 3)), Fraction(-13, 3)),
+    (((1, 3), (0, 1)), Fraction(-4, 3)),
+])
+def test_fubini_splits_an_explicit_box_as_base_times_fibre(box, value):
+    # R^(2|1) over the last even axis: tau(x, xi; h) = (x, h, xi), so the
+    # base integrates over the box's first interval and the fibre over its
+    # second; the box and the integrand are asymmetric, so a swapped
+    # split gives the other order's value (negative: f moves its odd part
+    # across the odd D-symbol)
+    G, H = translation_group(2, 1), translation_group(1, 0)
+    base = SuperDomainShape(1, (REALLINE,), 1)
+    zero_h, zero_b = SuperFunction.zero(H.shape), SuperFunction.zero(base)
+    emb = SuperMorphism(H.shape, G.shape,
+                        [zero_h, _coord(H.shape, 0)], [zero_h])
+    section = SuperMorphism(base, G.shape, [_coord(base, 0), zero_b],
+                            [SuperFunction.odd_gen(base, 0)])
+    x1, x2 = _coord(G.shape, 0), _coord(G.shape, 1)
+    f = x1 + x1 * x2 * x2 * SuperFunction.odd_gen(G.shape, 0)
+    report = fubini_check(G, SubgroupSpec(G, H, emb), section, f,
+                          backend=box_backend(*box))
+    assert (report.lhs, report.rhs) == (Scalar(value), Scalar(value))
 
 
 def test_fubini_normalization_mismatch_raises():
@@ -667,7 +705,7 @@ def test_fubini_normalization_mismatch_raises():
                             [SuperFunction.odd_gen(base, 0)])
     with pytest.raises(NormalizationError) as info:
         fubini_check(ex.group, spec, section, ex.test_function,
-                     backend=ex.backend, fibre_backend=ex.fibre_backend)
+                     backend=ex.backend)
     assert str(info.value.discrepancy) == "-x1^-1 + 1"
 
 
@@ -676,8 +714,7 @@ def test_fubini_sign_matches_tensor_factorization_rule():
     # (-1)^((m+n)q) computed from independently extracted algebra data.
     for ex in fubini_builtins():
         report = fubini_check(ex.group, ex.subgroup, ex.section,
-                              ex.test_function, backend=ex.backend,
-                              fibre_backend=ex.fibre_backend)
+                              ex.test_function, backend=ex.backend)
         g = group_lie_algebra(ex.group)
         h = group_lie_algebra(ex.subgroup.subgroup)
         sign = -1 if (h.odd_count * (g.dim - h.dim)) % 2 else 1
@@ -819,14 +856,12 @@ def test_staged_reports_match_the_public_checks(seed):
     # one a fresh public call gives for that integrand alone
     rng = random.Random(seed)
     for ex in fubini_builtins():
-        check = _fubini_stage(ex.group, ex.subgroup, ex.section, ex.backend,
-                              ex.fibre_backend)
+        check = _fubini_stage(ex.group, ex.subgroup, ex.section, ex.backend)
         for f in [suites._random_group_function(rng, ex.group.shape)
                   for _ in range(3)]:
             staged = check(f)
             public = fubini_check(ex.group, ex.subgroup, ex.section, f,
-                                  backend=ex.backend,
-                                  fibre_backend=ex.fibre_backend)
+                                  backend=ex.backend)
             assert (staged.sign, staged.lhs, staged.rhs,
                     staged.fibre_function, staged.caveats) == (
                 public.sign, public.lhs, public.rhs,
