@@ -47,7 +47,7 @@ from .errors import (
     NonInvertibleError,
     OrientationError,
 )
-from .grassmann import Scalar, _indices, _quotient, _reduced
+from .grassmann import Scalar, _indices, _layout, _quotient, _reduced
 from .linalg import det as rational_det
 from .superdomain import (
     Axis,
@@ -58,6 +58,7 @@ from .superdomain import (
     SuperDomainShape,
     SuperFunction,
     SuperMorphism,
+    _unpacked,
     box_samples,
     jacobian,
     pullback,
@@ -84,9 +85,15 @@ __all__ = [
 @dataclass(frozen=True)
 class IntegrationBackend:
     """One moment per even axis: Lebesgue measure on each axis's own
-    interval, or on the interval the explicit ``box`` puts there."""
+    interval, or on the interval the explicit ``box`` puts there, each
+    given as an Interval or a (lo, hi) pair."""
 
     box: tuple[Interval, ...] | None = None
+
+    def __post_init__(self):
+        if self.box is not None:
+            object.__setattr__(self, "box", tuple(
+                b if isinstance(b, Interval) else Interval(*b) for b in self.box))
 
     def _moment(self, k: int, axis: Axis):
         """(moment, power of s) on axis k, or its DomainBoxError."""
@@ -187,8 +194,7 @@ GAUSSIAN = _Gaussian()
 
 def box_backend(*bounds) -> IntegrationBackend:
     """Box backend; with no arguments the domain's own axes are used."""
-    box = tuple(b if isinstance(b, Interval) else Interval(*b) for b in bounds)
-    return IntegrationBackend(box or None)
+    return IntegrationBackend(bounds or None)
 
 
 # ---------------------------------------------------------------------------
@@ -236,31 +242,31 @@ def _pushforward(density: SuperFunction, m: int, n: int,
                  fibre: SuperDomainShape,
                  backend: IntegrationBackend) -> tuple[int, dict]:
     """p_! of a density on (m|n) x fibre as the unreduced (den, nums) of a
-    function on the base: one pass over the stored keys as the module
-    docstring says, into one numerator dict over one set of moment tables.
-    Groups (a, L) go in the order of a, then of L's index tuple, so errors
-    come in that order; with no key in the top fibre sector no table is
-    built and no backend error is raised."""
+    function on the base, keyed in the base's layout: one pass over the
+    stored keys as the module docstring says, into one numerator dict over
+    one set of moment tables.  Groups (a, L) go in the order of a, then of
+    L's index tuple, so errors come in that order; with no key in the top
+    fibre sector no table is built and no backend error is raised."""
     p, q = fibre.m, fibre.n
     full, low = (1 << q) - 1, (1 << n) - 1
     groups: dict[tuple, list] = {}
-    for key, c in density.nums.items():
-        if key[0] >> n == full:
-            groups.setdefault((key[1:m + 1], key[0] & low), []).append(
-                (key[m + 1:], c))
+    for mask, exps, k, c in density.shape._key_layout.unpacked(
+            density.nums, full << n):
+        groups.setdefault((exps[:m], mask & low), []).append((exps[m:], k, c))
     den, nums = density.den, {}
     if groups:
         tables_den, tables, shift = backend._moment_tables(
-            fibre.box, [exps for terms in groups.values() for exps, _ in terms])
+            fibre.box, [exps for terms in groups.values() for exps, _, _ in terms])
         den *= tables_den
+        base = _layout(n, m)
         for (exps, mask), terms in sorted(
                 groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
-            head = (mask,) + exps
+            head = base.key(mask, exps, shift)
             t = -1 if (n * p + p * q + q * mask.bit_count()) % 2 else 1
-            for fibre_key, c in terms:
-                c = _times_moments(t * c, fibre_key, tables)
+            for fibre_exps, k, c in terms:
+                c = _times_moments(t * c, fibre_exps, tables)
                 if c:
-                    key = head + (fibre_key[-1] + shift,)
+                    key = head + k * base.s  # times s^k
                     nums[key] = nums.get(key, 0) + c
     return den, nums
 
@@ -270,7 +276,7 @@ def integrate(omega: BerezinSection, backend: IntegrationBackend) -> Scalar:
     counts, integrated over the even axes with the convention sign
     (-1)^{mn}, the pq term of p_!'s sign; each key left holds a power of s."""
     den, nums = _pushforward(omega.density, 0, 0, omega.shape, backend)
-    return _reduced(Scalar, 0, den, {key[-1]: c for key, c in nums.items()})
+    return _reduced(Scalar, 0, den, nums)  # on (0|0) a key is its power of s
 
 
 def function_times_section(f, omega: BerezinSection) -> BerezinSection:
@@ -365,7 +371,7 @@ def _grid_body(f: SuperFunction, grid):
     L^hi a_t^-lo, powers of ints only; a term's values over the grid are
     the outer product of its per-axis factors, the first axis outermost.
     """
-    terms = [(key[1:], c) for key, c in f.nums.items() if not key[0]]
+    terms = _unpacked(f.shape._key_layout, f.nums, 0)
     dens, powers, bounds = [f.den], {}, []
     for i, (scale, nums) in enumerate(grid):
         es = [exps[i] for exps, _ in terms] + [0]

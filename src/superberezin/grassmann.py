@@ -4,29 +4,37 @@ Exact values are Laurent polynomials in the formal symbol
 ``s = sqrt(2*pi)`` with rational coefficients; keeping s symbolic makes
 Gaussian-moment integration exact, and since s is transcendental the
 model is faithful.  Algebra elements are finite sums of terms
-``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices.  Each term is
-stored under the key ``(mask, k)``: ``mask`` is the int whose bit i is set
-when xi_{i+1} is a factor, and k is the power of s, so every coefficient
-is a plain rational.  Every exact value, a ``Scalar``, an element, a
-``superdomain.Polynomial`` or a ``superdomain.SuperFunction`` (keyed
-``(mask, e_1, ..., e_m, k)``: the odd generator mask, the even exponents,
-the power of s), stores its coefficients as int numerators over one
-shared denominator in lowest terms, in the one form of ``_Exact``, as
-FLINT's ``fmpq_poly`` does: the pivot inverses 1/c of a Berezinian would
-spread Fractions through every later product, and over one denominator
-the product loop multiplies and adds only ints, with one gcd per result.
-A coefficient becomes an ``int`` (when integral) or a ``Fraction`` only
-where it is read (``terms``, ``rational``, printing).  Their arithmetic
-is written once, on ``_Exact``: ``+``, ``-``, ``*`` and the coercion of
-constants, each class giving only its product loop, and an operand a
-class cannot take is handed to the other operand's reflected method, as
-``fractions.Fraction`` does.
-The mask is the package's one odd-monomial key, also of superfunctions
-and Koszul monomials, and ``_odd_swaps`` its one sign rule, read from the
-256-entry table ``_BYTE_SWAPS`` one byte of the mask at a time: a product
-of two monomials is a test, an or, a lookup and a popcount on their masks.
-Index tuples appear only where a value is built from ``{idx: coefficient}``,
-asked for a coefficient or printed.
+``c s^k xi_{i1}...xi_{ik}`` with strictly increasing indices.  Every exact
+value, a ``Scalar``, an element, a ``superdomain.Polynomial`` or a
+``superdomain.SuperFunction``, stores its coefficients as int numerators
+over one shared denominator in lowest terms, in the one form of
+``_Exact``, as FLINT's ``fmpq_poly`` does: the pivot inverses 1/c of a
+Berezinian would spread Fractions through every later product, and over
+one denominator the product loop multiplies and adds only ints, with one
+gcd per result.  A coefficient becomes an ``int`` (when integral) or a
+``Fraction`` only where it is read (``terms``, ``rational``, printing).
+Their arithmetic is written once, on ``_Exact``: ``+``, ``-``, ``*`` and
+the coercion of constants, each class giving only its product loop, and
+an operand a class cannot take is handed to the other operand's reflected
+method, as ``fractions.Fraction`` does.
+
+Each term is stored under one int key, in the one layout of ``_Layout``,
+which only this module reads: the odd generator mask (bit i set when
+xi_{i+1} is a factor) in the low n bits, one 32-bit lane e + 2^30 per even
+exponent e, and the power k of s in the unbounded top bits, so a Scalar's
+key is k and an element's is ``mask + (k << n)``.  A product of two
+monomials is then one sum of their keys less the lanes' bias, with one
+test of the lanes' guard bits (the packed exponent vectors of Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007), and two loops serve every class:
+``_commuting`` for Scalars and polynomials and ``_anticommuting`` for
+elements and superfunctions.  The mask is the package's one odd-monomial
+key, also of Koszul monomials, and ``_odd_swaps`` its one sign rule, read
+from the 256-entry table ``_BYTE_SWAPS`` one byte of the mask at a time: a
+product of two monomials is a test, a sum, a lookup and a popcount.  Index
+tuples appear only where a value is built from ``{idx: coefficient}``,
+asked for a coefficient or printed, and ``terms`` keeps the tuple keys of
+``_Exact``'s docstring.
 
 One rule says which values are checked.  Input from outside the program
 goes through a public constructor, ``Scalar(...)``, ``GrassmannElement``,
@@ -45,13 +53,14 @@ negations, drawn test matrices and the differentials of morphisms
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
 from types import MappingProxyType
 
-from .errors import DimensionError, NonInvertibleError, ParityError
+from .errors import (DimensionError, NonInvertibleError, ParityError,
+                     SuperBerezinError)
 
 
 class Parity(enum.Enum):
@@ -77,6 +86,134 @@ def koszul_sign(a: Parity, b: Parity) -> int:
     return -1 if (a is ODD and b is ODD) else 1
 
 
+# -- the key layout -----------------------------------------------------------
+
+_LANE = 32          # bits per even exponent
+_OFFSET = 1 << 30   # a lane stores e + _OFFSET, so it reads 0 for e = -2^30
+_TOP = 1 << 31      # a lane's top bit, its guard bit
+_FIELD = _TOP - 1   # the bits of a lane below its guard bit
+
+
+class _Layout:
+    """The one int key of a term over n odd generators and m even
+    variables: the generator mask in the low n bits, then one 32-bit lane
+    per even exponent e_i holding e_i + 2^30, its top bit the lane's guard
+    bit, and then the power k of s, unbiased, in the unbounded top bits.
+    So an exponent lies in [-2^30, 2^30): a lane of e + 2^30 in [0, 2^31).
+
+    Under it a Scalar's key is k, a GrassmannElement's ``mask + (k << n)``
+    and a Polynomial's the n = 0 case; a SuperFunction's is its generator
+    mask joined to the key of its even part, a Polynomial's key
+    (``join``), so on (0|N) it is the element's.  The key of a product of
+    two monomials with disjoint masks is the sum of their keys less
+    ``bias``, the lanes of the exponents 0: a lane sum leaves [0, 2^31)
+    exactly when its guard bit, or a lower lane's after a borrow, is set,
+    so one test of ``guard`` finds it.  ``s`` is what multiplying a term
+    by s adds to its key.  Only this module reads the bits; the other
+    modules go through ``key``, ``split`` and the helpers below.
+    """
+
+    __slots__ = ("n", "m", "low", "bias", "guard", "top", "below", "s",
+                 "_lanes")
+
+    def __init__(self, n: int, m: int):
+        self._lanes = tuple(range(n, n + _LANE * m, _LANE))
+        self.n, self.m = n, m
+        self.low = (1 << n) - 1
+        self.bias = sum(_OFFSET << lane for lane in self._lanes)
+        self.guard = sum(_TOP << lane for lane in self._lanes)
+        self.top = n + _LANE * m
+        self.below = (1 << self.top) - 1
+        self.s = 1 << self.top
+
+    def key(self, mask: int, exps: Iterable[int], k: int) -> int:
+        """The key of xi^mask x^exps s^k; SuperBerezinError for an
+        exponent outside [-2^30, 2^30)."""
+        key = mask + (k << self.top)
+        lane = self.n
+        for e in exps:
+            if not -_OFFSET <= e < _OFFSET:
+                raise _lane_error()
+            key += (e + _OFFSET) << lane
+            lane += _LANE
+        return key
+
+    def split(self, key: int) -> tuple[int, tuple[int, ...], int]:
+        """(mask, exponents, power of s) of a key."""
+        (mask, exps, k, _), = self.unpacked({key: 0})
+        return mask, exps, k
+
+    def unpacked(self, nums: dict, having: int = 0) -> list:
+        """The ``split`` keys and the numerators, (mask, exponents, power
+        of s, numerator), of the terms of ``nums`` whose masks hold every
+        generator of the mask ``having``, in stored order."""
+        low, top, lanes = self.low, self.top, self._lanes
+        out = []
+        for key, c in nums.items():
+            if key & having == having:
+                exps = []  # a loop: faster than a comprehension per key
+                for lane in lanes:
+                    exps.append(((key >> lane) & _FIELD) - _OFFSET)
+                out.append((key & low, tuple(exps), key >> top, c))
+        return out
+
+    def mask(self, key: int) -> int:
+        return key & self.low
+
+    def even(self, key: int) -> int:
+        """The key of a term's even part, exponents and power of s, in the
+        layout of (0|m): a Polynomial's key."""
+        return key >> self.n
+
+    def join(self, mask: int, even: int) -> int:
+        """The key of xi^mask times the (0|m) term keyed ``even``."""
+        return mask + (even << self.n)
+
+    def derivative(self, nums: dict, i: int) -> dict:
+        """The numerators of d/dx_i of the numerators ``nums``: distinct
+        terms with x_i stay distinct, so no sums arise; SuperBerezinError
+        where an exponent leaves its lane."""
+        lane = self.n + _LANE * i
+        one, guard = 1 << lane, self.guard
+        out = {}
+        for key, c in nums.items():
+            e = ((key >> lane) & _FIELD) - _OFFSET
+            if e:
+                key -= one
+                if key & guard:
+                    raise _lane_error()
+                out[key] = c * e
+        return out
+
+    def odd_derivative(self, nums: dict, j: int) -> dict:
+        """The numerators of the left derivative d/dxi_{j+1} of the
+        numerators ``nums``: a term with xi_{j+1} loses it, with sign
+        (-1)^(generators before it), and distinct terms stay distinct."""
+        bit = 1 << j
+        below = bit - 1
+        out = {}
+        for key, c in nums.items():
+            if key & bit:
+                out[key ^ bit] = -c if (key & below).bit_count() & 1 else c
+        return out
+
+    def checked(self, key: int) -> int:
+        if key & self.guard:
+            raise _lane_error()
+        return key
+
+
+@functools.cache
+def _layout(n: int, m: int) -> _Layout:
+    """The shared ``_Layout`` of n odd generators and m even variables."""
+    return _Layout(n, m)
+
+
+def _lane_error() -> SuperBerezinError:
+    return SuperBerezinError(
+        "an exponent leaves the stored range [-2^30, 2^30)")
+
+
 class _Exact:
     """An exact value stored as int numerators over one denominator.
 
@@ -86,11 +223,13 @@ class _Exact:
     ``gcd(den, *nums.values()) == 1`` and zero has ``den == 1``, so equal
     values are stored alike, and ``==`` and ``hash`` read the stored form;
     a constant, of any type and count, compares and hashes by its value.
-    ``terms`` is the read-only canonical view ``{key: coefficient}``, the
-    coefficient an int when integral and a Fraction otherwise, built when
-    read (its Fractions once).  A key is the power of s for a ``Scalar``,
-    ``(mask, k)`` for a ``GrassmannElement``, ``(e_1, ..., e_m, k)`` for
-    a ``superdomain.Polynomial`` and ``(mask, e_1, ..., e_m, k)`` for a
+    A stored key is one int in the ``_Layout`` of the class's
+    ``_layout(count)``.  ``terms`` is the read-only canonical view
+    ``{key: coefficient}`` in tuple keys, the coefficient an int when
+    integral and a Fraction otherwise, built once, on first read: a key
+    is the power of s for a ``Scalar``, ``(mask, k)`` for a
+    ``GrassmannElement``, ``(e_1, ..., e_m, k)`` for a
+    ``superdomain.Polynomial`` and ``(mask, e_1, ..., e_m, k)`` for a
     ``superdomain.SuperFunction``, k the power of s; ``_count`` is the
     element's generator count, the polynomial's variable count or the
     superfunction's shape, 0 for a Scalar.  Values are immutable: closed
@@ -103,9 +242,9 @@ class _Exact:
     The base owns the arithmetic: ``+``, ``-``, ``*``, their reflected
     forms, the fused ``base + _Products(pairs)`` and the coercion of
     operands, ``_coerce``.  A subclass gives its product loop
-    ``_accumulate(acc, a, b, scale)`` and the key head of a constant
-    ``_zeros(count)``; ``Scalar``, keyed by bare powers of s, builds its
-    own constants, and ``SuperFunction`` also lifts a Polynomial.
+    ``_accumulate``, ``_commuting`` or ``_anticommuting``, and its
+    ``_layout``; ``Scalar`` builds its own constants, and ``SuperFunction``
+    also lifts a Polynomial.
     """
 
     __slots__ = ("_count", "den", "nums", "_terms")
@@ -115,11 +254,13 @@ class _Exact:
             raise DimensionError("generator count must be nonnegative")
         checked = []
         for head, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            head = cls._head(head, count)
+            mask, exps = cls._head(head, count)
+            layout = cls._layout(count)  # after _head's checks of the count
+            key = layout.key(mask, exps, 0)
             if isinstance(coeff, (int, Fraction)):
-                checked.append((head + (0,), _canonical(coeff)))
+                checked.append((key, _canonical(coeff)))
             else:
-                checked.extend((head + (k,), c)
+                checked.extend((key + k * layout.s, c)
                                for k, c in Scalar.coerce(coeff).terms.items())
         return _stored(cls, count, *_over_one_denominator(_add_terms({}, checked)))
 
@@ -128,18 +269,22 @@ class _Exact:
 
     @property
     def terms(self) -> Mapping:
-        """The canonical view ``{key: coefficient}`` of ``nums/den``; its
-        Fractions are built once, on first read."""
-        if self.den == 1:
-            return MappingProxyType(self.nums)
+        """The canonical view ``{tuple key: coefficient}`` of ``nums/den``,
+        built once, on first read."""
         try:
             return self._terms
         except AttributeError:
-            den = self.den
-            view = MappingProxyType({key: _quotient(c, den)
-                                     for key, c in self.nums.items()})
-            object.__setattr__(self, "_terms", view)
-            return view
+            den, view = self.den, self._view
+            terms = MappingProxyType({
+                view(mask, exps, k): c if den == 1 else _quotient(c, den)
+                for mask, exps, k, c in self._layout(self._count).unpacked(self.nums)})
+            object.__setattr__(self, "_terms", terms)
+            return terms
+
+    @staticmethod
+    def _view(mask: int, exps: tuple, k: int):
+        """The ``terms`` key of a split stored key: a Polynomial's."""
+        return exps + (k,)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -169,8 +314,7 @@ class _Exact:
 
     def __add__(self, other):
         if type(other) is _Products:
-            return _fused(type(self), self._count, self.den, self.nums, other,
-                          self._accumulate)
+            return _fused(type(self), self._count, self.den, self.nums, other)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -191,8 +335,9 @@ class _Exact:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return _reduced(type(self), self._count, self.den * other.den,
-                        self._accumulate({}, self.nums, other.nums, 1))
+        count = self._count
+        return _reduced(type(self), count, self.den * other.den, self._accumulate(
+            {}, self.nums, other.nums, 1, self._layout(count)))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -223,11 +368,13 @@ class _Exact:
 
     def _powers(self) -> dict | None:
         """``{k: numerator}`` by power of s of a constant (every generator
-        or variable exponent zero, the key's last entry k); None otherwise."""
+        or variable exponent zero); None otherwise."""
+        layout = self._layout(self._count)
+        below, one, top = layout.below, layout.bias, layout.top
         nums = self.nums
-        if any(any(key[:-1]) for key in nums):
+        if any(key & below != one for key in nums):
             return None
-        return {key[-1]: c for key, c in nums.items()}
+        return {key >> top: c for key, c in nums.items()}
 
 
 def _stored(cls, count: int, den: int, nums: dict):
@@ -269,16 +416,18 @@ def _reduced(cls, count: int, den: int, acc: dict):
 
 def _constant(cls, count, value):
     """The constant ``cls`` value over ``count`` of an int, Fraction or
-    Scalar, keyed ``cls._zeros(count)`` and then the power of s, built in
-    stored form: what the public constructors give for ``{zeros: value}``,
-    with their TypeError for any other value (a float included)."""
-    zeros = cls._zeros(count)
+    Scalar, keyed by the layout's key of 1 (``bias``) with each power of s
+    added, built in stored form: what the public constructors give for
+    ``{zeros: value}``, with their TypeError for any other value (a float
+    included)."""
+    layout = cls._layout(count)
+    one = layout.bias
     if isinstance(value, Scalar):
         return _stored(cls, count, value.den,
-                       {zeros + (k,): c for k, c in value.nums.items()})
+                       {one + k * layout.s: c for k, c in value.nums.items()})
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
-    nums = {zeros + (0,): value.numerator} if value else {}
+    nums = {one: value.numerator} if value else {}
     return _stored(cls, count, value.denominator, nums)
 
 
@@ -291,16 +440,30 @@ _set_den = _Exact.den.__set__
 _set_nums = _Exact.nums.__set__
 
 
-def _scalar_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
-    """Add scale*a*b into ``acc`` and return it: ``Scalar``'s product loop,
-    ``a`` and ``b`` numerator dicts keyed by the power of s as
-    ``Scalar.nums``.  Sums are left as they fall, zeros included."""
+def _commuting(acc: dict, a: dict, b: dict, scale: int, layout: _Layout) -> dict:
+    """Add scale*a*b into ``acc`` and return it: the product loop of
+    ``Scalar`` and ``superdomain.Polynomial``, ``a`` and ``b`` numerator
+    dicts keyed in ``layout``.  A product's key is the sum of its factors'
+    keys less ``bias``; SuperBerezinError where an exponent leaves its
+    lane.  Sums are left as they fall, zeros included."""
+    bias, guard = layout.bias, layout.guard
     get = acc.get
+    right = b.items()
     for ka, ca in a.items():
         ca *= scale
-        for kb, cb in b.items():
-            acc[ka + kb] = get(ka + kb, 0) + ca * cb
+        ka -= bias
+        for kb, cb in right:
+            key = ka + kb
+            if key & guard:
+                raise _lane_error()
+            prev = get(key)
+            acc[key] = ca * cb if prev is None else prev + ca * cb
     return acc
+
+
+@functools.cache
+def _no_lanes(count) -> _Layout:
+    return _layout(0, 0)
 
 
 class Scalar(_Exact):
@@ -316,7 +479,8 @@ class Scalar(_Exact):
     """
 
     __slots__ = ()
-    _accumulate = staticmethod(_scalar_accumulate)
+    _accumulate = staticmethod(_commuting)
+    _layout = staticmethod(_no_lanes)
 
     def __new__(cls, rational=0, power: int = 0):
         q = _rational(rational)
@@ -350,6 +514,17 @@ class Scalar(_Exact):
 
     def _powers(self) -> dict:
         return self.nums
+
+    @property
+    def terms(self) -> Mapping:
+        # a Scalar's key is its power of s, the view's key
+        if self.den == 1:
+            return MappingProxyType(self.nums)
+        return _Exact.terms.fget(self)
+
+    @staticmethod
+    def _view(mask: int, exps: tuple, k: int) -> int:
+        return k
 
     @property
     def rational(self) -> Fraction:
@@ -515,26 +690,37 @@ def _add_terms(acc: dict, items) -> dict:
     return acc
 
 
-def _accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
-    """Add scale*a*b into ``acc`` and return it.
-
-    ``a`` and ``b`` are numerator dicts keyed ``(mask, k)`` as
-    ``GrassmannElement.nums``, so every product and sum is of ints.  Sums
-    are left as they fall: a key may end on zero until ``_reduced``.  A
-    left mask below 256 reads its ``_odd_swaps`` straight from the table.
+def _anticommuting(acc: dict, a: dict, b: dict, scale: int,
+                   layout: _Layout) -> dict:
+    """Add scale*a*b into ``acc`` and return it: the product loop of
+    ``GrassmannElement`` and ``superdomain.SuperFunction``, ``a`` and ``b``
+    numerator dicts keyed in ``layout``, so every product and sum is of
+    ints.  Monomials whose masks share a generator give nothing; otherwise
+    the key is the sum of the keys less ``bias``, since the disjoint masks
+    add to their union, and SuperBerezinError where an exponent leaves its
+    lane.  The sign is ``_odd_swaps``'s, read straight from the table for
+    a left mask below 256.  The left mask and its swaps hold bits below n
+    only, so they are tested against the right key itself, whose low n
+    bits are its mask.  Sums are left as they fall: a key may end on zero
+    until ``_reduced``.
     """
+    low, bias, guard = layout.low, layout.bias, layout.guard
     get = acc.get
     right = b.items()
     table = _BYTE_SWAPS
-    for (ma, ka), ca in a.items():
+    for ka, ca in a.items():
+        ma = ka & low
         ca *= scale
         swaps = table[ma] if ma < 256 else _odd_swaps(ma)
-        for (mb, kb), cb in right:
-            if ma & mb:
+        ka -= bias
+        for kb, cb in right:
+            if ma & kb:
                 continue
-            key = (ma | mb, ka + kb)
+            key = ka + kb
+            if key & guard:
+                raise _lane_error()
             prev = get(key)
-            if (swaps & mb).bit_count() & 1:
+            if (swaps & kb).bit_count() & 1:
                 acc[key] = -ca * cb if prev is None else prev - ca * cb
             else:
                 acc[key] = ca * cb if prev is None else prev + ca * cb
@@ -555,27 +741,34 @@ class _Products(tuple):
     __slots__ = ()
 
 
-def _series_inverse(cls, count, den: int, head: tuple, c: int, soul,
-                    steps: int, accumulate=_accumulate):
+def _series_inverse(cls, count, den: int, head: int, c: int, soul,
+                    steps: int):
     """The inverse of the even ``cls`` value u = (c X + soul) / den over
-    ``count``, X the monomial keyed ``head`` and ``soul`` the (key, int
-    numerator) pairs of its nilpotent part, in stored order.
+    ``count``, X the monomial keyed ``head``, with no odd generator, and
+    ``soul`` the (key, int numerator) pairs of its nilpotent part, in
+    stored order.
 
     With b = c X / den and n = soul / den, u^-1 = b^-1 sum_j (-b^-1 n)^j
     for j up to ``steps``, stopping at a zero power.  Over |c|, b^-1 is
-    the numerator dict {-head: ±den} and -b^-1 n is {key - head: ∓n}, so
-    the j-th term is an int dict over |c|^(j+1), one ``accumulate`` from
-    the last.  The terms are summed over |c|^(J+1), J the last nonzero
-    one, straight into one dict and reduced once.  A key keeps its place
-    of first appearance and leaves the sum where the sum so far cancels,
-    so the keys come in the order of adding the terms one at a time.
+    the numerator dict {1/X: ±den} and -b^-1 n is {Y/X: ∓n} over the soul's
+    monomials Y, their keys ``2 bias - head`` and ``key + bias - head`` in
+    the class's layout (SuperBerezinError where an exponent leaves its
+    lane), so the j-th term is an int dict over |c|^(j+1), one product
+    loop from the last.  The terms are summed over |c|^(J+1), J the last
+    nonzero one, straight into one dict and reduced once.  A key keeps its
+    place of first appearance and leaves the sum where the sum so far
+    cancels, so the keys come in the order of adding the terms one at a
+    time.
     """
+    layout = cls._layout(count)
+    accumulate, checked = cls._accumulate, layout.checked
     sign = -1 if c < 0 else 1
-    power = {tuple(-e for e in head): sign * den}
-    factor = {tuple(map(sub, key, head)): -sign * n for key, n in soul}
+    over = layout.bias - head
+    power = {checked(layout.bias + over): sign * den}
+    factor = {checked(key + over): -sign * n for key, n in soul}
     powers = [power]
     for _ in range(steps):
-        power = accumulate({}, power, factor, 1)
+        power = accumulate({}, power, factor, 1, layout)
         if 0 in power.values():
             power = {key: n for key, n in power.items() if n}
         if not power:
@@ -644,14 +837,20 @@ def _lookup_mask(indices: Iterable[int], count: int) -> int | None:
 
 
 class _Graded(_Exact):
-    """An exact value whose keys start with an odd generator mask: a
+    """An exact value whose keys hold an odd generator mask: a
     ``GrassmannElement`` or a ``superdomain.SuperFunction``."""
 
     __slots__ = ()
+    _accumulate = staticmethod(_anticommuting)
+
+    @staticmethod
+    def _view(mask: int, exps: tuple, k: int) -> tuple:
+        return (mask,) + exps + (k,)
 
     def _select(self, keep):
+        low = self._layout(self._count).low
         return _reduced(type(self), self._count, self.den, {
-            key: c for key, c in self.nums.items() if keep(key[0])})
+            key: c for key, c in self.nums.items() if keep(key & low)})
 
     def soul(self):
         return self._select(bool)
@@ -664,46 +863,74 @@ class _Graded(_Exact):
 
     def _twisted(self):
         """``even_part() - odd_part()`` in one pass, already in stored form."""
+        low = self._layout(self._count).low
         return _stored(type(self), self._count, self.den, {
-            key: -c if key[0].bit_count() & 1 else c for key, c in self.nums.items()})
+            key: -c if (key & low).bit_count() & 1 else c
+            for key, c in self.nums.items()})
 
     def parity(self) -> Parity | None:
         """Parity if homogeneous; None for 0 or mixed values."""
+        low = self._layout(self._count).low
         keys = iter(self.nums)
         first = next(keys, None)
         if first is None:
             return None
-        odd = first[0].bit_count() & 1
+        odd = (first & low).bit_count() & 1
         for key in keys:
-            if key[0].bit_count() & 1 != odd:
+            if (key & low).bit_count() & 1 != odd:
                 return None
         return ODD if odd else EVEN
+
+    def _inverse(self, steps: int):
+        """The inverse of an even value whose body is one monomial, by the
+        series of ``_series_inverse`` up to ``steps``; ParityError for an
+        odd term, else NonInvertibleError for a body of any other shape,
+        with the class's ``_not_invertible`` message."""
+        low = self._layout(self._count).low
+        body, soul = [], []
+        for key, c in self.nums.items():
+            mask = key & low
+            if not mask:
+                body.append((key, c))
+            elif mask.bit_count() & 1:
+                raise ParityError(
+                    f"inv_even requires an even {self._kind}")
+            else:
+                soul.append((key, c))
+        if len(body) != 1:
+            raise NonInvertibleError(self._not_invertible(body))
+        (head, c), = body
+        return _series_inverse(type(self), self._count, self.den, head, c,
+                               soul, steps)
+
+
+@functools.cache
+def _element_layout(generator_count: int) -> _Layout:
+    return _layout(generator_count, 0)
 
 
 class GrassmannElement(_Graded):
     """Finite sum of terms c s^k xi^idx over N generators, c rational.
 
-    Stored as ``_Exact`` describes, keyed ``(mask, k)``: ``mask`` is the
-    int whose bit i is set when xi_{i+1} is a factor of the odd monomial,
-    and k is the power of s.  The public constructor still takes
+    Stored as ``_Exact`` describes, keyed ``mask + (k << N)`` in its
+    ``_Layout``: ``mask`` is the int whose bit i is set when xi_{i+1} is a
+    factor of the odd monomial, and k is the power of s; ``terms`` keys
+    them ``(mask, k)``.  The public constructor still takes
     ``{idx: coefficient}``, idx a strictly increasing generator tuple, with
     Scalar, int or Fraction coefficients; ``coefficient`` and ``str`` speak
     in index tuples too.  ``self + _Products(pairs)`` is the fused base +
     sum a*b of the supermatrix ring protocol, ``_fused``; it and ``*`` run
-    one int product loop, ``_accumulate``.
+    one int product loop, ``_anticommuting``.
     """
 
     __slots__ = ()
     generator_count = _Exact._count
-    _accumulate = staticmethod(_accumulate)
+    _layout = staticmethod(_element_layout)
+    _kind = "element"
 
     @staticmethod
-    def _head(idx: tuple[int, ...], generator_count: int) -> tuple[int]:
-        return (_checked_mask(idx, generator_count),)
-
-    @staticmethod
-    def _zeros(generator_count: int) -> tuple[int]:
-        return (0,)
+    def _head(idx: tuple[int, ...], generator_count: int) -> tuple[int, tuple]:
+        return _checked_mask(idx, generator_count), ()
 
     # -- constructors -------------------------------------------------
 
@@ -731,8 +958,10 @@ class GrassmannElement(_Graded):
 
     def _values(self, keep) -> Scalar:
         """The Scalar sum of c s^k over the terms whose mask ``keep`` takes."""
+        layout = _layout(self.generator_count, 0)
+        low, top = layout.low, layout.top
         return _reduced(Scalar, 0, self.den, {
-            k: c for (mask, k), c in self.nums.items() if keep(mask)})
+            key >> top: c for key, c in self.nums.items() if keep(key & low)})
 
     def body(self) -> Scalar:
         return self._values(lambda mask: not mask)
@@ -759,24 +988,12 @@ class GrassmannElement(_Graded):
         (``_series_inverse``), which terminates because every term of the
         even soul has degree >= 2, so soul^j = 0 for j > N/2.
         """
-        body, soul = [], []
-        for key, c in self.nums.items():
-            mask = key[0]
-            if not mask:
-                body.append((key, c))
-            elif mask.bit_count() & 1:
-                raise ParityError("inv_even requires an even element")
-            else:
-                soul.append((key, c))
+        return self._inverse(self.generator_count // 2)
+
+    def _not_invertible(self, body) -> str:
         if not body:
-            raise NonInvertibleError("body is zero; element is not invertible")
-        if len(body) > 1:
-            raise NonInvertibleError(
-                f"{self.body()} mixes powers of s and has no inverse in Q[s, 1/s]")
-        (head, c), = body
-        n = self.generator_count
-        return _series_inverse(GrassmannElement, n, self.den, head, c, soul,
-                               n // 2)
+            return "body is zero; element is not invertible"
+        return f"{self.body()} mixes powers of s and has no inverse in Q[s, 1/s]"
 
     # -- reshaping ----------------------------------------------------
 
@@ -784,20 +1001,38 @@ class GrassmannElement(_Graded):
         """View this element inside a larger algebra; indices unchanged."""
         if new_count < self.generator_count:
             raise DimensionError("cannot embed into a smaller algebra")
-        return _stored(GrassmannElement, new_count, self.den, dict(self.nums))
+        return _stored(GrassmannElement, new_count, self.den, _embedded(
+            self.nums, _layout(self.generator_count, 0),
+            _layout(new_count, 0), 0, 0))
 
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
         den = self.den
         printed = sorted(((_indices(mask), k, c if den == 1 else _quotient(c, den))
-                          for (mask, k), c in self.nums.items()),
+                          for mask, _, k, c in _layout(self.generator_count, 0)
+                          .unpacked(self.nums)),
                          key=lambda t: (len(t[0]), t[0], -t[1]))
         return _signed_sum([(c, _monomial_text(k, (f"xi{i + 1}" for i in idx)))
                             for idx, k, c in printed])
 
     def __repr__(self) -> str:
         return f"GrassmannElement({self.generator_count}, {self!s})"
+
+
+def _embedded(nums: dict, layout: _Layout, into: _Layout, even_offset: int,
+              odd_offset: int) -> dict:
+    """``nums`` moved from ``layout`` into the larger ``into``, its
+    generators and variables starting at the offsets there: each key's
+    mask, lanes and power of s moved whole, the lanes of the other
+    variables at exponent 0.  The order of the generators is kept, so no
+    sign arises, and no exponent changes, so none leaves its lane."""
+    n, low, below, top = layout.n, layout.low, layout.below, layout.top
+    at = into.n + _LANE * even_offset
+    pad = into.bias - ((layout.bias >> n) << at)
+    into_top = into.top
+    return {((key & low) << odd_offset) + (((key & below) >> n) << at) + pad
+            + ((key >> top) << into_top): c for key, c in nums.items()}
 
 
 def _over_one_denominator(terms: dict) -> tuple[int, dict]:
@@ -815,13 +1050,13 @@ def _over_one_denominator(terms: dict) -> tuple[int, dict]:
                  for key, c in terms.items()}
 
 
-def _fused(cls, count, den: int, nums: dict, pairs, accumulate):
+def _fused(cls, count, den: int, nums: dict, pairs):
     """The ``cls`` value nums/den + sum a*b over the (a, b) of ``pairs``,
     canonical.
 
     The products are summed first, over L = lcm(a.den b.den, ...), each
-    pair's left factor times L // (a.den b.den), so the one product loop,
-    ``accumulate`` (``_accumulate`` for keys ``(mask, k)``), sums ints.
+    pair's left factor times L // (a.den b.den), so the class's one product
+    loop, ``cls._accumulate``, sums ints.
     Where no product term arises (every two monomials share a generator,
     as between sparse entries over many generators), the base is the sum
     unchanged; otherwise it joins the products over lcm(den, L) and the
@@ -836,9 +1071,10 @@ def _fused(cls, count, den: int, nums: dict, pairs, accumulate):
         if common % d:
             common = lcm(common, d)
     acc = {}
+    accumulate, layout = cls._accumulate, cls._layout(count)
     for a, b in pairs:
         accumulate(acc, a.nums, b.nums,
-                   1 if common == 1 else common // (a.den * b.den))
+                   1 if common == 1 else common // (a.den * b.den), layout)
     if not acc:
         return _stored(cls, count, den, nums)
     if nums:

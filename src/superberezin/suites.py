@@ -26,7 +26,7 @@ from .berezin import (
 )
 from .errors import StructureError, SuperBerezinError
 from .grassmann import (EVEN, ODD, GrassmannElement, Parity, _add_terms,
-                        _Exact, _mask, _stored)
+                        _Exact, _layout, _mask, _stored)
 from .koszul import homological_berezinian
 from .lie_super import (SubalgebraSpec, abelian_algebra, change_basis,
                         gl11_algebra, unimodularity_check, validate)
@@ -100,11 +100,12 @@ def _choice(bits, seq):
 
 
 @functools.cache
-def _monomial_keys(n: int, parity: Parity | None) -> tuple[tuple[int, int], ...]:
-    """The term keys (mask, 0) of the odd monomials on n generators of one
+def _monomial_keys(n: int, parity: Parity | None) -> tuple[int, ...]:
+    """The term keys of the odd monomials xi^idx s^0 on n generators of one
     parity (all for None), by size and then lexicographically by index
     tuple."""
-    return tuple((_mask(idx), 0) for size in range(n + 1)
+    key = _layout(n, 0).key
+    return tuple(key(_mask(idx), (), 0) for size in range(n + 1)
                  if parity is None or size % 2 == parity.value
                  for idx in combinations(range(n), size))
 
@@ -127,21 +128,23 @@ def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
     with the trusted constructor.
     """
     keys = _monomial_keys(n, parity)
+    one = _layout(n, 0).key(0, (), 0)
     bits = rng.getrandbits
     nums = {}
     for _ in range(_randint(bits, 1, max_terms)):
         key = _choice(bits, keys)
         coeff = _randint(bits, -3, 3)
         nums[key] = nums.get(key, 0) + coeff
-    if ensure_body and not nums.get((0, 0)):
-        nums[(0, 0)] = _choice(bits, (-3, -2, -1, 1, 2, 3))
+    if ensure_body and not nums.get(one):
+        nums[one] = _choice(bits, (-3, -2, -1, 1, 2, 3))
     return _stored(GrassmannElement, n, 1, {key: c for key, c in nums.items() if c})
 
 
 def _body_matrix(block) -> list[list[int]]:
     """The bodies of drawn entries, ints: their terms carry no power of s
     and have denominator 1."""
-    return [[e.nums.get((0, 0), 0) for e in row] for row in block]
+    one = _layout(block[0][0].generator_count, 0).key(0, (), 0)
+    return [[e.nums.get(one, 0) for e in row] for row in block]
 
 
 def random_even_supermatrix(rng: random.Random, p: int, q: int,
@@ -195,12 +198,13 @@ def _drawn_terms(rng: random.Random, m: int, max_deg: int,
                  max_terms: int) -> dict:
     """The stored terms of a drawn polynomial: 1 to ``max_terms`` terms
     c x^e, c an int in [-3, 3] and each e_i in [0, max_deg], summed under
-    the keys e + (0,) (s^0) in first-drawn order, the zero sums dropped
+    the keys of x^e s^0 in first-drawn order, the zero sums dropped
     last."""
     bits = rng.getrandbits
+    encode = _layout(0, m).key
     nums: dict = {}
     for _ in range(_randint(bits, 1, max_terms)):
-        key = tuple(_randint(bits, 0, max_deg) for _ in range(m)) + (0,)
+        key = encode(0, [_randint(bits, 0, max_deg) for _ in range(m)], 0)
         nums[key] = nums.get(key, 0) + _randint(bits, -3, 3)
     return {key: c for key, c in nums.items() if c}
 
@@ -209,8 +213,9 @@ def _in_sectors(shape: SuperDomainShape, sectors: dict) -> SuperFunction:
     """The superfunction of the {mask: polynomial terms} ``sectors``, its
     keys grouped by sector in the order of ``sectors``, as the public
     constructor orders them."""
+    join = shape._key_layout.join
     return _stored(SuperFunction, shape, 1, {
-        (mask,) + key: c for mask, nums in sectors.items()
+        join(mask, key): c for mask, nums in sectors.items()
         for key, c in nums.items()})
 
 
@@ -332,7 +337,7 @@ def _gaussian_factor_density(rng: random.Random,
     exps = tuple(2 * rng.randint(0, 2) for _ in range(shape.m))
     top = (1 << shape.n) - 1
     density = _stored(SuperFunction, shape, 1,
-                      {(top,) + exps + (0,): rng.randint(1, 3)})
+                      {shape._key_layout.key(top, exps, 0): rng.randint(1, 3)})
     extra = random_superfunction(rng, shape, max_terms=3)
     return density + extra.soul() if shape.n else density
 
@@ -535,7 +540,8 @@ def _random_group_function(rng: random.Random,
     # keep a guaranteed contribution in the top odd sector so the checks
     # are not trivially 0 == 0
     nums = _add_terms(_drawn_terms(rng, shape.m, 3, 2),
-                      [((0,) * (shape.m + 1), rng.randint(1, 3))])
+                      [(_layout(0, shape.m).key(0, (0,) * shape.m, 0),
+                        rng.randint(1, 3))])
     return f + _in_sectors(shape, {(1 << shape.n) - 1: nums})
 
 

@@ -9,11 +9,13 @@ a superfunction store their coefficients in the one form of
 ``grassmann._Exact``, int numerators over one shared denominator in
 lowest terms, so products, the pullback's linear combinations and box
 integrals run on ints; a coefficient becomes an int or Fraction only
-where it is read (``terms``, printing).  A polynomial's key is
-``(e_1, ..., e_m, k)``, the exponents of the even coordinates and the
-power of s; a superfunction's is ``(mask, e_1, ..., e_m, k)``, the
-generator mask of ξ^α first, as in ``grassmann``, over one denominator
-for the whole function.
+where it is read (``terms``, printing).  Each term is stored under one
+int key in the layout of ``grassmann._Layout``, read and written only
+through its helpers: a polynomial's holds the exponents of the even
+coordinates and the power of s, a superfunction's the generator mask of
+ξ^α joined to its even part's key, over one denominator for the whole
+function; ``terms`` keeps the tuple keys ``(e_1, ..., e_m, k)`` and
+``(mask, e_1, ..., e_m, k)``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from operator import add, itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -31,17 +34,19 @@ from .errors import (
     NonInvertibleError,
     ParityError,
 )
-from .grassmann import EVEN, Scalar
+from .grassmann import EVEN, ODD, Scalar
 from .grassmann import (
-    _BYTE_SWAPS,
     _Exact,
     _Graded,
+    _Layout,
     _checked_mask,
+    _commuting,
     _constant,
+    _embedded,
     _indices,
+    _layout,
     _lookup_mask,
     _monomial_text,
-    _odd_swaps,
     _rational,
     _reduced,
     _series_inverse,
@@ -143,6 +148,9 @@ class SuperDomainShape:
             if not (isinstance(axis, Interval) or axis is REALLINE or axis is POSITIVE):
                 raise DomainBoxError(f"bad axis {axis!r}")
         object.__setattr__(self, "box", box)
+        # the key layout of the superfunctions on this shape, read by every
+        # product: an attribute, not a field, so == and repr ignore it
+        object.__setattr__(self, "_key_layout", _layout(self.n, self.m))
 
     def __str__(self) -> str:
         return f"({self.m}|{self.n})"
@@ -156,52 +164,37 @@ def shape_product(s1: SuperDomainShape, s2: SuperDomainShape) -> SuperDomainShap
 # -- Laurent polynomials ---------------------------------------------------
 
 
-def _poly_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
-    """Add scale*a*b into ``acc`` and return it.
-
-    ``a`` and ``b`` are numerator dicts as ``Polynomial.nums``, so every
-    product and sum is of ints.  Sums are left as they fall: a key may end
-    on zero until ``_reduced``.
-    """
-    get = acc.get
-    right = b.items()
-    for e1, c1 in a.items():
-        c1 *= scale
-        for e2, c2 in right:
-            key = tuple(map(add, e1, e2))
-            prev = get(key)
-            acc[key] = c1 * c2 if prev is None else prev + c1 * c2
-    return acc
+@cache
+def _polynomial_layout(nvars: int) -> _Layout:
+    return _layout(0, nvars)
 
 
 class Polynomial(_Exact):
     """Laurent polynomial in m even variables and s, rational coefficients.
 
-    Stored as ``grassmann._Exact`` describes, keyed ``(e_1, ..., e_m, k)``:
-    the exponents of the variables and then the power of s, so the product
-    loop, the pullback's linear combinations and the box integrals multiply
-    and add only ints.  The public constructor takes
+    Stored as ``grassmann._Exact`` describes, each key holding the
+    exponents of the variables and then the power of s (``terms`` keys
+    them ``(e_1, ..., e_m, k)``), so the product loop, ``_commuting``, the
+    pullback's linear combinations and the box integrals multiply and add
+    only ints.  The public constructor takes
     ``{(e_1, ..., e_m): coefficient}`` with int exponents and Scalar, int
     or Fraction coefficients.
     """
 
     __slots__ = ()
     nvars = _Exact._count
-    _accumulate = staticmethod(_poly_accumulate)
+    _accumulate = staticmethod(_commuting)
+    _layout = staticmethod(_polynomial_layout)
 
     @staticmethod
-    def _head(exps, nvars: int) -> tuple[int, ...]:
+    def _head(exps, nvars: int) -> tuple[int, tuple[int, ...]]:
         exps = tuple(exps)
         for e in exps:
             if not isinstance(e, int):
                 raise TypeError("exponents must be integers")
         if len(exps) != nvars:
             raise DimensionError("exponent tuple has wrong length")
-        return exps
-
-    @staticmethod
-    def _zeros(nvars: int) -> tuple[int, ...]:
-        return (0,) * nvars
+        return 0, exps
 
     # The named constructors make the public constructor's checks on their
     # arguments, with its errors, and then build the value in stored form.
@@ -214,7 +207,7 @@ class Polynomial(_Exact):
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        Polynomial._zeros(nvars)  # a non-int count raises as in Polynomial()
+        (0,) * nvars  # a non-int count raises as {(0,) * nvars: value} does
         if nvars < 0:
             raise DimensionError("generator count must be nonnegative")
         return _constant(Polynomial, nvars, value)
@@ -239,8 +232,9 @@ class Polynomial(_Exact):
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the last bit: it could leave a lane
+                base = base * base
         return out
 
     def is_monomial(self) -> bool:
@@ -253,29 +247,26 @@ class Polynomial(_Exact):
             raise NonInvertibleError(
                 "only monomials are invertible in the Laurent polynomial ring"
             )
-        (exps, c), = self.nums.items()
-        return _series_inverse(Polynomial, self.nvars, self.den, exps, c, (), 0)
+        (key, c), = self.nums.items()
+        return _series_inverse(Polynomial, self.nvars, self.den, key, c, (), 0)
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
             raise DimensionError("variable index out of range")
-        nums = {}
-        for exps, c in self.nums.items():
-            e = exps[i]
-            if e:
-                nums[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
-        return _reduced(Polynomial, self.nvars, self.den, nums)
+        return _reduced(Polynomial, self.nvars, self.den,
+                        _layout(0, self.nvars).derivative(self.nums, i))
 
     def evaluate(self, point: Sequence[Fraction]) -> Scalar:
         """The value at a rational point, a value in s."""
-        return _evaluate(self.den, self.nums.items(),
+        return _evaluate(self.den, _unpacked(_layout(0, self.nvars), self.nums),
                          _exact_point(self.nvars, point))
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
         """The coefficient of x^exps, a value in s."""
         exps = tuple(exps)
         return _reduced(Scalar, 0, self.den, {
-            e[-1]: c for e, c in self.nums.items() if e[:-1] == exps})
+            k: c for _, e, k, c in _layout(0, self.nvars).unpacked(self.nums)
+            if e == exps})
 
     def __str__(self) -> str:
         terms = self.terms
@@ -289,14 +280,21 @@ class Polynomial(_Exact):
         return f"Polynomial({self.nvars}, {self!s})"
 
 
-def _variable_key(nvars: int, i: int, power) -> tuple[int, ...]:
+def _variable_key(nvars: int, i: int, power) -> int:
     """The key of x_i^power among nvars variables, s^0, with the public
     constructor's errors for ``Polynomial(nvars, {exps: 1})``: the index
-    range first, then the exponent's type."""
+    range first, then the exponent's type and range."""
     if not 0 <= i < nvars:
         raise DimensionError("variable index out of range")
-    exps = Polynomial._head((power if k == i else 0 for k in range(nvars)), nvars)
-    return exps + (0,)
+    head = Polynomial._head((power if k == i else 0 for k in range(nvars)), nvars)
+    return _layout(0, nvars).key(*head, 0)
+
+
+def _unpacked(layout: _Layout, nums: dict, mask: int | None = None) -> list:
+    """The (exponents + (k,), numerator) pairs of ``nums`` keyed in
+    ``layout``, those of generator mask ``mask`` only when it is given."""
+    return [(exps + (k,), c) for odd, exps, k, c in layout.unpacked(nums)
+            if mask is None or odd == mask]
 
 
 def _exact_point(nvars: int, point: Sequence[Fraction]) -> list:
@@ -341,60 +339,27 @@ def _evaluate(den: int, terms, point: Sequence) -> Scalar:
 # -- superfunctions --------------------------------------------------------
 
 
-def _super_accumulate(acc: dict, a: dict, b: dict, scale: int) -> dict:
-    """Add scale*a*b into ``acc`` and return it.
-
-    ``a`` and ``b`` are numerator dicts keyed as ``SuperFunction.nums``, so
-    every product and sum is of ints.  The loop is
-    ``grassmann._accumulate``'s, its sign rule ``_odd_swaps`` read straight
-    from the table ``_BYTE_SWAPS`` for a left mask below 256; a product's
-    key is the entrywise sum of its factors' keys, the masks included,
-    since for disjoint masks ma + mb = ma | mb.  Sums are left as they
-    fall: a key may end on zero until ``_reduced``.
-    """
-    get = acc.get
-    right = b.items()
-    table = _BYTE_SWAPS
-    for ka, ca in a.items():
-        ma = ka[0]
-        ca *= scale
-        swaps = table[ma] if ma < 256 else _odd_swaps(ma)
-        for kb, cb in right:
-            mb = kb[0]
-            if ma & mb:
-                continue
-            key = tuple(map(add, ka, kb))
-            prev = get(key)
-            if (swaps & mb).bit_count() & 1:
-                acc[key] = -ca * cb if prev is None else prev - ca * cb
-            else:
-                acc[key] = ca * cb if prev is None else prev + ca * cb
-    return acc
-
-
 class SuperFunction(_Graded):
     """Finite sum Σ_α ξ^α f_α(x) over a fixed superdomain shape.
 
     Stored as ``grassmann._Exact`` describes, over one denominator for the
-    whole function, keyed ``(mask, e_1, ..., e_m, k)``: the generator mask
-    of α (bit j for ξ_{j+1}), the exponents of the even coordinates and the
-    power of s; ``shape`` is the base's count slot.  On a (0|N) shape this
-    is a ``GrassmannElement``'s form.  The constructor takes
+    whole function, each key the generator mask of α (bit j for ξ_{j+1})
+    joined to the key of the even coordinates' exponents and the power of
+    s (``terms`` keys them ``(mask, e_1, ..., e_m, k)``); ``shape`` is the
+    base's count slot.  On a (0|N) shape this is a ``GrassmannElement``'s
+    form.  The constructor takes
     ``{α: f_α}`` with α an index tuple and f_α a Polynomial or a constant,
     and ``coefficient`` and ``str`` speak in index tuples too; ``coeffs`` is
     the read-only view ``{mask: f_α}``, each sector reduced on its own,
     built on first read.  ``self + _Products(pairs)``, the fused base +
     sum a*b of the supermatrix ring protocol (``grassmann._fused``), and
-    ``*`` run one product loop, ``_super_accumulate``.
+    ``*`` run one product loop, ``grassmann._anticommuting``.
     """
 
     __slots__ = ("_coeffs",)
     shape = _Exact._count
-    _accumulate = staticmethod(_super_accumulate)
-
-    @staticmethod
-    def _zeros(shape: SuperDomainShape) -> tuple[int, ...]:
-        return (0,) * (shape.m + 1)
+    _layout = staticmethod(attrgetter("_key_layout"))
+    _kind = "superfunction"
 
     def __new__(cls, shape: SuperDomainShape, coeffs: Mapping = ()):
         sectors = []
@@ -404,13 +369,14 @@ class SuperFunction(_Graded):
                 poly = Polynomial.constant(shape.m, poly)
             if poly.nvars != shape.m:
                 raise DimensionError("coefficient polynomial has wrong arity")
-            sectors.append(((mask,), poly))
+            sectors.append((mask, poly))
         den = lcm(*(poly.den for _, poly in sectors))
+        join = shape._key_layout.join
         acc = {}
-        for head, poly in sectors:
+        for mask, poly in sectors:
             scale = den // poly.den
             for key, c in poly.nums.items():
-                key = head + key
+                key = join(mask, key)
                 acc[key] = acc.get(key, 0) + c * scale
         return _reduced(cls, shape, den, acc)
 
@@ -433,15 +399,16 @@ class SuperFunction(_Graded):
 
     @staticmethod
     def coordinate(shape: SuperDomainShape, i: int, power: int = 1) -> "SuperFunction":
-        return _stored(SuperFunction, shape, 1,
-                       {(0,) + _variable_key(shape.m, i, power): 1})
+        return _stored(SuperFunction, shape, 1, {
+            shape._key_layout.join(0, _variable_key(shape.m, i, power)): 1})
 
     @staticmethod
     def odd_gen(shape: SuperDomainShape, j: int) -> "SuperFunction":
         if not 0 <= j < shape.n:
             raise DimensionError("odd generator index out of range")
         mask = _checked_mask((j,), shape.n)
-        return _stored(SuperFunction, shape, 1, {(mask,) + (0,) * (shape.m + 1): 1})
+        return _stored(SuperFunction, shape, 1,
+                       {shape._key_layout.key(mask, (0,) * shape.m, 0): 1})
 
     @staticmethod
     def from_polynomial(shape: SuperDomainShape, poly: Polynomial) -> "SuperFunction":
@@ -458,9 +425,11 @@ class SuperFunction(_Graded):
         try:
             return self._coeffs
         except AttributeError:
+            layout = self.shape._key_layout
+            mask, even = layout.mask, layout.even
             sectors = {}
             for key, c in self.nums.items():
-                sectors.setdefault(key[0], {})[key[1:]] = c
+                sectors.setdefault(mask(key), {})[even(key)] = c
             m, den = self.shape.m, self.den
             view = MappingProxyType({mask: _reduced(Polynomial, m, den, nums)
                                      for mask, nums in sectors.items()})
@@ -469,8 +438,10 @@ class SuperFunction(_Graded):
 
     def _sector(self, mask: int | None) -> Polynomial:
         """f_α for the generator mask of α, reduced on its own."""
+        layout = self.shape._key_layout
+        odd, even = layout.mask, layout.even
         return _reduced(Polynomial, self.shape.m, self.den, {
-            key[1:]: c for key, c in self.nums.items() if key[0] == mask})
+            even(key): c for key, c in self.nums.items() if odd(key) == mask})
 
     def body_polynomial(self) -> Polynomial:
         return self._sector(0)
@@ -495,43 +466,26 @@ class SuperFunction(_Graded):
 
     def inv_even(self) -> "SuperFunction":
         """Inverse of an even superfunction with invertible (monomial) body."""
-        if any(key[0].bit_count() & 1 for key in self.nums):
-            raise ParityError("inv_even requires an even superfunction")
-        body = [(key, c) for key, c in self.nums.items() if not key[0]]
-        if len(body) != 1:
-            raise NonInvertibleError(
-                "only monomials are invertible in the Laurent polynomial ring")
-        (head, c), = body
-        return _series_inverse(
-            SuperFunction, self.shape, self.den, head, c,
-            [(key, n) for key, n in self.nums.items() if key[0]],
-            self.shape.n // 2, _super_accumulate)
+        return self._inverse(self.shape.n // 2)
+
+    @staticmethod
+    def _not_invertible(body) -> str:
+        return "only monomials are invertible in the Laurent polynomial ring"
 
     # -- derivatives ------------------------------------------------------
 
     def derive_even(self, i: int) -> "SuperFunction":
         if not 0 <= i < self.shape.m:
             raise DimensionError("variable index out of range")
-        nums = {}
-        for key, c in self.nums.items():
-            e = key[i + 1]
-            if e:
-                nums[key[:i + 1] + (e - 1,) + key[i + 2:]] = c * e
-        return _reduced(SuperFunction, self.shape, self.den, nums)
+        return _reduced(SuperFunction, self.shape, self.den,
+                        self.shape._key_layout.derivative(self.nums, i))
 
     def derive_odd(self, j: int) -> "SuperFunction":
         """Left derivative: ∂_j(ξ_{a1}…ξ_{ak}) drops ξ_j with sign (-1)^{pos}."""
         if not 0 <= j < self.shape.n:
             raise DimensionError("odd index out of range")
-        # distinct terms holding xi_j stay distinct without it: no sums
-        bit = 1 << j
-        nums = {}
-        for key, c in self.nums.items():
-            mask = key[0]
-            if mask & bit:
-                pos = (mask & (bit - 1)).bit_count()
-                nums[(mask ^ bit,) + key[1:]] = -c if pos & 1 else c
-        return _reduced(SuperFunction, self.shape, self.den, nums)
+        return _reduced(SuperFunction, self.shape, self.den,
+                        self.shape._key_layout.odd_derivative(self.nums, j))
 
     # -- reshaping --------------------------------------------------------
 
@@ -544,11 +498,9 @@ class SuperFunction(_Graded):
             raise DimensionError("even offset out of range")
         if not 0 <= odd_offset <= shape.n - self.shape.n:
             raise DimensionError("odd offset out of range")
-        left = (0,) * even_offset
-        right = (0,) * (shape.m - even_offset - self.shape.m)
-        return _stored(SuperFunction, shape, self.den, {
-            (key[0] << odd_offset,) + left + key[1:-1] + right + key[-1:]: c
-            for key, c in self.nums.items()})
+        return _stored(SuperFunction, shape, self.den, _embedded(
+            self.nums, self.shape._key_layout, shape._key_layout, even_offset,
+            odd_offset))
 
     # -- printing ----------------------------------------------------------
 
@@ -578,14 +530,14 @@ def _lifted(shape: SuperDomainShape, poly: Polynomial) -> SuperFunction:
     constructor says."""
     if poly.nvars != shape.m:
         raise DimensionError("coefficient polynomial has wrong arity")
+    join = shape._key_layout.join
     return _stored(SuperFunction, shape, poly.den,
-                   {(0,) + key: c for key, c in poly.nums.items()})
+                   {join(0, key): c for key, c in poly.nums.items()})
 
 
 def _evaluate_body(f: SuperFunction, point: Sequence) -> Scalar:
     """f's body at a point in stored form (``_exact_point``)."""
-    return _evaluate(f.den, [(key[1:], c) for key, c in f.nums.items()
-                             if not key[0]], point)
+    return _evaluate(f.den, _unpacked(f.shape._key_layout, f.nums, 0), point)
 
 
 def _sectors(f: SuperFunction) -> list[tuple[tuple[int, ...], Polynomial]]:
@@ -619,7 +571,7 @@ class SuperMorphism:
             for comp in comps:
                 if comp.shape != source:
                     raise DimensionError(f"{kind} component on wrong shape")
-                if any(key[0].bit_count() & 1 != odd for key in comp.nums):
+                if comp.nums and comp.parity() is not (ODD if odd else EVEN):
                     raise ParityError(f"{kind} component must be {kind}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -669,13 +621,14 @@ def _linear_combination(shape: SuperDomainShape, den: int, triples) -> SuperFunc
     """Σ c·s^k·F / den over (k, int c, SuperFunction F), summed term by term
     over den times the lcm of the F's denominators."""
     common = lcm(*(func.den for _, _, func in triples))
+    s = shape._key_layout.s  # what a factor s adds to a key
     acc = {}
     get = acc.get
     for k, c, func in triples:
         scale = c * (common // func.den)
         for key, num in func.nums.items():
             if k:
-                key = key[:-1] + (key[-1] + k,)
+                key += k * s
             acc[key] = get(key, 0) + scale * num
     return _reduced(SuperFunction, shape, den * common, acc)
 
@@ -734,8 +687,8 @@ def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
         return acc
 
     sectors: dict[int, list] = {}
-    for key, c in f.nums.items():
-        sectors.setdefault(key[0], []).append((key[1:], c))
+    for mask, exps, k, c in f.shape._key_layout.unpacked(f.nums):
+        sectors.setdefault(mask, []).append((exps + (k,), c))
     parts = []
     for alpha, terms in sectors.items():
         odd_factor = one

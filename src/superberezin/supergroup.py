@@ -61,7 +61,8 @@ from .errors import (
     NormalizationError,
     StructureError,
 )
-from .grassmann import EVEN, ODD, Scalar, _mask, _rational, koszul_sign
+from .grassmann import (EVEN, ODD, Scalar, _mask, _quotient, _rational,
+                        koszul_sign)
 from .lie_super import LieSuperAlgebra, ValidationReport, validate
 from .linalg import nullspace
 from .superdomain import (
@@ -231,11 +232,11 @@ def _jet_terms(comps: Sequence[SuperFunction], m: int, n: int) -> dict:
     Each left derivative drops the lowest letter left: no sign arises."""
     buckets = {}
     for k, comp in enumerate(comps):
-        for key, c in comp.nums.items():
-            lo, hi = key[0] & ((1 << n) - 1), key[0] >> n
+        for mask, exps, power, c in comp.shape._key_layout.unpacked(comp.nums):
+            lo, hi = mask & ((1 << n) - 1), mask >> n
             if lo & (lo - 1) or hi & (hi - 1):
                 continue
-            for a, c1, e1 in _one_derivative(lo, key[1:], c, 0, m):
+            for a, c1, e1 in _one_derivative(lo, exps + (power,), c, 0, m):
                 for b, c2, e2 in _one_derivative(hi, e1, c1, m, m):
                     buckets.setdefault((a, b), {}).setdefault(k, []) \
                         .append((e2, c2))
@@ -328,7 +329,7 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
 
 def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
                  prefactor: SuperFunction | None
-                 ) -> tuple[list[tuple], dict[tuple, dict[int, Fraction]]]:
+                 ) -> tuple[list[tuple], dict[int, dict[int, Fraction]]]:
     """The ansatz monomials (odd index, exponents), sorted, and one sparse
     row {unknown: coefficient} per (odd index, exponent) coefficient of the
     residual F * T_g^*(phi) - phi, where F is the Berezinian factor with
@@ -354,8 +355,9 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
     # (no sign).  Both predecessors sort before (I, e), so the sorted walk
     # always finds them built.
     zero = (0,) * m
+    key_of = trans.source._key_layout.key
     images: dict[tuple, SuperFunction] = {}
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, Fraction]] = {}
     for u, (odd_part, exps) in enumerate(unknowns):
         if any(exps):
             k = max(i for i, e in enumerate(exps) if e)
@@ -367,13 +369,14 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
         else:
             image = factor
         images[(odd_part, exps)] = image
-        # a row is keyed (odd mask, exponents and power of s); minus phi
-        # itself, a function of the live copy, sits at (I after g's n odd
-        # generators, (0, e, s^0)); over den 1 the numerators are the
-        # coefficients, with no view built
-        residual = {(key[0], key[1:]): c for key, c in (
-            image.nums if image.den == 1 else image.terms).items()}
-        own = (_mask(odd_part) << n, zero + exps + (0,))
+        # a row is keyed by the stored key; minus phi itself, a function of
+        # the live copy, sits at xi^I x^e, I after g's n odd generators and
+        # e after g's m exponents; over den 1 the numerators are the
+        # coefficients
+        den = image.den
+        residual = dict(image.nums) if den == 1 else {
+            key: _quotient(c, den) for key, c in image.nums.items()}
+        own = key_of(_mask(odd_part) << n, zero + exps, 0)
         residual[own] = residual.get(own, 0) - 1
         for key, c in residual.items():
             if c:
@@ -543,8 +546,9 @@ def _candidate_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
     """The only c that can give f1 = c f2, read off at the first coefficient
     of f2 that is a single power of s (an invertible value); None where
     there is none."""
+    split = f2.shape._key_layout.split
     for key in f2.nums:
-        mask, exps = key[0], key[1:-1]
+        mask, exps, _ = split(key)
         coeff = f2._sector(mask).coefficient(exps)
         if len(coeff.nums) == 1:
             return f1._sector(mask).coefficient(exps) / coeff

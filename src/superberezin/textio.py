@@ -50,6 +50,7 @@ from .grassmann import (
     Scalar,
     _add_terms,
     _indices,
+    _layout,
     _over_one_denominator,
     _stored,
 )
@@ -266,8 +267,9 @@ def _grassmann(words: list[str], n: int, memo: dict) -> GrassmannElement:
                        f"count {n}", 0)
     if n < 0:
         raise DimensionError("generator count must be nonnegative")
+    key = _layout(n, 0).key
     return _stored(GrassmannElement, n, *_over_one_denominator(_add_terms(
-        {}, [((mask, gauss), c) for c, gauss, mask, _, _ in terms])))
+        {}, [(key(mask, (), gauss), c) for c, gauss, mask, _, _ in terms])))
 
 
 def _polynomial(words: list[str], m: int, memo: dict):
@@ -281,9 +283,10 @@ def _polynomial(words: list[str], m: int, memo: dict):
                 raise _Bad(f"variable x{i + 1} exceeds the declared "
                            f"count {m}", 0)
     zeros = (0,) * m
+    key = _layout(0, m).key
     return _stored(Polynomial, m, *_over_one_denominator(_add_terms({}, [
-        ((tuple([even.get(i, 0) for i in range(m)]) if even else zeros)
-         + (gauss,), c) for c, gauss, _, _, even in terms])))
+        (key(0, [even.get(i, 0) for i in range(m)] if even else zeros, gauss), c)
+        for c, gauss, _, _, even in terms])))
 
 
 def _expression(text: str, empty: str, read):

@@ -37,9 +37,8 @@ from superberezin import (
     pullback_section,
     shape_product,
 )
-from superberezin.berezin import _times_moments
 from superberezin.errors import SuperBerezinError
-from superberezin.grassmann import ODD, _indices, _reduced, _stored
+from superberezin.grassmann import ODD, _indices
 from superberezin.linalg import det as rational_det
 from superberezin.suites import _pushed_forward
 from superberezin.superdomain import box_samples, jacobian, pullback
@@ -596,7 +595,8 @@ def test_function_times_section_is_associative_with_product():
 # pairs with the basis and Koszul signs on the base factors, integrate each
 # fibre section and sum (the term-list p_!, fibre_integrate).  The fibre
 # sections are integrated by integrate_oracle, the total integral written
-# out on its own, so neither side shares a loop with p_!.
+# out on its own from the tuple keys of ``terms`` and moments of its own,
+# so neither side shares a loop, a key or a moment table with p_!.
 
 
 def split_product_function(f, left, right):
@@ -605,18 +605,18 @@ def split_product_function(f, left, right):
     both even and odd) the split introduces no signs."""
     if f.shape != shape_product(left, right):
         raise DimensionError("function does not live on the stated product")
-    # (left exponents, left odd mask) -> the right factor's numerators over
-    # f.den, keyed (right odd mask, right exponents, k): the power of s
-    # stays with the right factor
+    # (left exponents, left odd mask) -> the right factor's terms
+    # (right odd index, right exponents, c s^k): the power of s stays with
+    # the right factor
     low = (1 << left.n) - 1
     grouped = {}
-    for key, c in f.nums.items():
-        mask, exps = key[0], key[1:]
-        grouped.setdefault((exps[:left.m], mask & low), {})[
-            (mask >> left.n,) + exps[left.m:]] = c
-    return [(_stored(SuperFunction, left, 1, {(left_odd,) + left_exps + (0,): 1}),
-             _reduced(SuperFunction, right, f.den, nums))
-            for (left_exps, left_odd), nums in sorted(
+    for (mask, *exps, k), c in f.terms.items():
+        grouped.setdefault((tuple(exps[:left.m]), mask & low), []).append(
+            (_indices(mask >> left.n), tuple(exps[left.m:]), Scalar(c, k)))
+    return [(SuperFunction(left, {_indices(left_odd): Polynomial(left.m, {left_exps: 1})}),
+             SuperFunction(right, [(idx, Polynomial(right.m, {exps: c}))
+                                   for idx, exps, c in terms]))
+            for (left_exps, left_odd), terms in sorted(
                 grouped.items(), key=lambda item: (item[0][0], _indices(item[0][1])))]
 
 
@@ -637,23 +637,73 @@ def split_section(omega, base, fibre):
     return out
 
 
+def _gaussian_moment_over_s(e):
+    if e < 0:
+        raise NonIntegrableError(
+            f"negative exponent {e} under the gaussian weight")
+    value = 0 if e % 2 else 1
+    for odd in range(1, e, 2):
+        value *= odd
+    return value
+
+
+def _interval_moment(iv, e):
+    if e == -1:
+        raise NonIntegrableError("exponent -1 has no rational antiderivative")
+    if e < 0 and iv.lo <= 0 <= iv.hi:
+        raise NonIntegrableError(f"pole at 0 inside the box {iv}")
+    return Fraction(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 1)
+
+
+def _oracle_moments(backend, shape):
+    """(one moment function per even axis, the power of s they add), as
+    the backend's rule says, written out here: the Gaussian weight, or
+    the interval an explicit ``backend.box`` puts at that axis's place,
+    or else the axis's own; the axis checks raise first, in axis order."""
+    box = backend.box
+    if box is not None and len(box) != shape.m:
+        raise DomainBoxError(f"box has {len(box)} axes, domain has {shape.m}")
+    moments = []
+    for k, axis in enumerate(shape.box):
+        if backend is GAUSSIAN:
+            if axis is not REALLINE:
+                raise DomainBoxError(
+                    f"gaussian backend needs whole-line axes, axis {k} is {axis}")
+            moments.append(_gaussian_moment_over_s)
+            continue
+        if box is None:
+            if not isinstance(axis, Interval):
+                raise DomainBoxError(f"axis {k} is unbounded; pass an explicit box")
+            iv = axis
+        else:
+            iv = box[k]
+            if not (axis.contains(iv.lo) and axis.contains(iv.hi)):
+                raise DomainBoxError(f"box axis {k} {iv} escapes the domain")
+        moments.append(lambda e, iv=iv: _interval_moment(iv, e))
+    return moments, shape.m if backend is GAUSSIAN else 0
+
+
 def integrate_oracle(omega, backend):
-    """The total integral with its own walk: the top sector by ``_sector``,
-    each term times its moments, summed by power of s, then the convention
-    sign (-1)^{mn}."""
+    """The total integral with its own walk, as ``_term_by_term_integral``
+    takes it: the top-sector terms read from ``terms``, each term's value
+    from the moments of its own exponents, one Scalar per term, then the
+    convention sign (-1)^{mn}.  A moment's error raises when a nonzero
+    value reaches it, in the order of the terms and then of the axes."""
     shape = omega.shape
-    top = omega.density._sector((1 << shape.n) - 1)
-    if not top:
+    top = (1 << shape.n) - 1
+    terms = [(exps, k, c) for (mask, *exps, k), c in omega.density.terms.items()
+             if mask == top]
+    if not terms:
         return Scalar.zero()
-    den, tables, shift = backend._moment_tables(shape.box, top.nums)
-    sums = {}
-    for exps, c in top.nums.items():
-        c = _times_moments(c, exps, tables)
-        if c:
-            k = exps[-1] + shift
-            sums[k] = sums.get(k, 0) + c
-    value = _reduced(Scalar, 0, den * top.den, sums)
-    return -value if (shape.m * shape.n) % 2 else value
+    moments, shift = _oracle_moments(backend, shape)
+    total = Scalar.zero()
+    for exps, k, c in terms:
+        for moment, e in zip(moments, exps):
+            c *= moment(e)
+            if not c:
+                break
+        total = total + Scalar(c, k + shift)
+    return -total if (shape.m * shape.n) % 2 else total
 
 
 def fibre_integrate(terms, base, fibre, backend):
@@ -746,11 +796,15 @@ def test_fibre_integrate_section_matches_the_split_oracle(case):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_fibre_cases())
-def test_integrate_matches_its_oracle(case):
+@given(_fibre_cases(), st.data())
+def test_integrate_matches_its_oracle(case, data):
     # integrate is p_! onto the point: the same value in the same stored
-    # form as the total integral's own walk, or the same first error
+    # form as the total integral's own walk, or the same first error; an
+    # explicit box is drawn for the whole chart, so that each of its axes
+    # is read at its own place
     omega, _, _, backend = case
+    if backend.box is not None:
+        backend = _explicit_box(data.draw, omega.shape.box)
     outcomes = []
     for run in (integrate, integrate_oracle):
         try:
@@ -900,3 +954,52 @@ def test_support_suite_fails_when_every_fibre_integral_is_one(monkeypatch):
     monkeypatch.setattr(suites, "integrate", lambda section, backend: Scalar(1))
     lines = suites.support_containment_suite()
     assert sum(not line.passed for line in lines) >= 6
+
+
+# ---------------------------------------------------------------------------
+# the backend constructor
+
+
+_box_pairs = st.sampled_from([(0, 1), (-1, 1), (1, 2), (Fraction(1, 2), 3),
+                              (-3, -1), (1, 0), (2, 2), (0, 5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_box_pairs, max_size=3), st.lists(_axes, max_size=2),
+       st.lists(st.tuples(st.tuples(_exponents, _exponents), st.integers(-3, 3)),
+                max_size=4))
+def test_the_backend_constructor_takes_pairs_as_box_backend_does(pairs, axes, terms):
+    # IntegrationBackend(pairs) and box_backend(*pairs) are one rule: the
+    # same integral, or the same error, whether the pairs or their
+    # Intervals are given (no pairs is box None, the domain's own axes)
+    shape = SuperDomainShape(len(axes), tuple(axes), 0)
+    poly = Polynomial(len(axes), {exps[:len(axes)]: c for exps, c in terms})
+    omega = BerezinSection.make(shape, poly)
+
+    def outcome(make):
+        try:
+            return integrate(omega, make())
+        except SuperBerezinError as exc:
+            return type(exc), str(exc)
+    want = outcome(lambda: box_backend(*pairs))
+    assert outcome(lambda: IntegrationBackend(tuple(pairs) or None)) == want
+    intervals = []
+    for pair in pairs:
+        try:
+            intervals.append(Interval(*pair))
+        except DomainBoxError:
+            return  # an empty interval: no Interval to compare with
+    assert outcome(lambda: IntegrationBackend(tuple(intervals) or None)) == want
+    assert outcome(lambda: box_backend(*intervals)) == want
+
+
+def test_the_backend_constructor_converts_a_pair_once():
+    backend = IntegrationBackend(((0, 1), Interval(1, 2)))
+    assert backend.box == (Interval(0, 1), Interval(1, 2))
+    assert backend == box_backend((0, 1), (1, 2))
+    shape = SuperDomainShape(1, (REALLINE,), 0)
+    x = SuperFunction.coordinate(shape, 0)
+    assert integrate(BerezinSection.make(shape, x),
+                     IntegrationBackend(((0, 1),))) == Scalar(Fraction(1, 2))
+    with pytest.raises(DomainBoxError, match=r"^empty interval \[1, 0\]$"):
+        IntegrationBackend(((1, 0),))

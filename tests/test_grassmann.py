@@ -21,12 +21,14 @@ from superberezin.grassmann import (
     _BYTE_SWAPS,
     _Products,
     _canonical,
+    _layout,
     _odd_swaps,
     _reduced,
     koszul_sign,
 )
 from superberezin.berezin import GAUSSIAN, BerezinSection, box_backend, integrate
-from superberezin.errors import DimensionError, NonInvertibleError, ParityError
+from superberezin.errors import (DimensionError, NonInvertibleError, ParityError,
+                               SuperBerezinError)
 from superberezin.superdomain import (
     REALLINE,
     Interval,
@@ -632,14 +634,19 @@ def _inverse_series(start, factor, steps: int):
 
 
 def _reference_element_inverse(a):
-    """b^-1 sum_j (-b^-1 soul)^j for a GrassmannElement with body c s^k."""
-    (k, c), = ((key[1], c) for key, c in a.nums.items() if not key[0])
-    sign = -1 if c < 0 else 1
+    """b^-1 sum_j (-b^-1 soul)^j for a GrassmannElement with body c s^k,
+    its keys split and built again through the layout's helpers."""
     n = a.generator_count
+    layout = _layout(n, 0)
+    terms = [(mask, j, c) for mask, _, j, c in layout.unpacked(a.nums)]
+    (k, c), = ((j, c) for mask, j, c in terms if not mask)
+    sign = -1 if c < 0 else 1
     return _inverse_series(
-        _reduced(GrassmannElement, n, sign * c, {(0, -k): sign * a.den}),
+        _reduced(GrassmannElement, n, sign * c,
+                 {layout.key(0, (), -k): sign * a.den}),
         _reduced(GrassmannElement, n, sign * c, {
-            (mask, j - k): -sign * cj for (mask, j), cj in a.nums.items() if mask}),
+            layout.key(mask, (), j - k): -sign * cj
+            for mask, j, cj in terms if mask}),
         n // 2)
 
 
@@ -647,10 +654,13 @@ def _reference_superfunction_inverse(f):
     """The same series for a SuperFunction with a one-term body."""
     binv = f.body_polynomial().monomial_inverse()
     (shift, c), = binv.nums.items()
+    poly, layout = _layout(0, f.shape.m), f.shape._key_layout
+    _, shift_exps, shift_k = poly.split(shift)
     soul = f.soul()
     factor = _reduced(SuperFunction, f.shape, soul.den * binv.den, {
-        tuple(map(add, key, (0,) + shift)): -cc * c
-        for key, cc in soul.nums.items()})
+        layout.key(mask, tuple(map(add, exps, shift_exps)), k + shift_k): -cc * c
+        for mask, exps, k, cc in ((*layout.split(key), cc)
+                                  for key, cc in soul.nums.items())})
     return _inverse_series(_lifted(f.shape, binv), factor, f.shape.n // 2)
 
 
@@ -670,7 +680,7 @@ def test_inv_even_keeps_the_key_order_where_a_partial_sum_cancels():
               (0, 1, 2, 3, 4, 5): 2})
     got, want = a.inv_even(), _reference_element_inverse(a)
     assert list(got.nums.items()) == list(want.nums.items())
-    assert list(got.nums)[-1] == (0b111111, 0)
+    assert list(got.nums)[-1] == _layout(6, 0).key(0b111111, (), 0)
 
 
 @st.composite
@@ -706,11 +716,22 @@ def test_superfunction_inv_even_stores_what_the_series_stores(f):
 # stored alike, whichever route built them.
 
 
+def tuple_key(value, key):
+    """The ``terms`` key of a stored key of value: the layout's split of
+    it, as the value's class writes it."""
+    mask, exps, k = value._layout(value._count).split(key)
+    if type(value) is Scalar:
+        return k
+    if type(value) is Polynomial:
+        return exps + (k,)
+    return (mask,) + exps + (k,)
+
+
 def assert_canonical(r):
     assert type(r.den) is int and r.den >= 1
     assert all(type(c) is int and c != 0 for c in r.nums.values())
     assert gcd(r.den, *r.nums.values()) == 1  # so zero has den 1
-    assert r.terms == {key: _canonical(Fraction(c, r.den))
+    assert r.terms == {tuple_key(r, key): _canonical(Fraction(c, r.den))
                        for key, c in r.nums.items()}
     for coeff in r.terms.values():
         assert_stored(coeff)
@@ -770,18 +791,20 @@ def test_twisted_is_even_part_minus_odd_part(a, f, c):
 
 
 def test_dropping_terms_can_shrink_the_denominator():
+    def key(mask):  # the stored key of xi^mask s^0 over two generators
+        return _layout(2, 0).key(mask, (), 0)
     x = G(2, {(): 1, (0,): Fraction(1, 2)})
-    assert (x.den, x.nums) == (2, {(0, 0): 2, (0b1, 0): 1})
+    assert (x.den, x.nums) == (2, {key(0): 2, key(0b1): 1})
     assert x.terms == {(0, 0): 1, (0b1, 0): Fraction(1, 2)}
     assert x.body() == Scalar(1)
-    assert (x.even_part().den, x.even_part().nums) == (1, {(0, 0): 1})
-    assert ((x + x).den, (x + x).nums) == (1, {(0, 0): 2, (0b1, 0): 1})
+    assert (x.even_part().den, x.even_part().nums) == (1, {key(0): 1})
+    assert ((x + x).den, (x + x).nums) == (1, {key(0): 2, key(0b1): 1})
     assert ((x - x).den, (x - x).nums) == (1, {})
     y = G(2, {(): 1, (0, 1): Fraction(1, 2)}).inv_even()
-    assert (y.den, y.nums) == (2, {(0, 0): 2, (0b11, 0): -1})
-    assert (y.soul().den, y.soul().nums) == (2, {(0b11, 0): -1})
+    assert (y.den, y.nums) == (2, {key(0): 2, key(0b11): -1})
+    assert (y.soul().den, y.soul().nums) == (2, {key(0b11): -1})
     z = G(2, {(): Fraction(2, 3), (0, 1): 2}).inv_even()  # 3/2 - 9/2 xi1 xi2
-    assert (z.den, z.nums) == (2, {(0, 0): 3, (0b11, 0): -9})
+    assert (z.den, z.nums) == (2, {key(0): 3, key(0b11): -9})
     with pytest.raises(TypeError):
         x.terms[(0, 0)] = 5
 
@@ -1102,3 +1125,237 @@ def test_superfunction_products_straddling_bit_8_match_index_merging(operands):
                                          Polynomial.zero(1)).items():
             expected[idx] = expected.get(idx, Polynomial.zero(1)) + poly
     assert base + _Products([(f, g), (h, f)]) == SuperFunction(base.shape, expected)
+
+
+
+# -- the key layout ------------------------------------------------------
+#
+# Every key is one int (``_Layout``): the generator mask in the low n bits,
+# one 32-bit lane e + 2^30 per even exponent, its top bit a guard bit, and
+# the power of s in the top bits.  An exponent therefore lies in
+# [-2^30, 2^30) (the range one guard bit bounds exactly); a result that
+# leaves it raises SuperBerezinError and never aliases into the next lane.
+
+EDGE = 1 << 30
+_edge_exponents = st.one_of(
+    st.sampled_from([-EDGE, -EDGE + 1, -1, 0, 1, EDGE - 2, EDGE - 1]),
+    st.integers(-EDGE, EDGE - 1))
+
+
+def _in_lane(e):
+    return -EDGE <= e < EDGE
+
+
+def _with(place, e, others):
+    """The exponent tuple with e at ``place`` among ``others``."""
+    exps = list(others)
+    exps.insert(place, e)
+    return tuple(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n) - 1),
+    st.lists(_edge_exponents, max_size=3), st.integers(-10 ** 12, 10 ** 12))))
+def test_layout_round_trips_every_exponent_in_its_lane(case):
+    n, mask, exps, k = case
+    layout = _layout(n, len(exps))
+    key = layout.key(mask, exps, k)
+    assert layout.split(key) == (mask, tuple(exps), k)
+    assert layout.unpacked({key: 7}) == [(mask, tuple(exps), k, 7)]
+    assert layout.mask(key) == mask
+    assert layout.even(key) == _layout(0, len(exps)).key(0, exps, k)
+    assert layout.join(mask, layout.even(key)) == key
+
+
+def test_layout_edges_are_stored_and_one_past_raises():
+    layout = _layout(2, 2)
+    for e in (EDGE - 1, -(EDGE - 1), -EDGE):
+        for exps in ((e, 0), (0, e), (e, e)):
+            assert layout.split(layout.key(0b11, exps, -3)) == (0b11, exps, -3)
+    for e in (EDGE, -EDGE - 1, 1 << 40):
+        for exps in ((e, 0), (0, e)):
+            with pytest.raises(SuperBerezinError,
+                               match=r"^an exponent leaves the stored range "
+                                     r"\[-2\^30, 2\^30\)$"):
+                layout.key(0b11, exps, 0)
+    # the public constructors keep exactly this range
+    assert Polynomial(1, {(EDGE - 1,): 1}).terms == {(EDGE - 1, 0): 1}
+    assert Polynomial(1, {(-EDGE,): 1}).terms == {(-EDGE, 0): 1}
+    for e in (EDGE, -EDGE - 1):
+        with pytest.raises(SuperBerezinError):
+            Polynomial(1, {(e,): 1})
+        with pytest.raises(SuperBerezinError):
+            SuperFunction.coordinate(LINE1, 0, e)
+
+
+R32 = SuperDomainShape(3, (REALLINE,) * 3, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_exponents, _edge_exponents, st.integers(0, 2), st.integers(-3, 3),
+       st.tuples(_edge_exponents, _edge_exponents))
+def test_a_product_raises_exactly_when_an_exponent_leaves_its_lane(a, b, place, k,
+                                                                   others):
+    # x^a (other exponents any in range) times x^b: the other lanes must
+    # come through unchanged, and only a + b may leave its lane
+    x = Polynomial(3, {_with(place, a, others): Scalar(1, k)})
+    y = Polynomial(3, {_with(place, b, (0, 0)): 1})
+    f, g = SuperFunction(R32, {(0,): x}), SuperFunction(R32, {(1,): y})
+    if _in_lane(a + b):
+        exps = _with(place, a + b, others)
+        assert (x * y).terms == {exps + (k,): 1}
+        assert (f * g).terms == {(0b11,) + exps + (k,): 1}
+        assert (g * f).terms == {(0b11,) + exps + (k,): -1}
+    else:
+        for u, v in ((x, y), (y, x), (f, g), (g, f)):
+            with pytest.raises(SuperBerezinError):
+                u * v
+
+
+def test_squaring_twice_raises_on_the_second_square():
+    shape = SuperDomainShape(1, (REALLINE,), 1)
+    for x in (Polynomial.variable(1, 0, 1 << 28),
+              SuperFunction.coordinate(shape, 0, 1 << 28)):
+        square = x * x
+        assert {key[-2]: c for key, c in square.terms.items()} == {1 << 29: 1}
+        with pytest.raises(SuperBerezinError):
+            square * square  # x^(2^30)
+    x = Polynomial.variable(1, 0, 1 << 28)
+    assert x ** 2 == x * x and x ** 3 == x * x * x  # no square past the last
+    with pytest.raises(SuperBerezinError):
+        x ** 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_exponents, st.integers(0, 1), st.integers(-2, 2))
+def test_a_derivative_raises_exactly_when_an_exponent_leaves_its_lane(e, place, k):
+    shape = SuperDomainShape(2, (REALLINE,) * 2, 1)
+    exps = _with(place, e, (5,))
+    p = Polynomial(2, {exps: Scalar(3, k)})
+    f = SuperFunction(shape, {(0,): p})
+    if not e:
+        assert p.derive(place).is_zero() and f.derive_even(place).is_zero()
+    elif _in_lane(e - 1):
+        lowered = _with(place, e - 1, (5,))
+        assert p.derive(place).terms == {lowered + (k,): 3 * e}
+        assert f.derive_even(place).terms == {(0b1,) + lowered + (k,): 3 * e}
+    else:
+        with pytest.raises(SuperBerezinError):
+            p.derive(place)
+        with pytest.raises(SuperBerezinError):
+            f.derive_even(place)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_exponents, _edge_exponents, st.integers(-2, 2))
+def test_an_inverse_raises_exactly_when_an_exponent_leaves_its_lane(a, b, k):
+    # u = 2 s^k x^a + x^b xi1 xi2 has the inverse
+    # 1/2 s^-k x^-a - 1/4 s^-2k x^(b - 2a) xi1 xi2; with a and b in range
+    # the series' factor x^(b - a) leaves its lane only where b - 2a does
+    p = Polynomial(1, {(a,): Scalar(2, k)})
+    if _in_lane(-a):
+        assert p.monomial_inverse().terms == {(-a, -k): Fraction(1, 2)}
+    else:
+        with pytest.raises(SuperBerezinError):
+            p.monomial_inverse()
+    shape = SuperDomainShape(1, (REALLINE,), 2)
+    u = SuperFunction(shape, {(): p, (0, 1): Polynomial(1, {(b,): 1})})
+    if _in_lane(-a) and _in_lane(b - 2 * a):
+        assert u.inv_even().terms == {(0, -a, -k): Fraction(1, 2),
+                                      (0b11, b - 2 * a, -2 * k): Fraction(-1, 4)}
+    else:
+        with pytest.raises(SuperBerezinError):
+            u.inv_even()
+
+
+# The product loops as they were before the packed keys, on tuple keys:
+# (e_1, ..., e_m, k) for polynomials, (mask, e_1, ..., e_m, k) for
+# superfunctions.  The packed loops must store what they store, in the
+# same order.
+
+
+def _poly_accumulate(acc, a, b, scale):
+    get = acc.get
+    for e1, c1 in a.items():
+        c1 *= scale
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            prev = get(key)
+            acc[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return acc
+
+
+def _super_accumulate(acc, a, b, scale):
+    get = acc.get
+    for ka, ca in a.items():
+        ma = ka[0]
+        ca *= scale
+        swaps = _odd_swaps(ma)
+        for kb, cb in b.items():
+            mb = kb[0]
+            if ma & mb:
+                continue
+            key = tuple(map(add, ka, kb))
+            prev = get(key)
+            if (swaps & mb).bit_count() & 1:
+                acc[key] = -ca * cb if prev is None else prev - ca * cb
+            else:
+                acc[key] = ca * cb if prev is None else prev + ca * cb
+    return acc
+
+
+def _tuple_nums(value):
+    """value's numerators under tuple keys, in stored order."""
+    return {tuple_key(value, key): c for key, c in value.nums.items()}
+
+
+def _oracle_product(x, y, accumulate):
+    """(den, [(tuple key, numerator)]) of x * y by the tuple-key loop."""
+    acc = accumulate({}, _tuple_nums(x), _tuple_nums(y), 1)
+    items = [(key, c) for key, c in acc.items() if c]
+    den = x.den * y.den
+    g = gcd(den, *(c for _, c in items))
+    return den // g, [(key, c // g) for key, c in items]
+
+
+@st.composite
+def _laurent_operands(draw):
+    """Two superfunctions on (m|n), m in 0..3 and n in 0..12, with Laurent
+    exponents, powers of s and Fraction coefficients, whose masks reach
+    past bit 8 when n does."""
+    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 3))
+    shape = SuperDomainShape(m, (REALLINE,) * m, n)
+    term = st.tuples(st.integers(0, (1 << n) - 1),
+                     st.tuples(*[st.integers(-3, 3)] * m), st.integers(-2, 2),
+                     rationals.filter(bool))
+
+    def operand():
+        return SuperFunction(shape, [
+            (_indices_of(mask), Polynomial(m, {exps: Scalar(c, k)}))
+            for mask, exps, k, c in draw(st.lists(term, max_size=6))])
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_operands())
+def test_packed_loops_store_what_the_tuple_key_loops_store(operands):
+    f, g = operands
+    for x, y in ((f, g), (g, f)):
+        got = x * y
+        assert (got.den, list(_tuple_nums(got).items())) == \
+            _oracle_product(x, y, _super_accumulate)
+        p, q = x.body_polynomial(), y.body_polynomial()
+        got = p * q
+        assert (got.den, list(_tuple_nums(got).items())) == \
+            _oracle_product(p, q, _poly_accumulate)
+    if not f.shape.m:  # on (0|N), the element's loop and stored form
+        a, b = (GrassmannElement(f.shape.n, _public_terms_of(h)) for h in (f, g))
+        assert (a.den, a.nums) == (f.den, f.nums)
+        assert ((a * b).den, (a * b).nums) == ((f * g).den, (f * g).nums)
+
+
+def _public_terms_of(f):
+    """The {index: Scalar} pairs of a superfunction on (0|N)."""
+    return [(_indices_of(mask), Scalar(c, k))
+            for (mask, k), c in f.terms.items()]

@@ -58,8 +58,9 @@ import pytest
 from superberezin import berezin, cli, lie_super, supergroup, supermatrix
 from superberezin.berezin import BerezinSection, _times_moments
 from superberezin.errors import DimensionError, NonIntegrableError
-from superberezin.grassmann import (_BYTE_SWAPS, _indices, _quotient, _reduced,
-                                    _series_inverse, _stored, koszul_sign)
+from superberezin.grassmann import (_BYTE_SWAPS, _indices, _layout, _quotient,
+                                    _reduced, _series_inverse, _stored,
+                                    koszul_sign)
 from superberezin.superdomain import SuperFunction, shape_product
 
 RUNS = {
@@ -145,29 +146,31 @@ def _fibre_integrate_dropping(dropped):
             raise DimensionError("section does not live on the stated product")
         m, n, p, q = base.m, base.n, fibre.m, fibre.n
         full, low = (1 << q) - 1, (1 << n) - 1
+        split = omega.density.shape._key_layout.split
         groups = {}
         for key, c in omega.density.nums.items():
-            if key[0] >> n == full:
-                groups.setdefault((key[1:m + 1], key[0] & low), []).append(
-                    (key[m + 1:], c))
+            mask, exps, k = split(key)
+            if mask >> n == full:
+                groups.setdefault((exps[:m], mask & low), []).append(
+                    (exps[m:], k, c))
         den, nums = omega.density.den, {}
         if groups:
             tables_den, tables, shift = backend._moment_tables(
-                fibre.box, [exps for terms in groups.values() for exps, _ in terms])
+                fibre.box, [exps for terms in groups.values() for exps, _, _ in terms])
             den *= tables_den
             # the fault: one of the three exponents left out
             exponent = {"koszul": n * p + p * q, "basis": p * q,
                         "convention": n * p}[dropped]
             sign = -1 if exponent % 2 else 1
+            encode = _layout(n, m).key
             for (exps, mask), terms in sorted(
                     groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
-                head = (mask,) + exps
                 odd = dropped != "koszul" and q * mask.bit_count() % 2
                 t = -sign if odd else sign
-                for fibre_key, c in terms:
-                    c = _times_moments(t * c, fibre_key, tables)
+                for fibre_exps, k, c in terms:
+                    c = _times_moments(t * c, fibre_exps, tables)
                     if c:
-                        key = head + (fibre_key[-1] + shift,)
+                        key = encode(mask, exps, k + shift)
                         nums[key] = nums.get(key, 0) + c
         return BerezinSection(base, _reduced(SuperFunction, base, den, nums),
                               omega.caveats)

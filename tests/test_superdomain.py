@@ -20,7 +20,7 @@ from superberezin.errors import (
     ParityError,
 )
 from superberezin.grassmann import (EVEN, ODD, GrassmannElement, Scalar,
-                                    _Products, _canonical)
+                                    _Products, _canonical, _layout)
 from superberezin.superdomain import (
     Interval,
     POSITIVE,
@@ -916,8 +916,13 @@ def assert_stored_form(p):
     assert type(p.den) is int and p.den >= 1
     assert all(type(c) is int and c != 0 for c in p.nums.values())
     assert gcd(p.den, *p.nums.values()) == 1  # so zero has den 1
-    assert p.terms == {key: _canonical(Fraction(c, p.den))
-                       for key, c in p.nums.items()}
+    layout = p._layout(p._count)
+    view = {}
+    for key, c in p.nums.items():
+        mask, exps, k = layout.split(key)  # the tuple key terms must show
+        view[exps + (k,) if type(p) is Polynomial else (mask, k)] = \
+            _canonical(Fraction(c, p.den))
+    assert p.terms == view
     for coeff in p.terms.values():
         _assert_stored(coeff)
 
@@ -978,15 +983,17 @@ def test_stored_form_is_canonical(f, g, pairs):
 
 
 def test_dropping_terms_can_shrink_the_polynomial_denominator():
+    def key(e, k=0):  # the stored key of x1^e s^k
+        return _layout(0, 1).key(0, (e,), k)
     p = Polynomial(1, {(0,): 1, (1,): Fraction(1, 2)})
-    assert (p.den, p.nums) == (2, {(0, 0): 2, (1, 0): 1})
+    assert (p.den, p.nums) == (2, {key(0): 2, key(1): 1})
     assert p.terms == {(0, 0): 1, (1, 0): Fraction(1, 2)}
-    assert ((p + p).den, (p + p).nums) == (1, {(0, 0): 2, (1, 0): 1})
+    assert ((p + p).den, (p + p).nums) == (1, {key(0): 2, key(1): 1})
     assert ((p - p).den, (p - p).nums) == (1, {})
     d = Polynomial(1, {(2,): Fraction(3, 2), (0,): Fraction(1, 3)}).derive(0)
-    assert (d.den, d.nums) == (1, {(1, 0): 3})  # 3/2 * 2 = 3
+    assert (d.den, d.nums) == (1, {key(1): 3})  # 3/2 * 2 = 3
     inv = Polynomial(1, {(2,): Scalar(Fraction(-2, 3), 1)}).monomial_inverse()
-    assert (inv.den, inv.nums) == (2, {(-2, -1): -3})
+    assert (inv.den, inv.nums) == (2, {key(-2, -1): -3})
     with pytest.raises(TypeError):
         p.terms[(0, 0)] = 5
 
@@ -1325,15 +1332,20 @@ def _sector_pullback(evens, odds, src, f):
 
 
 def assert_flat_stored(f):
-    """f's one numerator dict over one denominator is canonical, keyed
-    (mask, e_1, ..., e_m, k) with ints."""
+    """f's one numerator dict over one denominator is canonical, each key
+    one int that the layout splits into a mask of f's generators, m int
+    exponents and a power of s, and builds again from them."""
     assert type(f.den) is int and f.den >= 1
     assert gcd(f.den, *f.nums.values()) == 1  # so zero has den 1
+    layout = f.shape._key_layout
     for key, c in f.nums.items():
         assert type(c) is int and c != 0
-        assert type(key) is tuple and len(key) == f.shape.m + 2
-        assert all(type(e) is int for e in key)
-        assert 0 <= key[0] < 1 << f.shape.n
+        assert type(key) is int
+        mask, exps, k = layout.split(key)
+        assert len(exps) == f.shape.m
+        assert all(type(e) is int for e in exps + (k,))
+        assert 0 <= mask < 1 << f.shape.n
+        assert layout.key(mask, exps, k) == key
 
 
 def assert_matches_sectors(got, want):

@@ -474,12 +474,13 @@ def _rows_by_pullback(G, side, prefactor, unknowns):
         factor = factor * pullback(trans, prefactor) \
             * prefactor.embed(S, m, n).inv_even()
     rows = {}
+    key = S._key_layout.key  # a row is keyed by the stored key
     for u, (odd_part, exps) in enumerate(unknowns):
         phi = SuperFunction(G.shape, {odd_part: Polynomial(m, {exps: 1})})
         residual = factor * pullback(trans, phi) - phi.embed(S, m, n)
         for idx, poly in residual.coeffs.items():
             for e2, coeff in poly.terms.items():
-                rows.setdefault((idx, e2), {})[u] = coeff
+                rows.setdefault(key(idx, e2[:-1], e2[-1]), {})[u] = coeff
     return rows
 
 
