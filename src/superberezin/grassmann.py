@@ -113,12 +113,11 @@ class _Layout:
     modules go through ``key``, ``split`` and the helpers below.
     """
 
-    __slots__ = ("n", "m", "low", "bias", "guard", "top", "below", "s",
-                 "_lanes")
+    __slots__ = ("n", "low", "bias", "guard", "top", "below", "s", "_lanes")
 
     def __init__(self, n: int, m: int):
         self._lanes = tuple(range(n, n + _LANE * m, _LANE))
-        self.n, self.m = n, m
+        self.n = n
         self.low = (1 << n) - 1
         self.bias = sum(_OFFSET << lane for lane in self._lanes)
         self.guard = sum(_TOP << lane for lane in self._lanes)

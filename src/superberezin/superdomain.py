@@ -625,10 +625,9 @@ def _linear_combination(shape: SuperDomainShape, den: int, triples) -> SuperFunc
     acc = {}
     get = acc.get
     for k, c, func in triples:
-        scale = c * (common // func.den)
+        scale, shift = c * (common // func.den), k * s
         for key, num in func.nums.items():
-            if k:
-                key += k * s
+            key += shift
             acc[key] = get(key, 0) + scale * num
     return _reduced(SuperFunction, shape, den * common, acc)
 
