@@ -1350,12 +1350,6 @@ def test_packed_loops_store_what_the_tuple_key_loops_store(operands):
         assert (got.den, list(_tuple_nums(got).items())) == \
             _oracle_product(p, q, _poly_accumulate)
     if not f.shape.m:  # on (0|N), the element's loop and stored form
-        a, b = (GrassmannElement(f.shape.n, _public_terms_of(h)) for h in (f, g))
+        a, b = (GrassmannElement(f.shape.n, _public_terms(h)) for h in (f, g))
         assert (a.den, a.nums) == (f.den, f.nums)
         assert ((a * b).den, (a * b).nums) == ((f * g).den, (f * g).nums)
-
-
-def _public_terms_of(f):
-    """The {index: Scalar} pairs of a superfunction on (0|N)."""
-    return [(_indices_of(mask), Scalar(c, k))
-            for (mask, k), c in f.terms.items()]
