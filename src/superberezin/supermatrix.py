@@ -3,15 +3,15 @@
 Entries may be any objects implementing the small ring protocol used
 throughout the package: ``__add__``, ``__sub__``, ``__neg__``, ``__mul__``,
 ``is_zero()``, ``parity()``, ``inv_even()`` for invertible even elements,
-and the fused ``base + _Products(pairs)``, which returns base + sum a*b
-over the (a, b) of ``pairs`` as one sum: every product goes straight into
-one copy of the base's terms, canonicalised once.  Both Grassmann
-elements and superfunctions qualify, so the same Berezinian code serves
-constant matrices and Jacobians.  Every entry of an elimination step, of
-Z, of the Schur complement and of a matrix product is one fused sum, a
-difference taking its left factors negated; a product's cost is per call
-more than per term, so this saves the temporaries of a product, a
-negation and a sum.
+``*`` by a ``Fraction``, and the fused ``base + _Products(pairs)``, which
+returns base + sum a*b over the (a, b) of ``pairs`` as one sum: every
+product goes straight into one copy of the base's terms, canonicalised
+once.  Both Grassmann elements and superfunctions qualify, so the same
+Berezinian code serves constant matrices and Jacobians.  Every entry of
+an elimination step, of Z, of the Schur complement and of a matrix
+product is one fused sum, a difference taking its left factors negated; a
+product's cost is per call more than per term, so this saves the
+temporaries of a product, a negation and a sum.
 
 Determinants, det(D)^-1 and the solve D Z = C share one forward
 elimination over the entries' ring.  A column's pivot is the first
@@ -30,9 +30,10 @@ have such a column: Laurent monomials in x over superfunctions give
 det [[x+2, x+1], [x+3, x+2]] = 1, and single powers of s = sqrt(2 pi)
 give det [[1+s, 1], [2+s, 1]] = -1.  Such a 2 x 2 block takes ad - bc
 and needs no pivot.  Where a column left of a determinant's last two
-stalls, the determinant expands along its first row by cofactors, with
-minors through the same elimination; where a column of D stalls,
-det(D)^-1 and Z = D^-1 C come from Cramer's rule.
+stalls, or a column of D, the Faddeev-LeVerrier recursion gives the
+determinant and the adjugate together from n matrix products, inverting
+no entry and dividing only by the integers up to n: det(D)^-1 is then the
+one inverse taken, and W = -adj(D) C det(D)^-1.
 
 The public constructors, ``SuperMatrix(...)`` and ``from_blocks``, check
 the parity of every nonzero entry.  What the program makes is built by
@@ -45,6 +46,8 @@ homogeneous.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import DimensionError, NonInvertibleError, ParityError
 from .grassmann import EVEN, Parity, _Products
@@ -98,7 +101,7 @@ def _det(entries, zero, one):
     """Determinant of a square matrix of even entries.
 
     Eliminates all but the last two columns, whose block [[a, b], [c, d]]
-    gives ad - bc.  Falls back to cofactor expansion when elimination
+    gives ad - bc.  Falls back to ``_faddeev_leverrier`` where elimination
     finds a column with no invertible entry.
     """
     n = len(entries)
@@ -109,26 +112,12 @@ def _det(entries, zero, one):
     rows = [list(row) for row in entries]
     sign, minus_inverses = _eliminate(rows, n - 2)
     if len(minus_inverses) < n - 2:
-        return _expand(entries, zero, one)
+        return _faddeev_leverrier(entries, zero, one)[0]
     (a, b), (c, d) = rows[n - 2][n - 2:], rows[n - 1][n - 2:]
     acc = zero + _Products(((a, d), (-b, c)))
     for i in range(n - 2):
         acc = rows[i][i] * acc
     return -acc if sign < 0 else acc
-
-
-def _expand(entries, zero, one):
-    """Cofactor expansion along the first row, minors through ``_det``."""
-    acc = zero
-    for j, top in enumerate(entries[0]):
-        if top.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = top * _det(minor, zero, one)
-        if j % 2:
-            term = -term
-        acc = acc + term
-    return acc
 
 
 def _back_substitute(rows, minus_inverses, q):
@@ -166,29 +155,38 @@ def _eliminate_solve(D, C):
     return det_d_inv, _back_substitute(rows, minus_inverses, q)
 
 
-def _cramer(D, C, zero, one):
-    """det(D)^-1 and Z = D^-1 C, with D^-1 by Cramer's rule.
+def _faddeev_leverrier(entries, zero, one):
+    """det(M) and adj(M) of a square matrix M of even entries, by n matrix
+    products that invert no entry and divide only by 1, ..., n.
 
-    Entry (k, l) of D^-1 is the (l, k) cofactor over det(D), every
-    determinant through ``_det``.  Only det(D) needs an inverse, so this
-    serves a D whose columns stall in elimination.
+    M_1 = I, c_k = -tr(M M_k) / k and M_{k+1} = M M_k + c_k I end in
+    M M_n = -c_n I (Cayley-Hamilton, even entries commuting), so det(M) is
+    (-1)^n c_n and adj(M) is (-1)^(n+1) M_n.
     """
-    q = len(D)
+    n = len(entries)
+    matrix = _trusted(n, 0, entries, EVEN, zero, one)
+    m_k = SuperMatrix.identity(n, 0, zero=zero, one=one)
+    for k in range(1, n + 1):
+        product = matrix * m_k
+        c = sum((product.entries[i][i] for i in range(n)), zero) * Fraction(-1, k)
+        if k < n:
+            m_k = _trusted(n, 0, [[e + c if i == j else e for j, e in enumerate(row)]
+                                  for i, row in enumerate(product.entries)],
+                           EVEN, zero, one)
+    return (-c, m_k.entries) if n % 2 else (c, (-m_k).entries)
+
+
+def _adjugate_solve(D, C, zero, one):
+    """det(D)^-1 and W = -adj(D) C det(D)^-1, which is -Z with D Z = C: the
+    solve for a D whose columns stall in elimination."""
+    det_d, adj = _faddeev_leverrier(D, zero, one)
     try:
-        det_inv = _det(D, zero, one).inv_even()
+        det_d_inv = det_d.inv_even()
     except NonInvertibleError:
         raise NonInvertibleError("odd-odd block is not invertible") from None
-    Z = [[zero] * len(row) for row in C]
-    if not C or not C[0]:
-        return det_inv, Z  # no columns to solve for
-    for k in range(q):
-        for l in range(q):
-            minor = [row[:k] + row[k + 1:] for r, row in enumerate(D) if r != l]
-            cof = _det(minor, zero, one) * det_inv
-            if (k + l) % 2:
-                cof = -cof
-            Z[k] = [z + cof * c for z, c in zip(Z[k], C[l])]
-    return det_inv, Z
+    minus_det_d_inv = -det_d_inv
+    return det_d_inv, [[(zero + _Products(zip(row, col))) * minus_det_d_inv
+                        for col in zip(*C)] for row in adj]
 
 
 class SuperMatrix:
@@ -294,8 +292,7 @@ class SuperMatrix:
             return _det(A, zero, one)
         det_d_inv, W = _eliminate_solve(D, C)
         if det_d_inv is None:
-            det_d_inv, Z = _cramer(D, C, zero, one)
-            W = [[-z for z in row] for row in Z]
+            det_d_inv, W = _adjugate_solve(D, C, zero, one)
         if p == 0:
             return det_d_inv
         # A - B Z = A + B W

@@ -27,11 +27,14 @@ integral is invariant under a change of variables.  ``fubini-quotients``,
 each identity over the same box axes, so the wrong moments enter both
 sides alike and cancel.  The Berezinian column: the Haar density of the
 other side, the Haar density not inverted, the modular ratio
-Ber(Ad on h) / Ber(Ad on g) inverted, and det(D) where the Berezinian
-takes det(D)^-1.  The arithmetic column: bit 0 of the ``_BYTE_SWAPS``
-entry of mask 0b0110 flipped, so xi2 xi3 times xi1 takes the wrong sign,
-and ``_reduced`` without its gcd step, so equal values can be stored
-unalike.  Only ``verify berezinian`` catches the sign (74 of its 200
+Ber(Ad on h) / Ber(Ad on g) inverted, det(D) where the Berezinian takes
+det(D)^-1, on the elimination and the adjugate solve alike, and the trace
+of the Faddeev-LeVerrier fallback not divided by k.  No run reaches that
+fallback, as no suite's matrix has a column without a pivot, so the fault
+waits in ``WAITING`` on the chain-rule suite (ROADMAP item 12).  The
+arithmetic column: bit 0 of the ``_BYTE_SWAPS`` entry of mask 0b0110
+flipped, so xi2 xi3 times xi1 takes the wrong sign, and ``_reduced``
+without its gcd step, so equal values can be stored unalike.  Only ``verify berezinian`` catches the sign (74 of its 200
 lines), and ``verify berezinian`` and ``verify change-of-variables`` the
 gcd (127 and 31 lines).  A fault in the sign rule above bit 8 (a high
 byte not complemented) is caught by no run: no suite has more than 8 odd
@@ -44,10 +47,11 @@ structure-constant column: the Koszul sign of the swapped jet in
 ``examples run unimod-gl11`` catches, as its extraction's validation
 raises; and the jet terms with an odd letter in each factor skipped, which
 no run catches.  It waits in ``WAITING`` on the quotient-unimodularity and
-super-divergence suites (ROADMAP items 2 and 26); until then the tier-1
-tests named there fail under it.
+super-divergence suites (ROADMAP items 2 and 26).  Until a run catches a
+waiting fault, the tier-1 tests named with it fail under it.
 """
 
+import importlib
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -312,8 +316,14 @@ def modular_ratio_inverted(monkeypatch):
 
 
 def det_d_for_its_inverse(monkeypatch):
-    for solve in (supermatrix._eliminate_solve, supermatrix._cramer):
+    for solve in (supermatrix._eliminate_solve, supermatrix._adjugate_solve):
         patch_everywhere(monkeypatch, solve, _det_d_not_inverted(solve))
+
+
+def trace_not_divided_by_k(monkeypatch):
+    # supermatrix's binding only: the fault takes c_k = -tr(M M_k), the
+    # trace of the Faddeev-LeVerrier step not divided by k
+    monkeypatch.setattr(supermatrix, "Fraction", lambda num, den: num)
 
 
 FAULTS = {
@@ -336,17 +346,25 @@ FAULTS = {
     "supergroup Haar density not inverted": haar_not_inverted,
     "supergroup modular ratio inverted": modular_ratio_inverted,
     "supermatrix det(D) for det(D)^-1": det_d_for_its_inverse,
+    "supermatrix Faddeev-LeVerrier trace not divided by k":
+        trace_not_divided_by_k,
 }
 
 
 # faults no run catches yet: the open ROADMAP items whose runs will, and
-# the tier-1 tests of tests/test_supergroup.py that fail under them
+# the test module and the deterministic tier-1 tests that fail under them
 WAITING = {
     # Heisenberg's [Q1, Q2] = 2Z becomes 0, and the Fubini sign line reads
     # only the dimensions of g and h
     "supergroup jet terms with an odd letter in each factor skipped": (
-        "items 2 and 26", ("test_heisenberg_algebra_relations",
-                           "test_gl11_chart_matches_matrix_unit_constants")),
+        "items 2 and 26", "test_supergroup", (
+            "test_heisenberg_algebra_relations",
+            "test_gl11_chart_matches_matrix_unit_constants")),
+    # det(A) of a stalled A and det(D) of a stalled D come out scaled
+    "supermatrix Faddeev-LeVerrier trace not divided by k": (
+        "item 12", "test_supermatrix", (
+            "test_berezinian_of_a_coupled_cubic_jacobian_has_its_closed_form",
+            "test_berezinian_stalled_odd_block_solves_by_cramer")),
 }
 
 
@@ -520,10 +538,10 @@ def test_every_fault_fails_its_pinned_checks(monkeypatch):
 
 
 def test_waiting_faults_fail_their_tier1_tests(monkeypatch):
-    import test_supergroup
-    for fault, (_, tests) in WAITING.items():
+    for fault, (_, module, tests) in WAITING.items():
+        module = importlib.import_module(module)
         with monkeypatch.context() as patch:
             FAULTS[fault](patch)
             for name in tests:
                 with pytest.raises(AssertionError):
-                    getattr(test_supergroup, name)()
+                    getattr(module, name)()

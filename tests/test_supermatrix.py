@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,14 @@ from superberezin import linalg, suites, supermatrix
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Scalar
 from superberezin.superdomain import (
     POSITIVE,
+    REALLINE,
     Polynomial,
     SuperDomainShape,
     SuperFunction,
+    SuperMorphism,
+    jacobian,
 )
-from superberezin.supermatrix import (
-    SuperMatrix,
-    _cramer,
-    _expand,
-)
+from superberezin.supermatrix import SuperMatrix
 from superberezin.textio import format_supermatrix, parse_supermatrix
 from superberezin.suites import (
     random_even_supermatrix,
@@ -101,6 +101,22 @@ def adjugate_inverse(entries, one):
             row.append((-cof if (i + j) % 2 else cof) * dinv)
         out.append(row)
     return out
+
+
+@contextmanager
+def fallback_calls():
+    """The argument tuples of the calls of the division-free fallback,
+    ``supermatrix._faddeev_leverrier``, made inside the block."""
+    calls = []
+    fallback = supermatrix._faddeev_leverrier
+
+    def counted(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(supermatrix, "_faddeev_leverrier", counted)
+        yield calls
 
 
 def oracle_berezinian(m):
@@ -269,18 +285,10 @@ def _stalls_after_the_first_pivot():
     (_stalls_after_the_first_pivot(), "xi1 xi2 - xi3 xi4"),
     (_sf_matrix(2, 0, _stalled_block()), "1"),
 ], ids=["2x2", "3x3-stalls-after-a-pivot", "laurent-2x2"])
-def test_a_column_stalling_in_the_last_two_needs_no_expansion(
-        x, want, monkeypatch):
+def test_a_column_stalling_in_the_last_two_needs_no_expansion(x, want):
     # the last 2 x 2 block is ad - bc, so no pivot is sought there
-    calls = []
-    expand = supermatrix._expand
-
-    def counted(*args):
-        calls.append(args)
-        return expand(*args)
-
-    monkeypatch.setattr(supermatrix, "_expand", counted)
-    got = x.berezinian()
+    with fallback_calls() as calls:
+        got = x.berezinian()
     assert str(got) == want
     assert got == laplace_det(x.block("A"), x.one)
     assert calls == []
@@ -300,6 +308,102 @@ def test_berezinian_stalled_odd_block_solves_by_cramer():
     got = m.berezinian()
     assert got == oracle_berezinian(m)
     assert not got.soul().is_zero()
+
+
+# An n x n block with a stalled column left of its last two, n >= 3, takes
+# the Faddeev-LeVerrier fallback.  The Jacobian of x_i -> x_i + t(x) with
+# t = sum_j (x_j^2 + x_j^3) / 10 on R^(m|2) is I + grad(t) 1^T, no body of
+# it a monomial, and by the matrix determinant lemma its Berezinian is
+# 1 + sum_i (2 x_i + 3 x_i^2) / 10.
+
+
+def _coupled_cubic(m):
+    shape = SuperDomainShape(m, (REALLINE,) * m, 2)
+    xs = [SuperFunction.coordinate(shape, i) for i in range(m)]
+    zero = SuperFunction.zero(shape)
+    t = sum((x * x + x * x * x for x in xs), zero) * Fraction(1, 10)
+    phi = SuperMorphism(shape, shape, [x + t for x in xs],
+                        [SuperFunction.odd_gen(shape, j) for j in range(2)])
+    closed = 1 + sum((x * 2 + x * x * 3 for x in xs), zero) * Fraction(1, 10)
+    return jacobian(phi), closed
+
+
+def test_berezinian_of_a_coupled_cubic_jacobian_has_its_closed_form():
+    for m in range(3, 10):
+        J, closed = _coupled_cubic(m)
+        with fallback_calls() as calls:
+            assert J.berezinian() == closed, m
+        # the 2 x 2 identity D is solved by elimination; A stalls at once
+        assert [len(args[0]) for args in calls] == [m], m
+
+
+# Superfunction supermatrices whose A and D blocks stall in their first
+# column yet have determinant 1.  With y = c x^e + d, d not -1 or -2, the
+# block K(y) = [[y + 1, y], [y + 2, y + 1]] has determinant 1 and no
+# monomial in its first column; the body of A is P diag(K(y), I) U L with P
+# a permutation, U upper and L lower unitriangular with polynomial entries,
+# L's first column e_0, so A's first column is K(y)'s, permuted.  D's body
+# is P K(y) U the same way.  Nilpotent souls ride on A and D, and the odd
+# blocks are polynomials times xi_j.
+
+
+def _polynomial(rng, degree=1):
+    return SuperFunction.from_polynomial(STALL, Polynomial(1, {
+        (e,): rng.choice([-2, -1, 1, 2, Fraction(1, 2)])
+        for e in range(degree + 1) if rng.random() < 0.7}))
+
+
+def _stalling_body(rng, n, perm):
+    zero, one = SuperFunction.zero(STALL), SuperFunction.one(STALL)
+    y = (SuperFunction.coordinate(STALL, 0, rng.randint(1, 2)) * rng.choice([1, -1, 2])
+         + rng.choice([0, 1, -3]))
+    k = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    k[0][:2], k[1][:2] = [y + 1, y], [y + 2, y + 1]
+    u = [[one if i == j else _polynomial(rng) if j > i else zero
+          for j in range(n)] for i in range(n)]
+    low = [[one if i == j else _polynomial(rng) if 0 < j < i else zero
+            for j in range(n)] for i in range(n)]
+    body = _sf_matrix(n, 0, k) * _sf_matrix(n, 0, u) * _sf_matrix(n, 0, low)
+    return [list(body.entries[i]) for i in perm]
+
+
+@st.composite
+def stalled_superfunction_supermatrices(draw):
+    """(p|q) up to (5|2) over (1|2) superfunctions: D stalls when q = 2 and
+    the Schur complement when p >= 3, and every draw stalls somewhere."""
+    q = draw(st.integers(0, 2))
+    p = draw(st.integers(0 if q == 2 else 3, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    xi1, xi2 = SuperFunction.odd_gen(STALL, 0), SuperFunction.odd_gen(STALL, 1)
+
+    def even_block(n):
+        if n == 1:
+            body = [[SuperFunction.coordinate(STALL, 0, rng.randint(0, 2))
+                     * rng.choice([1, -2])]]
+        else:
+            body = _stalling_body(rng, n, draw(st.permutations(range(n))))
+        return [[b + _polynomial(rng) * xi1 * xi2 for b in row] for row in body]
+
+    def odd_block(rows, cols):
+        return [[_polynomial(rng) * xi1 + _polynomial(rng) * xi2
+                 for _ in range(cols)] for _ in range(rows)]
+
+    return SuperMatrix.from_blocks(
+        even_block(p) if p else [], odd_block(p, q), odd_block(q, p),
+        even_block(q) if q else [], zero=SuperFunction.zero(STALL),
+        one=SuperFunction.one(STALL))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stalled_superfunction_supermatrices())
+def test_berezinian_of_stalled_superfunction_blocks_matches_the_oracle(x):
+    with fallback_calls() as calls:
+        got = x.berezinian()
+    want = oracle_berezinian(x)
+    assert got == want
+    assert str(got) == str(want)
+    stalled = [2] * (x.q == 2) + [x.p] * (x.p >= 3)  # D, then A - B Z
+    assert [len(args[0]) for args in calls] == stalled
 
 
 # -- entries with mixed powers of s -----------------------------------------
@@ -413,18 +517,32 @@ def mixed_s_invertible_supermatrices(draw):
 
 
 def cofactor_berezinian(x):
-    """det(A - B D^-1 C) det(D)^-1 by the package's cofactor and Cramer
-    formulas alone."""
-    def det(entries):
-        return _expand(entries, x.zero, x.one) if entries else x.one
-
+    """det(A - B Z) det(D)^-1 with Z = D^-1 C solved first, D^-1 the
+    adjugate over det(D), every determinant by Laplace expansion."""
     A, B, C, D = (x.block(name) for name in "ABCD")
     if x.q == 0:
-        return det(A)
-    det_d_inv, Z = _cramer(D, C, x.zero, x.one)
+        return laplace_det(A, x.one)
+    Dinv = adjugate_inverse(D, x.one)
+    Z = [[sum((Dinv[k][l] * C[l][j] for l in range(x.q)), x.zero)
+          for j in range(x.p)] for k in range(x.q)]
     schur = [[A[i][j] - sum((B[i][k] * Z[k][j] for k in range(x.q)), x.zero)
               for j in range(x.p)] for i in range(x.p)]
-    return det(schur) * det_d_inv
+    return laplace_det(schur, x.one) * laplace_det(D, x.one).inv_even()
+
+
+def fallback_berezinian(x):
+    """The Berezinian through the stalled paths alone, whether or not a
+    column stalls: W and det(D)^-1 from the adjugate solve and the
+    determinant from Faddeev-LeVerrier."""
+    A, B, C, D = (x.block(name) for name in "ABCD")
+    if x.q == 0:
+        return supermatrix._faddeev_leverrier(A, x.zero, x.one)[0] if A else x.one
+    det_d_inv, W = supermatrix._adjugate_solve(D, C, x.zero, x.one)
+    if x.p == 0:
+        return det_d_inv
+    schur = [[A[i][j] + sum((B[i][k] * W[k][j] for k in range(x.q)), x.zero)
+              for j in range(x.p)] for i in range(x.p)]
+    return supermatrix._faddeev_leverrier(schur, x.zero, x.one)[0] * det_d_inv
 
 
 @settings(max_examples=100, deadline=None)
@@ -432,6 +550,7 @@ def cofactor_berezinian(x):
 def test_berezinian_mixing_powers_of_s_matches_the_cofactor_oracles(x):
     got = x.berezinian()
     assert got == cofactor_berezinian(x) == oracle_berezinian(x)
+    assert fallback_berezinian(x) == got
     # the value prints as a signed sum that the grammar reads back
     assert parse_supermatrix(format_supermatrix(x)) == x
     assert str(got) == str(oracle_berezinian(x))
