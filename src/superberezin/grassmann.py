@@ -14,8 +14,8 @@ one denominator the product loop multiplies and adds only ints, with one
 gcd per result.  A coefficient becomes an ``int`` (when integral) or a
 ``Fraction`` only where it is read (``terms``, ``rational``, printing).
 Their arithmetic is written once, on ``_Exact``: ``+``, ``-``, ``*`` and
-the coercion of constants, each class giving only its product loop, and
-an operand a class cannot take is handed to the other operand's reflected
+the coercion of constants, each class giving only its layout, and an
+operand a class cannot take is handed to the other operand's reflected
 method, as ``fractions.Fraction`` does.
 
 Each term is stored under one int key, in the one layout of ``_Layout``,
@@ -26,15 +26,16 @@ key is k and an element's is ``mask + (k << n)``.  A product of two
 monomials is then one sum of their keys less the lanes' bias, with one
 test of the lanes' guard bits (the packed exponent vectors of Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007), and two loops serve every class:
-``_commuting`` for Scalars and polynomials and ``_anticommuting`` for
-elements and superfunctions.  The mask is the package's one odd-monomial
-key, also of Koszul monomials, and ``_odd_swaps`` its one sign rule, read
-from the 256-entry table ``_BYTE_SWAPS`` one byte of the mask at a time: a
-product of two monomials is a test, a sum, a lookup and a popcount.  Index
-tuples appear only where a value is built from ``{idx: coefficient}``,
-asked for a coefficient or printed, and ``terms`` keeps the tuple keys of
-``_Exact``'s docstring.
+exponent vectors", CASC 2007), and one loop, ``_anticommuting``, serves
+every class: a commutative ring is the purely even case of a
+supercommutative one, so with no odd generators, as for Scalars and
+polynomials, every mask is 0 and it is the commuting product.  The mask
+is the package's one odd-monomial key, also of Koszul monomials, and
+``_odd_swaps`` its one sign rule, read from the 256-entry table
+``_BYTE_SWAPS`` one byte of the mask at a time: a product of two monomials
+is a test, a sum, a lookup and a popcount.  Index tuples appear only where
+a value is built from ``{idx: coefficient}``, asked for a coefficient or
+printed, and ``terms`` keeps the tuple keys of ``_Exact``'s docstring.
 
 One rule says which values are checked.  Input from outside the program
 goes through a public constructor, ``Scalar(...)``, ``GrassmannElement``,
@@ -240,10 +241,10 @@ class _Exact:
 
     The base owns the arithmetic: ``+``, ``-``, ``*``, their reflected
     forms, the fused ``base + _Products(pairs)`` and the coercion of
-    operands, ``_coerce``.  A subclass gives its product loop
-    ``_accumulate``, ``_commuting`` or ``_anticommuting``, and its
-    ``_layout``; ``Scalar`` builds its own constants, and ``SuperFunction``
-    also lifts a Polynomial.
+    operands, ``_coerce``, and every product runs the one loop
+    ``_anticommuting``.  A subclass gives its ``_layout``, and
+    ``SuperFunction`` also lifts a Polynomial; ``Scalar`` is the (0|0)
+    case, whose layout keys a term by its bare power of s.
     """
 
     __slots__ = ("_count", "den", "nums", "_terms")
@@ -335,7 +336,7 @@ class _Exact:
         if other is NotImplemented:
             return other
         count = self._count
-        return _reduced(type(self), count, self.den * other.den, self._accumulate(
+        return _reduced(type(self), count, self.den * other.den, _anticommuting(
             {}, self.nums, other.nums, 1, self._layout(count)))
 
     def __rmul__(self, other):
@@ -439,27 +440,6 @@ _set_den = _Exact.den.__set__
 _set_nums = _Exact.nums.__set__
 
 
-def _commuting(acc: dict, a: dict, b: dict, scale: int, layout: _Layout) -> dict:
-    """Add scale*a*b into ``acc`` and return it: the product loop of
-    ``Scalar`` and ``superdomain.Polynomial``, ``a`` and ``b`` numerator
-    dicts keyed in ``layout``.  A product's key is the sum of its factors'
-    keys less ``bias``; SuperBerezinError where an exponent leaves its
-    lane.  Sums are left as they fall, zeros included."""
-    bias, guard = layout.bias, layout.guard
-    get = acc.get
-    right = b.items()
-    for ka, ca in a.items():
-        ca *= scale
-        ka -= bias
-        for kb, cb in right:
-            key = ka + kb
-            if key & guard:
-                raise _lane_error()
-            prev = get(key)
-            acc[key] = ca * cb if prev is None else prev + ca * cb
-    return acc
-
-
 @functools.cache
 def _no_lanes(count) -> _Layout:
     return _layout(0, 0)
@@ -478,7 +458,6 @@ class Scalar(_Exact):
     """
 
     __slots__ = ()
-    _accumulate = staticmethod(_commuting)
     _layout = staticmethod(_no_lanes)
 
     def __new__(cls, rational=0, power: int = 0):
@@ -502,17 +481,6 @@ class Scalar(_Exact):
         if isinstance(value, (int, Fraction)):
             return Scalar(value)
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
-
-    def _coerce(self, value):
-        # its own, since a Scalar's key is the bare power of s
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
-        return NotImplemented
-
-    def _powers(self) -> dict:
-        return self.nums
 
     @property
     def terms(self) -> Mapping:
@@ -543,9 +511,9 @@ class Scalar(_Exact):
     __mul__ = _Exact.__mul__
 
     def __truediv__(self, other) -> "Scalar":
-        """Division by c s^k; a sum of several powers of s has no inverse.
-
-        With c = n / den in lowest terms, 1/c = den / n is too.
+        """Division by c s^k, whose inverse ``_series_inverse`` takes as
+        it takes a Polynomial monomial's; a sum of several powers of s has
+        no inverse.
         """
         other = Scalar.coerce(other)
         if not other.nums:
@@ -554,8 +522,7 @@ class Scalar(_Exact):
             raise NonInvertibleError(
                 f"{other} mixes powers of s and has no inverse in Q[s, 1/s]")
         (k, c), = other.nums.items()
-        sign = -1 if c < 0 else 1
-        return self * _stored(Scalar, 0, sign * c, {-k: sign * other.den})
+        return self * _series_inverse(Scalar, 0, other.den, k, c, (), 0)
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
@@ -691,17 +658,22 @@ def _add_terms(acc: dict, items) -> dict:
 
 def _anticommuting(acc: dict, a: dict, b: dict, scale: int,
                    layout: _Layout) -> dict:
-    """Add scale*a*b into ``acc`` and return it: the product loop of
-    ``GrassmannElement`` and ``superdomain.SuperFunction``, ``a`` and ``b``
-    numerator dicts keyed in ``layout``, so every product and sum is of
-    ints.  Monomials whose masks share a generator give nothing; otherwise
-    the key is the sum of the keys less ``bias``, since the disjoint masks
-    add to their union, and SuperBerezinError where an exponent leaves its
-    lane.  The sign is ``_odd_swaps``'s, read straight from the table for
-    a left mask below 256.  The left mask and its swaps hold bits below n
+    """Add scale*a*b into ``acc`` and return it: the one product loop of
+    every exact type, ``a`` and ``b`` numerator dicts keyed in ``layout``,
+    so every product and sum is of ints.  Monomials whose masks share a
+    generator give nothing; otherwise the key is the sum of the keys less
+    ``bias``, since the disjoint masks add to their union, and
+    SuperBerezinError where an exponent leaves its lane.  The sign is
+    ``_odd_swaps``'s, read straight from the table for a left mask below
+    256.  The left mask and its swaps hold bits below n
     only, so they are tested against the right key itself, whose low n
     bits are its mask.  Sums are left as they fall: a key may end on zero
     until ``_reduced``.
+
+    On a layout with no odd generators (n = 0), a ``Scalar``'s or a
+    ``superdomain.Polynomial``'s, it is the commuting product: every mask
+    is 0 and ``_BYTE_SWAPS[0]`` is 0, so no pair is skipped and no sign
+    applied.
     """
     low, bias, guard = layout.low, layout.bias, layout.guard
     get = acc.get
@@ -760,14 +732,14 @@ def _series_inverse(cls, count, den: int, head: int, c: int, soul,
     time.
     """
     layout = cls._layout(count)
-    accumulate, checked = cls._accumulate, layout.checked
+    checked = layout.checked
     sign = -1 if c < 0 else 1
     over = layout.bias - head
     power = {checked(layout.bias + over): sign * den}
     factor = {checked(key + over): -sign * n for key, n in soul}
     powers = [power]
     for _ in range(steps):
-        power = accumulate({}, power, factor, 1, layout)
+        power = _anticommuting({}, power, factor, 1, layout)
         if 0 in power.values():
             power = {key: n for key, n in power.items() if n}
         if not power:
@@ -837,10 +809,10 @@ def _lookup_mask(indices: Iterable[int], count: int) -> int | None:
 
 class _Graded(_Exact):
     """An exact value whose keys hold an odd generator mask: a
-    ``GrassmannElement`` or a ``superdomain.SuperFunction``."""
+    ``GrassmannElement`` or a ``superdomain.SuperFunction``, with the
+    parts, parity and inverse that read the mask."""
 
     __slots__ = ()
-    _accumulate = staticmethod(_anticommuting)
 
     @staticmethod
     def _view(mask: int, exps: tuple, k: int) -> tuple:
@@ -1054,8 +1026,8 @@ def _fused(cls, count, den: int, nums: dict, pairs):
     canonical.
 
     The products are summed first, over L = lcm(a.den b.den, ...), each
-    pair's left factor times L // (a.den b.den), so the class's one product
-    loop, ``cls._accumulate``, sums ints.
+    pair's left factor times L // (a.den b.den), so the one product loop,
+    ``_anticommuting``, sums ints.
     Where no product term arises (every two monomials share a generator,
     as between sparse entries over many generators), the base is the sum
     unchanged; otherwise it joins the products over lcm(den, L) and the
@@ -1070,10 +1042,10 @@ def _fused(cls, count, den: int, nums: dict, pairs):
         if common % d:
             common = lcm(common, d)
     acc = {}
-    accumulate, layout = cls._accumulate, cls._layout(count)
+    layout = cls._layout(count)
     for a, b in pairs:
-        accumulate(acc, a.nums, b.nums,
-                   1 if common == 1 else common // (a.den * b.den), layout)
+        _anticommuting(acc, a.nums, b.nums,
+                       1 if common == 1 else common // (a.den * b.den), layout)
     if not acc:
         return _stored(cls, count, den, nums)
     if nums:

@@ -67,14 +67,14 @@ def heisenberg_group() -> SuperGroupChart:
                            (Fraction(0),), inv)
 
 
-def multiplicative_line(name: str = "scaling line") -> SuperGroupChart:
+def multiplicative_line() -> SuperGroupChart:
     shape = SuperDomainShape(1, (POSITIVE,), 0)
     prod = shape_product(shape, shape)
     a, a2 = (SuperFunction.coordinate(prod, i) for i in range(2))
     mul = SuperMorphism(prod, shape, [a * a2], [])
     inv = SuperMorphism(shape, shape,
                         [SuperFunction.coordinate(shape, 0, -1)], [])
-    return SuperGroupChart(name, shape, mul, (Fraction(1),), inv)
+    return SuperGroupChart("scaling line", shape, mul, (Fraction(1),), inv)
 
 
 def axb_group() -> SuperGroupChart:

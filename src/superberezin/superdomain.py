@@ -40,7 +40,6 @@ from .grassmann import (
     _Graded,
     _Layout,
     _checked_mask,
-    _commuting,
     _constant,
     _embedded,
     _indices,
@@ -174,16 +173,15 @@ class Polynomial(_Exact):
 
     Stored as ``grassmann._Exact`` describes, each key holding the
     exponents of the variables and then the power of s (``terms`` keys
-    them ``(e_1, ..., e_m, k)``), so the product loop, ``_commuting``, the
-    pullback's linear combinations and the box integrals multiply and add
-    only ints.  The public constructor takes
-    ``{(e_1, ..., e_m): coefficient}`` with int exponents and Scalar, int
-    or Fraction coefficients.
+    them ``(e_1, ..., e_m, k)``), so the product loop,
+    ``grassmann._anticommuting`` with no odd generators, the pullback's
+    linear combinations and the box integrals multiply and add only ints.
+    The public constructor takes ``{(e_1, ..., e_m): coefficient}`` with
+    int exponents and Scalar, int or Fraction coefficients.
     """
 
     __slots__ = ()
     nvars = _Exact._count
-    _accumulate = staticmethod(_commuting)
     _layout = staticmethod(_polynomial_layout)
 
     @staticmethod

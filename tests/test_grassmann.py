@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from superberezin import grassmann
 from superberezin.grassmann import (
     EVEN,
     ODD,
@@ -1353,3 +1354,38 @@ def test_packed_loops_store_what_the_tuple_key_loops_store(operands):
         a, b = (GrassmannElement(f.shape.n, _public_terms(h)) for h in (f, g))
         assert (a.den, a.nums) == (f.den, f.nums)
         assert ((a * b).den, (a * b).nums) == ((f * g).den, (f * g).nums)
+
+
+def test_every_exact_type_multiplies_through_the_one_loop():
+    # a commutative ring is the purely even case of a supercommutative one:
+    # Scalars and Polynomials run the anticommuting loop on n = 0 layouts
+    loop = grassmann._anticommuting
+    odd_counts = []
+
+    def counted(acc, a, b, scale, layout):
+        odd_counts.append(layout.n)
+        return loop(acc, a, b, scale, layout)
+
+    p = Polynomial(2, {(1, -1): Fraction(1, 2), (0, 2): Scalar(-3, 1)})
+    a = G(3, {(0,): 1, (1, 2): Scalar(Fraction(2, 3), -1), (): 5})
+    shape = SuperDomainShape(1, (REALLINE,), 2)
+    x, xi1, xi2 = (SuperFunction.coordinate(shape, 0),
+                   SuperFunction.odd_gen(shape, 0),
+                   SuperFunction.odd_gen(shape, 1))
+    f = x * x + xi1 * xi2 * Fraction(1, 2)
+    cases = {
+        "Scalar * Scalar": (lambda: Scalar(Fraction(6, 5), 3) * Scalar(-3, 2), 0),
+        "Scalar / Scalar": (lambda: Scalar(Fraction(6, 5), 3) / Scalar(-3, 2), 0),
+        "Polynomial * Polynomial": (lambda: p * p, 0),
+        "Polynomial ** 3": (lambda: p ** 3, 0),
+        "GrassmannElement * GrassmannElement": (lambda: a * a, 3),
+        "SuperFunction * SuperFunction": (lambda: f * (f + xi1), 2),
+    }
+    for name, (product, n) in cases.items():
+        expected = product()
+        odd_counts.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grassmann, "_anticommuting", counted)
+            got = product()
+        assert odd_counts and set(odd_counts) == {n}, name
+        assert got == expected, name
