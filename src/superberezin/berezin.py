@@ -370,6 +370,10 @@ def _grid_body(f: SuperFunction, grid):
     [lo, hi] (lo <= 0 <= hi), x^e is a_t^(e - lo) L^(hi - e) over
     L^hi a_t^-lo, powers of ints only; a term's values over the grid are
     the outer product of its per-axis factors, the first axis outermost.
+    It is the faster evaluator over the 3^m grid but not at single points,
+    which ``superdomain._evaluate`` takes: through a one-point grid one
+    term on 4 axes costs 14.6 µs against 5.0 µs there, 5 terms 36.7
+    against 15.3 µs (CPython 3.11, a 2-vCPU host).
     """
     terms = _unpacked(f.shape._key_layout, f.nums, 0)
     dens, powers, bounds = [f.den], {}, []

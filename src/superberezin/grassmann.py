@@ -13,10 +13,12 @@ Berezinian would spread Fractions through every later product, and over
 one denominator the product loop multiplies and adds only ints, with one
 gcd per result.  A coefficient becomes an ``int`` (when integral) or a
 ``Fraction`` only where it is read (``terms``, ``rational``, printing).
-Their arithmetic is written once, on ``_Exact``: ``+``, ``-``, ``*`` and
-the coercion of constants, each class giving only its layout, and an
-operand a class cannot take is handed to the other operand's reflected
-method, as ``fractions.Fraction`` does.
+Their arithmetic is written once, on ``_Exact``: ``+``, ``-``, ``*``, the
+coercion of constants, the inverse, powers (``_power``) and printing, each
+class giving only its layout, and an operand a class cannot take is handed
+to the other operand's reflected method, as ``fractions.Fraction`` does.
+An element's or a superfunction's sector, the coefficient of one odd
+monomial, is read once too, on ``_Graded``.
 
 Each term is stored under one int key, in the one layout of ``_Layout``,
 which only this module reads: the odd generator mask (bit i set when
@@ -114,11 +116,11 @@ class _Layout:
     modules go through ``key``, ``split`` and the helpers below.
     """
 
-    __slots__ = ("n", "low", "bias", "guard", "top", "below", "s", "_lanes")
+    __slots__ = ("n", "m", "low", "bias", "guard", "top", "below", "s", "_lanes")
 
     def __init__(self, n: int, m: int):
         self._lanes = tuple(range(n, n + _LANE * m, _LANE))
-        self.n = n
+        self.n, self.m = n, m
         self.low = (1 << n) - 1
         self.bias = sum(_OFFSET << lane for lane in self._lanes)
         self.guard = sum(_TOP << lane for lane in self._lanes)
@@ -242,9 +244,13 @@ class _Exact:
     The base owns the arithmetic: ``+``, ``-``, ``*``, their reflected
     forms, the fused ``base + _Products(pairs)`` and the coercion of
     operands, ``_coerce``, and every product runs the one loop
-    ``_anticommuting``.  A subclass gives its ``_layout``, and
-    ``SuperFunction`` also lifts a Polynomial; ``Scalar`` is the (0|0)
-    case, whose layout keys a term by its bare power of s.
+    ``_anticommuting``.  It also owns the inverse, ``_inverse`` (the one
+    place a body that is not a monomial, a rational one, would be taught),
+    the powers of ``_power`` and printing.  A subclass gives its
+    ``_layout``, and at most its own ``_not_invertible`` message;
+    ``SuperFunction`` also lifts a Polynomial and prints by sector.
+    ``Scalar`` is the (0|0) case, whose layout keys a term by its bare
+    power of s.
     """
 
     __slots__ = ("_count", "den", "nums", "_terms")
@@ -375,6 +381,69 @@ class _Exact:
         if any(key & below != one for key in nums):
             return None
         return {key >> top: c for key, c in nums.items()}
+
+    # -- inverse and printing, written once ------------------------------
+
+    def _inverse(self):
+        """The inverse of an even value whose body, its terms with no odd
+        generator, is one monomial: the series of ``_series_inverse`` up to
+        n // 2 steps, n the layout's odd generator count, so none for a
+        Scalar or a Polynomial, whose inverse is den/c times the inverse
+        monomial.  ParityError for an odd term, else NonInvertibleError for
+        a body of any other shape, with the class's ``_not_invertible``
+        message.  The one inverse of every exact type."""
+        layout = self._layout(self._count)
+        low = layout.low
+        body, soul = [], []
+        for key, c in self.nums.items():
+            mask = key & low
+            if not mask:
+                body.append((key, c))
+            elif mask.bit_count() & 1:
+                raise ParityError(
+                    f"inv_even requires an even {self._kind}")
+            else:
+                soul.append((key, c))
+        if len(body) != 1:
+            raise NonInvertibleError(self._not_invertible(body))
+        (head, c), = body
+        return _series_inverse(type(self), self._count, self.den, head, c,
+                               soul, layout.n // 2)
+
+    def _not_invertible(self, body) -> str:
+        return "only monomials are invertible in the Laurent polynomial ring"
+
+    def __str__(self) -> str:
+        """The terms as a signed sum, ordered by the size of their odd
+        monomial, then its generator indices, then the even exponents, then
+        the power of s downward: ``2 s - 1``, ``2 + xi1 xi2``."""
+        den = self.den
+        printed = sorted(
+            (mask.bit_count(), _indices(mask), exps, -k, c)
+            for mask, exps, k, c in self._layout(self._count).unpacked(self.nums))
+        return _signed_sum([
+            (c if den == 1 else _quotient(c, den), _monomial_text(-minus_k, [
+                *(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                  for i, e in enumerate(exps) if e),
+                *(f"xi{i + 1}" for i in idx)]))
+            for _, idx, exps, minus_k, c in printed])
+
+
+def _power(value, k: int):
+    """``value ** k`` for an int k by repeated squaring, a negative k as
+    the -k-th power of the inverse, ``_Exact._inverse``.  No square is
+    taken past the last bit of k: it is not needed, and its exponents could
+    leave their lanes."""
+    if k < 0:
+        value, k = value._inverse(), -k
+    out = _constant(type(value), value._count, 1)
+    while k:
+        if k & 1:
+            out = out * value
+        k >>= 1
+        if k:
+            value = value * value
+    return out
 
 
 def _stored(cls, count: int, den: int, nums: dict):
@@ -511,35 +580,21 @@ class Scalar(_Exact):
     __mul__ = _Exact.__mul__
 
     def __truediv__(self, other) -> "Scalar":
-        """Division by c s^k, whose inverse ``_series_inverse`` takes as
-        it takes a Polynomial monomial's; a sum of several powers of s has
-        no inverse.
+        """Division by c s^k through the one inverse, ``_Exact._inverse``;
+        a sum of several powers of s has no inverse.
         """
         other = Scalar.coerce(other)
         if not other.nums:
             raise ZeroDivisionError("division by zero Scalar")
-        if len(other.nums) > 1:
-            raise NonInvertibleError(
-                f"{other} mixes powers of s and has no inverse in Q[s, 1/s]")
-        (k, c), = other.nums.items()
-        return self * _series_inverse(Scalar, 0, other.den, k, c, (), 0)
+        return self * other._inverse()
+
+    def _not_invertible(self, body) -> str:
+        return f"{self} mixes powers of s and has no inverse in Q[s, 1/s]"
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
             raise TypeError("Scalar powers must be integers")
-        base = self if n >= 0 else Scalar.one() / self
-        out = Scalar.one()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
-    # -- printing -----------------------------------------------------
-
-    def __str__(self) -> str:
-        """Highest power of s first: ``2 s - 1``."""
-        terms = self.terms
-        return _signed_sum([(terms[k], _monomial_text(k, ()))
-                            for k in sorted(terms, reverse=True)])
+        return _power(self if n >= 0 else Scalar.one() / self, abs(n))
 
     def __repr__(self) -> str:
         return f"Scalar({self!s})"
@@ -810,7 +865,10 @@ def _lookup_mask(indices: Iterable[int], count: int) -> int | None:
 class _Graded(_Exact):
     """An exact value whose keys hold an odd generator mask: a
     ``GrassmannElement`` or a ``superdomain.SuperFunction``, with the
-    parts, parity and inverse that read the mask."""
+    parts, parity, inverse and sector reads that read the mask.  A sector,
+    the coefficient of one odd monomial, is a value of the class's
+    ``_even_type``: a ``Scalar`` for an element, a ``superdomain.Polynomial``
+    for a superfunction."""
 
     __slots__ = ()
 
@@ -852,27 +910,32 @@ class _Graded(_Exact):
                 return None
         return ODD if odd else EVEN
 
-    def _inverse(self, steps: int):
-        """The inverse of an even value whose body is one monomial, by the
-        series of ``_series_inverse`` up to ``steps``; ParityError for an
-        odd term, else NonInvertibleError for a body of any other shape,
-        with the class's ``_not_invertible`` message."""
-        low = self._layout(self._count).low
-        body, soul = [], []
-        for key, c in self.nums.items():
-            mask = key & low
-            if not mask:
-                body.append((key, c))
-            elif mask.bit_count() & 1:
-                raise ParityError(
-                    f"inv_even requires an even {self._kind}")
-            else:
-                soul.append((key, c))
-        if len(body) != 1:
-            raise NonInvertibleError(self._not_invertible(body))
-        (head, c), = body
-        return _series_inverse(type(self), self._count, self.den, head, c,
-                               soul, steps)
+    def _sector(self, mask: int | None):
+        """The coefficient of xi^mask, reduced on its own: the even parts,
+        ``key >> n``, of the terms of that mask, as an ``_even_type`` value
+        over the layout's even variables; zero for the mask None."""
+        layout = self._layout(self._count)
+        low, n = layout.low, layout.n
+        return _reduced(self._even_type, layout.m, self.den, {
+            key >> n: c for key, c in self.nums.items() if key & low == mask})
+
+    def coefficient(self, indices: Iterable[int]):
+        """The coefficient of xi^indices, an ``_even_type`` value.
+
+        Zero unless ``indices`` is a strictly increasing tuple of this
+        value's generators: a mask forgets order and repetition.
+        """
+        return self._sector(
+            _lookup_mask(indices, self._layout(self._count).n))
+
+    def inv_even(self):
+        """Inverse of an even value whose body is one monomial, c != 0.
+
+        Uses sum_j b^-1 (-b^-1 * soul)^j with b the body
+        (``_series_inverse``), which terminates because every term of the
+        even soul has degree >= 2, so soul^j = 0 for j > n/2.
+        """
+        return self._inverse()
 
 
 @functools.cache
@@ -898,6 +961,7 @@ class GrassmannElement(_Graded):
     generator_count = _Exact._count
     _layout = staticmethod(_element_layout)
     _kind = "element"
+    _even_type = Scalar
 
     @staticmethod
     def _head(idx: tuple[int, ...], generator_count: int) -> tuple[int, tuple]:
@@ -927,39 +991,16 @@ class GrassmannElement(_Graded):
 
     # -- basic structure ----------------------------------------------
 
-    def _values(self, keep) -> Scalar:
-        """The Scalar sum of c s^k over the terms whose mask ``keep`` takes."""
-        layout = _layout(self.generator_count, 0)
-        low, top = layout.low, layout.top
-        return _reduced(Scalar, 0, self.den, {
-            key >> top: c for key, c in self.nums.items() if keep(key & low)})
-
     def body(self) -> Scalar:
-        return self._values(lambda mask: not mask)
-
-    def coefficient(self, indices: Iterable[int]) -> Scalar:
-        """The coefficient of xi^indices, a value in s.
-
-        Zero unless ``indices`` is a strictly increasing tuple of this
-        algebra's generators: a mask forgets order and repetition.
-        """
-        mask = _lookup_mask(indices, self.generator_count)
-        return self._values(lambda m: m == mask)
+        return self._sector(0)
 
     # -- arithmetic ---------------------------------------------------
 
-    # ``_Exact``'s, bound here for the tracer, as in ``Scalar``
+    # ``_Exact``'s and ``_Graded``'s, bound here for the tracer, as in
+    # ``Scalar``
     __add__ = __radd__ = _Exact.__add__
     __mul__ = _Exact.__mul__
-
-    def inv_even(self) -> "GrassmannElement":
-        """Inverse of an even element whose body is c s^k, c != 0.
-
-        Uses sum_j b^-1 (-b^-1 * soul)^j with b the body
-        (``_series_inverse``), which terminates because every term of the
-        even soul has degree >= 2, so soul^j = 0 for j > N/2.
-        """
-        return self._inverse(self.generator_count // 2)
+    inv_even = _Graded.inv_even
 
     def _not_invertible(self, body) -> str:
         if not body:
@@ -975,17 +1016,6 @@ class GrassmannElement(_Graded):
         return _stored(GrassmannElement, new_count, self.den, _embedded(
             self.nums, _layout(self.generator_count, 0),
             _layout(new_count, 0), 0, 0))
-
-    # -- printing -----------------------------------------------------
-
-    def __str__(self) -> str:
-        den = self.den
-        printed = sorted(((_indices(mask), k, c if den == 1 else _quotient(c, den))
-                          for mask, _, k, c in _layout(self.generator_count, 0)
-                          .unpacked(self.nums)),
-                         key=lambda t: (len(t[0]), t[0], -t[1]))
-        return _signed_sum([(c, _monomial_text(k, (f"xi{i + 1}" for i in idx)))
-                            for idx, k, c in printed])
 
     def __repr__(self) -> str:
         return f"GrassmannElement({self.generator_count}, {self!s})"

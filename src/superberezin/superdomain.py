@@ -20,7 +20,7 @@ function; ``terms`` keeps the tuple keys ``(e_1, ..., e_m, k)`` and
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -28,12 +28,7 @@ from math import lcm
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
-from .errors import (
-    DimensionError,
-    DomainBoxError,
-    NonInvertibleError,
-    ParityError,
-)
+from .errors import DimensionError, DomainBoxError, ParityError
 from .grassmann import EVEN, ODD, Scalar
 from .grassmann import (
     _Exact,
@@ -44,12 +39,9 @@ from .grassmann import (
     _embedded,
     _indices,
     _layout,
-    _lookup_mask,
-    _monomial_text,
+    _power,
     _rational,
     _reduced,
-    _series_inverse,
-    _signed_sum,
     _stored,
 )
 from .supermatrix import SuperMatrix, _trusted
@@ -177,7 +169,9 @@ class Polynomial(_Exact):
     ``grassmann._anticommuting`` with no odd generators, the pullback's
     linear combinations and the box integrals multiply and add only ints.
     The public constructor takes ``{(e_1, ..., e_m): coefficient}`` with
-    int exponents and Scalar, int or Fraction coefficients.
+    int exponents and Scalar, int or Fraction coefficients.  The inverse
+    (``monomial_inverse``), ``**`` (``grassmann._power``) and printing are
+    the exact base's, as its arithmetic is.
     """
 
     __slots__ = ()
@@ -222,31 +216,15 @@ class Polynomial(_Exact):
     __add__ = __radd__ = _Exact.__add__
     __mul__ = _Exact.__mul__
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            return self.monomial_inverse() ** (-k)
-        out = Polynomial.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:  # no square past the last bit: it could leave a lane
-                base = base * base
-        return out
+    __pow__ = _power
 
     def is_monomial(self) -> bool:
         return len(self.nums) == 1
 
     def monomial_inverse(self) -> "Polynomial":
-        """Inverse of c·s^k·x^e, the only invertible Laurent shapes: the
-        series inverse of both ``inv_even``s with no soul, den/c."""
-        if len(self.nums) != 1:
-            raise NonInvertibleError(
-                "only monomials are invertible in the Laurent polynomial ring"
-            )
-        (key, c), = self.nums.items()
-        return _series_inverse(Polynomial, self.nvars, self.den, key, c, (), 0)
+        """Inverse of c·s^k·x^e, the only invertible Laurent shapes:
+        ``grassmann._Exact._inverse`` with no soul, den/c."""
+        return self._inverse()
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
@@ -265,14 +243,6 @@ class Polynomial(_Exact):
         return _reduced(Scalar, 0, self.den, {
             k: c for _, e, k, c in _layout(0, self.nvars).unpacked(self.nums)
             if e == exps})
-
-    def __str__(self) -> str:
-        terms = self.terms
-        return _signed_sum([
-            (terms[exps], _monomial_text(exps[-1], (
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps[:-1]) if e != 0)))
-            for exps in sorted(terms, key=lambda e: (e[:-1], -e[-1]))])
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self!s})"
@@ -311,7 +281,11 @@ def _evaluate(den: int, terms, point: Sequence) -> Scalar:
 
     Each term's value is an int numerator over an int denominator, the
     terms of one power of s are summed as such, and the sums are put over
-    one denominator and reduced once.
+    one denominator and reduced once.  It stays apart from
+    ``berezin._grid_body``, which evaluates a body over its whole 3^m
+    sample grid, because at a single point it is the faster: on 4 axes
+    5.0 µs against 14.6 µs through a one-point grid for one term, and 15.3
+    against 36.7 µs for 5 terms (CPython 3.11, a 2-vCPU host).
     """
     sums = {}
     for exps, c in terms:
@@ -352,12 +326,16 @@ class SuperFunction(_Graded):
     built on first read.  ``self + _Products(pairs)``, the fused base +
     sum a*b of the supermatrix ring protocol (``grassmann._fused``), and
     ``*`` run one product loop, ``grassmann._anticommuting``.
+    ``inv_even``, ``coefficient`` and ``body_polynomial`` are the ones of
+    ``grassmann._Graded``, as for a ``GrassmannElement``, with Polynomial
+    sectors; only the printer, by sector, is this class's own.
     """
 
     __slots__ = ("_coeffs",)
     shape = _Exact._count
     _layout = staticmethod(attrgetter("_key_layout"))
     _kind = "superfunction"
+    _even_type = Polynomial
 
     def __new__(cls, shape: SuperDomainShape, coeffs: Mapping = ()):
         sectors = []
@@ -434,18 +412,8 @@ class SuperFunction(_Graded):
             object.__setattr__(self, "_coeffs", view)
             return view
 
-    def _sector(self, mask: int | None) -> Polynomial:
-        """f_α for the generator mask of α, reduced on its own."""
-        layout = self.shape._key_layout
-        odd, even = layout.mask, layout.even
-        return _reduced(Polynomial, self.shape.m, self.den, {
-            even(key): c for key, c in self.nums.items() if odd(key) == mask})
-
     def body_polynomial(self) -> Polynomial:
         return self._sector(0)
-
-    def coefficient(self, odd_index: Iterable[int]) -> Polynomial:
-        return self._sector(_lookup_mask(odd_index, self.shape.n))
 
     def evaluate_body(self, point: Sequence[Fraction]) -> Scalar:
         return _evaluate_body(self, _exact_point(self.shape.m, point))
@@ -461,14 +429,6 @@ class SuperFunction(_Graded):
         if isinstance(value, Polynomial):
             return _lifted(self.shape, value)
         return _Exact._coerce(self, value)
-
-    def inv_even(self) -> "SuperFunction":
-        """Inverse of an even superfunction with invertible (monomial) body."""
-        return self._inverse(self.shape.n // 2)
-
-    @staticmethod
-    def _not_invertible(body) -> str:
-        return "only monomials are invertible in the Laurent polynomial ring"
 
     # -- derivatives ------------------------------------------------------
 

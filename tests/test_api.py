@@ -37,6 +37,7 @@ ALLOWED = {
     "superdomain.Polynomial.derive",
     "superdomain.Polynomial.evaluate",
     "superdomain.Polynomial.is_monomial",
+    "superdomain.Polynomial.monomial_inverse",
     "superdomain.SuperFunction.body_polynomial",
     # the public block constructor, with the per-entry parity check; the
     # program's drawn matrices are built by supermatrix._trusted

@@ -22,9 +22,14 @@ from superberezin.grassmann import (
     _BYTE_SWAPS,
     _Products,
     _canonical,
+    _indices,
     _layout,
+    _lookup_mask,
+    _monomial_text,
     _odd_swaps,
+    _quotient,
     _reduced,
+    _signed_sum,
     koszul_sign,
 )
 from superberezin.berezin import GAUSSIAN, BerezinSection, box_backend, integrate
@@ -1389,3 +1394,144 @@ def test_every_exact_type_multiplies_through_the_one_loop():
             got = product()
         assert odd_counts and set(odd_counts) == {n}, name
         assert got == expected, name
+
+
+def test_every_exact_type_inverts_through_the_one_routine():
+    # Scalar division and negative powers, Polynomial monomial inverses and
+    # negative powers, and both inv_evens run _Exact._inverse once
+    inverse = grassmann._Exact._inverse
+    inverted = []
+
+    def counted(self):
+        inverted.append(type(self))
+        return inverse(self)
+
+    p = Polynomial(2, {(1, -1): Scalar(Fraction(3, 2), -1)})
+    a = G(4, {(): Scalar(2, 1), (0, 1): Fraction(1, 3), (2, 3): -1})
+    f = SuperFunction(SuperDomainShape(2, (REALLINE, REALLINE), 2),
+                      {(): p, (0, 1): 1})
+    cases = {
+        "Scalar / Scalar": (lambda: Scalar(Fraction(6, 5), 3) / Scalar(-3, 2),
+                            Scalar),
+        "Scalar ** -1": (lambda: Scalar(Fraction(1, 2), -1) ** -1, Scalar),
+        "Polynomial.monomial_inverse()": (p.monomial_inverse, Polynomial),
+        "Polynomial ** -2": (lambda: p ** -2, Polynomial),
+        "GrassmannElement.inv_even()": (a.inv_even, GrassmannElement),
+        "SuperFunction.inv_even()": (f.inv_even, SuperFunction),
+    }
+    for name, (invert, cls) in cases.items():
+        expected = invert()
+        inverted.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grassmann._Exact, "_inverse", counted)
+            got = invert()
+        assert inverted == [cls], name
+        assert got == expected, name
+
+
+# The per-type printers and sector readers that the one printer,
+# _Exact.__str__, and the one sector reader, _Graded._sector, replaced: the
+# oracle they must match.
+
+def _scalar_text(a):
+    """Highest power of s first: ``2 s - 1``."""
+    terms = a.terms
+    return _signed_sum([(terms[k], _monomial_text(k, ()))
+                        for k in sorted(terms, reverse=True)])
+
+
+def _polynomial_text(p):
+    terms = p.terms
+    return _signed_sum([
+        (terms[exps], _monomial_text(exps[-1], (
+            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+            for i, e in enumerate(exps[:-1]) if e != 0)))
+        for exps in sorted(terms, key=lambda e: (e[:-1], -e[-1]))])
+
+
+def _element_text(a):
+    den = a.den
+    printed = sorted(((_indices(mask), k, c if den == 1 else _quotient(c, den))
+                      for mask, _, k, c in _layout(a.generator_count, 0)
+                      .unpacked(a.nums)),
+                     key=lambda t: (len(t[0]), t[0], -t[1]))
+    return _signed_sum([(c, _monomial_text(k, (f"xi{i + 1}" for i in idx)))
+                        for idx, k, c in printed])
+
+
+def _element_values(a, keep):
+    """The Scalar sum of c s^k over the terms whose mask ``keep`` takes."""
+    layout = _layout(a.generator_count, 0)
+    low, top = layout.low, layout.top
+    return _reduced(Scalar, 0, a.den, {
+        key >> top: c for key, c in a.nums.items() if keep(key & low)})
+
+
+def _superfunction_sector(f, mask):
+    """f_alpha for the generator mask of alpha, reduced on its own."""
+    layout = f.shape._key_layout
+    odd, even = layout.mask, layout.even
+    return _reduced(Polynomial, f.shape.m, f.den, {
+        even(key): c for key, c in f.nums.items() if odd(key) == mask})
+
+
+_coefficients = st.one_of(rationals,
+                          st.builds(Scalar, rationals, st.integers(-2, 2)))
+
+
+def _all_indices(n):
+    return [c for size in range(n + 1) for c in combinations(range(n), size)]
+
+
+@st.composite
+def _read_values(draw):
+    """A Scalar, a Polynomial on m <= 3 variables, an element on n <= 6
+    generators and a superfunction on (m|n) <= (2|3), each with one index
+    tuple of its generators."""
+    scalar = sum((Scalar(q, k) for q, k in draw(st.lists(
+        st.tuples(rationals, st.integers(-2, 2)), max_size=4))), Scalar(0))
+
+    def polynomials(m):
+        return st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * m),
+                                  _coefficients),
+                        max_size=4).map(lambda items: Polynomial(m, items))
+
+    poly = draw(st.integers(0, 3).flatmap(polynomials))
+    n = draw(st.integers(0, 6))
+    element = G(n, draw(st.lists(st.tuples(
+        st.sampled_from(_all_indices(n)), _coefficients), max_size=5)))
+    m = draw(st.integers(0, 2))
+    shape = SuperDomainShape(m, (REALLINE,) * m, draw(st.integers(0, 3)))
+    f = SuperFunction(shape, draw(st.lists(st.tuples(
+        st.sampled_from(_all_indices(shape.n)), polynomials(shape.m)),
+        max_size=4)))
+    return (scalar, poly, (element, draw(st.sampled_from(_all_indices(n)))),
+            (f, draw(st.sampled_from(_all_indices(shape.n)))))
+
+
+def _assert_read_alike(got, want):
+    assert type(got) is type(want)
+    assert (got._count, got.den, list(got.nums.items())) == (
+        want._count, want.den, list(want.nums.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_read_values())
+def test_the_one_printer_and_sector_reader_match_the_per_type_oracles(values):
+    scalar, poly, (a, idx), (f, f_idx) = values
+    assert str(scalar) == _scalar_text(scalar)
+    assert str(poly) == _polynomial_text(poly)
+    assert str(a) == _element_text(a)
+    _assert_read_alike(a.body(), _element_values(a, lambda mask: not mask))
+    _assert_read_alike(f.body_polynomial(), _superfunction_sector(f, 0))
+    # a repeated and an out-of-order tuple name no monomial: zero
+    for indices in (idx, (0, 0), (1, 0)):
+        mask = _lookup_mask(indices, a.generator_count)
+        _assert_read_alike(a.coefficient(indices),
+                           _element_values(a, lambda m: m == mask))
+    for indices in (f_idx, (0, 0), (1, 0)):
+        _assert_read_alike(f.coefficient(indices), _superfunction_sector(
+            f, _lookup_mask(indices, f.shape.n)))
+    for value in (a, f):
+        assert value.coefficient((0, 0)).is_zero()
+        assert value.coefficient((1, 0)).is_zero()
