@@ -5,7 +5,8 @@ function on the right of the coordinate symbol.  The coordinates are the
 chart's own, in the order its shape fixes (evens, then odds), so a section
 names none of them.  Integration extracts the top odd coefficient of rho,
 applies the convention sign (-1)^{mn}, and hands the remaining even
-integrand to an exact backend, a rule of one moment per even axis:
+integrand to an exact backend, a rule of one moment per even axis; the
+axis kind owns its moments (``superdomain.Axis``), the backend picks one:
 
 * ``GAUSSIAN`` integrates against exp(-x^2/2) over whole-line axes, one
   factor s = sqrt(2 pi) per axis.
@@ -35,7 +36,6 @@ onto a base, and the total integral ``integrate`` is p_! onto the point
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import lcm
 from operator import add
 from typing import Sequence
@@ -47,14 +47,12 @@ from .errors import (
     NonInvertibleError,
     OrientationError,
 )
-from .grassmann import Scalar, _indices, _layout, _quotient, _reduced
+from .grassmann import Scalar, _indices, _layout, _reduced
 from .linalg import det as rational_det
 from .superdomain import (
     Axis,
     Interval,
-    POSITIVE,
     Polynomial,
-    REALLINE,
     SuperDomainShape,
     SuperFunction,
     SuperMorphism,
@@ -98,14 +96,14 @@ class IntegrationBackend:
     def _moment(self, k: int, axis: Axis):
         """(moment, power of s) on axis k, or its DomainBoxError."""
         if self.box is None:
-            if not isinstance(axis, Interval):
+            if axis._lebesgue is None:
                 raise DomainBoxError(
                     f"axis {k} is unbounded; pass an explicit box")
-            return partial(_box_monomial, axis), 0
+            return axis._lebesgue, 0
         iv = self.box[k]
         if not (axis.contains(iv.lo) and axis.contains(iv.hi)):
             raise DomainBoxError(f"box axis {k} {iv} escapes the domain")
-        return partial(_box_monomial, iv), 0
+        return iv._lebesgue, 0
 
     def _on(self, run: slice) -> "IntegrationBackend":
         """The rule on a run of the axes: an explicit box is sliced."""
@@ -147,10 +145,10 @@ class _Gaussian(IntegrationBackend):
     """exp(-x^2/2) on every axis, each a whole line."""
 
     def _moment(self, k: int, axis: Axis):
-        if axis is not REALLINE:
+        if axis._gaussian is None:
             raise DomainBoxError(
                 f"gaussian backend needs whole-line axes, axis {k} is {axis}")
-        return _gaussian_moment, 1
+        return axis._gaussian, 1
 
 
 def _times_moments(c: int, exps, tables) -> int:
@@ -165,28 +163,6 @@ def _times_moments(c: int, exps, tables) -> int:
         if not c:
             return 0
     return c
-
-
-def _gaussian_moment(e: int) -> int:
-    """Moment of x^e against exp(-x^2/2) dx over the whole line, over s."""
-    if e < 0:
-        raise NonIntegrableError(
-            f"negative exponent {e} under the gaussian weight")
-    if e % 2:
-        return 0
-    value = 1
-    for odd in range(1, e, 2):
-        value *= odd
-    return value
-
-
-def _box_monomial(iv: Interval, e: int):
-    """The integral of x^e over the interval, in stored form."""
-    if e == -1:
-        raise NonIntegrableError("exponent -1 has no rational antiderivative")
-    if e < 0 and iv.lo <= 0 <= iv.hi:
-        raise NonIntegrableError(f"pole at 0 inside the box {iv}")
-    return _quotient(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 1)
 
 
 GAUSSIAN = _Gaussian()
@@ -295,9 +271,10 @@ def function_times_section(f, omega: BerezinSection) -> BerezinSection:
 
 
 def _oriented_jacobian(phi: SuperMorphism):
-    """Jac(phi) and the caveats of one sampled walk: each even body on its
-    target axis first, then a positive body Jacobian and an invertible odd
-    block.  Powers of s raise, except in a body on a whole-line axis.
+    """Jac(phi) and the caveats of one sampled walk: each even body in its
+    target axis first, by the axis's own ``_inside``, then a positive body
+    Jacobian and an invertible odd block.  Powers of s raise, except in a
+    body on an axis with nothing to test (a whole line).
 
     The grid is evaluated once per body (``_grid_body``), in ints; a
     Scalar value and the ``box_samples`` point are built only for an
@@ -316,21 +293,14 @@ def _oriented_jacobian(phi: SuperMorphism):
             if not d:
                 raise DomainBoxError(
                     f"body component {k} undefined at sample {sample(p)}")
-            if axis is REALLINE:
+            if axis._inside is None:
                 continue
             if powers and any(vals[p] for vals in powers.values()):
                 raise DomainBoxError(
                     f"body component {k} is {_grid_value(body, p)} at sample "
                     f"{sample(p)}: a power of s, not compared with target "
                     f"axis {k}")
-            n = rat[p]
-            if axis is POSITIVE:
-                inside = n > 0
-            else:
-                lo, hi = axis.lo, axis.hi
-                inside = (lo.numerator * d <= n * lo.denominator
-                          and n * hi.denominator <= hi.numerator * d)
-            if not inside:
+            if not axis._inside(rat[p], d):
                 raise DomainBoxError(
                     f"body image of sample {sample(p)} escapes target axis {k}")
     jac = jacobian(phi)

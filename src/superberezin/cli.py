@@ -27,8 +27,8 @@ from .lie_super import SubalgebraSpec, unimodularity_check, validate
 from .suites import EXAMPLES, SUITES
 from .textio import (
     _Bad,
-    _fraction,
     _int,
+    _interval,
     parse_structure_constants,
     parse_superfunction,
     parse_supermatrix,
@@ -107,13 +107,9 @@ def _parse_backend(spec: list[str]):
             if len(spec) % 2 == 0:
                 raise _Bad("box backend needs an even number of bounds",
                            len(spec) - 1)
-            # rationals of the text grammar
-            values = [_fraction(bound, k) for k, bound in enumerate(spec[1:], 1)]
-            for k in range(1, len(values), 2):
-                if values[k - 1] >= values[k]:
-                    # the message of 'axis lo hi' in a file, at lo
-                    raise _Bad("interval bounds must be increasing", k)
-            return box_backend(*zip(values[::2], values[1::2]))
+            # each pair read as an 'axis lo hi' line's bounds
+            return box_backend(*(_interval(spec, k)
+                                 for k in range(1, len(spec), 2)))
         # after a known name, the first extra word is the offending one
         raise _Bad(f"unknown backend {' '.join(spec)!r}",
                    1 if name == "gaussian" else 0)

@@ -1,6 +1,8 @@
 """Superfunctions on coordinate superdomains, morphisms, and Jacobians.
 
 A superdomain here is a box in R^m together with n odd coordinates.
+Each kind of axis of the box (``Interval``, ``REALLINE``, ``POSITIVE``)
+owns its containment test, samples, moments and spelling in a file.
 Functions are finite sums Σ_α ξ^α f_α where the f_α are Laurent
 polynomials with rational coefficients in the even coordinates and
 s = sqrt(2π) — integer exponents may be negative, which is how the
@@ -28,7 +30,7 @@ from math import lcm
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
-from .errors import DimensionError, DomainBoxError, ParityError
+from .errors import DimensionError, DomainBoxError, NonIntegrableError, ParityError
 from .grassmann import EVEN, ODD, Scalar
 from .grassmann import (
     _Exact,
@@ -40,6 +42,7 @@ from .grassmann import (
     _indices,
     _layout,
     _power,
+    _quotient,
     _rational,
     _reduced,
     _stored,
@@ -50,8 +53,24 @@ from .supermatrix import SuperMatrix, _trusted
 # -- boxes ----------------------------------------------------------------
 
 
+class Axis:
+    """An even axis; its kind owns ``_inside(n, d)``, the test of n/d in
+    ints (d > 0; None: nothing to test), ``samples``, its Lebesgue and
+    Gaussian moments of x^e in stored form (None where absent) and
+    ``_text``, its spelling in a file."""
+
+    _inside = _lebesgue = _gaussian = None
+
+    def contains(self, x: Fraction) -> bool:
+        x = _rational(x)  # TypeError on a float, as every exact input
+        return self._inside is None or self._inside(x.numerator, x.denominator)
+
+    def __str__(self) -> str:
+        return self._text
+
+
 @dataclass(frozen=True)
-class Interval:
+class Interval(Axis):
     lo: Fraction
     hi: Fraction
 
@@ -61,19 +80,43 @@ class Interval:
         if self.lo >= self.hi:
             raise DomainBoxError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
+    def _inside(self, n: int, d: int) -> bool:
+        lo, hi = self.lo, self.hi
+        return (lo.numerator * d <= n * lo.denominator
+                and n * hi.denominator <= hi.numerator * d)
+
+    def _lebesgue(self, e: int):
+        if e == -1:
+            raise NonIntegrableError("exponent -1 has no rational antiderivative")
+        if e < 0 and self.lo <= 0 <= self.hi:
+            raise NonIntegrableError(f"pole at 0 inside the box {self}")
+        return _quotient(self.hi ** (e + 1) - self.lo ** (e + 1), e + 1)
 
     def samples(self) -> list[Fraction]:
         return [self.lo, (self.lo + self.hi) / 2, self.hi]
+
+    @property
+    def _text(self) -> str:
+        return f"{self.lo} {self.hi}"
 
     def __str__(self) -> str:
         return f"{self.lo}:{self.hi}"
 
 
-class _WholeLine:
-    def contains(self, x: Fraction) -> bool:
-        return True
+class _WholeLine(Axis):
+    _text = "R"
+
+    def _gaussian(self, e: int) -> int:
+        """Moment of x^e against exp(-x^2/2) dx, over s."""
+        if e < 0:
+            raise NonIntegrableError(
+                f"negative exponent {e} under the gaussian weight")
+        if e % 2:
+            return 0
+        value = 1
+        for odd in range(1, e, 2):
+            value *= odd
+        return value
 
     def samples(self) -> list[Fraction]:
         return [Fraction(-1), Fraction(0), Fraction(1)]
@@ -81,15 +124,14 @@ class _WholeLine:
     def __repr__(self) -> str:
         return "REALLINE"
 
-    def __str__(self) -> str:
-        return "R"
 
-
-class _PositiveHalfLine:
+class _PositiveHalfLine(Axis):
     """(0, ∞), the natural home of multiplicative even coordinates."""
 
-    def contains(self, x: Fraction) -> bool:
-        return x > 0
+    _text = "R+"
+
+    def _inside(self, n: int, d: int) -> bool:
+        return n > 0
 
     def samples(self) -> list[Fraction]:
         return [Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -97,15 +139,9 @@ class _PositiveHalfLine:
     def __repr__(self) -> str:
         return "POSITIVE"
 
-    def __str__(self) -> str:
-        return "R+"
-
 
 REALLINE = _WholeLine()
 POSITIVE = _PositiveHalfLine()
-
-Axis = object  # Interval | REALLINE | POSITIVE
-Box = tuple
 
 
 def box_samples(box: Sequence[Axis]) -> list[tuple[Fraction, ...]]:
@@ -126,7 +162,7 @@ def box_contains(box: Sequence[Axis], point: Sequence[Fraction]) -> bool:
 @dataclass(frozen=True)
 class SuperDomainShape:
     m: int
-    box: Box
+    box: tuple
     n: int
 
     def __post_init__(self):
@@ -136,7 +172,7 @@ class SuperDomainShape:
         if len(box) != self.m:
             raise DimensionError("box must give one axis per even coordinate")
         for axis in box:
-            if not (isinstance(axis, Interval) or axis is REALLINE or axis is POSITIVE):
+            if not isinstance(axis, Axis):
                 raise DomainBoxError(f"bad axis {axis!r}")
         object.__setattr__(self, "box", box)
         # the key layout of the superfunctions on this shape, read by every

@@ -367,28 +367,25 @@ def format_supermatrix(matrix: SuperMatrix) -> str:
 # superfunction files
 
 
+_NAMED_AXES = {axis._text: axis for axis in (REALLINE, POSITIVE)}
+
+
+def _interval(words: list[str], k: int) -> Interval:
+    """The interval of the bounds at words k and k + 1."""
+    lo, hi = _fraction(words[k], k), _fraction(words[k + 1], k + 1)
+    if lo >= hi:
+        raise _Bad("interval bounds must be increasing", k)
+    return Interval(lo, hi)
+
+
 def _axis(words: list[str]):
     if words[0] != "axis":
         raise _Bad("expected an 'axis' line", 0)
-    rest = words[1:]
-    if rest == ["R"]:
-        return REALLINE
-    if rest == ["R+"]:
-        return POSITIVE
-    if len(rest) == 2:
-        lo, hi = _fraction(rest[0], 1), _fraction(rest[1], 2)
-        if lo >= hi:
-            raise _Bad("interval bounds must be increasing", 1)
-        return Interval(lo, hi)
+    if len(words) == 2 and words[1] in _NAMED_AXES:
+        return _NAMED_AXES[words[1]]
+    if len(words) == 3:
+        return _interval(words, 1)
     raise _Bad("axis must be 'R', 'R+' or two rational bounds", 0)
-
-
-def _axis_text(axis) -> str:
-    if axis is REALLINE:
-        return "axis R"
-    if axis is POSITIVE:
-        return "axis R+"
-    return f"axis {axis.lo} {axis.hi}"
 
 
 def _sector(words: list[str], m: int, n: int, memo: dict):
@@ -444,7 +441,7 @@ def parse_superfunction(text: str) -> SuperFunction:
 def format_superfunction(f: SuperFunction) -> str:
     shape = f.shape
     out = [f"{shape.m} {shape.n} 0"]
-    out.extend(_axis_text(axis) for axis in shape.box)
+    out.extend(f"axis {axis._text}" for axis in shape.box)
     for idx, poly in _sectors(f):
         sector = " ".join(f"xi{j + 1}" for j in idx) if idx else "1"
         out.append(f"{poly} : {sector}")

@@ -329,6 +329,14 @@ def test_pullback_odd_reflection_is_exact():
 # give the same density and caveats.
 
 
+def _reference_contains(axis, x) -> bool:
+    """Membership of a rational in a half line or an interval, by Fraction
+    comparisons, apart from the axis kinds' own int tests."""
+    if axis is POSITIVE:
+        return x > 0
+    return axis.lo <= x <= axis.hi
+
+
 def _reference_check_body_box(self) -> str:
     for pt in box_samples(self.source.box):
         for k, comp in enumerate(self.even_components):
@@ -346,7 +354,7 @@ def _reference_check_body_box(self) -> str:
                 raise DomainBoxError(
                     f"body component {k} is {val} at sample {pt}: a power "
                     f"of s, not compared with target axis {k}") from None
-            if not self.target.box[k].contains(val):
+            if not _reference_contains(self.target.box[k], val):
                 raise DomainBoxError(
                     f"body image of sample {pt} escapes target axis {k}"
                 )
@@ -653,6 +661,51 @@ def _interval_moment(iv, e):
     if e < 0 and iv.lo <= 0 <= iv.hi:
         raise NonIntegrableError(f"pole at 0 inside the box {iv}")
     return Fraction(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 1)
+
+
+def _raised(call, *args):
+    try:
+        return call(*args)
+    except SuperBerezinError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_axes, st.integers(-3, 6), st.fractions(-4, 4, max_denominator=6),
+       st.integers(1, 10 ** 6), st.integers(1, 5))
+def test_each_axis_kind_owns_its_containment_test_and_moments(
+        axis, e, x, far, scale):
+    # containment, by contains and by the kind's int test on an unreduced
+    # n/d (as the sampled walk passes it), against Fraction comparisons at
+    # the ends, the midpoint, just inside and just outside each end
+    bounded = isinstance(axis, Interval)
+    near = Fraction(1, far)
+    ends = [axis.lo, axis.hi] if bounded else [Fraction(0)]
+    points = [x] + [end + d for end in ends for d in (-near, 0, near)]
+    if bounded:
+        points.append((axis.lo + axis.hi) / 2)
+    assert (axis._inside is None) == (axis is REALLINE)
+    for p in points:
+        want = (axis is REALLINE or (axis is POSITIVE and p > 0)
+                or (bounded and axis.lo <= p <= axis.hi))
+        assert axis.contains(p) == want, p
+        if axis._inside is not None:
+            assert axis._inside(p.numerator * scale,
+                                p.denominator * scale) == want, p
+    # the moments of x^e, each absent exactly where its backend raises
+    density = BerezinSection.make(SuperDomainShape(1, (axis,), 0),
+                                  Polynomial(1, {(e,): 1}))
+    unbounded = (DomainBoxError, "axis 0 is unbounded; pass an explicit box")
+    assert (_raised(integrate, density, box_backend()) == unbounded) \
+        == (not bounded) == (axis._lebesgue is None)
+    if bounded:
+        assert _raised(axis._lebesgue, e) == _raised(_interval_moment, axis, e)
+    not_a_line = (DomainBoxError, "gaussian backend needs whole-line axes, "
+                  f"axis 0 is {axis}")
+    assert (_raised(integrate, density, GAUSSIAN) == not_a_line) \
+        == (axis is not REALLINE) == (axis._gaussian is None)
+    if axis is REALLINE:
+        assert _raised(axis._gaussian, e) == _raised(_gaussian_moment_over_s, e)
 
 
 def _oracle_moments(backend, shape):

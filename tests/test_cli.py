@@ -167,11 +167,13 @@ def test_integrate_box_overlong_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bounds,column", [
-    (["1", "0"], 5), (["1/2", "1/2"], 5), (["0", "1", "2", "-1"], 9)])
+    (["1", "0"], 5), (["1/2", "1/2"], 5), (["0", "1", "2", "-1"], 9),
+    (["2", "1", "x", "3"], 5)])
 def test_integrate_box_reversed_bounds_are_a_usage_error(
         tmp_path, capsys, bounds, column):
     # the message, exit code and word of 'axis lo hi' with lo >= hi in a
-    # file: the lower bound of the offending pair
+    # file: the lower bound of the offending pair; pairs are read in turn,
+    # so a reversed pair is reported before a bad word in a later one
     path = write(tmp_path, "f.txt", BOX_FUNCTION)
     assert cli.main(["integrate", path, "--backend", "box", *bounds]) == 2
     assert capsys.readouterr().err == (

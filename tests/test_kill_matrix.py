@@ -19,17 +19,21 @@ forward (h f) ox omega and f ox omega, so the basis and convention signs,
 which do not depend on L, cancel between them.  Every built-in quotient
 of ``fubini-quotients`` and of the two Fubini examples has n*p, p*q and
 q*n even, so the column there waits on a quotient with an odd base and an
-odd fibre (ROADMAP items 16 and 17).  The moment column: the box moment
+odd fibre (ROADMAP items 16 and 17).  The box column, both faults in
+``Interval``, which owns its moment and containment test: the box moment
 of x^e divided by e + 2 instead of e + 1, its -1 and pole errors kept.
 Only ``verify change-of-variables`` catches it, since only the true
 integral is invariant under a change of variables.  ``fubini-quotients``,
 ``product-formula`` and the two ax+b examples integrate both sides of
 each identity over the same box axes, so the wrong moments enter both
-sides alike and cancel.  The Berezinian column: the Haar density of the
-other side, the Haar density not inverted, the modular ratio
-Ber(Ad on h) / Ber(Ad on g) inverted, det(D) where the Berezinian takes
-det(D)^-1, on the elimination and the adjugate solve alike, and the trace
-of the Faddeev-LeVerrier fallback not divided by k.  No run reaches that
+sides alike and cancel.  And the containment test strict at the upper
+end, which only ``verify change-of-variables`` catches (an error): its
+corner samples map exactly onto the target's corners.  The Berezinian
+column: the Haar density of the other side, the Haar density not
+inverted, the modular ratio Ber(Ad on h) / Ber(Ad on g) inverted, det(D)
+where the Berezinian takes det(D)^-1, on the elimination and the
+adjugate solve alike, and the trace of the Faddeev-LeVerrier fallback
+not divided by k.  No run reaches that
 fallback, as no suite's matrix has a column without a pivot, so the fault
 waits in ``WAITING`` on the chain-rule suite (ROADMAP item 12).  The
 arithmetic column: bit 0 of the ``_BYTE_SWAPS`` entry of mask 0b0110
@@ -70,7 +74,7 @@ from superberezin.grassmann import (_BYTE_SWAPS, _anticommuting, _indices,
                                     _lane_error, _layout, _odd_swaps,
                                     _quotient, _reduced, _series_inverse,
                                     _stored, koszul_sign)
-from superberezin.superdomain import SuperFunction, shape_product
+from superberezin.superdomain import Interval, SuperFunction, shape_product
 
 RUNS = {
     "verify unimodularity": ["verify", "unimodularity", "--seed", "0"],
@@ -195,6 +199,13 @@ def _box_monomial_over_e_plus_2(iv, e):
     return _quotient(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 2)
 
 
+def _interval_inside_strict_at_hi(iv, n, d):
+    lo, hi = iv.lo, iv.hi
+    # the fault: n/d < hi where the interval is closed at hi
+    return (lo.numerator * d <= n * lo.denominator
+            and n * hi.denominator < hi.numerator * d)
+
+
 def _byte_table_with_one_bit_flipped():
     # the fault: bit 0 of mask 0b0110's entry flipped, so xi2 xi3 * xi1
     # counts xi1 as passing an odd number of letters
@@ -298,8 +309,11 @@ def fibre_sign_dropped(dropped):
 
 
 def box_moment_off_by_one(monkeypatch):
-    patch_everywhere(monkeypatch, berezin._box_monomial,
-                     _box_monomial_over_e_plus_2)
+    monkeypatch.setattr(Interval, "_lebesgue", _box_monomial_over_e_plus_2)
+
+
+def interval_containment_strict_at_hi(monkeypatch):
+    monkeypatch.setattr(Interval, "_inside", _interval_inside_strict_at_hi)
 
 
 def byte_table_bit_flipped(monkeypatch):
@@ -360,6 +374,8 @@ FAULTS = {
     "berezin p_! basis sign": fibre_sign_dropped("basis"),
     "berezin p_! convention sign": fibre_sign_dropped("convention"),
     "berezin box moment over e + 2": box_moment_off_by_one,
+    "superdomain interval containment strict at hi":
+        interval_containment_strict_at_hi,
     "grassmann byte table bit flipped": byte_table_bit_flipped,
     "grassmann product loop keeps overlapping masks":
         product_loop_keeps_overlapping_masks,
@@ -442,6 +458,11 @@ PINNED = {
             "(1|2)": (2, 6, 22, 26, 30, 34, 38, 42, 46, 50, 58),
             "(2|1)": (1, 17, 29, 33, 45, 53),
             "(2|2)": (3, 11, 15, 19, 23, 27, 35, 39, 51, 59)}),
+    },
+    # the walk ends at the first corner sample whose image is an interval's
+    # upper end; every other run samples no image at an upper end
+    "superdomain interval containment strict at hi": {
+        "verify change-of-variables": {"error"},
     },
     # 74 of 200
     "grassmann byte table bit flipped": {

@@ -403,7 +403,10 @@ class TestBoxes:
         for build in (lambda: Interval(0.1, 1), lambda: Interval(0, 0.5),
                       lambda: x.evaluate_body((0.5,)),
                       lambda: Polynomial(1, {(1,): 0.5}),
-                      lambda: SuperMorphism.constant_point(shape, shape, (0.5,))):
+                      lambda: SuperMorphism.constant_point(shape, shape, (0.5,)),
+                      lambda: shape.box[0].contains(0.5),
+                      lambda: POSITIVE.contains(0.5),
+                      lambda: REALLINE.contains(0.5)):
             with pytest.raises(TypeError):
                 build()
         assert Interval(Fraction(1, 2), 1).samples() == [
