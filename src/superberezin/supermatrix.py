@@ -8,20 +8,21 @@ returns base + sum a*b over the (a, b) of ``pairs`` as one sum: every
 product goes straight into one copy of the base's terms, canonicalised
 once.  Both Grassmann elements and superfunctions qualify, so the same
 Berezinian code serves constant matrices and Jacobians.  Every entry of
-an elimination step, of Z, of the Schur complement and of a matrix
-product is one fused sum, a difference taking its left factors negated; a
-product's cost is per call more than per term, so this saves the
-temporaries of a product, a negation and a sum.
+an LU step and of a matrix product is one fused sum, a difference taking
+its left factors negated; a product's cost is per call more than per
+term, so this saves the temporaries of a product, a negation and a sum.
 
-Determinants, det(D)^-1 and the solve D Z = C share one forward
-elimination over the entries' ring.  A column's pivot is the first
-remaining entry that is nonzero, even and has an inverse; each row swap
-flips the sign.  det(D)^-1 is the signed product of the pivot inverses,
-back substitution gives W = -Z from the negated inverses that elimination
-forms anyway, and the Schur complement A - B Z = A + B W is a single
-matrix product.  A determinant eliminates all but its last two columns
-and ends in the 2 x 2 block [[a, b], [c, d]] left there, as ad - bc in
-one fused sum: an n x n determinant inverts n - 2 pivots, a 2 x 2 none.
+Determinants, det(D)^-1 and the Schur complement share one left-looking
+LU factorisation over the entries' ring (Golub and Van Loan, Matrix
+Computations, 4th ed., 3.2).  A column's pivot is the first remaining
+entry that is nonzero, even and has an inverse; each row swap flips the
+sign.  Each pivot row is stored times -pivot^-1, so every update adds
+products.  Factoring D's q columns of (D C; B A) leaves the Schur
+complement A - B D^-1 C as the trailing block, and det(D)^-1 is the
+signed product of the negated pivot inverses.  A determinant factors all
+but its last two columns and ends in the 2 x 2 block [[a, b], [c, d]]
+left there, as ad - bc in one fused sum: an n x n determinant inverts
+n - 2 pivots, a 2 x 2 none.
 
 Over a Grassmann algebra with rational coefficients, a local ring, a
 column with no invertible entry means the determinant is not invertible.
@@ -33,7 +34,8 @@ and needs no pivot.  Where a column left of a determinant's last two
 stalls, or a column of D, the Faddeev-LeVerrier recursion gives the
 determinant and the adjugate together from n matrix products, inverting
 no entry and dividing only by the integers up to n: det(D)^-1 is then the
-one inverse taken, and W = -adj(D) C det(D)^-1.
+one inverse taken, and the Schur complement is A + B W with
+W = -adj(D) C det(D)^-1.
 
 The public constructors, ``SuperMatrix(...)`` and ``from_blocks``, check
 the parity of every nonzero entry.  What the program makes is built by
@@ -67,42 +69,57 @@ def _pivot(rows, k):
     return None, None
 
 
-def _eliminate(rows, n):
-    """Forward elimination over the first ``n`` columns of ``rows``, in place.
+def _fold(rows, r, j, k):
+    """Add to entry (r, j), in one fused sum, the products of row r's first
+    ``k`` entries with the stored pivot rows' column-``j`` entries."""
+    row = rows[r]
+    pairs = [(row[t], rows[t][j]) for t in range(k)
+             if not (row[t].is_zero() or rows[t][j].is_zero())]
+    if pairs:
+        row[j] = row[j] + _Products(pairs)
 
-    Columns right of ``n`` take part in every row operation.  Returns the
-    sign of the row permutation and the negated inverses of the pivots
-    found; fewer than ``n`` of them means that column ``len(minus_inverses)``
-    has no invertible entry.  Entries left of the diagonal are not cleared.
+
+def _lu(rows, n):
+    """Left-looking LU over the first ``n`` columns of ``rows``, in place.
+
+    Column k is folded at and below the diagonal, its pivot swapped up, and
+    the pivot row right of the diagonal folded and stored times -pivot^-1:
+    the negated unit-U row, so every fold is a sum of products.  The block
+    right of and below the first ``n`` rows and columns is folded last and
+    holds their Schur complement.  Returns the sign of the row permutation
+    and the negated pivot inverses; fewer than ``n`` of them means that
+    column ``len(minus_inverses)`` has no invertible entry.
     """
     sign = 1
     minus_inverses = []
+    width = len(rows[0])
     for k in range(n):
+        for r in range(k, len(rows)):
+            _fold(rows, r, k, k)
         r, inv = _pivot(rows, k)
         if r is None:
-            break
+            return sign, minus_inverses
         if r != k:
             rows[k], rows[r] = rows[r], rows[k]
             sign = -sign
-        top = rows[k]
-        minus_inv = -inv
-        for row in rows[k + 1:]:
-            if row[k].is_zero():
-                continue
-            factor = row[k] * minus_inv
-            for j in range(k + 1, len(top)):
-                if not top[j].is_zero():
-                    row[j] = row[j] + _Products(((factor, top[j]),))
+        top, minus_inv = rows[k], -inv
+        for j in range(k + 1, width):
+            _fold(rows, k, j, k)
+            if not top[j].is_zero():
+                top[j] = minus_inv * top[j]
         minus_inverses.append(minus_inv)
+    for r in range(n, len(rows)):
+        for j in range(n, width):
+            _fold(rows, r, j, n)
     return sign, minus_inverses
 
 
 def _det(entries, zero, one):
     """Determinant of a square matrix of even entries.
 
-    Eliminates all but the last two columns, whose block [[a, b], [c, d]]
-    gives ad - bc.  Falls back to ``_faddeev_leverrier`` where elimination
-    finds a column with no invertible entry.
+    Factors all but the last two columns, whose trailing block
+    [[a, b], [c, d]] gives ad - bc.  Falls back to ``_faddeev_leverrier``
+    where a column has no invertible entry.
     """
     n = len(entries)
     if n == 0:
@@ -110,7 +127,7 @@ def _det(entries, zero, one):
     if n == 1:
         return entries[0][0]
     rows = [list(row) for row in entries]
-    sign, minus_inverses = _eliminate(rows, n - 2)
+    sign, minus_inverses = _lu(rows, n - 2)
     if len(minus_inverses) < n - 2:
         return _faddeev_leverrier(entries, zero, one)[0]
     (a, b), (c, d) = rows[n - 2][n - 2:], rows[n - 1][n - 2:]
@@ -118,41 +135,6 @@ def _det(entries, zero, one):
     for i in range(n - 2):
         acc = rows[i][i] * acc
     return -acc if sign < 0 else acc
-
-
-def _back_substitute(rows, minus_inverses, q):
-    """W = -Z with D Z = C, from the eliminated rows [U | C'] of [D | C].
-
-    Row k of U W = -C' gives W_k = -u_kk^-1 (C'_k + sum_j u_kj W_j), the
-    sum over j > k with u_kj nonzero, so no entry of U is negated.
-    """
-    W = [None] * q
-    for k in reversed(range(q)):
-        row, minus_inv = rows[k], minus_inverses[k]
-        pairs = [(row[j], W[j]) for j in range(k + 1, q) if not row[j].is_zero()]
-        if pairs:
-            W[k] = [minus_inv * (c + _Products([(a, w[col]) for a, w in pairs]))
-                    for col, c in enumerate(row[q:])]
-        else:
-            W[k] = [minus_inv * c for c in row[q:]]
-    return W
-
-
-def _eliminate_solve(D, C):
-    """det(D)^-1 and W = -Z with D Z = C by one elimination of [D | C], or
-    ``(None, None)`` if a column of D has no invertible entry."""
-    q = len(D)
-    # [D | C]: eliminating D carries C along towards W
-    rows = [list(d) + list(c) for d, c in zip(D, C)]
-    sign, minus_inverses = _eliminate(rows, q)
-    if len(minus_inverses) < q:
-        return None, None
-    det_d_inv = minus_inverses[0]
-    for minus_inv in minus_inverses[1:]:
-        det_d_inv = det_d_inv * minus_inv
-    if sign * (-1) ** q < 0:  # q negated inverses in the product
-        det_d_inv = -det_d_inv
-    return det_d_inv, _back_substitute(rows, minus_inverses, q)
 
 
 def _faddeev_leverrier(entries, zero, one):
@@ -178,7 +160,7 @@ def _faddeev_leverrier(entries, zero, one):
 
 def _adjugate_solve(D, C, zero, one):
     """det(D)^-1 and W = -adj(D) C det(D)^-1, which is -Z with D Z = C: the
-    solve for a D whose columns stall in elimination."""
+    solve for a D whose columns stall in the LU."""
     det_d, adj = _faddeev_leverrier(D, zero, one)
     try:
         det_d_inv = det_d.inv_even()
@@ -282,25 +264,32 @@ class SuperMatrix:
     # -- invariants ---------------------------------------------------
 
     def berezinian(self):
-        """Ber = det(A - B Z) * det(D)^-1 with D Z = C, for an even supermatrix."""
+        """Ber = det(A - B D^-1 C) * det(D)^-1, for an even supermatrix."""
         if self.parity is not EVEN:
             raise ParityError("Berezinian is defined for even supermatrices")
         p, q = self.p, self.q
         zero, one = self.zero, self.one
-        A, B, C, D = (self.block(name) for name in "ABCD")
         if q == 0:
-            return _det(A, zero, one)
-        det_d_inv, W = _eliminate_solve(D, C)
-        if det_d_inv is None:
+            return _det(self.block("A"), zero, one)
+        # (D C; B A): factoring D's q columns leaves A - B D^-1 C trailing
+        rows = [list(row[p:] + row[:p]) for row in self.entries[p:] + self.entries[:p]]
+        sign, minus_inverses = _lu(rows, q)
+        if len(minus_inverses) == q:
+            det_d_inv = minus_inverses[0]
+            for minus_inv in minus_inverses[1:]:
+                det_d_inv = det_d_inv * minus_inv
+            if sign * (-1) ** q < 0:  # q negated inverses in the product
+                det_d_inv = -det_d_inv
+            schur = [row[q:] for row in rows[q:]]
+        else:
+            A, B, C, D = (self.block(name) for name in "ABCD")
             det_d_inv, W = _adjugate_solve(D, C, zero, one)
-        if p == 0:
-            return det_d_inv
-        # A - B Z = A + B W
-        columns = list(zip(*W))
-        schur = [[a + _Products([(b, w) for b, w in zip(B[i], col)
-                                 if not (b.is_zero() or w.is_zero())])
-                  for a, col in zip(A[i], columns)] for i in range(p)]
-        return _det(schur, zero, one) * det_d_inv
+            # A - B D^-1 C = A + B W
+            columns = list(zip(*W))
+            schur = [[a + _Products([(b, w) for b, w in zip(B[i], col)
+                                     if not (b.is_zero() or w.is_zero())])
+                      for a, col in zip(A[i], columns)] for i in range(p)]
+        return _det(schur, zero, one) * det_d_inv if p else det_d_inv
 
     # -- comparison / printing ----------------------------------------
 

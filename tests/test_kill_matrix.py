@@ -31,11 +31,15 @@ end, which only ``verify change-of-variables`` catches (an error): its
 corner samples map exactly onto the target's corners.  The Berezinian
 column: the Haar density of the other side, the Haar density not
 inverted, the modular ratio Ber(Ad on h) / Ber(Ad on g) inverted, det(D)
-where the Berezinian takes det(D)^-1, on the elimination and the
-adjugate solve alike, and the trace of the Faddeev-LeVerrier fallback
-not divided by k.  No run reaches that
-fallback, as no suite's matrix has a column without a pivot, so the fault
-waits in ``WAITING`` on the chain-rule suite (ROADMAP item 12).  The
+where the Berezinian takes det(D)^-1, on the LU factorisation and the
+adjugate solve alike, the sign of the LU update flipped, a row swap
+that keeps the permutation's sign, and the trace of the Faddeev-LeVerrier
+fallback not divided by k.  Only ``verify berezinian`` catches the update
+sign (169 of its 200 lines), as every Schur complement A - B D^-1 C is
+one LU update.  No run's matrices need a row swap, so that fault waits
+in ``WAITING`` on the Liouville Berezinian suite (ROADMAP item 33).  No
+run reaches the fallback, as no suite's matrix has a column without a
+pivot, so the trace fault waits on the chain-rule suite (item 12).  The
 arithmetic column: bit 0 of the ``_BYTE_SWAPS`` entry of mask 0b0110
 flipped, so xi2 xi3 times xi1 takes the wrong sign, and ``_reduced``
 without its gcd step, so equal values can be stored unalike.  Only ``verify berezinian`` catches the sign (74 of its 200
@@ -72,8 +76,8 @@ from superberezin.berezin import BerezinSection, _times_moments
 from superberezin.errors import DimensionError, NonIntegrableError
 from superberezin.grassmann import (_BYTE_SWAPS, _anticommuting, _indices,
                                     _lane_error, _layout, _odd_swaps,
-                                    _quotient, _reduced, _series_inverse,
-                                    _stored, koszul_sign)
+                                    _Products, _quotient, _reduced,
+                                    _series_inverse, _stored, koszul_sign)
 from superberezin.superdomain import Interval, SuperFunction, shape_product
 
 RUNS = {
@@ -276,13 +280,35 @@ def _modular_ratio_inverted(G, H):
     return ber_u, ber_h
 
 
-def _det_d_not_inverted(solve):
-    """A det(D)^-1 solver of the Berezinian giving det(D) instead."""
-    def solve_with_det_d(*args):
-        det_d_inv, Z = solve(*args)
-        # the fault: det(D) where det(D)^-1 belongs
-        return (det_d_inv if det_d_inv is None else det_d_inv.inv_even()), Z
-    return solve_with_det_d
+_lu = supermatrix._lu
+_adjugate_solve = supermatrix._adjugate_solve
+
+
+def _lu_with_pivots(rows, n):
+    sign, minus_inverses = _lu(rows, n)
+    # the fault: -pivot where -pivot^-1 belongs, so the Berezinian takes
+    # det(D) for det(D)^-1 (a determinant reads only their count)
+    return sign, [-rows[k][k] for k in range(len(minus_inverses))]
+
+
+def _adjugate_solve_with_det_d(*args):
+    det_d_inv, W = _adjugate_solve(*args)
+    # the fault: det(D) where det(D)^-1 belongs
+    return det_d_inv.inv_even(), W
+
+
+def _fold_with_sign_flipped(rows, r, j, k):
+    row = rows[r]
+    # the fault: -a b added, where the negated pivot rows make a b right
+    pairs = [(-row[t], rows[t][j]) for t in range(k)
+             if not (row[t].is_zero() or rows[t][j].is_zero())]
+    if pairs:
+        row[j] = row[j] + _Products(pairs)
+
+
+def _lu_keeping_the_sign(rows, n):
+    # the fault: a row swap leaves the sign of the permutation as it was
+    return 1, _lu(rows, n)[1]
 
 
 def odd_sign_dropped(monkeypatch):
@@ -356,8 +382,16 @@ def modular_ratio_inverted(monkeypatch):
 
 
 def det_d_for_its_inverse(monkeypatch):
-    for solve in (supermatrix._eliminate_solve, supermatrix._adjugate_solve):
-        patch_everywhere(monkeypatch, solve, _det_d_not_inverted(solve))
+    patch_everywhere(monkeypatch, _lu, _lu_with_pivots)
+    patch_everywhere(monkeypatch, _adjugate_solve, _adjugate_solve_with_det_d)
+
+
+def lu_update_sign_flipped(monkeypatch):
+    patch_everywhere(monkeypatch, supermatrix._fold, _fold_with_sign_flipped)
+
+
+def lu_row_swap_keeps_its_sign(monkeypatch):
+    patch_everywhere(monkeypatch, _lu, _lu_keeping_the_sign)
 
 
 def trace_not_divided_by_k(monkeypatch):
@@ -390,6 +424,8 @@ FAULTS = {
     "supergroup Haar density not inverted": haar_not_inverted,
     "supergroup modular ratio inverted": modular_ratio_inverted,
     "supermatrix det(D) for det(D)^-1": det_d_for_its_inverse,
+    "supermatrix LU update sign flipped": lu_update_sign_flipped,
+    "supermatrix LU row swap keeps its sign": lu_row_swap_keeps_its_sign,
     "supermatrix Faddeev-LeVerrier trace not divided by k":
         trace_not_divided_by_k,
 }
@@ -409,6 +445,11 @@ WAITING = {
         "item 12", "test_supermatrix", (
             "test_berezinian_of_a_coupled_cubic_jacobian_has_its_closed_form",
             "test_berezinian_stalled_odd_block_solves_by_cramer")),
+    # an odd number of row swaps negates a determinant; no seed-0 run's
+    # matrices need a row swap
+    "supermatrix LU row swap keeps its sign": (
+        "item 33", "test_supermatrix", (
+            "test_berezinian_matches_laplace_oracle",)),
 }
 
 
@@ -552,6 +593,14 @@ PINNED = {
             "(2|2)": (3, 11, 15)}),
         "examples run fubini-ax+b": {"error"},
         "examples run product-ax+b": {"error"},
+    },
+    # 169 of 200: each Schur complement A - B D^-1 C is one LU fold
+    "supermatrix LU update sign flipped": {
+        "verify berezinian": _numbered("ber-mult", {
+            "(1|1)": set(range(100)) - {
+                1, 2, 5, 6, 19, 21, 24, 28, 30, 33, 34, 36, 37, 38, 39, 41,
+                45, 53, 54, 67, 72, 82, 85, 90, 92, 93, 97, 98},
+            "(2|1)": set(range(100)) - {24, 41, 82}}),
     },
 }
 

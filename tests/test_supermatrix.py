@@ -157,10 +157,38 @@ def test_berezinian_matches_laplace_oracle(x):
     assert str(got) == str(want)
 
 
-# Every entry of an elimination, a back substitution, a Schur complement
-# and a matrix product is built by one fused call (base +/- sum a*b); the
-# Laplace/adjugate oracle and the written-out product below use only
-# __mul__ and __add__/__sub__.  Lambda_8 is the benchmark's largest algebra.
+# The LU factorisation of (D C; B A) over D's q columns leaves the Schur
+# complement A - B D^-1 C as its trailing block, and its negated pivot
+# inverses, signed by the row swaps and their count, multiply to det(D)^-1.
+
+
+@settings(max_examples=40, deadline=None)
+@given(even_supermatrices().filter(lambda x: x.q >= 1))
+def test_lu_trailing_block_is_the_schur_complement(x):
+    p, q, one = x.p, x.q, x.one
+    A, B, C, D = (x.block(name) for name in "ABCD")
+    rows = [d + c for d, c in zip(D, C)] + [b + a for b, a in zip(B, A)]
+    sign, minus_inverses = supermatrix._lu(rows, q)
+    if len(minus_inverses) < q:
+        return
+    det_d_inv = minus_inverses[0]
+    for minus_inv in minus_inverses[1:]:
+        det_d_inv = det_d_inv * minus_inv
+    if sign * (-1) ** q < 0:
+        det_d_inv = -det_d_inv
+    assert det_d_inv == laplace_det(D, one).inv_even()
+    Dinv = adjugate_inverse(D, one)
+    schur = [[A[i][j] - sum((B[i][k] * Dinv[k][l] * C[l][j]
+                             for k in range(q) for l in range(q)), x.zero)
+              for j in range(p)] for i in range(p)]
+    assert [row[q:] for row in rows[q:]] == schur
+
+
+# Every entry of an LU factorisation, its trailing Schur complement
+# included, and of a matrix product is built by one fused call (base + sum
+# a*b); the Laplace/adjugate oracle and the written-out product below use
+# only __mul__ and __add__/__sub__.  Lambda_8 is the benchmark's largest
+# algebra.
 
 
 def _written_out_product(x, y):
