@@ -242,11 +242,12 @@ class _Exact:
     Fraction (``SuperFunction`` has its own, taking Polynomials).
 
     The base owns the arithmetic: ``+``, ``-``, ``*``, their reflected
-    forms, the fused ``base + _Products(pairs)`` and the coercion of
-    operands, ``_coerce``, and every product runs the one loop
-    ``_anticommuting``.  It also owns the inverse, ``_inverse`` (the one
-    place a body that is not a monomial, a rational one, would be taught),
-    the powers of ``_power`` and printing.  A subclass gives its
+    forms and the coercion of operands, ``_coerce``, and every product
+    runs the one loop ``_anticommuting``, as does the fused sum of
+    products, the module function ``_fused(base, pairs)``.  It also owns
+    the inverse, ``_inverse`` (the one place a body that is not a
+    monomial, a rational one, would be taught), the powers of ``_power``
+    and printing.  A subclass gives its
     ``_layout``, and at most its own ``_not_invertible`` message;
     ``SuperFunction`` also lifts a Polynomial and prints by sector.
     ``Scalar`` is the (0|0) case, whose layout keys a term by its bare
@@ -319,8 +320,6 @@ class _Exact:
         return NotImplemented
 
     def __add__(self, other):
-        if type(other) is _Products:
-            return _fused(type(self), self._count, self.den, self.nums, other)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -753,20 +752,6 @@ def _anticommuting(acc: dict, a: dict, b: dict, scale: int,
     return acc
 
 
-class _Products(tuple):
-    """The pairs (a, b) of a sum of products sum a*b, as an addend.
-
-    The fused operation of the supermatrix ring protocol is
-    ``base + _Products(pairs)``, the pairs holding elements of the base's
-    own ring: ``_Exact.__add__`` sums every product straight into one copy
-    of the base's terms and canonicalises once, so no product or partial
-    sum is built as an element.  A difference base - sum a*b is written
-    with the factors a negated.
-    """
-
-    __slots__ = ()
-
-
 def _series_inverse(cls, count, den: int, head: int, c: int, soul,
                     steps: int):
     """The inverse of the even ``cls`` value u = (c X + soul) / den over
@@ -952,9 +937,9 @@ class GrassmannElement(_Graded):
     them ``(mask, k)``.  The public constructor still takes
     ``{idx: coefficient}``, idx a strictly increasing generator tuple, with
     Scalar, int or Fraction coefficients; ``coefficient`` and ``str`` speak
-    in index tuples too.  ``self + _Products(pairs)`` is the fused base +
-    sum a*b of the supermatrix ring protocol, ``_fused``; it and ``*`` run
-    one int product loop, ``_anticommuting``.
+    in index tuples too.  ``*`` and the fused base + sum a*b of the
+    supermatrix ring protocol, ``_fused``, run one int product loop,
+    ``_anticommuting``.
     """
 
     __slots__ = ()
@@ -1051,19 +1036,22 @@ def _over_one_denominator(terms: dict) -> tuple[int, dict]:
                  for key, c in terms.items()}
 
 
-def _fused(cls, count, den: int, nums: dict, pairs):
-    """The ``cls`` value nums/den + sum a*b over the (a, b) of ``pairs``,
-    canonical.
+def _fused(base: _Exact, pairs) -> _Exact:
+    """base + sum a*b over the (a, b) of the sequence ``pairs``, a value of
+    base's type, canonical: the fused sum of products of the supermatrix
+    ring protocol.  No product or partial sum is built as a value; a
+    difference base - sum a*b takes its factors a negated.
 
     The products are summed first, over L = lcm(a.den b.den, ...), each
     pair's left factor times L // (a.den b.den), so the one product loop,
     ``_anticommuting``, sums ints.
     Where no product term arises (every two monomials share a generator,
-    as between sparse entries over many generators), the base is the sum
-    unchanged; otherwise it joins the products over lcm(den, L) and the
-    sum is reduced once.  Raises DimensionError unless every factor is
-    over ``count``, a generator count or a shape.
+    as between sparse entries over many generators), the sum is ``base``;
+    otherwise base joins the products over lcm(base.den, L) and the sum is
+    reduced once.  Raises DimensionError unless every factor is over
+    base's generator count or shape.
     """
+    cls, count = type(base), base._count
     common = 1
     for a, b in pairs:
         if (a._count, b._count) != (count, count):  # an identity test first
@@ -1077,9 +1065,9 @@ def _fused(cls, count, den: int, nums: dict, pairs):
         _anticommuting(acc, a.nums, b.nums,
                        1 if common == 1 else common // (a.den * b.den), layout)
     if not acc:
-        return _stored(cls, count, den, nums)
-    if nums:
-        common, acc = _add_into(acc, common, nums, den)
+        return base
+    if base.nums:
+        common, acc = _add_into(acc, common, base.nums, base.den)
     return _reduced(cls, count, common, acc)
 
 

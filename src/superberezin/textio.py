@@ -10,9 +10,11 @@ formats re-parses to an equal value.
 
 Exponents are bounded: in every term, the total exponent of each ``x<i>``
 and of ``s`` (summed over repeated factors) must satisfy
-|e| <= MAX_EXPONENT = 1000.  A larger one is a ParseError at its word, and
-so is a number with more digits than the interpreter converts
-(``sys.get_int_max_str_digits()``, 4300 by default).
+|e| <= MAX_EXPONENT = 1000.  So is a header's generator count (N of a
+supermatrix, n of a superfunction): N <= MAX_GENERATORS = 1000.  A larger
+one is a ParseError at its word, and so is a number with more digits than
+the interpreter converts (``sys.get_int_max_str_digits()``, 4300 by
+default).
 
 The concrete files:
 
@@ -76,6 +78,7 @@ _WORD = re.compile(r"\S+")
 _SIGNS = frozenset(("+", "-"))
 
 MAX_EXPONENT = 1000
+MAX_GENERATORS = 1000
 
 # factor kinds, as _factor classifies a word: (kind, value)
 _ODD, _NUMBER, _EVEN, _GAUSS, _BAD_NUMBER = range(5)
@@ -170,6 +173,13 @@ def _exponent(total: int, k: int, shift: int) -> int:
         raise _Bad(f"exponent {total} exceeds the bound "
                    f"|e| <= {MAX_EXPONENT}", k, shift)
     return total
+
+
+def _check_generators(n: int, k: int) -> None:
+    # every layout of n generators builds an n-bit mask first
+    if n > MAX_GENERATORS:
+        raise _Bad(f"generator count {n} exceeds the bound "
+                   f"N <= {MAX_GENERATORS}", k)
 
 
 def _sign_error(words: list[str], at: int) -> _Bad | None:
@@ -339,6 +349,7 @@ def parse_supermatrix(text: str) -> SuperMatrix:
         p, q, n = (_int(word, k) for k, word in enumerate(header))
         if p < 0 or q < 0 or n < 0:
             raise _Bad("header entries must be nonnegative", 0)
+        _check_generators(n, 2)
         size = p + q
         if len(lines) - 1 != size * size:
             raise _Bad(f"expected {size * size} element lines, "
@@ -421,6 +432,7 @@ def parse_superfunction(text: str) -> SuperFunction:
         m, n, reserved = (_int(word, k) for k, word in enumerate(header))
         if m < 0 or n < 0:
             raise _Bad("header entries must be nonnegative", 0)
+        _check_generators(n, 1)
         if reserved != 0:
             raise _Bad("the aux field is reserved and must be 0", 2)
         if len(lines) - 1 < m:

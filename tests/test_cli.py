@@ -233,6 +233,30 @@ def test_integrate_reserved_header_field_is_a_parse_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, text, column", [
+    ("ber", "1 0 100000000000\n1\n", 5),
+    ("integrate", "0 100000000000 0\n1 : 1\n", 3),
+])
+def test_generator_count_over_the_bound_is_a_parse_error(
+        tmp_path, capsys, command, text, column):
+    # read at its header word, before the layout builds an N-bit mask
+    assert cli.main([command, write(tmp_path, "f.txt", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"parse error: line 1, column {column}: generator count 100000000000 "
+        "exceeds the bound N <= 1000\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, text, out", [
+    ("ber", "1 1 1000\n2 + xi1 xi1000\nxi1\nxi1000\n3\n", "2/3 + 2/9 xi1 xi1000\n"),
+    ("integrate", "0 1000 0\n1 : xi1000\n", "0\n"),
+])
+def test_generator_count_at_the_bound(tmp_path, capsys, command, text, out):
+    assert cli.main([command, write(tmp_path, "f.txt", text)]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_integrate_exponent_at_the_bound(tmp_path, capsys):
     path = write(tmp_path, "f.txt", "1 0 0\naxis 0 1\nx1^1000 : 1\n")
     assert cli.main(["integrate", path, "--backend", "box", "0", "1"]) == 0

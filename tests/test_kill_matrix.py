@@ -53,14 +53,21 @@ only ``verify berezinian`` catches (68 of its 200 lines), and keeps, in
 ``_anticommuting``, the one product loop, a pair of monomials that share a
 generator, as if xi_i^2 = xi_i, under the key of their mask union.  Only
 ``verify change-of-variables`` (22 of its 60 lines) and ``verify
-berezinian`` (an error: inv_even meets an odd term) catch it.  The
-structure-constant column: the Koszul sign of the swapped jet in
+berezinian`` (an error: inv_even meets an odd term) catch it.  And
+``_fused``, the fused sum of products of every LU fold, sums each product
+over the common denominator L without its scale L // (a.den b.den): only
+``verify berezinian`` catches it (44 of its 200 lines, all (2|1), as the
+drawn entries are integral and a (1|1) Berezinian folds one pair at a
+time).  The structure-constant column: the Koszul sign of the swapped jet in
 ``group_lie_algebra`` set to 1, in ``supergroup`` alone, which only
 ``examples run unimod-gl11`` catches, as its extraction's validation
 raises; and the jet terms with an odd letter in each factor skipped, which
 no run catches.  It waits in ``WAITING`` on the quotient-unimodularity and
-super-divergence suites (ROADMAP items 2 and 26).  Until a run catches a
-waiting fault, the tier-1 tests named with it fail under it.
+super-divergence suites (ROADMAP items 2 and 26).  The Fubini stage's
+base sign (-1)^(base.n H.m), dropped from a copy of ``_fubini_stage``,
+waits in ``WAITING`` too, on items 2 and 16: every quotient of a run has
+base.n H.m even.  Until a run catches a waiting fault, the tier-1 tests
+named with it fail under it.
 """
 
 import importlib
@@ -68,17 +75,23 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from superberezin import berezin, cli, lie_super, supergroup, supermatrix
-from superberezin.berezin import BerezinSection, _times_moments
-from superberezin.errors import DimensionError, NonIntegrableError
-from superberezin.grassmann import (_BYTE_SWAPS, _anticommuting, _indices,
-                                    _lane_error, _layout, _odd_swaps,
-                                    _Products, _quotient, _reduced,
+from superberezin.berezin import (BerezinSection, _times_moments,
+                                  fibre_integrate_section,
+                                  function_times_section, integrate,
+                                  product_section, pullback_section)
+from superberezin.errors import (DimensionError, NonIntegrableError,
+                                 NormalizationError)
+from superberezin.grassmann import (_BYTE_SWAPS, _add_into, _anticommuting,
+                                    _fused, _indices, _lane_error, _layout,
+                                    _odd_swaps, _quotient, _reduced,
                                     _series_inverse, _stored, koszul_sign)
-from superberezin.superdomain import Interval, SuperFunction, shape_product
+from superberezin.superdomain import (Interval, SuperFunction, SuperMorphism,
+                                      pair, pullback, shape_product)
 
 RUNS = {
     "verify unimodularity": ["verify", "unimodularity", "--seed", "0"],
@@ -249,6 +262,24 @@ def _series_inverse_one_step_short(cls, count, den, head, c, soul, steps):
     return _series_inverse(cls, count, den, head, c, soul, max(steps - 1, 0))
 
 
+def _fused_without_pair_scales(base, pairs):
+    cls, count = type(base), base._count
+    common = 1
+    for a, b in pairs:
+        common = lcm(common, a.den * b.den)
+    acc = {}
+    layout = cls._layout(count)
+    for a, b in pairs:
+        # the fault: every product summed over the common denominator L
+        # unscaled, where it takes L // (a.den b.den)
+        _anticommuting(acc, a.nums, b.nums, 1, layout)
+    if not acc:
+        return base
+    if base.nums:
+        common, acc = _add_into(acc, common, base.nums, base.den)
+    return _reduced(cls, count, common, acc)
+
+
 _jet_terms = supergroup._jet_terms
 
 
@@ -280,6 +311,38 @@ def _modular_ratio_inverted(G, H):
     return ber_u, ber_h
 
 
+def _fubini_stage_without_base_sign(G, H, section, backend):
+    base, Hsh = section.source, H.subgroup.shape
+    omega_G, rho_H = _haar_density(G), _haar_density(H.subgroup)
+    tau = supergroup.trivialization(G, H, section)
+    pulled = pullback_section(tau, omega_G)
+    at_unit = pair(SuperMorphism.identity(base),
+                   SuperMorphism.constant_point(base, Hsh, H.subgroup.unit))
+    # the fault: b read off at the unit keeps the basis sign
+    # (-1)^(base.n * H.m) of product_section
+    b = pullback(at_unit, pulled.density)
+    factored = product_section(BerezinSection(base, b), rho_H)
+    if pulled.density != factored.density:
+        raise NormalizationError(
+            "the total density does not factor as base x subgroup density "
+            "through the trivialization",
+            discrepancy=pulled.density - factored.density)
+    fibre_density = product_section(BerezinSection.make(base, 1), rho_H)
+    on_base = backend._on(slice(base.m))
+    on_fibre = backend._on(slice(base.m, None))
+    sign = -1 if (Hsh.n * (base.m + base.n)) % 2 else 1
+
+    def check(f):
+        lhs = integrate(function_times_section(f, omega_G), backend)
+        f_H = fibre_integrate_section(
+            function_times_section(pullback(tau, f), fibre_density), base,
+            Hsh, on_fibre)
+        staged = integrate(function_times_section(b, f_H), on_base)
+        return supergroup.FubiniReport(sign, lhs, sign * staged, f_H.density,
+                                       pulled.caveats)
+    return check
+
+
 _lu = supermatrix._lu
 _adjugate_solve = supermatrix._adjugate_solve
 
@@ -303,7 +366,7 @@ def _fold_with_sign_flipped(rows, r, j, k):
     pairs = [(-row[t], rows[t][j]) for t in range(k)
              if not (row[t].is_zero() or rows[t][j].is_zero())]
     if pairs:
-        row[j] = row[j] + _Products(pairs)
+        row[j] = _fused(row[j], pairs)
 
 
 def _lu_keeping_the_sign(rows, n):
@@ -394,6 +457,15 @@ def lu_row_swap_keeps_its_sign(monkeypatch):
     patch_everywhere(monkeypatch, _lu, _lu_keeping_the_sign)
 
 
+def fused_pair_scales_dropped(monkeypatch):
+    patch_everywhere(monkeypatch, _fused, _fused_without_pair_scales)
+
+
+def fubini_base_sign_dropped(monkeypatch):
+    patch_everywhere(monkeypatch, supergroup._fubini_stage,
+                     _fubini_stage_without_base_sign)
+
+
 def trace_not_divided_by_k(monkeypatch):
     # supermatrix's binding only: the fault takes c_k = -tr(M M_k), the
     # trace of the Faddeev-LeVerrier step not divided by k
@@ -416,6 +488,7 @@ FAULTS = {
     "grassmann _reduced without its gcd": reduced_without_gcd,
     "grassmann one step of _series_inverse dropped":
         series_inverse_step_dropped,
+    "grassmann fused sum drops each pair's scale": fused_pair_scales_dropped,
     "supergroup Koszul sign of the swapped jet dropped":
         swapped_jet_koszul_sign_dropped,
     "supergroup jet terms with an odd letter in each factor skipped":
@@ -423,6 +496,7 @@ FAULTS = {
     "supergroup Haar density of the other side": haar_side_swapped,
     "supergroup Haar density not inverted": haar_not_inverted,
     "supergroup modular ratio inverted": modular_ratio_inverted,
+    "supergroup Fubini stage base sign dropped": fubini_base_sign_dropped,
     "supermatrix det(D) for det(D)^-1": det_d_for_its_inverse,
     "supermatrix LU update sign flipped": lu_update_sign_flipped,
     "supermatrix LU row swap keeps its sign": lu_row_swap_keeps_its_sign,
@@ -450,6 +524,11 @@ WAITING = {
     "supermatrix LU row swap keeps its sign": (
         "item 33", "test_supermatrix", (
             "test_berezinian_matches_laplace_oracle",)),
+    # the sign is (-1)^(base.n * H.m), and every quotient of a run has
+    # base.n * H.m even
+    "supergroup Fubini stage base sign dropped": (
+        "items 2 and 16", "test_supergroup", (
+            "test_fubini_base_density_undoes_the_basis_sign_on_an_odd_base",)),
 }
 
 
@@ -549,6 +628,15 @@ PINNED = {
                       32, 35, 38, 40, 41, 49, 57, 59, 60, 61, 64, 66, 71,
                       74, 76, 77, 78, 79, 80, 81, 85, 87, 88, 89, 92, 96,
                       98, 99)}),
+    },
+    # 44 of 200, all (2|1): the drawn entries are integral, and a (1|1)
+    # Berezinian folds one pair at a time, whose scale is 1
+    "grassmann fused sum drops each pair's scale": {
+        "verify berezinian": _numbered("ber-mult", {
+            "(2|1)": (1, 2, 8, 10, 15, 19, 20, 23, 25, 26, 27, 29, 30, 34,
+                      37, 40, 43, 44, 47, 48, 52, 54, 56, 57, 58, 60, 66,
+                      72, 76, 77, 78, 79, 80, 81, 83, 84, 85, 89, 90, 91,
+                      93, 95, 98, 99)}),
     },
     # odd-odd constants become jet(a, b) - jet(b, a): GL(1|1)'s fail the
     # Jacobi identity and the extraction raises, Heisenberg's become 0
