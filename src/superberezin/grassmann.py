@@ -242,12 +242,11 @@ class _Exact:
     Fraction (``SuperFunction`` has its own, taking Polynomials).
 
     The base owns the arithmetic: ``+``, ``-``, ``*``, their reflected
-    forms and the coercion of operands, ``_coerce``, and every product
-    runs the one loop ``_anticommuting``, as does the fused sum of
-    products, the module function ``_fused(base, pairs)``.  It also owns
-    the inverse, ``_inverse`` (the one place a body that is not a
-    monomial, a rational one, would be taught), the powers of ``_power``
-    and printing.  A subclass gives its
+    forms, the fused ``base + _Products(pairs)`` and the coercion of
+    operands, ``_coerce``, and every product runs the one loop
+    ``_anticommuting``.  It also owns the inverse, ``_inverse`` (the one
+    place a body that is not a monomial, a rational one, would be taught),
+    the powers of ``_power`` and printing.  A subclass gives its
     ``_layout``, and at most its own ``_not_invertible`` message;
     ``SuperFunction`` also lifts a Polynomial and prints by sector.
     ``Scalar`` is the (0|0) case, whose layout keys a term by its bare
@@ -320,6 +319,8 @@ class _Exact:
         return NotImplemented
 
     def __add__(self, other):
+        if type(other) is _Products:
+            return _fused(self, other)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -752,6 +753,20 @@ def _anticommuting(acc: dict, a: dict, b: dict, scale: int,
     return acc
 
 
+class _Products(tuple):
+    """The pairs (a, b) of a sum of products sum a*b, as an addend.
+
+    The fused operation of the supermatrix ring protocol is
+    ``base + _Products(pairs)``, the pairs holding elements of the base's
+    own ring: ``_Exact.__add__`` sums every product straight into one copy
+    of the base's terms and canonicalises once, so no product or partial
+    sum is built as an element.  A difference base - sum a*b is written
+    with the factors a negated.
+    """
+
+    __slots__ = ()
+
+
 def _series_inverse(cls, count, den: int, head: int, c: int, soul,
                     steps: int):
     """The inverse of the even ``cls`` value u = (c X + soul) / den over
@@ -937,9 +952,9 @@ class GrassmannElement(_Graded):
     them ``(mask, k)``.  The public constructor still takes
     ``{idx: coefficient}``, idx a strictly increasing generator tuple, with
     Scalar, int or Fraction coefficients; ``coefficient`` and ``str`` speak
-    in index tuples too.  ``*`` and the fused base + sum a*b of the
-    supermatrix ring protocol, ``_fused``, run one int product loop,
-    ``_anticommuting``.
+    in index tuples too.  ``self + _Products(pairs)`` is the fused base +
+    sum a*b of the supermatrix ring protocol, ``_fused``; it and ``*`` run
+    one int product loop, ``_anticommuting``.
     """
 
     __slots__ = ()
@@ -1037,10 +1052,8 @@ def _over_one_denominator(terms: dict) -> tuple[int, dict]:
 
 
 def _fused(base: _Exact, pairs) -> _Exact:
-    """base + sum a*b over the (a, b) of the sequence ``pairs``, a value of
-    base's type, canonical: the fused sum of products of the supermatrix
-    ring protocol.  No product or partial sum is built as a value; a
-    difference base - sum a*b takes its factors a negated.
+    """base + sum a*b over the (a, b) of ``pairs``, a value of base's
+    type, canonical: ``base + _Products(pairs)``.
 
     The products are summed first, over L = lcm(a.den b.den, ...), each
     pair's left factor times L // (a.den b.den), so the one product loop,

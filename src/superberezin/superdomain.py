@@ -359,9 +359,9 @@ class SuperFunction(_Graded):
     ``{α: f_α}`` with α an index tuple and f_α a Polynomial or a constant,
     and ``coefficient`` and ``str`` speak in index tuples too; ``coeffs`` is
     the read-only view ``{mask: f_α}``, each sector reduced on its own,
-    built on first read.  ``*`` and the fused base + sum a*b of the
-    supermatrix ring protocol (``grassmann._fused``) run one product loop,
-    ``grassmann._anticommuting``.
+    built on first read.  ``self + _Products(pairs)``, the fused base +
+    sum a*b of the supermatrix ring protocol (``grassmann._fused``), and
+    ``*`` run one product loop, ``grassmann._anticommuting``.
     ``inv_even``, ``coefficient`` and ``body_polynomial`` are the ones of
     ``grassmann._Graded``, as for a ``GrassmannElement``, with Polynomial
     sectors; only the printer, by sector, is this class's own.

@@ -1,14 +1,16 @@
 """Block matrices over a supercommutative ring and their Berezinian.
 
-Entries are exact values, Grassmann elements or superfunctions, so the
-same Berezinian code serves constant matrices and Jacobians.  It uses
-their ``+``, ``-``, ``*`` (by an entry or a ``Fraction``), ``is_zero()``,
-``parity()`` and ``inv_even()``, and every sum of products base + sum a*b
-calls ``grassmann._fused(base, pairs)``, which sums every product straight
-into one copy of the base's terms, canonicalised once.  Every entry of an
-LU step and of a matrix product is one fused sum, a difference taking its
-left factors negated; a product's cost is per call more than per term, so
-this saves the temporaries of a product, a negation and a sum.
+Entries may be any objects implementing the small ring protocol used
+throughout the package: ``__add__``, ``__sub__``, ``__neg__``, ``__mul__``,
+``is_zero()``, ``parity()``, ``inv_even()`` for invertible even elements,
+``*`` by a ``Fraction``, and the fused ``base + _Products(pairs)``, which
+returns base + sum a*b over the (a, b) of ``pairs`` as one sum: every
+product goes straight into one copy of the base's terms, canonicalised
+once.  Both Grassmann elements and superfunctions qualify, so the same
+Berezinian code serves constant matrices and Jacobians.  Every entry of
+an LU step and of a matrix product is one fused sum, a difference taking
+its left factors negated; a product's cost is per call more than per
+term, so this saves the temporaries of a product, a negation and a sum.
 
 Determinants, det(D)^-1 and the Schur complement share one left-looking
 LU factorisation over the entries' ring (Golub and Van Loan, Matrix
@@ -50,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionError, NonInvertibleError, ParityError
-from .grassmann import EVEN, Parity, _fused
+from .grassmann import EVEN, Parity, _Products
 
 
 def _pivot(rows, k):
@@ -74,7 +76,7 @@ def _fold(rows, r, j, k):
     pairs = [(row[t], rows[t][j]) for t in range(k)
              if not (row[t].is_zero() or rows[t][j].is_zero())]
     if pairs:
-        row[j] = _fused(row[j], pairs)
+        row[j] = row[j] + _Products(pairs)
 
 
 def _lu(rows, n):
@@ -129,7 +131,7 @@ def _det(entries, zero, one):
     if len(minus_inverses) < n - 2:
         return _faddeev_leverrier(entries, zero, one)[0]
     (a, b), (c, d) = rows[n - 2][n - 2:], rows[n - 1][n - 2:]
-    acc = _fused(zero, ((a, d), (-b, c)))
+    acc = zero + _Products(((a, d), (-b, c)))
     for i in range(n - 2):
         acc = rows[i][i] * acc
     return -acc if sign < 0 else acc
@@ -165,7 +167,7 @@ def _adjugate_solve(D, C, zero, one):
     except NonInvertibleError:
         raise NonInvertibleError("odd-odd block is not invertible") from None
     minus_det_d_inv = -det_d_inv
-    return det_d_inv, [[_fused(zero, tuple(zip(row, col))) * minus_det_d_inv
+    return det_d_inv, [[(zero + _Products(zip(row, col))) * minus_det_d_inv
                         for col in zip(*C)] for row in adj]
 
 
@@ -252,8 +254,9 @@ class SuperMatrix:
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_shape(other)
         columns = list(zip(*other.entries))
-        ent = [[_fused(self.zero, [(a, b) for a, b in zip(row, col)
-                                   if not (a.is_zero() or b.is_zero())])
+        ent = [[self.zero + _Products([
+                    (a, b) for a, b in zip(row, col)
+                    if not (a.is_zero() or b.is_zero())])
                 for col in columns] for row in self.entries]
         return _trusted(self.p, self.q, ent, self.parity + other.parity,
                         self.zero, self.one)
@@ -283,8 +286,8 @@ class SuperMatrix:
             det_d_inv, W = _adjugate_solve(D, C, zero, one)
             # A - B D^-1 C = A + B W
             columns = list(zip(*W))
-            schur = [[_fused(a, [(b, w) for b, w in zip(B[i], col)
-                                 if not (b.is_zero() or w.is_zero())])
+            schur = [[a + _Products([(b, w) for b, w in zip(B[i], col)
+                                     if not (b.is_zero() or w.is_zero())])
                       for a, col in zip(A[i], columns)] for i in range(p)]
         return _det(schur, zero, one) * det_d_inv if p else det_d_inv
 

@@ -20,8 +20,8 @@ from superberezin.grassmann import (
     GrassmannElement,
     Scalar,
     _BYTE_SWAPS,
+    _Products,
     _canonical,
-    _fused,
     _indices,
     _layout,
     _lookup_mask,
@@ -543,7 +543,7 @@ def fused_operands(draw, elements):
 @given(fused_operands(big_elements(4)), st.booleans())
 def test_fused_products_match_merged_products(operands, subtract):
     base, pairs = operands
-    got = _fused(base, [(-a, b) for a, b in pairs] if subtract else pairs)
+    got = base + _Products([(-a, b) for a, b in pairs] if subtract else pairs)
     assert got == _fused_oracle(base, pairs, subtract)
     for (mask, k), coeff in got.terms.items():
         assert type(mask) is int and type(k) is int
@@ -554,14 +554,14 @@ def test_fused_products_cancel_to_canonical_terms():
     half = Scalar(Fraction(1, 2))
     x = G(N_BIG, {(0,): half, (0, 7): Scalar(Fraction(1, 2), 1)})
     one = GrassmannElement.one(N_BIG)
-    doubled = _fused(x, [(one, x)])
+    doubled = x + _Products([(one, x)])
     assert doubled.terms == {(0b1, 0): 1, (0b10000001, 1): 1}
     assert all(type(c) is int for c in doubled.terms.values())
-    assert _fused(x, [(-x, one)]).terms == {}
-    assert _fused(x, [(x, one), (one, -x)]) == x
-    assert _fused(x, []) == x
+    assert (x + _Products([(-x, one)])).terms == {}
+    assert x + _Products([(x, one), (one, -x)]) == x
+    assert x + _Products([]) == x
     with pytest.raises(DimensionError):
-        _fused(x, [(GrassmannElement.one(2), x)])
+        x + _Products([(GrassmannElement.one(2), x)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -607,10 +607,10 @@ def test_superfunctions_on_odd_coordinates_match_grassmann_elements(
     assert product == _as_superfunction(a * b)
     assert all(type(key) is int for key in product.coeffs)
     base, pairs = operands
-    assert (_fused(_as_superfunction(base),
-                   [(_as_superfunction(x), _as_superfunction(y))
-                    for x, y in pairs])
-            == _as_superfunction(_fused(base, pairs)))
+    assert (_as_superfunction(base)
+            + _Products([(_as_superfunction(x), _as_superfunction(y))
+                         for x, y in pairs])
+            == _as_superfunction(base + _Products(pairs)))
     assert f.soul() == _as_superfunction(a.soul())
     assert f.even_part() == _as_superfunction(a.even_part())
     assert f.odd_part() == _as_superfunction(a.odd_part())
@@ -767,8 +767,8 @@ def test_stored_form_is_canonical(a, b, c, operands):
     unit = _invertible_even(a)
     inverse = unit.inv_even()
     results = [a + b, a - b, a - a, a * b, -a, a * 3, Fraction(1, 6) - a,
-               _fused(base, pairs),
-               _fused(base, [(-x, y) for x, y in pairs]),
+               base + _Products(pairs),
+               base + _Products([(-x, y) for x, y in pairs]),
                inverse, a.soul(), a.even_part(), a.odd_part(),
                a.embed(N_BIG + 2), GrassmannElement(N_BIG, _public_terms(a))]
     for r in results:
@@ -1094,7 +1094,7 @@ def test_products_straddling_bit_8_match_index_merging(operands):
 @given(WIDE.flatmap(lambda n: fused_operands(wide_elements(n, 3))), st.booleans())
 def test_fused_products_straddling_bit_8_match_merged_products(operands, subtract):
     base, pairs = operands
-    got = _fused(base, [(-a, b) for a, b in pairs] if subtract else pairs)
+    got = base + _Products([(-a, b) for a, b in pairs] if subtract else pairs)
     assert got == _fused_oracle(base, pairs, subtract)
 
 
@@ -1130,7 +1130,7 @@ def test_superfunction_products_straddling_bit_8_match_index_merging(operands):
         for idx, poly in _merged_product(_stored_sectors(x), _stored_sectors(y),
                                          Polynomial.zero(1)).items():
             expected[idx] = expected.get(idx, Polynomial.zero(1)) + poly
-    assert _fused(base, [(f, g), (h, f)]) == SuperFunction(base.shape, expected)
+    assert base + _Products([(f, g), (h, f)]) == SuperFunction(base.shape, expected)
 
 
 

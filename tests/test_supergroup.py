@@ -769,29 +769,6 @@ def test_fubini_holds_on_every_coordinate_quotient(m, n, k, odd):
     assert report.lhs == report.rhs
 
 
-def test_fubini_base_density_undoes_the_basis_sign_on_an_odd_base():
-    # R^(1|1) over its even line, base R^(0|1): base.n * H.m is odd, so the
-    # base density read off tau^*omega_G at the unit carries the basis sign
-    # of product_section, and the stage must undo it before testing that
-    # tau^*omega_G factors; left in, the test fails and the stage raises
-    G, H = translation_group(1, 1), translation_group(1, 0)
-    base = SuperDomainShape(0, (), 1)
-    emb = SuperMorphism(H.shape, G.shape, [_coord(H.shape, 0)],
-                        [SuperFunction.zero(H.shape)])
-    section = SuperMorphism(base, G.shape, [SuperFunction.zero(base)],
-                            [SuperFunction.odd_gen(base, 0)])
-    spec = SubgroupSpec(G, H, emb)
-    x, xi = _coord(G.shape, 0), SuperFunction.odd_gen(G.shape, 0)
-    for f, value in ((x * x * xi, Scalar(1, 1)),
-                     (x * x * x * x * xi + x * x + 3 * xi, Scalar(6, 1))):
-        try:
-            report = fubini_check(G, spec, section, f, backend=GAUSSIAN)
-        except NormalizationError as exc:
-            raise AssertionError(f"the staged density does not factor: {exc}")
-        assert report.sign == 1
-        assert (report.lhs, report.rhs) == (value, value)
-
-
 # ---------------------------------------------------------------------------
 # product of subgroups
 
