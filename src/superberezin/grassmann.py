@@ -50,7 +50,9 @@ closed operations, the named constructors (``Polynomial.constant``,
 ``SuperFunction.coordinate``, ...) once their arguments pass the public
 checks, and the random draws of ``suites``; supermatrix products, sums,
 negations, drawn test matrices and the differentials of morphisms
-(``superdomain._differential``) likewise skip the per-entry parity check.
+(``superdomain._differential``) likewise skip the per-entry parity check,
+as the program's own morphisms (``superdomain._trusted_morphism``) skip
+the component checks.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ _LANE = 32          # bits per even exponent
 _OFFSET = 1 << 30   # a lane stores e + _OFFSET, so it reads 0 for e = -2^30
 _TOP = 1 << 31      # a lane's top bit, its guard bit
 _FIELD = _TOP - 1   # the bits of a lane below its guard bit
+_MAX_GENERATORS = 1000  # the most odd generators a layout takes
 
 
 class _Layout:
@@ -113,12 +116,16 @@ class _Layout:
     exactly when its guard bit, or a lower lane's after a borrow, is set,
     so one test of ``guard`` finds it.  ``s`` is what multiplying a term
     by s adds to its key.  Only this module reads the bits; the other
-    modules go through ``key``, ``split`` and the helpers below.
+    modules go through ``key``, ``split`` and the helpers below.  n is at
+    most ``_MAX_GENERATORS``, checked before any n-bit mask is built.
     """
 
     __slots__ = ("n", "m", "low", "bias", "guard", "top", "below", "s", "_lanes")
 
     def __init__(self, n: int, m: int):
+        if n > _MAX_GENERATORS:
+            raise DimensionError(f"generator count {n} exceeds the bound "
+                                 f"N <= {_MAX_GENERATORS}")
         self._lanes = tuple(range(n, n + _LANE * m, _LANE))
         self.n, self.m = n, m
         self.low = (1 << n) - 1

@@ -36,6 +36,7 @@ from .grassmann import (
     _Exact,
     _Graded,
     _Layout,
+    _Products,
     _checked_mask,
     _constant,
     _embedded,
@@ -567,10 +568,7 @@ class SuperMorphism:
                     raise DimensionError(f"{kind} component on wrong shape")
                 if comp.nums and comp.parity() is not (ODD if odd else EVEN):
                     raise ParityError(f"{kind} component must be {kind}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "even_components", even_components)
-        object.__setattr__(self, "odd_components", odd_components)
+        _fill(self, source, target, even_components, odd_components)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperMorphism is immutable")
@@ -579,7 +577,7 @@ class SuperMorphism:
     def identity(shape: SuperDomainShape) -> "SuperMorphism":
         evens = [SuperFunction.coordinate(shape, i) for i in range(shape.m)]
         odds = [SuperFunction.odd_gen(shape, j) for j in range(shape.n)]
-        return SuperMorphism(shape, shape, evens, odds)
+        return _trusted_morphism(shape, shape, evens, odds)
 
     @staticmethod
     def constant_point(source: SuperDomainShape, target: SuperDomainShape,
@@ -592,7 +590,7 @@ class SuperMorphism:
             raise DomainBoxError("point lies outside the target box")
         evens = [SuperFunction.constant(source, x) for x in point]
         odds = [SuperFunction.zero(source) for _ in range(target.n)]
-        return SuperMorphism(source, target, evens, odds)
+        return _trusted_morphism(source, target, evens, odds)
 
     def component(self, k: int) -> SuperFunction:
         """Target coordinate image, evens first then odds."""
@@ -611,6 +609,21 @@ class SuperMorphism:
         return f"SuperMorphism({self.source} -> {self.target})"
 
 
+def _fill(out: SuperMorphism, *slots) -> None:
+    for name, value in zip(SuperMorphism.__slots__, slots):
+        object.__setattr__(out, name, value)
+
+
+def _trusted_morphism(source: SuperDomainShape, target: SuperDomainShape,
+                      evens, odds) -> SuperMorphism:
+    """The morphism of these components without the public constructor's
+    checks: the trusted constructor, as ``supermatrix._trusted``, of the
+    morphisms the program builds, right by construction."""
+    out = object.__new__(SuperMorphism)
+    _fill(out, source, target, tuple(evens), tuple(odds))
+    return out
+
+
 def _linear_combination(shape: SuperDomainShape, den: int, triples) -> SuperFunction:
     """Σ c·s^k·F / den over (k, int c, SuperFunction F), summed term by term
     over den times the lcm of the F's denominators."""
@@ -627,80 +640,92 @@ def _linear_combination(shape: SuperDomainShape, den: int, triples) -> SuperFunc
 
 
 def pullback(phi: SuperMorphism, f: SuperFunction) -> SuperFunction:
-    """Substitute phi's components into f, Taylor-expanding around bodies.
+    """Substitute phi's components into f: ``_puller(phi)(f)``.  Every
+    function of a ``compose`` or a ``_differential`` goes through one
+    puller of its morphism, sharing its caches, and the morphisms the
+    program builds are built trusted (``_trusted_morphism``)."""
+    return _puller(phi)(f)
 
-    A power of an even component is a repeated product of the component or,
-    for a negative exponent, of its inverse, which needs the body to be an
-    invertible monomial.  This is an exact algebra morphism.
 
-    Each odd sector ρ_α is substituted by grouping: its terms are grouped by
-    the exponent of the first even variable and the rest is substituted
-    recursively, so the last variable gives a linear combination of cached
-    powers and each group costs one product.  The power of s of a term is
-    a constant factor and passes through unchanged.
+def _puller(phi: SuperMorphism):
+    """The map f -> phi^*f, an exact algebra morphism, and its caches,
+    shared by every function it pulls back: the powers of the even
+    components, each inverted once and only for a negative exponent (its
+    body must be an invertible monomial), the odd products psi^alpha in
+    generator order, and the images psi^alpha phi_1^e_1 ... phi_{m-1}^e_{m-1}
+    of the prefixes of f's terms, each one product from a shorter one.  The
+    last variable gives each prefix a linear combination of cached powers,
+    the power of s of a term a constant factor in it (Horner's last level),
+    and f's image is one fused sum ``base + _Products(pairs)``.  A sector
+    whose psi^alpha is zero is skipped before any power is taken.
     """
-    if f.shape != phi.target:
-        raise DimensionError("function does not live on the morphism target")
-    src = phi.source
-    m = phi.target.m
-    one = SuperFunction.one(src)
-    power_cache: dict[tuple[int, int], SuperFunction] = {}
+    src, m, layout = phi.source, phi.target.m, phi.target._key_layout
+    one, zero = SuperFunction.one(src), SuperFunction.zero(src)
+    powers: dict[tuple[int, int], SuperFunction] = {}
+    prefixes: dict[tuple[int, tuple], SuperFunction] = {(0, ()): one}
 
-    def even_power(k: int, e: int) -> SuperFunction:
+    def power(k: int, e: int) -> SuperFunction:
         # one product per power, from the nearest cached power of that sign
         step = 1 if e > 0 else -1
-        if (k, step) not in power_cache:
+        if (k, step) not in powers:
             comp = phi.even_components[k]
-            power_cache[(k, step)] = comp if e > 0 else comp.inv_even()
+            powers[(k, step)] = comp if e > 0 else comp.inv_even()
         low = e
-        while (k, low) not in power_cache:
+        while (k, low) not in powers:
             low -= step
-        acc, base = power_cache[(k, low)], power_cache[(k, step)]
+        acc, base = powers[(k, low)], powers[(k, step)]
         for p in range(low + step, e + step, step):
             acc = acc * base
-            power_cache[(k, p)] = acc
+            powers[(k, p)] = acc
         return acc
 
-    def expand(terms: list, k: int, den: int) -> SuperFunction:
-        """Σ c·s^t·Π_{i≥k} φ_i^{e_i} / den over the (key (e, t), int c) in
-        terms."""
-        if k >= m - 1:
-            return _linear_combination(src, den, [
-                (exps[-1], c, even_power(k, exps[k]) if m and exps[k] else one)
-                for exps, c in terms])
-        groups: dict[int, list] = {}
-        for term in terms:
-            groups.setdefault(term[0][k], []).append(term)
-        acc = None
-        for e, group in groups.items():
-            part = expand(group, k + 1, den)
-            if e:
-                part = even_power(k, e) * part
-            acc = part if acc is None else acc + part
-        return acc
+    def prefix(alpha: int, head: tuple) -> SuperFunction:
+        image = prefixes.get((alpha, head))
+        if image is None:
+            if head:
+                image, e = prefix(alpha, head[:-1]), head[-1]
+                factor = power(len(head) - 1, e) if e else one
+            else:
+                top = alpha.bit_length() - 1
+                image = prefix(alpha ^ (1 << top), ())
+                factor = phi.odd_components[top]
+            if factor is not one:
+                image = factor if image is one else image * factor
+            prefixes[(alpha, head)] = image
+        return image
 
-    sectors: dict[int, list] = {}
-    for mask, exps, k, c in f.shape._key_layout.unpacked(f.nums):
-        sectors.setdefault(mask, []).append((exps + (k,), c))
-    parts = []
-    for alpha, terms in sectors.items():
-        odd_factor = one
-        for j in _indices(alpha):
-            odd_factor = odd_factor * phi.odd_components[j]
-        if odd_factor.is_zero():
-            continue
-        image = expand(terms, 0, f.den)
-        parts.append(image * odd_factor if alpha else image)
-    return sum(parts, SuperFunction.zero(src))
+    def pull(f: SuperFunction) -> SuperFunction:
+        if f.shape != phi.target:
+            raise DimensionError("function does not live on the morphism target")
+        groups: dict[tuple[int, tuple], list] = {}
+        for alpha, exps, k, c in layout.unpacked(f.nums):
+            groups.setdefault((alpha, exps[:-1]), []).append(
+                (exps[-1] if m else 0, k, c))
+        base, pairs = zero, []
+        for (alpha, head), terms in groups.items():
+            if prefix(alpha, ()).is_zero():
+                continue
+            image = prefix(alpha, head)
+            combination = _linear_combination(src, f.den, [
+                (k, c, power(m - 1, e) if e else one) for e, k, c in terms])
+            if image is one:
+                base = combination
+            else:
+                pairs.append((image, combination))
+        return base + _Products(pairs)
+
+    return pull
 
 
 def compose(first: SuperMorphism, then: SuperMorphism) -> SuperMorphism:
-    """The morphism doing `first`, then `then` (components pulled back)."""
+    """The morphism doing `first`, then `then`: `then`'s components pulled
+    back through one ``_puller(first)``, built trusted."""
     if first.target != then.source:
         raise DimensionError("middle shapes do not match")
-    evens = [pullback(first, c) for c in then.even_components]
-    odds = [pullback(first, c) for c in then.odd_components]
-    return SuperMorphism(first.source, then.target, evens, odds)
+    pull = _puller(first)
+    return _trusted_morphism(first.source, then.target,
+                             map(pull, then.even_components),
+                             map(pull, then.odd_components))
 
 
 def pair(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
@@ -708,10 +733,9 @@ def pair(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
     if phi.source != psi.source:
         raise DimensionError("paired morphisms must share their source")
     target = shape_product(phi.target, psi.target)
-    return SuperMorphism(
-        phi.source, target,
-        list(phi.even_components) + list(psi.even_components),
-        list(phi.odd_components) + list(psi.odd_components))
+    return _trusted_morphism(
+        phi.source, target, phi.even_components + psi.even_components,
+        phi.odd_components + psi.odd_components)
 
 
 def projection(s1: SuperDomainShape, s2: SuperDomainShape, factor: int) -> SuperMorphism:
@@ -720,11 +744,11 @@ def projection(s1: SuperDomainShape, s2: SuperDomainShape, factor: int) -> Super
     if factor == 1:
         evens = [SuperFunction.coordinate(prod_shape, i) for i in range(s1.m)]
         odds = [SuperFunction.odd_gen(prod_shape, j) for j in range(s1.n)]
-        return SuperMorphism(prod_shape, s1, evens, odds)
+        return _trusted_morphism(prod_shape, s1, evens, odds)
     if factor == 2:
         evens = [SuperFunction.coordinate(prod_shape, s1.m + i) for i in range(s2.m)]
         odds = [SuperFunction.odd_gen(prod_shape, s1.n + j) for j in range(s2.n)]
-        return SuperMorphism(prod_shape, s2, evens, odds)
+        return _trusted_morphism(prod_shape, s2, evens, odds)
     raise ValueError("factor must be 1 or 2")
 
 
@@ -736,7 +760,7 @@ def morphism_product(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
     evens += [c.embed(src, phi.source.m, phi.source.n) for c in psi.even_components]
     odds = [c.embed(src, 0, 0) for c in phi.odd_components]
     odds += [c.embed(src, phi.source.m, phi.source.n) for c in psi.odd_components]
-    return SuperMorphism(src, tgt, evens, odds)
+    return _trusted_morphism(src, tgt, evens, odds)
 
 
 def jacobian(phi: SuperMorphism) -> SuperMatrix:
@@ -756,14 +780,16 @@ def _differential(phi: SuperMorphism, dirs: Sequence[tuple[str, int]],
                   at: SuperMorphism | None = None) -> SuperMatrix:
     """The even (target.m | target.n) supermatrix ``jacobian_rows(phi,
     dirs)``, target.m even directions then target.n odd ones, its entries
-    pulled back along ``at`` when given, over the ring of ``at`` or else
-    ``phi``'s source: the differential of every chart Berezinian.  Built
-    by ``supermatrix._trusted``, as a morphism's components are homogeneous
-    and derivatives and pullbacks keep the parities the check asks for.
+    pulled back along ``at`` when given, all through one ``_puller(at)``,
+    over the ring of ``at`` or else ``phi``'s source: the differential of
+    every chart Berezinian.  Built by ``supermatrix._trusted``, as a
+    morphism's components are homogeneous and derivatives and pullbacks
+    keep the parities the check asks for.
     """
     rows = jacobian_rows(phi, dirs)
     if at is not None:
-        rows = [[pullback(at, entry) for entry in row] for row in rows]
+        pull = _puller(at)
+        rows = [[pull(entry) for entry in row] for row in rows]
     shape = (at or phi).source
     return _trusted(phi.target.m, phi.target.n, rows, EVEN,
                     SuperFunction.zero(shape), SuperFunction.one(shape))

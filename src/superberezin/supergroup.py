@@ -79,7 +79,7 @@ from .superdomain import (
     pullback,
     shape_product,
 )
-from .superdomain import _differential, _evaluate, _exact_point
+from .superdomain import _differential, _evaluate, _exact_point, _puller
 from .supermatrix import _trusted
 
 _EMPTY = SuperDomainShape(0, (), 0)
@@ -490,10 +490,11 @@ def _fubini_stage(G: SuperGroupChart, H: SubgroupSpec,
     """Everything of ``fubini_check`` but its two integrals of f: the Haar
     densities, tau and tau^*omega_G, the base density and its
     factorization test (NormalizationError here), the fibre density and
-    the sign.  Returns the step f -> FubiniReport."""
+    the sign.  Returns the step f -> FubiniReport, pulling f by tau's puller."""
     base, Hsh = section.source, H.subgroup.shape
     omega_G, rho_H = haar_density(G), haar_density(H.subgroup)
     tau = trivialization(G, H, section)
+    pull_tau = _puller(tau)
     pulled = pullback_section(tau, omega_G)
 
     # b is even, as every density of an even morphism is, so of what
@@ -517,7 +518,7 @@ def _fubini_stage(G: SuperGroupChart, H: SubgroupSpec,
     def check(f: SuperFunction) -> FubiniReport:
         lhs = integrate(function_times_section(f, omega_G), backend)
         f_H = fibre_integrate_section(
-            function_times_section(pullback(tau, f), fibre_density), base,
+            function_times_section(pull_tau(f), fibre_density), base,
             Hsh, on_fibre)
         staged = integrate(function_times_section(b, f_H), on_base)
         return FubiniReport(sign, lhs, sign * staged, f_H.density,
@@ -575,8 +576,9 @@ def _product_stage(G: SuperGroupChart, M: SubgroupSpec, H: SubgroupSpec,
     """Everything of ``product_formula_check`` but its two integrals of f:
     the modular ratio, the weighted product density, omega_G and its
     pullback, and the constant c with its test (NormalizationError here).
-    Returns the step f -> ProductFormulaReport."""
+    Returns the step f -> ProductFormulaReport, pulling f by one puller."""
     mul_map = compose(morphism_product(M.embedding, H.embedding), G.mul)
+    pull = _puller(mul_map)
     prod_shape = mul_map.source
 
     ber_h, ber_u = modular_berezinian(G, H)
@@ -600,7 +602,7 @@ def _product_stage(G: SuperGroupChart, M: SubgroupSpec, H: SubgroupSpec,
     def check(f: SuperFunction) -> ProductFormulaReport:
         lhs = integrate(function_times_section(f, omega_G), backend)
         staged = integrate(
-            function_times_section(pullback(mul_map, f), weighted), backend)
+            function_times_section(pull(f), weighted), backend)
         return ProductFormulaReport(constant, ratio, lhs, constant * staged,
                                     pulled.caveats)
     return check

@@ -50,6 +50,7 @@ from .errors import DimensionError, ParseError
 from .grassmann import (
     GrassmannElement,
     Scalar,
+    _MAX_GENERATORS,
     _add_terms,
     _indices,
     _layout,
@@ -78,7 +79,7 @@ _WORD = re.compile(r"\S+")
 _SIGNS = frozenset(("+", "-"))
 
 MAX_EXPONENT = 1000
-MAX_GENERATORS = 1000
+MAX_GENERATORS = _MAX_GENERATORS  # the bound of every key layout
 
 # factor kinds, as _factor classifies a word: (kind, value)
 _ODD, _NUMBER, _EVEN, _GAUSS, _BAD_NUMBER = range(5)
@@ -176,7 +177,7 @@ def _exponent(total: int, k: int, shift: int) -> int:
 
 
 def _check_generators(n: int, k: int) -> None:
-    # every layout of n generators builds an n-bit mask first
+    # the key layouts refuse it too; here it is a parse error at its word
     if n > MAX_GENERATORS:
         raise _Bad(f"generator count {n} exceeds the bound "
                    f"N <= {MAX_GENERATORS}", k)

@@ -4,6 +4,7 @@ The worked inverses below were computed by expanding the geometric series
 by hand and multiplying back; the tests keep those coefficients literal.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from superberezin import grassmann
+from superberezin import grassmann, textio
 from superberezin.grassmann import (
     EVEN,
     ODD,
@@ -1535,3 +1536,30 @@ def test_the_one_printer_and_sector_reader_match_the_per_type_oracles(values):
     for value in (a, f):
         assert value.coefficient((0, 0)).is_zero()
         assert value.coefficient((1, 0)).is_zero()
+
+
+# -- the bound on the generator count ------------------------------------------
+#
+# A key layout of n odd generators builds an n-bit mask, so the layout
+# refuses n over grassmann._MAX_GENERATORS before it builds anything, and
+# the text reader's header bound is that same one.
+
+
+def test_a_generator_count_over_the_bound_raises_before_any_mask():
+    assert textio.MAX_GENERATORS == grassmann._MAX_GENERATORS == 1000
+    message = "^generator count 100000000000 exceeds the bound N <= 1000$"
+    tracemalloc.start()
+    try:
+        for build in (lambda: GrassmannElement.one(10**11),
+                      lambda: SuperDomainShape(0, (), 10**11),
+                      lambda: GrassmannElement.zero(10**11) + 1,
+                      lambda: _layout(10**11, 2)):
+            with pytest.raises(DimensionError, match=message):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 10**11-bit mask alone would be 12.5 GB
+    assert peak < 1 << 20
+    assert GrassmannElement.one(1000).generator_count == 1000
+    assert SuperDomainShape(0, (), 1000).n == 1000

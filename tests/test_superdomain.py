@@ -20,7 +20,11 @@ from superberezin.errors import (
     ParityError,
 )
 from superberezin.grassmann import (EVEN, ODD, GrassmannElement, Scalar,
-                                    _Products, _canonical, _layout)
+                                    _Products, _canonical, _layout, _power)
+from superberezin.groups import (axb_even_subgroup, axb_odd_subgroup,
+                                 builtin_groups, fubini_builtins,
+                                 heisenberg_center, line_odd_subgroup,
+                                 product_builtins)
 from superberezin.superdomain import (
     Interval,
     POSITIVE,
@@ -41,6 +45,7 @@ from superberezin.superdomain import (
     shape_product,
 )
 from superberezin.superdomain import _differential
+from superberezin.supergroup import full_subgroup, trivialization
 from superberezin.supermatrix import SuperMatrix
 from superberezin.textio import format_superfunction, parse_superfunction
 
@@ -864,6 +869,197 @@ def test_differentials_pass_the_public_check(data):
         assert (got.zero.shape, got.one.shape) == (want.zero.shape, want.one.shape)
         assert (got.zero, got.one) == (want.zero, want.one)
     assert jacobian(phi) == _differential(phi, directions(S))
+
+
+# -- one puller per morphism -------------------------------------------------
+#
+# pullback, compose and _differential pull every function along one morphism
+# through one puller, whose powers, odd products and prefix images outlive
+# each function.  The oracle substitutes each term alone, with no cache.
+
+
+def uncached_pullback(phi, f):
+    """phi^*f one term at a time: c s^k prod phi_i^e_i, each power by
+    ``grassmann._power``, times psi_j in index order; a term whose odd
+    product is zero is skipped before any power is taken."""
+    src = phi.source
+    result = SuperFunction.zero(src)
+    for (mask, *exps, k), c in f.terms.items():
+        odd = SuperFunction.one(src)
+        for j, psi in enumerate(phi.odd_components):
+            if mask >> j & 1:
+                odd = odd * psi
+        if odd.is_zero():
+            continue
+        term = SuperFunction.constant(src, Scalar(c, k))
+        for comp, e in zip(phi.even_components, exps):
+            term = term * _power(comp, e)
+        result = result + term * odd
+    return result
+
+
+@st.composite
+def _morphisms_with_a_dead_sector(draw):
+    """A morphism of ``_morphisms``, mixed powers of s or not, and at times
+    one odd component set to zero, so that every sector holding its
+    generator has a zero odd product."""
+    phi, _ = draw(_morphisms(mixed=draw(st.booleans())))
+    if phi.target.n and draw(st.booleans()):
+        odds = list(phi.odd_components)
+        odds[draw(st.integers(0, len(odds) - 1))] = SuperFunction.zero(phi.source)
+        phi = SuperMorphism(phi.source, phi.target, phi.even_components, odds)
+    return phi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pullback_matches_the_uncached_oracle(data):
+    # Laurent exponents on the POSITIVE axes, powers of s on every term
+    phi = data.draw(_morphisms_with_a_dead_sector())
+    f = data.draw(_functions(phi.target))
+    _assert_same_outcome(_outcome(pullback, phi, f),
+                         _outcome(uncached_pullback, phi, f))
+
+
+def test_a_dead_sector_is_skipped_before_any_inverse():
+    # x -> x + 1 has no inverse in the Laurent ring, but x^-1 xi1 lies in a
+    # sector whose odd product is psi_1 = 0: it pulls back to 0 untouched
+    S = SuperDomainShape(1, (POSITIVE,), 1)
+    x, xi = SuperFunction.coordinate(S, 0), SuperFunction.odd_gen(S, 0)
+    phi = SuperMorphism(S, S, [x + 1], [SuperFunction.zero(S)])
+    inverse = SuperFunction.coordinate(S, 0, -1)
+    f = inverse * xi + x * x
+    assert pullback(phi, f) == uncached_pullback(phi, f) == (x + 1) * (x + 1)
+    with pytest.raises(NonInvertibleError):
+        pullback(phi, inverse)
+
+
+def _assert_each_pulled_alone(got, at, functions):
+    """got is the outcome of pulling ``functions`` back along ``at`` by
+    one puller: NonInvertibleError where the oracle raises on one of them,
+    else each of its functions the oracle's image of that function alone."""
+    want = [_outcome(uncached_pullback, at, f) for f in functions]
+    if got is NonInvertibleError:
+        assert NonInvertibleError in want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_same_outcome(g, w)
+
+
+def _components(phi):
+    if phi is NonInvertibleError:
+        return phi
+    return phi.even_components + phi.odd_components
+
+
+def _entries(matrix):
+    if matrix is NonInvertibleError:
+        return matrix
+    return [entry for row in matrix.entries for entry in row]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_and_differentials_pull_each_function_alone(data):
+    # one puller serves every component of a compose and every entry of a
+    # differential; each must be the oracle's image of that function alone,
+    # so no cached prefix of one function leaks into another
+    phi = data.draw(_morphisms_with_a_dead_sector())
+    S, T = phi.source, data.draw(_shapes)
+    drawn = SuperMorphism(S, T, [data.draw(_homogeneous(S, 0)) for _ in range(T.m)],
+                          [data.draw(_homogeneous(S, 1)) for _ in range(T.n)])
+    for then in (phi, drawn):
+        _assert_each_pulled_alone(_components(_outcome(compose, phi, then)),
+                                  phi, _components(then))
+    point = SuperMorphism.constant_point(
+        S, S, [axis.samples()[1] for axis in S.box])
+    doubled = compose(projection(S, S, 2), phi)
+    for psi, dirs, at in [(phi, directions(S), phi),
+                          (phi, directions(S), point),
+                          (doubled, directions(S, S.m, S.n),
+                           pair(SuperMorphism.identity(S), point))]:
+        entries = [entry for row in jacobian_rows(psi, dirs) for entry in row]
+        _assert_each_pulled_alone(_entries(_outcome(_differential, psi, dirs, at)),
+                                  at, entries)
+
+
+# The morphisms the program builds itself, the results of compose, pair,
+# projection, morphism_product, identity and constant_point, skip the
+# public constructor's checks; each must be what SuperMorphism(...) accepts
+# as it is.
+
+
+def _assert_passes_the_public_checks(phi):
+    again = SuperMorphism(phi.source, phi.target, phi.even_components,
+                          phi.odd_components)
+    assert again == phi
+    assert type(phi.even_components) is type(phi.odd_components) is tuple
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_program_built_morphisms_pass_the_public_checks(data):
+    phi = data.draw(_morphisms_with_a_dead_sector())
+    S = phi.source
+    point = SuperMorphism.constant_point(
+        S, S, [axis.samples()[1] for axis in S.box])
+    built = [SuperMorphism.identity(S), point, projection(S, S, 1),
+             projection(S, S, 2), pair(phi, point), morphism_product(phi, phi),
+             compose(projection(S, S, 2), phi)]
+    composed = _outcome(compose, phi, phi)
+    if composed is not NonInvertibleError:
+        built.append(composed)
+    for psi in built:
+        _assert_passes_the_public_checks(psi)
+    if S.m and S.n:
+        # a morphism built from outside keeps every check
+        mixed = SuperFunction.coordinate(S, 0) + SuperFunction.odd_gen(S, 0)
+        with pytest.raises(ParityError, match="^even component must be even$"):
+            SuperMorphism(S, S, (mixed,) + phi.even_components[1:],
+                          phi.odd_components)
+
+
+def _chart_morphisms(G, H):
+    """What the group checks build on the chart G and its subgroup H: the
+    group-law morphisms, the translation and conjugation of the Haar
+    density and the modular Berezinian, and their composites with mul."""
+    s, Hsh = G.shape, H.subgroup.shape
+    ident, e = SuperMorphism.identity(s), G.unit_morphism()
+    emb_h = compose(projection(Hsh, s, 1), H.embedding)
+    laws = [morphism_product(G.mul, ident), morphism_product(ident, G.mul),
+            pair(e, ident), pair(G.inv, ident),
+            pair(projection(s, s, 2), projection(s, s, 1)),
+            morphism_product(H.embedding, H.embedding),
+            pair(emb_h, projection(Hsh, s, 2))]
+    return [ident, e, emb_h, compose(emb_h, G.inv),
+            pair(SuperMorphism.identity(Hsh),
+                 SuperMorphism.constant_point(Hsh, s, G.unit)),
+            *laws, *(compose(law, G.mul) for law in laws)]
+
+
+_SPECS = [axb_even_subgroup(), axb_odd_subgroup(), heisenberg_center(),
+          line_odd_subgroup()]
+
+
+@pytest.mark.parametrize("G, H", [(spec.parent, spec) for spec in _SPECS]
+                         + [(G, full_subgroup(G)) for G in builtin_groups()],
+                         ids=lambda x: getattr(x, "name", None))
+def test_chart_morphisms_pass_the_public_checks(G, H):
+    for phi in _chart_morphisms(G, H):
+        _assert_passes_the_public_checks(phi)
+
+
+def test_quotient_morphisms_pass_the_public_checks():
+    # the trivializations of the Fubini examples and the multiplication
+    # maps of the product examples
+    for ex in fubini_builtins():
+        _assert_passes_the_public_checks(
+            trivialization(ex.group, ex.subgroup, ex.section))
+    for ex in product_builtins():
+        _assert_passes_the_public_checks(compose(
+            morphism_product(ex.left.embedding, ex.right.embedding),
+            ex.group.mul))
 
 
 # The supermatrix code builds each entry of a Jacobian's Berezinian with one
