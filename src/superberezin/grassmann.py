@@ -14,9 +14,10 @@ one denominator the product loop multiplies and adds only ints, with one
 gcd per result.  A coefficient becomes an ``int`` (when integral) or a
 ``Fraction`` only where it is read (``terms``, ``rational``, printing).
 Their arithmetic is written once, on ``_Exact``: ``+``, ``-``, ``*``, the
-coercion of constants, the inverse, powers (``_power``) and printing, each
-class giving only its layout, and an operand a class cannot take is handed
-to the other operand's reflected method, as ``fractions.Fraction`` does.
+fused base + sum a*b (``fused_sum``), the coercion of constants, the
+inverse, powers (``_power``) and printing, each class giving only its
+layout, and an operand a class cannot take is handed to the other
+operand's reflected method, as ``fractions.Fraction`` does.
 An element's or a superfunction's sector, the coefficient of one odd
 monomial, is read once too, on ``_Graded``.
 
@@ -98,6 +99,7 @@ _OFFSET = 1 << 30   # a lane stores e + _OFFSET, so it reads 0 for e = -2^30
 _TOP = 1 << 31      # a lane's top bit, its guard bit
 _FIELD = _TOP - 1   # the bits of a lane below its guard bit
 _MAX_GENERATORS = 1000  # the most odd generators a layout takes
+_MAX_VARIABLES = 1000   # the most even variables a layout takes
 
 
 class _Layout:
@@ -117,7 +119,8 @@ class _Layout:
     so one test of ``guard`` finds it.  ``s`` is what multiplying a term
     by s adds to its key.  Only this module reads the bits; the other
     modules go through ``key``, ``split`` and the helpers below.  n is at
-    most ``_MAX_GENERATORS``, checked before any n-bit mask is built.
+    most ``_MAX_GENERATORS`` and m at most ``_MAX_VARIABLES``, checked
+    before any mask or lane is built.
     """
 
     __slots__ = ("n", "m", "low", "bias", "guard", "top", "below", "s", "_lanes")
@@ -126,6 +129,9 @@ class _Layout:
         if n > _MAX_GENERATORS:
             raise DimensionError(f"generator count {n} exceeds the bound "
                                  f"N <= {_MAX_GENERATORS}")
+        if m > _MAX_VARIABLES:
+            raise DimensionError(f"even variable count {m} exceeds the bound "
+                                 f"m <= {_MAX_VARIABLES}")
         self._lanes = tuple(range(n, n + _LANE * m, _LANE))
         self.n, self.m = n, m
         self.low = (1 << n) - 1
@@ -249,11 +255,11 @@ class _Exact:
     Fraction (``SuperFunction`` has its own, taking Polynomials).
 
     The base owns the arithmetic: ``+``, ``-``, ``*``, their reflected
-    forms, the fused ``base + _Products(pairs)`` and the coercion of
-    operands, ``_coerce``, and every product runs the one loop
-    ``_anticommuting``.  It also owns the inverse, ``_inverse`` (the one
-    place a body that is not a monomial, a rational one, would be taught),
-    the powers of ``_power`` and printing.  A subclass gives its
+    forms and the coercion of operands, ``_coerce``, and every product, as
+    every ``fused_sum``, runs the one loop ``_anticommuting``.  It also
+    owns the inverse, ``_inverse`` (the one place a body that is not a
+    monomial, a rational one, would be taught), the powers of ``_power``
+    and printing.  A subclass gives its
     ``_layout``, and at most its own ``_not_invertible`` message;
     ``SuperFunction`` also lifts a Polynomial and prints by sector.
     ``Scalar`` is the (0|0) case, whose layout keys a term by its bare
@@ -326,8 +332,6 @@ class _Exact:
         return NotImplemented
 
     def __add__(self, other):
-        if type(other) is _Products:
-            return _fused(self, other)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -760,20 +764,6 @@ def _anticommuting(acc: dict, a: dict, b: dict, scale: int,
     return acc
 
 
-class _Products(tuple):
-    """The pairs (a, b) of a sum of products sum a*b, as an addend.
-
-    The fused operation of the supermatrix ring protocol is
-    ``base + _Products(pairs)``, the pairs holding elements of the base's
-    own ring: ``_Exact.__add__`` sums every product straight into one copy
-    of the base's terms and canonicalises once, so no product or partial
-    sum is built as an element.  A difference base - sum a*b is written
-    with the factors a negated.
-    """
-
-    __slots__ = ()
-
-
 def _series_inverse(cls, count, den: int, head: int, c: int, soul,
                     steps: int):
     """The inverse of the even ``cls`` value u = (c X + soul) / den over
@@ -959,9 +949,9 @@ class GrassmannElement(_Graded):
     them ``(mask, k)``.  The public constructor still takes
     ``{idx: coefficient}``, idx a strictly increasing generator tuple, with
     Scalar, int or Fraction coefficients; ``coefficient`` and ``str`` speak
-    in index tuples too.  ``self + _Products(pairs)`` is the fused base +
-    sum a*b of the supermatrix ring protocol, ``_fused``; it and ``*`` run
-    one int product loop, ``_anticommuting``.
+    in index tuples too.  ``*`` and ``fused_sum``, the fused base + sum a*b
+    of the supermatrix ring protocol, run one int product loop,
+    ``_anticommuting``.
     """
 
     __slots__ = ()
@@ -1058,30 +1048,35 @@ def _over_one_denominator(terms: dict) -> tuple[int, dict]:
                  for key, c in terms.items()}
 
 
-def _fused(base: _Exact, pairs) -> _Exact:
-    """base + sum a*b over the (a, b) of ``pairs``, a value of base's
-    type, canonical: ``base + _Products(pairs)``.
+def fused_sum(base: _Exact, pairs) -> _Exact:
+    """base + sum a*b over the (a, b) of the iterable ``pairs``, canonical,
+    of base's type: the fused sum of the supermatrix ring protocol, a
+    difference taking its left factors negated.  Every pair is checked
+    (DimensionError unless both factors are over base's count or shape),
+    and one with a zero factor is then skipped.
 
     The products are summed first, over L = lcm(a.den b.den, ...), each
     pair's left factor times L // (a.den b.den), so the one product loop,
-    ``_anticommuting``, sums ints.
-    Where no product term arises (every two monomials share a generator,
-    as between sparse entries over many generators), the sum is ``base``;
-    otherwise base joins the products over lcm(base.den, L) and the sum is
-    reduced once.  Raises DimensionError unless every factor is over
-    base's generator count or shape.
+    ``_anticommuting``, sums ints.  Where no product term arises (every
+    two monomials share a generator, as between sparse entries over many
+    generators), the sum is ``base``; otherwise base joins the products
+    over lcm(base.den, L) and the sum is reduced once.  The name is public
+    because the outside tracer (``bench/tracer.py``) times the public
+    functions of each layer module, so this time counts as ``grassmann``'s.
     """
     cls, count = type(base), base._count
-    common = 1
+    common, live = 1, []
     for a, b in pairs:
         if (a._count, b._count) != (count, count):  # an identity test first
             raise _mismatch(count, b if a._count == count else a)
-        d = a.den * b.den
-        if common % d:
-            common = lcm(common, d)
+        if a.nums and b.nums:
+            live.append((a, b))
+            d = a.den * b.den
+            if common % d:
+                common = lcm(common, d)
     acc = {}
     layout = cls._layout(count)
-    for a, b in pairs:
+    for a, b in live:
         _anticommuting(acc, a.nums, b.nums,
                        1 if common == 1 else common // (a.den * b.den), layout)
     if not acc:

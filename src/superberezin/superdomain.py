@@ -31,12 +31,11 @@ from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .errors import DimensionError, DomainBoxError, NonIntegrableError, ParityError
-from .grassmann import EVEN, ODD, Scalar
+from .grassmann import EVEN, ODD, Scalar, fused_sum
 from .grassmann import (
     _Exact,
     _Graded,
     _Layout,
-    _Products,
     _checked_mask,
     _constant,
     _embedded,
@@ -236,7 +235,7 @@ class Polynomial(_Exact):
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        (0,) * nvars  # a non-int count raises as {(0,) * nvars: value} does
+        () * nvars  # a non-int count raises as {(0,) * nvars: value} does
         if nvars < 0:
             raise DimensionError("generator count must be nonnegative")
         return _constant(Polynomial, nvars, value)
@@ -291,8 +290,9 @@ def _variable_key(nvars: int, i: int, power) -> int:
     range first, then the exponent's type and range."""
     if not 0 <= i < nvars:
         raise DimensionError("variable index out of range")
+    layout = _layout(0, nvars)  # its bound on nvars before an nvars-tuple
     head = Polynomial._head((power if k == i else 0 for k in range(nvars)), nvars)
-    return _layout(0, nvars).key(*head, 0)
+    return layout.key(*head, 0)
 
 
 def _unpacked(layout: _Layout, nums: dict, mask: int | None = None) -> list:
@@ -360,9 +360,9 @@ class SuperFunction(_Graded):
     ``{α: f_α}`` with α an index tuple and f_α a Polynomial or a constant,
     and ``coefficient`` and ``str`` speak in index tuples too; ``coeffs`` is
     the read-only view ``{mask: f_α}``, each sector reduced on its own,
-    built on first read.  ``self + _Products(pairs)``, the fused base +
-    sum a*b of the supermatrix ring protocol (``grassmann._fused``), and
-    ``*`` run one product loop, ``grassmann._anticommuting``.
+    built on first read.  ``*`` and ``grassmann.fused_sum``, the fused
+    base + sum a*b of the supermatrix ring protocol, run one product loop,
+    ``grassmann._anticommuting``.
     ``inv_even``, ``coefficient`` and ``body_polynomial`` are the ones of
     ``grassmann._Graded``, as for a ``GrassmannElement``, with Polynomial
     sectors; only the printer, by sector, is this class's own.
@@ -656,7 +656,7 @@ def _puller(phi: SuperMorphism):
     of the prefixes of f's terms, each one product from a shorter one.  The
     last variable gives each prefix a linear combination of cached powers,
     the power of s of a term a constant factor in it (Horner's last level),
-    and f's image is one fused sum ``base + _Products(pairs)``.  A sector
+    and f's image is one ``grassmann.fused_sum(base, pairs)``.  A sector
     whose psi^alpha is zero is skipped before any power is taken.
     """
     src, m, layout = phi.source, phi.target.m, phi.target._key_layout
@@ -712,7 +712,7 @@ def _puller(phi: SuperMorphism):
                 base = combination
             else:
                 pairs.append((image, combination))
-        return base + _Products(pairs)
+        return fused_sum(base, pairs)
 
     return pull
 

@@ -11,7 +11,8 @@ formats re-parses to an equal value.
 Exponents are bounded: in every term, the total exponent of each ``x<i>``
 and of ``s`` (summed over repeated factors) must satisfy
 |e| <= MAX_EXPONENT = 1000.  So is a header's generator count (N of a
-supermatrix, n of a superfunction): N <= MAX_GENERATORS = 1000.  A larger
+supermatrix, n of a superfunction): N <= MAX_GENERATORS = 1000, and a
+superfunction's even variable count: m <= MAX_VARIABLES = 1000.  A larger
 one is a ParseError at its word, and so is a number with more digits than
 the interpreter converts (``sys.get_int_max_str_digits()``, 4300 by
 default).
@@ -51,6 +52,7 @@ from .grassmann import (
     GrassmannElement,
     Scalar,
     _MAX_GENERATORS,
+    _MAX_VARIABLES,
     _add_terms,
     _indices,
     _layout,
@@ -79,7 +81,8 @@ _WORD = re.compile(r"\S+")
 _SIGNS = frozenset(("+", "-"))
 
 MAX_EXPONENT = 1000
-MAX_GENERATORS = _MAX_GENERATORS  # the bound of every key layout
+MAX_GENERATORS = _MAX_GENERATORS  # the bounds of every key layout
+MAX_VARIABLES = _MAX_VARIABLES
 
 # factor kinds, as _factor classifies a word: (kind, value)
 _ODD, _NUMBER, _EVEN, _GAUSS, _BAD_NUMBER = range(5)
@@ -433,6 +436,9 @@ def parse_superfunction(text: str) -> SuperFunction:
         m, n, reserved = (_int(word, k) for k, word in enumerate(header))
         if m < 0 or n < 0:
             raise _Bad("header entries must be nonnegative", 0)
+        if m > MAX_VARIABLES:
+            raise _Bad(f"even variable count {m} exceeds the bound "
+                       f"m <= {MAX_VARIABLES}", 0)
         _check_generators(n, 1)
         if reserved != 0:
             raise _Bad("the aux field is reserved and must be 0", 2)

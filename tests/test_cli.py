@@ -257,6 +257,24 @@ def test_generator_count_at_the_bound(tmp_path, capsys, command, text, out):
     assert capsys.readouterr().out == out
 
 
+def test_even_variable_count_over_the_bound_is_a_parse_error(tmp_path, capsys):
+    # read at its header word, before any axis line or key layout
+    for m in (1001, 10**9):
+        assert cli.main(["integrate", write(tmp_path, "f.txt", f"{m} 0 0\n")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"parse error: line 1, column 1: even variable count {m} "
+            "exceeds the bound m <= 1000\n")
+        assert captured.out == ""
+
+
+def test_even_variable_count_at_the_bound(tmp_path, capsys):
+    # one s per whole-line axis: the Gaussian moment of x1000^2
+    text = "1000 0 0\n" + "axis R\n" * 1000 + "x1000^2 : 1\n"
+    assert cli.main(["integrate", write(tmp_path, "f.txt", text)]) == 0
+    assert capsys.readouterr().out == "s^1000\n"
+
+
 def test_integrate_exponent_at_the_bound(tmp_path, capsys):
     path = write(tmp_path, "f.txt", "1 0 0\naxis 0 1\nx1^1000 : 1\n")
     assert cli.main(["integrate", path, "--backend", "box", "0", "1"]) == 0

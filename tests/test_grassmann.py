@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from superberezin import grassmann, textio
+from superberezin import grassmann, superdomain, supermatrix, textio
 from superberezin.grassmann import (
     EVEN,
     ODD,
     GrassmannElement,
     Scalar,
     _BYTE_SWAPS,
-    _Products,
     _canonical,
     _indices,
     _layout,
@@ -31,6 +30,7 @@ from superberezin.grassmann import (
     _quotient,
     _reduced,
     _signed_sum,
+    fused_sum,
     koszul_sign,
 )
 from superberezin.berezin import GAUSSIAN, BerezinSection, box_backend, integrate
@@ -42,13 +42,16 @@ from superberezin.superdomain import (
     Polynomial,
     SuperDomainShape,
     SuperFunction,
+    SuperMorphism,
     _lifted,
+    pullback,
 )
 from superberezin.textio import (
     format_superfunction,
     parse_grassmann,
     parse_scalar,
     parse_superfunction,
+    parse_supermatrix,
 )
 
 
@@ -544,7 +547,7 @@ def fused_operands(draw, elements):
 @given(fused_operands(big_elements(4)), st.booleans())
 def test_fused_products_match_merged_products(operands, subtract):
     base, pairs = operands
-    got = base + _Products([(-a, b) for a, b in pairs] if subtract else pairs)
+    got = fused_sum(base, [(-a, b) for a, b in pairs] if subtract else pairs)
     assert got == _fused_oracle(base, pairs, subtract)
     for (mask, k), coeff in got.terms.items():
         assert type(mask) is int and type(k) is int
@@ -555,14 +558,72 @@ def test_fused_products_cancel_to_canonical_terms():
     half = Scalar(Fraction(1, 2))
     x = G(N_BIG, {(0,): half, (0, 7): Scalar(Fraction(1, 2), 1)})
     one = GrassmannElement.one(N_BIG)
-    doubled = x + _Products([(one, x)])
+    doubled = fused_sum(x, [(one, x)])
     assert doubled.terms == {(0b1, 0): 1, (0b10000001, 1): 1}
     assert all(type(c) is int for c in doubled.terms.values())
-    assert (x + _Products([(-x, one)])).terms == {}
-    assert x + _Products([(x, one), (one, -x)]) == x
-    assert x + _Products([]) == x
+    assert fused_sum(x, [(-x, one)]).terms == {}
+    assert fused_sum(x, [(x, one), (one, -x)]) == x
+    assert fused_sum(x, []) == x
     with pytest.raises(DimensionError):
-        x + _Products([(GrassmannElement.one(2), x)])
+        fused_sum(x, [(GrassmannElement.one(2), x)])
+
+
+def test_sums_of_products_go_through_the_one_named_fused_sum(monkeypatch):
+    # every LU fold, 2 x 2 tail, matrix-product entry, adjugate solve and
+    # pullback calls grassmann.fused_sum by the name its module imports
+    calls = []
+
+    def counted(base, pairs):
+        calls.append(base)
+        return fused_sum(base, pairs)
+
+    monkeypatch.setattr(supermatrix, "fused_sum", counted)
+    monkeypatch.setattr(superdomain, "fused_sum", counted)
+
+    def calls_of(run):
+        calls.clear()
+        return run(), len(calls)
+
+    m21 = parse_supermatrix("2 1 4\n2 + xi1 xi2\n1\nxi3\n1\n3 + xi2 xi4\n"
+                            "xi1\nxi4\nxi2\n-2 + xi3 xi4\n")
+    ber, n = calls_of(m21.berezinian)
+    assert n > 0 and str(ber) == ("-5/2 - 2 xi1 xi2 + 1/4 xi1 xi4 - 1/4 xi2 xi3 "
+                                  "- xi2 xi4 - 2 xi3 xi4 - 3/2 xi1 xi2 xi3 xi4")
+    product, n = calls_of(lambda: m21 * m21)
+    assert n == 9  # one per entry
+    # D = [[1 + s, 1], [2 + s, 1]] has no invertible entry in its first
+    # column, so its Berezinian takes the adjugate solve
+    stalled = parse_supermatrix("1 2 2\n1\nxi1\n0\n0\n1 + s\n1\nxi2\n2 + s\n1\n")
+    ber, n = calls_of(stalled.berezinian)
+    assert n > 0 and str(ber) == "-1 + xi1 xi2"
+    shape = SuperDomainShape(1, (REALLINE,), 2)
+    x = SuperFunction.coordinate(shape, 0)
+    xi1, xi2 = (SuperFunction.odd_gen(shape, j) for j in range(2))
+    images = [x + xi1 * xi2, xi1 * 2, xi2 + x * xi1]
+    phi = SuperMorphism(shape, shape, images[:1], images[1:])
+    pulled, n = calls_of(lambda: pullback(phi, x * x + x * xi1 + xi1 * xi2))
+    assert n == 1  # a pullback ends in one fused sum
+    y, eta1, eta2 = images
+    assert pulled == y * y + y * eta1 + eta1 * eta2
+
+    # a pair with a zero factor adds nothing, wherever it stands, and any
+    # iterable of pairs is read once
+    a = G(N_BIG, {(0,): Fraction(1, 2), (0, 7): Scalar(Fraction(1, 3), 1)})
+    b = G(N_BIG, {(): 3, (1, 7): Fraction(2, 5)})
+    zero = GrassmannElement.zero(N_BIG)
+    pairs = [(a, b), (b, a), (-b, b)]
+    padded = [(zero, a), pairs[0], (b, zero), pairs[1], (zero, zero), pairs[2]]
+    assert_stored_alike(fused_sum(b, padded), fused_sum(b, pairs))
+    assert_stored_alike(fused_sum(b, iter(padded)), fused_sum(b, pairs))
+    assert fused_sum(b, [(zero, a), (a, zero)]) == b
+
+    # a zero factor over another count is still a mismatch
+    for other in (GrassmannElement.zero(2), GrassmannElement.zero(N_BIG + 1)):
+        for bad in ([(other, a)], [(a, other)], pairs + [(other, other)]):
+            with pytest.raises(DimensionError):
+                fused_sum(b, bad)
+    with pytest.raises(DimensionError):
+        fused_sum(x, [(SuperFunction.zero(SuperDomainShape(0, (), 2)), x)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -608,10 +669,10 @@ def test_superfunctions_on_odd_coordinates_match_grassmann_elements(
     assert product == _as_superfunction(a * b)
     assert all(type(key) is int for key in product.coeffs)
     base, pairs = operands
-    assert (_as_superfunction(base)
-            + _Products([(_as_superfunction(x), _as_superfunction(y))
-                         for x, y in pairs])
-            == _as_superfunction(base + _Products(pairs)))
+    assert (fused_sum(_as_superfunction(base),
+                      [(_as_superfunction(x), _as_superfunction(y))
+                       for x, y in pairs])
+            == _as_superfunction(fused_sum(base, pairs)))
     assert f.soul() == _as_superfunction(a.soul())
     assert f.even_part() == _as_superfunction(a.even_part())
     assert f.odd_part() == _as_superfunction(a.odd_part())
@@ -768,8 +829,8 @@ def test_stored_form_is_canonical(a, b, c, operands):
     unit = _invertible_even(a)
     inverse = unit.inv_even()
     results = [a + b, a - b, a - a, a * b, -a, a * 3, Fraction(1, 6) - a,
-               base + _Products(pairs),
-               base + _Products([(-x, y) for x, y in pairs]),
+               fused_sum(base, pairs),
+               fused_sum(base, [(-x, y) for x, y in pairs]),
                inverse, a.soul(), a.even_part(), a.odd_part(),
                a.embed(N_BIG + 2), GrassmannElement(N_BIG, _public_terms(a))]
     for r in results:
@@ -1095,7 +1156,7 @@ def test_products_straddling_bit_8_match_index_merging(operands):
 @given(WIDE.flatmap(lambda n: fused_operands(wide_elements(n, 3))), st.booleans())
 def test_fused_products_straddling_bit_8_match_merged_products(operands, subtract):
     base, pairs = operands
-    got = base + _Products([(-a, b) for a, b in pairs] if subtract else pairs)
+    got = fused_sum(base, [(-a, b) for a, b in pairs] if subtract else pairs)
     assert got == _fused_oracle(base, pairs, subtract)
 
 
@@ -1131,7 +1192,7 @@ def test_superfunction_products_straddling_bit_8_match_index_merging(operands):
         for idx, poly in _merged_product(_stored_sectors(x), _stored_sectors(y),
                                          Polynomial.zero(1)).items():
             expected[idx] = expected.get(idx, Polynomial.zero(1)) + poly
-    assert base + _Products([(f, g), (h, f)]) == SuperFunction(base.shape, expected)
+    assert fused_sum(base, [(f, g), (h, f)]) == SuperFunction(base.shape, expected)
 
 
 
@@ -1563,3 +1624,35 @@ def test_a_generator_count_over_the_bound_raises_before_any_mask():
     assert peak < 1 << 20
     assert GrassmannElement.one(1000).generator_count == 1000
     assert SuperDomainShape(0, (), 1000).n == 1000
+
+
+# A layout of m even variables builds one 32-bit lane per variable, and the
+# named constructors an m-tuple of exponents: both wait for the layout's
+# bound on m, grassmann._MAX_VARIABLES, also the text reader's.
+
+
+def test_an_even_variable_count_over_the_bound_raises_before_any_lane():
+    assert textio.MAX_VARIABLES == grassmann._MAX_VARIABLES == 1000
+    tracemalloc.start()
+    try:
+        for m in (1001, 10**9):
+            message = f"^even variable count {m} exceeds the bound m <= 1000$"
+            for build in (lambda: Polynomial.constant(m, 1),
+                          lambda: Polynomial.one(m),
+                          lambda: Polynomial.variable(m, 0),
+                          lambda: Polynomial.zero(m) * Polynomial.zero(m),
+                          lambda: Polynomial(m, {}) + 1,
+                          lambda: _layout(2, m)):
+                with pytest.raises(DimensionError, match=message):
+                    build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 10**9-tuple of exponents alone would be 8 GB
+    assert peak < 1 << 20
+    with pytest.raises(DimensionError, match="^even variable count 1001 "):
+        SuperDomainShape(1001, (REALLINE,) * 1001, 0)
+    x = Polynomial.variable(1000, 999) * Polynomial.variable(1000, 0, 2)
+    assert x.nvars == 1000 and str(x) == "x1^2 x1000"
+    assert Polynomial.one(1000) * x == x
+    assert SuperDomainShape(1000, (REALLINE,) * 1000, 1).m == 1000

@@ -59,9 +59,10 @@ only ``verify berezinian`` catches (68 of its 200 lines), and keeps, in
 generator, as if xi_i^2 = xi_i, under the key of their mask union.  Only
 ``verify change-of-variables`` (22 of its 60 lines) and ``verify
 berezinian`` (an error: inv_even meets an odd term) catch it.  And
-``_fused``, the fused sum of products of every LU fold and of every
-pullback, sums each product over the common denominator L without its
-scale L // (a.den b.den): ``verify berezinian`` catches it (44 of its 200
+``fused_sum``, the fused sum of products of every LU fold and of every
+pullback, patched where ``supermatrix`` and ``superdomain`` import it,
+sums each product over the common denominator L without its scale
+L // (a.den b.den): ``verify berezinian`` catches it (44 of its 200
 lines, all (2|1), as the drawn entries are integral and a (1|1)
 Berezinian folds one pair at a time), and ``verify change-of-variables``
 (14 of its 60 lines).  The structure-constant column: the Koszul sign of the swapped jet in
@@ -93,9 +94,9 @@ from superberezin.berezin import (BerezinSection, _times_moments,
 from superberezin.errors import (DimensionError, NonIntegrableError,
                                  NormalizationError, SuperBerezinError)
 from superberezin.grassmann import (_BYTE_SWAPS, _add_into, _anticommuting,
-                                    _fused, _indices, _lane_error, _layout,
-                                    _odd_swaps, _Products, _quotient,
-                                    _reduced, _series_inverse, _stored,
+                                    _indices, _lane_error, _layout,
+                                    _odd_swaps, _quotient, _reduced,
+                                    _series_inverse, _stored, fused_sum,
                                     koszul_sign)
 from superberezin.superdomain import (Interval, SuperFunction, SuperMorphism,
                                       _linear_combination, _puller, pair,
@@ -270,14 +271,15 @@ def _series_inverse_one_step_short(cls, count, den, head, c, soul, steps):
     return _series_inverse(cls, count, den, head, c, soul, max(steps - 1, 0))
 
 
-def _fused_without_pair_scales(base, pairs):
+def _fused_sum_without_pair_scales(base, pairs):
     cls, count = type(base), base._count
+    live = [(a, b) for a, b in pairs if a.nums and b.nums]
     common = 1
-    for a, b in pairs:
+    for a, b in live:
         common = lcm(common, a.den * b.den)
     acc = {}
     layout = cls._layout(count)
-    for a, b in pairs:
+    for a, b in live:
         # the fault: every product summed over the common denominator L
         # unscaled, where it takes L // (a.den b.den)
         _anticommuting(acc, a.nums, b.nums, 1, layout)
@@ -408,7 +410,7 @@ def _puller_dropping_the_top_power(phi):
                 base = combination
             else:
                 pairs.append((image, combination))
-        return base + _Products(pairs)
+        return fused_sum(base, pairs)
 
     return pull
 
@@ -433,10 +435,7 @@ def _adjugate_solve_with_det_d(*args):
 def _fold_with_sign_flipped(rows, r, j, k):
     row = rows[r]
     # the fault: -a b added, where the negated pivot rows make a b right
-    pairs = [(-row[t], rows[t][j]) for t in range(k)
-             if not (row[t].is_zero() or rows[t][j].is_zero())]
-    if pairs:
-        row[j] = row[j] + _Products(pairs)
+    row[j] = fused_sum(row[j], [(-row[t], rows[t][j]) for t in range(k)])
 
 
 def _lu_keeping_the_sign(rows, n):
@@ -528,7 +527,7 @@ def lu_row_swap_keeps_its_sign(monkeypatch):
 
 
 def fused_pair_scales_dropped(monkeypatch):
-    patch_everywhere(monkeypatch, _fused, _fused_without_pair_scales)
+    patch_everywhere(monkeypatch, fused_sum, _fused_sum_without_pair_scales)
 
 
 def fubini_base_sign_dropped(monkeypatch):

@@ -20,7 +20,7 @@ from superberezin.errors import (
     ParityError,
 )
 from superberezin.grassmann import (EVEN, ODD, GrassmannElement, Scalar,
-                                    _Products, _canonical, _layout, _power)
+                                    _canonical, _layout, _power, fused_sum)
 from superberezin.groups import (axb_even_subgroup, axb_odd_subgroup,
                                  builtin_groups, fubini_builtins,
                                  heisenberg_center, line_odd_subgroup,
@@ -1086,7 +1086,7 @@ def test_fused_products_match_mul_and_add(data, subtract):
     base = data.draw(functions)
     if data.draw(st.booleans()):
         base = _fused_oracle(base - base, pairs, False)  # cancels every product
-    got = base + _Products([(-a, b) for a, b in pairs] if subtract else pairs)
+    got = fused_sum(base, [(-a, b) for a, b in pairs] if subtract else pairs)
     assert got == _fused_oracle(base, pairs, subtract)
     _canonical_or_zero(got)
 
@@ -1094,14 +1094,14 @@ def test_fused_products_match_mul_and_add(data, subtract):
 def test_fused_products_cancel_to_canonical_terms():
     half = sf(R12, {(0,): {(1,): Scalar(Fraction(1, 2), 1)}})
     one = SuperFunction.one(R12)
-    doubled = half + _Products([(one, half)])
+    doubled = fused_sum(half, [(one, half)])
     assert doubled.coefficient((0,)).terms == {(1, 1): 1}
     assert type(doubled.coefficient((0,)).terms[(1, 1)]) is int
     assert _sectors_of(doubled) == [((0,), doubled.coefficient((0,)))]
-    assert (half + _Products([(-half, one)])).is_zero()
-    assert (X * XI1 + _Products([(-XI1, X)])).is_zero()
+    assert fused_sum(half, [(-half, one)]).is_zero()
+    assert fused_sum(X * XI1, [(-XI1, X)]).is_zero()
     with pytest.raises(DimensionError):
-        half + _Products([(SuperFunction.one(R23), half)])
+        fused_sum(half, [(SuperFunction.one(R23), half)])
 
 
 # -- stored form: int numerators over one denominator ------------------------
@@ -1158,7 +1158,7 @@ def test_stored_form_is_canonical(f, g, pairs):
     polys = [p + q, p - q, p - p, p * q, -p, p * 3, Fraction(1, 6) - p,
              p.derive(0), p.derive(1), Polynomial(2, _public_terms(p))]
     functions = [f + g, f - g, f - f, f * g, -f,
-                 f + _Products(pairs), f + _Products([(-a, b) for a, b in pairs]),
+                 fused_sum(f, pairs), fused_sum(f, [(-a, b) for a, b in pairs]),
                  f.embed(R23_WIDE, 1, 2)]
     if p.is_monomial():
         polys += [p.monomial_inverse(), p ** -2]
@@ -1270,7 +1270,7 @@ def test_products_match_the_fraction_product_loop(p, q, base, pairs):
         got = a * b
         assert {idx: dict(poly.terms) for idx, poly in _sectors_of(got)} \
             == _graded_fraction_sum(SuperFunction.zero(R23), [(a, b)])
-    got = base + _Products(pairs)
+    got = fused_sum(base, pairs)
     assert {idx: dict(poly.terms) for idx, poly in _sectors_of(got)} \
         == _graded_fraction_sum(base, pairs)
 
@@ -1613,8 +1613,8 @@ def test_flat_arithmetic_matches_the_sector_oracle(data):
         oracle_sum = oracle_sum + _SectorSF.of(shape, a) * _SectorSF.of(shape, b)
     cases = [(f, F), (f * g, F * G), (g * f, G * F), (f + g, F + G), (f - g, F - G),
              (-f, -F), (f - f, F - F), (f * g * f, F * G * F),
-             (base + _Products(pairs), oracle_sum),
-             (base - base + _Products([(-a, b) for a, b in pairs]), B - oracle_sum)]
+             (fused_sum(base, pairs), oracle_sum),
+             (fused_sum(base - base, [(-a, b) for a, b in pairs]), B - oracle_sum)]
     cases += [(f.derive_even(i), F.derive_even(i)) for i in range(m)]
     cases += [(f.derive_odd(j), F.derive_odd(j)) for j in range(n)]
     wider = SuperDomainShape(m + 1, (REALLINE,) * (m + 1), n + 2)
