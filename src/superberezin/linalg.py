@@ -15,6 +15,17 @@ back-reduce to the reduced row echelon form.  That form is unique, so
 the result does not depend on the pivot choice: `nullspace` returns the
 same basis, in the same order, as textbook Gauss–Jordan would.
 
+Two rules leave out work that cannot change a result.  A one-entry row
+whose column an earlier one-entry row already holds is dropped on entry,
+once its entries have passed the checks below: it is a nonzero multiple
+of the kept row, so it changes neither the rank nor the reduced row
+echelon form (a square matrix with two such rows is singular, and `det`
+and `inverse` say so as before).  And a pivot row with no entry besides
+its lead is subtracted from no row: the other rows that hold its column
+just lose that entry.  The ansatz systems of
+`supergroup.solve_invariant_density` are mostly such repeats (R^(5|5) at
+degree 2: 15,366 one-entry rows over 672 unknowns, 671 distinct).
+
 Matrices come in as dense lists of rows.  `rank` and `nullspace` also
 take sparse rows (mappings column -> value) together with ``ncols=``.
 No numerics, no tolerance knobs.
@@ -102,9 +113,19 @@ def _echelon(rows: list[SparseRow], ncols: int
 
     Returns (pivot column, pivot row scaled to a leading 1) in increasing
     column order, each pivot row zero left of its pivot column, and beside
-    them each pivot's (lead before scaling, index of its source row).
+    them each pivot's (lead before scaling, index of its source row).  A
+    repeated one-entry row is dropped, and a lone pivot is subtracted from
+    no row (module docstring).
     """
-    active = {i: row for i, row in enumerate(rows) if row}
+    active, singles = {}, set()
+    for i, row in enumerate(rows):
+        if len(row) == 1:
+            col, = row
+            if col in singles:
+                continue
+            singles.add(col)
+        if row:
+            active[i] = row
     holders: dict[int, set[int]] = {}
     for i, row in active.items():
         for c in row:
@@ -127,11 +148,12 @@ def _echelon(rows: list[SparseRow], ncols: int
                 continue
             row = active[i]
             factor = row.pop(col)
-            for c, appeared in _subtract(row, factor, pivot_row, col):
-                if appeared:
-                    holders.setdefault(c, set()).add(i)
-                else:
-                    holders[c].discard(i)
+            if pivot_row:
+                for c, appeared in _subtract(row, factor, pivot_row, col):
+                    if appeared:
+                        holders.setdefault(c, set()).add(i)
+                    else:
+                        holders[c].discard(i)
             if not row:
                 del active[i]
         pivot_row[col] = 1

@@ -90,7 +90,13 @@ class Interval(Axis):
             raise NonIntegrableError("exponent -1 has no rational antiderivative")
         if e < 0 and self.lo <= 0 <= self.hi:
             raise NonIntegrableError(f"pole at 0 inside the box {self}")
-        return _quotient(self.hi ** (e + 1) - self.lo ** (e + 1), e + 1)
+        # (hi^k - lo^k) / (e + 1) in ints, hi = a/b and lo = c/d; a negative
+        # k is the same formula on the inverted ends 1/hi and 1/lo
+        (a, b), (c, d), k = (self.hi.as_integer_ratio(),
+                             self.lo.as_integer_ratio(), e + 1)
+        if k < 0:
+            (a, b), (c, d), k = (b, a), (d, c), -k
+        return _quotient((a * d) ** k - (c * b) ** k, (b * d) ** k * (e + 1))
 
     def samples(self) -> list[Fraction]:
         return [self.lo, (self.lo + self.hi) / 2, self.hi]

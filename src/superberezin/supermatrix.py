@@ -58,14 +58,15 @@ from .grassmann import EVEN, Parity, fused_sum
 
 def _pivot(rows, k):
     """First row at or below ``k`` whose column-``k`` entry is even and
-    invertible, with that entry's inverse; ``(None, None)`` if none is."""
+    invertible, with that entry's inverse; ``(None, None)`` if none is.
+    ``inv_even`` refuses an entry with an odd term by ``ParityError``."""
     for r in range(k, len(rows)):
         entry = rows[r][k]
-        if entry.is_zero() or entry.parity() is not EVEN:
+        if entry.is_zero():
             continue
         try:
             return r, entry.inv_even()
-        except NonInvertibleError:
+        except (NonInvertibleError, ParityError):
             continue
     return None, None
 
@@ -84,16 +85,18 @@ def _lu(rows, n):
     the pivot row right of the diagonal folded and stored times -pivot^-1:
     the negated unit-U row, so every fold is a sum of products.  The block
     right of and below the first ``n`` rows and columns is folded last and
-    holds their Schur complement.  Returns the sign of the row permutation
-    and the negated pivot inverses; fewer than ``n`` of them means that
-    column ``len(minus_inverses)`` has no invertible entry.
+    holds their Schur complement.  Column 0 and the block of ``n`` = 0
+    have no products to add, so they make no fold.  Returns the sign of the
+    row permutation and the negated pivot inverses; fewer than ``n`` of them
+    means that column ``len(minus_inverses)`` has no invertible entry.
     """
     sign = 1
     minus_inverses = []
     width = len(rows[0])
     for k in range(n):
-        for r in range(k, len(rows)):
-            _fold(rows, r, k, k)
+        if k:
+            for r in range(k, len(rows)):
+                _fold(rows, r, k, k)
         r, inv = _pivot(rows, k)
         if r is None:
             return sign, minus_inverses
@@ -102,13 +105,15 @@ def _lu(rows, n):
             sign = -sign
         top, minus_inv = rows[k], -inv
         for j in range(k + 1, width):
-            _fold(rows, k, j, k)
+            if k:
+                _fold(rows, k, j, k)
             if not top[j].is_zero():
                 top[j] = minus_inv * top[j]
         minus_inverses.append(minus_inv)
-    for r in range(n, len(rows)):
-        for j in range(n, width):
-            _fold(rows, r, j, n)
+    if n:
+        for r in range(n, len(rows)):
+            for j in range(n, width):
+                _fold(rows, r, j, n)
     return sign, minus_inverses
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from superberezin import linalg
 from superberezin.grassmann import _canonical
 from superberezin.linalg import (_echelon, _sparse_rows, det, inverse,
                                  nullspace, rank)
@@ -328,3 +329,92 @@ def test_ragged_dense_input_rejected():
         rank([[1, 2], [3]])
     with pytest.raises(DimensionError):
         nullspace([[1], [2, 3]])
+
+
+# -- repeated one-entry rows and lone pivots ----------------------------------
+
+
+@st.composite
+def one_entry_systems(draw):
+    """Sparse rows with ``ncols``, most of them one entry over a few
+    columns, so columns repeat: ints, Fractions and bools, explicit zeros
+    and empty rows, and some longer rows among them."""
+    ncols = draw(st.integers(1, 5))
+    column = st.integers(0, ncols - 1)
+    value = st.one_of(entry, st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["one", "one", "one", "zero", "empty",
+                                     "long"]))
+        if kind == "one":
+            rows.append({draw(column): draw(value)})
+        elif kind == "zero":
+            rows.append({draw(column): draw(st.sampled_from(
+                [0, Fraction(0), False]))})
+        elif kind == "empty":
+            rows.append({})
+        else:
+            rows.append(draw(st.dictionaries(column, value,
+                                             min_size=min(2, ncols))))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_entry_systems())
+def test_repeated_one_entry_rows_match_dense_oracle(system):
+    # a later one-entry row in a column an earlier one holds is dropped, and
+    # a lone pivot only clears its column: neither changes rank or kernel
+    rows, ncols = system
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert rank(rows, ncols=ncols) == rank(dense) == oracle_rank(dense)
+    kernel = nullspace(rows, ncols=ncols)
+    assert kernel == nullspace(dense) == oracle_nullspace(dense)
+    for vec in kernel:
+        assert_stored(vec)
+
+
+def test_a_lone_pivot_clears_its_column_without_a_subtraction(monkeypatch):
+    # column 0's pivot is the lone row {0: 2}; rows 1 and 2 hold column 0
+    # beside other entries and just lose it, so the forward pass subtracts
+    # once, for column 1's pivot
+    rows = [{0: 2}, {0: 1, 1: 3, 3: 1}, {0: -1, 1: 1, 2: 2}]
+    calls = []
+    subtract = linalg._subtract
+
+    def counted(*args):
+        calls.append(args[3])
+        return subtract(*args)
+
+    monkeypatch.setattr(linalg, "_subtract", counted)
+    assert rank([dict(row) for row in rows], ncols=4) == 3
+    assert calls == [1]
+    kernel = nullspace([dict(row) for row in rows], ncols=4)
+    assert kernel == [[0, Fraction(-1, 3), Fraction(1, 6), 1]]
+    dense = [[row.get(c, 0) for c in range(4)] for row in rows]
+    assert kernel == oracle_nullspace(dense)
+
+
+def test_a_repeated_one_entry_row_is_still_checked():
+    # the dropped copy passes the same checks as the kept row first: its
+    # column's range, a float refused, and a zero entry dropped after both
+    with pytest.raises(DimensionError):
+        rank([{0: 1}, {0: 2}, {0: 3, 3: 0}], ncols=3)
+    with pytest.raises(DimensionError):
+        nullspace([{1: 1}, {1: 1}, {-1: 1}], ncols=3)
+    for call in (rank, nullspace):
+        with pytest.raises(TypeError):
+            call([{0: 1}, {0: 0.5}], ncols=2)
+        with pytest.raises(TypeError):
+            call([[1, 0], [2.0, 0]])
+    assert nullspace([{0: 1}, {0: 3, 1: 0}, {1: False}], ncols=2) == [[0, 1]]
+
+
+def test_two_one_entry_rows_in_one_column_make_a_square_matrix_singular():
+    for m in ([[0, 3, 0], [1, 2, 3], [0, 5, 0]],
+              [[4, 0, 0, 0], [1, 1, 0, 2], [Fraction(1, 2), 0, 0, 0],
+               [0, 3, 1, 1]]):
+        assert rank(m) == len(m) - 1
+        d = det(m)
+        assert d == 0 and type(d) is int
+        with pytest.raises(NonInvertibleError):
+            inverse(m)
