@@ -35,7 +35,6 @@ onto a base, and the total integral ``integrate`` is p_! onto the point
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import add
 from typing import Sequence
@@ -47,7 +46,7 @@ from .errors import (
     NonInvertibleError,
     OrientationError,
 )
-from .grassmann import Scalar, _indices, _layout, _reduced
+from .grassmann import Scalar, _Immutable, _indices, _layout, _reduced
 from .linalg import det as rational_det
 from .superdomain import (
     Axis,
@@ -80,18 +79,23 @@ __all__ = [
 # backends
 
 
-@dataclass(frozen=True)
-class IntegrationBackend:
+class IntegrationBackend(_Immutable):
     """One moment per even axis: Lebesgue measure on each axis's own
     interval, or on the interval the explicit ``box`` puts there, each
     given as an Interval or a (lo, hi) pair."""
 
-    box: tuple[Interval, ...] | None = None
+    __slots__ = ("box",)
 
-    def __post_init__(self):
-        if self.box is not None:
-            object.__setattr__(self, "box", tuple(
-                b if isinstance(b, Interval) else Interval(*b) for b in self.box))
+    def __init__(self, box: tuple[Interval, ...] | None = None):
+        if box is not None:
+            box = tuple(b if isinstance(b, Interval) else Interval(*b)
+                        for b in box)
+        object.__setattr__(self, "box", box)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.box == other.box
 
     def _moment(self, k: int, axis: Axis):
         """(moment, power of s) on axis k, or its DomainBoxError."""
@@ -144,6 +148,8 @@ class IntegrationBackend:
 class _Gaussian(IntegrationBackend):
     """exp(-x^2/2) on every axis, each a whole line."""
 
+    __slots__ = ()
+
     def _moment(self, k: int, axis: Axis):
         if axis._gaussian is None:
             raise DomainBoxError(
@@ -177,20 +183,21 @@ def box_backend(*bounds) -> IntegrationBackend:
 # sections
 
 
-@dataclass(frozen=True)
-class BerezinSection:
+class BerezinSection(_Immutable):
     """A Berezinian density D(x, xi) * rho in the chart's own coordinates.
 
     The coordinate order of the D-symbol is the shape's: evens, then odds.
     """
 
-    shape: SuperDomainShape
-    density: SuperFunction
-    caveats: tuple[str, ...] = ()
+    __slots__ = ("shape", "density", "caveats")
 
-    def __post_init__(self):
-        if self.density.shape != self.shape:
+    def __init__(self, shape: SuperDomainShape, density: SuperFunction,
+                 caveats: tuple[str, ...] = ()):
+        if density.shape != shape:
             raise DimensionError("density lives on the wrong shape")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "caveats", caveats)
 
     @classmethod
     def make(cls, shape: SuperDomainShape, density) -> "BerezinSection":

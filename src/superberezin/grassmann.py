@@ -229,7 +229,21 @@ def _lane_error() -> SuperBerezinError:
         "an exponent leaves the stored range [-2^30, 2^30)")
 
 
-class _Exact:
+class _Immutable:
+    """Base of the package's immutable values: a subclass names its fields
+    in ``__slots__`` and sets each once, where it is built, through
+    ``object.__setattr__``; assigning or deleting one raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Exact(_Immutable):
     """An exact value stored as int numerators over one denominator.
 
     ``nums`` maps each key to a nonzero int and ``den`` is an int >= 1, the
@@ -282,9 +296,6 @@ class _Exact:
                 checked.extend((key + k * layout.s, c)
                                for k, c in Scalar.coerce(coeff).terms.items())
         return _stored(cls, count, *_over_one_denominator(_add_terms({}, checked)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def terms(self) -> Mapping:

@@ -19,11 +19,10 @@ from the charts by the checks themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .berezin import GAUSSIAN, IntegrationBackend, box_backend
-from .grassmann import Scalar
+from .grassmann import Scalar, _Immutable
 from .superdomain import (
     POSITIVE,
     REALLINE,
@@ -158,15 +157,23 @@ def line_odd_subgroup() -> SubgroupSpec:
 # worked quotient examples
 
 
-@dataclass(frozen=True)
-class FubiniExample:
-    name: str
-    group: SuperGroupChart
-    subgroup: SubgroupSpec
-    section: SuperMorphism  # base -> group, a section of G -> G/H
-    test_function: SuperFunction
-    staging_sign: int  # frozen sign of the staged integral
-    backend: IntegrationBackend
+class FubiniExample(_Immutable):
+    __slots__ = ("name", "group", "subgroup", "section", "test_function",
+                 "staging_sign", "backend")
+
+    def __init__(self, name: str, group: SuperGroupChart,
+                 subgroup: SubgroupSpec, section: SuperMorphism,
+                 test_function: SuperFunction, staging_sign: int,
+                 backend: IntegrationBackend):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "subgroup", subgroup)
+        # base -> group, a section of G -> G/H
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "test_function", test_function)
+        # frozen sign of the staged integral
+        object.__setattr__(self, "staging_sign", staging_sign)
+        object.__setattr__(self, "backend", backend)
 
 
 def line_fubini_example() -> FubiniExample:
@@ -227,19 +234,25 @@ def fubini_builtins() -> tuple[FubiniExample, ...]:
 # product-of-subgroups examples
 
 
-@dataclass(frozen=True)
-class ProductExample:
-    name: str
-    group: SuperGroupChart
-    left: SubgroupSpec
-    right: SubgroupSpec
-    test_function: SuperFunction
-    # frozen conjugation data: the modular ratio on the right factor, the
-    # chart's name for it, and the constant
-    modular_ratio: SuperFunction
-    ratio_label: str
-    modular_constant: Scalar
-    backend: IntegrationBackend
+class ProductExample(_Immutable):
+    __slots__ = ("name", "group", "left", "right", "test_function",
+                 "modular_ratio", "ratio_label", "modular_constant", "backend")
+
+    def __init__(self, name: str, group: SuperGroupChart, left: SubgroupSpec,
+                 right: SubgroupSpec, test_function: SuperFunction,
+                 modular_ratio: SuperFunction, ratio_label: str,
+                 modular_constant: Scalar, backend: IntegrationBackend):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "test_function", test_function)
+        # frozen conjugation data: the modular ratio on the right factor,
+        # the chart's name for it, and the constant
+        object.__setattr__(self, "modular_ratio", modular_ratio)
+        object.__setattr__(self, "ratio_label", ratio_label)
+        object.__setattr__(self, "modular_constant", modular_constant)
+        object.__setattr__(self, "backend", backend)
 
 
 def axb_product_example(order: str = "odd-even") -> ProductExample:

@@ -18,13 +18,12 @@ order; the verdict records this connectedness proviso.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionError, ParityError, StructureError
-from .grassmann import EVEN, ODD, Parity, _rational, koszul_sign
+from .grassmann import EVEN, ODD, Parity, _Immutable, _rational, koszul_sign
 
 __all__ = [
     "LieSuperAlgebra",
@@ -50,7 +49,7 @@ def _as_vector(value, dim: int) -> Vector:
     return vec
 
 
-class LieSuperAlgebra:
+class LieSuperAlgebra(_Immutable):
     """Graded basis with structure constants; evens listed first.
 
     structure_constants maps (i, j) to the coefficient vector of
@@ -102,9 +101,6 @@ class LieSuperAlgebra:
                            sum(1 for par in parities if par is EVEN))
         object.__setattr__(self, "_nonzero", nonzero)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieSuperAlgebra is immutable")
-
     @property
     def dim(self) -> int:
         return len(self.names)
@@ -150,10 +146,17 @@ def gl11_algebra() -> LieSuperAlgebra:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple[str, ...] = ()
+class ValidationReport(_Immutable):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[str, ...] = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failures", failures)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ok == other.ok and self.failures == other.failures
 
     def __str__(self) -> str:
         if self.ok:
@@ -216,37 +219,42 @@ def validate(g: LieSuperAlgebra) -> ValidationReport:
 # subalgebras and unimodularity
 
 
-@dataclass(frozen=True)
-class SubalgebraSpec:
+class SubalgebraSpec(_Immutable):
     """A subalgebra spanned by a subset of the parent's basis."""
 
-    parent: LieSuperAlgebra
-    span: frozenset[int]
+    __slots__ = ("parent", "span")
 
-    def __post_init__(self):
-        for idx in self.span:
-            if not 0 <= idx < self.parent.dim:
+    def __init__(self, parent: LieSuperAlgebra, span: frozenset[int]):
+        for idx in span:
+            if not 0 <= idx < parent.dim:
                 raise DimensionError(f"span index {idx} out of range")
-        nonzero = self.parent._nonzero
-        for i in self.span:
-            for j in self.span:
+        nonzero = parent._nonzero
+        for i in span:
+            for j in span:
                 for k, _ in nonzero.get((i, j), ()):
-                    if k not in self.span:
+                    if k not in span:
                         raise StructureError(
-                            f"[{self.parent.names[i]}, {self.parent.names[j]}]"
-                            f" leaves the span at {self.parent.names[k]}")
+                            f"[{parent.names[i]}, {parent.names[j]}]"
+                            f" leaves the span at {parent.names[k]}")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "span", span)
 
     @property
     def complement(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.parent.dim) if k not in self.span)
 
 
-@dataclass(frozen=True)
-class UnimodularityResult:
-    verdict: str  # "UNIMODULAR" | "NOT_UNIMODULAR"
-    witness_name: str | None
-    witness_supertrace: Fraction | None
-    note: str = CONNECTED_NOTE
+class UnimodularityResult(_Immutable):
+    __slots__ = ("verdict", "witness_name", "witness_supertrace", "note")
+
+    def __init__(self, verdict: str, witness_name: str | None,
+                 witness_supertrace: Fraction | None,
+                 note: str = CONNECTED_NOTE):
+        # "UNIMODULAR" | "NOT_UNIMODULAR"
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness_name", witness_name)
+        object.__setattr__(self, "witness_supertrace", witness_supertrace)
+        object.__setattr__(self, "note", note)
 
     def __str__(self) -> str:
         if self.verdict == "UNIMODULAR":

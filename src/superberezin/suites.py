@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as grid
 
@@ -45,12 +44,14 @@ from .superdomain import (
 )
 
 
-@dataclass
 class CheckLine:
-    name: str
-    passed: bool
-    lhs: str
-    rhs: str
+    __slots__ = ("name", "passed", "lhs", "rhs")
+
+    def __init__(self, name: str, passed: bool, lhs: str, rhs: str):
+        self.name = name
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
 
     @classmethod
     def equal(cls, name: str, lhs, rhs) -> CheckLine:
@@ -624,6 +625,8 @@ SUITES = {
     "product-formula": product_formula_suite,
     "invariant-density": invariant_density_suite,
 }
+# the suites called with no argument; every other one takes ``seed``
+UNSEEDED = frozenset({"berezinian-line", "invariant-density"})
 
 
 # -- worked examples behind ``examples run`` ---------------------------------

@@ -23,7 +23,6 @@ function; ``terms`` keeps the tuple keys ``(e_1, ..., e_m, k)`` and
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -35,6 +34,7 @@ from .grassmann import EVEN, ODD, Scalar, fused_sum
 from .grassmann import (
     _Exact,
     _Graded,
+    _Immutable,
     _Layout,
     _checked_mask,
     _constant,
@@ -53,11 +53,13 @@ from .supermatrix import SuperMatrix, _trusted
 # -- boxes ----------------------------------------------------------------
 
 
-class Axis:
+class Axis(_Immutable):
     """An even axis; its kind owns ``_inside(n, d)``, the test of n/d in
     ints (d > 0; None: nothing to test), ``samples``, its Lebesgue and
     Gaussian moments of x^e in stored form (None where absent) and
     ``_text``, its spelling in a file."""
+
+    __slots__ = ()
 
     _inside = _lebesgue = _gaussian = None
 
@@ -69,16 +71,28 @@ class Axis:
         return self._text
 
 
-@dataclass(frozen=True)
 class Interval(Axis):
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(_rational(self.lo)))
-        object.__setattr__(self, "hi", Fraction(_rational(self.hi)))
-        if self.lo >= self.hi:
-            raise DomainBoxError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = Fraction(_rational(lo)), Fraction(_rational(hi))
+        if lo >= hi:
+            raise DomainBoxError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     def _inside(self, n: int, d: int) -> bool:
         lo, hi = self.lo, self.hi
@@ -165,25 +179,37 @@ def box_contains(box: Sequence[Axis], point: Sequence[Fraction]) -> bool:
 # -- shapes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuperDomainShape:
-    m: int
-    box: tuple
-    n: int
+class SuperDomainShape(_Immutable):
+    __slots__ = ("m", "box", "n", "_key_layout")
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, box: tuple, n: int):
+        if m < 0 or n < 0:
             raise DimensionError("dimensions must be nonnegative")
-        box = tuple(self.box)
-        if len(box) != self.m:
+        box = tuple(box)
+        if len(box) != m:
             raise DimensionError("box must give one axis per even coordinate")
         for axis in box:
             if not isinstance(axis, Axis):
                 raise DomainBoxError(f"bad axis {axis!r}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "box", box)
+        object.__setattr__(self, "n", n)
         # the key layout of the superfunctions on this shape, read by every
-        # product: an attribute, not a field, so == and repr ignore it
-        object.__setattr__(self, "_key_layout", _layout(self.n, self.m))
+        # product; == and hash ignore it, as it follows from m and n
+        object.__setattr__(self, "_key_layout", _layout(n, m))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.m == other.m and self.n == other.n and self.box == other.box
+
+    def __hash__(self):
+        return hash((self.m, self.box, self.n))
+
+    def __repr__(self) -> str:
+        return f"SuperDomainShape(m={self.m}, box={self.box!r}, n={self.n})"
 
     def __str__(self) -> str:
         return f"({self.m}|{self.n})"
@@ -550,7 +576,7 @@ def _sectors(f: SuperFunction) -> list[tuple[tuple[int, ...], Polynomial]]:
 # -- morphisms --------------------------------------------------------------
 
 
-class SuperMorphism:
+class SuperMorphism(_Immutable):
     """Map between superdomains, given by its coordinate pullbacks.
 
     even_components[k] is the superfunction on the source that the k-th
@@ -575,9 +601,6 @@ class SuperMorphism:
                 if comp.nums and comp.parity() is not (ODD if odd else EVEN):
                     raise ParityError(f"{kind} component must be {kind}")
         _fill(self, source, target, even_components, odd_components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMorphism is immutable")
 
     @staticmethod
     def identity(shape: SuperDomainShape) -> "SuperMorphism":

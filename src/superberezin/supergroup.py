@@ -41,7 +41,6 @@ Nothing is cached across calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Sequence
@@ -61,8 +60,8 @@ from .errors import (
     NormalizationError,
     StructureError,
 )
-from .grassmann import (EVEN, ODD, Scalar, _mask, _quotient, _rational,
-                        koszul_sign)
+from .grassmann import (EVEN, ODD, Scalar, _Immutable, _mask, _quotient,
+                        _rational, koszul_sign)
 from .lie_super import LieSuperAlgebra, ValidationReport, validate
 from .linalg import nullspace
 from .superdomain import (
@@ -85,24 +84,27 @@ from .supermatrix import _trusted
 _EMPTY = SuperDomainShape(0, (), 0)
 
 
-@dataclass(frozen=True)
-class SuperGroupChart:
-    name: str
-    shape: SuperDomainShape
-    mul: SuperMorphism   # shape_product(shape, shape) -> shape
-    unit: tuple[Fraction, ...]
-    inv: SuperMorphism   # shape -> shape
+class SuperGroupChart(_Immutable):
+    """A chart of a supergroup: ``mul`` is a morphism
+    shape_product(shape, shape) -> shape and ``inv`` one shape -> shape."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "unit",
-                           tuple(Fraction(_rational(x)) for x in self.unit))
-        if len(self.unit) != self.shape.m:
+    __slots__ = ("name", "shape", "mul", "unit", "inv")
+
+    def __init__(self, name: str, shape: SuperDomainShape,
+                 mul: SuperMorphism, unit: tuple[Fraction, ...],
+                 inv: SuperMorphism):
+        unit = tuple(Fraction(_rational(x)) for x in unit)
+        if len(unit) != shape.m:
             raise DimensionError("unit point has wrong length")
-        if self.mul.source != shape_product(self.shape, self.shape) \
-                or self.mul.target != self.shape:
+        if mul.source != shape_product(shape, shape) or mul.target != shape:
             raise DimensionError("multiplication has the wrong shape")
-        if self.inv.source != self.shape or self.inv.target != self.shape:
+        if inv.source != shape or inv.target != shape:
             raise DimensionError("inversion has the wrong shape")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "inv", inv)
 
     def unit_morphism(self) -> SuperMorphism:
         return SuperMorphism.constant_point(self.shape, self.shape, self.unit)
@@ -131,19 +133,21 @@ def validate_group(G: SuperGroupChart) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """A subgroup presented by its own chart plus an embedding morphism."""
+class SubgroupSpec(_Immutable):
+    """A subgroup presented by its own chart plus an embedding morphism,
+    subgroup.shape -> parent.shape."""
 
-    parent: SuperGroupChart
-    subgroup: SuperGroupChart
-    embedding: SuperMorphism   # subgroup.shape -> parent.shape
-    name: str = ""
+    __slots__ = ("parent", "subgroup", "embedding", "name")
 
-    def __post_init__(self):
-        if self.embedding.source != self.subgroup.shape \
-                or self.embedding.target != self.parent.shape:
+    def __init__(self, parent: SuperGroupChart, subgroup: SuperGroupChart,
+                 embedding: SuperMorphism, name: str = ""):
+        if embedding.source != subgroup.shape \
+                or embedding.target != parent.shape:
             raise DimensionError("embedding has the wrong shape")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "embedding", embedding)
+        object.__setattr__(self, "name", name)
 
 
 def check_subgroup(spec: SubgroupSpec) -> ValidationReport:
@@ -278,12 +282,15 @@ def haar_density(G: SuperGroupChart, side: str = "left") -> BerezinSection:
     return BerezinSection(s, jac.berezinian().inv_even())
 
 
-@dataclass(frozen=True)
-class InvariantDensityResult:
-    side: str
-    dimension: int
-    sections: tuple[BerezinSection, ...]
-    max_degree: int
+class InvariantDensityResult(_Immutable):
+    __slots__ = ("side", "dimension", "sections", "max_degree")
+
+    def __init__(self, side: str, dimension: int,
+                 sections: tuple[BerezinSection, ...], max_degree: int):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "max_degree", max_degree)
 
     @property
     def density(self) -> SuperFunction:
@@ -448,13 +455,16 @@ def modular_berezinian(G: SuperGroupChart, H: SubgroupSpec
 # quotient integration
 
 
-@dataclass(frozen=True)
-class FubiniReport:
-    sign: int
-    lhs: Scalar
-    rhs: Scalar
-    fibre_function: SuperFunction
-    caveats: tuple[str, ...] = ()
+class FubiniReport(_Immutable):
+    __slots__ = ("sign", "lhs", "rhs", "fibre_function", "caveats")
+
+    def __init__(self, sign: int, lhs: Scalar, rhs: Scalar,
+                 fibre_function: SuperFunction, caveats: tuple[str, ...] = ()):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "fibre_function", fibre_function)
+        object.__setattr__(self, "caveats", caveats)
 
     @property
     def passed(self) -> bool:
@@ -530,13 +540,17 @@ def _fubini_stage(G: SuperGroupChart, H: SubgroupSpec,
 # product of two subgroups
 
 
-@dataclass(frozen=True)
-class ProductFormulaReport:
-    constant: Scalar
-    ratio: SuperFunction      # on the second subgroup's chart
-    lhs: Scalar
-    rhs: Scalar
-    caveats: tuple[str, ...] = ()
+class ProductFormulaReport(_Immutable):
+    __slots__ = ("constant", "ratio", "lhs", "rhs", "caveats")
+
+    def __init__(self, constant: Scalar, ratio: SuperFunction, lhs: Scalar,
+                 rhs: Scalar, caveats: tuple[str, ...] = ()):
+        object.__setattr__(self, "constant", constant)
+        # on the second subgroup's chart
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "caveats", caveats)
 
     @property
     def passed(self) -> bool:

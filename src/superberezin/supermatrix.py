@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionError, NonInvertibleError, ParityError
-from .grassmann import EVEN, Parity, fused_sum
+from .grassmann import EVEN, Parity, _Immutable, fused_sum
 
 
 def _pivot(rows, k):
@@ -174,7 +174,7 @@ def _adjugate_solve(D, C, zero, one):
                         for col in zip(*C)] for row in adj]
 
 
-class SuperMatrix:
+class SuperMatrix(_Immutable):
     """A (p+q) x (p+q) matrix split into even/odd blocks.
 
     A homogeneous supermatrix of parity ``par`` has entry (i, j) of parity
@@ -199,9 +199,6 @@ class SuperMatrix:
                 if not e.is_zero() and e.parity() is not want:
                     raise ParityError(f"entry ({i}, {j}) must be {want}, got {e!s}")
         _fill(self, p, q, rows, parity, zero, one)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMatrix is immutable")
 
     # -- constructors -------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Command-line surface: frozen outputs, exit codes, round-trips."""
 
-import dataclasses
+import inspect
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +19,7 @@ from superberezin.superdomain import (
     SuperFunction,
     SuperMorphism,
 )
-from superberezin.suites import CheckLine
+from superberezin.suites import SUITES, UNSEEDED, CheckLine
 from superberezin.textio import (
     parse_grassmann,
     parse_scalar,
@@ -408,11 +408,17 @@ def test_examples_report_line_format(capsys):
 
 
 def test_examples_compare_with_frozen_answers(monkeypatch, capsys):
-    fubini = groups.axb_fubini_example()
-    monkeypatch.setattr(groups, "axb_fubini_example",
-                        lambda: dataclasses.replace(fubini, staging_sign=1))
+    ex = groups.axb_fubini_example()
+    fubini = groups.FubiniExample(
+        ex.name, ex.group, ex.subgroup, ex.section, ex.test_function,
+        staging_sign=1, backend=ex.backend)
+    monkeypatch.setattr(groups, "axb_fubini_example", lambda: fubini)
     odd_even, even_odd = groups.product_builtins()
-    wrong = dataclasses.replace(even_odd, modular_ratio=odd_even.modular_ratio)
+    wrong = groups.ProductExample(
+        even_odd.name, even_odd.group, even_odd.left, even_odd.right,
+        even_odd.test_function, modular_ratio=odd_even.modular_ratio,
+        ratio_label=even_odd.ratio_label,
+        modular_constant=even_odd.modular_constant, backend=even_odd.backend)
     monkeypatch.setattr(groups, "product_builtins", lambda: (odd_even, wrong))
     assert cli.main(["examples", "run", "fubini-ax+b"]) == 1
     assert "FAIL axb-odd staging sign lhs=-1 rhs=1" in capsys.readouterr().out
@@ -439,6 +445,12 @@ def test_verify_summary_line(capsys):
     # berezinian-line takes no seed, so the summary must not name one
     assert lines[-1] == "5/5 checks passed (unseeded)"
     assert all(line.startswith("PASS ") for line in lines[:-1])
+
+
+def test_unseeded_suites_are_the_ones_without_a_seed_parameter():
+    # cli reads whether a suite takes --seed from this declaration
+    assert UNSEEDED == {name for name, suite in SUITES.items()
+                        if "seed" not in inspect.signature(suite).parameters}
 
 
 def test_verify_seeded_summary_names_the_seed(capsys):
@@ -532,8 +544,10 @@ def test_verify_quotient_without_invariant_density_fails(monkeypatch,
     section = SuperMorphism(base, ex.group.shape,
                             [SuperFunction.constant(base, 1)],
                             [SuperFunction.odd_gen(base, 0)])
-    scaling = dataclasses.replace(ex, subgroup=groups.axb_even_subgroup(),
-                                  section=section)
+    scaling = groups.FubiniExample(
+        ex.name, ex.group, subgroup=groups.axb_even_subgroup(),
+        section=section, test_function=ex.test_function,
+        staging_sign=ex.staging_sign, backend=ex.backend)
     monkeypatch.setattr(groups, "fubini_builtins", lambda: (scaling,))
     assert cli.main(["verify", "fubini-quotients"]) == 1
     assert capsys.readouterr() == (
