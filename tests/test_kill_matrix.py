@@ -1,112 +1,118 @@
 """A fault-injection kill matrix: no check may pass by construction.
 
-Each named fault is patched into the program with ``monkeypatch`` at
-every place that binds the patched object.  Then the seeded ``verify``
-suites and the worked examples run in process through ``cli.main``, and
-the set of check lines that FAIL is pinned per fault and run.  A run that
-ends in an ``error:`` line instead (a library error ends the whole suite)
-is pinned as ``"error"``.  The pinned sets may only grow: a fault that
-stops failing a line is a check that lost its teeth.
+A fault is one row of ``FAULTS``.  Most rows are an edit of the real
+function, as a mutation operator makes one: ``edit`` names the function
+and the exact source fragments it replaces, and ``edited`` rebuilds the
+function from its own source with them replaced.  The rest bind a small
+wrapper of a real function.  Each fault is bound with ``monkeypatch`` at
+every place that binds the original.  Then the seeded ``verify`` suites
+and the worked examples run in process through ``cli.main``, and the set
+of check lines that FAIL is pinned per fault and run.  A run that ends in
+an ``error:`` line instead (a library error ends the whole suite) is
+pinned as ``"error"``.  The pinned sets may only grow: a fault that stops
+failing a line is a check that lost its teeth.
 
-So far the matrix holds eight columns.  The Lie superalgebra column: the
-odd sign of the quotient supertrace, the Koszul sign of the mirror fill of
-structure constants, and one term of the graded Jacobi identity.  The
-fibre-integration column: each of the three signs of
-``berezin.fibre_integrate_section``, (-1)^{np + pq + q|L|}, dropped in turn
-from a copy of it.  ``verify fubini-signs`` catches all three, and
-``verify module-rule`` the Koszul sign (-1)^{q|L|}: its two sides push
-forward (h f) ox omega and f ox omega, so the basis and convention signs,
-which do not depend on L, cancel between them.  Every built-in quotient
-of ``fubini-quotients`` and of the two Fubini examples has n*p, p*q and
-q*n even, so the column there waits on a quotient with an odd base and an
-odd fibre (ROADMAP items 16 and 17).  The box column, both faults in
-``Interval``, which owns its moment and containment test: the box moment
-of x^e divided by e + 2 instead of e + 1, its -1 and pole errors kept.
-Only ``verify change-of-variables`` catches it, since only the true
-integral is invariant under a change of variables.  ``fubini-quotients``,
-``product-formula`` and the two ax+b examples integrate both sides of
-each identity over the same box axes, so the wrong moments enter both
-sides alike and cancel.  And the containment test strict at the upper
-end, which only ``verify change-of-variables`` catches (an error): its
-corner samples map exactly onto the target's corners.  The pullback
-column: the puller's linear combination of the last variable's powers
-without its highest power, where it holds more than one.  ``verify
-change-of-variables`` catches it (38 of its 60 lines), and so do the
-Fubini and product cases whose integrands hold such a prefix; no built-in
-chart's Haar densities, modular Berezinians or group laws do.  The
-Berezinian column: the Haar density of the other side, the Haar density not
-inverted, the modular ratio Ber(Ad on h) / Ber(Ad on g) inverted, det(D)
-where the Berezinian takes det(D)^-1, on the LU factorisation and the
-adjugate solve alike, the sign of the LU update flipped, a row swap
-that keeps the permutation's sign, and the trace of the Faddeev-LeVerrier
-fallback not divided by k.  Only ``verify berezinian`` catches the update
-sign (169 of its 200 lines), as every Schur complement A - B D^-1 C is
-one LU update.  No run's matrices need a row swap, so that fault waits
-in ``WAITING`` on the Liouville Berezinian suite (ROADMAP item 33).  No
-run reaches the fallback, as no suite's matrix has a column without a
-pivot, so the trace fault waits on the chain-rule suite (item 12).  The
-arithmetic column: bit 0 of the ``_BYTE_SWAPS`` entry of mask 0b0110
-flipped, so xi2 xi3 times xi1 takes the wrong sign, and ``_reduced``
-without its gcd step, so equal values can be stored unalike.  Only ``verify berezinian`` catches the sign (74 of its 200
-lines), and ``verify berezinian`` and ``verify change-of-variables`` the
-gcd (127 and 31 lines).  A fault in the sign rule above bit 8 (a high
-byte not complemented) is caught by no run: no suite has more than 8 odd
-generators.  The seeded (16|16) pair over Lambda_16 catches it (Ber(XY)
-!= Ber X Ber Y), so the Lambda_16 Berezinian rung of ROADMAP item 15 will.
-The arithmetic column also stops ``_series_inverse`` one step short, which
-only ``verify berezinian`` catches (68 of its 200 lines), and keeps, in
-``_anticommuting``, the one product loop, a pair of monomials that share a
-generator, as if xi_i^2 = xi_i, under the key of their mask union.  Only
-``verify change-of-variables`` (22 of its 60 lines) and ``verify
-berezinian`` (an error: inv_even meets an odd term) catch it.  And
+The Lie superalgebra column: the odd sign of the quotient supertrace, the
+Koszul sign of the mirror fill of structure constants, and one term of
+the graded Jacobi identity.  The fibre-integration column: each of the
+three signs (-1)^{np + pq + q|L|} of p_! left out in turn.  The Koszul and
+basis signs are edited in ``berezin._pushforward``, which ``integrate``
+shares, but onto the point (0|0) both are 1.  The convention sign pq is
+undone after it in ``fibre_integrate_section`` only.  ``verify
+fubini-signs`` catches all three, and ``verify module-rule`` the Koszul
+sign: its two sides push forward (h f) ox omega and f ox omega, so the
+basis and convention signs, which do not depend on L, cancel.  Every
+quotient of ``fubini-quotients`` and of the two Fubini examples has n*p,
+p*q and q*n even, so these three wait there on a quotient with an odd
+base and an odd fibre (ROADMAP items 16 and 17).  The convention sign
+left out of the shared ``_pushforward`` changes ``integrate`` too, and by
+unlike signs on the two sides of a Fubini check: it fails the odd ax+b
+and odd line quotients, the first p_! sign fault that a group identity
+catches.  The basis sign of ``product_section`` fails the star-sign lines
+of ``fubini-signs`` and the odd-even ax+b constant.  The box column, in
+``Interval``, which owns its moments and containment test: the box moment
+of x^e divided by e + 2 instead of e + 1.  Only ``verify
+change-of-variables`` catches it, since only the true integral is
+invariant under a change of variables; every other run integrates both
+sides of its identity over the same box axes, so the wrong moments
+cancel.  And the containment test strict at the upper end, which only
+``verify change-of-variables`` catches (an error): its corner samples map
+exactly onto the target's corners.  The Gaussian moment taken as
+(e + 1)!! waits in ``WAITING``: no run integrates over a Gaussian axis
+(item 29).  The pullback column: the puller's linear combination of the
+last variable's powers without its highest power, where it holds more
+than one.  ``verify change-of-variables`` catches it (38 of its 60
+lines), and so do the Fubini and product cases whose integrands hold
+such a prefix; no built-in chart's Haar densities, modular Berezinians or
+group laws do.  The Berezinian column: the Haar density of the other
+side, the Haar density not inverted, the modular ratio Ber(Ad on h) /
+Ber(Ad on g) inverted, det(D) where the Berezinian takes det(D)^-1, on
+the LU factorisation and the adjugate solve alike, the sign of the LU
+update flipped, a row swap that keeps the permutation's sign, and the
+trace of the Faddeev-LeVerrier fallback not divided by k.  Only ``verify
+berezinian`` catches the update sign (169 of its 200 lines), as every
+Schur complement A - B D^-1 C is one LU update.  No run's matrices need a
+row swap, so that fault waits on the Liouville Berezinian suite (item
+33).  No run reaches the fallback, as no suite's matrix has a column
+without a pivot, so the trace fault waits on the chain-rule suite (item
+12).  The Koszul column: d's hop sign dropped in ``koszul._d_terms``,
+which only ``verify berezinian-line`` catches (an error).  The arithmetic
+column: bit 0 of the ``_BYTE_SWAPS`` entry of mask 0b0110 flipped, so
+xi2 xi3 times xi1 takes the wrong sign, and ``_reduced`` without its gcd
+step, so equal values can be stored unalike.  Only ``verify berezinian``
+catches the sign (74 of its 200 lines), and ``verify berezinian`` and
+``verify change-of-variables`` the gcd (127 and 31 lines).  A fault in
+the sign rule above bit 8 (a high byte not complemented) is caught by no
+run: no suite has more than 8 odd generators.  The seeded (16|16) pair
+over Lambda_16 catches it (Ber(XY) != Ber X Ber Y), so the Lambda_16
+Berezinian rung of ROADMAP item 15 will.  The arithmetic column also
+stops ``_series_inverse`` one step short, which only ``verify
+berezinian`` catches (68 of its 200 lines), and keeps, in
+``_anticommuting``, the one product loop, a pair of monomials that share
+a generator, as if xi_i^2 = xi_i, under the key of their mask union.
+``verify change-of-variables`` (22 of its 60 lines), ``verify
+berezinian`` and ``verify invariant-density`` (errors) catch it.  And
 ``fused_sum``, the fused sum of products of every LU fold and of every
-pullback, patched where ``supermatrix`` and ``superdomain`` import it,
-sums each product over the common denominator L without its scale
-L // (a.den b.den): ``verify berezinian`` catches it (44 of its 200
+pullback, sums each product over the common denominator L without its
+scale L // (a.den b.den): ``verify berezinian`` catches it (44 of its 200
 lines, all (2|1), as the drawn entries are integral and a (1|1)
 Berezinian folds one pair at a time), and ``verify change-of-variables``
-(14 of its 60 lines).  The structure-constant column: the Koszul sign of the swapped jet in
-``group_lie_algebra`` set to 1, in ``supergroup`` alone, which only
-``examples run unimod-gl11`` catches, as its extraction's validation
-raises; and the jet terms with an odd letter in each factor skipped, which
-no run catches.  It waits in ``WAITING`` on the quotient-unimodularity and
-super-divergence suites (ROADMAP items 2 and 26).  The Fubini stage's
-base sign (-1)^(base.n H.m), dropped from a copy of ``_fubini_stage``,
-waits in ``WAITING`` too, on items 2 and 16: every quotient of a run has
-base.n H.m even.  The linear-algebra column: ``linalg._rref`` returning
-the echelon form without its back-reduction.  44 of the 50
-``change_basis`` inverses of a seed-0 ``verify unimodularity`` come out
-wrong, yet no line of any run changes: the basis-change lines read only
-the verdict, and ``verify invariant-density`` prints only the kernel
-dimension.  It waits in ``WAITING`` on items 1 and 32.  Until a run
-catches a waiting fault, the tier-1 tests named with it fail under it.
+(14 of its 60 lines).  The structure-constant column: the Koszul sign of
+the swapped jet in ``group_lie_algebra`` set to 1, in ``supergroup``
+alone, which only ``examples run unimod-gl11`` catches, as its
+extraction's validation raises; and the jet terms with an odd letter in
+each factor skipped, which no run catches.  It waits on the
+quotient-unimodularity and super-divergence suites (items 2 and 26).  The
+Fubini stage's base sign (-1)^(base.n H.m) dropped waits too, on items 2
+and 16: every quotient of a run has base.n H.m even.  The linear-algebra
+column: ``linalg._rref`` returning the echelon form without its
+back-reduction.  44 of the 50 ``change_basis`` inverses of a seed-0
+``verify unimodularity`` come out wrong, yet no line of any run changes:
+the basis-change lines read only the verdict, and ``verify
+invariant-density`` prints only the kernel dimension.  It waits on items
+1 and 32.  Until a run catches a waiting fault, the tier-1 tests named
+with it in ``WAITING`` fail under it.
 """
 
+import __future__
 import importlib
+import inspect
 import io
+import re
 import sys
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
-from math import lcm
 
 import pytest
 
-from superberezin import (berezin, cli, lie_super, linalg, supergroup,
-                          supermatrix)
-from superberezin.berezin import (BerezinSection, _times_moments,
-                                  fibre_integrate_section,
-                                  function_times_section, integrate,
-                                  product_section, pullback_section)
-from superberezin.errors import (DimensionError, NonIntegrableError,
-                                 NormalizationError, SuperBerezinError)
-from superberezin.grassmann import (_BYTE_SWAPS, _add_into, _anticommuting,
-                                    _indices, _lane_error, _layout,
-                                    _odd_swaps, _quotient, _reduced,
-                                    _series_inverse, _stored, fused_sum,
-                                    koszul_sign)
-from superberezin.superdomain import (Interval, SuperFunction, SuperMorphism,
-                                      _linear_combination, _puller, pair,
-                                      pullback, shape_product)
+from superberezin import (berezin, cli, grassmann, koszul, lie_super, linalg,
+                          supergroup, supermatrix)
+from superberezin.berezin import (BerezinSection, _pushforward,
+                                  fibre_integrate_section, product_section)
+from superberezin.errors import SuperBerezinError
+from superberezin.grassmann import (_BYTE_SWAPS, _anticommuting, _reduced,
+                                    _series_inverse, fused_sum)
+from superberezin.superdomain import Interval, _puller, _WholeLine
 
 RUNS = {
     "verify unimodularity": ["verify", "unimodularity", "--seed", "0"],
@@ -117,6 +123,8 @@ RUNS = {
     "verify berezinian": ["verify", "berezinian", "--seed", "0"],
     "verify change-of-variables": ["verify", "change-of-variables",
                                    "--seed", "0"],
+    "verify berezinian-line": ["verify", "berezinian-line"],
+    "verify invariant-density": ["verify", "invariant-density"],
     "examples run unimod-gl11": ["examples", "run", "unimod-gl11"],
     "examples run unimod-borel": ["examples", "run", "unimod-borel"],
     "examples run fubini-ax+b": ["examples", "run", "fubini-ax+b"],
@@ -149,93 +157,52 @@ def patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-# -- the faults -------------------------------------------------------------
+def edited(func, *edits):
+    """``func`` rebuilt from its own source with each (fragment, text) of
+    ``edits`` made; a fragment must occur exactly once, and each new line
+    of a text takes the fragment's indentation.  The code keeps the file's
+    name and line numbers and runs in the module's live globals, whose own
+    binding of ``func`` is left as it is."""
+    lines, first = inspect.getsourcelines(func)
+    source = textwrap.dedent("".join(lines))
+    for fragment, text in edits:
+        if source.count(fragment) != 1:
+            raise ValueError(f"{func.__qualname__}: {fragment!r} occurs "
+                             f"{source.count(fragment)} times, not once")
+        line = source[:source.index(fragment)].rpartition("\n")[2]
+        indent = line[:len(line) - len(line.lstrip())]
+        source = source.replace(fragment, text.replace("\n", "\n" + indent))
+    code = compile("\n" * (first - 1) + source, func.__code__.co_filename,
+                   "exec", __future__.annotations.compiler_flag,
+                   dont_inherit=True)
+    scope = {}
+    exec(code, func.__globals__, scope)
+    return scope[func.__name__]
 
 
-def _trace_without_odd_sign(g, h, x):
-    # the fault: sum of c_{x,k}^k over k outside h, with no (-1)^{|k|}
-    return Fraction(sum(g.bracket_basis(x, k)[k] for k in h.complement))
+def edit(func, *edits):
+    """The fault that binds ``edited(func, *edits)`` in place of ``func``:
+    on its class for a method, else wherever the package binds it."""
+    def apply(monkeypatch):
+        new = edited(func, *edits)
+        owner, _, name = func.__qualname__.rpartition(".")
+        if owner:
+            monkeypatch.setattr(getattr(inspect.getmodule(func), owner),
+                                name, new)
+        else:
+            patch_everywhere(monkeypatch, func, new)
+    return apply
 
 
-def _jacobi_with_one_sign_flipped(g, i, j, k):
-    nonzero = g._nonzero
-    sign = koszul_sign(g.parities[i], g.parities[j])
-    outer = [((i, m), a) for m, a in nonzero.get((j, k), ())]
-    # the fault: [[e_i, e_j], e_k] added instead of subtracted
-    outer += [((m, k), a) for m, a in nonzero.get((i, j), ())]
-    outer += [((j, m), -sign * a) for m, a in nonzero.get((i, k), ())]
-    defect = {}
-    for pair, a in outer:
-        for t, c in nonzero.get(pair, ()):
-            defect[t] = defect.get(t, 0) + a * c
-    return not any(defect.values())
+def replaced(original, replacement):
+    """The fault that binds ``replacement`` wherever the package binds
+    ``original``."""
+    def apply(monkeypatch):
+        patch_everywhere(monkeypatch, original, replacement)
+    return apply
 
 
-def _mirror_fill_with_sign_flipped(original):
-    def init(self, names, parities, structure_constants):
-        constants = dict(structure_constants)
-        for (i, j), vec in list(constants.items()):
-            if (j, i) not in constants:
-                # the fault: [e_j, e_i] = +(-1)^{|i||j|} [e_i, e_j]
-                sign = koszul_sign(parities[i], parities[j])
-                constants[(j, i)] = tuple(sign * c for c in vec)
-        original(self, names, parities, constants)
-    return init
-
-
-def _fibre_integrate_dropping(dropped):
-    """berezin.fibre_integrate_section with one of its three signs dropped:
-    "koszul" (-1)^{q|L|}, "basis" (-1)^{np} or "convention" (-1)^{pq}."""
-    def fibre_integrate_section(omega, base, fibre, backend):
-        if omega.shape != shape_product(base, fibre):
-            raise DimensionError("section does not live on the stated product")
-        m, n, p, q = base.m, base.n, fibre.m, fibre.n
-        full, low = (1 << q) - 1, (1 << n) - 1
-        split = omega.density.shape._key_layout.split
-        groups = {}
-        for key, c in omega.density.nums.items():
-            mask, exps, k = split(key)
-            if mask >> n == full:
-                groups.setdefault((exps[:m], mask & low), []).append(
-                    (exps[m:], k, c))
-        den, nums = omega.density.den, {}
-        if groups:
-            tables_den, tables, shift = backend._moment_tables(
-                fibre.box, [exps for terms in groups.values() for exps, _, _ in terms])
-            den *= tables_den
-            # the fault: one of the three exponents left out
-            exponent = {"koszul": n * p + p * q, "basis": p * q,
-                        "convention": n * p}[dropped]
-            sign = -1 if exponent % 2 else 1
-            encode = _layout(n, m).key
-            for (exps, mask), terms in sorted(
-                    groups.items(), key=lambda item: (item[0][0], _indices(item[0][1]))):
-                odd = dropped != "koszul" and q * mask.bit_count() % 2
-                t = -sign if odd else sign
-                for fibre_exps, k, c in terms:
-                    c = _times_moments(t * c, fibre_exps, tables)
-                    if c:
-                        key = encode(mask, exps, k + shift)
-                        nums[key] = nums.get(key, 0) + c
-        return BerezinSection(base, _reduced(SuperFunction, base, den, nums),
-                              omega.caveats)
-    return fibre_integrate_section
-
-
-def _box_monomial_over_e_plus_2(iv, e):
-    if e == -1:
-        raise NonIntegrableError("exponent -1 has no rational antiderivative")
-    if e < 0 and iv.lo <= 0 <= iv.hi:
-        raise NonIntegrableError(f"pole at 0 inside the box {iv}")
-    # the fault: divided by e + 2 where the antiderivative divides by e + 1
-    return _quotient(iv.hi ** (e + 1) - iv.lo ** (e + 1), e + 2)
-
-
-def _interval_inside_strict_at_hi(iv, n, d):
-    lo, hi = iv.lo, iv.hi
-    # the fault: n/d < hi where the interval is closed at hi
-    return (lo.numerator * d <= n * lo.denominator
-            and n * hi.denominator < hi.numerator * d)
+# -- the faults that wrap a real function ------------------------------------
 
 
 def _byte_table_with_one_bit_flipped():
@@ -246,54 +213,9 @@ def _byte_table_with_one_bit_flipped():
     return tuple(table)
 
 
-def _anticommuting_with_idempotent_generators(acc, a, b, scale, layout):
-    low, bias, guard = layout.low, layout.bias, layout.guard
-    for ka, ca in a.items():
-        ma = ka & low
-        ca *= scale
-        swaps = _odd_swaps(ma)
-        ka -= bias
-        for kb, cb in b.items():
-            # the fault: masks that share a generator multiply as if
-            # xi_i^2 = xi_i, the pair kept under the key of the mask union
-            key = ka + kb - (ma & kb)
-            if key & guard:
-                raise _lane_error()
-            sign = -1 if (swaps & kb).bit_count() & 1 else 1
-            acc[key] = acc.get(key, 0) + sign * ca * cb
-    return acc
-
-
-def _reduced_without_gcd(cls, count, den, acc):
-    if 0 in acc.values():
-        acc = {key: c for key, c in acc.items() if c}
-    # the fault: numerators and den left over their common factor (an
-    # empty sum still has den 1)
-    return _stored(cls, count, den if acc else 1, acc)
-
-
 def _series_inverse_one_step_short(cls, count, den, head, c, soul, steps):
     # the fault: the series b^-1 sum_j (-b^-1 n)^j stops at j = steps - 1
     return _series_inverse(cls, count, den, head, c, soul, max(steps - 1, 0))
-
-
-def _fused_sum_without_pair_scales(base, pairs):
-    cls, count = type(base), base._count
-    live = [(a, b) for a, b in pairs if a.nums and b.nums]
-    common = 1
-    for a, b in live:
-        common = lcm(common, a.den * b.den)
-    acc = {}
-    layout = cls._layout(count)
-    for a, b in live:
-        # the fault: every product summed over the common denominator L
-        # unscaled, where it takes L // (a.den b.den)
-        _anticommuting(acc, a.nums, b.nums, 1, layout)
-    if not acc:
-        return base
-    if base.nums:
-        common, acc = _add_into(acc, common, base.nums, base.den)
-    return _reduced(cls, count, common, acc)
 
 
 _jet_terms = supergroup._jet_terms
@@ -327,100 +249,6 @@ def _modular_ratio_inverted(G, H):
     return ber_u, ber_h
 
 
-def _fubini_stage_without_base_sign(G, H, section, backend):
-    base, Hsh = section.source, H.subgroup.shape
-    omega_G, rho_H = _haar_density(G), _haar_density(H.subgroup)
-    tau = supergroup.trivialization(G, H, section)
-    pull_tau = supergroup._puller(tau)
-    pulled = pullback_section(tau, omega_G)
-    at_unit = pair(SuperMorphism.identity(base),
-                   SuperMorphism.constant_point(base, Hsh, H.subgroup.unit))
-    # the fault: b read off at the unit keeps the basis sign
-    # (-1)^(base.n * H.m) of product_section
-    b = pullback(at_unit, pulled.density)
-    factored = product_section(BerezinSection(base, b), rho_H)
-    if pulled.density != factored.density:
-        raise NormalizationError(
-            "the total density does not factor as base x subgroup density "
-            "through the trivialization",
-            discrepancy=pulled.density - factored.density)
-    fibre_density = product_section(BerezinSection.make(base, 1), rho_H)
-    on_base = backend._on(slice(base.m))
-    on_fibre = backend._on(slice(base.m, None))
-    sign = -1 if (Hsh.n * (base.m + base.n)) % 2 else 1
-
-    def check(f):
-        lhs = integrate(function_times_section(f, omega_G), backend)
-        f_H = fibre_integrate_section(
-            function_times_section(pull_tau(f), fibre_density), base,
-            Hsh, on_fibre)
-        staged = integrate(function_times_section(b, f_H), on_base)
-        return supergroup.FubiniReport(sign, lhs, sign * staged, f_H.density,
-                                       pulled.caveats)
-    return check
-
-
-def _puller_dropping_the_top_power(phi):
-    src, m, layout = phi.source, phi.target.m, phi.target._key_layout
-    one, zero = SuperFunction.one(src), SuperFunction.zero(src)
-    powers, prefixes = {}, {(0, ()): one}
-
-    def power(k, e):
-        step = 1 if e > 0 else -1
-        if (k, step) not in powers:
-            comp = phi.even_components[k]
-            powers[(k, step)] = comp if e > 0 else comp.inv_even()
-        low = e
-        while (k, low) not in powers:
-            low -= step
-        acc, base = powers[(k, low)], powers[(k, step)]
-        for p in range(low + step, e + step, step):
-            acc = acc * base
-            powers[(k, p)] = acc
-        return acc
-
-    def prefix(alpha, head):
-        image = prefixes.get((alpha, head))
-        if image is None:
-            if head:
-                image, e = prefix(alpha, head[:-1]), head[-1]
-                factor = power(len(head) - 1, e) if e else one
-            else:
-                top = alpha.bit_length() - 1
-                image = prefix(alpha ^ (1 << top), ())
-                factor = phi.odd_components[top]
-            if factor is not one:
-                image = factor if image is one else image * factor
-            prefixes[(alpha, head)] = image
-        return image
-
-    def pull(f):
-        if f.shape != phi.target:
-            raise DimensionError("function does not live on the morphism target")
-        groups = {}
-        for alpha, exps, k, c in layout.unpacked(f.nums):
-            groups.setdefault((alpha, exps[:-1]), []).append(
-                (exps[-1] if m else 0, k, c))
-        base, pairs = zero, []
-        for (alpha, head), terms in groups.items():
-            if prefix(alpha, ()).is_zero():
-                continue
-            image = prefix(alpha, head)
-            # the fault: the last variable's linear combination leaves out
-            # its highest power, where it holds more than one
-            top = max(e for e, _, _ in terms)
-            terms = [term for term in terms if term[0] != top] or terms
-            combination = _linear_combination(src, f.den, [
-                (k, c, power(m - 1, e) if e else one) for e, k, c in terms])
-            if image is one:
-                base = combination
-            else:
-                pairs.append((image, combination))
-        return fused_sum(base, pairs)
-
-    return pull
-
-
 _lu = supermatrix._lu
 _adjugate_solve = supermatrix._adjugate_solve
 
@@ -438,12 +266,6 @@ def _adjugate_solve_with_det_d(*args):
     return det_d_inv.inv_even(), W
 
 
-def _fold_with_sign_flipped(rows, r, j, k):
-    row = rows[r]
-    # the fault: -a b added, where the negated pivot rows make a b right
-    row[j] = fused_sum(row[j], [(-row[t], rows[t][j]) for t in range(k)])
-
-
 def _lu_keeping_the_sign(rows, n):
     # the fault: a row swap leaves the sign of the permutation as it was
     return 1, _lu(rows, n)[1]
@@ -455,55 +277,6 @@ def _rref_without_back_reduction(rows, ncols):
     return linalg._echelon(rows, ncols)[0]
 
 
-def odd_sign_dropped(monkeypatch):
-    patch_everywhere(monkeypatch, lie_super._quotient_supertrace,
-                     _trace_without_odd_sign)
-
-
-def mirror_sign_flipped(monkeypatch):
-    monkeypatch.setattr(
-        lie_super.LieSuperAlgebra, "__init__",
-        _mirror_fill_with_sign_flipped(lie_super.LieSuperAlgebra.__init__))
-
-
-def jacobi_term_flipped(monkeypatch):
-    patch_everywhere(monkeypatch, lie_super._jacobi_holds,
-                     _jacobi_with_one_sign_flipped)
-
-
-def fibre_sign_dropped(dropped):
-    def apply(monkeypatch):
-        patch_everywhere(monkeypatch, berezin.fibre_integrate_section,
-                         _fibre_integrate_dropping(dropped))
-    return apply
-
-
-def box_moment_off_by_one(monkeypatch):
-    monkeypatch.setattr(Interval, "_lebesgue", _box_monomial_over_e_plus_2)
-
-
-def interval_containment_strict_at_hi(monkeypatch):
-    monkeypatch.setattr(Interval, "_inside", _interval_inside_strict_at_hi)
-
-
-def byte_table_bit_flipped(monkeypatch):
-    patch_everywhere(monkeypatch, _BYTE_SWAPS, _byte_table_with_one_bit_flipped())
-
-
-def product_loop_keeps_overlapping_masks(monkeypatch):
-    patch_everywhere(monkeypatch, _anticommuting,
-                     _anticommuting_with_idempotent_generators)
-
-
-def reduced_without_gcd(monkeypatch):
-    patch_everywhere(monkeypatch, _reduced, _reduced_without_gcd)
-
-
-def series_inverse_step_dropped(monkeypatch):
-    patch_everywhere(monkeypatch, _series_inverse,
-                     _series_inverse_one_step_short)
-
-
 def swapped_jet_koszul_sign_dropped(monkeypatch):
     # supergroup's binding only: lie_super's Koszul signs stay
     monkeypatch.setattr(supergroup, "koszul_sign", lambda a, b: 1)
@@ -513,87 +286,100 @@ def odd_pair_jet_terms_skipped(monkeypatch):
     monkeypatch.setattr(supergroup, "_jet_terms", _jet_terms_without_odd_pairs)
 
 
-def haar_side_swapped(monkeypatch):
-    patch_everywhere(monkeypatch, _haar_density, _haar_density_of_the_other_side)
-
-
-def haar_not_inverted(monkeypatch):
-    patch_everywhere(monkeypatch, _haar_density, _haar_density_not_inverted)
-
-
-def modular_ratio_inverted(monkeypatch):
-    patch_everywhere(monkeypatch, _modular_berezinian, _modular_ratio_inverted)
-
-
 def det_d_for_its_inverse(monkeypatch):
     patch_everywhere(monkeypatch, _lu, _lu_with_pivots)
     patch_everywhere(monkeypatch, _adjugate_solve, _adjugate_solve_with_det_d)
 
 
-def lu_update_sign_flipped(monkeypatch):
-    patch_everywhere(monkeypatch, supermatrix._fold, _fold_with_sign_flipped)
+# -- the table ----------------------------------------------------------------
 
-
-def lu_row_swap_keeps_its_sign(monkeypatch):
-    patch_everywhere(monkeypatch, _lu, _lu_keeping_the_sign)
-
-
-def fused_pair_scales_dropped(monkeypatch):
-    patch_everywhere(monkeypatch, fused_sum, _fused_sum_without_pair_scales)
-
-
-def fubini_base_sign_dropped(monkeypatch):
-    patch_everywhere(monkeypatch, supergroup._fubini_stage,
-                     _fubini_stage_without_base_sign)
-
-
-def pullback_top_power_dropped(monkeypatch):
-    patch_everywhere(monkeypatch, _puller, _puller_dropping_the_top_power)
-
-
-def back_reduction_dropped(monkeypatch):
-    patch_everywhere(monkeypatch, linalg._rref, _rref_without_back_reduction)
-
-
-def trace_not_divided_by_k(monkeypatch):
-    # supermatrix's binding only: the fault takes c_k = -tr(M M_k), the
-    # trace of the Faddeev-LeVerrier step not divided by k
-    monkeypatch.setattr(supermatrix, "Fraction", lambda num, den: num)
-
-
+# a fault is one row: an edit of the real function (the exact fragments it
+# replaces, and their replacements), or the binding of a wrapper
 FAULTS = {
-    "lie_super odd sign of the quotient supertrace": odd_sign_dropped,
-    "lie_super mirror fill Koszul sign": mirror_sign_flipped,
-    "lie_super one Jacobi term's sign": jacobi_term_flipped,
-    "berezin p_! Koszul sign": fibre_sign_dropped("koszul"),
-    "berezin p_! basis sign": fibre_sign_dropped("basis"),
-    "berezin p_! convention sign": fibre_sign_dropped("convention"),
-    "berezin box moment over e + 2": box_moment_off_by_one,
-    "superdomain interval containment strict at hi":
-        interval_containment_strict_at_hi,
+    "lie_super odd sign of the quotient supertrace": edit(
+        lie_super._quotient_supertrace,
+        ("trace += -c if g.parities[k] is ODD else c", "trace += c")),
+    # [e_j, e_i] = +(-1)^{|i||j|} [e_i, e_j]
+    "lie_super mirror fill Koszul sign": edit(
+        lie_super.LieSuperAlgebra.__init__,
+        ("tuple(-sign * c for c in vec)", "tuple(sign * c for c in vec)")),
+    # [[e_i, e_j], e_k] added instead of subtracted
+    "lie_super one Jacobi term's sign": edit(
+        lie_super._jacobi_holds, ("((m, k), -a)", "((m, k), a)")),
+    # (-1)^{np + pq + q|L|} with one exponent left out; the convention sign
+    # pq is undone after the shared _pushforward, which integrate runs too
+    "berezin p_! Koszul sign": edit(
+        _pushforward, (" + q * mask.bit_count()", "")),
+    "berezin p_! basis sign": edit(_pushforward, ("n * p + ", "")),
+    "berezin p_! convention sign": edit(fibre_integrate_section, (
+        "return BerezinSection(",
+        "if fibre.m * fibre.n % 2:\n"
+        "    nums = {key: -c for key, c in nums.items()}\n"
+        "return BerezinSection(")),
+    "berezin p_! convention sign in the shared pushforward": edit(
+        _pushforward, ("p * q + ", "")),
+    "berezin product_section basis sign dropped": edit(
+        product_section, ("r1 = -r1", "pass")),
+    "berezin box moment over e + 2": edit(Interval._lebesgue, (
+        "(b * d) ** k * (e + 1)", "(b * d) ** k * (e + 2)")),
+    # the moment of x^e against exp(-x^2/2) taken as (e + 1)!!, not (e - 1)!!
+    "berezin Gaussian moment (e + 1)!!": edit(
+        _WholeLine._gaussian, ("range(1, e, 2)", "range(1, e + 2, 2)")),
+    "superdomain interval containment strict at hi": edit(
+        Interval._inside, ("n * hi.denominator <=", "n * hi.denominator <")),
+    # a prefix's linear combination of the last variable's powers leaves out
+    # its highest power, where it holds more than one
     "superdomain pullback's last linear combination drops its top power":
-        pullback_top_power_dropped,
-    "grassmann byte table bit flipped": byte_table_bit_flipped,
-    "grassmann product loop keeps overlapping masks":
-        product_loop_keeps_overlapping_masks,
-    "grassmann _reduced without its gcd": reduced_without_gcd,
-    "grassmann one step of _series_inverse dropped":
-        series_inverse_step_dropped,
-    "grassmann fused sum drops each pair's scale": fused_pair_scales_dropped,
+        edit(_puller, (
+            "combination = _linear_combination(",
+            "top = max(e for e, _, _ in terms)\n"
+            "terms = [term for term in terms if term[0] != top] or terms\n"
+            "combination = _linear_combination(")),
+    "grassmann byte table bit flipped": replaced(
+        _BYTE_SWAPS, _byte_table_with_one_bit_flipped()),
+    # masks that share a generator multiply as if xi_i^2 = xi_i, the pair
+    # kept under the key of the mask union
+    "grassmann product loop keeps overlapping masks": edit(
+        _anticommuting, ("if ma & kb:", "if False:"),
+        ("key = ka + kb", "key = ka + kb - (ma & kb)")),
+    # numerators and den left over their common factor (an empty sum still
+    # has den 1)
+    "grassmann _reduced without its gcd": edit(
+        _reduced, ("if g != 1:", "if g != 1 and not acc:")),
+    "grassmann one step of _series_inverse dropped": replaced(
+        _series_inverse, _series_inverse_one_step_short),
+    # every product summed over the common denominator L unscaled, where it
+    # takes L // (a.den b.den)
+    "grassmann fused sum drops each pair's scale": edit(
+        fused_sum, ("1 if common == 1 else common // (a.den * b.den)", "1")),
+    "koszul hop sign of d dropped": edit(
+        koszul._d_terms, ("-1 if hops & 1 else 1", "1")),
     "supergroup Koszul sign of the swapped jet dropped":
         swapped_jet_koszul_sign_dropped,
     "supergroup jet terms with an odd letter in each factor skipped":
         odd_pair_jet_terms_skipped,
-    "supergroup Haar density of the other side": haar_side_swapped,
-    "supergroup Haar density not inverted": haar_not_inverted,
-    "supergroup modular ratio inverted": modular_ratio_inverted,
-    "supergroup Fubini stage base sign dropped": fubini_base_sign_dropped,
+    "supergroup Haar density of the other side": replaced(
+        _haar_density, _haar_density_of_the_other_side),
+    "supergroup Haar density not inverted": replaced(
+        _haar_density, _haar_density_not_inverted),
+    "supergroup modular ratio inverted": replaced(
+        _modular_berezinian, _modular_ratio_inverted),
+    # b read off at the unit keeps the basis sign (-1)^(base.n * H.m) of
+    # product_section
+    "supergroup Fubini stage base sign dropped": edit(
+        supergroup._fubini_stage, ("-b if (base.n * Hsh.m) % 2 else b", "b")),
     "supermatrix det(D) for det(D)^-1": det_d_for_its_inverse,
-    "supermatrix LU update sign flipped": lu_update_sign_flipped,
-    "supermatrix LU row swap keeps its sign": lu_row_swap_keeps_its_sign,
-    "supermatrix Faddeev-LeVerrier trace not divided by k":
-        trace_not_divided_by_k,
-    "linalg back-reduction left out": back_reduction_dropped,
+    # -a b added, where the negated pivot rows make a b right
+    "supermatrix LU update sign flipped": edit(
+        supermatrix._fold, ("(row[t], rows[t][j])", "(-row[t], rows[t][j])")),
+    "supermatrix LU row swap keeps its sign": replaced(
+        _lu, _lu_keeping_the_sign),
+    # c_k = -tr(M M_k), the trace of the Faddeev-LeVerrier step not divided
+    # by k
+    "supermatrix Faddeev-LeVerrier trace not divided by k": edit(
+        supermatrix._faddeev_leverrier, ("* Fraction(-1, k)", "* -1")),
+    "linalg back-reduction left out": replaced(
+        linalg._rref, _rref_without_back_reduction),
 }
 
 
@@ -628,6 +414,12 @@ WAITING = {
         "items 1 and 32", "test_linalg", (
             "test_inverse",
             "test_dense_int_rows_give_int_results_and_a_float_is_refused")),
+    # no run integrates over a Gaussian axis: D(x, xi) xi x^2 gives -3 s
+    # for -s, and the moment of x^4 15 s for 3 s
+    "berezin Gaussian moment (e + 1)!!": (
+        "item 29", "test_berezin", (
+            "test_gaussian_one_one_with_sign",
+            "test_gaussian_moments_table")),
 }
 
 
@@ -669,6 +461,26 @@ PINNED = {
     "berezin p_! convention sign": {
         "verify fubini-signs": {f"fibre-identity ({m}|{n})x(1|1)"
                                 for m in range(3) for n in range(3)},
+    },
+    # integrate runs the same _pushforward, so both sides of a Fubini check
+    # change, and by unlike signs: the first p_! sign fault that a group
+    # identity catches
+    "berezin p_! convention sign in the shared pushforward": {
+        "verify fubini-signs": {f"{check} {label}" for label in (
+            "(0|1)x(1|0)", "(0|1)x(1|1)", "(0|1)x(1|2)", "(1|0)x(0|1)",
+            "(1|0)x(1|1)", "(1|0)x(2|1)", "(1|1)x(1|0)", "(1|1)x(1|2)",
+            "(1|1)x(2|1)", "(1|2)x(0|1)", "(1|2)x(1|1)", "(1|2)x(2|1)",
+            "(2|1)x(1|0)", "(2|1)x(1|1)", "(2|1)x(1|2)")
+            for check in ("fibre-identity", "star-sign")},
+        "verify fubini-quotients": {f"fubini {quotient} case {k}"
+                                    for quotient in ("axb-odd", "line-odd")
+                                    for k in range(4)},
+        "examples run fubini-ax+b": {"axb-odd staged integral"},
+    },
+    "berezin product_section basis sign dropped": {
+        "verify fubini-signs": {f"star-sign ({m}|1)x(1|{q})"
+                                for m in range(3) for q in range(3)},
+        "verify product-formula": {"product axb-odd-even constant"},
     },
     # 36 of 60; every other run integrates both sides over the same axes
     "berezin box moment over e + 2": {
@@ -720,6 +532,13 @@ PINNED = {
         "verify change-of-variables": _numbered("change-of-variables", {
             "(1|2)": (6, 22, 26, 30, 34, 42, 46, 54, 58),
             "(2|2)": (7, 11, 15, 19, 23, 27, 35, 39, 43, 47, 51, 55, 59)}),
+        # the ansatz solve finds no left-invariant density, and raises
+        "verify invariant-density": {"error"},
+    },
+    # d reads nonzero homology at the truncation boundary, and the
+    # suite's homological Berezinian raises
+    "koszul hop sign of d dropped": {
+        "verify berezinian-line": {"error"},
     },
     "grassmann _reduced without its gcd": {
         "verify berezinian": _numbered("ber-mult", {
@@ -806,6 +625,8 @@ PINNED = {
             "(2|2)": (3, 11, 15)}),
         "examples run fubini-ax+b": {"error"},
         "examples run product-ax+b": {"error"},
+        # the ansatz solve finds no left-invariant density, and raises
+        "verify invariant-density": {"error"},
     },
     # 169 of 200: each Schur complement A - B D^-1 C is one LU fold
     "supermatrix LU update sign flipped": {
@@ -867,3 +688,26 @@ def test_waiting_faults_fail_their_tier1_tests(monkeypatch):
                 name, args = (test, ()) if isinstance(test, str) else test
                 with pytest.raises((AssertionError, SuperBerezinError)):
                     getattr(module, name)(*args)
+
+
+def test_an_edit_checks_its_fragments_and_leaves_the_module_as_it_was(
+        monkeypatch):
+    # a fragment absent, or present twice, is named with the function
+    for fragment, count in (("if g == 1:", 0), ("acc.items()", 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"_reduced: {fragment!r} occurs {count} times")):
+            edited(_reduced, (fragment, ""))
+    new = edited(_reduced, ("if g != 1:", "if g != 1 and not acc:"))
+    assert (new.__code__.co_filename, new.__code__.co_firstlineno) == (
+        _reduced.__code__.co_filename, _reduced.__code__.co_firstlineno)
+    assert grassmann._reduced is _reduced
+
+    def bound():
+        return grassmann._reduced, berezin._reduced, vars(Interval)["_inside"]
+
+    originals = bound()
+    with monkeypatch.context() as patch:
+        FAULTS["grassmann _reduced without its gcd"](patch)
+        FAULTS["superdomain interval containment strict at hi"](patch)
+        assert not any(a is b for a, b in zip(bound(), originals))
+    assert all(a is b for a, b in zip(bound(), originals))
