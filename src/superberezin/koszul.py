@@ -54,7 +54,7 @@ from collections import Counter
 from itertools import combinations
 
 from . import linalg
-from .errors import DimensionError, InconclusiveError
+from .errors import DimensionError, InconclusiveError, StructureError
 from .grassmann import Parity, _mask, _odd_swaps
 
 
@@ -165,10 +165,13 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
 
     The homology is computed in every degree up to degree_cap - 1 from the
     layer sums of the weight blocks (`block_layer_sums`), the same numbers
-    a complex truncated at degree_cap + 1 gives.  Two guards raise
-    InconclusiveError rather than return a wrong answer: the boundary
-    check (homology touching degree_cap - 1, the top computed degree) and
-    the parity check (homology in both parities).
+    a complex truncated at degree_cap + 1 gives.  A negative homology
+    dimension (the ranks in and out of a layer exceed its size, which d∘d
+    = 0 rules out) raises StructureError naming its degree and parity,
+    before any other check.  Two guards raise InconclusiveError rather
+    than return a wrong answer: the boundary check (homology touching
+    degree_cap - 1, the top computed degree) and the parity check
+    (homology in both parities).
     """
     if p + q < 1:
         raise DimensionError("need p + q >= 1")
@@ -180,6 +183,10 @@ def homological_berezinian(p: int, q: int, degree_cap: int) -> tuple[int, Parity
         for parity in Parity:
             d = (sizes[(k, parity)] - ranks[(k, parity)]
                  - ranks[(k - 2, parity.flip())])
+            if d < 0:
+                raise StructureError(
+                    f"negative homology {d} in degree {k}, parity {parity}: "
+                    "d does not square to zero")
             if d:
                 profile[(k, parity.value)] = d
     if any(k[0] >= degree_cap - 1 for k in profile):

@@ -22,9 +22,10 @@ of the kept row, so it changes neither the rank nor the reduced row
 echelon form (a square matrix with two such rows is singular, and `det`
 and `inverse` say so as before).  And a pivot row with no entry besides
 its lead is subtracted from no row: the other rows that hold its column
-just lose that entry.  The ansatz systems of
-`supergroup.solve_invariant_density` are mostly such repeats (R^(5|5) at
-degree 2: 15,366 one-entry rows over 672 unknowns, 671 distinct).
+just lose that entry.  The ansatz of `supergroup.solve_invariant_density`
+no longer sends one-entry rows, as it pins their unknowns itself; the
+repeats that still come are a few Koszul layers' and basis changes' (10
+rows in a `solver-ladder` round, 22 in a `verify-sweep` round).
 
 Matrices come in as dense lists of rows.  `rank` and `nullspace` also
 take sparse rows (mappings column -> value) together with ``ncols=``.

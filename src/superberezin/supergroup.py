@@ -311,22 +311,30 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
     one times a single component of T_g (see ``_ansatz_rows``).  The
     unknowns are walked in sorted order, in which every such smaller
     monomial comes first.
+
+    An unknown that is alone in reaching a residual coefficient is 0 (its
+    row is a_u c = 0 with c != 0), so only the other unknowns go to
+    ``nullspace``, over the coefficients two or more of them reach, and
+    each kernel vector is 0 at the pinned ones.  Setting a_u = 0 in the
+    other rows is a sequence of row operations, so the reduced row echelon
+    form, and with it the basis and its order, is that of the whole system.
     """
     m = G.shape.m
-    unknowns, rows = _ansatz_rows(G, side, max_degree, prefactor)
-    kernel = nullspace(list(rows.values()), ncols=len(unknowns))
+    unknowns, unpinned, rows = _ansatz_rows(G, side, max_degree, prefactor)
+    kernel = nullspace(list(rows.values()), ncols=len(unpinned))
     if not kernel:
         raise InconclusiveError(
             f"no {side}-invariant density within the polynomial ansatz "
             f"(degree {max_degree}); a larger ansatz or a declared "
             "prefactor may still succeed")
 
+    kept = [unknowns[u] for u in unpinned]
     sections = []
     for vec in kernel:
         lead = next(c for c in vec if c)
         density = SuperFunction(G.shape, [
             (odd_part, Polynomial(m, {exps: Fraction(c, lead)}))
-            for (odd_part, exps), c in zip(unknowns, vec) if c])
+            for (odd_part, exps), c in zip(kept, vec) if c])
         if prefactor is not None:
             density = prefactor * density
         sections.append(BerezinSection.make(G.shape, density))
@@ -336,11 +344,15 @@ def solve_invariant_density(G: SuperGroupChart, side: str = "left",
 
 def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
                  prefactor: SuperFunction | None
-                 ) -> tuple[list[tuple], dict[int, dict[int, Fraction]]]:
-    """The ansatz monomials (odd index, exponents), sorted, and one sparse
-    row {unknown: coefficient} per (odd index, exponent) coefficient of the
-    residual F * T_g^*(phi) - phi, where F is the Berezinian factor with
-    the prefactor's correction included."""
+                 ) -> tuple[list[tuple], list[int],
+                            dict[int, dict[int, Fraction]]]:
+    """The ansatz monomials (odd index, exponents), sorted; the indices of
+    those ``_pinned_system`` leaves unpinned; and its rows: one sparse row
+    {position in the unpinned list: coefficient} per (odd index, exponent)
+    coefficient of the residual F * T_g^*(phi) - phi that two or more
+    unknowns reach, where F is the Berezinian factor with the prefactor's
+    correction included.  An unknown that alone reaches a coefficient is
+    pinned to 0 there, and gets no column."""
     m, n = G.shape.m, G.shape.n
     trans = _translation_by_generalized_point(G, side)
     factor = _differential(trans, directions(G.shape, m, n)).berezinian()
@@ -364,8 +376,8 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
     zero = (0,) * m
     key_of = trans.source._key_layout.key
     images: dict[tuple, SuperFunction] = {}
-    rows: dict[int, dict[int, Fraction]] = {}
-    for u, (odd_part, exps) in enumerate(unknowns):
+    residuals = []
+    for odd_part, exps in unknowns:
         if any(exps):
             k = max(i for i, e in enumerate(exps) if e)
             lower = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
@@ -376,19 +388,46 @@ def _ansatz_rows(G: SuperGroupChart, side: str, max_degree: int,
         else:
             image = factor
         images[(odd_part, exps)] = image
-        # a row is keyed by the stored key; minus phi itself, a function of
-        # the live copy, sits at xi^I x^e, I after g's n odd generators and
-        # e after g's m exponents; over den 1 the numerators are the
-        # coefficients
+        # a coefficient is keyed by the stored key; minus phi itself, a
+        # function of the live copy, sits at xi^I x^e, I after g's n odd
+        # generators and e after g's m exponents; over den 1 the numerators
+        # are the coefficients
         den = image.den
         residual = dict(image.nums) if den == 1 else {
             key: _quotient(c, den) for key, c in image.nums.items()}
         own = key_of(_mask(odd_part) << n, zero + exps, 0)
-        residual[own] = residual.get(own, 0) - 1
-        for key, c in residual.items():
-            if c:
-                rows.setdefault(key, {})[u] = c
-    return unknowns, rows
+        c = residual.pop(own, 0) - 1
+        if c:
+            residual[own] = c
+        residuals.append(residual)
+    unpinned, rows = _pinned_system(residuals)
+    return unknowns, unpinned, rows
+
+
+def _pinned_system(residuals: Sequence[dict[int, Fraction]]
+                   ) -> tuple[list[int], dict[int, dict[int, Fraction]]]:
+    """The system sum over u of a_u residuals[u][key] = 0, one equation per
+    key, each residual holding only nonzero coefficients, after the
+    singleton-row reduction of LP presolve: a key that only u reaches pins
+    a_u = 0.  Returns the unknowns left unpinned, in order, and one sparse
+    row {position in that list: coefficient} per key that two or more
+    unknowns reach, left out where every one of them is pinned."""
+    first: dict[int, int] = {}  # key -> the first unknown that reaches it
+    shared = set()
+    for u, residual in enumerate(residuals):
+        for key in residual:
+            if key in first:
+                shared.add(key)
+            else:
+                first[key] = u
+    pinned = {u for key, u in first.items() if key not in shared}
+    unpinned = [u for u in range(len(residuals)) if u not in pinned]
+    rows: dict[int, dict[int, Fraction]] = {}
+    for col, u in enumerate(unpinned):
+        for key, c in residuals[u].items():
+            if key in shared:
+                rows.setdefault(key, {})[col] = c
+    return unpinned, rows
 
 
 # ---------------------------------------------------------------------------

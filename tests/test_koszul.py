@@ -1,6 +1,7 @@
 """Homological Berezinian and D(x)-class checks."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,8 @@ from superberezin.koszul import (
     homological_berezinian,
 )
 from superberezin.supermatrix import SuperMatrix
-from superberezin.errors import DimensionError, InconclusiveError
+from superberezin.errors import (DimensionError, InconclusiveError,
+                                 StructureError)
 
 
 # The whole truncated slice, the oracle of the weight blocks: every
@@ -267,10 +269,28 @@ def _unsigned_d(present, n):
 @pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (2, 2)])
 def test_homological_berezinian_refuses_a_broken_differential(
         monkeypatch, broken, p, q):
-    # the mask-built d of the blocks
+    # the mask-built d of the blocks: a zero d leaves homology at the
+    # truncation boundary, and an unsigned one, with d∘d != 0, reads
+    # negative homology
     monkeypatch.setattr(koszul, "_d_terms", broken)
-    with pytest.raises(InconclusiveError):
+    error = StructureError if broken is _unsigned_d else InconclusiveError
+    with pytest.raises(error):
         homological_berezinian(p, q, p + q + 2)
+
+
+def test_negative_homology_is_a_broken_complex(monkeypatch):
+    # one rank out of (2, odd) and one into it, from (0, even), against a
+    # size of 1; the homology at the boundary degree would raise
+    # InconclusiveError if this did not
+    def sums(p, q, degree_cap):
+        return (Counter({(0, EVEN): 1, (2, ODD): 1,
+                         (degree_cap - 1, EVEN): 1}),
+                Counter({(0, EVEN): 1, (2, ODD): 1}))
+
+    monkeypatch.setattr(koszul, "block_layer_sums", sums)
+    with pytest.raises(StructureError,
+                       match="negative homology -1 in degree 2, parity odd"):
+        homological_berezinian(1, 1, 4)
 
 
 def _weight(cx, mono):

@@ -61,6 +61,7 @@ from superberezin.lie_super import (
     validate,
 )
 from superberezin import suites, supergroup
+from superberezin.linalg import nullspace
 from superberezin.supermatrix import SuperMatrix
 from superberezin.superdomain import (
     POSITIVE,
@@ -499,6 +500,18 @@ def _case_id(value):
     return getattr(value, "name", None)
 
 
+def _pinned_by_rows(rows, count):
+    """Rows {key: {unknown: coefficient}} of ``count`` unknowns after the
+    singleton-row reduction: an unknown alone in a row is 0, and every row
+    of two or more unknowns keeps the others, renumbered in order."""
+    pinned = {u for row in rows.values() if len(row) == 1 for u in row}
+    unpinned = [u for u in range(count) if u not in pinned]
+    column = {u: i for i, u in enumerate(unpinned)}
+    reduced = {key: {column[u]: c for u, c in row.items() if u in column}
+               for key, row in rows.items() if len(row) > 1}
+    return unpinned, {key: row for key, row in reduced.items() if row}
+
+
 @pytest.mark.parametrize("G, side, degree, prefactor", _ROW_CASES,
                          ids=_case_id)
 def test_ansatz_rows_match_one_pullback_per_unknown(G, side, degree,
@@ -508,9 +521,51 @@ def test_ansatz_rows_match_one_pullback_per_unknown(G, side, degree,
                  for idx in itertools.combinations(range(n), k)]
     exponents = [e for e in itertools.product(range(degree + 1), repeat=m)
                  if sum(e) <= degree]
-    unknowns, rows = _ansatz_rows(G, side, degree, prefactor)
+    unknowns, unpinned, rows = _ansatz_rows(G, side, degree, prefactor)
     assert unknowns == sorted(itertools.product(odd_parts, exponents))
-    assert rows == _rows_by_pullback(G, side, prefactor, unknowns)
+    assert (unpinned, rows) == _pinned_by_rows(
+        _rows_by_pullback(G, side, prefactor, unknowns), len(unknowns))
+
+
+def test_pinned_system_pins_only_an_unknown_alone_at_a_key():
+    # only unknown 1 reaches key 5, so a_1 = 0; unknowns 0 and 2 become
+    # columns 0 and 1, and the shared key 7 keeps only unknown 0
+    residuals = [{3: 1, 7: 2}, {7: -1, 5: 4}, {3: -1}]
+    unpinned, rows = supergroup._pinned_system(residuals)
+    assert unpinned == [0, 2]
+    assert rows == {3: {0: 1, 1: -1}, 7: {0: 2}}
+    # a shared key whose unknowns are all pinned leaves no row
+    residuals = [{1: 1, 2: 1}, {2: 3, 4: 1}]
+    assert supergroup._pinned_system(residuals) == ([], {})
+
+
+@st.composite
+def _residual_lists(draw):
+    """Residuals {key: nonzero coefficient} of up to 6 unknowns over 8
+    keys, so that most keys are shared and some are not."""
+    coefficient = st.sampled_from([1, -1, 2, -3, Fraction(1, 2),
+                                   Fraction(-2, 3)])
+    return [draw(st.dictionaries(st.integers(0, 7), coefficient,
+                                 max_size=4))
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residual_lists())
+def test_pinned_system_keeps_the_kernel_of_the_whole_system(residuals):
+    whole = {}
+    for u, residual in enumerate(residuals):
+        for key, c in residual.items():
+            whole.setdefault(key, {})[u] = c
+    unpinned, rows = supergroup._pinned_system(residuals)
+    written_back = []
+    for vec in nullspace(list(rows.values()), ncols=len(unpinned)):
+        full = [0] * len(residuals)
+        for u, c in zip(unpinned, vec):
+            full[u] = c
+        written_back.append(full)
+    assert written_back == nullspace(list(whole.values()),
+                                     ncols=len(residuals))
 
 
 @pytest.mark.parametrize("G", [translation_group(2, 2), gl11_group()],
