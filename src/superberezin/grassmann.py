@@ -12,7 +12,12 @@ over one shared denominator in lowest terms, in the one form of
 Berezinian would spread Fractions through every later product, and over
 one denominator the product loop multiplies and adds only ints, with one
 gcd per result.  A coefficient becomes an ``int`` (when integral) or a
-``Fraction`` only where it is read (``terms``, ``rational``, printing).
+``Fraction`` only where it is read (``terms``, ``rational``).  Printing
+reads the stored terms in one pass (``_print_rows``): one sort by odd
+monomial, even exponents and power of s, each coefficient printed as
+c/den over one gcd, and each odd monomial's indices and ``xi1 xi2`` text
+taken from a bounded per-mask cache (``_odd_text``); the sector printers
+of ``superdomain`` group the same rows by odd monomial.
 Their arithmetic is written once, on ``_Exact``: ``+``, ``-``, ``*``, the
 fused base + sum a*b (``fused_sum``), the coercion of constants, the
 inverse, powers (``_power``) and printing, each class giving only its
@@ -38,7 +43,8 @@ is the package's one odd-monomial key, also of Koszul monomials, and
 ``_BYTE_SWAPS`` one byte of the mask at a time: a product of two monomials
 is a test, a sum, a lookup and a popcount.  Index tuples appear only where
 a value is built from ``{idx: coefficient}``, asked for a coefficient or
-printed, and ``terms`` keeps the tuple keys of ``_Exact``'s docstring.
+printed (once per mask), and ``terms`` keeps the tuple keys of
+``_Exact``'s docstring.
 
 One rule says which values are checked.  Input from outside the program
 goes through a public constructor, ``Scalar(...)``, ``GrassmannElement``,
@@ -438,17 +444,9 @@ class _Exact(_Immutable):
     def __str__(self) -> str:
         """The terms as a signed sum, ordered by the size of their odd
         monomial, then its generator indices, then the even exponents, then
-        the power of s downward: ``2 s - 1``, ``2 + xi1 xi2``."""
-        den = self.den
-        printed = sorted(
-            (mask.bit_count(), _indices(mask), exps, -k, c)
-            for mask, exps, k, c in self._layout(self._count).unpacked(self.nums))
-        return _signed_sum([
-            (c if den == 1 else _quotient(c, den), _monomial_text(-minus_k, [
-                *(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                  for i, e in enumerate(exps) if e),
-                *(f"xi{i + 1}" for i in idx)]))
-            for _, idx, exps, minus_k, c in printed])
+        the power of s downward: ``2 s - 1``, ``2 + xi1 xi2``; each term's
+        even factors, then its odd ones (``_print_rows``)."""
+        return _sum_text(self.den, _print_rows(self))
 
 
 def _power(value, k: int):
@@ -647,12 +645,6 @@ def _quotient(a, b):
     return _canonical(Fraction(a, b))
 
 
-def _monomial_text(power: int, factors) -> str:
-    """s^power (none for 0, ``s`` for 1), then the printed variable factors."""
-    mark = [] if power == 0 else ["s" if power == 1 else f"s^{power}"]
-    return " ".join(mark + list(factors))
-
-
 def _mask(idx: tuple[int, ...]) -> int:
     mask = 0
     for i in idx:
@@ -822,20 +814,82 @@ def _series_inverse(cls, count, den: int, head: int, c: int, soul,
     return _reduced(cls, count, c ** len(powers), acc)
 
 
-def _signed_sum(pieces) -> str:
-    """Print (coefficient, monomial text) pairs as a signed sum, "0" if none.
+# -- printing, in one pass over the stored terms -------------------------------
 
-    A unit coefficient is left out before a monomial and a negative one
-    becomes the sign between terms.
-    """
+_ODD_TEXTS: dict = {}  # mask -> ((size, indices), "xi1 xi2"), see _odd_text
+_ODD_TEXTS_BOUND = 1 << 12
+
+
+def _odd_text(mask: int) -> tuple:
+    """((size, indices), text) of the odd monomial xi^mask: its place in
+    print order and its ``xi1 xi2`` text, from a cache keyed by the mask
+    alone, which any generator count shares and which is emptied when it
+    holds ``_ODD_TEXTS_BOUND`` masks, so it stays bounded however many
+    generators a value has."""
+    entry = _ODD_TEXTS.get(mask)
+    if entry is None:
+        if len(_ODD_TEXTS) >= _ODD_TEXTS_BOUND:
+            _ODD_TEXTS.clear()
+        idx = _indices(mask)
+        entry = _ODD_TEXTS[mask] = (
+            (len(idx), idx), " ".join([f"xi{i + 1}" for i in idx]))
+    return entry
+
+
+def _print_rows(value: _Exact) -> list:
+    """(odd text, even text, numerator) of each stored term of ``value``
+    in print order: by the size of the odd monomial, then its generator
+    indices, then the even exponents, then the power of s downward.  An
+    even text is the term's power of s (none for 0, ``s`` for 1, ``s^k``)
+    and then its variable factors (``x1``, ``x2^-2``); an odd text is
+    ``_odd_text``'s, empty for the mask 0.  One pass over ``nums`` and one
+    sort: no ``terms`` view and no per-term tuple of indices is built."""
+    layout = value._layout(value._count)
+    low, top, lanes = layout.low, layout.top, layout._lanes
+    known = _ODD_TEXTS.get
+    rows = []
+    for key, c in value.nums.items():
+        mask = key & low
+        order, odd = known(mask) or _odd_text(mask)
+        # within a mask, a key without lanes orders by its power of s
+        rows.append((order, [(key >> lane) & _FIELD for lane in lanes]
+                     + [-(key >> top)] if lanes else -key, odd, key, c))
+    rows.sort()
+    out = []
+    for _, _, odd, key, c in rows:
+        k = key >> top
+        even = "" if not k else "s" if k == 1 else f"s^{k}"
+        if lanes:
+            factors = [even] if even else []
+            for i, lane in enumerate(lanes, 1):
+                e = ((key >> lane) & _FIELD) - _OFFSET
+                if e:
+                    factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+            even = " ".join(factors)
+        out.append((odd, even, c))
+    return out
+
+
+def _sum_text(den: int, rows) -> str:
+    """The (odd text, even text, numerator) ``rows`` over ``den`` as a
+    signed sum of monomials, even factors first, "0" if none: each
+    coefficient c/den over ``gcd(c, den)``, a unit one left out before a
+    monomial and a negative one the sign between terms: ``2 s - 1/2 x1``."""
     parts = []
-    for coeff, mono in pieces:
-        body = str(coeff)
-        negative = body.startswith("-")
+    for odd, even, c in rows:
+        negative = c < 0
         if negative:
-            body = body[1:]
+            c = -c
+        if den == 1:
+            coeff = str(c)
+        else:
+            g = gcd(c, den)
+            coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
+        mono = f"{even} {odd}" if even and odd else even or odd
         if mono:
-            body = mono if body == "1" else f"{body} {mono}"
+            body = mono if coeff == "1" else f"{coeff} {mono}"
+        else:
+            body = coeff
         if parts:
             parts.append(f"- {body}" if negative else f"+ {body}")
         else:

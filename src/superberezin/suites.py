@@ -92,14 +92,6 @@ def _randint(bits, a: int, b: int) -> int:
     return a + r
 
 
-def _choice(bits, seq):
-    """``rng.choice(seq)`` for ``bits = rng.getrandbits``, as ``_randint``;
-    IndexError on an empty sequence, as ``choice``."""
-    if not seq:
-        raise IndexError("Cannot choose from an empty sequence")
-    return seq[_randint(bits, 0, len(seq) - 1)]
-
-
 @functools.cache
 def _monomial_keys(n: int, parity: Parity | None) -> tuple[int, ...]:
     """The term keys of the odd monomials xi^idx s^0 on n generators of one
@@ -124,21 +116,70 @@ def random_grassmann(rng: random.Random, n: int, parity: Parity | None = None,
     """Random element of the algebra on n generators, optionally homogeneous.
 
     With ensure_body the unit coefficient is forced nonzero (only sensible
-    for even elements).  Coefficients are integers in [-3, 3].  The terms
-    are drawn straight as keys of the element's integer form and built
-    with the trusted constructor.
+    for even elements).  Coefficients are integers in [-3, 3].  The 1 x 1
+    case of ``_drawn_block``, which draws it.
+    """
+    return _drawn_block(rng, n, parity, 1, 1, max_terms, ensure_body)[0][0]
+
+
+_BODIES = (-3, -2, -1, 1, 2, 3)  # the forced unit coefficients
+
+
+def _drawn_block(rng: random.Random, n: int, parity: Parity | None,
+                 rows: int, cols: int, max_terms: int = 3,
+                 diagonal_body: bool = False) -> list[list[GrassmannElement]]:
+    """A rows x cols block of random elements on n generators, drawn row
+    by row, the stream of as many ``random_grassmann`` calls with
+    ``ensure_body`` on the diagonal when ``diagonal_body`` is set: 1 to
+    ``max_terms`` terms, each an odd monomial of the parity
+    (``rng.choice``) and a coefficient in [-3, 3] (``rng.randint``),
+    repeats summed, and a zero unit coefficient redrawn from ``_BODIES``
+    where forced.  The key table, its size and bit length and the unit key
+    are looked up once per block, and each draw reads ``rng.getrandbits``
+    with ``_randint``'s rejection rule inline: k = n.bit_length() bits for
+    n choices, redrawn while n or more.  The errors of ``random.Random``
+    come at the draw that meets them, in stream order: ValueError for
+    ``max_terms`` below 1 before an entry's first bit, IndexError for a
+    parity with no monomial (odd on no generators) once the term count is
+    drawn.  Each term is drawn straight as a key of the element's integer
+    form, and each entry built with the trusted constructor.
     """
     keys = _monomial_keys(n, parity)
     one = _layout(n, 0).key(0, (), 0)
+    size, width = len(keys), len(keys).bit_length()
+    count_width = max_terms.bit_length()
     bits = rng.getrandbits
-    nums = {}
-    for _ in range(_randint(bits, 1, max_terms)):
-        key = _choice(bits, keys)
-        coeff = _randint(bits, -3, 3)
-        nums[key] = nums.get(key, 0) + coeff
-    if ensure_body and not nums.get(one):
-        nums[one] = _choice(bits, (-3, -2, -1, 1, 2, 3))
-    return _stored(GrassmannElement, n, 1, {key: c for key, c in nums.items() if c})
+    block = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            if max_terms < 1:
+                raise ValueError(f"empty range for randint(1, {max_terms})")
+            r = bits(count_width)
+            while r >= max_terms:
+                r = bits(count_width)
+            nums = {}
+            for _ in range(r + 1):
+                if not size:
+                    raise IndexError("Cannot choose from an empty sequence")
+                r = bits(width)
+                while r >= size:
+                    r = bits(width)
+                key = keys[r]
+                r = bits(3)
+                while r == 7:
+                    r = bits(3)
+                nums[key] = nums.get(key, 0) + r - 3
+            if diagonal_body and i == j and not nums.get(one):
+                r = bits(3)
+                while r >= 6:
+                    r = bits(3)
+                nums[one] = _BODIES[r]
+            if 0 in nums.values():  # rare: a cancellation; a scan beats a copy
+                nums = {key: c for key, c in nums.items() if c}
+            row.append(_stored(GrassmannElement, n, 1, nums))
+        block.append(row)
+    return block
 
 
 def _body_matrix(block) -> list[list[int]]:
@@ -154,20 +195,20 @@ def random_even_supermatrix(rng: random.Random, p: int, q: int,
 
     Invertibility means the bodies of the diagonal blocks are invertible
     integer matrices; rejection (at most 60 draws) keeps the generator
-    simple.
+    simple.  Each block is one ``_drawn_block`` call, in the order A, D,
+    then (once both bodies are invertible) B and C: even A and D with
+    their diagonal bodies forced nonzero, odd B and C.
     """
     zero, one = _units(n)
     for _ in range(60):
-        A = [[random_grassmann(rng, n, EVEN, ensure_body=(i == j))
-              for j in range(p)] for i in range(p)]
-        D = [[random_grassmann(rng, n, EVEN, ensure_body=(i == j))
-              for j in range(q)] for i in range(q)]
+        A = _drawn_block(rng, n, EVEN, p, p, diagonal_body=True)
+        D = _drawn_block(rng, n, EVEN, q, q, diagonal_body=True)
         if p and linalg.det(_body_matrix(A)) == 0:
             continue
         if q and linalg.det(_body_matrix(D)) == 0:
             continue
-        B = [[random_grassmann(rng, n, ODD) for _ in range(q)] for _ in range(p)]
-        C = [[random_grassmann(rng, n, ODD) for _ in range(p)] for _ in range(q)]
+        B = _drawn_block(rng, n, ODD, p, q)
+        C = _drawn_block(rng, n, ODD, q, p)
         # even A and D, odd B and C: the parities the public check asks for
         rows = [a + b for a, b in zip(A, B)] + [c + d for c, d in zip(C, D)]
         return _trusted(p, q, rows, EVEN, zero, one)

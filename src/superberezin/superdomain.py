@@ -11,7 +11,8 @@ a superfunction store their coefficients in the one form of
 ``grassmann._Exact``, int numerators over one shared denominator in
 lowest terms, so products, the pullback's linear combinations and box
 integrals run on ints; a coefficient becomes an int or Fraction only
-where it is read (``terms``, printing).  Each term is stored under one
+where it is read (``terms``), and printing reads the stored terms
+(``grassmann._print_rows``).  Each term is stored under one
 int key in the layout of ``grassmann._Layout``, read and written only
 through its helpers: a polynomial's holds the exponents of the even
 coordinates and the power of s, a superfunction's the generator mask of
@@ -25,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from math import lcm
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
@@ -39,13 +41,14 @@ from .grassmann import (
     _checked_mask,
     _constant,
     _embedded,
-    _indices,
     _layout,
     _power,
+    _print_rows,
     _quotient,
     _rational,
     _reduced,
     _stored,
+    _sum_text,
 )
 from .supermatrix import SuperMatrix, _trusted
 
@@ -532,23 +535,33 @@ class SuperFunction(_Graded):
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
+        """By sector, each odd monomial after its coefficient, parenthesized
+        when that has several terms, and the sectors joined by " + ":
+        ``x1 + (2 - s) xi1 + -6 xi1 xi2``; printed straight from the stored
+        terms (``_print_sectors``), with no ``coeffs`` view."""
         parts = []
-        for idx, poly in _sectors(self):
-            mono = " ".join(f"xi{j + 1}" for j in idx)
-            p = str(poly)
-            if mono:
-                if len(poly.nums) > 1:
-                    parts.append(f"({p}) {mono}")
-                elif p == "1":
-                    parts.append(mono)
-                else:
-                    parts.append(f"{p} {mono}")
-            else:
+        for odd, terms in _print_sectors(self):
+            p = _sum_text(self.den, terms)
+            if not odd:
                 parts.append(p)
+            elif len(terms) > 1:
+                parts.append(f"({p}) {odd}")
+            else:
+                parts.append(odd if p == "1" else f"{p} {odd}")
         return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"SuperFunction({self.shape}, {self!s})"
+
+
+def _print_sectors(f: SuperFunction) -> list:
+    """(odd text, rows) per sector of f in print order, the rows the
+    sector's ``grassmann._print_rows`` with the odd text left out, as the
+    sector printers print it after the sum."""
+    out = []
+    for odd, rows in groupby(_print_rows(f), itemgetter(0)):
+        out.append((odd, [("", even, c) for _, even, c in rows]))
+    return out
 
 
 def _lifted(shape: SuperDomainShape, poly: Polynomial) -> SuperFunction:
@@ -565,12 +578,6 @@ def _lifted(shape: SuperDomainShape, poly: Polynomial) -> SuperFunction:
 def _evaluate_body(f: SuperFunction, point: Sequence) -> Scalar:
     """f's body at a point in stored form (``_exact_point``)."""
     return _evaluate(f.den, _unpacked(f.shape._key_layout, f.nums, 0), point)
-
-
-def _sectors(f: SuperFunction) -> list[tuple[tuple[int, ...], Polynomial]]:
-    """f's (index tuple, coefficient) sectors in print order."""
-    return sorted(((_indices(mask), poly) for mask, poly in f.coeffs.items()),
-                  key=lambda sector: (len(sector[0]), sector[0]))
 
 
 # -- morphisms --------------------------------------------------------------

@@ -21,9 +21,10 @@ Three derived computations drive everything else.
   beyond polynomials (the right density of the scaling-shift chart is
   a^-1).
 * Modular data: Ad_h is the Jacobian of conjugation by a generalized
-  subgroup element, taken at the unit, and its Berezinian restricted to
-  the subgroup directions versus the full chart gives the density ratio
-  appearing in the product-of-subgroups formula.
+  subgroup element, taken at the unit, the product of the differentials
+  of its two translations by the chain rule (``_adjoint``), and its
+  Berezinian restricted to the subgroup directions versus the full chart
+  gives the density ratio appearing in the product-of-subgroups formula.
 
 Every generalized point g (or h) is the first factor of the doubled
 chart ``shape_product`` and the live copy x the second, each read off by
@@ -79,7 +80,7 @@ from .superdomain import (
     shape_product,
 )
 from .superdomain import _differential, _evaluate, _exact_point, _puller
-from .supermatrix import _trusted
+from .supermatrix import SuperMatrix, _trusted
 
 _EMPTY = SuperDomainShape(0, (), 0)
 
@@ -456,26 +457,30 @@ def _embedding_directions(H: SubgroupSpec) -> list[int]:
     return dirs
 
 
+def _adjoint(G: SuperGroupChart, H: SubgroupSpec) -> SuperMatrix:
+    """Ad_h, the differential of conjugation x |-> h.x.h^-1 at x = e, over
+    the subgroup coordinates, by the chain rule: conjugation is x |-> h.x
+    followed by z |-> z.h^-1, and J^(psi o phi) = J^phi . phi^*(J^psi), so
+    Ad_h is d(h.x)/dx at x = e times d(z.h^-1)/dz at z = h, two
+    differentials of ``G.mul``; only h^-1 is a composite."""
+    Hsh, Gsh = H.subgroup.shape, G.shape
+    h = H.embedding
+    left = _differential(G.mul, directions(Gsh, Gsh.m, Gsh.n), pair(
+        h, SuperMorphism.constant_point(Hsh, Gsh, G.unit)))
+    right = _differential(G.mul, directions(Gsh), pair(h, compose(h, G.inv)))
+    return left * right
+
+
 def modular_berezinian(G: SuperGroupChart, H: SubgroupSpec
                        ) -> tuple[SuperFunction, SuperFunction]:
     """(Ber of Ad_h on the subgroup directions, Ber of Ad_h on the whole
     chart), both exact superfunctions of the subgroup coordinates."""
     if H.parent is not G and H.parent.shape != G.shape:
         raise DimensionError("subgroup of a different chart")
-    Hsh, Gsh = H.subgroup.shape, G.shape
-    mG, nG = Gsh.m, Gsh.n
-
-    # h is the first factor of the doubled chart, the live copy x the second
-    emb_h = compose(projection(Hsh, Gsh, 1), H.embedding)
-    inv_h = compose(emb_h, G.inv)
-    conj = compose(pair(compose(pair(emb_h, projection(Hsh, Gsh, 2)), G.mul),
-                        inv_h), G.mul)
-    # at the unit of the live copy; subgroup coordinates survive
-    ad = _differential(conj, directions(Gsh, Hsh.m, Hsh.n),
-                       pair(SuperMorphism.identity(Hsh),
-                            SuperMorphism.constant_point(Hsh, Gsh, G.unit)))
+    ad = _adjoint(G, H)
     ber_u = ad.berezinian()
 
+    mG, nG = G.shape.m, G.shape.n
     dirs = _embedding_directions(H)
     outside = [k for k in range(mG + nG) if k not in dirs]
     for r in dirs:

@@ -58,6 +58,7 @@ from .grassmann import (
     _layout,
     _over_one_denominator,
     _stored,
+    _sum_text,
 )
 from .lie_super import EVEN, ODD, LieSuperAlgebra
 from .superdomain import (
@@ -67,7 +68,7 @@ from .superdomain import (
     Polynomial,
     SuperDomainShape,
     SuperFunction,
-    _sectors,
+    _print_sectors,
 )
 from .supermatrix import SuperMatrix
 
@@ -461,9 +462,8 @@ def format_superfunction(f: SuperFunction) -> str:
     shape = f.shape
     out = [f"{shape.m} {shape.n} 0"]
     out.extend(f"axis {axis._text}" for axis in shape.box)
-    for idx, poly in _sectors(f):
-        sector = " ".join(f"xi{j + 1}" for j in idx) if idx else "1"
-        out.append(f"{poly} : {sector}")
+    for odd, terms in _print_sectors(f):
+        out.append(f"{_sum_text(f.den, terms)} : {odd or '1'}")
     return "\n".join(out) + "\n"
 
 

@@ -31,6 +31,9 @@ ALLOWED = {
     "textio.format_structure_constants",
     # planned as a check line in the G/H and random-group suites
     "supergroup.check_subgroup",
+    # the one-element draw, the 1 x 1 case of the block draw that
+    # random_even_supermatrix makes, with which the tests draw elements
+    "suites.random_grassmann",
     # the ring API of the public value types
     "grassmann.GrassmannElement.generator",
     "grassmann.GrassmannElement.monomial",
@@ -39,6 +42,7 @@ ALLOWED = {
     "superdomain.Polynomial.is_monomial",
     "superdomain.Polynomial.monomial_inverse",
     "superdomain.SuperFunction.body_polynomial",
+    "superdomain.SuperFunction.coeffs",
     # the public block constructor, with the per-entry parity check; the
     # program's drawn matrices are built by supermatrix._trusted
     "supermatrix.SuperMatrix.from_blocks",

@@ -25,11 +25,9 @@ from superberezin.grassmann import (
     _indices,
     _layout,
     _lookup_mask,
-    _monomial_text,
     _odd_swaps,
     _quotient,
     _reduced,
-    _signed_sum,
     fused_sum,
     koszul_sign,
 )
@@ -1489,6 +1487,135 @@ def test_every_exact_type_inverts_through_the_one_routine():
             got = invert()
         assert inverted == [cls], name
         assert got == expected, name
+
+
+# The printers that the one-pass printer (grassmann._print_rows) replaced,
+# kept as its oracle: a signed sum of (coefficient, monomial text) pairs,
+# each coefficient an int or Fraction read through _quotient, the exact
+# base's printer over the split keys, and the sector printers over the
+# ``coeffs`` view of Polynomials reduced sector by sector.
+
+def _signed_sum(pieces):
+    """Print (coefficient, monomial text) pairs as a signed sum, "0" if
+    none: a unit coefficient left out before a monomial and a negative one
+    the sign between terms."""
+    parts = []
+    for coeff, mono in pieces:
+        body = str(coeff)
+        negative = body.startswith("-")
+        if negative:
+            body = body[1:]
+        if mono:
+            body = mono if body == "1" else f"{body} {mono}"
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
+
+
+def _monomial_text(power, factors):
+    """s^power (none for 0, ``s`` for 1), then the printed variable factors."""
+    mark = [] if power == 0 else ["s" if power == 1 else f"s^{power}"]
+    return " ".join(mark + list(factors))
+
+
+def _exact_text(value):
+    """The terms by odd monomial size, indices, even exponents and then the
+    power of s downward, each coefficient a Fraction over den."""
+    den = value.den
+    printed = sorted(
+        (mask.bit_count(), _indices(mask), exps, -k, c)
+        for mask, exps, k, c in value._layout(value._count).unpacked(value.nums))
+    return _signed_sum([
+        (c if den == 1 else _quotient(c, den), _monomial_text(-minus_k, [
+            *(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+              for i, e in enumerate(exps) if e),
+            *(f"xi{i + 1}" for i in idx)]))
+        for _, idx, exps, minus_k, c in printed])
+
+
+def _coeffs_sectors(f):
+    """f's (index tuple, sector Polynomial) pairs in print order."""
+    return sorted(((_indices(mask), poly) for mask, poly in f.coeffs.items()),
+                  key=lambda sector: (len(sector[0]), sector[0]))
+
+
+def _superfunction_text(f):
+    parts = []
+    for idx, poly in _coeffs_sectors(f):
+        mono = " ".join(f"xi{j + 1}" for j in idx)
+        p = _exact_text(poly)
+        if mono:
+            if len(poly.nums) > 1:
+                parts.append(f"({p}) {mono}")
+            elif p == "1":
+                parts.append(mono)
+            else:
+                parts.append(f"{p} {mono}")
+        else:
+            parts.append(p)
+    return " + ".join(parts) or "0"
+
+
+def _superfunction_file(f):
+    shape = f.shape
+    out = [f"{shape.m} {shape.n} 0"]
+    out.extend(f"axis {axis._text}" for axis in shape.box)
+    for idx, poly in _coeffs_sectors(f):
+        sector = " ".join(f"xi{j + 1}" for j in idx) if idx else "1"
+        out.append(f"{_exact_text(poly)} : {sector}")
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def _printed_values(draw):
+    """A Scalar with powers of s, a Laurent polynomial on m <= 3 variables
+    with negative exponents, an element on n <= 6 generators and a
+    superfunction on (m|n) <= (3|3), their coefficients Fractions and
+    Scalars with powers of s."""
+    coefficients = st.one_of(rationals, st.builds(
+        Scalar, rationals, st.integers(-3, 3)))
+    scalar = sum((Scalar(q, k) for q, k in draw(st.lists(
+        st.tuples(rationals, st.integers(-3, 3)), max_size=5))), Scalar(0))
+
+    def polynomials(m):
+        return st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * m),
+                                  coefficients),
+                        max_size=5).map(lambda items: Polynomial(m, items))
+
+    poly = draw(st.integers(0, 3).flatmap(polynomials))
+    n = draw(st.integers(0, 6))
+    element = G(n, draw(st.lists(st.tuples(
+        st.sampled_from(_all_indices(n)), coefficients), max_size=8)))
+    m = draw(st.integers(0, 3))
+    shape = SuperDomainShape(m, (REALLINE,) * m, draw(st.integers(0, 3)))
+    f = SuperFunction(shape, draw(st.lists(st.tuples(
+        st.sampled_from(_all_indices(shape.n)), polynomials(shape.m)),
+        max_size=5)))
+    return scalar, poly, element, f
+
+
+@settings(max_examples=400, deadline=None)
+@given(_printed_values())
+def test_the_one_pass_printer_matches_the_printers_it_replaced(values):
+    scalar, poly, element, f = values
+    for value in (scalar, poly, element):
+        assert str(value) == _exact_text(value)
+    assert str(f) == _superfunction_text(f)
+    assert format_superfunction(f) == _superfunction_file(f)
+
+
+def test_the_odd_text_cache_stays_bounded():
+    # the 6,435 odd monomials of size 7 over 15 generators, printed once:
+    # the cache is emptied when full, and the text is unchanged
+    n = 15
+    layout = _layout(n, 0)
+    nums = {layout.key(grassmann._mask(idx), (), k): k or 7
+            for k, idx in enumerate(combinations(range(n), 7))}
+    value = grassmann._stored(GrassmannElement, n, 3, nums)
+    assert str(value) == _exact_text(value)
+    assert len(grassmann._ODD_TEXTS) <= grassmann._ODD_TEXTS_BOUND < len(nums)
 
 
 # The per-type printers and sector readers that the one printer,

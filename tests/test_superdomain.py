@@ -1853,11 +1853,12 @@ def test_suite_draws_match_the_public_constructors(name):
         assert rng.getstate() == twin.getstate(), seed
 
 
-# The element draws (random_grassmann, random_polynomial,
-# random_superfunction) go through suites._randint and suites._choice, which
-# read getrandbits as CPython 3.10 to 3.12's randint, choice and randrange
-# do; the rest of a suite calls the same random.Random's own methods, so
-# both must read one stream.  Every call shape the suites use, against
+# The polynomial and superfunction draws go through suites._randint, which
+# reads getrandbits as CPython 3.10 to 3.12's randint and randrange do, and
+# the element draws (suites._drawn_block) read it with the same rule
+# inline, a choice from a sequence being the item at randint(0, len - 1);
+# the rest of a suite calls the same random.Random's own methods, so both
+# must read one stream.  Every call shape the suites use, against
 # random.Random itself: a CPython that draws otherwise fails here by name,
 # before a seeded suite changes.
 
@@ -1871,7 +1872,8 @@ _STREAM_SHAPES = {
     "randint(0, n)": (lambda rng, i: rng.randint(0, i % 9),
                       lambda bits, i: suites._randint(bits, 0, i % 9)),
     "choice": (lambda rng, i: rng.choice(_TUPLES[i % 15]),
-               lambda bits, i: suites._choice(bits, _TUPLES[i % 15])),
+               lambda bits, i: _TUPLES[i % 15][
+                   suites._randint(bits, 0, len(_TUPLES[i % 15]) - 1)]),
     "randrange(m)": (lambda rng, i: rng.randrange(i % 4 + 1),
                      lambda bits, i: suites._randint(bits, 0, i % 4)),
 }
@@ -1890,13 +1892,14 @@ def test_suite_draws_read_the_stream_of_random_random(shape):
 
 # An empty range raises as random.Random does, before any draw, and the
 # public draws that reach one (no odd monomial of the asked parity, or no
-# term allowed) raise instead of redrawing for ever.
+# term allowed) raise instead of redrawing for ever; the element draws
+# raise at the point of the stream where the public draws do
+# (tests/test_supermatrix.py).
 
 @pytest.mark.parametrize("public, drawn", [
     (lambda rng: rng.randint(1, 0), lambda bits: suites._randint(bits, 1, 0)),
     (lambda rng: rng.randint(3, -3), lambda bits: suites._randint(bits, 3, -3)),
-    (lambda rng: rng.choice(()), lambda bits: suites._choice(bits, ())),
-], ids=["randint(1, 0)", "randint(3, -3)", "choice(())"])
+], ids=["randint(1, 0)", "randint(3, -3)"])
 def test_suite_draws_refuse_an_empty_range_as_random_random(public, drawn):
     rng, twin = random.Random(0), random.Random(0)
     with pytest.raises((ValueError, IndexError)) as want:

@@ -83,6 +83,7 @@ from superberezin.superdomain import _evaluate, _evaluate_body, _exact_point
 from superberezin.supergroup import (
     SubgroupSpec,
     SuperGroupChart,
+    _adjoint,
     _ansatz_rows,
     _embedding_directions,
     _fubini_stage,
@@ -1022,11 +1023,11 @@ def _reference_haar_density(G, side="left"):
     return BerezinSection(s, jac.berezinian().inv_even())
 
 
-def _reference_modular_berezinian(G, H):
-    """The reference (Ber of Ad on h, Ber of Ad), both supermatrices
+def _reference_adjoint(G, H):
+    """The reference Ad_h: the differential in x at x = e of the
+    conjugation morphism h.x.h^-1 on H x G, composed of four morphisms,
     through the checked SuperMatrix(...)."""
     Hsh, Gsh = H.subgroup.shape, G.shape
-    mG, nG = Gsh.m, Gsh.n
     emb_h = compose(projection(Hsh, Gsh, 1), H.embedding)
     inv_h = compose(emb_h, G.inv)
     conj = compose(pair(compose(pair(emb_h, projection(Hsh, Gsh, 2)), G.mul),
@@ -1035,8 +1036,16 @@ def _reference_modular_berezinian(G, H):
     at_unit = pair(SuperMorphism.identity(Hsh),
                    SuperMorphism.constant_point(Hsh, Gsh, G.unit))
     entries = [[pullback(at_unit, entry) for entry in row] for row in rows]
-    ad = SuperMatrix(mG, nG, entries, zero=SuperFunction.zero(Hsh),
-                     one=SuperFunction.one(Hsh))
+    return SuperMatrix(Gsh.m, Gsh.n, entries, zero=SuperFunction.zero(Hsh),
+                       one=SuperFunction.one(Hsh))
+
+
+def _reference_modular_berezinian(G, H):
+    """The reference (Ber of Ad on h, Ber of Ad), both supermatrices
+    through the checked SuperMatrix(...)."""
+    ad = _reference_adjoint(G, H)
+    entries = ad.entries
+    Hsh, mG, nG = H.subgroup.shape, G.shape.m, G.shape.n
     ber_u = ad.berezinian()
     dirs = _embedding_directions(H)
     outside = [k for k in range(mG + nG) if k not in dirs]
@@ -1075,9 +1084,40 @@ def test_haar_density_matches_the_hand_built_jacobian(G):
                          + [(G, full_subgroup(G)) for G in _CHARTS],
                          ids=lambda x: getattr(x, "name", None))
 def test_modular_berezinian_matches_the_hand_built_ad(G, H):
+    # the whole Ad matrix, not only its Berezinians: Ad_h taken with its
+    # two chain-rule factors swapped has the same Berezinians on every pair
+    assert _adjoint(G, H) == _reference_adjoint(G, H)
     got = modular_berezinian(G, H)
     want = _reference_modular_berezinian(G, H)
     assert [_stored(f) for f in got] == [_stored(f) for f in want]
+
+
+def _curved_axb():
+    """ax+b in the chart (a, c), b = a c: (a, c).(a', c') = (a a', c' +
+    c / a') and (a, c)^-1 = (1/a, -a c).  Its translations are not affine
+    in the chart, so d(h.x)/dx depends on x, and Ad_h's two chain-rule
+    factors do not commute (in every built-in chart they do)."""
+    shape = SuperDomainShape(2, (POSITIVE, REALLINE), 0)
+    prod = shape_product(shape, shape)
+    a, c, a2, c2 = (SuperFunction.coordinate(prod, i) for i in range(4))
+    mul = SuperMorphism(prod, shape, [
+        a * a2, c2 + c * SuperFunction.coordinate(prod, 2, -1)], [])
+    x_a, x_c = (SuperFunction.coordinate(shape, i) for i in range(2))
+    inv = SuperMorphism(shape, shape, [
+        SuperFunction.coordinate(shape, 0, -1), -(x_a * x_c)], [])
+    return SuperGroupChart("ax+b in (a, b/a)", shape, mul,
+                           (Fraction(1), Fraction(0)), inv)
+
+
+def test_adjoint_takes_its_chain_rule_factors_in_order():
+    G = _curved_axb()
+    assert validate_group(G).ok
+    H = full_subgroup(G)
+    ad = _adjoint(G, H)
+    assert ad == _reference_adjoint(G, H)
+    # Ad_h = [[1, -a c], [0, a]]; the swapped product reads -c there
+    assert str(ad) == "1 | -x1 x2\n0 | x1"
+    assert modular_berezinian(G, H) == (ad.berezinian(), ad.berezinian())
 
 
 def test_modular_berezinian_keeps_the_orientation_of_ad_on_h(monkeypatch):
@@ -1090,6 +1130,6 @@ def test_modular_berezinian_keeps_the_orientation_of_ad_on_h(monkeypatch):
     ad = SuperMatrix(2, 2, [[one, zero, xi1, zero], [zero, one, zero, zero],
                             [xi2, zero, one, zero], [zero, zero, zero, one]],
                      zero=zero, one=one)
-    monkeypatch.setattr(supergroup, "_differential", lambda *args: ad)
+    monkeypatch.setattr(supergroup, "_adjoint", lambda *args: ad)
     ber_h, ber_u = modular_berezinian(G, full_subgroup(G))
     assert ber_h == ber_u == one - xi1 * xi2

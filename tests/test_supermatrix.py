@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from superberezin import linalg, suites, supermatrix
+from superberezin import linalg, supermatrix
 from superberezin.grassmann import EVEN, ODD, GrassmannElement, Scalar
 from superberezin.superdomain import (
     POSITIVE,
@@ -732,15 +732,63 @@ def test_random_elements_match_the_public_constructor(seed):
         assert rng.getstate() == twin.getstate()
 
 
+def _public_random_even_supermatrix(rng, p, q, n):
+    """The matrix draw through the public constructors: A and D with their
+    diagonal bodies forced, redrawn while a body is singular, then B and
+    C, each entry a _public_random_grassmann draw."""
+    for _ in range(60):
+        A = [[_public_random_grassmann(rng, n, EVEN, ensure_body=(i == j))
+              for j in range(p)] for i in range(p)]
+        D = [[_public_random_grassmann(rng, n, EVEN, ensure_body=(i == j))
+              for j in range(q)] for i in range(q)]
+        if any(block and linalg.det([[e.body().rational for e in row]
+                                     for row in block]) == 0
+               for block in (A, D)):
+            continue
+        B = [[_public_random_grassmann(rng, n, ODD) for _ in range(q)]
+             for _ in range(p)]
+        C = [[_public_random_grassmann(rng, n, ODD) for _ in range(p)]
+             for _ in range(q)]
+        rows = [a + b for a, b in zip(A, B)] + [c + d for c, d in zip(C, D)]
+        return SuperMatrix(p, q, rows, zero=GrassmannElement.zero(n),
+                           one=GrassmannElement.one(n))
+    raise RuntimeError("failed to generate an invertible supermatrix")
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_random_supermatrices_match_the_public_constructor(seed, monkeypatch):
-    shapes = [(1, 1, 4), (2, 1, 4), (3, 3, 6)]
-    got = [random_even_supermatrix(random.Random(seed), *s) for s in shapes]
-    monkeypatch.setattr(suites, "random_grassmann", _public_random_grassmann)
-    want = [random_even_supermatrix(random.Random(seed), *s) for s in shapes]
-    for x, y in zip(got, want):
-        assert [[_stored(e) for e in row] for row in x.entries] == \
-            [[_stored(e) for e in row] for row in y.entries]
+def test_random_supermatrices_match_the_public_constructor(seed):
+    # one stream through every shape, p = 0 and q = 0 and no generators
+    # (no odd entry to draw) among them
+    shapes = [(1, 1, 4), (2, 1, 4), (3, 3, 6), (0, 2, 4), (2, 0, 4),
+              (0, 1, 0), (1, 0, 0), (0, 0, 3)]
+    rng, twin = random.Random(seed), random.Random(seed)
+    for p, q, n in shapes:
+        got = random_even_supermatrix(rng, p, q, n)
+        want = _public_random_even_supermatrix(twin, p, q, n)
+        assert (got.p, got.q, got.parity) == (want.p, want.q, want.parity)
+        assert [[_stored(e) for e in row] for row in got.entries] == \
+            [[_stored(e) for e in row] for row in want.entries], (p, q, n)
+        assert rng.getstate() == twin.getstate(), (p, q, n)
+
+
+@pytest.mark.parametrize("draw, public", [
+    (lambda rng: random_grassmann(rng, 0, ODD),
+     lambda rng: _public_random_grassmann(rng, 0, ODD)),
+    (lambda rng: random_grassmann(rng, 2, max_terms=0),
+     lambda rng: _public_random_grassmann(rng, 2, max_terms=0)),
+    (lambda rng: random_even_supermatrix(rng, 1, 1, 0),
+     lambda rng: _public_random_even_supermatrix(rng, 1, 1, 0)),
+], ids=["grassmann-odd-n0", "grassmann-no-terms", "supermatrix-n0"])
+def test_random_draws_raise_as_the_public_draws(draw, public):
+    # the same error at the same point of the stream: the term count is
+    # drawn before an empty table of odd monomials raises
+    for seed in range(5):
+        rng, twin = random.Random(seed), random.Random(seed)
+        with pytest.raises((IndexError, ValueError)) as want:
+            public(twin)
+        with pytest.raises(want.type):
+            draw(rng)
+        assert rng.getstate() == twin.getstate(), seed
 
 
 def test_random_supermatrix_units_come_from_the_public_constructors():
