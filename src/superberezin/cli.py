@@ -70,8 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of the file at ``path``; OSError, as for a missing file,
+    where it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _emit(value, prefix: str = "") -> bool:

@@ -124,8 +124,8 @@ class _Layout:
     exactly when its guard bit, or a lower lane's after a borrow, is set,
     so one test of ``guard`` finds it.  ``s`` is what multiplying a term
     by s adds to its key.  Only this module reads the bits; the other
-    modules go through ``key``, ``split`` and the helpers below.  n is at
-    most ``_MAX_GENERATORS`` and m at most ``_MAX_VARIABLES``, checked
+    modules go through ``key``, ``unpacked`` and the helpers below.  n is
+    at most ``_MAX_GENERATORS`` and m at most ``_MAX_VARIABLES``, checked
     before any mask or lane is built.
     """
 
@@ -159,14 +159,9 @@ class _Layout:
             lane += _LANE
         return key
 
-    def split(self, key: int) -> tuple[int, tuple[int, ...], int]:
-        """(mask, exponents, power of s) of a key."""
-        (mask, exps, k, _), = self.unpacked({key: 0})
-        return mask, exps, k
-
     def unpacked(self, nums: dict, having: int = 0) -> list:
-        """The ``split`` keys and the numerators, (mask, exponents, power
-        of s, numerator), of the terms of ``nums`` whose masks hold every
+        """The split keys and the numerators, (mask, exponents, power of
+        s, numerator), of the terms of ``nums`` whose masks hold every
         generator of the mask ``having``, in stored order."""
         low, top, lanes = self.low, self.top, self._lanes
         out = []
@@ -177,14 +172,6 @@ class _Layout:
                     exps.append(((key >> lane) & _FIELD) - _OFFSET)
                 out.append((key & low, tuple(exps), key >> top, c))
         return out
-
-    def mask(self, key: int) -> int:
-        return key & self.low
-
-    def even(self, key: int) -> int:
-        """The key of a term's even part, exponents and power of s, in the
-        layout of (0|m): a Polynomial's key."""
-        return key >> self.n
 
     def join(self, mask: int, even: int) -> int:
         """The key of xi^mask times the (0|m) term keyed ``even``."""
@@ -259,13 +246,14 @@ class _Exact(_Immutable):
     values are stored alike, and ``==`` and ``hash`` read the stored form;
     a constant, of any type and count, compares and hashes by its value.
     A stored key is one int in the ``_Layout`` of the class's
-    ``_layout(count)``.  ``terms`` is the read-only canonical view
-    ``{key: coefficient}`` in tuple keys, the coefficient an int when
-    integral and a Fraction otherwise, built once, on first read: a key
-    is the power of s for a ``Scalar``, ``(mask, k)`` for a
-    ``GrassmannElement``, ``(e_1, ..., e_m, k)`` for a
-    ``superdomain.Polynomial`` and ``(mask, e_1, ..., e_m, k)`` for a
-    ``superdomain.SuperFunction``, k the power of s; ``_count`` is the
+    ``_layout(count)``, and ``(_count, den, nums)`` is all a value holds.
+    ``terms`` is the read-only canonical view ``{key: coefficient}`` in
+    tuple keys, the coefficient an int when integral and a Fraction
+    otherwise, built on each read: a key is the power of s for a
+    ``Scalar``, ``(mask, k)`` for a ``GrassmannElement``,
+    ``(e_1, ..., e_m, k)`` for a ``superdomain.Polynomial`` and
+    ``(mask, e_1, ..., e_m, k)`` for a ``superdomain.SuperFunction``, k
+    the power of s; ``_count`` is the
     element's generator count, the polynomial's variable count or the
     superfunction's shape, 0 for a Scalar.  Values are immutable: closed
     operations build their results with the trusted constructor
@@ -286,7 +274,7 @@ class _Exact(_Immutable):
     power of s.
     """
 
-    __slots__ = ("_count", "den", "nums", "_terms")
+    __slots__ = ("_count", "den", "nums")
 
     def __new__(cls, count: int, terms: Mapping = ()):
         if count < 0:
@@ -299,23 +287,19 @@ class _Exact(_Immutable):
             if isinstance(coeff, (int, Fraction)):
                 checked.append((key, _canonical(coeff)))
             else:
-                checked.extend((key + k * layout.s, c)
-                               for k, c in Scalar.coerce(coeff).terms.items())
+                coeff = Scalar.coerce(coeff)
+                checked.extend((key + k * layout.s, _quotient(c, coeff.den))
+                               for k, c in coeff.nums.items())
         return _stored(cls, count, *_over_one_denominator(_add_terms({}, checked)))
 
     @property
     def terms(self) -> Mapping:
         """The canonical view ``{tuple key: coefficient}`` of ``nums/den``,
-        built once, on first read."""
-        try:
-            return self._terms
-        except AttributeError:
-            den, view = self.den, self._view
-            terms = MappingProxyType({
-                view(mask, exps, k): c if den == 1 else _quotient(c, den)
-                for mask, exps, k, c in self._layout(self._count).unpacked(self.nums)})
-            object.__setattr__(self, "_terms", terms)
-            return terms
+        built on each read."""
+        den, view = self.den, self._view
+        return MappingProxyType({
+            view(mask, exps, k): c if den == 1 else _quotient(c, den)
+            for mask, exps, k, c in self._layout(self._count).unpacked(self.nums)})
 
     @staticmethod
     def _view(mask: int, exps: tuple, k: int):
@@ -476,10 +460,9 @@ def _stored(cls, count: int, den: int, nums: dict):
     ``nums`` must map keys of ``cls`` to nonzero ints, with ``den`` >= 1
     and ``gcd(den, *nums.values()) == 1`` (``den`` 1 when ``nums`` is
     empty), and is kept, not copied; the public constructor checks all of
-    this, this one assumes it.  The ``terms`` view is left unset until
-    first read.  A module function rather than a classmethod: every
-    product builds a value, and a classmethod binds a new method object
-    on each call.
+    this, this one assumes it.  A module function rather than a
+    classmethod: every product builds a value, and a classmethod binds a
+    new method object on each call.
     """
     out = _new(cls)
     _set_count(out, count)
@@ -570,13 +553,6 @@ class Scalar(_Exact):
         if isinstance(value, (int, Fraction)):
             return Scalar(value)
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
-
-    @property
-    def terms(self) -> Mapping:
-        # a Scalar's key is its power of s, the view's key
-        if self.den == 1:
-            return MappingProxyType(self.nums)
-        return _Exact.terms.fget(self)
 
     @staticmethod
     def _view(mask: int, exps: tuple, k: int) -> int:
@@ -1042,14 +1018,6 @@ class GrassmannElement(_Graded):
     @staticmethod
     def scalar(generator_count: int, value) -> "GrassmannElement":
         return GrassmannElement(generator_count, {(): value})
-
-    @staticmethod
-    def generator(generator_count: int, index: int) -> "GrassmannElement":
-        return GrassmannElement(generator_count, {(index,): 1})
-
-    @staticmethod
-    def monomial(generator_count: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
-        return GrassmannElement(generator_count, {tuple(indices): coeff})
 
     # -- basic structure ----------------------------------------------
 

@@ -29,7 +29,6 @@ from functools import cache
 from itertools import groupby
 from math import lcm
 from operator import attrgetter, itemgetter
-from types import MappingProxyType
 
 from .errors import DimensionError, DomainBoxError, NonIntegrableError, ParityError
 from .grassmann import EVEN, ODD, Scalar, fused_sum
@@ -241,8 +240,8 @@ class Polynomial(_Exact):
     linear combinations and the box integrals multiply and add only ints.
     The public constructor takes ``{(e_1, ..., e_m): coefficient}`` with
     int exponents and Scalar, int or Fraction coefficients.  The inverse
-    (``monomial_inverse``), ``**`` (``grassmann._power``) and printing are
-    the exact base's, as its arithmetic is.
+    of a monomial, ``p ** -1``, any power (``grassmann._power``) and
+    printing are the exact base's, as its arithmetic is.
     """
 
     __slots__ = ()
@@ -288,14 +287,6 @@ class Polynomial(_Exact):
     __mul__ = _Exact.__mul__
 
     __pow__ = _power
-
-    def is_monomial(self) -> bool:
-        return len(self.nums) == 1
-
-    def monomial_inverse(self) -> "Polynomial":
-        """Inverse of c·s^k·x^e, the only invertible Laurent shapes:
-        ``grassmann._Exact._inverse`` with no soul, den/c."""
-        return self._inverse()
 
     def derive(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
@@ -393,17 +384,16 @@ class SuperFunction(_Graded):
     base's count slot.  On a (0|N) shape this is a ``GrassmannElement``'s
     form.  The constructor takes
     ``{α: f_α}`` with α an index tuple and f_α a Polynomial or a constant,
-    and ``coefficient`` and ``str`` speak in index tuples too; ``coeffs`` is
-    the read-only view ``{mask: f_α}``, each sector reduced on its own,
-    built on first read.  ``*`` and ``grassmann.fused_sum``, the fused
-    base + sum a*b of the supermatrix ring protocol, run one product loop,
-    ``grassmann._anticommuting``.
+    and ``coefficient`` and ``str`` speak in index tuples too, a sector
+    f_α being ``coefficient(α)``.  ``*`` and ``grassmann.fused_sum``, the
+    fused base + sum a*b of the supermatrix ring protocol, run one product
+    loop, ``grassmann._anticommuting``.
     ``inv_even``, ``coefficient`` and ``body_polynomial`` are the ones of
     ``grassmann._Graded``, as for a ``GrassmannElement``, with Polynomial
     sectors; only the printer, by sector, is this class's own.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
     shape = _Exact._count
     _layout = staticmethod(attrgetter("_key_layout"))
     _kind = "superfunction"
@@ -466,24 +456,6 @@ class SuperFunction(_Graded):
 
     # -- structure ------------------------------------------------------
 
-    @property
-    def coeffs(self) -> Mapping:
-        """The read-only view ``{mask: f_α}`` of the nonzero sectors, each
-        Polynomial reduced on its own; built once, on first read."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            layout = self.shape._key_layout
-            mask, even = layout.mask, layout.even
-            sectors = {}
-            for key, c in self.nums.items():
-                sectors.setdefault(mask(key), {})[even(key)] = c
-            m, den = self.shape.m, self.den
-            view = MappingProxyType({mask: _reduced(Polynomial, m, den, nums)
-                                     for mask, nums in sectors.items()})
-            object.__setattr__(self, "_coeffs", view)
-            return view
-
     def body_polynomial(self) -> Polynomial:
         return self._sector(0)
 
@@ -538,7 +510,7 @@ class SuperFunction(_Graded):
         """By sector, each odd monomial after its coefficient, parenthesized
         when that has several terms, and the sectors joined by " + ":
         ``x1 + (2 - s) xi1 + -6 xi1 xi2``; printed straight from the stored
-        terms (``_print_sectors``), with no ``coeffs`` view."""
+        terms (``_print_sectors``)."""
         parts = []
         for odd, terms in _print_sectors(self):
             p = _sum_text(self.den, terms)

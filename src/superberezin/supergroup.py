@@ -605,9 +605,7 @@ def _candidate_multiple(f1: SuperFunction, f2: SuperFunction) -> Scalar | None:
     """The only c that can give f1 = c f2, read off at the first coefficient
     of f2 that is a single power of s (an invertible value); None where
     there is none."""
-    split = f2.shape._key_layout.split
-    for key in f2.nums:
-        mask, exps, _ = split(key)
+    for mask, exps, _, _ in f2.shape._key_layout.unpacked(f2.nums):
         coeff = f2._sector(mask).coefficient(exps)
         if len(coeff.nums) == 1:
             return f1._sector(mask).coefficient(exps) / coeff

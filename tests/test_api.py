@@ -34,15 +34,12 @@ ALLOWED = {
     # the one-element draw, the 1 x 1 case of the block draw that
     # random_even_supermatrix makes, with which the tests draw elements
     "suites.random_grassmann",
-    # the ring API of the public value types
-    "grassmann.GrassmannElement.generator",
-    "grassmann.GrassmannElement.monomial",
+    # the ring API of the public value types: no other public spelling
+    # takes a polynomial's derivative, its value at a point or a
+    # superfunction's body
     "superdomain.Polynomial.derive",
     "superdomain.Polynomial.evaluate",
-    "superdomain.Polynomial.is_monomial",
-    "superdomain.Polynomial.monomial_inverse",
     "superdomain.SuperFunction.body_polynomial",
-    "superdomain.SuperFunction.coeffs",
     # the public block constructor, with the per-entry parity check; the
     # program's drawn matrices are built by supermatrix._trusted
     "supermatrix.SuperMatrix.from_blocks",

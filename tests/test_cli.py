@@ -83,6 +83,19 @@ def test_ber_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, options", [
+    ("ber", []), ("integrate", []), ("unimodular", ["--subalgebra", "0"])])
+def test_a_file_that_is_not_utf8_cannot_be_read(tmp_path, capsys, command,
+                                                options):
+    # "1 1" saved as UTF-16 with its byte-order mark: byte 0 is 0xff
+    path = tmp_path / "utf16.txt"
+    path.write_bytes("1 1".encode("utf-16"))
+    assert cli.main([command, str(path), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read input: {path} is not UTF-8 text: ")
+    assert "Traceback" not in err
+
+
 def test_ber_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "1 0 1\n1 + zeta\n")
     assert cli.main(["ber", path]) == 2
@@ -594,8 +607,8 @@ def _equal_pairs(draw):
                 SuperFunction.constant(_shape(draw(counts), draw(counts)), c))
     elif route == "monomial":
         n = draw(st.integers(2, 4))
-        gens = [GrassmannElement.generator(n, j) for j in range(n)]
-        pair = (GrassmannElement.monomial(n, (0, 1), c) + gens[n - 1],
+        gens = [GrassmannElement(n, {(j,): 1}) for j in range(n)]
+        pair = (GrassmannElement(n, {(0, 1): c}) + gens[n - 1],
                 gens[n - 1] + c * gens[0] * gens[1])
     else:
         pair = (GrassmannElement.scalar(draw(counts), c),

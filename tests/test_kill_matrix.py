@@ -12,6 +12,13 @@ an ``error:`` line instead (a library error ends the whole suite) is
 pinned as ``"error"``.  The pinned sets may only grow: a fault that stops
 failing a line is a check that lost its teeth.
 
+Each run is profiled once, clean, for the code objects it enters.  A run
+that never enters a function a fault rebinds runs as the clean run did
+up to that call, so it cannot meet the fault, and it gets its clean cell
+without running again (``reaches``).  A fault on a data table or on a
+cached function, which a run can meet without a call the profile sees,
+runs everywhere.
+
 The Lie superalgebra column: the odd sign of the quotient supertrace, the
 Koszul sign of the mirror fill of structure constants, and one term of
 the graded Jacobi identity.  The fibre-integration column: each of the
@@ -38,15 +45,23 @@ sides of its identity over the same box axes, so the wrong moments
 cancel.  And the containment test strict at the upper end, which only
 ``verify change-of-variables`` catches (an error): its corner samples map
 exactly onto the target's corners.  The Gaussian moment taken as
-(e + 1)!! waits in ``WAITING``: no run integrates over a Gaussian axis
-(item 29).  The pullback column: the puller's linear combination of the
-last variable's powers without its highest power, where it holds more
-than one.  ``verify change-of-variables`` catches it (38 of its 60
-lines), and so do the Fubini and product cases whose integrands hold
-such a prefix; no built-in chart's Haar densities, modular Berezinians or
-group laws do.  The Berezinian column: the Haar density of the other
-side, the Haar density not inverted, the modular ratio Ber(Ad on h) /
-Ber(Ad on g) inverted, det(D) where the Berezinian takes det(D)^-1, on
+(e + 1)!! waits in ``WAITING`` on item 29.  Three runs integrate over a
+Gaussian axis, and it changes 128 of the 163 lines of ``verify
+fubini-signs``, 4 of the 16 of ``verify fubini-quotients`` and 1 of the 2
+of ``examples run heisenberg-fubini``, yet fails none: both sides of each
+identity scale by the same moments.  The pullback column: the puller's
+linear combination of the last variable's powers without its highest
+power, where it holds more than one.  ``verify change-of-variables``
+catches it (38 of its 60 lines), and so do the Fubini and product cases
+whose integrands hold such a prefix; no built-in chart's Haar densities,
+modular Berezinians or group laws do, but the curved GL(1|1) and
+Heisenberg charts of ``test_supergroup`` do.  The Ad column: Ad_h's two
+chain-rule factors in ``supergroup._adjoint`` taken in the other order.
+Every built-in chart's translations are affine in its coordinates, so
+the factors commute there and no run can catch it; it waits on the
+curved charts of item 34.  The Berezinian column: the Haar density of the
+other side, the Haar density not inverted, the modular ratio Ber(Ad on h)
+/ Ber(Ad on g) inverted, det(D) where the Berezinian takes det(D)^-1, on
 the LU factorisation and the adjugate solve alike, the sign of the LU
 update flipped, a row swap that keeps the permutation's sign, and the
 trace of the Faddeev-LeVerrier fallback not divided by k.  Only ``verify
@@ -102,12 +117,14 @@ fail under it.
 """
 
 import __future__
+import cProfile
 import importlib
 import inspect
 import io
 import re
 import sys
 import textwrap
+import types
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -187,9 +204,19 @@ def edited(func, *edits):
     return scope[func.__name__]
 
 
+def rebinding(*originals):
+    """Mark a fault with the ``originals`` it rebinds, which ``reaches``
+    reads."""
+    def mark(apply):
+        apply.originals = originals
+        return apply
+    return mark
+
+
 def edit(func, *edits):
     """The fault that binds ``edited(func, *edits)`` in place of ``func``:
     on its class for a method, else wherever the package binds it."""
+    @rebinding(func)
     def apply(monkeypatch):
         new = edited(func, *edits)
         owner, _, name = func.__qualname__.rpartition(".")
@@ -204,9 +231,26 @@ def edit(func, *edits):
 def replaced(original, replacement):
     """The fault that binds ``replacement`` wherever the package binds
     ``original``."""
+    @rebinding(original)
     def apply(monkeypatch):
         patch_everywhere(monkeypatch, original, replacement)
     return apply
+
+
+def reaches(fault, entered):
+    """Whether a run whose clean execution entered the code objects
+    ``entered`` can meet ``fault``: unless every original it rebinds is a
+    plain function whose code the run never entered."""
+    return any(not isinstance(original, types.FunctionType)
+               or original.__code__ in entered
+               for original in fault.originals)
+
+
+def profiled(argv):
+    """``failed_checks(argv)`` and the code objects the run enters."""
+    profile = cProfile.Profile()
+    failed = profile.runcall(failed_checks, argv)
+    return failed, {entry.code for entry in profile.getstats()}
 
 
 # -- the faults that wrap a real function ------------------------------------
@@ -284,15 +328,18 @@ def _rref_without_back_reduction(rows, ncols):
     return linalg._echelon(rows, ncols)[0]
 
 
+@rebinding(supergroup.koszul_sign)
 def swapped_jet_koszul_sign_dropped(monkeypatch):
     # supergroup's binding only: lie_super's Koszul signs stay
     monkeypatch.setattr(supergroup, "koszul_sign", lambda a, b: 1)
 
 
+@rebinding(_jet_terms)
 def odd_pair_jet_terms_skipped(monkeypatch):
     monkeypatch.setattr(supergroup, "_jet_terms", _jet_terms_without_odd_pairs)
 
 
+@rebinding(_lu, _adjugate_solve)
 def det_d_for_its_inverse(monkeypatch):
     patch_everywhere(monkeypatch, _lu, _lu_with_pivots)
     patch_everywhere(monkeypatch, _adjugate_solve, _adjugate_solve_with_det_d)
@@ -371,6 +418,9 @@ FAULTS = {
         _haar_density, _haar_density_not_inverted),
     "supergroup modular ratio inverted": replaced(
         _modular_berezinian, _modular_ratio_inverted),
+    # Ad_h = d(h.x)/dx at e times d(z.h^-1)/dz at h, the product reversed
+    "supergroup Ad chain-rule factors swapped": edit(
+        supergroup._adjoint, ("return left * right", "return right * left")),
     # b read off at the unit keeps the basis sign (-1)^(base.n * H.m) of
     # product_section
     "supergroup Fubini stage base sign dropped": edit(
@@ -433,12 +483,19 @@ WAITING = {
         "item 1", "test_supergroup", (
             "test_pinned_system_pins_only_an_unknown_alone_at_a_key",
             "test_pinned_system_keeps_the_kernel_of_the_whole_system")),
-    # no run integrates over a Gaussian axis: D(x, xi) xi x^2 gives -3 s
-    # for -s, and the moment of x^4 15 s for 3 s
+    # the runs that integrate over a Gaussian axis scale both sides of each
+    # identity by the same moments: D(x, xi) xi x^2 gives -3 s for -s, and
+    # the moment of x^4 15 s for 3 s
     "berezin Gaussian moment (e + 1)!!": (
         "item 29", "test_berezin", (
             "test_gaussian_one_one_with_sign",
             "test_gaussian_moments_table")),
+    # every built-in chart's translations are affine in its coordinates, so
+    # the two factors commute; the curved charts' Ad_{g.h} = Ad_h Ad_g fails
+    "supergroup Ad chain-rule factors swapped": (
+        "item 34", "test_supergroup", (
+            "test_group_verdicts_hold_in_curved_charts",
+            "test_adjoint_takes_its_chain_rule_factors_in_order")),
 }
 
 
@@ -659,12 +716,16 @@ PINNED = {
 
 
 def kill_matrix(monkeypatch):
+    """{fault: {run: the checks it FAILs}}, a run the fault cannot reach
+    given the clean run's cell."""
+    clean = {run: profiled(argv) for run, argv in RUNS.items()}
     matrix = {}
     for fault, apply in FAULTS.items():
         with monkeypatch.context() as patch:
             apply(patch)
-            matrix[fault] = {run: failed_checks(argv)
-                             for run, argv in RUNS.items()}
+            matrix[fault] = {
+                run: failed_checks(argv) if reaches(apply, clean[run][1])
+                else clean[run][0] for run, argv in RUNS.items()}
     return matrix
 
 
@@ -694,6 +755,16 @@ def test_every_fault_fails_its_pinned_checks(monkeypatch):
                if fault not in WAITING), shown
     assert all(any(matrix[fault][run] for fault in FAULTS)
                for run in RUNS), shown
+
+
+def test_a_fault_reaches_a_run_that_enters_what_it_rebinds():
+    # berezinian-line computes Koszul homology and no Lie algebra
+    failed, entered = profiled(RUNS["verify berezinian-line"])
+    assert failed == frozenset()
+    assert reaches(FAULTS["koszul hop sign of d dropped"], entered)
+    assert not reaches(FAULTS["lie_super one Jacobi term's sign"], entered)
+    # a data table is read with no call the profile sees
+    assert reaches(FAULTS["grassmann byte table bit flipped"], entered)
 
 
 def test_waiting_faults_fail_their_tier1_tests(monkeypatch):

@@ -606,11 +606,8 @@ def _exact(value):
         return (tuple(value.names), tuple(value.parities),
                 tuple(value.bracket_basis(i, j) for i in range(value.dim)
                       for j in range(value.dim)))
-    if isinstance(value, SuperFunction):
-        return (value.shape, {mask: _exact(poly)
-                              for mask, poly in value.coeffs.items()})
-    size = getattr(value, "generator_count", getattr(value, "nvars", None))
-    return (type(value), size,
+    # the count is the generator count, variable count or shape
+    return (type(value), value._count,
             {key: (type(c), c) for key, c in value.terms.items()})
 
 
